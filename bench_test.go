@@ -391,40 +391,59 @@ func BenchmarkE14Ablation(b *testing.B) {
 	}
 }
 
+// BenchmarkOnlineExecutive drives the incremental executive the way the
+// service does — periodic SubmitJob calls interleaved with slot-by-slot Run
+// — at full utilization with fractional yields. N4_M2 is the historical
+// row; the wide rows (N ≥ 64) are the ones where the per-decision cost of
+// choosing among N task heads shows.
 func BenchmarkOnlineExecutive(b *testing.B) {
-	weights := []model.Weight{
+	small := []model.Weight{
 		model.W(1, 2), model.W(3, 4), model.W(1, 4), model.W(1, 2),
 	}
-	y := pfair.UniformYield(11, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := pfair.NewExecutive(2, nil)
-		tasks := make([]*pfair.Task, len(weights))
-		for k, w := range weights {
-			task, err := ex.Register(fmt.Sprintf("t%d", k), w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tasks[k] = task
+	for _, cfg := range []struct {
+		m, n  int
+		q     int64
+		slots int64
+	}{{2, 4, 0, 48}, {4, 64, 20, 96}, {16, 64, 12, 96}, {4, 1024, 320, 96}, {16, 1024, 80, 96}} {
+		weights := small
+		if cfg.q > 0 {
+			rng := rand.New(rand.NewSource(99))
+			weights = gen.GridWeights(rng, cfg.n, cfg.q, int64(cfg.m)*cfg.q, gen.MixedWeights)
 		}
-		for slot := int64(0); slot < 48; slot++ {
-			for k, w := range weights {
-				if slot%w.P == 0 {
-					if err := ex.SubmitJob(tasks[k], rat.FromInt(slot)); err != nil {
+		y := pfair.UniformYield(11, 8)
+		b.Run(fmt.Sprintf("N%d_M%d", cfg.n, cfg.m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ex := pfair.NewExecutive(cfg.m, nil)
+				tasks := make([]*pfair.Task, len(weights))
+				for k, w := range weights {
+					task, err := ex.Register(fmt.Sprintf("t%d", k), w)
+					if err != nil {
+						b.Fatal(err)
+					}
+					tasks[k] = task
+				}
+				for slot := int64(0); slot < cfg.slots; slot++ {
+					for k, w := range weights {
+						if slot%w.P == 0 {
+							if err := ex.SubmitJob(tasks[k], rat.FromInt(slot)); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					if err := ex.Run(rat.FromInt(slot+1), y, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
+				if _, err := ex.Drain(y); err != nil {
+					b.Fatal(err)
+				}
+				if rat.One.Less(ex.Schedule().MaxTardiness()) {
+					b.Fatal("bound violated")
+				}
+				b.ReportMetric(float64(ex.Schedule().Len()), "decisions")
 			}
-			if err := ex.Run(rat.FromInt(slot+1), y, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := ex.Drain(y); err != nil {
-			b.Fatal(err)
-		}
-		if rat.One.Less(ex.Schedule().MaxTardiness()) {
-			b.Fatal("bound violated")
-		}
+		})
 	}
 }
 
