@@ -2,6 +2,10 @@
 GO ?= go
 BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
+# The archived bench document this tree writes (bench-json) and the one it
+# is gated against (bench-diff). A PR that archives new numbers bumps both.
+BENCH_N ?= BENCH_13.json
+BENCH_PREV ?= BENCH_12.json
 
 .PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke fuzz fuzz-smoke obs recovery scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
@@ -69,13 +73,13 @@ bench:
 bench-json:
 	{ $(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . && \
 	  $(GO) test -run '^$$' -bench='BenchmarkServerSubmit|BenchmarkDispatchFanout|BenchmarkMetricsExposition' -benchmem -benchtime=1000x -count=$(BENCHCOUNT) ./internal/server/; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_10.json
-	@echo wrote BENCH_10.json
+	  | $(GO) run ./cmd/benchjson > $(BENCH_N)
+	@echo wrote $(BENCH_N)
 
 # bench-diff gates the archived results: the benchmarks shared by the two
 # documents must not regress in ns/op by more than 20%.
 bench-diff:
-	$(GO) run ./cmd/benchjson -diff BENCH_9.json BENCH_10.json
+	$(GO) run ./cmd/benchjson -diff $(BENCH_PREV) $(BENCH_N)
 
 # fanout-smoke is the egress plane's CI gate, all under -race: the
 # 20-seed byte-identity sweep (every NDJSON stream must equal an

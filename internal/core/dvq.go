@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"desyncpfair/internal/model"
+	"desyncpfair/internal/online"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/sched"
@@ -55,80 +56,27 @@ func (o *DVQOptions) fill(sys *model.System) error {
 // With opts.Policy == PD² this is the paper's PD²-DVQ. The returned
 // schedule satisfies Schedule.ValidateDVQ for any valid task system.
 //
-// This is the fast-path engine: priorities are compared through cached
-// prio.Keys, the ready set is an indexed heap updated incrementally as task
-// heads arrive and advance, and the event queue is a typed, allocation-free
-// min-heap with lazy duplicate elimination. RunDVQReference retains the
-// seed implementation; TestEngineEquivalence pins the two to identical
-// schedules.
+// This is a thin driver over the repository's one incremental engine,
+// online.Executive: it adopts sys with everything released, runs the
+// executive to the horizon, and relabels the schedule. RunDVQReference
+// retains the seed implementation; TestEngineEquivalence pins the two to
+// identical schedules.
 func RunDVQ(sys *model.System, opts DVQOptions) (*sched.Schedule, error) {
 	if err := opts.fill(sys); err != nil {
 		return nil, err
 	}
-	s := sched.New(sys, opts.M, opts.Policy.Name(), "DVQ")
-
-	cmp := prio.NewComparer(opts.Policy, sys)
-	freeAt := make([]rat.Rat, opts.M)
-	remaining := sys.NumSubtasks()
-
-	// Seed the event queue with time zero and every eligibility time;
-	// quantum completions are pushed as they are created. Any moment at
-	// which a scheduling decision could newly succeed is one of these.
-	// A task head waits in pending until its activation time — the moment
-	// it becomes ready: its eligibility for the first subtask of a task,
-	// max(eligibility, predecessor completion) afterwards. Both components
-	// are always in the event queue, so heads are drained into the ready
-	// heap exactly when the seed engine's rescan would first see them.
-	events := make(ratHeap, 0, remaining+1)
-	events.push(rat.Zero)
-	pending := make(pendingHeap, 0, len(sys.Tasks))
-	ready := readyHeap{cmp: cmp, subs: make([]*model.Subtask, 0, len(sys.Tasks))}
-	for _, task := range sys.Tasks {
-		for _, sub := range sys.Subtasks(task) {
-			events.push(rat.FromInt(sub.Elig))
-		}
-		if seq := sys.Subtasks(task); len(seq) > 0 {
-			pending.push(rat.FromInt(seq[0].Elig), seq[0])
-		}
-	}
-
-	decision := 0
+	ex := online.Adopt(sys, opts.M, opts.Policy)
+	s := ex.Schedule()
+	s.Model = "DVQ"
 	horizon := rat.FromInt(opts.Horizon)
-	for remaining > 0 {
-		if events.len() == 0 {
-			return s, fmt.Errorf("core: event queue drained with %d subtasks pending", remaining)
+	if err := ex.Run(horizon, opts.Yield, nil); err != nil {
+		return s, err
+	}
+	if ex.Pending() > 0 {
+		if _, queued := ex.NextEvent(); !queued {
+			return s, fmt.Errorf("core: event queue drained with %d subtasks pending", ex.Pending())
 		}
-		now := events.pop()
-		events.popEq(now)
-		if horizon.Less(now) {
-			return s, fmt.Errorf("core: horizon %s exhausted with %d subtasks pending", horizon, remaining)
-		}
-		for pending.len() > 0 && !now.Less(pending.top()) {
-			ready.push(pending.pop())
-		}
-		for p := 0; p < opts.M && ready.len() > 0; p++ {
-			if now.Less(freeAt[p]) {
-				continue // still executing its current quantum
-			}
-			sub := ready.pop()
-			decision++
-			a := s.Add(sched.Assignment{
-				Sub:      sub,
-				Proc:     p,
-				Start:    now,
-				Cost:     opts.Yield(sub),
-				Decision: decision,
-			})
-			fin := a.Finish()
-			if next := sys.Successor(sub); next != nil {
-				// fin > now ≥ any time processed so far, so the successor's
-				// activation (and its event) lies strictly in the future.
-				pending.push(rat.Max(rat.FromInt(next.Elig), fin), next)
-			}
-			freeAt[p] = fin
-			events.push(fin)
-			remaining--
-		}
+		return s, fmt.Errorf("core: horizon %s exhausted with %d subtasks pending", horizon, ex.Pending())
 	}
 	return s, nil
 }

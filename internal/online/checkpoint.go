@@ -136,6 +136,9 @@ func Restore(cp Checkpoint) (*Executive, error) {
 			e.activeUtil = e.activeUtil.Add(w.Rat())
 		}
 		pending += nsubs - tc.Cursor
+		if tc.Cursor < nsubs {
+			e.await(e.sys.Subtasks(t)[tc.Cursor])
+		}
 	}
 	if pending != cp.Pending {
 		return nil, fmt.Errorf("online: checkpoint pending=%d but cursors imply %d", cp.Pending, pending)

@@ -28,9 +28,21 @@
 // goroutine (or under one external lock). The OnDispatch hook set with
 // SetOnDispatch is invoked synchronously on that same goroutine, while the
 // executive's internal state is mid-update; the hook must not call back
-// into the Executive. Callers that need concurrent access should wrap the
-// Executive the way internal/server.Tenant does, with a single mutex
-// around every call.
+// into the Executive. Callers that need concurrent access should own the
+// Executive the way internal/server.Tenant does: one goroutine (the
+// tenant's event loop) makes every call, other goroutines hand it commands
+// through a queue and read state it publishes — there is no lock to share.
+//
+// # One engine
+//
+// The executive is the repository's only incremental PD²-DVQ dispatch
+// loop: core.RunDVQ adopts a prebuilt system (Adopt) and runs this one.
+// Each task with undispatched work has exactly one entry — its head — in
+// a pending heap keyed by activation time or a ready heap keyed by a
+// priority key cached on entry (heads.go), so a decision costs O(log N)
+// in the tasks that have work and nothing in those that do not.
+// core.RunDVQReference, the seed's O(N) rescan, is the oracle it is pinned
+// to.
 package online
 
 import (
@@ -63,6 +75,11 @@ type Executive struct {
 	pending  int       // released, undispatched subtasks
 	decision int
 
+	// Every task with cursor < len(sequence) has its head on exactly one
+	// of these (heads.go); they are derived state, rebuilt by Restore.
+	waiting pendingHeap
+	ready   readyHeap
+
 	tl timeline
 }
 
@@ -81,22 +98,56 @@ type Dispatch struct {
 
 // New creates an executive for m processors. A nil policy selects PD².
 func New(m int, policy prio.Policy) *Executive {
+	return newExecutive(model.NewSystem(), m, policy)
+}
+
+func newExecutive(sys *model.System, m int, policy prio.Policy) *Executive {
 	if m < 1 {
 		panic("online: m must be ≥ 1")
 	}
 	if policy == nil {
 		policy = prio.PD2{}
 	}
-	sys := model.NewSystem()
-	e := &Executive{
+	return &Executive{
 		m:          m,
 		policy:     policy,
 		sys:        sys,
 		schedule:   sched.New(sys, m, policy.Name(), "DVQ-online"),
 		activeUtil: rat.Zero,
 		freeAt:     make([]rat.Rat, m),
+		ready:      readyHeap{rank: prio.NewRanker(policy)},
 		tl:         newTimeline(),
 	}
+}
+
+// Adopt returns an executive over a prebuilt task system with every
+// subtask of sys released and none dispatched — the offline engines' way
+// into the one dispatch loop (core.RunDVQ). The executive takes sys over.
+// Its tasks are adopted closed, as if unregistered: their release
+// sequences are complete, so they accept no further jobs and reserve no
+// utilization, and no admission test is applied (offline experiments
+// overload on purpose).
+func Adopt(sys *model.System, m int, policy prio.Policy) *Executive {
+	e := newExecutive(sys, m, policy)
+	n := len(sys.Tasks)
+	e.active = make([]bool, n)
+	e.cursor = make([]int, n)
+	e.lastFin = make([]rat.Rat, n)
+	e.nextIdx = make([]int64, n)
+	e.waiting = make(pendingHeap, 0, n)
+	e.ready.xs = make([]readyHead, 0, n)
+	for _, t := range sys.Tasks {
+		seq := sys.Subtasks(t)
+		e.nextIdx[t.ID] = 1
+		if len(seq) > 0 {
+			e.nextIdx[t.ID] = seq[len(seq)-1].Index + 1
+			e.await(seq[0])
+		}
+		for _, s := range seq {
+			e.push(rat.FromInt(s.Elig))
+		}
+	}
+	e.pending = sys.NumSubtasks()
 	return e
 }
 
@@ -212,6 +263,7 @@ func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
 	}
 	arrival := at.Ceil() // windows are integral; a mid-slot arrival rounds up
 	seq := e.sys.Subtasks(t)
+	idle := e.cursor[t.ID] == len(seq) // no head queued: this job's first subtask becomes it
 	prevTheta := int64(0)
 	prevElig := int64(0)
 	if len(seq) > 0 {
@@ -226,7 +278,7 @@ func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
 			theta = prevTheta // eq. (5): offsets never decrease
 		}
 		s := e.sys.AddSubtask(t, i, theta, 0)
-		elig := s.Release() - earliness
+		elig := theta + base - earliness // r(T_i) per eq. (3), released early
 		if elig < arrival {
 			elig = arrival
 		}
@@ -239,8 +291,23 @@ func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
 		e.nextIdx[t.ID] = i + 1
 		e.pending++
 		e.push(rat.FromInt(s.Elig))
+		if idle && k == 0 {
+			e.await(s)
+		}
 	}
 	return nil
+}
+
+// await queues a task's new head — its first undispatched subtask — until
+// its activation time: its eligibility, and for any but a task's first
+// subtask the completion of its predecessor. Both are timeline events, so
+// dispatchAt sees the head the moment the reference rescan would.
+func (e *Executive) await(head *model.Subtask) {
+	at := rat.FromInt(head.Elig)
+	if head.Seq > 0 {
+		at = rat.Max(at, e.lastFin[head.Task.ID])
+	}
+	e.waiting.push(at, head)
 }
 
 // Run advances virtual time to `until`, dispatching work as processors free
@@ -268,27 +335,32 @@ func (e *Executive) Run(until rat.Rat, yield sched.YieldFn, onDispatch func(Disp
 	return nil
 }
 
-// dispatchAt makes scheduling decisions for every processor free at time t.
+// dispatchAt makes scheduling decisions for every processor free at time t:
+// heads whose activation time has come move to the ready heap, and each
+// free processor, in index order, starts the highest-priority one.
 func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(Dispatch)) {
-	for p := 0; p < e.m; p++ {
+	for len(e.waiting) > 0 && !t.Less(e.waiting[0].at) {
+		e.ready.push(e.waiting.pop())
+	}
+	for p := 0; p < e.m && e.ready.len() > 0; p++ {
 		if t.Less(e.freeAt[p]) {
 			continue
 		}
-		sub := e.bestReady(t)
-		if sub == nil {
-			return // nothing ready; no later processor can have work either
-		}
+		sub := e.ready.pop()
 		cost := yield(sub)
 		e.decision++
-		a := e.schedule.Add(sched.Assignment{
+		fin := e.schedule.Add(sched.Assignment{
 			Sub: sub, Proc: p, Start: t, Cost: cost, Decision: e.decision,
-		})
+		}).Finish()
 		e.cursor[sub.Task.ID]++
-		e.lastFin[sub.Task.ID] = a.Finish()
-		e.freeAt[p] = a.Finish()
+		e.lastFin[sub.Task.ID] = fin
+		e.freeAt[p] = fin
 		e.pending--
-		e.push(a.Finish())
-		d := Dispatch{Sub: sub, Proc: p, Start: t, Finish: a.Finish(), Decision: e.decision}
+		e.push(fin)
+		if next := e.sys.Successor(sub); next != nil {
+			e.await(next) // activates at fin > t at the earliest
+		}
+		d := Dispatch{Sub: sub, Proc: p, Start: t, Finish: fin, Decision: e.decision}
 		if onDispatch != nil {
 			onDispatch(d)
 		}
@@ -298,38 +370,16 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 	}
 }
 
-func (e *Executive) bestReady(t rat.Rat) *model.Subtask {
-	var best *model.Subtask
-	for _, task := range e.sys.Tasks {
-		seq := e.sys.Subtasks(task)
-		c := e.cursor[task.ID]
-		if c >= len(seq) {
-			continue
-		}
-		head := seq[c]
-		if t.Less(rat.FromInt(head.Elig)) {
-			continue
-		}
-		if c > 0 && t.Less(e.lastFin[task.ID]) {
-			continue
-		}
-		if best == nil || prio.Order(e.policy, head, best) {
-			best = head
-		}
-	}
-	return best
-}
-
 // Drain runs until every released subtask has been dispatched and
 // completed, returning the final virtual time. It is the natural way to
 // finish a simulation after the last SubmitJob.
 func (e *Executive) Drain(yield sched.YieldFn) (rat.Rat, error) {
 	guard := 0
 	for e.pending > 0 {
-		if e.tl.len() == 0 {
+		next, queued := e.NextEvent()
+		if !queued {
 			return e.now, fmt.Errorf("online: %d subtasks pending with no events", e.pending)
 		}
-		next := e.tl.min()
 		if err := e.Run(next, yield, nil); err != nil {
 			return e.now, err
 		}
@@ -353,6 +403,15 @@ func (e *Executive) Drain(yield sched.YieldFn) (rat.Rat, error) {
 		}
 	}
 	return e.now, nil
+}
+
+// NextEvent returns the earliest queued event time — the next moment at
+// which Run could make a decision — and false when none is queued.
+func (e *Executive) NextEvent() (rat.Rat, bool) {
+	if e.tl.len() == 0 {
+		return rat.Zero, false
+	}
+	return e.tl.min(), true
 }
 
 func (e *Executive) push(t rat.Rat) { e.tl.push(t) }

@@ -1,14 +1,15 @@
 package online
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
-	"desyncpfair/internal/core"
 	"desyncpfair/internal/gen"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
-	"desyncpfair/internal/sched"
 )
 
 func TestRegisterAdmissionControl(t *testing.T) {
@@ -34,94 +35,6 @@ func TestNewPanicsOnBadM(t *testing.T) {
 		}
 	}()
 	New(0, nil)
-}
-
-// Submitting jobs exactly at their period boundaries reproduces the
-// synchronous periodic window pattern, and the executive's dispatch matches
-// the offline DVQ engine exactly.
-func TestPeriodicSubmissionMatchesOfflineDVQ(t *testing.T) {
-	weights := []model.Weight{model.W(1, 2), model.W(3, 4), model.W(1, 4), model.W(1, 2)}
-	const m, horizon = 2, 12
-
-	ex := New(m, nil)
-	tasks := make([]*model.Task, len(weights))
-	for i, w := range weights {
-		task, err := ex.Register(string(rune('A'+i)), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks[i] = task
-	}
-	y := gen.UniformYield(17, 8)
-	// Submit each task's jobs at its period boundaries, advancing time.
-	for slot := int64(0); slot < horizon; slot++ {
-		for i, w := range weights {
-			if slot%w.P == 0 {
-				if err := ex.SubmitJob(tasks[i], rat.FromInt(slot)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := ex.Run(rat.FromInt(slot+1), yieldByLabel(y), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ex.Drain(yieldByLabel(y)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.System().Validate(); err != nil {
-		t.Fatalf("generated system invalid: %v", err)
-	}
-	if err := ex.Schedule().ValidateDVQ(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Offline reference on the equivalent periodic system.
-	ref := model.Periodic(weights, horizon)
-	refSched, err := core.RunDVQ(ref, core.DVQOptions{M: m, Yield: yieldByLabel(y)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare per-subtask start times through (task name, index) keys.
-	refStarts := map[string]rat.Rat{}
-	for _, a := range refSched.Assignments() {
-		refStarts[a.Sub.String()] = a.Start
-	}
-	for _, a := range ex.Schedule().Assignments() {
-		want, ok := refStarts[a.Sub.String()]
-		if !ok {
-			t.Fatalf("online dispatched %s, absent offline", a.Sub)
-		}
-		if !a.Start.Equal(want) {
-			t.Errorf("%s online at %s, offline at %s", a.Sub, a.Start, want)
-		}
-	}
-	if ex.Schedule().Len() != refSched.Len() {
-		t.Errorf("dispatched %d, offline %d", ex.Schedule().Len(), refSched.Len())
-	}
-}
-
-// yieldByLabel makes a yield function keyed by the subtask's (name, index)
-// label so online and offline runs (distinct Subtask pointers and task IDs)
-// see identical costs.
-func yieldByLabel(base sched.YieldFn) sched.YieldFn {
-	type key struct {
-		name string
-		idx  int64
-	}
-	memo := map[key]rat.Rat{}
-	return func(s *model.Subtask) rat.Rat {
-		k := key{s.Task.Name, s.Index}
-		if c, ok := memo[k]; ok {
-			return c
-		}
-		// Derive deterministically from the label, not the pointer: rehash
-		// through a fixed fake subtask identity.
-		fake := &model.Subtask{Task: &model.Task{ID: int(k.name[0])}, Index: k.idx}
-		c := base(fake)
-		memo[k] = c
-		return c
-	}
 }
 
 // Sporadic arrivals: jobs submitted late produce right-shifted (IS) windows
@@ -388,4 +301,93 @@ func FuzzExecutive(f *testing.F) {
 			t.Fatalf("online tardiness %s > 1", got)
 		}
 	})
+}
+
+// TestUnregisteredTasksCostNothing pins the engine's cost model: a task
+// with no released work is in neither heap, so ten thousand tasks that
+// came, ran and were unregistered around eight live ones must not slow a
+// decision down — the scan this engine replaced visited every one of them
+// on every decision, a thousandfold slowdown here. The 2× allowance is for
+// timer noise (fastest of five interleaved repetitions each).
+func TestUnregisteredTasksCostNothing(t *testing.T) {
+	const live, dead, slots = 8, 10000, 2000
+	build := func(dead int) (*Executive, []*model.Task, []*model.Task) {
+		ex := New(3, nil) // the live tasks fill two processors; the third admits the passers-by
+		var gone, tasks []*model.Task
+		retire := func(k int) {
+			for i := 0; i < k; i++ {
+				task, err := ex.Register(fmt.Sprintf("gone%d", len(gone)), model.W(1, 1000))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ex.SubmitJob(task, ex.Now()); err != nil {
+					t.Fatal(err)
+				}
+				if err := ex.Run(ex.Now().Add(rat.One), nil, nil); err != nil { // its one subtask runs at once: a processor is free
+					t.Fatal(err)
+				}
+				if err := ex.Unregister(task); err != nil {
+					t.Fatal(err)
+				}
+				gone = append(gone, task)
+			}
+		}
+		retire(dead / 2)
+		for i := 0; i < live; i++ {
+			task, err := ex.Register(fmt.Sprintf("live%d", i), model.W(1, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks = append(tasks, task)
+		}
+		retire(dead - dead/2)
+		return ex, tasks, gone
+	}
+	run := func(ex *Executive, tasks []*model.Task) time.Duration {
+		base := ex.Now().Ceil()
+		decided := ex.Schedule().Len()
+		start := time.Now()
+		for slot := base; slot < base+slots; slot++ {
+			if (slot-base)%4 == 0 {
+				for _, task := range tasks {
+					if err := ex.SubmitJob(task, rat.FromInt(slot)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := ex.Run(rat.FromInt(slot+1), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := time.Since(start)
+		if got := ex.Schedule().Len() - decided; got != live*slots/4 {
+			t.Fatalf("made %d decisions in %d slots, want %d", got, slots, live*slots/4)
+		}
+		return d
+	}
+	alone, aloneTasks, _ := build(0)
+	among, amongTasks, gone := build(dead)
+	bare, crowded := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for rep := 0; rep < 5; rep++ {
+		bare = min(bare, run(alone, aloneTasks))
+		crowded = min(crowded, run(among, amongTasks))
+	}
+
+	if err := among.SubmitJob(amongTasks[0], among.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if !among.Active(amongTasks[0]) || among.Undispatched(amongTasks[0]) != 1 {
+		t.Fatalf("live task: active=%v undispatched=%d, want true, 1", among.Active(amongTasks[0]), among.Undispatched(amongTasks[0]))
+	}
+	for _, task := range []*model.Task{gone[0], gone[dead/2], gone[dead-1]} {
+		if among.Active(task) || among.Undispatched(task) != 0 {
+			t.Fatalf("%s: active=%v undispatched=%d, want false, 0", task, among.Active(task), among.Undispatched(task))
+		}
+		if err := among.SubmitJob(task, among.Now()); err == nil {
+			t.Fatalf("%s: job accepted after Unregister", task)
+		}
+	}
+	if crowded > 2*bare {
+		t.Fatalf("%d decisions took %v among %d unregistered tasks, %v without them", live*slots/4, crowded, dead, bare)
+	}
 }

@@ -128,6 +128,36 @@ func keyBBitCmp(a, b uint8) int {
 	return 1
 }
 
+// Ranker evaluates one policy's engine total order — prio.Order — over
+// subtasks whose Keys the caller caches: the key fast path, the exact
+// p.Cmp where keys cannot decide (PF's b = 1 chain walk, the ablation
+// policies), then task ID and sequence position. It holds no per-subtask
+// state and no memo, so an engine that caches one Key per task head stays
+// O(tasks) however long it runs.
+type Ranker struct {
+	pol  Policy
+	kind keyKind
+}
+
+// NewRanker resolves p's key-comparison strategy once.
+func NewRanker(p Policy) Ranker { return Ranker{pol: p, kind: keyKindOf(p)} }
+
+// Before reports whether a (whose key is ka) is scheduled before b (key
+// kb). It agrees with Order(p, a, b) on every pair.
+func (r Ranker) Before(ka, kb *Key, a, b *model.Subtask) bool {
+	c, decided := keyCmp(r.kind, ka, kb)
+	if !decided {
+		c = r.pol.Cmp(a, b)
+	}
+	if c != 0 {
+		return c < 0
+	}
+	if ka.TaskID != kb.TaskID {
+		return ka.TaskID < kb.TaskID
+	}
+	return ka.Seq < kb.Seq
+}
+
 // Comparer evaluates one policy's priority order over one task system with
 // per-subtask keys computed once up front, and memoizes the exact-Cmp
 // fallback so repeated comparisons of the same pair (as a heap makes) never

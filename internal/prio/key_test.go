@@ -93,15 +93,15 @@ func TestKeyCmpAgreesWithCmp(t *testing.T) {
 }
 
 // TestComparerAgreesWithOrder checks that the Comparer's memoized,
-// key-cached total order agrees with prio.Order on every pair under every
-// policy — including the ablation policies, which exercise the pure
+// key-cached total order — and the Ranker's memo-free one over the same
+// keys — agrees with prio.Order on every pair under every policy — including the ablation policies, which exercise the pure
 // exact-fallback path. Each pair is compared twice to cover the memo-hit
 // path.
 func TestComparerAgreesWithOrder(t *testing.T) {
 	for _, sys := range keyTestSystems(t) {
 		subs := sys.All()
 		for _, pol := range keyPolicies() {
-			c := prio.NewComparer(pol, sys)
+			c, rank := prio.NewComparer(pol, sys), prio.NewRanker(pol)
 			if c.Policy() != pol {
 				t.Fatalf("Policy() = %v, want %v", c.Policy(), pol)
 			}
@@ -113,6 +113,10 @@ func TestComparerAgreesWithOrder(t *testing.T) {
 						}
 						if got, want := c.Order(a, b), prio.Order(pol, a, b); got != want {
 							t.Fatalf("%s pass %d: Comparer.Order(%s, %s) = %v, want %v", pol.Name(), pass, a, b, got, want)
+						}
+						ka, kb := c.Key(a), c.Key(b)
+						if got, want := rank.Before(&ka, &kb, a, b), prio.Order(pol, a, b); got != want {
+							t.Fatalf("%s: Ranker.Before(%s, %s) = %v, want %v", pol.Name(), a, b, got, want)
 						}
 						if a.GID == b.GID && c.Total(a, b) != 0 {
 							t.Fatalf("%s: Total(%s, %s) != 0 for identical subtask", pol.Name(), a, b)

@@ -54,6 +54,9 @@ func (l Lattice) Extend(den int64) (Lattice, bool) {
 func (l Lattice) FromRat(r Rat) (int64, bool) {
 	d := r.den()
 	den := l.Den()
+	if d == den { // r is on the lattice's own grid: no division needed
+		return r.n, true
+	}
 	if den%d != 0 {
 		return 0, false
 	}

@@ -18,9 +18,10 @@ import (
 )
 
 // BenchmarkServerSubmit measures the submit hot path end to end — client
-// marshal, HTTP round trip, tenant lock, executive release — with a
-// periodic advance so the dispatch log keeps moving and the executive
-// never accumulates an unbounded backlog.
+// marshal, HTTP round trip, the hop through the tenant's submit ring to
+// its single-writer loop, executive release — with a periodic advance so
+// the dispatch log keeps moving and the executive never accumulates an
+// unbounded backlog.
 func BenchmarkServerSubmit(b *testing.B) {
 	srv := server.New()
 	hs := httptest.NewServer(srv.Handler())

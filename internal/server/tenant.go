@@ -624,9 +624,10 @@ func (t *Tenant) applySubmit(req SubmitJobRequest) (SubmitJobResponse, wal.Commi
 	}
 	var commit wal.Commit
 	h := t.hooks.Load()
-	t.traceBegin(wal.OpJobSubmit, req.Task, when.String())
+	at := when.String()
+	t.traceBegin(wal.OpJobSubmit, req.Task, at)
 	if h != nil {
-		c, jerr := h.append(wal.Record{Op: wal.OpJobSubmit, Tenant: t.id, Name: req.Task, At: when.String(), Earliness: req.Earliness, Key: req.Key})
+		c, jerr := h.append(wal.Record{Op: wal.OpJobSubmit, Tenant: t.id, Name: req.Task, At: at, Earliness: req.Earliness, Key: req.Key})
 		if jerr != nil {
 			t.traceFail(obs.StageWALAppend, jerr)
 			return SubmitJobResponse{}, wal.Commit{}, jerr
@@ -639,7 +640,7 @@ func (t *Tenant) applySubmit(req SubmitJobRequest) (SubmitJobResponse, wal.Commi
 		return SubmitJobResponse{}, wal.Commit{}, err
 	}
 	t.traceStage(obs.StageApply)
-	resp := SubmitJobResponse{At: when.String(), Pending: t.ex.Pending()}
+	resp := SubmitJobResponse{At: at, Pending: t.ex.Pending()}
 	t.idemRemember(req.Key, resp)
 	return resp, commit, nil
 }
@@ -733,14 +734,26 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) (SubmitJobsResponse, 
 	}
 	tasks := make([]*model.Task, len(reqs))
 	whens := make([]rat.Rat, len(reqs))
-	recs := make([]wal.Record, len(reqs))
+	// Each job's resolved arrival is rendered once, into its response, and
+	// read from there by its journal record and its trace span — and once
+	// per batch for the common empty `at`, which resolves every such job to
+	// the same now.
+	resp := SubmitJobsResponse{Results: make([]SubmitJobResponse, len(reqs))}
+	now := ""
 	for i, req := range reqs {
 		task, when, err := t.validateSubmit(req)
 		if err != nil {
 			return SubmitJobsResponse{}, wal.Commit{}, fmt.Errorf("job %d: %w", i, err)
 		}
 		tasks[i], whens[i] = task, when
-		recs[i] = wal.Record{Op: wal.OpJobSubmit, Tenant: t.id, Name: req.Task, At: when.String(), Earliness: req.Earliness, Key: req.Key}
+		if req.At != "" {
+			resp.Results[i].At = when.String()
+			continue
+		}
+		if now == "" {
+			now = when.String()
+		}
+		resp.Results[i].At = now
 	}
 	// Jobs within a batch are validated independently against the state at
 	// entry; submits only add pending work and never move virtual time, so
@@ -748,6 +761,11 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) (SubmitJobsResponse, 
 	var commit wal.Commit
 	h := t.hooks.Load()
 	if h != nil {
+		// Records exist only to be journaled: an in-memory tenant builds none.
+		recs := make([]wal.Record, len(reqs))
+		for i, req := range reqs {
+			recs[i] = wal.Record{Op: wal.OpJobSubmit, Tenant: t.id, Name: req.Task, At: resp.Results[i].At, Earliness: req.Earliness, Key: req.Key}
+		}
 		c, jerr := h.batch(recs)
 		if jerr != nil {
 			// Trace one failed command for the whole batch so the ring
@@ -758,9 +776,8 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) (SubmitJobsResponse, 
 		}
 		commit = c
 	}
-	resp := SubmitJobsResponse{Results: make([]SubmitJobResponse, len(reqs))}
 	for i := range reqs {
-		t.traceBegin(wal.OpJobSubmit, reqs[i].Task, whens[i].String())
+		t.traceBegin(wal.OpJobSubmit, reqs[i].Task, resp.Results[i].At)
 		if h != nil {
 			t.traceStage(obs.StageWALAppend)
 		}
@@ -774,7 +791,7 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) (SubmitJobsResponse, 
 			return SubmitJobsResponse{}, wal.Commit{}, fmt.Errorf("job %d: %w", i, err)
 		}
 		t.traceStage(obs.StageApply)
-		resp.Results[i] = SubmitJobResponse{At: whens[i].String(), Pending: t.ex.Pending()}
+		resp.Results[i].Pending = t.ex.Pending()
 		t.idemRemember(reqs[i].Key, resp.Results[i])
 	}
 	resp.Accepted = len(reqs)
