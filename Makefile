@@ -4,10 +4,10 @@ BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 # The archived bench document this tree writes (bench-json) and the one it
 # is gated against (bench-diff). A PR that archives new numbers bumps both.
-BENCH_N ?= BENCH_13.json
-BENCH_PREV ?= BENCH_12.json
+BENCH_N ?= BENCH_14.json
+BENCH_PREV ?= BENCH_13.json
 
-.PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke fuzz fuzz-smoke obs recovery scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
+.PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
 all: build lint test
 
@@ -65,14 +65,18 @@ bench:
 
 # bench-json archives machine-readable results (root benchmarks incl. the
 # PR 1 DVQ/SFQLarge set, plus the service-layer BenchmarkServerSubmit*
-# family and the egress-plane set — DispatchFanout/{1,8,64}subs against
-# its per-subscriber-encode baseline, and the pooled /metrics render).
+# family, the egress-plane set — DispatchFanout/{1,8,64}subs against
+# its per-subscriber-encode baseline, and the pooled /metrics render — and
+# Compact/history={10k,100k}, one compaction behind a short and a long
+# dispatch history, at its own iteration count: an iteration is a whole
+# compaction, fsyncs included).
 # The checked-in document is generated with BENCHTIME=20x BENCHCOUNT=3;
 # benchjson keeps the fastest of the repeated runs, so shared-host noise
 # cancels out of the bench-diff gate.
 bench-json:
 	{ $(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . && \
-	  $(GO) test -run '^$$' -bench='BenchmarkServerSubmit|BenchmarkDispatchFanout|BenchmarkMetricsExposition' -benchmem -benchtime=1000x -count=$(BENCHCOUNT) ./internal/server/; } \
+	  $(GO) test -run '^$$' -bench='BenchmarkServerSubmit|BenchmarkDispatchFanout|BenchmarkMetricsExposition' -benchmem -benchtime=1000x -count=$(BENCHCOUNT) ./internal/server/ && \
+	  $(GO) test -run '^$$' -bench='BenchmarkCompact' -benchmem -benchtime=200x -count=$(BENCHCOUNT) ./internal/server/; } \
 	  | $(GO) run ./cmd/benchjson > $(BENCH_N)
 	@echo wrote $(BENCH_N)
 
@@ -121,12 +125,25 @@ obs:
 	$(GO) test -race -count=1 ./internal/client/ -run 'TraceDecoder|StreamTrace'
 
 # recovery runs the crash-safety suite — fault-injected WAL recovery,
-# checkpoint/restore determinism, shutdown edges, SIGTERM drain — under
-# the race detector.
+# checkpoint/restore determinism (through the reference-engine oracle
+# too), shutdown edges, SIGTERM drain, and sealed dispatch history: the
+# crash-at-every-filesystem-operation sweeps across a sealing compaction,
+# the parent-format snapshot, a follower bootstrapped from a leader whose
+# history is in files — under the race detector.
 recovery:
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/faultfs/ ./cmd/pfaird/ \
-		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL'
-	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks'
+		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|ExecutiveMatchesReference'
+	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormat'
+	$(GO) test -race -count=1 ./internal/cluster/ -run 'TestFollowerBootstrapFromSealedHistory'
+
+# longrun is the bounded-snapshot soak (ROADMAP item 3): the tier-1
+# flatness gate TestLongTenantSnapshotsStayFlat at 10^6 dispatches instead
+# of 60 000 — ≈ 2000 compactions, about a minute — logging every 16th
+# compaction's snapshot size, bytes written, pause and runtime.MemStats
+# heap. Snapshot bytes and bytes written per compaction are asserted flat;
+# the heap still grows with history and is reported, not asserted.
+longrun:
+	$(GO) test -count=1 -v -timeout 30m ./internal/server/ -run 'TestLongTenantSnapshotsStayFlat' -args -dispatches 1000000
 
 # scenario-smoke is the scenario engine's CI gate: the golden-trace
 # byte-compare (same seed + same spec ⇒ byte-identical trace; regenerate

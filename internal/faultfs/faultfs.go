@@ -1,8 +1,8 @@
 // Package faultfs is a deterministic error-injecting filesystem for the
 // crash-recovery suite. It wraps the real filesystem behind wal.FS and,
 // driven entirely by its Options (a seed and fixed trigger points — no
-// wall clock, no global state), produces the three failure modes a
-// write-ahead log must survive:
+// wall clock, no global state), produces the failure modes a write-ahead
+// log must survive:
 //
 //   - crash-at-byte-N: once cumulative written bytes would exceed the
 //     budget, the write lands partially (up to the boundary) and the
@@ -12,6 +12,11 @@
 //     returns io.ErrShortWrite, exercising the log's wedge-on-error path.
 //   - k-th fsync failure: Sync returns an injected error at a chosen
 //     call, exercising group-commit failure handling.
+//   - crash-at-operation-K: the filesystem dies at the K-th mutating call
+//     (create, write, sync, rename, remove, directory sync), which fails
+//     having changed nothing. Sweeping K over a multi-file protocol — a
+//     compaction's tmp/fsync/rename sequences — visits every point a
+//     crash can separate two steps at.
 //
 // The same Options always produce the same failure at the same point, so
 // every crash test is replayable from its seed.
@@ -47,6 +52,10 @@ type Options struct {
 	// FailSyncAt, when > 0, makes the k-th Sync call (1-based, across all
 	// files) return ErrInjectedSync.
 	FailSyncAt int
+	// CrashAtOp, when > 0, kills the filesystem at the k-th mutating
+	// operation (1-based; Ops counts them): that call and every later one
+	// return ErrCrashed, and it changes nothing on disk.
+	CrashAtOp int64
 }
 
 // FS implements wal.FS over the real filesystem with injected faults.
@@ -58,6 +67,7 @@ type FS struct {
 	rng     *rand.Rand
 	written int64
 	syncs   int
+	ops     int64
 	crashed bool
 }
 
@@ -80,6 +90,30 @@ func (fs *FS) BytesWritten() int64 {
 	return fs.written
 }
 
+// Ops reports how many mutating operations have been attempted so far —
+// the scale CrashAtOp is set on.
+func (fs *FS) Ops() int64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.ops
+}
+
+// mutate gates one mutating operation: it counts it and, at the CrashAtOp
+// trigger, dies instead of letting it through.
+func (fs *FS) mutate() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.crashed {
+		return ErrCrashed
+	}
+	fs.ops++
+	if fs.opt.CrashAtOp > 0 && fs.ops >= fs.opt.CrashAtOp {
+		fs.crashed = true
+		return ErrCrashed
+	}
+	return nil
+}
+
 func (fs *FS) check() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -90,7 +124,7 @@ func (fs *FS) check() error {
 }
 
 func (fs *FS) Create(path string) (wal.File, error) {
-	if err := fs.check(); err != nil {
+	if err := fs.mutate(); err != nil {
 		return nil, err
 	}
 	f, err := fs.under.Create(path)
@@ -112,14 +146,14 @@ func (fs *FS) Open(path string) (wal.File, error) {
 }
 
 func (fs *FS) Rename(oldPath, newPath string) error {
-	if err := fs.check(); err != nil {
+	if err := fs.mutate(); err != nil {
 		return err
 	}
 	return fs.under.Rename(oldPath, newPath)
 }
 
 func (fs *FS) Remove(path string) error {
-	if err := fs.check(); err != nil {
+	if err := fs.mutate(); err != nil {
 		return err
 	}
 	return fs.under.Remove(path)
@@ -133,14 +167,14 @@ func (fs *FS) ReadDir(dir string) ([]string, error) {
 }
 
 func (fs *FS) MkdirAll(dir string) error {
-	if err := fs.check(); err != nil {
+	if err := fs.mutate(); err != nil {
 		return err
 	}
 	return fs.under.MkdirAll(dir)
 }
 
 func (fs *FS) SyncDir(dir string) error {
-	if err := fs.check(); err != nil {
+	if err := fs.mutate(); err != nil {
 		return err
 	}
 	return fs.under.SyncDir(dir)
@@ -162,6 +196,9 @@ func (f *file) Read(p []byte) (int, error) {
 // prefix that lands before a fault models exactly what a torn write
 // leaves on disk.
 func (f *file) Write(p []byte) (int, error) {
+	if err := f.fs.mutate(); err != nil {
+		return 0, err
+	}
 	f.fs.mu.Lock()
 	if f.fs.crashed {
 		f.fs.mu.Unlock()
@@ -200,6 +237,9 @@ func (f *file) Write(p []byte) (int, error) {
 }
 
 func (f *file) Sync() error {
+	if err := f.fs.mutate(); err != nil {
+		return err
+	}
 	f.fs.mu.Lock()
 	if f.fs.crashed {
 		f.fs.mu.Unlock()

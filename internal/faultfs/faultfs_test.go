@@ -174,3 +174,43 @@ func TestWALSurvivesCrashMidAppend(t *testing.T) {
 		t.Fatal("expected a torn tail at the crash point")
 	}
 }
+
+// TestCrashAtOpFailsCleanlyAndSticks: the k-th mutating call fails having
+// changed nothing, everything after it fails too, and reads before the
+// trigger are not counted.
+func TestCrashAtOpFailsCleanlyAndSticks(t *testing.T) {
+	dir := t.TempDir()
+	fs := New(Options{CrashAtOp: 4})
+	f, err := fs.Create(filepath.Join(dir, "a")) // op 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("hello")); err != nil { // op 2
+		t.Fatal(err)
+	}
+	if _, err := fs.ReadDir(dir); err != nil { // a read: not an op
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil { // op 3
+		t.Fatal(err)
+	}
+	if got := fs.Ops(); got != 3 {
+		t.Fatalf("Ops() = %d after create, write, sync; want 3", got)
+	}
+	if err := fs.Rename(filepath.Join(dir, "a"), filepath.Join(dir, "b")); !errors.Is(err, ErrCrashed) { // op 4
+		t.Fatalf("op 4 returned %v, want ErrCrashed", err)
+	}
+	f.Close()
+	if !fs.Crashed() {
+		t.Fatal("filesystem still alive after its crash op")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "b")); !os.IsNotExist(err) {
+		t.Fatalf("the crashing rename took effect (stat b: %v)", err)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "a")); err != nil || string(data) != "hello" {
+		t.Fatalf("file a = %q, %v; want the pre-crash content", data, err)
+	}
+	if _, err := fs.Create(filepath.Join(dir, "c")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Create after the crash returned %v", err)
+	}
+}

@@ -10,12 +10,14 @@ import (
 
 // Checkpoint is a serializable image of an Executive's full micro-state:
 // everything a Restore needs to continue making byte-identical scheduling
-// decisions. Dispatched history (the schedule itself) is deliberately NOT
-// part of it — a restored executive starts an empty schedule and only the
-// dispatch cursors, completion times, and event queue carry forward. That
-// keeps checkpoints proportional to live state while preserving the
-// determinism recovery relies on: same checkpoint + same subsequent calls
-// ⇒ same dispatch sequence. Rationals travel as exact strings.
+// decisions. Dispatched history is deliberately NOT part of it — a
+// restored executive starts an empty schedule, each task's subtask
+// sequence starts at its last dispatched subtask, and only the dispatch
+// cursors, completion times, and event queue carry forward. That keeps
+// checkpoints proportional to live state while preserving the determinism
+// recovery relies on: same checkpoint + same subsequent calls ⇒ same
+// dispatch sequence, and the same checkpoint bytes from a live executive
+// and from one restored along the way. Rationals travel as exact strings.
 type Checkpoint struct {
 	M        int              `json:"m"`
 	Policy   string           `json:"policy"`
@@ -28,6 +30,11 @@ type Checkpoint struct {
 }
 
 // TaskCheckpoint captures one task's registration and dispatch cursor.
+// Cursor indexes Subs: Checkpoint emits the sequence from the last
+// dispatched subtask on (Cursor is then 1, or 0 for a task that has
+// dispatched nothing); Restore also accepts the whole released sequence
+// with the absolute cursor, the form written before sequences were
+// trimmed.
 type TaskCheckpoint struct {
 	Name    string              `json:"name"`
 	E       int64               `json:"e"`
@@ -39,9 +46,10 @@ type TaskCheckpoint struct {
 	Subs    []SubtaskCheckpoint `json:"subs,omitempty"`
 }
 
-// SubtaskCheckpoint is one released subtask's window parameters. The full
-// released sequence is kept (not just the undispatched tail) because eq.
-// (5)/(6) monotonicity and the cursor both index into it.
+// SubtaskCheckpoint is one released subtask's window parameters. The last
+// dispatched subtask travels with the undispatched tail because submit
+// reads it for eq. (5)/(6) monotonicity (offsets and eligibility times
+// never decrease along a sequence) when the tail is empty.
 type SubtaskCheckpoint struct {
 	Index int64 `json:"i"`
 	Theta int64 `json:"theta"`
@@ -65,16 +73,21 @@ func (e *Executive) Checkpoint() Checkpoint {
 		cp.Events = append(cp.Events, ev.String())
 	}
 	for _, t := range e.sys.Tasks {
+		from := max(e.cursor[t.ID]-1, 0) // the last dispatched subtask, if any
 		tc := TaskCheckpoint{
 			Name:    t.Name,
 			E:       t.W.E,
 			P:       t.W.P,
 			Active:  e.active[t.ID],
-			Cursor:  e.cursor[t.ID],
+			Cursor:  e.cursor[t.ID] - from,
 			LastFin: e.lastFin[t.ID].String(),
 			NextIdx: e.nextIdx[t.ID],
 		}
-		for _, s := range e.sys.Subtasks(t) {
+		seq := e.sys.Subtasks(t)[from:]
+		if len(seq) > 0 {
+			tc.Subs = make([]SubtaskCheckpoint, 0, len(seq))
+		}
+		for _, s := range seq {
 			tc.Subs = append(tc.Subs, SubtaskCheckpoint{Index: s.Index, Theta: s.Theta, Elig: s.Elig})
 		}
 		cp.Tasks = append(cp.Tasks, tc)

@@ -125,6 +125,13 @@ func yieldByLabel(base sched.YieldFn) sched.YieldFn {
 // feasible shrink back: capacity over time is unchanged, but the shrink
 // keeps the latest-free processors and renumbers them, so from the first
 // episode on everything but the processor index is compared.
+//
+// Each case then runs the same script a second time through a mid-run
+// Checkpoint → JSON → Restore (slot 17: between the two Resize episodes,
+// with work in flight and retired tasks in the system). A restored
+// executive holds none of its dispatched history, so it cannot be handed
+// to the oracle itself; its decisions are compared, one by one, with the
+// uninterrupted run's, which the oracle has just vouched for.
 func TestExecutiveMatchesReference(t *testing.T) {
 	for _, cfg := range []struct {
 		n, m int
@@ -132,15 +139,32 @@ func TestExecutiveMatchesReference(t *testing.T) {
 	}{{64, 4, 20}, {64, 16, 12}, {1024, 4, 512}, {1024, 16, 128}} {
 		for _, pol := range prio.All() {
 			t.Run(fmt.Sprintf("N%d_M%d_%s", cfg.n, cfg.m, pol.Name()), func(t *testing.T) {
-				matchReference(t, cfg.n, cfg.m, cfg.q, pol)
+				want := matchReference(t, cfg.n, cfg.m, cfg.q, pol, -1)
+				got := matchReference(t, cfg.n, cfg.m, cfg.q, pol, 17)
+				if len(got) != len(want) {
+					t.Fatalf("through a restore the executive made %d decisions, uninterrupted %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("decision %d: through a restore %s, uninterrupted %s", i+1, got[i], want[i])
+					}
+				}
 			})
 		}
 	}
 }
 
-func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy) {
+// matchReference drives one executive through the script and returns its
+// decisions in order. With restoreAt < 0 it also pins them to the oracle;
+// otherwise the executive is replaced, at the start of slot restoreAt, by
+// one restored from its checkpoint.
+func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy, restoreAt int64) (decisions []string) {
 	rng := rand.New(rand.NewSource(int64(31*n + m)))
 	ex := online.New(m, pol)
+	record := func(d online.Dispatch) {
+		decisions = append(decisions, fmt.Sprintf("%s p%d %s→%s #%d", d.Sub, d.Proc, d.Start, d.Finish, d.Decision))
+	}
+	ex.SetOnDispatch(record)
 	type client struct {
 		task *model.Task
 		next int64 // slot of its next job
@@ -164,6 +188,23 @@ func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy) {
 	retired := []*model.Task{}
 	const slots = 40
 	for slot := int64(0); slot < slots; slot++ {
+		if slot == restoreAt {
+			buf, err := json.Marshal(ex.Checkpoint())
+			must(err)
+			var cp online.Checkpoint
+			must(json.Unmarshal(buf, &cp))
+			ex, err = online.Restore(cp)
+			must(err)
+			ex.SetOnDispatch(record)
+			// Task identity is positional: a restored system lists the same
+			// tasks in the same order.
+			for i := range clients {
+				clients[i].task = ex.System().Tasks[clients[i].task.ID]
+			}
+			for i := range retired {
+				retired[i] = ex.System().Tasks[retired[i].ID]
+			}
+		}
 		resize := slot == 9 || slot == 26
 		if resize {
 			must(ex.Resize(m + 2))
@@ -203,7 +244,7 @@ func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy) {
 		}
 		if resize {
 			if renumbered < 0 {
-				renumbered = ex.Schedule().Len()
+				renumbered = len(decisions)
 			}
 			must(ex.Resize(m))
 		}
@@ -223,6 +264,9 @@ func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy) {
 			t.Fatalf("retired %s: active=%v undispatched=%d", task, ex.Active(task), ex.Undispatched(task))
 		}
 	}
+	if restoreAt >= 0 {
+		return decisions
+	}
 
 	ref, err := core.RunDVQReference(ex.System(), core.DVQOptions{M: m, Policy: pol, Yield: y})
 	must(err)
@@ -238,6 +282,7 @@ func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy) {
 				i+1, a.Sub, a.Proc, a.Start, a.Cost, b.Sub, b.Proc, b.Start, b.Cost)
 		}
 	}
+	return decisions
 }
 
 // TestRestoreMidBacklog checkpoints a wide executive in the one state where
@@ -245,9 +290,15 @@ func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy) {
 // with more ready heads than processors (the live engine holds them on its
 // ready heap, a restored one re-derives them as pending) and a job has
 // been submitted at exactly now. From there both must make the same
-// decisions and keep writing byte-identical checkpoints.
+// decisions and keep writing byte-identical checkpoints — at the restore
+// and after continuing, although the live engine still holds every subtask
+// it ever released and the restored one only those from each task's last
+// dispatched subtask on: that is all a checkpoint carries. The untrimmed
+// image written before checkpoints were trimmed (whole sequence, absolute
+// cursor) must restore to the same engine.
 func TestRestoreMidBacklog(t *testing.T) {
 	const n, m, q = 64, 4, 20
+	trimmed := 0 // subtasks the live engines held that their checkpoints left out
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		live := online.New(m, nil)
@@ -310,6 +361,31 @@ func TestRestoreMidBacklog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if image(restored) != image(live) {
+			t.Fatalf("seed %d: live and restored checkpoints differ at the restore", seed)
+		}
+		full := cp // the parent format, rebuilt from the live engine's whole system
+		full.Tasks = append([]online.TaskCheckpoint(nil), cp.Tasks...)
+		for i, task := range live.System().Tasks {
+			seq := live.System().Subtasks(task)
+			tc := &full.Tasks[i]
+			if tc.Cursor > 1 || len(tc.Subs) > len(seq) {
+				t.Fatalf("seed %d: task %s checkpointed cursor %d over %d of %d subtasks; want the sequence from the last dispatched one", seed, task, tc.Cursor, len(tc.Subs), len(seq))
+			}
+			trimmed += len(seq) - len(tc.Subs)
+			tc.Cursor += len(seq) - len(tc.Subs)
+			tc.Subs = nil
+			for _, s := range seq {
+				tc.Subs = append(tc.Subs, online.SubtaskCheckpoint{Index: s.Index, Theta: s.Theta, Elig: s.Elig})
+			}
+		}
+		fromFull, err := online.Restore(full)
+		if err != nil {
+			t.Fatalf("seed %d: untrimmed checkpoint: %v", seed, err)
+		}
+		if image(fromFull) != image(live) {
+			t.Fatalf("seed %d: an engine restored from the untrimmed checkpoint writes a different checkpoint", seed)
+		}
 		suffixSeed := rng.Int63()
 		want := drive(live, rand.New(rand.NewSource(suffixSeed)), cut, end)
 		got := drive(restored, rand.New(rand.NewSource(suffixSeed)), cut, end)
@@ -324,5 +400,8 @@ func TestRestoreMidBacklog(t *testing.T) {
 		if image(restored) != image(live) {
 			t.Fatalf("seed %d: checkpoints diverge after continuing from the restore", seed)
 		}
+	}
+	if trimmed == 0 {
+		t.Fatal("no checkpoint left out a single dispatched subtask; the script no longer exercises trimming")
 	}
 }

@@ -331,3 +331,64 @@ func benchSubmitContended(b *testing.B, clients int) {
 	b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(b.N), "fsyncs/op")
 	b.ReportMetric(float64(after.Appends-before.Appends)/float64(b.N), "appends/op")
 }
+
+// BenchmarkCompact measures one compaction of a server whose single
+// tenant has already made `history` scheduling decisions: each iteration
+// is one job, one advance (one new decision) and the compaction those
+// three journal records trigger at SnapshotEvery=3, so ns/op is the
+// compaction plus two in-process requests. Compaction writes what
+// happened since the previous one — the two rows must stay within 1.5× of
+// each other. When every snapshot re-encoded the tenant's whole dispatch
+// log they were ≈ 10× apart.
+func BenchmarkCompact(b *testing.B) {
+	for _, history := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("history=%dk", history/1000), func(b *testing.B) {
+			defer server.SetHistSegmentMin(4096)()
+			dir := b.TempDir()
+			do := func(h http.Handler, method, path string, body any) {
+				b.Helper()
+				if code := doCmd(b, h, cmd{method, path, body}); code >= 300 {
+					b.Fatalf("%s %s: %d", method, path, code)
+				}
+			}
+			// Build the history without compacting, then reopen at the
+			// benchmark's cadence.
+			srv, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 1 << 20, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const tasks = 16
+			var batch server.SubmitJobsRequest
+			do(srv.Handler(), "POST", "/v1/tenants", server.CreateTenantRequest{ID: "long", M: 2})
+			for i := 0; i < tasks; i++ {
+				name := fmt.Sprintf("t%d", i)
+				do(srv.Handler(), "POST", "/v1/tenants/long/tasks", server.RegisterTaskRequest{Name: name, E: 1, P: 8})
+				batch.Jobs = append(batch.Jobs, server.SubmitJobRequest{Task: name})
+			}
+			for n := 0; n < history; n += tasks {
+				do(srv.Handler(), "POST", "/v1/tenants/long/jobs:batch", batch)
+				do(srv.Handler(), "POST", "/v1/tenants/long/advance", server.AdvanceRequest{By: "8"})
+			}
+			if err := srv.Close(); err != nil {
+				b.Fatal(err)
+			}
+			srv, err = server.Open(server.Options{DataDir: dir, FsyncEvery: 1 << 20, FsyncMaxDelay: -1, SnapshotEvery: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			h := srv.Handler()
+			before := srv.WALStats().Snapshots
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				do(h, "POST", "/v1/tenants/long/jobs", server.SubmitJobRequest{Task: "t0"})
+				do(h, "POST", "/v1/tenants/long/advance", server.AdvanceRequest{By: "8"})
+			}
+			b.StopTimer()
+			if got := srv.WALStats().Snapshots - before; got != uint64(b.N) {
+				b.Fatalf("%d iterations compacted %d times", b.N, got)
+			}
+		})
+	}
+}

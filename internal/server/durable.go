@@ -101,13 +101,24 @@ type tenantCheckpoint struct {
 	MaxTar string `json:"maxTardiness"`
 	// PendingM is a queued drain-mode shrink target still waiting for
 	// utilization to fall (0 when none). The current M travels in Exec.
-	PendingM int               `json:"pendingM,omitempty"`
-	Log      []DispatchEvent   `json:"log,omitempty"`
-	Exec     online.Checkpoint `json:"exec"`
+	PendingM int `json:"pendingM,omitempty"`
+	// History is the manifest of the sealed prefix of the dispatch log
+	// (history.go), Log the events after it. A snapshot with no manifest
+	// carries the whole log inline: what a tenant younger than one segment
+	// writes, what every snapshot before sealing existed holds, and what
+	// GET /v1/replication/snapshot serves.
+	History []histSegment     `json:"history,omitempty"`
+	Log     inlineLog         `json:"log,omitempty"`
+	Exec    online.Checkpoint `json:"exec"`
 	// Idem preserves the idempotency-key memory across snapshots, in FIFO
 	// order, so a keyed retry still dedupes after a restart that replays
 	// nothing.
 	Idem []idemEntry `json:"idem,omitempty"`
+
+	// frames are the cached wire bytes of Log, index-aligned (nil where
+	// nobody was subscribed at record time). Set by Tenant.checkpoint for
+	// compact to seal from; never serialized.
+	frames [][]byte
 }
 
 // idemEntry is one remembered keyed submit in a tenant checkpoint.
@@ -123,6 +134,11 @@ type idemEntry struct {
 // write side, so no handler can be mid-command: the ring is empty and the
 // control command runs immediately. A tenant deleted concurrently yields
 // a zero checkpoint; the caller skips it.
+//
+// The dispatch log is imaged from the sealed prefix on, and by reference:
+// the loop only ever appends past the visible prefix of log and frames
+// (the aliasing rule tenantSnap readers already rely on), so nothing of
+// the history is copied.
 func (t *Tenant) checkpoint() tenantCheckpoint {
 	var cp tenantCheckpoint
 	res := t.ctlExec(&command{kind: cmdCtl, fn: func() {
@@ -131,8 +147,10 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 			Reject:   t.reject,
 			MaxTar:   t.maxTar.String(),
 			PendingM: t.ctrl.PendingM(),
-			Log:      append([]DispatchEvent(nil), t.log...),
+			History:  t.hist,
+			Log:      t.log[t.sealed:len(t.log):len(t.log)],
 			Exec:     t.ex.Checkpoint(),
+			frames:   t.frames[t.sealed:],
 		}
 		for _, k := range t.idemQ {
 			r := t.idem[k]
@@ -145,11 +163,12 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 	return cp
 }
 
-// restoreTenant rebuilds a tenant from its checkpoint. The admission
-// controller is reconstructed by re-admitting every active task — the
-// checkpoint's validated Σwt ≤ M guarantees each admission succeeds. The
-// loop-owned fields are finished before start(), while no loop can be
-// running.
+// restoreTenant rebuilds a tenant from its checkpoint, whose Log must be
+// the whole dispatch log (inlineHistory has loaded the sealed prefix
+// History describes). The admission controller is reconstructed by
+// re-admitting every active task — the checkpoint's validated Σwt ≤ M
+// guarantees each admission succeeds. The loop-owned fields are finished
+// before start(), while no loop can be running.
 func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 	if cp.ID == "" {
 		return nil, fmt.Errorf("server: tenant checkpoint without id")
@@ -169,6 +188,7 @@ func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 	}
 	t := newTenantCore(cp.ID, cp.Exec.Policy, cp.Exec.M, ex, admission.NewController(cp.Exec.M), ringSize)
 	t.installLog(cp.Log)
+	t.hist, t.sealed = cp.History, sealedEvents(cp.History)
 	t.maxTar = maxTar
 	t.reject = cp.Reject
 	for _, e := range cp.Idem {
@@ -241,6 +261,10 @@ func Open(opts Options) (*Server, error) {
 		}
 		s.cmdSeq.Store(pay.Commands)
 		for _, tc := range pay.Tenants {
+			if err := inlineHistory(l, &tc); err != nil {
+				l.Close()
+				return nil, err
+			}
 			t, err := restoreTenant(tc, s.submitRing)
 			if err != nil {
 				l.Close()
@@ -453,26 +477,69 @@ func (s *Server) waitDurable(c wal.Commit) error {
 func (s *Server) Recovery() *RecoveryInfo { return s.recovery }
 
 // compact quiesces every mutating operation (opMu writer side), images the
-// registry, and folds it into a fresh wal snapshot.
+// registry, and folds it into a fresh wal snapshot. What it writes is
+// proportional to what happened since the previous one: a tenant's
+// dispatch log leaves the snapshot a segment at a time (history.go), and
+// the payload names the sealed segments instead of repeating them. The
+// order — history files, snapshot, then garbage — is the one internal/wal
+// documents; snapshot.json is the only commit point.
 func (s *Server) compact() error {
 	if s.wal == nil {
 		return nil
 	}
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
+	start := s.obs.clock.Now()
 	pay := snapshotPayload{Commands: s.cmdSeq.Load()}
+	var files []wal.Sidecar
+	type seal struct {
+		t    *Tenant
+		hist []histSegment
+	}
+	var seals []seal
 	for _, t := range s.allTenants() {
 		cp := t.checkpoint()
 		if cp.ID == "" {
 			continue // deleted while we walked the registry
 		}
+		if len(cp.Log) >= histSegmentMin {
+			seg, file := sealSegment(s.wal.SidecarName(len(files)), cp.Log, cp.frames)
+			// A fresh manifest slice: the tenant's own must not change
+			// before the snapshot naming the new segment is installed.
+			cp.History = append(cp.History[:len(cp.History):len(cp.History)], seg)
+			cp.Log = nil
+			files = append(files, file)
+			seals = append(seals, seal{t, cp.History})
+		}
 		pay.Tenants = append(pay.Tenants, cp)
+	}
+	if err := s.wal.WriteSidecars(files); err != nil {
+		return err
 	}
 	buf, err := json.Marshal(pay)
 	if err != nil {
 		return err
 	}
-	return s.wal.Compact(buf)
+	if err := s.wal.Compact(buf); err != nil {
+		return err
+	}
+	keep := map[string]bool{}
+	var histBytes int64
+	for _, cp := range pay.Tenants {
+		for _, seg := range cp.History {
+			keep[seg.File] = true
+			histBytes += seg.Bytes
+		}
+	}
+	for _, sl := range seals {
+		sl.t.hist, sl.t.sealed = sl.hist, sealedEvents(sl.hist)
+	}
+	s.wal.RemoveSidecarsExcept(keep)
+	s.obs.snapshotBytes.Store(int64(len(buf)))
+	s.obs.histSegments.Store(int64(len(keep)))
+	s.obs.histBytes.Store(histBytes)
+	s.obs.compact.Observe(s.obs.clock.Now().Sub(start).Seconds())
+	return nil
 }
 
 // maybeCompact runs a snapshot when the journal says one is due. Called by

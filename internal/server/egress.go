@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -53,12 +54,55 @@ type StreamGone struct {
 // Marshal plus a trailing newline. Byte identity with the per-subscriber
 // encoder it replaced is what lets the frame cache swap in invisibly.
 func marshalDispatchFrame(ev DispatchEvent) []byte {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		// DispatchEvent is plain ints and strings; Marshal cannot fail.
-		b = []byte("{}")
+	return append(appendDispatchJSON(make([]byte, 0, 160), &ev), '\n')
+}
+
+// appendDispatchJSON appends json.Marshal(ev) to b, byte for byte, without
+// the reflection walk: an event is four integers and four strings, and a
+// string of nothing but plain ASCII — every rat, and any task name without
+// quotes, backslashes, control or HTML characters — is its own JSON
+// encoding between quotes. Anything else takes json.Marshal itself. Every
+// dispatch is encoded through here once for its readers and once for disk
+// (sealSegment, and each snapshot that still carries it inline).
+func appendDispatchJSON(b []byte, ev *DispatchEvent) []byte {
+	if !plainJSON(ev.Task) || !plainJSON(ev.Start) || !plainJSON(ev.Finish) || !plainJSON(ev.Tardiness) {
+		j, err := json.Marshal(ev)
+		if err != nil {
+			// DispatchEvent is plain ints and strings; Marshal cannot fail.
+			j = []byte("{}")
+		}
+		return append(b, j...)
 	}
-	return append(b, '\n')
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, ev.Seq, 10)
+	b = append(b, `,"task":"`...)
+	b = append(b, ev.Task...)
+	b = append(b, `","index":`...)
+	b = strconv.AppendInt(b, ev.Index, 10)
+	b = append(b, `,"proc":`...)
+	b = strconv.AppendInt(b, int64(ev.Proc), 10)
+	b = append(b, `,"start":"`...)
+	b = append(b, ev.Start...)
+	b = append(b, `","finish":"`...)
+	b = append(b, ev.Finish...)
+	b = append(b, `","deadline":`...)
+	b = strconv.AppendInt(b, ev.Deadline, 10)
+	b = append(b, `,"tardiness":"`...)
+	b = append(b, ev.Tardiness...)
+	return append(b, '"', '}')
+}
+
+// plainJSON reports whether encoding/json would copy s between quotes
+// unchanged: ASCII from space up, minus the characters it escapes (the
+// quote, the backslash, and — Marshal's HTML-safe default — <, > and &).
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // frameWriter writes cached NDJSON frames to one streaming response. It

@@ -287,7 +287,8 @@ func (s *Server) appendWALMetrics(b []byte) []byte {
 	b = append(b, "# HELP pfaird_replication_lag_lsn LSNs this follower trails its leader's durable tip (0 on a leader, -1 before first measurement).\n"...)
 	b = append(b, "# TYPE pfaird_replication_lag_lsn gauge\n"...)
 	b = appendBare(b, "pfaird_replication_lag_lsn", s.replicationLag())
-	return s.obs.appendWALTimingMetrics(b)
+	b = s.obs.appendWALTimingMetrics(b)
+	return s.obs.appendCompactionMetrics(b)
 }
 
 // replicationLag is the exported lag gauge: a leader is definitionally

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"desyncpfair/internal/obs"
@@ -28,6 +29,14 @@ type serverObs struct {
 	walAppend     *obs.Histogram // journal frame-write duration
 	walFsync      *obs.Histogram // fsync syscall duration
 	walLogToFsync *obs.Histogram // append→durable group-commit latency
+
+	// Compaction (Server.compact stores these as it finishes): the pause
+	// it held every mutation for, the payload it wrote, and the sealed
+	// dispatch history the payload names instead of holding.
+	compact       *obs.Histogram
+	snapshotBytes atomic.Int64
+	histSegments  atomic.Int64
+	histBytes     atomic.Int64
 }
 
 // defaultTraceCap is each tenant's trace-ring retention (events). At
@@ -45,6 +54,7 @@ func newServerObs() *serverObs {
 		walAppend:     obs.NewHistogram(obs.DefaultLatencyBuckets),
 		walFsync:      obs.NewHistogram(obs.DefaultLatencyBuckets),
 		walLogToFsync: obs.NewHistogram(obs.DefaultLatencyBuckets),
+		compact:       obs.NewHistogram(obs.DefaultLatencyBuckets),
 	}
 }
 
@@ -157,6 +167,23 @@ func (o *serverObs) appendWALTimingMetrics(b []byte) []byte {
 	b = obs.AppendHeader(b, "pfaird_wal_log_to_fsync_seconds",
 		"Per-record latency from journal append to the group-commit fsync that made it durable.", "histogram")
 	return obs.AppendHistogram(b, "pfaird_wal_log_to_fsync_seconds", nil, o.walLogToFsync.Snapshot())
+}
+
+// appendCompactionMetrics renders what Server.compact last stored (durable
+// servers only).
+func (o *serverObs) appendCompactionMetrics(b []byte) []byte {
+	b = obs.AppendHeader(b, "pfaird_compact_seconds",
+		"Duration of one compaction: the pause every mutation waits out while state is imaged and the snapshot installed.", "histogram")
+	b = obs.AppendHistogram(b, "pfaird_compact_seconds", nil, o.compact.Snapshot())
+	b = obs.AppendHeader(b, "pfaird_snapshot_bytes",
+		"Payload bytes of the last snapshot written.", "gauge")
+	b = appendBare(b, "pfaird_snapshot_bytes", o.snapshotBytes.Load())
+	b = obs.AppendHeader(b, "pfaird_history_segments",
+		"Sealed dispatch-history files the last snapshot refers to, all tenants.", "gauge")
+	b = appendBare(b, "pfaird_history_segments", o.histSegments.Load())
+	b = obs.AppendHeader(b, "pfaird_history_bytes",
+		"Bytes of sealed dispatch history the last snapshot refers to, all tenants.", "gauge")
+	return appendBare(b, "pfaird_history_bytes", o.histBytes.Load())
 }
 
 // handleTrace streams the tenant's trace ring as NDJSON, one obs.Event

@@ -78,7 +78,7 @@ func crashScript() []cmd {
 }
 
 // doCmd drives one scripted call straight through the handler.
-func doCmd(t *testing.T, h http.Handler, c cmd) int {
+func doCmd(t testing.TB, h http.Handler, c cmd) int {
 	t.Helper()
 	var body io.Reader
 	if c.body != nil {

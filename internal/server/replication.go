@@ -250,13 +250,23 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleReplSnapshot serves the latest snapshot for follower bootstrap.
+// handleReplSnapshot serves the latest snapshot for follower bootstrap,
+// self-contained: dispatch history the on-disk payload only names by file
+// is inlined back, so the follower installs it into an empty directory
+// exactly as before history was sealed. opMu's read side keeps compaction
+// — which replaces the snapshot and deletes the files the old one named —
+// out while the two are read.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no journal (in-memory server)"))
 		return
 	}
+	s.opMu.RLock()
 	payload, lsn, term, err := s.wal.Snapshot()
+	if err == nil && payload != nil {
+		payload, err = selfContained(s.wal, payload)
+	}
+	s.opMu.RUnlock()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

@@ -35,6 +35,10 @@ import (
 //     (tracer + histograms), closing (delete gate).
 //   - locks: ringMu is the enqueue/close barrier (see loop.go); subMu
 //     guards the stream-follower set.
+//   - compaction-owned: hist, sealed. Set before start by restoreTenant,
+//     then written only by Server.compact under opMu's write side; the
+//     loop reads them only inside the checkpoint control command compact
+//     itself issues, so the command hand-off orders every access.
 type Tenant struct {
 	id     string
 	policy string
@@ -64,6 +68,11 @@ type Tenant struct {
 	// the shared array. Same aliasing discipline as log: the visible
 	// prefix of the backing array is immutable.
 	frames [][]byte
+	// hist is the manifest of log's sealed prefix — the first `sealed`
+	// events, already on disk in history files (history.go) — which a
+	// checkpoint therefore names instead of copying.
+	hist   []histSegment
+	sealed int64
 	maxTar rat.Rat
 	reject int64
 	// pendDisp buffers the dispatch records one command's apply produced;

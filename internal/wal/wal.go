@@ -10,10 +10,12 @@
 //
 // # On-disk layout
 //
-// A data directory holds at most one snapshot and one or more segments:
+// A data directory holds at most one snapshot, one or more segments, and
+// the history files the snapshot's payload names:
 //
-//	snapshot.json         {"lsn":N,"crc":C,"payload":...}   (atomic rename)
-//	wal-<firstLSN>.log    frames: | len u32 | crc32 u32 | payload (JSON) |
+//	snapshot.json             {"lsn":N,"crc":C,"payload":...}   (atomic rename)
+//	wal-<firstLSN>.log        frames: | len u32 | crc32 u32 | payload (JSON) |
+//	hist-<snapLSN>-<k>.ndjson immutable sidecar: sealed dispatch history
 //
 // Every record carries a monotonically increasing LSN. Recovery reads the
 // snapshot (records with LSN ≤ snapshot LSN are superseded by it), then
@@ -22,6 +24,29 @@
 // is never fatal. Compact writes a new snapshot, rolls to a fresh segment
 // and deletes the old ones; a crash anywhere in that sequence is safe
 // because stale segments only hold records the snapshot already covers.
+//
+// Sidecars keep a snapshot proportional to new work. State that only ever
+// grows at its end — pfaird's per-tenant dispatch history — is written
+// once, to a sidecar, and the snapshot payload carries a manifest entry
+// (file, length, CRC) instead of the bytes; the log itself never reads a
+// payload and knows nothing of manifests. The write order is what makes
+// this safe with snapshot.json as the single commit point:
+//
+//  1. WriteSidecars: each file goes tmp → fsync → rename to a name no
+//     installed snapshot refers to (the name carries the LSN the next
+//     snapshot will get), then one directory fsync. A crash here leaves
+//     unreferenced files; the old snapshot and everything it names are
+//     untouched.
+//  2. Compact: the snapshot naming the new files replaces the old one
+//     atomically. Before the rename the new files are orphans, after it
+//     they are durable (step 1 synced them first).
+//  3. RemoveSidecarsExcept: files the installed snapshot does not name —
+//     orphans of a crash in step 1 or 2, history of deleted tenants — are
+//     deleted, beside the stale segments. A crash here leaves garbage the
+//     next compaction (every boot runs one) removes.
+//
+// A referenced sidecar is never rewritten: a name is used by one seal,
+// and a retry at the same LSN reproduces the same bytes.
 //
 // # Durability model
 //
@@ -52,6 +77,7 @@ import (
 	iofs "io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -748,8 +774,8 @@ func (l *Log) Compact(payload []byte) error {
 		}
 		l.commit.Wait()
 	}
-	sf := snapshotFile{LSN: l.nextLSN - 1, Term: l.term, CRC: crc32.ChecksumIEEE(payload), Payload: payload}
-	if err := l.writeSnapshotLocked(sf); err != nil {
+	lsn := l.nextLSN - 1
+	if err := l.writeSnapshotLocked(payload, lsn, l.term); err != nil {
 		return err
 	}
 	// The snapshot is durable; roll the segment. Failures from here leave
@@ -758,44 +784,74 @@ func (l *Log) Compact(payload []byte) error {
 		return err
 	}
 	l.removeStaleSegmentsLocked()
-	l.snapLSN = sf.LSN
+	l.snapLSN = lsn
 	l.sinceSnap = 0
 	l.st.Snapshots++
 	return nil
 }
 
-// writeSnapshotLocked durably installs sf as the directory's snapshot via
-// the write-tmp / fsync / rename / fsync-dir sequence. Called with l.mu
-// held.
-func (l *Log) writeSnapshotLocked(sf snapshotFile) error {
-	buf, err := json.Marshal(sf)
+// writeSnapshotLocked durably installs payload as the directory's snapshot
+// at lsn/term via the write-tmp / fsync / rename / fsync-dir sequence.
+// Called with l.mu held.
+func (l *Log) writeSnapshotLocked(payload []byte, lsn, term uint64) error {
+	head, err := snapshotEnvelope(payload, lsn, term)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(l.dir, snapshotTmp)
+	if err := l.installFile(snapshotTmp, snapshotName, head, payload, []byte{'}'}); err != nil {
+		return err
+	}
+	return l.fs.SyncDir(l.dir)
+}
+
+// snapshotEnvelope renders everything of a snapshot file that precedes the
+// payload: the file is this head, the payload verbatim, and a closing
+// brace. For a payload in json.Marshal's compact form — the only form
+// whose CRC survives the round trip through readSnapshot — the bytes equal
+// json.Marshal(snapshotFile{...}), without marshaling re-scanning and
+// re-copying the payload, which is the bulk of the file.
+func snapshotEnvelope(payload []byte, lsn, term uint64) ([]byte, error) {
+	if !json.Valid(payload) {
+		return nil, fmt.Errorf("wal: snapshot payload is not valid JSON")
+	}
+	b := append(make([]byte, 0, 96), `{"lsn":`...)
+	b = strconv.AppendUint(b, lsn, 10)
+	if term != 0 {
+		b = append(b, `,"term":`...)
+		b = strconv.AppendUint(b, term, 10)
+	}
+	b = append(b, `,"crc":`...)
+	b = strconv.AppendUint(b, uint64(crc32.ChecksumIEEE(payload)), 10)
+	return append(b, `,"payload":`...), nil
+}
+
+// installFile durably writes chunks to name through tmp: create, write,
+// fsync, close, rename. The rename is not durable until the caller syncs
+// the directory. On failure tmp is removed (best effort).
+func (l *Log) installFile(tmp, name string, chunks ...[]byte) error {
+	tmp = filepath.Join(l.dir, tmp)
 	f, err := l.fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		l.fs.Remove(tmp)
-		return err
+	for _, c := range chunks {
+		if _, err = f.Write(c); err != nil {
+			break
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		l.fs.Remove(tmp)
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		l.fs.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := l.fs.Rename(tmp, filepath.Join(l.dir, snapshotName)); err != nil {
-		l.fs.Remove(tmp)
-		return err
+	if err == nil {
+		err = l.fs.Rename(tmp, filepath.Join(l.dir, name))
 	}
-	return l.fs.SyncDir(l.dir)
+	if err != nil {
+		l.fs.Remove(tmp)
+	}
+	return err
 }
 
 // removeStaleSegmentsLocked deletes every segment other than the active
@@ -831,8 +887,7 @@ func (l *Log) InstallSnapshot(payload []byte, lsn, term uint64) error {
 	if term < l.term {
 		return fmt.Errorf("%w: snapshot term %d < log term %d", ErrStaleTerm, term, l.term)
 	}
-	sf := snapshotFile{LSN: lsn, Term: term, CRC: crc32.ChecksumIEEE(payload), Payload: payload}
-	if err := l.writeSnapshotLocked(sf); err != nil {
+	if err := l.writeSnapshotLocked(payload, lsn, term); err != nil {
 		return err
 	}
 	l.nextLSN = lsn + 1
