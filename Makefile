@@ -7,7 +7,7 @@ BENCHCOUNT ?= 1
 BENCH_N ?= BENCH_14.json
 BENCH_PREV ?= BENCH_13.json
 
-.PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
+.PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
 all: build lint test
 
@@ -58,6 +58,7 @@ elastic-smoke:
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestResizeStormCrashRecovery'
 	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestElasticFailoverReplaysCapacityHistory'
 	$(GO) test -race -count=1 ./internal/online/ -run 'Resize'
+	$(GO) test -race -count=1 -v ./internal/admission/ -run 'TestFeasibleBoundaryEveryCaller'
 	$(GO) test -race -count=1 ./internal/admission/ ./internal/autoscale/
 
 bench:
@@ -98,6 +99,13 @@ fanout-smoke:
 	$(GO) test -race -count=1 ./internal/client/ -run 'TestStreamNextGone|TestStreamGoneRoundTrip'
 	$(GO) test -race -count=1 ./cmd/pfairload/ -run 'TestStreamsFanout'
 
+# flake re-runs the tests that race real timers against real sockets —
+# the stall sever, the lag eviction, the live trace follower — twenty
+# times under -race: a tier-1 suite is deterministic only if these are.
+flake:
+	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestStreamEvictsLaggingSubscriber|TestTraceFollowLive'
+	$(GO) test -race -count=20 ./internal/client/ -run 'TestStreamTraceEndToEnd'
+
 fuzz:
 	$(GO) test ./internal/core/ -fuzz=FuzzTheorem3 -fuzztime=30s
 	$(GO) test ./internal/core/ -fuzz=FuzzTheorem2 -fuzztime=30s
@@ -116,9 +124,10 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario/ -run '^$$' -fuzz=FuzzScenarioSpec -fuzztime=30s
 
 # obs runs the deterministic observability harness: the golden /metrics
-# exposition (regenerate with `go test ./internal/server -run Golden
-# -update`), the exact trace-lifecycle tests, and the scrape-vs-submit
-# concurrency workout, all under -race.
+# exposition and the write-path golden (journal records, responses and
+# trace events of a fixed command script; regenerate either with `go test
+# ./internal/server -run Golden -update`), the exact trace-lifecycle
+# tests, and the scrape-vs-submit concurrency workout, all under -race.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'Golden|Trace|ObsConcurrent'

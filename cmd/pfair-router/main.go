@@ -18,7 +18,7 @@
 // The router holds no durable state. Tenant placement is either
 // recomputed (rendezvous) or relearned by probing the groups, so routers
 // restart freely and can run in parallel behind a load balancer. See
-// TUTORIAL.md §6 for a 3-node walkthrough including a kill-the-leader
+// TUTORIAL.md §10 for a 3-node walkthrough including a kill-the-leader
 // failover demo.
 package main
 

@@ -42,7 +42,7 @@
 // bootstraps from the leader's snapshot, tails the leader's journal over
 // /v1/replication/log, and answers 503 to mutations until it is promoted
 // (POST /v1/cluster/promote — usually by pfair-router on leader failure).
-// See DESIGN.md §13 and TUTORIAL.md §6.
+// See DESIGN.md §13 and TUTORIAL.md §10.
 package main
 
 import (

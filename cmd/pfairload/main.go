@@ -82,18 +82,22 @@ func newTransport(workers int) *http.Transport {
 // its buckets — so the two views of the same load can be compared, and the
 // error of each estimate is bounded by its bucket's width.
 type report struct {
-	Requests     int           // total HTTP requests issued (setup + load + drain)
-	Wall         time.Duration // load-phase wall clock
-	Throughput   float64       // load-phase requests per second
-	P50, P90     time.Duration
-	P99, Max     time.Duration
-	SrvP50       time.Duration // server-side submit→ack percentiles
-	SrvP90       time.Duration
-	SrvP99       time.Duration
-	SrvCount     uint64 // observations behind the server-side percentiles
-	Dispatched   int64  // scheduling decisions across all tenants
-	MaxTardiness string // worst tardiness across tenants (rat string)
-	Backpressure int64  // 429 replies (submit ring full); retried, not errors
+	Requests   int           // total HTTP requests issued (setup + load + drain)
+	Wall       time.Duration // load-phase wall clock
+	Throughput float64       // load-phase requests per second
+	P50, P90   time.Duration
+	P99, Max   time.Duration
+	SrvP50     time.Duration // server-side submit→ack percentiles
+	SrvP90     time.Duration
+	SrvP99     time.Duration
+	SrvCount   uint64 // observations behind the server-side percentiles
+	// NoServerMetrics: the target answered /metrics with 404 — a
+	// pfair-router, which serves none — so the Srv* fields and TenantM are
+	// empty and the client-side numbers stand alone.
+	NoServerMetrics bool
+	Dispatched      int64  // scheduling decisions across all tenants
+	MaxTardiness    string // worst tardiness across tenants (rat string)
+	Backpressure    int64  // 429 replies (submit ring full); retried, not errors
 	// ResizeRejected counts submits answered 409: a capacity rejection
 	// from a resize racing the load (an autoscaler shrink, an operator
 	// resize draining tasks out from under the run). Unlike 429
@@ -533,8 +537,12 @@ func run(cfg config, out io.Writer) (report, error) {
 	fmt.Fprintf(out, "requests           : %d total (%d timed)\n", rep.Requests, len(all))
 	fmt.Fprintf(out, "wall / throughput  : %v / %.0f req/s\n", rep.Wall.Round(time.Millisecond), rep.Throughput)
 	fmt.Fprintf(out, "latency p50/p90/p99: %v / %v / %v (max %v)\n", rep.P50, rep.P90, rep.P99, rep.Max)
-	fmt.Fprintf(out, "server ack p50/p90/p99: %v / %v / %v (%d acks, ±bucket width)\n",
-		rep.SrvP50, rep.SrvP90, rep.SrvP99, rep.SrvCount)
+	if rep.NoServerMetrics {
+		fmt.Fprintf(out, "server ack p50/p90/p99: no server-side metrics (%s answers /metrics with 404 — a router?)\n", base)
+	} else {
+		fmt.Fprintf(out, "server ack p50/p90/p99: %v / %v / %v (%d acks, ±bucket width)\n",
+			rep.SrvP50, rep.SrvP90, rep.SrvP99, rep.SrvCount)
+	}
 	fmt.Fprintf(out, "backpressure       : %d × 429 (submit ring full; retried)\n", rep.Backpressure)
 	fmt.Fprintf(out, "resize-rejected    : %d × 409 (capacity withdrawn mid-run; skipped)\n", rep.ResizeRejected)
 	fmt.Fprintf(out, "tenant m           : %s\n", formatTenantM(rep.TenantM))
@@ -618,9 +626,15 @@ func runScenario(ctx context.Context, cfg config, c *client.Client, out io.Write
 // (the handler timing itself from inside — the gap to the client
 // percentiles is network plus scheduling overhead the server cannot see)
 // and TenantM from the pfaird_tenant_m gauges, the measured per-tenant
-// capacity after any resizes landed during the run.
+// capacity after any resizes landed during the run. A target without
+// /metrics is not a failed run: the load already went through.
 func addServerStats(ctx context.Context, c *client.Client, rep *report) error {
 	text, err := c.Metrics(ctx)
+	var ae *client.APIError
+	if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
+		rep.NoServerMetrics = true
+		return nil
+	}
 	if err != nil {
 		return err
 	}

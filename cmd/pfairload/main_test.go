@@ -357,3 +357,39 @@ func TestStreamsFanout(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAgainstTargetWithoutMetrics: pfair-router proxies the API but
+// serves no /metrics. A 404 there must not fail a run whose load already
+// went through — the summary says the server-side numbers are missing and
+// the client-side ones stand.
+func TestRunAgainstTargetWithoutMetrics(t *testing.T) {
+	srv := server.New()
+	defer srv.Shutdown()
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	var out strings.Builder
+	rep, err := run(config{
+		addr: ts.URL, tenants: 1, tasks: 2, jobs: 6, workers: 1, m: 1,
+		advanceEvery: 3, batch: 1, policy: "PD2", seed: 1,
+	}, &out)
+	if err != nil {
+		t.Fatalf("run failed on a 404 from /metrics: %v\n%s", err, out.String())
+	}
+	if !rep.NoServerMetrics || rep.SrvCount != 0 || len(rep.TenantM) != 0 {
+		t.Errorf("report claims server-side metrics it cannot have: %+v", rep)
+	}
+	if rep.Dispatched != 12 {
+		t.Errorf("dispatched %d subtasks, want 12", rep.Dispatched)
+	}
+	if !strings.Contains(out.String(), "no server-side metrics") {
+		t.Errorf("summary does not say the server-side metrics are missing:\n%s", out.String())
+	}
+}

@@ -64,7 +64,7 @@ func PfairSFQ(ws []model.Weight, m int) Decision {
 	if err != nil {
 		return Decision{Scheduler: "PD2/SFQ", Reason: err.Error(), Guarantee: NoGuarantee}
 	}
-	if u.LessEq(rat.FromInt(int64(m))) {
+	if model.Feasible(u, m) {
 		return Decision{Scheduler: "PD2/SFQ", Admitted: true, Guarantee: HardRealTime,
 			Reason: fmt.Sprintf("Σwt = %s ≤ M = %d (Pfair feasibility, exact)", u, m)}
 	}
@@ -91,7 +91,7 @@ func EPDF(ws []model.Weight, m int) Decision {
 	if err != nil {
 		return Decision{Scheduler: "EPDF", Reason: err.Error(), Guarantee: NoGuarantee}
 	}
-	if !u.LessEq(rat.FromInt(int64(m))) {
+	if !model.Feasible(u, m) {
 		return Decision{Scheduler: "EPDF", Guarantee: NoGuarantee,
 			Reason: fmt.Sprintf("Σwt = %s > M = %d", u, m)}
 	}

@@ -16,8 +16,9 @@ import (
 // schedulable by PD² under SFQ (hard) and under DVQ with at most one
 // quantum of tardiness (Theorem 3).
 //
-// Controller is not safe for concurrent use; callers (internal/server's
-// Tenant) serialize access.
+// Controller is not safe for concurrent use. The online executive owns one
+// as its ledger, so a server tenant's M, pending M and Σwt live here and
+// nowhere else.
 type Controller struct {
 	m       int
 	pending int // queued shrink target (drain mode); 0 when none
@@ -73,10 +74,17 @@ func (c *Controller) Weights() []model.Weight {
 	return out
 }
 
-// Register admits the named task iff the resulting total utilization stays
-// ≤ M (utilization exactly M is admitted — the feasibility condition is an
-// iff). Duplicate names and invalid weights are rejected.
-func (c *Controller) Register(name string, w model.Weight) (Decision, error) {
+// PlanRegister answers what Register(name, w) would decide without
+// changing any state: an error for a duplicate name or an invalid weight,
+// otherwise the decision. Callers that journal an admission before
+// applying it (the server's tenant loop, through the online executive)
+// validate with this first.
+//
+// Admission is always against the *current* target, not the
+// construction-time M: after a resize the cap is the live m, and while a
+// drain-mode shrink is pending the cap is the pending target — new work
+// must not push utilization further above where we are draining to.
+func (c *Controller) PlanRegister(name string, w model.Weight) (Decision, error) {
 	if name == "" {
 		return Decision{}, fmt.Errorf("admission: empty task name")
 	}
@@ -86,24 +94,18 @@ func (c *Controller) Register(name string, w model.Weight) (Decision, error) {
 	if err := w.Validate(); err != nil {
 		return Decision{}, err
 	}
-	// Admission is always against the *current* target, not the
-	// construction-time M: after a resize the cap is the live m, and while
-	// a drain-mode shrink is pending the cap is the pending target — new
-	// work must not push utilization further above where we are draining to.
 	cap := c.m
 	if c.pending != 0 {
 		cap = c.pending
 	}
 	newTotal := c.util.Add(w.Rat())
-	if rat.FromInt(int64(cap)).Less(newTotal) {
+	if !model.Feasible(newTotal, cap) {
 		return Decision{
 			Scheduler: "PD2/DVQ",
 			Guarantee: NoGuarantee,
 			Reason:    fmt.Sprintf("registering %q (weight %s) would raise Σwt to %s > M = %d", name, w, newTotal, cap),
 		}, nil
 	}
-	c.tasks[name] = w
-	c.util = newTotal
 	return Decision{
 		Scheduler: "PD2/DVQ",
 		Admitted:  true,
@@ -112,11 +114,23 @@ func (c *Controller) Register(name string, w model.Weight) (Decision, error) {
 	}, nil
 }
 
+// Register admits the named task iff the resulting total utilization stays
+// ≤ M (utilization exactly M is admitted — the feasibility condition is an
+// iff). Duplicate names and invalid weights are rejected.
+func (c *Controller) Register(name string, w model.Weight) (Decision, error) {
+	d, err := c.PlanRegister(name, w)
+	if err == nil && d.Admitted {
+		c.tasks[name] = w
+		c.util = c.util.Add(w.Rat())
+	}
+	return d, err
+}
+
 // Unregister releases the named task's capacity so later Register calls
 // can reuse it. If a drain-mode shrink is pending and the release brings
 // utilization within its target, the shrink applies now: M drops to the
-// target and the pending state clears. Callers that mirror M elsewhere
-// (the server's tenant loop) should re-read M after every Unregister.
+// target and the pending state clears. Callers that size something by M
+// (the online executive's processor set) re-read it after every Unregister.
 func (c *Controller) Unregister(name string) error {
 	w, ok := c.tasks[name]
 	if !ok {
@@ -124,7 +138,7 @@ func (c *Controller) Unregister(name string) error {
 	}
 	delete(c.tasks, name)
 	c.util = c.util.Sub(w.Rat())
-	if c.pending != 0 && !rat.FromInt(int64(c.pending)).Less(c.util) {
+	if c.pending != 0 && model.Feasible(c.util, c.pending) {
 		c.m = c.pending
 		c.pending = 0
 	}
@@ -180,7 +194,7 @@ func (c *Controller) PlanResize(m int, drain bool) (ResizeDecision, error) {
 			Reason: fmt.Sprintf("M %d → %d; Σwt = %s still ≤ M", c.m, m, c.util),
 		}, nil
 	}
-	if rat.FromInt(int64(m)).Less(c.util) {
+	if !model.Feasible(c.util, m) {
 		if drain {
 			return ResizeDecision{
 				Outcome: ResizeQueued, M: c.m, PendingM: m,
@@ -216,23 +230,4 @@ func (c *Controller) Resize(m int, drain bool) (ResizeDecision, error) {
 		c.pending = m
 	}
 	return d, nil
-}
-
-// RestorePendingResize reinstates a queued shrink target from a
-// checkpoint. It enforces the pending invariant (target below both m and
-// current utilization — otherwise it would have applied already), so a
-// corrupt checkpoint cannot smuggle in an inconsistent drain state.
-func (c *Controller) RestorePendingResize(m int) error {
-	if m == 0 {
-		c.pending = 0
-		return nil
-	}
-	if m < 1 || m >= c.m {
-		return fmt.Errorf("admission: pending resize target %d not below m = %d", m, c.m)
-	}
-	if !rat.FromInt(int64(m)).Less(c.util) {
-		return fmt.Errorf("admission: pending resize target %d not below Σwt = %s; it should have applied", m, c.util)
-	}
-	c.pending = m
-	return nil
 }

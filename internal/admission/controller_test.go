@@ -254,17 +254,17 @@ func TestControllerResizeValidationAndCancel(t *testing.T) {
 		t.Fatalf("grow left pending shrink: m=%d pending=%d", c.M(), c.PendingM())
 	}
 
-	// RestorePendingResize enforces the pending invariant.
-	if err := c.RestorePendingResize(1); err != nil {
-		t.Fatalf("restore valid pending: %v", err)
+	// A tenant restored from a checkpoint reinstates its queued target by
+	// asking for the drain again, and the plan enforces the pending
+	// invariant: only a target below both m and Σwt queues — anything else
+	// would have applied already.
+	if d, err := c.Resize(1, true); err != nil || d.Outcome != ResizeQueued || c.PendingM() != 1 {
+		t.Fatalf("reinstate valid pending: %v %+v", err, d)
 	}
-	if err := c.RestorePendingResize(0); err != nil {
-		t.Fatalf("restore clear: %v", err)
+	if d, err := c.Resize(4, true); err != nil || d.Outcome == ResizeQueued {
+		t.Errorf("pending ≥ m queued: %v %+v", err, d)
 	}
-	if err := c.RestorePendingResize(4); err == nil {
-		t.Error("pending ≥ m accepted")
-	}
-	if err := c.RestorePendingResize(3); err == nil {
-		t.Error("pending ≥ Σwt accepted (should have applied)")
+	if d, err := c.Resize(3, true); err != nil || d.Outcome == ResizeQueued {
+		t.Errorf("pending ≥ Σwt queued (should have applied): %v %+v", err, d)
 	}
 }

@@ -238,10 +238,19 @@ func (sys *System) TotalUtilization() rat.Rat {
 	return u
 }
 
-// Feasible reports whether the system is feasible on m processors, i.e.
-// total utilization ≤ m (the exact iff condition for GIS systems).
+// Feasible is the Pfair feasibility condition Σwt ≤ M — exact (an iff) for
+// GIS task systems, and by Theorem 3 what buys tardiness ≤ 1 quantum under
+// PD²-DVQ. Every admission decision in the repository is this comparison:
+// the analytical tests and the stateful ledger of internal/admission (and
+// through it the online executive and the service), scenario validation
+// and the M sweep, and the quantum-size curve.
+func Feasible(util rat.Rat, m int) bool {
+	return util.LessEq(rat.FromInt(int64(m)))
+}
+
+// Feasible reports whether the system is feasible on m processors.
 func (sys *System) Feasible(m int) bool {
-	return sys.TotalUtilization().LessEq(rat.FromInt(int64(m)))
+	return Feasible(sys.TotalUtilization(), m)
 }
 
 // Horizon returns the latest deadline of any released subtask (0 if none).

@@ -60,7 +60,7 @@ type SubtaskCheckpoint struct {
 // on the executive's single goroutine.
 func (e *Executive) Checkpoint() Checkpoint {
 	cp := Checkpoint{
-		M:        e.m,
+		M:        e.M(),
 		Policy:   e.policy.Name(),
 		Now:      e.now.String(),
 		Decision: e.decision,
@@ -129,24 +129,22 @@ func Restore(cp Checkpoint) (*Executive, error) {
 		if err := w.Validate(); err != nil {
 			return nil, fmt.Errorf("online: checkpoint task %q: %v", tc.Name, err)
 		}
-		t := e.sys.AddTask(tc.Name, w)
+		if tc.Active {
+			if err := e.admit(tc.Name, w); err != nil {
+				return nil, fmt.Errorf("online: checkpoint task %q: %v", tc.Name, err)
+			}
+		}
+		lastFin, err := rat.Parse(tc.LastFin)
+		if err != nil {
+			return nil, fmt.Errorf("online: checkpoint task %q lastFin: %v", tc.Name, err)
+		}
+		t := e.addTask(tc.Name, w, tc.Cursor, lastFin, tc.NextIdx, tc.Active)
 		for _, sc := range tc.Subs {
 			e.sys.AddSubtask(t, sc.Index, sc.Theta, sc.Elig)
 		}
 		nsubs := len(e.sys.Subtasks(t))
 		if tc.Cursor < 0 || tc.Cursor > nsubs {
 			return nil, fmt.Errorf("online: checkpoint task %q cursor %d of %d subtasks", tc.Name, tc.Cursor, nsubs)
-		}
-		lastFin, err := rat.Parse(tc.LastFin)
-		if err != nil {
-			return nil, fmt.Errorf("online: checkpoint task %q lastFin: %v", tc.Name, err)
-		}
-		e.cursor = append(e.cursor, tc.Cursor)
-		e.lastFin = append(e.lastFin, lastFin)
-		e.nextIdx = append(e.nextIdx, tc.NextIdx)
-		e.active = append(e.active, tc.Active)
-		if tc.Active {
-			e.activeUtil = e.activeUtil.Add(w.Rat())
 		}
 		pending += nsubs - tc.Cursor
 		if tc.Cursor < nsubs {
@@ -157,9 +155,6 @@ func Restore(cp Checkpoint) (*Executive, error) {
 		return nil, fmt.Errorf("online: checkpoint pending=%d but cursors imply %d", cp.Pending, pending)
 	}
 	e.pending = pending
-	if rat.FromInt(int64(e.m)).Less(e.activeUtil) {
-		return nil, fmt.Errorf("online: checkpoint active utilization %s > M=%d", e.activeUtil, e.m)
-	}
 	if err := e.sys.Validate(); err != nil {
 		return nil, fmt.Errorf("online: checkpoint system invalid: %v", err)
 	}

@@ -48,6 +48,7 @@ package online
 import (
 	"fmt"
 
+	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
@@ -57,14 +58,16 @@ import (
 // Executive is an incremental PD²-DVQ scheduler for dynamically arriving
 // jobs. It is not safe for concurrent use; drive it from one goroutine.
 type Executive struct {
-	m      int
 	policy prio.Policy
 
 	sys      *model.System
 	schedule *sched.Schedule
 
-	active     []bool  // per task: still registered (accepting jobs, counted in utilization)
-	activeUtil rat.Rat // Σ wt over active tasks
+	// led is the one Σwt ≤ M ledger: the processor count, a queued
+	// drain-mode shrink target, and the weights of the active tasks. The
+	// executive is its only writer; len(freeAt) follows its M (fit).
+	led        *admission.Controller
+	active     []bool // per task: still registered (accepting jobs, counted in the ledger)
 	onDispatch func(Dispatch)
 
 	now      rat.Rat
@@ -109,14 +112,13 @@ func newExecutive(sys *model.System, m int, policy prio.Policy) *Executive {
 		policy = prio.PD2{}
 	}
 	return &Executive{
-		m:          m,
-		policy:     policy,
-		sys:        sys,
-		schedule:   sched.New(sys, m, policy.Name(), "DVQ-online"),
-		activeUtil: rat.Zero,
-		freeAt:     make([]rat.Rat, m),
-		ready:      readyHeap{rank: prio.NewRanker(policy)},
-		tl:         newTimeline(),
+		policy:   policy,
+		sys:      sys,
+		schedule: sched.New(sys, m, policy.Name(), "DVQ-online"),
+		led:      admission.NewController(m),
+		freeAt:   make([]rat.Rat, m),
+		ready:    readyHeap{rank: prio.NewRanker(policy)},
+		tl:       newTimeline(),
 	}
 }
 
@@ -151,25 +153,44 @@ func Adopt(sys *model.System, m int, policy prio.Policy) *Executive {
 	return e
 }
 
+// PlanRegister answers what Register(name, w) would decide — admitted, or
+// rejected with the reason — without changing any state. A caller that
+// must journal an admission before applying it plans first; a Register
+// after an admitted plan cannot fail.
+func (e *Executive) PlanRegister(name string, w model.Weight) (admission.Decision, error) {
+	return e.led.PlanRegister(name, w)
+}
+
 // Register adds a task with the given weight. Registration is admission
 // control: it fails if the new total utilization of *active* tasks would
-// exceed M, since the tardiness bound (and any schedulability statement)
-// would be lost. Tasks removed with Unregister no longer count.
+// exceed M (the queued target, while a drain-mode shrink is pending),
+// since the tardiness bound (and any schedulability statement) would be
+// lost. Tasks removed with Unregister no longer count; names are unique
+// among the active ones.
 func (e *Executive) Register(name string, w model.Weight) (*model.Task, error) {
-	if err := w.Validate(); err != nil {
+	if err := e.admit(name, w); err != nil {
 		return nil, err
 	}
-	if newTotal := e.activeUtil.Add(w.Rat()); rat.FromInt(int64(e.m)).Less(newTotal) {
-		return nil, fmt.Errorf("online: registering %s (weight %s) would raise utilization to %s > M=%d",
-			name, w, newTotal, e.m)
+	return e.addTask(name, w, 0, rat.Zero, 1, true), nil
+}
+
+// admit enters an active task's weight in the ledger.
+func (e *Executive) admit(name string, w model.Weight) error {
+	d, err := e.led.Register(name, w)
+	if err == nil && !d.Admitted {
+		err = fmt.Errorf("online: %s", d.Reason)
 	}
+	return err
+}
+
+// addTask appends a task and its per-task dispatch state.
+func (e *Executive) addTask(name string, w model.Weight, cursor int, lastFin rat.Rat, nextIdx int64, active bool) *model.Task {
 	t := e.sys.AddTask(name, w)
-	e.cursor = append(e.cursor, 0)
-	e.lastFin = append(e.lastFin, rat.Zero)
-	e.nextIdx = append(e.nextIdx, 1)
-	e.active = append(e.active, true)
-	e.activeUtil = e.activeUtil.Add(w.Rat())
-	return t, nil
+	e.cursor = append(e.cursor, cursor)
+	e.lastFin = append(e.lastFin, lastFin)
+	e.nextIdx = append(e.nextIdx, nextIdx)
+	e.active = append(e.active, active)
+	return t
 }
 
 // Unregister removes t from the active set: its weight stops counting
@@ -177,7 +198,8 @@ func (e *Executive) Register(name string, w model.Weight) (*model.Task, error) {
 // fails while t still has released-but-undispatched subtasks, because
 // reclaiming the capacity of a task with queued work would void the
 // tardiness bound for everyone else. Already-dispatched work stays in the
-// schedule.
+// schedule. If a drain-mode shrink is queued and the release brings Σwt
+// within its target, the shrink applies here.
 func (e *Executive) Unregister(t *model.Task) error {
 	if t.ID < 0 || t.ID >= len(e.active) {
 		return fmt.Errorf("online: unknown task %s", t)
@@ -189,8 +211,11 @@ func (e *Executive) Unregister(t *model.Task) error {
 		return fmt.Errorf("online: task %s has %d undispatched subtasks; drain before unregistering",
 			t, len(e.sys.Subtasks(t))-e.cursor[t.ID])
 	}
+	if err := e.led.Unregister(t.Name); err != nil {
+		return err
+	}
 	e.active[t.ID] = false
-	e.activeUtil = e.activeUtil.Sub(t.W.Rat())
+	e.fit() // the release may have applied a queued drain-mode shrink
 	return nil
 }
 
@@ -202,7 +227,7 @@ func (e *Executive) Active(t *model.Task) bool {
 
 // ActiveUtilization returns Σ wt over currently registered tasks — the
 // quantity Register admission-checks against M.
-func (e *Executive) ActiveUtilization() rat.Rat { return e.activeUtil }
+func (e *Executive) ActiveUtilization() rat.Rat { return e.led.Utilization() }
 
 // Undispatched returns how many released subtasks of t have not been
 // dispatched yet (the count that blocks Unregister).
@@ -342,7 +367,7 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 	for len(e.waiting) > 0 && !t.Less(e.waiting[0].at) {
 		e.ready.push(e.waiting.pop())
 	}
-	for p := 0; p < e.m && e.ready.len() > 0; p++ {
+	for p := 0; p < len(e.freeAt) && e.ready.len() > 0; p++ {
 		if t.Less(e.freeAt[p]) {
 			continue
 		}

@@ -111,7 +111,7 @@ func Curve(rts []RealTask, m int, overhead int64, candidates []int64) []Point {
 				u = u.Add(w.Rat())
 			}
 			pt.Utilization = u
-			pt.Feasible = u.LessEq(rat.FromInt(int64(m)))
+			pt.Feasible = model.Feasible(u, m)
 		}
 		out = append(out, pt)
 	}

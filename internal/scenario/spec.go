@@ -257,7 +257,7 @@ func (s *Spec) validateCohort(c *CohortSpec, classes map[string]bool) error {
 		}
 		util = util.Add(w.Rat())
 	}
-	if rat.FromInt(int64(s.M)).Less(util) {
+	if !model.Feasible(util, s.M) {
 		return fmt.Errorf("scenario: cohort %q client utilization %s exceeds M = %d (admission would reject)",
 			c.Name, util, s.M)
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"desyncpfair/internal/model"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
 )
@@ -78,7 +79,7 @@ func SweepM(recs []Record, policy string, lo, hi int) (*Sweep, error) {
 	bound := rat.FromInt(1)
 	sw := &Sweep{Policy: policy, Lo: lo, Hi: hi}
 	for m := lo; m <= hi; m++ {
-		pt := SweepPoint{M: m, Feasible: !rat.FromInt(int64(m)).Less(maxUtil)}
+		pt := SweepPoint{M: m, Feasible: model.Feasible(maxUtil, m)}
 		if pt.Feasible {
 			alt := *w.Spec
 			alt.Policy = policy

@@ -146,7 +146,7 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 			ID:       t.id,
 			Reject:   t.reject,
 			MaxTar:   t.maxTar.String(),
-			PendingM: t.ctrl.PendingM(),
+			PendingM: t.ex.PendingM(),
 			History:  t.hist,
 			Log:      t.log[t.sealed:len(t.log):len(t.log)],
 			Exec:     t.ex.Checkpoint(),
@@ -165,10 +165,11 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 
 // restoreTenant rebuilds a tenant from its checkpoint, whose Log must be
 // the whole dispatch log (inlineHistory has loaded the sealed prefix
-// History describes). The admission controller is reconstructed by
-// re-admitting every active task — the checkpoint's validated Σwt ≤ M
-// guarantees each admission succeeds. The loop-owned fields are finished
-// before start(), while no loop can be running.
+// History describes). online.Restore has validated Σwt ≤ M; a queued
+// shrink target is reinstated by asking for the drain again, which must
+// queue — a target the ledger would apply or reject cannot have been
+// pending. The loop-owned fields are finished before start(), while no
+// loop can be running.
 func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 	if cp.ID == "" {
 		return nil, fmt.Errorf("server: tenant checkpoint without id")
@@ -186,7 +187,13 @@ func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 			return nil, fmt.Errorf("server: tenant %q dispatch log has seq %d at position %d", cp.ID, ev.Seq, i)
 		}
 	}
-	t := newTenantCore(cp.ID, cp.Exec.Policy, cp.Exec.M, ex, admission.NewController(cp.Exec.M), ringSize)
+	if cp.PendingM != 0 {
+		if d, err := ex.ResizeDrain(cp.PendingM, true); err != nil || d.Outcome != admission.ResizeQueued {
+			return nil, fmt.Errorf("server: tenant %q: pending resize target %d is not a queued shrink of m = %d, Σwt = %s",
+				cp.ID, cp.PendingM, cp.Exec.M, ex.ActiveUtilization())
+		}
+	}
+	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, ringSize)
 	t.installLog(cp.Log)
 	t.hist, t.sealed = cp.History, sealedEvents(cp.History)
 	t.maxTar = maxTar
@@ -195,20 +202,9 @@ func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 		t.idemRemember(e.Key, SubmitJobResponse{At: e.At, Pending: e.Pending})
 	}
 	for _, task := range ex.System().Tasks {
-		if !ex.Active(task) {
-			continue
+		if ex.Active(task) {
+			t.tasks[task.Name] = task
 		}
-		d, err := t.ctrl.Register(task.Name, task.W)
-		if err != nil {
-			return nil, fmt.Errorf("server: tenant %q re-admitting %q: %v", cp.ID, task.Name, err)
-		}
-		if !d.Admitted {
-			return nil, fmt.Errorf("server: tenant %q re-admitting %q: rejected (%s)", cp.ID, task.Name, d.Reason)
-		}
-		t.tasks[task.Name] = task
-	}
-	if err := t.ctrl.RestorePendingResize(cp.PendingM); err != nil {
-		return nil, fmt.Errorf("server: tenant %q: %v", cp.ID, err)
 	}
 	t.start()
 	return t, nil
@@ -317,9 +313,10 @@ func Open(opts Options) (*Server, error) {
 // degraded, and /healthz says so.
 func (s *Server) applyRecord(r wal.Record, info *RecoveryInfo) {
 	info.RecordsReplayed++
-	fail := func() { info.ReplayErrors++ }
-	t := s.tenant(r.Tenant)
+	ok := false
 	switch r.Op {
+	case wal.OpTerm:
+		return // leadership-change marker: no state to apply
 	case wal.OpTenantCreate:
 		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.submitRing)
 		if err == nil {
@@ -327,101 +324,66 @@ func (s *Server) applyRecord(r wal.Record, info *RecoveryInfo) {
 				nt.Close() // never installed; stop its loop goroutine
 			}
 		}
-		if err != nil {
-			fail()
-			return
-		}
+		ok = err == nil
 	case wal.OpTenantDelete:
-		if !s.dropTenant(r.Tenant) {
-			fail()
-			return
-		}
-	case wal.OpTaskRegister:
-		if t == nil {
-			fail()
-			return
-		}
-		d, _, err := t.RegisterTask(r.Name, model.W(r.E, r.P))
-		if err != nil || !d.Admitted {
-			fail()
-			return
-		}
-	case wal.OpTaskUnregister:
-		if t == nil {
-			fail()
-			return
-		}
-		if _, err := t.UnregisterTask(r.Name); err != nil {
-			fail()
-			return
-		}
-	case wal.OpJobSubmit:
-		if t == nil {
-			fail()
-			return
-		}
-		if _, _, err := t.SubmitJobReq(SubmitJobRequest{Task: r.Name, At: r.At, Earliness: r.Earliness, Key: r.Key}); err != nil {
-			fail()
-			return
-		}
-	case wal.OpAdvance:
-		if t == nil {
-			fail()
-			return
-		}
-		if _, _, err := t.Advance(r.At, ""); err != nil {
-			fail()
-			return
-		}
-	case wal.OpDrain:
-		if t == nil {
-			fail()
-			return
-		}
-		if _, _, err := t.Drain(); err != nil {
-			fail()
-			return
-		}
-	case wal.OpResize:
-		if t == nil {
-			fail()
-			return
-		}
-		// A journaled resize was applied or queued on the pre-crash server;
-		// replaying it against the same state must reproduce that outcome —
-		// a rejection here means journal and state diverged.
-		resp, _, err := t.Resize(r.M, r.Mode == "drain")
-		if err != nil || resp.Outcome == admission.ResizeRejected.String() {
-			fail()
-			return
-		}
-	case wal.OpDispatch:
-		if t == nil {
-			info.DispatchMismatches++
-			return
-		}
-		ev, ok := t.eventAt(r.DSeq)
-		if !ok || ev.Task != r.Name || ev.Index != r.Index || ev.Finish != r.Finish {
-			info.DispatchMismatches++
-		}
-		return // not a command; no cmdSeq bump
-	case wal.OpTerm:
-		// Leadership-change marker: no state to apply, no cmdSeq bump.
-		return
+		ok = s.dropTenant(r.Tenant)
 	default:
-		fail()
-		return
+		if t := s.tenant(r.Tenant); t != nil {
+			ok = t.replay(r)
+		}
 	}
-	s.cmdSeq.Add(1)
-	info.CommandsReplayed++
+	switch {
+	case r.Op == wal.OpDispatch:
+		if !ok {
+			info.DispatchMismatches++
+		}
+	case !ok:
+		info.ReplayErrors++
+	default:
+		s.cmdSeq.Add(1)
+		info.CommandsReplayed++
+	}
+}
+
+// replay re-applies one journaled record of this tenant, reporting whether
+// it did what the pre-crash server journaled it as doing: a command
+// applied — a journaled registration was admitted, a journaled resize
+// applied or queued, anything else means journal and state diverged — and
+// a dispatch record matched the regenerated decision.
+func (t *Tenant) replay(r wal.Record) bool {
+	var err error
+	switch r.Op {
+	case wal.OpTaskRegister:
+		var d admission.Decision
+		d, _, err = t.RegisterTask(r.Name, model.W(r.E, r.P))
+		return err == nil && d.Admitted
+	case wal.OpTaskUnregister:
+		_, err = t.UnregisterTask(r.Name)
+	case wal.OpJobSubmit:
+		_, _, err = t.SubmitJobReq(SubmitJobRequest{Task: r.Name, At: r.At, Earliness: r.Earliness, Key: r.Key})
+	case wal.OpAdvance:
+		_, _, err = t.Advance(r.At, "")
+	case wal.OpDrain:
+		_, _, err = t.Drain()
+	case wal.OpResize:
+		var resp ResizeResponse
+		resp, _, err = t.Resize(r.M, r.Mode == "drain")
+		return err == nil && resp.Outcome != admission.ResizeRejected.String()
+	case wal.OpDispatch:
+		ev, ok := t.eventAt(r.DSeq)
+		return ok && ev.Task == r.Name && ev.Index == r.Index && ev.Finish == r.Finish
+	default:
+		return false
+	}
+	return err == nil
 }
 
 // journalRecord is the tenants' durability hook: it *enqueues* the record
 // (frame encode + buffered write, no fsync) and counts commands. The
 // caller carries the returned commit out of its locks and waits on it via
 // waitDurable before acking — compact's opMu quiesce still sees a cmdSeq
-// consistent with applied state because enqueue and apply both happen
-// under the tenant lock inside opMu's read side.
+// consistent with applied state because enqueue and apply both happen in
+// one tenant command inside opMu's read side.
 func (s *Server) journalRecord(r wal.Record) (wal.Commit, error) {
 	if s.wal == nil || !s.journaling.Load() {
 		// In-memory server, replay, or a follower applying replicated
@@ -463,9 +425,9 @@ func (s *Server) journalBatch(rs []wal.Record) (wal.Commit, error) {
 
 // waitDurable blocks until the commit's record is covered by an fsync
 // (group commit: the first waiter syncs for everyone queued behind it).
-// Handlers call it after releasing opMu and every tenant lock, so a slow
-// fsync stalls only the acking requests. A zero commit — in-memory
-// server, non-journaled operation — returns immediately.
+// mutate calls it after releasing opMu, so a slow fsync stalls only the
+// acking requests. A zero commit — in-memory server, non-journaled
+// operation — returns immediately.
 func (s *Server) waitDurable(c wal.Commit) error {
 	if s.wal == nil || c.LSN == 0 {
 		return nil

@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -112,15 +115,16 @@ func plainJSON(s string) bool {
 // handler forever. A deadline that the connection does not support
 // (httptest recorders) is silently skipped.
 type frameWriter struct {
-	w     http.ResponseWriter
-	rc    *http.ResponseController
-	fl    http.Flusher
-	stall time.Duration
-	bufs  net.Buffers
+	w      http.ResponseWriter
+	rc     *http.ResponseController
+	fl     http.Flusher
+	stall  time.Duration
+	severs *atomic.Int64 // writes that died on the stall deadline
+	bufs   net.Buffers
 }
 
-func newFrameWriter(w http.ResponseWriter, stall time.Duration) *frameWriter {
-	fw := &frameWriter{w: w, rc: http.NewResponseController(w), stall: stall}
+func (s *Server) newFrameWriter(w http.ResponseWriter) *frameWriter {
+	fw := &frameWriter{w: w, rc: http.NewResponseController(w), stall: s.streamStall, severs: &s.streamSevers}
 	fw.fl, _ = w.(http.Flusher)
 	return fw
 }
@@ -146,6 +150,9 @@ func (fw *frameWriter) writeFrames(frames [][]byte) error {
 	fw.armDeadline()
 	_, err := fw.bufs.WriteTo(fw.w)
 	fw.clearDeadline()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		fw.severs.Add(1)
+	}
 	return err
 }
 
@@ -208,3 +215,7 @@ func (s *Server) SetStreamPolicy(maxLag int64, stall time.Duration) {
 // StreamEvictions reports how many read streams this server has evicted
 // for lagging past the policy bound.
 func (s *Server) StreamEvictions() int64 { return s.streamEvict.Load() }
+
+// StreamStallSevers reports how many read streams this server has severed
+// because a write to a wedged reader outlasted the stall deadline.
+func (s *Server) StreamStallSevers() int64 { return s.streamSevers.Load() }

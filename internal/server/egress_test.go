@@ -459,9 +459,19 @@ func TestStreamStallSeversWedgedReader(t *testing.T) {
 	// Enough frames to fill both kernel buffers and jam the handler.
 	pumpDispatches(t, c, "acme", 4, 12, 64)
 
-	// Once the stall deadline fires the handler returns and the server
-	// closes the connection: a bounded read-drain must reach an end (EOF
-	// or reset) rather than time out against a still-open stream.
+	// The stall deadline must fire while the reader is still wedged. Only
+	// once the server reports the sever do we start reading: draining any
+	// earlier would un-jam the handler's blocked write, and a handler that
+	// got its write through follows the tenant forever.
+	for deadline := time.Now().Add(30 * time.Second); srv.StreamStallSevers() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("stall deadline did not sever the wedged reader")
+		}
+	}
+
+	// The handler has returned and the server closes the connection: a
+	// bounded read-drain must reach an end (EOF or reset) rather than time
+	// out against a still-open stream.
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	rd := bufio.NewReader(conn)
 	for {

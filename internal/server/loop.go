@@ -2,12 +2,9 @@ package server
 
 import (
 	"errors"
-	"fmt"
 
 	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
-	"desyncpfair/internal/obs"
-	"desyncpfair/internal/rat"
 	"desyncpfair/internal/wal"
 )
 
@@ -116,14 +113,14 @@ func (t *Tenant) ctlExec(c *command) cmdResult {
 }
 
 // runLoop is the tenant's single-writer event loop: the only goroutine
-// that touches the executive, the admission controller, the task map, and
-// the dispatch log after start(). It drains the ring in opportunistic
-// batches (coalescing consecutive submits into one journal frame group),
-// applies each command, and publishes an immutable snapshot that every
-// read path — /metrics, Info, stream replay, recovery verification —
-// loads without synchronizing with this goroutine. The ring is biased
-// over the control channel so a control barrier observes a fully drained
-// backlog.
+// that touches the executive (and the admission ledger inside it), the
+// task map, and the dispatch log after start(). It drains the ring in
+// opportunistic batches (coalescing consecutive submits into one journal
+// frame group), applies each command, and publishes an immutable snapshot
+// that every read path — /metrics, Info, stream replay, recovery
+// verification — loads without synchronizing with this goroutine. The ring
+// is biased over the control channel so a control barrier observes a fully
+// drained backlog.
 func (t *Tenant) runLoop() {
 	batch := make([]*command, 0, 64)
 	for {
@@ -167,34 +164,25 @@ func (t *Tenant) runLoop() {
 	}
 }
 
-// process executes one non-submit command and reports whether the loop
-// should stop.
+// process executes one command and reports whether the loop should stop.
+// (runLoop hands runs of single submits to processSubmitRun itself; one
+// arriving here is a run of one.)
 func (t *Tenant) process(c *command) (stop bool) {
 	switch c.kind {
+	case cmdSubmit:
+		t.processSubmitRun([]*command{c})
 	case cmdSubmitBatch:
-		var res cmdResult
-		res.subs, res.commit, res.err = t.applySubmitBatch(c.batch)
-		t.finish(c, res)
+		t.finish(c, t.applySubmitBatch(c.batch))
 	case cmdRegister:
-		var res cmdResult
-		res.dec, res.commit, res.err = t.applyRegister(c.name, c.w)
-		t.finish(c, res)
+		t.finish(c, t.applyRegister(c.name, c.w))
 	case cmdUnregister:
-		var res cmdResult
-		res.commit, res.err = t.applyUnregister(c.name)
-		t.finish(c, res)
+		t.finish(c, t.applyUnregister(c.name))
 	case cmdAdvance:
-		var res cmdResult
-		res.adv, res.commit, res.err = t.applyAdvance(c.until, c.by)
-		t.finish(c, res)
+		t.finish(c, t.applyAdvance(c.until, c.by))
 	case cmdDrain:
-		var res cmdResult
-		res.adv, res.commit, res.err = t.applyDrain()
-		t.finish(c, res)
+		t.finish(c, t.applyDrain())
 	case cmdResize:
-		var res cmdResult
-		res.resize, res.commit, res.err = t.applyResize(c.resizeM, c.drain)
-		t.finish(c, res)
+		t.finish(c, t.applyResize(c.resizeM, c.drain))
 	case cmdCtl:
 		c.fn()
 		c.done <- cmdResult{}
@@ -215,143 +203,82 @@ func (t *Tenant) process(c *command) (stop bool) {
 	return false
 }
 
-// finish flushes buffered dispatch records, publishes the post-command
-// snapshot, wakes stream followers if the log grew, and completes c.
-func (t *Tenant) finish(c *command, res cmdResult) {
-	t.flushAfterApply()
+// settle ends a command's apply: it journals the dispatch records the
+// apply buffered as one frame group (they follow their command record in
+// the journal, preceding the next command), publishes the post-command
+// snapshot, and wakes stream followers if the log grew. A command is
+// completed only after it, so whoever is acknowledged can already read
+// its own effect.
+func (t *Tenant) settle() {
+	if len(t.pendDisp) > 0 {
+		if h := t.hooks.Load(); h != nil {
+			// Dispatch records are verification-only: recovery regenerates
+			// decisions by replaying commands and checks them against these.
+			// An append error here already wedged the log, so the following
+			// command will fail loudly; nothing to do with it now.
+			_, _ = h.batch(t.pendDisp)
+		}
+		t.pendDisp = t.pendDisp[:0]
+	}
 	if t.publish() {
 		t.pingSubs()
 	}
+}
+
+// finish settles c's apply and completes it.
+func (t *Tenant) finish(c *command, res cmdResult) {
+	t.settle()
 	c.done <- res
 }
 
-// flushAfterApply journals the dispatch records the last apply buffered
-// as one frame group (they follow their command record in the journal,
-// preceding the next command).
-func (t *Tenant) flushAfterApply() {
-	if len(t.pendDisp) == 0 {
-		return
-	}
-	if h := t.hooks.Load(); h != nil {
-		// Dispatch records are verification-only: recovery regenerates
-		// decisions by replaying commands and checks them against these.
-		// An append error here already wedged the log, so the following
-		// command will fail loudly; nothing to do with it now.
-		_, _ = h.batch(t.pendDisp)
-	}
-	t.pendDisp = t.pendDisp[:0]
-}
-
 // processSubmitRun executes a maximal run of consecutive single submits
-// drained from the ring in one go: each validates independently against
-// the current state (submits only add pending work and never move virtual
-// time, so independent validity implies sequential validity — the same
-// argument the batch endpoint relies on), the valid ones journal as ONE
-// frame group, and all of them share one commit and therefore one fsync.
-// This is where the MPSC ring buys its throughput: under concurrent
-// clients with FsyncEvery=1, a drained run of N submits costs one
-// buffered write and one group-commit wait instead of N.
+// drained from the ring in one go — the other front end of applySubmits.
+// Unlike a batch, the commands are independent: each validates on its own
+// against the current state and fails on its own, the valid ones journal
+// as ONE frame group, and all of them share one commit and therefore one
+// fsync. This is where the MPSC ring buys its throughput: under concurrent
+// clients with FsyncEvery=1, a drained run of N submits costs one buffered
+// write and one group-commit wait instead of N.
+//
+// Keyed retries never reach the journal: a key already applied answers
+// from the idempotency memory, and a key repeated *within* the run waits
+// for the next pass, where it dedupes against the first instance (or
+// re-validates, if that one failed).
 func (t *Tenant) processSubmitRun(run []*command) {
-	if len(run) == 1 {
-		// The common sequential case keeps the exact single-submit path
-		// (and its pinned trace-event sequence).
-		var res cmdResult
-		res.submit, res.commit, res.err = t.applySubmit(run[0].submit)
-		t.finish(run[0], res)
-		return
-	}
-	type val struct {
-		c    *command
-		task *model.Task
-		when rat.Rat
-	}
-	valid := make([]val, 0, len(run))
-	recs := make([]wal.Record, 0, len(run))
-	// Keyed retries never reach the group journal: a key already applied
-	// answers from the idempotency memory, and a key repeated *within*
-	// this drained run defers to the singleton path after the run applies
-	// (which then dedupes against the first instance, or re-validates if
-	// the first instance failed).
-	var deferred []*command
-	runKeys := map[string]struct{}{}
-	for _, c := range run {
-		if resp, seen := t.idemSeen(c.submit.Key); seen {
-			c.done <- cmdResult{submit: resp}
-			continue
-		}
-		if c.submit.Key != "" {
-			if _, dup := runKeys[c.submit.Key]; dup {
-				deferred = append(deferred, c)
+	for len(run) > 0 {
+		jobs := t.jobs[:0]
+		var again []*command
+		inRun := map[string]struct{}{}
+		for _, c := range run {
+			key := c.submit.Key
+			if resp, seen := t.idemSeen(key); seen {
+				// Nothing is journaled for a replay, so the zero commit is
+				// already durable by definition.
+				c.done <- cmdResult{submit: resp}
 				continue
 			}
-			runKeys[c.submit.Key] = struct{}{}
-		}
-		task, when, err := t.validateSubmit(c.submit)
-		if err != nil {
-			c.done <- cmdResult{err: err}
-			continue
-		}
-		valid = append(valid, val{c, task, when})
-		recs = append(recs, wal.Record{
-			Op: wal.OpJobSubmit, Tenant: t.id,
-			Name: c.submit.Task, At: when.String(), Earliness: c.submit.Earliness,
-			Key: c.submit.Key,
-		})
-	}
-	if len(valid) == 0 {
-		for _, c := range deferred {
-			var res cmdResult
-			res.submit, res.commit, res.err = t.applySubmit(c.submit)
-			t.finish(c, res)
-		}
-		return
-	}
-	var commit wal.Commit
-	h := t.hooks.Load()
-	if h != nil {
-		c, jerr := h.batch(recs)
-		if jerr != nil {
-			t.traceBegin(wal.OpJobSubmit, fmt.Sprintf("run[%d]", len(valid)), "")
-			t.traceFail(obs.StageWALAppend, jerr)
-			for _, v := range valid {
-				v.c.done <- cmdResult{err: jerr}
+			if _, dup := inRun[key]; dup {
+				again = append(again, c)
+				continue
 			}
-			for _, c := range deferred {
-				c.done <- cmdResult{err: jerr}
+			if key != "" {
+				inRun[key] = struct{}{}
 			}
-			return
-		}
-		commit = c
-	}
-	for _, v := range valid {
-		t.traceBegin(wal.OpJobSubmit, v.c.submit.Task, v.when.String())
-		if h != nil {
-			t.traceStage(obs.StageWALAppend)
-		}
-		if err := t.applySubmitJob(v.task, v.when, v.c.submit.Earliness); err != nil {
-			// Unreachable after pre-validation; the record is journaled
-			// but not applied, so wedge — same contract as the batch
-			// endpoint.
-			if h != nil && h.fail != nil {
-				h.fail(err)
+			job, err := t.validateSubmit(c.submit)
+			if err != nil {
+				c.done <- cmdResult{err: err}
+				continue
 			}
-			t.traceFail(obs.StageApply, err)
-			v.c.done <- cmdResult{err: err}
-			continue
+			job.cmd = c
+			jobs = append(jobs, job)
 		}
-		t.traceStage(obs.StageApply)
-		resp := SubmitJobResponse{At: v.when.String(), Pending: t.ex.Pending()}
-		t.idemRemember(v.c.submit.Key, resp)
-		v.c.done <- cmdResult{submit: resp, commit: commit}
-	}
-	for _, c := range deferred {
-		var res cmdResult
-		res.submit, res.commit, res.err = t.applySubmit(c.submit)
-		c.done <- res
-	}
-	t.flushAfterApply()
-	if t.publish() {
-		t.pingSubs()
+		t.jobs = jobs[:0]
+		commit, err := t.applySubmits(jobs)
+		t.settle()
+		for i := range jobs {
+			jobs[i].cmd.done <- cmdResult{submit: jobs[i].resp, commit: commit, err: err}
+		}
+		run = again
 	}
 }
 
@@ -389,11 +316,7 @@ func (t *Tenant) flushBacklog() {
 		for {
 			select {
 			case c := <-t.ring:
-				if c.kind == cmdSubmit {
-					t.processSubmitRun([]*command{c})
-				} else {
-					t.process(c)
-				}
+				t.process(c)
 			default:
 				return
 			}

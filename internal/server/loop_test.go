@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"desyncpfair/internal/model"
+	"desyncpfair/internal/online"
 )
 
 // TestRingFullBackpressure pins the bounded-ring contract: when the loop
@@ -142,5 +143,34 @@ func TestSnapshotReadersSeeClosedTenantState(t *testing.T) {
 	}
 	if got := len(tn.EventsSince(0)); int64(got) != want.Dispatches {
 		t.Fatalf("EventsSince after close returned %d events, want %d", got, want.Dispatches)
+	}
+}
+
+// TestRestoreReinstatesOnlyAQueuedShrink: a snapshot's pendingM is
+// reinstated by asking the ledger for the drain again, so only a target it
+// would queue — below both m and Σwt — survives a restore; anything else
+// would have applied (or never been accepted) on the server that wrote
+// the snapshot, and the checkpoint is refused.
+func TestRestoreReinstatesOnlyAQueuedShrink(t *testing.T) {
+	ex := online.New(3, nil)
+	for _, name := range []string{"a", "b"} {
+		if _, err := ex.Register(name, model.W(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := tenantCheckpoint{ID: "x", MaxTar: "0", Exec: ex.Checkpoint()} // m = 3, Σwt = 2
+	for pending, ok := range map[int]bool{0: true, 1: true, 2: false, 3: false, 4: false, -1: false, MaxM + 1: false} {
+		cp.PendingM = pending
+		tn, err := restoreTenant(cp, 0)
+		if (err == nil) != ok {
+			t.Errorf("pendingM = %d: err = %v, want restorable = %v", pending, err, ok)
+		}
+		if err != nil {
+			continue
+		}
+		if info := tn.Info(); info.M != 3 || info.PendingM != pending || info.Utilization != "2" {
+			t.Errorf("pendingM = %d restored as %+v", pending, info)
+		}
+		tn.Close()
 	}
 }

@@ -194,9 +194,8 @@ func (o *serverObs) appendCompactionMetrics(b []byte) []byte {
 // at the current end instead of following. The stream ends with the
 // client, the tenant, or the server, exactly like the dispatch stream.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(r.PathValue("id"))
+	t := s.routeTenant(w, r)
 	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
 		return
 	}
 	var from int64
@@ -213,7 +212,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ring := t.traceRing()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	fw := newFrameWriter(w, s.streamStall)
+	fw := s.newFrameWriter(w)
 	fw.flush()
 
 	sub := ring.Subscribe()

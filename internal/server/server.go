@@ -1,9 +1,10 @@
 // Package server implements pfaird, a multi-tenant scheduling service
 // over the online executive: each tenant is an isolated PD²-DVQ
-// online.Executive (plus admission controller) behind a single-writer
-// event loop fed by a bounded MPSC submit ring, and a stdlib net/http
-// JSON API creates tenants, admits tasks, submits jobs, advances virtual
-// time, and streams dispatch decisions as newline-delimited JSON. The service turns the paper's Theorem 3 into an
+// online.Executive (which owns the tenant's Σwt ≤ M admission ledger)
+// behind a single-writer event loop fed by a bounded MPSC submit ring, and
+// a stdlib net/http JSON API creates tenants, admits tasks, submits jobs,
+// advances virtual time, and streams dispatch decisions as
+// newline-delimited JSON. The service turns the paper's Theorem 3 into an
 // operational contract: every admitted tenant's workload keeps the
 // one-quantum tardiness bound, and /metrics exposes the observed maximum
 // so the claim is monitorable, not just provable.
@@ -70,11 +71,12 @@ type Server struct {
 	// read side brackets every journaled mutation; compact takes the
 	// write side to get a stop-the-world-consistent image of the registry
 	// and cmdSeq, the count of enqueued (journaled + applied) commands.
-	// Lock order: opMu → shard.mu / Tenant.mu → wal's own lock. Mutations
-	// only *enqueue* their record while holding those locks; the fsync
-	// wait (waitDurable) happens after all of them are released, so one
-	// request's fsync never blocks other tenants — concurrent waiters
-	// coalesce into a single fsync inside wal.Log (group commit).
+	// Lock order: opMu → shard.mu → wal's own lock (a tenant has no lock:
+	// its loop is the only writer). Mutations only *enqueue* their record
+	// while holding those locks; the fsync wait happens in mutate after
+	// all of them are released, so one request's fsync never blocks other
+	// tenants — concurrent waiters coalesce into a single fsync inside
+	// wal.Log (group commit).
 	wal      *wal.Log
 	opMu     sync.RWMutex
 	cmdSeq   atomic.Uint64
@@ -108,10 +110,12 @@ type Server struct {
 	// Egress stream policy (egress.go): streamMaxLag is the record-count
 	// bound past which a following read stream is evicted (0 = never),
 	// streamStall the per-write deadline on stream writes (0 = none).
-	// Both are set before serving traffic; streamEvict counts evictions.
+	// Both are set before serving traffic; streamEvict counts evictions,
+	// streamSevers the writes that died on the stall deadline.
 	streamMaxLag int64
 	streamStall  time.Duration
 	streamEvict  atomic.Int64
+	streamSevers atomic.Int64
 
 	shutdownOnce sync.Once
 	shutdown     chan struct{}
@@ -219,6 +223,16 @@ func (s *Server) tenant(id string) *Tenant {
 	return t
 }
 
+// routeTenant resolves the {id} of a tenant-scoped route, answering 404
+// itself when there is no such tenant.
+func (s *Server) routeTenant(w http.ResponseWriter, r *http.Request) *Tenant {
+	t := s.tenant(r.PathValue("id"))
+	if t == nil {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
+	}
+	return t
+}
+
 // addTenant installs t unless the id is taken, journaling the creation
 // while the shard lock serializes it against racing creates and deletes of
 // the same id (so journal order matches applied order). Installation
@@ -233,7 +247,7 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 		return wal.Commit{}, fmt.Errorf("server: tenant %q already exists", t.ID())
 	}
 	commit, err := s.journalRecord(wal.Record{
-		Op: wal.OpTenantCreate, Tenant: t.ID(), M: t.m, Policy: t.policy,
+		Op: wal.OpTenantCreate, Tenant: t.ID(), M: t.snap.Load().m, Policy: t.policy,
 	})
 	if err != nil {
 		return wal.Commit{}, err
@@ -250,14 +264,11 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 // tenant's close gate (so no further commands are accepted), flush its
 // ring backlog (so every accepted command precedes the delete in the
 // journal), journal the delete under the shard lock, unlink, and stop the
-// loop. It reports whether the tenant existed; the error is a journal
+// loop. It reports whether this call deleted it; the error is a journal
 // failure — the close gate then reopens and the tenant remains, fully
 // consistent, as if the delete never happened.
-func (s *Server) removeTenant(id string) (bool, wal.Commit, error) {
-	t := s.tenant(id)
-	if t == nil {
-		return false, wal.Commit{}, nil
-	}
+func (s *Server) removeTenant(t *Tenant) (bool, wal.Commit, error) {
+	id := t.ID()
 	if !t.beginClose() {
 		// A concurrent delete of the same id won the gate; wait for it and
 		// report not-found, exactly as if we had arrived after it.
@@ -378,33 +389,85 @@ var metricsBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 16<<10); return &b },
 }
 
-func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
+// reply is what a mutation's op hands back to its envelope (mutate).
+type reply struct {
+	status int        // response status
+	body   any        // JSON response body, nil for none
+	commit wal.Commit // journal position to wait durable before acknowledging
+	// errStatus, when set, is the status of the error returned beside the
+	// reply, in place of the route's fallback.
+	errStatus int
+	// acks > 0 records that many submit→ack latency observations, measured
+	// from ackFrom, once the request is durable.
+	acks    int
+	ackFrom time.Time
+}
+
+// mutate is the one envelope every mutating route runs in: the leader
+// gate, the route's tenant (404) when it names one, the request body (400)
+// when it has one, op under opMu's read side, then — outside every lock,
+// so a slow fsync stalls only the requests it acknowledges and concurrent
+// waiters park together in the WAL and share one fsync (group commit) —
+// the durability wait, the compaction check, and the response. An op
+// error answers statusOf(err, fallback).
+func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallback int, op func(t *Tenant) (reply, error)) {
 	if !s.gateMutation(w) {
 		return
 	}
-	var req CreateTenantRequest
-	if !decode(w, r, &req) {
-		return
+	var t *Tenant
+	if r.PathValue("id") != "" {
+		if t = s.routeTenant(w, r); t == nil {
+			return
+		}
 	}
-	t, err := newTenant(req.ID, req.M, req.Policy, s.submitRing)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if req != nil && !decode(w, r, req) {
 		return
 	}
 	s.opMu.RLock()
-	commit, err := s.addTenant(t)
+	rp, err := op(t)
 	s.opMu.RUnlock()
 	if err != nil {
-		t.Close() // never installed; stop its loop goroutine
-		writeErr(w, statusOf(err, http.StatusConflict), err)
+		if rp.errStatus != 0 {
+			fallback = rp.errStatus
+		}
+		writeErr(w, statusOf(err, fallback), err)
 		return
 	}
-	if err := s.waitDurable(commit); err != nil {
+	if err := s.waitDurable(rp.commit); err != nil {
 		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
 		return
 	}
 	s.maybeCompact()
-	writeJSON(w, http.StatusCreated, t.Info())
+	if rp.acks > 0 {
+		// Acknowledged: accepted and, on a durable server, journaled. Only
+		// successful submissions land in the histogram — rejections are
+		// counted elsewhere and would skew the latency series.
+		d := s.obs.clock.Now().Sub(rp.ackFrom)
+		for i := 0; i < rp.acks; i++ {
+			t.observeSubmitAck(d)
+		}
+	}
+	if rp.body == nil {
+		w.WriteHeader(rp.status)
+		return
+	}
+	writeJSON(w, rp.status, rp.body)
+}
+
+func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
+	var req CreateTenantRequest
+	s.mutate(w, r, &req, http.StatusConflict, func(*Tenant) (reply, error) {
+		t, err := newTenant(req.ID, req.M, req.Policy, s.submitRing)
+		if err != nil {
+			return reply{errStatus: http.StatusBadRequest}, err
+		}
+		commit, err := s.addTenant(t)
+		if err != nil {
+			t.Close() // never installed; stop its loop goroutine
+			return reply{}, err
+		}
+		return reply{status: http.StatusCreated, body: t.Info(), commit: commit}, nil
+	})
 }
 
 func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
@@ -416,263 +479,102 @@ func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetTenant(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(r.PathValue("id"))
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
+	if t := s.routeTenant(w, r); t != nil {
+		writeJSON(w, http.StatusOK, t.Info())
 	}
-	writeJSON(w, http.StatusOK, t.Info())
 }
 
 func (s *Server) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
-	if !s.gateMutation(w) {
-		return
-	}
-	s.opMu.RLock()
-	found, commit, err := s.removeTenant(r.PathValue("id"))
-	s.opMu.RUnlock()
-	if err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	if !found {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
-	}
-	if err := s.waitDurable(commit); err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	s.maybeCompact()
-	w.WriteHeader(http.StatusNoContent)
+	s.mutate(w, r, nil, http.StatusServiceUnavailable, func(t *Tenant) (reply, error) {
+		found, commit, err := s.removeTenant(t)
+		if err == nil && !found {
+			// A concurrent delete won; answer as if we had arrived after it.
+			return reply{errStatus: http.StatusNotFound}, fmt.Errorf("server: no tenant %q", t.ID())
+		}
+		return reply{status: http.StatusNoContent, commit: commit}, err
+	})
 }
 
 func (s *Server) handleRegisterTask(w http.ResponseWriter, r *http.Request) {
-	if !s.gateMutation(w) {
-		return
-	}
-	t := s.tenant(r.PathValue("id"))
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
-	}
 	var req RegisterTaskRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	s.opMu.RLock()
-	d, commit, err := t.RegisterTask(req.Name, model.W(req.E, req.P))
-	s.opMu.RUnlock()
-	if err != nil {
-		writeErr(w, statusOf(err, http.StatusBadRequest), err)
-		return
-	}
-	if err := s.waitDurable(commit); err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	s.maybeCompact()
-	resp := RegisterTaskResponse{Admitted: d.Admitted, Guarantee: d.Guarantee.String(), Reason: d.Reason}
-	if !d.Admitted {
-		// 409: the request was well-formed but capacity says no.
-		writeJSON(w, http.StatusConflict, resp)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
+	s.mutate(w, r, &req, http.StatusBadRequest, func(t *Tenant) (reply, error) {
+		d, commit, err := t.RegisterTask(req.Name, model.W(req.E, req.P))
+		status := http.StatusCreated
+		if !d.Admitted {
+			// 409: the request was well-formed but capacity says no.
+			status = http.StatusConflict
+		}
+		resp := RegisterTaskResponse{Admitted: d.Admitted, Guarantee: d.Guarantee.String(), Reason: d.Reason}
+		return reply{status: status, body: resp, commit: commit}, err
+	})
 }
 
 func (s *Server) handleUnregisterTask(w http.ResponseWriter, r *http.Request) {
-	if !s.gateMutation(w) {
-		return
-	}
-	t := s.tenant(r.PathValue("id"))
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
-	}
-	s.opMu.RLock()
-	commit, err := t.UnregisterTask(r.PathValue("name"))
-	s.opMu.RUnlock()
-	if err != nil {
-		writeErr(w, statusOf(err, http.StatusConflict), err)
-		return
-	}
-	if err := s.waitDurable(commit); err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	s.maybeCompact()
-	w.WriteHeader(http.StatusNoContent)
+	s.mutate(w, r, nil, http.StatusConflict, func(t *Tenant) (reply, error) {
+		commit, err := t.UnregisterTask(r.PathValue("name"))
+		return reply{status: http.StatusNoContent, commit: commit}, err
+	})
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	if !s.gateMutation(w) {
-		return
-	}
 	start := s.obs.clock.Now()
-	t := s.tenant(r.PathValue("id"))
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
-	}
 	var req SubmitJobRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	s.opMu.RLock()
-	resp, commit, err := t.SubmitJobReq(req)
-	s.opMu.RUnlock()
-	if err != nil {
-		writeErr(w, statusOf(err, http.StatusBadRequest), err)
-		return
-	}
-	// Durability wait happens here, outside every lock: concurrent submits
-	// park together in the WAL and share one fsync (group commit).
-	if err := s.waitDurable(commit); err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	s.maybeCompact()
-	// Acknowledged: the job is accepted (and, on a durable server, its
-	// record journaled). Only successful submissions land in the histogram
-	// — rejections are counted elsewhere and would skew the latency series.
-	t.observeSubmitAck(s.obs.clock.Now().Sub(start))
-	writeJSON(w, http.StatusAccepted, resp)
+	s.mutate(w, r, &req, http.StatusBadRequest, func(t *Tenant) (reply, error) {
+		resp, commit, err := t.SubmitJobReq(req)
+		return reply{status: http.StatusAccepted, body: resp, commit: commit, acks: 1, ackFrom: start}, err
+	})
 }
 
 // handleSubmitJobs is the batch submit path: all jobs validate, journal as
-// one frame group, and apply under a single tenant-lock acquisition, then
-// the whole batch acks after one durability wait.
+// one frame group, and apply in one tenant command, then the whole batch
+// acks after one durability wait.
 func (s *Server) handleSubmitJobs(w http.ResponseWriter, r *http.Request) {
-	if !s.gateMutation(w) {
-		return
-	}
 	start := s.obs.clock.Now()
-	t := s.tenant(r.PathValue("id"))
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
-	}
 	var req SubmitJobsRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("server: empty batch"))
-		return
-	}
-	if len(req.Jobs) > MaxBatchJobs {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("server: batch of %d jobs exceeds %d", len(req.Jobs), MaxBatchJobs))
-		return
-	}
-	s.opMu.RLock()
-	resp, commit, err := t.SubmitJobs(req.Jobs)
-	s.opMu.RUnlock()
-	if err != nil {
-		writeErr(w, statusOf(err, http.StatusBadRequest), err)
-		return
-	}
-	if err := s.waitDurable(commit); err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	s.maybeCompact()
-	// One ack covers the batch; record one latency observation per job so
-	// the submit-ack histogram stays comparable with the singular path.
-	d := s.obs.clock.Now().Sub(start)
-	for range resp.Results {
-		t.observeSubmitAck(d)
-	}
-	writeJSON(w, http.StatusAccepted, resp)
+	s.mutate(w, r, &req, http.StatusBadRequest, func(t *Tenant) (reply, error) {
+		if len(req.Jobs) == 0 {
+			return reply{}, fmt.Errorf("server: empty batch")
+		}
+		if len(req.Jobs) > MaxBatchJobs {
+			return reply{}, fmt.Errorf("server: batch of %d jobs exceeds %d", len(req.Jobs), MaxBatchJobs)
+		}
+		resp, commit, err := t.SubmitJobs(req.Jobs)
+		// One ack covers the batch; one latency observation per job keeps
+		// the submit-ack histogram comparable with the singular path.
+		return reply{status: http.StatusAccepted, body: resp, commit: commit, acks: len(resp.Results), ackFrom: start}, err
+	})
 }
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	if !s.gateMutation(w) {
-		return
-	}
-	t := s.tenant(r.PathValue("id"))
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
-	}
 	var req AdvanceRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	s.opMu.RLock()
-	resp, commit, err := t.Advance(req.Until, req.By)
-	s.opMu.RUnlock()
-	if err != nil {
-		writeErr(w, statusOf(err, http.StatusBadRequest), err)
-		return
-	}
-	if err := s.waitDurable(commit); err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	s.maybeCompact()
-	writeJSON(w, http.StatusOK, resp)
+	s.mutate(w, r, &req, http.StatusBadRequest, func(t *Tenant) (reply, error) {
+		resp, commit, err := t.Advance(req.Until, req.By)
+		return reply{status: http.StatusOK, body: resp, commit: commit}, err
+	})
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if !s.gateMutation(w) {
-		return
-	}
-	t := s.tenant(r.PathValue("id"))
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
-	}
-	s.opMu.RLock()
-	resp, commit, err := t.Drain()
-	s.opMu.RUnlock()
-	if err != nil {
-		writeErr(w, statusOf(err, http.StatusConflict), err)
-		return
-	}
-	if err := s.waitDurable(commit); err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	s.maybeCompact()
-	writeJSON(w, http.StatusOK, resp)
+	s.mutate(w, r, nil, http.StatusConflict, func(t *Tenant) (reply, error) {
+		resp, commit, err := t.Drain()
+		return reply{status: http.StatusOK, body: resp, commit: commit}, err
+	})
 }
 
 // handleResize changes a tenant's processor count: 200 applied, 202
 // queued behind a drain, 409 rejected (shrink below Σwt without drain).
 func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
-	if !s.gateMutation(w) {
-		return
-	}
-	t := s.tenant(r.PathValue("id"))
-	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
-		return
-	}
 	var req ResizeRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	s.opMu.RLock()
-	resp, commit, err := t.Resize(req.M, req.Drain)
-	s.opMu.RUnlock()
-	if err != nil {
-		writeErr(w, statusOf(err, http.StatusBadRequest), err)
-		return
-	}
-	if err := s.waitDurable(commit); err != nil {
-		writeErr(w, statusOf(err, http.StatusServiceUnavailable), err)
-		return
-	}
-	s.maybeCompact()
-	switch resp.Outcome {
-	case "rejected":
-		writeJSON(w, http.StatusConflict, resp)
-	case "queued":
-		writeJSON(w, http.StatusAccepted, resp)
-	default:
-		writeJSON(w, http.StatusOK, resp)
-	}
+	s.mutate(w, r, &req, http.StatusBadRequest, func(t *Tenant) (reply, error) {
+		resp, commit, err := t.Resize(req.M, req.Drain)
+		status := http.StatusOK
+		switch resp.Outcome {
+		case "rejected":
+			status = http.StatusConflict
+		case "queued":
+			status = http.StatusAccepted
+		}
+		return reply{status: status, body: resp, commit: commit}, err
+	})
 }
 
 // handleDispatches streams the tenant's dispatch log as one JSON object
@@ -689,9 +591,8 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 // drain is evicted with a StreamGone control line; one that stops reading
 // entirely dies on the frameWriter's stall deadline.
 func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(r.PathValue("id"))
+	t := s.routeTenant(w, r)
 	if t == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no tenant %q", r.PathValue("id")))
 		return
 	}
 	var from int64
@@ -707,7 +608,7 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	fw := newFrameWriter(w, s.streamStall)
+	fw := s.newFrameWriter(w)
 	// Push the headers out now: a follower of an idle tenant must see the
 	// stream open immediately, not on the first dispatch.
 	fw.flush()

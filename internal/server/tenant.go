@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +28,10 @@ import (
 //
 // Field ownership:
 //   - loop-owned (no lock; only the loop goroutine may touch them after
-//     start): ex, ctrl, tasks, log, maxTar, reject, pendDisp, cur*, m
-//     (mirrors the controller's processor count across resizes; readers
-//     use the snapshot).
+//     start): ex — which also holds the tenant's one Σwt ≤ M ledger: M,
+//     the queued shrink target and Σwt are asked of it and kept nowhere
+//     else (readers use the snapshot) — tasks, log, maxTar, reject,
+//     pendDisp, jobs, recs, cur*.
 //   - immutable after construction: id, policy, ring, ctl, closed.
 //   - atomics: snap (published state), hooks (journal callbacks), obsP
 //     (tracer + histograms), closing (delete gate).
@@ -42,7 +44,6 @@ import (
 type Tenant struct {
 	id     string
 	policy string
-	m      int
 
 	ring    chan *command
 	ctl     chan *command
@@ -56,8 +57,7 @@ type Tenant struct {
 
 	// Loop-owned state.
 	ex    *online.Executive
-	ctrl  *admission.Controller
-	tasks map[string]*model.Task
+	tasks map[string]*model.Task // the active tasks, by name
 	log   []DispatchEvent
 	// frames mirrors log entry-for-entry with each event's NDJSON wire
 	// bytes (json.Marshal + '\n'), encoded once here — by the loop that
@@ -78,6 +78,10 @@ type Tenant struct {
 	// pendDisp buffers the dispatch records one command's apply produced;
 	// flushAfterApply journals them as a single frame group.
 	pendDisp []wal.Record
+	// jobs and recs are reusable buffers: the validated jobs of the submit
+	// group being applied, and the journal records of the current command.
+	jobs []submitJob
+	recs []wal.Record
 	// curCmd/curStart/curOp tie dispatch trace events to the command
 	// whose apply produced them.
 	curCmd   int64
@@ -172,28 +176,26 @@ func newTenant(id string, m int, policyName string, ringSize int) (*Tenant, erro
 	if err != nil {
 		return nil, err
 	}
-	t := newTenantCore(id, pol.Name(), m, online.New(m, pol), admission.NewController(m), ringSize)
+	t := newTenantCore(id, pol.Name(), online.New(m, pol), ringSize)
 	t.start()
 	return t, nil
 }
 
 // newTenantCore builds the shared tenant shell. The loop is NOT started:
-// callers finish wiring loop-owned state (restoreTenant re-admits tasks,
-// installs the log) and then call start. Both the live-create and the
-// recovery-restore path come through here.
-func newTenantCore(id, policy string, m int, ex *online.Executive, ctrl *admission.Controller, ringSize int) *Tenant {
+// callers finish wiring loop-owned state (restoreTenant indexes the
+// active tasks, installs the log) and then call start. Both the
+// live-create and the recovery-restore path come through here.
+func newTenantCore(id, policy string, ex *online.Executive, ringSize int) *Tenant {
 	if ringSize <= 0 {
 		ringSize = defaultSubmitRing
 	}
 	t := &Tenant{
 		id:     id,
 		policy: policy,
-		m:      m,
 		ring:   make(chan *command, ringSize),
 		ctl:    make(chan *command),
 		closed: make(chan struct{}),
 		ex:     ex,
-		ctrl:   ctrl,
 		tasks:  map[string]*model.Task{},
 		idem:   map[string]SubmitJobResponse{},
 		maxTar: rat.Zero,
@@ -218,10 +220,10 @@ func (t *Tenant) publish() bool {
 	prev := t.snap.Load()
 	t.snap.Store(&tenantSnap{
 		now:      t.ex.Now(),
-		util:     t.ctrl.Utilization(),
-		m:        t.ctrl.M(),
-		pendingM: t.ctrl.PendingM(),
-		tasks:    t.ctrl.Len(),
+		util:     t.ex.ActiveUtilization(),
+		m:        t.ex.M(),
+		pendingM: t.ex.PendingM(),
+		tasks:    len(t.tasks),
 		pending:  t.ex.Pending(),
 		log:      t.log,
 		frames:   t.frames,
@@ -382,9 +384,9 @@ func (t *Tenant) ID() string { return t.id }
 
 // --- public API: each method enqueues one command and waits ---
 
-// RegisterTask admits a task through the admission controller and, when
-// admitted, registers it with the executive. A negative decision leaves
-// the tenant unchanged and is counted in the rejection metric. The
+// RegisterTask admits a task against the tenant's Σwt ≤ M ledger and,
+// when admitted, registers it with the executive. A negative decision
+// leaves the tenant unchanged and is counted in the rejection metric. The
 // returned commit is the journal position to wait durable before acking
 // (zero when nothing was journaled).
 func (t *Tenant) RegisterTask(name string, w model.Weight) (admission.Decision, wal.Commit, error) {
@@ -447,211 +449,227 @@ func (t *Tenant) Resize(m int, drain bool) (ResizeResponse, wal.Commit, error) {
 	return res.resize, res.commit, res.err
 }
 
-// --- loop-side appliers (loop goroutine only) ---
+// --- the write path (loop goroutine only) ---
+//
+// Every command runs the same three steps: validate completely against
+// current state (a rejection leaves nothing behind and is not journaled),
+// journal, apply. Validation is what makes journal-before-apply safe: a
+// journaled command must apply — on this server now and on every replay
+// of the journal later.
 
-func (t *Tenant) applyRegister(name string, w model.Weight) (admission.Decision, wal.Commit, error) {
+// journal opens the traced command and, on a durable tenant, journals its
+// records before anything is applied: one record by append, the jobs of
+// one submit group as a single frame group. A refusal fails the command
+// with nothing applied.
+func (t *Tenant) journal(task, at string, recs []wal.Record) (wal.Commit, error) {
+	h := t.hooks.Load()
+	t.traceBegin(recs[0].Op, task, at)
+	if h == nil {
+		return wal.Commit{}, nil
+	}
+	var commit wal.Commit
+	var err error
+	if len(recs) == 1 {
+		commit, err = h.append(recs[0])
+	} else {
+		commit, err = h.batch(recs)
+	}
+	if err != nil {
+		t.traceFail(obs.StageWALAppend, err)
+		return wal.Commit{}, err
+	}
+	t.traceStage(obs.StageWALAppend)
+	return commit, nil
+}
+
+// one wraps a command's single record in the reusable record buffer (the
+// hooks take the slice by reference, so a fresh one would escape to the
+// heap on every command).
+func (t *Tenant) one(rec wal.Record) []wal.Record {
+	t.recs = append(t.recs[:0], rec)
+	return t.recs
+}
+
+// wedge fails a command that is journaled but did not apply. Validation
+// makes that unreachable (Drain's convergence guards are the one failure
+// it cannot rule out), but if it happens the journal no longer matches
+// applied state, and refusing further writes is the only way to keep
+// recovered state trustworthy.
+func (t *Tenant) wedge(err error) error {
+	if h := t.hooks.Load(); h != nil && h.fail != nil {
+		h.fail(err)
+	}
+	t.traceFail(obs.StageApply, err)
+	return err
+}
+
+func (t *Tenant) applyRegister(name string, w model.Weight) cmdResult {
 	if w.P > MaxPeriod {
-		return admission.Decision{}, wal.Commit{}, fmt.Errorf("server: task %q period %d exceeds %d", name, w.P, MaxPeriod)
+		return cmdResult{err: fmt.Errorf("server: task %q period %d exceeds %d", name, w.P, MaxPeriod)}
 	}
 	if err := w.Validate(); err != nil {
-		return admission.Decision{}, wal.Commit{}, err
+		return cmdResult{err: err}
 	}
 	if !t.utilOverflowSafe(w) {
-		return admission.Decision{}, wal.Commit{}, fmt.Errorf("server: task %q weight %s: utilization sum leaves exact-arithmetic range", name, w)
+		return cmdResult{err: fmt.Errorf("server: task %q weight %s: utilization sum leaves exact-arithmetic range", name, w)}
 	}
-	d, err := t.ctrl.Register(name, w)
+	d, err := t.ex.PlanRegister(name, w)
 	if err != nil {
-		return admission.Decision{}, wal.Commit{}, err
+		return cmdResult{err: err}
 	}
 	if !d.Admitted {
 		// Rejections are not journaled: they leave no state behind, and
 		// the rejection metric is restored from the last snapshot.
 		t.reject++
-		return d, wal.Commit{}, nil
+		return cmdResult{dec: d}
 	}
-	var commit wal.Commit
-	h := t.hooks.Load()
-	t.traceBegin(wal.OpTaskRegister, name, "")
-	if h != nil {
-		c, jerr := h.append(wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P})
-		if jerr != nil {
-			_ = t.ctrl.Unregister(name)
-			t.traceFail(obs.StageWALAppend, jerr)
-			return admission.Decision{}, wal.Commit{}, jerr
-		}
-		commit = c
-		t.traceStage(obs.StageWALAppend)
+	commit, err := t.journal(name, "", t.one(wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P}))
+	if err != nil {
+		return cmdResult{err: err}
 	}
 	task, err := t.ex.Register(name, w)
 	if err != nil {
-		// Unreachable while controller and executive enforce the same
-		// Σwt ≤ M bound; roll the controller back if it ever happens.
-		_ = t.ctrl.Unregister(name)
-		t.traceFail(obs.StageApply, err)
-		return admission.Decision{}, wal.Commit{}, err
+		return cmdResult{err: t.wedge(err)}
 	}
 	t.tasks[name] = task
 	t.traceStage(obs.StageApply)
-	return d, commit, nil
+	return cmdResult{dec: d, commit: commit}
 }
 
-func (t *Tenant) applyUnregister(name string) (wal.Commit, error) {
+func (t *Tenant) applyUnregister(name string) cmdResult {
 	task, ok := t.tasks[name]
 	if !ok {
-		return wal.Commit{}, fmt.Errorf("server: tenant %q has no task %q", t.id, name)
+		return cmdResult{err: fmt.Errorf("server: tenant %q has no task %q", t.id, name)}
 	}
-	// Pre-validate the one way Unregister can fail (t.tasks only holds
-	// active tasks) so the journaled command always applies on replay.
+	// The one way Unregister can fail (t.tasks only holds active tasks).
 	if n := t.ex.Undispatched(task); n > 0 {
-		return wal.Commit{}, fmt.Errorf("server: task %q has %d undispatched subtasks; drain before unregistering", name, n)
+		return cmdResult{err: fmt.Errorf("server: task %q has %d undispatched subtasks; drain before unregistering", name, n)}
 	}
-	var commit wal.Commit
-	h := t.hooks.Load()
-	t.traceBegin(wal.OpTaskUnregister, name, "")
-	if h != nil {
-		c, jerr := h.append(wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name})
-		if jerr != nil {
-			t.traceFail(obs.StageWALAppend, jerr)
-			return wal.Commit{}, jerr
-		}
-		commit = c
-		t.traceStage(obs.StageWALAppend)
+	commit, err := t.journal(name, "", t.one(wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name}))
+	if err != nil {
+		return cmdResult{err: err}
 	}
+	// The release applies a queued drain-mode shrink once Σwt fits it.
 	if err := t.ex.Unregister(task); err != nil {
-		t.traceFail(obs.StageApply, err)
-		return wal.Commit{}, err
-	}
-	if err := t.ctrl.Unregister(name); err != nil {
-		t.traceFail(obs.StageApply, err)
-		return wal.Commit{}, err
+		return cmdResult{err: t.wedge(err)}
 	}
 	delete(t.tasks, name)
-	// The release may have applied a queued drain-mode shrink in the
-	// controller; mirror it into the executive. The controller only applies
-	// once Σwt fits the target, so the executive's own feasibility check
-	// cannot fail here — if it ever does, the journaled history no longer
-	// matches applied state, so wedge.
-	if t.ctrl.M() != t.ex.M() {
-		if err := t.ex.Resize(t.ctrl.M()); err != nil {
-			if h != nil && h.fail != nil {
-				h.fail(err)
-			}
-			t.traceFail(obs.StageApply, err)
-			return wal.Commit{}, err
-		}
-		t.m = t.ctrl.M()
-	}
 	t.traceStage(obs.StageApply)
-	return commit, nil
+	return cmdResult{commit: commit}
 }
 
-// applyResize changes the tenant's processor count through the admission
-// controller and the executive. Pre-validation is PlanResize: rejections
-// (a non-drain shrink below Σwt) leave no state behind and are not
-// journaled, exactly like rejected registrations; applied and queued
-// resizes journal an OpResize record first so recovery replays the
-// capacity history.
-func (t *Tenant) applyResize(m int, drain bool) (ResizeResponse, wal.Commit, error) {
+// applyResize changes the tenant's processor count. A rejection (a
+// non-drain shrink below Σwt) is counted and not journaled, exactly like a
+// rejected registration; applied and queued resizes journal an OpResize
+// record so recovery replays the capacity history.
+func (t *Tenant) applyResize(m int, drain bool) cmdResult {
 	if m < 1 {
-		return ResizeResponse{}, wal.Commit{}, fmt.Errorf("server: tenant %q resize needs m ≥ 1, got %d", t.id, m)
+		return cmdResult{err: fmt.Errorf("server: tenant %q resize needs m ≥ 1, got %d", t.id, m)}
 	}
 	if m > MaxM {
-		return ResizeResponse{}, wal.Commit{}, fmt.Errorf("server: tenant %q resize wants m = %d > %d processors", t.id, m, MaxM)
+		return cmdResult{err: fmt.Errorf("server: tenant %q resize wants m = %d > %d processors", t.id, m, MaxM)}
 	}
-	plan, err := t.ctrl.PlanResize(m, drain)
+	plan, err := t.ex.PlanResize(m, drain)
 	if err != nil {
-		return ResizeResponse{}, wal.Commit{}, err
+		return cmdResult{err: err}
 	}
 	if plan.Outcome == admission.ResizeRejected {
 		t.reject++
-		return t.resizeResponse(plan), wal.Commit{}, nil
+		return cmdResult{resize: t.resizeResponse(plan)}
 	}
-	var commit wal.Commit
-	h := t.hooks.Load()
-	t.traceBegin(wal.OpResize, "", fmt.Sprintf("%d", m))
-	if h != nil {
-		mode := ""
-		if plan.Outcome == admission.ResizeQueued {
-			mode = "drain"
-		}
-		c, jerr := h.append(wal.Record{Op: wal.OpResize, Tenant: t.id, M: m, Mode: mode})
-		if jerr != nil {
-			t.traceFail(obs.StageWALAppend, jerr)
-			return ResizeResponse{}, wal.Commit{}, jerr
-		}
-		commit = c
-		t.traceStage(obs.StageWALAppend)
+	mode := ""
+	if plan.Outcome == admission.ResizeQueued {
+		mode = "drain"
 	}
-	d, err := t.ctrl.Resize(m, drain)
+	commit, err := t.journal("", strconv.Itoa(m), t.one(wal.Record{Op: wal.OpResize, Tenant: t.id, M: m, Mode: mode}))
 	if err != nil {
-		// Unreachable after PlanResize; the record is journaled but not
-		// applied, so wedge — same contract as the batch submit path.
-		if h != nil && h.fail != nil {
-			h.fail(err)
-		}
-		t.traceFail(obs.StageApply, err)
-		return ResizeResponse{}, wal.Commit{}, err
+		return cmdResult{err: err}
 	}
-	if d.Outcome == admission.ResizeApplied {
-		if err := t.ex.Resize(m); err != nil {
-			// Unreachable: the controller certified Σwt ≤ m, which is the
-			// executive's own check. Wedge if it ever diverges.
-			if h != nil && h.fail != nil {
-				h.fail(err)
-			}
-			t.traceFail(obs.StageApply, err)
-			return ResizeResponse{}, wal.Commit{}, err
-		}
-		t.m = m
+	d, err := t.ex.ResizeDrain(m, drain)
+	if err != nil {
+		return cmdResult{err: t.wedge(err)}
 	}
 	t.traceStage(obs.StageApply)
-	return t.resizeResponse(d), commit, nil
+	return cmdResult{resize: t.resizeResponse(d), commit: commit}
 }
 
-// resizeResponse shapes an admission resize decision for the wire. Loop
-// goroutine only (reads controller state).
+// resizeResponse shapes a resize decision for the wire. Loop goroutine
+// only (reads the ledger).
 func (t *Tenant) resizeResponse(d admission.ResizeDecision) ResizeResponse {
 	return ResizeResponse{
 		Outcome:     d.Outcome.String(),
 		M:           d.M,
 		PendingM:    d.PendingM,
-		Utilization: t.ctrl.Utilization().String(),
+		Utilization: t.ex.ActiveUtilization().String(),
 		Reason:      d.Reason,
 	}
 }
 
-func (t *Tenant) applySubmit(req SubmitJobRequest) (SubmitJobResponse, wal.Commit, error) {
-	if resp, seen := t.idemSeen(req.Key); seen {
-		// A retry of an already-applied submit: replay the original
-		// response. Nothing is journaled, so the zero commit is already
-		// durable by definition.
-		return resp, wal.Commit{}, nil
+// submitJob is one validated job submit on its way through applySubmits,
+// which fills in resp. cmd is the single-submit command it answers (nil
+// for a job of a batch).
+type submitJob struct {
+	req  SubmitJobRequest
+	task *model.Task
+	when rat.Rat
+	resp SubmitJobResponse
+	cmd  *command
+}
+
+// applySubmits is the one submit applier: it journals validated jobs as
+// one group, releases each into the executive, and remembers each keyed
+// response. Both front ends — the atomic batch and the run of coalesced
+// single submits, which differ in how they validate and dedupe — end
+// here, and a lone submit is a run of one. Jobs are validated
+// independently against the state at entry; submits only add pending work
+// and never move virtual time, so independent validity implies sequential
+// validity.
+func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
+	if len(jobs) == 0 {
+		return wal.Commit{}, nil
 	}
-	task, when, err := t.validateSubmit(req)
-	if err != nil {
-		return SubmitJobResponse{}, wal.Commit{}, err
-	}
-	var commit wal.Commit
-	h := t.hooks.Load()
-	at := when.String()
-	t.traceBegin(wal.OpJobSubmit, req.Task, at)
-	if h != nil {
-		c, jerr := h.append(wal.Record{Op: wal.OpJobSubmit, Tenant: t.id, Name: req.Task, At: at, Earliness: req.Earliness, Key: req.Key})
-		if jerr != nil {
-			t.traceFail(obs.StageWALAppend, jerr)
-			return SubmitJobResponse{}, wal.Commit{}, jerr
+	// Each job's resolved arrival is rendered once, into its response, and
+	// read from there by its journal record and its trace span — and once
+	// per group for the common empty `at`, which resolves every such job
+	// to the same now. The record carries the *resolved* time: "now" is
+	// something only the live server knows, and replay must not re-resolve
+	// it.
+	recs, now := t.recs[:0], ""
+	for i := range jobs {
+		j := &jobs[i]
+		if j.req.At != "" {
+			j.resp.At = j.when.String()
+		} else {
+			if now == "" {
+				now = j.when.String()
+			}
+			j.resp.At = now
 		}
-		commit = c
-		t.traceStage(obs.StageWALAppend)
+		recs = append(recs, wal.Record{Op: wal.OpJobSubmit, Tenant: t.id, Name: j.req.Task, At: j.resp.At, Earliness: j.req.Earliness, Key: j.req.Key})
 	}
-	if err := t.applySubmitJob(task, when, req.Earliness); err != nil {
-		t.traceFail(obs.StageApply, err)
-		return SubmitJobResponse{}, wal.Commit{}, err
+	t.recs = recs[:0]
+	commit, err := t.journal(jobs[0].req.Task, jobs[0].resp.At, recs)
+	if err != nil {
+		return wal.Commit{}, err
 	}
-	t.traceStage(obs.StageApply)
-	resp := SubmitJobResponse{At: at, Pending: t.ex.Pending()}
-	t.idemRemember(req.Key, resp)
-	return resp, commit, nil
+	journaled := t.hooks.Load() != nil
+	for i := range jobs {
+		j := &jobs[i]
+		if i > 0 {
+			// The group's one journal write covered this job's record too.
+			t.traceBegin(wal.OpJobSubmit, j.req.Task, j.resp.At)
+			if journaled {
+				t.traceStage(obs.StageWALAppend)
+			}
+		}
+		if err := t.ex.SubmitJobEarly(j.task, j.when, j.req.Earliness); err != nil {
+			return wal.Commit{}, fmt.Errorf("job %d: %w", i, t.wedge(err))
+		}
+		t.traceStage(obs.StageApply)
+		j.resp.Pending = t.ex.Pending()
+		t.idemRemember(j.req.Key, j.resp)
+	}
+	return commit, nil
 }
 
 // idemSeen reports whether a keyed submit was already applied and returns
@@ -685,126 +703,67 @@ func (t *Tenant) idemRemember(key string, resp SubmitJobResponse) {
 
 // validateSubmit runs every check the executive would enforce on a job
 // submit and resolves an empty `at` to the tenant's current virtual time.
-// A nil error guarantees applySubmitJob with the returned values cannot
-// fail — that is the pre-validation contract that makes journal-before-
-// apply safe.
-func (t *Tenant) validateSubmit(req SubmitJobRequest) (*model.Task, rat.Rat, error) {
+// A nil error guarantees applySubmits cannot fail on the returned job.
+func (t *Tenant) validateSubmit(req SubmitJobRequest) (submitJob, error) {
 	task, ok := t.tasks[req.Task]
 	if !ok {
-		return nil, rat.Zero, fmt.Errorf("server: tenant %q has no task %q", t.id, req.Task)
+		return submitJob{}, fmt.Errorf("server: tenant %q has no task %q", t.id, req.Task)
 	}
 	when := t.ex.Now()
 	if req.At != "" {
 		var err error
 		when, err = rat.Parse(req.At)
 		if err != nil {
-			return nil, rat.Zero, err
+			return submitJob{}, err
 		}
 		if err := checkTime("arrival", when); err != nil {
-			return nil, rat.Zero, err
+			return submitJob{}, err
 		}
 	}
-	// Pre-validate everything the executive would reject, then journal the
-	// *resolved* arrival time: an empty `at` means "now", which only the
-	// live server knows — replay must not re-resolve it.
 	if when.Less(t.ex.Now()) {
-		return nil, rat.Zero, fmt.Errorf("server: job of %q submitted at %s, before virtual time %s", req.Task, when, t.ex.Now())
+		return submitJob{}, fmt.Errorf("server: job of %q submitted at %s, before virtual time %s", req.Task, when, t.ex.Now())
 	}
 	if req.Earliness < 0 {
-		return nil, rat.Zero, fmt.Errorf("server: negative earliness %d", req.Earliness)
+		return submitJob{}, fmt.Errorf("server: negative earliness %d", req.Earliness)
 	}
 	if req.Earliness > MaxEarliness {
-		return nil, rat.Zero, fmt.Errorf("server: earliness %d exceeds %d", req.Earliness, MaxEarliness)
+		return submitJob{}, fmt.Errorf("server: earliness %d exceeds %d", req.Earliness, MaxEarliness)
 	}
 	if len(req.Key) > MaxKeyLen {
-		return nil, rat.Zero, fmt.Errorf("server: idempotency key length %d exceeds %d", len(req.Key), MaxKeyLen)
+		return submitJob{}, fmt.Errorf("server: idempotency key length %d exceeds %d", len(req.Key), MaxKeyLen)
 	}
-	return task, when, nil
+	return submitJob{req: req, task: task, when: when}, nil
 }
 
-// applySubmitJob releases one pre-validated job into the executive.
-func (t *Tenant) applySubmitJob(task *model.Task, when rat.Rat, earliness int64) error {
-	if earliness > 0 {
-		return t.ex.SubmitJobEarly(task, when, earliness)
-	}
-	return t.ex.SubmitJob(task, when)
-}
-
-func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) (SubmitJobsResponse, wal.Commit, error) {
+// applySubmitBatch is the atomic front end of applySubmits: one bad job
+// rejects the whole batch with no state change.
+func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) cmdResult {
 	// Idempotency across a batch is all-or-nothing, mirroring the batch's
 	// own atomicity: a retry where every keyed job was already applied
 	// replays the cached responses; a partial overlap means the caller is
 	// replaying against a batch that never fully applied (impossible for a
 	// faithful retry) and is rejected outright.
-	if resp, done, err := t.batchIdemCheck(reqs); err != nil {
-		return SubmitJobsResponse{}, wal.Commit{}, err
-	} else if done {
-		return resp, wal.Commit{}, nil
+	if resp, done, err := t.batchIdemCheck(reqs); err != nil || done {
+		return cmdResult{subs: resp, err: err}
 	}
-	tasks := make([]*model.Task, len(reqs))
-	whens := make([]rat.Rat, len(reqs))
-	// Each job's resolved arrival is rendered once, into its response, and
-	// read from there by its journal record and its trace span — and once
-	// per batch for the common empty `at`, which resolves every such job to
-	// the same now.
-	resp := SubmitJobsResponse{Results: make([]SubmitJobResponse, len(reqs))}
-	now := ""
+	jobs := t.jobs[:0]
 	for i, req := range reqs {
-		task, when, err := t.validateSubmit(req)
+		job, err := t.validateSubmit(req)
 		if err != nil {
-			return SubmitJobsResponse{}, wal.Commit{}, fmt.Errorf("job %d: %w", i, err)
+			return cmdResult{err: fmt.Errorf("job %d: %w", i, err)}
 		}
-		tasks[i], whens[i] = task, when
-		if req.At != "" {
-			resp.Results[i].At = when.String()
-			continue
-		}
-		if now == "" {
-			now = when.String()
-		}
-		resp.Results[i].At = now
+		jobs = append(jobs, job)
 	}
-	// Jobs within a batch are validated independently against the state at
-	// entry; submits only add pending work and never move virtual time, so
-	// independent validity implies sequential validity.
-	var commit wal.Commit
-	h := t.hooks.Load()
-	if h != nil {
-		// Records exist only to be journaled: an in-memory tenant builds none.
-		recs := make([]wal.Record, len(reqs))
-		for i, req := range reqs {
-			recs[i] = wal.Record{Op: wal.OpJobSubmit, Tenant: t.id, Name: req.Task, At: resp.Results[i].At, Earliness: req.Earliness, Key: req.Key}
-		}
-		c, jerr := h.batch(recs)
-		if jerr != nil {
-			// Trace one failed command for the whole batch so the ring
-			// shows why nothing applied.
-			t.traceBegin(wal.OpJobSubmit, fmt.Sprintf("batch[%d]", len(reqs)), "")
-			t.traceFail(obs.StageWALAppend, jerr)
-			return SubmitJobsResponse{}, wal.Commit{}, jerr
-		}
-		commit = c
+	t.jobs = jobs[:0]
+	commit, err := t.applySubmits(jobs)
+	if err != nil {
+		return cmdResult{err: err}
 	}
-	for i := range reqs {
-		t.traceBegin(wal.OpJobSubmit, reqs[i].Task, resp.Results[i].At)
-		if h != nil {
-			t.traceStage(obs.StageWALAppend)
-		}
-		if err := t.applySubmitJob(tasks[i], whens[i], reqs[i].Earliness); err != nil {
-			// Unreachable after pre-validation; if it ever happens the
-			// journaled suffix no longer matches applied state, so wedge.
-			if h != nil && h.fail != nil {
-				h.fail(err)
-			}
-			t.traceFail(obs.StageApply, err)
-			return SubmitJobsResponse{}, wal.Commit{}, fmt.Errorf("job %d: %w", i, err)
-		}
-		t.traceStage(obs.StageApply)
-		resp.Results[i].Pending = t.ex.Pending()
-		t.idemRemember(reqs[i].Key, resp.Results[i])
+	resp := SubmitJobsResponse{Accepted: len(jobs), Results: make([]SubmitJobResponse, len(jobs))}
+	for i := range jobs {
+		resp.Results[i] = jobs[i].resp
 	}
-	resp.Accepted = len(reqs)
-	return resp, commit, nil
+	return cmdResult{subs: resp, commit: commit}
 }
 
 // batchIdemCheck resolves a batch against the idempotency memory. done
@@ -840,100 +799,77 @@ func (t *Tenant) batchIdemCheck(reqs []SubmitJobRequest) (SubmitJobsResponse, bo
 	return resp, true, nil
 }
 
-func (t *Tenant) applyAdvance(until, by string) (AdvanceResponse, wal.Commit, error) {
+func (t *Tenant) applyAdvance(until, by string) cmdResult {
 	var target rat.Rat
 	switch {
 	case until != "" && by != "":
-		return AdvanceResponse{}, wal.Commit{}, fmt.Errorf("server: advance takes until or by, not both")
+		return cmdResult{err: fmt.Errorf("server: advance takes until or by, not both")}
 	case until != "":
 		var err error
 		if target, err = rat.Parse(until); err != nil {
-			return AdvanceResponse{}, wal.Commit{}, err
+			return cmdResult{err: err}
 		}
 		if err := checkTime("advance target", target); err != nil {
-			return AdvanceResponse{}, wal.Commit{}, err
+			return cmdResult{err: err}
 		}
 	case by != "":
 		d, err := rat.Parse(by)
 		if err != nil {
-			return AdvanceResponse{}, wal.Commit{}, err
+			return cmdResult{err: err}
 		}
 		if d.Sign() < 0 {
-			return AdvanceResponse{}, wal.Commit{}, fmt.Errorf("server: advance by negative %s", by)
+			return cmdResult{err: fmt.Errorf("server: advance by negative %s", by)}
 		}
 		// Bound the step before adding it to now: the addition itself is
 		// exact arithmetic and must stay in range.
 		if err := checkTime("advance step", d); err != nil {
-			return AdvanceResponse{}, wal.Commit{}, err
+			return cmdResult{err: err}
 		}
 		target = t.ex.Now().Add(d)
 		if err := checkTime("advance target", target); err != nil {
-			return AdvanceResponse{}, wal.Commit{}, err
+			return cmdResult{err: err}
 		}
 	default:
-		return AdvanceResponse{}, wal.Commit{}, fmt.Errorf("server: advance needs until or by")
+		return cmdResult{err: fmt.Errorf("server: advance needs until or by")}
 	}
 	if target.Less(t.ex.Now()) {
-		return AdvanceResponse{}, wal.Commit{}, fmt.Errorf("server: cannot advance to %s, already at %s", target, t.ex.Now())
+		return cmdResult{err: fmt.Errorf("server: cannot advance to %s, already at %s", target, t.ex.Now())}
 	}
-	var commit wal.Commit
-	h := t.hooks.Load()
-	t.traceBegin(wal.OpAdvance, "", target.String())
-	if h != nil {
-		// Journal the resolved absolute target: `by` is relative to a
-		// virtual time only the live server knows.
-		c, jerr := h.append(wal.Record{Op: wal.OpAdvance, Tenant: t.id, At: target.String()})
-		if jerr != nil {
-			t.traceFail(obs.StageWALAppend, jerr)
-			return AdvanceResponse{}, wal.Commit{}, jerr
-		}
-		commit = c
-		t.traceStage(obs.StageWALAppend)
-	}
-	before := int64(len(t.log))
-	if err := t.ex.Run(target, nil, nil); err != nil {
-		t.traceFail(obs.StageApply, err)
-		return AdvanceResponse{}, wal.Commit{}, err
-	}
-	t.traceStage(obs.StageApply)
-	return AdvanceResponse{
-		Now:        t.ex.Now().String(),
-		Dispatched: int64(len(t.log)) - before,
-		Pending:    t.ex.Pending(),
-	}, commit, nil
+	// Journal the resolved absolute target: `by` is relative to a virtual
+	// time only the live server knows.
+	return t.applyRun(wal.Record{Op: wal.OpAdvance, Tenant: t.id, At: target.String()}, func() error {
+		return t.ex.Run(target, nil, nil)
+	})
 }
 
-func (t *Tenant) applyDrain() (AdvanceResponse, wal.Commit, error) {
-	var commit wal.Commit
-	h := t.hooks.Load()
-	t.traceBegin(wal.OpDrain, "", "")
-	if h != nil {
-		c, jerr := h.append(wal.Record{Op: wal.OpDrain, Tenant: t.id})
-		if jerr != nil {
-			t.traceFail(obs.StageWALAppend, jerr)
-			return AdvanceResponse{}, wal.Commit{}, jerr
-		}
-		commit = c
-		t.traceStage(obs.StageWALAppend)
+func (t *Tenant) applyDrain() cmdResult {
+	return t.applyRun(wal.Record{Op: wal.OpDrain, Tenant: t.id}, func() error {
+		_, err := t.ex.Drain(nil)
+		return err
+	})
+}
+
+// applyRun journals rec and runs the executive forward — to a target
+// (advance) or until idle (drain) — reporting where virtual time ended up
+// and how many decisions that produced.
+func (t *Tenant) applyRun(rec wal.Record, run func() error) cmdResult {
+	commit, err := t.journal("", rec.At, t.one(rec))
+	if err != nil {
+		return cmdResult{err: err}
 	}
 	before := int64(len(t.log))
-	if _, err := t.ex.Drain(nil); err != nil {
-		// Drain's convergence guards are the one failure pre-validation
-		// cannot rule out. The command is already journaled and may have
-		// partially applied, so wedge the journal: refusing further writes
-		// is the only way to keep recovered state trustworthy.
-		if h != nil && h.fail != nil {
-			h.fail(err)
-		}
-		t.traceFail(obs.StageApply, err)
-		return AdvanceResponse{}, wal.Commit{}, err
+	if err := run(); err != nil {
+		return cmdResult{err: t.wedge(err)}
 	}
 	t.traceStage(obs.StageApply)
-	return AdvanceResponse{
-		Now:        t.ex.Now().String(),
-		Dispatched: int64(len(t.log)) - before,
-		Pending:    t.ex.Pending(),
-	}, commit, nil
+	return cmdResult{
+		adv: AdvanceResponse{
+			Now:        t.ex.Now().String(),
+			Dispatched: int64(len(t.log)) - before,
+			Pending:    t.ex.Pending(),
+		},
+		commit: commit,
+	}
 }
 
 // --- snapshot readers (any goroutine, never block the loop) ---
@@ -1100,13 +1036,12 @@ func checkTime(what string, r rat.Rat) error {
 }
 
 // utilOverflowSafe reports whether adding w to the running utilization
-// sums stays inside exact int64 arithmetic. Admitted periods are bounded,
+// sum stays inside exact int64 arithmetic. Admitted periods are bounded,
 // but the least common denominator across many coprime periods can still
 // outgrow int64; probing here (before journaling, before mutating) turns
 // the rat package's deliberate overflow panic into a clean rejection.
 func (t *Tenant) utilOverflowSafe(w model.Weight) (ok bool) {
 	defer func() { ok = recover() == nil }()
-	t.ctrl.Utilization().Add(w.Rat())
 	t.ex.ActiveUtilization().Add(w.Rat())
 	return true
 }

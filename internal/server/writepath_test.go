@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/obs"
 	"desyncpfair/internal/online"
@@ -279,5 +278,5 @@ func newWritePathCore(t *testing.T, id string, m int) *Tenant {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTenantCore(id, pol.Name(), m, online.New(m, pol), admission.NewController(m), 0)
+	return newTenantCore(id, pol.Name(), online.New(m, pol), 0)
 }

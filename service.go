@@ -20,8 +20,9 @@ type Server = server.Server
 // listener so in-flight dispatch streams drain.
 func NewServer() *Server { return server.New() }
 
-// Tenant is one tenant of the service: an online executive plus admission
-// controller behind a single mutex, safe for concurrent use.
+// Tenant is one tenant of the service: an online executive — which owns the
+// tenant's Σwt ≤ M admission ledger — behind a single-writer event loop,
+// safe for concurrent use.
 type Tenant = server.Tenant
 
 // NewTenant creates a standalone tenant (id, m processors, policy name
