@@ -4,8 +4,8 @@ BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 # The archived bench document this tree writes (bench-json) and the one it
 # is gated against (bench-diff). A PR that archives new numbers bumps both.
-BENCH_N ?= BENCH_14.json
-BENCH_PREV ?= BENCH_13.json
+BENCH_N ?= BENCH_16.json
+BENCH_PREV ?= BENCH_15.json
 
 .PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
@@ -67,7 +67,9 @@ bench:
 # bench-json archives machine-readable results (root benchmarks incl. the
 # PR 1 DVQ/SFQLarge set, plus the service-layer BenchmarkServerSubmit*
 # family, the egress-plane set — DispatchFanout/{1,8,64}subs against
-# its per-subscriber-encode baseline, and the pooled /metrics render — and
+# its per-subscriber-encode baseline, and the pooled /metrics render —
+# TenantRecord/{0,1}subs, ns and allocs per dispatch on the record path
+# (target 0 allocs; an iteration is one dispatch, so it runs many), and
 # Compact/history={10k,100k}, one compaction behind a short and a long
 # dispatch history, at its own iteration count: an iteration is a whole
 # compaction, fsyncs included).
@@ -77,6 +79,7 @@ bench:
 bench-json:
 	{ $(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . && \
 	  $(GO) test -run '^$$' -bench='BenchmarkServerSubmit|BenchmarkDispatchFanout|BenchmarkMetricsExposition' -benchmem -benchtime=1000x -count=$(BENCHCOUNT) ./internal/server/ && \
+	  $(GO) test -run '^$$' -bench='BenchmarkTenantRecord' -benchmem -benchtime=200000x -count=$(BENCHCOUNT) ./internal/server/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkCompact' -benchmem -benchtime=200x -count=$(BENCHCOUNT) ./internal/server/; } \
 	  | $(GO) run ./cmd/benchjson > $(BENCH_N)
 	@echo wrote $(BENCH_N)
@@ -145,12 +148,12 @@ recovery:
 	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormat'
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'TestFollowerBootstrapFromSealedHistory'
 
-# longrun is the bounded-snapshot soak (ROADMAP item 3): the tier-1
-# flatness gate TestLongTenantSnapshotsStayFlat at 10^6 dispatches instead
-# of 60 000 — ≈ 2000 compactions, about a minute — logging every 16th
-# compaction's snapshot size, bytes written, pause and runtime.MemStats
-# heap. Snapshot bytes and bytes written per compaction are asserted flat;
-# the heap still grows with history and is reported, not asserted.
+# longrun is the bounded-state soak: the tier-1 flatness gate
+# TestLongTenantSnapshotsStayFlat at 10^6 dispatches instead of 60 000 —
+# ≈ 2000 compactions, about a minute — logging every 16th compaction's
+# snapshot size, bytes written, pause and post-GC runtime.MemStats
+# HeapInuse. Snapshot bytes, bytes written per compaction and the heap in
+# use are all asserted flat, first quarter against last.
 longrun:
 	$(GO) test -count=1 -v -timeout 30m ./internal/server/ -run 'TestLongTenantSnapshotsStayFlat' -args -dispatches 1000000
 

@@ -195,8 +195,22 @@ func (sys *System) AddSubtask(t *Task, index, theta, elig int64) *Subtask {
 	return s
 }
 
-// Subtasks returns t's released sequence in order.
+// Subtasks returns t's released sequence in order (what Forget left of it).
 func (sys *System) Subtasks(t *Task) []*Subtask { return sys.seqs[t.ID] }
+
+// Forget drops the first n subtasks of t's sequence and renumbers the rest
+// from Seq 0 — the form an online checkpoint restores from. An engine that
+// runs forever calls it for subtasks it has dispatched and will not read
+// again; GIDs and NumSubtasks keep counting everything ever released.
+func (sys *System) Forget(t *Task, n int) {
+	seq := sys.seqs[t.ID]
+	kept := copy(seq, seq[n:])
+	clear(seq[kept:])
+	for k, s := range seq[:kept] {
+		s.Seq = k
+	}
+	sys.seqs[t.ID] = seq[:kept]
+}
 
 // All returns every released subtask of every task.
 func (sys *System) All() []*Subtask {

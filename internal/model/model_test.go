@@ -484,3 +484,34 @@ func TestWindowTablesHandVerified(t *testing.T) {
 		}
 	}
 }
+
+// TestForgetRenumbers: dropping a dispatched prefix leaves a valid system —
+// the remaining subtasks renumbered from Seq 0, predecessor and successor
+// links intact, new releases appended after them — while GIDs and the
+// released count keep running.
+func TestForgetRenumbers(t *testing.T) {
+	sys := NewSystem()
+	a := sys.AddPeriodic("A", W(2, 3), 9) // 6 subtasks
+	b := sys.AddPeriodic("B", W(1, 3), 9) // 3 subtasks, untouched
+	all := append([]*Subtask(nil), sys.Subtasks(a)...)
+	sys.Forget(a, 4)
+	rest := sys.Subtasks(a)
+	if len(rest) != 2 || rest[0] != all[4] || rest[1] != all[5] {
+		t.Fatalf("after Forget(4): %v", rest)
+	}
+	if rest[0].Seq != 0 || rest[1].Seq != 1 || sys.Predecessor(rest[0]) != nil ||
+		sys.Predecessor(rest[1]) != rest[0] || sys.Successor(rest[0]) != rest[1] || sys.Successor(rest[1]) != nil {
+		t.Fatal("links or Seq wrong after Forget")
+	}
+	next := sys.AddSubtask(a, 7, 0, rest[1].Elig)
+	if next.Seq != 2 || next.GID != 9 || sys.NumSubtasks() != 10 || sys.Successor(rest[1]) != next {
+		t.Fatalf("release after Forget: Seq %d GID %d of %d", next.Seq, next.GID, sys.NumSubtasks())
+	}
+	if err := sys.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Forget(a, 0)
+	if len(sys.Subtasks(a)) != 3 || len(sys.Subtasks(b)) != 3 {
+		t.Fatal("Forget(0) or the other task changed")
+	}
+}

@@ -1,11 +1,13 @@
 package online
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"desyncpfair/internal/model"
+	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
 )
 
@@ -193,5 +195,62 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	// The unmutated original restores fine.
 	if _, err := Restore(good); err != nil {
 		t.Fatalf("Restore rejected a healthy checkpoint: %v", err)
+	}
+}
+
+// TestForgetHistoryChangesNoDecision pins retention as invisible to
+// scheduling: an executive that forgets behind its cursors and one that
+// keeps everything, fed the same script (submits, runs, drains, resizes),
+// make the same decisions and write byte-identical checkpoints all along —
+// 4 policies × 5 seeds — while the forgetful one holds no assignment and at
+// most twice each task's live window of subtasks.
+func TestForgetHistoryChangesNoDecision(t *testing.T) {
+	weights := []model.Weight{model.W(1, 2), model.W(2, 3), model.W(1, 4)}
+	for _, pol := range []prio.Policy{prio.PD2{}, prio.PD{}, prio.PF{}, prio.EPDF{}} {
+		for seed := int64(0); seed < 5; seed++ {
+			keep, drop := New(2, pol), New(2, pol)
+			drop.ForgetHistory()
+			var keepTasks, dropTasks []*model.Task
+			for _, w := range weights {
+				a, err := keep.Register("t"+w.String(), w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, _ := drop.Register("t"+w.String(), w)
+				keepTasks, dropTasks = append(keepTasks, a), append(dropTasks, b)
+			}
+			rngK, rngD := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			const steps, stride = 60, 6
+			for from := 0; from < steps; from += stride {
+				k := driveScript(t, keep, keepTasks, rngK, from+stride, from)
+				d := driveScript(t, drop, dropTasks, rngD, from+stride, from)
+				if len(k) != len(d) {
+					t.Fatalf("%s seed %d steps %d–%d: %d decisions retaining, %d forgetting", pol.Name(), seed, from, from+stride, len(k), len(d))
+				}
+				for i := range k {
+					if key(k[i]) != key(d[i]) {
+						t.Fatalf("%s seed %d: decision %d diverged: %v vs %v", pol.Name(), seed, k[i].Decision, key(k[i]), key(d[i]))
+					}
+				}
+				ck, _ := json.Marshal(keep.Checkpoint())
+				cd, _ := json.Marshal(drop.Checkpoint())
+				if sha256.Sum256(ck) != sha256.Sum256(cd) {
+					t.Fatalf("%s seed %d after step %d: checkpoints differ\nretaining  %s\nforgetting %s", pol.Name(), seed, from+stride, ck, cd)
+				}
+				for _, task := range dropTasks {
+					if held, live := len(drop.System().Subtasks(task)), drop.Undispatched(task)+1; held > 2*live {
+						t.Fatalf("%s seed %d: %s holds %d subtasks for a live window of %d", pol.Name(), seed, task, held, live)
+					}
+				}
+			}
+			ks, ds := keep.Schedule(), drop.Schedule()
+			if ds.Assignments() != nil || ks.Len() == 0 || len(ks.Assignments()) != ks.Len() {
+				t.Fatalf("%s seed %d: retention wrong: %d kept of %d, %d kept after ForgetHistory", pol.Name(), seed, len(ks.Assignments()), ks.Len(), len(ds.Assignments()))
+			}
+			if ds.Len() != ks.Len() || ds.MaxTardiness() != ks.MaxTardiness() || ds.Makespan() != ks.Makespan() ||
+				ds.BusyTime() != ks.BusyTime() || ds.MissCount() != ks.MissCount() {
+				t.Fatalf("%s seed %d: aggregates differ", pol.Name(), seed)
+			}
+		}
 	}
 }

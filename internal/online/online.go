@@ -43,6 +43,21 @@
 // in the tasks that have work and nothing in those that do not.
 // core.RunDVQReference, the seed's O(N) rescan, is the oracle it is pinned
 // to.
+//
+// # Retention
+//
+// A decision reads each task's head subtask, its predecessor's completion
+// time and the M freeAt values — never a past decision. What the executive
+// keeps behind its cursors is therefore its owner's choice. By default
+// everything stays: Schedule() holds every assignment and System() every
+// released subtask, which is what the offline drivers, the figures, the
+// experiments, internal/host and the scenario runner read afterwards.
+// After ForgetHistory nothing does: the schedule keeps its running
+// aggregates only (sched.Schedule.DiscardAssignments) and each task's
+// sequence is cut back to its last dispatched subtask as dispatching moves
+// on — the same trimmed form Checkpoint writes and Restore runs from — so
+// an executive that lives forever (a service tenant) costs O(live work).
+// Dispatch decisions and Checkpoint bytes are identical either way.
 package online
 
 import (
@@ -152,6 +167,10 @@ func Adopt(sys *model.System, m int, policy prio.Policy) *Executive {
 	e.pending = sys.NumSubtasks()
 	return e
 }
+
+// ForgetHistory makes the executive keep nothing behind its cursors (see
+// the package comment on retention). Call it before the first dispatch.
+func (e *Executive) ForgetHistory() { e.schedule.DiscardAssignments() }
 
 // PlanRegister answers what Register(name, w) would decide — admitted, or
 // rejected with the reason — without changing any state. A caller that
@@ -374,16 +393,24 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 		sub := e.ready.pop()
 		cost := yield(sub)
 		e.decision++
-		fin := e.schedule.Add(sched.Assignment{
-			Sub: sub, Proc: p, Start: t, Cost: cost, Decision: e.decision,
-		}).Finish()
-		e.cursor[sub.Task.ID]++
-		e.lastFin[sub.Task.ID] = fin
+		e.schedule.Add(sched.Assignment{Sub: sub, Proc: p, Start: t, Cost: cost, Decision: e.decision})
+		fin := t.Add(cost)
+		id := sub.Task.ID
+		e.cursor[id]++
+		e.lastFin[id] = fin
 		e.freeAt[p] = fin
 		e.pending--
 		e.push(fin)
 		if next := e.sys.Successor(sub); next != nil {
 			e.await(next) // activates at fin > t at the earliest
+		}
+		// Cut the sequence back to sub, the last dispatched, once what lies
+		// behind it is at least half of what is held: the copy-down is then
+		// amortised O(1) per dispatch, and a task holds at most twice its
+		// live window.
+		if behind := e.cursor[id] - 1; !e.schedule.Retains() && 2*behind >= len(e.sys.Subtasks(sub.Task)) {
+			e.sys.Forget(sub.Task, behind)
+			e.cursor[id] = 1
 		}
 		d := Dispatch{Sub: sub, Proc: p, Start: t, Finish: fin, Decision: e.decision}
 		if onDispatch != nil {

@@ -14,6 +14,7 @@ package rat
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // Rat is an immutable rational number n/d in lowest terms with d > 0.
@@ -259,9 +260,21 @@ func (r Rat) Float64() float64 { return float64(r.n) / float64(r.den()) }
 // String formats r as "n" when integral and "n/d" otherwise.
 func (r Rat) String() string {
 	if r.IsInt() {
-		return fmt.Sprintf("%d", r.n)
+		return strconv.FormatInt(r.n, 10) // no allocation below 100
 	}
-	return fmt.Sprintf("%d/%d", r.n, r.den())
+	var buf [2*20 + 1]byte
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends r's String form to b and returns the extended slice:
+// the encoders that write many rationals into one buffer (dispatch frames,
+// checkpoints) pay no string per value.
+func (r Rat) AppendTo(b []byte) []byte {
+	b = strconv.AppendInt(b, r.n, 10)
+	if !r.IsInt() {
+		b = strconv.AppendInt(append(b, '/'), r.den(), 10)
+	}
+	return b
 }
 
 // FloorDiv returns ⌊a/b⌋ for int64 a and b > 0.

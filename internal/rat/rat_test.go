@@ -1,6 +1,7 @@
 package rat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,51 @@ func TestString(t *testing.T) {
 	if got := FromInt(-4).String(); got != "-4" {
 		t.Errorf("String(-4) = %q", got)
 	}
+}
+
+// fmtForm is what String printed through fmt.Sprintf before it moved to
+// strconv; String and AppendTo are pinned to it byte for byte, because
+// every response, checkpoint, journal record and dispatch frame carries
+// these strings.
+func fmtForm(r Rat) string {
+	if r.IsInt() {
+		return fmt.Sprintf("%d", r.Num())
+	}
+	return fmt.Sprintf("%d/%d", r.Num(), r.Den())
+}
+
+func checkStringForms(t *testing.T, r Rat) {
+	t.Helper()
+	want := fmtForm(r)
+	if got := r.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if got := string(r.AppendTo([]byte("x="))); got != "x="+want {
+		t.Fatalf("AppendTo = %q, want %q", got, "x="+want)
+	}
+}
+
+func TestStringMatchesFmt(t *testing.T) {
+	for _, r := range []Rat{
+		{}, Zero, One, FromInt(-1), FromInt(99), FromInt(100), FromInt(-100),
+		New(1, 2), New(-1, 2), New(1, -2), New(6, 4), New(-6, 4), New(7, 3), New(0, 5),
+		FromInt(math.MaxInt64), FromInt(math.MinInt64), New(math.MaxInt64, 2), New(math.MinInt64+1, math.MaxInt64),
+		New(1, math.MaxInt64), New(-1, math.MaxInt64), New(123456789, 1000),
+	} {
+		checkStringForms(t, r)
+	}
+}
+
+func FuzzStringMatchesFmt(f *testing.F) {
+	for _, nd := range [][2]int64{{0, 1}, {3, 2}, {-3, 2}, {5, -10}, {math.MaxInt64, 3}, {math.MinInt64 + 1, 7}, {100, 1}} {
+		f.Add(nd[0], nd[1])
+	}
+	f.Fuzz(func(t *testing.T, n, d int64) {
+		if d == 0 || n == math.MinInt64 || d == math.MinInt64 {
+			return // New rejects 0 and cannot negate MinInt64
+		}
+		checkStringForms(t, New(n, d))
+	})
 }
 
 func TestMinMaxSum(t *testing.T) {

@@ -40,41 +40,80 @@ func (a *Assignment) Finish() rat.Rat { return a.Start.Add(a.Cost) }
 func (a *Assignment) Slot() int64 { return a.Start.Floor() }
 
 // Schedule is a complete (or partial) schedule of a task system on M
-// processors.
+// processors. Add folds every assignment into running aggregates — count,
+// maximum tardiness, miss count, busy time, makespan — so those reads are
+// O(1); the assignments themselves are kept too unless the owner called
+// DiscardAssignments.
 type Schedule struct {
 	M     int
 	Sys   *model.System
 	Algo  string // engine/policy label, for reports
 	Model string // "SFQ", "DVQ", "SFQ-staggered", …
 
-	asgs  []*Assignment
-	bySub map[*model.Subtask]*Assignment
+	discard bool
+	asgs    []*Assignment
+	bySub   map[*model.Subtask]*Assignment
+
+	n        int
+	misses   int
+	maxTard  rat.Rat
+	busy     rat.Rat
+	makespan rat.Rat
 }
 
 // New creates an empty schedule for sys on m processors.
 func New(sys *model.System, m int, algo, mdl string) *Schedule {
 	return &Schedule{
-		M:     m,
-		Sys:   sys,
-		Algo:  algo,
-		Model: mdl,
-		bySub: make(map[*model.Subtask]*Assignment, sys.NumSubtasks()),
+		M:        m,
+		Sys:      sys,
+		Algo:     algo,
+		Model:    mdl,
+		bySub:    make(map[*model.Subtask]*Assignment, sys.NumSubtasks()),
+		maxTard:  rat.Zero,
+		busy:     rat.Zero,
+		makespan: rat.Zero,
 	}
 }
 
-// Add records an assignment. It panics if the subtask was already scheduled
-// — engines must schedule each subtask exactly once.
+// DiscardAssignments makes the schedule keep only its aggregates: nothing
+// in the paper's algorithm reads a past decision, so an engine that runs
+// forever (a service tenant) holds no per-decision state. Call it before
+// the first Add. Of, Assignments, Tardiness and the validators then have
+// nothing to work on — offline drivers, figures and experiments keep the
+// default.
+func (s *Schedule) DiscardAssignments() {
+	s.discard, s.asgs, s.bySub = true, nil, nil
+}
+
+// Retains reports whether the schedule keeps its assignments.
+func (s *Schedule) Retains() bool { return !s.discard }
+
+// Add records an assignment and returns the retained copy (nil after
+// DiscardAssignments). It panics if the subtask was already scheduled —
+// engines must schedule each subtask exactly once.
 func (s *Schedule) Add(a Assignment) *Assignment {
-	if _, dup := s.bySub[a.Sub]; dup {
-		panic(fmt.Sprintf("sched: %s scheduled twice", a.Sub))
-	}
 	if a.Decision == 0 {
-		a.Decision = len(s.asgs)
+		a.Decision = s.n
 	}
-	cp := a
-	s.asgs = append(s.asgs, &cp)
-	s.bySub[a.Sub] = &cp
-	return &cp
+	var kept *Assignment
+	if !s.discard {
+		if _, dup := s.bySub[a.Sub]; dup {
+			panic(fmt.Sprintf("sched: %s scheduled twice", a.Sub))
+		}
+		cp := a
+		s.asgs = append(s.asgs, &cp)
+		s.bySub[a.Sub] = &cp
+		kept = &cp
+	}
+	s.n++
+	fin := a.Finish()
+	s.busy = s.busy.Add(a.Cost)
+	s.makespan = rat.Max(s.makespan, fin)
+	if tard := fin.Sub(rat.FromInt(a.Sub.Deadline())); tard.Sign() > 0 {
+		s.misses++
+		s.maxTard = rat.Max(s.maxTard, tard)
+	}
+	return kept
 }
 
 // Of returns the assignment of sub, or nil if sub is unscheduled.
@@ -84,11 +123,11 @@ func (s *Schedule) Of(sub *model.Subtask) *Assignment { return s.bySub[sub] }
 func (s *Schedule) Assignments() []*Assignment { return s.asgs }
 
 // Len returns the number of scheduled subtasks.
-func (s *Schedule) Len() int { return len(s.asgs) }
+func (s *Schedule) Len() int { return s.n }
 
 // Complete reports whether every released subtask of the system has been
 // scheduled.
-func (s *Schedule) Complete() bool { return len(s.asgs) == s.Sys.NumSubtasks() }
+func (s *Schedule) Complete() bool { return s.n == s.Sys.NumSubtasks() }
 
 // Tardiness returns the tardiness of sub per eq. (7): max(0, finish − d).
 // Unscheduled subtasks have undefined tardiness; this returns 0 for them
@@ -103,24 +142,10 @@ func (s *Schedule) Tardiness(sub *model.Subtask) rat.Rat {
 }
 
 // MaxTardiness returns the maximum tardiness over all scheduled subtasks.
-func (s *Schedule) MaxTardiness() rat.Rat {
-	m := rat.Zero
-	for _, a := range s.asgs {
-		m = rat.Max(m, s.Tardiness(a.Sub))
-	}
-	return m
-}
+func (s *Schedule) MaxTardiness() rat.Rat { return s.maxTard }
 
 // MissCount returns the number of subtasks with positive tardiness.
-func (s *Schedule) MissCount() int {
-	n := 0
-	for _, a := range s.asgs {
-		if s.Tardiness(a.Sub).Sign() > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (s *Schedule) MissCount() int { return s.misses }
 
 // TardySubtasks returns the subtasks with positive tardiness, sorted by
 // decreasing tardiness then task order.
@@ -145,22 +170,10 @@ func (s *Schedule) TardySubtasks() []*model.Subtask {
 }
 
 // BusyTime returns the total processor time consumed (Σ cost).
-func (s *Schedule) BusyTime() rat.Rat {
-	b := rat.Zero
-	for _, a := range s.asgs {
-		b = b.Add(a.Cost)
-	}
-	return b
-}
+func (s *Schedule) BusyTime() rat.Rat { return s.busy }
 
 // Makespan returns the latest completion time (0 for an empty schedule).
-func (s *Schedule) Makespan() rat.Rat {
-	m := rat.Zero
-	for _, a := range s.asgs {
-		m = rat.Max(m, a.Finish())
-	}
-	return m
-}
+func (s *Schedule) Makespan() rat.Rat { return s.makespan }
 
 // IdleTime returns M·makespan − busy time: processor time left idle before
 // the last completion. Under SFQ this includes the non-work-conserving
@@ -177,6 +190,9 @@ func (s *Schedule) IdleTime() rat.Rat {
 //     task execute in sequence — "migration allowed, parallelism not");
 //   - processor indices in range.
 func (s *Schedule) validateCommon() error {
+	if s.discard {
+		return fmt.Errorf("sched: assignments were discarded; nothing to validate")
+	}
 	if !s.Complete() {
 		return fmt.Errorf("sched: %d of %d subtasks scheduled", len(s.asgs), s.Sys.NumSubtasks())
 	}

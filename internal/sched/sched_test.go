@@ -291,3 +291,54 @@ func TestDiffPanicsAcrossSystems(t *testing.T) {
 	}()
 	Diff(s1, s2)
 }
+
+// TestAggregatesMatchScans pins the running aggregates Add maintains —
+// count, maximum tardiness, miss count, busy time, makespan — to the scans
+// over the assignments they replaced, on the schedules of this file, in a
+// retaining schedule and in one that discarded its assignments.
+func TestAggregatesMatchScans(t *testing.T) {
+	sys := twoTask()
+	a, b := sys.Subtasks(sys.Tasks[0]), sys.Subtasks(sys.Tasks[1])
+	half := rat.New(1, 2)
+	for name, asgs := range map[string][]Assignment{
+		"empty":    nil,
+		"legalSFQ": {asg(a[0], 0, rat.Zero, rat.One), asg(b[0], 0, rat.One, rat.One), asg(a[1], 0, rat.FromInt(2), rat.One), asg(b[1], 0, rat.FromInt(3), rat.One)},
+		"oneMiss":  {asg(a[0], 0, rat.Zero, rat.One), asg(b[0], 0, rat.New(3, 2), rat.One), asg(a[1], 0, rat.New(5, 2), rat.One), asg(b[1], 0, rat.New(7, 2), half)},
+		"twoProcsLateYields": {
+			asg(a[0], 0, rat.New(5, 3), rat.New(2, 3)), asg(b[0], 1, rat.New(9, 4), rat.New(3, 4)),
+			asg(b[1], 1, rat.FromInt(7), half), asg(a[1], 0, rat.New(7, 3), rat.One),
+		},
+	} {
+		kept, dropped := New(sys, 2, "test", "DVQ"), New(sys, 2, "test", "DVQ")
+		dropped.DiscardAssignments()
+		for _, x := range asgs {
+			if kept.Add(x) == nil || dropped.Add(x) != nil {
+				t.Fatalf("%s: Add returns the retained copy, and nil once discarded", name)
+			}
+		}
+		maxTard, busy, makespan, misses := rat.Zero, rat.Zero, rat.Zero, 0
+		for _, x := range kept.Assignments() {
+			tard := kept.Tardiness(x.Sub)
+			maxTard = rat.Max(maxTard, tard)
+			if tard.Sign() > 0 {
+				misses++
+			}
+			busy = busy.Add(x.Cost)
+			makespan = rat.Max(makespan, x.Finish())
+		}
+		if dropped.Assignments() != nil || dropped.Retains() || !kept.Retains() {
+			t.Errorf("%s: retention flags wrong", name)
+		}
+		for _, s := range []*Schedule{kept, dropped} {
+			if s.Len() != len(asgs) || s.MissCount() != misses || s.MaxTardiness() != maxTard ||
+				s.BusyTime() != busy || s.Makespan() != makespan {
+				t.Errorf("%s (retains=%v): len %d misses %d maxTard %s busy %s makespan %s; scans give %d %d %s %s %s",
+					name, s.Retains(), s.Len(), s.MissCount(), s.MaxTardiness(), s.BusyTime(), s.Makespan(),
+					len(asgs), misses, maxTard, busy, makespan)
+			}
+		}
+		if err := dropped.ValidateDVQ(); err == nil {
+			t.Errorf("%s: a schedule without assignments validated", name)
+		}
+	}
+}

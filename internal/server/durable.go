@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -103,22 +104,23 @@ type tenantCheckpoint struct {
 	// utilization to fall (0 when none). The current M travels in Exec.
 	PendingM int `json:"pendingM,omitempty"`
 	// History is the manifest of the sealed prefix of the dispatch log
-	// (history.go), Log the events after it. A snapshot with no manifest
+	// (history.go), Log the events after it, a JSON array spliced from the
+	// log's own frames (dispatchLog.inline). A snapshot with no manifest
 	// carries the whole log inline: what a tenant younger than one segment
 	// writes, what every snapshot before sealing existed holds, and what
 	// GET /v1/replication/snapshot serves.
 	History []histSegment     `json:"history,omitempty"`
-	Log     inlineLog         `json:"log,omitempty"`
+	Log     json.RawMessage   `json:"log,omitempty"`
 	Exec    online.Checkpoint `json:"exec"`
 	// Idem preserves the idempotency-key memory across snapshots, in FIFO
 	// order, so a keyed retry still dedupes after a restart that replays
 	// nothing.
 	Idem []idemEntry `json:"idem,omitempty"`
 
-	// frames are the cached wire bytes of Log, index-aligned (nil where
-	// nobody was subscribed at record time). Set by Tenant.checkpoint for
-	// compact to seal from; never serialized.
-	frames [][]byte
+	// unsealed are the resident chunks, a segment's worth or more, that
+	// Tenant.checkpoint left out of Log for compact to seal into a history
+	// file; never serialized.
+	unsealed []chunk
 }
 
 // idemEntry is one remembered keyed submit in a tenant checkpoint.
@@ -135,10 +137,10 @@ type idemEntry struct {
 // control command runs immediately. A tenant deleted concurrently yields
 // a zero checkpoint; the caller skips it.
 //
-// The dispatch log is imaged from the sealed prefix on, and by reference:
-// the loop only ever appends past the visible prefix of log and frames
-// (the aliasing rule tenantSnap readers already rely on), so nothing of
-// the history is copied.
+// Only the resident part of the dispatch log is imaged: short of a
+// segment it is spliced into Log; from histSegmentMin events on the log is
+// cut there and its closed chunks handed over by reference (immutable, the
+// aliasing rule tenantSnap readers already rely on) to be sealed.
 func (t *Tenant) checkpoint() tenantCheckpoint {
 	var cp tenantCheckpoint
 	res := t.ctlExec(&command{kind: cmdCtl, fn: func() {
@@ -147,10 +149,14 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 			Reject:   t.reject,
 			MaxTar:   t.maxTar.String(),
 			PendingM: t.ex.PendingM(),
-			History:  t.hist,
-			Log:      t.log[t.sealed:len(t.log):len(t.log)],
+			History:  t.log.hist,
 			Exec:     t.ex.Checkpoint(),
-			frames:   t.frames[t.sealed:],
+		}
+		if t.log.len()-t.log.floor() >= int64(histSegmentMin) {
+			t.log.cut()
+			cp.unsealed = t.log.full
+		} else {
+			cp.Log = t.log.inline()
 		}
 		for _, k := range t.idemQ {
 			r := t.idem[k]
@@ -163,13 +169,25 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 	return cp
 }
 
-// restoreTenant rebuilds a tenant from its checkpoint, whose Log must be
-// the whole dispatch log (inlineHistory has loaded the sealed prefix
-// History describes). online.Restore has validated Σwt ≤ M; a queued
-// shrink target is reinstated by asking for the drain again, which must
-// queue — a target the ledger would apply or reject cannot have been
-// pending. The loop-owned fields are finished before start(), while no
-// loop can be running.
+// sealHistory tells the tenant that a committed snapshot names hist, its
+// manifest extended over the chunks the last checkpoint handed out: the
+// loop installs it and drops those chunks from memory. Compact still holds
+// opMu's write side, so nothing was logged in between.
+func (t *Tenant) sealHistory(hist []histSegment) {
+	t.ctlExec(&command{kind: cmdCtl, fn: func() {
+		t.log.dropSealed(hist)
+		t.publish()
+	}})
+}
+
+// restoreTenant rebuilds a tenant from its checkpoint: the events of Log
+// become the resident dispatch log after the sealed prefix History names
+// (whose files the caller has verified; they stay on disk).
+// online.Restore has validated Σwt ≤ M; a queued shrink target is
+// reinstated by asking for the drain again, which must queue — a target
+// the ledger would apply or reject cannot have been pending. The
+// loop-owned fields are finished before start(), while no loop can be
+// running.
 func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 	if cp.ID == "" {
 		return nil, fmt.Errorf("server: tenant checkpoint without id")
@@ -182,9 +200,10 @@ func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: tenant %q maxTardiness: %v", cp.ID, err)
 	}
-	for i, ev := range cp.Log {
-		if ev.Seq != int64(i) {
-			return nil, fmt.Errorf("server: tenant %q dispatch log has seq %d at position %d", cp.ID, ev.Seq, i)
+	var tail []DispatchEvent
+	if len(cp.Log) > 0 {
+		if err := json.Unmarshal(cp.Log, &tail); err != nil {
+			return nil, fmt.Errorf("server: tenant %q dispatch log: %v", cp.ID, err)
 		}
 	}
 	if cp.PendingM != 0 {
@@ -194,8 +213,12 @@ func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 		}
 	}
 	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, ringSize)
-	t.installLog(cp.Log)
-	t.hist, t.sealed = cp.History, sealedEvents(cp.History)
+	t.log.hist, t.log.tail.first = cp.History, sealedEvents(cp.History)
+	for _, ev := range tail {
+		if err := t.log.restore(ev); err != nil {
+			return nil, fmt.Errorf("server: tenant %q dispatch log: %v", cp.ID, err)
+		}
+	}
 	t.maxTar = maxTar
 	t.reject = cp.Reject
 	for _, e := range cp.Idem {
@@ -257,7 +280,7 @@ func Open(opts Options) (*Server, error) {
 		}
 		s.cmdSeq.Store(pay.Commands)
 		for _, tc := range pay.Tenants {
-			if err := inlineHistory(l, &tc); err != nil {
+			if err := copyHistory(io.Discard, l, tc.ID, tc.History); err != nil {
 				l.Close()
 				return nil, err
 			}
@@ -441,10 +464,11 @@ func (s *Server) Recovery() *RecoveryInfo { return s.recovery }
 // compact quiesces every mutating operation (opMu writer side), images the
 // registry, and folds it into a fresh wal snapshot. What it writes is
 // proportional to what happened since the previous one: a tenant's
-// dispatch log leaves the snapshot a segment at a time (history.go), and
-// the payload names the sealed segments instead of repeating them. The
-// order — history files, snapshot, then garbage — is the one internal/wal
-// documents; snapshot.json is the only commit point.
+// dispatch log leaves the snapshot — and, once the snapshot is committed,
+// memory — a segment at a time (history.go), and the payload names the
+// sealed segments instead of repeating them. The order — history files,
+// snapshot, then garbage — is the one internal/wal documents;
+// snapshot.json is the only commit point.
 func (s *Server) compact() error {
 	if s.wal == nil {
 		return nil
@@ -464,12 +488,11 @@ func (s *Server) compact() error {
 		if cp.ID == "" {
 			continue // deleted while we walked the registry
 		}
-		if len(cp.Log) >= histSegmentMin {
-			seg, file := sealSegment(s.wal.SidecarName(len(files)), cp.Log, cp.frames)
+		if cp.unsealed != nil {
+			seg, file := sealSegment(s.wal.SidecarName(len(files)), cp.unsealed)
 			// A fresh manifest slice: the tenant's own must not change
 			// before the snapshot naming the new segment is installed.
 			cp.History = append(cp.History[:len(cp.History):len(cp.History)], seg)
-			cp.Log = nil
 			files = append(files, file)
 			seals = append(seals, seal{t, cp.History})
 		}
@@ -494,7 +517,7 @@ func (s *Server) compact() error {
 		}
 	}
 	for _, sl := range seals {
-		sl.t.hist, sl.t.sealed = sl.hist, sealedEvents(sl.hist)
+		sl.t.sealHistory(sl.hist)
 	}
 	s.wal.RemoveSidecarsExcept(keep)
 	s.obs.snapshotBytes.Store(int64(len(buf)))

@@ -10,25 +10,28 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"desyncpfair/internal/rat"
 )
 
 // This file is the egress side of the encode-once plane. Records are
 // serialized to NDJSON wire bytes exactly once, by the goroutine that
-// owns them — the tenant loop for dispatch events (Tenant.record), the
-// trace ring for trace events (obs.Ring.FramesSince), the WAL appender
-// for replication frames (wal.Reader.NextRaw ships the on-disk payload)
-// — and every subscriber writes the cached frames by reference. The
-// frameWriter below batches contiguous frames into one vectored
-// net.Buffers write per wakeup with a reused backing slice, flushes once
-// per batch, and bounds how long any write may block on a wedged client.
+// owns them — the tenant loop for dispatch events (Tenant.record, whose
+// dispatch log is nothing but those bytes: dispatchlog.go), the trace ring
+// for trace events (obs.Ring.FramesSince), the WAL appender for
+// replication frames (wal.Reader.NextRaw ships the on-disk payload) — and
+// every subscriber writes the shared bytes by reference. The frameWriter
+// below writes a bounded run of frames per call — contiguous chunk bytes
+// for dispatches, one vectored net.Buffers write with a reused backing
+// slice for trace frames — flushes once per batch, and bounds how long
+// any write may block on a wedged client.
 //
 // Slow-consumer policy: replication followers are never evicted (the WAL
 // reader paces them against the durable horizon and the log is on disk
-// anyway), but dispatch-stream followers hold a position in the in-memory
-// frame cache, so a follower that falls more than the lag bound behind is
-// cut loose with an in-band StreamGone control line instead of pinning
-// the process. Fully-wedged clients — ones that stop reading entirely —
-// die on the per-write stall deadline instead.
+// anyway), but a dispatch-stream follower that falls more than the lag
+// bound behind is cut loose with an in-band StreamGone control line
+// instead of being chased. Fully-wedged clients — ones that stop reading
+// entirely — die on the per-write stall deadline instead.
 
 const (
 	// DefaultStreamMaxLag is how many records a following dispatch stream
@@ -38,8 +41,8 @@ const (
 	// DefaultStreamStall bounds how long one streamed write may block on
 	// an unresponsive client before the connection is severed.
 	DefaultStreamStall = 30 * time.Second
-	// maxStreamBatch caps the frames per vectored write so lag checks and
-	// deadline re-arms happen at a bounded granularity.
+	// maxStreamBatch caps the frames per write so lag checks and deadline
+	// re-arms happen at a bounded granularity.
 	maxStreamBatch = 256
 )
 
@@ -53,47 +56,51 @@ type StreamGone struct {
 	ResumeFrom int64  `json:"resumeFrom"`
 }
 
-// marshalDispatchFrame renders ev exactly as a json.Encoder would:
-// Marshal plus a trailing newline. Byte identity with the per-subscriber
-// encoder it replaced is what lets the frame cache swap in invisibly.
-func marshalDispatchFrame(ev DispatchEvent) []byte {
-	return append(appendDispatchJSON(make([]byte, 0, 160), &ev), '\n')
-}
-
-// appendDispatchJSON appends json.Marshal(ev) to b, byte for byte, without
-// the reflection walk: an event is four integers and four strings, and a
-// string of nothing but plain ASCII — every rat, and any task name without
-// quotes, backslashes, control or HTML characters — is its own JSON
-// encoding between quotes. Anything else takes json.Marshal itself. Every
-// dispatch is encoded through here once for its readers and once for disk
-// (sealSegment, and each snapshot that still carries it inline).
-func appendDispatchJSON(b []byte, ev *DispatchEvent) []byte {
-	if !plainJSON(ev.Task) || !plainJSON(ev.Start) || !plainJSON(ev.Finish) || !plainJSON(ev.Tardiness) {
-		j, err := json.Marshal(ev)
+// appendDispatchFrame appends one dispatch decision as its NDJSON wire
+// frame: json.Marshal of the DispatchEvent plus a newline, byte for byte,
+// written straight from the rats with no reflection walk and no string per
+// value. An event is four integers, three rats — digits, '-' and '/', their
+// own JSON encoding between quotes — and a task name, which is too unless
+// it holds a quote, a backslash, a control or an HTML character; such a
+// name takes json.Marshal itself. Every dispatch is encoded here exactly
+// once: the stream, the ?from replay, the sealed history files and the
+// snapshot's inline tail all carry these bytes.
+func appendDispatchFrame(b []byte, seq int64, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) []byte {
+	if !plainJSON(task) {
+		j, err := json.Marshal(DispatchEvent{
+			Seq: seq, Task: task, Index: index, Proc: proc,
+			Start: start.String(), Finish: finish.String(), Deadline: deadline, Tardiness: tard.String(),
+		})
 		if err != nil {
 			// DispatchEvent is plain ints and strings; Marshal cannot fail.
 			j = []byte("{}")
 		}
-		return append(b, j...)
+		return append(append(b, j...), '\n')
 	}
 	b = append(b, `{"seq":`...)
-	b = strconv.AppendInt(b, ev.Seq, 10)
+	b = strconv.AppendInt(b, seq, 10)
 	b = append(b, `,"task":"`...)
-	b = append(b, ev.Task...)
+	b = append(b, task...)
 	b = append(b, `","index":`...)
-	b = strconv.AppendInt(b, ev.Index, 10)
+	b = strconv.AppendInt(b, index, 10)
 	b = append(b, `,"proc":`...)
-	b = strconv.AppendInt(b, int64(ev.Proc), 10)
+	b = strconv.AppendInt(b, int64(proc), 10)
 	b = append(b, `,"start":"`...)
-	b = append(b, ev.Start...)
+	b = start.AppendTo(b)
 	b = append(b, `","finish":"`...)
-	b = append(b, ev.Finish...)
+	b = finish.AppendTo(b)
 	b = append(b, `","deadline":`...)
-	b = strconv.AppendInt(b, ev.Deadline, 10)
+	b = strconv.AppendInt(b, deadline, 10)
 	b = append(b, `,"tardiness":"`...)
-	b = append(b, ev.Tardiness...)
-	return append(b, '"', '}')
+	b = tard.AppendTo(b)
+	return append(b, '"', '}', '\n')
 }
+
+// maxFrameBytes bounds the frame appendDispatchFrame writes for a task
+// name of n bytes: the fixed keys and punctuation, four integers of at most
+// 20 digits, three rats of at most 41, and the name with every byte
+// escaped to \u00XX.
+func maxFrameBytes(n int) int { return 96 + 4*20 + 3*41 + 6*n }
 
 // plainJSON reports whether encoding/json would copy s between quotes
 // unchanged: ASCII from space up, minus the characters it escapes (the
@@ -117,16 +124,13 @@ func plainJSON(s string) bool {
 type frameWriter struct {
 	w      http.ResponseWriter
 	rc     *http.ResponseController
-	fl     http.Flusher
 	stall  time.Duration
 	severs *atomic.Int64 // writes that died on the stall deadline
 	bufs   net.Buffers
 }
 
 func (s *Server) newFrameWriter(w http.ResponseWriter) *frameWriter {
-	fw := &frameWriter{w: w, rc: http.NewResponseController(w), stall: s.streamStall, severs: &s.streamSevers}
-	fw.fl, _ = w.(http.Flusher)
-	return fw
+	return &frameWriter{w: w, rc: http.NewResponseController(w), stall: s.streamStall, severs: &s.obs.streamSevers}
 }
 
 func (fw *frameWriter) armDeadline() {
@@ -141,14 +145,28 @@ func (fw *frameWriter) clearDeadline() {
 	}
 }
 
-// writeFrames writes a contiguous run of frames as one vectored write.
-// net.Buffers consumes its entries, so the reused backing slice is
-// repopulated from the frame refs on every call; the frames themselves
-// are shared and never copied.
+// writeFrames writes a run of separately held frames (the trace ring's) as
+// one vectored write. net.Buffers consumes its entries, so the reused
+// backing slice is repopulated from the frame refs on every call; the
+// frames themselves are shared and never copied.
 func (fw *frameWriter) writeFrames(frames [][]byte) error {
 	fw.bufs = append(fw.bufs[:0], frames...)
 	fw.armDeadline()
 	_, err := fw.bufs.WriteTo(fw.w)
+	return fw.wrote(err)
+}
+
+// Write writes a run of frames held contiguously (a dispatch-log chunk, a
+// block of a history file), shared and never copied.
+func (fw *frameWriter) Write(p []byte) (int, error) {
+	fw.armDeadline()
+	n, err := fw.w.Write(p)
+	return n, fw.wrote(err)
+}
+
+// wrote ends a deadline-bounded write, counting one that died on the
+// stall deadline.
+func (fw *frameWriter) wrote(err error) error {
 	fw.clearDeadline()
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		fw.severs.Add(1)
@@ -157,20 +175,23 @@ func (fw *frameWriter) writeFrames(frames [][]byte) error {
 }
 
 // flush pushes buffered bytes to the client, bounded by the stall
-// deadline like any other write.
-func (fw *frameWriter) flush() {
-	if fw.fl == nil {
-		return
-	}
+// deadline like any other write — a short run of frames only reaches the
+// socket here, so this is as likely as a write to be where a wedged client
+// is found out. A writer that cannot flush (an httptest recorder without
+// one) has nothing buffered.
+func (fw *frameWriter) flush() error {
 	fw.armDeadline()
-	fw.fl.Flush()
-	fw.clearDeadline()
+	err := fw.rc.Flush()
+	if errors.Is(err, http.ErrNotSupported) {
+		err = nil
+	}
+	return fw.wrote(err)
 }
 
 // writeGone emits the eviction control line: the stream stays a valid
 // NDJSON sequence, the client learns the position to reconnect from, and
-// the handler returns without pinning the frame cache any longer. Best
-// effort — a client that stopped reading may never see it.
+// the handler returns. Best effort — a client that stopped reading may
+// never see it.
 func (fw *frameWriter) writeGone(resume int64) {
 	line, err := json.Marshal(StreamGone{
 		Error:      fmt.Sprintf("stream evicted: lagging past the server's bound; reconnect with ?from=%d", resume),
@@ -180,11 +201,9 @@ func (fw *frameWriter) writeGone(resume int64) {
 	if err != nil {
 		return
 	}
-	fw.armDeadline()
-	if _, err := fw.w.Write(append(line, '\n')); err == nil && fw.fl != nil {
-		fw.fl.Flush()
+	if _, err := fw.Write(append(line, '\n')); err == nil {
+		_ = fw.flush() // best effort, as above
 	}
-	fw.clearDeadline()
 }
 
 // SetStreamPolicy configures the slow-consumer policy for the read
@@ -214,8 +233,8 @@ func (s *Server) SetStreamPolicy(maxLag int64, stall time.Duration) {
 
 // StreamEvictions reports how many read streams this server has evicted
 // for lagging past the policy bound.
-func (s *Server) StreamEvictions() int64 { return s.streamEvict.Load() }
+func (s *Server) StreamEvictions() int64 { return s.obs.streamEvict.Load() }
 
 // StreamStallSevers reports how many read streams this server has severed
 // because a write to a wedged reader outlasted the stall deadline.
-func (s *Server) StreamStallSevers() int64 { return s.streamSevers.Load() }
+func (s *Server) StreamStallSevers() int64 { return s.obs.streamSevers.Load() }

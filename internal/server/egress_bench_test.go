@@ -1,13 +1,13 @@
 package server
 
-// Benchmarks for the encode-once egress plane. BenchmarkDispatchFanout
-// measures the cached-frame path: one op serializes a 64-record batch
-// exactly once and fans the shared frames out to N subscribers through
-// the reused net.Buffers vector. BenchmarkDispatchFanoutEncode is the
-// pre-PR baseline it replaced — every subscriber runs its own
-// json.Encoder over every record — so the acceptance ratio
-// (allocs/op and ns/op-per-subscriber at 64 subs) is read straight off
-// `go test -bench 'DispatchFanout' -benchmem`.
+// Benchmarks for the encode-once egress plane. BenchmarkTenantRecord is
+// the record path itself: one dispatch encoded into the tenant's log.
+// BenchmarkDispatchFanout measures the shared-bytes path: one op logs a
+// 64-record batch exactly once and fans the chunk's bytes out to N
+// subscribers. BenchmarkDispatchFanoutEncode is the pre-PR-10 baseline it
+// replaced — every subscriber runs its own json.Encoder over every record
+// — so the acceptance ratio (allocs/op and ns/op-per-subscriber at 64
+// subs) is read straight off `go test -bench 'DispatchFanout' -benchmem`.
 
 import (
 	"encoding/json"
@@ -15,6 +15,10 @@ import (
 	"io"
 	"net/http"
 	"testing"
+
+	"desyncpfair/internal/model"
+	"desyncpfair/internal/online"
+	"desyncpfair/internal/rat"
 )
 
 // benchEvents builds a representative 64-record dispatch batch.
@@ -35,6 +39,44 @@ func benchEvents() []DispatchEvent {
 	return evs
 }
 
+// BenchmarkTenantRecord is Tenant.record per dispatch — tardiness, the
+// frame encoded into the log's tail, the lag histograms, the trace event —
+// on an in-memory tenant, with the per-command publish (and, with a
+// subscriber, its wakeup) every 16 dispatches. The target is 0 allocs/op:
+// what a command allocates (its snapshot) is a sixteenth of one here. The
+// log restarts every 65536 dispatches so any -benchtime fits in memory.
+func BenchmarkTenantRecord(b *testing.B) {
+	for _, subs := range []int{0, 1} {
+		b.Run(fmt.Sprintf("%dsubs", subs), func(b *testing.B) {
+			ex := online.New(2, nil)
+			task, err := ex.Register("task-0", model.W(1, 2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			tn := newTenantCore("bench", "PD2", ex, 0) // loop not started: this goroutine is the writer
+			tn.publish()
+			for i := 0; i < subs; i++ {
+				tn.Subscribe()
+			}
+			sub := &model.Subtask{Task: task}
+			d := online.Dispatch{Sub: sub, Proc: 1, Finish: rat.FromInt(1000)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				sub.Index++
+				d.Start, d.Finish = d.Finish, d.Finish.Add(rat.One)
+				tn.record(d)
+				if n%16 == 15 && tn.publish() {
+					tn.pingSubs()
+				}
+				if n&(1<<16-1) == 1<<16-1 {
+					tn.log = dispatchLog{}
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkDispatchFanout(b *testing.B) {
 	evs := benchEvents()
 	for _, subs := range []int{1, 8, 64} {
@@ -43,17 +85,23 @@ func BenchmarkDispatchFanout(b *testing.B) {
 			for i := range writers {
 				writers[i] = &frameWriter{w: discardResponseWriter{}}
 			}
-			frames := make([][]byte, len(evs))
+			times := make([][2]rat.Rat, len(evs))
+			for i, ev := range evs {
+				times[i][0], _ = rat.Parse(ev.Start)
+				times[i][1], _ = rat.Parse(ev.Finish)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				// Encode once — the tenant loop's side of the contract —
-				// then every subscriber writes the same frames by reference.
+				// then every subscriber writes the same bytes by reference.
+				var log dispatchLog
 				for i, ev := range evs {
-					frames[i] = marshalDispatchFrame(ev)
+					log.append(ev.Task, ev.Index, ev.Proc, times[i][0], times[i][1], ev.Deadline, rat.Zero)
 				}
+				frames, _ := log.frames(0, len(evs))
 				for _, fw := range writers {
-					if err := fw.writeFrames(frames); err != nil {
+					if _, err := fw.Write(frames); err != nil {
 						b.Fatal(err)
 					}
 				}

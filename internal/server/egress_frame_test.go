@@ -6,44 +6,50 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"desyncpfair/internal/rat"
 )
 
 // TestDispatchFrameMatchesMarshal pins the hand-written dispatch encoder
-// to encoding/json: every byte value in every string position, alone and
-// inside longer strings, multi-byte and invalid UTF-8, and the integer
-// extremes. The stream, the ?from replay, the sealed history files and the
-// snapshot's inline tail all carry these bytes.
+// to encoding/json: every byte value in the task name, alone and inside
+// longer strings, multi-byte and invalid UTF-8, the integer extremes, and
+// rats of every shape (integral, n/d, negative). The stream, the ?from
+// replay, the sealed history files and the snapshot's inline tail all
+// carry these bytes — and a frame never outgrows the room the log makes
+// for it.
 func TestDispatchFrameMatchesMarshal(t *testing.T) {
-	check := func(ev DispatchEvent) {
+	check := func(seq int64, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) {
 		t.Helper()
-		want, err := json.Marshal(ev)
+		want, err := json.Marshal(DispatchEvent{
+			Seq: seq, Task: task, Index: index, Proc: proc,
+			Start: start.String(), Finish: finish.String(), Deadline: deadline, Tardiness: tard.String(),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendDispatchJSON(nil, &ev); !bytes.Equal(got, want) {
-			t.Fatalf("appendDispatchJSON\n got %s\nwant %s", got, want)
+		got := appendDispatchFrame([]byte("x"), seq, task, index, proc, start, finish, deadline, tard)
+		if !bytes.Equal(got[1:], append(want, '\n')) {
+			t.Fatalf("appendDispatchFrame\n got %q\nwant %q", got[1:], want)
 		}
-		if got := marshalDispatchFrame(ev); !bytes.Equal(got, append(want, '\n')) {
-			t.Fatalf("marshalDispatchFrame\n got %q\nwant %q", got, want)
+		if len(got)-1 > maxFrameBytes(len(task)) {
+			t.Fatalf("frame of %d bytes for a %d-byte name; maxFrameBytes allows %d", len(got)-1, len(task), maxFrameBytes(len(task)))
 		}
 	}
-	base := DispatchEvent{Seq: 7, Task: "web", Index: 3, Proc: 1, Start: "5/2", Finish: "7/2", Deadline: 4, Tardiness: "0"}
-	check(base)
-	check(DispatchEvent{})
-	check(DispatchEvent{Seq: math.MaxInt64, Index: math.MinInt64, Proc: math.MinInt32, Deadline: -1})
+	base := func(task string) {
+		t.Helper()
+		check(7, task, 3, 1, rat.New(5, 2), rat.New(7, 2), 4, rat.Zero)
+	}
+	base("web")
+	check(0, "", 0, 0, rat.Rat{}, rat.Rat{}, 0, rat.Rat{})
+	huge := rat.New(math.MinInt64+1, math.MaxInt64)
+	check(math.MaxInt64, "t", math.MinInt64, math.MinInt32, huge, huge, math.MinInt64, huge)
+	check(1, "t", 1, 1, rat.FromInt(-3), rat.New(-1, 3), -1, rat.FromInt(100))
 	for c := 0; c < 256; c++ {
-		for _, s := range []string{string([]byte{byte(c)}), "a" + string([]byte{byte(c)}) + "z"} {
-			for field := 0; field < 4; field++ {
-				ev := base
-				*[]*string{&ev.Task, &ev.Start, &ev.Finish, &ev.Tardiness}[field] = s
-				check(ev)
-			}
-		}
+		base(string([]byte{byte(c)}))
+		base("a" + string([]byte{byte(c)}) + "z")
 	}
-	for _, s := range []string{"é", "日本", "  ", "\xff\xfe", "a\x00b", `"quoted"`, `back\slash`, "<script>&amp;</script>", "tab\there"} {
-		ev := base
-		ev.Task = s
-		check(ev)
+	for _, s := range []string{"é", "日本", "  ", "\xff\xfe", "a\x00b", `"quoted"`, `back\slash`, "<script>&amp;</script>", "tab\there", "line\nbreak"} {
+		base(s)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -51,9 +57,7 @@ func TestDispatchFrameMatchesMarshal(t *testing.T) {
 		for j := range raw {
 			raw[j] = byte(rng.Intn(256))
 		}
-		ev := base
-		ev.Seq, ev.Index, ev.Proc, ev.Deadline = rng.Int63(), rng.Int63()-rng.Int63(), rng.Intn(64), rng.Int63n(1<<40)
-		ev.Task = string(raw)
-		check(ev)
+		r := func() rat.Rat { return rat.New(rng.Int63n(1<<40)-1<<39, 1+rng.Int63n(1<<16)) }
+		check(rng.Int63(), string(raw), rng.Int63()-rng.Int63(), rng.Intn(64), r(), r(), rng.Int63n(1<<40), r())
 	}
 }

@@ -188,7 +188,110 @@ func TestStreamByteIdentity20Seeds(t *testing.T) {
 					t.Fatalf("repl line %d not byte-identical:\n got %swant %s\n", i, ln, want)
 				}
 			}
+
+			streamAcrossCompactions(t, seed)
 		})
+	}
+}
+
+// gatedWriter is the ResponseWriter of a stream reader that has connected
+// but is not reading yet: body writes wait for open, then accumulate, and
+// full closes once want bytes (set before open) have arrived.
+type gatedWriter struct {
+	open, full chan struct{}
+	want       int
+	mu         sync.Mutex
+	body       bytes.Buffer
+}
+
+func (w *gatedWriter) Header() http.Header { return http.Header{} }
+func (w *gatedWriter) WriteHeader(int)     {}
+func (w *gatedWriter) Flush()              {}
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	<-w.open
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	before := w.body.Len()
+	w.body.Write(p)
+	if before < w.want && w.body.Len() >= w.want {
+		close(w.full)
+	}
+	return len(p), nil
+}
+
+// streamAcrossCompactions is the byte-identity sweep's durable half. A
+// durable tenant compacting every 16 records seals its history into files
+// and drops it from memory (TestMain: 8-event segments) while it is fed a
+// seeded script; an in-memory tenant fed the same script is the reference.
+// Three readers must get the reference's ?from=0 bytes exactly: a replay
+// from 0 after the resident floor has moved, one starting inside a sealed
+// segment, and a follower that opened before the first seal and whose
+// first write is held up until the script has ended — so it reads what it
+// missed across every seal made meanwhile.
+func streamAcrossCompactions(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	durable, err := server.Open(server.Options{DataDir: t.TempDir(), SnapshotEvery: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(durable.Handler())
+	t.Cleanup(hs.Close)
+	t.Cleanup(func() { durable.Close() })
+	ref, refClient := newTestServer(t)
+	both := []*client.Client{client.New(hs.URL, hs.Client()), refClient}
+	ctx := context.Background()
+
+	tasks := 2 + rng.Intn(3)
+	for _, c := range both {
+		unitTenant(t, c, "acme", tasks)
+	}
+	follower := &gatedWriter{open: make(chan struct{}), full: make(chan struct{})}
+	followCtx, hangUp := context.WithCancel(ctx)
+	hungUp := make(chan struct{})
+	go func() {
+		defer close(hungUp)
+		req := httptest.NewRequest("GET", "/v1/tenants/acme/dispatches?from=0&follow=true", nil)
+		durable.Handler().ServeHTTP(follower, req.WithContext(followCtx))
+	}()
+	for round, n := 0, 4+rng.Intn(4); round < n; round++ {
+		per := 8 + rng.Intn(16)
+		for _, c := range both {
+			pumpDispatches(t, c, "acme", tasks, 1, per)
+		}
+		if rng.Intn(3) == 0 {
+			by := fmt.Sprintf("%d/2", 1+rng.Intn(6))
+			for _, c := range both {
+				if _, err := c.AdvanceBy(ctx, "acme", by); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	want := dispatchBytes(t, ref.Handler(), "acme")
+	events := bytes.Count(want, []byte{'\n'})
+	if sealed := metricValue(t, durable.Handler(), `pfaird_tenant_history_sealed_events{tenant="acme"}`); sealed == 0 {
+		t.Fatal("the durable tenant sealed nothing: the resident floor never moved")
+	}
+	if got := dispatchBytes(t, durable.Handler(), "acme"); !bytes.Equal(got, want) {
+		t.Fatalf("?from=0 across sealed history differs from the in-memory tenant's (%d vs %d bytes)", len(got), len(want))
+	}
+	got := bytes.Join(ndjsonLines(t, fmt.Sprintf("%s/v1/tenants/acme/dispatches?from=%d&follow=false", hs.URL, events/3)), nil)
+	if !bytes.HasSuffix(want, got) || bytes.Count(got, []byte{'\n'}) != events-events/3 {
+		t.Fatalf("?from=%d, inside a sealed segment, is not the reference's tail from there", events/3)
+	}
+
+	follower.want = len(want)
+	close(follower.open)
+	select {
+	case <-follower.full:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the follower that opened before the seals never caught up")
+	}
+	hangUp()
+	<-hungUp
+	if !bytes.Equal(follower.body.Bytes(), want) {
+		t.Fatal("a follower reading across seals got bytes that differ from the in-memory tenant's")
 	}
 }
 

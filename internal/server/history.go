@@ -1,21 +1,25 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"sort"
 
 	"desyncpfair/internal/wal"
 )
 
 // Sealed dispatch history. A tenant's dispatch log only ever grows at its
-// end, so a snapshot need not repeat it: at compaction the events since
-// the last seal are written once, as the NDJSON frames ?from replay serves,
-// to an immutable wal sidecar, and from then on the snapshot carries one
-// manifest entry for them. The log in memory stays whole — every read path
-// is as it was — only what a compaction copies, encodes and fsyncs shrinks
-// from the tenant's lifetime to the work since the previous one.
+// end, so neither a snapshot nor memory need hold all of it: at compaction
+// the frames since the last seal are written once, exactly as ?from replay
+// serves them, to an immutable wal sidecar; from then on the snapshot
+// carries one manifest entry for them, the tenant drops them from memory
+// (dispatchLog.dropSealed), and a reader that asks for them is sent the file.
+// What a compaction copies, encodes and fsyncs, and what a tenant keeps
+// resident, are both bounded by the work since the previous seal.
 
 // histSegment is one manifest entry: a sealed run of a tenant's dispatch
 // log. File holds events FirstSeq … FirstSeq+Count-1 as Bytes bytes of
@@ -45,84 +49,95 @@ func sealedEvents(hist []histSegment) int64 {
 	return last.FirstSeq + last.Count
 }
 
-// sealSegment renders log (non-empty) as a sidecar called name and returns
-// its manifest entry. frames is index-aligned with log: cached wire bytes
-// are reused, the gaps are encoded here — either way each event is encoded
-// once for egress and disk, and the bytes are what FramesSince serves.
-func sealSegment(name string, log []DispatchEvent, frames [][]byte) (histSegment, wal.Sidecar) {
-	data := make([]byte, 0, len(log)*160)
-	for i := range log {
-		if frames[i] != nil {
-			data = append(data, frames[i]...)
-		} else {
-			data = append(appendDispatchJSON(data, &log[i]), '\n')
-		}
+// sealSegment renders chunks (non-empty, seq-contiguous) as a sidecar
+// called name and returns its manifest entry. The file is the chunks'
+// bytes: what the stream served while they were resident.
+func sealSegment(name string, chunks []chunk) (histSegment, wal.Sidecar) {
+	size := 0
+	for i := range chunks {
+		size += len(chunks[i].data)
+	}
+	data := make([]byte, 0, size)
+	for i := range chunks {
+		data = append(data, chunks[i].data...)
 	}
 	return histSegment{
 		File:     name,
-		FirstSeq: log[0].Seq,
-		Count:    int64(len(log)),
+		FirstSeq: chunks[0].first,
+		Count:    chunks[len(chunks)-1].end() - chunks[0].first,
 		Bytes:    int64(len(data)),
 		CRC:      crc32.ChecksumIEEE(data),
 	}, wal.Sidecar{Name: name, Data: data}
 }
 
-// inlineLog is the unsealed tail of a dispatch log as a snapshot carries
-// it: a plain JSON array of events, encoded by appendDispatchJSON rather
-// than by reflection — a tail below histSegmentMin is re-encoded by every
-// compaction until it is sealed.
-type inlineLog []DispatchEvent
-
-func (l inlineLog) MarshalJSON() ([]byte, error) {
-	b := append(make([]byte, 0, len(l)*160+2), '[')
-	for i := range l {
-		if i > 0 {
-			b = append(b, ',')
+// copyHistory streams the files hist names into w, checking them against
+// it — length, CRC, seq contiguity from 0 — and holding none of them in
+// memory itself. Like the snapshot a segment is written atomically, so
+// damage here is real damage, not a crash artifact.
+func copyHistory(w io.Writer, l *wal.Log, id string, hist []histSegment) error {
+	next := int64(0)
+	for _, seg := range hist {
+		if seg.FirstSeq != next {
+			return fmt.Errorf("server: tenant %q history segment %s starts at seq %d, want %d", id, seg.File, seg.FirstSeq, next)
 		}
-		b = appendDispatchJSON(b, &l[i])
-	}
-	return append(b, ']'), nil
-}
-
-// inlineHistory loads the segments cp.History names and prepends their
-// events to cp.Log, making it the tenant's whole dispatch log. Length, CRC
-// and seq contiguity are checked: like the snapshot itself, a segment is
-// written atomically, so damage here is real damage, not a crash artifact.
-func inlineHistory(l *wal.Log, cp *tenantCheckpoint) error {
-	if len(cp.History) == 0 {
-		return nil
-	}
-	log := make([]DispatchEvent, 0, sealedEvents(cp.History)+int64(len(cp.Log)))
-	for _, seg := range cp.History {
-		data, err := l.ReadSidecar(seg.File)
+		next += seg.Count
+		f, err := l.OpenSidecar(seg.File)
 		if err != nil {
-			return fmt.Errorf("server: tenant %q history: %v", cp.ID, err)
+			return fmt.Errorf("server: tenant %q history: %v", id, err)
 		}
-		if int64(len(data)) != seg.Bytes || crc32.ChecksumIEEE(data) != seg.CRC {
-			return fmt.Errorf("server: tenant %q history segment %s is corrupt", cp.ID, seg.File)
+		sum := crc32.NewIEEE()
+		n, err := io.Copy(io.MultiWriter(sum, w), f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("server: tenant %q history: %v", id, err)
 		}
-		if seg.FirstSeq != int64(len(log)) {
-			return fmt.Errorf("server: tenant %q history segment %s starts at seq %d, want %d", cp.ID, seg.File, seg.FirstSeq, len(log))
-		}
-		dec := json.NewDecoder(bytes.NewReader(data))
-		for dec.More() {
-			var ev DispatchEvent
-			if err := dec.Decode(&ev); err != nil {
-				return fmt.Errorf("server: tenant %q history segment %s: %v", cp.ID, seg.File, err)
-			}
-			log = append(log, ev)
-		}
-		if got := int64(len(log)) - seg.FirstSeq; got != seg.Count {
-			return fmt.Errorf("server: tenant %q history segment %s holds %d events, want %d", cp.ID, seg.File, got, seg.Count)
+		if n != seg.Bytes || sum.Sum32() != seg.CRC {
+			return fmt.Errorf("server: tenant %q history segment %s is corrupt", id, seg.File)
 		}
 	}
-	cp.Log = append(log, cp.Log...)
 	return nil
 }
 
+// copySealed serves the sealed frames from seq pos to the end of hist
+// straight from the history files, which hold exactly the bytes the stream
+// carries, in blocks bounded like any other stream write.
+func (s *Server) copySealed(fw *frameWriter, hist []histSegment, pos int64) error {
+	i := sort.Search(len(hist), func(i int) bool { return hist[i].FirstSeq+hist[i].Count > pos })
+	for ; i < len(hist); i++ {
+		f, err := s.wal.OpenSidecar(hist[i].File)
+		if err != nil {
+			return err
+		}
+		err = copyFrames(fw, f, pos-hist[i].FirstSeq)
+		f.Close()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// copyFrames writes r's NDJSON to w from its skip-th line on, at most a
+// chunk's worth per write.
+func copyFrames(w io.Writer, r io.Reader, skip int64) error {
+	br := bufio.NewReaderSize(r, chunkBytes)
+	for skip > 0 {
+		switch _, err := br.ReadSlice('\n'); err {
+		case nil:
+			skip--
+		case bufio.ErrBufferFull: // a frame longer than the buffer: the rest of it is next
+		default:
+			return err
+		}
+	}
+	_, err := br.WriteTo(w)
+	return err
+}
+
 // selfContained rewrites a snapshot payload so it names no history file:
-// every manifest is loaded back into its tenant's inline log, the form a
-// follower bootstraps from (its data dir has none of the leader's files).
+// every manifest's frames are spliced back in front of its tenant's inline
+// log, the form a follower bootstraps from (its data dir has none of the
+// leader's files).
 func selfContained(l *wal.Log, payload []byte) ([]byte, error) {
 	var pay snapshotPayload
 	if err := json.Unmarshal(payload, &pay); err != nil {
@@ -134,10 +149,15 @@ func selfContained(l *wal.Log, payload []byte) ([]byte, error) {
 		if len(cp.History) == 0 {
 			continue
 		}
-		if err := inlineHistory(l, cp); err != nil {
+		log := bytes.NewBuffer([]byte{'['})
+		if err := copyHistory(log, l, cp.ID, cp.History); err != nil {
 			return nil, err
 		}
-		cp.History, sealed = nil, true
+		inline := ndjsonToArray(log.Bytes())
+		if len(cp.Log) > len("[]") {
+			inline = append(append(inline[:len(inline)-1], ','), cp.Log[1:]...)
+		}
+		cp.History, cp.Log, sealed = nil, inline, true
 	}
 	if !sealed {
 		return payload, nil

@@ -141,8 +141,13 @@ func TestSnapshotReadersSeeClosedTenantState(t *testing.T) {
 	if got := tn.Info(); got != want {
 		t.Fatalf("Info after close = %+v, want %+v", got, want)
 	}
-	if got := len(tn.EventsSince(0)); int64(got) != want.Dispatches {
-		t.Fatalf("EventsSince after close returned %d events, want %d", got, want.Dispatches)
+	for seq := int64(0); seq < want.Dispatches; seq++ {
+		if ev, ok := tn.eventAt(seq); !ok || ev.Seq != seq || ev.Task != "a" {
+			t.Fatalf("eventAt(%d) after close = %+v, %v", seq, ev, ok)
+		}
+	}
+	if _, ok := tn.eventAt(want.Dispatches); ok || tn.LogLen() != want.Dispatches {
+		t.Fatalf("the log after close holds more than the %d events dispatched", want.Dispatches)
 	}
 }
 

@@ -37,6 +37,11 @@ type serverObs struct {
 	snapshotBytes atomic.Int64
 	histSegments  atomic.Int64
 	histBytes     atomic.Int64
+
+	// Read streams cut loose by the egress policy (egress.go): evicted for
+	// lagging past the bound, severed on the per-write stall deadline.
+	streamEvict  atomic.Int64
+	streamSevers atomic.Int64
 }
 
 // defaultTraceCap is each tenant's trace-ring retention (events). At
@@ -111,6 +116,9 @@ type tenantObsSnap struct {
 	submitAck obs.Snapshot
 	lag       obs.Snapshot
 	traceLen  int64
+	// Where the dispatch history is: wire bytes and events resident in
+	// memory, events sealed into history files.
+	residentBytes, residentEvents, sealedEvents int64
 }
 
 // appendObsMetrics renders the observability families. The family order
@@ -140,6 +148,27 @@ func (o *serverObs) appendObsMetrics(b []byte, snaps []tenantObsSnap) []byte {
 	for _, sn := range snaps {
 		b = obs.AppendSample(b, "pfaird_trace_events_total",
 			[]obs.Label{{Name: "tenant", Value: sn.id}}, strconv.FormatInt(sn.traceLen, 10))
+	}
+	b = obs.AppendHeader(b, "pfaird_stream_evictions_total",
+		"Read streams evicted with an in-band 410 for lagging past the stream policy's bound.", "counter")
+	b = appendBare(b, "pfaird_stream_evictions_total", o.streamEvict.Load())
+	b = obs.AppendHeader(b, "pfaird_stream_stall_severs_total",
+		"Read streams severed because a write to a wedged reader outlasted the stall deadline.", "counter")
+	b = appendBare(b, "pfaird_stream_stall_severs_total", o.streamSevers.Load())
+	b = obs.AppendHeader(b, "pfaird_tenant_history_resident_bytes",
+		"Wire bytes of dispatch history held in memory, per tenant.", "gauge")
+	for _, sn := range snaps {
+		b = appendLabeled1(b, "pfaird_tenant_history_resident_bytes", "tenant", sn.id, sn.residentBytes)
+	}
+	b = obs.AppendHeader(b, "pfaird_tenant_history_resident_events",
+		"Dispatch events held in memory, per tenant (the rest are sealed).", "gauge")
+	for _, sn := range snaps {
+		b = appendLabeled1(b, "pfaird_tenant_history_resident_events", "tenant", sn.id, sn.residentEvents)
+	}
+	b = obs.AppendHeader(b, "pfaird_tenant_history_sealed_events",
+		"Dispatch events sealed into history files and dropped from memory, per tenant.", "gauge")
+	for _, sn := range snaps {
+		b = appendLabeled1(b, "pfaird_tenant_history_sealed_events", "tenant", sn.id, sn.sealedEvents)
 	}
 	return b
 }
@@ -213,7 +242,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fw := s.newFrameWriter(w)
-	fw.flush()
+	if fw.flush() != nil {
+		return
+	}
 
 	sub := ring.Subscribe()
 	defer ring.Unsubscribe(sub)
@@ -235,8 +266,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			}
 			frames = frames[n:]
 		}
-		if wrote {
-			fw.flush()
+		if wrote && fw.flush() != nil {
+			return
 		}
 		if !follow {
 			return

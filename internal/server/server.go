@@ -110,12 +110,9 @@ type Server struct {
 	// Egress stream policy (egress.go): streamMaxLag is the record-count
 	// bound past which a following read stream is evicted (0 = never),
 	// streamStall the per-write deadline on stream writes (0 = none).
-	// Both are set before serving traffic; streamEvict counts evictions,
-	// streamSevers the writes that died on the stall deadline.
+	// Both are set before serving traffic; obs counts what they cut loose.
 	streamMaxLag int64
 	streamStall  time.Duration
-	streamEvict  atomic.Int64
-	streamSevers atomic.Int64
 
 	shutdownOnce sync.Once
 	shutdown     chan struct{}
@@ -199,10 +196,13 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
+func (w *statusWriter) Flush() { _ = w.FlushError() }
+
+// FlushError is Flush for http.ResponseController: it reports a flush that
+// died on the connection (a stream writer's stall deadline) instead of
+// dropping the error.
+func (w *statusWriter) FlushError() error {
+	return http.NewResponseController(w.ResponseWriter).Flush()
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer, so
@@ -585,11 +585,13 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 // everything currently in the log has been written (the "drain" part of
 // graceful shutdown).
 //
-// Every line is a cached frame the tenant loop encoded once at record
-// time (Tenant.FramesSince); the handler only moves bytes. A following
-// stream that lags more than streamMaxLag records behind the tip after a
-// drain is evicted with a StreamGone control line; one that stops reading
-// entirely dies on the frameWriter's stall deadline.
+// Every line is a frame the tenant loop encoded once at record time; the
+// handler only moves bytes — a run of a resident chunk per write, or, for
+// seqs below the log's resident floor, blocks of the sealed history files
+// that hold the same bytes. A following stream that lags more than
+// streamMaxLag records behind the tip after a drain is evicted with a
+// StreamGone control line; one that stops reading entirely dies on the
+// frameWriter's stall deadline.
 func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	t := s.routeTenant(w, r)
 	if t == nil {
@@ -611,34 +613,39 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	fw := s.newFrameWriter(w)
 	// Push the headers out now: a follower of an idle tenant must see the
 	// stream open immediately, not on the first dispatch.
-	fw.flush()
+	if fw.flush() != nil {
+		return
+	}
 
 	sub := t.Subscribe()
 	defer t.Unsubscribe(sub)
 
 	pos := from
 	for {
-		frames := t.FramesSince(pos)
-		wrote := len(frames) > 0
-		for len(frames) > 0 {
-			n := len(frames)
-			if n > maxStreamBatch {
-				n = maxStreamBatch
+		log := &t.snap.Load().log
+		wrote := pos < log.len()
+		if floor := log.floor(); wrote && pos < floor {
+			if err := s.copySealed(fw, log.hist, pos); err != nil {
+				return
 			}
-			if err := fw.writeFrames(frames[:n]); err != nil {
+			pos = floor
+		}
+		for pos < log.len() {
+			frames, n := log.frames(pos, maxStreamBatch)
+			// n is never 0 inside the log; a stream must not spin if it were.
+			if _, err := fw.Write(frames); err != nil || n == 0 {
 				return // client went away or stalled past the deadline
 			}
 			pos += int64(n)
-			frames = frames[n:]
 		}
-		if wrote {
-			fw.flush()
+		if wrote && fw.flush() != nil {
+			return
 		}
 		if follow && s.streamMaxLag > 0 {
 			if t.LogLen()-pos > s.streamMaxLag {
 				// The log outgrew this follower by more than the bound
 				// while it drained: cut it loose rather than chase it.
-				s.streamEvict.Add(1)
+				s.obs.streamEvict.Add(1)
 				fw.writeGone(pos)
 				return
 			}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"sync"
@@ -30,17 +31,14 @@ import (
 //   - loop-owned (no lock; only the loop goroutine may touch them after
 //     start): ex — which also holds the tenant's one Σwt ≤ M ledger: M,
 //     the queued shrink target and Σwt are asked of it and kept nowhere
-//     else (readers use the snapshot) — tasks, log, maxTar, reject,
-//     pendDisp, jobs, recs, cur*.
+//     else (readers use the snapshot) — tasks, log (its manifest included:
+//     compaction extends it through a control command, sealHistory),
+//     maxTar, reject, pendDisp, jobs, recs, cur*.
 //   - immutable after construction: id, policy, ring, ctl, closed.
 //   - atomics: snap (published state), hooks (journal callbacks), obsP
 //     (tracer + histograms), closing (delete gate).
 //   - locks: ringMu is the enqueue/close barrier (see loop.go); subMu
 //     guards the stream-follower set.
-//   - compaction-owned: hist, sealed. Set before start by restoreTenant,
-//     then written only by Server.compact under opMu's write side; the
-//     loop reads them only inside the checkpoint control command compact
-//     itself issues, so the command hand-off orders every access.
 type Tenant struct {
 	id     string
 	policy string
@@ -58,21 +56,9 @@ type Tenant struct {
 	// Loop-owned state.
 	ex    *online.Executive
 	tasks map[string]*model.Task // the active tasks, by name
-	log   []DispatchEvent
-	// frames mirrors log entry-for-entry with each event's NDJSON wire
-	// bytes (json.Marshal + '\n'), encoded once here — by the loop that
-	// owns the record — and then served by reference to every dispatch
-	// stream and ?from replay. Entries recorded while no subscriber was
-	// attached are nil (the submit path pays nothing for egress nobody
-	// is reading); FramesSince fills those on demand without touching
-	// the shared array. Same aliasing discipline as log: the visible
-	// prefix of the backing array is immutable.
-	frames [][]byte
-	// hist is the manifest of log's sealed prefix — the first `sealed`
-	// events, already on disk in history files (history.go) — which a
-	// checkpoint therefore names instead of copying.
-	hist   []histSegment
-	sealed int64
+	// log is the dispatch history, kept once, as the wire bytes every
+	// reader is served (dispatchlog.go).
+	log    dispatchLog
 	maxTar rat.Rat
 	reject int64
 	// pendDisp buffers the dispatch records one command's apply produced;
@@ -97,17 +83,12 @@ type Tenant struct {
 
 	subMu sync.Mutex
 	subs  map[*subscriber]struct{}
-	// subCount mirrors len(subs) for the loop's record path: with no
-	// follower attached the loop skips the eager frame encode entirely.
-	// The read is racy by design — a follower arriving mid-command at
-	// worst finds nil entries, which FramesSince encodes on demand.
-	subCount atomic.Int64
 }
 
 // tenantSnap is the immutable state image the loop publishes after every
-// command. The log slice aliases the loop's backing array up to its
-// length — the loop only ever appends past it, so the visible prefix
-// never mutates and readers serve it with zero copying.
+// command. log is a view of the loop's dispatch log as of that command
+// (see dispatchLog): the loop only ever appends past it, so readers serve
+// its bytes with zero copying.
 type tenantSnap struct {
 	now      rat.Rat
 	util     rat.Rat
@@ -115,8 +96,7 @@ type tenantSnap struct {
 	pendingM int // queued drain-mode shrink target, 0 when none
 	tasks    int
 	pending  int
-	log      []DispatchEvent
-	frames   [][]byte // wire bytes of log, index-aligned (see Tenant.frames)
+	log      dispatchLog
 	maxTar   rat.Rat
 	reject   int64
 }
@@ -184,11 +164,14 @@ func newTenant(id string, m int, policyName string, ringSize int) (*Tenant, erro
 // newTenantCore builds the shared tenant shell. The loop is NOT started:
 // callers finish wiring loop-owned state (restoreTenant indexes the
 // active tasks, installs the log) and then call start. Both the
-// live-create and the recovery-restore path come through here.
+// live-create and the recovery-restore path come through here. A tenant
+// may live forever, so its executive keeps nothing behind its cursors: the
+// dispatch log is the only record of a past decision.
 func newTenantCore(id, policy string, ex *online.Executive, ringSize int) *Tenant {
 	if ringSize <= 0 {
 		ringSize = defaultSubmitRing
 	}
+	ex.ForgetHistory()
 	t := &Tenant{
 		id:     id,
 		policy: policy,
@@ -226,11 +209,10 @@ func (t *Tenant) publish() bool {
 		tasks:    len(t.tasks),
 		pending:  t.ex.Pending(),
 		log:      t.log,
-		frames:   t.frames,
 		maxTar:   t.maxTar,
 		reject:   t.reject,
 	})
-	return prev == nil || len(t.log) > len(prev.log)
+	return prev == nil || t.log.len() > prev.log.len()
 }
 
 // pingSubs wakes every stream follower (coalesced, non-blocking).
@@ -285,11 +267,15 @@ func (t *Tenant) traceRing() *obs.Ring {
 // obsSnapshot snapshots the tenant's observability series for /metrics.
 func (t *Tenant) obsSnapshot() tenantObsSnap {
 	o := t.obs()
+	log := &t.snap.Load().log
 	return tenantObsSnap{
-		id:        t.id,
-		submitAck: o.submitAck.Snapshot(),
-		lag:       o.lag.Snapshot(),
-		traceLen:  o.tr.Ring().Next(),
+		id:             t.id,
+		submitAck:      o.submitAck.Snapshot(),
+		lag:            o.lag.Snapshot(),
+		traceLen:       o.tr.Ring().Next(),
+		residentBytes:  log.resident,
+		residentEvents: log.len() - log.floor(),
+		sealedEvents:   log.floor(),
 	}
 }
 
@@ -336,9 +322,10 @@ func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch f
 
 // record is the executive's OnDispatch hook. It runs on the loop
 // goroutine (dispatches only happen inside a command's apply), so plain
-// field access is safe. Dispatch WAL records are buffered in pendDisp and
-// flushed as one frame group after the apply; follower wakeups happen
-// once per command, after the snapshot publishes.
+// field access is safe. The decision is encoded once, into the log's tail;
+// dispatch WAL records are buffered in pendDisp and flushed as one frame
+// group after the apply; follower wakeups happen once per command, after
+// the snapshot publishes.
 func (t *Tenant) record(d online.Dispatch) {
 	deadline := d.Sub.Deadline()
 	tard := d.Finish.Sub(rat.FromInt(deadline))
@@ -348,33 +335,19 @@ func (t *Tenant) record(d online.Dispatch) {
 	if t.maxTar.Less(tard) {
 		t.maxTar = tard
 	}
-	t.log = append(t.log, DispatchEvent{
-		Seq:       int64(len(t.log)),
-		Task:      d.Sub.Task.Name,
-		Index:     d.Sub.Index,
-		Proc:      d.Proc,
-		Start:     d.Start.String(),
-		Finish:    d.Finish.String(),
-		Deadline:  deadline,
-		Tardiness: tard.String(),
-	})
-	ev := t.log[len(t.log)-1]
-	var frame []byte
-	if t.subCount.Load() > 0 {
-		frame = marshalDispatchFrame(ev)
-	}
-	t.frames = append(t.frames, frame)
+	seq, task := t.log.len(), d.Sub.Task.Name
+	t.log.append(task, d.Sub.Index, d.Proc, d.Start, d.Finish, deadline, tard)
 	o := t.obs()
 	lagf := tard.Float64()
 	o.lag.Observe(lagf)
 	if o.sobs != nil {
 		o.sobs.dispatchLag.Observe(lagf)
 	}
-	o.tr.Dispatch(t.id, t.curCmd, t.curStart, t.curOp, ev.Task, ev.Seq, ev.Tardiness)
+	o.tr.Dispatch(t.id, t.curCmd, t.curStart, t.curOp, task, seq, tard.String())
 	if t.hooks.Load() != nil {
 		t.pendDisp = append(t.pendDisp, wal.Record{
 			Op: wal.OpDispatch, Tenant: t.id,
-			Name: ev.Task, DSeq: ev.Seq, Index: ev.Index, Finish: ev.Finish,
+			Name: task, DSeq: seq, Index: d.Sub.Index, Finish: d.Finish.String(),
 		})
 	}
 }
@@ -857,7 +830,7 @@ func (t *Tenant) applyRun(rec wal.Record, run func() error) cmdResult {
 	if err != nil {
 		return cmdResult{err: err}
 	}
-	before := int64(len(t.log))
+	before := t.log.len()
 	if err := run(); err != nil {
 		return cmdResult{err: t.wedge(err)}
 	}
@@ -865,7 +838,7 @@ func (t *Tenant) applyRun(rec wal.Record, run func() error) cmdResult {
 	return cmdResult{
 		adv: AdvanceResponse{
 			Now:        t.ex.Now().String(),
-			Dispatched: int64(len(t.log)) - before,
+			Dispatched: t.log.len() - before,
 			Pending:    t.ex.Pending(),
 		},
 		commit: commit,
@@ -886,83 +859,26 @@ func (t *Tenant) Info() TenantInfo {
 		Utilization:  sn.util.String(),
 		Tasks:        sn.tasks,
 		Pending:      sn.pending,
-		Dispatches:   int64(len(sn.log)),
+		Dispatches:   sn.log.len(),
 		MaxTardiness: sn.maxTar.String(),
 		Rejections:   sn.reject,
 	}
 }
 
-// EventsSince returns the dispatch log from seq `from` on. The returned
-// slice aliases the published snapshot's immutable prefix — no copy, no
-// lock; the loop only ever appends past it.
-func (t *Tenant) EventsSince(from int64) []DispatchEvent {
-	sn := t.snap.Load()
-	if from < 0 {
-		from = 0
-	}
-	if from >= int64(len(sn.log)) {
-		return nil
-	}
-	return sn.log[from:]
-}
-
-// FramesSince is EventsSince in wire form: the cached NDJSON frames from
-// seq `from` on, index-aligned with the log. Streaming handlers write
-// these bytes verbatim, so one encode (at record time) feeds every
-// follower. Entries recorded while nobody was subscribed are nil in the
-// cache; those are encoded here, on demand, into a private slice — the
-// shared snapshot array is never written. The same zero-copy aliasing
-// rules apply; callers must treat the frames as immutable.
-func (t *Tenant) FramesSince(from int64) [][]byte {
-	sn := t.snap.Load()
-	if from < 0 {
-		from = 0
-	}
-	if from >= int64(len(sn.frames)) {
-		return nil
-	}
-	frames := sn.frames[from:]
-	for i, f := range frames {
-		if f != nil {
-			continue
-		}
-		out := append([][]byte(nil), frames...)
-		for j := i; j < len(out); j++ {
-			if out[j] == nil {
-				out[j] = marshalDispatchFrame(sn.log[from+int64(j)])
-			}
-		}
-		return out
-	}
-	return frames
-}
-
 // LogLen returns the published dispatch-log length — the seq the next
 // decision will get. Stream handlers use it to measure follower lag.
 func (t *Tenant) LogLen() int64 {
-	return int64(len(t.snap.Load().log))
+	return t.snap.Load().log.len()
 }
 
-// installLog seats a checkpointed dispatch log before start(), while no
-// loop can be running, re-seating the egress frame cache so restored
-// tenants serve ?from replay from wire bytes like live ones.
-func (t *Tenant) installLog(log []DispatchEvent) {
-	t.log = log
-	// All-nil cache: restored history is encoded lazily on first replay,
-	// so restarting a server with large checkpoints pays no egress cost
-	// for logs nobody streams.
-	t.frames = make([][]byte, len(log))
-}
-
-// eventAt returns the dispatch event with sequence number seq, if the log
-// holds it. Recovery uses it to verify regenerated decisions against the
-// journaled dispatch records.
+// eventAt decodes the dispatch event with sequence number seq, if the log
+// still holds it in memory. Recovery uses it to verify regenerated
+// decisions against the journaled dispatch records, which only ever name
+// decisions made since the last snapshot — never sealed ones.
 func (t *Tenant) eventAt(seq int64) (DispatchEvent, bool) {
-	sn := t.snap.Load()
-	if seq < 0 || seq >= int64(len(sn.log)) {
-		return DispatchEvent{}, false
-	}
-	return sn.log[seq], true
+	frame, n := t.snap.Load().log.frames(seq, 1)
+	var ev DispatchEvent
+	return ev, n == 1 && json.Unmarshal(frame, &ev) == nil
 }
 
 // Subscribe registers a stream follower; its ping channel receives a
@@ -971,7 +887,6 @@ func (t *Tenant) Subscribe() *subscriber {
 	sub := &subscriber{ping: make(chan struct{}, 1)}
 	t.subMu.Lock()
 	t.subs[sub] = struct{}{}
-	t.subCount.Store(int64(len(t.subs)))
 	t.subMu.Unlock()
 	return sub
 }
@@ -980,7 +895,6 @@ func (t *Tenant) Subscribe() *subscriber {
 func (t *Tenant) Unsubscribe(sub *subscriber) {
 	t.subMu.Lock()
 	delete(t.subs, sub)
-	t.subCount.Store(int64(len(t.subs)))
 	t.subMu.Unlock()
 }
 

@@ -65,12 +65,19 @@ func (l *Log) WriteSidecars(files []Sidecar) error {
 	return l.fs.SyncDir(l.dir)
 }
 
-// ReadSidecar returns the content of a sidecar stored by WriteSidecars.
-func (l *Log) ReadSidecar(name string) ([]byte, error) {
+// OpenSidecar opens a sidecar stored by WriteSidecars for sequential
+// reading. Sidecars are immutable, and removed only once no snapshot names
+// them, so a reader needs no lock against the journal.
+func (l *Log) OpenSidecar(name string) (io.ReadCloser, error) {
 	if !isSidecar(name) {
 		return nil, fmt.Errorf("wal: %q is not a sidecar name", name)
 	}
-	f, err := l.fs.Open(filepath.Join(l.dir, name))
+	return l.fs.Open(filepath.Join(l.dir, name))
+}
+
+// ReadSidecar returns the content of a sidecar stored by WriteSidecars.
+func (l *Log) ReadSidecar(name string) ([]byte, error) {
+	f, err := l.OpenSidecar(name)
 	if err != nil {
 		return nil, err
 	}
