@@ -68,8 +68,9 @@ bench:
 # PR 1 DVQ/SFQLarge set, plus the service-layer BenchmarkServerSubmit*
 # family, the egress-plane set — DispatchFanout/{1,8,64}subs against
 # its per-subscriber-encode baseline, and the pooled /metrics render —
-# TenantRecord/{0,1}subs, ns and allocs per dispatch on the record path
-# (target 0 allocs; an iteration is one dispatch, so it runs many), and
+# TenantRecord/{0subs,1subs,journaled}, ns and allocs per dispatch on the
+# record path, in memory and into a real journal with its group-commit
+# fsyncs (target 0 allocs; an iteration is one dispatch, so it runs many), and
 # Compact/history={10k,100k}, one compaction behind a short and a long
 # dispatch history, at its own iteration count: an iteration is a whole
 # compaction, fsyncs included).

@@ -14,11 +14,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/online"
 	"desyncpfair/internal/rat"
+	"desyncpfair/internal/wal"
 )
 
 // benchEvents builds a representative 64-record dispatch batch.
@@ -41,40 +44,83 @@ func benchEvents() []DispatchEvent {
 
 // BenchmarkTenantRecord is Tenant.record per dispatch — tardiness, the
 // frame encoded into the log's tail, the lag histograms, the trace event —
-// on an in-memory tenant, with the per-command publish (and, with a
-// subscriber, its wakeup) every 16 dispatches. The target is 0 allocs/op:
-// what a command allocates (its snapshot) is a sixteenth of one here. The
-// log restarts every 65536 dispatches so any -benchtime fits in memory.
+// with the per-command settle (publish and, with a subscriber, its wakeup)
+// every 16 dispatches. The target is 0 allocs/op: what a command allocates
+// (its snapshot) is a sixteenth of one here. The log restarts every 65536
+// dispatches so any -benchtime fits in memory.
+//
+// 0subs and 1subs run an in-memory tenant. journaled hooks the tenant into
+// a real wal.Log in b.TempDir() at FsyncEvery 64 and, like the handler of
+// the command that dispatched, waits on the journal after every settle, so
+// the group-commit fsyncs its dispatch journaling buys are inside the
+// number; journal-B/op is what one decision adds to the WAL.
 func BenchmarkTenantRecord(b *testing.B) {
+	run := func(b *testing.B, tn *Tenant, task *model.Task, settled func()) {
+		tn.publish()
+		sub := &model.Subtask{Task: task}
+		d := online.Dispatch{Sub: sub, Proc: 1, Finish: rat.FromInt(1000)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			sub.Index++
+			d.Start, d.Finish = d.Finish, d.Finish.Add(rat.One)
+			tn.record(d)
+			if n%16 == 15 {
+				tn.settle()
+				settled()
+			}
+			if n&(1<<16-1) == 1<<16-1 {
+				tn.log = dispatchLog{}
+				tn.publish()
+			}
+		}
+	}
+	newCore := func(b *testing.B) (*Tenant, *model.Task) {
+		ex := online.New(2, nil)
+		task, err := ex.Register("task-0", model.W(1, 2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return newTenantCore("bench", "PD2", ex, 0), task // loop not started: this goroutine is the writer
+	}
 	for _, subs := range []int{0, 1} {
 		b.Run(fmt.Sprintf("%dsubs", subs), func(b *testing.B) {
-			ex := online.New(2, nil)
-			task, err := ex.Register("task-0", model.W(1, 2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			tn := newTenantCore("bench", "PD2", ex, 0) // loop not started: this goroutine is the writer
-			tn.publish()
+			tn, task := newCore(b)
 			for i := 0; i < subs; i++ {
 				tn.Subscribe()
 			}
-			sub := &model.Subtask{Task: task}
-			d := online.Dispatch{Sub: sub, Proc: 1, Finish: rat.FromInt(1000)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				sub.Index++
-				d.Start, d.Finish = d.Finish, d.Finish.Add(rat.One)
-				tn.record(d)
-				if n%16 == 15 && tn.publish() {
-					tn.pingSubs()
-				}
-				if n&(1<<16-1) == 1<<16-1 {
-					tn.log = dispatchLog{}
-				}
-			}
+			run(b, tn, task, func() {})
 		})
 	}
+	b.Run("journaled", func(b *testing.B) {
+		dir := b.TempDir()
+		l, _, err := wal.Open(dir, wal.Options{FsyncEvery: 64})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		tn, task := newCore(b)
+		tn.SetJournal(l.AppendAsync, l.AppendBatch, l.Fail)
+		run(b, tn, task, func() {
+			if err := l.Wait(wal.Commit{LSN: l.WrittenLSN()}); err != nil {
+				b.Fatal(err)
+			}
+		})
+		b.StopTimer()
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var size int64
+		for _, seg := range segs {
+			fi, err := os.Stat(seg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			size += fi.Size()
+		}
+		b.ReportMetric(float64(size)/float64(b.N), "journal-B/op")
+	})
 }
 
 func BenchmarkDispatchFanout(b *testing.B) {
