@@ -4,8 +4,8 @@ BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 # The archived bench document this tree writes (bench-json) and the one it
 # is gated against (bench-diff). A PR that archives new numbers bumps both.
-BENCH_N ?= BENCH_16.json
-BENCH_PREV ?= BENCH_15.json
+BENCH_N ?= BENCH_17.json
+BENCH_PREV ?= BENCH_16.json
 
 .PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
@@ -142,11 +142,15 @@ obs:
 # too), shutdown edges, SIGTERM drain, and sealed dispatch history: the
 # crash-at-every-filesystem-operation sweeps across a sealing compaction,
 # the parent-format snapshot, a follower bootstrapped from a leader whose
-# history is in files — under the race detector.
+# history is in files — and the journal's dispatch verification (-v, CI
+# greps for them): a parent-format journal of per-decision records, a
+# tampered journal that must be counted, a follower that compacts between
+# a command and its digest — under the race detector.
 recovery:
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/faultfs/ ./cmd/pfaird/ \
 		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|ExecutiveMatchesReference'
-	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormat'
+	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot'
+	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestRestoreParentFormatJournal|TestRecoveryCountsTamperedJournal|TestFollowerCompactionBeforeDigest'
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'TestFollowerBootstrapFromSealedHistory'
 
 # longrun is the bounded-state soak: the tier-1 flatness gate

@@ -196,7 +196,10 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 		if err := f.srv.ApplyReplicated(rec); err != nil {
 			return err
 		}
-		f.srv.SetReplicationError("") // healthy again after any past fault
+		// The stream delivered and the journal took a record: any past
+		// transport fault is over. Whether the record applied cleanly is the
+		// server's to count, and this does not clear it.
+		f.srv.SetReplicationError("")
 		if applied++; applied%256 == 0 {
 			f.srv.MaybeCompact()
 		}

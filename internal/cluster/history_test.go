@@ -42,7 +42,11 @@ func replayBytes(t *testing.T, base, tenant string) []byte {
 func TestFollowerBootstrapFromSealedHistory(t *testing.T) {
 	ctx := context.Background()
 	leaderDir := t.TempDir()
-	lsrv, err := server.Open(server.Options{DataDir: leaderDir, FsyncEvery: 1, SnapshotEvery: 2048})
+	// Sized by dispatches: a round below is 16 decisions in 18 journal
+	// records (16 jobs, the advance, its dispatch digest), so the leader
+	// compacts about every 57 rounds, and the compaction past round 256 —
+	// the first with 4096 unsealed events — seals them.
+	lsrv, err := server.Open(server.Options{DataDir: leaderDir, FsyncEvery: 1, SnapshotEvery: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -612,8 +612,14 @@ func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, backend str
 			w.Header().Set(k, v)
 		}
 	}
+	// A reply whose length the backend declared keeps it: set here, the
+	// header stops net/http from turning the reply into a chunked stream.
+	// (A declared length of 0 needs no header; the server adds its own.)
+	if resp.ContentLength > 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	w.WriteHeader(resp.StatusCode)
-	flushCopy(w, resp.Body)
+	copyReply(w, resp.Body, resp.ContentLength < 0)
 	return nil
 }
 
@@ -624,18 +630,28 @@ func queryString(req *http.Request) string {
 	return "?" + req.URL.RawQuery
 }
 
-// flushCopy streams src to w, flushing after every chunk so NDJSON
-// dispatch feeds stay live through the proxy hop.
-func flushCopy(w http.ResponseWriter, src io.Reader) {
+// copyBufs recycles the buffers replies are copied through.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// copyReply copies a backend's reply body to w. live marks a body of
+// undeclared length — an NDJSON feed — which is flushed at once (the feed
+// of an idle tenant must still open) and after every read, so its frames
+// cross the proxy hop as they are made; a reply of declared length is left
+// to go out whole, under its Content-Length.
+func copyReply(w http.ResponseWriter, src io.Reader, live bool) {
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
 	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	if live && fl != nil {
+		fl.Flush()
+	}
 	for {
-		n, err := src.Read(buf)
+		n, err := src.Read(*bp)
 		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
+			if _, werr := w.Write((*bp)[:n]); werr != nil {
 				return
 			}
-			if fl != nil {
+			if live && fl != nil {
 				fl.Flush()
 			}
 		}

@@ -3,7 +3,10 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,5 +209,66 @@ func TestRouterShardsTenants(t *testing.T) {
 	}
 	if len(infos) != n {
 		t.Fatalf("router merged %d tenants, want %d", len(infos), n)
+	}
+}
+
+// TestRouterKeepsLengthAndStreamsLive pins the two shapes a proxied reply
+// has. A reply the backend sent with a Content-Length crosses the router
+// with it — not re-framed as a chunked stream — and a dispatch feed, whose
+// length nobody knows, still delivers each frame as it is made: the reader
+// below gets a decision while the stream is open, before any other exists.
+func TestRouterKeepsLengthAndStreamsLive(t *testing.T) {
+	srv := server.New()
+	defer srv.Shutdown()
+	backend := httptest.NewServer(srv.Handler())
+	defer backend.Close()
+	router, err := cluster.NewRouter(cluster.RouterOptions{
+		Groups:         [][]string{{backend.URL}},
+		HealthInterval: 25 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	router.Start()
+	defer router.Close()
+	rhs := httptest.NewServer(router.Handler())
+	defer rhs.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rc := client.New(rhs.URL, nil)
+	if _, err := rc.CreateTenant(ctx, "t", 1, ""); err != nil {
+		t.Fatalf("CreateTenant: %v", err)
+	}
+	if _, err := rc.RegisterTask(ctx, "t", "x", model.Weight{E: 1, P: 2}); err != nil {
+		t.Fatalf("RegisterTask: %v", err)
+	}
+
+	st, err := rc.StreamDispatches(ctx, "t", 0, true)
+	if err != nil {
+		t.Fatalf("StreamDispatches through the router: %v", err)
+	}
+	defer st.Close()
+
+	resp, err := http.Post(rhs.URL+"/v1/tenants/t/jobs", "application/json", strings.NewReader(`{"task":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("proxied submit: HTTP %d, %v", resp.StatusCode, err)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 || len(body) == 0 {
+		t.Fatalf("proxied submit reply: Content-Length %d, Transfer-Encoding %v, %d body bytes; want the backend's length, not a chunked stream",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+
+	if _, err := rc.AdvanceBy(ctx, "t", "1"); err != nil {
+		t.Fatalf("AdvanceBy: %v", err)
+	}
+	ev, err := st.Next()
+	if err != nil || ev.Seq != 0 || ev.Task != "x" {
+		t.Fatalf("live frame through the router: %+v, %v", ev, err)
 	}
 }

@@ -140,8 +140,9 @@ type DispatchEvent struct {
 }
 
 // HealthResponse is the body of GET /healthz. Status is "ok", "degraded"
-// (recovery saw replay errors or dispatch mismatches, or replication is
-// erroring — state is being served but warrants attention),
+// (recovery, or a follower applying replicated records, saw replay errors
+// or dispatch mismatches, or the replication transport is erroring — state
+// is being served but warrants attention),
 // "bootstrapping" (a follower still loading its snapshot/backlog; served
 // with HTTP 503 so routers never send traffic to a cold node), or
 // "wal-failed" (the journal wedged; mutations return 503 until restart).
@@ -157,6 +158,10 @@ type HealthResponse struct {
 	AppliedLSN        uint64        `json:"appliedLSN,omitempty"`
 	ReplicationLagLSN *int64        `json:"replicationLagLSN,omitempty"`
 	Recovery          *RecoveryInfo `json:"recovery,omitempty"`
+	// Replicated records that did not apply cleanly since boot, the
+	// follower-side twins of Recovery's ReplayErrors / DispatchMismatches.
+	ReplicationApplyErrors        int64 `json:"replicationApplyErrors,omitempty"`
+	ReplicationDispatchMismatches int64 `json:"replicationDispatchMismatches,omitempty"`
 }
 
 // ErrorResponse is the body of every non-2xx reply.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"sort"
 
 	"desyncpfair/internal/rat"
@@ -12,9 +13,10 @@ import (
 // served: each decision is encoded by Tenant.record straight into the tail
 // of an append-only list of chunks, and the stream, the ?from replay, the
 // sealed history files and the snapshot's inline tail are all cut from
-// those bytes. There is no struct form to keep beside them; the one place
-// that wants an event back (recovery's dispatch verification) decodes the
-// one frame it asks for.
+// those bytes — and so is what the journal keeps of a command's decisions,
+// a checksum of their frames. There is no struct form to keep beside them;
+// the one place that wants an event back (recovery verifying a journal
+// written before the digest) decodes the one frame it asks for.
 //
 // Chunks hold no pointers, so the collector never scans the log. A durable
 // tenant's log leaves memory a segment at a time: the compaction that seals
@@ -151,6 +153,21 @@ func (l *dispatchLog) frames(pos int64, limit int) ([]byte, int) {
 		hi = int(c.offs[i+n])
 	}
 	return c.data[c.offs[i]:hi], n
+}
+
+// checksum extends crc, a running crc32 (IEEE), over the wire bytes,
+// newlines included, of the n resident frames from seq first on. From 0 it
+// is what a dispatch digest carries.
+func (l *dispatchLog) checksum(crc uint32, first, n int64) uint32 {
+	for n > 0 {
+		b, k := l.frames(first, int(n))
+		if k == 0 {
+			break // not resident; no caller asks for that
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		first, n = first+int64(k), n-int64(k)
+	}
+	return crc
 }
 
 // inline renders the resident frames as a snapshot carries an unsealed

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"time"
@@ -267,6 +268,12 @@ func Open(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The journal is attached before anything is restored or replayed, so
+	// every tenant gets its hooks (addTenant) and digests what its commands
+	// decide — what replay checks the journaled dispatch digests against.
+	// s.journaling stays false until replay is over: nothing replayed is
+	// journaled again.
+	s.wal = l
 	info := RecoveryInfo{
 		Durable:        true,
 		SnapshotLSN:    rec.SnapshotLSN,
@@ -297,17 +304,19 @@ func Open(opts Options) (*Server, error) {
 		}
 	}
 	for _, r := range rec.Records {
-		s.applyRecord(r, &info)
+		info.RecordsReplayed++
+		switch ok := s.applyRecord(r); {
+		case r.IsCommand() && ok:
+			info.CommandsReplayed++
+		case r.IsCommand():
+			info.ReplayErrors++
+		case !ok:
+			info.DispatchMismatches++
+		}
 	}
 	info.Commands = s.cmdSeq.Load()
 	info.Tenants = len(s.allTenants())
-
-	// Arm durability only now: replay itself must not re-journal.
-	s.wal = l
 	s.recovery = &info
-	for _, t := range s.allTenants() {
-		t.SetJournal(s.journalRecord, s.journalBatch, s.failJournal)
-	}
 	s.appliedLSN.Store(l.WrittenLSN())
 	if opts.Follower {
 		// A follower applies records the leader already journaled: its
@@ -329,17 +338,17 @@ func Open(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// applyRecord replays one journal record during recovery. Command records
-// re-apply through the same tenant methods that served them; dispatch
-// records are verified against the regenerated decisions. Failures are
-// counted, never fatal — a recovered server with non-zero counters is
+// applyRecord replays one journal record — recovery's, or one a follower
+// was shipped — and reports whether it did what the server that journaled
+// it recorded. Command records re-apply through the same tenant methods
+// that served them (and count as commands when they do); dispatch records
+// are verified against the regenerated decisions. A failure is for the
+// caller to count, never fatal — a server with non-zero counters is
 // degraded, and /healthz says so.
-func (s *Server) applyRecord(r wal.Record, info *RecoveryInfo) {
-	info.RecordsReplayed++
-	ok := false
+func (s *Server) applyRecord(r wal.Record) (ok bool) {
 	switch r.Op {
 	case wal.OpTerm:
-		return // leadership-change marker: no state to apply
+		return true // leadership-change marker: no state to apply
 	case wal.OpTenantCreate:
 		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.submitRing)
 		if err == nil {
@@ -350,29 +359,63 @@ func (s *Server) applyRecord(r wal.Record, info *RecoveryInfo) {
 		ok = err == nil
 	case wal.OpTenantDelete:
 		ok = s.dropTenant(r.Tenant)
+	case wal.OpDispatch:
+		if t := s.tenant(r.Tenant); t != nil {
+			ok = s.verifyDispatch(t, r)
+		}
 	default:
 		if t := s.tenant(r.Tenant); t != nil {
 			ok = t.replay(r)
 		}
 	}
-	switch {
-	case r.Op == wal.OpDispatch:
-		if !ok {
-			info.DispatchMismatches++
-		}
-	case !ok:
-		info.ReplayErrors++
-	default:
+	if ok && r.IsCommand() {
 		s.cmdSeq.Add(1)
-		info.CommandsReplayed++
 	}
+	return ok
 }
 
-// replay re-applies one journaled record of this tenant, reporting whether
-// it did what the pre-crash server journaled it as doing: a command
-// applied — a journaled registration was admitted, a journaled resize
-// applied or queued, anything else means journal and state diverged — and
-// a dispatch record matched the regenerated decision.
+// verifyDispatch reports whether a journaled dispatch record matches the
+// decisions this node regenerated. It never needs the frames resident — a
+// follower compacts where it likes, and may have sealed them into a history
+// file since the command applied.
+func (s *Server) verifyDispatch(t *Tenant, r wal.Record) bool {
+	sn := t.snap.Load()
+	switch {
+	case r.Count == 0:
+		// A journal written before the digest: one record per decision,
+		// checked field by field against the frame. This form does need the
+		// frame in memory; recovery never compacts between records, a
+		// follower of a leader that still writes it can, and then counts a
+		// mismatch, as it always did.
+		ev, ok := t.eventAt(r.DSeq)
+		return ok && ev.Task == r.Name && ev.Index == r.Index && ev.Finish == r.Finish
+	case sn.digest.count != 0:
+		// The record follows its command's with no other of the tenant
+		// between them, so it must equal the digest the tenant computed when
+		// it applied its last deciding command: as many decisions, at the
+		// same seqs, every byte of every frame the same.
+		return sn.digest == dispatchDigest{first: r.DSeq, count: r.Count, crc: r.CRC}
+	case r.DSeq < 0 || r.Count < 0 || r.DSeq+r.Count != sn.log.len():
+		return false
+	}
+	// A tenant that holds no digest was restored from a snapshot taken
+	// between the command and this record and has decided nothing since: the
+	// decisions are the end of its log, checksummed where they lie — history
+	// files, then memory.
+	sum, pos := crc32.NewIEEE(), r.DSeq
+	if floor := sn.log.floor(); pos < floor {
+		if err := s.copySealed(sum, sn.log.hist, pos); err != nil {
+			return false
+		}
+		pos = floor
+	}
+	return sn.log.checksum(sum.Sum32(), pos, sn.log.len()-pos) == r.CRC
+}
+
+// replay re-applies one journaled command of this tenant, reporting whether
+// it did what the pre-crash server journaled it as doing: it applied — a
+// journaled registration was admitted, a journaled resize applied or
+// queued, anything else means journal and state diverged.
 func (t *Tenant) replay(r wal.Record) bool {
 	var err error
 	switch r.Op {
@@ -392,9 +435,6 @@ func (t *Tenant) replay(r wal.Record) bool {
 		var resp ResizeResponse
 		resp, _, err = t.Resize(r.M, r.Mode == "drain")
 		return err == nil && resp.Outcome != admission.ResizeRejected.String()
-	case wal.OpDispatch:
-		ev, ok := t.eventAt(r.DSeq)
-		return ok && ev.Task == r.Name && ev.Index == r.Index && ev.Finish == r.Finish
 	default:
 		return false
 	}

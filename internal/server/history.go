@@ -98,17 +98,17 @@ func copyHistory(w io.Writer, l *wal.Log, id string, hist []histSegment) error {
 	return nil
 }
 
-// copySealed serves the sealed frames from seq pos to the end of hist
+// copySealed writes the sealed frames from seq pos to the end of hist
 // straight from the history files, which hold exactly the bytes the stream
 // carries, in blocks bounded like any other stream write.
-func (s *Server) copySealed(fw *frameWriter, hist []histSegment, pos int64) error {
+func (s *Server) copySealed(w io.Writer, hist []histSegment, pos int64) error {
 	i := sort.Search(len(hist), func(i int) bool { return hist[i].FirstSeq+hist[i].Count > pos })
 	for ; i < len(hist); i++ {
 		f, err := s.wal.OpenSidecar(hist[i].File)
 		if err != nil {
 			return err
 		}
-		err = copyFrames(fw, f, pos-hist[i].FirstSeq)
+		err = copyFrames(w, f, pos-hist[i].FirstSeq)
 		f.Close()
 		if err != nil {
 			return err

@@ -203,22 +203,24 @@ func (t *Tenant) process(c *command) (stop bool) {
 	return false
 }
 
-// settle ends a command's apply: it journals the dispatch records the
-// apply buffered as one frame group (they follow their command record in
-// the journal, preceding the next command), publishes the post-command
-// snapshot, and wakes stream followers if the log grew. A command is
-// completed only after it, so whoever is acknowledged can already read
-// its own effect.
+// settle ends a command's apply. The decisions it made are the frames the
+// log gained since the last published snapshot; a journaled tenant digests
+// them — their count and a checksum of their wire bytes — and journals that
+// one record, which follows its command record and precedes the next
+// command. Then the post-command snapshot publishes and stream followers
+// wake if the log grew. A command is completed only after it, so whoever is
+// acknowledged can already read its own effect.
 func (t *Tenant) settle() {
-	if len(t.pendDisp) > 0 {
+	first := t.snap.Load().log.len()
+	if n := t.log.len() - first; n > 0 {
 		if h := t.hooks.Load(); h != nil {
-			// Dispatch records are verification-only: recovery regenerates
-			// decisions by replaying commands and checks them against these.
-			// An append error here already wedged the log, so the following
-			// command will fail loudly; nothing to do with it now.
-			_, _ = h.batch(t.pendDisp)
+			t.digest = dispatchDigest{first: first, count: n, crc: t.log.checksum(0, first, n)}
+			// The digest is verification-only: recovery regenerates decisions
+			// by replaying commands and checks them against it. An append
+			// error here already wedged the log, so the following command
+			// will fail loudly; nothing to do with it now.
+			_, _ = h.append(wal.Record{Op: wal.OpDispatch, Tenant: t.id, DSeq: first, Count: n, CRC: t.digest.crc})
 		}
-		t.pendDisp = t.pendDisp[:0]
 	}
 	if t.publish() {
 		t.pingSubs()

@@ -287,6 +287,12 @@ func (s *Server) appendWALMetrics(b []byte) []byte {
 	b = append(b, "# HELP pfaird_replication_lag_lsn LSNs this follower trails its leader's durable tip (0 on a leader, -1 before first measurement).\n"...)
 	b = append(b, "# TYPE pfaird_replication_lag_lsn gauge\n"...)
 	b = appendBare(b, "pfaird_replication_lag_lsn", s.replicationLag())
+	b = append(b, "# HELP pfaird_replication_apply_errors_total Replicated commands that failed to re-apply on this follower (0 on a healthy one).\n"...)
+	b = append(b, "# TYPE pfaird_replication_apply_errors_total counter\n"...)
+	b = appendBare(b, "pfaird_replication_apply_errors_total", s.replApplyErrors.Load())
+	b = append(b, "# HELP pfaird_replication_dispatch_mismatches_total Replicated dispatch records that contradicted the decisions this follower regenerated (0 on a healthy one).\n"...)
+	b = append(b, "# TYPE pfaird_replication_dispatch_mismatches_total counter\n"...)
+	b = appendBare(b, "pfaird_replication_dispatch_mismatches_total", s.replMismatches.Load())
 	b = s.obs.appendWALTimingMetrics(b)
 	return s.obs.appendCompactionMetrics(b)
 }

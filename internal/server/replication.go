@@ -76,8 +76,12 @@ func (s *Server) AppliedLSN() uint64 {
 // surfaces in /healthz and as pfaird_replication_lag_lsn.
 func (s *Server) SetReplicationLag(lag int64) { s.replLagLSN.Store(lag) }
 
-// SetReplicationError records (or, with "", clears) a replication fault.
-// A non-empty error turns /healthz "degraded" without stopping reads.
+// SetReplicationError records (or, with "", clears) a fault of the
+// replication transport — the stream broke, the leader fenced us, our
+// cursor fell below its snapshot. A non-empty error turns /healthz
+// "degraded" without stopping reads. A record that did not apply cleanly
+// is not one of these: ApplyReplicated counts it, and nothing clears a
+// count.
 func (s *Server) SetReplicationError(msg string) {
 	if msg == "" {
 		s.replErr.Store(nil)
@@ -114,9 +118,11 @@ func (s *Server) MaybeCompact() { s.maybeCompact() }
 // rejects discontinuities and stale terms), then apply through the same
 // dispatcher recovery replays with. Journal errors are fatal to the
 // stream — the local log refused the record, so applying it would fork
-// state from disk. Apply errors are counted and degrade /healthz but do
-// not stop replication, mirroring recovery's counted-never-fatal
-// contract. Called from the single tailer goroutine only.
+// state from disk. Apply errors are counted (replApplyErrors,
+// replMismatches: /metrics, the /healthz body) and degrade /healthz for
+// good but do not stop replication, mirroring recovery's
+// counted-never-fatal contract. Called from the single tailer goroutine
+// only.
 func (s *Server) ApplyReplicated(r wal.Record) error {
 	if s.Role() != RoleFollower {
 		return fmt.Errorf("server: %s does not accept replicated records", s.Role())
@@ -129,10 +135,12 @@ func (s *Server) ApplyReplicated(r wal.Record) error {
 	if _, err := s.wal.AppendReplicated(r); err != nil {
 		return err
 	}
-	before := s.replInfo.ReplayErrors + s.replInfo.DispatchMismatches
-	s.applyRecord(r, &s.replInfo)
-	if after := s.replInfo.ReplayErrors + s.replInfo.DispatchMismatches; after > before {
-		s.SetReplicationError(fmt.Sprintf("replicated record %d (%s) did not apply cleanly", r.LSN, r.Op))
+	if !s.applyRecord(r) {
+		if r.Op == wal.OpDispatch {
+			s.replMismatches.Add(1)
+		} else {
+			s.replApplyErrors.Add(1)
+		}
 	}
 	s.appliedLSN.Store(r.LSN)
 	return nil

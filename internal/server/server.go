@@ -99,9 +99,12 @@ type Server struct {
 	replErr       atomic.Pointer[string]
 	promoteMu     sync.Mutex
 	promoteHook   atomic.Pointer[func() error]
-	// replInfo accumulates apply-side counters for replicated records; it
-	// is owned by the single tailer goroutine (ApplyReplicated's caller).
-	replInfo RecoveryInfo
+	// replApplyErrors / replMismatches count replicated records that did
+	// not apply cleanly — commands that failed to re-apply, dispatch records
+	// that contradicted the regenerated decisions. ApplyReplicated writes
+	// them; /healthz and /metrics read them.
+	replApplyErrors atomic.Int64
+	replMismatches  atomic.Int64
 
 	// submitRing is the per-tenant command-ring capacity for tenants this
 	// server creates (0 = defaultSubmitRing). Set before serving traffic.
@@ -305,9 +308,13 @@ func (s *Server) dropTenant(id string) bool {
 	return true
 }
 
-// failJournal wedges the journal (no-op for in-memory servers).
+// failJournal wedges the journal after a command it holds failed to apply.
+// Only the node that journaled the command does: one applying records
+// journaled elsewhere or earlier — a follower, recovery — counts the
+// failure (applyRecord's caller) and carries on. No-op for in-memory
+// servers.
 func (s *Server) failJournal(err error) {
-	if s.wal != nil {
+	if s.wal != nil && s.journaling.Load() {
 		s.wal.Fail(err)
 	}
 }
@@ -343,6 +350,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		lag := s.replLagLSN.Load()
 		resp.ReplicationLagLSN = &lag
 	}
+	resp.ReplicationApplyErrors = s.replApplyErrors.Load()
+	resp.ReplicationDispatchMismatches = s.replMismatches.Load()
 	status := http.StatusOK
 	switch {
 	case s.wal != nil && s.wal.Wedged():
@@ -355,7 +364,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// traffic here yet. 503 until the tailer reaches the tip.
 		resp.Status = "bootstrapping"
 		status = http.StatusServiceUnavailable
-	case s.replErr.Load() != nil:
+	case s.replErr.Load() != nil || resp.ReplicationApplyErrors > 0 || resp.ReplicationDispatchMismatches > 0:
 		resp.Status = "degraded"
 	case s.recovery != nil && (s.recovery.ReplayErrors > 0 || s.recovery.DispatchMismatches > 0):
 		resp.Status = "degraded"

@@ -33,7 +33,7 @@ import (
 //     the queued shrink target and Σwt are asked of it and kept nowhere
 //     else (readers use the snapshot) — tasks, log (its manifest included:
 //     compaction extends it through a control command, sealHistory),
-//     maxTar, reject, pendDisp, jobs, recs, cur*.
+//     maxTar, reject, digest, jobs, recs, cur*.
 //   - immutable after construction: id, policy, ring, ctl, closed.
 //   - atomics: snap (published state), hooks (journal callbacks), obsP
 //     (tracer + histograms), closing (delete gate).
@@ -61,9 +61,9 @@ type Tenant struct {
 	log    dispatchLog
 	maxTar rat.Rat
 	reject int64
-	// pendDisp buffers the dispatch records one command's apply produced;
-	// flushAfterApply journals them as a single frame group.
-	pendDisp []wal.Record
+	// digest is the dispatch digest of the last command that made decisions
+	// (journaled tenants only; settle computes it).
+	digest dispatchDigest
 	// jobs and recs are reusable buffers: the validated jobs of the submit
 	// group being applied, and the journal records of the current command.
 	jobs []submitJob
@@ -99,6 +99,20 @@ type tenantSnap struct {
 	log      dispatchLog
 	maxTar   rat.Rat
 	reject   int64
+	// digest is what replay checks the journal's next dispatch digest of
+	// this tenant against: computed when the command applied, it does not
+	// need the frames to be resident still when that record arrives.
+	digest dispatchDigest
+}
+
+// dispatchDigest is what the journal keeps of the decisions one command
+// made (wal.OpDispatch): they are seqs first .. first+count-1 of the
+// dispatch log, and crc checksums their wire frames. The schedule is a pure
+// function of the commands, so that is all replay needs to tell whether it
+// regenerated the same decisions, byte for byte.
+type dispatchDigest struct {
+	first, count int64
+	crc          uint32
 }
 
 // tenantObs bundles the tenant's observability sinks behind one atomic
@@ -211,6 +225,7 @@ func (t *Tenant) publish() bool {
 		log:      t.log,
 		maxTar:   t.maxTar,
 		reject:   t.reject,
+		digest:   t.digest,
 	})
 	return prev == nil || t.log.len() > prev.log.len()
 }
@@ -323,9 +338,8 @@ func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch f
 // record is the executive's OnDispatch hook. It runs on the loop
 // goroutine (dispatches only happen inside a command's apply), so plain
 // field access is safe. The decision is encoded once, into the log's tail;
-// dispatch WAL records are buffered in pendDisp and flushed as one frame
-// group after the apply; follower wakeups happen once per command, after
-// the snapshot publishes.
+// what the journal keeps of it (one digest per command) and the follower
+// wakeup both wait for settle, after the apply.
 func (t *Tenant) record(d online.Dispatch) {
 	deadline := d.Sub.Deadline()
 	tard := d.Finish.Sub(rat.FromInt(deadline))
@@ -344,12 +358,6 @@ func (t *Tenant) record(d online.Dispatch) {
 		o.sobs.dispatchLag.Observe(lagf)
 	}
 	o.tr.Dispatch(t.id, t.curCmd, t.curStart, t.curOp, task, seq, tard.String())
-	if t.hooks.Load() != nil {
-		t.pendDisp = append(t.pendDisp, wal.Record{
-			Op: wal.OpDispatch, Tenant: t.id,
-			Name: task, DSeq: seq, Index: d.Sub.Index, Finish: d.Finish.String(),
-		})
-	}
 }
 
 // ID returns the tenant id.
@@ -873,8 +881,9 @@ func (t *Tenant) LogLen() int64 {
 
 // eventAt decodes the dispatch event with sequence number seq, if the log
 // still holds it in memory. Recovery uses it to verify regenerated
-// decisions against the journaled dispatch records, which only ever name
-// decisions made since the last snapshot — never sealed ones.
+// decisions against the per-decision dispatch records of a journal written
+// before the digest, which only ever name decisions made since the last
+// snapshot — never sealed ones.
 func (t *Tenant) eventAt(seq int64) (DispatchEvent, bool) {
 	frame, n := t.snap.Load().log.frames(seq, 1)
 	var ev DispatchEvent

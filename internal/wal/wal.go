@@ -1,12 +1,13 @@
 // Package wal makes pfaird's tenant state durable: a length-prefixed,
-// CRC-checked append log of tenant lifecycle and dispatch records, plus
-// atomically-replaced snapshots, so a restarted server recovers by loading
-// the latest snapshot and replaying the log tail. Because every tenant
-// mutation is journaled before it is applied and the online executive is
-// deterministic, the durable record prefix fully determines the recovered
-// state — including the per-tenant dispatch log the `?from` stream replay
-// serves — which is what keeps Theorem 3's tardiness bound meaningful
-// across a crash.
+// CRC-checked append log of tenant commands — each command that made
+// scheduling decisions followed by one digest of them, which replay
+// verifies — plus atomically-replaced snapshots, so a restarted server
+// recovers by loading the latest snapshot and replaying the log tail.
+// Because every tenant mutation is journaled before it is applied and the
+// online executive is deterministic, the durable record prefix fully
+// determines the recovered state — including the per-tenant dispatch log
+// the `?from` stream replay serves — which is what keeps Theorem 3's
+// tardiness bound meaningful across a crash.
 //
 // # On-disk layout
 //
@@ -86,8 +87,10 @@ import (
 // Record ops. Everything except OpDispatch is a command: replaying the
 // command sequence through the (deterministic) service rebuilds the exact
 // tenant state, including the dispatch logs. OpDispatch records are
-// verification records — recovery checks the regenerated decisions against
-// them and reports any mismatch — not state-bearing ones.
+// verification records, not state-bearing ones: a command that made
+// decisions is followed by one digest of them (how many, from which seq,
+// and a checksum of their wire frames), and recovery checks the decisions
+// it regenerates against it and reports any mismatch.
 const (
 	OpTenantCreate   = "tenant-create"
 	OpTenantDelete   = "tenant-delete"
@@ -130,9 +133,19 @@ type Record struct {
 	At        string `json:"at,omitempty"`        // job-submit / advance: resolved absolute time
 	Earliness int64  `json:"earliness,omitempty"` // job-submit: early-release slots
 
-	DSeq   int64  `json:"dseq,omitempty"`   // dispatch: decision index within the tenant log
-	Index  int64  `json:"index,omitempty"`  // dispatch: subtask index
-	Finish string `json:"finish,omitempty"` // dispatch: completion time
+	// A dispatch record is the digest of the decisions one command made:
+	// they are seqs DSeq .. DSeq+Count-1 of the tenant's dispatch log, and
+	// CRC is the crc32 (IEEE) of their NDJSON wire frames, newlines
+	// included — the bytes the dispatch stream serves.
+	DSeq  int64  `json:"dseq,omitempty"`
+	Count int64  `json:"count,omitempty"`
+	CRC   uint32 `json:"crc,omitempty"`
+	// The legacy dispatch record (Count absent) names one decision: seq
+	// DSeq was subtask Index of task Name, finishing at Finish. Journals
+	// written before the digest hold one per decision; replay still
+	// verifies them, nothing writes them.
+	Index  int64  `json:"index,omitempty"`
+	Finish string `json:"finish,omitempty"`
 
 	// Term is the leadership term the record was written under. Terms are
 	// non-decreasing in LSN order; a replica refuses records whose term is
