@@ -106,6 +106,31 @@ func rewriteJournal(t testing.TB, dir string, edit func(*wal.Record) bool) {
 	t.Fatal("no journal record to rewrite: the test would prove nothing")
 }
 
+// replicationLog returns a leader's whole journal as its replication stream
+// serves it.
+func replicationLog(t testing.TB, h http.Handler) []wal.Record {
+	t.Helper()
+	rw := httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest("GET", "/v1/replication/log?from=1&follow=false", nil))
+	if rw.Code != http.StatusOK {
+		t.Fatalf("replication log: %d", rw.Code)
+	}
+	var recs []wal.Record
+	sc := bufio.NewScanner(rw.Body)
+	for sc.Scan() {
+		var frame server.ReplFrame
+		if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := frame.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 // TestRecoveryCountsTamperedJournal is the positive case of dispatch
 // verification — every other test only ever sees it pass. One journal
 // frame is rewritten with a valid frame CRC: a digest's checksum, a
@@ -262,25 +287,7 @@ func TestFollowerCompactionBeforeDigest(t *testing.T) {
 		}
 	}
 
-	// The leader's journal, as its replication stream serves it.
-	rw := httptest.NewRecorder()
-	lh.ServeHTTP(rw, httptest.NewRequest("GET", "/v1/replication/log?from=1&follow=false", nil))
-	if rw.Code != http.StatusOK {
-		t.Fatalf("replication log: %d", rw.Code)
-	}
-	var recs []wal.Record
-	sc := bufio.NewScanner(rw.Body)
-	for sc.Scan() {
-		var frame server.ReplFrame
-		if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := frame.Verify()
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, rec)
-	}
+	recs := replicationLog(t, lh)
 	// X's advance, X's digest, Y's advance, Y's digest → both advances, then
 	// both digests: only the order within a tenant is the journal's to keep.
 	swaps := 0
@@ -373,6 +380,97 @@ func TestFollowerCompactionBeforeDigest(t *testing.T) {
 	}
 	if n := metricValue(t, fh, "pfaird_replication_dispatch_mismatches_total"); n != 1 {
 		t.Fatalf("pfaird_replication_dispatch_mismatches_total = %d, want 1", n)
+	}
+}
+
+// TestFollowerOfLegacyLeaderCompacts is the rolling upgrade's first half:
+// an upgraded follower under a leader that still journals one dispatch
+// record per decision. That form is checked against the frame in memory, so
+// a follower that compacts between a command and its records can no longer
+// check the ones it sealed — which is not a mismatch, and must not leave the
+// follower degraded until it restarts. The ones still resident are checked,
+// and a wrong one counts.
+func TestFollowerOfLegacyLeaderCompacts(t *testing.T) {
+	leader, err := server.Open(server.Options{DataDir: t.TempDir(), FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	lh := leader.Handler()
+	script := []cmd{{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "X", M: 2}}}
+	var batch server.SubmitJobsRequest
+	for _, n := range []string{"a", "b", "c", "d"} {
+		script = append(script, cmd{"POST", "/v1/tenants/X/tasks", server.RegisterTaskRequest{Name: n, E: 1, P: 2}})
+		batch.Jobs = append(batch.Jobs, server.SubmitJobRequest{Task: n})
+	}
+	for r := 0; r < 7; r++ { // 4 decisions a round: every second round's are sealed by the compaction behind its advance
+		script = append(script, cmd{"POST", "/v1/tenants/X/jobs:batch", batch}, cmd{"POST", "/v1/tenants/X/advance", server.AdvanceRequest{By: "2"}})
+	}
+	for _, c := range script {
+		if code := doCmd(t, lh, c); code >= 300 {
+			t.Fatalf("%s %s: %d", c.method, c.path, code)
+		}
+	}
+	var events []server.DispatchEvent
+	for _, line := range bytes.Split(bytes.TrimSpace(dispatchBytes(t, lh, "X")), []byte("\n")) {
+		var ev server.DispatchEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	// The journal an old leader would have written: each digest spelled out
+	// as the per-decision records it replaced.
+	var recs []wal.Record
+	legacy := 0
+	for _, rec := range replicationLog(t, lh) {
+		if rec.Op != wal.OpDispatch {
+			recs = append(recs, rec)
+			continue
+		}
+		for _, ev := range events[rec.DSeq : rec.DSeq+rec.Count] {
+			recs = append(recs, wal.Record{Op: wal.OpDispatch, Tenant: rec.Tenant, DSeq: ev.Seq, Name: ev.Task, Index: ev.Index, Finish: ev.Finish})
+			legacy++
+		}
+	}
+	if len(events) != 28 || legacy != 28 {
+		t.Fatalf("%d decisions, %d per-decision records; want 28 of each", len(events), legacy)
+	}
+
+	follower, err := server.Open(server.Options{DataDir: t.TempDir(), Follower: true, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	lsn := uint64(0)
+	apply := func(rec wal.Record) {
+		t.Helper()
+		lsn++
+		rec.LSN = lsn
+		if err := follower.ApplyReplicated(rec); err != nil {
+			t.Fatalf("record %d (%s): %v", rec.LSN, rec.Op, err)
+		}
+		follower.MaybeCompact()
+	}
+	for _, rec := range recs {
+		apply(rec)
+	}
+	follower.SetCaughtUp()
+	fh := follower.Handler()
+	if sealed := metricValue(t, fh, `pfaird_tenant_history_sealed_events{tenant="X"}`); sealed != 24 {
+		t.Fatalf("the follower sealed %d events, want 24: the test would prove nothing", sealed)
+	}
+	if h, _ := healthz(t, fh); h.Status != "ok" || h.ReplicationDispatchMismatches != 0 || h.ReplicationApplyErrors != 0 {
+		t.Fatalf("follower healthz: %q, %d dispatch mismatches, %d apply errors; want ok, 0, 0", h.Status, h.ReplicationDispatchMismatches, h.ReplicationApplyErrors)
+	}
+	if got, want := dispatchBytes(t, fh, "X"), dispatchBytes(t, lh, "X"); !bytes.Equal(got, want) {
+		t.Fatal("follower ?from=0 replay differs from the leader's")
+	}
+	// Seq 27 is still in memory: a record that names another finish counts.
+	last := events[27]
+	apply(wal.Record{Op: wal.OpDispatch, Tenant: "X", DSeq: last.Seq, Name: last.Task, Index: last.Index, Finish: last.Finish + "0"})
+	if h, _ := healthz(t, fh); h.Status != "degraded" || h.ReplicationDispatchMismatches != 1 {
+		t.Fatalf("after a wrong per-decision record healthz says %q with %d mismatches, want degraded, 1", h.Status, h.ReplicationDispatchMismatches)
 	}
 }
 

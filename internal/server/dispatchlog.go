@@ -155,19 +155,23 @@ func (l *dispatchLog) frames(pos int64, limit int) ([]byte, int) {
 	return c.data[c.offs[i]:hi], n
 }
 
-// checksum extends crc, a running crc32 (IEEE), over the wire bytes,
-// newlines included, of the n resident frames from seq first on. From 0 it
-// is what a dispatch digest carries.
-func (l *dispatchLog) checksum(crc uint32, first, n int64) uint32 {
-	for n > 0 {
-		b, k := l.frames(first, int(n))
+// digest returns the dispatch digest of the frames from seq first to the
+// end of the log — the one place that says what a digest is: how many they
+// are, and a crc32 (IEEE) of their wire bytes, newlines included. sealed is
+// the running crc of those of them below the floor, which the caller read
+// from the history files; 0 when there are none, as for the frames a command
+// has just appended.
+func (l *dispatchLog) digest(first int64, sealed uint32) dispatchDigest {
+	crc, pos := sealed, max(first, l.floor())
+	for pos < l.len() {
+		b, k := l.frames(pos, int(l.len()-pos))
 		if k == 0 {
-			break // not resident; no caller asks for that
+			break // never inside the resident log
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, b)
-		first, n = first+int64(k), n-int64(k)
+		pos += int64(k)
 	}
-	return crc
+	return dispatchDigest{first: first, count: l.len() - first, crc: crc}
 }
 
 // inline renders the resident frames as a snapshot carries an unsealed

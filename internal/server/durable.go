@@ -380,36 +380,42 @@ func (s *Server) applyRecord(r wal.Record) (ok bool) {
 // file since the command applied.
 func (s *Server) verifyDispatch(t *Tenant, r wal.Record) bool {
 	sn := t.snap.Load()
-	switch {
-	case r.Count == 0:
+	if r.Count == 0 {
 		// A journal written before the digest: one record per decision,
-		// checked field by field against the frame. This form does need the
-		// frame in memory; recovery never compacts between records, a
-		// follower of a leader that still writes it can, and then counts a
-		// mismatch, as it always did.
+		// checked field by field against the frame, which for this form has
+		// to be in memory. Recovery never compacts between records. A
+		// follower of a leader that still writes the form can, and what it
+		// has sealed since it can no longer check: that is not a mismatch.
+		if r.DSeq >= 0 && r.DSeq < sn.log.floor() {
+			return true
+		}
 		ev, ok := t.eventAt(r.DSeq)
 		return ok && ev.Task == r.Name && ev.Index == r.Index && ev.Finish == r.Finish
-	case sn.digest.count != 0:
-		// The record follows its command's with no other of the tenant
-		// between them, so it must equal the digest the tenant computed when
-		// it applied its last deciding command: as many decisions, at the
-		// same seqs, every byte of every frame the same.
-		return sn.digest == dispatchDigest{first: r.DSeq, count: r.Count, crc: r.CRC}
-	case r.DSeq < 0 || r.Count < 0 || r.DSeq+r.Count != sn.log.len():
-		return false
 	}
-	// A tenant that holds no digest was restored from a snapshot taken
-	// between the command and this record and has decided nothing since: the
-	// decisions are the end of its log, checksummed where they lie — history
-	// files, then memory.
-	sum, pos := crc32.NewIEEE(), r.DSeq
-	if floor := sn.log.floor(); pos < floor {
-		if err := s.copySealed(sum, sn.log.hist, pos); err != nil {
+	// The record follows its command's with no other of the tenant between
+	// them, so it must equal the digest the tenant computed when it applied
+	// its last deciding command: as many decisions, at the same seqs, every
+	// byte of every frame the same.
+	want := sn.digest
+	if want.count == 0 {
+		// A tenant that holds no digest was restored from a snapshot taken
+		// between the command and this record and has decided nothing since:
+		// the decisions are the end of its log, digested where they lie —
+		// history files, then memory.
+		if r.DSeq < 0 || r.DSeq >= sn.log.len() {
 			return false
 		}
-		pos = floor
+		var sealed uint32
+		if r.DSeq < sn.log.floor() {
+			sum := crc32.NewIEEE()
+			if err := s.copySealed(sum, sn.log.hist, r.DSeq); err != nil {
+				return false
+			}
+			sealed = sum.Sum32()
+		}
+		want = sn.log.digest(r.DSeq, sealed)
 	}
-	return sn.log.checksum(sum.Sum32(), pos, sn.log.len()-pos) == r.CRC
+	return want == dispatchDigest{first: r.DSeq, count: r.Count, crc: r.CRC}
 }
 
 // replay re-applies one journaled command of this tenant, reporting whether

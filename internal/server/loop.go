@@ -212,14 +212,14 @@ func (t *Tenant) process(c *command) (stop bool) {
 // acknowledged can already read its own effect.
 func (t *Tenant) settle() {
 	first := t.snap.Load().log.len()
-	if n := t.log.len() - first; n > 0 {
+	if t.log.len() > first {
 		if h := t.hooks.Load(); h != nil {
-			t.digest = dispatchDigest{first: first, count: n, crc: t.log.checksum(0, first, n)}
+			t.digest = t.log.digest(first, 0)
 			// The digest is verification-only: recovery regenerates decisions
 			// by replaying commands and checks them against it. An append
 			// error here already wedged the log, so the following command
 			// will fail loudly; nothing to do with it now.
-			_, _ = h.append(wal.Record{Op: wal.OpDispatch, Tenant: t.id, DSeq: first, Count: n, CRC: t.digest.crc})
+			_, _ = h.append(wal.Record{Op: wal.OpDispatch, Tenant: t.id, DSeq: first, Count: t.digest.count, CRC: t.digest.crc})
 		}
 	}
 	if t.publish() {

@@ -883,7 +883,8 @@ func (t *Tenant) LogLen() int64 {
 // still holds it in memory. Recovery uses it to verify regenerated
 // decisions against the per-decision dispatch records of a journal written
 // before the digest, which only ever name decisions made since the last
-// snapshot — never sealed ones.
+// snapshot — never sealed ones. (A follower can have sealed one since;
+// verifyDispatch does not ask for those.)
 func (t *Tenant) eventAt(seq int64) (DispatchEvent, bool) {
 	frame, n := t.snap.Load().log.frames(seq, 1)
 	var ev DispatchEvent
