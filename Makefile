@@ -66,8 +66,11 @@ bench:
 
 # bench-json archives machine-readable results (root benchmarks incl. the
 # PR 1 DVQ/SFQLarge set, plus the service-layer BenchmarkServerSubmit*
-# family, the egress-plane set — DispatchFanout/{1,8,64}subs against
+# family — ServerSubmitBatch/{16,92}jobs{,_wal} is its batch route — the
+# egress-plane set — DispatchFanout/{1,8,64}subs against
 # its per-subscriber-encode baseline, and the pooled /metrics render —
+# WireCodec/{json,wire}/…, the six encodings one submit crosses, on
+# encoding/json and on the hand-written codec,
 # TenantRecord/{0subs,1subs,journaled}, ns and allocs per dispatch on the
 # record path, in memory and into a real journal with its group-commit
 # fsyncs (target 0 allocs; an iteration is one dispatch, so it runs many), and
@@ -79,7 +82,7 @@ bench:
 # cancels out of the bench-diff gate.
 bench-json:
 	{ $(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . && \
-	  $(GO) test -run '^$$' -bench='BenchmarkServerSubmit|BenchmarkDispatchFanout|BenchmarkMetricsExposition' -benchmem -benchtime=1000x -count=$(BENCHCOUNT) ./internal/server/ && \
+	  $(GO) test -run '^$$' -bench='BenchmarkServerSubmit|BenchmarkDispatchFanout|BenchmarkMetricsExposition|BenchmarkWireCodec' -benchmem -benchtime=1000x -count=$(BENCHCOUNT) ./internal/server/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkTenantRecord' -benchmem -benchtime=200000x -count=$(BENCHCOUNT) ./internal/server/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkCompact' -benchmem -benchtime=200x -count=$(BENCHCOUNT) ./internal/server/; } \
 	  | $(GO) run ./cmd/benchjson > $(BENCH_N)
