@@ -4,8 +4,8 @@ BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 # The archived bench document this tree writes (bench-json) and the one it
 # is gated against (bench-diff). A PR that archives new numbers bumps both.
-BENCH_N ?= BENCH_17.json
-BENCH_PREV ?= BENCH_16.json
+BENCH_N ?= BENCH_18.json
+BENCH_PREV ?= BENCH_17.json
 
 .PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
@@ -121,10 +121,15 @@ fuzz:
 # fuzz-smoke runs the durability and decoding fuzz targets briefly —
 # enough for CI to catch regressions in the WAL replay path, the
 # admission boundary, and the trace-stream decoder without the
-# open-ended budget of `make fuzz`.
+# open-ended budget of `make fuzz`. FuzzRecordMatchesJSON and
+# FuzzWireMatchesJSON are the contract of the hand-written codecs (the
+# journal record's, the API bodies'): whatever they accept or encode,
+# encoding/json accepts or encodes the same.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzWALReplay -fuzztime=30s
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzRecordMatchesJSON -fuzztime=30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz=FuzzTaskParams -fuzztime=30s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz=FuzzWireMatchesJSON -fuzztime=30s
 	$(GO) test ./internal/online/ -run '^$$' -fuzz=FuzzResize -fuzztime=30s
 	$(GO) test ./internal/client/ -run '^$$' -fuzz=FuzzTraceDecoder -fuzztime=30s
 	$(GO) test ./internal/rat/ -run '^$$' -fuzz=FuzzLatticeEquivalence -fuzztime=30s

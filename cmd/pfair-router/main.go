@@ -17,7 +17,9 @@
 //
 // The router holds no durable state. Tenant placement is either
 // recomputed (rendezvous) or relearned by probing the groups, so routers
-// restart freely and can run in parallel behind a load balancer. See
+// restart freely and can run in parallel behind a load balancer. -pprof
+// (default on) mounts net/http/pprof under /debug/pprof/ on the same
+// listener, as pfaird does. See
 // TUTORIAL.md §10 for a 3-node walkthrough including a kill-the-leader
 // failover demo.
 package main
@@ -44,17 +46,18 @@ func main() {
 		healthInterval = flag.Duration("health-interval", 100*time.Millisecond, "backend probe period")
 		failoverAfter  = flag.Duration("failover-after", 500*time.Millisecond, "promote a follower after a group is leaderless this long (0 disables)")
 		grace          = flag.Duration("grace", 10*time.Second, "graceful shutdown timeout")
+		pprof          = flag.Bool("pprof", true, "serve net/http/pprof profiles under /debug/pprof/")
 	)
 	flag.Parse()
 
-	if err := run(context.Background(), *addr, *backends, *policy, *healthInterval, *failoverAfter, *grace, nil); err != nil {
+	if err := run(context.Background(), *addr, *backends, *policy, *healthInterval, *failoverAfter, *grace, *pprof, nil); err != nil {
 		log.Fatalf("pfair-router: %v", err)
 	}
 }
 
 // run serves until ctx is cancelled or SIGINT/SIGTERM arrives. ready, if
 // non-nil, receives the bound address — tests use it with addr ":0".
-func run(ctx context.Context, addr, backends, policy string, healthInterval, failoverAfter, grace time.Duration, ready func(addr string)) error {
+func run(ctx context.Context, addr, backends, policy string, healthInterval, failoverAfter, grace time.Duration, pprof bool, ready func(addr string)) error {
 	groups, err := cluster.ParseGroups(backends)
 	if err != nil {
 		return err
@@ -72,6 +75,9 @@ func run(ctx context.Context, addr, backends, policy string, healthInterval, fai
 	})
 	if err != nil {
 		return err
+	}
+	if pprof {
+		router.EnablePprof()
 	}
 	router.Start()
 	defer router.Close()

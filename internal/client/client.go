@@ -20,6 +20,7 @@ import (
 
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
+	"desyncpfair/internal/wire"
 )
 
 // Client talks to one pfaird server. WithRetry derives a view that
@@ -68,13 +69,26 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 }
 
 // doOnce is a single request attempt; the request body is rebuilt from
-// `in` on every call so retries never resend a drained reader.
+// `in` on every call so retries never resend a drained reader. Both bodies
+// go through the server's hand-written codec (server.AppendWire /
+// DecodeWire) when the type has one and it does not decline; encoding/json
+// takes the rest, as it took everything before.
 func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
+	scratch := wire.GetBuf()
+	defer scratch.Put()
 	var body io.Reader
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
+		var buf []byte
+		if enc, res := server.AppendWire(scratch.B, in); res == server.WireOK {
+			// The transport may still be reading the body after Do returns:
+			// it gets a copy of its own, the scratch goes back to the pool.
+			buf = bytes.Clone(enc)
+			scratch.B = enc[:0]
+		} else {
+			var err error
+			if buf, err = json.Marshal(in); err != nil {
+				return err
+			}
 		}
 		body = bytes.NewReader(buf)
 	}
@@ -97,7 +111,19 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	rerr := scratch.ReadAll(resp.Body)
+	if rerr == nil && server.DecodeWire(scratch.B, out) == server.WireOK {
+		return nil
+	}
+	// A Decoder stops at the end of the first value, so a read that failed
+	// only past that point was never an error of this request.
+	if err := json.NewDecoder(bytes.NewReader(scratch.B)).Decode(out); err != nil {
+		if rerr != nil {
+			return rerr
+		}
+		return err
+	}
+	return nil
 }
 
 func apiError(resp *http.Response) error {

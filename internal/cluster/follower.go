@@ -185,13 +185,15 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 		if len(line) == 0 {
 			continue
 		}
-		var frame server.ReplFrame
-		if err := json.Unmarshal(line, &frame); err != nil {
-			return fmt.Errorf("cluster: log stream: %v", err)
-		}
-		rec, err := frame.Verify()
-		if err != nil {
-			return err
+		rec, ok := server.DecodeReplLine(line)
+		if !ok {
+			var frame server.ReplFrame
+			if err := json.Unmarshal(line, &frame); err != nil {
+				return fmt.Errorf("cluster: log stream: %v", err)
+			}
+			if rec, err = frame.Verify(); err != nil {
+				return err
+			}
 		}
 		if err := f.srv.ApplyReplicated(rec); err != nil {
 			return err

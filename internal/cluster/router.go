@@ -118,6 +118,7 @@ type Router struct {
 	hc     *http.Client
 	table  atomic.Pointer[routeTable]
 	placed sync.Map // tenant id → group index (learned locations)
+	pprof  bool     // Handler mounts /debug/pprof/
 
 	lastLeader []time.Time // per group: last instant a leader was visible
 	promoting  []bool      // per group: promotion request in flight
@@ -360,12 +361,19 @@ func (r *Router) promote(ctx context.Context, gi int, url string) {
 	r.logf("promoted %s: %s", url, bytes.TrimSpace(body))
 }
 
+// EnablePprof makes Handler serve net/http/pprof under /debug/pprof/ beside
+// the proxy routes, as pfaird does on its own listener. Call before Handler.
+func (r *Router) EnablePprof() { r.pprof = true }
+
 // Handler returns the router's HTTP front.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", r.handleHealthz)
 	mux.HandleFunc("/v1/tenants", r.handleTenantsRoot)
 	mux.HandleFunc("/v1/tenants/", r.handleTenant)
+	if r.pprof {
+		server.MountPprof(mux)
+	}
 	return mux
 }
 
@@ -413,9 +421,8 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleTenantsRoot(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(req.Body, maxProxyBody))
-		if err != nil {
-			r.httpError(w, http.StatusBadRequest, err.Error())
+		body, ok := r.readBody(w, req)
+		if !ok {
 			return
 		}
 		var cr server.CreateTenantRequest
@@ -476,8 +483,25 @@ func (r *Router) getJSON(ctx context.Context, url string, out any) error {
 }
 
 // maxProxyBody bounds buffered request bodies; buffering is what lets the
-// router resend an idempotent request to a freshly promoted leader.
-const maxProxyBody = 1 << 20
+// router resend an idempotent request to a freshly promoted leader. It is
+// pfaird's own cap on a request body.
+const maxProxyBody = server.MaxRequestBody
+
+// readBody buffers a request body for proxying. A body over the cap is
+// refused here, in the words pfaird refuses it with, and nothing is proxied:
+// the part that fits is not the request.
+func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(req.Body, maxProxyBody+1))
+	switch {
+	case err != nil:
+		r.httpError(w, http.StatusBadRequest, err.Error())
+	case len(body) > maxProxyBody:
+		r.httpError(w, http.StatusBadRequest, "server: bad request body: http: request body too large")
+	default:
+		return body, true
+	}
+	return nil, false
+}
 
 // handleTenant proxies /v1/tenants/{id}/... to the tenant's group.
 func (r *Router) handleTenant(w http.ResponseWriter, req *http.Request) {
@@ -489,9 +513,8 @@ func (r *Router) handleTenant(w http.ResponseWriter, req *http.Request) {
 		r.httpError(w, http.StatusNotFound, "cluster: missing tenant id")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxProxyBody))
-	if err != nil {
-		r.httpError(w, http.StatusBadRequest, err.Error())
+	body, ok := r.readBody(w, req)
+	if !ok {
 		return
 	}
 	gi, ok := r.locate(req.Context(), id)
@@ -514,8 +537,8 @@ func (r *Router) idempotent(req *http.Request, body []byte) bool {
 	}
 	if req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/jobs") {
 		var sr server.SubmitJobRequest
-		if json.Unmarshal(body, &sr) == nil && sr.Key != "" {
-			return true
+		if server.DecodeWire(body, &sr) == server.WireOK || json.Unmarshal(body, &sr) == nil {
+			return sr.Key != ""
 		}
 	}
 	return false

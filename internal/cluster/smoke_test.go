@@ -1,12 +1,14 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,5 +272,94 @@ func TestRouterKeepsLengthAndStreamsLive(t *testing.T) {
 	ev, err := st.Next()
 	if err != nil || ev.Seq != 0 || ev.Task != "x" {
 		t.Fatalf("live frame through the router: %+v, %v", ev, err)
+	}
+}
+
+// TestRouterRefusesOversizeBody: the router buffers a request body to be
+// able to resend it, up to pfaird's own 1 MiB cap. A body over the cap used
+// to be cut at the cap and proxied, so the leader answered for a request
+// nobody sent ("unexpected EOF"); it is refused at the router with pfaird's
+// status and words, and nothing reaches a backend. A body of exactly the cap
+// still goes through.
+func TestRouterRefusesOversizeBody(t *testing.T) {
+	srv := server.New()
+	defer srv.Shutdown()
+	var posts atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer backend.Close()
+	router, err := cluster.NewRouter(cluster.RouterOptions{
+		Groups:         [][]string{{backend.URL}},
+		HealthInterval: 25 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	router.Start()
+	defer router.Close()
+	rhs := httptest.NewServer(router.Handler())
+	defer rhs.Close()
+
+	post := func(url, path string, body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(reply)
+	}
+	pad := func(value string, n int) []byte {
+		return append([]byte(value), bytes.Repeat([]byte(" "), n-len(value))...)
+	}
+	waitFor(t, 5*time.Second, "the router to find its leader", func() bool {
+		code, _ := post(rhs.URL, "/v1/tenants", []byte(`{"id":"t","m":1}`))
+		return code == http.StatusCreated || code == http.StatusConflict
+	})
+	if code, reply := post(rhs.URL, "/v1/tenants/t/tasks", []byte(`{"name":"x","e":1,"p":2}`)); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, reply)
+	}
+
+	if code, reply := post(rhs.URL, "/v1/tenants/t/jobs", pad(`{"task":"x"}`, 1<<20)); code != http.StatusAccepted {
+		t.Errorf("a body of exactly 1 MiB through the router: %d %s", code, reply)
+	}
+	before := posts.Load()
+	for _, path := range []string{"/v1/tenants/t/jobs", "/v1/tenants"} {
+		// One value that runs past the cap: cut there, it ends mid-string.
+		body := []byte(`{"task":"` + strings.Repeat("x", 1<<20) + `"}`)
+		wantCode, want := post(backend.URL, path, body)
+		if wantCode != http.StatusBadRequest || !strings.Contains(want, "request body too large") {
+			t.Fatalf("pfaird itself on %s: %d %s", path, wantCode, want)
+		}
+		if code, reply := post(rhs.URL, path, body); code != wantCode || reply != want {
+			t.Errorf("a body of 1 MiB + 1 on %s through the router: %d %s; pfaird answers %d %s", path, code, reply, wantCode, want)
+		}
+	}
+	if got := posts.Load() - before; got != 2 {
+		t.Errorf("the backend saw %d POSTs, want the 2 sent to it directly: the router must proxy none", got)
+	}
+}
+
+// TestRouterPprof: profiles are served beside the proxy routes once enabled,
+// and not before.
+func TestRouterPprof(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		router, err := cluster.NewRouter(cluster.RouterOptions{Groups: [][]string{{"http://127.0.0.1:1"}}})
+		if err != nil {
+			t.Fatalf("NewRouter: %v", err)
+		}
+		if on {
+			router.EnablePprof()
+		}
+		rw := httptest.NewRecorder()
+		router.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
+		if want := map[bool]int{false: http.StatusNotFound, true: http.StatusOK}[on]; rw.Code != want {
+			t.Errorf("pprof enabled %v: GET /debug/pprof/cmdline = %d, want %d", on, rw.Code, want)
+		}
 	}
 }

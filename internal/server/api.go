@@ -4,6 +4,17 @@ package server
 // rational quantities (virtual times, tardiness, utilization) travel as
 // exact strings in internal/rat syntax ("7", "3/2") — never as floats —
 // so a client can round-trip them without losing the paper's exactness.
+//
+// encoding/json and these struct tags define the bytes. The eight bodies of
+// the request path — SubmitJobRequest, SubmitJobsRequest, AdvanceRequest,
+// RegisterTaskRequest and their responses — also have a hand-written codec
+// (api_wire.go) that both the server and internal/client run first. The rule
+// when one of those eight changes: a new or renamed field goes into its
+// append and its scan function and its key list in the same commit.
+// TestWireCoversEveryField fails until it has — it sets every field by
+// reflection and requires the codec, not the fallback, to produce
+// json.Marshal's bytes and read them back — so a forgotten field cannot
+// quietly send every body that carries it down the slow path.
 
 // CreateTenantRequest creates a tenant: an isolated online executive on M
 // processors under the named priority policy ("PD2" when empty; also

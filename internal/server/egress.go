@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/rat"
+	"desyncpfair/internal/wire"
 )
 
 // This file is the egress side of the encode-once plane. Records are
@@ -60,13 +61,12 @@ type StreamGone struct {
 // frame: json.Marshal of the DispatchEvent plus a newline, byte for byte,
 // written straight from the rats with no reflection walk and no string per
 // value. An event is four integers, three rats — digits, '-' and '/', their
-// own JSON encoding between quotes — and a task name, which is too unless
-// it holds a quote, a backslash, a control or an HTML character; such a
-// name takes json.Marshal itself. Every dispatch is encoded here exactly
-// once: the stream, the ?from replay, the sealed history files and the
-// snapshot's inline tail all carry these bytes.
+// own JSON encoding between quotes — and a task name, which is too when it
+// is wire.Plain; any other name takes json.Marshal itself. Every dispatch is
+// encoded here exactly once: the stream, the ?from replay, the sealed
+// history files and the snapshot's inline tail all carry these bytes.
 func appendDispatchFrame(b []byte, seq int64, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) []byte {
-	if !plainJSON(task) {
+	if !wire.Plain(task) {
 		j, err := json.Marshal(DispatchEvent{
 			Seq: seq, Task: task, Index: index, Proc: proc,
 			Start: start.String(), Finish: finish.String(), Deadline: deadline, Tardiness: tard.String(),
@@ -101,19 +101,6 @@ func appendDispatchFrame(b []byte, seq int64, task string, index int64, proc int
 // 20 digits, three rats of at most 41, and the name with every byte
 // escaped to \u00XX.
 func maxFrameBytes(n int) int { return 96 + 4*20 + 3*41 + 6*n }
-
-// plainJSON reports whether encoding/json would copy s between quotes
-// unchanged: ASCII from space up, minus the characters it escapes (the
-// quote, the backslash, and — Marshal's HTML-safe default — <, > and &).
-func plainJSON(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return false
-		}
-	}
-	return true
-}
 
 // frameWriter writes cached NDJSON frames to one streaming response. It
 // reuses a net.Buffers backing slice across batches (zero allocation per

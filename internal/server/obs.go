@@ -42,6 +42,11 @@ type serverObs struct {
 	// lagging past the bound, severed on the per-write stall deadline.
 	streamEvict  atomic.Int64
 	streamSevers atomic.Int64
+
+	// Bodies of a hand-coded type (api_wire.go) that its codec declined and
+	// encoding/json took instead, by direction: requests in, replies out.
+	wireDecodeFallbacks atomic.Int64
+	wireEncodeFallbacks atomic.Int64
 }
 
 // defaultTraceCap is each tenant's trace-ring retention (events). At
@@ -101,12 +106,16 @@ func (s *Server) SetTraceBuffer(n int) {
 // The handlers bypass the request-metrics middleware: a 30-second CPU
 // profile would distort the latency histograms it is being taken to
 // explain.
-func (s *Server) EnablePprof() {
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+func (s *Server) EnablePprof() { MountPprof(s.mux) }
+
+// MountPprof mounts net/http/pprof's handlers at /debug/pprof/ on mux;
+// pfair-router serves them beside its proxy routes through it.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 // tenantObsSnap is one tenant's observability snapshot, taken at
@@ -155,6 +164,10 @@ func (o *serverObs) appendObsMetrics(b []byte, snaps []tenantObsSnap) []byte {
 	b = obs.AppendHeader(b, "pfaird_stream_stall_severs_total",
 		"Read streams severed because a write to a wedged reader outlasted the stall deadline.", "counter")
 	b = appendBare(b, "pfaird_stream_stall_severs_total", o.streamSevers.Load())
+	b = obs.AppendHeader(b, "pfaird_wire_fallbacks_total",
+		"Request and reply bodies of a hand-coded type that encoding/json took over: a string outside printable ASCII or needing an escape, a key in another spelling, a number in another form. A registration's reply always counts (its reason text is not ASCII).", "counter")
+	b = appendLabeled1(b, "pfaird_wire_fallbacks_total", "dir", "decode", o.wireDecodeFallbacks.Load())
+	b = appendLabeled1(b, "pfaird_wire_fallbacks_total", "dir", "encode", o.wireEncodeFallbacks.Load())
 	b = obs.AppendHeader(b, "pfaird_tenant_history_resident_bytes",
 		"Wire bytes of dispatch history held in memory, per tenant.", "gauge")
 	for _, sn := range snaps {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/wal"
+	"desyncpfair/internal/wire"
 )
 
 // Replication endpoints and the role state machine.
@@ -221,11 +222,45 @@ func (f ReplFrame) Verify() (wal.Record, error) {
 		return wal.Record{}, fmt.Errorf("server: replication frame CRC mismatch (got %08x want %08x)", got, f.CRC)
 	}
 	var rec wal.Record
-	if err := json.Unmarshal(f.Rec, &rec); err != nil {
+	if err := wal.UnmarshalRecord(f.Rec, &rec); err != nil {
 		return wal.Record{}, fmt.Errorf("server: replication frame: %v", err)
 	}
 	return rec, nil
 }
+
+// DecodeReplLine is json.Unmarshal of one line of the replication stream
+// into a ReplFrame and Verify of it, without either reflection walk, for a
+// line as handleReplLog writes it — `{"crc":N,"rec":{…}}`, the record in the
+// hand-written codec's plain subset — with the right checksum. Anything else
+// reports false: the caller runs the two steps themselves, which define
+// what a line may look like and how a bad one is reported.
+func DecodeReplLine(line []byte) (wal.Record, bool) {
+	var rec wal.Record
+	var seen uint32
+	s := wire.NewScanner(line)
+	s.Object()
+	if s.Key(replFrameKeys, &seen) != 0 {
+		return rec, false
+	}
+	crc := s.Uint32()
+	if s.Key(replFrameKeys, &seen) != 1 {
+		return rec, false
+	}
+	// The record must run brace to brace, the frame's own brace right after
+	// it: then its bytes are the RawMessage Unmarshal would cut out — once
+	// DecodeRecord has found them to be one well-formed object.
+	rest := s.Rest()
+	if len(rest) < 3 || rest[0] != '{' || string(rest[len(rest)-2:]) != "}}" {
+		return rec, false
+	}
+	payload := rest[:len(rest)-1]
+	if crc32.ChecksumIEEE(payload) != crc || !wal.DecodeRecord(payload, &rec) {
+		return wal.Record{}, false
+	}
+	return rec, true
+}
+
+var replFrameKeys = []string{"crc", "rec"}
 
 // ReplSnapshotResponse is the body of GET /v1/replication/snapshot: the
 // latest journal snapshot, exactly as InstallSnapshot wants it.

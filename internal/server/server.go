@@ -35,6 +35,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -47,6 +48,7 @@ import (
 
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/wal"
+	"desyncpfair/internal/wire"
 )
 
 // nshards is the tenant-registry shard count: tenant operations on
@@ -429,7 +431,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallbac
 			return
 		}
 	}
-	if req != nil && !decode(w, r, req) {
+	if req != nil && !s.decode(w, r, req) {
 		return
 	}
 	s.opMu.RLock()
@@ -460,7 +462,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallbac
 		w.WriteHeader(rp.status)
 		return
 	}
-	writeJSON(w, rp.status, rp.body)
+	s.writeReply(w, rp.status, rp.body)
 }
 
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
@@ -676,14 +678,55 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 
 // --- plumbing ---
 
-func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+// MaxRequestBody caps a mutation's request body; pfair-router, which buffers
+// bodies to be able to resend them, refuses at the same size.
+const MaxRequestBody = 1 << 20
+
+// decode reads a mutation's body — all of it, at most MaxRequestBody, into a pooled
+// buffer — and decodes it into into: by the hand-written codec when the
+// type has one and the bytes are in its plain subset (api_wire.go), else by
+// the strict json.Decoder over the same bytes, which defines what is
+// accepted, what is refused and in which words.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
+	buf := wire.GetBuf()
+	defer buf.Put()
+	err := buf.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBody))
+	if err == nil {
+		switch DecodeWire(buf.B, into) {
+		case WireOK:
+			return true
+		case WireDeclined:
+			s.obs.wireDecodeFallbacks.Add(1)
+		}
+		dec := json.NewDecoder(bytes.NewReader(buf.B))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(into)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %v", err))
 		return false
 	}
 	return true
+}
+
+// writeReply is writeJSON for a mutation's reply: the same bytes, from the
+// hand-written codec when the body is one of its types and its strings are
+// plain.
+func (s *Server) writeReply(w http.ResponseWriter, status int, v any) {
+	buf := wire.GetBuf()
+	defer buf.Put()
+	b, res := AppendWire(buf.B, v)
+	if res != WireOK {
+		if res == WireDeclined {
+			s.obs.wireEncodeFallbacks.Add(1)
+		}
+		writeJSON(w, status, v)
+		return
+	}
+	buf.B = append(b, '\n') // Encoder.Encode ends the value with a newline
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.B) // a client that hung up is not this request's to report, as in writeJSON
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -71,7 +71,45 @@ var (
 	jsonFrameEnc = json.NewEncoder(&jsonFrame)
 )
 
-var wireCodecs = []wireCodec{jsonCodec}
+// handCodec is the hand-written codec behind the same six call sites. The
+// benchmark bodies are all inside its plain subset: a decline here is a bug.
+var handCodec = wireCodec{
+	name:    "wire",
+	encReq:  appendWire,
+	decReq:  decodeWire,
+	encResp: func(scratch []byte, v any) []byte { return append(appendWire(scratch, v), '\n') },
+	decResp: decodeWire,
+	encRecord: func(scratch []byte, r *wal.Record) []byte {
+		b, ok := wal.AppendRecord(scratch[:0], r)
+		if !ok {
+			panic("wire: record declined")
+		}
+		return b
+	},
+	decRecord: func(payload []byte, r *wal.Record) error {
+		if !wal.DecodeRecord(payload, r) {
+			return fmt.Errorf("wire: payload %q declined", payload)
+		}
+		return nil
+	},
+}
+
+func appendWire(scratch []byte, v any) []byte {
+	b, res := server.AppendWire(scratch[:0], v)
+	if res != server.WireOK {
+		panic(fmt.Sprintf("wire: %T not encoded: %d", v, res))
+	}
+	return b
+}
+
+func decodeWire(body []byte, v any) error {
+	if res := server.DecodeWire(body, v); res != server.WireOK {
+		return fmt.Errorf("wire: body %q not decoded into %T: %d", body, v, res)
+	}
+	return nil
+}
+
+var wireCodecs = []wireCodec{jsonCodec, handCodec}
 
 // wireBenchBodies builds the bodies of one submit of n jobs in the shapes
 // the repository benchmark sends: a single keyed submit (submit_churn,

@@ -199,7 +199,7 @@ func (r *Reader) decodeOne() (Record, bool, error) {
 		return Record{}, false, err
 	}
 	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	if err := UnmarshalRecord(payload, &rec); err != nil {
 		return Record{}, false, fmt.Errorf("wal: reader hit an undecodable frame: %v", err)
 	}
 	r.off += size

@@ -18,6 +18,14 @@
 //	wal-<firstLSN>.log        frames: | len u32 | crc32 u32 | payload (JSON) |
 //	hist-<snapLSN>-<k>.ndjson immutable sidecar: sealed dispatch history
 //
+// A frame's payload is json.Marshal of its Record: that is the format's
+// definition, and what a record whose strings need an escape is written and
+// read with. Every other record — tenant ids and task names in printable
+// ASCII — is written by the appender, and read by recovery, the replication
+// reader and a follower, through a hand-written codec that produces and
+// accepts exactly those bytes without a reflection walk (record_wire.go;
+// FuzzRecordMatchesJSON holds it to encoding/json in both directions).
+//
 // Every record carries a monotonically increasing LSN. Recovery reads the
 // snapshot (records with LSN ≤ snapshot LSN are superseded by it), then
 // scans segments in LSN order, stopping a segment at the first torn or
@@ -68,7 +76,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -82,6 +89,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"desyncpfair/internal/wire"
 )
 
 // Record ops. Everything except OpDispatch is a command: replaying the
@@ -118,6 +127,13 @@ const (
 // Record is one journal entry. Fields beyond LSN/Op/Tenant are op-specific;
 // rational times travel as exact strings in internal/rat syntax, matching
 // the service's wire format.
+//
+// encoding/json and these tags define a frame's payload; record_wire.go
+// holds the hand-written codec that writes and reads it on the request path.
+// A new or renamed field goes into AppendRecord, DecodeRecord and recordKeys
+// in the same commit: TestWireCoversEveryField (internal/server) sets every
+// field by reflection and fails until the codec itself — not the fallback —
+// produces json.Marshal's bytes and reads them back.
 type Record struct {
 	LSN    uint64 `json:"lsn"`
 	Op     string `json:"op"`
@@ -184,9 +200,6 @@ const (
 	frameHeader  = 8       // u32 length + u32 crc
 	maxPayload   = 1 << 20 // sanity bound on one record
 	maxLSN       = 1 << 62 // LSNs beyond this are treated as corruption
-	// maxPooledFrame bounds the encoding buffers the pool retains: a
-	// rare giant batch should not pin its scratch space forever.
-	maxPooledFrame = 64 << 10
 )
 
 // Commit is a durability ticket: AppendAsync and AppendBatch return one,
@@ -318,50 +331,30 @@ type Log struct {
 	st         Stats
 }
 
-// frameBuf is a reusable frame-encoding scratch: one buffer plus a JSON
-// encoder bound to it, pooled so the append hot path allocates neither per
-// record.
-type frameBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var framePool = sync.Pool{New: func() any {
-	fb := &frameBuf{}
-	fb.enc = json.NewEncoder(&fb.buf)
-	return fb
-}}
-
-func getFrameBuf() *frameBuf { return framePool.Get().(*frameBuf) }
-
-func putFrameBuf(fb *frameBuf) {
-	if fb.buf.Cap() > maxPooledFrame {
-		return
-	}
-	fb.buf.Reset()
-	framePool.Put(fb)
-}
-
 // encodeFrame appends one framed record to fb: 8-byte header reserved
-// first, JSON payload encoded in place, then length and CRC backfilled.
-// On error fb is restored to its previous length.
-func encodeFrame(fb *frameBuf, r *Record) error {
-	start := fb.buf.Len()
+// first, JSON payload encoded in place — by the hand-written codec
+// (AppendRecord), or by json.Marshal, whose bytes those are, for a record
+// the codec declines — then length and CRC backfilled. fb is a pooled
+// buffer, so the append hot path allocates nothing per record. On error fb
+// keeps its previous length.
+func encodeFrame(fb *wire.Buf, r *Record) error {
+	start := len(fb.B)
 	var header [frameHeader]byte
-	fb.buf.Write(header[:])
-	if err := fb.enc.Encode(r); err != nil {
-		fb.buf.Truncate(start)
-		return err
+	b, ok := AppendRecord(append(fb.B, header[:]...), r)
+	if !ok {
+		j, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		b = append(b, j...)
 	}
-	fb.buf.Truncate(fb.buf.Len() - 1) // Encode's trailing newline is not part of the frame
-	payload := fb.buf.Bytes()[start+frameHeader:]
+	payload := b[start+frameHeader:]
 	if len(payload) > maxPayload {
-		fb.buf.Truncate(start)
 		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(payload), maxPayload)
 	}
-	hdr := fb.buf.Bytes()[start : start+frameHeader]
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	fb.B = b
 	return nil
 }
 
@@ -520,8 +513,8 @@ func (l *Log) Append(r Record) (uint64, error) {
 // ready to ack. Splitting the enqueue from the wait is what lets the
 // server release the tenant lock before the fsync.
 func (l *Log) AppendAsync(r Record) (Commit, error) {
-	fb := getFrameBuf()
-	defer putFrameBuf(fb)
+	fb := wire.GetBuf()
+	defer fb.Put()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.appendableLocked(); err != nil {
@@ -545,8 +538,8 @@ func (l *Log) AppendAsync(r Record) (Commit, error) {
 // raised the local term. On success the log's term advances to the
 // record's.
 func (l *Log) AppendReplicated(r Record) (Commit, error) {
-	fb := getFrameBuf()
-	defer putFrameBuf(fb)
+	fb := wire.GetBuf()
+	defer fb.Put()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.appendableLocked(); err != nil {
@@ -585,8 +578,8 @@ func (l *Log) AppendBatch(rs []Record) (Commit, error) {
 	if len(rs) == 0 {
 		return Commit{}, nil
 	}
-	fb := getFrameBuf()
-	defer putFrameBuf(fb)
+	fb := wire.GetBuf()
+	defer fb.Put()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.appendableLocked(); err != nil {
@@ -608,12 +601,12 @@ func (l *Log) AppendBatch(rs []Record) (Commit, error) {
 // writeLocked writes fb's n encoded frames (LSNs nextLSN..nextLSN+n-1) to
 // the active segment and publishes them as written, arming the idle-flush
 // timer. Called with l.mu held after appendableLocked and encoding.
-func (l *Log) writeLocked(fb *frameBuf, n int) error {
+func (l *Log) writeLocked(fb *wire.Buf, n int) error {
 	var t0 time.Time
 	if l.timings != nil {
 		t0 = l.now()
 	}
-	if _, err := l.f.Write(fb.buf.Bytes()); err != nil {
+	if _, err := l.f.Write(fb.B); err != nil {
 		l.wedge(err)
 		l.st.AppendErrors++
 		return l.wedged
@@ -1092,7 +1085,7 @@ func readSegment(fs FS, path string) ([]Record, int64, error) {
 			return out, int64(rest), nil
 		}
 		var r Record
-		if json.Unmarshal(payload, &r) != nil || r.LSN >= maxLSN {
+		if UnmarshalRecord(payload, &r) != nil || r.LSN >= maxLSN {
 			return out, int64(rest), nil
 		}
 		out = append(out, r)
