@@ -76,7 +76,11 @@ bench:
 # fsyncs (target 0 allocs; an iteration is one dispatch, so it runs many), and
 # Compact/history={10k,100k}, one compaction behind a short and a long
 # dispatch history, at its own iteration count: an iteration is a whole
-# compaction, fsyncs included).
+# compaction, fsyncs included — and RouterHop/{direct,routed}/{submit,advance},
+# one request to an in-memory pfaird and the same request through a router in
+# front of it, at -cpu 1 as the repository benchmark runs its processes:
+# routed minus direct is the CPU the hop costs, not the wake-up latency of a
+# second core).
 # The checked-in document is generated with BENCHTIME=20x BENCHCOUNT=3;
 # benchjson keeps the fastest of the repeated runs, so shared-host noise
 # cancels out of the bench-diff gate.
@@ -84,7 +88,8 @@ bench-json:
 	{ $(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . && \
 	  $(GO) test -run '^$$' -bench='BenchmarkServerSubmit|BenchmarkDispatchFanout|BenchmarkMetricsExposition|BenchmarkWireCodec' -benchmem -benchtime=1000x -count=$(BENCHCOUNT) ./internal/server/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkTenantRecord' -benchmem -benchtime=200000x -count=$(BENCHCOUNT) ./internal/server/ && \
-	  $(GO) test -run '^$$' -bench='BenchmarkCompact' -benchmem -benchtime=200x -count=$(BENCHCOUNT) ./internal/server/; } \
+	  $(GO) test -run '^$$' -bench='BenchmarkCompact' -benchmem -benchtime=200x -count=$(BENCHCOUNT) ./internal/server/ && \
+	  $(GO) test -run '^$$' -bench='BenchmarkRouterHop' -benchmem -benchtime=2000x -cpu 1 -count=$(BENCHCOUNT) ./internal/cluster/; } \
 	  | $(GO) run ./cmd/benchjson > $(BENCH_N)
 	@echo wrote $(BENCH_N)
 
