@@ -4,8 +4,8 @@ BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 # The archived bench document this tree writes (bench-json) and the one it
 # is gated against (bench-diff). A PR that archives new numbers bumps both.
-BENCH_N ?= BENCH_18.json
-BENCH_PREV ?= BENCH_17.json
+BENCH_N ?= BENCH_19.json
+BENCH_PREV ?= BENCH_18.json
 
 .PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
@@ -40,10 +40,13 @@ race-server:
 # (1 leader + 2 followers behind pfair-router) under -race — kill the
 # leader mid-traffic, promotion must land in < 2s with zero acked-write
 # loss and tardiness ≤ 1 quantum — plus term fencing, the seeded
-# leader-kill invariant (acked ≤ recovered ≤ issued), and the log-serving
-# reader's durable-prefix guarantees.
+# leader-kill invariant (acked ≤ recovered ≤ issued), the router's own
+# tests (sharding, reply framing, placement, resend rule) and its upstream
+# layer's (request differential against http.Client, every reply shape,
+# stale pooled connections, a client hanging up mid-feed, the pool bound),
+# and the log-serving reader's durable-prefix guarantees.
 cluster-smoke:
-	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced'
+	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced|TestRouter|TestNewRouter|TestUpstream'
 	$(GO) test -race -count=1 ./internal/wal/ -run 'TestReaderTailsConcurrentGroupCommit|TestCrashMidBatch'
 
 # elastic-smoke is the elastic-capacity gate, all under -race: the

@@ -37,9 +37,6 @@ type RouterOptions struct {
 	// RetryWindow bounds how long a proxied idempotent request waits for a
 	// leader to (re)appear before giving up with 503. Default 3s.
 	RetryWindow time.Duration
-	// HTTPClient is used for probes and proxied requests. Nil means
-	// http.DefaultClient.
-	HTTPClient *http.Client
 	// Logf, if set, receives router events (failovers, promotions).
 	Logf func(format string, args ...any)
 }
@@ -72,7 +69,7 @@ func ParseGroups(s string) ([][]string, error) {
 // immutable snapshot of the whole topology, rebuilt by the health loop
 // and read lock-free by request handlers.
 type backendView struct {
-	url           string
+	up            *upstream
 	healthy       bool
 	role          string
 	term          uint64
@@ -115,7 +112,7 @@ func (t *routeTable) loads() []Load {
 // in parallel freely.
 type Router struct {
 	opts   RouterOptions
-	hc     *http.Client
+	ups    [][]*upstream // parallel to opts.Groups: every backend call goes through one
 	table  atomic.Pointer[routeTable]
 	placed sync.Map // tenant id → group index (learned locations)
 	pprof  bool     // Handler mounts /debug/pprof/
@@ -142,13 +139,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if opts.RetryWindow <= 0 {
 		opts.RetryWindow = 3 * time.Second
 	}
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	r := &Router{
 		opts:       opts,
-		hc:         hc,
+		ups:        make([][]*upstream, len(opts.Groups)),
 		lastLeader: make([]time.Time, len(opts.Groups)),
 		promoting:  make([]bool, len(opts.Groups)),
 		done:       make(chan struct{}),
@@ -160,7 +153,12 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	for i, urls := range opts.Groups {
 		t.groups[i].leader = -1
 		for _, u := range urls {
-			t.groups[i].backends = append(t.groups[i].backends, backendView{url: u})
+			up, err := newUpstream(u)
+			if err != nil {
+				return nil, err
+			}
+			r.ups[i] = append(r.ups[i], up)
+			t.groups[i].backends = append(t.groups[i].backends, backendView{up: up})
 		}
 		r.lastLeader[i] = now
 	}
@@ -175,11 +173,17 @@ func (r *Router) Start() {
 	go r.healthLoop(ctx)
 }
 
-// Close stops the health loop and waits for it.
+// Close stops the health loop, waits for it, and closes the idle backend
+// connections; a request still in flight closes its own when it ends.
 func (r *Router) Close() {
 	if r.cancel != nil {
 		r.cancel()
 		<-r.done
+	}
+	for _, ups := range r.ups {
+		for _, up := range ups {
+			up.closeIdle()
+		}
 	}
 }
 
@@ -210,15 +214,15 @@ func (r *Router) scan(ctx context.Context) {
 	scrapeTenants := r.opts.Policy.Name() == "least-loaded"
 	t := &routeTable{groups: make([]groupView, len(r.opts.Groups))}
 	var wg sync.WaitGroup
-	for gi, urls := range r.opts.Groups {
+	for gi, ups := range r.ups {
 		g := &t.groups[gi]
-		g.backends = make([]backendView, len(urls))
-		for bi, u := range urls {
+		g.backends = make([]backendView, len(ups))
+		for bi, up := range ups {
 			wg.Add(1)
-			go func(v *backendView, u string) {
+			go func(v *backendView, up *upstream) {
 				defer wg.Done()
-				*v = r.probe(ctx, u, scrapeTenants)
-			}(&g.backends[bi], u)
+				*v = r.probe(ctx, up, scrapeTenants)
+			}(&g.backends[bi], up)
 		}
 	}
 	wg.Wait()
@@ -244,7 +248,7 @@ func (r *Router) scan(ctx context.Context) {
 			now.Sub(r.lastLeader[gi]) > r.opts.FailoverAfter {
 			if bi := bestFollower(g.backends); bi >= 0 {
 				r.promoting[gi] = true
-				go r.promote(ctx, gi, g.backends[bi].url)
+				go r.promote(ctx, gi, g.backends[bi].up)
 			}
 		}
 	}
@@ -267,21 +271,12 @@ func bestFollower(backends []backendView) int {
 	return best
 }
 
-func (r *Router) probe(ctx context.Context, url string, scrapeTenants bool) backendView {
-	v := backendView{url: url}
+func (r *Router) probe(ctx context.Context, up *upstream, scrapeTenants bool) backendView {
+	v := backendView{up: up}
 	ctx, cancel := context.WithTimeout(ctx, r.opts.HealthInterval*5)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/replication/status", nil)
-	if err != nil {
-		return v
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return v
-	}
-	defer resp.Body.Close()
 	var st server.ReplStatusResponse
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
+	if getJSON(ctx, up, "/v1/replication/status", &st) != nil {
 		return v
 	}
 	v.healthy = true
@@ -290,7 +285,7 @@ func (r *Router) probe(ctx context.Context, url string, scrapeTenants bool) back
 	v.appliedLSN = st.AppliedLSN
 	v.bootstrapping = st.Bootstrapping
 	if scrapeTenants && st.Role == "leader" {
-		v.tenants, v.capacityM, v.tenantsKnown = r.scrapeTenantGauges(ctx, url)
+		v.tenants, v.capacityM, v.tenantsKnown = scrapeTenantGauges(ctx, up)
 	}
 	return v
 }
@@ -301,12 +296,8 @@ func (r *Router) probe(ctx context.Context, url string, scrapeTenants bool) back
 // autoscaler). The final return distinguishes "gauges read 0" from
 // "scrape failed or the count gauge is missing" — the placement policy
 // treats only the former as an empty group.
-func (r *Router) scrapeTenantGauges(ctx context.Context, url string) (tenants, capacityM int, ok bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
-	if err != nil {
-		return 0, 0, false
-	}
-	resp, err := r.hc.Do(req)
+func scrapeTenantGauges(ctx context.Context, up *upstream) (tenants, capacityM int, ok bool) {
+	resp, err := up.roundTrip(ctx, http.MethodGet, "/metrics", "", nil)
 	if err != nil {
 		return 0, 0, false
 	}
@@ -339,26 +330,22 @@ func (r *Router) scrapeTenantGauges(ctx context.Context, url string) (tenants, c
 	return tenants, capacityM, true
 }
 
-func (r *Router) promote(ctx context.Context, gi int, url string) {
-	r.logf("group %d leaderless past %v: promoting %s", gi, r.opts.FailoverAfter, url)
+func (r *Router) promote(ctx context.Context, gi int, up *upstream) {
+	r.logf("group %d leaderless past %v: promoting %s", gi, r.opts.FailoverAfter, up.url)
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/cluster/promote", nil)
+	resp, err := up.roundTrip(ctx, http.MethodPost, "/v1/cluster/promote", "", nil)
 	if err != nil {
-		return
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		r.logf("promote %s: %v", url, err)
+		r.logf("promote %s: %v", up.url, err)
 		return
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	if resp.StatusCode != http.StatusOK {
-		r.logf("promote %s: HTTP %d: %s", url, resp.StatusCode, body)
+		r.logf("promote %s: HTTP %d: %s", up.url, resp.StatusCode, body)
 		return
 	}
-	r.logf("promoted %s: %s", url, bytes.TrimSpace(body))
+	r.logf("promoted %s: %s", up.url, bytes.TrimSpace(body))
 }
 
 // EnablePprof makes Handler serve net/http/pprof under /debug/pprof/ beside
@@ -385,9 +372,25 @@ type RouterHealth struct {
 }
 
 type RouterGroupHealth struct {
-	Leader  string `json:"leader,omitempty"`
-	Healthy int    `json:"healthy"`
-	Total   int    `json:"total"`
+	Leader   string                `json:"leader,omitempty"`
+	Healthy  int                   `json:"healthy"`
+	Total    int                   `json:"total"`
+	Backends []RouterBackendHealth `json:"backends"`
+}
+
+// RouterBackendHealth is the router's connection pool for one backend:
+// counters since the router started, and the connections idle right now.
+// Dials staying flat under load is the pool working; StaleDiscards counts
+// pooled connections the backend had closed, found by the peek before reuse;
+// Resends counts requests sent again on a fresh connection because a pooled
+// one refused the write outright.
+type RouterBackendHealth struct {
+	URL           string `json:"url"`
+	Dials         int64  `json:"dials"`
+	Reuses        int64  `json:"reuses"`
+	StaleDiscards int64  `json:"staleDiscards"`
+	Resends       int64  `json:"resends"`
+	Idle          int    `json:"idle"`
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
@@ -399,9 +402,17 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 			if b.healthy {
 				gh.Healthy++
 			}
+			gh.Backends = append(gh.Backends, RouterBackendHealth{
+				URL:           b.up.url,
+				Dials:         b.up.dials.Load(),
+				Reuses:        b.up.reuses.Load(),
+				StaleDiscards: b.up.staleDiscards.Load(),
+				Resends:       b.up.resends.Load(),
+				Idle:          b.up.idleNow(),
+			})
 		}
 		if g.leader >= 0 {
-			gh.Leader = g.backends[g.leader].url
+			gh.Leader = g.backends[g.leader].up.url
 		} else {
 			resp.Status = "degraded"
 		}
@@ -432,7 +443,7 @@ func (r *Router) handleTenantsRoot(w http.ResponseWriter, req *http.Request) {
 		}
 		gi := r.opts.Policy.Pick(cr.ID, r.table.Load().loads())
 		r.placed.Store(cr.ID, gi)
-		r.proxyToGroup(w, req, gi, body, true)
+		r.proxyToGroup(w, req, gi, body)
 	case http.MethodGet:
 		r.handleTenantsMerged(w, req)
 	default:
@@ -454,7 +465,7 @@ func (r *Router) handleTenantsMerged(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		var infos []server.TenantInfo
-		if err := r.getJSON(req.Context(), g.backends[bi].url+"/v1/tenants", &infos); err != nil {
+		if err := getJSON(req.Context(), g.backends[bi].up, "/v1/tenants", &infos); err != nil {
 			r.httpError(w, http.StatusBadGateway, fmt.Sprintf("cluster: group %d: %v", gi, err))
 			return
 		}
@@ -466,20 +477,24 @@ func (r *Router) handleTenantsMerged(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-func (r *Router) getJSON(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.hc.Do(req)
+// getJSON decodes a backend's 200 reply to a GET. The decoder stops at the end
+// of the value; the rest of the body — a newline, a chunked reply's last
+// chunk — is read out behind it, or the connection could not be reused.
+func getJSON(ctx context.Context, up *upstream, target string, out any) error {
+	resp, err := up.roundTrip(ctx, http.MethodGet, target, "", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }
 
 // maxProxyBody bounds buffered request bodies; buffering is what lets the
@@ -505,10 +520,7 @@ func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, boo
 
 // handleTenant proxies /v1/tenants/{id}/... to the tenant's group.
 func (r *Router) handleTenant(w http.ResponseWriter, req *http.Request) {
-	id := strings.TrimPrefix(req.URL.Path, "/v1/tenants/")
-	if i := strings.IndexByte(id, '/'); i >= 0 {
-		id = id[:i]
-	}
+	id, _, sub := strings.Cut(strings.TrimPrefix(req.URL.Path, "/v1/tenants/"), "/")
 	if id == "" {
 		r.httpError(w, http.StatusNotFound, "cluster: missing tenant id")
 		return
@@ -522,20 +534,31 @@ func (r *Router) handleTenant(w http.ResponseWriter, req *http.Request) {
 		r.httpError(w, http.StatusNotFound, fmt.Sprintf("cluster: unknown tenant %q", id))
 		return
 	}
-	if req.Method == http.MethodDelete && strings.Count(req.URL.Path, "/") == 2 {
-		defer r.placed.Delete(id) // tenant delete: drop the learned location
+	status := r.proxyToGroup(w, req, gi, body)
+	// DELETE /v1/tenants/{id}: the learned location is dropped once a backend
+	// has said the tenant is gone — deleted now, or not there — and kept
+	// across a failed attempt, whose retry must still find the group.
+	if req.Method == http.MethodDelete && !sub && (status/100 == 2 || status == http.StatusNotFound) {
+		r.placed.Delete(id)
 	}
-	r.proxyToGroup(w, req, gi, body, r.idempotent(req, body))
 }
 
 // idempotent reports whether a request may be resent after an ambiguous
-// failure. GETs always are; a job submit is when it carries a
-// client-supplied idempotency key (the backend dedupes the resend).
+// failure. GETs always are, and a tenant create (sent twice, the second is
+// answered 409); a job submit is when it carries a client-supplied
+// idempotency key (the backend dedupes the resend). The answer can cost a
+// decode of the body, so proxyToGroup asks only once an attempt has failed.
 func (r *Router) idempotent(req *http.Request, body []byte) bool {
 	if req.Method == http.MethodGet {
 		return true
 	}
-	if req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/jobs") {
+	if req.Method != http.MethodPost {
+		return false
+	}
+	if req.URL.Path == "/v1/tenants" {
+		return true
+	}
+	if strings.HasSuffix(req.URL.Path, "/jobs") {
 		var sr server.SubmitJobRequest
 		if server.DecodeWire(body, &sr) == server.WireOK || json.Unmarshal(body, &sr) == nil {
 			return sr.Key != ""
@@ -563,7 +586,7 @@ func (r *Router) locate(ctx context.Context, id string) (int, bool) {
 			continue
 		}
 		var info server.TenantInfo
-		if r.getJSON(ctx, g.backends[bi].url+"/v1/tenants/"+id, &info) == nil {
+		if getJSON(ctx, g.backends[bi].up, escapeTarget("/v1/tenants/"+id, ""), &info) == nil {
 			r.placed.Store(id, gi)
 			return gi, true
 		}
@@ -574,12 +597,13 @@ func (r *Router) locate(ctx context.Context, id string) (int, bool) {
 // proxyToGroup forwards one buffered request to its group, re-resolving
 // the target each attempt so a promotion mid-request is picked up. Reads
 // fail over to the most caught-up follower; writes wait (inside
-// RetryWindow, idempotent requests only) for a leader.
-func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, body []byte, idempotent bool) {
+// RetryWindow, idempotent requests only) for a leader. It returns the
+// status the client was answered with: a backend's, or its own 503.
+func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, body []byte) int {
 	isRead := req.Method == http.MethodGet
 	deadline := time.Now().Add(r.opts.RetryWindow)
 	var lastErr error
-	for attempt := 0; ; attempt++ {
+	for {
 		t := r.table.Load()
 		g := t.groups[gi]
 		bi := g.leader
@@ -587,15 +611,15 @@ func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, 
 			bi = bestFollower(g.backends)
 		}
 		if bi >= 0 {
-			err := r.proxyOnce(w, req, g.backends[bi].url, body)
+			status, err := proxyOnce(w, req, g.backends[bi].up, body)
 			if err == nil {
-				return
+				return status
 			}
 			lastErr = err
 		} else {
 			lastErr = fmt.Errorf("group %d has no leader", gi)
 		}
-		if !idempotent || time.Now().After(deadline) || req.Context().Err() != nil {
+		if !r.idempotent(req, body) || time.Now().After(deadline) || req.Context().Err() != nil {
 			break
 		}
 		select {
@@ -605,30 +629,25 @@ func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, 
 	}
 	w.Header().Set("Retry-After", "1")
 	r.httpError(w, http.StatusServiceUnavailable, fmt.Sprintf("cluster: %v", lastErr))
+	return http.StatusServiceUnavailable
 }
 
 // proxyOnce sends the buffered request to one backend and streams the
-// reply. A returned error means nothing was written to w, so the caller
-// is free to retry another backend. Backend 5xx/503 replies on retryable
-// requests are reported as errors (not streamed) so a request racing a
-// promotion retries instead of surfacing the follower's refusal.
-func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, backend string, body []byte) error {
-	out, err := http.NewRequestWithContext(req.Context(), req.Method,
-		backend+req.URL.Path+queryString(req), bytes.NewReader(body))
+// reply, whose status it returns. A returned error means nothing was
+// written to w, so the caller is free to retry another backend. Backend
+// 5xx/503 replies on retryable requests are reported as errors (not
+// streamed) so a request racing a promotion retries instead of surfacing
+// the follower's refusal.
+func proxyOnce(w http.ResponseWriter, req *http.Request, up *upstream, body []byte) (int, error) {
+	resp, err := up.roundTrip(req.Context(), req.Method, escapeTarget(req.URL.Path, req.URL.RawQuery),
+		req.Header.Get("Content-Type"), body)
 	if err != nil {
-		return err
-	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		out.Header.Set("Content-Type", ct)
-	}
-	resp, err := r.hc.Do(out)
-	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return fmt.Errorf("%s: HTTP %d: %s", backend, resp.StatusCode, bytes.TrimSpace(b))
+		return 0, fmt.Errorf("%s: HTTP %d: %s", up.url, resp.StatusCode, bytes.TrimSpace(b))
 	}
 	for _, k := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(k); v != "" {
@@ -643,14 +662,7 @@ func (r *Router) proxyOnce(w http.ResponseWriter, req *http.Request, backend str
 	}
 	w.WriteHeader(resp.StatusCode)
 	copyReply(w, resp.Body, resp.ContentLength < 0)
-	return nil
-}
-
-func queryString(req *http.Request) string {
-	if req.URL.RawQuery == "" {
-		return ""
-	}
-	return "?" + req.URL.RawQuery
+	return resp.StatusCode, nil
 }
 
 // copyBufs recycles the buffers replies are copied through.
