@@ -83,7 +83,10 @@ bench:
 # one request to an in-memory pfaird and the same request through a router in
 # front of it, at -cpu 1 as the repository benchmark runs its processes:
 # routed minus direct is the CPU the hop costs, not the wake-up latency of a
-# second core).
+# second core — and ReplicaReady, a replica's cold start against an idle
+# leader until /healthz answers 200, and ReplicaVisible, how long a write
+# acked as durable stays invisible on a caught-up replica; an iteration of
+# either waits on the cluster's reaction paths, so they run few).
 # The checked-in document is generated with BENCHTIME=20x BENCHCOUNT=3;
 # benchjson keeps the fastest of the repeated runs, so shared-host noise
 # cancels out of the bench-diff gate.
@@ -92,7 +95,8 @@ bench-json:
 	  $(GO) test -run '^$$' -bench='BenchmarkServerSubmit|BenchmarkDispatchFanout|BenchmarkMetricsExposition|BenchmarkWireCodec' -benchmem -benchtime=1000x -count=$(BENCHCOUNT) ./internal/server/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkTenantRecord' -benchmem -benchtime=200000x -count=$(BENCHCOUNT) ./internal/server/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkCompact' -benchmem -benchtime=200x -count=$(BENCHCOUNT) ./internal/server/ && \
-	  $(GO) test -run '^$$' -bench='BenchmarkRouterHop' -benchmem -benchtime=2000x -cpu 1 -count=$(BENCHCOUNT) ./internal/cluster/; } \
+	  $(GO) test -run '^$$' -bench='BenchmarkRouterHop' -benchmem -benchtime=2000x -cpu 1 -count=$(BENCHCOUNT) ./internal/cluster/ && \
+	  $(GO) test -run '^$$' -bench='BenchmarkReplica' -benchmem -benchtime=50x -cpu 1 -count=$(BENCHCOUNT) ./internal/cluster/; } \
 	  | $(GO) run ./cmd/benchjson > $(BENCH_N)
 	@echo wrote $(BENCH_N)
 
