@@ -4,8 +4,8 @@ BENCHTIME ?= 1x
 BENCHCOUNT ?= 1
 # The archived bench document this tree writes (bench-json) and the one it
 # is gated against (bench-diff). A PR that archives new numbers bumps both.
-BENCH_N ?= BENCH_19.json
-BENCH_PREV ?= BENCH_18.json
+BENCH_N ?= BENCH_20.json
+BENCH_PREV ?= BENCH_19.json
 
 .PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
@@ -44,10 +44,16 @@ race-server:
 # tests (sharding, reply framing, placement, resend rule) and its upstream
 # layer's (request differential against http.Client, every reply shape,
 # stale pooled connections, a client hanging up mid-feed, the pool bound),
-# and the log-serving reader's durable-prefix guarantees.
+# the log-serving reader's durable-prefix guarantees, and the three
+# reaction paths driven by their events alone, tickers never firing: a
+# replica ready at catch-up (TestFollowerOfIdle…, TestFollowerReadyExactly…),
+# a promotion that reports back and one that fails and is retried
+# (TestPromotionReportsBack, TestFailedPromotionIsRetried), the log stream
+# woken by the fsync and never missing one (TestReplLog…, TestNextDurable…).
 cluster-smoke:
-	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced|TestRouter|TestNewRouter|TestUpstream'
-	$(GO) test -race -count=1 ./internal/wal/ -run 'TestReaderTailsConcurrentGroupCommit|TestCrashMidBatch'
+	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced|TestRouter|TestNewRouter|TestUpstream|TestFollowerOfIdleLeaderReadyWithoutTick|TestFollowerReadyExactlyAtTip|TestPromotionReportsBack|TestFailedPromotionIsRetried'
+	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestReplLog'
+	$(GO) test -race -count=1 ./internal/wal/ -run 'TestReaderTailsConcurrentGroupCommit|TestCrashMidBatch|TestNextDurable|TestThresholdSync|TestStoppedTimerCallback'
 
 # elastic-smoke is the elastic-capacity gate, all under -race: the
 # 50-seed resize-storm property harness (grow/shrink/reject/drain mixed

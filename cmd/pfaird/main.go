@@ -186,6 +186,13 @@ func serve(ctx context.Context, cfg config, ready func(addr string)) error {
 
 	ctx, stop := signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+	if follower != nil {
+		go func() {
+			if lsn, took, err := follower.WaitReady(ctx); err == nil {
+				log.Printf("pfaird: caught up with %s at LSN %d, %s after opening: serving reads", cfg.follow, lsn, took.Round(time.Microsecond))
+			}
+		}()
+	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()

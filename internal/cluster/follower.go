@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"desyncpfair/internal/server"
@@ -65,14 +66,29 @@ func fetchSnapshot(ctx context.Context, leader string, hc *http.Client) (server.
 // Follower tails a leader's journal into a server opened with
 // Options{Follower: true}: one goroutine streams /v1/replication/log,
 // CRC-verifies every frame, and feeds records through ApplyReplicated;
-// a second polls /v1/replication/status to maintain the lag gauge and
-// flip the node out of bootstrap once it reaches the leader's durable
-// tip. Seal stops both permanently (the step promotion runs first);
-// Promote is Seal plus the server-side term bump.
+// a second asks /v1/replication/status for the leader's durable tip, at
+// once and then on a ticker that keeps the lag gauge fresh. The node leaves
+// bootstrap at whichever of the two events finds it has applied everything
+// up to the newest tip it was told: the status answer (nothing to catch up
+// on) or the applied record that closes the backlog. Seal stops both
+// permanently (the step promotion runs first); Promote is Seal plus the
+// server-side term bump.
 type Follower struct {
 	srv    *server.Server
 	leader string
 	hc     *http.Client
+
+	// tip is the leader's durable LSN as of its latest status answer, -1
+	// before the first. The status loop stores it and then reads what the
+	// node has applied; the tail loop applies a record and then reads it: in
+	// that order whichever of the two comes second sees the other (progress).
+	tip atomic.Int64
+	// ready is closed when the node leaves bootstrap by catching up, after
+	// readyLSN and readyTook are written.
+	ready     chan struct{}
+	readyOnce sync.Once
+	readyLSN  uint64
+	readyTook time.Duration
 
 	cancel   context.CancelFunc
 	tailDone chan struct{}
@@ -80,10 +96,29 @@ type Follower struct {
 	sealOnce sync.Once
 }
 
+// statusRefresh is how often a follower asks its leader for the durable tip
+// again, once it has the first answer: the period of the lag gauge, not of
+// anything that waits.
+const statusRefresh = 50 * time.Millisecond
+
+// tickerFunc is time.NewTicker behind a seam: the loops of this package take
+// theirs through one, so a test can hand them a ticker that never fires and
+// show that nothing waits for it.
+type tickerFunc func(d time.Duration) (c <-chan time.Time, stop func())
+
+func realTicker(d time.Duration) (<-chan time.Time, func()) {
+	t := time.NewTicker(d)
+	return t.C, t.Stop
+}
+
 // StartFollower begins replicating from leader into srv and registers
 // itself as srv's promote hook, so POST /v1/cluster/promote on the
 // follower seals the stream before flipping writable.
 func StartFollower(srv *server.Server, leader string, hc *http.Client) *Follower {
+	return startFollower(srv, leader, hc, realTicker)
+}
+
+func startFollower(srv *server.Server, leader string, hc *http.Client, newTicker tickerFunc) *Follower {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
@@ -92,14 +127,49 @@ func StartFollower(srv *server.Server, leader string, hc *http.Client) *Follower
 		srv:      srv,
 		leader:   leader,
 		hc:       hc,
+		ready:    make(chan struct{}),
 		cancel:   cancel,
 		tailDone: make(chan struct{}),
 		statDone: make(chan struct{}),
 	}
+	f.tip.Store(-1)
 	srv.SetPromoteHook(f.Seal)
 	go f.tailLoop(ctx)
-	go f.statusLoop(ctx)
+	go f.statusLoop(ctx, newTicker)
 	return f
+}
+
+// WaitReady blocks until the node has left bootstrap by catching up with
+// its leader — /healthz answers 200 from then on — and returns the LSN it had
+// applied at that instant and how long bootstrap took by the server's clock.
+// A node that is sealed or promoted first never gets there: give ctx an end.
+func (f *Follower) WaitReady(ctx context.Context) (appliedLSN uint64, took time.Duration, err error) {
+	select {
+	case <-f.ready:
+		return f.readyLSN, f.readyTook, nil
+	case <-ctx.Done():
+		return 0, 0, ctx.Err()
+	}
+}
+
+// progress holds what the node has applied against the newest tip its leader
+// reported: it keeps the lag gauge, and ends bootstrap the first time the gap
+// is closed. Both loops call it, each after publishing its own half.
+func (f *Follower) progress() {
+	tip := f.tip.Load()
+	if tip < 0 {
+		return
+	}
+	applied := f.srv.AppliedLSN()
+	if lag := tip - int64(applied); lag > 0 {
+		f.srv.SetReplicationLag(lag)
+		return
+	}
+	f.srv.SetReplicationLag(0)
+	f.readyOnce.Do(func() {
+		f.readyLSN, f.readyTook = applied, f.srv.SetCaughtUp()
+		close(f.ready)
+	})
 }
 
 // Seal permanently stops the tail and status loops and waits for them:
@@ -202,6 +272,7 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 		// transport fault is over. Whether the record applied cleanly is the
 		// server's to count, and this does not clear it.
 		f.srv.SetReplicationError("")
+		f.progress()
 		if applied++; applied%256 == 0 {
 			f.srv.MaybeCompact()
 		}
@@ -209,30 +280,23 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 	return sc.Err()
 }
 
-// statusLoop polls the leader for its durable tip, maintaining the lag
-// gauge and ending bootstrap the first time this node has applied
-// everything the leader has made durable.
-func (f *Follower) statusLoop(ctx context.Context) {
+// statusLoop asks the leader for its durable tip — first at once, so a
+// follower with nothing to catch up on is ready as soon as the answer is
+// back, then on the ticker — and lets progress hold the node against it.
+func (f *Follower) statusLoop(ctx context.Context, newTicker tickerFunc) {
 	defer close(f.statDone)
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
+	tick, stop := newTicker(statusRefresh)
+	defer stop()
 	for {
+		// Transport faults surface via the tail loop; the next tick asks again.
+		if st, err := f.leaderStatus(ctx); err == nil {
+			f.tip.Store(int64(st.DurableLSN))
+			f.progress()
+		}
 		select {
 		case <-ctx.Done():
 			return
-		case <-tick.C:
-		}
-		st, err := f.leaderStatus(ctx)
-		if err != nil {
-			continue // transport faults surface via the tail loop
-		}
-		lag := int64(st.DurableLSN) - int64(f.srv.AppliedLSN())
-		if lag < 0 {
-			lag = 0
-		}
-		f.srv.SetReplicationLag(lag)
-		if lag == 0 {
-			f.srv.SetCaughtUp()
+		case <-tick:
 		}
 	}
 }

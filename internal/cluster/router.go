@@ -87,6 +87,9 @@ type groupView struct {
 
 type routeTable struct {
 	groups []groupView
+	// superseded is closed when the health loop publishes the next table: a
+	// request that found no leader in this one waits on it.
+	superseded chan struct{}
 }
 
 func (t *routeTable) loads() []Load {
@@ -117,12 +120,28 @@ type Router struct {
 	placed sync.Map // tenant id → group index (learned locations)
 	pprof  bool     // Handler mounts /debug/pprof/
 
+	// Owned by the health loop's goroutine: nothing else reads or writes them.
 	lastLeader []time.Time // per group: last instant a leader was visible
 	promoting  []bool      // per group: promotion request in flight
+	// promoted carries each promotion's outcome back to the health loop. One
+	// request is in flight per group at most, so a send never blocks.
+	promoted chan promotion
+
+	newTicker tickerFunc // the health loop's ticker and the retry wait's; tests replace it
 
 	cancel context.CancelFunc
 	done   chan struct{}
 }
+
+// promotion is the outcome of one promote request.
+type promotion struct {
+	gi int
+	ok bool
+}
+
+// proxyRetryEvery is how long a proxied request that may be resent waits
+// before it tries again, when no newer route table wakes it sooner.
+const proxyRetryEvery = 50 * time.Millisecond
 
 // NewRouter validates opts and builds a router; Start begins health
 // probing.
@@ -144,11 +163,13 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		ups:        make([][]*upstream, len(opts.Groups)),
 		lastLeader: make([]time.Time, len(opts.Groups)),
 		promoting:  make([]bool, len(opts.Groups)),
+		promoted:   make(chan promotion, len(opts.Groups)),
+		newTicker:  realTicker,
 		done:       make(chan struct{}),
 	}
 	// Start from an all-unknown table so requests arriving before the
 	// first probe round wait in the retry loop instead of crashing.
-	t := &routeTable{groups: make([]groupView, len(opts.Groups))}
+	t := &routeTable{groups: make([]groupView, len(opts.Groups)), superseded: make(chan struct{})}
 	now := time.Now()
 	for i, urls := range opts.Groups {
 		t.groups[i].leader = -1
@@ -196,14 +217,24 @@ func (r *Router) logf(format string, args ...any) {
 func (r *Router) healthLoop(ctx context.Context) {
 	defer close(r.done)
 	r.scan(ctx) // probe immediately so the first requests can route
-	tick := time.NewTicker(r.opts.HealthInterval)
-	defer tick.Stop()
+	tick, stop := r.newTicker(r.opts.HealthInterval)
+	defer stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-tick.C:
+		case <-tick:
 			r.scan(ctx)
+		case p := <-r.promoted:
+			// The flag falls whatever the outcome: after a failure the next
+			// scan still past FailoverAfter picks a candidate afresh. After a
+			// success the group is read again now, not at the next tick, and
+			// the table that names the new leader wakes the requests waiting
+			// for one.
+			r.promoting[p.gi] = false
+			if p.ok {
+				r.scan(ctx)
+			}
 		}
 	}
 }
@@ -212,7 +243,7 @@ func (r *Router) healthLoop(ctx context.Context) {
 // kicks auto-promotion for groups that have been leaderless too long.
 func (r *Router) scan(ctx context.Context) {
 	scrapeTenants := r.opts.Policy.Name() == "least-loaded"
-	t := &routeTable{groups: make([]groupView, len(r.opts.Groups))}
+	t := &routeTable{groups: make([]groupView, len(r.opts.Groups)), superseded: make(chan struct{})}
 	var wg sync.WaitGroup
 	for gi, ups := range r.ups {
 		g := &t.groups[gi]
@@ -243,7 +274,6 @@ func (r *Router) scan(ctx context.Context) {
 		}
 		if g.leader >= 0 {
 			r.lastLeader[gi] = now
-			r.promoting[gi] = false
 		} else if r.opts.FailoverAfter > 0 && !r.promoting[gi] &&
 			now.Sub(r.lastLeader[gi]) > r.opts.FailoverAfter {
 			if bi := bestFollower(g.backends); bi >= 0 {
@@ -252,7 +282,7 @@ func (r *Router) scan(ctx context.Context) {
 			}
 		}
 	}
-	r.table.Store(t)
+	close(r.table.Swap(t).superseded)
 }
 
 // bestFollower picks the healthy, caught-up follower with the highest
@@ -330,22 +360,35 @@ func scrapeTenantGauges(ctx context.Context, up *upstream) (tenants, capacityM i
 	return tenants, capacityM, true
 }
 
+// promote asks one backend to take over its group and reports the outcome
+// to the health loop, which started it and is the one to act on it.
 func (r *Router) promote(ctx context.Context, gi int, up *upstream) {
 	r.logf("group %d leaderless past %v: promoting %s", gi, r.opts.FailoverAfter, up.url)
+	reply, err := promoteOnce(ctx, up)
+	if err != nil {
+		r.logf("promote %s failed: %v; group %d is tried again at the next scan", up.url, err, gi)
+	} else {
+		r.logf("promoted %s: %s; reading group %d again now", up.url, reply, gi)
+	}
+	r.promoted <- promotion{gi: gi, ok: err == nil}
+}
+
+// promoteOnce is one POST /v1/cluster/promote: the reply body of a 200, an
+// error for anything else.
+func promoteOnce(ctx context.Context, up *upstream) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	resp, err := up.roundTrip(ctx, http.MethodPost, "/v1/cluster/promote", "", nil)
 	if err != nil {
-		r.logf("promote %s: %v", up.url, err)
-		return
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	body = bytes.TrimSpace(body)
 	if resp.StatusCode != http.StatusOK {
-		r.logf("promote %s: HTTP %d: %s", up.url, resp.StatusCode, body)
-		return
+		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, body)
 	}
-	r.logf("promoted %s: %s", up.url, bytes.TrimSpace(body))
+	return body, nil
 }
 
 // EnablePprof makes Handler serve net/http/pprof under /debug/pprof/ beside
@@ -622,10 +665,16 @@ func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, 
 		if !r.idempotent(req, body) || time.Now().After(deadline) || req.Context().Err() != nil {
 			break
 		}
+		// A newer table than the one this attempt routed by ends the wait
+		// early: the health loop publishes one the moment a promotion it
+		// made returns. Otherwise the request tries again on its period.
+		retry, stop := r.newTicker(proxyRetryEvery)
 		select {
 		case <-req.Context().Done():
-		case <-time.After(50 * time.Millisecond):
+		case <-t.superseded:
+		case <-retry:
 		}
+		stop()
 	}
 	w.Header().Set("Retry-After", "1")
 	r.httpError(w, http.StatusServiceUnavailable, fmt.Sprintf("cluster: %v", lastErr))

@@ -324,6 +324,8 @@ func Open(opts Options) (*Server, error) {
 		// reports bootstrapping until the replication tailer catches it up
 		// to the leader's durable tip.
 		s.role.Store(int32(RoleFollower))
+		s.bootstrapFrom = s.obs.clock.Now()
+		s.bootstrapNs.Store(-1)
 		s.bootstrapping.Store(true)
 		s.replLagLSN.Store(-1)
 	} else {

@@ -287,6 +287,14 @@ func (s *Server) appendWALMetrics(b []byte) []byte {
 	b = append(b, "# HELP pfaird_replication_lag_lsn LSNs this follower trails its leader's durable tip (0 on a leader, -1 before first measurement).\n"...)
 	b = append(b, "# TYPE pfaird_replication_lag_lsn gauge\n"...)
 	b = appendBare(b, "pfaird_replication_lag_lsn", s.replicationLag())
+	b = append(b, "# HELP pfaird_replication_bootstrap_seconds How long this node took, opened as a follower, to catch up with its leader's durable tip (-1 while it is bootstrapping, 0 on a node that never followed).\n"...)
+	b = append(b, "# TYPE pfaird_replication_bootstrap_seconds gauge\n"...)
+	b = append(b, "pfaird_replication_bootstrap_seconds "...)
+	b = strconv.AppendFloat(b, bootstrapSeconds(s.bootstrapNs.Load()), 'g', -1, 64)
+	b = append(b, '\n')
+	b = append(b, "# HELP pfaird_replication_log_streams Followers attached to this node's /v1/replication/log right now.\n"...)
+	b = append(b, "# TYPE pfaird_replication_log_streams gauge\n"...)
+	b = appendBare(b, "pfaird_replication_log_streams", s.replLogStreams.Load())
 	b = append(b, "# HELP pfaird_replication_apply_errors_total Replicated commands that failed to re-apply on this follower (0 on a healthy one).\n"...)
 	b = append(b, "# TYPE pfaird_replication_apply_errors_total counter\n"...)
 	b = appendBare(b, "pfaird_replication_apply_errors_total", s.replApplyErrors.Load())
@@ -304,6 +312,15 @@ func (s *Server) replicationLag() int64 {
 		return 0
 	}
 	return s.replLagLSN.Load()
+}
+
+// bootstrapSeconds renders Server.bootstrapNs: its -1 and 0 stand for
+// themselves, anything else is a duration.
+func bootstrapSeconds(ns int64) float64 {
+	if ns <= 0 {
+		return float64(ns)
+	}
+	return time.Duration(ns).Seconds()
 }
 
 func boolGauge(v bool) int {

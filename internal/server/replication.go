@@ -101,8 +101,19 @@ func (s *Server) ReplicationError() string {
 
 // SetCaughtUp marks a bootstrapping follower as caught up to its
 // leader's durable tip; /healthz flips from 503 "bootstrapping" to 200
-// and routers may start serving reads from it.
-func (s *Server) SetCaughtUp() { s.bootstrapping.Store(false) }
+// and routers may start serving reads from it. It returns how long
+// bootstrap took — from Open, which the caller's StartFollower follows at
+// once — by the server's clock: pfaird_replication_bootstrap_seconds from
+// then on. On a node that was not bootstrapping it does nothing and
+// returns 0.
+func (s *Server) SetCaughtUp() time.Duration {
+	if !s.bootstrapping.CompareAndSwap(true, false) {
+		return 0
+	}
+	took := s.obs.clock.Now().Sub(s.bootstrapFrom)
+	s.bootstrapNs.Store(int64(took))
+	return took
+}
 
 // SetPromoteHook installs a callback Promote (and POST
 // /v1/cluster/promote) runs first — the cluster follower uses it to seal
@@ -177,6 +188,7 @@ func (s *Server) Promote() error {
 	}
 	s.journaling.Store(true)
 	s.bootstrapping.Store(false)
+	s.bootstrapNs.CompareAndSwap(-1, 0) // promoted before it ever caught up
 	s.replLagLSN.Store(0)
 	s.replErr.Store(nil)
 	s.appliedLSN.Store(s.wal.WrittenLSN())
@@ -351,9 +363,21 @@ func (s *Server) handleReplLog(w http.ResponseWriter, r *http.Request) {
 	rd := s.wal.NewReader(from)
 	defer rd.Close()
 
+	// A caught-up stream sleeps until the journal's next fsync. The wake
+	// channel is taken before every read, so an fsync between a read that
+	// finds nothing and the wait on it closes the channel already held: no
+	// record is left behind with nothing due to wake the stream.
+	var durable <-chan struct{}
+	next := func() ([]wal.RawFrame, error) {
+		if follow {
+			durable = s.wal.NextDurable()
+		}
+		return rd.NextRaw(replLogBatch)
+	}
+
 	// Resolve the first batch before committing to a 200, so a compacted
 	// cursor can still answer 410.
-	frames, err := rd.NextRaw(replLogBatch)
+	frames, err := next()
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, wal.ErrCompacted) {
@@ -363,6 +387,8 @@ func (s *Server) handleReplLog(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	s.replLogStreams.Add(1) // before the header: a client that has its 200 is counted
+	defer s.replLogStreams.Add(-1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -379,39 +405,35 @@ func (s *Server) handleReplLog(w http.ResponseWriter, r *http.Request) {
 	// Replication followers are never evicted for lag — the reader paces
 	// them against the durable horizon and the log is on disk anyway.
 	var line []byte
-	ticker := time.NewTicker(replLogPoll)
-	defer ticker.Stop()
 	for {
-		line = line[:0]
-		for _, f := range frames {
-			line = append(line, `{"crc":`...)
-			line = strconv.AppendUint(line, uint64(f.CRC), 10)
-			line = append(line, `,"rec":`...)
-			line = append(line, f.Payload...)
-			line = append(line, '}', '\n')
-		}
-		if len(line) > 0 {
+		switch {
+		case len(frames) > 0:
+			line = line[:0]
+			for _, f := range frames {
+				line = append(line, `{"crc":`...)
+				line = strconv.AppendUint(line, uint64(f.CRC), 10)
+				line = append(line, `,"rec":`...)
+				line = append(line, f.Payload...)
+				line = append(line, '}', '\n')
+			}
 			if _, werr := w.Write(line); werr != nil {
 				return // client went away
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
-		}
-		if len(frames) == 0 {
-			if !follow {
-				return
-			}
+		case !follow:
+			return
+		default:
 			select {
-			case <-ticker.C:
+			case <-durable:
 			case <-r.Context().Done():
 				return
 			case <-s.shutdown:
 				return
 			}
 		}
-		frames, err = rd.NextRaw(replLogBatch)
-		if err != nil {
+		if frames, err = next(); err != nil {
 			// Mid-stream errors (including a compaction overtaking a slow
 			// cursor) just end the stream; the follower re-queries and
 			// gets the precise status then.
@@ -420,12 +442,8 @@ func (s *Server) handleReplLog(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-const (
-	// replLogBatch bounds records per write on the replication stream.
-	replLogBatch = 256
-	// replLogPoll is the tail-poll interval when the stream is caught up.
-	replLogPoll = 15 * time.Millisecond
-)
+// replLogBatch bounds records per write on the replication stream.
+const replLogBatch = 256
 
 // handlePromote flips this node writable. Idempotent: promoting a leader
 // reports the current term. The configured promote hook (the cluster

@@ -93,14 +93,21 @@ type Server struct {
 	// has not yet caught up to its leader's durable tip (healthz answers
 	// 503 so routers skip it). replLagLSN / replErr are maintained by the
 	// cluster tailer via SetReplicationLag / SetReplicationError.
-	role          atomic.Int32
-	journaling    atomic.Bool
-	appliedLSN    atomic.Uint64
-	bootstrapping atomic.Bool
-	replLagLSN    atomic.Int64
-	replErr       atomic.Pointer[string]
-	promoteMu     sync.Mutex
-	promoteHook   atomic.Pointer[func() error]
+	// bootstrapFrom is the instant Open marked the node bootstrapping and
+	// bootstrapNs how long it then took to catch up (-1 until SetCaughtUp
+	// writes it, 0 on a node that never followed); replLogStreams counts
+	// the /v1/replication/log streams open on this node right now.
+	role           atomic.Int32
+	journaling     atomic.Bool
+	appliedLSN     atomic.Uint64
+	bootstrapping  atomic.Bool
+	bootstrapFrom  time.Time
+	bootstrapNs    atomic.Int64
+	replLagLSN     atomic.Int64
+	replErr        atomic.Pointer[string]
+	replLogStreams atomic.Int64
+	promoteMu      sync.Mutex
+	promoteHook    atomic.Pointer[func() error]
 	// replApplyErrors / replMismatches count replicated records that did
 	// not apply cleanly — commands that failed to re-apply, dispatch records
 	// that contradicted the regenerated decisions. ApplyReplicated writes

@@ -212,6 +212,141 @@ func TestLeaderFollowerCoalescing(t *testing.T) {
 	}
 }
 
+// TestThresholdSyncHasNoStraggler pins what a group-committed ack costs: with
+// FsyncEvery = N, crossing the threshold K times is K fsyncs. Each round one
+// appender crosses it and sits in the (gated) fsync while a second one lands a
+// record behind its back and follows that sync. The sync leaves one record
+// unsynced — under the threshold — so the follower acks without a sync of its
+// own; it used to insist on everything written and run a whole fsync for its
+// one record. No ack returns with N or more records unsynced.
+func TestThresholdSyncHasNoStraggler(t *testing.T) {
+	const n, rounds = 4, 6
+	g := &gateFS{started: make(chan struct{}, 1), release: make(chan struct{})}
+	l, _ := mustOpen(t, t.TempDir(), Options{FS: g, FsyncEvery: n})
+	defer l.Close()
+	rec := Record{Op: OpAdvance, Tenant: "a", At: "0"}
+	ackedUnder := func(who string) {
+		t.Helper()
+		if u := l.Stats().Unsynced; u >= n {
+			t.Fatalf("%s acked with %d records unsynced, FsyncEvery is %d", who, u, n)
+		}
+	}
+
+	for round := 0; round < rounds; round++ {
+		for l.Stats().Unsynced < n-1 { // acks under the threshold: no fsync
+			if _, err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			ackedUnder("an append under the threshold")
+		}
+		g.mu.Lock()
+		g.gated = 1 // the crossing fsync; one more would go through, and be counted
+		g.mu.Unlock()
+		crossed := make(chan error, 1)
+		go func() { _, err := l.Append(rec); crossed <- err }()
+		<-g.started // the crossing appender leads the fsync, mutex released
+
+		landed := make(chan struct{})
+		straggler := make(chan error, 1)
+		go func() {
+			c, err := l.AppendAsync(rec)
+			close(landed)
+			if err == nil {
+				err = l.Wait(c)
+			}
+			straggler <- err
+		}()
+		<-landed
+		g.release <- struct{}{}
+		if err := <-crossed; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-straggler; err != nil {
+			t.Fatal(err)
+		}
+		ackedUnder("the round's two appenders")
+		if got := l.Stats().Fsyncs; got != uint64(round+1) {
+			t.Fatalf("after %d threshold crossings: %d fsyncs", round+1, got)
+		}
+	}
+	g.mu.Lock()
+	syncs := g.syncs
+	g.mu.Unlock()
+	if syncs != rounds {
+		t.Fatalf("file saw %d Sync calls for %d threshold crossings", syncs, rounds)
+	}
+}
+
+// TestThresholdSyncStopsIdleTimer: the idle-flush timer belongs to the batch
+// whose first record armed it. A threshold sync that leaves nothing unsynced
+// stops it, so under steady appends no timer is left to fire on whatever
+// young batch exists when its delay runs out — and the next batch's first
+// record arms its own, which flushes that batch within FsyncMaxDelay of it.
+func TestThresholdSyncStopsIdleTimer(t *testing.T) {
+	const n, batches = 4, 5
+	tf := &timerFactory{}
+	l, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: n, FsyncMaxDelay: 50 * time.Millisecond, AfterFunc: tf.afterFunc})
+	defer l.Close()
+
+	appendN(t, l, n*batches)
+	if st := l.Stats(); st.Fsyncs != batches || st.Unsynced != 0 {
+		t.Fatalf("after %d full batches: %+v", batches, st)
+	}
+	appendN(t, l, 1) // a young partial batch
+	timers := tf.all()
+	if len(timers) != batches+1 {
+		t.Fatalf("%d timers armed, want one per batch (%d)", len(timers), batches+1)
+	}
+	young := timers[batches]
+	for _, ft := range timers[:batches] { // every earlier batch's delay runs out
+		ft.fire()
+	}
+	if st := l.Stats(); st.Fsyncs != batches || st.Unsynced != 1 {
+		t.Fatalf("timers of batches already synced flushed the young one: %+v", st)
+	}
+	if young.d != 50*time.Millisecond {
+		t.Fatalf("the partial batch's timer was armed with %v, want FsyncMaxDelay", young.d)
+	}
+	young.fire()
+	if st := l.Stats(); st.Fsyncs != batches+1 || st.Unsynced != 0 {
+		t.Fatalf("the partial batch's own timer did not flush it: %+v", st)
+	}
+}
+
+// lateTimer is a timer whose callback had already started when it was
+// stopped: Stop reports false, and the test runs the callback afterwards.
+type lateTimer struct{ fn func() }
+
+func (lt *lateTimer) Stop() bool { return false }
+
+// TestStoppedTimerCallbackLeavesSuccessorArmed: Stop() == false means the
+// timer's callback is already running, waiting for the log's mutex. When it
+// gets there it must find itself superseded: no fsync, and the timer the
+// next batch armed in the meantime stays that batch's one timer.
+func TestStoppedTimerCallbackLeavesSuccessorArmed(t *testing.T) {
+	const n = 4
+	var timers []*lateTimer
+	l, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: n, FsyncMaxDelay: 50 * time.Millisecond,
+		AfterFunc: func(_ time.Duration, f func()) Timer {
+			lt := &lateTimer{fn: f}
+			timers = append(timers, lt)
+			return lt
+		}})
+	defer l.Close()
+
+	appendN(t, l, n) // arms timer 0; the threshold sync stops it too late
+	appendN(t, l, 1) // the next batch arms timer 1
+	timers[0].fn()   // the late callback finally gets the mutex
+	appendN(t, l, 1) // had it un-armed timer 1, this would arm a third
+	if st := l.Stats(); st.Fsyncs != 1 || st.Unsynced != 2 || len(timers) != 2 {
+		t.Fatalf("after a late callback: %+v, %d timers armed; want 1 fsync, 2 unsynced, 2 timers", st, len(timers))
+	}
+	timers[1].fn()
+	if st := l.Stats(); st.Fsyncs != 2 || st.Unsynced != 0 {
+		t.Fatalf("the batch's own timer: %+v, want it flushed", st)
+	}
+}
+
 // waitFor polls cond until it holds; the conditions used here are
 // guaranteed to become true once the goroutines already launched make
 // progress, so this converges without any timing assumptions beyond the

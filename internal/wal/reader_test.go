@@ -13,13 +13,16 @@ import (
 
 // collect drains r until `want` records arrived or the deadline passes,
 // asserting the stream is LSN-contiguous and never runs past the durable
-// horizon.
+// horizon. A read that finds nothing waits for the log's next fsync, on the
+// channel taken before that read.
 func collect(t *testing.T, l *Log, r *Reader, want int, deadline time.Duration) []Record {
 	t.Helper()
 	var got []Record
 	next := uint64(1)
-	stop := time.Now().Add(deadline)
-	for len(got) < want && time.Now().Before(stop) {
+	stop := time.NewTimer(deadline)
+	defer stop.Stop()
+	for len(got) < want {
+		synced := l.NextDurable()
 		recs, err := r.Next(16)
 		if err != nil {
 			t.Fatalf("Next: %v", err)
@@ -39,7 +42,11 @@ func collect(t *testing.T, l *Log, r *Reader, want int, deadline time.Duration) 
 		}
 		got = append(got, recs...)
 		if len(recs) == 0 {
-			time.Sleep(time.Millisecond)
+			select {
+			case <-synced:
+			case <-stop.C:
+				return got
+			}
 		}
 	}
 	return got
@@ -180,15 +187,21 @@ func TestNextRawMatchesNext(t *testing.T) {
 	rr := l.NewReader(1)
 	defer rr.Close()
 	var raws []RawFrame
-	stop := time.Now().Add(2 * time.Second)
-	for len(raws) < 40 && time.Now().Before(stop) {
+	stop := time.NewTimer(2 * time.Second)
+	defer stop.Stop()
+	for len(raws) < 40 {
+		durable := l.NextDurable()
 		fs, err := rr.NextRaw(16)
 		if err != nil {
 			t.Fatalf("NextRaw: %v", err)
 		}
 		raws = append(raws, fs...)
 		if len(fs) == 0 {
-			time.Sleep(time.Millisecond)
+			select {
+			case <-durable:
+			case <-stop.C:
+				t.Fatalf("NextRaw served %d frames in 2 s, want 40", len(raws))
+			}
 		}
 	}
 	if len(raws) != len(recs) {

@@ -323,12 +323,20 @@ type Log struct {
 	term       uint64 // current leadership term, stamped into appends
 	syncing    bool   // a leader is inside the fsync syscall, mutex dropped
 	sinceSnap  int
+	// The idle-flush timer belongs to one unsynced batch: armed by the
+	// batch's first record, stopped by the sync that leaves nothing unsynced.
+	// timerGen names the timer armed last, so a callback that was already
+	// running when its timer was stopped finds itself superseded.
 	timerArmed bool
+	timerGen   uint64
 	timer      Timer
-	pendingAt  []pendingStamp // empty (and untouched) when timings is nil
-	wedged     error
-	closed     bool
-	st         Stats
+	// durableCh is what NextDurable hands out: nil until somebody asks,
+	// closed and forgotten when durableLSN advances.
+	durableCh chan struct{}
+	pendingAt []pendingStamp // empty (and untouched) when timings is nil
+	wedged    error
+	closed    bool
+	st        Stats
 }
 
 // encodeFrame appends one framed record to fb: 8-byte header reserved
@@ -624,7 +632,9 @@ func (l *Log) writeLocked(fb *wire.Buf, n int) error {
 	l.sinceSnap += n
 	if l.maxDelay > 0 && !l.timerArmed {
 		l.timerArmed = true
-		l.timer = l.afterFunc(l.maxDelay, l.flushTimerFired)
+		l.timerGen++
+		gen := l.timerGen
+		l.timer = l.afterFunc(l.maxDelay, func() { l.flushTimerFired(gen) })
 	}
 	return nil
 }
@@ -639,8 +649,12 @@ func (l *Log) writeLocked(fb *wire.Buf, n int) error {
 //   - FsyncEvery > 1: acks are group-committed; Wait returns immediately
 //     unless the unsynced batch has reached the threshold, in which case
 //     this waiter drives the sync (the PR-3 inline fsync, moved off the
-//     append path). A crash can still lose up to one batch of
-//     acknowledged records, exactly as before.
+//     append path) or follows the one in flight — and asks the threshold
+//     again afterwards: a sync that left only the few records written
+//     behind its back is not followed by a second one for those. Every ack
+//     returns with fewer than FsyncEvery records unsynced, so a crash can
+//     still lose up to one batch of acknowledged records, exactly as
+//     before.
 //
 // The zero Commit returns nil immediately.
 func (l *Log) Wait(c Commit) error {
@@ -649,22 +663,24 @@ func (l *Log) Wait(c Commit) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.fsyncEvery > 1 {
-		if l.unsyncedLocked() < l.fsyncEvery {
-			return nil
-		}
-		return l.syncToLocked(l.writtenLSN)
+	if l.fsyncEvery == 1 {
+		return l.syncToLocked(c.LSN)
 	}
-	return l.syncToLocked(c.LSN)
+	return l.syncUntilLocked(func() bool { return l.unsyncedLocked() < l.fsyncEvery })
 }
 
-// syncToLocked blocks until durableLSN ≥ target, becoming the fsync
-// leader if nobody is syncing, otherwise following the in-flight sync —
-// and re-checking after it, since that sync may cover only an earlier
-// prefix. Called with l.mu held; the mutex is released while following
-// and while leading the syscall.
+// syncToLocked blocks until durableLSN ≥ target.
 func (l *Log) syncToLocked(target uint64) error {
-	for l.durableLSN < target {
+	return l.syncUntilLocked(func() bool { return l.durableLSN >= target })
+}
+
+// syncUntilLocked blocks until done holds, becoming the fsync leader if
+// nobody is syncing, otherwise following the in-flight sync — and asking
+// done again after it, since that sync may cover only an earlier prefix.
+// Called with l.mu held, which is also how done is called; the mutex is
+// released while following and while leading the syscall.
+func (l *Log) syncUntilLocked(done func() bool) error {
+	for !done() {
 		if l.wedged != nil {
 			return l.wedged
 		}
@@ -699,6 +715,10 @@ func (l *Log) leaderSyncLocked() {
 	} else {
 		if end > l.durableLSN {
 			l.durableLSN = end
+			l.wakeDurableLocked()
+		}
+		if l.durableLSN == l.writtenLSN {
+			l.disarmTimerLocked() // nothing left for it to flush: the next append arms a fresh one
 		}
 		l.st.Fsyncs++
 		if l.timings != nil {
@@ -714,13 +734,18 @@ func (l *Log) leaderSyncLocked() {
 	l.commit.Broadcast()
 }
 
-// flushTimerFired is the FsyncMaxDelay callback: it syncs whatever is
-// still unsynced (a no-op if a threshold sync, an explicit Sync, or a
-// durable-ack leader got there first). The next append re-arms the timer,
-// so each unsynced batch gets one bounded deadline.
-func (l *Log) flushTimerFired() {
+// flushTimerFired is the FsyncMaxDelay callback of the timer armed as gen:
+// it syncs whatever is still unsynced. The next append arms a fresh timer,
+// so each unsynced batch gets one bounded deadline. A timer whose batch a
+// threshold sync, an explicit Sync or a durable-ack leader already covered
+// was stopped then; if its callback had started by that time it finds the
+// timer disarmed, or a later one armed, and leaves both alone.
+func (l *Log) flushTimerFired(gen uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if !l.timerArmed || gen != l.timerGen {
+		return
+	}
 	l.timerArmed = false
 	if l.closed || l.wedged != nil || l.unsyncedLocked() == 0 {
 		return
@@ -728,9 +753,54 @@ func (l *Log) flushTimerFired() {
 	_ = l.syncToLocked(l.writtenLSN) // a failure wedges the log; nothing more to report here
 }
 
+// disarmTimerLocked stops the idle-flush timer, if one is armed.
+func (l *Log) disarmTimerLocked() {
+	if l.timerArmed {
+		l.timer.Stop() // false = its callback is running: flushTimerFired finds timerArmed cleared
+		l.timerArmed = false
+	}
+}
+
+// NextDurable returns a channel that is closed the next time DurableLSN
+// advances — or the log wedges, or is closed, after either of which it will
+// not advance again. It is how a reader tails the log without polling it:
+// take the channel, read (a Reader serves up to the durable horizon as it
+// stands when asked), and only if that read comes back empty wait on the
+// channel. In that order an advance between the read and the wait closes a
+// channel already held, so it cannot be missed. DurableLSN advances once per
+// fsync, never per append, and no channel exists while nobody has asked for
+// one. A wedged log hands out a channel only Close closes; a closed log, one
+// closed already.
+func (l *Log) NextDurable() <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return closedChan
+	}
+	if l.durableCh == nil {
+		l.durableCh = make(chan struct{})
+	}
+	return l.durableCh
+}
+
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// wakeDurableLocked closes the channel NextDurable handed out, if any.
+func (l *Log) wakeDurableLocked() {
+	if l.durableCh != nil {
+		close(l.durableCh)
+		l.durableCh = nil
+	}
+}
+
 func (l *Log) wedge(err error) {
 	if l.wedged == nil {
 		l.wedged = fmt.Errorf("%w: %v", ErrWedged, err)
+		l.wakeDurableLocked()
 	}
 	if l.commit != nil {
 		l.commit.Broadcast()
@@ -899,6 +969,7 @@ func (l *Log) InstallSnapshot(payload []byte, lsn, term uint64) error {
 	l.nextLSN = lsn + 1
 	l.writtenLSN = lsn
 	l.durableLSN = lsn
+	l.wakeDurableLocked()
 	l.snapLSN = lsn
 	l.term = term
 	l.sinceSnap = 0
@@ -972,10 +1043,8 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.timer != nil {
-		l.timer.Stop()
-		l.timerArmed = false
-	}
+	l.wakeDurableLocked()
+	l.disarmTimerLocked()
 	err := func() error {
 		if l.wedged != nil {
 			return nil // already failed; nothing more to preserve
