@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output on stdin into
 // machine-readable JSON on stdout, so benchmark results can be archived
-// and diffed across PRs (BENCH_2.json in the repo root; see `make
-// bench-json`). It understands the standard benchmark line format
+// and diffed across PRs (the BENCH_*.json documents in the repo root; see
+// `make bench-json`). It understands the standard benchmark line format
 //
 //	BenchmarkName-8   	     100	  11234 ns/op	  2048 B/op	  12 allocs/op
 //
@@ -13,7 +13,7 @@
 //
 // Compare mode diffs two archived documents:
 //
-//	benchjson -diff BENCH_4.json BENCH_5.json [-threshold 20]
+//	benchjson -diff OLD.json NEW.json [-threshold 20]
 //
 // prints a per-benchmark delta table (ns/op and allocs/op) for the
 // benchmarks present in both files and exits 1 if any shared benchmark

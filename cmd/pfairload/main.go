@@ -12,8 +12,13 @@
 //
 // Each task has weight 1/K, so every tenant's utilization is exactly 1 and
 // admission always passes on m ≥ 1; the point here is request throughput,
-// not schedulability stress. The run fails (exit 1) if any tenant ends
-// with max tardiness above one quantum — Theorem 3 must survive load.
+// not schedulability stress. The load is a feasible closed loop: a submit
+// is worth one slot of its tenant's time, and a worker advances a tenant
+// by the submits it made to it since its last advance (-advance-every
+// sets how many it lets accumulate), so the load phase does the run's
+// scheduling and the final drain has only the last windows left. The run
+// fails (exit 1) if any tenant ends with max tardiness above one quantum —
+// Theorem 3 must survive load.
 //
 // The summary also reports measured capacity: the active M per tenant
 // scraped from the server's pfaird_tenant_m gauges (which an autoscaler
@@ -32,6 +37,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -407,15 +413,21 @@ func run(cfg config, out io.Writer) (report, error) {
 			rng := rand.New(rand.NewSource(cfg.seed + int64(w)*0x9e3779b9))
 			rng.Shuffle(len(mine), func(i, j int) { mine[i], mine[j] = mine[j], mine[i] })
 			lat := make([]time.Duration, 0, cfg.jobs*len(mine)*2)
-			submits := 0
+			// The loop is closed per tenant: K tasks of weight 1/K make one
+			// submit worth one slot of tenant time, so a worker advances a
+			// tenant by the submits it has made to it since it last did —
+			// releases and virtual time keep pace, and the backlog is bounded
+			// by how far the workers drift apart, not by the run's length.
+			owed := map[string]int{}
 			advance := func(tenant string) bool {
 				t0 := time.Now()
-				_, err := c.AdvanceBy(ctx, tenant, "1")
+				_, err := c.AdvanceBy(ctx, tenant, strconv.Itoa(owed[tenant]))
 				lat = append(lat, time.Since(t0))
 				if err != nil {
 					errs[w] = fmt.Errorf("advance %s: %w", tenant, err)
 					return false
 				}
+				owed[tenant] = 0
 				return true
 			}
 			for j := 0; j < cfg.jobs; j += cfg.batch {
@@ -457,13 +469,16 @@ func run(cfg config, out io.Writer) (report, error) {
 						lats[w] = lat
 						return
 					}
-					submits += n
-					if submits%cfg.advanceEvery < n {
-						if !advance(p.tenant) {
-							lats[w] = lat
-							return
-						}
+					owed[p.tenant] += n
+					if owed[p.tenant] >= cfg.advanceEvery && !advance(p.tenant) {
+						lats[w] = lat
+						return
 					}
+				}
+			}
+			for tenant, n := range owed {
+				if n > 0 && !advance(tenant) {
+					break
 				}
 			}
 			lats[w] = lat

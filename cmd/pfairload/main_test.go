@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -391,5 +393,79 @@ func TestRunAgainstTargetWithoutMetrics(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "no server-side metrics") {
 		t.Errorf("summary does not say the server-side metrics are missing:\n%s", out.String())
+	}
+}
+
+// TestDefaultLoadIsFeasible: the default pattern is a closed loop — every
+// submit is paid for by one slot of its tenant's time — so the load phase
+// does the run's scheduling and a tenant's final drain has only the last
+// windows left. One worker keeps a tenant's tasks in step, and the drain
+// moves virtual time by at most 2·K slots: K for a last job's window, K
+// for the offset a task picks up when its first job lands after the
+// iteration's earlier advances. Several workers drift apart, and a task
+// whose worker lags is shifted right by the drift for good; the drain then
+// has that much left, still a small part of the run. The loop this
+// replaced advanced one slot per -advance-every submits and left three
+// quarters of the run to the drain, whatever the workers.
+func TestDefaultLoadIsFeasible(t *testing.T) {
+	const tenants, tasks, jobs = 2, 4, 100
+	for _, tc := range []struct {
+		workers int
+		bound   int64
+	}{{1, 2 * tasks}, {4, tasks * jobs / 2}} {
+		srv := server.New()
+		h := srv.Handler()
+		var mu sync.Mutex
+		moved := map[string]string{} // drain path → "now before it, now after"
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/drain") {
+				h.ServeHTTP(w, r)
+				return
+			}
+			now := func(rec *httptest.ResponseRecorder) string {
+				var body struct{ Now string }
+				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+					t.Errorf("%s: %v in %q", r.URL.Path, err, rec.Body.String())
+				}
+				return body.Now
+			}
+			before, after := httptest.NewRecorder(), httptest.NewRecorder()
+			h.ServeHTTP(before, httptest.NewRequest(http.MethodGet, strings.TrimSuffix(r.URL.Path, "/drain"), nil))
+			h.ServeHTTP(after, r)
+			mu.Lock()
+			moved[r.URL.Path] = now(before) + " " + now(after)
+			mu.Unlock()
+			w.WriteHeader(after.Code)
+			w.Write(after.Body.Bytes())
+		}))
+		var out strings.Builder
+		rep, err := run(config{
+			addr: ts.URL, tenants: tenants, tasks: tasks, jobs: jobs, workers: tc.workers, m: 2,
+			advanceEvery: 4, batch: 1, policy: "PD2", seed: 1,
+		}, &out)
+		ts.Close()
+		srv.Shutdown()
+		if err != nil {
+			t.Fatalf("%d workers: load run failed: %v\n%s", tc.workers, err, out.String())
+		}
+		if want := int64(tenants * tasks * jobs); rep.Dispatched != want {
+			t.Errorf("%d workers: dispatched %d subtasks, want %d", tc.workers, rep.Dispatched, want)
+		}
+		if len(moved) != tenants {
+			t.Fatalf("%d workers: saw %d drains, want %d: %v", tc.workers, len(moved), tenants, moved)
+		}
+		for path, m := range moved {
+			var before, after int64
+			if _, err := fmt.Sscanf(m, "%d %d", &before, &after); err != nil {
+				t.Fatalf("%s: virtual time %q: %v", path, m, err)
+			}
+			if before != tasks*jobs {
+				t.Errorf("%d workers, %s: the load phase left virtual time at %d, want one slot per submit = %d", tc.workers, path, before, tasks*jobs)
+			}
+			if after-before > tc.bound {
+				t.Errorf("%d workers, %s: the drain moved virtual time %d → %d, more than %d slots: the load phase left the scheduling to it",
+					tc.workers, path, before, after, tc.bound)
+			}
+		}
 	}
 }

@@ -73,9 +73,6 @@ func RunDVQ(sys *model.System, opts DVQOptions) (*sched.Schedule, error) {
 		return s, err
 	}
 	if ex.Pending() > 0 {
-		if _, queued := ex.NextEvent(); !queued {
-			return s, fmt.Errorf("core: event queue drained with %d subtasks pending", ex.Pending())
-		}
 		return s, fmt.Errorf("core: horizon %s exhausted with %d subtasks pending", horizon, ex.Pending())
 	}
 	return s, nil

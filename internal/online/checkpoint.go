@@ -13,11 +13,13 @@ import (
 // decisions. Dispatched history is deliberately NOT part of it — a
 // restored executive starts an empty schedule, each task's subtask
 // sequence starts at its last dispatched subtask, and only the dispatch
-// cursors, completion times, and event queue carry forward. That keeps
-// checkpoints proportional to live state while preserving the determinism
-// recovery relies on: same checkpoint + same subsequent calls ⇒ same
-// dispatch sequence, and the same checkpoint bytes from a live executive
-// and from one restored along the way. Rationals travel as exact strings.
+// cursors and completion times carry forward. That keeps checkpoints
+// proportional to live state while preserving the determinism recovery
+// relies on: same checkpoint + same subsequent calls ⇒ same dispatch
+// sequence, and the same checkpoint bytes from a live executive and from
+// one restored along the way. Rationals travel as exact strings.
+// Checkpoints written while the executive kept an event queue carry an
+// "events" key; decoding drops it, and NextEvent derives what it held.
 type Checkpoint struct {
 	M        int              `json:"m"`
 	Policy   string           `json:"policy"`
@@ -25,7 +27,6 @@ type Checkpoint struct {
 	FreeAt   []string         `json:"freeAt"`
 	Decision int              `json:"decision"`
 	Pending  int              `json:"pending"`
-	Events   []string         `json:"events,omitempty"` // queued event times, sorted
 	Tasks    []TaskCheckpoint `json:"tasks,omitempty"`
 }
 
@@ -68,9 +69,6 @@ func (e *Executive) Checkpoint() Checkpoint {
 	}
 	for _, f := range e.freeAt {
 		cp.FreeAt = append(cp.FreeAt, f.String())
-	}
-	for _, ev := range e.tl.all() {
-		cp.Events = append(cp.Events, ev.String())
 	}
 	for _, t := range e.sys.Tasks {
 		from := max(e.cursor[t.ID]-1, 0) // the last dispatched subtask, if any
@@ -157,13 +155,6 @@ func Restore(cp Checkpoint) (*Executive, error) {
 	e.pending = pending
 	if err := e.sys.Validate(); err != nil {
 		return nil, fmt.Errorf("online: checkpoint system invalid: %v", err)
-	}
-	for _, s := range cp.Events {
-		ev, err := rat.Parse(s)
-		if err != nil {
-			return nil, fmt.Errorf("online: checkpoint event %q: %v", s, err)
-		}
-		e.push(ev) // rebuilds the dedup set as a side effect
 	}
 	return e, nil
 }

@@ -1,9 +1,12 @@
 package online
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"math/rand"
+	"os"
+	"regexp"
 	"testing"
 
 	"desyncpfair/internal/model"
@@ -63,7 +66,18 @@ func key(d Dispatch) [6]string {
 // decision for decision. The script includes mid-run Resize calls, so the
 // contract covers capacity changes: a checkpoint taken after (or between)
 // resizes restores to the resized M and continues identically.
+//
+// What is restored is the checkpoint the parent of the change that removed
+// the event queue wrote at the same cut (testdata/checkpoints_pr20.ndjson,
+// one line per seed): it differs from today's bytes only by its "events"
+// key, which decoding drops.
 func TestCheckpointRestoreContinuesIdentically(t *testing.T) {
+	parent, err := os.ReadFile("testdata/checkpoints_pr20.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withEvents := bytes.Split(bytes.TrimSpace(parent), []byte("\n"))
+	events := regexp.MustCompile(`"events":\[[^]]+\],`)
 	for seed := int64(0); seed < 20; seed++ {
 		// Reference: one uninterrupted run of the full script.
 		ref := New(2, nil)
@@ -95,8 +109,12 @@ func TestCheckpointRestoreContinuesIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		old := withEvents[seed]
+		if !events.Match(old) || !bytes.Equal(events.ReplaceAll(old, nil), buf) {
+			t.Fatalf("seed %d: checkpoint is not the parent's less its events:\n got %s\nthen %s", seed, buf, old)
+		}
 		var cp Checkpoint
-		if err := json.Unmarshal(buf, &cp); err != nil {
+		if err := json.Unmarshal(old, &cp); err != nil {
 			t.Fatal(err)
 		}
 		restored, err := Restore(cp)

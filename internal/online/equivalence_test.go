@@ -132,15 +132,33 @@ func yieldByLabel(base sched.YieldFn) sched.YieldFn {
 // executive holds none of its dispatched history, so it cannot be handed
 // to the oracle itself; its decisions are compared, one by one, with the
 // uninterrupted run's, which the oracle has just vouched for.
+//
+// The last two inputs draw each cost from mutually coprime denominators —
+// 3, 7 and 2³¹ or 2³¹+1 — so the times the executive orders (freeAt,
+// activations, now) sit on no common small grid and compare by cross
+// multiplication. The two large ones cannot share a run: exact int64
+// rationals cannot even hold 1/3 + 1/2³¹ + 1/(2³¹+1).
 func TestExecutiveMatchesReference(t *testing.T) {
+	// cycle hands each subtask one of costs by its (task, index), the
+	// identity a restored executive's subtasks share with the live one's.
+	cycle := func(costs ...rat.Rat) sched.YieldFn {
+		return func(s *model.Subtask) rat.Rat { return costs[(31*s.Task.ID+int(s.Index))%len(costs)] }
+	}
 	for _, cfg := range []struct {
 		n, m int
 		q    int64
-	}{{64, 4, 20}, {64, 16, 12}, {1024, 4, 512}, {1024, 16, 128}} {
+		y    sched.YieldFn
+		tag  string
+	}{
+		{64, 4, 20, gen.UniformYield(7, 8), ""}, {64, 16, 12, gen.UniformYield(7, 8), ""},
+		{1024, 4, 512, gen.UniformYield(7, 8), ""}, {1024, 16, 128, gen.UniformYield(7, 8), ""},
+		{64, 4, 20, cycle(rat.New(1, 3), rat.New(1, 1<<31), rat.New(5, 7), rat.One), "_den2p31"},
+		{64, 4, 20, cycle(rat.New(1, 3), rat.New(1, 1<<31+1), rat.New(5, 7), rat.One), "_den2p31plus1"},
+	} {
 		for _, pol := range prio.All() {
-			t.Run(fmt.Sprintf("N%d_M%d_%s", cfg.n, cfg.m, pol.Name()), func(t *testing.T) {
-				want := matchReference(t, cfg.n, cfg.m, cfg.q, pol, -1)
-				got := matchReference(t, cfg.n, cfg.m, cfg.q, pol, 17)
+			t.Run(fmt.Sprintf("N%d_M%d_%s%s", cfg.n, cfg.m, pol.Name(), cfg.tag), func(t *testing.T) {
+				want := matchReference(t, cfg.n, cfg.m, cfg.q, pol, cfg.y, -1)
+				got := matchReference(t, cfg.n, cfg.m, cfg.q, pol, cfg.y, 17)
 				if len(got) != len(want) {
 					t.Fatalf("through a restore the executive made %d decisions, uninterrupted %d", len(got), len(want))
 				}
@@ -158,7 +176,7 @@ func TestExecutiveMatchesReference(t *testing.T) {
 // decisions in order. With restoreAt < 0 it also pins them to the oracle;
 // otherwise the executive is replaced, at the start of slot restoreAt, by
 // one restored from its checkpoint.
-func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy, restoreAt int64) (decisions []string) {
+func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy, y sched.YieldFn, restoreAt int64) (decisions []string) {
 	rng := rand.New(rand.NewSource(int64(31*n + m)))
 	ex := online.New(m, pol)
 	record := func(d online.Dispatch) {
@@ -177,7 +195,6 @@ func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy, restoreAt 
 		}
 		clients = append(clients, client{task, int64(1 + rng.Intn(8))})
 	}
-	y := gen.UniformYield(7, 8)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {

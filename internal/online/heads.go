@@ -9,10 +9,11 @@ import (
 // The executive tracks one entry per task with undispatched work: the
 // task's head, its first undispatched subtask. A head waits on the
 // pendingHeap until its activation time — max(eligibility, predecessor's
-// completion), always a queued timeline event — and then on the readyHeap
-// until a processor frees. Both heaps are therefore bounded by the number
-// of tasks with released work; a task with none (idle, or unregistered) is
-// in neither and costs a scheduling decision nothing.
+// completion) — and then on the readyHeap until a processor frees. The
+// next decision time is read off the two heaps and the M freeAt values
+// (NextEvent); no time is queued anywhere else. Both heaps are bounded by
+// the number of tasks with released work; a task with none (idle, or
+// unregistered) is in neither and costs a scheduling decision nothing.
 
 // readyHead is a ready task head with its priority key, computed once on
 // entry: every quantity a policy consults costs integer divisions to

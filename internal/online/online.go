@@ -40,7 +40,10 @@
 // Each task with undispatched work has exactly one entry — its head — in
 // a pending heap keyed by activation time or a ready heap keyed by a
 // priority key cached on entry (heads.go), so a decision costs O(log N)
-// in the tasks that have work and nothing in those that do not.
+// in the tasks that have work and nothing in those that do not. There is
+// no event queue: under DVQ a decision happens when a processor frees or
+// when work reaches an idle one, so the next decision time is a function
+// of freeAt and the heads (NextEvent) and Run loops on it.
 // core.RunDVQReference, the seed's O(N) rescan, is the oracle it is pinned
 // to.
 //
@@ -97,8 +100,6 @@ type Executive struct {
 	// of these (heads.go); they are derived state, rebuilt by Restore.
 	waiting pendingHeap
 	ready   readyHeap
-
-	tl timeline
 }
 
 // Dispatch reports one scheduling decision to the Run callback.
@@ -133,7 +134,6 @@ func newExecutive(sys *model.System, m int, policy prio.Policy) *Executive {
 		led:      admission.NewController(m),
 		freeAt:   make([]rat.Rat, m),
 		ready:    readyHeap{rank: prio.NewRanker(policy)},
-		tl:       newTimeline(),
 	}
 }
 
@@ -159,9 +159,6 @@ func Adopt(sys *model.System, m int, policy prio.Policy) *Executive {
 		if len(seq) > 0 {
 			e.nextIdx[t.ID] = seq[len(seq)-1].Index + 1
 			e.await(seq[0])
-		}
-		for _, s := range seq {
-			e.push(rat.FromInt(s.Elig))
 		}
 	}
 	e.pending = sys.NumSubtasks()
@@ -334,7 +331,6 @@ func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
 		prevElig = elig
 		e.nextIdx[t.ID] = i + 1
 		e.pending++
-		e.push(rat.FromInt(s.Elig))
 		if idle && k == 0 {
 			e.await(s)
 		}
@@ -344,8 +340,7 @@ func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
 
 // await queues a task's new head — its first undispatched subtask — until
 // its activation time: its eligibility, and for any but a task's first
-// subtask the completion of its predecessor. Both are timeline events, so
-// dispatchAt sees the head the moment the reference rescan would.
+// subtask the completion of its predecessor.
 func (e *Executive) await(head *model.Subtask) {
 	at := rat.FromInt(head.Elig)
 	if head.Seq > 0 {
@@ -357,8 +352,8 @@ func (e *Executive) await(head *model.Subtask) {
 // Run advances virtual time to `until`, dispatching work as processors free
 // and subtasks become ready. The yield function supplies each dispatched
 // subtask's actual cost (nil means full quanta). Each dispatch is reported
-// to onDispatch if non-nil. Events beyond `until` stay queued for the next
-// call.
+// to onDispatch if non-nil. Decisions due after `until` are left for the
+// next call.
 func (e *Executive) Run(until rat.Rat, yield sched.YieldFn, onDispatch func(Dispatch)) error {
 	if until.Less(e.now) {
 		return fmt.Errorf("online: cannot run to %s, already at %s", until, e.now)
@@ -366,12 +361,11 @@ func (e *Executive) Run(until rat.Rat, yield sched.YieldFn, onDispatch func(Disp
 	if yield == nil {
 		yield = sched.FullCost
 	}
-	for e.tl.len() > 0 {
-		next := e.tl.min()
-		if until.Less(next) {
+	for {
+		next, due := e.NextEvent()
+		if !due || until.Less(next) {
 			break
 		}
-		e.tl.popMin()
 		e.now = next
 		e.dispatchAt(next, yield, onDispatch)
 	}
@@ -400,7 +394,6 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 		e.lastFin[id] = fin
 		e.freeAt[p] = fin
 		e.pending--
-		e.push(fin)
 		if next := e.sys.Successor(sub); next != nil {
 			e.await(next) // activates at fin > t at the earliest
 		}
@@ -426,18 +419,10 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 // completed, returning the final virtual time. It is the natural way to
 // finish a simulation after the last SubmitJob.
 func (e *Executive) Drain(yield sched.YieldFn) (rat.Rat, error) {
-	guard := 0
 	for e.pending > 0 {
-		next, queued := e.NextEvent()
-		if !queued {
-			return e.now, fmt.Errorf("online: %d subtasks pending with no events", e.pending)
-		}
+		next, _ := e.NextEvent() // pending > 0: there is one, and Run dispatches at it
 		if err := e.Run(next, yield, nil); err != nil {
 			return e.now, err
-		}
-		guard++
-		if guard > 4*e.schedule.Len()+4*e.pending+64 {
-			return e.now, fmt.Errorf("online: drain did not converge")
 		}
 	}
 	// Advance past the last completion so the schedule's makespan is final.
@@ -457,13 +442,23 @@ func (e *Executive) Drain(yield sched.YieldFn) (rat.Rat, error) {
 	return e.now, nil
 }
 
-// NextEvent returns the earliest queued event time — the next moment at
-// which Run could make a decision — and false when none is queued.
+// NextEvent returns the time of the next scheduling decision — the first
+// moment from now on at which a processor is free and a head is active,
+// where Run dispatches at least one subtask — and false when no released
+// subtask is undispatched. Nothing is queued to answer it: after
+// dispatchAt either no head is ready or no processor is free, so nothing
+// can happen before the earliest processor frees and, when no head is
+// ready, the earliest pending head activates.
 func (e *Executive) NextEvent() (rat.Rat, bool) {
-	if e.tl.len() == 0 {
+	if e.pending == 0 {
 		return rat.Zero, false
 	}
-	return e.tl.min(), true
+	next := e.freeAt[0]
+	for _, f := range e.freeAt[1:] {
+		next = rat.Min(next, f)
+	}
+	if e.ready.len() == 0 {
+		next = rat.Max(next, e.waiting[0].at)
+	}
+	return rat.Max(next, e.now), true
 }
-
-func (e *Executive) push(t rat.Rat) { e.tl.push(t) }

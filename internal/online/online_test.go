@@ -391,3 +391,139 @@ func TestUnregisteredTasksCostNothing(t *testing.T) {
 		t.Fatalf("%d decisions took %v among %d unregistered tasks, %v without them", live*slots/4, crowded, dead, bare)
 	}
 }
+
+// TestNextEventIsNextDecision pins the derived decision time. After every
+// operation of a seeded script — register, submit, early release, grow,
+// shrink, drain-mode shrink, unregister, run, with fractional yields and
+// fractional run targets — NextEvent must equal what a rescan of every
+// task says: the first time from now on at which the earliest processor is
+// free and the earliest head has been released and has its predecessor
+// behind it. Running to a time before it must dispatch nothing and leave it
+// unchanged; running to it must dispatch at least one subtask, and every
+// subtask that run dispatches starts exactly then.
+func TestNextEventIsNextDecision(t *testing.T) {
+	rescan := func(e *Executive) (rat.Rat, bool) {
+		var act rat.Rat
+		found := false
+		for _, task := range e.sys.Tasks {
+			if seq := e.sys.Subtasks(task); e.cursor[task.ID] < len(seq) {
+				at := rat.Max(rat.FromInt(seq[e.cursor[task.ID]].Elig), e.lastFin[task.ID])
+				if !found || at.Less(act) {
+					act, found = at, true
+				}
+			}
+		}
+		free := e.freeAt[0]
+		for _, f := range e.freeAt {
+			free = rat.Min(free, f)
+		}
+		return rat.Max(e.now, rat.Max(free, act)), found
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New(1+rng.Intn(3), nil)
+		y := gen.UniformYield(seed, 8)
+		var starts []rat.Rat
+		e.SetOnDispatch(func(d Dispatch) { starts = append(starts, d.Start) })
+		run := func(until rat.Rat) []rat.Rat {
+			starts = nil
+			if err := e.Run(until, y, nil); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return starts
+		}
+		var tasks []*model.Task
+		decided := 0
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(12); {
+			case op == 0: // register; admission may refuse
+				p := int64(2 + rng.Intn(5))
+				if task, err := e.Register(fmt.Sprintf("t%d", step), model.W(1+rng.Int63n(p), p)); err == nil {
+					tasks = append(tasks, task)
+				}
+			case op <= 3 && len(tasks) > 0: // submit now or a little ahead, perhaps released early
+				task := tasks[rng.Intn(len(tasks))]
+				if err := e.SubmitJobEarly(task, e.now.Add(rat.New(rng.Int63n(5), 2)), rng.Int63n(3)); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			case op == 4: // grow, shrink or drain-mode shrink; a shrink below Σwt is refused or queued
+				if _, err := e.ResizeDrain(max(1, e.M()-1+rng.Intn(3)), rng.Intn(2) == 0); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			case op == 5 && len(tasks) > 0: // unregister an idle task; may apply a queued shrink
+				if i := rng.Intn(len(tasks)); e.Undispatched(tasks[i]) == 0 {
+					if err := e.Unregister(tasks[i]); err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+					tasks = append(tasks[:i], tasks[i+1:]...)
+				}
+			case op == 6: // run past several decisions
+				decided += len(run(e.now.Add(rat.New(1+rng.Int63n(8), 4))))
+			}
+			next, due := e.NextEvent()
+			want, wantDue := rescan(e)
+			if due != wantDue || due && !next.Equal(want) {
+				t.Fatalf("seed %d step %d: NextEvent = %s, %v; a rescan says %s, %v", seed, step, next, due, want, wantDue)
+			}
+			if due != (e.Pending() > 0) {
+				t.Fatalf("seed %d step %d: NextEvent due=%v with %d pending", seed, step, due, e.Pending())
+			}
+			if !due || rng.Intn(2) == 0 {
+				continue
+			}
+			if e.now.Less(next) {
+				if got := run(e.now.Add(next).Mul(rat.New(1, 2))); len(got) != 0 {
+					t.Fatalf("seed %d step %d: a run to %s, before the next decision at %s, dispatched %d", seed, step, e.now, next, len(got))
+				}
+				if again, _ := e.NextEvent(); !again.Equal(next) {
+					t.Fatalf("seed %d step %d: next decision moved from %s to %s with nothing dispatched", seed, step, next, again)
+				}
+			}
+			got := run(next)
+			if len(got) == 0 {
+				t.Fatalf("seed %d step %d: a run to the next decision at %s dispatched nothing", seed, step, next)
+			}
+			for _, s := range got {
+				if !s.Equal(next) {
+					t.Fatalf("seed %d step %d: a run to the next decision at %s started a subtask at %s", seed, step, next, s)
+				}
+			}
+			decided += len(got)
+		}
+		if decided < 50 {
+			t.Fatalf("seed %d: only %d decisions; the script no longer exercises the engine", seed, decided)
+		}
+	}
+}
+
+// A checkpoint is untrusted input: one whose released work and free
+// processors lie behind its own clock must not make time run backwards.
+func TestNextEventNeverBeforeNow(t *testing.T) {
+	e := New(1, nil)
+	task, err := e.Register("a", model.W(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SubmitJob(task, rat.Zero); err != nil {
+		t.Fatal(err)
+	}
+	cp := e.Checkpoint()
+	cp.Now = "10"
+	late, err := Restore(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next, due := late.NextEvent(); !due || !next.Equal(rat.FromInt(10)) {
+		t.Fatalf("NextEvent = %s, %v; want 10, true", next, due)
+	}
+	if err := late.Run(rat.FromInt(10), nil, func(d Dispatch) {
+		if !d.Start.Equal(rat.FromInt(10)) {
+			t.Fatalf("dispatched at %s with the clock at 10", d.Start)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if late.Pending() != 0 {
+		t.Fatalf("%d still pending", late.Pending())
+	}
+}

@@ -35,9 +35,9 @@ func (e *Executive) Resize(m int) error {
 // (Cho & Easwaran's flow-network argument), so:
 //
 //   - A grow adds processors that become free at the next quantum boundary
-//     ⌈now⌉ (immediately when now is integral), and queues a boundary event
-//     so stalled pending work is picked up without waiting for an unrelated
-//     completion. It cancels a queued shrink — the newest target wins.
+//     ⌈now⌉ (immediately when now is integral), so stalled pending work is
+//     picked up there without waiting for an unrelated completion. It
+//     cancels a queued shrink — the newest target wins.
 //   - A shrink is admission-checked first: while the active utilization Σwt
 //     exceeds m it is rejected, because Theorem 3's tardiness bound would
 //     be lost for every admitted task — or, with drain, queued: M stays,
@@ -75,7 +75,6 @@ func (e *Executive) fit() {
 		for p := len(e.freeAt); p < m; p++ {
 			e.freeAt = append(e.freeAt, boundary)
 		}
-		e.push(boundary)
 	}
 	// The schedule's M is the validation bound for per-slot parallelism and
 	// processor indices over the whole history, so it only ever grows.

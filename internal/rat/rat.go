@@ -153,7 +153,7 @@ func (r Rat) Cmp(s Rat) int {
 		// Values are in lowest terms, so equal denominators reduce the
 		// comparison to the numerators — the common case for simulation
 		// times drawn from one yield grid, and the hot path of the DVQ
-		// event queue.
+		// engine's pending heap.
 		switch {
 		case r.n < s.n:
 			return -1
