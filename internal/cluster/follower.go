@@ -22,12 +22,15 @@ import (
 // a crash recovery would use. A data dir whose journal already reaches
 // the snapshot's LSN is left alone — a re-joining follower resumes from
 // its own prefix (which term fencing guarantees is a prefix of the
-// leader's log) instead of rewinding.
+// leader's log) instead of rewinding. A leader that takes the connection
+// and does not begin to answer within snapshotHeaderWait is an error, like
+// one that refuses it: the node has nothing to serve yet, so its start
+// fails rather than hangs.
 func Bootstrap(dataDir, leader string, hc *http.Client, fs wal.FS) error {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	snap, err := fetchSnapshot(context.Background(), leader, hc)
+	snap, err := fetchSnapshot(context.Background(), leader, hc, snapshotHeaderWait)
 	if err != nil {
 		return fmt.Errorf("cluster: bootstrap: %w", err)
 	}
@@ -45,13 +48,29 @@ func Bootstrap(dataDir, leader string, hc *http.Client, fs wal.FS) error {
 	return nil
 }
 
-func fetchSnapshot(ctx context.Context, leader string, hc *http.Client) (server.ReplSnapshotResponse, error) {
+// snapshotHeaderWait bounds the wait for the leader's response headers to
+// a snapshot request. The leader images its state before it writes the
+// first byte, so the bound is generous; the body that follows may be as
+// long as the history and has no deadline.
+const snapshotHeaderWait = 30 * time.Second
+
+func fetchSnapshot(ctx context.Context, leader string, hc *http.Client, headerWait time.Duration) (server.ReplSnapshotResponse, error) {
 	var snap server.ReplSnapshotResponse
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, leader+"/v1/replication/snapshot", nil)
 	if err != nil {
 		return snap, err
 	}
+	silent := time.AfterFunc(headerWait, cancel)
 	resp, err := hc.Do(req)
+	if !silent.Stop() {
+		// The timer fired: whatever Do returned, the request is cancelled.
+		if err == nil {
+			resp.Body.Close()
+		}
+		return snap, fmt.Errorf("leader snapshot: no response headers from %s within %v", leader, headerWait)
+	}
 	if err != nil {
 		return snap, err
 	}

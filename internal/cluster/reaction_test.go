@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -109,6 +110,38 @@ func metricLine(t *testing.T, srv *server.Server, name string) string {
 	}
 	t.Fatalf("/metrics has no sample %s", name)
 	return ""
+}
+
+// TestBootstrapSilentLeaderFails: a leader that takes the connection and
+// never answers must fail the snapshot fetch — and with it Bootstrap and the
+// start of pfaird -follow — once the header wait runs out, not hang it. The
+// wait is the event here, so the test hands in a short one; the listener
+// says nothing on the connection it was sent, and it was sent one.
+func TestBootstrapSilentLeaderFails(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+	ctx := testContext(t)
+	_, err = fetchSnapshot(ctx, "http://"+ln.Addr().String(), hc, 20*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "no response headers") {
+		t.Fatalf("fetchSnapshot from a silent leader: err %v, want the header wait to fail it", err)
+	}
+	select {
+	case c := <-accepted:
+		c.Close()
+	case <-ctx.Done():
+		t.Fatal("the fetch failed without ever connecting to the listener")
+	}
 }
 
 // TestFollowerOfIdleLeaderReadyWithoutTick: a replica of an idle leader is

@@ -3,7 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 )
 
 // DefaultLatencyBuckets are the upper bounds (seconds) of request-latency
@@ -22,14 +22,23 @@ var QuantaBuckets = []float64{0, 0.25, 0.5, 0.75, 1}
 // Histogram is a fixed-bucket histogram with cumulative bucket semantics
 // matching the Prometheus text exposition: bucket i counts observations
 // ≤ Bounds[i], and an implicit +Inf bucket counts everything. It is safe
-// for concurrent use.
+// for concurrent use and takes no lock: Observe is three atomic updates,
+// so the paths it counts (a tenant's record path, the request middleware)
+// never wait for a scrape or for each other.
+//
+// Update order is the consistency protocol. Observe writes the widest
+// series first — count, which is the +Inf bucket — and then the one slot
+// of the narrowest finite bucket that holds the value; Snapshot reads the
+// other way, slots ascending and count last. Every value only grows, so
+// whatever a reader sees in the slots was counted before it reads count:
+// the cumulative buckets it builds are non-decreasing and never exceed
+// Count, even with writers mid-update. Sum is not ordered against them; it
+// may lead or trail Count by the observations in flight.
 type Histogram struct {
 	bounds []float64
-
-	mu      sync.Mutex
-	buckets []uint64 // cumulative: buckets[i] counts v ≤ bounds[i]
-	count   uint64
-	sum     float64
+	count  atomic.Uint64
+	sum    atomic.Uint64   // float64 bits, CAS-updated
+	slots  []atomic.Uint64 // slots[i] counts bounds[i-1] < v ≤ bounds[i]
 }
 
 // NewHistogram creates a histogram over the given bucket upper bounds,
@@ -41,20 +50,24 @@ func NewHistogram(bounds []float64) *Histogram {
 			panic(fmt.Sprintf("obs: histogram bounds not increasing at %d: %g ≤ %g", i, bounds[i], bounds[i-1]))
 		}
 	}
-	return &Histogram{bounds: bounds, buckets: make([]uint64, len(bounds))}
+	return &Histogram{bounds: bounds, slots: make([]atomic.Uint64, len(bounds))}
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	h.count++
-	h.sum += v
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.buckets[i]++
+	h.count.Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
 		}
 	}
-	h.mu.Unlock()
+	for i, ub := range h.bounds {
+		if v <= ub {
+			h.slots[i].Add(1)
+			return
+		}
+	}
 }
 
 // Snapshot is a point-in-time copy of a histogram's state. Buckets are
@@ -66,16 +79,18 @@ type Snapshot struct {
 	Sum     float64
 }
 
-// Snapshot returns a consistent copy of the histogram.
+// Snapshot returns a copy of the histogram that is a valid cumulative
+// histogram whatever writers are doing (see Histogram).
 func (h *Histogram) Snapshot() Snapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return Snapshot{
-		Bounds:  h.bounds,
-		Buckets: append([]uint64(nil), h.buckets...),
-		Count:   h.count,
-		Sum:     h.sum,
+	s := Snapshot{Bounds: h.bounds, Buckets: make([]uint64, len(h.slots))}
+	cum := uint64(0)
+	for i := range h.slots {
+		cum += h.slots[i].Load()
+		s.Buckets[i] = cum
 	}
+	s.Sum = math.Float64frombits(h.sum.Load())
+	s.Count = h.count.Load()
+	return s
 }
 
 // Quantile estimates the q-quantile (q in [0, 1]) from bucket counts by

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -148,4 +149,56 @@ func TestNewHistogramRejectsBadBounds(t *testing.T) {
 		}
 	}()
 	NewHistogram([]float64{1, 1})
+}
+
+// TestHistogramConcurrentSnapshots is the torn-read property as a test:
+// while writers observe, every Snapshot a reader takes is a valid
+// cumulative histogram — each bucket ≤ the next ≤ Count — and once the
+// writers are done the counts are exact.
+func TestHistogramConcurrentSnapshots(t *testing.T) {
+	const writers, perWriter = 4, 5000
+	bounds := []float64{1, 2, 3, 4}
+	h := NewHistogram(bounds)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				h.Observe(float64(i%5) + 0.5) // 0.5 … 4.5: every bucket, and +Inf
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // one more snapshot, of the final state
+		default:
+		}
+		s := h.Snapshot()
+		prev := uint64(0)
+		for i, c := range s.Buckets {
+			if c < prev {
+				t.Fatalf("torn snapshot: bucket le=%g holds %d, the one below it %d", bounds[i], c, prev)
+			}
+			prev = c
+		}
+		if prev > s.Count {
+			t.Fatalf("torn snapshot: widest bucket holds %d, count %d", prev, s.Count)
+		}
+	}
+	s := h.Snapshot()
+	for i, c := range s.Buckets {
+		if want := uint64((i + 1) * writers * perWriter / 5); c != want {
+			t.Errorf("bucket le=%g: got %d, want %d", bounds[i], c, want)
+		}
+	}
+	if s.Count != writers*perWriter {
+		t.Errorf("count: got %d, want %d", s.Count, writers*perWriter)
+	}
+	if want := 2.5 * writers * perWriter; s.Sum != want {
+		t.Errorf("sum: got %g, want %g", s.Sum, want)
+	}
 }

@@ -20,35 +20,39 @@ type Label struct {
 	Name, Value string
 }
 
-// appendLabels renders a label set as {a="x",b="y"} into b (nothing when
-// empty). Extra is appended last (used for the le label of bucket lines).
-// Byte-for-byte what renderLabels via fmt produced: %q of a string is
+// appendPair appends one name="value" label pair; %q of a string is
 // strconv.Quote.
-func appendLabels(b []byte, labels []Label, extra ...Label) []byte {
-	if len(labels)+len(extra) == 0 {
-		return b
-	}
-	b = append(b, '{')
-	n := 0
-	for _, set := range [2][]Label{labels, extra} {
-		for _, l := range set {
-			if n > 0 {
+func appendPair(b []byte, l Label) []byte {
+	b = append(b, l.Name...)
+	b = append(b, '=')
+	return strconv.AppendQuote(b, l.Value)
+}
+
+// appendSeries appends a sample line up to its value: the series name (a
+// family name plus, for a histogram's parts, its suffix), the label set as
+// {a="x",b="y"} (nothing when empty) and the separating space.
+func appendSeries(b []byte, name, suffix string, labels []Label) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(labels) > 0 {
+		b = append(b, '{')
+		for i, l := range labels {
+			if i > 0 {
 				b = append(b, ',')
 			}
-			n++
-			b = append(b, l.Name...)
-			b = append(b, '=')
-			b = strconv.AppendQuote(b, l.Value)
+			b = appendPair(b, l)
 		}
+		b = append(b, '}')
 	}
-	return append(b, '}')
+	return append(b, ' ')
 }
 
 // AppendHeader appends a family's HELP and TYPE lines to b. The Append*
-// family is the allocation-free exposition writer: the server renders
-// /metrics into one pooled buffer with these, with no fmt machinery per
-// sample; the io.Writer Write* wrappers below remain for callers that
-// render once per run.
+// family is the allocation-free exposition writer, the only one the
+// repository has: a page is rendered into one (pooled) buffer through
+// strconv's Append functions, with no fmt machinery and no string per
+// sample; the io.Writer Write* wrappers below are for callers that render
+// once per run.
 func AppendHeader(b []byte, name, help, typ string) []byte {
 	b = append(b, "# HELP "...)
 	b = append(b, name...)
@@ -61,13 +65,34 @@ func AppendHeader(b []byte, name, help, typ string) []byte {
 	return append(b, '\n')
 }
 
-// AppendSample appends one sample line to b.
-func AppendSample(b []byte, name string, labels []Label, value string) []byte {
+// AppendInt appends one sample line with an integer value.
+func AppendInt(b []byte, name string, labels []Label, v int64) []byte {
+	return append(strconv.AppendInt(appendSeries(b, name, "", labels), v, 10), '\n')
+}
+
+// AppendUint appends one sample line with an unsigned integer value.
+func AppendUint(b []byte, name string, labels []Label, v uint64) []byte {
+	return append(strconv.AppendUint(appendSeries(b, name, "", labels), v, 10), '\n')
+}
+
+// AppendFloat appends one sample line with a float value in its shortest
+// unique form (what %g with default precision prints).
+func AppendFloat(b []byte, name string, labels []Label, v float64) []byte {
+	return append(strconv.AppendFloat(appendSeries(b, name, "", labels), v, 'g', -1, 64), '\n')
+}
+
+// appendBucket appends one _bucket line: the base labels, then le. A bound
+// prints as digits, '.', 'e', a sign or +Inf, so quoting it escapes nothing.
+func appendBucket(b []byte, name string, labels []Label, le float64, v uint64) []byte {
 	b = append(b, name...)
-	b = appendLabels(b, labels)
-	b = append(b, ' ')
-	b = append(b, value...)
-	return append(b, '\n')
+	b = append(b, "_bucket{"...)
+	for _, l := range labels {
+		b = append(appendPair(b, l), ',')
+	}
+	b = append(b, `le="`...)
+	b = strconv.AppendFloat(b, le, 'g', -1, 64)
+	b = append(b, `"} `...)
+	return append(strconv.AppendUint(b, v, 10), '\n')
 }
 
 // AppendHistogram appends the _bucket/_sum/_count series of one histogram
@@ -75,32 +100,11 @@ func AppendSample(b []byte, name string, labels []Label, value string) []byte {
 // header once and may then emit several label sets (e.g. one per tenant).
 func AppendHistogram(b []byte, name string, labels []Label, s Snapshot) []byte {
 	for i, ub := range s.Bounds {
-		b = append(b, name...)
-		b = append(b, "_bucket"...)
-		b = appendLabels(b, labels, Label{"le", formatBound(ub)})
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, s.Buckets[i], 10)
-		b = append(b, '\n')
+		b = appendBucket(b, name, labels, ub, s.Buckets[i])
 	}
-	b = append(b, name...)
-	b = append(b, "_bucket"...)
-	b = appendLabels(b, labels, Label{"le", "+Inf"})
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, s.Count, 10)
-	b = append(b, '\n')
-	b = append(b, name...)
-	b = append(b, "_sum"...)
-	b = appendLabels(b, labels)
-	b = append(b, ' ')
-	// %g with default precision is the shortest-unique 'g' form.
-	b = strconv.AppendFloat(b, s.Sum, 'g', -1, 64)
-	b = append(b, '\n')
-	b = append(b, name...)
-	b = append(b, "_count"...)
-	b = appendLabels(b, labels)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, s.Count, 10)
-	return append(b, '\n')
+	b = appendBucket(b, name, labels, math.Inf(1), s.Count)
+	b = append(strconv.AppendFloat(appendSeries(b, name, "_sum", labels), s.Sum, 'g', -1, 64), '\n')
+	return append(strconv.AppendUint(appendSeries(b, name, "_count", labels), s.Count, 10), '\n')
 }
 
 // WriteHeader writes a family's HELP and TYPE lines.
@@ -108,9 +112,10 @@ func WriteHeader(w io.Writer, name, help, typ string) {
 	w.Write(AppendHeader(nil, name, help, typ))
 }
 
-// WriteSample writes one sample line.
+// WriteSample writes one sample line whose value the caller has already
+// formatted.
 func WriteSample(w io.Writer, name string, labels []Label, value string) {
-	w.Write(AppendSample(nil, name, labels, value))
+	w.Write(append(append(appendSeries(nil, name, "", labels), value...), '\n'))
 }
 
 // WriteHistogram writes the _bucket/_sum/_count series of one histogram
@@ -118,8 +123,6 @@ func WriteSample(w io.Writer, name string, labels []Label, value string) {
 func WriteHistogram(w io.Writer, name string, labels []Label, s Snapshot) {
 	w.Write(AppendHistogram(nil, name, labels, s))
 }
-
-func formatBound(ub float64) string { return strconv.FormatFloat(ub, 'g', -1, 64) }
 
 // --- scrape parser ---
 

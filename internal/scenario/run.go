@@ -12,6 +12,7 @@ import (
 	"desyncpfair/internal/online"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
+	"desyncpfair/internal/sched"
 	"desyncpfair/internal/server"
 )
 
@@ -91,10 +92,6 @@ func (e *ExecTarget) Finish(clientID string) ([]server.DispatchEvent, error) {
 	evs := make([]server.DispatchEvent, 0, len(asgs))
 	for i, a := range asgs {
 		deadline := a.Sub.Deadline()
-		tard := a.Finish().Sub(rat.FromInt(deadline))
-		if tard.Sign() < 0 {
-			tard = rat.Zero
-		}
 		evs = append(evs, server.DispatchEvent{
 			Seq:       int64(i),
 			Task:      a.Sub.Task.Name,
@@ -103,7 +100,7 @@ func (e *ExecTarget) Finish(clientID string) ([]server.DispatchEvent, error) {
 			Start:     a.Start.String(),
 			Finish:    a.Finish().String(),
 			Deadline:  deadline,
-			Tardiness: tard.String(),
+			Tardiness: sched.Tardiness(a.Finish(), deadline).String(),
 		})
 	}
 	return evs, nil

@@ -39,6 +39,18 @@ func (a *Assignment) Finish() rat.Rat { return a.Start.Add(a.Cost) }
 // Slot returns ⌊Start⌋, the slot in which the assignment begins.
 func (a *Assignment) Slot() int64 { return a.Start.Floor() }
 
+// Tardiness is eq. (7), the repository's one definition of it: a subtask
+// with deadline d that completes at finish is tardy by max(0, finish − d).
+// It takes the two numbers rather than an Assignment because the engine's
+// dispatch hook hands its listeners a finish time and no cost, and they have
+// the deadline in hand for the event they write.
+func Tardiness(finish rat.Rat, deadline int64) rat.Rat {
+	if late := finish.Sub(rat.FromInt(deadline)); late.Sign() > 0 {
+		return late
+	}
+	return rat.Zero
+}
+
 // Schedule is a complete (or partial) schedule of a task system on M
 // processors. Add folds every assignment into running aggregates — count,
 // maximum tardiness, miss count, busy time, makespan — so those reads are
@@ -109,7 +121,7 @@ func (s *Schedule) Add(a Assignment) *Assignment {
 	fin := a.Finish()
 	s.busy = s.busy.Add(a.Cost)
 	s.makespan = rat.Max(s.makespan, fin)
-	if tard := fin.Sub(rat.FromInt(a.Sub.Deadline())); tard.Sign() > 0 {
+	if tard := Tardiness(fin, a.Sub.Deadline()); tard.Sign() > 0 {
 		s.misses++
 		s.maxTard = rat.Max(s.maxTard, tard)
 	}
@@ -137,8 +149,7 @@ func (s *Schedule) Tardiness(sub *model.Subtask) rat.Rat {
 	if a == nil {
 		return rat.Zero
 	}
-	t := a.Finish().Sub(rat.FromInt(sub.Deadline()))
-	return rat.Max(rat.Zero, t)
+	return Tardiness(a.Finish(), sub.Deadline())
 }
 
 // MaxTardiness returns the maximum tardiness over all scheduled subtasks.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -114,6 +115,9 @@ type frameWriter struct {
 	stall  time.Duration
 	severs *atomic.Int64 // writes that died on the stall deadline
 	bufs   net.Buffers
+	// unflushed is set by a write and cleared by a flush: a drain that
+	// found nothing new leaves nothing to push to the client.
+	unflushed bool
 }
 
 func (s *Server) newFrameWriter(w http.ResponseWriter) *frameWriter {
@@ -139,6 +143,7 @@ func (fw *frameWriter) clearDeadline() {
 func (fw *frameWriter) writeFrames(frames [][]byte) error {
 	fw.bufs = append(fw.bufs[:0], frames...)
 	fw.armDeadline()
+	fw.unflushed = true
 	_, err := fw.bufs.WriteTo(fw.w)
 	return fw.wrote(err)
 }
@@ -147,6 +152,7 @@ func (fw *frameWriter) writeFrames(frames [][]byte) error {
 // block of a history file), shared and never copied.
 func (fw *frameWriter) Write(p []byte) (int, error) {
 	fw.armDeadline()
+	fw.unflushed = true
 	n, err := fw.w.Write(p)
 	return n, fw.wrote(err)
 }
@@ -168,6 +174,7 @@ func (fw *frameWriter) wrote(err error) error {
 // one) has nothing buffered.
 func (fw *frameWriter) flush() error {
 	fw.armDeadline()
+	fw.unflushed = false
 	err := fw.rc.Flush()
 	if errors.Is(err, http.ErrNotSupported) {
 		err = nil
@@ -191,6 +198,142 @@ func (fw *frameWriter) writeGone(resume int64) {
 	if _, err := fw.Write(append(line, '\n')); err == nil {
 		_ = fw.flush() // best effort, as above
 	}
+}
+
+// feed is one NDJSON source a read stream serves from a position: the
+// dispatch log (by seq), the trace ring (by event Seq). wake receives a
+// coalesced signal after the source grew. drain writes everything the
+// source holds from pos on and returns the position after it. tip, when
+// set, is the source's end, and a follower more than the stream policy's
+// lag bound behind it after a drain is evicted; a source that bounds its
+// own retention sets none — its slow follower skips ahead instead.
+type feed struct {
+	wake  <-chan struct{}
+	drain func(fw *frameWriter, pos int64) (int64, error)
+	tip   func() int64
+}
+
+// stream serves one of t's feeds as one JSON object per line: first the
+// backlog from ?from (default 0), then what the source gains, flushing
+// after every drain. ?follow=false stops at the current end instead. The
+// stream ends when the client goes away, the tenant is deleted, the server
+// shuts down or the backlog is exhausted without follow — in the last
+// three cases only after everything the source holds has been written (the
+// "drain" part of graceful shutdown). A client that stops reading
+// entirely dies on the frameWriter's stall deadline.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, t *Tenant, f feed) {
+	var pos int64
+	if v := r.URL.Query().Get("from"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n < 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("server: bad from %q", v))
+			return
+		}
+		pos = n
+	}
+	follow := r.URL.Query().Get("follow") != "false"
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	fw := s.newFrameWriter(w)
+	// Push the headers out now: a follower of an idle tenant must see the
+	// stream open immediately, not on the first event.
+	if fw.flush() != nil {
+		return
+	}
+	for {
+		var err error
+		if pos, err = f.drain(fw, pos); err != nil {
+			return // client went away or stalled past the deadline
+		}
+		if fw.unflushed && fw.flush() != nil {
+			return
+		}
+		if !follow {
+			return
+		}
+		if f.tip != nil && s.streamMaxLag > 0 && f.tip()-pos > s.streamMaxLag {
+			// The source outgrew this follower by more than the bound
+			// while it drained: cut it loose rather than chase it.
+			s.obs.streamEvict.Add(1)
+			fw.writeGone(pos)
+			return
+		}
+		select {
+		case <-f.wake:
+		case <-r.Context().Done():
+			return
+		case <-t.Closed():
+			follow = false // flush whatever landed, then stop
+		case <-s.shutdown:
+			follow = false
+		}
+	}
+}
+
+// handleDispatches streams the tenant's dispatch log. Every line is a frame
+// the tenant loop encoded once at record time; the handler only moves bytes
+// — a run of a resident chunk per write, or, for seqs below the log's
+// resident floor, blocks of the sealed history files that hold the same
+// bytes. A following stream that lags more than streamMaxLag records behind
+// the tip after a drain is evicted with a StreamGone control line.
+func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
+	t := s.routeTenant(w, r)
+	if t == nil {
+		return
+	}
+	sub := t.Subscribe()
+	defer t.Unsubscribe(sub)
+	s.stream(w, r, t, feed{wake: sub.ping, tip: t.LogLen, drain: func(fw *frameWriter, pos int64) (int64, error) {
+		log := &t.snap.Load().log
+		if floor := log.floor(); pos < floor && pos < log.len() {
+			if err := s.copySealed(fw, log.hist, pos); err != nil {
+				return pos, err
+			}
+			pos = floor
+		}
+		for pos < log.len() {
+			frames, n := log.frames(pos, maxStreamBatch)
+			if n == 0 {
+				// Never inside the log; a stream must not spin if it were.
+				return pos, io.ErrNoProgress
+			}
+			if _, err := fw.Write(frames); err != nil {
+				return pos, err
+			}
+			pos += int64(n)
+		}
+		return pos, nil
+	}})
+}
+
+// handleTrace streams the tenant's trace ring, one obs.Event per line.
+// Frames come from the ring's memoized wire cache: each retained event is
+// encoded at most once no matter how many followers stream it. Ring
+// retention is bounded, so a follower that asks for evicted history, or
+// falls behind it, resumes at the oldest retained event instead of pinning
+// memory — the Seq gap tells it how much it missed.
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	t := s.routeTenant(w, r)
+	if t == nil {
+		return
+	}
+	ring := t.traceRing()
+	sub := ring.Subscribe()
+	defer ring.Unsubscribe(sub)
+	s.stream(w, r, t, feed{wake: sub, drain: func(fw *frameWriter, pos int64) (int64, error) {
+		frames, dropped := ring.FramesSince(pos)
+		pos += dropped
+		for len(frames) > 0 {
+			n := min(len(frames), maxStreamBatch)
+			if err := fw.writeFrames(frames[:n]); err != nil {
+				return pos, err
+			}
+			frames = frames[n:]
+			pos += int64(n)
+		}
+		return pos, nil
+	}})
 }
 
 // SetStreamPolicy configures the slow-consumer policy for the read

@@ -211,17 +211,7 @@ func BenchmarkMetricsExposition(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		var infos []TenantInfo
-		var snaps []tenantObsSnap
-		for _, t := range s.allTenants() {
-			infos = append(infos, t.Info())
-			snaps = append(snaps, t.obsSnapshot())
-		}
-		buf = buf[:0]
-		buf = s.obs.appendBuildInfo(buf)
-		buf = s.metrics.appendMetrics(buf, infos)
-		buf = s.obs.appendObsMetrics(buf, snaps)
-		buf = s.appendWALMetrics(buf)
+		buf = s.appendExposition(buf[:0])
 	}
 	if len(buf) == 0 {
 		b.Fatal("empty exposition")

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -13,15 +11,17 @@ import (
 )
 
 // serverObs bundles the server's observability state: the injected clock
-// every measured path reads, the aggregate histograms, the build identity,
-// and the trace-ring capacity handed to each new tenant. Per-tenant
-// histograms and rings live on the tenants themselves (attached by
-// addTenant), so tenant deletion reclaims them and /metrics reads them
-// live, like the rest of the tenant series.
+// every measured path reads, the per-route request counters, the aggregate
+// histograms, the build identity, and the trace-ring capacity handed to
+// each new tenant. Per-tenant histograms and rings live on the tenants
+// themselves (attached by addTenant), so tenant deletion reclaims them and
+// /metrics reads them live, like the rest of the tenant series.
 type serverObs struct {
 	clock    obs.Clock
 	build    obs.BuildInfo
 	traceCap int
+
+	routes map[string]*routeStats // request counters; frozen once New returns (metrics.go)
 
 	submitAck   *obs.Histogram // submit→ack, all tenants
 	dispatchLag *obs.Histogram // dispatch tardiness in quanta, all tenants
@@ -59,6 +59,7 @@ func newServerObs() *serverObs {
 		clock:         obs.Real{},
 		build:         obs.ReadBuildInfo(),
 		traceCap:      defaultTraceCap,
+		routes:        map[string]*routeStats{},
 		submitAck:     obs.NewHistogram(obs.DefaultLatencyBuckets),
 		dispatchLag:   obs.NewHistogram(obs.QuantaBuckets),
 		walAppend:     obs.NewHistogram(obs.DefaultLatencyBuckets),
@@ -118,16 +119,15 @@ func MountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
-// tenantObsSnap is one tenant's observability snapshot, taken at
-// exposition time alongside TenantInfo.
+// tenantObsSnap is what /metrics reads of one tenant, taken at exposition
+// time: the state it had published (immutable, so every series of the
+// tenant comes from one instant of it) and its observability series.
 type tenantObsSnap struct {
 	id        string
+	state     *tenantSnap
 	submitAck obs.Snapshot
 	lag       obs.Snapshot
 	traceLen  int64
-	// Where the dispatch history is: wire bytes and events resident in
-	// memory, events sealed into history files.
-	residentBytes, residentEvents, sealedEvents int64
 }
 
 // appendObsMetrics renders the observability families. The family order
@@ -143,45 +143,42 @@ func (o *serverObs) appendObsMetrics(b []byte, snaps []tenantObsSnap) []byte {
 	b = obs.AppendHeader(b, "pfaird_tenant_submit_ack_seconds",
 		"Latency from job-submit request arrival to acknowledgment, per tenant.", "histogram")
 	for _, sn := range snaps {
-		b = obs.AppendHistogram(b, "pfaird_tenant_submit_ack_seconds",
-			[]obs.Label{{Name: "tenant", Value: sn.id}}, sn.submitAck)
+		b = obs.AppendHistogram(b, "pfaird_tenant_submit_ack_seconds", tenantLabel(sn.id), sn.submitAck)
 	}
 	b = obs.AppendHeader(b, "pfaird_tenant_dispatch_lag_quanta",
 		"Dispatch tardiness in quanta, per tenant.", "histogram")
 	for _, sn := range snaps {
-		b = obs.AppendHistogram(b, "pfaird_tenant_dispatch_lag_quanta",
-			[]obs.Label{{Name: "tenant", Value: sn.id}}, sn.lag)
+		b = obs.AppendHistogram(b, "pfaird_tenant_dispatch_lag_quanta", tenantLabel(sn.id), sn.lag)
 	}
 	b = obs.AppendHeader(b, "pfaird_trace_events_total",
 		"Trace events recorded, per tenant (ring retention is bounded; this counts all ever recorded).", "counter")
 	for _, sn := range snaps {
-		b = obs.AppendSample(b, "pfaird_trace_events_total",
-			[]obs.Label{{Name: "tenant", Value: sn.id}}, strconv.FormatInt(sn.traceLen, 10))
+		b = obs.AppendInt(b, "pfaird_trace_events_total", tenantLabel(sn.id), sn.traceLen)
 	}
 	b = obs.AppendHeader(b, "pfaird_stream_evictions_total",
 		"Read streams evicted with an in-band 410 for lagging past the stream policy's bound.", "counter")
-	b = appendBare(b, "pfaird_stream_evictions_total", o.streamEvict.Load())
+	b = obs.AppendInt(b, "pfaird_stream_evictions_total", nil, o.streamEvict.Load())
 	b = obs.AppendHeader(b, "pfaird_stream_stall_severs_total",
 		"Read streams severed because a write to a wedged reader outlasted the stall deadline.", "counter")
-	b = appendBare(b, "pfaird_stream_stall_severs_total", o.streamSevers.Load())
+	b = obs.AppendInt(b, "pfaird_stream_stall_severs_total", nil, o.streamSevers.Load())
 	b = obs.AppendHeader(b, "pfaird_wire_fallbacks_total",
 		"Request and reply bodies of a hand-coded type that encoding/json took over: a string outside printable ASCII or needing an escape, a key in another spelling, a number in another form. A registration's reply always counts (its reason text is not ASCII).", "counter")
-	b = appendLabeled1(b, "pfaird_wire_fallbacks_total", "dir", "decode", o.wireDecodeFallbacks.Load())
-	b = appendLabeled1(b, "pfaird_wire_fallbacks_total", "dir", "encode", o.wireEncodeFallbacks.Load())
+	b = obs.AppendInt(b, "pfaird_wire_fallbacks_total", []obs.Label{{Name: "dir", Value: "decode"}}, o.wireDecodeFallbacks.Load())
+	b = obs.AppendInt(b, "pfaird_wire_fallbacks_total", []obs.Label{{Name: "dir", Value: "encode"}}, o.wireEncodeFallbacks.Load())
 	b = obs.AppendHeader(b, "pfaird_tenant_history_resident_bytes",
 		"Wire bytes of dispatch history held in memory, per tenant.", "gauge")
 	for _, sn := range snaps {
-		b = appendLabeled1(b, "pfaird_tenant_history_resident_bytes", "tenant", sn.id, sn.residentBytes)
+		b = obs.AppendInt(b, "pfaird_tenant_history_resident_bytes", tenantLabel(sn.id), sn.state.log.resident)
 	}
 	b = obs.AppendHeader(b, "pfaird_tenant_history_resident_events",
 		"Dispatch events held in memory, per tenant (the rest are sealed).", "gauge")
 	for _, sn := range snaps {
-		b = appendLabeled1(b, "pfaird_tenant_history_resident_events", "tenant", sn.id, sn.residentEvents)
+		b = obs.AppendInt(b, "pfaird_tenant_history_resident_events", tenantLabel(sn.id), sn.state.log.len()-sn.state.log.floor())
 	}
 	b = obs.AppendHeader(b, "pfaird_tenant_history_sealed_events",
 		"Dispatch events sealed into history files and dropped from memory, per tenant.", "gauge")
 	for _, sn := range snaps {
-		b = appendLabeled1(b, "pfaird_tenant_history_sealed_events", "tenant", sn.id, sn.sealedEvents)
+		b = obs.AppendInt(b, "pfaird_tenant_history_sealed_events", tenantLabel(sn.id), sn.state.log.floor())
 	}
 	return b
 }
@@ -190,11 +187,11 @@ func (o *serverObs) appendObsMetrics(b []byte, snaps []tenantObsSnap) []byte {
 func (o *serverObs) appendBuildInfo(b []byte) []byte {
 	b = obs.AppendHeader(b, "pfaird_build_info",
 		"Build identity of the serving binary; the value is always 1.", "gauge")
-	return obs.AppendSample(b, "pfaird_build_info", []obs.Label{
+	return obs.AppendInt(b, "pfaird_build_info", []obs.Label{
 		{Name: "version", Value: o.build.Version},
 		{Name: "revision", Value: o.build.Revision},
 		{Name: "go", Value: o.build.GoVersion},
-	}, "1")
+	}, 1)
 }
 
 // appendWALTimingMetrics renders the journal latency histograms (durable
@@ -219,80 +216,11 @@ func (o *serverObs) appendCompactionMetrics(b []byte) []byte {
 	b = obs.AppendHistogram(b, "pfaird_compact_seconds", nil, o.compact.Snapshot())
 	b = obs.AppendHeader(b, "pfaird_snapshot_bytes",
 		"Payload bytes of the last snapshot written.", "gauge")
-	b = appendBare(b, "pfaird_snapshot_bytes", o.snapshotBytes.Load())
+	b = obs.AppendInt(b, "pfaird_snapshot_bytes", nil, o.snapshotBytes.Load())
 	b = obs.AppendHeader(b, "pfaird_history_segments",
 		"Sealed dispatch-history files the last snapshot refers to, all tenants.", "gauge")
-	b = appendBare(b, "pfaird_history_segments", o.histSegments.Load())
+	b = obs.AppendInt(b, "pfaird_history_segments", nil, o.histSegments.Load())
 	b = obs.AppendHeader(b, "pfaird_history_bytes",
 		"Bytes of sealed dispatch history the last snapshot refers to, all tenants.", "gauge")
-	return appendBare(b, "pfaird_history_bytes", o.histBytes.Load())
-}
-
-// handleTrace streams the tenant's trace ring as NDJSON, one obs.Event
-// per line: first the retained backlog from ?from (default 0), then live
-// events as commands execute. Ring retention is bounded, so a follower
-// that asks for evicted history simply resumes at the oldest retained
-// event — the Seq gap tells it how much it missed. ?follow=false stops
-// at the current end instead of following. The stream ends with the
-// client, the tenant, or the server, exactly like the dispatch stream.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	t := s.routeTenant(w, r)
-	if t == nil {
-		return
-	}
-	var from int64
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("server: bad from %q", v))
-			return
-		}
-		from = n
-	}
-	follow := r.URL.Query().Get("follow") != "false"
-
-	ring := t.traceRing()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fw := s.newFrameWriter(w)
-	if fw.flush() != nil {
-		return
-	}
-
-	sub := ring.Subscribe()
-	defer ring.Unsubscribe(sub)
-
-	// Trace frames come from the ring's memoized wire cache: each retained
-	// event is encoded at most once no matter how many followers stream it.
-	// No lag eviction here — the ring already bounds retention, so a slow
-	// follower skips ahead past dropped history instead of pinning memory.
-	pos := from
-	for {
-		frames, dropped := ring.FramesSince(pos)
-		pos += dropped
-		wrote := len(frames) > 0
-		pos += int64(len(frames))
-		for len(frames) > 0 {
-			n := min(len(frames), maxStreamBatch)
-			if err := fw.writeFrames(frames[:n]); err != nil {
-				return // client went away
-			}
-			frames = frames[n:]
-		}
-		if wrote && fw.flush() != nil {
-			return
-		}
-		if !follow {
-			return
-		}
-		select {
-		case <-sub:
-		case <-r.Context().Done():
-			return
-		case <-t.Closed():
-			follow = false // flush whatever landed, then stop
-		case <-s.shutdown:
-			follow = false
-		}
-	}
+	return obs.AppendInt(b, "pfaird_history_bytes", nil, o.histBytes.Load())
 }

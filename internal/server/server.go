@@ -41,7 +41,6 @@ import (
 	"hash/fnv"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,10 +63,9 @@ type shard struct {
 // Handler(), and call Shutdown before closing the listener so in-flight
 // dispatch streams drain instead of being cut.
 type Server struct {
-	shards  [nshards]shard
-	mux     *http.ServeMux
-	metrics *metrics
-	obs     *serverObs
+	shards [nshards]shard
+	mux    *http.ServeMux
+	obs    *serverObs
 
 	// Durability (nil wal = in-memory server, the New() default). opMu's
 	// read side brackets every journaled mutation; compact takes the
@@ -134,7 +132,6 @@ type Server struct {
 func New() *Server {
 	s := &Server{
 		mux:          http.NewServeMux(),
-		metrics:      newMetrics(),
 		obs:          newServerObs(),
 		streamMaxLag: DefaultStreamMaxLag,
 		streamStall:  DefaultStreamStall,
@@ -187,12 +184,12 @@ func (s *Server) Shutdown() {
 // cardinality stays bounded. Durations come from the injected clock, so
 // under an obs.Fake clock the request histograms are deterministic.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
-	s.metrics.register(pattern)
+	s.obs.register(pattern)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := s.obs.clock.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
-		s.metrics.observe(pattern, s.obs.clock.Now().Sub(start), sw.status)
+		s.obs.observeRequest(pattern, s.obs.clock.Now().Sub(start), sw.status)
 	})
 }
 
@@ -382,22 +379,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var infos []TenantInfo
-	var snaps []tenantObsSnap
-	for _, t := range s.allTenants() {
-		infos = append(infos, t.Info())
-		snaps = append(snaps, t.obsSnapshot())
-	}
 	bp := metricsBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = s.obs.appendBuildInfo(b)
-	b = s.metrics.appendMetrics(b, infos)
-	b = s.obs.appendObsMetrics(b, snaps)
-	b = s.appendWALMetrics(b)
+	b := s.appendExposition((*bp)[:0])
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(b)
 	*bp = b
 	metricsBufPool.Put(bp)
+}
+
+// appendExposition renders the /metrics page. The family order is fixed —
+// the golden exposition test pins it.
+func (s *Server) appendExposition(b []byte) []byte {
+	tenants := s.allTenants()
+	snaps := make([]tenantObsSnap, len(tenants))
+	for i, t := range tenants {
+		snaps[i] = t.obsSnapshot()
+	}
+	b = s.obs.appendBuildInfo(b)
+	b = s.obs.appendRequestMetrics(b)
+	b = appendTenantMetrics(b, snaps)
+	b = s.obs.appendObsMetrics(b, snaps)
+	return s.appendWALMetrics(b)
 }
 
 // metricsBufPool recycles exposition buffers across scrapes: after the
@@ -593,94 +595,6 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 		}
 		return reply{status: status, body: resp, commit: commit}, err
 	})
-}
-
-// handleDispatches streams the tenant's dispatch log as one JSON object
-// per line: first the backlog from ?from (default 0), then live decisions
-// as they are made, flushing after every batch. The stream ends when the
-// client goes away, the tenant is deleted, ?follow=false exhausted the
-// backlog, or the server shuts down — in the last two cases only after
-// everything currently in the log has been written (the "drain" part of
-// graceful shutdown).
-//
-// Every line is a frame the tenant loop encoded once at record time; the
-// handler only moves bytes — a run of a resident chunk per write, or, for
-// seqs below the log's resident floor, blocks of the sealed history files
-// that hold the same bytes. A following stream that lags more than
-// streamMaxLag records behind the tip after a drain is evicted with a
-// StreamGone control line; one that stops reading entirely dies on the
-// frameWriter's stall deadline.
-func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
-	t := s.routeTenant(w, r)
-	if t == nil {
-		return
-	}
-	var from int64
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("server: bad from %q", v))
-			return
-		}
-		from = n
-	}
-	follow := r.URL.Query().Get("follow") != "false"
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fw := s.newFrameWriter(w)
-	// Push the headers out now: a follower of an idle tenant must see the
-	// stream open immediately, not on the first dispatch.
-	if fw.flush() != nil {
-		return
-	}
-
-	sub := t.Subscribe()
-	defer t.Unsubscribe(sub)
-
-	pos := from
-	for {
-		log := &t.snap.Load().log
-		wrote := pos < log.len()
-		if floor := log.floor(); wrote && pos < floor {
-			if err := s.copySealed(fw, log.hist, pos); err != nil {
-				return
-			}
-			pos = floor
-		}
-		for pos < log.len() {
-			frames, n := log.frames(pos, maxStreamBatch)
-			// n is never 0 inside the log; a stream must not spin if it were.
-			if _, err := fw.Write(frames); err != nil || n == 0 {
-				return // client went away or stalled past the deadline
-			}
-			pos += int64(n)
-		}
-		if wrote && fw.flush() != nil {
-			return
-		}
-		if follow && s.streamMaxLag > 0 {
-			if t.LogLen()-pos > s.streamMaxLag {
-				// The log outgrew this follower by more than the bound
-				// while it drained: cut it loose rather than chase it.
-				s.obs.streamEvict.Add(1)
-				fw.writeGone(pos)
-				return
-			}
-		}
-		if !follow {
-			return
-		}
-		select {
-		case <-sub.ping:
-		case <-r.Context().Done():
-			return
-		case <-t.Closed():
-			follow = false // flush whatever landed, then stop
-		case <-s.shutdown:
-			follow = false
-		}
-	}
 }
 
 // --- plumbing ---

@@ -14,6 +14,7 @@ import (
 	"desyncpfair/internal/online"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
+	"desyncpfair/internal/sched"
 	"desyncpfair/internal/wal"
 )
 
@@ -279,24 +280,21 @@ func (t *Tenant) traceRing() *obs.Ring {
 	return t.obs().tr.Ring()
 }
 
-// obsSnapshot snapshots the tenant's observability series for /metrics.
+// obsSnapshot snapshots the tenant for /metrics.
 func (t *Tenant) obsSnapshot() tenantObsSnap {
 	o := t.obs()
-	log := &t.snap.Load().log
 	return tenantObsSnap{
-		id:             t.id,
-		submitAck:      o.submitAck.Snapshot(),
-		lag:            o.lag.Snapshot(),
-		traceLen:       o.tr.Ring().Next(),
-		residentBytes:  log.resident,
-		residentEvents: log.len() - log.floor(),
-		sealedEvents:   log.floor(),
+		id:        t.id,
+		state:     t.snap.Load(),
+		submitAck: o.submitAck.Snapshot(),
+		lag:       o.lag.Snapshot(),
+		traceLen:  o.tr.Ring().Next(),
 	}
 }
 
 // observeSubmitAck records one submit→ack latency into the tenant and
-// aggregate histograms. Histograms carry their own locks, so the HTTP
-// handler calls this directly.
+// aggregate histograms. A histogram is safe for concurrent use, so the
+// HTTP handler calls this directly.
 func (t *Tenant) observeSubmitAck(d time.Duration) {
 	o := t.obs()
 	s := d.Seconds()
@@ -342,10 +340,7 @@ func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch f
 // wakeup both wait for settle, after the apply.
 func (t *Tenant) record(d online.Dispatch) {
 	deadline := d.Sub.Deadline()
-	tard := d.Finish.Sub(rat.FromInt(deadline))
-	if tard.Sign() < 0 {
-		tard = rat.Zero
-	}
+	tard := sched.Tardiness(d.Finish, deadline)
 	if t.maxTar.Less(tard) {
 		t.maxTar = tard
 	}

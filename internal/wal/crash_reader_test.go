@@ -27,6 +27,19 @@ func TestCrashMidBatchReaderObservesOnlyRecoverablePrefix(t *testing.T) {
 
 			r := l.NewReader(1)
 			var observed []wal.Record
+			observe := func(max int) {
+				frames, err := r.NextRaw(max)
+				if err != nil {
+					return
+				}
+				for _, f := range frames {
+					var rec wal.Record
+					if err := wal.UnmarshalRecord(f.Payload, &rec); err != nil {
+						t.Fatalf("reader served an undecodable frame at LSN %d: %v", f.LSN, err)
+					}
+					observed = append(observed, rec)
+				}
+			}
 			var acked uint64
 			for i := 0; ; i++ {
 				lsn, err := l.Append(wal.Record{Op: wal.OpAdvance, Tenant: "a", At: fmt.Sprint(i)})
@@ -34,13 +47,9 @@ func TestCrashMidBatchReaderObservesOnlyRecoverablePrefix(t *testing.T) {
 					break // the filesystem died mid-batch
 				}
 				acked = lsn
-				if recs, err := r.Next(16); err == nil {
-					observed = append(observed, recs...)
-				}
+				observe(16)
 			}
-			if recs, err := r.Next(64); err == nil { // drain the last durable bytes
-				observed = append(observed, recs...)
-			}
+			observe(64) // drain the last durable bytes
 			r.Close()
 			l.Close() // wedged; error irrelevant
 			if !ffs.Crashed() {

@@ -131,9 +131,9 @@ func TestNextDurableNoLostWakeup(t *testing.T) {
 		defer close(seen)
 		for n := 0; n < rounds; {
 			durable := l.NextDurable()
-			recs, err := r.Next(16)
+			recs, err := nextRecords(r, 16)
 			if err != nil {
-				t.Errorf("Next: %v", err)
+				t.Errorf("NextRaw: %v", err)
 				return
 			}
 			for _, rec := range recs {

@@ -20,7 +20,7 @@ import (
 //
 // A Reader is owned by one goroutine; the log itself may be appended to
 // and compacted concurrently. When compaction folds the cursor's position
-// into a snapshot, Next returns ErrCompacted and the consumer must
+// into a snapshot, NextRaw returns ErrCompacted and the consumer must
 // re-bootstrap from the snapshot.
 type Reader struct {
 	l        *Log
@@ -48,56 +48,6 @@ func (l *Log) horizon() (durable, snap uint64) {
 	return l.durableLSN, l.snapLSN
 }
 
-// Next returns up to max records starting at the cursor, advancing it.
-// An empty, nil-error result means nothing new is durable yet — poll
-// again. ErrCompacted means the cursor's records were folded into a
-// snapshot; other errors are environmental (reads through a failed
-// filesystem) and the reader stays usable for a retry.
-func (r *Reader) Next(max int) ([]Record, error) {
-	if max <= 0 {
-		max = 1
-	}
-	durable, snap := r.l.horizon()
-	if r.next <= snap {
-		return nil, ErrCompacted
-	}
-	var out []Record
-	for len(out) < max && r.next <= durable {
-		rec, ok, err := r.decodeOne()
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			n, err := r.fill()
-			if err != nil {
-				return out, err
-			}
-			if n == 0 {
-				hopped, err := r.hop()
-				if err != nil {
-					return out, err
-				}
-				if !hopped {
-					// The durable bytes are not visible from here yet
-					// (e.g. a concurrent compaction just rolled the
-					// segment); the next call re-resolves.
-					return out, nil
-				}
-			}
-			continue
-		}
-		if rec.LSN < r.next {
-			continue // pre-cursor record in a shared segment
-		}
-		if rec.LSN != r.next {
-			return out, fmt.Errorf("wal: reader expected LSN %d, segment holds %d", r.next, rec.LSN)
-		}
-		out = append(out, rec)
-		r.next++
-	}
-	return out, nil
-}
-
 // RawFrame is one durable record in wire form: the exact JSON payload
 // bytes appended to the log plus the frame header's CRC32-IEEE over those
 // bytes. Payload is a copy the caller owns — the reader's carry buffer is
@@ -110,10 +60,13 @@ type RawFrame struct {
 	Payload []byte
 }
 
-// NextRaw is Next without the decode: it returns up to max frames in wire
-// form, advancing the cursor, with the same horizon, ErrCompacted, and
-// LSN-continuity semantics. The replication log server uses it to ship
-// the bytes already on disk instead of re-marshaling every record for
+// NextRaw returns up to max frames in wire form starting at the cursor,
+// advancing it; the stream is LSN-contiguous. An empty, nil-error result
+// means nothing new is durable yet — wait on NextDurable and read again.
+// ErrCompacted means the cursor's records were folded into a snapshot;
+// other errors are environmental (reads through a failed filesystem) and
+// the reader stays usable for a retry. The replication log server ships
+// these bytes, already on disk, instead of re-marshaling every record for
 // every follower.
 func (r *Reader) NextRaw(max int) ([]RawFrame, error) {
 	if max <= 0 {
@@ -140,6 +93,9 @@ func (r *Reader) NextRaw(max int) ([]RawFrame, error) {
 					return out, err
 				}
 				if !hopped {
+					// The durable bytes are not visible from here yet
+					// (e.g. a concurrent compaction just rolled the
+					// segment); the next call re-resolves.
 					return out, nil
 				}
 			}
@@ -188,28 +144,13 @@ func payloadLSN(payload []byte) (uint64, error) {
 	return rec.LSN, nil
 }
 
-// decodeOne tries to decode one frame from the carry buffer. ok=false
-// means the buffer holds no complete, checksummed frame yet. A CRC
-// mismatch is treated the same way: a frame below the durable horizon is
-// never torn, but the buffered bytes may straddle an in-flight write of a
-// later frame, which the next fill completes.
-func (r *Reader) decodeOne() (Record, bool, error) {
-	payload, _, size, ok, err := r.rawOne()
-	if !ok || err != nil {
-		return Record{}, false, err
-	}
-	var rec Record
-	if err := UnmarshalRecord(payload, &rec); err != nil {
-		return Record{}, false, fmt.Errorf("wal: reader hit an undecodable frame: %v", err)
-	}
-	r.off += size
-	return rec, true, nil
-}
-
 // rawOne locates the next complete, checksummed frame in the carry buffer
 // without consuming it: the caller advances r.off by size on acceptance.
-// The returned payload aliases r.buf and is only valid until the next
-// fill.
+// ok=false means the buffer holds no such frame yet. A CRC mismatch is
+// treated the same way: a frame below the durable horizon is never torn,
+// but the buffered bytes may straddle an in-flight write of a later frame,
+// which the next fill completes. The returned payload aliases r.buf and is
+// only valid until the next fill.
 func (r *Reader) rawOne() (payload []byte, crc uint32, size int, ok bool, err error) {
 	b := r.buf[r.off:]
 	if len(b) < frameHeader {

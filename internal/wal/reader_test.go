@@ -11,6 +11,19 @@ import (
 	"time"
 )
 
+// nextRecords reads up to max frames off r and decodes their payloads, as a
+// follower does with the log stream it is served.
+func nextRecords(r *Reader, max int) ([]Record, error) {
+	frames, err := r.NextRaw(max)
+	recs := make([]Record, len(frames))
+	for i, f := range frames {
+		if err := UnmarshalRecord(f.Payload, &recs[i]); err != nil {
+			return recs[:i], err
+		}
+	}
+	return recs, err
+}
+
 // collect drains r until `want` records arrived or the deadline passes,
 // asserting the stream is LSN-contiguous and never runs past the durable
 // horizon. A read that finds nothing waits for the log's next fsync, on the
@@ -23,16 +36,16 @@ func collect(t *testing.T, l *Log, r *Reader, want int, deadline time.Duration) 
 	defer stop.Stop()
 	for len(got) < want {
 		synced := l.NextDurable()
-		recs, err := r.Next(16)
+		recs, err := nextRecords(r, 16)
 		if err != nil {
-			t.Fatalf("Next: %v", err)
+			t.Fatalf("NextRaw: %v", err)
 		}
 		durable, _ := l.horizon()
 		for _, rec := range recs {
 			if rec.LSN != next {
 				t.Fatalf("stream not contiguous: got LSN %d, want %d", rec.LSN, next)
 			}
-			// durable was sampled *after* Next returned and only ever
+			// durable was sampled *after* NextRaw returned and only ever
 			// grows, so any record beyond it was served from an unsynced
 			// suffix — the one thing a replication reader must never do.
 			if rec.LSN > durable {
@@ -100,13 +113,13 @@ func TestReaderStopsAtDurableHorizon(t *testing.T) {
 
 	r := l.NewReader(1)
 	defer r.Close()
-	if recs, err := r.Next(16); err != nil || len(recs) != 0 {
+	if recs, err := nextRecords(r, 16); err != nil || len(recs) != 0 {
 		t.Fatalf("reader saw %d unsynced records (err %v), want 0", len(recs), err)
 	}
 	for _, ft := range tf.all() { // idle-flush fires: the partial group commits
 		ft.fire()
 	}
-	recs, err := r.Next(16)
+	recs, err := nextRecords(r, 16)
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("reader saw %d records after commit (err %v), want 3", len(recs), err)
 	}
@@ -167,22 +180,15 @@ func TestAppendReplicatedFencing(t *testing.T) {
 	}
 }
 
-// TestNextRawMatchesNext pins the encode-once shipping contract: the raw
-// frames NextRaw serves must be, byte for byte, the json.Marshal of the
-// records Next decodes — same LSNs, and a CRC that is crc32(payload) —
-// because the replication handler forwards them to followers without
+// TestNextRawIsMarshaledRecord pins the encode-once shipping contract: the
+// raw frames NextRaw serves must be, byte for byte, the json.Marshal of the
+// records they decode to — LSNs in order, and a CRC that is crc32(payload)
+// — because the replication handler forwards them to followers without
 // re-encoding and the follower re-verifies both.
-func TestNextRawMatchesNext(t *testing.T) {
+func TestNextRawIsMarshaledRecord(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: 1})
 	defer l.Close()
 	appendN(t, l, 40)
-
-	rd := l.NewReader(1)
-	defer rd.Close()
-	recs := collect(t, l, rd, 40, 2*time.Second)
-	if len(recs) != 40 {
-		t.Fatalf("Next served %d records, want 40", len(recs))
-	}
 
 	rr := l.NewReader(1)
 	defer rr.Close()
@@ -204,29 +210,32 @@ func TestNextRawMatchesNext(t *testing.T) {
 			}
 		}
 	}
-	if len(raws) != len(recs) {
-		t.Fatalf("NextRaw served %d frames, Next served %d", len(raws), len(recs))
+	if len(raws) != 40 {
+		t.Fatalf("NextRaw served %d frames, want 40", len(raws))
 	}
-	for i, rec := range recs {
+	for i, raw := range raws {
+		var rec Record
+		if err := UnmarshalRecord(raw.Payload, &rec); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
 		want, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if raws[i].LSN != rec.LSN {
-			t.Fatalf("frame %d: LSN %d, want %d", i, raws[i].LSN, rec.LSN)
+		if raw.LSN != uint64(i+1) || rec.LSN != raw.LSN {
+			t.Fatalf("frame %d: LSN %d holding record %d, want %d", i, raw.LSN, rec.LSN, i+1)
 		}
-		if !bytes.Equal(raws[i].Payload, want) {
-			t.Fatalf("frame %d payload:\n got %s\nwant %s", i, raws[i].Payload, want)
+		if !bytes.Equal(raw.Payload, want) {
+			t.Fatalf("frame %d payload:\n got %s\nwant %s", i, raw.Payload, want)
 		}
-		if got := crc32.ChecksumIEEE(raws[i].Payload); got != raws[i].CRC {
-			t.Fatalf("frame %d: CRC %08x, want crc32(payload) %08x", i, raws[i].CRC, got)
+		if got := crc32.ChecksumIEEE(raw.Payload); got != raw.CRC {
+			t.Fatalf("frame %d: CRC %08x, want crc32(payload) %08x", i, raw.CRC, got)
 		}
 	}
 }
 
-// TestNextRawCompacted: a raw cursor below the snapshot horizon must fail
-// with ErrCompacted exactly like the decoding reader, so the replication
-// handler's 410 path is policy-independent of which reader it uses.
+// TestNextRawCompacted: a cursor below the snapshot horizon must fail with
+// ErrCompacted, which the replication handler answers with 410.
 func TestNextRawCompacted(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: 1})
 	defer l.Close()
