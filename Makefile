@@ -81,7 +81,9 @@ bench:
 
 # bench-json archives machine-readable results (root benchmarks incl. the
 # PR 1 DVQ/SFQLarge set, plus the service-layer BenchmarkServerSubmit*
-# family — ServerSubmitBatch/{16,92}jobs{,_wal} is its batch route — the
+# family — ServerSubmitBatch/{16,92}jobs{,_wal} is its batch route, whose
+# _wal rows also carry records/op and fsyncs/op, what one round of a batch
+# and an advance costs the journal — the
 # egress-plane set — DispatchFanout/{1,8,64}subs against
 # its per-subscriber-encode baseline, and the pooled /metrics render —
 # WireCodec/{json,wire}/…, the six encodings one submit crosses, on

@@ -203,7 +203,9 @@ func BenchmarkWireCodec(b *testing.B) {
 // one jobs:batch of n jobs — client, HTTP round trip, ring hop, executive
 // release, and on the _wal rows the journal's frame group — with an advance
 // after every batch so the backlog stays bounded. n = 16 on M = 2 is
-// long_tenant's round, n = 92 is the size of wide_sched's.
+// long_tenant's round, n = 92 is the size of wide_sched's. The _wal rows
+// also report what a round (one batch, one advance) costs the journal:
+// records/op, the frames it appended, and fsyncs/op.
 func BenchmarkServerSubmitBatch(b *testing.B) {
 	for _, n := range []int{16, 92} {
 		for _, durable := range []bool{false, true} {
@@ -251,6 +253,7 @@ func benchSubmitBatch(b *testing.B, n int, durable bool) {
 		}
 	}
 
+	before := srv.WALStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -260,5 +263,11 @@ func benchSubmitBatch(b *testing.B, n int, durable bool) {
 		if _, err := c.AdvanceBy(ctx, "bench", "8"); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if durable {
+		after := srv.WALStats()
+		b.ReportMetric(float64(after.Appends-before.Appends)/float64(b.N), "records/op")
+		b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(b.N), "fsyncs/op")
 	}
 }
