@@ -55,9 +55,14 @@ race-server:
 # replica ready at catch-up (TestFollowerOfIdle…, TestFollowerReadyExactly…),
 # a promotion that reports back and one that fails and is retried
 # (TestPromotionReportsBack, TestFailedPromotionIsRetried), the log stream
-# woken by the fsync and never missing one (TestReplLog…, TestNextDurable…).
+# woken by the fsync and never missing one (TestReplLog…, TestNextDurable…) —
+# and a submit group as the one record it is: keyed jobs:batch requests
+# through leader → follower → promoted follower → its follower with ?from=0
+# byte identity at every hop (TestBatchThroughFailover…), and a replica fed a
+# stream cut at every byte of a batch holding all of it or none
+# (TestFollowerOfCutStream…).
 cluster-smoke:
-	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced|TestRouter|TestNewRouter|TestUpstream|TestFollowerOfIdleLeaderReadyWithoutTick|TestFollowerReadyExactlyAtTip|TestPromotionReportsBack|TestFailedPromotionIsRetried'
+	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced|TestRouter|TestNewRouter|TestUpstream|TestFollowerOfIdleLeaderReadyWithoutTick|TestFollowerReadyExactlyAtTip|TestPromotionReportsBack|TestFailedPromotionIsRetried|TestBatchThroughFailoverByteIdentity|TestFollowerOfCutStreamHoldsWholeBatches'
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestReplLog'
 	$(GO) test -race -count=1 ./internal/wal/ -run 'TestReaderTailsConcurrentGroupCommit|TestCrashMidBatch|TestNextDurable|TestThresholdSync|TestStoppedTimerCallback'
 
@@ -127,9 +132,12 @@ bench-diff:
 # stress with subscribe/unsubscribe churn, both slow-consumer paths
 # (lag-bound 410 eviction and the write-stall severing of a wedged
 # reader), the raw-frame WAL reader contract, the client's control-line
-# decoding, and the pfairload -streams mode consuming full fan-out.
+# decoding, the pfairload -streams mode consuming full fan-out, and the
+# stream's byte identity across nodes: batches through leader → follower →
+# promoted follower, ?from=0 compared at every hop.
 fanout-smoke:
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestStreamByteIdentity20Seeds|TestFanoutStress|TestStreamEvictsLaggingSubscriber|TestStreamStallSeversWedgedReader'
+	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestBatchThroughFailoverByteIdentity'
 	$(GO) test -race -count=1 ./internal/wal/ -run 'TestNextRaw'
 	$(GO) test -race -count=1 ./internal/client/ -run 'TestStreamNextGone|TestStreamGoneRoundTrip'
 	$(GO) test -race -count=1 ./cmd/pfairload/ -run 'TestStreamsFanout'
@@ -181,11 +189,15 @@ obs:
 # greps for them): a parent-format journal of per-decision records, a
 # tampered journal that must be counted, a follower that compacts between
 # a command and its digest, or its per-decision records under a leader not
-# yet upgraded — under the race detector.
+# yet upgraded — and the submit group's one record: a crash at every byte
+# of a batch's write leaves all of it or none (TornBatch), a journal of
+# per-job groups still replays (PerJobGroupJournal), the largest admissible
+# batch is journaled or refused before a byte is written (WorstBatch) —
+# under the race detector.
 recovery:
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/faultfs/ ./cmd/pfaird/ \
 		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|ExecutiveMatchesReference'
-	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot'
+	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot|TornBatch|PerJobGroupJournal|WorstBatch'
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestRestoreParentFormatJournal|TestRecoveryCountsTamperedJournal|TestFollowerCompactionBeforeDigest|TestFollowerOfLegacyLeaderCompacts'
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'TestFollowerBootstrapFromSealedHistory'
 

@@ -101,9 +101,9 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.DurationVar(&cfg.grace, "grace", 10*time.Second, "graceful shutdown timeout")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the write-ahead log and snapshots (empty = in-memory only)")
-	flag.IntVar(&cfg.fsyncEvery, "fsync-every", 64, "group-commit: fsync the journal once per this many journal records (commands plus one digest per dispatching command)")
+	flag.IntVar(&cfg.fsyncEvery, "fsync-every", 64, "group-commit: an ack leaves fewer than this many journal frames unsynced (one frame per command, a batch included, plus one digest per dispatching command)")
 	flag.DurationVar(&cfg.fsyncMaxDelay, "fsync-max-delay", 100*time.Millisecond, "upper bound on how long a journaled record may wait for its fsync (0 disables the timer)")
-	flag.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "fold the journal into a snapshot after this many journal records (commands plus one digest per dispatching command)")
+	flag.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "fold the journal into a snapshot after this many jobs, other commands and digests (a batch counts as its jobs)")
 	flag.BoolVar(&cfg.pprof, "pprof", true, "serve net/http/pprof profiles under /debug/pprof/")
 	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 4096, "per-tenant trace-ring retention in events (GET /v1/tenants/{id}/trace)")
 	flag.IntVar(&cfg.submitRing, "submit-ring", 256, "per-tenant submit-ring capacity; a full ring answers 429 backpressure")

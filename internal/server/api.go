@@ -84,8 +84,8 @@ type SubmitJobResponse struct {
 // SubmitJobsRequest releases a batch of jobs in one request
 // (POST /v1/tenants/{id}/jobs:batch). The batch is atomic: every job is
 // validated before any is applied, one bad job rejects the whole batch,
-// and on a durable server the batch is journaled as one frame group and
-// acknowledged after a single fsync.
+// and on a durable server the batch is journaled as one record — a crash
+// keeps all of it or none — and acknowledged after at most one fsync.
 type SubmitJobsRequest struct {
 	Jobs []SubmitJobRequest `json:"jobs"`
 }

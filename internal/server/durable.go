@@ -22,8 +22,9 @@ import (
 type Options struct {
 	// DataDir holds the write-ahead log and snapshots.
 	DataDir string
-	// FsyncEvery group-commits the journal: one fsync per this many
-	// records (≤ 1 syncs every record).
+	// FsyncEvery group-commits the journal: an ack leaves fewer than this
+	// many records — one per command, one per digest — unsynced (≤ 1 syncs
+	// every record).
 	FsyncEvery int
 	// FsyncMaxDelay bounds how long any record may sit unsynced when
 	// FsyncEvery > 1: a timer flushes the partial tail group so an idle
@@ -32,7 +33,8 @@ type Options struct {
 	// to keep fsync counts deterministic).
 	FsyncMaxDelay time.Duration
 	// SnapshotEvery folds the log into a fresh snapshot after this many
-	// records. Defaults to 4096.
+	// jobs, other commands and digests (a record counts by its
+	// wal.Record.Weight). Defaults to 4096.
 	SnapshotEvery int
 	// FS overrides the filesystem (internal/faultfs in the recovery
 	// suite); nil selects the real one.
@@ -71,7 +73,8 @@ type RecoveryInfo struct {
 	SnapshotLSN uint64 `json:"snapshotLSN"`
 	Tenants     int    `json:"tenants"`
 	// RecordsReplayed counts all log-tail records applied over the
-	// snapshot; CommandsReplayed the state-mutating subset.
+	// snapshot; CommandsReplayed the commands among them, a submit group
+	// as its jobs.
 	RecordsReplayed  int `json:"recordsReplayed"`
 	CommandsReplayed int `json:"commandsReplayed"`
 	// Commands is the total command count reflected in the recovered
@@ -307,7 +310,7 @@ func Open(opts Options) (*Server, error) {
 		info.RecordsReplayed++
 		switch ok := s.applyRecord(r); {
 		case r.IsCommand() && ok:
-			info.CommandsReplayed++
+			info.CommandsReplayed += r.Weight()
 		case r.IsCommand():
 			info.ReplayErrors++
 		case !ok:
@@ -343,9 +346,9 @@ func Open(opts Options) (*Server, error) {
 // applyRecord replays one journal record — recovery's, or one a follower
 // was shipped — and reports whether it did what the server that journaled
 // it recorded. Command records re-apply through the same tenant methods
-// that served them (and count as commands when they do); dispatch records
-// are verified against the regenerated decisions. A failure is for the
-// caller to count, never fatal — a server with non-zero counters is
+// that served them (and count as commands when they do, a submit group as
+// its jobs); dispatch records are verified against the regenerated
+// decisions. A failure is for the caller to count, never fatal — a server with non-zero counters is
 // degraded, and /healthz says so.
 func (s *Server) applyRecord(r wal.Record) (ok bool) {
 	switch r.Op {
@@ -371,7 +374,7 @@ func (s *Server) applyRecord(r wal.Record) (ok bool) {
 		}
 	}
 	if ok && r.IsCommand() {
-		s.cmdSeq.Add(1)
+		s.cmdSeq.Add(uint64(r.Weight()))
 	}
 	return ok
 }
@@ -434,7 +437,17 @@ func (t *Tenant) replay(r wal.Record) bool {
 	case wal.OpTaskUnregister:
 		_, err = t.UnregisterTask(r.Name)
 	case wal.OpJobSubmit:
-		_, _, err = t.SubmitJobReq(SubmitJobRequest{Task: r.Name, At: r.At, Earliness: r.Earliness, Key: r.Key})
+		if len(r.Jobs) == 0 {
+			_, _, err = t.SubmitJobReq(SubmitJobRequest{Task: r.Name, At: r.At, Earliness: r.Earliness, Key: r.Key})
+			break
+		}
+		// A group — a batch, or a run of singles whose keys were all new —
+		// re-applies as the batch it is on disk: all of it or none.
+		reqs := make([]SubmitJobRequest, len(r.Jobs))
+		for i, j := range r.Jobs {
+			reqs[i] = SubmitJobRequest{Task: j.Name, At: j.At, Earliness: j.Earliness, Key: j.Key}
+		}
+		_, _, err = t.SubmitJobs(reqs)
 	case wal.OpAdvance:
 		_, _, err = t.Advance(r.At, "")
 	case wal.OpDrain:
@@ -450,8 +463,9 @@ func (t *Tenant) replay(r wal.Record) bool {
 }
 
 // journalRecord is the tenants' durability hook: it *enqueues* the record
-// (frame encode + buffered write, no fsync) and counts commands. The
-// caller carries the returned commit out of its locks and waits on it via
+// (frame encode + buffered write, no fsync) and counts commands, a submit
+// group as its jobs. The caller carries the returned commit out of its
+// locks and waits on it via
 // waitDurable before acking — compact's opMu quiesce still sees a cmdSeq
 // consistent with applied state because enqueue and apply both happen in
 // one tenant command inside opMu's read side.
@@ -467,29 +481,7 @@ func (s *Server) journalRecord(r wal.Record) (wal.Commit, error) {
 		return wal.Commit{}, err
 	}
 	if r.IsCommand() {
-		s.cmdSeq.Add(1)
-	}
-	return c, nil
-}
-
-// journalBatch enqueues a frame group in one buffered write; the returned
-// commit covers the whole batch, so N records ack after one fsync.
-func (s *Server) journalBatch(rs []wal.Record) (wal.Commit, error) {
-	if s.wal == nil || !s.journaling.Load() {
-		return wal.Commit{}, nil
-	}
-	c, err := s.wal.AppendBatch(rs)
-	if err != nil {
-		return wal.Commit{}, err
-	}
-	n := uint64(0)
-	for i := range rs {
-		if rs[i].IsCommand() {
-			n++
-		}
-	}
-	if n > 0 {
-		s.cmdSeq.Add(n)
+		s.cmdSeq.Add(uint64(r.Weight()))
 	}
 	return c, nil
 }
@@ -619,11 +611,16 @@ func (s *Server) WALStats() wal.Stats {
 }
 
 // statusOf maps an operation error to its HTTP status: a wedged journal is
-// the server's failure (503), a full submit ring is explicit backpressure
-// (429, retryable), everything else keeps the handler's own fallback.
+// the server's failure (503), a command whose record does not fit a journal
+// frame is too large a request (413; nothing was written), a full submit
+// ring is explicit backpressure (429, retryable), everything else keeps the
+// handler's own fallback.
 func statusOf(err error, fallback int) int {
 	if errors.Is(err, wal.ErrWedged) {
 		return http.StatusServiceUnavailable
+	}
+	if errors.Is(err, wal.ErrRecordTooLarge) {
+		return http.StatusRequestEntityTooLarge
 	}
 	if errors.Is(err, ErrRingFull) {
 		return http.StatusTooManyRequests

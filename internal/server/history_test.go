@@ -186,6 +186,54 @@ func referenceStates(t *testing.T, script []cmd) ([]serverState, map[string][]by
 	return states, replay
 }
 
+// batchOtherRounds folds every other maximal run of single submits to one
+// tenant into one jobs:batch of the same jobs, so a script journals both
+// forms of a submit group's record.
+func batchOtherRounds(script []cmd) []cmd {
+	var out []cmd
+	runs := 0
+	for i := 0; i < len(script); {
+		j := i
+		for j < len(script) && strings.HasSuffix(script[j].path, "/jobs") && script[j].path == script[i].path {
+			j++
+		}
+		switch {
+		case j == i:
+			out = append(out, script[i])
+			j++
+		case j-i > 1 && runs%2 == 0:
+			var batch server.SubmitJobsRequest
+			for _, c := range script[i:j] {
+				batch.Jobs = append(batch.Jobs, c.body.(server.SubmitJobRequest))
+			}
+			out = append(out, cmd{"POST", script[i].path + ":batch", batch})
+			runs++
+		default:
+			out = append(out, script[i:j]...)
+			runs++
+		}
+		i = j
+	}
+	return out
+}
+
+// commandPrefixes maps a command count, as /healthz and recovery report it —
+// a batch counts once per job — to the number of script entries that make
+// it; sums[n] is the count of the first n entries. A count that falls
+// inside a batch is not in the map.
+func commandPrefixes(script []cmd) (at map[uint64]int, sums []int) {
+	at, sums = map[uint64]int{0: 0}, []int{0}
+	for i, c := range script {
+		w := 1
+		if b, ok := c.body.(server.SubmitJobsRequest); ok {
+			w = len(b.Jobs)
+		}
+		sums = append(sums, sums[i]+w)
+		at[uint64(sums[i+1])] = i + 1
+	}
+	return at, sums
+}
+
 // TestCrashRecoverySealSweep crashes a durable server at every mutating
 // filesystem operation — create, write, fsync, rename, remove, directory
 // fsync — of one compaction that adds a history segment to a manifest
@@ -194,7 +242,10 @@ func referenceStates(t *testing.T, script []cmd) ([]serverState, map[string][]by
 // uninterrupted reference run (acked ≤ recovered ≤ issued), serve ?from=0
 // replays that are byte prefixes of the reference's, hold no orphan
 // history file once the recovery boot has compacted, and carry the rest
-// of the script to the reference's end, byte for byte.
+// of the script to the reference's end, byte for byte. Every other round
+// of the script releases its jobs as one jobs:batch: recovery counts such a
+// record as its jobs, and a count inside one — a batch recovered in part —
+// names no state of the reference run and fails the sweep.
 func TestCrashRecoverySealSweep(t *testing.T) {
 	script := []cmd{
 		{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "other", M: 1}},
@@ -205,6 +256,8 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 		cmd{"POST", "/v1/tenants/other/jobs", server.SubmitJobRequest{Task: "o"}},
 		cmd{"POST", "/v1/tenants/other/advance", server.AdvanceRequest{By: "3"}},
 		cmd{"POST", "/v1/tenants/X/drain", nil})
+	script = batchOtherRounds(script)
+	prefixAt, commandsIn := commandPrefixes(script)
 	states, replay := referenceStates(t, script)
 	opts := func(dir string, ffs *faultfs.FS) server.Options {
 		o := server.Options{DataDir: dir, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 24}
@@ -216,7 +269,8 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 
 	// Dry run on a counting filesystem: find a command in the script's
 	// second half whose compaction sealed a segment, and the operations
-	// the two span.
+	// the two span — and those of the command before it, a batch, so that
+	// the sweep also crashes inside a group record's write and fsync.
 	dryDir := t.TempDir()
 	dry := faultfs.New(faultfs.Options{})
 	srv, err := server.Open(opts(dryDir, dry))
@@ -225,18 +279,24 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 	}
 	lo, hi, target := int64(0), int64(0), -1
 	for i, c := range script {
-		before, snaps, files := dry.Ops(), srv.WALStats().Snapshots, len(histFiles(t, dryDir))
+		prev, before, snaps, files := lo, dry.Ops(), srv.WALStats().Snapshots, len(histFiles(t, dryDir))
 		if code := doCmd(t, srv.Handler(), c); code >= 300 {
 			t.Fatalf("dry-run command %d: %d", i, code)
 		}
-		if target < 0 && i >= len(script)/2 && files > 0 &&
-			srv.WALStats().Snapshots > snaps && len(histFiles(t, dryDir)) > files {
-			lo, hi, target = before+1, dry.Ops(), i
+		if target < 0 {
+			lo = before + 1 // the first operation of command i
+			if i >= len(script)/2 && files > 0 &&
+				srv.WALStats().Snapshots > snaps && len(histFiles(t, dryDir)) > files {
+				lo, hi, target = prev, dry.Ops(), i
+			}
 		}
 	}
 	srv.Close()
 	if target < 0 {
 		t.Fatal("no compaction in the script's second half sealed a segment; the sweep would test nothing")
+	}
+	if _, batch := script[target-1].body.(server.SubmitJobsRequest); !batch {
+		t.Fatalf("command %d, before the sealing one, is %s %s: the sweep would not cross a batch's write", target-1, script[target-1].method, script[target-1].path)
 	}
 	if hi-lo < 12 {
 		t.Fatalf("command %d and its compaction span only %d filesystem operations", target, hi-lo+1)
@@ -252,7 +312,7 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Open before the crash point: %v", err)
 			}
-			acked, issued := 0, 0
+			acked, issued := 0, 0 // script entries
 			for _, c := range script {
 				issued++
 				if code := doCmd(t, srvA.Handler(), c); code >= 300 {
@@ -261,8 +321,8 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 				acked++
 			}
 			_ = srvA.Close()
-			if !ffs.Crashed() || acked < target {
-				t.Fatalf("crash at operation %d: crashed=%v after %d acked commands, want the crash at command %d", k, ffs.Crashed(), acked, target)
+			if !ffs.Crashed() || acked < target-1 {
+				t.Fatalf("crash at operation %d: crashed=%v after %d acked commands, want the crash at command %d or %d", k, ffs.Crashed(), acked, target-1, target)
 			}
 
 			srvB, err := server.Open(opts(dir, nil))
@@ -274,10 +334,12 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 			if rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
 				t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
 			}
-			if rec.Commands < uint64(acked) || rec.Commands > uint64(issued) {
-				t.Fatalf("recovered %d commands outside [acked %d, issued %d]", rec.Commands, acked, issued)
+			done, whole := prefixAt[rec.Commands]
+			if !whole || done < acked || done > issued {
+				t.Fatalf("recovered %d commands, which is not a whole script prefix within [acked %d, issued %d] (%d to %d commands)",
+					rec.Commands, acked, issued, commandsIn[acked], commandsIn[issued])
 			}
-			want := states[rec.Commands]
+			want := states[done]
 			assertStateEqual(t, "recovered vs reference prefix", captureState(t, srvB.Handler()), want)
 			for id := range want.Infos {
 				if got := dispatchBytes(t, srvB.Handler(), id); !bytes.HasPrefix(replay[id], got) {
@@ -286,9 +348,9 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 			}
 			assertNoOrphans(t, dir)
 
-			for i, c := range script[rec.Commands:] {
+			for i, c := range script[done:] {
 				if code := doCmd(t, srvB.Handler(), c); code >= 300 {
-					t.Fatalf("continuation command %d (%s %s): %d", int(rec.Commands)+i, c.method, c.path, code)
+					t.Fatalf("continuation command %d (%s %s): %d", done+i, c.method, c.path, code)
 				}
 			}
 			assertStateEqual(t, "continuation vs reference final", captureState(t, srvB.Handler()), states[len(script)])

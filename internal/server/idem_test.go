@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,18 +57,18 @@ var submitEntries = []submitEntry{
 }
 
 // idemTenant is a not-started tenant core with one task of weight 1/2 and
-// a journal that counts the job-submit records it is handed.
+// a journal that counts the jobs of the job-submit records it is handed.
 func idemTenant(t *testing.T) (tn *Tenant, journaled *int) {
 	tn = newWritePathCore(t, "idem", 1)
 	journaled = new(int)
 	lsn := uint64(0)
 	tn.SetJournal(
-		func(r wal.Record) (wal.Commit, error) { lsn++; *journaled++; return wal.Commit{LSN: lsn}, nil },
-		func(rs []wal.Record) (wal.Commit, error) {
-			lsn += uint64(len(rs))
-			*journaled += len(rs)
+		func(r wal.Record) (wal.Commit, error) {
+			lsn++
+			*journaled += r.Weight()
 			return wal.Commit{LSN: lsn}, nil
 		},
+		nil,
 		func(err error) { t.Errorf("journal wedged: %v", err) },
 	)
 	tn.publish()
@@ -152,7 +153,7 @@ func TestSubmitIdempotencyEdges(t *testing.T) {
 					}
 				}
 				if *journaled != applied {
-					t.Errorf("journaled %d job-submit records, want %d", *journaled, applied)
+					t.Errorf("journaled %d jobs, want %d", *journaled, applied)
 				}
 				if got := tn.ex.Pending(); got != pending+applied {
 					t.Errorf("pending = %d, want %d", got, pending+applied)
@@ -237,4 +238,53 @@ func TestCoalescedRunPublishesBeforeAck(t *testing.T) {
 		}
 	}
 	<-loopDone
+}
+
+// TestCoalescedRunStaysWithinOneFrame: independent single submits share a
+// journal record only while their names and keys stay within maxRunBytes;
+// what does not fit rides the next pass, in order, in a record of its own —
+// sharing a record is never what makes a submit too large to journal.
+func TestCoalescedRunStaysWithinOneFrame(t *testing.T) {
+	tn := newWritePathCore(t, "big", 1)
+	var groups [][]string // the keys of each journaled record
+	lsn := uint64(0)
+	tn.SetJournal(
+		func(r wal.Record) (wal.Commit, error) {
+			keys := []string{r.Key}
+			if r.Op == wal.OpJobSubmit {
+				if len(r.Jobs) > 0 {
+					keys = keys[:0]
+					for _, j := range r.Jobs {
+						keys = append(keys, j.Key)
+					}
+				}
+				groups = append(groups, keys)
+			}
+			lsn++
+			return wal.Commit{LSN: lsn}, nil
+		},
+		nil,
+		func(err error) { t.Errorf("journal wedged: %v", err) },
+	)
+	tn.publish()
+	long := strings.Repeat("n", maxRunBytes/2-16)
+	for _, name := range []string{"s", long} {
+		c := &command{kind: cmdRegister, name: name, w: model.W(1, 4), done: make(chan cmdResult, 1)}
+		tn.process(c)
+		if res := <-c.done; res.err != nil || !res.dec.Admitted {
+			t.Fatalf("register: %+v", res)
+		}
+	}
+	res := runOf(tn, []SubmitJobRequest{
+		{Task: "s", Key: "1"}, {Task: long, Key: "2"}, {Task: long, Key: "3"},
+		{Task: long, Key: "4"}, {Task: "s", Key: "5"}, {Task: long, Key: "6"},
+	})
+	for i, r := range res {
+		if r.err != nil || r.submit.Pending != i+1 {
+			t.Errorf("submit %d: %+v, want pending %d", i, r, i+1)
+		}
+	}
+	if want := [][]string{{"1", "2", "3"}, {"4", "5", "6"}}; !reflect.DeepEqual(groups, want) {
+		t.Errorf("journaled groups %v, want %v", groups, want)
+	}
 }

@@ -15,6 +15,11 @@ import (
 // count it separately from errors.
 var ErrRingFull = errors.New("server: tenant submit ring full")
 
+// maxRunBytes bounds the task names and keys one group of coalesced single
+// submits may hold. The journal frames a record of up to 1 MiB and JSON
+// writes a byte as at most six, so a group within it always fits.
+const maxRunBytes = 128 << 10
+
 // defaultSubmitRing is the per-tenant command-ring capacity when none is
 // configured (Options.SubmitRing / pfaird -submit-ring).
 const defaultSubmitRing = 256
@@ -73,7 +78,6 @@ type cmdResult struct {
 // behind an atomic pointer so SetJournal needs no lock against the loop.
 type journalHooks struct {
 	append func(wal.Record) (wal.Commit, error)
-	batch  func([]wal.Record) (wal.Commit, error)
 	fail   func(error)
 }
 
@@ -116,7 +120,7 @@ func (t *Tenant) ctlExec(c *command) cmdResult {
 // that touches the executive (and the admission ledger inside it), the
 // task map, and the dispatch log after start(). It drains the ring in
 // opportunistic batches (coalescing consecutive submits into one journal
-// frame group), applies each command, and publishes an immutable snapshot
+// record), applies each command, and publishes an immutable snapshot
 // that every read path — /metrics, Info, stream replay, recovery
 // verification — loads without synchronizing with this goroutine. The ring
 // is biased over the control channel so a control barrier observes a fully
@@ -237,18 +241,20 @@ func (t *Tenant) finish(c *command, res cmdResult) {
 // drained from the ring in one go — the other front end of applySubmits.
 // Unlike a batch, the commands are independent: each validates on its own
 // against the current state and fails on its own, the valid ones journal
-// as ONE frame group, and all of them share one commit and therefore one
+// as ONE record, and all of them share one commit and therefore one
 // fsync. This is where the MPSC ring buys its throughput: under concurrent
-// clients with FsyncEvery=1, a drained run of N submits costs one buffered
-// write and one group-commit wait instead of N.
+// clients with FsyncEvery=1, a drained run of N submits costs one frame
+// and one group-commit wait instead of N.
 //
 // Keyed retries never reach the journal: a key already applied answers
 // from the idempotency memory, and a key repeated *within* the run waits
 // for the next pass, where it dedupes against the first instance (or
-// re-validates, if that one failed).
+// re-validates, if that one failed). So does a submit that would take the
+// group past maxRunBytes: the commands are independent, and sharing a
+// record must not be what makes one too large to journal.
 func (t *Tenant) processSubmitRun(run []*command) {
 	for len(run) > 0 {
-		jobs := t.jobs[:0]
+		jobs, size := t.jobs[:0], 0
 		var again []*command
 		inRun := map[string]struct{}{}
 		for _, c := range run {
@@ -269,6 +275,10 @@ func (t *Tenant) processSubmitRun(run []*command) {
 			job, err := t.validateSubmit(c.submit)
 			if err != nil {
 				c.done <- cmdResult{err: err}
+				continue
+			}
+			if size += len(c.submit.Task) + len(key); size > maxRunBytes && len(jobs) > 0 {
+				again = append(again, c)
 				continue
 			}
 			job.cmd = c

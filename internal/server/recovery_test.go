@@ -277,11 +277,11 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 // POST /v1/tenants/{id}/jobs:batch with FsyncEvery=1, so every ack rides
 // the pipelined wait (append+apply under the lock, fsync outside it) and a
 // crash can land between the fsync and the ack — or tear the batch's
-// frame group mid-write. The reference runs the same jobs singly: a batch
-// is atomic at the API but journals as per-job commands, so the recovered
-// command count indexes the same per-command state sequence, and a torn
-// batch may legitimately recover any prefix of itself (it was never
-// acked).
+// record mid-write. The reference runs the same jobs singly: a batch is
+// one journal record that counts as its jobs, so the recovered command
+// count indexes the same per-command state sequence — at a batch boundary:
+// a torn batch recovers as nothing, never as a prefix of itself
+// (TestTornBatchIsAllOrNothing sweeps every byte of one).
 func TestCrashRecoveryBatchSubmit(t *testing.T) {
 	// Logical command stream: the per-command granularity both the journal
 	// and the reference states use. batchAt[i] marks the start of a
@@ -369,6 +369,11 @@ func TestCrashRecoveryBatchSubmit(t *testing.T) {
 					rec.Commands, acked, issued, budget, rec.TruncatedBytes)
 			}
 			assertStateEqual(t, "recovered vs reference prefix", captureState(t, srvB.Handler()), states[rec.Commands])
+			for start, size := range batchStarts {
+				if n := int(rec.Commands); n > start && n < start+size {
+					t.Fatalf("recovered %d commands: %d of the %d jobs of the batch at %d", n, n-start, size, start)
+				}
+			}
 
 			// Converge: run the remaining logical commands singly.
 			done := int(rec.Commands)

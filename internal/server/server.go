@@ -264,7 +264,7 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 	t.attachObs(s.obs)
 	sh.tenants[t.ID()] = t
 	if s.wal != nil {
-		t.SetJournal(s.journalRecord, s.journalBatch, s.failJournal)
+		t.SetJournal(s.journalRecord, nil, s.failJournal)
 	}
 	return commit, nil
 }
@@ -546,8 +546,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubmitJobs is the batch submit path: all jobs validate, journal as
-// one frame group, and apply in one tenant command, then the whole batch
-// acks after one durability wait.
+// one record, and apply in one tenant command, then the whole batch acks
+// after one durability wait.
 func (s *Server) handleSubmitJobs(w http.ResponseWriter, r *http.Request) {
 	start := s.obs.clock.Now()
 	var req SubmitJobsRequest

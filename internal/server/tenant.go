@@ -34,7 +34,7 @@ import (
 //     the queued shrink target and Σwt are asked of it and kept nowhere
 //     else (readers use the snapshot) — tasks, log (its manifest included:
 //     compaction extends it through a control command, sealHistory),
-//     maxTar, reject, digest, jobs, recs, cur*.
+//     maxTar, reject, digest, jobs, group, cur*.
 //   - immutable after construction: id, policy, ring, ctl, closed.
 //   - atomics: snap (published state), hooks (journal callbacks), obsP
 //     (tracer + histograms), closing (delete gate).
@@ -65,10 +65,10 @@ type Tenant struct {
 	// digest is the dispatch digest of the last command that made decisions
 	// (journaled tenants only; settle computes it).
 	digest dispatchDigest
-	// jobs and recs are reusable buffers: the validated jobs of the submit
-	// group being applied, and the journal records of the current command.
-	jobs []submitJob
-	recs []wal.Record
+	// jobs and group are reusable buffers: the validated jobs of the submit
+	// group being applied, and what its journal record says of them.
+	jobs  []submitJob
+	group []wal.Job
 	// curCmd/curStart/curOp tie dispatch trace events to the command
 	// whose apply produced them.
 	curCmd   int64
@@ -323,14 +323,19 @@ func (t *Tenant) traceFail(stage string, err error) {
 	t.obs().tr.Stage(t.id, t.curCmd, t.curStart, t.curOp, stage, err.Error())
 }
 
-// SetJournal installs the durability hooks: append enqueues one record,
-// batch enqueues a frame group, fail permanently wedges the journal after
-// a post-journal apply failure. append/batch return a wal.Commit the
-// enqueuing handler waits on after the command completes (group commit:
-// the first waiter fsyncs for everyone queued behind it). Like
-// SetOnDispatch it must be called before the tenant serves traffic.
+// SetJournal installs the durability hooks: append enqueues one record —
+// a command, or the digest of the decisions one made — and fail
+// permanently wedges the journal after a post-journal apply failure.
+// append returns a wal.Commit the enqueuing handler waits on after the
+// command completes (group commit: the first waiter fsyncs for everyone
+// queued behind it); a submit group's record lends it the tenant's reusable
+// Jobs buffer, good until it returns. batch is never called — a group is
+// one record, because a frame group could tear — and stays in the signature
+// for bench/, which is not edited with the code it measures (ROADMAP item
+// 10c). Like SetOnDispatch it must be called before the tenant serves
+// traffic.
 func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch func([]wal.Record) (wal.Commit, error), fail func(error)) {
-	t.hooks.Store(&journalHooks{append: append, batch: batch, fail: fail})
+	t.hooks.Store(&journalHooks{append: append, fail: fail})
 }
 
 // record is the executive's OnDispatch hook. It runs on the loop
@@ -394,9 +399,8 @@ func (t *Tenant) SubmitJobReq(req SubmitJobRequest) (SubmitJobResponse, wal.Comm
 // SubmitJobs releases a batch of jobs atomically: every job is validated
 // against the tenant's current state first (all-or-nothing — one bad job
 // rejects the whole batch with no state change), then the batch is
-// journaled as one contiguous frame group and applied. The caller waits
-// on the one returned commit, so N jobs cost one fsync even with
-// FsyncEvery=1.
+// journaled as one record and applied. The caller waits on the one
+// returned commit, so N jobs cost one frame and at most one fsync.
 func (t *Tenant) SubmitJobs(reqs []SubmitJobRequest) (SubmitJobsResponse, wal.Commit, error) {
 	res := t.exec(&command{kind: cmdSubmitBatch, batch: reqs})
 	return res.subs, res.commit, res.err
@@ -434,36 +438,21 @@ func (t *Tenant) Resize(m int, drain bool) (ResizeResponse, wal.Commit, error) {
 // of the journal later.
 
 // journal opens the traced command and, on a durable tenant, journals its
-// records before anything is applied: one record by append, the jobs of
-// one submit group as a single frame group. A refusal fails the command
-// with nothing applied.
-func (t *Tenant) journal(task, at string, recs []wal.Record) (wal.Commit, error) {
+// one record before anything is applied. A refusal fails the command with
+// nothing applied.
+func (t *Tenant) journal(task, at string, rec wal.Record) (wal.Commit, error) {
 	h := t.hooks.Load()
-	t.traceBegin(recs[0].Op, task, at)
+	t.traceBegin(rec.Op, task, at)
 	if h == nil {
 		return wal.Commit{}, nil
 	}
-	var commit wal.Commit
-	var err error
-	if len(recs) == 1 {
-		commit, err = h.append(recs[0])
-	} else {
-		commit, err = h.batch(recs)
-	}
+	commit, err := h.append(rec)
 	if err != nil {
 		t.traceFail(obs.StageWALAppend, err)
 		return wal.Commit{}, err
 	}
 	t.traceStage(obs.StageWALAppend)
 	return commit, nil
-}
-
-// one wraps a command's single record in the reusable record buffer (the
-// hooks take the slice by reference, so a fresh one would escape to the
-// heap on every command).
-func (t *Tenant) one(rec wal.Record) []wal.Record {
-	t.recs = append(t.recs[:0], rec)
-	return t.recs
 }
 
 // wedge fails a command that is journaled but did not apply. Validation
@@ -499,7 +488,7 @@ func (t *Tenant) applyRegister(name string, w model.Weight) cmdResult {
 		t.reject++
 		return cmdResult{dec: d}
 	}
-	commit, err := t.journal(name, "", t.one(wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P}))
+	commit, err := t.journal(name, "", wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P})
 	if err != nil {
 		return cmdResult{err: err}
 	}
@@ -521,7 +510,7 @@ func (t *Tenant) applyUnregister(name string) cmdResult {
 	if n := t.ex.Undispatched(task); n > 0 {
 		return cmdResult{err: fmt.Errorf("server: task %q has %d undispatched subtasks; drain before unregistering", name, n)}
 	}
-	commit, err := t.journal(name, "", t.one(wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name}))
+	commit, err := t.journal(name, "", wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name})
 	if err != nil {
 		return cmdResult{err: err}
 	}
@@ -557,7 +546,7 @@ func (t *Tenant) applyResize(m int, drain bool) cmdResult {
 	if plan.Outcome == admission.ResizeQueued {
 		mode = "drain"
 	}
-	commit, err := t.journal("", strconv.Itoa(m), t.one(wal.Record{Op: wal.OpResize, Tenant: t.id, M: m, Mode: mode}))
+	commit, err := t.journal("", strconv.Itoa(m), wal.Record{Op: wal.OpResize, Tenant: t.id, M: m, Mode: mode})
 	if err != nil {
 		return cmdResult{err: err}
 	}
@@ -593,24 +582,26 @@ type submitJob struct {
 }
 
 // applySubmits is the one submit applier: it journals validated jobs as
-// one group, releases each into the executive, and remembers each keyed
+// one record — the flat job-submit for a lone job, one group record for
+// more, so a crash or a cut replication stream leaves all of a group or
+// none of it — releases each into the executive, and remembers each keyed
 // response. Both front ends — the atomic batch and the run of coalesced
 // single submits, which differ in how they validate and dedupe — end
-// here, and a lone submit is a run of one. Jobs are validated
-// independently against the state at entry; submits only add pending work
-// and never move virtual time, so independent validity implies sequential
-// validity.
+// here, as does the replay of either, and a lone submit is a run of one.
+// Jobs are validated independently against the state at entry; submits
+// only add pending work and never move virtual time, so independent
+// validity implies sequential validity.
 func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 	if len(jobs) == 0 {
 		return wal.Commit{}, nil
 	}
 	// Each job's resolved arrival is rendered once, into its response, and
-	// read from there by its journal record and its trace span — and once
+	// read from there by the journal record and its trace span — and once
 	// per group for the common empty `at`, which resolves every such job
 	// to the same now. The record carries the *resolved* time: "now" is
 	// something only the live server knows, and replay must not re-resolve
 	// it.
-	recs, now := t.recs[:0], ""
+	group, now := t.group[:0], ""
 	for i := range jobs {
 		j := &jobs[i]
 		if j.req.At != "" {
@@ -621,10 +612,16 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 			}
 			j.resp.At = now
 		}
-		recs = append(recs, wal.Record{Op: wal.OpJobSubmit, Tenant: t.id, Name: j.req.Task, At: j.resp.At, Earliness: j.req.Earliness, Key: j.req.Key})
+		group = append(group, wal.Job{Name: j.req.Task, At: j.resp.At, Earliness: j.req.Earliness, Key: j.req.Key})
 	}
-	t.recs = recs[:0]
-	commit, err := t.journal(jobs[0].req.Task, jobs[0].resp.At, recs)
+	t.group = group[:0]
+	rec := wal.Record{Op: wal.OpJobSubmit, Tenant: t.id}
+	if len(group) == 1 {
+		rec.Name, rec.At, rec.Earliness, rec.Key = group[0].Name, group[0].At, group[0].Earliness, group[0].Key
+	} else {
+		rec.Jobs = group
+	}
+	commit, err := t.journal(jobs[0].req.Task, jobs[0].resp.At, rec)
 	if err != nil {
 		return wal.Commit{}, err
 	}
@@ -632,7 +629,7 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 	for i := range jobs {
 		j := &jobs[i]
 		if i > 0 {
-			// The group's one journal write covered this job's record too.
+			// The group's one record covered this job too.
 			t.traceBegin(wal.OpJobSubmit, j.req.Task, j.resp.At)
 			if journaled {
 				t.traceStage(obs.StageWALAppend)
@@ -716,9 +713,11 @@ func (t *Tenant) validateSubmit(req SubmitJobRequest) (submitJob, error) {
 func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) cmdResult {
 	// Idempotency across a batch is all-or-nothing, mirroring the batch's
 	// own atomicity: a retry where every keyed job was already applied
-	// replays the cached responses; a partial overlap means the caller is
-	// replaying against a batch that never fully applied (impossible for a
-	// faithful retry) and is rejected outright.
+	// replays the cached responses; a partial overlap is rejected outright.
+	// A faithful retry never meets one: the batch is one journal record, so
+	// a crash, a recovery or a promoted follower holds all of its keys or
+	// none — unless the journal was written before that (a group of
+	// per-job frames, which a crash could cut), or MaxIdemKeys evicted some.
 	if resp, done, err := t.batchIdemCheck(reqs); err != nil || done {
 		return cmdResult{subs: resp, err: err}
 	}
@@ -829,7 +828,7 @@ func (t *Tenant) applyDrain() cmdResult {
 // (advance) or until idle (drain) — reporting where virtual time ended up
 // and how many decisions that produced.
 func (t *Tenant) applyRun(rec wal.Record, run func() error) cmdResult {
-	commit, err := t.journal("", rec.At, t.one(rec))
+	commit, err := t.journal("", rec.At, rec)
 	if err != nil {
 		return cmdResult{err: err}
 	}
@@ -924,8 +923,9 @@ const (
 	// it).
 	MaxEarliness = int64(1) << 20
 	// MaxBatchJobs caps jobs per batch submit: it bounds how long one
-	// request may occupy the tenant loop and how large a WAL frame group
-	// the journal writes in one go.
+	// request may occupy the tenant loop and, with MaxRequestBody, how
+	// large a record the journal is asked to frame (one it cannot is
+	// refused, wal.ErrRecordTooLarge, with nothing written).
 	MaxBatchJobs = 1024
 	// MaxIdemKeys caps remembered idempotency keys per tenant (FIFO
 	// eviction); MaxKeyLen caps one key's length so keys cannot bloat

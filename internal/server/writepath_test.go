@@ -22,8 +22,8 @@ import (
 // the loop's appliers on a tenant core whose loop is never started (so a
 // coalesced run of single submits can be handed over exactly as runLoop
 // would drain it), and everything the write path produces is recorded —
-// each wal.Record handed to the journal hooks with its append/batch
-// grouping, each command's response and commit, each trace event under a
+// each wal.Record handed to the journal hook (a submit group is one
+// record with a jobs list), each command's response and commit, each trace event under a
 // fake clock, the published TenantInfo after every step, and the
 // executive checkpoint at two points. The file was generated before the
 // write path was folded onto one ledger, one journal step and one submit
@@ -165,7 +165,7 @@ func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScrip
 	if journaled {
 		tn.SetJournal(
 			func(r wal.Record) (wal.Commit, error) { return g.journal("append", r) },
-			func(rs []wal.Record) (wal.Commit, error) { return g.journal("batch", rs...) },
+			nil, // a group is one record too: the tenant has no other call
 			func(err error) { g.line("journal fail", err.Error()) },
 		)
 	}
@@ -175,18 +175,16 @@ func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScrip
 
 func submitCmd(req SubmitJobRequest) *command { return &command{kind: cmdSubmit, submit: req} }
 
-// journal is both recording hooks: it assigns LSNs the way wal.Log does
-// and returns the commit of the group's last record.
-func (g *writePathScript) journal(call string, recs ...wal.Record) (wal.Commit, error) {
+// journal is the recording hook: it assigns the LSN the way wal.Log does
+// and returns the record's commit.
+func (g *writePathScript) journal(call string, rec wal.Record) (wal.Commit, error) {
 	if g.journalDown != nil {
-		g.line("journal "+call+" refused", recs)
+		g.line("journal "+call+" refused", []wal.Record{rec})
 		return wal.Commit{}, g.journalDown
 	}
-	for i := range recs {
-		g.lsn++
-		recs[i].LSN = g.lsn
-	}
-	g.line("journal "+call, recs)
+	g.lsn++
+	rec.LSN = g.lsn
+	g.line("journal "+call, []wal.Record{rec})
 	return wal.Commit{LSN: g.lsn}, nil
 }
 

@@ -1,8 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -563,7 +567,7 @@ func TestAppendBatchSingleWrite(t *testing.T) {
 	}
 	for i, r := range rec.Records {
 		want := rs[i]
-		if r != want {
+		if !reflect.DeepEqual(r, want) {
 			t.Fatalf("recovered record %d = %+v, want %+v", i, r, want)
 		}
 	}
@@ -575,5 +579,77 @@ func TestAppendBatchSingleWrite(t *testing.T) {
 	// An empty batch is a no-op.
 	if c, err := l2.AppendBatch(nil); err != nil || c.LSN != 0 {
 		t.Fatalf("AppendBatch(nil) = (%+v, %v), want zero commit", c, err)
+	}
+}
+
+// TestGroupRecordIsOneFrameWeighedByItsJobs: a job-submit group is one
+// frame — one append, one LSN, one unit toward FsyncEvery — and counts as
+// its jobs toward SnapshotEvery, live and again after a reopen, so a journal
+// of groups compacts where the same jobs as flat records would. A record
+// too large for a frame is refused, typed, with nothing written and the log
+// not wedged; and a frame cut anywhere short of its end recovers as nothing.
+func TestGroupRecordIsOneFrameWeighedByItsJobs(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{FsyncEvery: 4, SnapshotEvery: 8})
+	group := Record{Op: OpJobSubmit, Tenant: "a"}
+	for i := 0; i < 6; i++ {
+		group.Jobs = append(group.Jobs, Job{Name: fmt.Sprintf("t%d", i), At: "3/2", Earliness: int64(i), Key: fmt.Sprintf("k%d", i)})
+	}
+	c, err := l.AppendAsync(group)
+	if err != nil || c.LSN != 1 {
+		t.Fatalf("AppendAsync(group) = %+v, %v", c, err)
+	}
+	if st := l.Stats(); st.Appends != 1 || st.Unsynced != 1 || l.ShouldCompact() {
+		t.Fatalf("after a 6-job group: %+v, compact=%v; want 1 frame, 6 of 8 toward a snapshot", st, l.ShouldCompact())
+	}
+	if _, err := l.AppendAsync(Record{Op: OpAdvance, Tenant: "a", At: "2"}); err != nil {
+		t.Fatal(err)
+	}
+	if l.ShouldCompact() {
+		t.Fatal("6 jobs and 1 command reached SnapshotEvery 8")
+	}
+	if _, err := l.AppendAsync(Record{Op: OpDispatch, Tenant: "a", Count: 6, CRC: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); !l.ShouldCompact() || st.Appends != 3 || st.Unsynced != 3 || st.Fsyncs != 0 {
+		t.Fatalf("6 jobs, 1 command, 1 digest: compact=%v, %+v; want a snapshot due after 3 frames, none synced", l.ShouldCompact(), st)
+	}
+
+	big := Record{Op: OpJobSubmit, Tenant: "a", Jobs: make([]Job, 1024)}
+	for i := range big.Jobs {
+		big.Jobs[i].Name = fmt.Sprintf("%01100d", i)
+	}
+	if _, err := l.AppendAsync(big); !errors.Is(err, ErrRecordTooLarge) || errors.Is(err, ErrWedged) {
+		t.Fatalf("AppendAsync(1.1 MiB record) = %v, want ErrRecordTooLarge", err)
+	}
+	if st := l.Stats(); st.Appends != 3 || st.Wedged {
+		t.Fatalf("after the refusal: %+v", st)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec := mustOpen(t, dir, Options{SnapshotEvery: 8})
+	if len(rec.Records) != 3 || !reflect.DeepEqual(rec.Records[0].Jobs, group.Jobs) || !l2.ShouldCompact() {
+		t.Fatalf("reopen: %d records, jobs %+v, compact=%v", len(rec.Records), rec.Records[0].Jobs, l2.ShouldCompact())
+	}
+	l2.Close()
+
+	seg := filepath.Join(dir, "wal-0000000000000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := frameHeader + int(binary.LittleEndian.Uint32(data))
+	for cut := 0; cut < frame; cut++ {
+		torn := t.TempDir()
+		if err := os.WriteFile(filepath.Join(torn, filepath.Base(seg)), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l3, rec := mustOpen(t, torn, Options{})
+		l3.Close()
+		if len(rec.Records) != 0 {
+			t.Fatalf("a group frame cut at byte %d of %d recovered %+v", cut, frame, rec.Records)
+		}
 	}
 }

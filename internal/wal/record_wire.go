@@ -18,7 +18,15 @@ import (
 var recordKeys = []string{
 	"lsn", "op", "tenant", "m", "policy", "mode", "name", "e", "p", "at",
 	"earliness", "dseq", "count", "crc", "index", "finish", "term", "key",
+	"jobs",
 }
+
+// jobKeys are Job's JSON keys in field order.
+var jobKeys = []string{"name", "at", "earliness", "key"}
+
+// jobsAhead caps what DecodeRecord allocates for a group before it has read
+// it (the service's batch bound; a longer list grows by append).
+const jobsAhead = 1024
 
 // AppendRecord appends json.Marshal(r) to b when r's strings are all plain;
 // otherwise it reports false and b comes back as it was.
@@ -44,6 +52,22 @@ func AppendRecord(b []byte, r *Record) ([]byte, bool) {
 	w.OptString(`,"finish":`, r.Finish)
 	w.OptUint(`,"term":`, r.Term)
 	w.OptString(`,"key":`, r.Key)
+	if len(r.Jobs) > 0 {
+		w.Raw(`,"jobs":[`)
+		for i := range r.Jobs {
+			j := &r.Jobs[i]
+			if i > 0 {
+				w.Raw(",")
+			}
+			w.Raw(`{"name":`)
+			w.String(j.Name)
+			w.OptString(`,"at":`, j.At)
+			w.OptInt(`,"earliness":`, j.Earliness)
+			w.OptString(`,"key":`, j.Key)
+			w.Raw("}")
+		}
+		w.Raw("]")
+	}
 	w.Raw("}")
 	if !w.OK() {
 		return b, false
@@ -97,6 +121,16 @@ func DecodeRecord(payload []byte, r *Record) bool {
 			rec.Term = s.Uint64()
 		case 17:
 			rec.Key = s.String()
+		case 18:
+			if rec.Jobs != nil {
+				s.Decline() // Unmarshal decodes into the elements already there
+			}
+			s.Array()
+			rec.Jobs = make([]Job, 0, s.ObjectsAhead(jobsAhead))
+			for n := 0; s.Elem(n); n++ {
+				rec.Jobs = append(rec.Jobs, Job{})
+				scanJob(&s, &rec.Jobs[n])
+			}
 		default:
 			done = true
 		}
@@ -106,6 +140,25 @@ func DecodeRecord(payload []byte, r *Record) bool {
 	}
 	*r = rec
 	return true
+}
+
+func scanJob(s *wire.Scanner, j *Job) {
+	s.Object()
+	var seen uint32
+	for {
+		switch s.Key(jobKeys, &seen) {
+		case 0:
+			j.Name = s.String()
+		case 1:
+			j.At = s.String()
+		case 2:
+			j.Earliness = s.Int64()
+		case 3:
+			j.Key = s.String()
+		default:
+			return
+		}
+	}
 }
 
 // UnmarshalRecord decodes a frame's payload: json.Unmarshal, by way of

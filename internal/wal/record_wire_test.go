@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -66,7 +67,7 @@ func TestRecordCodecOnRealJournals(t *testing.T) {
 		if !DecodeRecord(p, &got) {
 			t.Fatalf("DecodeRecord declined %s", p)
 		}
-		if err := json.Unmarshal(p, &want); err != nil || got != want {
+		if err := json.Unmarshal(p, &want); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeRecord(%s) = %+v, json.Unmarshal = %+v, %v", p, got, want, err)
 		}
 		enc, ok := AppendRecord(nil, &got)
@@ -92,6 +93,15 @@ func TestRecordCodecDeclines(t *testing.T) {
 		{`{"lsn":1,"op":"é"}`, &Record{LSN: 1, Op: "é"}},
 		{`{"lsn":1,"op":null}`, &Record{LSN: 1}},
 		{`{"lsn":1,"op":"x","e":-0}`, &Record{LSN: 1, Op: "x"}},
+		{`{"lsn":1,"op":"x","jobs":null}`, &Record{LSN: 1, Op: "x"}},
+		{`{"lsn":1,"op":"x","jobs":[{"name":"a","cost":"1/2"}]}`, &Record{LSN: 1, Op: "x", Jobs: []Job{{Name: "a"}}}},
+		{`{"lsn":1,"op":"x","jobs":[{"Name":"a"}]}`, &Record{LSN: 1, Op: "x", Jobs: []Job{{Name: "a"}}}},
+		{`{"lsn":1,"op":"x","jobs":[{"name":"a<b"}]}`, &Record{LSN: 1, Op: "x", Jobs: []Job{{Name: "a<b"}}}},
+		{`{"lsn":1,"op":"x","jobs":[{"name":"a"},{"name":"b","name":"c"}]}`, &Record{LSN: 1, Op: "x", Jobs: []Job{{Name: "a"}, {Name: "c"}}}},
+		{`{"lsn":1,"op":"x","jobs":[null]}`, &Record{LSN: 1, Op: "x", Jobs: []Job{{}}}},
+		{`{"lsn":1,"op":"x","jobs":[{"name":"a"},]}`, nil},
+		{`{"lsn":1,"op":"x","jobs":{"name":"a"}}`, nil},
+		{`{"lsn":1,"op":"x","jobs":[{"name":"a"}`, nil},
 		{`{"lsn":1,"op":"x","tenant":{"a":1}}`, nil},
 		{`{"lsn":1e3,"op":"x"}`, nil},
 		{`{"lsn":01,"op":"x"}`, nil},
@@ -112,7 +122,7 @@ func TestRecordCodecDeclines(t *testing.T) {
 		if DecodeRecord([]byte(tc.payload), &got) {
 			t.Errorf("DecodeRecord accepted %s", tc.payload)
 		}
-		if got != (Record{Name: "kept"}) {
+		if !reflect.DeepEqual(got, Record{Name: "kept"}) {
 			t.Errorf("DecodeRecord(%s) declined but stored %+v", tc.payload, got)
 		}
 		got = Record{}
@@ -120,7 +130,7 @@ func TestRecordCodecDeclines(t *testing.T) {
 		switch {
 		case tc.want == nil && err == nil:
 			t.Errorf("UnmarshalRecord(%s) = %+v, want an error", tc.payload, got)
-		case tc.want != nil && (err != nil || got != *tc.want):
+		case tc.want != nil && (err != nil || !reflect.DeepEqual(got, *tc.want)):
 			t.Errorf("UnmarshalRecord(%s) = %+v, %v; want %+v", tc.payload, got, err, *tc.want)
 		}
 	}
@@ -130,15 +140,19 @@ func TestRecordCodecDeclines(t *testing.T) {
 		" {\t\"op\" : \"x\" ,\n\"lsn\":\r7 } \n": {LSN: 7, Op: "x"},
 		`{"key":"k","lsn":18446744073709551615,"op":"","e":-9223372036854775808,"p":9223372036854775807,"crc":4294967295}`: {
 			LSN: math.MaxUint64, E: math.MinInt64, P: math.MaxInt64, CRC: math.MaxUint32, Key: "k"},
-		`{}`: {},
+		`{}`:                            {},
+		`{"op":"job-submit","jobs":[]}`: {Op: OpJobSubmit, Jobs: []Job{}},
+		`{"jobs" : [ {"key":"k" , "name":"a"} , { "name" : "b","earliness":-9223372036854775808,"at":"3/2"} ],"lsn":7}`: {
+			LSN: 7, Jobs: []Job{{Name: "a", Key: "k"}, {Name: "b", At: "3/2", Earliness: math.MinInt64}}},
 	} {
 		var got Record
-		if !DecodeRecord([]byte(payload), &got) || got != want {
+		if !DecodeRecord([]byte(payload), &got) || !reflect.DeepEqual(got, want) {
 			t.Errorf("DecodeRecord(%q) = %+v, want %+v taken on the fast path", payload, got, want)
 		}
 	}
 	// Outside the subset on the way out.
-	for _, r := range []Record{{Op: OpTaskRegister, Tenant: "t&t"}, {Op: OpTaskRegister, Name: "tâche"}, {Op: "a\"b"}, {Op: "x", Key: "\x7f\x00"}} {
+	for _, r := range []Record{{Op: OpTaskRegister, Tenant: "t&t"}, {Op: OpTaskRegister, Name: "tâche"}, {Op: "a\"b"}, {Op: "x", Key: "\x7f\x00"},
+		{Op: OpJobSubmit, Jobs: []Job{{Name: "a"}, {Name: "b", Key: "k>"}}}} {
 		if enc, ok := AppendRecord(nil, &r); ok {
 			t.Errorf("AppendRecord took %+v: %s", r, enc)
 		}
@@ -176,7 +190,7 @@ func TestDeclinedRecordIsFramedFromMarshal(t *testing.T) {
 	}
 	l2, rec := mustOpen(t, dir, Options{})
 	defer l2.Close()
-	if len(rec.Records) != 2 || rec.Records[0] != want[0] || rec.Records[1] != want[1] {
+	if len(rec.Records) != 2 || !reflect.DeepEqual(rec.Records[0], want[0]) || !reflect.DeepEqual(rec.Records[1], want[1]) {
 		t.Fatalf("recovered %+v, want %+v", rec.Records, want)
 	}
 }
@@ -198,6 +212,10 @@ func FuzzRecordMatchesJSON(f *testing.F) {
 		`{"lsn":1,"op":"x","m":[1]}`, `{"lsn":1,"op":"x"} trailing`, "\xef\xbb\xbf" + `{"lsn":1,"op":"x"}`,
 		`{"lsn":1,"op":"a\"b"}`, `{"lsn":1,"op":"a<b"}`, `{"lsn":1,"op":"é"}`, `{"lsn":1,"op":"x","unknown":1}`,
 		` { "lsn" : 1 , "op" : "x" } `, `{}`,
+		`{"lsn":1,"op":"job-submit","tenant":"t","jobs":[{"name":"a","at":"0","key":"k1"},{"name":"b","at":"3/2","earliness":2}],"term":3}`,
+		`{"lsn":1,"op":"x","jobs":null}`, `{"lsn":1,"op":"x","jobs":[]}`, `{"lsn":1,"op":"x","jobs":[null]}`, `{"lsn":1,"op":"x","jobs":[{}]}`,
+		`{"lsn":1,"op":"x","jobs":[{"name":"a","cost":1}]}`, `{"lsn":1,"op":"x","jobs":[{"name":"a"},]}`, `{"lsn":1,"op":"x","jobs":[{"name":"é"}]}`,
+		`{"lsn":1,"op":"x","jobs":[{"name":"a"}],"jobs":[{"at":"1"}]}`,
 	} {
 		add(p)
 	}
@@ -211,7 +229,7 @@ func FuzzRecordMatchesJSON(f *testing.F) {
 			if err := json.Unmarshal(payload, &want); err != nil {
 				t.Fatalf("DecodeRecord accepted %q, json.Unmarshal: %v", payload, err)
 			}
-			if got != want {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("DecodeRecord(%q) = %+v, json.Unmarshal = %+v", payload, got, want)
 			}
 		}
@@ -221,6 +239,9 @@ func FuzzRecordMatchesJSON(f *testing.F) {
 			Name: s2, E: n2, P: n3, At: s3, Earliness: n1,
 			DSeq: n2, Count: n3, CRC: uint32(u), Index: n1, Finish: s4,
 			Term: u >> 1, Key: s1,
+		}
+		if n := u % 4; n > 0 {
+			r.Jobs = []Job{{Name: s2, At: s3, Earliness: n1, Key: s1}, {Name: s4}, {Name: s1, Earliness: n2}}[:n]
 		}
 		enc, ok := AppendRecord([]byte("x"), &r)
 		if !ok {
@@ -237,7 +258,7 @@ func FuzzRecordMatchesJSON(f *testing.F) {
 			t.Fatalf("AppendRecord(%+v)\n got %s\nwant %s", r, enc[1:], want)
 		}
 		var back Record
-		if !DecodeRecord(want, &back) || back != r {
+		if !DecodeRecord(want, &back) || !reflect.DeepEqual(back, r) {
 			t.Fatalf("DecodeRecord(%s) = %+v, want %+v on the fast path", want, back, r)
 		}
 	})

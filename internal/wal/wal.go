@@ -26,6 +26,11 @@
 // accepts exactly those bytes without a reflection walk (record_wire.go;
 // FuzzRecordMatchesJSON holds it to encoding/json in both directions).
 //
+// One record is one command — a group of job submits, a batch or a run of
+// coalesced singles, is one record holding its jobs — or the digest that
+// follows a command. A frame is atomic under its CRC, so a crash keeps all
+// of a command or none of it.
+//
 // Every record carries a monotonically increasing LSN. Recovery reads the
 // snapshot (records with LSN ≤ snapshot LSN are superseded by it), then
 // scans segments in LSN order, stopping a segment at the first torn or
@@ -171,7 +176,31 @@ type Record struct {
 	// and replication carry it so a recovered or promoted node rebuilds
 	// the same dedupe state the leader acked against.
 	Key string `json:"key,omitempty"`
+
+	// Jobs makes a job-submit record a group: the jobs of one batch, or of
+	// one run of coalesced single submits, in release order, in place of
+	// the record's own Name/At/Earliness/Key. The group is one frame under
+	// one CRC, so recovery and followers see all of it or none of it. A
+	// lone submit stays the flat record; journals written before the field
+	// hold a group as one flat record per job, and still replay.
+	Jobs []Job `json:"jobs,omitempty"`
 }
+
+// Job is one job of a job-submit group: what the flat record says of its
+// single job in Name, At, Earliness and Key.
+type Job struct {
+	Name      string `json:"name"`
+	At        string `json:"at,omitempty"`
+	Earliness int64  `json:"earliness,omitempty"`
+	Key       string `json:"key,omitempty"`
+}
+
+// Weight is how many flat records r stands for: its jobs for a job-submit
+// group, 1 for anything else. SnapshotEvery and the service's command
+// count are in that unit — they bound replay work and resident history,
+// which grow with jobs, not with frames — so neither moves when a group
+// becomes one record.
+func (r *Record) Weight() int { return max(1, len(r.Jobs)) }
 
 // IsCommand reports whether the record mutates state on replay (everything
 // except dispatch verification records and term markers).
@@ -181,6 +210,11 @@ func (r Record) IsCommand() bool { return r.Op != OpDispatch && r.Op != OpTerm }
 // failure: the log refuses further mutations so recovered state can never
 // diverge from what was applied in memory.
 var ErrWedged = errors.New("wal: log failed; further appends refused")
+
+// ErrRecordTooLarge is wrapped by an append whose record does not fit one
+// frame. Nothing was written and the log is not wedged: the caller refuses
+// the command the record stood for.
+var ErrRecordTooLarge = errors.New("wal: record exceeds the frame payload bound")
 
 // ErrStaleTerm is wrapped by AppendReplicated when a record carries a term
 // below the log's current one: the sender is a deposed leader and must not
@@ -224,9 +258,10 @@ type Options struct {
 	// FsyncEvery group-commits: fsync once per this many appended records.
 	// Values ≤ 1 sync every append (and make Wait a durability barrier).
 	FsyncEvery int
-	// SnapshotEvery makes ShouldCompact report true once this many records
-	// have been appended since the last snapshot. 0 disables the hint
-	// (Compact can still be called explicitly).
+	// SnapshotEvery makes ShouldCompact report true once records of this
+	// total Weight — jobs, other commands and digests — have been appended
+	// since the last snapshot. 0 disables the hint (Compact can still be
+	// called explicitly).
 	SnapshotEvery int
 	// FsyncMaxDelay bounds how long a written record may sit unsynced when
 	// the FsyncEvery threshold has not been reached: a timer armed by the
@@ -358,7 +393,7 @@ func encodeFrame(fb *wire.Buf, r *Record) error {
 	}
 	payload := b[start+frameHeader:]
 	if len(payload) > maxPayload {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte bound", len(payload), maxPayload)
+		return fmt.Errorf("%w: %d bytes, the bound is %d", ErrRecordTooLarge, len(payload), maxPayload)
 	}
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
@@ -404,7 +439,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		rec.Term = term
 	}
 
-	lastLSN := rec.SnapshotLSN
+	lastLSN, sinceSnap := rec.SnapshotLSN, 0
 	for _, name := range segs {
 		recs, trunc, err := readSegment(fs, filepath.Join(dir, name))
 		if err != nil {
@@ -417,6 +452,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 				continue // superseded by the snapshot, or a stale duplicate
 			}
 			rec.Records = append(rec.Records, r)
+			sinceSnap += r.Weight()
 			lastLSN = r.LSN
 			if r.Term > rec.Term {
 				rec.Term = r.Term
@@ -438,7 +474,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		durableLSN: lastLSN,
 		snapLSN:    rec.SnapshotLSN,
 		term:       rec.Term,
-		sinceSnap:  len(rec.Records),
+		sinceSnap:  sinceSnap,
 	}
 	l.commit = sync.NewCond(&l.mu)
 	if l.now == nil {
@@ -533,7 +569,7 @@ func (l *Log) AppendAsync(r Record) (Commit, error) {
 	if err := encodeFrame(fb, &r); err != nil {
 		return Commit{}, err
 	}
-	if err := l.writeLocked(fb, 1); err != nil {
+	if err := l.writeLocked(fb, 1, r.Weight()); err != nil {
 		return Commit{}, err
 	}
 	return Commit{LSN: r.LSN}, nil
@@ -564,7 +600,7 @@ func (l *Log) AppendReplicated(r Record) (Commit, error) {
 	if err := encodeFrame(fb, &r); err != nil {
 		return Commit{}, err
 	}
-	if err := l.writeLocked(fb, 1); err != nil {
+	if err := l.writeLocked(fb, 1, r.Weight()); err != nil {
 		return Commit{}, err
 	}
 	l.term = r.Term
@@ -578,10 +614,10 @@ func (l *Log) AppendReplicated(r Record) (Commit, error) {
 // acks the whole group after one fsync. An empty batch is a no-op.
 //
 // The group is not crash-atomic: a torn write can leave a prefix of the
-// batch on disk. That is safe for the service because the write error
-// wedges the log before any Wait can succeed — the batch is never
-// acknowledged, and replaying a prefix of pre-validated commands is
-// exactly the un-acked-suffix case recovery already tolerates.
+// batch on disk, and a batch recovered in part refuses its own retry. That
+// is why pfaird writes a submit group as one record (Record.Jobs), not
+// through here; the callers left are the repository benchmark's per-layer
+// pass and tests that build a journal of per-job groups (ROADMAP 10c).
 func (l *Log) AppendBatch(rs []Record) (Commit, error) {
 	if len(rs) == 0 {
 		return Commit{}, nil
@@ -593,14 +629,16 @@ func (l *Log) AppendBatch(rs []Record) (Commit, error) {
 	if err := l.appendableLocked(); err != nil {
 		return Commit{}, err
 	}
+	weight := 0
 	for i := range rs {
 		rs[i].LSN = l.nextLSN + uint64(i)
 		rs[i].Term = l.term
 		if err := encodeFrame(fb, &rs[i]); err != nil {
 			return Commit{}, err
 		}
+		weight += rs[i].Weight()
 	}
-	if err := l.writeLocked(fb, len(rs)); err != nil {
+	if err := l.writeLocked(fb, len(rs), weight); err != nil {
 		return Commit{}, err
 	}
 	return Commit{LSN: l.writtenLSN}, nil
@@ -608,8 +646,10 @@ func (l *Log) AppendBatch(rs []Record) (Commit, error) {
 
 // writeLocked writes fb's n encoded frames (LSNs nextLSN..nextLSN+n-1) to
 // the active segment and publishes them as written, arming the idle-flush
-// timer. Called with l.mu held after appendableLocked and encoding.
-func (l *Log) writeLocked(fb *wire.Buf, n int) error {
+// timer. The frames count toward FsyncEvery (writtenLSN) and the appends
+// statistic, their records' total weight toward SnapshotEvery. Called with
+// l.mu held after appendableLocked and encoding.
+func (l *Log) writeLocked(fb *wire.Buf, n, weight int) error {
 	var t0 time.Time
 	if l.timings != nil {
 		t0 = l.now()
@@ -629,7 +669,7 @@ func (l *Log) writeLocked(fb *wire.Buf, n int) error {
 	l.nextLSN += uint64(n)
 	l.writtenLSN = l.nextLSN - 1
 	l.st.Appends += uint64(n)
-	l.sinceSnap += n
+	l.sinceSnap += weight
 	if l.maxDelay > 0 && !l.timerArmed {
 		l.timerArmed = true
 		l.timerGen++
@@ -817,8 +857,8 @@ func (l *Log) Sync() error {
 	return l.syncToLocked(l.writtenLSN)
 }
 
-// ShouldCompact hints that enough records accumulated since the last
-// snapshot to be worth folding into a new one.
+// ShouldCompact hints that enough accumulated since the last snapshot —
+// SnapshotEvery in record weight — to be worth folding into a new one.
 func (l *Log) ShouldCompact() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -62,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 	for i, r := range rec2.Records {
 		w := want[i]
 		w.LSN = uint64(i + 1)
-		if r != w {
+		if !reflect.DeepEqual(r, w) {
 			t.Fatalf("record %d = %+v, want %+v", i, r, w)
 		}
 	}
@@ -394,7 +395,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("reopen recovered %d records, want %d+1", len(rec2.Records), len(prefix))
 		}
 		for i, r := range prefix {
-			if rec2.Records[i] != r {
+			if !reflect.DeepEqual(rec2.Records[i], r) {
 				t.Fatalf("record %d changed across reopen: %+v vs %+v", i, rec2.Records[i], r)
 			}
 		}
