@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -93,5 +95,70 @@ func TestRunFromJSONFile(t *testing.T) {
 	os.WriteFile(bad, []byte(`{"tasks":[{"name":"X","e":3,"p":2,"periodicUntil":4}]}`), 0o644)
 	if err := run(2, "", 0, bad, "dvq", "PD2", 0, "full", "1/100", 1, false, "", ""); err == nil {
 		t.Error("invalid system accepted")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/render.golden from this tree's output")
+
+// runCLI runs main in-process with args and returns what it wrote to
+// stdout; going through main keeps the test independent of run's signature.
+func runCLI(t *testing.T, args ...string) []byte {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	oldArgs, oldOut, oldFlags := os.Args, os.Stdout, flag.CommandLine
+	defer func() { os.Args, os.Stdout, flag.CommandLine = oldArgs, oldOut, oldFlags }()
+	os.Args = append([]string{"pfairsim"}, args...)
+	flag.CommandLine = flag.NewFlagSet("pfairsim", flag.ExitOnError)
+	os.Stdout = f
+	main()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRenderGolden pins the full printed schedule of every model under
+// every policy on one 12-task, 4-processor system at full utilization —
+// every engine the CLI reaches, assignment by assignment — plus one row of
+// early yields, where SFQ wastes the residue and DVQ reclaims it.
+func TestRenderGolden(t *testing.T) {
+	const golden = "testdata/render.golden"
+	models := []string{"sfq", "staggered", "dvq", "pdb", "drift"}
+	var doc bytes.Buffer
+	render := func(model, policy, yield string) {
+		doc.WriteString("=== " + model + " " + policy + " " + yield + "\n")
+		doc.Write(runCLI(t, "-model", model, "-policy", policy, "-yield", yield,
+			"-random", "12", "-m", "4", "-seed", "7", "-render"))
+	}
+	for _, model := range models {
+		for _, policy := range []string{"EPDF", "PF", "PD", "PD2"} {
+			render(model, policy, "full")
+		}
+	}
+	for _, model := range models {
+		render(model, "PD2", "uniform:8")
+	}
+	if *update {
+		if err := os.WriteFile(golden, doc.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc.Bytes(), want) {
+		t.Errorf("render output differs from %s (go test ./cmd/pfairsim -update rewrites it; diff the file)", golden)
+		got, want := bytes.Split(doc.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(got) && i < len(want); i++ {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("line %d\n got: %s\nwant: %s", i+1, got[i], want[i])
+			}
+		}
 	}
 }
