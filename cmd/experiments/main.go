@@ -1,12 +1,14 @@
-// Command experiments runs the E1–E19 validation suite of DESIGN.md §3 and
-// prints one table per experiment. EXPERIMENTS.md records a reference run.
+// Command experiments runs the E1–E20 validation suite of DESIGN.md §3 —
+// the entries of exp.Suite — and prints one table per experiment.
+// EXPERIMENTS.md records a reference run.
 //
-// Usage: experiments [-trials N] [-seed S] [-workers W] [e1 e2 … | all]
+// Usage: experiments [-trials N] [-seed S] [-workers W] [-out DIR] [e1 e2 … | all]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,389 +19,83 @@ import (
 func main() {
 	trials := flag.Int("trials", 20, "trials per experiment cell")
 	seed := flag.Int64("seed", 1, "base RNG seed")
-	outDir := flag.String("out", "", "also write each table to <out>/<id>.txt")
+	outDir := flag.String("out", "", "also write each table to <out>/<id>.txt and its rows to <out>/<id>.csv")
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = all CPUs, 1 = serial); results are identical at any setting")
 	flag.Parse()
-	emitDir = *outDir
 	exp.Workers = *workers
-	which := map[string]bool{}
-	for _, a := range flag.Args() {
-		which[a] = true
+	suite, err := pick(exp.Suite(), flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
-	if len(which) == 0 {
-		which["all"] = true
-	}
-	if err := run(which, *trials, *seed); err != nil {
+	if err := run(os.Stdout, suite, *trials, *seed, *outDir); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func want(which map[string]bool, name string) bool { return which["all"] || which[name] }
-
-// emitDir, when set, receives one file per experiment table.
-var emitDir string
-
-// emitCSV writes the typed rows as <dir>/<id>.csv when -out is set.
-func emitCSV(id string, rows interface{}) error {
-	if emitDir == "" {
-		return nil
+// pick returns the experiments the ids name, in suite order whatever order
+// the ids come in; no id, or "all" among them, is the whole suite.
+func pick(suite []exp.Experiment, ids []string) ([]exp.Experiment, error) {
+	known := map[string]bool{"all": true}
+	names := make([]string, len(suite))
+	for i, e := range suite {
+		known[e.ID], names[i] = true, e.ID
 	}
-	if err := os.MkdirAll(emitDir, 0o755); err != nil {
-		return err
+	want := map[string]bool{}
+	for _, id := range ids {
+		if !known[id] {
+			return nil, fmt.Errorf("unknown experiment %q (want %s|all)", id, strings.Join(names, "|"))
+		}
+		want[id] = true
 	}
-	f, err := os.Create(filepath.Join(emitDir, id+".csv"))
-	if err != nil {
-		return err
+	if len(ids) == 0 || want["all"] {
+		return suite, nil
 	}
-	defer f.Close()
-	return exp.WriteCSV(f, rows)
+	var picked []exp.Experiment
+	for _, e := range suite {
+		if want[e.ID] {
+			picked = append(picked, e)
+		}
+	}
+	return picked, nil
 }
 
-// emit prints the table and, when -out is set, writes it to <dir>/<id>.txt.
-func emit(id, table string) error {
-	fmt.Println(table)
-	if emitDir == "" {
-		return nil
+// run prints each experiment's table to w and, when outDir is set, writes
+// the table to <outDir>/<id>.txt and the typed rows to <outDir>/<id>.csv.
+func run(w io.Writer, suite []exp.Experiment, trials int, seed int64, outDir string) error {
+	if outDir != "" {
+		if err := os.MkdirAll(outDir, 0o755); err != nil {
+			return err
+		}
 	}
-	if err := os.MkdirAll(emitDir, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(emitDir, id+".txt"), []byte(strings.TrimLeft(table, "\n")), 0o644)
-}
-
-func run(which map[string]bool, trials int, seed int64) error {
-	if want(which, "e1") {
-		pts, err := exp.E1Tightness(exp.DefaultDeltas())
+	for _, e := range suite {
+		table, rows, err := e.Run(seed, trials)
 		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		fmt.Fprintln(w, table)
+		if outDir == "" {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(outDir, e.ID+".txt"), []byte(table), 0o644); err != nil {
 			return err
 		}
-		rows := make([]string, len(pts))
-		for i, p := range pts {
-			rows[i] = fmt.Sprintf("%-8s %-12s %s", p.Delta, p.MaxTardiness, "= 1-δ")
-		}
-		if err := emit("e1", exp.Table("E1  tightness of Theorem 3 on the Fig. 2 construction\nδ        max tardiness", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e1", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e2") {
-		pts, err := exp.E2DVQTardiness(seed, trials, []int{2, 4, 8})
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-3d %-12s %-7d %-9d %-7d %-10s %s",
-				p.M, p.YieldModel, p.Trials, p.Subtasks, p.Misses, p.MaxTardiness, exp.Bool(p.BoundHolds)))
-		}
-		if err := emit("e2", exp.Table("E2  PD²-DVQ tardiness ≤ 1 (Theorem 3) at scale\nM   yield        trials  subtasks  misses  max-tard   bound-holds", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e2", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e3") {
-		pts, err := exp.E3SFQOptimality(seed, trials)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-5s %-7d %-9d %d", p.Policy, p.Trials, p.Subtasks, p.Misses))
-		}
-		if err := emit("e3", exp.Table("E3  SFQ optimality anchor (PF/PD/PD² must have 0 misses)\npol   trials  subtasks  misses", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e3", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e4") {
-		pts, err := exp.E4PDBTardiness(seed, trials, []int{2, 4, 8})
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-3d %-12s %-7d %-9d %-7d %-10s %s",
-				p.M, p.YieldModel, p.Trials, p.Subtasks, p.Misses, p.MaxTardiness, exp.Bool(p.BoundHolds)))
-		}
-		if err := emit("e4", exp.Table("E4  PD^B tardiness ≤ 1 (Theorem 2) at scale\nM   yield        trials  subtasks  misses  max-tard   bound-holds", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e4", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e5") {
-		pt, err := exp.E5Transform(seed, trials)
-		if err != nil {
-			return err
-		}
-		if err := emit("e5", exp.Table("E5  S_DQ → S_B transform (Lemmas 3–5)\ntrials aligned olapped free  max-S_DQ-tard max-S_B-tard lemmas-hold",
-			[]string{fmt.Sprintf("%-6d %-7d %-7d %-5d %-13s %-12s %s",
-				pt.Trials, pt.Aligned, pt.Olapped, pt.Free, pt.MaxSDQTardiness, pt.MaxSBTardiness, exp.Bool(pt.AllLemmasHold))})); err != nil {
-			return err
-		}
-		if err := emitCSV("e5", []exp.TransformPoint{pt}); err != nil {
-			return err
-		}
-	}
-	if want(which, "e6") {
-		pt, err := exp.E6PropertyPB(seed, trials)
-		if err != nil {
-			return err
-		}
-		if err := emit("e6", exp.Table("E6  priority inversions and Property PB (Lemma 1)\ntrials elig-blocked pred-blocked property-holds",
-			[]string{fmt.Sprintf("%-6d %-12d %-12d %s",
-				pt.Trials, pt.EligibilityEvents, pt.PredecessorEvents, exp.Bool(pt.PropertyHolds))})); err != nil {
-			return err
-		}
-		if err := emitCSV("e6", []exp.PBPoint{pt}); err != nil {
-			return err
-		}
-	}
-	if want(which, "e7") {
-		pts, err := exp.E7Reclamation(seed, trials, 4)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-6d %-13.3f %-10.3f %-9.3f %-9.3f %-9s %s",
-				p.FullProb, p.ResidueFrac, p.MakespanGain, p.SFQ.MeanResponse, p.DVQ.MeanResponse,
-				p.SFQ.MaxTardiness, p.DVQ.MaxTardiness))
-		}
-		if err := emit("e7", exp.Table("E7  work-conservation gain of the DVQ model (M=4)\npFull%  residue/quant  SFQ/DVQ-ms  respSFQ   respDVQ   tardSFQ   tardDVQ", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e7", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e8") {
-		pts, err := exp.E8EPDF(seed, trials, []int{2, 4, 8})
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-3d %-7d %-9s %-9s %s",
-				p.M, p.Trials, p.MaxSFQ, p.MaxDVQ, exp.Bool(p.DeltaAtMost1)))
-		}
-		if err := emit("e8", exp.Table("E8  EPDF: DVQ worsens tardiness by at most one quantum\nM   trials  max-SFQ   max-DVQ   Δ≤1", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e8", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e9") {
-		pts, err := exp.E9Staggered(seed, trials, []int{2, 4, 8})
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-3d %-7d %-10s %-13d %d",
-				p.M, p.Trials, p.MaxTardiness, p.AlignedBurst, p.StaggeredBurst))
-		}
-		if err := emit("e9", exp.Table("E9  staggered quanta (Holman–Anderson): burst M → 1, tardiness ≤ 1\nM   trials  max-tard   aligned-burst staggered-burst", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e9", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e10") {
-		pts, err := exp.E10UtilizationBound(seed, trials, 4)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-6d %-7d %-13d %-13d %-11d %-10d %d",
-				p.UtilPct, p.Trials, p.PartitionOK, p.PartitionRMOK, p.GEDFMissTrials, p.GRMMissTrials, p.PfairMissTrials))
-		}
-		if err := emit("e10", exp.Table("E10  utilization bound: partitioned/global EDF+RM vs PD² (M=4, heavy tasks)\nutil%  trials  part-EDF-ok   part-RM-ok    gEDF-miss   gRM-miss   PD²-miss", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e10", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e11") {
-		pt, err := exp.E11Compliance(seed, trials)
-		if err != nil {
-			return err
-		}
-		if err := emit("e11", exp.Table("E11  k-compliance induction (Lemma 6)\ntrials total-k max-PD^B-tard all-valid",
-			[]string{fmt.Sprintf("%-6d %-7d %-13s %s", pt.Trials, pt.TotalK, pt.MaxPDBTard, exp.Bool(pt.AllValid))})); err != nil {
-			return err
-		}
-		if err := emitCSV("e11", []exp.CompliancePoint{pt}); err != nil {
-			return err
-		}
-	}
-	if want(which, "e13") {
-		pts, err := exp.E13EarlyRelease(seed, trials, 4)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-6d %-7d %-12.3f %-10.3f %-9d %d",
-				p.UtilPct, p.Trials, p.PlainSlack, p.ERSlack, p.DFSAux, p.ERMisses))
-		}
-		if err := emit("e13", exp.Table("E13  early releasing vs DFS's auxiliary scheduler (M=4)\nutil%  trials  plain-slack  ER-slack   DFS-aux   ER-misses", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e13", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e14") {
-		pts, err := exp.E14TieBreakAblation(seed, trials)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-8s %-7d %-12d %-7d %s",
-				p.Policy, p.Trials, p.MissTrials, p.Misses, p.MaxTardiness))
-		}
-		if err := emit("e14", exp.Table("E14  PD² tie-break ablation under SFQ (heavy tasks, M∈{3..5})\npolicy   trials  miss-trials  misses  max-tard", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e14", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e15") {
-		pts, err := exp.E15ClockDrift(seed, trials, 4)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			eps := "0"
-			if p.EpsDen > 0 {
-				eps = fmt.Sprintf("1/%d", p.EpsDen)
-			}
-			rows = append(rows, fmt.Sprintf("%-7s %-7d %-11s %-11s %-9s %s",
-				eps, p.Trials, p.TardShort, p.TardLong, p.TardDVQ, exp.Bool(p.DVQBoundHolds)))
-		}
-		if err := emit("e15", exp.Table("E15  unsynchronized timer interrupts: drifting SFQ vs DVQ (M=4)\nε       trials  tard-short  tard-long   tard-DVQ  DVQ≤1", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e15", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e16") {
-		pts, err := exp.E16QuantumSize(1, 20)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			miss := "-"
-			if p.Misses >= 0 {
-				miss = fmt.Sprintf("%d", p.Misses)
-			}
-			rows = append(rows, fmt.Sprintf("%-6d %-12s %-9s %s",
-				p.Q, p.Utilization, exp.Bool(p.Feasible), miss))
-		}
-		if err := emit("e16", exp.Table("E16  quantum-size selection for a real workload (M=1, 20µs overhead)\nQ(µs)  utilization  feasible  PD²-misses", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e16", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e17") {
-		pts, err := exp.E17Overload(seed, trials, 4)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-6d %-7d %-11s %s",
-				p.UtilPct, p.Trials, p.TardShort, p.TardLong))
-		}
-		if err := emit("e17", exp.Table("E17  feasibility is necessary: PD²-DVQ past Σwt = M (M=4)\nutil%  trials  tard-short  tard-long", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e17", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e18") {
-		pts, err := exp.E18PolicyMatrix(seed, trials, 2)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-5s %-7d %-9d %-7d %-10s %.3f",
-				p.Policy, p.Trials, p.Subtasks, p.Misses, p.MaxTardiness, p.MeanResponse))
-		}
-		if err := emit("e18", exp.Table("E18  policy matrix under DVQ (M=2, uniform yields)\npol   trials  subtasks  misses  max-tard   mean-resp", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e18", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e19") {
-		pts, err := exp.E19TightnessByM(exp.DefaultDeltas()[2], []int{2, 4, 6, 8, 12, 16})
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-3d %-10s %s", p.M, p.MaxTardiness, exp.Bool(p.EqualsOneMinusDelta)))
-		}
-		if err := emit("e19", exp.Table("E19  replicated tightness construction across M (δ=1/8)\nM   max-tard   =1-δ", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e19", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e20") {
-		pts, err := exp.E20Dynamics(seed, trials, 4)
-		if err != nil {
-			return err
-		}
-		var rows []string
-		for _, p := range pts {
-			rows = append(rows, fmt.Sprintf("%-8d %-6d %-7d %-9d %-7d %-10s %d",
-				p.JitterPct, p.OmitPct, p.Trials, p.Subtasks, p.Misses, p.MaxTardiness, p.Blocking))
-		}
-		if err := emit("e20", exp.Table("E20  IS/GIS dynamics sensitivity under PD²-DVQ (M=4, adversarial yields)\njitter%  omit%  trials  subtasks  misses  max-tard   blocking", rows)); err != nil {
-			return err
-		}
-		if err := emitCSV("e20", pts); err != nil {
-			return err
-		}
-	}
-	if want(which, "e12") {
-		pt, err := exp.E12FractionalCosts(seed, trials)
-		if err != nil {
-			return err
-		}
-		if err := emit("e12", exp.Table("E12  fractional execution costs (paper's future work)\ntrials max-DVQ-tard SFQ-stranded bound-holds",
-			[]string{fmt.Sprintf("%-6d %-12s %-12.1f %s", pt.Trials, pt.MaxTardiness, pt.SFQResidue, exp.Bool(pt.BoundHolds))})); err != nil {
-			return err
-		}
-		if err := emitCSV("e12", []exp.FracCostPoint{pt}); err != nil {
+		if err := writeCSV(filepath.Join(outDir, e.ID+".csv"), rows); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func writeCSV(path string, rows any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := exp.WriteCSV(f, rows); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -5,7 +5,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -89,4 +91,41 @@ func firstDiff(got, want []byte) string {
 		}
 	}
 	return fmt.Sprintf("one is a prefix of the other: %d lines against %d", len(g), len(w))
+}
+
+// TestUnknownIDExits2: an id the suite does not hold is a usage error — it
+// used to print nothing and exit 0. The test re-executes its own binary as
+// `experiments e2 e99` to see the real exit status.
+func TestUnknownIDExits2(t *testing.T) {
+	if os.Getenv("EXPERIMENTS_AS_MAIN") != "" {
+		os.Args = []string{"experiments", "e2", "e99"}
+		flag.CommandLine = flag.NewFlagSet("experiments", flag.ExitOnError)
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownIDExits2$")
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_AS_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("exit: %v, want status 2 (stderr %q)", err, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("ran something before refusing: %q", stdout.String())
+	}
+	for _, want := range []string{`"e99"`, "e1|e2|", "|e20|e12|all"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr %q does not name %s", stderr.String(), want)
+		}
+	}
+}
+
+// TestIDsRunInSuiteOrder: ids select, they do not order; repeats run once.
+func TestIDsRunInSuiteOrder(t *testing.T) {
+	out := string(runCLI(t, "-trials", "1", "e19", "e12", "e1", "e19"))
+	e1, e19, e12 := strings.Index(out, "E1  "), strings.Index(out, "E19  "), strings.Index(out, "E12  ")
+	if e1 < 0 || !(e1 < e19 && e19 < e12) || strings.Count(out, "E19  ") != 1 || strings.Count(out, "\nE") != 2 {
+		t.Errorf("want E1, E19, E12 once each in that order:\n%s", out)
+	}
 }

@@ -88,7 +88,7 @@ func run(trials int, seed int64, out string) error {
 	if err != nil {
 		return err
 	}
-	sections = append(sections, section{Title: "Experiments E1–E17 (summary subset)", Pre: expText})
+	sections = append(sections, section{Title: "Experiments", Pre: expText})
 
 	f, err := os.Create(out)
 	if err != nil {
@@ -150,52 +150,16 @@ func charts(runs ...func() (*sched.Schedule, error)) ([]template.HTML, error) {
 	return out, nil
 }
 
-// experimentTables renders a representative subset of the E-suite (the
-// fast ones; the full suite is cmd/experiments).
+// experimentTables renders the tables of exp.Suite, as cmd/experiments
+// prints them.
 func experimentTables(trials int, seed int64) (string, error) {
 	var b strings.Builder
-
-	e1, err := exp.E1Tightness(exp.DefaultDeltas())
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("E1  tightness: max tardiness = 1−δ\n")
-	for _, p := range e1 {
-		fmt.Fprintf(&b, "  δ=%-8s → %s\n", p.Delta, p.MaxTardiness)
-	}
-
-	e2, err := exp.E2DVQTardiness(seed, trials, []int{2, 4})
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("\nE2  Theorem 3 at scale\n")
-	for _, p := range e2 {
-		fmt.Fprintf(&b, "  M=%d %-12s subtasks=%-6d misses=%-4d max=%-8s holds=%v\n",
-			p.M, p.YieldModel, p.Subtasks, p.Misses, p.MaxTardiness, p.BoundHolds)
-	}
-
-	e4, err := exp.E4PDBTardiness(seed, trials, []int{2, 4})
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("\nE4  Theorem 2 at scale\n")
-	for _, p := range e4 {
-		fmt.Fprintf(&b, "  M=%d %-12s subtasks=%-6d misses=%-4d max=%-8s holds=%v\n",
-			p.M, p.YieldModel, p.Subtasks, p.Misses, p.MaxTardiness, p.BoundHolds)
-	}
-
-	e15, err := exp.E15ClockDrift(seed, trials, 2)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("\nE15 clock drift: drifting SFQ vs DVQ\n")
-	for _, p := range e15 {
-		eps := "0"
-		if p.EpsDen > 0 {
-			eps = fmt.Sprintf("1/%d", p.EpsDen)
+	for _, e := range exp.Suite() {
+		table, _, err := e.Run(seed, trials)
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", e.ID, err)
 		}
-		fmt.Fprintf(&b, "  ε=%-6s tard(H)=%-8s tard(4H)=%-8s tardDVQ=%s\n",
-			eps, p.TardShort, p.TardLong, p.TardDVQ)
+		b.WriteString(table + "\n")
 	}
 	return b.String(), nil
 }

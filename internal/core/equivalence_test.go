@@ -9,7 +9,7 @@ import (
 )
 
 // enginePolicies is every policy the equivalence tests exercise: the four
-// paper policies (PF goes through the Comparer's exact-fallback memo) and
+// paper policies (PF goes through the Ranker's exact-Cmp fallback) and
 // the ablations (which have no key fast path at all).
 func enginePolicies() []prio.Policy {
 	return append(prio.All(), prio.PD2NoGroup{}, prio.PD2NoBBit{})

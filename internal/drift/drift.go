@@ -11,7 +11,9 @@
 // j = 0, 1, …: a phase offset φ_k and a relative clock drift ε_k ≥ 0. The
 // scheduler still behaves SFQ-locally — each processor picks the highest
 // priority ready subtask at each of its own boundaries and idles any
-// quantum residue — but no global resynchronization happens.
+// quantum residue — but no global resynchronization happens. With ε = 0 and
+// φ_k = k/M this is Holman & Anderson's staggered model, which package sfq
+// runs through Run (sfq.Options.Staggered).
 //
 // A drifting processor delivers one quantum per 1 + ε time units, i.e.
 // capacity 1/(1+ε) < 1, so a task system with total utilization M is
@@ -101,11 +103,22 @@ func Run(sys *model.System, opts Options) (*sched.Schedule, error) {
 	lastFinish := make([]rat.Rat, n)
 	remaining := sys.NumSubtasks()
 
-	// Per-processor boundary counters; the next decision of processor k is
-	// at φ_k + j_k · (1 + ε_k).
+	// One cached key per task head, recomputed when the head moves on.
+	rank := prio.NewRanker(opts.Policy)
+	keys := make([]prio.Key, n)
+	for _, task := range sys.Tasks {
+		if seq := sys.Subtasks(task); len(seq) > 0 {
+			keys[task.ID] = prio.KeyOf(seq[0])
+		}
+	}
+
+	// Processor k decides at φ_k + j·(1 + ε_k), j = 0, 1, …: next[k] is its
+	// pending boundary, j[k] how many it has passed.
 	j := make([]int64, opts.M)
-	boundary := func(k int) rat.Rat {
-		return opts.phase(k).Add(rat.FromInt(j[k]).Mul(rat.One.Add(opts.eps(k))))
+	next := make([]rat.Rat, opts.M)
+	quantum := make([]rat.Rat, opts.M)
+	for k := range next {
+		next[k], quantum[k] = opts.phase(k), rat.One.Add(opts.eps(k))
 	}
 
 	bestReady := func(now rat.Rat) *model.Subtask {
@@ -123,7 +136,7 @@ func Run(sys *model.System, opts Options) (*sched.Schedule, error) {
 			if c > 0 && now.Less(lastFinish[task.ID]) {
 				continue
 			}
-			if best == nil || prio.Order(opts.Policy, head, best) {
+			if best == nil || rank.Before(&keys[task.ID], &keys[best.Task.ID], head, best) {
 				best = head
 			}
 		}
@@ -135,15 +148,16 @@ func Run(sys *model.System, opts Options) (*sched.Schedule, error) {
 		// The next decision happens on the earliest pending boundary.
 		k := 0
 		for p := 1; p < opts.M; p++ {
-			if boundary(p).Less(boundary(k)) {
+			if next[p].Less(next[k]) {
 				k = p
 			}
 		}
 		if j[k] > opts.MaxBoundaries {
 			return s, fmt.Errorf("drift: boundary cap %d hit with %d subtasks pending", opts.MaxBoundaries, remaining)
 		}
-		now := boundary(k)
+		now := next[k]
 		j[k]++
+		next[k] = now.Add(quantum[k])
 		sub := bestReady(now)
 		if sub == nil {
 			continue // this processor idles its whole quantum
@@ -156,8 +170,12 @@ func Run(sys *model.System, opts Options) (*sched.Schedule, error) {
 			Cost:     opts.Yield(sub),
 			Decision: decision,
 		})
-		cursor[sub.Task.ID]++
-		lastFinish[sub.Task.ID] = a.Finish()
+		id := sub.Task.ID
+		cursor[id]++
+		if seq := sys.Subtasks(sub.Task); cursor[id] < len(seq) {
+			keys[id] = prio.KeyOf(seq[cursor[id]])
+		}
+		lastFinish[id] = a.Finish()
 		remaining--
 	}
 	return s, nil

@@ -556,8 +556,8 @@ func E12FractionalCosts(seed int64, trials int) (FracCostPoint, error) {
 	return pt, nil
 }
 
-// Table renders rows of fmt.Stringer-ish structs as a simple aligned table;
-// the cmd layer uses it for uniform output.
+// Table renders a header (title line, then column line), a rule and the
+// preformatted rows: the shape of every table of the Suite.
 func Table(header string, rows []string) string {
 	var b strings.Builder
 	b.WriteString(header)

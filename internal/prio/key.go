@@ -12,7 +12,7 @@ import "desyncpfair/internal/model"
 // Keys are only meaningful for subtasks owned by a model.System (their GID
 // and Seq are set by AddSubtask); the hypothetical successor subtasks that
 // PF's chain walk constructs never get keys — that walk is the one exact
-// fallback (see KeyCmp).
+// fallback (see keyCmp).
 type Key struct {
 	Deadline int64 // d(T_i), eq. (4)
 	GroupD   int64 // D(T_i), the PD² group deadline (0 for light tasks)
@@ -37,9 +37,8 @@ func KeyOf(s *model.Subtask) Key {
 	}
 }
 
-// keyKind is a policy's key-comparison strategy, resolved once per
-// Comparer so the hot path switches on an integer instead of an interface
-// type.
+// keyKind is a policy's key-comparison strategy, resolved once per Ranker
+// so the hot path switches on an integer instead of an interface type.
 type keyKind uint8
 
 const (
@@ -64,23 +63,19 @@ func keyKindOf(p Policy) keyKind {
 	return kindFallback
 }
 
-// KeyCmp compares two subtasks under p using only their precomputed keys.
-// The boolean reports whether the comparison is decided: false means the
-// caller must fall back to the exact p.Cmp — PF ties among b = 1 subtasks
-// (the successor-chain walk), and any policy without a key fast path (the
+// keyCmp compares two subtasks using only their precomputed keys. The
+// boolean reports whether the comparison is decided: false means the caller
+// must fall back to the exact Policy.Cmp — PF ties among b = 1 subtasks (the
+// successor-chain walk), and any policy without a key fast path (the
 // ablation policies).
-func KeyCmp(p Policy, a, b Key) (int, bool) {
-	return keyCmp(keyKindOf(p), &a, &b)
-}
-
 func keyCmp(k keyKind, a, b *Key) (int, bool) {
 	switch k {
 	case kindEPDF:
 		return cmp64(a.Deadline, b.Deadline), true
 	case kindPD2:
-		return pd2KeyCmp(a, b), true
+		return keyCmpPD2(a, b), true
 	case kindPD:
-		if c := pd2KeyCmp(a, b); c != 0 {
+		if c := keyCmpPD2(a, b); c != 0 {
 			return c, true
 		}
 		if a.Heavy != b.Heavy {
@@ -106,9 +101,9 @@ func keyCmp(k keyKind, a, b *Key) (int, bool) {
 	return 0, false
 }
 
-// pd2KeyCmp is PD2.Cmp over keys: deadline, then successor bit (1 wins),
+// keyCmpPD2 is PD2.Cmp over keys: deadline, then successor bit (1 wins),
 // then — among b = 1 subtasks — later group deadline wins.
-func pd2KeyCmp(a, b *Key) int {
+func keyCmpPD2(a, b *Key) int {
 	if c := cmp64(a.Deadline, b.Deadline); c != 0 {
 		return c
 	}
@@ -128,12 +123,13 @@ func keyBBitCmp(a, b uint8) int {
 	return 1
 }
 
-// Ranker evaluates one policy's engine total order — prio.Order — over
-// subtasks whose Keys the caller caches: the key fast path, the exact
+// Ranker is the one evaluator of a policy's engine total order — prio.Order
+// — over subtasks whose Keys the caller caches: the key fast path, the exact
 // p.Cmp where keys cannot decide (PF's b = 1 chain walk, the ablation
 // policies), then task ID and sequence position. It holds no per-subtask
 // state and no memo, so an engine that caches one Key per task head stays
-// O(tasks) however long it runs.
+// O(tasks) however long it runs. A new policy's order goes here, in
+// Compare, and nowhere else.
 type Ranker struct {
 	pol  Policy
 	kind keyKind
@@ -142,101 +138,24 @@ type Ranker struct {
 // NewRanker resolves p's key-comparison strategy once.
 func NewRanker(p Policy) Ranker { return Ranker{pol: p, kind: keyKindOf(p)} }
 
-// Before reports whether a (whose key is ka) is scheduled before b (key
-// kb). It agrees with Order(p, a, b) on every pair.
-func (r Ranker) Before(ka, kb *Key, a, b *model.Subtask) bool {
+// Compare is the total order as a three-way compare of a (whose key is ka)
+// and b (key kb): negative when a is scheduled first, zero only for a
+// subtask against itself. Its sign agrees with Order(p, a, b) on every pair.
+func (r Ranker) Compare(ka, kb *Key, a, b *model.Subtask) int {
 	c, decided := keyCmp(r.kind, ka, kb)
 	if !decided {
 		c = r.pol.Cmp(a, b)
 	}
 	if c != 0 {
-		return c < 0
+		return c
 	}
 	if ka.TaskID != kb.TaskID {
-		return ka.TaskID < kb.TaskID
+		return cmp64(int64(ka.TaskID), int64(kb.TaskID))
 	}
-	return ka.Seq < kb.Seq
+	return cmp64(int64(ka.Seq), int64(kb.Seq))
 }
 
-// Comparer evaluates one policy's priority order over one task system with
-// per-subtask keys computed once up front, and memoizes the exact-Cmp
-// fallback so repeated comparisons of the same pair (as a heap makes) never
-// re-walk PF's successor chain. Engines create one Comparer per run; a
-// Comparer is NOT safe for concurrent use (the memo mutates).
-type Comparer struct {
-	pol   Policy
-	kind  keyKind
-	keys  []Key
-	nsubs uint64
-	memo  map[uint64]int8 // exact-fallback results, keyed by GID pair
+// Before reports whether a is scheduled before b.
+func (r Ranker) Before(ka, kb *Key, a, b *model.Subtask) bool {
+	return r.Compare(ka, kb, a, b) < 0
 }
-
-// NewComparer precomputes the keys of every released subtask of sys.
-func NewComparer(p Policy, sys *model.System) *Comparer {
-	keys := make([]Key, sys.NumSubtasks())
-	for _, t := range sys.Tasks {
-		for _, s := range sys.Subtasks(t) {
-			keys[s.GID] = KeyOf(s)
-		}
-	}
-	return &Comparer{pol: p, kind: keyKindOf(p), keys: keys, nsubs: uint64(len(keys))}
-}
-
-// Policy returns the policy the comparer evaluates.
-func (c *Comparer) Policy() Policy { return c.pol }
-
-// Key returns the cached key of s.
-func (c *Comparer) Key(s *model.Subtask) Key { return c.keys[s.GID] }
-
-// Cmp is the policy's partial order (Policy.Cmp) with cached keys.
-func (c *Comparer) Cmp(a, b *model.Subtask) int {
-	if r, ok := keyCmp(c.kind, &c.keys[a.GID], &c.keys[b.GID]); ok {
-		return r
-	}
-	return c.exact(a, b)
-}
-
-func (c *Comparer) exact(a, b *model.Subtask) int {
-	k := uint64(a.GID)*c.nsubs + uint64(b.GID)
-	if r, ok := c.memo[k]; ok {
-		return int(r)
-	}
-	r := c.pol.Cmp(a, b)
-	if c.memo == nil {
-		c.memo = make(map[uint64]int8)
-	}
-	c.memo[k] = int8(r)
-	return r
-}
-
-// Total is the engines' deterministic total order as a three-way compare:
-// Cmp with remaining ties broken by task ID, then sequence position. It
-// agrees with Order(c.Policy(), a, b) on every pair.
-func (c *Comparer) Total(a, b *model.Subtask) int {
-	ka, kb := &c.keys[a.GID], &c.keys[b.GID]
-	if r, ok := keyCmp(c.kind, ka, kb); ok && r != 0 {
-		return r
-	} else if !ok {
-		if r := c.exact(a, b); r != 0 {
-			return r
-		}
-	}
-	if ka.TaskID != kb.TaskID {
-		if ka.TaskID < kb.TaskID {
-			return -1
-		}
-		return 1
-	}
-	switch {
-	case ka.Seq < kb.Seq:
-		return -1
-	case ka.Seq > kb.Seq:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// Order reports whether a should be scheduled before b; it is prio.Order
-// with cached keys.
-func (c *Comparer) Order(a, b *model.Subtask) bool { return c.Total(a, b) < 0 }

@@ -65,67 +65,40 @@ func TestKeyOf(t *testing.T) {
 	}
 }
 
-// TestKeyCmpAgreesWithCmp checks, over every subtask pair of every test
-// system, that a decided KeyCmp equals the policy's exact Cmp — and that
-// the key fast path is decided for the closed-form policies.
-func TestKeyCmpAgreesWithCmp(t *testing.T) {
+// TestRankerAgreesWithOrder checks, over every subtask pair of every test
+// system, that the Ranker's order over cached keys is prio.Order: Compare
+// equals the policy's exact Cmp wherever that decides — the closed-form key
+// comparators and PF's chain-walk fallback alike; the ablation policies
+// exercise the pure fallback — and the (task ID, sequence) tie-break where
+// it does not; it is antisymmetric, and Before is its sign.
+func TestRankerAgreesWithOrder(t *testing.T) {
 	for _, sys := range keyTestSystems(t) {
 		subs := sys.All()
-		for _, pol := range keyPolicies() {
-			for _, a := range subs {
-				for _, b := range subs {
-					ka, kb := prio.KeyOf(a), prio.KeyOf(b)
-					got, decided := prio.KeyCmp(pol, ka, kb)
-					want := pol.Cmp(a, b)
-					if decided && got != want {
-						t.Fatalf("%s: KeyCmp(%s, %s) = %d, Cmp = %d", pol.Name(), a, b, got, want)
-					}
-					switch pol.(type) {
-					case prio.EPDF, prio.PD2, prio.PD:
-						if !decided {
-							t.Fatalf("%s: KeyCmp(%s, %s) undecided for closed-form policy", pol.Name(), a, b)
-						}
-					}
-				}
-			}
+		keys := make([]prio.Key, len(subs))
+		for i, s := range subs {
+			keys[i] = prio.KeyOf(s)
 		}
-	}
-}
-
-// TestComparerAgreesWithOrder checks that the Comparer's memoized,
-// key-cached total order — and the Ranker's memo-free one over the same
-// keys — agrees with prio.Order on every pair under every policy — including the ablation policies, which exercise the pure
-// exact-fallback path. Each pair is compared twice to cover the memo-hit
-// path.
-func TestComparerAgreesWithOrder(t *testing.T) {
-	for _, sys := range keyTestSystems(t) {
-		subs := sys.All()
 		for _, pol := range keyPolicies() {
-			c, rank := prio.NewComparer(pol, sys), prio.NewRanker(pol)
-			if c.Policy() != pol {
-				t.Fatalf("Policy() = %v, want %v", c.Policy(), pol)
-			}
-			for pass := 0; pass < 2; pass++ {
-				for _, a := range subs {
-					for _, b := range subs {
-						if got, want := c.Cmp(a, b), pol.Cmp(a, b); got != want {
-							t.Fatalf("%s pass %d: Comparer.Cmp(%s, %s) = %d, want %d", pol.Name(), pass, a, b, got, want)
-						}
-						if got, want := c.Order(a, b), prio.Order(pol, a, b); got != want {
-							t.Fatalf("%s pass %d: Comparer.Order(%s, %s) = %v, want %v", pol.Name(), pass, a, b, got, want)
-						}
-						ka, kb := c.Key(a), c.Key(b)
-						if got, want := rank.Before(&ka, &kb, a, b), prio.Order(pol, a, b); got != want {
-							t.Fatalf("%s: Ranker.Before(%s, %s) = %v, want %v", pol.Name(), a, b, got, want)
-						}
-						if a.GID == b.GID && c.Total(a, b) != 0 {
-							t.Fatalf("%s: Total(%s, %s) != 0 for identical subtask", pol.Name(), a, b)
-						}
+			rank := prio.NewRanker(pol)
+			for i, a := range subs {
+				for j, b := range subs {
+					got := rank.Compare(&keys[i], &keys[j], a, b)
+					if c := pol.Cmp(a, b); c != 0 && got != c {
+						t.Fatalf("%s: Compare(%s, %s) = %d, Cmp = %d", pol.Name(), a, b, got, c)
+					}
+					if want := prio.Order(pol, a, b); (got < 0) != want {
+						t.Fatalf("%s: Compare(%s, %s) = %d, Order = %v", pol.Name(), a, b, got, want)
+					}
+					if back := rank.Compare(&keys[j], &keys[i], b, a); got != -back {
+						t.Fatalf("%s: Compare(%s, %s) = %d but reversed = %d", pol.Name(), a, b, got, back)
+					}
+					if (got == 0) != (i == j) {
+						t.Fatalf("%s: Compare(%s, %s) = 0 for distinct subtasks, or not for one", pol.Name(), a, b)
+					}
+					if before := rank.Before(&keys[i], &keys[j], a, b); before != (got < 0) {
+						t.Fatalf("%s: Before(%s, %s) = %v, Compare = %d", pol.Name(), a, b, before, got)
 					}
 				}
-			}
-			if k := c.Key(subs[0]); k != prio.KeyOf(subs[0]) {
-				t.Fatalf("Key(%s) = %+v, want %+v", subs[0], k, prio.KeyOf(subs[0]))
 			}
 		}
 	}

@@ -27,9 +27,6 @@ type Policy interface {
 // Prec reports the paper's a ≺ b (a strictly higher priority) under p.
 func Prec(p Policy, a, b *model.Subtask) bool { return p.Cmp(a, b) < 0 }
 
-// PrecEq reports a ≼ b (priority of a at least that of b) under p.
-func PrecEq(p Policy, a, b *model.Subtask) bool { return p.Cmp(a, b) <= 0 }
-
 // Order is the deterministic total order used by the engines: the policy's
 // Cmp with remaining ties broken by task ID, then sequence position. It
 // reports whether a should be scheduled before b.

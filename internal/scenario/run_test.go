@@ -102,29 +102,47 @@ func TestReplayReproducesDispatches(t *testing.T) {
 // identical trace) as the in-process executive — the server is the
 // executive behind an API, not a different scheduler.
 func TestExecAndHTTPTargetsAgree(t *testing.T) {
-	spec := loadSpec(t, "smoke.json")
-	w, err := Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	execRes, err := Run(w, NewExecTarget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// "pd2" is a spelling prio.ByName — and so Spec.Validate and the
+	// in-process target — takes; the service used to refuse it with 400.
+	for _, policy := range []string{"PD2", "pd2"} {
+		t.Run(policy, func(t *testing.T) {
+			spec := loadSpec(t, "smoke.json")
+			spec.Policy = policy
+			w, err := Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			execRes, err := Run(w, NewExecTarget())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	srv := server.New()
-	defer srv.Shutdown()
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	httpRes, err := Run(w, &HTTPTarget{Ctx: context.Background(), C: client.New(hs.URL, hs.Client())})
-	if err != nil {
-		t.Fatal(err)
-	}
+			srv := server.New()
+			defer srv.Shutdown()
+			hs := httptest.NewServer(srv.Handler())
+			defer hs.Close()
+			httpRes, err := Run(w, &HTTPTarget{Ctx: context.Background(), C: client.New(hs.URL, hs.Client())})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if !reflect.DeepEqual(execRes.Dispatches, httpRes.Dispatches) {
-		t.Fatal("in-process and HTTP targets disagree on the dispatch log")
-	}
-	if !reflect.DeepEqual(execRes.Records, httpRes.Records) {
-		t.Fatal("in-process and HTTP targets disagree on the trace records")
+			if !reflect.DeepEqual(execRes.Dispatches, httpRes.Dispatches) {
+				t.Fatal("in-process and HTTP targets disagree on the dispatch log")
+			}
+			if !reflect.DeepEqual(execRes.Records, httpRes.Records) {
+				t.Fatal("in-process and HTTP targets disagree on the trace records")
+			}
+			// Whatever the spelling, the service reports (and journals)
+			// the policy's canonical name.
+			tenants, err := client.New(hs.URL, hs.Client()).Tenants(context.Background())
+			if err != nil || len(tenants) == 0 {
+				t.Fatalf("listing tenants: %v (%d)", err, len(tenants))
+			}
+			for _, ti := range tenants {
+				if ti.Policy != "PD2" {
+					t.Errorf("tenant %s reports policy %q, want PD2", ti.ID, ti.Policy)
+				}
+			}
+		})
 	}
 }

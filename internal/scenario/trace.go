@@ -15,8 +15,9 @@ import (
 // record; readers reject traces from a future format.
 const TraceVersion = 1
 
-// castagnoli is the CRC-32C table, the same polynomial the WAL frames
-// records with.
+// castagnoli is the CRC-32C table trace lines are framed with. (The WAL
+// frames its records with the IEEE polynomial, crc32.ChecksumIEEE; the two
+// formats share no reader.)
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record kinds. A trace is: one header, the arrival sequence, the

@@ -135,20 +135,17 @@ type subscriber struct {
 	ping chan struct{}
 }
 
-// PolicyByName maps a wire policy name to a prio.Policy. Empty selects PD².
+// PolicyByName maps a wire policy name to a prio.Policy: the names
+// prio.ByName knows, so a name a scenario spec validates is a name the
+// service takes. Empty selects PD².
 func PolicyByName(name string) (prio.Policy, error) {
-	switch name {
-	case "", "PD2":
+	if name == "" {
 		return prio.PD2{}, nil
-	case "PD":
-		return prio.PD{}, nil
-	case "PF":
-		return prio.PF{}, nil
-	case "EPDF":
-		return prio.EPDF{}, nil
-	default:
-		return nil, fmt.Errorf("server: unknown policy %q (want PD2, PD, PF or EPDF)", name)
 	}
+	if pol := prio.ByName(name); pol != nil {
+		return pol, nil
+	}
+	return nil, fmt.Errorf("server: unknown policy %q (want PD2, PD, PF or EPDF)", name)
 }
 
 // NewTenant creates a tenant with id on m processors under the named

@@ -4,16 +4,18 @@
 // a subtask yields before the end of its quantum, the residue of the
 // quantum is wasted (the model is non-work-conserving).
 //
-// The package also implements the *staggered* variant of Holman & Anderson
-// (2004): quanta remain uniform in size and synchronized, but the quantum
-// start points on successive processors are offset by 1/M, spreading
-// scheduler invocations (and bus traffic) over the slot.
+// Options.Staggered selects the *staggered* variant of Holman & Anderson
+// (2004): quanta remain uniform in size, but the quantum start points on
+// successive processors are offset by 1/M, spreading scheduler invocations
+// (and bus traffic) over the slot. Processors that keep their own quantum
+// boundaries are package drift's model, so that variant runs on drift.Run.
 package sfq
 
 import (
 	"fmt"
 	"slices"
 
+	"desyncpfair/internal/drift"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
@@ -25,8 +27,8 @@ type Options struct {
 	M      int         // number of processors (≥ 1)
 	Policy prio.Policy // subtask priority; nil defaults to PD²
 	Yield  sched.YieldFn
-	// Staggered offsets the quantum start on processor k by k/M within
-	// each slot (Holman & Anderson). Selection is still slot-synchronous.
+	// Staggered offsets the quantum boundaries of processor k by k/M
+	// (Holman & Anderson); each processor decides at its own boundaries.
 	Staggered bool
 	// Horizon caps the number of slots simulated; 0 derives a safe bound
 	// (latest deadline + number of subtasks + 1, enough for any
@@ -55,31 +57,41 @@ func (o *Options) fill(sys *model.System) error {
 // exhausted before every subtask is scheduled (which cannot happen with the
 // default horizon) or options are invalid.
 //
-// This is the fast-path engine: the per-slot ready set is ordered by
-// slices.SortFunc over cached prio.Keys instead of the seed's insertion
-// sort with priorities recomputed on every comparison. RunReference
-// retains the seed implementation; TestEngineEquivalence pins the two to
-// identical schedules.
+// The per-slot ready set is ordered by slices.SortFunc through prio.Ranker
+// over one cached prio.Key per task head — the evaluator and the caching
+// rule of the online executive's ready heap. RunReference retains the seed
+// implementation (insertion sort, priorities recomputed on every
+// comparison); TestEngineEquivalence pins the two to identical schedules.
 func Run(sys *model.System, opts Options) (*sched.Schedule, error) {
 	if err := opts.fill(sys); err != nil {
 		return nil, err
 	}
 	if opts.Staggered {
-		return runStaggered(sys, opts)
+		return runPhased(sys, opts)
 	}
 	s := sched.New(sys, opts.M, opts.Policy.Name(), "SFQ")
 
 	st := newState(sys, opts.M)
-	cmp := prio.NewComparer(opts.Policy, sys)
+	rank := prio.NewRanker(opts.Policy)
+	keys := make([]prio.Key, len(sys.Tasks)) // per task: the key of its head
+	for _, task := range sys.Tasks {
+		if seq := sys.Subtasks(task); len(seq) > 0 {
+			keys[task.ID] = prio.KeyOf(seq[0])
+		}
+	}
+	// Ready subtasks are heads of distinct tasks, and Compare is a strict
+	// total order on distinct subtasks, so the result is exactly the seed's
+	// stable insertion sort by prio.Order.
+	byRank := func(a, b *model.Subtask) int {
+		return rank.Compare(&keys[a.Task.ID], &keys[b.Task.ID], a, b)
+	}
 	decision := 0
 	for t := int64(0); st.remaining > 0; t++ {
 		if t > opts.Horizon {
 			return s, fmt.Errorf("sfq: horizon %d exhausted with %d subtasks pending", opts.Horizon, st.remaining)
 		}
 		ready := st.readyAt(t)
-		// cmp.Total is a strict total order on distinct subtasks, so the
-		// result is exactly the seed's stable insertion sort by prio.Order.
-		slices.SortFunc(ready, cmp.Total)
+		slices.SortFunc(ready, byRank)
 
 		free := st.freeProcs()
 		for _, sub := range ready {
@@ -97,74 +109,40 @@ func Run(sys *model.System, opts Options) (*sched.Schedule, error) {
 				Decision: decision,
 			})
 			st.commit(sub, a, t)
-		}
-	}
-	return s, nil
-}
-
-// runStaggered simulates the staggered model of Holman & Anderson: quanta
-// remain uniform (size one) and synchronized, but processor k's quanta
-// occupy [t + k/M, t+1 + k/M). Each processor makes its own scheduling
-// decision at its own quantum boundaries, choosing the highest-priority
-// subtask that is eligible and whose predecessor has completed by that
-// moment. If a subtask yields early, the residue of the quantum is still
-// wasted — the model keeps SFQ's fixed-size quanta, only the alignment
-// across processors changes.
-func runStaggered(sys *model.System, opts Options) (*sched.Schedule, error) {
-	s := sched.New(sys, opts.M, opts.Policy.Name(), "SFQ-staggered")
-	st := newState(sys, opts.M)
-	cmp := prio.NewComparer(opts.Policy, sys)
-	m := int64(opts.M)
-	decision := 0
-	finish := make([]rat.Rat, len(sys.Tasks)) // actual completion of last-scheduled subtask per task
-	for t := int64(0); st.remaining > 0; t++ {
-		if t > opts.Horizon {
-			return s, fmt.Errorf("sfq: horizon %d exhausted with %d subtasks pending", opts.Horizon, st.remaining)
-		}
-		for k := int64(0); k < m; k++ {
-			now := rat.FromInt(t).Add(rat.New(k, m))
-			best := st.bestReadyStaggered(now, finish, cmp)
-			if best == nil {
-				continue
+			id := sub.Task.ID
+			if seq := sys.Subtasks(sub.Task); st.cursor[id] < len(seq) {
+				keys[id] = prio.KeyOf(seq[st.cursor[id]])
 			}
-			decision++
-			a := s.Add(sched.Assignment{
-				Sub:      best,
-				Proc:     int(k),
-				Start:    now,
-				Cost:     opts.Yield(best),
-				Decision: decision,
-			})
-			st.commit(best, a, t)
-			finish[best.Task.ID] = a.Finish()
 		}
 	}
 	return s, nil
 }
 
-// bestReadyStaggered returns the highest-priority subtask ready at the
-// rational time now: its head status, eligibility, and its predecessor's
-// actual completion (tracked in finish) are all checked against now.
-func (st *state) bestReadyStaggered(now rat.Rat, finish []rat.Rat, cmp *prio.Comparer) *model.Subtask {
-	var best *model.Subtask
-	for _, task := range st.sys.Tasks {
-		seq := st.sys.Subtasks(task)
-		c := st.cursor[task.ID]
-		if c >= len(seq) {
-			continue
-		}
-		head := seq[c]
-		if now.Less(rat.FromInt(head.Elig)) {
-			continue
-		}
-		if c > 0 && now.Less(finish[task.ID]) {
-			continue // predecessor still executing
-		}
-		if best == nil || cmp.Order(head, best) {
-			best = head
-		}
+// runPhased runs the staggered model of Holman & Anderson: quanta remain
+// uniform (size one), but processor k's occupy [t + k/M, t+1 + k/M), and
+// each processor decides at its own boundaries, choosing the
+// highest-priority subtask that is eligible and whose predecessor has
+// completed by that moment; the residue of an early yield is still wasted.
+// That is package drift's model — per-processor quantum boundaries — with
+// phase k/M and no rate drift, so drift.Run is the loop;
+// TestStaggeredIsPhasedDrift and TestEngineEquivalence pin it to the seed's
+// slot-by-slot loop, runStaggeredReference.
+func runPhased(sys *model.System, opts Options) (*sched.Schedule, error) {
+	phase := make([]rat.Rat, opts.M)
+	for k := range phase {
+		phase[k] = rat.New(int64(k), int64(opts.M))
 	}
-	return best
+	s, err := drift.Run(sys, drift.Options{
+		M: opts.M, Policy: opts.Policy, Yield: opts.Yield,
+		Phase: phase, MaxBoundaries: opts.Horizon,
+	})
+	if s != nil {
+		s.Model = "SFQ-staggered"
+	}
+	if err != nil {
+		return s, fmt.Errorf("sfq: staggered: %w", err)
+	}
+	return s, nil
 }
 
 // state tracks per-task progress during a slot-based run.

@@ -264,6 +264,17 @@ func TestHorizonExhaustion(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected horizon exhaustion error")
 	}
+	// Staggered, the cap counts each processor's boundaries: the same
+	// error, and the same partial schedule as the seed's slot loop.
+	opts := Options{M: 2, Horizon: 12, Staggered: true}
+	got, err := Run(sys, opts)
+	if err == nil {
+		t.Fatal("staggered: expected horizon exhaustion error")
+	}
+	want, _ := RunReference(sys, opts)
+	if n := len(got.Assignments()); n == 0 || !sched.Equal(got, want) {
+		t.Errorf("staggered: partial schedule (%d assignments) differs from the reference's (%d)", n, len(want.Assignments()))
+	}
 }
 
 // At full utilization with full quanta, the PD² SFQ schedule of a
