@@ -176,10 +176,13 @@ fuzz-smoke:
 # exposition and the write-path golden (journal records, responses and
 # trace events of a fixed command script; regenerate either with `go test
 # ./internal/server -run Golden -update`), the exact trace-lifecycle
-# tests, and the scrape-vs-submit concurrency workout, all under -race.
+# tests, the trace's one dispatch event per deciding command agreeing with
+# the journal's digest of it (TestTraceDispatchMatchesDigest), the
+# allocation-free per-decision hook (TestTenantRecordAllocs), and the
+# scrape-vs-submit concurrency workout, all under -race.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
-	$(GO) test -race -count=1 -v ./internal/server/ -run 'Golden|Trace|ObsConcurrent'
+	$(GO) test -race -count=1 -v ./internal/server/ -run 'Golden|Trace|ObsConcurrent|TestTenantRecordAllocs'
 	$(GO) test -race -count=1 ./internal/client/ -run 'TraceDecoder|StreamTrace'
 
 # recovery runs the crash-safety suite — fault-injected WAL recovery,
@@ -195,12 +198,14 @@ obs:
 # of a batch's write leaves all of it or none (TornBatch), a journal of
 # per-job groups still replays (PerJobGroupJournal), the largest admissible
 # batch is journaled or refused before a byte is written (WorstBatch) —
-# under the race detector.
+# and the snapshot payload, written byte for byte as json.Marshal writes it
+# with each tenant's inline log copied in verbatim (-v too:
+# TestSnapshotPayloadMatchesMarshal) — under the race detector.
 recovery:
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/faultfs/ ./cmd/pfaird/ \
 		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|ExecutiveMatchesReference'
 	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot|TornBatch|PerJobGroupJournal|WorstBatch'
-	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestRestoreParentFormatJournal|TestRecoveryCountsTamperedJournal|TestFollowerCompactionBeforeDigest|TestFollowerOfLegacyLeaderCompacts'
+	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestRestoreParentFormatJournal|TestRecoveryCountsTamperedJournal|TestFollowerCompactionBeforeDigest|TestFollowerOfLegacyLeaderCompacts|TestSnapshotPayloadMatchesMarshal'
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'TestFollowerBootstrapFromSealedHistory'
 
 # longrun is the bounded-state soak: the tier-1 flatness gate

@@ -23,17 +23,18 @@ var QuantaBuckets = []float64{0, 0.25, 0.5, 0.75, 1}
 // matching the Prometheus text exposition: bucket i counts observations
 // ≤ Bounds[i], and an implicit +Inf bucket counts everything. It is safe
 // for concurrent use and takes no lock: Observe is three atomic updates,
-// so the paths it counts (a tenant's record path, the request middleware)
-// never wait for a scrape or for each other.
+// and Merge of a whole Tally one per series, so the paths it counts (a
+// tenant's commands, the request middleware) never wait for a scrape or for
+// each other.
 //
-// Update order is the consistency protocol. Observe writes the widest
-// series first — count, which is the +Inf bucket — and then the one slot
-// of the narrowest finite bucket that holds the value; Snapshot reads the
-// other way, slots ascending and count last. Every value only grows, so
-// whatever a reader sees in the slots was counted before it reads count:
-// the cumulative buckets it builds are non-decreasing and never exceed
-// Count, even with writers mid-update. Sum is not ordered against them; it
-// may lead or trail Count by the observations in flight.
+// Update order is the consistency protocol. Observe (Merge) writes the
+// widest series first — count, which is the +Inf bucket — and then the
+// slot of the narrowest finite bucket that holds each value; Snapshot
+// reads the other way, slots ascending and count last. Every value only
+// grows, so whatever a reader sees in the slots was counted before it
+// reads count: the cumulative buckets it builds are non-decreasing and
+// never exceed Count, even with writers mid-update. Sum is not ordered
+// against them; it may lead or trail Count by the observations in flight.
 type Histogram struct {
 	bounds []float64
 	count  atomic.Uint64
@@ -56,18 +57,82 @@ func NewHistogram(bounds []float64) *Histogram {
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
+	h.addSum(v)
+	if i := slotOf(h.bounds, v); i < len(h.slots) {
+		h.slots[i].Add(1)
+	}
+}
+
+// Merge adds everything t tallied, as if each value had been observed,
+// with one update of each series instead of three per value. It keeps the
+// Observe order — count first, then the slots — so a concurrent Snapshot
+// stays a valid cumulative histogram. t must be over h's bounds. Counts
+// and buckets are exactly those of the Observe calls; the sum is too
+// whenever its float additions are exact (the tally adds its own values
+// first), as they are for lags in quanta on a power-of-two grid.
+func (h *Histogram) Merge(t *Tally) {
+	if len(t.slots) != len(h.slots) {
+		panic(fmt.Sprintf("obs: merging a tally of %d buckets into a histogram of %d", len(t.slots), len(h.slots)))
+	}
+	h.count.Add(t.count)
+	h.addSum(t.sum)
+	for i, n := range t.slots {
+		if n != 0 {
+			h.slots[i].Add(n)
+		}
+	}
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
-	}
-	for i, ub := range h.bounds {
-		if v <= ub {
-			h.slots[i].Add(1)
 			return
 		}
 	}
+}
+
+// slotOf returns the index of the narrowest bound ≥ v, len(bounds) when v
+// is above every bound (the +Inf bucket only).
+func slotOf(bounds []float64, v float64) int {
+	for i, ub := range bounds {
+		if v <= ub {
+			return i
+		}
+	}
+	return len(bounds)
+}
+
+// Tally counts observations over a histogram's bounds for one goroutine,
+// with no atomics: a writer that observes many values per unit of work (a
+// tenant, the decisions of one command) tallies them and merges the tally
+// into its shared histograms once per unit (Histogram.Merge).
+type Tally struct {
+	bounds []float64
+	count  uint64
+	sum    float64
+	slots  []uint64 // as Histogram's
+}
+
+// NewTally creates an empty tally over bounds, which a histogram it is
+// merged into must share.
+func NewTally(bounds []float64) *Tally {
+	return &Tally{bounds: bounds, slots: make([]uint64, len(bounds))}
+}
+
+// Observe tallies one value.
+func (t *Tally) Observe(v float64) {
+	t.count++
+	t.sum += v
+	if i := slotOf(t.bounds, v); i < len(t.slots) {
+		t.slots[i]++
+	}
+}
+
+// Reset empties the tally.
+func (t *Tally) Reset() {
+	t.count, t.sum = 0, 0
+	clear(t.slots)
 }
 
 // Snapshot is a point-in-time copy of a histogram's state. Buckets are

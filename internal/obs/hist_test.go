@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -151,10 +153,48 @@ func TestNewHistogramRejectsBadBounds(t *testing.T) {
 	NewHistogram([]float64{1, 1})
 }
 
+// TestTallyMergeEqualsObserve: tallying values and merging the tallies
+// leaves the histogram Observe of the same values would — buckets, count
+// and, since every value is a multiple of 1/4, the sum bit for bit. The
+// values are 0, every bound exactly and values above the last bound, in
+// random runs merged at random points, into one histogram twice over.
+func TestTallyMergeEqualsObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	values := append([]float64{0, 1.25, 1.5, 2, 7.75}, QuantaBuckets...)
+	for trial := 0; trial < 200; trial++ {
+		want, got := NewHistogram(QuantaBuckets), NewHistogram(QuantaBuckets)
+		tally := NewTally(QuantaBuckets)
+		for n := rng.Intn(64); n > 0; n-- {
+			v := values[rng.Intn(len(values))]
+			want.Observe(v)
+			tally.Observe(v)
+			if rng.Intn(8) == 0 {
+				got.Merge(tally)
+				tally.Reset()
+			}
+		}
+		got.Merge(tally)
+		if w, g := want.Snapshot(), got.Snapshot(); !reflect.DeepEqual(w, g) {
+			t.Fatalf("trial %d: merged %+v, observed %+v", trial, g, w)
+		}
+	}
+}
+
+// TestMergeRejectsOtherBounds: a tally is only merged into a histogram over
+// its own bounds.
+func TestMergeRejectsOtherBounds(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("merging a tally over other bounds should panic")
+		}
+	}()
+	NewHistogram([]float64{1, 2}).Merge(NewTally(QuantaBuckets))
+}
+
 // TestHistogramConcurrentSnapshots is the torn-read property as a test:
-// while writers observe, every Snapshot a reader takes is a valid
-// cumulative histogram — each bucket ≤ the next ≤ Count — and once the
-// writers are done the counts are exact.
+// while writers observe or merge tallies, every Snapshot a reader takes is
+// a valid cumulative histogram — each bucket ≤ the next ≤ Count — and once
+// the writers are done the counts are exact.
 func TestHistogramConcurrentSnapshots(t *testing.T) {
 	const writers, perWriter = 4, 5000
 	bounds := []float64{1, 2, 3, 4}
@@ -164,6 +204,18 @@ func TestHistogramConcurrentSnapshots(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if w == 0 {
+				// The merging writer: the same values, a tally of 16 at a time.
+				tally := NewTally(bounds)
+				for i := 0; i < perWriter; i++ {
+					tally.Observe(float64(i%5) + 0.5)
+					if i%16 == 15 || i == perWriter-1 {
+						h.Merge(tally)
+						tally.Reset()
+					}
+				}
+				return
+			}
 			for i := 0; i < perWriter; i++ {
 				h.Observe(float64(i%5) + 0.5) // 0.5 … 4.5: every bucket, and +Inf
 			}

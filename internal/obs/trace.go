@@ -9,9 +9,10 @@ import (
 
 // Lifecycle stages of one traced command. A mutating request emits
 // StageSubmit when it reaches its tenant, StageWALAppend after its record
-// is journaled (durable servers only), one StageDispatch per scheduling
-// decision its apply produced, and StageApply once the executive applied
-// it. The Cmd field ties the stages of one command together.
+// is journaled (durable servers only), one StageDispatch after its last
+// scheduling decision if its apply made any, and StageApply once the
+// executive applied it. The Cmd field ties the stages of one command
+// together.
 const (
 	StageSubmit    = "submit"
 	StageWALAppend = "wal-append"
@@ -33,8 +34,8 @@ type Event struct {
 	// Tenant is the owning tenant id.
 	Tenant string `json:"tenant,omitempty"`
 	// Cmd correlates the stages of one command (per-tenant, monotone from
-	// 1). Dispatch events carry the Cmd of the advance/drain/submit that
-	// produced them.
+	// 1). A dispatch event carries the Cmd of the advance or drain whose
+	// decisions it covers.
 	Cmd int64 `json:"cmd,omitempty"`
 	// Op is the command op ("job-submit", "advance", ...), matching the
 	// WAL record op names.
@@ -45,16 +46,19 @@ type Event struct {
 	Task string `json:"task,omitempty"`
 	// At is the virtual time the command named (exact rat string).
 	At string `json:"at,omitempty"`
-	// DSeq is the dispatch decision's index in the tenant log
-	// (StageDispatch only).
+	// DSeq is the index in the tenant's dispatch log of the command's first
+	// decision (StageDispatch only).
 	DSeq int64 `json:"dseq,omitempty"`
-	// Lag is the dispatch's tardiness in quanta, an exact rat string
-	// (StageDispatch only).
+	// Count is how many decisions the command made: they are log entries
+	// DSeq … DSeq+Count−1, the range the journal's dispatch digest of the
+	// command covers (StageDispatch only).
+	Count int64 `json:"count,omitempty"`
+	// Lag is the worst tardiness among the command's decisions, in quanta,
+	// an exact rat string (StageDispatch only).
 	Lag string `json:"lag,omitempty"`
 	// DurNs is the duration of the stage in nanoseconds, measured from
-	// the command's StageSubmit instant by the injected clock. The dispatch
-	// events of one command share one instant: T and DurNs of its first
-	// decision.
+	// the command's StageSubmit instant by the injected clock; a dispatch
+	// event's is taken after the command's last decision.
 	DurNs int64 `json:"durNs,omitempty"`
 	// Err carries the failure message when the stage failed; the command
 	// emits no further stages then.
@@ -243,25 +247,19 @@ func (t *Tracer) Stage(tenant string, cmd int64, start time.Time, op, stage, err
 	})
 }
 
-// Now reads the tracer's clock, or returns the zero time for a no-op
-// tracer, which reads nothing.
-func (t *Tracer) Now() time.Time {
-	if t == nil || t.ring == nil {
-		return time.Time{}
-	}
-	return t.clock.Now()
-}
-
-// Dispatch emits a StageDispatch event for decision dseq of task at lag
-// quanta, correlated to the command that produced it and stamped at now:
-// the caller reads the clock (Now) once per command, not per decision.
-func (t *Tracer) Dispatch(tenant string, cmd int64, start, now time.Time, op, task string, dseq int64, lag string) {
+// Dispatch emits the one StageDispatch event of a command that decided:
+// its decisions are dispatch-log entries dseq … dseq+count−1, and lag is
+// the worst tardiness among them. The caller emits it after the command's
+// last decision, so decisions cost the trace one clock read and one event
+// per command, whatever their number.
+func (t *Tracer) Dispatch(tenant string, cmd int64, start time.Time, op string, dseq, count int64, lag string) {
 	if t == nil || t.ring == nil {
 		return
 	}
+	now := t.clock.Now()
 	ev := Event{
-		T: now.UnixNano(), Tenant: tenant, Cmd: cmd,
-		Op: op, Stage: StageDispatch, Task: task, DSeq: dseq, Lag: lag,
+		T: now.UnixNano(), Tenant: tenant, Cmd: cmd, Op: op, Stage: StageDispatch,
+		DSeq: dseq, Count: count, Lag: lag,
 	}
 	if cmd != 0 {
 		ev.DurNs = now.Sub(start).Nanoseconds()

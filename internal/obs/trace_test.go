@@ -84,29 +84,27 @@ func TestTracerLifecycle(t *testing.T) {
 	ring := NewRing(16)
 	tr := NewTracer(ring, clock)
 
-	cmd, t0 := tr.Begin("acme", "job-submit", "web", "3")
+	cmd, t0 := tr.Begin("acme", "advance", "web", "3")
 	if cmd != 1 {
 		t.Fatalf("first cmd id: got %d", cmd)
 	}
-	tr.Stage("acme", cmd, t0, "job-submit", StageWALAppend, "")
-	now := tr.Now()
-	tr.Dispatch("acme", cmd, t0, now, "job-submit", "web", 0, "0")
-	tr.Dispatch("acme", cmd, t0, now, "job-submit", "web", 1, "0")
-	tr.Stage("acme", cmd, t0, "job-submit", StageApply, "")
+	tr.Stage("acme", cmd, t0, "advance", StageWALAppend, "")
+	tr.Dispatch("acme", cmd, t0, "advance", 5, 2, "1/2")
+	tr.Stage("acme", cmd, t0, "advance", StageApply, "")
 
 	evs, _ := ring.Since(0)
-	if len(evs) != 5 {
-		t.Fatalf("got %d events, want 5", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("got %d events, want 4", len(evs))
 	}
-	wantStages := []string{StageSubmit, StageWALAppend, StageDispatch, StageDispatch, StageApply}
-	// The clock steps 1ms per read: one read per stage, one for both
-	// dispatches.
-	wantRead := []int{0, 1, 2, 2, 3}
+	wantStages := []string{StageSubmit, StageWALAppend, StageDispatch, StageApply}
+	// The clock steps 1ms per read: one read per stage, the dispatch event
+	// included.
+	wantRead := []int{0, 1, 2, 3}
 	for i, ev := range evs {
 		if ev.Stage != wantStages[i] {
 			t.Errorf("event %d stage %q, want %q", i, ev.Stage, wantStages[i])
 		}
-		if ev.Cmd != 1 || ev.Tenant != "acme" || ev.Op != "job-submit" {
+		if ev.Cmd != 1 || ev.Tenant != "acme" || ev.Op != "advance" {
 			t.Errorf("event %d: %+v", i, ev)
 		}
 		read := time.Duration(wantRead[i]) * time.Millisecond
@@ -120,8 +118,8 @@ func TestTracerLifecycle(t *testing.T) {
 	if evs[0].Task != "web" || evs[0].At != "3" {
 		t.Errorf("submit event detail: %+v", evs[0])
 	}
-	if evs[3].Lag != "0" || evs[3].DSeq != 1 || evs[3].Task != "web" {
-		t.Errorf("dispatch event detail: %+v", evs[3])
+	if d := evs[2]; d.DSeq != 5 || d.Count != 2 || d.Lag != "1/2" || d.Task != "" {
+		t.Errorf("dispatch event detail: %+v", d)
 	}
 }
 
@@ -131,10 +129,7 @@ func TestTracerNoop(t *testing.T) {
 	var tr *Tracer
 	cmd, t0 := tr.Begin("x", "advance", "", "")
 	tr.Stage("x", cmd, t0, "advance", StageApply, "")
-	tr.Dispatch("x", cmd, t0, tr.Now(), "advance", "", 0, "0")
-	if !tr.Now().IsZero() {
-		t.Error("nil tracer read a clock")
-	}
+	tr.Dispatch("x", cmd, t0, "advance", 0, 1, "0")
 	if tr.Ring() != nil {
 		t.Error("nil tracer should have nil ring")
 	}

@@ -106,13 +106,17 @@ type Executive struct {
 // Decision is the executive-wide 1-based decision number (the same
 // counter the schedule's assignments carry), so observability layers can
 // correlate a hook invocation with its position in the dispatch sequence
-// without holding extra state.
+// without holding extra state. Deadline is Sub's pseudo-deadline and
+// Tardiness its eq. (7) tardiness at Finish, which the executive works out
+// once for its schedule and hands on, so no listener recomputes them.
 type Dispatch struct {
-	Sub      *model.Subtask
-	Proc     int
-	Start    rat.Rat
-	Finish   rat.Rat
-	Decision int
+	Sub       *model.Subtask
+	Proc      int
+	Start     rat.Rat
+	Finish    rat.Rat
+	Deadline  int64
+	Tardiness rat.Rat
+	Decision  int
 }
 
 // New creates an executive for m processors. A nil policy selects PD².
@@ -387,8 +391,9 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 		sub := e.ready.pop()
 		cost := yield(sub)
 		e.decision++
-		e.schedule.Add(sched.Assignment{Sub: sub, Proc: p, Start: t, Cost: cost, Decision: e.decision})
-		fin := t.Add(cost)
+		fin, deadline := t.Add(cost), sub.Deadline()
+		tard := sched.Tardiness(fin, deadline)
+		e.schedule.AddDecided(sched.Assignment{Sub: sub, Proc: p, Start: t, Cost: cost, Decision: e.decision}, fin, tard)
 		id := sub.Task.ID
 		e.cursor[id]++
 		e.lastFin[id] = fin
@@ -405,7 +410,7 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 			e.sys.Forget(sub.Task, behind)
 			e.cursor[id] = 1
 		}
-		d := Dispatch{Sub: sub, Proc: p, Start: t, Finish: fin, Decision: e.decision}
+		d := Dispatch{Sub: sub, Proc: p, Start: t, Finish: fin, Deadline: deadline, Tardiness: tard, Decision: e.decision}
 		if onDispatch != nil {
 			onDispatch(d)
 		}

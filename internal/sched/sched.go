@@ -41,9 +41,9 @@ func (a *Assignment) Slot() int64 { return a.Start.Floor() }
 
 // Tardiness is eq. (7), the repository's one definition of it: a subtask
 // with deadline d that completes at finish is tardy by max(0, finish − d).
-// It takes the two numbers rather than an Assignment because the engine's
-// dispatch hook hands its listeners a finish time and no cost, and they have
-// the deadline in hand for the event they write.
+// It takes the two numbers rather than an Assignment because the online
+// engine works it out once, from the finish time and the deadline it hands
+// its dispatch hook, for its schedule and its listeners both (AddDecided).
 func Tardiness(finish rat.Rat, deadline int64) rat.Rat {
 	if late := finish.Sub(rat.FromInt(deadline)); late.Sign() > 0 {
 		return late
@@ -104,6 +104,13 @@ func (s *Schedule) Retains() bool { return !s.discard }
 // DiscardAssignments). It panics if the subtask was already scheduled —
 // engines must schedule each subtask exactly once.
 func (s *Schedule) Add(a Assignment) *Assignment {
+	fin := a.Finish()
+	return s.AddDecided(a, fin, Tardiness(fin, a.Sub.Deadline()))
+}
+
+// AddDecided is Add for an engine that has already worked out the
+// assignment's finish time and its tardiness (eq. (7)) for its own use.
+func (s *Schedule) AddDecided(a Assignment, fin, tard rat.Rat) *Assignment {
 	if a.Decision == 0 {
 		a.Decision = s.n
 	}
@@ -118,10 +125,9 @@ func (s *Schedule) Add(a Assignment) *Assignment {
 		kept = &cp
 	}
 	s.n++
-	fin := a.Finish()
 	s.busy = s.busy.Add(a.Cost)
 	s.makespan = rat.Max(s.makespan, fin)
-	if tard := Tardiness(fin, a.Sub.Deadline()); tard.Sign() > 0 {
+	if tard.Sign() > 0 {
 		s.misses++
 		s.maxTard = rat.Max(s.maxTard, tard)
 	}

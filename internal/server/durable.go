@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"desyncpfair/internal/admission"
@@ -541,7 +543,7 @@ func (s *Server) compact() error {
 	if err := s.wal.WriteSidecars(files); err != nil {
 		return err
 	}
-	buf, err := json.Marshal(pay)
+	buf, err := marshalPayload(pay)
 	if err != nil {
 		return err
 	}
@@ -565,6 +567,50 @@ func (s *Server) compact() error {
 	s.obs.histBytes.Store(histBytes)
 	s.obs.compact.Observe(s.obs.clock.Now().Sub(start).Seconds())
 	return nil
+}
+
+// marshalPayload renders pay byte for byte as json.Marshal does, without
+// encoding/json's pass over each tenant's inline Log: a json.RawMessage is
+// compacted and HTML-escaped on its way out, which for Log — up to a
+// segment of frames, the bulk of the payload — changes nothing, since it
+// is spliced from frames that are json.Marshal output already
+// (dispatchLog.inline). So each tenant is marshaled without its Log, and
+// Log is copied back in at its place, right before "exec": the fields
+// ahead of it are fixed names and the manifest, none called "exec", and no
+// string can hold the unescaped quotes of `,"exec":`.
+func marshalPayload(pay snapshotPayload) ([]byte, error) {
+	size := 32
+	for i := range pay.Tenants {
+		size += len(pay.Tenants[i].Log) + 512
+	}
+	b := append(make([]byte, 0, size), `{"commands":`...)
+	b = strconv.AppendUint(b, pay.Commands, 10)
+	for i, cp := range pay.Tenants {
+		if i == 0 {
+			b = append(b, `,"tenants":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		log := cp.Log
+		cp.Log = nil
+		j, err := json.Marshal(cp)
+		if err != nil {
+			return nil, err
+		}
+		if len(log) == 0 {
+			b = append(b, j...)
+			continue
+		}
+		at := bytes.Index(j, []byte(`,"exec":`))
+		if at < 0 {
+			return nil, fmt.Errorf("server: tenant %q checkpoint has no exec", cp.ID)
+		}
+		b = append(append(append(append(b, j[:at]...), `,"log":`...), log...), j[at:]...)
+	}
+	if len(pay.Tenants) > 0 {
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
 }
 
 // maybeCompact runs a snapshot when the journal says one is due. Called by

@@ -21,6 +21,7 @@ import (
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/online"
 	"desyncpfair/internal/rat"
+	"desyncpfair/internal/sched"
 	"desyncpfair/internal/wal"
 )
 
@@ -42,11 +43,14 @@ func benchEvents() []DispatchEvent {
 	return evs
 }
 
-// BenchmarkTenantRecord is Tenant.record per dispatch — tardiness, the
-// frame encoded into the log's tail, the lag histograms, the trace event —
-// with the per-command settle (publish and, with a subscriber, its wakeup)
-// every 16 dispatches. The target is 0 allocs/op: what a command allocates
-// (its snapshot) is a sixteenth of one here. The log restarts every 65536
+// BenchmarkTenantRecord is what a tenant spends per dispatch beyond the
+// engine: Tenant.record — the frame encoded into the log's tail, the lag
+// tallied — plus, every 16 dispatches, what a command that decided spends
+// once: its trace event and its settle (the lag histograms, publish and,
+// with a subscriber, its wakeup). The loop also works out each decision's
+// deadline and tardiness, which the executive hands record. The target is
+// 0 allocs/op: what a command allocates (its snapshot, its event's lag
+// string) is a sixteenth of that here. The log restarts every 65536
 // dispatches so any -benchtime fits in memory.
 //
 // 0subs and 1subs run an in-memory tenant. journaled hooks the tenant into
@@ -61,17 +65,23 @@ func BenchmarkTenantRecord(b *testing.B) {
 		d := online.Dispatch{Sub: sub, Proc: 1, Finish: rat.FromInt(1000)}
 		b.ReportAllocs()
 		b.ResetTimer()
+		first := tn.log.len()
 		for n := 0; n < b.N; n++ {
 			sub.Index++
 			d.Start, d.Finish = d.Finish, d.Finish.Add(rat.One)
+			d.Deadline = sub.Deadline()
+			d.Tardiness = sched.Tardiness(d.Finish, d.Deadline)
 			tn.record(d)
 			if n%16 == 15 {
+				tn.traceDispatch(first)
 				tn.settle()
 				settled()
+				first = tn.log.len()
 			}
 			if n&(1<<16-1) == 1<<16-1 {
 				tn.log = dispatchLog{}
 				tn.publish()
+				first = 0
 			}
 		}
 	}
@@ -121,6 +131,34 @@ func BenchmarkTenantRecord(b *testing.B) {
 		}
 		b.ReportMetric(float64(size)/float64(b.N), "journal-B/op")
 	})
+}
+
+// TestTenantRecordAllocs pins the per-decision hook at zero allocations,
+// for a tardy decision too: a lag's string is rendered once per command,
+// for its trace event, never per decision. (A chunk the log grows by is
+// amortised over hundreds of frames, well under one per call.)
+func TestTenantRecordAllocs(t *testing.T) {
+	ex := online.New(2, nil)
+	task, err := ex.Register("task-0", model.W(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := newTenantCore("allocs", "PD2", ex, 0)
+	tn.publish()
+	sub := &model.Subtask{Task: task}
+	d := online.Dispatch{Sub: sub, Proc: 1}
+	for _, late := range []rat.Rat{rat.Zero, rat.New(1, 2), rat.New(5, 7)} {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			sub.Index++
+			d.Deadline = sub.Deadline()
+			d.Finish = rat.FromInt(d.Deadline).Add(late)
+			d.Start, d.Tardiness = d.Finish.Sub(rat.One), late
+			tn.record(d)
+		}); allocs != 0 {
+			t.Errorf("record at tardiness %s: %v allocations per call, want 0", late, allocs)
+		}
+		tn.settle()
+	}
 }
 
 func BenchmarkDispatchFanout(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 
 	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
+	"desyncpfair/internal/rat"
 	"desyncpfair/internal/wal"
 )
 
@@ -208,15 +209,24 @@ func (t *Tenant) process(c *command) (stop bool) {
 }
 
 // settle ends a command's apply. The decisions it made are the frames the
-// log gained since the last published snapshot; a journaled tenant digests
-// them — their count and a checksum of their wire bytes — and journals that
-// one record, which follows its command record and precedes the next
-// command. Then the post-command snapshot publishes and stream followers
-// wake if the log grew. A command is completed only after it, so whoever is
-// acknowledged can already read its own effect.
+// log gained since the last published snapshot. Their lags, tallied one by
+// one, go into the tenant's and the server's lag histograms in one merge
+// each. A journaled tenant digests them — their count and a checksum of
+// their wire bytes — and journals that one record, which follows its
+// command record and precedes the next command. Then the post-command
+// snapshot publishes and stream followers wake if the log grew. A command
+// is completed only after it, so whoever is acknowledged can already read
+// its own effect.
 func (t *Tenant) settle() {
 	first := t.snap.Load().log.len()
 	if t.log.len() > first {
+		o := t.obs()
+		o.lag.Merge(t.lags)
+		if o.sobs != nil {
+			o.sobs.dispatchLag.Merge(t.lags)
+		}
+		t.lags.Reset()
+		t.worst = rat.Zero
 		if h := t.hooks.Load(); h != nil {
 			t.digest = t.log.digest(first, 0)
 			// The digest is verification-only: recovery regenerates decisions

@@ -14,7 +14,6 @@ import (
 	"desyncpfair/internal/online"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
-	"desyncpfair/internal/sched"
 	"desyncpfair/internal/wal"
 )
 
@@ -34,7 +33,7 @@ import (
 //     the queued shrink target and Σwt are asked of it and kept nowhere
 //     else (readers use the snapshot) — tasks, log (its manifest included:
 //     compaction extends it through a control command, sealHistory),
-//     maxTar, reject, digest, jobs, group, cur*.
+//     maxTar, reject, digest, jobs, group, cur*, lags, worst.
 //   - immutable after construction: id, policy, ring, ctl, closed.
 //   - atomics: snap (published state), hooks (journal callbacks), obsP
 //     (tracer + histograms), closing (delete gate).
@@ -69,13 +68,16 @@ type Tenant struct {
 	// group being applied, and what its journal record says of them.
 	jobs  []submitJob
 	group []wal.Job
-	// curCmd/curStart/curOp tie dispatch trace events to the command
-	// whose apply produced them; curAt is the one instant all of them
-	// carry, read at its first decision (zero until then).
+	// curCmd/curStart/curOp tie the dispatch trace event to the command
+	// whose apply produced its decisions.
 	curCmd   int64
 	curStart time.Time
-	curAt    time.Time
 	curOp    string
+	// lags tallies the lag of each decision since the last settle, which
+	// merges it into the lag histograms; worst is the largest among them,
+	// the lag the command's dispatch trace event reports.
+	lags  *obs.Tally
+	worst rat.Rat
 	// idem/idemQ remember responses of keyed job submits (bounded FIFO,
 	// MaxIdemKeys): a resubmit with a seen key returns the original
 	// response without applying or journaling again. Rebuilt identically
@@ -196,6 +198,8 @@ func newTenantCore(id, policy string, ex *online.Executive, ringSize int) *Tenan
 		tasks:  map[string]*model.Task{},
 		idem:   map[string]SubmitJobResponse{},
 		maxTar: rat.Zero,
+		lags:   obs.NewTally(obs.QuantaBuckets),
+		worst:  rat.Zero,
 		subs:   map[*subscriber]struct{}{},
 	}
 	t.ex.SetOnDispatch(t.record)
@@ -303,12 +307,11 @@ func (t *Tenant) observeSubmitAck(d time.Duration) {
 	}
 }
 
-// traceBegin opens a traced command and parks its context for record() to
-// stamp onto the dispatch events it produces. Loop goroutine only.
+// traceBegin opens a traced command and parks its context for the later
+// stages, its dispatch event included. Loop goroutine only.
 func (t *Tenant) traceBegin(op, task, at string) {
-	o := t.obs()
-	t.curCmd, t.curStart = o.tr.Begin(t.id, op, task, at)
-	t.curAt, t.curOp = time.Time{}, op
+	t.curCmd, t.curStart = t.obs().tr.Begin(t.id, op, task, at)
+	t.curOp = op
 }
 
 // traceStage marks the current command's next completed lifecycle stage.
@@ -339,29 +342,28 @@ func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch f
 
 // record is the executive's OnDispatch hook. It runs on the loop
 // goroutine (dispatches only happen inside a command's apply), so plain
-// field access is safe. The decision is encoded once, into the log's tail;
-// what the journal keeps of it (one digest per command) and the follower
-// wakeup both wait for settle, after the apply. The trace event is stamped
-// with the command's one dispatch instant: the clock is read once per
-// command that decides, not once per decision.
+// field access is safe. A decision costs the engine and its frame: it is
+// encoded once, into the log's tail, and its lag is tallied. Everything
+// else happens once per command — the trace event (traceDispatch, before
+// the apply stage), and in settle the lag histograms, the journal's digest
+// and the follower wakeup.
 func (t *Tenant) record(d online.Dispatch) {
-	deadline := d.Sub.Deadline()
-	tard := sched.Tardiness(d.Finish, deadline)
-	if t.maxTar.Less(tard) {
-		t.maxTar = tard
+	if t.maxTar.Less(d.Tardiness) {
+		t.maxTar = d.Tardiness
 	}
-	seq, task := t.log.len(), d.Sub.Task.Name
-	t.log.append(task, d.Sub.Index, d.Proc, d.Start, d.Finish, deadline, tard)
-	o := t.obs()
-	lagf := tard.Float64()
-	o.lag.Observe(lagf)
-	if o.sobs != nil {
-		o.sobs.dispatchLag.Observe(lagf)
+	if t.worst.Less(d.Tardiness) {
+		t.worst = d.Tardiness
 	}
-	if t.curAt.IsZero() {
-		t.curAt = o.tr.Now()
+	t.log.append(d.Sub.Task.Name, d.Sub.Index, d.Proc, d.Start, d.Finish, d.Deadline, d.Tardiness)
+	t.lags.Observe(d.Tardiness.Float64())
+}
+
+// traceDispatch emits the current command's one dispatch event if it
+// decided: its decisions are the log's frames from seq first on.
+func (t *Tenant) traceDispatch(first int64) {
+	if n := t.log.len() - first; n > 0 {
+		t.obs().tr.Dispatch(t.id, t.curCmd, t.curStart, t.curOp, first, n, t.worst.String())
 	}
-	o.tr.Dispatch(t.id, t.curCmd, t.curStart, t.curAt, t.curOp, task, seq, tard.String())
 }
 
 // ID returns the tenant id.
@@ -844,7 +846,9 @@ func (t *Tenant) applyRun(rec wal.Record, run func() error) cmdResult {
 		return cmdResult{err: err}
 	}
 	before := t.log.len()
-	if err := run(); err != nil {
+	err = run()
+	t.traceDispatch(before) // decisions made before a failure count too
+	if err != nil {
 		return cmdResult{err: t.wedge(err)}
 	}
 	t.traceStage(obs.StageApply)

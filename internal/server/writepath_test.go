@@ -31,7 +31,104 @@ import (
 // change: go test ./internal/server -run WritePathGolden -update.
 func TestWritePathGolden(t *testing.T) {
 	g := newWritePathScript(t, "gold", true)
+	journaledScript(g)
 
+	// Delete, tenant side: the stop command fails whatever is still queued.
+	queued := submitCmd(SubmitJobRequest{Task: "c"})
+	queued.done = make(chan cmdResult, 1)
+	g.tn.ring <- queued
+	g.step("stop", &command{kind: cmdStop})
+	g.line("queued behind stop", resultView(queued, <-queued.done))
+	select {
+	case <-g.tn.Closed():
+	default:
+		t.Error("stop left Closed() open")
+	}
+
+	// An in-memory tenant has no journal hooks: same appliers, no records,
+	// no wal-append stage.
+	mem := newWritePathScript(t, "mem", false)
+	mem.step("in-memory: register a 1/2", &command{kind: cmdRegister, name: "a", w: model.W(1, 2)})
+	mem.step("in-memory: submit a key=k1", submitCmd(SubmitJobRequest{Task: "a", Key: "k1"}))
+	mem.step("in-memory: coalesced run of two",
+		submitCmd(SubmitJobRequest{Task: "a"}), submitCmd(SubmitJobRequest{Task: "a", Key: "k1"}))
+	mem.step("in-memory: batch of two", &command{kind: cmdSubmitBatch, batch: []SubmitJobRequest{{Task: "a"}, {Task: "a", At: "1"}}})
+	mem.step("in-memory: advance by 2", &command{kind: cmdAdvance, by: "2"})
+	mem.step("in-memory: shrink to 1 with drain applies at once", &command{kind: cmdResize, resizeM: 1, drain: true})
+	mem.step("in-memory: drain", &command{kind: cmdDrain})
+	mem.step("in-memory: unregister a", &command{kind: cmdUnregister, name: "a"})
+
+	got := g.out.String() + mem.out.String()
+	golden := filepath.Join("testdata", "writepath.golden")
+	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("write path drifted from golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("write path drifted from golden: %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// TestTraceDispatchMatchesDigest: for every command of the journaled
+// write-path script, the trace and the journal say the same of its
+// decisions. A command that decided has one dispatch event, right before
+// its apply stage, naming the dseq and count of the one dispatch digest
+// record journaled for it; a command that decided nothing — a failed
+// advance, an advance with nothing pending, every other kind — has
+// neither.
+func TestTraceDispatchMatchesDigest(t *testing.T) {
+	g := newWritePathScript(t, "agree", true)
+	deciding := 0
+	g.check = func(label string, recs []wal.Record, events []obs.Event) {
+		var digests []wal.Record
+		for _, r := range recs {
+			if r.Op == wal.OpDispatch {
+				digests = append(digests, r)
+			}
+		}
+		var disp []int
+		for i, ev := range events {
+			if ev.Stage == obs.StageDispatch {
+				disp = append(disp, i)
+			}
+		}
+		if len(disp) != len(digests) {
+			t.Errorf("%s: %d dispatch events, %d dispatch digests", label, len(disp), len(digests))
+			return
+		}
+		for k, i := range disp {
+			ev, r := events[i], digests[k]
+			if ev.DSeq != r.DSeq || ev.Count != r.Count || ev.Count < 1 {
+				t.Errorf("%s: dispatch event covers [%d, +%d), its digest [%d, +%d)", label, ev.DSeq, ev.Count, r.DSeq, r.Count)
+			}
+			if i+1 == len(events) || events[i+1].Cmd != ev.Cmd || events[i+1].Stage != obs.StageApply {
+				t.Errorf("%s: dispatch event of command %d is not followed by its apply", label, ev.Cmd)
+			}
+			deciding++
+		}
+	}
+	journaledScript(g)
+	g.step("advance with nothing pending", &command{kind: cmdAdvance, by: "1"})
+	if deciding != 4 {
+		t.Errorf("%d commands decided, want the script's 4", deciding)
+	}
+}
+
+// journaledScript is the write-path script's journaled part: every command
+// kind, accepted and refused, with the journal up and down.
+func journaledScript(g *writePathScript) {
+	g.t.Helper()
 	g.step("register a 1/2", &command{kind: cmdRegister, name: "a", w: model.W(1, 2)})
 	g.step("register b 1/1", &command{kind: cmdRegister, name: "b", w: model.W(1, 1)})
 	g.step("register c 1/2: Σwt = M exactly", &command{kind: cmdRegister, name: "c", w: model.W(1, 2)})
@@ -97,52 +194,6 @@ func TestWritePathGolden(t *testing.T) {
 	g.step("journal back: submit c key=lost applies", submitCmd(SubmitJobRequest{Task: "c", Key: "lost"}))
 	g.step("drain again", &command{kind: cmdDrain})
 	g.checkpoint("final checkpoint")
-
-	// Delete, tenant side: the stop command fails whatever is still queued.
-	queued := submitCmd(SubmitJobRequest{Task: "c"})
-	queued.done = make(chan cmdResult, 1)
-	g.tn.ring <- queued
-	g.step("stop", &command{kind: cmdStop})
-	g.line("queued behind stop", resultView(queued, <-queued.done))
-	select {
-	case <-g.tn.Closed():
-	default:
-		t.Error("stop left Closed() open")
-	}
-
-	// An in-memory tenant has no journal hooks: same appliers, no records,
-	// no wal-append stage.
-	mem := newWritePathScript(t, "mem", false)
-	mem.step("in-memory: register a 1/2", &command{kind: cmdRegister, name: "a", w: model.W(1, 2)})
-	mem.step("in-memory: submit a key=k1", submitCmd(SubmitJobRequest{Task: "a", Key: "k1"}))
-	mem.step("in-memory: coalesced run of two",
-		submitCmd(SubmitJobRequest{Task: "a"}), submitCmd(SubmitJobRequest{Task: "a", Key: "k1"}))
-	mem.step("in-memory: batch of two", &command{kind: cmdSubmitBatch, batch: []SubmitJobRequest{{Task: "a"}, {Task: "a", At: "1"}}})
-	mem.step("in-memory: advance by 2", &command{kind: cmdAdvance, by: "2"})
-	mem.step("in-memory: shrink to 1 with drain applies at once", &command{kind: cmdResize, resizeM: 1, drain: true})
-	mem.step("in-memory: drain", &command{kind: cmdDrain})
-	mem.step("in-memory: unregister a", &command{kind: cmdUnregister, name: "a"})
-
-	got := g.out.String() + mem.out.String()
-	golden := filepath.Join("testdata", "writepath.golden")
-	if f := flag.Lookup("update"); f != nil && f.Value.String() == "true" {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("write path drifted from golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("write path drifted from golden: %d lines, want %d", len(gl), len(wl))
-	}
 }
 
 // writePathScript drives one not-started tenant core command by command
@@ -154,6 +205,9 @@ type writePathScript struct {
 	lsn         uint64 // journal position the recording hooks hand out
 	traced      int64  // trace events already rendered
 	journalDown error  // when set, the hooks refuse with it
+	// check, when set, sees each step's journaled records and trace events.
+	check    func(label string, recs []wal.Record, events []obs.Event)
+	stepRecs []wal.Record
 }
 
 func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScript {
@@ -184,6 +238,7 @@ func (g *writePathScript) journal(call string, rec wal.Record) (wal.Commit, erro
 	}
 	g.lsn++
 	rec.LSN = g.lsn
+	g.stepRecs = append(g.stepRecs, rec)
 	g.line("journal "+call, []wal.Record{rec})
 	return wal.Commit{LSN: g.lsn}, nil
 }
@@ -222,6 +277,10 @@ func (g *writePathScript) step(label string, cmds ...*command) {
 	}
 	g.traced += int64(len(events))
 	g.line("info", g.tn.Info())
+	if g.check != nil {
+		g.check(label, g.stepRecs, events)
+	}
+	g.stepRecs = g.stepRecs[:0]
 }
 
 func (g *writePathScript) checkpoint(label string) {
