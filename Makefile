@@ -47,9 +47,13 @@ race-server:
 # leader mid-traffic, promotion must land in < 2s with zero acked-write
 # loss and tardiness ≤ 1 quantum — plus term fencing, the seeded
 # leader-kill invariant (acked ≤ recovered ≤ issued), the router's own
-# tests (sharding, reply framing, placement, resend rule) and its upstream
-# layer's (request differential against http.Client, every reply shape,
-# stale pooled connections, a client hanging up mid-feed, the pool bound),
+# tests (sharding, reply framing, placement, resend rule) and those of its
+# hop through a router front (request differential against http.Client,
+# every reply shape, a client hanging up mid-feed, the pool bound), the
+# shared hop itself (internal/hop: stale pooled connections, reuse and the
+# idle bound, head injection) and the client that rides it (internal/client:
+# its own request differential, odd ids, one pool per address, the resend
+# rule),
 # the log-serving reader's durable-prefix guarantees, and the three
 # reaction paths driven by their events alone, tickers never firing: a
 # replica ready at catch-up (TestFollowerOfIdle…, TestFollowerReadyExactly…),
@@ -63,6 +67,7 @@ race-server:
 # (TestFollowerOfCutStream…).
 cluster-smoke:
 	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced|TestRouter|TestNewRouter|TestUpstream|TestFollowerOfIdleLeaderReadyWithoutTick|TestFollowerReadyExactlyAtTip|TestPromotionReportsBack|TestFailedPromotionIsRetried|TestBatchThroughFailoverByteIdentity|TestFollowerOfCutStreamHoldsWholeBatches'
+	$(GO) test -race -count=1 -v ./internal/hop/ ./internal/client/
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestReplLog'
 	$(GO) test -race -count=1 ./internal/wal/ -run 'TestReaderTailsConcurrentGroupCommit|TestCrashMidBatch|TestNextDurable|TestThresholdSync|TestStoppedTimerCallback'
 

@@ -68,18 +68,11 @@ type config struct {
 	streams      int    // concurrent dispatch-stream followers per tenant; 0 disables
 }
 
-// newTransport builds the shared keep-alive transport for a load run. The
-// default transport caps idle connections per host at 2, so any -workers
-// above that reconnects on nearly every request and a long run exhausts
-// ephemeral ports; sizing the idle pool to the worker count keeps one warm
-// connection per worker.
-func newTransport(workers int) *http.Transport {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	if tr.MaxIdleConns < workers {
-		tr.MaxIdleConns = workers
-	}
-	tr.MaxIdleConnsPerHost = workers
-	return tr
+// bounded is ctx for one request of a run, ended after scenario.CallTimeout:
+// a server that stops answering fails the run instead of hanging it. The live
+// dispatch followers of -streams run until the run cancels them.
+func bounded(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(ctx, scenario.CallTimeout)
 }
 
 // report is one load run's outcome. The P* percentiles are measured by
@@ -265,7 +258,7 @@ func main() {
 	flag.IntVar(&cfg.tenants, "tenants", 4, "number of tenants")
 	flag.IntVar(&cfg.tasks, "tasks", 8, "tasks per tenant")
 	flag.IntVar(&cfg.jobs, "jobs", 500, "jobs submitted per task")
-	flag.IntVar(&cfg.workers, "workers", 8, "concurrent client workers")
+	flag.IntVar(&cfg.workers, "workers", 8, "concurrent client workers (above 32, the connection pool's idle bound, some requests redial)")
 	flag.IntVar(&cfg.m, "m", 2, "processors per tenant")
 	flag.IntVar(&cfg.advanceEvery, "advance-every", 4, "advance virtual time every N submits")
 	flag.IntVar(&cfg.batch, "batch", 1, "jobs per submit request; >1 drives POST jobs:batch")
@@ -340,7 +333,7 @@ func run(cfg config, out io.Writer) (report, error) {
 	// is a capacity signal — and keyed submits additionally retry on
 	// transient failures because the server dedupes them.
 	var backpressure, resizeRejected atomic.Int64
-	c := client.New(base, &http.Client{Timeout: 30 * time.Second, Transport: newTransport(cfg.workers)}).
+	c := client.New(base, nil).
 		WithRetry(client.RetryPolicy{
 			MaxAttempts: 4,
 			OnRetry: func(err error) {
@@ -360,12 +353,18 @@ func run(cfg config, out io.Writer) (report, error) {
 	setup := 0
 	for ti := 0; ti < cfg.tenants; ti++ {
 		id := tenantID(ti)
-		if _, err := c.CreateTenant(ctx, id, cfg.m, cfg.policy); err != nil {
+		rctx, cancel := bounded(ctx)
+		_, err := c.CreateTenant(rctx, id, cfg.m, cfg.policy)
+		cancel()
+		if err != nil {
 			return report{}, fmt.Errorf("create %s: %w", id, err)
 		}
 		setup++
 		for k := 0; k < cfg.tasks; k++ {
-			if _, err := c.RegisterTask(ctx, id, taskID(k), model.W(1, int64(cfg.tasks))); err != nil {
+			rctx, cancel := bounded(ctx)
+			_, err := c.RegisterTask(rctx, id, taskID(k), model.W(1, int64(cfg.tasks)))
+			cancel()
+			if err != nil {
 				return report{}, fmt.Errorf("register %s/%s: %w", id, taskID(k), err)
 			}
 			setup++
@@ -420,9 +419,11 @@ func run(cfg config, out io.Writer) (report, error) {
 			// by how far the workers drift apart, not by the run's length.
 			owed := map[string]int{}
 			advance := func(tenant string) bool {
+				rctx, cancel := bounded(ctx)
 				t0 := time.Now()
-				_, err := c.AdvanceBy(ctx, tenant, strconv.Itoa(owed[tenant]))
+				_, err := c.AdvanceBy(rctx, tenant, strconv.Itoa(owed[tenant]))
 				lat = append(lat, time.Since(t0))
+				cancel()
 				if err != nil {
 					errs[w] = fmt.Errorf("advance %s: %w", tenant, err)
 					return false
@@ -436,13 +437,14 @@ func run(cfg config, out io.Writer) (report, error) {
 					n = cfg.jobs - j
 				}
 				for _, p := range mine {
+					rctx, cancel := bounded(ctx)
 					t0 := time.Now()
 					var err error
 					if n == 1 {
 						// Unique per-worker keys make the submit idempotent,
 						// so the retry policy may resend it on transient
 						// failures without risking a double release.
-						_, err = c.SubmitJobKeyed(ctx, p.tenant, server.SubmitJobRequest{
+						_, err = c.SubmitJobKeyed(rctx, p.tenant, server.SubmitJobRequest{
 							Task: p.task, Key: fmt.Sprintf("w%d-%s-%s-%d", w, p.tenant, p.task, j),
 						})
 					} else {
@@ -452,9 +454,10 @@ func run(cfg config, out io.Writer) (report, error) {
 						for i := range jobs {
 							jobs[i] = server.SubmitJobRequest{Task: p.task}
 						}
-						_, err = c.SubmitJobs(ctx, p.tenant, jobs)
+						_, err = c.SubmitJobs(rctx, p.tenant, jobs)
 					}
 					lat = append(lat, time.Since(t0))
+					cancel()
 					if err != nil {
 						// 409 is capacity saying no — a resize racing the
 						// load shrank the tenant or drained its task. That
@@ -499,10 +502,15 @@ func run(cfg config, out io.Writer) (report, error) {
 	targets := make([]int64, cfg.tenants)
 	for ti := 0; ti < cfg.tenants; ti++ {
 		id := tenantID(ti)
-		if _, err := c.Drain(ctx, id); err != nil {
+		rctx, cancel := bounded(ctx)
+		_, err := c.Drain(rctx, id)
+		cancel()
+		if err != nil {
 			return report{}, fmt.Errorf("drain %s: %w", id, err)
 		}
-		info, err := c.Tenant(ctx, id)
+		rctx, cancel = bounded(ctx)
+		info, err := c.Tenant(rctx, id)
+		cancel()
 		if err != nil {
 			return report{}, err
 		}
@@ -644,7 +652,9 @@ func runScenario(ctx context.Context, cfg config, c *client.Client, out io.Write
 // capacity after any resizes landed during the run. A target without
 // /metrics is not a failed run: the load already went through.
 func addServerStats(ctx context.Context, c *client.Client, rep *report) error {
+	ctx, cancel := bounded(ctx)
 	text, err := c.Metrics(ctx)
+	cancel()
 	var ae *client.APIError
 	if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
 		rep.NoServerMetrics = true

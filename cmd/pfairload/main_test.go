@@ -1,12 +1,10 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,66 +113,6 @@ func TestBatchLoadRun(t *testing.T) {
 	// not, so the two modes stay comparable.
 	if want := uint64(2 * 4 * 100); rep.SrvCount != want {
 		t.Errorf("server-side ack count %d, want %d", rep.SrvCount, want)
-	}
-}
-
-// TestTransportReusesConnections pins the shared-transport fix: with
-// `workers` concurrent requests over three rounds, the pool must serve
-// rounds two and three from kept-alive connections instead of redialing —
-// the default transport's per-host idle cap of 2 would open fresh
-// connections on nearly every request at high concurrency and exhaust
-// ephemeral ports on long runs.
-func TestTransportReusesConnections(t *testing.T) {
-	const workers = 16
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-
-	tr := newTransport(workers)
-	defer tr.CloseIdleConnections()
-	hc := &http.Client{Transport: tr}
-
-	var dials atomic.Int64
-	trace := &httptrace.ClientTrace{
-		GotConn: func(info httptrace.GotConnInfo) {
-			if !info.Reused {
-				dials.Add(1)
-			}
-		},
-	}
-	for round := 0; round < 3; round++ {
-		var wg sync.WaitGroup
-		// A barrier per round: all workers in flight at once, so the round
-		// genuinely needs `workers` connections, and later rounds prove
-		// they were kept alive rather than redialed.
-		release := make(chan struct{})
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-release
-				ctx := httptrace.WithClientTrace(context.Background(), trace)
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp, err := hc.Do(req)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp.Body.Close()
-			}()
-		}
-		close(release)
-		wg.Wait()
-	}
-	// 3 rounds × 16 concurrent requests: every dial beyond the worker count
-	// means the pool dropped a reusable connection.
-	if got := dials.Load(); got > workers {
-		t.Errorf("%d new connections across 3×%d requests; the transport is not reusing connections", got, workers)
 	}
 }
 

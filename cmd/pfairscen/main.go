@@ -27,11 +27,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/scenario"
@@ -217,10 +215,7 @@ func target(cfg config) scenario.Target {
 	if cfg.addr == "" {
 		return scenario.NewExecTarget()
 	}
-	return &scenario.HTTPTarget{
-		Ctx: context.Background(),
-		C:   client.New(cfg.addr, &http.Client{Timeout: 30 * time.Second}),
-	}
+	return &scenario.HTTPTarget{Ctx: context.Background(), C: client.New(cfg.addr, nil)}
 }
 
 func writeMetrics(path string, rep *scenario.Report, out io.Writer) error {

@@ -4,7 +4,8 @@
 // its load generator on this package, and tests use it to drive in-process
 // httptest servers, so the wire protocol is exercised end to end.
 //
-// A Client is safe for concurrent use; each method is one HTTP request.
+// A Client is safe for concurrent use; each method is one HTTP request, sent
+// through internal/hop, the repository's one outbound HTTP path.
 package client
 
 import (
@@ -15,9 +16,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
+	"desyncpfair/internal/hop"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 	"desyncpfair/internal/wire"
@@ -26,21 +30,56 @@ import (
 // Client talks to one pfaird server. WithRetry derives a view that
 // retries idempotent GETs with capped exponential backoff.
 type Client struct {
-	base  string
-	hc    *http.Client
+	up    *hop.Upstream // shared by every Client of the same base
+	err   error         // the base's refusal, returned by every call
 	retry RetryPolicy
 }
 
-// New creates a client for the server at base (e.g. "http://localhost:8080").
-// A nil hc uses http.DefaultClient.
+// upstreams holds one connection pool per base for the whole process, as
+// http.DefaultTransport did: every Client of a base, and every WithRetry view
+// of one, sends through the same pooled connections, so a Client owns no
+// socket and needs no Close. A pool is never closed and never evicted: a
+// connection its server has closed is dropped the next time the pool is used,
+// and the idle connections to a base that is never used again stay open until
+// the process exits (up to 32 per base — a test binary that starts many
+// servers keeps them).
+var upstreams sync.Map // base → *hop.Upstream
+
+// New creates a client for the server at base, which must be
+// http://host:port (e.g. "http://localhost:8080"; trailing slashes are
+// dropped): pfaird serves no TLS and no path prefix, and pfair-router refuses
+// the same bases. With any other base every call returns the refusal. hc is
+// unused: requests go through internal/hop's pool, not an http.Client. Pass
+// nil.
 func New(base string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
 	for len(base) > 0 && base[len(base)-1] == '/' {
 		base = base[:len(base)-1]
 	}
-	return &Client{base: base, hc: hc}
+	if up, ok := upstreams.Load(base); ok {
+		return &Client{up: up.(*hop.Upstream)}
+	}
+	up, err := hop.New(base)
+	if err != nil {
+		return &Client{err: err}
+	}
+	shared, _ := upstreams.LoadOrStore(base, up)
+	return &Client{up: shared.(*hop.Upstream)}
+}
+
+// roundTrip sends one request; the caller closes the reply's body.
+func (c *Client) roundTrip(ctx context.Context, method, target, contentType string, body []byte) (*http.Response, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.up.RoundTrip(ctx, method, target, contentType, body)
+}
+
+// tenantTarget is the request-target of a route under /v1/tenants/{id}: the
+// id escaped as one path segment, then sub, so that an id holding '/', '?',
+// '#', '%' or a space names that tenant and no other. A plain id
+// ([A-Za-z0-9._-]) goes out as it is.
+func tenantTarget(id, sub string) string {
+	return "/v1/tenants/" + url.PathEscape(id) + sub
 }
 
 // APIError is a non-2xx reply, carrying the HTTP status and the server's
@@ -73,33 +112,25 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 // go through the server's hand-written codec (server.AppendWire /
 // DecodeWire) when the type has one and it does not decline; encoding/json
 // takes the rest, as it took everything before.
-func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
+func (c *Client) doOnce(ctx context.Context, method, target string, in, out any) error {
 	scratch := wire.GetBuf()
 	defer scratch.Put()
-	var body io.Reader
+	var body []byte
+	contentType := ""
 	if in != nil {
-		var buf []byte
+		contentType = "application/json"
 		if enc, res := server.AppendWire(scratch.B, in); res == server.WireOK {
-			// The transport may still be reading the body after Do returns:
-			// it gets a copy of its own, the scratch goes back to the pool.
-			buf = bytes.Clone(enc)
-			scratch.B = enc[:0]
+			// The round trip copies the body into its own request buffer, so
+			// once it returns the scratch is free to take the reply.
+			body, scratch.B = enc, enc[:0]
 		} else {
 			var err error
-			if buf, err = json.Marshal(in); err != nil {
+			if body, err = json.Marshal(in); err != nil {
 				return err
 			}
 		}
-		body = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(ctx, method, target, contentType, body)
 	if err != nil {
 		return err
 	}
@@ -154,11 +185,7 @@ func (c *Client) Health(ctx context.Context) error {
 
 // Metrics fetches the raw /metrics text exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodGet, "/metrics", "", nil)
 	if err != nil {
 		return "", err
 	}
@@ -180,7 +207,7 @@ func (c *Client) CreateTenant(ctx context.Context, id string, m int, policy stri
 
 // DeleteTenant removes a tenant, ending its dispatch streams.
 func (c *Client) DeleteTenant(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/tenants/"+id, nil, nil)
+	return c.do(ctx, http.MethodDelete, tenantTarget(id, ""), nil, nil)
 }
 
 // Tenants lists all tenants.
@@ -193,7 +220,7 @@ func (c *Client) Tenants(ctx context.Context) ([]server.TenantInfo, error) {
 // Tenant fetches one tenant snapshot.
 func (c *Client) Tenant(ctx context.Context, id string) (server.TenantInfo, error) {
 	var info server.TenantInfo
-	err := c.do(ctx, http.MethodGet, "/v1/tenants/"+id, nil, &info)
+	err := c.do(ctx, http.MethodGet, tenantTarget(id, ""), nil, &info)
 	return info, err
 }
 
@@ -201,21 +228,21 @@ func (c *Client) Tenant(ctx context.Context, id string) (server.TenantInfo, erro
 // back as an *APIError with IsReject(err) == true.
 func (c *Client) RegisterTask(ctx context.Context, tenant, name string, w model.Weight) (server.RegisterTaskResponse, error) {
 	var resp server.RegisterTaskResponse
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/tasks",
+	err := c.do(ctx, http.MethodPost, tenantTarget(tenant, "/tasks"),
 		server.RegisterTaskRequest{Name: name, E: w.E, P: w.P}, &resp)
 	return resp, err
 }
 
 // UnregisterTask removes a task, releasing its capacity.
 func (c *Client) UnregisterTask(ctx context.Context, tenant, name string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/tenants/"+tenant+"/tasks/"+name, nil, nil)
+	return c.do(ctx, http.MethodDelete, tenantTarget(tenant, "/tasks/"+url.PathEscape(name)), nil, nil)
 }
 
 // SubmitJob releases one job of the task. An empty `at` submits at the
 // tenant's current virtual time.
 func (c *Client) SubmitJob(ctx context.Context, tenant, task, at string) (server.SubmitJobResponse, error) {
 	var resp server.SubmitJobResponse
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/jobs",
+	err := c.do(ctx, http.MethodPost, tenantTarget(tenant, "/jobs"),
 		server.SubmitJobRequest{Task: task, At: at}, &resp)
 	return resp, err
 }
@@ -225,7 +252,7 @@ func (c *Client) SubmitJob(ctx context.Context, tenant, task, at string) (server
 // is accepted (one durability ack covers them all) or none is.
 func (c *Client) SubmitJobs(ctx context.Context, tenant string, jobs []server.SubmitJobRequest) (server.SubmitJobsResponse, error) {
 	var resp server.SubmitJobsResponse
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/jobs:batch",
+	err := c.do(ctx, http.MethodPost, tenantTarget(tenant, "/jobs:batch"),
 		server.SubmitJobsRequest{Jobs: jobs}, &resp)
 	return resp, err
 }
@@ -237,7 +264,7 @@ func (c *Client) SubmitJobs(ctx context.Context, tenant string, jobs []server.Su
 // double-applying — which makes this the submit to use across failovers.
 func (c *Client) SubmitJobKeyed(ctx context.Context, tenant string, req server.SubmitJobRequest) (server.SubmitJobResponse, error) {
 	var resp server.SubmitJobResponse
-	err := c.doRetry(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/jobs", req, &resp, req.Key != "")
+	err := c.doRetry(ctx, http.MethodPost, tenantTarget(tenant, "/jobs"), req, &resp, req.Key != "")
 	return resp, err
 }
 
@@ -245,7 +272,7 @@ func (c *Client) SubmitJobKeyed(ctx context.Context, tenant string, req server.S
 // slots.
 func (c *Client) SubmitJobEarly(ctx context.Context, tenant, task, at string, earliness int64) (server.SubmitJobResponse, error) {
 	var resp server.SubmitJobResponse
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/jobs",
+	err := c.do(ctx, http.MethodPost, tenantTarget(tenant, "/jobs"),
 		server.SubmitJobRequest{Task: task, At: at, Earliness: earliness}, &resp)
 	return resp, err
 }
@@ -253,7 +280,7 @@ func (c *Client) SubmitJobEarly(ctx context.Context, tenant, task, at string, ea
 // Advance moves the tenant's virtual time to the absolute time `until`.
 func (c *Client) Advance(ctx context.Context, tenant, until string) (server.AdvanceResponse, error) {
 	var resp server.AdvanceResponse
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/advance",
+	err := c.do(ctx, http.MethodPost, tenantTarget(tenant, "/advance"),
 		server.AdvanceRequest{Until: until}, &resp)
 	return resp, err
 }
@@ -262,7 +289,7 @@ func (c *Client) Advance(ctx context.Context, tenant, until string) (server.Adva
 // under concurrent clients).
 func (c *Client) AdvanceBy(ctx context.Context, tenant, by string) (server.AdvanceResponse, error) {
 	var resp server.AdvanceResponse
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/advance",
+	err := c.do(ctx, http.MethodPost, tenantTarget(tenant, "/advance"),
 		server.AdvanceRequest{By: by}, &resp)
 	return resp, err
 }
@@ -270,7 +297,7 @@ func (c *Client) AdvanceBy(ctx context.Context, tenant, by string) (server.Advan
 // Drain dispatches everything the tenant has released so far.
 func (c *Client) Drain(ctx context.Context, tenant string) (server.AdvanceResponse, error) {
 	var resp server.AdvanceResponse
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/drain", nil, &resp)
+	err := c.do(ctx, http.MethodPost, tenantTarget(tenant, "/drain"), nil, &resp)
 	return resp, err
 }
 
@@ -280,7 +307,7 @@ func (c *Client) Drain(ctx context.Context, tenant string) (server.AdvanceRespon
 // with the pending target.
 func (c *Client) Resize(ctx context.Context, tenant string, m int, drain bool) (server.ResizeResponse, error) {
 	var resp server.ResizeResponse
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/resize",
+	err := c.do(ctx, http.MethodPost, tenantTarget(tenant, "/resize"),
 		server.ResizeRequest{M: m, Drain: drain}, &resp)
 	return resp, err
 }
@@ -298,12 +325,7 @@ type Stream struct {
 // backlog instead of following live decisions. Cancel ctx or call Close
 // to abandon the stream.
 func (c *Client) StreamDispatches(ctx context.Context, tenant string, from int64, follow bool) (*Stream, error) {
-	url := fmt.Sprintf("%s/v1/tenants/%s/dispatches?from=%d&follow=%v", c.base, tenant, from, follow)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodGet, tenantTarget(tenant, "/dispatches"+feedQuery(from, follow)), "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -314,6 +336,12 @@ func (c *Client) StreamDispatches(ctx context.Context, tenant string, from int64
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	return &Stream{body: resp.Body, sc: sc}, nil
+}
+
+// feedQuery is the query of a feed request: the first position wanted, and
+// whether to follow live decisions past the backlog.
+func feedQuery(from int64, follow bool) string {
+	return "?from=" + strconv.FormatInt(from, 10) + "&follow=" + strconv.FormatBool(follow)
 }
 
 // StreamGoneError is returned by Stream.Next when the server evicted the

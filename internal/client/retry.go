@@ -50,8 +50,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // WithRetry returns a copy of the client that retries under the given
-// policy. The original client is unchanged, so one underlying
-// http.Client can serve both retrying and non-retrying views.
+// policy. The original client is unchanged, and both views send through
+// the same pooled connections.
 func (c *Client) WithRetry(p RetryPolicy) *Client {
 	cp := *c
 	cp.retry = p.withDefaults()

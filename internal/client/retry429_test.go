@@ -42,7 +42,7 @@ func TestBackpressure429RetriedOnMutations(t *testing.T) {
 	defer hs.Close()
 
 	var retries atomic.Int64
-	c := client.New(hs.URL, hs.Client()).WithRetry(client.RetryPolicy{
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 2, // two 429s would exhaust this if they counted
 		BaseDelay:   time.Millisecond,
 		OnRetry:     func(error) { retries.Add(1) },
@@ -85,7 +85,7 @@ func TestKeyedSubmitResendIsDeduped(t *testing.T) {
 	hs := httptest.NewServer(h)
 	defer hs.Close()
 
-	c := client.New(hs.URL, hs.Client()).WithRetry(client.RetryPolicy{
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Millisecond,
 	})
@@ -124,7 +124,7 @@ func TestUnkeyedSubmitNotRetriedOnAmbiguousFailure(t *testing.T) {
 	hs := httptest.NewServer(h)
 	defer hs.Close()
 
-	c := client.New(hs.URL, hs.Client()).WithRetry(client.RetryPolicy{
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Millisecond,
 	})

@@ -3,14 +3,17 @@ package client_test
 import (
 	"context"
 	"errors"
-	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
 
@@ -38,7 +41,7 @@ func TestRetryRidesOut503s(t *testing.T) {
 	hs := httptest.NewServer(fh)
 	defer hs.Close()
 
-	c := client.New(hs.URL, hs.Client()).WithRetry(client.RetryPolicy{
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    4 * time.Millisecond,
@@ -58,7 +61,7 @@ func TestMutationsAreNeverRetried(t *testing.T) {
 	hs := httptest.NewServer(fh)
 	defer hs.Close()
 
-	c := client.New(hs.URL, hs.Client()).WithRetry(client.RetryPolicy{
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 5,
 		BaseDelay:   time.Millisecond,
 	})
@@ -82,7 +85,7 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := client.New(hs.URL, hs.Client()).WithRetry(client.RetryPolicy{
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   time.Millisecond,
 	})
@@ -102,7 +105,7 @@ func TestRetryHonorsContextDeadline(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := client.New(hs.URL, hs.Client()).WithRetry(client.RetryPolicy{
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 1000,
 		BaseDelay:   50 * time.Millisecond,
 		MaxDelay:    50 * time.Millisecond,
@@ -119,37 +122,104 @@ func TestRetryHonorsContextDeadline(t *testing.T) {
 	}
 }
 
-// dropTransport fails the first `failures` round trips at the transport
-// layer (connection refused, reset, …) and then delegates.
-type dropTransport struct {
-	failures int64
-	seen     atomic.Int64
-	next     http.RoundTripper
+// closingListener closes the first `drops` connections it accepts before
+// reading a byte of them: the connection refused, reset or hung up on that a
+// client meets while a server restarts.
+type closingListener struct {
+	net.Listener
+	drops    atomic.Int64
+	accepted atomic.Int64
 }
 
-func (d *dropTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if d.seen.Add(1) <= d.failures {
-		return nil, fmt.Errorf("injected: connection reset")
+func (l *closingListener) Accept() (net.Conn, error) {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		l.accepted.Add(1)
+		if l.drops.Add(-1) < 0 {
+			return c, nil
+		}
+		c.Close()
 	}
-	return d.next.RoundTrip(req)
 }
 
 func TestRetryRidesOutTransportErrors(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	ln := &closingListener{Listener: hs.Listener}
+	ln.drops.Store(2)
+	hs.Listener = ln
+	hs.Start()
 	defer hs.Close()
 
-	dt := &dropTransport{failures: 2, next: hs.Client().Transport}
-	hc := &http.Client{Transport: dt}
-	c := client.New(hs.URL, hc).WithRetry(client.RetryPolicy{
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   time.Millisecond,
 	})
 	if err := c.Health(context.Background()); err != nil {
 		t.Fatalf("GET through 2 transport failures: %v", err)
 	}
-	if n := dt.seen.Load(); n != 3 {
-		t.Fatalf("transport saw %d attempts, want 2 failures + 1 success", n)
+	if n := ln.accepted.Load(); n != 3 {
+		t.Fatalf("the listener accepted %d connections, want 2 closed + 1 served", n)
+	}
+}
+
+// dropHandler reads the first `drops` job submits and closes their
+// connection without a reply: the backend that took the request and died.
+type dropHandler struct {
+	drops, submits atomic.Int64
+	next           http.Handler
+}
+
+func (h *dropHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/jobs") {
+		h.submits.Add(1)
+		if h.drops.Add(-1) >= 0 {
+			io.Copy(io.Discard, r.Body)
+			if c, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				c.Close()
+			}
+			return
+		}
+	}
+	h.next.ServeHTTP(w, r)
+}
+
+// TestDroppedReplyResentOnlyWhenKeyed is the router's resend rule, now the
+// client's too: nothing the connection pool cannot prove unsent goes out
+// again on its own, so a submit the backend read and never answered costs an
+// un-keyed submit an error after exactly one hit, and a keyed one is resent
+// by the retry policy and deduped by the server.
+func TestDroppedReplyResentOnlyWhenKeyed(t *testing.T) {
+	srv := server.New()
+	defer srv.Shutdown()
+	h := &dropHandler{next: srv.Handler()}
+	hs := httptest.NewServer(h)
+	defer hs.Close()
+
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	ctx := context.Background()
+	if _, err := c.CreateTenant(ctx, "t", 1, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RegisterTask(ctx, "t", "x", model.W(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	h.drops.Store(1)
+	if _, err := c.SubmitJob(ctx, "t", "x", ""); err == nil || h.submits.Load() != 1 {
+		t.Errorf("un-keyed submit the backend dropped: %v after %d hits; want an error after exactly 1", err, h.submits.Load())
+	}
+	h.drops.Store(1)
+	h.submits.Store(0)
+	resp, err := c.SubmitJobKeyed(ctx, "t", server.SubmitJobRequest{Task: "x", Key: "k1"})
+	if err != nil || h.submits.Load() != 2 {
+		t.Errorf("keyed submit the backend dropped once: %+v, %v after %d hits; want the resend's ack, 2 hits", resp, err, h.submits.Load())
+	}
+	if info, err := c.Tenant(ctx, "t"); err != nil || info.Pending != 1 {
+		t.Errorf("tenant after one dropped submit of each kind: %+v, %v; want 1 pending (the keyed one)", info, err)
 	}
 }

@@ -68,12 +68,7 @@ type TraceStream struct {
 // many. follow=false stops after the retained backlog instead of
 // following live commands. Cancel ctx or call Close to abandon the stream.
 func (c *Client) StreamTrace(ctx context.Context, tenant string, from int64, follow bool) (*TraceStream, error) {
-	url := fmt.Sprintf("%s/v1/tenants/%s/trace?from=%d&follow=%v", c.base, tenant, from, follow)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodGet, tenantTarget(tenant, "/trace"+feedQuery(from, follow)), "", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -129,7 +129,7 @@ func TestStreamTraceEndToEnd(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Shutdown)
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
 	if _, err := c.CreateTenant(ctx, "acme", 1, ""); err != nil {

@@ -36,7 +36,7 @@ func benchRouterHop(b *testing.B, routed, timeSubmits bool) {
 	defer srv.Shutdown()
 	backend := httptest.NewServer(srv.Handler())
 	defer backend.Close()
-	c := client.New(backend.URL, backend.Client())
+	c := client.New(backend.URL, nil)
 	if routed {
 		router, err := cluster.NewRouter(cluster.RouterOptions{Groups: [][]string{{backend.URL}}})
 		if err != nil {
@@ -46,7 +46,7 @@ func benchRouterHop(b *testing.B, routed, timeSubmits bool) {
 		defer router.Close()
 		rhs := httptest.NewServer(router.Handler())
 		defer rhs.Close()
-		c = client.New(rhs.URL, rhs.Client())
+		c = client.New(rhs.URL, nil)
 	}
 	ctx := context.Background()
 

@@ -27,7 +27,7 @@ func benchLeader(b *testing.B, fsyncEvery int) (*server.Server, *httptest.Server
 	b.Cleanup(func() { srv.Close() })
 	hs := httptest.NewServer(srv.Handler())
 	b.Cleanup(hs.Close)
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 	if _, err := c.CreateTenant(ctx, "bench", 1, ""); err != nil {
 		b.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"desyncpfair/internal/hop"
 	"desyncpfair/internal/server"
 )
 
@@ -69,7 +70,7 @@ func ParseGroups(s string) ([][]string, error) {
 // immutable snapshot of the whole topology, rebuilt by the health loop
 // and read lock-free by request handlers.
 type backendView struct {
-	up            *upstream
+	up            *hop.Upstream
 	healthy       bool
 	role          string
 	term          uint64
@@ -115,7 +116,7 @@ func (t *routeTable) loads() []Load {
 // in parallel freely.
 type Router struct {
 	opts   RouterOptions
-	ups    [][]*upstream // parallel to opts.Groups: every backend call goes through one
+	ups    [][]*hop.Upstream // parallel to opts.Groups: every backend call goes through one
 	table  atomic.Pointer[routeTable]
 	placed sync.Map // tenant id → group index (learned locations)
 	pprof  bool     // Handler mounts /debug/pprof/
@@ -160,7 +161,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	r := &Router{
 		opts:       opts,
-		ups:        make([][]*upstream, len(opts.Groups)),
+		ups:        make([][]*hop.Upstream, len(opts.Groups)),
 		lastLeader: make([]time.Time, len(opts.Groups)),
 		promoting:  make([]bool, len(opts.Groups)),
 		promoted:   make(chan promotion, len(opts.Groups)),
@@ -174,7 +175,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	for i, urls := range opts.Groups {
 		t.groups[i].leader = -1
 		for _, u := range urls {
-			up, err := newUpstream(u)
+			up, err := hop.New(u)
 			if err != nil {
 				return nil, err
 			}
@@ -203,7 +204,7 @@ func (r *Router) Close() {
 	}
 	for _, ups := range r.ups {
 		for _, up := range ups {
-			up.closeIdle()
+			up.CloseIdle()
 		}
 	}
 }
@@ -250,7 +251,7 @@ func (r *Router) scan(ctx context.Context) {
 		g.backends = make([]backendView, len(ups))
 		for bi, up := range ups {
 			wg.Add(1)
-			go func(v *backendView, up *upstream) {
+			go func(v *backendView, up *hop.Upstream) {
 				defer wg.Done()
 				*v = r.probe(ctx, up, scrapeTenants)
 			}(&g.backends[bi], up)
@@ -301,7 +302,7 @@ func bestFollower(backends []backendView) int {
 	return best
 }
 
-func (r *Router) probe(ctx context.Context, up *upstream, scrapeTenants bool) backendView {
+func (r *Router) probe(ctx context.Context, up *hop.Upstream, scrapeTenants bool) backendView {
 	v := backendView{up: up}
 	ctx, cancel := context.WithTimeout(ctx, r.opts.HealthInterval*5)
 	defer cancel()
@@ -326,8 +327,8 @@ func (r *Router) probe(ctx context.Context, up *upstream, scrapeTenants bool) ba
 // autoscaler). The final return distinguishes "gauges read 0" from
 // "scrape failed or the count gauge is missing" — the placement policy
 // treats only the former as an empty group.
-func scrapeTenantGauges(ctx context.Context, up *upstream) (tenants, capacityM int, ok bool) {
-	resp, err := up.roundTrip(ctx, http.MethodGet, "/metrics", "", nil)
+func scrapeTenantGauges(ctx context.Context, up *hop.Upstream) (tenants, capacityM int, ok bool) {
+	resp, err := up.RoundTrip(ctx, http.MethodGet, "/metrics", "", nil)
 	if err != nil {
 		return 0, 0, false
 	}
@@ -362,23 +363,23 @@ func scrapeTenantGauges(ctx context.Context, up *upstream) (tenants, capacityM i
 
 // promote asks one backend to take over its group and reports the outcome
 // to the health loop, which started it and is the one to act on it.
-func (r *Router) promote(ctx context.Context, gi int, up *upstream) {
-	r.logf("group %d leaderless past %v: promoting %s", gi, r.opts.FailoverAfter, up.url)
+func (r *Router) promote(ctx context.Context, gi int, up *hop.Upstream) {
+	r.logf("group %d leaderless past %v: promoting %s", gi, r.opts.FailoverAfter, up.URL)
 	reply, err := promoteOnce(ctx, up)
 	if err != nil {
-		r.logf("promote %s failed: %v; group %d is tried again at the next scan", up.url, err, gi)
+		r.logf("promote %s failed: %v; group %d is tried again at the next scan", up.URL, err, gi)
 	} else {
-		r.logf("promoted %s: %s; reading group %d again now", up.url, reply, gi)
+		r.logf("promoted %s: %s; reading group %d again now", up.URL, reply, gi)
 	}
 	r.promoted <- promotion{gi: gi, ok: err == nil}
 }
 
 // promoteOnce is one POST /v1/cluster/promote: the reply body of a 200, an
 // error for anything else.
-func promoteOnce(ctx context.Context, up *upstream) ([]byte, error) {
+func promoteOnce(ctx context.Context, up *hop.Upstream) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	resp, err := up.roundTrip(ctx, http.MethodPost, "/v1/cluster/promote", "", nil)
+	resp, err := up.RoundTrip(ctx, http.MethodPost, "/v1/cluster/promote", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -446,16 +447,16 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 				gh.Healthy++
 			}
 			gh.Backends = append(gh.Backends, RouterBackendHealth{
-				URL:           b.up.url,
-				Dials:         b.up.dials.Load(),
-				Reuses:        b.up.reuses.Load(),
-				StaleDiscards: b.up.staleDiscards.Load(),
-				Resends:       b.up.resends.Load(),
-				Idle:          b.up.idleNow(),
+				URL:           b.up.URL,
+				Dials:         b.up.Dials.Load(),
+				Reuses:        b.up.Reuses.Load(),
+				StaleDiscards: b.up.StaleDiscards.Load(),
+				Resends:       b.up.Resends.Load(),
+				Idle:          b.up.IdleNow(),
 			})
 		}
 		if g.leader >= 0 {
-			gh.Leader = g.backends[g.leader].up.url
+			gh.Leader = g.backends[g.leader].up.URL
 		} else {
 			resp.Status = "degraded"
 		}
@@ -523,8 +524,8 @@ func (r *Router) handleTenantsMerged(w http.ResponseWriter, req *http.Request) {
 // getJSON decodes a backend's 200 reply to a GET. The decoder stops at the end
 // of the value; the rest of the body — a newline, a chunked reply's last
 // chunk — is read out behind it, or the connection could not be reused.
-func getJSON(ctx context.Context, up *upstream, target string, out any) error {
-	resp, err := up.roundTrip(ctx, http.MethodGet, target, "", nil)
+func getJSON(ctx context.Context, up *hop.Upstream, target string, out any) error {
+	resp, err := up.RoundTrip(ctx, http.MethodGet, target, "", nil)
 	if err != nil {
 		return err
 	}
@@ -629,7 +630,7 @@ func (r *Router) locate(ctx context.Context, id string) (int, bool) {
 			continue
 		}
 		var info server.TenantInfo
-		if getJSON(ctx, g.backends[bi].up, escapeTarget("/v1/tenants/"+id, ""), &info) == nil {
+		if getJSON(ctx, g.backends[bi].up, hop.EscapeTarget("/v1/tenants/"+id, ""), &info) == nil {
 			r.placed.Store(id, gi)
 			return gi, true
 		}
@@ -687,8 +688,8 @@ func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, 
 // 5xx/503 replies on retryable requests are reported as errors (not
 // streamed) so a request racing a promotion retries instead of surfacing
 // the follower's refusal.
-func proxyOnce(w http.ResponseWriter, req *http.Request, up *upstream, body []byte) (int, error) {
-	resp, err := up.roundTrip(req.Context(), req.Method, escapeTarget(req.URL.Path, req.URL.RawQuery),
+func proxyOnce(w http.ResponseWriter, req *http.Request, up *hop.Upstream, body []byte) (int, error) {
+	resp, err := up.RoundTrip(req.Context(), req.Method, hop.EscapeTarget(req.URL.Path, req.URL.RawQuery),
 		req.Header.Get("Content-Type"), body)
 	if err != nil {
 		return 0, err
@@ -696,7 +697,7 @@ func proxyOnce(w http.ResponseWriter, req *http.Request, up *upstream, body []by
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return 0, fmt.Errorf("%s: HTTP %d: %s", up.url, resp.StatusCode, bytes.TrimSpace(b))
+		return 0, fmt.Errorf("%s: HTTP %d: %s", up.URL, resp.StatusCode, bytes.TrimSpace(b))
 	}
 	for _, k := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(k); v != "" {

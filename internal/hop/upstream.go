@@ -1,4 +1,7 @@
-package cluster
+// Package hop is the repository's one outbound HTTP/1.1 path: pfair-router's
+// calls to its backends and internal/client's calls to pfaird both go through
+// an Upstream. It imports only the standard library and internal/wire.
+package hop
 
 import (
 	"bufio"
@@ -20,46 +23,47 @@ import (
 )
 
 // One value of each is in use, so they are constants beside the code and not
-// RouterOptions fields.
+// options.
 const (
 	// maxIdleConns bounds the idle connections an upstream keeps. A request
 	// that finds none dials; a reply that finds the pool full closes its
-	// connection. The router's concurrency is its clients', so this is how
-	// many clients can alternate on one backend without a redial.
+	// connection. A caller's concurrency is its own callers', so this is how
+	// many of them can alternate on one backend without a redial: with more
+	// (pfairload -workers above 32), replies past the 32nd close their
+	// connections and the next round dials them again.
 	maxIdleConns = 32
 	// dialTimeout bounds one TCP connect to a backend.
 	dialTimeout = 5 * time.Second
 )
 
-// upstream is the router's end of one backend: a bounded pool of idle TCP
-// connections and a round trip that runs on the calling goroutine — the
-// request written by hand with one Write, the reply read by http.ReadResponse.
-// It is what net/http's Transport did for the router at a third of the cost:
-// no read-loop and write-loop goroutines, no channel hand-offs, no parsed URL
-// and cloned request per call.
-type upstream struct {
-	url  string // the backend as configured: logs, errors, /healthz
+// Upstream is one backend: a bounded pool of idle TCP connections and a round
+// trip that runs on the calling goroutine — the request written by hand with
+// one Write, the reply read by http.ReadResponse. It is what net/http's
+// Transport did at a third of the cost: no read-loop and write-loop
+// goroutines, no channel hand-offs, no parsed URL and cloned request per call.
+type Upstream struct {
+	URL  string // the backend as configured: logs, errors, /healthz
 	addr string // its host:port: what is dialed and what Host says
 
-	dials         atomic.Int64 // connections opened
-	reuses        atomic.Int64 // requests sent on a pooled connection
-	staleDiscards atomic.Int64 // pooled connections found closed by the peer before reuse
-	resends       atomic.Int64 // requests sent again because a pooled connection refused the write
+	Dials         atomic.Int64 // connections opened
+	Reuses        atomic.Int64 // requests sent on a pooled connection
+	StaleDiscards atomic.Int64 // pooled connections found closed by the peer before reuse
+	Resends       atomic.Int64 // requests sent again because a pooled connection refused the write
 
 	mu     sync.Mutex
 	idle   []*upstreamConn // most recently used last, and taken first
-	closed bool            // closeIdle ran: connections are closed, not kept
+	closed bool            // CloseIdle ran: connections are closed, not kept
 }
 
-// newUpstream accepts http://host:port and nothing else: pfaird serves no TLS
-// and no path prefix, and a backend that could never answer is better refused
-// when the router starts than per request.
-func newUpstream(backend string) (*upstream, error) {
+// New accepts http://host:port and nothing else: pfaird serves no TLS and no
+// path prefix, and a backend that could never answer is better refused once
+// than per request.
+func New(backend string) (*Upstream, error) {
 	u, err := url.Parse(backend)
 	if err != nil || u.Hostname() == "" || u.Port() == "" || backend != "http://"+u.Host {
-		return nil, fmt.Errorf("cluster: backend %q: want http://host:port", backend)
+		return nil, fmt.Errorf("hop: backend %q: want http://host:port", backend)
 	}
-	return &upstream{url: backend, addr: u.Host}, nil
+	return &Upstream{URL: backend, addr: u.Host}, nil
 }
 
 // upstreamConn is one TCP connection to a backend, held by one request at a
@@ -112,7 +116,7 @@ func (uc *upstreamConn) usable() bool {
 
 // conn returns a connection to send on: the most recently pooled one that is
 // still usable, else a new one. reused tells the two apart.
-func (u *upstream) conn(ctx context.Context) (uc *upstreamConn, reused bool, err error) {
+func (u *Upstream) conn(ctx context.Context) (uc *upstreamConn, reused bool, err error) {
 	for {
 		u.mu.Lock()
 		n := len(u.idle)
@@ -124,10 +128,10 @@ func (u *upstream) conn(ctx context.Context) (uc *upstreamConn, reused bool, err
 		u.idle = u.idle[:n-1]
 		u.mu.Unlock()
 		if uc.usable() {
-			u.reuses.Add(1)
+			u.Reuses.Add(1)
 			return uc, true, nil
 		}
-		u.staleDiscards.Add(1)
+		u.StaleDiscards.Add(1)
 		uc.Close()
 	}
 	d := net.Dialer{Timeout: dialTimeout}
@@ -135,12 +139,12 @@ func (u *upstream) conn(ctx context.Context) (uc *upstreamConn, reused bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	u.dials.Add(1)
+	u.Dials.Add(1)
 	return newUpstreamConn(c), false, nil
 }
 
 // put returns a connection whose reply was read to its end.
-func (u *upstream) put(uc *upstreamConn) {
+func (u *Upstream) put(uc *upstreamConn) {
 	u.mu.Lock()
 	if u.closed || len(u.idle) >= maxIdleConns {
 		u.mu.Unlock()
@@ -151,9 +155,9 @@ func (u *upstream) put(uc *upstreamConn) {
 	u.mu.Unlock()
 }
 
-// closeIdle closes the pooled connections and keeps none from then on; a
+// CloseIdle closes the pooled connections and keeps none from then on; a
 // request in flight finishes and closes its own.
-func (u *upstream) closeIdle() {
+func (u *Upstream) CloseIdle() {
 	u.mu.Lock()
 	idle := u.idle
 	u.idle, u.closed = nil, true
@@ -163,13 +167,14 @@ func (u *upstream) closeIdle() {
 	}
 }
 
-func (u *upstream) idleNow() int {
+// IdleNow is the number of connections in the pool.
+func (u *Upstream) IdleNow() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return len(u.idle)
 }
 
-// roundTrip sends one request and returns the reply with its body unread. The
+// RoundTrip sends one request and returns the reply with its body unread. The
 // caller closes the body: read to its end first, the connection goes back to
 // the pool; closed early (a live feed whose reader left), or after a reply
 // that said Connection: close, it is closed. ctx ending at any point closes
@@ -179,15 +184,16 @@ func (u *upstream) idleNow() int {
 // before use, and one that still fails its Write without taking a byte — the
 // peer's reset beat the peek — is replaced and the request sent again: nothing
 // reached a backend. Every other failure is returned, whatever the method;
-// whether the request may go out a second time is proxyToGroup's decision,
-// which knows if it carries an idempotency key. (net/http would also resend a
-// GET whose pooled connection died before the reply's first byte.)
-func (u *upstream) roundTrip(ctx context.Context, method, target, contentType string, body []byte) (*http.Response, error) {
+// whether the request may go out a second time is the caller's decision (the
+// router's proxyToGroup, the client's retry policy), which knows if it carries
+// an idempotency key. (net/http would also resend a GET whose pooled
+// connection died before the reply's first byte.)
+func (u *Upstream) RoundTrip(ctx context.Context, method, target, contentType string, body []byte) (*http.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if method == "" || !strings.HasPrefix(target, "/") || !headSafe(method, true) || !headSafe(target, true) || !headSafe(contentType, false) {
-		return nil, fmt.Errorf("cluster: refusing to send %q %q (Content-Type %q) upstream", method, target, contentType)
+		return nil, fmt.Errorf("hop: refusing to send %q %q (Content-Type %q) upstream", method, target, contentType)
 	}
 	buf := wire.GetBuf()
 	defer buf.Put()
@@ -213,7 +219,7 @@ func (u *upstream) roundTrip(ctx context.Context, method, target, contentType st
 		uc.Close()
 		// n is 0 only when the Write itself failed, and took nothing.
 		if n == 0 && reused && ctx.Err() == nil {
-			u.resends.Add(1)
+			u.Resends.Add(1)
 			continue
 		}
 		return nil, u.failed(ctx, method, target, err)
@@ -222,17 +228,17 @@ func (u *upstream) roundTrip(ctx context.Context, method, target, contentType st
 
 // failed words a round trip's error. Once ctx has ended the connection's own
 // error is only our Close showing through.
-func (u *upstream) failed(ctx context.Context, method, target string, err error) error {
+func (u *Upstream) failed(ctx context.Context, method, target string, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		err = cerr
 	}
-	return fmt.Errorf("%s %s%s: %w", method, u.url, target, err)
+	return fmt.Errorf("%s %s%s: %w", method, u.URL, target, err)
 }
 
 // appendRequest writes the whole request: the head net/http's client would
-// have sent for it, less User-Agent and Accept-Encoding (nothing is to be
-// compressed for a proxy that passes bytes through), then the body.
-func (u *upstream) appendRequest(b []byte, method, target, contentType string, body []byte) []byte {
+// have sent for it, less User-Agent and Accept-Encoding (nothing reads the
+// first, and nothing is to be compressed on a caller's behalf), then the body.
+func (u *Upstream) appendRequest(b []byte, method, target, contentType string, body []byte) []byte {
 	b = append(b, method...)
 	b = append(b, ' ')
 	b = append(b, target...)
@@ -254,8 +260,9 @@ func (u *upstream) appendRequest(b []byte, method, target, contentType string, b
 
 // headSafe reports whether s can go into the request head: nothing in it ends
 // a line, and — for the parts of the request line — nothing splits it. The
-// head is written by hand, so it is checked by hand; the inbound net/http
-// server has already refused all of this, and this is the second lock.
+// head is written by hand, so it is checked by hand; for the router the
+// inbound net/http server has already refused all of this, and this is the
+// second lock.
 func headSafe(s string, requestLine bool) bool {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
@@ -266,12 +273,12 @@ func headSafe(s string, requestLine bool) bool {
 	return true
 }
 
-// escapeTarget makes a request-target of a decoded path and a raw query: the
+// EscapeTarget makes a request-target of a decoded path and a raw query: the
 // path escaped by net/url's rules, the query as it came — byte for byte what
 // http.NewRequest(backend + path + "?" + rawQuery) put on the wire for an
 // inbound request's URL.Path and RawQuery, without parsing a URL per request.
 // (A path that is its own valid encoding costs a scan and no allocation.)
-func escapeTarget(path, rawQuery string) string {
+func EscapeTarget(path, rawQuery string) string {
 	u := url.URL{Path: path, RawPath: path, RawQuery: rawQuery}
 	return u.RequestURI()
 }
@@ -281,14 +288,14 @@ func escapeTarget(path, rawQuery string) string {
 // only what becomes of the connection afterwards.
 type upstreamBody struct {
 	src  io.Reader
-	up   *upstream
+	up   *Upstream
 	uc   *upstreamConn // nil once closed
 	stop func() bool   // detaches the connection from the request's context
 	keep bool          // the reply did not say Connection: close
 	eof  bool          // src was read to its end: the connection is clean
 }
 
-var errBodyClosed = errors.New("cluster: read on a closed upstream body")
+var errBodyClosed = errors.New("hop: read on a closed upstream body")
 
 func (b *upstreamBody) Read(p []byte) (int, error) {
 	if b.uc == nil {

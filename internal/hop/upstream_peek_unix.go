@@ -1,6 +1,6 @@
 //go:build unix
 
-package cluster
+package hop
 
 import "syscall"
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/model"
@@ -106,25 +107,43 @@ func (e *ExecTarget) Finish(clientID string) ([]server.DispatchEvent, error) {
 	return evs, nil
 }
 
+// CallTimeout bounds each request an HTTPTarget sends, the dispatch replay
+// of Finish included: a server that stops answering fails the run instead of
+// hanging it.
+const CallTimeout = 30 * time.Second
+
+// callTimeout is CallTimeout; a test shortens it to see a hung call return.
+var callTimeout = CallTimeout
+
 // HTTPTarget drives a live pfaird (or a router front) through the typed
 // client: one tenant per scenario client. Dispatch logs are collected by
 // replaying the tenant's dispatch stream from decision 0 after the drain,
 // so the recorded trace reflects what the service actually did, not what
-// the generator hoped.
+// the generator hoped. Each request runs under Ctx and CallTimeout.
 type HTTPTarget struct {
 	Ctx context.Context
 	C   *client.Client
+}
+
+// bounded is Ctx for one request.
+func (h *HTTPTarget) bounded() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(h.Ctx, callTimeout)
 }
 
 // Setup creates the tenant and registers its tasks, failing on any
 // admission rejection — a validated spec fits by construction, so a
 // rejection means the server disagrees and the scenario is void.
 func (h *HTTPTarget) Setup(c ClientSetup, m int, policy string) error {
-	if _, err := h.C.CreateTenant(h.Ctx, c.ID, m, policy); err != nil {
+	ctx, cancel := h.bounded()
+	_, err := h.C.CreateTenant(ctx, c.ID, m, policy)
+	cancel()
+	if err != nil {
 		return fmt.Errorf("scenario: create tenant %s: %w", c.ID, err)
 	}
 	for _, ts := range c.Tasks {
-		resp, err := h.C.RegisterTask(h.Ctx, c.ID, ts.Name, model.W(ts.E, ts.P))
+		ctx, cancel := h.bounded()
+		resp, err := h.C.RegisterTask(ctx, c.ID, ts.Name, model.W(ts.E, ts.P))
+		cancel()
 		if err != nil {
 			return fmt.Errorf("scenario: register %s/%s: %w", c.ID, ts.Name, err)
 		}
@@ -137,7 +156,9 @@ func (h *HTTPTarget) Setup(c ClientSetup, m int, policy string) error {
 
 // Submit releases one job at an explicit virtual time.
 func (h *HTTPTarget) Submit(clientID, task string, at rat.Rat) error {
-	if _, err := h.C.SubmitJob(h.Ctx, clientID, task, at.String()); err != nil {
+	ctx, cancel := h.bounded()
+	defer cancel()
+	if _, err := h.C.SubmitJob(ctx, clientID, task, at.String()); err != nil {
 		return fmt.Errorf("scenario: submit %s/%s: %w", clientID, task, err)
 	}
 	return nil
@@ -145,10 +166,15 @@ func (h *HTTPTarget) Submit(clientID, task string, at rat.Rat) error {
 
 // Finish drains the tenant and replays its full dispatch log.
 func (h *HTTPTarget) Finish(clientID string) ([]server.DispatchEvent, error) {
-	if _, err := h.C.Drain(h.Ctx, clientID); err != nil {
+	ctx, cancel := h.bounded()
+	_, err := h.C.Drain(ctx, clientID)
+	cancel()
+	if err != nil {
 		return nil, fmt.Errorf("scenario: drain %s: %w", clientID, err)
 	}
-	st, err := h.C.StreamDispatches(h.Ctx, clientID, 0, false)
+	ctx, cancel = h.bounded()
+	defer cancel()
+	st, err := h.C.StreamDispatches(ctx, clientID, 0, false)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: stream %s: %w", clientID, err)
 	}

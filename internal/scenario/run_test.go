@@ -3,14 +3,18 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/rat"
 	"desyncpfair/internal/server"
 )
 
@@ -97,6 +101,59 @@ func TestReplayReproducesDispatches(t *testing.T) {
 	}
 }
 
+// TestHTTPTargetCallEndsAtDeadline: a server that takes a request and never
+// answers fails the call once callTimeout has passed — a tenant create in
+// Setup, a submit, and in Finish the drain and the dispatch replay alike —
+// instead of hanging the run.
+func TestHTTPTargetCallEndsAtDeadline(t *testing.T) {
+	defer func(d time.Duration) { callTimeout = d }(callTimeout)
+	callTimeout = 200 * time.Millisecond
+
+	release := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/tenants/late/drain":
+			w.Write([]byte("{}"))
+			return
+		case "/v1/tenants/late/dispatches":
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hs.Close()
+	defer close(release)
+
+	h := &HTTPTarget{Ctx: context.Background(), C: client.New(hs.URL, nil)}
+	for _, tc := range []struct {
+		name     string
+		call     func() error
+		deadline bool // the error says the deadline passed
+	}{
+		{"setup", func() error { return h.Setup(ClientSetup{ID: "hung"}, 1, "PD2") }, true},
+		{"submit", func() error { return h.Submit("hung", "t", rat.FromInt(0)) }, true},
+		{"replay", func() error { _, err := h.Finish("late"); return err }, false},
+		{"drain", func() error { _, err := h.Finish("hung"); return err }, true},
+	} {
+		t0 := time.Now()
+		err := tc.call()
+		took := time.Since(t0)
+		if err == nil {
+			t.Errorf("%s: a server that never answers gave no error", tc.name)
+			continue
+		}
+		if tc.deadline && !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: %v, want the deadline's error", tc.name, err)
+		}
+		if took < callTimeout || took > callTimeout+5*time.Second {
+			t.Errorf("%s returned after %v, want just past %v", tc.name, took, callTimeout)
+		}
+	}
+}
+
 // TestExecAndHTTPTargetsAgree: the same workload driven through a live
 // pfaird must produce the identical dispatch log (and therefore the
 // identical trace) as the in-process executive — the server is the
@@ -121,7 +178,7 @@ func TestExecAndHTTPTargetsAgree(t *testing.T) {
 			defer srv.Shutdown()
 			hs := httptest.NewServer(srv.Handler())
 			defer hs.Close()
-			httpRes, err := Run(w, &HTTPTarget{Ctx: context.Background(), C: client.New(hs.URL, hs.Client())})
+			httpRes, err := Run(w, &HTTPTarget{Ctx: context.Background(), C: client.New(hs.URL, nil)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +191,7 @@ func TestExecAndHTTPTargetsAgree(t *testing.T) {
 			}
 			// Whatever the spelling, the service reports (and journals)
 			// the policy's canonical name.
-			tenants, err := client.New(hs.URL, hs.Client()).Tenants(context.Background())
+			tenants, err := client.New(hs.URL, nil).Tenants(context.Background())
 			if err != nil || len(tenants) == 0 {
 				t.Fatalf("listing tenants: %v (%d)", err, len(tenants))
 			}
