@@ -13,7 +13,7 @@ BENCH_N ?= BENCH_20.json
 BENCH_PREV ?= BENCH_19.json
 BENCH_BASE ?= BENCH_BASE.json
 
-.PHONY: all build test vet fmt lint bench bench-json bench-diff race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
+.PHONY: all build test vet fmt lint bench bench-json bench-diff engines race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
 
 all: build lint test
 
@@ -132,6 +132,26 @@ bench-json:
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(BENCH_PREV) $(BENCH_N)
 	$(GO) run ./cmd/benchjson -diff $(BENCH_BASE) $(BENCH_N)
+
+# engines is the byte-for-byte gate of the one dispatch loop: DVQ, SFQ
+# (aligned and staggered) and drifting SFQ all run on online.Executive, DVQ
+# as it is and the others under a boundary clock. The offline CLIs' goldens
+# (every table, every rendered schedule), each driver against its retained
+# seed engine (sfq, core and exp TestEngineEquivalence; the partial
+# schedules at an exhausted horizon), drift.Run's own golden and the
+# staggered model as phased drift, the executive against the seed's O(N)
+# rescan and NextEvent against the next decision, and the service's write
+# path — then the engine rows of the root benchmarks at -cpu 1, one process
+# as the benchmark runs them (compare medians of interleaved runs against
+# the parent's, not single runs).
+engines:
+	$(GO) test -count=1 -v ./cmd/experiments/ -run 'TestAllTablesGolden'
+	$(GO) test -count=1 -v ./cmd/pfairsim/ -run 'TestRenderGolden'
+	$(GO) test -count=1 -v ./internal/sfq/ ./internal/core/ ./internal/exp/ -run 'TestEngineEquivalence|TestHorizonExhaustion'
+	$(GO) test -count=1 -v ./internal/drift/
+	$(GO) test -count=1 -v ./internal/online/ -run 'TestExecutiveMatchesReference|TestNextEventIsNextDecision'
+	$(GO) test -count=1 -v ./internal/server/ -run 'TestWritePathGolden|TestMetricsGolden'
+	$(GO) test -run '^$$' -bench 'SFQEngine|SFQLarge|E3SFQOptimal|E9Staggered|E15ClockDrift|DVQEngine|DVQLarge' -benchmem -cpu 1 .
 
 # fanout-smoke is the egress plane's CI gate, all under -race: the
 # 20-seed byte-identity sweep (every NDJSON stream must equal an

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"desyncpfair/internal/model"
-	"desyncpfair/internal/sfq"
 )
 
 func TestLiuLaylandBound(t *testing.T) {
@@ -37,31 +36,6 @@ func TestGlobalRMSchedulesLowUtilization(t *testing.T) {
 	r := GlobalRM(ws, 2, 8)
 	if r.Misses != 0 {
 		t.Errorf("misses = %d", r.Misses)
-	}
-}
-
-// The original Dhall effect was an RM phenomenon: the canonical task set
-// defeats both global RM and global EDF while Pfair schedules it.
-func TestDhallEffectRMvsPfair(t *testing.T) {
-	for _, m := range []int{2, 3, 4} {
-		ws := DhallWeights(m, 10)
-		if rm := GlobalRM(ws, m, 10); rm.Misses == 0 {
-			t.Errorf("M=%d: global RM should miss on the Dhall set", m)
-		}
-		if edf := GlobalEDF(ws, m, 10); edf.Misses == 0 {
-			t.Errorf("M=%d: global EDF should miss on the Dhall set", m)
-		}
-		sys := model.Periodic(ws, 10)
-		if !sys.Feasible(m) {
-			t.Fatalf("M=%d: Dhall set infeasible (util %s)", m, sys.TotalUtilization())
-		}
-		s, err := sfq.Run(sys, sfq.Options{M: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.MissCount() != 0 {
-			t.Errorf("M=%d: PD² missed on the Dhall set", m)
-		}
 	}
 }
 

@@ -12,8 +12,10 @@
 // scheduler still behaves SFQ-locally — each processor picks the highest
 // priority ready subtask at each of its own boundaries and idles any
 // quantum residue — but no global resynchronization happens. With ε = 0 and
-// φ_k = k/M this is Holman & Anderson's staggered model, which package sfq
-// runs through Run (sfq.Options.Staggered).
+// φ_k = k/M this is Holman & Anderson's staggered model (package sfq's
+// Options.Staggered). Both run on online.Executive under a boundary clock;
+// processors on one boundary take the heads in index order here, while
+// sfq keeps a task on its previous processor when it can.
 //
 // A drifting processor delivers one quantum per 1 + ε time units, i.e.
 // capacity 1/(1+ε) < 1, so a task system with total utilization M is
@@ -27,6 +29,7 @@ import (
 	"fmt"
 
 	"desyncpfair/internal/model"
+	"desyncpfair/internal/online"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/sched"
@@ -43,8 +46,10 @@ type Options struct {
 	// Phase is the per-processor boundary offset φ_k ∈ [0, 1). Missing
 	// entries default to 0.
 	Phase []rat.Rat
-	// MaxBoundaries caps each processor's decision count; 0 derives a safe
-	// bound from the workload size.
+	// MaxBoundaries caps the run: it ends on the earliest boundary
+	// numbered MaxBoundaries (counting each processor's from 0), at
+	// min_k φ_k + MaxBoundaries·(1 + ε_k), and work still pending then is
+	// an error. 0 derives a safe bound from the workload size.
 	MaxBoundaries int64
 }
 
@@ -92,91 +97,27 @@ func (o *Options) phase(k int) rat.Rat {
 // returned schedule is complete (the engine drains the released workload)
 // unless the boundary cap is hit, in which case an error is returned along
 // with the partial schedule.
+//
+// This is a thin driver over online.Executive, as core.RunDVQ is: the
+// executive adopts sys with processor k deciding only on its own
+// boundaries; processors on one boundary take the heads in index order.
 func Run(sys *model.System, opts Options) (*sched.Schedule, error) {
 	if err := opts.fill(sys); err != nil {
 		return nil, err
 	}
-	s := sched.New(sys, opts.M, opts.Policy.Name(), "SFQ-drift")
-
-	n := len(sys.Tasks)
-	cursor := make([]int, n)
-	lastFinish := make([]rat.Rat, n)
-	remaining := sys.NumSubtasks()
-
-	// One cached key per task head, recomputed when the head moves on.
-	rank := prio.NewRanker(opts.Policy)
-	keys := make([]prio.Key, n)
-	for _, task := range sys.Tasks {
-		if seq := sys.Subtasks(task); len(seq) > 0 {
-			keys[task.ID] = prio.KeyOf(seq[0])
+	var until rat.Rat // the earliest boundary numbered MaxBoundaries
+	for k := 0; k < opts.M; k++ {
+		b := opts.phase(k).Add(rat.FromInt(opts.MaxBoundaries).Mul(rat.One.Add(opts.eps(k))))
+		if k == 0 || b.Less(until) {
+			until = b
 		}
 	}
-
-	// Processor k decides at φ_k + j·(1 + ε_k), j = 0, 1, …: next[k] is its
-	// pending boundary, j[k] how many it has passed.
-	j := make([]int64, opts.M)
-	next := make([]rat.Rat, opts.M)
-	quantum := make([]rat.Rat, opts.M)
-	for k := range next {
-		next[k], quantum[k] = opts.phase(k), rat.One.Add(opts.eps(k))
-	}
-
-	bestReady := func(now rat.Rat) *model.Subtask {
-		var best *model.Subtask
-		for _, task := range sys.Tasks {
-			seq := sys.Subtasks(task)
-			c := cursor[task.ID]
-			if c >= len(seq) {
-				continue
-			}
-			head := seq[c]
-			if now.Less(rat.FromInt(head.Elig)) {
-				continue
-			}
-			if c > 0 && now.Less(lastFinish[task.ID]) {
-				continue
-			}
-			if best == nil || rank.Before(&keys[task.ID], &keys[best.Task.ID], head, best) {
-				best = head
-			}
-		}
-		return best
-	}
-
-	decision := 0
-	for remaining > 0 {
-		// The next decision happens on the earliest pending boundary.
-		k := 0
-		for p := 1; p < opts.M; p++ {
-			if next[p].Less(next[k]) {
-				k = p
-			}
-		}
-		if j[k] > opts.MaxBoundaries {
-			return s, fmt.Errorf("drift: boundary cap %d hit with %d subtasks pending", opts.MaxBoundaries, remaining)
-		}
-		now := next[k]
-		j[k]++
-		next[k] = now.Add(quantum[k])
-		sub := bestReady(now)
-		if sub == nil {
-			continue // this processor idles its whole quantum
-		}
-		decision++
-		a := s.Add(sched.Assignment{
-			Sub:      sub,
-			Proc:     k,
-			Start:    now,
-			Cost:     opts.Yield(sub),
-			Decision: decision,
-		})
-		id := sub.Task.ID
-		cursor[id]++
-		if seq := sys.Subtasks(sub.Task); cursor[id] < len(seq) {
-			keys[id] = prio.KeyOf(seq[cursor[id]])
-		}
-		lastFinish[id] = a.Finish()
-		remaining--
+	ex := online.AdoptClocked(sys, opts.M, opts.Policy, online.Clock{Phase: opts.Phase, Drift: opts.Epsilon})
+	s := ex.Schedule()
+	s.Model = "SFQ-drift"
+	_ = ex.Run(until, opts.Yield, nil) // fails only for a time before now (0)
+	if ex.Pending() > 0 {
+		return s, fmt.Errorf("drift: boundary cap %d hit with %d subtasks pending", opts.MaxBoundaries, ex.Pending())
 	}
 	return s, nil
 }

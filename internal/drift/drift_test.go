@@ -20,21 +20,60 @@ func fig2System(h int64) *model.System {
 	}, h)
 }
 
-// With zero drift and zero phase the engine is exactly the SFQ engine.
+// seededGIS is the seeded GIS system both equivalence tests below run: 2–4
+// processors at full utilization over two windows of a 6–13 grid, jitter
+// and omissions by seed, and the four yield models rotating by seed.
+func seededGIS(seed int64) (int, *model.System, sched.YieldFn) {
+	rng := rand.New(rand.NewSource(seed))
+	m := 2 + rng.Intn(3)
+	q := int64(6 + rng.Intn(8))
+	n := m + 1 + rng.Intn(2*m)
+	ws := gen.GridWeights(rng, n, q, int64(m)*q, gen.WeightClass(int(seed)%3))
+	sys := gen.System(rng, ws, gen.SystemOptions{
+		Horizon:    2 * q,
+		JitterProb: int(seed % 2 * 25),
+		MaxJitter:  2,
+		OmitProb:   int(seed % 3 * 10),
+	})
+	y := []sched.YieldFn{
+		sched.FullCost,
+		gen.UniformYield(seed, 8),
+		gen.BimodalYield(seed, 50, 8),
+		gen.AdversarialYield(rat.New(1, 16), nil),
+	}[seed%4]
+	return m, sys, y
+}
+
+// TestZeroDriftEqualsSFQ: with zero drift and zero phase the model is SFQ.
+// Over the 300 seeded systems of TestStaggeredIsPhasedDrift under every
+// policy, drift.Run starts every subtask at the same time for the same
+// cost as the same decision as sfq.Run. Processors may differ: on a tied
+// boundary drift.Run hands the heads out in processor-index order, while
+// sfq.Run keeps a task on its previous processor when it can (affinity).
 func TestZeroDriftEqualsSFQ(t *testing.T) {
-	sys := fig2System(12)
-	d, err := drift.Run(sys, drift.Options{M: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := sfq.Run(sys, sfq.Options{M: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range sys.All() {
-		if !d.Of(sub).Start.Equal(ref.Of(sub).Start) {
-			t.Fatalf("%s at %s under drift-0, %s under SFQ", sub, d.Of(sub).Start, ref.Of(sub).Start)
+	for seed := int64(1); seed <= 300; seed++ {
+		m, sys, y := seededGIS(seed)
+		for _, pol := range prio.All() {
+			d, err := drift.Run(sys, drift.Options{M: m, Policy: pol, Yield: y})
+			if err != nil {
+				t.Fatalf("seed %d %s: drift: %v", seed, pol.Name(), err)
+			}
+			ref, err := sfq.Run(sys, sfq.Options{M: m, Policy: pol, Yield: y})
+			if err != nil {
+				t.Fatalf("seed %d %s: sfq: %v", seed, pol.Name(), err)
+			}
+			for _, sub := range sys.All() {
+				got, want := d.Of(sub), ref.Of(sub)
+				if !got.Start.Equal(want.Start) || !got.Cost.Equal(want.Cost) || got.Decision != want.Decision {
+					t.Fatalf("seed %d %s: %s at %s for %s as decision %d under drift-0; at %s for %s as %d under SFQ",
+						seed, pol.Name(), sub, got.Start, got.Cost, got.Decision, want.Start, want.Cost, want.Decision)
+				}
+			}
 		}
+	}
+	d, err := drift.Run(fig2System(12), drift.Options{M: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := d.MaxTardiness(); got.Sign() != 0 {
 		t.Errorf("zero-drift tardiness %s", got)
@@ -42,30 +81,13 @@ func TestZeroDriftEqualsSFQ(t *testing.T) {
 }
 
 // TestStaggeredIsPhasedDrift: Holman & Anderson's staggered model is this
-// package's model with phase k/M and no rate drift — which is how
-// sfq.Options.Staggered runs. Against the seed's slot-by-slot staggered
-// loop, over 300 seeded GIS systems under every policy with the four yield
-// models rotating by seed, drift.Run and sfq.Run place every subtask on the
-// same processor at the same time for the same cost as the same decision.
+// package's model with phase k/M and no rate drift. Against the seed's
+// slot-by-slot staggered loop, over 300 seeded GIS systems under every
+// policy, drift.Run and sfq.Run (Staggered) place every subtask on the same
+// processor at the same time for the same cost as the same decision.
 func TestStaggeredIsPhasedDrift(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := 2 + rng.Intn(3)
-		q := int64(6 + rng.Intn(8))
-		n := m + 1 + rng.Intn(2*m)
-		ws := gen.GridWeights(rng, n, q, int64(m)*q, gen.WeightClass(int(seed)%3))
-		sys := gen.System(rng, ws, gen.SystemOptions{
-			Horizon:    2 * q,
-			JitterProb: int(seed % 2 * 25),
-			MaxJitter:  2,
-			OmitProb:   int(seed % 3 * 10),
-		})
-		y := []sched.YieldFn{
-			sched.FullCost,
-			gen.UniformYield(seed, 8),
-			gen.BimodalYield(seed, 50, 8),
-			gen.AdversarialYield(rat.New(1, 16), nil),
-		}[seed%4]
+		m, sys, y := seededGIS(seed)
 		phase := make([]rat.Rat, m)
 		for k := range phase {
 			phase[k] = rat.New(int64(k), int64(m))

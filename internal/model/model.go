@@ -270,9 +270,11 @@ func (sys *System) Feasible(m int) bool {
 // Horizon returns the latest deadline of any released subtask (0 if none).
 func (sys *System) Horizon() int64 {
 	var h int64
-	for _, s := range sys.All() {
-		if d := s.Deadline(); d > h {
-			h = d
+	for _, seq := range sys.seqs {
+		for _, s := range seq {
+			if d := s.Deadline(); d > h {
+				h = d
+			}
 		}
 	}
 	return h

@@ -15,113 +15,129 @@ import (
 // the number of tasks with released work; a task with none (idle, or
 // unregistered) is in neither and costs a scheduling decision nothing.
 
-// readyHead is a ready task head with its priority key, computed once on
-// entry: every quantity a policy consults costs integer divisions to
-// derive, and a head is compared O(log N) times while it waits.
-type readyHead struct {
-	key prio.Key
-	sub *model.Subtask
+// Entries hold no pointer, so a sift never pays a GC write barrier: a head
+// is found by its task ID in heads, a compact table a decision reads
+// without chasing the task's sequence. A pop sinks the root's hole along
+// the earlier child before the last entry rises into it (Floyd): about
+// log n comparisons, not 2·log n.
+
+// readyHeap is a binary min-heap of ready heads' priority keys, each
+// computed once on entry — every quantity a policy consults costs integer
+// divisions to derive, and a head is compared O(log N) times while it
+// waits — under the engine's total order (prio.Ranker.Before), so pop
+// returns exactly the subtask an O(N) rescan of every task with prio.Order
+// would select.
+type readyHeap struct {
+	rank  prio.Ranker
+	xs    []prio.Key
+	heads []*model.Subtask // per task ID: its head, pending or ready (setHead)
 }
 
-// readyHeap is a binary min-heap of ready heads under the engine's total
-// order (prio.Ranker.Before), so pop returns exactly the subtask an O(N)
-// rescan of every task with prio.Order would select.
-type readyHeap struct {
-	rank prio.Ranker
-	xs   []readyHead
+// setHead records s as its task's head; await calls it.
+func (h *readyHeap) setHead(s *model.Subtask) {
+	for len(h.heads) <= s.Task.ID {
+		h.heads = append(h.heads, nil)
+	}
+	h.heads[s.Task.ID] = s
 }
 
 func (h *readyHeap) len() int { return len(h.xs) }
 
-func (h *readyHeap) before(i, j int) bool {
-	a, b := &h.xs[i], &h.xs[j]
-	return h.rank.Before(&a.key, &b.key, a.sub, b.sub)
+func (h *readyHeap) before(a, b *prio.Key) bool {
+	return h.rank.Before(a, b, h.heads[a.TaskID], h.heads[b.TaskID])
 }
 
-func (h *readyHeap) push(s *model.Subtask) {
-	h.xs = append(h.xs, readyHead{prio.KeyOf(s), s})
+// push moves task id's head onto the heap.
+func (h *readyHeap) push(id int) {
+	k := prio.KeyOf(h.heads[id])
+	h.xs = append(h.xs, k)
+	h.rise(len(h.xs)-1, &k)
+}
+
+// rise moves the hole at i up while k goes before its parent, then fills
+// it with k.
+func (h *readyHeap) rise(i int, k *prio.Key) {
 	xs := h.xs
-	for i := len(xs) - 1; i > 0; {
+	for i > 0 {
 		p := (i - 1) / 2
-		if !h.before(i, p) {
+		if !h.before(k, &xs[p]) {
 			break
 		}
-		xs[i], xs[p] = xs[p], xs[i]
+		xs[i] = xs[p]
 		i = p
 	}
+	xs[i] = *k
 }
 
-// pop removes and returns the highest-priority ready head. It panics on an
-// empty heap.
-func (h *readyHeap) pop() *model.Subtask {
+// pop removes and returns the highest-priority ready head and its
+// pseudo-deadline, read off its key. It panics on an empty heap.
+func (h *readyHeap) pop() (*model.Subtask, int64) {
 	xs := h.xs
-	top := xs[0].sub
+	top, deadline := h.heads[xs[0].TaskID], xs[0].Deadline
 	n := len(xs) - 1
-	xs[0] = xs[n]
-	xs[n] = readyHead{}
+	last := xs[n]
 	h.xs = xs[:n]
-	for i := 0; ; {
-		l, r, min := 2*i+1, 2*i+2, i
-		if l < n && h.before(l, min) {
-			min = l
+	i := 0
+	for l := 1; l < n; l = 2*i + 1 {
+		if r := l + 1; r < n && h.before(&xs[r], &xs[l]) {
+			l = r
 		}
-		if r < n && h.before(r, min) {
-			min = r
-		}
-		if min == i {
-			return top
-		}
-		xs[i], xs[min] = xs[min], xs[i]
-		i = min
+		xs[i] = xs[l]
+		i = l
 	}
+	if n > 0 {
+		h.rise(i, &last)
+	}
+	return top, deadline
 }
 
 // pendingHeap is a binary min-heap of heads that are not yet ready, keyed
 // by activation time. Entries activating at the same time may pop in any
 // order: the readyHeap re-orders them by priority before a decision reads
 // them. Times on one grid — all of them, under full quanta — compare as
-// plain integers (rat.Cmp's equal-denominator path).
+// plain integers (rat.Less's equal-denominator path).
 type pendingHeap []pendingHead
 
 type pendingHead struct {
-	at  rat.Rat
-	sub *model.Subtask
+	at   rat.Rat
+	task int // task ID
 }
 
-func (h *pendingHeap) push(at rat.Rat, s *model.Subtask) {
-	xs := append(*h, pendingHead{at, s})
-	for i := len(xs) - 1; i > 0; {
+func (h *pendingHeap) push(at rat.Rat, task int) {
+	*h = append(*h, pendingHead{at, task})
+	h.rise(len(*h)-1, pendingHead{at, task})
+}
+
+func (h pendingHeap) rise(i int, x pendingHead) {
+	for i > 0 {
 		p := (i - 1) / 2
-		if !xs[i].at.Less(xs[p].at) {
+		if !x.at.Less(h[p].at) {
 			break
 		}
-		xs[i], xs[p] = xs[p], xs[i]
+		h[i] = h[p]
 		i = p
 	}
-	*h = xs
+	h[i] = x
 }
 
-// pop removes and returns the head with the earliest activation time. It
-// panics on an empty heap.
-func (h *pendingHeap) pop() *model.Subtask {
+// pop removes the head with the earliest activation time and returns its
+// task ID. It panics on an empty heap.
+func (h *pendingHeap) pop() int {
 	xs := *h
-	top := xs[0].sub
+	top := xs[0].task
 	n := len(xs) - 1
-	xs[0] = xs[n]
-	xs[n] = pendingHead{}
+	last := xs[n]
 	*h = xs[:n]
-	for i := 0; ; {
-		l, r, min := 2*i+1, 2*i+2, i
-		if l < n && xs[l].at.Less(xs[min].at) {
-			min = l
+	i := 0
+	for l := 1; l < n; l = 2*i + 1 {
+		if r := l + 1; r < n && xs[r].at.Less(xs[l].at) {
+			l = r
 		}
-		if r < n && xs[r].at.Less(xs[min].at) {
-			min = r
-		}
-		if min == i {
-			return top
-		}
-		xs[i], xs[min] = xs[min], xs[i]
-		i = min
+		xs[i] = xs[l]
+		i = l
 	}
+	if n > 0 {
+		xs[:n].rise(i, last)
+	}
+	return top
 }

@@ -35,17 +35,17 @@
 //
 // # One engine
 //
-// The executive is the repository's only incremental PD²-DVQ dispatch
-// loop: core.RunDVQ adopts a prebuilt system (Adopt) and runs this one.
-// Each task with undispatched work has exactly one entry — its head — in
-// a pending heap keyed by activation time or a ready heap keyed by a
-// priority key cached on entry (heads.go), so a decision costs O(log N)
-// in the tasks that have work and nothing in those that do not. There is
-// no event queue: under DVQ a decision happens when a processor frees or
-// when work reaches an idle one, so the next decision time is a function
-// of freeAt and the heads (NextEvent) and Run loops on it.
-// core.RunDVQReference, the seed's O(N) rescan, is the oracle it is pinned
-// to.
+// The executive is the repository's only dispatch loop: core.RunDVQ adopts
+// a prebuilt system (Adopt) and runs it under DVQ, sfq.Run and drift.Run
+// under a boundary clock (AdoptClocked). Each task with undispatched work
+// has exactly one entry — its head — in a pending heap keyed by activation
+// time or a ready heap keyed by a priority key cached on entry (heads.go),
+// so a decision costs O(log N) in the tasks that have work and nothing in
+// those that do not. There is no event queue: a decision happens when a
+// processor frees (under a clock, at its next boundary) or when work
+// reaches an idle one, so the next decision time is a function of freeAt,
+// the boundaries and the heads (NextEvent) and Run loops on it.
+// core.RunDVQReference and sfq.RunReference are the oracles it is pinned to.
 //
 // # Retention
 //
@@ -100,6 +100,11 @@ type Executive struct {
 	// of these (heads.go); they are derived state, rebuilt by Restore.
 	waiting pendingHeap
 	ready   readyHeap
+
+	// Boundary clock (nil under DVQ): per processor its next boundary and
+	// quantum; with affinity, per task its last processor (−1 none).
+	boundary, quantum []rat.Rat
+	lastProc          []int
 }
 
 // Dispatch reports one scheduling decision to the Run callback.
@@ -156,7 +161,8 @@ func Adopt(sys *model.System, m int, policy prio.Policy) *Executive {
 	e.lastFin = make([]rat.Rat, n)
 	e.nextIdx = make([]int64, n)
 	e.waiting = make(pendingHeap, 0, n)
-	e.ready.xs = make([]readyHead, 0, n)
+	e.ready.xs = make([]prio.Key, 0, n)
+	e.ready.heads = make([]*model.Subtask, n)
 	for _, t := range sys.Tasks {
 		seq := sys.Subtasks(t)
 		e.nextIdx[t.ID] = 1
@@ -350,7 +356,8 @@ func (e *Executive) await(head *model.Subtask) {
 	if head.Seq > 0 {
 		at = rat.Max(at, e.lastFin[head.Task.ID])
 	}
-	e.waiting.push(at, head)
+	e.ready.setHead(head)
+	e.waiting.push(at, head.Task.ID)
 }
 
 // Run advances virtual time to `until`, dispatching work as processors free
@@ -377,27 +384,39 @@ func (e *Executive) Run(until rat.Rat, yield sched.YieldFn, onDispatch func(Disp
 	return nil
 }
 
-// dispatchAt makes scheduling decisions for every processor free at time t:
-// heads whose activation time has come move to the ready heap, and each
-// free processor, in index order, starts the highest-priority one.
+// dispatchAt makes scheduling decisions for every processor that decides
+// at time t (free, and under a clock on a boundary): heads whose activation
+// time has come move to the ready heap, and the highest-priority one goes
+// to the first deciding processor in index order — or, with affinity, to
+// its task's previous processor when that one decides too.
 func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(Dispatch)) {
 	for len(e.waiting) > 0 && !t.Less(e.waiting[0].at) {
 		e.ready.push(e.waiting.pop())
 	}
 	for p := 0; p < len(e.freeAt) && e.ready.len() > 0; p++ {
-		if t.Less(e.freeAt[p]) {
+		if !e.decides(p, t) {
 			continue
 		}
-		sub := e.ready.pop()
+		sub, deadline := e.ready.pop()
+		id := sub.Task.ID
+		proc := p
+		if e.lastProc != nil {
+			if q := e.lastProc[id]; q > p && e.decides(q, t) {
+				proc, p = q, p-1 // p still decides: it takes the next head
+			}
+			e.lastProc[id] = proc
+		}
 		cost := yield(sub)
 		e.decision++
-		fin, deadline := t.Add(cost), sub.Deadline()
+		fin := t.Add(cost)
 		tard := sched.Tardiness(fin, deadline)
-		e.schedule.AddDecided(sched.Assignment{Sub: sub, Proc: p, Start: t, Cost: cost, Decision: e.decision}, fin, tard)
-		id := sub.Task.ID
+		e.schedule.AddDecided(sched.Assignment{Sub: sub, Proc: proc, Start: t, Cost: cost, Decision: e.decision}, fin, tard)
 		e.cursor[id]++
 		e.lastFin[id] = fin
-		e.freeAt[p] = fin
+		e.freeAt[proc] = fin
+		if e.boundary != nil {
+			e.boundary[proc] = t.Add(e.quantum[proc])
+		}
 		e.pending--
 		if next := e.sys.Successor(sub); next != nil {
 			e.await(next) // activates at fin > t at the earliest
@@ -410,7 +429,7 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 			e.sys.Forget(sub.Task, behind)
 			e.cursor[id] = 1
 		}
-		d := Dispatch{Sub: sub, Proc: p, Start: t, Finish: fin, Deadline: deadline, Tardiness: tard, Decision: e.decision}
+		d := Dispatch{Sub: sub, Proc: proc, Start: t, Finish: fin, Deadline: deadline, Tardiness: tard, Decision: e.decision}
 		if onDispatch != nil {
 			onDispatch(d)
 		}
@@ -448,22 +467,31 @@ func (e *Executive) Drain(yield sched.YieldFn) (rat.Rat, error) {
 }
 
 // NextEvent returns the time of the next scheduling decision — the first
-// moment from now on at which a processor is free and a head is active,
+// moment from now on at which a processor decides and a head is active,
 // where Run dispatches at least one subtask — and false when no released
 // subtask is undispatched. Nothing is queued to answer it: after
-// dispatchAt either no head is ready or no processor is free, so nothing
+// dispatchAt either no head is ready or no processor decides, so nothing
 // can happen before the earliest processor frees and, when no head is
-// ready, the earliest pending head activates.
+// ready, the earliest pending head activates — under a clock, before the
+// first boundary of some processor at or after both.
 func (e *Executive) NextEvent() (rat.Rat, bool) {
 	if e.pending == 0 {
 		return rat.Zero, false
+	}
+	from := e.now
+	if e.ready.len() == 0 {
+		from = rat.Max(from, e.waiting[0].at)
+	}
+	if e.boundary != nil {
+		next := e.boundaryFrom(0, from)
+		for p := 1; p < len(e.boundary); p++ {
+			next = rat.Min(next, e.boundaryFrom(p, from))
+		}
+		return next, true
 	}
 	next := e.freeAt[0]
 	for _, f := range e.freeAt[1:] {
 		next = rat.Min(next, f)
 	}
-	if e.ready.len() == 0 {
-		next = rat.Max(next, e.waiting[0].at)
-	}
-	return rat.Max(next, e.now), true
+	return rat.Max(next, from), true
 }

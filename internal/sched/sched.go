@@ -65,6 +65,10 @@ type Schedule struct {
 	discard bool
 	asgs    []*Assignment
 	bySub   map[*model.Subtask]*Assignment
+	// slab holds the assignments asgs points to, in blocks: one the size of
+	// the system when the schedule is made, then blocks of at least 64. A
+	// full block is replaced, never grown, so no kept pointer moves.
+	slab []Assignment
 
 	n        int
 	misses   int
@@ -80,7 +84,9 @@ func New(sys *model.System, m int, algo, mdl string) *Schedule {
 		Sys:      sys,
 		Algo:     algo,
 		Model:    mdl,
+		asgs:     make([]*Assignment, 0, sys.NumSubtasks()),
 		bySub:    make(map[*model.Subtask]*Assignment, sys.NumSubtasks()),
+		slab:     make([]Assignment, 0, sys.NumSubtasks()),
 		maxTard:  rat.Zero,
 		busy:     rat.Zero,
 		makespan: rat.Zero,
@@ -94,7 +100,7 @@ func New(sys *model.System, m int, algo, mdl string) *Schedule {
 // nothing to work on — offline drivers, figures and experiments keep the
 // default.
 func (s *Schedule) DiscardAssignments() {
-	s.discard, s.asgs, s.bySub = true, nil, nil
+	s.discard, s.asgs, s.bySub, s.slab = true, nil, nil, nil
 }
 
 // Retains reports whether the schedule keeps its assignments.
@@ -119,10 +125,13 @@ func (s *Schedule) AddDecided(a Assignment, fin, tard rat.Rat) *Assignment {
 		if _, dup := s.bySub[a.Sub]; dup {
 			panic(fmt.Sprintf("sched: %s scheduled twice", a.Sub))
 		}
-		cp := a
-		s.asgs = append(s.asgs, &cp)
-		s.bySub[a.Sub] = &cp
-		kept = &cp
+		if len(s.slab) == cap(s.slab) {
+			s.slab = make([]Assignment, 0, max(64, cap(s.slab)))
+		}
+		s.slab = append(s.slab, a)
+		kept = &s.slab[len(s.slab)-1]
+		s.asgs = append(s.asgs, kept)
+		s.bySub[a.Sub] = kept
 	}
 	s.n++
 	s.busy = s.busy.Add(a.Cost)

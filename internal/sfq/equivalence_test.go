@@ -10,12 +10,13 @@ import (
 	"desyncpfair/internal/sched"
 )
 
-// TestEngineEquivalence pins the fast-path Run (key-sorted ready sets) to
-// the retained seed implementation RunReference across random feasible GIS
-// systems, every policy, both quantum alignments and all yield models.
+// TestEngineEquivalence pins Run — the online executive under a boundary
+// clock with affinity — to the retained seed implementation RunReference
+// across 100 random feasible GIS systems, every policy, both quantum
+// alignments and all yield models.
 func TestEngineEquivalence(t *testing.T) {
 	pols := append(prio.All(), prio.PD2NoGroup{}, prio.PD2NoBBit{})
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := 2 + rng.Intn(3)
 		q := int64(6 + rng.Intn(8))

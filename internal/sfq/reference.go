@@ -116,3 +116,99 @@ func sortSubtasksReference(subs []*model.Subtask, p prio.Policy) {
 		}
 	}
 }
+
+// state tracks per-task progress during a slot-based run.
+type state struct {
+	sys       *model.System
+	cursor    []int   // per task: next unscheduled seq index
+	lastSlot  []int64 // per task: slot of most recent assignment (−1 none)
+	lastProc  []int   // per task: processor of most recent assignment (affinity)
+	m         int
+	remaining int
+	ready     []*model.Subtask // reusable readyAt buffer
+	free      []int            // reusable freeProcs buffer
+}
+
+func newState(sys *model.System, m int) *state {
+	n := len(sys.Tasks)
+	st := &state{
+		sys:      sys,
+		cursor:   make([]int, n),
+		lastSlot: make([]int64, n),
+		lastProc: make([]int, n),
+		m:        m,
+	}
+	for i := range st.lastSlot {
+		st.lastSlot[i] = -1
+		st.lastProc[i] = -1
+	}
+	st.remaining = sys.NumSubtasks()
+	return st
+}
+
+// readyAt returns the ready heads at slot t: each task's next unscheduled
+// released subtask, provided it is eligible and its predecessor (if any)
+// was scheduled in an earlier slot. (Only heads can be ready — subtasks of
+// a task execute in released order.) The returned slice aliases a buffer
+// reused across slots.
+func (st *state) readyAt(t int64) []*model.Subtask {
+	ready := st.ready[:0]
+	for _, task := range st.sys.Tasks {
+		seq := st.sys.Subtasks(task)
+		c := st.cursor[task.ID]
+		if c >= len(seq) {
+			continue
+		}
+		head := seq[c]
+		if head.Elig > t {
+			continue
+		}
+		if c > 0 && st.lastSlot[task.ID] >= t {
+			continue // predecessor occupies this slot
+		}
+		ready = append(ready, head)
+	}
+	st.ready = ready
+	return ready
+}
+
+// freeProcs returns the free-processor list for a fresh slot; it aliases a
+// buffer reused across slots (the caller shrinks it via remove).
+func (st *state) freeProcs() []int {
+	free := st.free[:0]
+	for i := 0; i < st.m; i++ {
+		free = append(free, i)
+	}
+	st.free = free
+	return free
+}
+
+// pickProc chooses a processor for sub from the (non-empty) free list,
+// preferring the task's previous processor to minimize notional migrations.
+func (st *state) pickProc(free []int, sub *model.Subtask) int {
+	if prev := st.lastProc[sub.Task.ID]; prev >= 0 {
+		for _, p := range free {
+			if p == prev {
+				return p
+			}
+		}
+	}
+	return free[0]
+}
+
+func (st *state) commit(sub *model.Subtask, a *sched.Assignment, t int64) {
+	id := sub.Task.ID
+	st.cursor[id]++
+	st.lastSlot[id] = t
+	st.lastProc[id] = a.Proc
+	st.remaining--
+}
+
+func remove(xs []int, x int) []int {
+	for i, v := range xs {
+		if v == x {
+			return append(xs[:i], xs[i+1:]...)
+		}
+	}
+	return xs
+}

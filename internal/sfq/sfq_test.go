@@ -256,24 +256,23 @@ func TestDecisionOrderIsRankOrder(t *testing.T) {
 
 func TestHorizonExhaustion(t *testing.T) {
 	// An infeasible system (utilization 3 on 2 processors) cannot drain by
-	// the given horizon: Run must report an error rather than loop.
+	// the given horizon: Run must report an error rather than loop, and
+	// stop where the seed's slot loop stops — aligned after slot 12,
+	// staggered after each processor's boundary in it — with the same
+	// partial schedule.
 	sys := model.Periodic([]model.Weight{
 		model.W(1, 1), model.W(1, 1), model.W(1, 1),
 	}, 10)
-	_, err := Run(sys, Options{M: 2, Horizon: 12})
-	if err == nil {
-		t.Fatal("expected horizon exhaustion error")
-	}
-	// Staggered, the cap counts each processor's boundaries: the same
-	// error, and the same partial schedule as the seed's slot loop.
-	opts := Options{M: 2, Horizon: 12, Staggered: true}
-	got, err := Run(sys, opts)
-	if err == nil {
-		t.Fatal("staggered: expected horizon exhaustion error")
-	}
-	want, _ := RunReference(sys, opts)
-	if n := len(got.Assignments()); n == 0 || !sched.Equal(got, want) {
-		t.Errorf("staggered: partial schedule (%d assignments) differs from the reference's (%d)", n, len(want.Assignments()))
+	for _, staggered := range []bool{false, true} {
+		opts := Options{M: 2, Horizon: 12, Staggered: staggered}
+		got, err := Run(sys, opts)
+		if err == nil {
+			t.Fatalf("staggered=%v: expected horizon exhaustion error", staggered)
+		}
+		want, _ := RunReference(sys, opts)
+		if n := len(got.Assignments()); n == 0 || !sched.Equal(got, want) {
+			t.Errorf("staggered=%v: partial schedule (%d assignments) differs from the reference's (%d)", staggered, n, len(want.Assignments()))
+		}
 	}
 }
 
