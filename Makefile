@@ -170,10 +170,13 @@ fanout-smoke:
 	$(GO) test -race -count=1 ./cmd/pfairload/ -run 'TestStreamsFanout'
 
 # flake re-runs the tests that race real timers against real sockets —
-# the stall sever, the lag eviction, the live trace follower — twenty
-# times under -race: a tier-1 suite is deterministic only if these are.
+# the stall sever (of a dispatch stream and of a replication follower),
+# the lag eviction, the live trace follower, and the journal feed's
+# wake-up on the fsync, whose take-the-channel-first rule lives in the
+# stream loop every feed shares — twenty times under -race: a tier-1
+# suite is deterministic only if these are.
 flake:
-	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestStreamEvictsLaggingSubscriber|TestTraceFollowLive'
+	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestStreamEvictsLaggingSubscriber|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync'
 	$(GO) test -race -count=20 ./internal/client/ -run 'TestStreamTraceEndToEnd'
 
 fuzz:

@@ -246,10 +246,10 @@ func (f *fanout) stop(rep *report, wall time.Duration) {
 		rep.StreamRate = float64(rep.StreamFrames) / wall.Seconds()
 	}
 	sort.Slice(f.lagSamples, func(i, j int) bool { return f.lagSamples[i] < f.lagSamples[j] })
-	rep.StreamLagP50 = percentileI64(f.lagSamples, 0.50)
-	rep.StreamLagP90 = percentileI64(f.lagSamples, 0.90)
-	rep.StreamLagP99 = percentileI64(f.lagSamples, 0.99)
-	rep.StreamLagMax = percentileI64(f.lagSamples, 1.00)
+	rep.StreamLagP50 = percentile(f.lagSamples, 0.50)
+	rep.StreamLagP90 = percentile(f.lagSamples, 0.90)
+	rep.StreamLagP99 = percentile(f.lagSamples, 0.99)
+	rep.StreamLagMax = percentile(f.lagSamples, 1.00)
 }
 
 func main() {
@@ -579,21 +579,6 @@ func run(cfg config, out io.Writer) (report, error) {
 	return rep, nil
 }
 
-// percentileI64 returns the q-quantile of sorted int64 samples.
-func percentileI64(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
 // formatTenantM renders the per-tenant M gauges as "id=m id=m …",
 // sorted by tenant id so runs diff cleanly.
 func formatTenantM(m map[string]int) string {
@@ -688,10 +673,12 @@ func addServerStats(ctx context.Context, c *client.Client, rep *report) error {
 	return nil
 }
 
-// percentile returns the q-quantile of sorted latencies (q in (0, 1]).
-func percentile(sorted []time.Duration, q float64) time.Duration {
+// percentile returns the q-quantile of sorted samples (q in (0, 1]): the
+// client latencies and the stream lags.
+func percentile[T any](sorted []T, q float64) T {
 	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	i := int(q*float64(len(sorted))+0.5) - 1
 	if i < 0 {

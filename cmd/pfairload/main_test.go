@@ -164,7 +164,7 @@ func TestResizeRejectedCountedSeparately(t *testing.T) {
 }
 
 func TestPercentile(t *testing.T) {
-	if got := percentile(nil, 0.5); got != 0 {
+	if got := percentile([]time.Duration(nil), 0.5); got != 0 {
 		t.Errorf("percentile(nil) = %v", got)
 	}
 	sorted := make([]time.Duration, 100)

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,6 +70,39 @@ func TestWithOverhead(t *testing.T) {
 	}
 	if !strings.Contains(WithOverhead(PfairSFQ, ws, 2, rat.New(1, 10)).Reason, "overhead") {
 		t.Error("reason should mention overhead")
+	}
+
+	// The inflation itself, seen by the test it feeds: costs round up, zero
+	// overhead is the identity, and a weight pushed past 1 or a negative
+	// overhead is refused before any test runs.
+	for _, tc := range []struct {
+		name     string
+		ws       []model.Weight
+		overhead rat.Rat
+		want     []model.Weight // nil: refused
+	}{
+		{"10% rounds up", []model.Weight{model.W(2, 10), model.W(5, 10)}, rat.New(1, 10),
+			[]model.Weight{model.W(3, 10), model.W(6, 10)}}, // 2.2 → 3, 5.5 → 6
+		{"0 is identity", []model.Weight{model.W(2, 10), model.W(5, 10)}, rat.Zero,
+			[]model.Weight{model.W(2, 10), model.W(5, 10)}},
+		{"past weight 1", []model.Weight{model.W(10, 10)}, rat.New(1, 10), nil},
+		{"negative overhead", []model.Weight{model.W(2, 10)}, rat.New(-1, 10), nil},
+	} {
+		var got []model.Weight
+		record := func(ws []model.Weight, m int) Decision {
+			got = ws
+			return Decision{Admitted: true}
+		}
+		d := WithOverhead(record, tc.ws, 1, tc.overhead)
+		if tc.want == nil {
+			if d.Admitted || got != nil {
+				t.Errorf("%s: admitted %v, test saw %v; want refused before the test", tc.name, d.Admitted, got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: inflated = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

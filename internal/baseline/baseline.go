@@ -148,10 +148,22 @@ func totalCost(jobs []*Job) int64 {
 
 // PartitionFFD assigns tasks to m processors first-fit with tasks
 // considered in decreasing utilization, the standard partitioning
-// heuristic. It returns per-processor task index lists, or an error when
-// some task fits on no processor — the situation that caps partitioned
-// schemes near 50% utilization.
+// heuristic, admitting a task to a processor while the bin's utilization
+// stays within 1. It returns per-processor task index lists, or an error
+// when some task fits on no processor — the situation that caps
+// partitioned schemes near 50% utilization.
 func PartitionFFD(weights []model.Weight, m int) ([][]int, error) {
+	return firstFitDecreasing(weights, m, "fits on no processor", func(load rat.Rat, _ int) bool {
+		return load.LessEq(rat.One)
+	})
+}
+
+// firstFitDecreasing is the one first-fit-decreasing loop: each task, in
+// decreasing utilization, goes to the first bin that admits it — fits
+// reports whether a bin may take the task, given the load and task count
+// the bin would have with it. A task no bin admits is an error that ends
+// with refusal.
+func firstFitDecreasing(weights []model.Weight, m int, refusal string, fits func(load rat.Rat, n int) bool) ([][]int, error) {
 	order := make([]int, len(weights))
 	for i := range order {
 		order[i] = i
@@ -162,19 +174,17 @@ func PartitionFFD(weights []model.Weight, m int) ([][]int, error) {
 	})
 	bins := make([][]int, m)
 	loads := make([]rat.Rat, m)
-	one := rat.One
 	for _, ti := range order {
-		placed := false
-		for b := 0; b < m; b++ {
-			if loads[b].Add(weights[ti].Rat()).LessEq(one) {
+		b := 0
+		for ; b < m; b++ {
+			if load := loads[b].Add(weights[ti].Rat()); fits(load, len(bins[b])+1) {
 				bins[b] = append(bins[b], ti)
-				loads[b] = loads[b].Add(weights[ti].Rat())
-				placed = true
+				loads[b] = load
 				break
 			}
 		}
-		if !placed {
-			return nil, fmt.Errorf("baseline: task %d (weight %s) fits on no processor", ti, weights[ti])
+		if b == m {
+			return nil, fmt.Errorf("baseline: task %d (weight %s) %s", ti, weights[ti], refusal)
 		}
 	}
 	return bins, nil
@@ -184,7 +194,16 @@ func PartitionFFD(weights []model.Weight, m int) ([][]int, error) {
 // Uniprocessor EDF is optimal, so a successful partition implies zero
 // misses; the run is still performed to report them uniformly.
 func PartitionedEDF(weights []model.Weight, m int, horizon int64) (EDFResult, error) {
-	bins, err := PartitionFFD(weights, m)
+	return partitioned(weights, m, horizon, PartitionFFD, GlobalEDF)
+}
+
+// partitioned is the one partitioned runner: it assigns the tasks to m
+// processors with partition and runs each bin on one processor with run,
+// summing jobs and misses and keeping the worst tardiness.
+func partitioned(weights []model.Weight, m int, horizon int64,
+	partition func([]model.Weight, int) ([][]int, error),
+	run func([]model.Weight, int, int64) EDFResult) (EDFResult, error) {
+	bins, err := partition(weights, m)
 	if err != nil {
 		return EDFResult{}, err
 	}
@@ -194,12 +213,10 @@ func PartitionedEDF(weights []model.Weight, m int, horizon int64) (EDFResult, er
 		for i, ti := range bin {
 			sub[i] = weights[ti]
 		}
-		r := GlobalEDF(sub, 1, horizon)
+		r := run(sub, 1, horizon)
 		total.Jobs += r.Jobs
 		total.Misses += r.Misses
-		if r.MaxTardiness > total.MaxTardiness {
-			total.MaxTardiness = r.MaxTardiness
-		}
+		total.MaxTardiness = max(total.MaxTardiness, r.MaxTardiness)
 	}
 	return total, nil
 }

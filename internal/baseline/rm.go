@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -50,56 +49,16 @@ func LiuLaylandBound(n int) float64 {
 // within the Liu–Layland bound for its new task count — the standard
 // sufficient schedulability test for per-processor RM.
 func PartitionFFDRM(weights []model.Weight, m int) ([][]int, error) {
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		wa, wb := weights[order[a]], weights[order[b]]
-		return wa.E*wb.P > wb.E*wa.P
+	return firstFitDecreasing(weights, m, "admitted by no processor under Liu–Layland", func(load rat.Rat, n int) bool {
+		return load.Float64() <= LiuLaylandBound(n)
 	})
-	bins := make([][]int, m)
-	loads := make([]rat.Rat, m)
-	for _, ti := range order {
-		placed := false
-		for b := 0; b < m; b++ {
-			newLoad := loads[b].Add(weights[ti].Rat())
-			if newLoad.Float64() <= LiuLaylandBound(len(bins[b])+1) {
-				bins[b] = append(bins[b], ti)
-				loads[b] = newLoad
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return nil, fmt.Errorf("baseline: task %d (weight %s) admitted by no processor under Liu–Layland", ti, weights[ti])
-		}
-	}
-	return bins, nil
 }
 
 // PartitionedRM partitions with PartitionFFDRM and runs per-processor RM.
 // A successful Liu–Layland partition guarantees zero misses; the simulation
 // is still performed so results are uniformly empirical.
 func PartitionedRM(weights []model.Weight, m int, horizon int64) (EDFResult, error) {
-	bins, err := PartitionFFDRM(weights, m)
-	if err != nil {
-		return EDFResult{}, err
-	}
-	var total EDFResult
-	for _, bin := range bins {
-		sub := make([]model.Weight, len(bin))
-		for i, ti := range bin {
-			sub[i] = weights[ti]
-		}
-		r := GlobalRM(sub, 1, horizon)
-		total.Jobs += r.Jobs
-		total.Misses += r.Misses
-		if r.MaxTardiness > total.MaxTardiness {
-			total.MaxTardiness = r.MaxTardiness
-		}
-	}
-	return total, nil
+	return partitioned(weights, m, horizon, PartitionFFDRM, GlobalRM)
 }
 
 // DhallWeights returns the classical Dhall-effect task set for m

@@ -120,6 +120,10 @@ type Follower struct {
 // anything that waits.
 const statusRefresh = 50 * time.Millisecond
 
+// tailRetry is how long a follower waits after its log stream broke before
+// it opens the next one.
+const tailRetry = 100 * time.Millisecond
+
 // tickerFunc is time.NewTicker behind a seam: the loops of this package take
 // theirs through one, so a test can hand them a ticker that never fires and
 // show that nothing waits for it.
@@ -153,7 +157,7 @@ func startFollower(srv *server.Server, leader string, hc *http.Client, newTicker
 	}
 	f.tip.Store(-1)
 	srv.SetPromoteHook(f.Seal)
-	go f.tailLoop(ctx)
+	go f.tailLoop(ctx, newTicker)
 	go f.statusLoop(ctx, newTicker)
 	return f
 }
@@ -210,13 +214,14 @@ func (f *Follower) Promote() error {
 	return f.srv.Promote()
 }
 
-// tailLoop streams the leader's journal, reconnecting with backoff on
-// transport errors. Two conditions end it besides Seal: a stale-term
-// rejection (this node was promoted or fenced — replicating further
-// would be wrong) and a 410 Gone (the leader compacted past our cursor;
-// live re-bootstrap would have to rebuild all tenant state, so the node
-// degrades and an operator restarts it to re-bootstrap from scratch).
-func (f *Follower) tailLoop(ctx context.Context) {
+// tailLoop streams the leader's journal, reconnecting tailRetry after a
+// transport error (the wait is newTicker's, so a test decides when it
+// ends). Two conditions end the loop besides Seal: a stale-term rejection
+// (this node was promoted or fenced — replicating further would be wrong)
+// and a 410 Gone (the leader compacted past our cursor; live re-bootstrap
+// would have to rebuild all tenant state, so the node degrades and an
+// operator restarts it to re-bootstrap from scratch).
+func (f *Follower) tailLoop(ctx context.Context, newTicker tickerFunc) {
 	defer close(f.tailDone)
 	for ctx.Err() == nil {
 		err := f.tailOnce(ctx)
@@ -232,11 +237,12 @@ func (f *Follower) tailLoop(ctx context.Context) {
 		case err != nil:
 			f.srv.SetReplicationError(err.Error())
 		}
+		tick, stop := newTicker(tailRetry)
 		select {
 		case <-ctx.Done():
-			return
-		case <-time.After(100 * time.Millisecond):
+		case <-tick:
 		}
+		stop()
 	}
 }
 

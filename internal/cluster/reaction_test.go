@@ -320,6 +320,64 @@ func TestFollowerReadyExactlyAtTip(t *testing.T) {
 	}
 }
 
+// TestFollowerTailRetriesOnTick: a follower whose log stream fails opens the
+// next one when its retry wait ends, and not before. The leader here answers
+// every log request 500; the retry wait's ticker fires only when the test
+// sends on it, so each retry is one the test allowed. After each failure the
+// follower has asked for its retry ticker — it is parked on it — and the
+// leader has seen exactly as many log requests as the test sent ticks, plus
+// the first.
+func TestFollowerTailRetriesOnTick(t *testing.T) {
+	ctx := testContext(t)
+	var tails atomic.Int64
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replication/log" {
+			tails.Add(1)
+		}
+		w.WriteHeader(http.StatusInternalServerError)
+		io.WriteString(w, `{"error":"down"}`+"\n")
+	}))
+	t.Cleanup(leader.Close)
+	srv, err := server.Open(server.Options{DataDir: t.TempDir(), Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	parked := make(chan struct{}, 1)
+	retry := make(chan time.Time)
+	fol := startFollower(srv, leader.URL, nil, func(d time.Duration) (<-chan time.Time, func()) {
+		if d != tailRetry {
+			return neverTicker(d)
+		}
+		parked <- struct{}{}
+		return retry, func() {}
+	})
+	t.Cleanup(func() { _ = fol.Seal() })
+
+	for want := int64(1); want <= 3; want++ {
+		select {
+		case <-parked:
+		case <-ctx.Done():
+			t.Fatalf("after log request %d failed the follower never waited to retry", want)
+		}
+		if got := tails.Load(); got != want {
+			t.Fatalf("the leader saw %d log requests, want %d: one, and one per tick", got, want)
+		}
+		if e := srv.ReplicationError(); !strings.Contains(e, "HTTP 500") {
+			t.Fatalf("replication error %q does not name the failed stream", e)
+		}
+		if want == 3 {
+			break
+		}
+		select {
+		case retry <- time.Now():
+		case <-ctx.Done():
+			t.Fatal("the parked follower never took its tick")
+		}
+	}
+}
+
 // scriptedReplica is a pfaird stand-in for the router's failover path: it
 // answers the health probe as a follower at a fixed applied LSN until a
 // promote request is answered 200, as a leader from then on, and counts the

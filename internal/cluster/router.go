@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/hop"
+	"desyncpfair/internal/obs"
 	"desyncpfair/internal/server"
 )
 
@@ -325,8 +325,8 @@ func (r *Router) probe(ctx context.Context, up *hop.Upstream, scrapeTenants bool
 // /metrics: the pfaird_tenants count and the sum of the per-tenant
 // pfaird_tenant_m capacity gauges (which move under resize and the
 // autoscaler). The final return distinguishes "gauges read 0" from
-// "scrape failed or the count gauge is missing" — the placement policy
-// treats only the former as an empty group.
+// "scrape failed, the page does not parse or the count gauge is missing" —
+// the placement policy treats only the former as an empty group.
 func scrapeTenantGauges(ctx context.Context, up *hop.Upstream) (tenants, capacityM int, ok bool) {
 	resp, err := up.RoundTrip(ctx, http.MethodGet, "/metrics", "", nil)
 	if err != nil {
@@ -336,29 +336,24 @@ func scrapeTenantGauges(ctx context.Context, up *hop.Upstream) (tenants, capacit
 	if resp.StatusCode != http.StatusOK {
 		return 0, 0, false
 	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, found := strings.CutPrefix(line, "pfaird_tenants "); found {
-			n, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err != nil {
-				return 0, 0, false
-			}
-			tenants, ok = n, true
-			continue
-		}
-		if strings.HasPrefix(line, "pfaird_tenant_m{") {
-			if sp := strings.LastIndexByte(line, ' '); sp >= 0 {
-				if n, err := strconv.Atoi(strings.TrimSpace(line[sp+1:])); err == nil {
-					capacityM += n
-				}
-			}
-		}
-	}
-	if !ok {
+	page, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return 0, 0, false
 	}
-	return tenants, capacityM, true
+	ex, err := obs.ParseExposition(string(page))
+	if err != nil {
+		return 0, 0, false
+	}
+	count := ex.Family("pfaird_tenants")
+	if count == nil || len(count.Samples) != 1 {
+		return 0, 0, false
+	}
+	if m := ex.Family("pfaird_tenant_m"); m != nil {
+		for _, s := range m.Samples {
+			capacityM += int(s.Value)
+		}
+	}
+	return int(count.Samples[0].Value), capacityM, true
 }
 
 // promote asks one backend to take over its group and reports the outcome

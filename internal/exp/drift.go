@@ -112,7 +112,8 @@ func E16QuantumSize(m int, overhead int64) ([]QuantumPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			sys := model.Periodic(ws, 2*lcmAll(ws))
+			hyper := min(model.Periodic(ws, 0).Hyperperiod(), 4096) // keep the simulated horizon sane
+			sys := model.Periodic(ws, 2*hyper)
 			s, err := sfq.Run(sys, sfq.Options{M: m})
 			if err != nil {
 				return nil, err
@@ -122,24 +123,6 @@ func E16QuantumSize(m int, overhead int64) ([]QuantumPoint, error) {
 		out = append(out, qp)
 	}
 	return out, nil
-}
-
-func lcmAll(ws []model.Weight) int64 {
-	l := int64(1)
-	for _, w := range ws {
-		l = l / gcd64(l, w.P) * w.P
-		if l > 4096 { // keep the simulated horizon sane
-			return 4096
-		}
-	}
-	return l
-}
-
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // E17: necessity of the feasibility precondition. Theorem 3's bound is

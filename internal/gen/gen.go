@@ -13,7 +13,6 @@
 package gen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -135,7 +134,7 @@ type SystemOptions struct {
 func System(rng *rand.Rand, weights []model.Weight, opts SystemOptions) *model.System {
 	sys := model.NewSystem()
 	for k, w := range weights {
-		t := sys.AddTask(taskName(k), w)
+		t := sys.AddTask(model.TaskName(k), w)
 		theta := int64(0)
 		prevElig := int64(0)
 		for i := int64(1); ; i++ {
@@ -165,27 +164,6 @@ func System(rng *rand.Rand, weights []model.Weight, opts SystemOptions) *model.S
 		}
 	}
 	return sys
-}
-
-func taskName(k int) string {
-	if k < 26 {
-		return string(rune('A' + k))
-	}
-	return "T" + itoa(k)
-}
-
-func itoa(k int) string {
-	if k == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for k > 0 {
-		i--
-		b[i] = byte('0' + k%10)
-		k /= 10
-	}
-	return string(b[i:])
 }
 
 // splitmix64 is the standard 64-bit mix used to derive per-subtask values.
@@ -244,27 +222,6 @@ func AdversarialYield(delta rat.Rat, victim func(*model.Subtask) bool) sched.Yie
 		}
 		return rat.One
 	}
-}
-
-// InflateWeights accounts for preemption/migration overhead the way the
-// paper prescribes (Sec. 3, citing Holman): each task's execution cost is
-// inflated by the factor (1 + overhead), rounded up to keep costs integral,
-// capped at weight 1. The inflated system's schedulability then implies the
-// original's under the overhead assumption.
-func InflateWeights(ws []model.Weight, overhead rat.Rat) ([]model.Weight, error) {
-	if overhead.Sign() < 0 {
-		return nil, fmt.Errorf("gen: negative overhead %s", overhead)
-	}
-	factor := rat.One.Add(overhead)
-	out := make([]model.Weight, len(ws))
-	for i, w := range ws {
-		e := factor.Mul(rat.New(w.E, 1)).Ceil()
-		if e > w.P {
-			return nil, fmt.Errorf("gen: inflating weight %s by %s exceeds 1", w, overhead)
-		}
-		out[i] = model.W(e, w.P)
-	}
-	return out, nil
 }
 
 // UUniFastGrid draws n task weights summing exactly to sum/q using the

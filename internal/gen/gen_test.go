@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
 )
@@ -196,35 +197,69 @@ func TestAdversarialYieldPanicsOnBadDelta(t *testing.T) {
 	AdversarialYield(rat.One, nil)
 }
 
+// System names its tasks with model.TaskName: letters for the first 26,
+// then T<k>.
 func TestTaskNames(t *testing.T) {
-	if taskName(0) != "A" || taskName(25) != "Z" {
+	ws := make([]model.Weight, 261)
+	for i := range ws {
+		ws[i] = model.W(1, 2)
+	}
+	sys := System(rand.New(rand.NewSource(1)), ws, SystemOptions{Horizon: 2})
+	for k, task := range sys.Tasks {
+		if got, want := task.String(), model.TaskName(k); got != want {
+			t.Fatalf("task %d named %q, want %q", k, got, want)
+		}
+	}
+	if sys.Tasks[0].String() != "A" || sys.Tasks[25].String() != "Z" {
 		t.Error("letter names wrong")
 	}
-	if taskName(26) != "T26" || taskName(260) != "T260" {
-		t.Errorf("numeric names wrong: %s %s", taskName(26), taskName(260))
+	if sys.Tasks[26].String() != "T26" || sys.Tasks[260].String() != "T260" {
+		t.Errorf("numeric names wrong: %s %s", sys.Tasks[26], sys.Tasks[260])
 	}
 }
 
+// Overhead inflation of generated weight sets, done by admission (the one
+// copy): every cost rounds up to ⌈e·(1+o)⌉ over the same period, zero
+// overhead is the identity, and a set with a cost pushed past its period or
+// a negative overhead is refused before the test runs.
 func TestInflateWeights(t *testing.T) {
-	ws := []model.Weight{model.W(2, 10), model.W(5, 10)}
-	out, err := InflateWeights(ws, rat.New(1, 10)) // 10% overhead
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		ws := VariedWeights(rng, 1+rng.Intn(8), 12, MixedWeights)
+		overhead := rat.New(rng.Int63n(5), 10)
+		var got []model.Weight
+		record := func(in []model.Weight, m int) admission.Decision {
+			got = in
+			return admission.Decision{Admitted: true}
+		}
+		d := admission.WithOverhead(record, ws, 1, overhead)
+		fits := true
+		for _, w := range ws {
+			if rat.One.Add(overhead).Mul(rat.FromInt(w.E)).Ceil() > w.P {
+				fits = false
+			}
+		}
+		if !fits {
+			if d.Admitted || got != nil {
+				t.Fatalf("%v at %s overhead: admitted %v, test saw %v; want refused", ws, overhead, d.Admitted, got)
+			}
+			continue
+		}
+		if len(got) != len(ws) {
+			t.Fatalf("%v at %s overhead: test saw %v", ws, overhead, got)
+		}
+		for i, w := range ws {
+			want := model.W(rat.One.Add(overhead).Mul(rat.FromInt(w.E)).Ceil(), w.P)
+			if got[i] != want {
+				t.Fatalf("%v at %s overhead: weight %d inflated to %v, want %v", ws, overhead, i, got[i], want)
+			}
+			if overhead.Sign() == 0 && got[i] != w {
+				t.Fatalf("zero overhead changed %v to %v", w, got[i])
+			}
+		}
 	}
-	// 2 × 1.1 = 2.2 → 3; 5 × 1.1 = 5.5 → 6.
-	if out[0] != model.W(3, 10) || out[1] != model.W(6, 10) {
-		t.Errorf("inflated = %v", out)
-	}
-	// Zero overhead is identity.
-	same, err := InflateWeights(ws, rat.Zero)
-	if err != nil || same[0] != ws[0] || same[1] != ws[1] {
-		t.Errorf("zero overhead changed weights: %v %v", same, err)
-	}
-	// Overflowing weight 1 errors.
-	if _, err := InflateWeights([]model.Weight{model.W(10, 10)}, rat.New(1, 10)); err == nil {
-		t.Error("inflation past weight 1 accepted")
-	}
-	if _, err := InflateWeights(ws, rat.New(-1, 10)); err == nil {
+	ws := VariedWeights(rng, 4, 12, MixedWeights)
+	if d := admission.WithOverhead(admission.PfairSFQ, ws, 4, rat.New(-1, 10)); d.Admitted {
 		t.Error("negative overhead accepted")
 	}
 }

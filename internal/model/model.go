@@ -341,12 +341,14 @@ func (sys *System) AddPeriodic(name string, w Weight, horizon int64) *Task {
 func Periodic(weights []Weight, horizon int64) *System {
 	sys := NewSystem()
 	for k, w := range weights {
-		sys.AddPeriodic(taskName(k), w, horizon)
+		sys.AddPeriodic(TaskName(k), w, horizon)
 	}
 	return sys
 }
 
-func taskName(k int) string {
+// TaskName names the k-th task (0-based) of a generated system: "A" … "Z",
+// then "T26", "T27", ….
+func TaskName(k int) string {
 	if k < 26 {
 		return string(rune('A' + k))
 	}

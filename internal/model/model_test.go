@@ -333,6 +333,12 @@ func TestTaskNames(t *testing.T) {
 	if s.Label() != "A_3[4,6)" {
 		t.Errorf("subtask Label = %q", s.Label())
 	}
+	if TaskName(0) != "A" || TaskName(25) != "Z" {
+		t.Error("letter names wrong")
+	}
+	if TaskName(26) != "T26" || TaskName(260) != "T260" {
+		t.Errorf("numeric names wrong: %s %s", TaskName(26), TaskName(260))
+	}
 }
 
 func TestSortSubtasks(t *testing.T) {

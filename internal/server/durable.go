@@ -64,8 +64,10 @@ type Options struct {
 	// streams are never evicted — followers block instead.
 	StreamMaxLag int64
 	// StreamStallTimeout bounds how long one streamed write may block on a
-	// wedged client before the connection is severed. 0 selects the
-	// default (DefaultStreamStall); negative disables the deadline.
+	// wedged client — a dispatch or trace follower, or a replication
+	// follower tailing the journal — before the connection is severed. 0
+	// selects the default (DefaultStreamStall); negative disables the
+	// deadline.
 	StreamStallTimeout time.Duration
 }
 

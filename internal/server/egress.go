@@ -33,7 +33,8 @@ import (
 // anyway), but a dispatch-stream follower that falls more than the lag
 // bound behind is cut loose with an in-band StreamGone control line
 // instead of being chased. Fully-wedged clients — ones that stop reading
-// entirely — die on the per-write stall deadline instead.
+// entirely, replication followers included — die on the per-write stall
+// deadline instead.
 
 const (
 	// DefaultStreamMaxLag is how many records a following dispatch stream
@@ -201,50 +202,63 @@ func (fw *frameWriter) writeGone(resume int64) {
 }
 
 // feed is one NDJSON source a read stream serves from a position: the
-// dispatch log (by seq), the trace ring (by event Seq). wake receives a
-// coalesced signal after the source grew. drain writes everything the
-// source holds from pos on and returns the position after it. tip, when
-// set, is the source's end, and a follower more than the stream policy's
-// lag bound behind it after a drain is evicted; a source that bounds its
-// own retention sets none — its slow follower skips ahead instead.
+// dispatch log (by seq), the trace ring (by event Seq), the journal (by
+// LSN). The loop calls wake before every drain, so the channel it returns
+// — a tenant feed's subscription, the journal's next fsync — is already
+// held if the source grows between a drain that found nothing and the
+// wait. drain writes everything the source holds from pos on and returns
+// the position after it. done, when set, ends the stream after one more
+// drain. tip, when set, is the source's end, and a follower more than the
+// stream policy's lag bound behind it after a drain is evicted; a source
+// that bounds its own retention or paces its readers sets none.
 type feed struct {
-	wake  <-chan struct{}
+	wake  func() <-chan struct{}
 	drain func(fw *frameWriter, pos int64) (int64, error)
+	done  <-chan struct{}
 	tip   func() int64
 }
 
-// stream serves one of t's feeds as one JSON object per line: first the
-// backlog from ?from (default 0), then what the source gains, flushing
-// after every drain. ?follow=false stops at the current end instead. The
-// stream ends when the client goes away, the tenant is deleted, the server
-// shuts down or the backlog is exhausted without follow — in the last
-// three cases only after everything the source holds has been written (the
-// "drain" part of graceful shutdown). A client that stops reading
-// entirely dies on the frameWriter's stall deadline.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, t *Tenant, f feed) {
-	var pos int64
-	if v := r.URL.Query().Get("from"); v != "" {
+// streamQuery parses a read stream's ?from — a non-negative int64, 0 when
+// absent — and ?follow, which only "false" turns off. It answers a bad
+// from with 400 itself and reports !ok.
+func streamQuery(w http.ResponseWriter, r *http.Request) (from int64, follow, ok bool) {
+	q := r.URL.Query()
+	if v := q.Get("from"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n < 0 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("server: bad from %q", v))
-			return
+			return 0, false, false
 		}
-		pos = n
+		from = n
 	}
-	follow := r.URL.Query().Get("follow") != "false"
+	return from, q.Get("follow") != "false", true
+}
 
+// stream serves a feed as one JSON object per line: first the backlog from
+// pos, then what the source gains, flushing after every drain that wrote.
+// Without follow it stops at the current end instead. The stream ends when
+// the client goes away, the feed is done, the server shuts down or the
+// backlog is exhausted without follow — in the last three cases only after
+// everything the source holds has been written (the "drain" part of
+// graceful shutdown). A client that stops reading entirely dies on the
+// frameWriter's stall deadline.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, pos int64, follow bool, f feed) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fw := s.newFrameWriter(w)
-	// Push the headers out now: a follower of an idle tenant must see the
+	// Push the headers out now: a follower of an idle source must see the
 	// stream open immediately, not on the first event.
 	if fw.flush() != nil {
 		return
 	}
 	for {
+		var wake <-chan struct{}
+		if follow {
+			wake = f.wake()
+		}
 		var err error
 		if pos, err = f.drain(fw, pos); err != nil {
-			return // client went away or stalled past the deadline
+			return // client went away, stalled past the deadline, or the source failed
 		}
 		if fw.unflushed && fw.flush() != nil {
 			return
@@ -260,10 +274,10 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, t *Tenant, f fee
 			return
 		}
 		select {
-		case <-f.wake:
+		case <-wake:
 		case <-r.Context().Done():
 			return
-		case <-t.Closed():
+		case <-f.done:
 			follow = false // flush whatever landed, then stop
 		case <-s.shutdown:
 			follow = false
@@ -282,9 +296,14 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
+	from, follow, ok := streamQuery(w, r)
+	if !ok {
+		return
+	}
 	sub := t.Subscribe()
 	defer t.Unsubscribe(sub)
-	s.stream(w, r, t, feed{wake: sub.ping, tip: t.LogLen, drain: func(fw *frameWriter, pos int64) (int64, error) {
+	wake := func() <-chan struct{} { return sub.ping }
+	s.stream(w, r, from, follow, feed{wake: wake, done: t.Closed(), tip: t.LogLen, drain: func(fw *frameWriter, pos int64) (int64, error) {
 		log := &t.snap.Load().log
 		if floor := log.floor(); pos < floor && pos < log.len() {
 			if err := s.copySealed(fw, log.hist, pos); err != nil {
@@ -318,10 +337,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if t == nil {
 		return
 	}
+	from, follow, ok := streamQuery(w, r)
+	if !ok {
+		return
+	}
 	ring := t.traceRing()
 	sub := ring.Subscribe()
 	defer ring.Unsubscribe(sub)
-	s.stream(w, r, t, feed{wake: sub, drain: func(fw *frameWriter, pos int64) (int64, error) {
+	wake := func() <-chan struct{} { return sub }
+	s.stream(w, r, from, follow, feed{wake: wake, done: t.Closed(), drain: func(fw *frameWriter, pos int64) (int64, error) {
 		frames, dropped := ring.FramesSince(pos)
 		pos += dropped
 		for len(frames) > 0 {
@@ -337,11 +361,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // SetStreamPolicy configures the slow-consumer policy for the read
-// streams (dispatch and trace): maxLag is the record-count bound past
-// which a following dispatch stream is evicted with a 410 control line
-// (0 default, negative disables), stall the per-write deadline on every
-// stream write (0 default, negative disables). Call before serving
-// traffic, like SetClock.
+// streams: maxLag is the record-count bound past which a following
+// dispatch stream is evicted with a 410 control line (0 default, negative
+// disables), stall the per-write deadline on every write of every stream —
+// dispatch, trace and replication (0 default, negative disables). Call
+// before serving traffic, like SetClock.
 func (s *Server) SetStreamPolicy(maxLag int64, stall time.Duration) {
 	switch {
 	case maxLag < 0:

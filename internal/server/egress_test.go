@@ -538,38 +538,44 @@ func TestStreamEvictsLaggingSubscriber(t *testing.T) {
 // TestStreamStallSeversWedgedReader: a reader that stops reading entirely
 // cannot be delivered a 410 line — its pipe is full. The per-write stall
 // deadline must sever it so the handler goroutine is reclaimed, and the
-// server must remain fully serviceable afterwards.
+// server must remain fully serviceable afterwards. Every feed of the one
+// stream loop is covered: a tenant's dispatch stream, and the replication
+// log a follower tails, which is never evicted for lag and so has only the
+// deadline between a wedged follower and a leader handler held forever.
 func TestStreamStallSeversWedgedReader(t *testing.T) {
-	srv := server.New()
-	srv.SetStreamPolicy(-1, 300*time.Millisecond) // isolate the stall path
-	hs := httptest.NewUnstartedServer(srv.Handler())
-	hs.Listener = smallWriteBufListener{hs.Listener}
-	hs.Start()
-	t.Cleanup(hs.Close)
-	t.Cleanup(srv.Shutdown)
-	c := client.New(hs.URL, hs.Client())
-	unitTenant(t, c, "acme", 4)
+	t.Run("dispatches", testStallDispatches)
+	t.Run("replication", testStallReplication)
+}
 
-	// A raw TCP client that sends the request and then never reads.
-	conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+// wedgedReader sends one GET over a raw TCP connection with a tiny receive
+// buffer, and then never reads.
+func wedgedReader(t *testing.T, addr, path string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	conn.(*net.TCPConn).SetReadBuffer(2048)
-	fmt.Fprintf(conn, "GET /v1/tenants/acme/dispatches?from=0&follow=true HTTP/1.1\r\nHost: pfaird\r\n\r\n")
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: pfaird\r\n\r\n", path)
+	return conn
+}
 
-	// Enough frames to fill both kernel buffers and jam the handler.
-	pumpDispatches(t, c, "acme", 4, 12, 64)
-
+// awaitSever waits for the stall deadline to sever conn's stream, and then
+// for the server to close conn.
+func awaitSever(t *testing.T, srv *server.Server, conn net.Conn) {
+	t.Helper()
 	// The stall deadline must fire while the reader is still wedged. Only
 	// once the server reports the sever do we start reading: draining any
 	// earlier would un-jam the handler's blocked write, and a handler that
-	// got its write through follows the tenant forever.
+	// got its write through follows its source forever.
 	for deadline := time.Now().Add(30 * time.Second); srv.StreamStallSevers() == 0; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("stall deadline did not sever the wedged reader")
 		}
+	}
+	if n := srv.StreamStallSevers(); n != 1 {
+		t.Fatalf("%d stall severs, want 1", n)
 	}
 
 	// The handler has returned and the server closes the connection: a
@@ -585,6 +591,23 @@ func TestStreamStallSeversWedgedReader(t *testing.T) {
 			break // EOF / reset: the server cut the connection
 		}
 	}
+}
+
+func testStallDispatches(t *testing.T) {
+	srv := server.New()
+	srv.SetStreamPolicy(-1, 300*time.Millisecond) // isolate the stall path
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Listener = smallWriteBufListener{hs.Listener}
+	hs.Start()
+	t.Cleanup(hs.Close)
+	t.Cleanup(srv.Shutdown)
+	c := client.New(hs.URL, hs.Client())
+	unitTenant(t, c, "acme", 4)
+
+	conn := wedgedReader(t, hs.Listener.Addr().String(), "/v1/tenants/acme/dispatches?from=0&follow=true")
+	// Enough frames to fill both kernel buffers and jam the handler.
+	pumpDispatches(t, c, "acme", 4, 12, 64)
+	awaitSever(t, srv, conn)
 
 	// The server itself is unharmed: health and a fresh replay both work.
 	if err := c.Health(context.Background()); err != nil {
@@ -604,5 +627,43 @@ func TestStreamStallSeversWedgedReader(t *testing.T) {
 	}
 	if want := int64(4 * 12 * 64); n != want {
 		t.Fatalf("fresh replay saw %d events, want %d", n, want)
+	}
+}
+
+func testStallReplication(t *testing.T) {
+	srv, err := server.Open(server.Options{
+		DataDir: t.TempDir(), FS: quickSyncFS{}, FsyncEvery: 1 << 20, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30,
+		StreamStallTimeout: 300 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Listener = smallWriteBufListener{hs.Listener}
+	hs.Start()
+	t.Cleanup(func() {
+		hs.CloseClientConnections()
+		hs.Close()
+		srv.Close()
+	})
+
+	conn := wedgedReader(t, hs.Listener.Addr().String(), "/v1/replication/log?from=1&follow=true")
+	// Enough durable records to fill both kernel buffers and jam the handler.
+	for i := 0; i < 8192; i++ {
+		if err := srv.JournalMarker(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.SyncJournal(); err != nil {
+		t.Fatal(err)
+	}
+	awaitSever(t, srv, conn)
+	if n := metricValue(t, srv.Handler(), "pfaird_replication_log_streams"); n != 0 {
+		t.Fatalf("pfaird_replication_log_streams = %d after the sever: the handler did not return", n)
+	}
+
+	// The leader itself is unharmed: a fresh replay ships every record.
+	if recs := replicationLog(t, srv.Handler()); len(recs) != 8192 {
+		t.Fatalf("fresh replay shipped %d records, want 8192", len(recs))
 	}
 }

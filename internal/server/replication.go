@@ -336,48 +336,31 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplLog streams journal records as NDJSON ReplFrames from
-// ?from=<lsn> (default 1), never past the durable LSN. ?follow=true (the
-// default, mirroring the dispatch stream) keeps the stream open and
-// tails new records as they become durable; ?follow=false stops at the
-// current durable tip. A cursor below the snapshot horizon answers 410
-// Gone: the records were folded away and the follower must re-bootstrap
-// from the snapshot.
+// ?from=<lsn> (0 or absent means 1), never past the durable LSN: the
+// journal feed of Server.stream. ?follow=true (the default, mirroring the
+// dispatch stream) keeps the stream open and tails new records as the
+// journal's fsync makes them durable; ?follow=false stops at the current
+// durable tip. A cursor below the snapshot horizon answers 410 Gone: the
+// records were folded away and the follower must re-bootstrap from the
+// snapshot. The feed names no tip, so a follower is never evicted — the
+// reader paces it against the durable horizon and the log is on disk
+// anyway — but one that stops reading dies on the stall deadline.
 func (s *Server) handleReplLog(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no journal (in-memory server)"))
 		return
 	}
-	from := uint64(1)
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("server: bad from %q", v))
-			return
-		}
-		if n > 0 {
-			from = n
-		}
+	from, follow, ok := streamQuery(w, r)
+	if !ok {
+		return
 	}
-	follow := r.URL.Query().Get("follow") != "false"
-
-	rd := s.wal.NewReader(from)
+	from = max(from, 1)
+	rd := s.wal.NewReader(uint64(from))
 	defer rd.Close()
-
-	// A caught-up stream sleeps until the journal's next fsync. The wake
-	// channel is taken before every read, so an fsync between a read that
-	// finds nothing and the wait on it closes the channel already held: no
-	// record is left behind with nothing due to wake the stream.
-	var durable <-chan struct{}
-	next := func() ([]wal.RawFrame, error) {
-		if follow {
-			durable = s.wal.NextDurable()
-		}
-		return rd.NextRaw(replLogBatch)
-	}
 
 	// Resolve the first batch before committing to a 200, so a compacted
 	// cursor can still answer 410.
-	frames, err := next()
+	frames, err := rd.NextRaw(maxStreamBatch)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, wal.ErrCompacted) {
@@ -389,25 +372,23 @@ func (s *Server) handleReplLog(w http.ResponseWriter, r *http.Request) {
 
 	s.replLogStreams.Add(1) // before the header: a client that has its 200 is counted
 	defer s.replLogStreams.Add(-1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
 
 	// Encode-once shipping: each frame's payload is the exact bytes the
 	// journal holds on disk — json.Marshal of the final stamped record —
 	// and the header CRC is crc32(payload), so the ReplFrame wire line
 	// {"crc":N,"rec":<payload>} is assembled byte-for-byte from the raw
 	// frame without decoding or re-marshaling a single record. The batch
-	// buffer is reused across wakeups: one Write and one Flush per batch.
-	// Replication followers are never evicted for lag — the reader paces
-	// them against the durable horizon and the log is on disk anyway.
+	// buffer is reused across wakeups: one Write per batch. Mid-stream read
+	// errors (including a compaction overtaking a slow cursor) just end the
+	// stream; the follower re-queries and gets the precise status then.
 	var line []byte
-	for {
-		switch {
-		case len(frames) > 0:
+	s.stream(w, r, from, follow, feed{wake: s.wal.NextDurable, drain: func(fw *frameWriter, lsn int64) (int64, error) {
+		for {
+			if len(frames) == 0 {
+				if frames, err = rd.NextRaw(maxStreamBatch); err != nil || len(frames) == 0 {
+					return lsn, err
+				}
+			}
 			line = line[:0]
 			for _, f := range frames {
 				line = append(line, `{"crc":`...)
@@ -416,34 +397,14 @@ func (s *Server) handleReplLog(w http.ResponseWriter, r *http.Request) {
 				line = append(line, f.Payload...)
 				line = append(line, '}', '\n')
 			}
-			if _, werr := w.Write(line); werr != nil {
-				return // client went away
+			if _, err := fw.Write(line); err != nil {
+				return lsn, err
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case !follow:
-			return
-		default:
-			select {
-			case <-durable:
-			case <-r.Context().Done():
-				return
-			case <-s.shutdown:
-				return
-			}
+			lsn += int64(len(frames))
+			frames = nil
 		}
-		if frames, err = next(); err != nil {
-			// Mid-stream errors (including a compaction overtaking a slow
-			// cursor) just end the stream; the follower re-queries and
-			// gets the precise status then.
-			return
-		}
-	}
+	}})
 }
-
-// replLogBatch bounds records per write on the replication stream.
-const replLogBatch = 256
 
 // handlePromote flips this node writable. Idempotent: promoting a leader
 // reports the current term. The configured promote hook (the cluster
