@@ -190,7 +190,9 @@ fuzz:
 # open-ended budget of `make fuzz`. FuzzRecordMatchesJSON and
 # FuzzWireMatchesJSON are the contract of the hand-written codecs (the
 # journal record's, the API bodies'): whatever they accept or encode,
-# encoding/json accepts or encodes the same.
+# encoding/json accepts or encodes the same. FuzzServerMatchesNetHTTP is the
+# contract of the inbound HTTP server: fed the same bytes as net/http's
+# server, it refuses the same requests and hands its handler the same ones.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzWALReplay -fuzztime=30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzRecordMatchesJSON -fuzztime=30s
@@ -199,6 +201,7 @@ fuzz-smoke:
 	$(GO) test ./internal/online/ -run '^$$' -fuzz=FuzzResize -fuzztime=30s
 	$(GO) test ./internal/client/ -run '^$$' -fuzz=FuzzTraceDecoder -fuzztime=30s
 	$(GO) test ./internal/scenario/ -run '^$$' -fuzz=FuzzScenarioSpec -fuzztime=30s
+	$(GO) test ./internal/hop/ -run '^$$' -fuzz=FuzzServerMatchesNetHTTP -fuzztime=30s
 
 # obs runs the deterministic observability harness: the golden /metrics
 # exposition and the write-path golden (journal records, responses and
