@@ -112,7 +112,10 @@ bench:
 # second core — and ReplicaReady, a replica's cold start against an idle
 # leader until /healthz answers 200, and ReplicaVisible, how long a write
 # acked as durable stays invisible on a caught-up replica; an iteration of
-# either waits on the cluster's reaction paths, so they run few).
+# either waits on the cluster's reaction paths, so they run few) — and
+# Inbound/{nethttp,hop}, one keyed-submit-shaped request to a trivial handler
+# through net/http's server (the replaced design, kept as the baseline) and
+# through hop.Server, at -cpu 1 like RouterHop.
 # The checked-in document is generated with BENCHTIME=20x BENCHCOUNT=3;
 # benchjson keeps the fastest of the repeated runs, so shared-host noise
 # cancels out of the bench-diff gate.
@@ -122,6 +125,7 @@ bench-json:
 	  $(GO) test -run '^$$' -bench='BenchmarkTenantRecord' -benchmem -benchtime=200000x -count=$(BENCHCOUNT) ./internal/server/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkCompact' -benchmem -benchtime=200x -count=$(BENCHCOUNT) ./internal/server/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkRouterHop' -benchmem -benchtime=2000x -cpu 1 -count=$(BENCHCOUNT) ./internal/cluster/ && \
+	  $(GO) test -run '^$$' -bench='BenchmarkInbound' -benchmem -benchtime=2000x -cpu 1 -count=$(BENCHCOUNT) ./internal/hop/ && \
 	  $(GO) test -run '^$$' -bench='BenchmarkReplica' -benchmem -benchtime=50x -cpu 1 -count=$(BENCHCOUNT) ./internal/cluster/; } \
 	  | $(GO) run ./cmd/benchjson > $(BENCH_N)
 	@echo wrote $(BENCH_N)
@@ -173,11 +177,14 @@ fanout-smoke:
 # the stall sever (of a dispatch stream and of a replication follower),
 # the lag eviction, the live trace follower, and the journal feed's
 # wake-up on the fsync, whose take-the-channel-first rule lives in the
-# stream loop every feed shares — twenty times under -race: a tier-1
-# suite is deterministic only if these are.
+# stream loop every feed shares, and hop.Server's own: a follow stream whose
+# client closes ends its handler, Shutdown closes an idle connection and
+# waits for an active one, a stream whose client stops reading is severed —
+# twenty times under -race: a tier-1 suite is deterministic only if these are.
 flake:
 	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestStreamEvictsLaggingSubscriber|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync'
 	$(GO) test -race -count=20 ./internal/client/ -run 'TestStreamTraceEndToEnd'
+	$(GO) test -race -count=20 ./internal/hop/ -run 'TestServerStreamClientGoneEndsHandler|TestServerShutdownClosesIdleWaitsForActive|TestServerStallSeversStream'
 
 fuzz:
 	$(GO) test ./internal/core/ -fuzz=FuzzTheorem3 -fuzztime=30s
@@ -191,8 +198,9 @@ fuzz:
 # FuzzWireMatchesJSON are the contract of the hand-written codecs (the
 # journal record's, the API bodies'): whatever they accept or encode,
 # encoding/json accepts or encodes the same. FuzzServerMatchesNetHTTP is the
-# contract of the inbound HTTP server: fed the same bytes as net/http's
-# server, it refuses the same requests and hands its handler the same ones.
+# contract of the inbound HTTP server, hop.Server: fed the same bytes as
+# net/http's server, it refuses the same requests and hands its handler the
+# same ones.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzWALReplay -fuzztime=30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzRecordMatchesJSON -fuzztime=30s

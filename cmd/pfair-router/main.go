@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/cluster"
+	"desyncpfair/internal/hop"
 )
 
 func main() {
@@ -86,7 +87,7 @@ func run(ctx context.Context, addr, backends, policy string, healthInterval, fai
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: router.Handler()}
+	hs := &hop.Server{Handler: router.Handler()}
 
 	ctx, stop := signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

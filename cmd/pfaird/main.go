@@ -59,6 +59,7 @@ import (
 	"desyncpfair/internal/autoscale"
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/cluster"
+	"desyncpfair/internal/hop"
 	"desyncpfair/internal/server"
 )
 
@@ -182,7 +183,7 @@ func serve(ctx context.Context, cfg config, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &hop.Server{Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(ctx, syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/obs"
 	"desyncpfair/internal/rat"
@@ -320,7 +321,7 @@ func run(cfg config, out io.Writer) (report, error) {
 			srv = server.New()
 			defer srv.Shutdown()
 		}
-		hs := &http.Server{Handler: srv.Handler()}
+		hs := &hop.Server{Handler: srv.Handler()}
 		go hs.Serve(ln)
 		defer hs.Close()
 		base = "http://" + ln.Addr().String()

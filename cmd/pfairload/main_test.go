@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/server"
 )
 
@@ -126,7 +127,7 @@ func TestResizeRejectedCountedSeparately(t *testing.T) {
 	defer srv.Shutdown()
 	h := srv.Handler()
 	var submits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := hoptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/jobs") {
 			if submits.Add(1) <= 5 {
 				w.Header().Set("Content-Type", "application/json")
@@ -306,7 +307,7 @@ func TestRunAgainstTargetWithoutMetrics(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
 	h := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := hoptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/metrics" {
 			http.NotFound(w, r)
 			return
@@ -355,7 +356,7 @@ func TestDefaultLoadIsFeasible(t *testing.T) {
 		h := srv.Handler()
 		var mu sync.Mutex
 		moved := map[string]string{} // drain path → "now before it, now after"
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts := hoptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/drain") {
 				h.ServeHTTP(w, r)
 				return

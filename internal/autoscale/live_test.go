@@ -2,12 +2,12 @@ package autoscale_test
 
 import (
 	"context"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/autoscale"
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -19,7 +19,7 @@ import (
 // MinM=1 one drain-mode shrink at a time, and never below.
 func TestScalerAgainstLiveServer(t *testing.T) {
 	srv := server.New()
-	hts := httptest.NewServer(srv.Handler())
+	hts := hoptest.NewServer(srv.Handler())
 	defer hts.Close()
 	defer srv.Shutdown()
 	cl := client.New(hts.URL, nil)

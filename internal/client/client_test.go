@@ -2,11 +2,11 @@ package client_test
 
 import (
 	"context"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -16,7 +16,7 @@ import (
 // rejection when any job in the batch is invalid.
 func TestSubmitJobsBatchRoundTrip(t *testing.T) {
 	srv := server.New()
-	ts := httptest.NewServer(srv.Handler())
+	ts := hoptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown()
 	c := client.New(ts.URL, nil)

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -166,7 +167,7 @@ func TestClientSendsWhatHTTPClientSent(t *testing.T) {
 func TestOddIDsRoundTrip(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	c := client.New(hs.URL, nil)
 	ctx := context.Background()

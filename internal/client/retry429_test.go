@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -38,7 +39,7 @@ func TestBackpressure429RetriedOnMutations(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
 	th := &throttleHandler{rejects: 2, next: srv.Handler()}
-	hs := httptest.NewServer(th)
+	hs := hoptest.NewServer(th)
 	defer hs.Close()
 
 	var retries atomic.Int64
@@ -82,7 +83,7 @@ func TestKeyedSubmitResendIsDeduped(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
 	h := &ackDropHandler{next: srv.Handler()}
-	hs := httptest.NewServer(h)
+	hs := hoptest.NewServer(h)
 	defer hs.Close()
 
 	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
@@ -121,7 +122,7 @@ func TestUnkeyedSubmitNotRetriedOnAmbiguousFailure(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
 	h := &ackDropHandler{next: srv.Handler()}
-	hs := httptest.NewServer(h)
+	hs := hoptest.NewServer(h)
 	defer hs.Close()
 
 	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -38,7 +39,7 @@ func TestRetryRidesOut503s(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
 	fh := &flakyHandler{failures: 3, next: srv.Handler()}
-	hs := httptest.NewServer(fh)
+	hs := hoptest.NewServer(fh)
 	defer hs.Close()
 
 	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
@@ -58,7 +59,7 @@ func TestMutationsAreNeverRetried(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
 	fh := &flakyHandler{failures: 1, next: srv.Handler()}
-	hs := httptest.NewServer(fh)
+	hs := hoptest.NewServer(fh)
 	defer hs.Close()
 
 	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
@@ -148,7 +149,7 @@ func (l *closingListener) Accept() (net.Conn, error) {
 func TestRetryRidesOutTransportErrors(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
-	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs := hoptest.NewUnstartedServer(srv.Handler())
 	ln := &closingListener{Listener: hs.Listener}
 	ln.drops.Store(2)
 	hs.Listener = ln

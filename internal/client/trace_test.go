@@ -6,11 +6,11 @@ import (
 	"context"
 	"errors"
 	"io"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/obs"
 	"desyncpfair/internal/server"
@@ -126,7 +126,7 @@ func FuzzTraceDecoder(f *testing.F) {
 // HTTP → server trace ring → NDJSON → decoder.
 func TestStreamTraceEndToEnd(t *testing.T) {
 	srv := server.New()
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Shutdown)
 	c := client.New(hs.URL, nil)

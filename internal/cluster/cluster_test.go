@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/cluster"
 	"desyncpfair/internal/faultfs"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/server"
@@ -22,18 +22,18 @@ import (
 
 // openLeader starts a durable leader with FsyncEvery=1 (every ack is
 // durable, the precondition for the acked ⊆ recovered invariant).
-func openLeader(t *testing.T, dir string, fs wal.FS) (*server.Server, *httptest.Server) {
+func openLeader(t *testing.T, dir string, fs wal.FS) (*server.Server, *hoptest.Server) {
 	t.Helper()
 	srv, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 1, FS: fs})
 	if err != nil {
 		t.Fatalf("open leader: %v", err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	return srv, hs
 }
 
 // openFollower bootstraps a follower from leaderURL and starts it tailing.
-func openFollower(t *testing.T, dir, leaderURL string) (*server.Server, *httptest.Server, *cluster.Follower) {
+func openFollower(t *testing.T, dir, leaderURL string) (*server.Server, *hoptest.Server, *cluster.Follower) {
 	t.Helper()
 	if err := cluster.Bootstrap(dir, leaderURL, nil, nil); err != nil {
 		t.Fatalf("bootstrap follower: %v", err)
@@ -42,7 +42,7 @@ func openFollower(t *testing.T, dir, leaderURL string) (*server.Server, *httptes
 	if err != nil {
 		t.Fatalf("open follower: %v", err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	fol := cluster.StartFollower(srv, leaderURL, nil)
 	return srv, hs, fol
 }

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -51,7 +51,7 @@ func TestFollowerBootstrapFromSealedHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lsrv.Close()
-	lh := httptest.NewServer(lsrv.Handler())
+	lh := hoptest.NewServer(lsrv.Handler())
 	defer lh.Close()
 	lhs := lh.URL
 	c := client.New(lhs, nil)

@@ -3,11 +3,11 @@ package cluster_test
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/cluster"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -34,7 +34,7 @@ func BenchmarkRouterHop(b *testing.B) {
 func benchRouterHop(b *testing.B, routed, timeSubmits bool) {
 	srv := server.New()
 	defer srv.Shutdown()
-	backend := httptest.NewServer(srv.Handler())
+	backend := hoptest.NewServer(srv.Handler())
 	defer backend.Close()
 	c := client.New(backend.URL, nil)
 	if routed {
@@ -44,7 +44,7 @@ func benchRouterHop(b *testing.B, routed, timeSubmits bool) {
 		}
 		router.Start()
 		defer router.Close()
-		rhs := httptest.NewServer(router.Handler())
+		rhs := hoptest.NewServer(router.Handler())
 		defer rhs.Close()
 		c = client.New(rhs.URL, nil)
 	}

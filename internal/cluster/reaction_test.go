@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +16,9 @@ import (
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
+	"desyncpfair/internal/obs"
 	"desyncpfair/internal/server"
 )
 
@@ -38,13 +39,13 @@ func testContext(t *testing.T) context.Context {
 
 // leaderAt opens dir as a leader whose every ack is durable, behind an
 // httptest listener.
-func leaderAt(t *testing.T, dir string) (*server.Server, *httptest.Server) {
+func leaderAt(t *testing.T, dir string) (*server.Server, *hoptest.Server) {
 	t.Helper()
 	srv, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		hs.CloseClientConnections()
 		hs.Close()
@@ -55,7 +56,7 @@ func leaderAt(t *testing.T, dir string) (*server.Server, *httptest.Server) {
 
 // durableLeader is leaderAt in a fresh directory, holding one tenant with one
 // task: two records past its boot snapshot.
-func durableLeader(t *testing.T) (*server.Server, *httptest.Server, *client.Client) {
+func durableLeader(t *testing.T) (*server.Server, *hoptest.Server, *client.Client) {
 	t.Helper()
 	srv, hs := leaderAt(t, t.TempDir())
 	c := client.New(hs.URL, nil)
@@ -99,17 +100,20 @@ func healthOf(t *testing.T, srv *server.Server) (server.HealthResponse, int) {
 	return h, rw.Code
 }
 
-func metricLine(t *testing.T, srv *server.Server, name string) string {
+// metricSample scrapes srv's /metrics for one unlabelled sample.
+func metricSample(t *testing.T, srv *server.Server, name string) float64 {
 	t.Helper()
 	rw := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
-	for _, line := range strings.Split(rw.Body.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			return v
-		}
+	ex, err := obs.ParseExposition(rw.Body.String())
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
 	}
-	t.Fatalf("/metrics has no sample %s", name)
-	return ""
+	if f := ex.Family(name); f != nil && len(f.Samples) == 1 && len(f.Samples[0].Labels) == 0 {
+		return f.Samples[0].Value
+	}
+	t.Fatalf("/metrics has no single unlabelled sample %s", name)
+	return 0
 }
 
 // TestBootstrapSilentLeaderFails: a leader that takes the connection and
@@ -170,12 +174,11 @@ func TestFollowerOfIdleLeaderReadyWithoutTick(t *testing.T) {
 	if code != http.StatusOK || h.Status != "ok" || h.ReplicationLagLSN == nil || *h.ReplicationLagLSN != 0 {
 		t.Fatalf("/healthz after catch-up: %d %+v", code, h)
 	}
-	gauge, err := strconv.ParseFloat(metricLine(t, fsrv, "pfaird_replication_bootstrap_seconds"), 64)
-	if err != nil || took <= 0 || gauge != took.Seconds() {
-		t.Fatalf("pfaird_replication_bootstrap_seconds = %v (%v), WaitReady said %v", gauge, err, took)
+	if gauge := metricSample(t, fsrv, "pfaird_replication_bootstrap_seconds"); took <= 0 || gauge != took.Seconds() {
+		t.Fatalf("pfaird_replication_bootstrap_seconds = %v, WaitReady said %v", gauge, took)
 	}
-	if got := metricLine(t, lsrv, "pfaird_replication_log_streams"); got != "1" {
-		t.Fatalf("the leader counts %s log streams with one replica attached", got)
+	if got := metricSample(t, lsrv, "pfaird_replication_log_streams"); got != 1 {
+		t.Fatalf("the leader counts %v log streams with one replica attached", got)
 	}
 }
 
@@ -301,8 +304,8 @@ func TestFollowerReadyExactlyAtTip(t *testing.T) {
 	if h.ReplicationLagLSN == nil || *h.ReplicationLagLSN != 1 {
 		t.Fatalf("lag gauge one record short of the tip: %v, want 1", h.ReplicationLagLSN)
 	}
-	if got := metricLine(t, fsrv, "pfaird_replication_bootstrap_seconds"); got != "-1" {
-		t.Fatalf("pfaird_replication_bootstrap_seconds = %s while bootstrapping, want -1", got)
+	if got := metricSample(t, fsrv, "pfaird_replication_bootstrap_seconds"); got != -1 {
+		t.Fatalf("pfaird_replication_bootstrap_seconds = %v while bootstrapping, want -1", got)
 	}
 	select {
 	case <-fol.ready:
@@ -498,7 +501,7 @@ func TestPromotionReportsBack(t *testing.T) {
 	}
 	r.Start()
 	t.Cleanup(r.Close)
-	front := httptest.NewServer(r.Handler())
+	front := hoptest.NewServer(r.Handler())
 	t.Cleanup(front.Close)
 
 	select {

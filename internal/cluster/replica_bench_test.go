@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/cluster"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -18,14 +18,14 @@ import (
 // benchLeader is a durable leader behind an httptest listener holding one
 // tenant of 8 tasks — ten journal records past its boot snapshot — with
 // everything it wrote made durable before it is returned.
-func benchLeader(b *testing.B, fsyncEvery int) (*server.Server, *httptest.Server, *client.Client) {
+func benchLeader(b *testing.B, fsyncEvery int) (*server.Server, *hoptest.Server, *client.Client) {
 	b.Helper()
 	srv, err := server.Open(server.Options{DataDir: b.TempDir(), FsyncEvery: fsyncEvery})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Close() })
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	b.Cleanup(hs.Close)
 	c := client.New(hs.URL, nil)
 	ctx := context.Background()
@@ -65,7 +65,7 @@ func BenchmarkReplicaReady(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fhs := httptest.NewServer(srv.Handler())
+		fhs := hoptest.NewServer(srv.Handler())
 		fol := cluster.StartFollower(srv, lhs.URL, nil)
 		for {
 			resp, err := http.Get(fhs.URL + "/healthz")

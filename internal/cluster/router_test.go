@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -28,12 +28,12 @@ func learnedPlacements(r *Router) int {
 // three. A hundred tenants created and deleted leave nothing learned, and an
 // id created again goes where the policy puts it now.
 func TestRouterForgetsDeletedTenant(t *testing.T) {
-	backends := make([]*httptest.Server, 2)
+	backends := make([]*hoptest.Server, 2)
 	var groups [][]string
 	for i := range backends {
 		srv := server.New()
 		defer srv.Shutdown()
-		backends[i] = httptest.NewServer(srv.Handler())
+		backends[i] = hoptest.NewServer(srv.Handler())
 		defer backends[i].Close()
 		groups = append(groups, []string{backends[i].URL})
 	}
@@ -43,7 +43,7 @@ func TestRouterForgetsDeletedTenant(t *testing.T) {
 	}
 	r.Start()
 	defer r.Close()
-	front := httptest.NewServer(r.Handler())
+	front := hoptest.NewServer(r.Handler())
 	defer front.Close()
 
 	ctx := context.Background()
@@ -118,7 +118,7 @@ func TestRouterKeepsPlacementUntilTenantIsGone(t *testing.T) {
 	}
 	r.Start()
 	defer r.Close()
-	front := httptest.NewServer(r.Handler())
+	front := hoptest.NewServer(r.Handler())
 	defer front.Close()
 	waitLeader(t, r)
 

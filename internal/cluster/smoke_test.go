@@ -14,6 +14,7 @@ import (
 
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/cluster"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -45,7 +46,7 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	router.Start()
 	defer router.Close()
-	rhs := httptest.NewServer(router.Handler())
+	rhs := hoptest.NewServer(router.Handler())
 	defer rhs.Close()
 
 	ctx := context.Background()
@@ -152,11 +153,11 @@ func TestClusterSmoke(t *testing.T) {
 // group rendezvous hashing predicts, follow-up requests route there, and
 // the router merges every group's tenant list.
 func TestRouterShardsTenants(t *testing.T) {
-	backends := make([]*httptest.Server, 2)
+	backends := make([]*hoptest.Server, 2)
 	for i := range backends {
 		srv := server.New()
 		defer srv.Shutdown()
-		backends[i] = httptest.NewServer(srv.Handler())
+		backends[i] = hoptest.NewServer(srv.Handler())
 		defer backends[i].Close()
 	}
 
@@ -169,7 +170,7 @@ func TestRouterShardsTenants(t *testing.T) {
 	}
 	router.Start()
 	defer router.Close()
-	rhs := httptest.NewServer(router.Handler())
+	rhs := hoptest.NewServer(router.Handler())
 	defer rhs.Close()
 
 	ctx := context.Background()
@@ -222,7 +223,7 @@ func TestRouterShardsTenants(t *testing.T) {
 func TestRouterKeepsLengthAndStreamsLive(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
-	backend := httptest.NewServer(srv.Handler())
+	backend := hoptest.NewServer(srv.Handler())
 	defer backend.Close()
 	router, err := cluster.NewRouter(cluster.RouterOptions{
 		Groups:         [][]string{{backend.URL}},
@@ -233,7 +234,7 @@ func TestRouterKeepsLengthAndStreamsLive(t *testing.T) {
 	}
 	router.Start()
 	defer router.Close()
-	rhs := httptest.NewServer(router.Handler())
+	rhs := hoptest.NewServer(router.Handler())
 	defer rhs.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -301,7 +302,7 @@ func TestRouterRefusesOversizeBody(t *testing.T) {
 	}
 	router.Start()
 	defer router.Close()
-	rhs := httptest.NewServer(router.Handler())
+	rhs := hoptest.NewServer(router.Handler())
 	defer rhs.Close()
 
 	post := func(url, path string, body []byte) (int, string) {

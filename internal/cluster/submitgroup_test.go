@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 	"desyncpfair/internal/wal"
@@ -123,7 +123,7 @@ func TestFollowerOfCutStreamHoldsWholeBatches(t *testing.T) {
 		if err := fol.Promote(); err != nil {
 			t.Fatalf("cut %d: promote: %v", cut, err)
 		}
-		fhs := httptest.NewServer(fsrv.Handler())
+		fhs := hoptest.NewServer(fsrv.Handler())
 		fc := client.New(fhs.URL, nil)
 		info, err := fc.Tenant(ctx, "t")
 		if err != nil {

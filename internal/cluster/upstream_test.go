@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/hop"
+	"desyncpfair/internal/hop/hoptest"
 )
 
 // fakeBackend is a pfaird stand-in whose replies a test scripts. It answers
@@ -53,7 +54,7 @@ func newFakeBackend(t *testing.T, handle http.HandlerFunc) *fakeBackend {
 // returns once the router has found its leader. The health interval is an
 // hour: after the first probe round the pool is the test's alone, so its
 // counters can be asserted exactly.
-func frontFor(t *testing.T, backend string) (*Router, *httptest.Server) {
+func frontFor(t *testing.T, backend string) (*Router, *hoptest.Server) {
 	t.Helper()
 	r, err := NewRouter(RouterOptions{Groups: [][]string{{backend}}, HealthInterval: time.Hour})
 	if err != nil {
@@ -61,7 +62,7 @@ func frontFor(t *testing.T, backend string) (*Router, *httptest.Server) {
 	}
 	r.Start()
 	t.Cleanup(r.Close)
-	front := httptest.NewServer(r.Handler())
+	front := hoptest.NewServer(r.Handler())
 	t.Cleanup(front.Close)
 	waitLeader(t, r)
 	return r, front

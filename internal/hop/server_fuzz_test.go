@@ -66,10 +66,10 @@ func exchange(t *testing.T, addr string, raw []byte) string {
 }
 
 // FuzzServerMatchesNetHTTP is the inbound half's contract: fed the same bytes,
-// net/http's server and the server under contract refuse the same requests
-// with the same class of status, and for each request they accept their
-// handlers see the same method, path, query, Host, headers, length, transfer
-// encoding, Close and body.
+// net/http's server and Server refuse the same requests with the same class
+// of status, and for each request they accept their handlers see the same
+// method, path, query, Host, headers, length, transfer encoding, Close and
+// body.
 func FuzzServerMatchesNetHTTP(f *testing.F) {
 	for _, seed := range []string{
 		"POST /v1/tenants/t/jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 23\r\n\r\n{\"task\":\"a\",\"key\":\"k1\"}",
@@ -103,10 +103,13 @@ func FuzzServerMatchesNetHTTP(f *testing.F) {
 	std, ours := &echo{}, &echo{}
 	ref := httptest.NewServer(std)
 	f.Cleanup(ref.Close)
-	// The server under contract; until it exists, net/http's against itself.
-	under := httptest.NewServer(ours)
-	f.Cleanup(under.Close)
-	ln := under.Listener
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := &Server{Handler: ours}
+	go srv.Serve(ln)
+	f.Cleanup(func() { srv.Close() })
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		wantClasses := exchange(t, ref.Listener.Addr().String(), raw)

@@ -1,6 +1,8 @@
-// Package hop is the repository's one outbound HTTP/1.1 path: pfair-router's
-// calls to its backends and internal/client's calls to pfaird both go through
-// an Upstream. It imports only the standard library and internal/wire.
+// Package hop is the repository's one HTTP/1.1 path, both directions. Outbound,
+// pfair-router's calls to its backends and internal/client's calls to pfaird
+// go through an Upstream; inbound, pfaird and pfair-router serve their
+// handlers through a Server. It imports only the standard library and
+// internal/wire.
 package hop
 
 import (
@@ -53,6 +55,10 @@ type Upstream struct {
 	mu     sync.Mutex
 	idle   []*upstreamConn // most recently used last, and taken first
 	closed bool            // CloseIdle ran: connections are closed, not kept
+
+	// dial opens a connection to addr; nil means TCP through a net.Dialer.
+	// Tests set it to reach a Server without a socket.
+	dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
 // New accepts http://host:port and nothing else: pfaird serves no TLS and no
@@ -134,13 +140,21 @@ func (u *Upstream) conn(ctx context.Context) (uc *upstreamConn, reused bool, err
 		u.StaleDiscards.Add(1)
 		uc.Close()
 	}
-	d := net.Dialer{Timeout: dialTimeout}
-	c, err := d.DialContext(ctx, "tcp", u.addr)
+	dial := u.dial
+	if dial == nil {
+		dial = dialTCP
+	}
+	c, err := dial(ctx, u.addr)
 	if err != nil {
 		return nil, false, err
 	}
 	u.Dials.Add(1)
 	return newUpstreamConn(c), false, nil
+}
+
+func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: dialTimeout}
+	return d.DialContext(ctx, "tcp", addr)
 }
 
 // put returns a connection whose reply was read to its end.
@@ -261,8 +275,8 @@ func (u *Upstream) appendRequest(b []byte, method, target, contentType string, b
 // headSafe reports whether s can go into the request head: nothing in it ends
 // a line, and — for the parts of the request line — nothing splits it. The
 // head is written by hand, so it is checked by hand; for the router the
-// inbound net/http server has already refused all of this, and this is the
-// second lock.
+// inbound Server's request parsing has already refused all of this, and this
+// is the second lock.
 func headSafe(s string, requestLine bool) bool {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {

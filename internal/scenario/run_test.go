@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/server"
 )
@@ -176,7 +177,7 @@ func TestExecAndHTTPTargetsAgree(t *testing.T) {
 
 			srv := server.New()
 			defer srv.Shutdown()
-			hs := httptest.NewServer(srv.Handler())
+			hs := hoptest.NewServer(srv.Handler())
 			defer hs.Close()
 			httpRes, err := Run(w, &HTTPTarget{Ctx: context.Background(), C: client.New(hs.URL, nil)})
 			if err != nil {

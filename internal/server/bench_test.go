@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 	"desyncpfair/internal/wal"
@@ -25,7 +25,7 @@ import (
 // unbounded backlog.
 func BenchmarkServerSubmit(b *testing.B) {
 	srv := server.New()
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Shutdown()
 	c := client.New(hs.URL, hs.Client())
@@ -68,7 +68,7 @@ func BenchmarkServerSubmitWAL(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Close()
 	c := client.New(hs.URL, hs.Client())
@@ -219,7 +219,7 @@ func benchSubmitParallel(b *testing.B, fsyncEvery, clients int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Close()
 
@@ -312,7 +312,7 @@ func benchSubmitContended(b *testing.B, clients int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Close()
 

@@ -350,7 +350,7 @@ func TestFollowerCompactionBeforeDigest(t *testing.T) {
 	follower.SetCaughtUp()
 	fh := follower.Handler()
 	for _, id := range tenants {
-		if sealed := metricValue(t, fh, `pfaird_tenant_history_sealed_events{tenant="`+id+`"}`); sealed == 0 {
+		if sealed := metricValue(t, fh, "pfaird_tenant_history_sealed_events", "tenant", id); sealed == 0 {
 			t.Fatalf("the follower sealed none of tenant %s's history; the test would prove nothing", id)
 		}
 	}
@@ -457,7 +457,7 @@ func TestFollowerOfLegacyLeaderCompacts(t *testing.T) {
 	}
 	follower.SetCaughtUp()
 	fh := follower.Handler()
-	if sealed := metricValue(t, fh, `pfaird_tenant_history_sealed_events{tenant="X"}`); sealed != 24 {
+	if sealed := metricValue(t, fh, "pfaird_tenant_history_sealed_events", "tenant", "X"); sealed != 24 {
 		t.Fatalf("the follower sealed %d events, want 24: the test would prove nothing", sealed)
 	}
 	if h, _ := healthz(t, fh); h.Status != "ok" || h.ReplicationDispatchMismatches != 0 || h.ReplicationApplyErrors != 0 {

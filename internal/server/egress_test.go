@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/obs"
 	"desyncpfair/internal/server"
@@ -107,7 +108,7 @@ func TestStreamByteIdentity20Seeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hs := httptest.NewServer(srv.Handler())
+			hs := hoptest.NewServer(srv.Handler())
 			t.Cleanup(hs.Close)
 			t.Cleanup(func() { srv.Close() })
 			c := client.New(hs.URL, hs.Client())
@@ -234,7 +235,7 @@ func streamAcrossCompactions(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(durable.Handler())
+	hs := hoptest.NewServer(durable.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(func() { durable.Close() })
 	ref, refClient := newTestServer(t)
@@ -270,7 +271,7 @@ func streamAcrossCompactions(t *testing.T, seed int64) {
 
 	want := dispatchBytes(t, ref.Handler(), "acme")
 	events := bytes.Count(want, []byte{'\n'})
-	if sealed := metricValue(t, durable.Handler(), `pfaird_tenant_history_sealed_events{tenant="acme"}`); sealed == 0 {
+	if sealed := metricValue(t, durable.Handler(), "pfaird_tenant_history_sealed_events", "tenant", "acme"); sealed == 0 {
 		t.Fatal("the durable tenant sealed nothing: the resident floor never moved")
 	}
 	if got := dispatchBytes(t, durable.Handler(), "acme"); !bytes.Equal(got, want) {
@@ -434,7 +435,7 @@ func smallReadBufTransport() *http.Transport {
 func TestStreamEvictsLaggingSubscriber(t *testing.T) {
 	srv := server.New()
 	srv.SetStreamPolicy(16, 10*time.Second)
-	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs := hoptest.NewUnstartedServer(srv.Handler())
 	hs.Listener = smallWriteBufListener{hs.Listener}
 	hs.Start()
 	t.Cleanup(hs.Close)
@@ -596,7 +597,7 @@ func awaitSever(t *testing.T, srv *server.Server, conn net.Conn) {
 func testStallDispatches(t *testing.T) {
 	srv := server.New()
 	srv.SetStreamPolicy(-1, 300*time.Millisecond) // isolate the stall path
-	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs := hoptest.NewUnstartedServer(srv.Handler())
 	hs.Listener = smallWriteBufListener{hs.Listener}
 	hs.Start()
 	t.Cleanup(hs.Close)
@@ -638,7 +639,7 @@ func testStallReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs := hoptest.NewUnstartedServer(srv.Handler())
 	hs.Listener = smallWriteBufListener{hs.Listener}
 	hs.Start()
 	t.Cleanup(func() {

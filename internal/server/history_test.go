@@ -15,13 +15,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/faultfs"
 	"desyncpfair/internal/model"
+	"desyncpfair/internal/obs"
 	"desyncpfair/internal/server"
 )
 
@@ -70,21 +70,36 @@ func readSnapshot(t testing.TB, dir string) (snap snapshotOnDisk, size int64) {
 	return snap, int64(len(raw))
 }
 
-// metricValue scrapes /metrics for one unlabelled sample.
-func metricValue(t testing.TB, h http.Handler, name string) int64 {
+// metricValue scrapes /metrics for the sample called name whose labels are
+// the given name, value pairs (none: the unlabelled one). A histogram's
+// _count or _sum is found in its family.
+func metricValue(t testing.TB, h http.Handler, name string, labels ...string) int64 {
 	t.Helper()
 	rw := httptest.NewRecorder()
 	h.ServeHTTP(rw, httptest.NewRequest("GET", "/metrics", nil))
-	for _, line := range strings.Split(rw.Body.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				t.Fatalf("/metrics: %s", line)
+	ex, err := obs.ParseExposition(rw.Body.String())
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	f := ex.Family(name)
+	if i := strings.LastIndexByte(name, '_'); f == nil && i > 0 {
+		f = ex.Family(name[:i])
+	}
+	if f != nil {
+	samples:
+		for _, s := range f.Samples {
+			if s.Name != name || len(s.Labels) != len(labels)/2 {
+				continue
 			}
-			return n
+			for i := 0; i+1 < len(labels); i += 2 {
+				if s.Label(labels[i]) != labels[i+1] {
+					continue samples
+				}
+			}
+			return int64(s.Value)
 		}
 	}
-	t.Fatalf("/metrics has no sample %s", name)
+	t.Fatalf("/metrics has no sample %s%q", name, labels)
 	return 0
 }
 

@@ -24,6 +24,7 @@ import (
 	"context"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/obs"
 	"desyncpfair/internal/server"
@@ -414,7 +415,7 @@ func TestTraceClockReadsPerRound(t *testing.T) {
 // stream ends cleanly when the tenant is deleted.
 func TestTraceFollowLive(t *testing.T) {
 	srv := newObsServer(t)
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
@@ -480,7 +481,7 @@ func TestObsConcurrentScrapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
 	if _, err := c.CreateTenant(ctx, "acme", 2, ""); err != nil {
@@ -614,7 +615,7 @@ func (e *obsErr) Error() string { return e.s }
 
 // postAdvance issues a relative advance over the real HTTP server (the
 // client API takes absolute targets, which would race here).
-func postAdvance(hs *httptest.Server, id, by string) (*http.Response, error) {
+func postAdvance(hs *hoptest.Server, id, by string) (*http.Response, error) {
 	b, _ := json.Marshal(server.AdvanceRequest{By: by})
 	resp, err := hs.Client().Post(hs.URL+"/v1/tenants/"+id+"/advance", "application/json", strings.NewReader(string(b)))
 	if err != nil {

@@ -6,12 +6,12 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/server"
 	"desyncpfair/internal/wal"
 )
@@ -19,13 +19,13 @@ import (
 // quietLeader is a durable leader on which nothing but SyncJournal makes a
 // record durable: no idle flush, a threshold out of reach, no compaction.
 // fs nil is the real filesystem.
-func quietLeader(t *testing.T, fs wal.FS) (*server.Server, *httptest.Server) {
+func quietLeader(t *testing.T, fs wal.FS) (*server.Server, *hoptest.Server) {
 	t.Helper()
 	srv, err := server.Open(server.Options{DataDir: t.TempDir(), FS: fs, FsyncEvery: 1 << 20, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		hs.CloseClientConnections()
 		hs.Close()

@@ -10,13 +10,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/online"
 	"desyncpfair/internal/rat"
@@ -26,7 +26,7 @@ import (
 func newTestServer(t testing.TB) (*server.Server, *client.Client) {
 	t.Helper()
 	srv := server.New()
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Shutdown)
 	return srv, client.New(hs.URL, hs.Client())

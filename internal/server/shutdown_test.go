@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -25,7 +25,7 @@ func TestShutdownDuringStreamLeavesRecoverableDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
@@ -99,7 +99,7 @@ func TestShutdownDuringStreamLeavesRecoverableDir(t *testing.T) {
 	if rec := srv2.Recovery(); rec.RecordsReplayed != 0 || rec.ReplayErrors != 0 {
 		t.Fatalf("reopen replayed %d records with %d errors, want a snapshot-only boot", rec.RecordsReplayed, rec.ReplayErrors)
 	}
-	hs2 := httptest.NewServer(srv2.Handler())
+	hs2 := hoptest.NewServer(srv2.Handler())
 	defer hs2.Close()
 	st2, err := client.New(hs2.URL, hs2.Client()).StreamDispatches(ctx, "t", 0, false)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestCloseDuringSnapshotStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	ctx := context.Background()
 	c := client.New(hs.URL, hs.Client())

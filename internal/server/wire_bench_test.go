@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 	"desyncpfair/internal/wal"
@@ -235,7 +235,7 @@ func benchSubmitBatch(b *testing.B, n int, durable bool) {
 		srv = server.New()
 		defer srv.Shutdown()
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	c := client.New(hs.URL, hs.Client())
 	ctx := context.Background()
