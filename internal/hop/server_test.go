@@ -277,3 +277,40 @@ func TestReplyFraming(t *testing.T) {
 		}
 	}
 }
+
+// TestServerDrainsUnreadBody: a request body the handler left unread is read
+// and dropped, up to maxDrainBytes, so the connection carries the next
+// request; past that the reply says Connection: close and the connection
+// ends.
+func TestServerDrainsUnreadBody(t *testing.T) {
+	_, addr := serve(t, func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ignored\n")
+	})
+	for _, tc := range []struct {
+		size  int
+		close bool
+	}{{4 << 10, false}, {maxDrainBytes, false}, {maxDrainBytes + 1, true}} {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			fmt.Fprintf(c, "POST /a HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", tc.size, strings.Repeat("b", tc.size))
+			io.WriteString(c, "GET /b HTTP/1.1\r\nHost: x\r\n\r\n")
+		}()
+		br := bufio.NewReader(c)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%d unread bytes: %v", tc.size, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		if resp.Close != tc.close {
+			t.Errorf("%d unread bytes: Connection: close %v, want %v", tc.size, resp.Close, tc.close)
+		}
+		_, err = http.ReadResponse(br, nil)
+		if served := err == nil; served == tc.close {
+			t.Errorf("%d unread bytes: the next request served %v (%v), want %v", tc.size, served, err, !tc.close)
+		}
+		c.Close()
+	}
+}
