@@ -64,9 +64,13 @@ race-server:
 # through leader → follower → promoted follower → its follower with ?from=0
 # byte identity at every hop (TestBatchThroughFailover…), and a replica fed a
 # stream cut at every byte of a batch holding all of it or none
-# (TestFollowerOfCutStream…).
+# (TestFollowerOfCutStream…) — and the cluster on one transport seam: leader,
+# follower and router in one process with no socket, every call a hop.Upstream
+# dialing an in-memory network, the follower's ?from=0 stream the leader's
+# byte for byte (TestClusterOverPipes), and a sealed follower leaving its old
+# leader no connection (TestSealHangsUpOnLeader).
 cluster-smoke:
-	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced|TestRouter|TestNewRouter|TestUpstream|TestFollowerOfIdleLeaderReadyWithoutTick|TestFollowerReadyExactlyAtTip|TestPromotionReportsBack|TestFailedPromotionIsRetried|TestBatchThroughFailoverByteIdentity|TestFollowerOfCutStreamHoldsWholeBatches'
+	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestClusterSmoke|TestFollowerReplicatesAndPromotes|TestStaleLeaderFenced|TestRouter|TestNewRouter|TestUpstream|TestFollowerOfIdleLeaderReadyWithoutTick|TestFollowerReadyExactlyAtTip|TestPromotionReportsBack|TestFailedPromotionIsRetried|TestBatchThroughFailoverByteIdentity|TestFollowerOfCutStreamHoldsWholeBatches|TestClusterOverPipes|TestSealHangsUpOnLeader'
 	$(GO) test -race -count=1 -v ./internal/hop/ ./internal/client/
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestReplLog'
 	$(GO) test -race -count=1 ./internal/wal/ -run 'TestReaderTailsConcurrentGroupCommit|TestCrashMidBatch|TestNextDurable|TestThresholdSync|TestStoppedTimerCallback'

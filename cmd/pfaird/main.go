@@ -53,6 +53,7 @@ import (
 	"net"
 	"net/http"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -132,6 +133,11 @@ func serve(ctx context.Context, cfg config, ready func(addr string)) error {
 	var err error
 	if cfg.follow != "" && cfg.dataDir == "" {
 		return errors.New("-follow requires -data-dir (a follower's journal is its promotion state)")
+	}
+	// A leader is http://host:port, as a router backend is: a trailing slash
+	// is dropped, as ParseGroups drops it, and anything else fails Bootstrap.
+	if leader := strings.TrimRight(cfg.follow, "/"); leader != "" {
+		cfg.follow = leader
 	}
 	if cfg.dataDir != "" {
 		maxDelay := cfg.fsyncMaxDelay

@@ -5,11 +5,13 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/server"
 )
@@ -122,5 +124,61 @@ func TestSIGTERMDuringStreamDrainsAndRecovers(t *testing.T) {
 	}
 	if rec.Tenants != 1 {
 		t.Fatalf("recovered %d tenants, want 1", rec.Tenants)
+	}
+}
+
+// TestFollowURLTrailingSlash: -follow takes the leader's base URL with a
+// trailing slash, as pfair-router's -backends does. The node bootstraps from
+// the leader, tails it and leaves bootstrap: /healthz answers 200.
+func TestFollowURLTrailingSlash(t *testing.T) {
+	leader, err := server.Open(server.Options{DataDir: t.TempDir(), FsyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	lhs := hoptest.NewServer(leader.Handler())
+	defer lhs.Close()
+	if _, err := client.New(lhs.URL, nil).CreateTenant(context.Background(), "t", 1, ""); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cfg := config{addr: "127.0.0.1:0", grace: 5 * time.Second, dataDir: t.TempDir(), fsyncEvery: 1, follow: lhs.URL + "/"}
+	addrCh := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, cfg, func(a string) { addrCh <- a }) }()
+	var addr string
+	select {
+	case addr = <-addrCh:
+	case err := <-done:
+		t.Fatalf("-follow %s/: serve exited before listening: %v", lhs.URL, err)
+	}
+	c := client.New("http://"+addr, nil)
+	for {
+		if c.Health(ctx) == nil {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatalf("-follow %s/: the follower never caught up", lhs.URL)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
+// TestFollowMalformedURL: a -follow URL that is not http://host:port fails
+// the start once, naming the URL, before the node listens.
+func TestFollowMalformedURL(t *testing.T) {
+	for _, follow := range []string{"leader.test:8080", "http://leader.test:8080/v1", "https://leader.test:8080"} {
+		cfg := config{addr: "127.0.0.1:0", grace: time.Second, dataDir: t.TempDir(), follow: follow}
+		err := serve(context.Background(), cfg, func(string) { t.Errorf("-follow %s: serve listened", follow) })
+		if err == nil || !strings.Contains(err.Error(), follow) {
+			t.Errorf("-follow %s: serve returned %v, want an error naming the URL", follow, err)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"desyncpfair/internal/hop"
 	"desyncpfair/internal/server"
 	"desyncpfair/internal/wal"
 )
@@ -25,12 +26,16 @@ import (
 // leader's log) instead of rewinding. A leader that takes the connection
 // and does not begin to answer within snapshotHeaderWait is an error, like
 // one that refuses it: the node has nothing to serve yet, so its start
-// fails rather than hangs.
-func Bootstrap(dataDir, leader string, hc *http.Client, fs wal.FS) error {
-	if hc == nil {
-		hc = http.DefaultClient
+// fails rather than hangs. leader must be http://host:port; dial opens the
+// connections to it, and nil means TCP.
+func Bootstrap(dataDir, leader string, dial hop.DialFunc, fs wal.FS) error {
+	up, err := hop.New(leader)
+	if err != nil {
+		return fmt.Errorf("cluster: bootstrap: %w", err)
 	}
-	snap, err := fetchSnapshot(context.Background(), leader, hc, snapshotHeaderWait)
+	hop.DialWith(up, dial)
+	defer up.CloseIdle()
+	snap, err := fetchSnapshot(context.Background(), up, snapshotHeaderWait)
 	if err != nil {
 		return fmt.Errorf("cluster: bootstrap: %w", err)
 	}
@@ -54,22 +59,18 @@ func Bootstrap(dataDir, leader string, hc *http.Client, fs wal.FS) error {
 // long as the history and has no deadline.
 const snapshotHeaderWait = 30 * time.Second
 
-func fetchSnapshot(ctx context.Context, leader string, hc *http.Client, headerWait time.Duration) (server.ReplSnapshotResponse, error) {
+func fetchSnapshot(ctx context.Context, up *hop.Upstream, headerWait time.Duration) (server.ReplSnapshotResponse, error) {
 	var snap server.ReplSnapshotResponse
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, leader+"/v1/replication/snapshot", nil)
-	if err != nil {
-		return snap, err
-	}
 	silent := time.AfterFunc(headerWait, cancel)
-	resp, err := hc.Do(req)
+	resp, err := up.RoundTrip(ctx, http.MethodGet, "/v1/replication/snapshot", "", nil)
 	if !silent.Stop() {
-		// The timer fired: whatever Do returned, the request is cancelled.
+		// The timer fired: whatever RoundTrip returned, the request is cancelled.
 		if err == nil {
 			resp.Body.Close()
 		}
-		return snap, fmt.Errorf("leader snapshot: no response headers from %s within %v", leader, headerWait)
+		return snap, fmt.Errorf("leader snapshot: no response headers from %s within %v", up.URL, headerWait)
 	}
 	if err != nil {
 		return snap, err
@@ -83,19 +84,18 @@ func fetchSnapshot(ctx context.Context, leader string, hc *http.Client, headerWa
 }
 
 // Follower tails a leader's journal into a server opened with
-// Options{Follower: true}: one goroutine streams /v1/replication/log,
-// CRC-verifies every frame, and feeds records through ApplyReplicated;
-// a second asks /v1/replication/status for the leader's durable tip, at
-// once and then on a ticker that keeps the lag gauge fresh. The node leaves
-// bootstrap at whichever of the two events finds it has applied everything
-// up to the newest tip it was told: the status answer (nothing to catch up
-// on) or the applied record that closes the backlog. Seal stops both
-// permanently (the step promotion runs first); Promote is Seal plus the
-// server-side term bump.
+// Options{Follower: true}, over one hop.Upstream to the leader: one goroutine
+// streams /v1/replication/log, CRC-verifies every frame, and feeds records
+// through ApplyReplicated; a second asks /v1/replication/status for the
+// leader's durable tip, at once and then on a ticker that keeps the lag gauge
+// fresh. The node leaves bootstrap at whichever of the two events finds it
+// has applied everything up to the newest tip it was told: the status answer
+// (nothing to catch up on) or the applied record that closes the backlog.
+// Seal stops both permanently (the step promotion runs first); Promote is
+// Seal plus the server-side term bump.
 type Follower struct {
-	srv    *server.Server
-	leader string
-	hc     *http.Client
+	srv *server.Server
+	up  *hop.Upstream // nil when the leader's URL was refused
 
 	// tip is the leader's durable LSN as of its latest status answer, -1
 	// before the first. The status loop stores it and then reads what the
@@ -109,10 +109,8 @@ type Follower struct {
 	readyLSN  uint64
 	readyTook time.Duration
 
-	cancel   context.CancelFunc
-	tailDone chan struct{}
-	statDone chan struct{}
-	sealOnce sync.Once
+	cancel context.CancelFunc
+	loops  sync.WaitGroup // the tail and status loops
 }
 
 // statusRefresh is how often a follower asks its leader for the durable tip
@@ -136,27 +134,27 @@ func realTicker(d time.Duration) (<-chan time.Time, func()) {
 
 // StartFollower begins replicating from leader into srv and registers
 // itself as srv's promote hook, so POST /v1/cluster/promote on the
-// follower seals the stream before flipping writable.
-func StartFollower(srv *server.Server, leader string, hc *http.Client) *Follower {
-	return startFollower(srv, leader, hc, realTicker)
+// follower seals the stream before flipping writable. dial opens the
+// connections to leader, and nil means TCP. A leader URL that is not
+// http://host:port starts nothing: the node stays in bootstrap, /healthz
+// answering 503, with the refusal as its replication error.
+func StartFollower(srv *server.Server, leader string, dial hop.DialFunc) *Follower {
+	return startFollower(srv, leader, dial, realTicker)
 }
 
-func startFollower(srv *server.Server, leader string, hc *http.Client, newTicker tickerFunc) *Follower {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
+func startFollower(srv *server.Server, leader string, dial hop.DialFunc, newTicker tickerFunc) *Follower {
 	ctx, cancel := context.WithCancel(context.Background())
-	f := &Follower{
-		srv:      srv,
-		leader:   leader,
-		hc:       hc,
-		ready:    make(chan struct{}),
-		cancel:   cancel,
-		tailDone: make(chan struct{}),
-		statDone: make(chan struct{}),
-	}
+	f := &Follower{srv: srv, ready: make(chan struct{}), cancel: cancel}
 	f.tip.Store(-1)
 	srv.SetPromoteHook(f.Seal)
+	up, err := hop.New(leader)
+	if err != nil {
+		srv.SetReplicationError(err.Error())
+		return f
+	}
+	hop.DialWith(up, dial)
+	f.up = up
+	f.loops.Add(2)
 	go f.tailLoop(ctx, newTicker)
 	go f.statusLoop(ctx, newTicker)
 	return f
@@ -195,15 +193,16 @@ func (f *Follower) progress() {
 	})
 }
 
-// Seal permanently stops the tail and status loops and waits for them:
-// after Seal returns, no further ApplyReplicated can happen, which is
-// the precondition for a race-free term bump. Idempotent; always nil.
+// Seal permanently stops the tail and status loops, waits for them and
+// closes the connections they left idle, so the old leader holds none for
+// this node: after Seal returns, no further ApplyReplicated can happen, which
+// is the precondition for a race-free term bump. Idempotent; always nil.
 func (f *Follower) Seal() error {
-	f.sealOnce.Do(func() {
-		f.cancel()
-		<-f.tailDone
-		<-f.statDone
-	})
+	f.cancel()
+	f.loops.Wait()
+	if f.up != nil {
+		f.up.CloseIdle()
+	}
 	return nil
 }
 
@@ -222,7 +221,7 @@ func (f *Follower) Promote() error {
 // would have to rebuild all tenant state, so the node degrades and an
 // operator restarts it to re-bootstrap from scratch).
 func (f *Follower) tailLoop(ctx context.Context, newTicker tickerFunc) {
-	defer close(f.tailDone)
+	defer f.loops.Done()
 	for ctx.Err() == nil {
 		err := f.tailOnce(ctx)
 		switch {
@@ -251,13 +250,8 @@ var errSnapshotHorizon = errors.New("cluster: leader compacted past our cursor; 
 // tailOnce opens one log stream from the next needed LSN and applies
 // records until the stream breaks.
 func (f *Follower) tailOnce(ctx context.Context) error {
-	from := f.srv.AppliedLSN() + 1
-	url := fmt.Sprintf("%s/v1/replication/log?from=%d&follow=true", f.leader, from)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := f.hc.Do(req)
+	target := fmt.Sprintf("/v1/replication/log?from=%d&follow=true", f.srv.AppliedLSN()+1)
+	resp, err := f.up.RoundTrip(ctx, http.MethodGet, target, "", nil)
 	if err != nil {
 		return err
 	}
@@ -265,7 +259,6 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		return errSnapshotHorizon
 	default:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
@@ -309,12 +302,13 @@ func (f *Follower) tailOnce(ctx context.Context) error {
 // follower with nothing to catch up on is ready as soon as the answer is
 // back, then on the ticker — and lets progress hold the node against it.
 func (f *Follower) statusLoop(ctx context.Context, newTicker tickerFunc) {
-	defer close(f.statDone)
+	defer f.loops.Done()
 	tick, stop := newTicker(statusRefresh)
 	defer stop()
 	for {
 		// Transport faults surface via the tail loop; the next tick asks again.
-		if st, err := f.leaderStatus(ctx); err == nil {
+		var st server.ReplStatusResponse
+		if getJSON(ctx, f.up, "/v1/replication/status", &st) == nil {
 			f.tip.Store(int64(st.DurableLSN))
 			f.progress()
 		}
@@ -324,22 +318,4 @@ func (f *Follower) statusLoop(ctx context.Context, newTicker tickerFunc) {
 		case <-tick:
 		}
 	}
-}
-
-func (f *Follower) leaderStatus(ctx context.Context) (server.ReplStatusResponse, error) {
-	var st server.ReplStatusResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.leader+"/v1/replication/status", nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := f.hc.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return st, fmt.Errorf("cluster: status: HTTP %d", resp.StatusCode)
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop"
 	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/obs"
@@ -70,8 +72,8 @@ func durableLeader(t *testing.T) (*server.Server, *hoptest.Server, *client.Clien
 }
 
 // bootFollower bootstraps a replica of leaderURL into a fresh directory and
-// starts it tailing through hc with a status ticker that never fires.
-func bootFollower(t *testing.T, leaderURL string, hc *http.Client) (*server.Server, *Follower) {
+// starts it tailing with a status ticker that never fires.
+func bootFollower(t *testing.T, leaderURL string) (*server.Server, *Follower) {
 	t.Helper()
 	dir := t.TempDir()
 	if err := Bootstrap(dir, leaderURL, nil, nil); err != nil {
@@ -81,7 +83,7 @@ func bootFollower(t *testing.T, leaderURL string, hc *http.Client) (*server.Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	fol := startFollower(srv, leaderURL, hc, neverTicker)
+	fol := startFollower(srv, leaderURL, nil, neverTicker)
 	t.Cleanup(func() {
 		_ = fol.Seal()
 		srv.Close()
@@ -116,35 +118,88 @@ func metricSample(t *testing.T, srv *server.Server, name string) float64 {
 	return 0
 }
 
+// pipeLeader serves h through hop.Server on an in-memory network, as the
+// leader at the URL it returns; dial reaches it. Every connection the leader
+// accepts is handed to accepted, if that is not nil.
+func pipeLeader(t *testing.T, h http.Handler, accepted chan<- *leaderEnd) (url string, dial hop.DialFunc) {
+	t.Helper()
+	var pipes hoptest.Pipes
+	ln := pipes.Listen("leader.test:80")
+	if accepted != nil {
+		ln = endListener{ln, accepted}
+	}
+	hs := &hop.Server{Handler: h}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	return "http://leader.test:80", pipes.Dial
+}
+
+// leaderEnd is the leader's end of one connection; eof is closed when a read
+// on it finds that the follower closed its end.
+type leaderEnd struct {
+	net.Conn
+	eof  chan struct{}
+	once sync.Once
+}
+
+func (c *leaderEnd) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err == io.EOF {
+		c.once.Do(func() { close(c.eof) })
+	}
+	return n, err
+}
+
+type endListener struct {
+	net.Listener
+	accepted chan<- *leaderEnd
+}
+
+func (l endListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	end := &leaderEnd{Conn: c, eof: make(chan struct{})}
+	l.accepted <- end
+	return end, nil
+}
+
 // TestBootstrapSilentLeaderFails: a leader that takes the connection and
 // never answers must fail the snapshot fetch — and with it Bootstrap and the
 // start of pfaird -follow — once the header wait runs out, not hang it. The
-// wait is the event here, so the test hands in a short one; the listener
-// says nothing on the connection it was sent, and it was sent one.
+// wait is the event here, so the test hands in a short one; the leader reads
+// the request it was sent and says nothing.
 func TestBootstrapSilentLeaderFails(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	var pipes hoptest.Pipes
+	ln := pipes.Listen("leader.test:80")
+	defer ln.Close()
+	read := make(chan struct{})
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := http.ReadRequest(bufio.NewReader(c)); err == nil {
+			close(read)
+		}
+		io.Copy(io.Discard, c) // until the follower hangs up
+	}()
+	up, err := hop.New("http://leader.test:80")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		if c, err := ln.Accept(); err == nil {
-			accepted <- c
-		}
-	}()
-	hc := &http.Client{Transport: &http.Transport{}}
-	defer hc.CloseIdleConnections()
+	hop.DialWith(up, pipes.Dial)
 	ctx := testContext(t)
-	_, err = fetchSnapshot(ctx, "http://"+ln.Addr().String(), hc, 20*time.Millisecond)
+	_, err = fetchSnapshot(ctx, up, 20*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "no response headers") {
 		t.Fatalf("fetchSnapshot from a silent leader: err %v, want the header wait to fail it", err)
 	}
 	select {
-	case c := <-accepted:
-		c.Close()
+	case <-read:
 	case <-ctx.Done():
-		t.Fatal("the fetch failed without ever connecting to the listener")
+		t.Fatal("the fetch failed without the leader ever reading its request")
 	}
 }
 
@@ -156,13 +211,13 @@ func TestBootstrapSilentLeaderFails(t *testing.T) {
 func TestFollowerOfIdleLeaderReadyWithoutTick(t *testing.T) {
 	ctx := testContext(t)
 	_, fresh := leaderAt(t, t.TempDir())
-	_, fol := bootFollower(t, fresh.URL, nil)
+	_, fol := bootFollower(t, fresh.URL)
 	if lsn, _, err := fol.WaitReady(ctx); err != nil || lsn != 0 {
 		t.Fatalf("the replica of a leader with an empty log: ready at LSN %d, %v", lsn, err)
 	}
 
 	lsrv, lhs, _ := durableLeader(t)
-	fsrv, fol := bootFollower(t, lhs.URL, nil)
+	fsrv, fol := bootFollower(t, lhs.URL)
 	lsn, took, err := fol.WaitReady(ctx)
 	if err != nil {
 		t.Fatalf("the replica of an idle leader never left bootstrap: %v", err)
@@ -182,48 +237,41 @@ func TestFollowerOfIdleLeaderReadyWithoutTick(t *testing.T) {
 	}
 }
 
-// gatedLog stands between a follower and its leader: status and snapshot
-// requests go through, the log stream is fed by the test, a line at a time.
-// Every Read of the stream's body announces itself on asked first — the
-// follower reads again only when it has applied every line it was handed —
-// and then takes the next line from feed.
+// gatedLog is a leader whose log stream the test feeds, a line at a time;
+// every other request goes to the real leader's handler. Served over a pipe,
+// each write returns only once the follower has read it. Before each line the
+// stream sends an empty one, which the follower skips: the follower reads
+// again only when it has applied every line it was handed, so that write
+// returning is the follower asking for its next line, announced on asked.
 type gatedLog struct {
-	asked chan struct{}
-	feed  chan []byte
+	leader http.Handler
+	asked  chan struct{}
+	feed   chan []byte
 }
 
-func (g *gatedLog) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != "/v1/replication/log" {
-		return http.DefaultTransport.RoundTrip(req)
+func (g *gatedLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/replication/log" {
+		g.leader.ServeHTTP(w, r)
+		return
 	}
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Header:     http.Header{"Content-Type": {"application/x-ndjson"}},
-		Body:       &gatedBody{g: g, ctx: req.Context()},
-		Request:    req,
-	}, nil
-}
-
-type gatedBody struct {
-	g   *gatedLog
-	ctx context.Context
-}
-
-func (b *gatedBody) Read(p []byte) (int, error) {
-	select {
-	case b.g.asked <- struct{}{}:
-	case <-b.ctx.Done():
-		return 0, b.ctx.Err()
-	}
-	select {
-	case line := <-b.g.feed:
-		return copy(p, line), nil
-	case <-b.ctx.Done():
-		return 0, b.ctx.Err()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	for {
+		io.WriteString(w, "\n")
+		w.(http.Flusher).Flush()
+		select {
+		case g.asked <- struct{}{}:
+		case <-r.Context().Done():
+			return
+		}
+		select {
+		case line := <-g.feed:
+			w.Write(line)
+			w.(http.Flusher).Flush()
+		case <-r.Context().Done():
+			return
+		}
 	}
 }
-
-func (b *gatedBody) Close() error { return nil }
 
 // TestFollowerReadyExactlyAtTip: a replica that starts behind is told its
 // leader's durable tip once, at start, and is ready at the record that
@@ -264,9 +312,10 @@ func TestFollowerReadyExactlyAtTip(t *testing.T) {
 		t.Fatalf("the leader's log holds %d lines past LSN %d, its tip is %d", len(lines), fsrv.AppliedLSN(), tip)
 	}
 
-	gate := &gatedLog{asked: make(chan struct{}), feed: make(chan []byte)}
+	gate := &gatedLog{leader: lsrv.Handler(), asked: make(chan struct{}), feed: make(chan []byte)}
+	url, dial := pipeLeader(t, gate, nil)
 	ticks := make(chan time.Time)
-	fol := startFollower(fsrv, lhs.URL, &http.Client{Transport: gate},
+	fol := startFollower(fsrv, url, dial,
 		func(time.Duration) (<-chan time.Time, func()) { return ticks, func() {} })
 	defer fol.Seal()
 	// The status loop takes a tick only once its first answer is in: from here
@@ -320,6 +369,81 @@ func TestFollowerReadyExactlyAtTip(t *testing.T) {
 	}
 	if h, code := healthOf(t, fsrv); code != http.StatusOK || *h.ReplicationLagLSN != 0 {
 		t.Fatalf("/healthz at the tip: %d, lag %d", code, *h.ReplicationLagLSN)
+	}
+}
+
+// TestSealHangsUpOnLeader: a sealed follower keeps no connection to its old
+// leader. Every connection the leader accepted from it — the snapshot fetch,
+// the log stream and the status poll's, kept alive in the pool — reads EOF
+// once Seal has returned, so the leader's server holds no goroutine for a
+// node that will not ask again. The leader answers the status poll only once
+// the log stream is open, so the two are on separate connections and the
+// poll's is idle when Seal runs.
+func TestSealHangsUpOnLeader(t *testing.T) {
+	ctx := testContext(t)
+	lsrv, _, _ := durableLeader(t)
+	logOpen := make(chan struct{})
+	var once sync.Once
+	leader := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/replication/log":
+			once.Do(func() { close(logOpen) })
+		case "/v1/replication/status":
+			<-logOpen
+		}
+		lsrv.Handler().ServeHTTP(w, r)
+	})
+	// Room for every connection the follower opens (three), so that the
+	// leader's Accept never waits on the test.
+	accepted := make(chan *leaderEnd, 8)
+	url, dial := pipeLeader(t, leader, accepted)
+	dir := t.TempDir()
+	if err := Bootstrap(dir, url, dial, nil); err != nil {
+		t.Fatal(err)
+	}
+	fsrv, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 1, Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fsrv.Close()
+	fol := startFollower(fsrv, url, dial, neverTicker)
+	if _, _, err := fol.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	fol.Seal()
+	n := len(accepted)
+	if n < 2 {
+		t.Fatalf("the leader accepted %d connections, want the log stream's and the status poll's at least", n)
+	}
+	for i := 1; i <= n; i++ {
+		select {
+		case <-(<-accepted).eof:
+		case <-ctx.Done():
+			t.Fatalf("after Seal the leader's end of connection %d of %d never read EOF", i, n)
+		}
+	}
+}
+
+// TestFollowerOfRefusedURL: StartFollower given a leader URL that is not
+// http://host:port starts nothing and does not panic. The node stays in
+// bootstrap — 503, so no router reads from a replica of nothing — with the
+// refusal, naming the URL, as its replication error; Seal returns.
+func TestFollowerOfRefusedURL(t *testing.T) {
+	srv, err := server.Open(server.Options{DataDir: t.TempDir(), Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const leader = "http://leader.test:80/"
+	fol := StartFollower(srv, leader, nil)
+	if e := srv.ReplicationError(); !strings.Contains(e, leader) {
+		t.Errorf("replication error %q does not name %s", e, leader)
+	}
+	if h, code := healthOf(t, srv); code != http.StatusServiceUnavailable || h.Status != "bootstrapping" {
+		t.Errorf("/healthz: %d %q, want 503 bootstrapping", code, h.Status)
+	}
+	if err := fol.Seal(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -70,15 +70,12 @@ func ParseGroups(s string) ([][]string, error) {
 // immutable snapshot of the whole topology, rebuilt by the health loop
 // and read lock-free by request handlers.
 type backendView struct {
-	up            *hop.Upstream
-	healthy       bool
-	role          string
-	term          uint64
-	appliedLSN    uint64
-	bootstrapping bool
-	tenants       int
-	capacityM     int  // ΣM across the backend's tenants (pfaird_tenant_m)
-	tenantsKnown  bool // the tenant-gauge scrape succeeded this probe
+	server.ReplStatusResponse // the probe's answer: role, term, applied LSN
+	up                        *hop.Upstream
+	healthy                   bool
+	tenants                   int
+	capacityM                 int  // ΣM across the backend's tenants (pfaird_tenant_m)
+	tenantsKnown              bool // the tenant-gauge scrape succeeded this probe
 }
 
 type groupView struct {
@@ -264,12 +261,12 @@ func (r *Router) scan(ctx context.Context) {
 		g := &t.groups[gi]
 		g.leader = -1
 		for bi, b := range g.backends {
-			if !b.healthy || b.role != "leader" || b.bootstrapping {
+			if !b.healthy || b.Role != "leader" || b.Bootstrapping {
 				continue
 			}
 			// Split brain between probe rounds: the higher term is the
 			// real timeline, the lower one is fenced.
-			if g.leader < 0 || b.term > g.backends[g.leader].term {
+			if g.leader < 0 || b.Term > g.backends[g.leader].Term {
 				g.leader = bi
 			}
 		}
@@ -292,10 +289,10 @@ func (r *Router) scan(ctx context.Context) {
 func bestFollower(backends []backendView) int {
 	best := -1
 	for bi, b := range backends {
-		if !b.healthy || b.role != "follower" || b.bootstrapping {
+		if !b.healthy || b.Role != "follower" || b.Bootstrapping {
 			continue
 		}
-		if best < 0 || b.appliedLSN > backends[best].appliedLSN {
+		if best < 0 || b.AppliedLSN > backends[best].AppliedLSN {
 			best = bi
 		}
 	}
@@ -306,16 +303,11 @@ func (r *Router) probe(ctx context.Context, up *hop.Upstream, scrapeTenants bool
 	v := backendView{up: up}
 	ctx, cancel := context.WithTimeout(ctx, r.opts.HealthInterval*5)
 	defer cancel()
-	var st server.ReplStatusResponse
-	if getJSON(ctx, up, "/v1/replication/status", &st) != nil {
-		return v
+	if getJSON(ctx, up, "/v1/replication/status", &v.ReplStatusResponse) != nil {
+		return backendView{up: up} // nothing of a partial decode
 	}
 	v.healthy = true
-	v.role = st.Role
-	v.term = st.Term
-	v.appliedLSN = st.AppliedLSN
-	v.bootstrapping = st.Bootstrapping
-	if scrapeTenants && st.Role == "leader" {
+	if scrapeTenants && v.Role == "leader" {
 		v.tenants, v.capacityM, v.tenantsKnown = scrapeTenantGauges(ctx, up)
 	}
 	return v

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"desyncpfair/internal/client"
@@ -15,46 +16,32 @@ import (
 )
 
 // cutLog stands between a follower and its leader like gatedLog, but serves
-// the log stream once, from a fixed copy, and ends it after cut bytes — a
-// leader that died mid-stream. eof is closed when the follower has read the
-// stream to that end; any later log request waits for its context.
+// the log stream once, from a fixed copy, and ends it after those bytes — a
+// leader that died mid-stream. Served over a pipe, the flush of the copy
+// returns only once the follower has read all of it, and eof is closed then;
+// any later log request is held open, empty, until the follower hangs up.
 type cutLog struct {
+	leader http.Handler
 	stream []byte
 	eof    chan struct{}
-	served bool
+	served atomic.Bool
 }
 
-func (c *cutLog) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Path != "/v1/replication/log" {
-		return http.DefaultTransport.RoundTrip(req)
+func (c *cutLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/replication/log" {
+		c.leader.ServeHTTP(w, r)
+		return
 	}
-	if c.served {
-		<-req.Context().Done()
-		return nil, req.Context().Err()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	if c.served.Swap(true) {
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+		return
 	}
-	c.served = true
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Header:     http.Header{"Content-Type": {"application/x-ndjson"}},
-		Body:       &cutBody{r: bytes.NewReader(c.stream), eof: c.eof},
-		Request:    req,
-	}, nil
+	w.Write(c.stream)
+	w.(http.Flusher).Flush()
+	close(c.eof)
 }
-
-type cutBody struct {
-	r   *bytes.Reader
-	eof chan struct{}
-}
-
-func (b *cutBody) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
-	if err == io.EOF {
-		close(b.eof)
-	}
-	return n, err
-}
-
-func (b *cutBody) Close() error { return nil }
 
 // TestFollowerOfCutStreamHoldsWholeBatches is the follower's half of the
 // torn-batch sweep: a leader journals a four-job keyed batch, and a fresh
@@ -64,7 +51,7 @@ func (b *cutBody) Close() error { return nil }
 // batch against the new leader is accepted with the results the old one gave.
 func TestFollowerOfCutStreamHoldsWholeBatches(t *testing.T) {
 	ctx := testContext(t)
-	_, lhs := leaderAt(t, t.TempDir())
+	lsrv, lhs := leaderAt(t, t.TempDir())
 	c := client.New(lhs.URL, nil)
 	if _, err := c.CreateTenant(ctx, "t", 2, ""); err != nil {
 		t.Fatal(err)
@@ -111,8 +98,9 @@ func TestFollowerOfCutStreamHoldsWholeBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate := &cutLog{stream: stream[:cut], eof: make(chan struct{})}
-		fol := startFollower(fsrv, lhs.URL, &http.Client{Transport: gate}, neverTicker)
+		gate := &cutLog{leader: lsrv.Handler(), stream: stream[:cut], eof: make(chan struct{})}
+		url, dial := pipeLeader(t, gate, nil)
+		fol := startFollower(fsrv, url, dial, neverTicker)
 		select {
 		case <-gate.eof:
 		case <-ctx.Done():

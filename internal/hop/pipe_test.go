@@ -4,60 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 
 	"desyncpfair/internal/hop"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/server"
 )
-
-// pipeListener hands the server one end of a net.Pipe per dial: a transport
-// with no socket, no port and no kernel buffer.
-type pipeListener struct {
-	conns  chan net.Conn
-	closed chan struct{}
-	once   sync.Once
-}
-
-func newPipeListener() *pipeListener {
-	return &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.closed:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *pipeListener) Close() error {
-	l.once.Do(func() { close(l.closed) })
-	return nil
-}
-
-func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
-
-func (l *pipeListener) dial(ctx context.Context, _ string) (net.Conn, error) {
-	client, srv := net.Pipe()
-	select {
-	case l.conns <- srv:
-		return client, nil
-	case <-l.closed:
-		return nil, net.ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-type pipeAddr struct{}
-
-func (pipeAddr) Network() string { return "pipe" }
-func (pipeAddr) String() string  { return "pipe" }
 
 // TestPfairdOverPipe runs pfaird's handler behind a Server on an in-memory
 // listener and drives it with an Upstream dialing through its seam: a tenant's
@@ -67,15 +21,15 @@ func (pipeAddr) String() string  { return "pipe" }
 func TestPfairdOverPipe(t *testing.T) {
 	srv := server.New()
 	defer srv.Shutdown()
-	ln := newPipeListener()
+	var pipes hoptest.Pipes
 	hs := &hop.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
+	go hs.Serve(pipes.Listen("pfaird.test:80"))
 	defer hs.Close()
 	up, err := hop.New("http://pfaird.test:80")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop.DialWith(up, ln.dial)
+	hop.DialWith(up, pipes.Dial)
 	defer up.CloseIdle()
 
 	call := func(method, target, body string, want int) string {

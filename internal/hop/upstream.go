@@ -1,8 +1,8 @@
 // Package hop is the repository's one HTTP/1.1 path, both directions. Outbound,
-// pfair-router's calls to its backends and internal/client's calls to pfaird
-// go through an Upstream; inbound, pfaird and pfair-router serve their
-// handlers through a Server. It imports only the standard library and
-// internal/wire.
+// pfair-router's calls to its backends, a follower's calls to its leader and
+// internal/client's calls to pfaird go through an Upstream; inbound, pfaird
+// and pfair-router serve their handlers through a Server. It imports only the
+// standard library and internal/wire.
 package hop
 
 import (
@@ -56,9 +56,18 @@ type Upstream struct {
 	idle   []*upstreamConn // most recently used last, and taken first
 	closed bool            // CloseIdle ran: connections are closed, not kept
 
-	// dial opens a connection to addr; nil means TCP through a net.Dialer.
-	// Tests set it to reach a Server without a socket.
-	dial func(ctx context.Context, addr string) (net.Conn, error)
+	dial DialFunc // nil means TCP through a net.Dialer
+}
+
+// DialFunc opens a connection to addr, a backend's host:port. It is the
+// outbound half's one transport seam: hoptest.Pipes.Dial reaches a Server with
+// no socket.
+type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
+
+// DialWith makes u open its connections with dial, or with TCP if dial is nil.
+// Set it before u's first request.
+func DialWith(u *Upstream, dial DialFunc) {
+	u.dial = dial
 }
 
 // New accepts http://host:port and nothing else: pfaird serves no TLS and no

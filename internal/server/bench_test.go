@@ -28,7 +28,7 @@ func BenchmarkServerSubmit(b *testing.B) {
 	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Shutdown()
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
 	if _, err := c.CreateTenant(ctx, "bench", 2, ""); err != nil {
@@ -71,7 +71,7 @@ func BenchmarkServerSubmitWAL(b *testing.B) {
 	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Close()
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
 	if _, err := c.CreateTenant(ctx, "bench", 2, ""); err != nil {

@@ -111,7 +111,7 @@ func TestStreamByteIdentity20Seeds(t *testing.T) {
 			hs := hoptest.NewServer(srv.Handler())
 			t.Cleanup(hs.Close)
 			t.Cleanup(func() { srv.Close() })
-			c := client.New(hs.URL, hs.Client())
+			c := client.New(hs.URL, nil)
 			ctx := context.Background()
 
 			tasks := 1 + rng.Intn(4)
@@ -239,7 +239,7 @@ func streamAcrossCompactions(t *testing.T, seed int64) {
 	t.Cleanup(hs.Close)
 	t.Cleanup(func() { durable.Close() })
 	ref, refClient := newTestServer(t)
-	both := []*client.Client{client.New(hs.URL, hs.Client()), refClient}
+	both := []*client.Client{client.New(hs.URL, nil), refClient}
 	ctx := context.Background()
 
 	tasks := 2 + rng.Intn(3)
@@ -440,7 +440,7 @@ func TestStreamEvictsLaggingSubscriber(t *testing.T) {
 	hs.Start()
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Shutdown)
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	unitTenant(t, c, "acme", 4)
 
 	// The lagging follower: reads 1 KiB every 2 ms — alive, just slow.
@@ -602,7 +602,7 @@ func testStallDispatches(t *testing.T) {
 	hs.Start()
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Shutdown)
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	unitTenant(t, c, "acme", 4)
 
 	conn := wedgedReader(t, hs.Listener.Addr().String(), "/v1/tenants/acme/dispatches?from=0&follow=true")

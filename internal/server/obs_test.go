@@ -417,7 +417,7 @@ func TestTraceFollowLive(t *testing.T) {
 	srv := newObsServer(t)
 	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
 	if _, err := c.CreateTenant(ctx, "acme", 1, ""); err != nil {
@@ -427,7 +427,7 @@ func TestTraceFollowLive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := hs.Client().Get(hs.URL + "/v1/tenants/acme/trace")
+	resp, err := http.Get(hs.URL + "/v1/tenants/acme/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestObsConcurrentScrapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := hoptest.NewServer(srv.Handler())
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 	if _, err := c.CreateTenant(ctx, "acme", 2, ""); err != nil {
 		t.Fatal(err)
@@ -617,7 +617,7 @@ func (e *obsErr) Error() string { return e.s }
 // client API takes absolute targets, which would race here).
 func postAdvance(hs *hoptest.Server, id, by string) (*http.Response, error) {
 	b, _ := json.Marshal(server.AdvanceRequest{By: by})
-	resp, err := hs.Client().Post(hs.URL+"/v1/tenants/"+id+"/advance", "application/json", strings.NewReader(string(b)))
+	resp, err := http.Post(hs.URL+"/v1/tenants/"+id+"/advance", "application/json", strings.NewReader(string(b)))
 	if err != nil {
 		return nil, err
 	}

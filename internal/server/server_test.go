@@ -29,7 +29,7 @@ func newTestServer(t testing.TB) (*server.Server, *client.Client) {
 	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Shutdown)
-	return srv, client.New(hs.URL, hs.Client())
+	return srv, client.New(hs.URL, nil)
 }
 
 func TestTenantLifecycle(t *testing.T) {

@@ -27,7 +27,7 @@ func TestShutdownDuringStreamLeavesRecoverableDir(t *testing.T) {
 	}
 	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
 	if _, err := c.CreateTenant(ctx, "t", 2, ""); err != nil {
@@ -101,7 +101,7 @@ func TestShutdownDuringStreamLeavesRecoverableDir(t *testing.T) {
 	}
 	hs2 := hoptest.NewServer(srv2.Handler())
 	defer hs2.Close()
-	st2, err := client.New(hs2.URL, hs2.Client()).StreamDispatches(ctx, "t", 0, false)
+	st2, err := client.New(hs2.URL, nil).StreamDispatches(ctx, "t", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCloseDuringSnapshotStorm(t *testing.T) {
 	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
 	ctx := context.Background()
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 
 	if _, err := c.CreateTenant(ctx, "t", 2, ""); err != nil {
 		t.Fatal(err)

@@ -237,7 +237,7 @@ func benchSubmitBatch(b *testing.B, n int, durable bool) {
 	}
 	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
-	c := client.New(hs.URL, hs.Client())
+	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
 	// n tasks of weight 1/8 on n/8 processors: one job each per 8 slots is
