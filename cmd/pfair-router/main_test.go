@@ -16,7 +16,7 @@ func TestPprofFlag(t *testing.T) {
 		addrCh := make(chan string, 1)
 		done := make(chan error, 1)
 		go func() {
-			done <- run(ctx, "127.0.0.1:0", "http://127.0.0.1:1", "rendezvous", time.Second, 0, time.Second, on,
+			done <- run(ctx, "127.0.0.1:0", "http://127.0.0.1:1", time.Second, 0, time.Second, on,
 				func(a string) { addrCh <- a })
 		}()
 		select {

@@ -1,161 +1,63 @@
 // Package cluster turns single-node pfaird into a replicated, routed
 // service: a Follower tails a leader's journal over the replication
 // endpoints (internal/server) and can be promoted on failure, and a
-// Router fronts several leader groups, sharding tenants across them
-// under a pluggable placement policy. The paper's desynchronized model
-// is what makes this cheap — tenants share no time base, so a tenant is
-// a free unit of placement and an entire group's schedule replays
-// deterministically from its journal.
+// Router fronts several leader groups, placing each tenant on the group
+// a rendezvous hash of its id names. The paper's desynchronized model is
+// what makes this cheap — tenants share no time base, so a tenant's group
+// can be a pure function of its id, and an entire group's schedule
+// replays deterministically from its journal.
 package cluster
 
 import (
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 )
 
-// Load is one group's placement-relevant state, assembled by the router
-// from health checks and /metrics scrapes.
-type Load struct {
-	// Healthy reports whether the group currently has a servable leader.
-	Healthy bool
-	// Tenants is the group leader's pfaird_tenants gauge. Meaningful only
-	// when TenantsKnown is true.
-	Tenants int
-	// TenantsKnown reports whether the gauge scrape actually succeeded. A
-	// failed scrape is NOT zero tenants — load-sensitive policies must not
-	// prefer a group just because its metrics endpoint was unreachable.
-	TenantsKnown bool
-	// CapacityM is the sum of the leader's pfaird_tenant_m gauges: the
-	// total processors the group has committed across its tenants. With
-	// elastic capacity (resize + autoscaler) tenant counts alone misstate
-	// load — one tenant on 32 processors outweighs ten on 1 — so
-	// least-loaded uses CapacityM to break tenant-count ties. Meaningful
-	// only when TenantsKnown is true (same scrape).
-	CapacityM int
-}
+// Rendezvous names the router's one placement rule. It carries nothing:
+// the type remains, with PolicyByName and RouterOptions.Policy, only so
+// that callers written when placement was pluggable still compile.
+type Rendezvous struct{}
 
-// Placement decides which group owns a tenant. Pick places a new tenant;
-// Locate finds an existing one — deterministic policies answer directly
-// (ok=true), stateful ones defer to the router's learned map and probing
-// (ok=false).
-type Placement interface {
-	Name() string
-	Pick(id string, loads []Load) int
-	Locate(id string, n int) (int, bool)
-}
-
-// PolicyByName maps a CLI policy name to a Placement.
-func PolicyByName(name string) (Placement, error) {
+// PolicyByName accepts the names rendezvous placement answers to — "",
+// "rendezvous" and "hash" — and refuses every other.
+func PolicyByName(name string) (Rendezvous, error) {
 	switch name {
 	case "", "rendezvous", "hash":
-		return &Rendezvous{}, nil
-	case "round-robin", "rr":
-		return &RoundRobin{}, nil
-	case "least-loaded", "least":
-		return &LeastLoaded{}, nil
+		return Rendezvous{}, nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown placement policy %q (want rendezvous, round-robin or least-loaded)", name)
+		return Rendezvous{}, fmt.Errorf("cluster: unknown placement policy %q (want rendezvous)", name)
 	}
 }
 
-// Rendezvous is highest-random-weight hashing: every router instance maps
-// a tenant to the same group with no shared state, and removing a group
-// only moves that group's tenants. The weight of (tenant, group) is a
-// hash of both, and the tenant lives in the argmax group.
-type Rendezvous struct{}
-
-func (*Rendezvous) Name() string { return "rendezvous" }
-
-func (*Rendezvous) Pick(id string, loads []Load) int {
-	return rendezvousPick(id, loads, false)
-}
-
-// rendezvousPick is argmax-weight placement, optionally restricted to
-// healthy groups; ties break toward the higher index, deterministically.
-func rendezvousPick(id string, loads []Load, healthyOnly bool) int {
-	best, bestW, started := 0, uint64(0), false
-	for g := range loads {
-		if healthyOnly && !loads[g].Healthy {
-			continue
-		}
-		if w := rendezvousWeight(id, g); !started || w >= bestW {
-			best, bestW, started = g, w, true
+// rendezvous places a tenant among n groups by highest-random-weight
+// hashing: every router maps an id to the same group with no shared state.
+// The weight of (tenant, group) hashes the id with the group's index, so
+// the order of the groups is part of placement: adding or removing the
+// last group moves only that group's tenants, and removing any other
+// renumbers — and so moves tenants of — the groups after it. Ties break
+// toward the higher index.
+func rendezvous(id string, n int) int {
+	best, bestW := 0, uint64(0)
+	for g := 0; g < n; g++ {
+		if w := rendezvousWeight(id, g); g == 0 || w >= bestW {
+			best, bestW = g, w
 		}
 	}
 	return best
 }
 
-func (p *Rendezvous) Locate(id string, n int) (int, bool) {
-	return p.Pick(id, make([]Load, n)), true
-}
-
+// rendezvousWeight is FNV-1a of "id/group" through murmur3's 64-bit
+// finalizer. The weights of one id differ, before the finalizer, only in
+// the hash's last rounds, which skews the argmax badly (with three groups
+// one of them took half the ids); the finalizer spreads them.
 func rendezvousWeight(id string, group int) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d", id, group)
-	return h.Sum64()
+	w := h.Sum64()
+	w ^= w >> 33
+	w *= 0xff51afd7ed558ccd
+	w ^= w >> 33
+	w *= 0xc4ceb9fe1a85ec53
+	w ^= w >> 33
+	return w
 }
-
-// RoundRobin places tenants in creation order, cycling through groups.
-// Location is learned by the router (ok=false).
-type RoundRobin struct {
-	next atomic.Uint64
-}
-
-func (*RoundRobin) Name() string { return "round-robin" }
-
-func (p *RoundRobin) Pick(id string, loads []Load) int {
-	n := len(loads)
-	if n == 0 {
-		return 0
-	}
-	start := int(p.next.Add(1)-1) % n
-	// Skip unhealthy groups, falling back to the raw slot when all are
-	// down (the proxy will answer 503 with a precise error).
-	for i := 0; i < n; i++ {
-		g := (start + i) % n
-		if loads[g].Healthy {
-			return g
-		}
-	}
-	return start
-}
-
-func (*RoundRobin) Locate(string, int) (int, bool) { return 0, false }
-
-// LeastLoaded places a new tenant on the healthy group with the fewest
-// tenants (scraped from the leader's /metrics). Groups whose gauge scrape
-// failed are not candidates — an unreachable /metrics must not read as
-// "empty" — and when no healthy group has a live gauge the policy falls
-// back to rendezvous over the healthy groups, which is deterministic and
-// spreads load instead of dog-piling group 0. Location is learned by the
-// router (ok=false).
-type LeastLoaded struct{}
-
-func (*LeastLoaded) Name() string { return "least-loaded" }
-
-func (*LeastLoaded) Pick(id string, loads []Load) int {
-	best, bestN, bestM, found := 0, 0, 0, false
-	anyHealthy := false
-	for g, l := range loads {
-		if !l.Healthy {
-			continue
-		}
-		anyHealthy = true
-		if !l.TenantsKnown {
-			continue
-		}
-		// Fewest tenants first; equal counts break toward the group with
-		// less committed capacity (ΣM over its tenants), so elastic
-		// resizes steer placement away from groups that grew.
-		if !found || l.Tenants < bestN || (l.Tenants == bestN && l.CapacityM < bestM) {
-			best, bestN, bestM, found = g, l.Tenants, l.CapacityM, true
-		}
-	}
-	if found {
-		return best
-	}
-	return rendezvousPick(id, loads, anyHealthy)
-}
-
-func (*LeastLoaded) Locate(string, int) (int, bool) { return 0, false }

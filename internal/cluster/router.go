@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"desyncpfair/internal/hop"
-	"desyncpfair/internal/obs"
 	"desyncpfair/internal/server"
 )
 
@@ -26,8 +26,10 @@ type RouterOptions struct {
 	// discovers which one currently leads). A tenant lives in exactly one
 	// group.
 	Groups [][]string
-	// Policy places new tenants across groups. Nil means rendezvous.
-	Policy Placement
+	// Policy is ignored: every tenant lives on the group rendezvous hashing
+	// of its id names. The field remains so that callers written when
+	// placement was pluggable still compile.
+	Policy Rendezvous
 	// HealthInterval is the probe period for /v1/replication/status.
 	// Default 100ms.
 	HealthInterval time.Duration
@@ -73,9 +75,6 @@ type backendView struct {
 	server.ReplStatusResponse // the probe's answer: role, term, applied LSN
 	up                        *hop.Upstream
 	healthy                   bool
-	tenants                   int
-	capacityM                 int  // ΣM across the backend's tenants (pfaird_tenant_m)
-	tenantsKnown              bool // the tenant-gauge scrape succeeded this probe
 }
 
 type groupView struct {
@@ -90,33 +89,19 @@ type routeTable struct {
 	superseded chan struct{}
 }
 
-func (t *routeTable) loads() []Load {
-	loads := make([]Load, len(t.groups))
-	for i, g := range t.groups {
-		loads[i].Healthy = g.leader >= 0
-		if g.leader >= 0 {
-			loads[i].Tenants = g.backends[g.leader].tenants
-			loads[i].TenantsKnown = g.backends[g.leader].tenantsKnown
-			loads[i].CapacityM = g.backends[g.leader].capacityM
-		}
-	}
-	return loads
-}
-
 // Router is a stateless front for a set of pfaird replica groups: it
-// shards tenants across groups under a Placement policy, proxies writes
-// to each group's current leader, fails reads over to the most caught-up
-// follower, and — when a group stays leaderless past FailoverAfter —
-// promotes the follower with the highest applied LSN. "Stateless" means
-// no durable state: the tenant→group map is either recomputed (hashing
-// policies) or relearned by probing, so routers can be restarted or run
-// in parallel freely.
+// places each tenant on the group rendezvous hashing of its id names,
+// proxies writes to each group's current leader, fails reads over to the
+// most caught-up follower, and — when a group stays leaderless past
+// FailoverAfter — promotes the follower with the highest applied LSN. Its
+// only state is the route table its health loop rebuilds: a tenant's
+// group is computed per request, never learned, so routers can be
+// restarted or run in parallel freely.
 type Router struct {
-	opts   RouterOptions
-	ups    [][]*hop.Upstream // parallel to opts.Groups: every backend call goes through one
-	table  atomic.Pointer[routeTable]
-	placed sync.Map // tenant id → group index (learned locations)
-	pprof  bool     // Handler mounts /debug/pprof/
+	opts  RouterOptions
+	ups   [][]*hop.Upstream // parallel to opts.Groups: every backend call goes through one
+	table atomic.Pointer[routeTable]
+	pprof bool // Handler mounts /debug/pprof/
 
 	// Owned by the health loop's goroutine: nothing else reads or writes them.
 	lastLeader []time.Time // per group: last instant a leader was visible
@@ -146,9 +131,6 @@ const proxyRetryEvery = 50 * time.Millisecond
 func NewRouter(opts RouterOptions) (*Router, error) {
 	if len(opts.Groups) == 0 {
 		return nil, errors.New("cluster: router needs at least one backend group")
-	}
-	if opts.Policy == nil {
-		opts.Policy = &Rendezvous{}
 	}
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = 100 * time.Millisecond
@@ -240,7 +222,6 @@ func (r *Router) healthLoop(ctx context.Context) {
 // scan probes every backend once, publishes a fresh route table, and
 // kicks auto-promotion for groups that have been leaderless too long.
 func (r *Router) scan(ctx context.Context) {
-	scrapeTenants := r.opts.Policy.Name() == "least-loaded"
 	t := &routeTable{groups: make([]groupView, len(r.opts.Groups)), superseded: make(chan struct{})}
 	var wg sync.WaitGroup
 	for gi, ups := range r.ups {
@@ -250,7 +231,7 @@ func (r *Router) scan(ctx context.Context) {
 			wg.Add(1)
 			go func(v *backendView, up *hop.Upstream) {
 				defer wg.Done()
-				*v = r.probe(ctx, up, scrapeTenants)
+				*v = r.probe(ctx, up)
 			}(&g.backends[bi], up)
 		}
 	}
@@ -299,7 +280,7 @@ func bestFollower(backends []backendView) int {
 	return best
 }
 
-func (r *Router) probe(ctx context.Context, up *hop.Upstream, scrapeTenants bool) backendView {
+func (r *Router) probe(ctx context.Context, up *hop.Upstream) backendView {
 	v := backendView{up: up}
 	ctx, cancel := context.WithTimeout(ctx, r.opts.HealthInterval*5)
 	defer cancel()
@@ -307,45 +288,7 @@ func (r *Router) probe(ctx context.Context, up *hop.Upstream, scrapeTenants bool
 		return backendView{up: up} // nothing of a partial decode
 	}
 	v.healthy = true
-	if scrapeTenants && v.Role == "leader" {
-		v.tenants, v.capacityM, v.tenantsKnown = scrapeTenantGauges(ctx, up)
-	}
 	return v
-}
-
-// scrapeTenantGauges reads the placement gauges from a backend's
-// /metrics: the pfaird_tenants count and the sum of the per-tenant
-// pfaird_tenant_m capacity gauges (which move under resize and the
-// autoscaler). The final return distinguishes "gauges read 0" from
-// "scrape failed, the page does not parse or the count gauge is missing" —
-// the placement policy treats only the former as an empty group.
-func scrapeTenantGauges(ctx context.Context, up *hop.Upstream) (tenants, capacityM int, ok bool) {
-	resp, err := up.RoundTrip(ctx, http.MethodGet, "/metrics", "", nil)
-	if err != nil {
-		return 0, 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, false
-	}
-	page, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, 0, false
-	}
-	ex, err := obs.ParseExposition(string(page))
-	if err != nil {
-		return 0, 0, false
-	}
-	count := ex.Family("pfaird_tenants")
-	if count == nil || len(count.Samples) != 1 {
-		return 0, 0, false
-	}
-	if m := ex.Family("pfaird_tenant_m"); m != nil {
-		for _, s := range m.Samples {
-			capacityM += int(s.Value)
-		}
-	}
-	return int(count.Samples[0].Value), capacityM, true
 }
 
 // promote asks one backend to take over its group and reports the outcome
@@ -426,7 +369,7 @@ type RouterBackendHealth struct {
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	t := r.table.Load()
-	resp := RouterHealth{Status: "ok", Policy: r.opts.Policy.Name()}
+	resp := RouterHealth{Status: "ok", Policy: "rendezvous"}
 	for _, g := range t.groups {
 		gh := RouterGroupHealth{Total: len(g.backends)}
 		for _, b := range g.backends {
@@ -459,7 +402,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleTenantsRoot serves the unsharded root: POST creates a tenant on
-// the group the policy picks; GET merges every group's tenant list.
+// its group; GET merges every group's tenant list.
 func (r *Router) handleTenantsRoot(w http.ResponseWriter, req *http.Request) {
 	switch req.Method {
 	case http.MethodPost:
@@ -472,9 +415,7 @@ func (r *Router) handleTenantsRoot(w http.ResponseWriter, req *http.Request) {
 			r.httpError(w, http.StatusBadRequest, "cluster: malformed create-tenant body")
 			return
 		}
-		gi := r.opts.Policy.Pick(cr.ID, r.table.Load().loads())
-		r.placed.Store(cr.ID, gi)
-		r.proxyToGroup(w, req, gi, body)
+		r.proxyToGroup(w, req, rendezvous(cr.ID, len(r.ups)), body)
 	case http.MethodGet:
 		r.handleTenantsMerged(w, req)
 	default:
@@ -549,10 +490,13 @@ func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, boo
 	return nil, false
 }
 
-// handleTenant proxies /v1/tenants/{id}/... to the tenant's group.
+// handleTenant proxies /v1/tenants/{id}/... to the tenant's group. The id
+// is the first segment of the path as sent, unescaped: an id holding '/'
+// arrives as "%2F" and stays one segment.
 func (r *Router) handleTenant(w http.ResponseWriter, req *http.Request) {
-	id, _, sub := strings.Cut(strings.TrimPrefix(req.URL.Path, "/v1/tenants/"), "/")
-	if id == "" {
+	seg, _, _ := strings.Cut(strings.TrimPrefix(req.URL.EscapedPath(), "/v1/tenants/"), "/")
+	id, err := url.PathUnescape(seg)
+	if err != nil || id == "" {
 		r.httpError(w, http.StatusNotFound, "cluster: missing tenant id")
 		return
 	}
@@ -560,18 +504,7 @@ func (r *Router) handleTenant(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	gi, ok := r.locate(req.Context(), id)
-	if !ok {
-		r.httpError(w, http.StatusNotFound, fmt.Sprintf("cluster: unknown tenant %q", id))
-		return
-	}
-	status := r.proxyToGroup(w, req, gi, body)
-	// DELETE /v1/tenants/{id}: the learned location is dropped once a backend
-	// has said the tenant is gone — deleted now, or not there — and kept
-	// across a failed attempt, whose retry must still find the group.
-	if req.Method == http.MethodDelete && !sub && (status/100 == 2 || status == http.StatusNotFound) {
-		r.placed.Delete(id)
-	}
+	r.proxyToGroup(w, req, rendezvous(id, len(r.ups)), body)
 }
 
 // idempotent reports whether a request may be resent after an ambiguous
@@ -598,39 +531,11 @@ func (r *Router) idempotent(req *http.Request, body []byte) bool {
 	return false
 }
 
-// locate resolves a tenant to its group: deterministic policies answer
-// directly, otherwise the learned map, otherwise probe every group.
-func (r *Router) locate(ctx context.Context, id string) (int, bool) {
-	if gi, ok := r.opts.Policy.Locate(id, len(r.opts.Groups)); ok {
-		return gi, true
-	}
-	if v, ok := r.placed.Load(id); ok {
-		return v.(int), true
-	}
-	t := r.table.Load()
-	for gi, g := range t.groups {
-		bi := g.leader
-		if bi < 0 {
-			bi = bestFollower(g.backends)
-		}
-		if bi < 0 {
-			continue
-		}
-		var info server.TenantInfo
-		if getJSON(ctx, g.backends[bi].up, hop.EscapeTarget("/v1/tenants/"+id, ""), &info) == nil {
-			r.placed.Store(id, gi)
-			return gi, true
-		}
-	}
-	return 0, false
-}
-
 // proxyToGroup forwards one buffered request to its group, re-resolving
 // the target each attempt so a promotion mid-request is picked up. Reads
 // fail over to the most caught-up follower; writes wait (inside
-// RetryWindow, idempotent requests only) for a leader. It returns the
-// status the client was answered with: a backend's, or its own 503.
-func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, body []byte) int {
+// RetryWindow, idempotent requests only) for a leader.
+func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, body []byte) {
 	isRead := req.Method == http.MethodGet
 	deadline := time.Now().Add(r.opts.RetryWindow)
 	var lastErr error
@@ -642,11 +547,9 @@ func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, 
 			bi = bestFollower(g.backends)
 		}
 		if bi >= 0 {
-			status, err := proxyOnce(w, req, g.backends[bi].up, body)
-			if err == nil {
-				return status
+			if lastErr = proxyOnce(w, req, g.backends[bi].up, body); lastErr == nil {
+				return
 			}
-			lastErr = err
 		} else {
 			lastErr = fmt.Errorf("group %d has no leader", gi)
 		}
@@ -666,25 +569,28 @@ func (r *Router) proxyToGroup(w http.ResponseWriter, req *http.Request, gi int, 
 	}
 	w.Header().Set("Retry-After", "1")
 	r.httpError(w, http.StatusServiceUnavailable, fmt.Sprintf("cluster: %v", lastErr))
-	return http.StatusServiceUnavailable
 }
 
 // proxyOnce sends the buffered request to one backend and streams the
-// reply, whose status it returns. A returned error means nothing was
-// written to w, so the caller is free to retry another backend. Backend
-// 5xx/503 replies on retryable requests are reported as errors (not
-// streamed) so a request racing a promotion retries instead of surfacing
-// the follower's refusal.
-func proxyOnce(w http.ResponseWriter, req *http.Request, up *hop.Upstream, body []byte) (int, error) {
-	resp, err := up.RoundTrip(req.Context(), req.Method, hop.EscapeTarget(req.URL.Path, req.URL.RawQuery),
-		req.Header.Get("Content-Type"), body)
+// reply. A returned error means nothing was written to w, so the caller is
+// free to retry another backend. Backend 5xx/503 replies on retryable
+// requests are reported as errors (not streamed) so a request racing a
+// promotion retries instead of surfacing the follower's refusal. The
+// request-target is the path as it was sent, so an escaped '/' in an id
+// stays escaped, and the raw query.
+func proxyOnce(w http.ResponseWriter, req *http.Request, up *hop.Upstream, body []byte) error {
+	target := req.URL.EscapedPath()
+	if req.URL.RawQuery != "" {
+		target += "?" + req.URL.RawQuery
+	}
+	resp, err := up.RoundTrip(req.Context(), req.Method, target, req.Header.Get("Content-Type"), body)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return 0, fmt.Errorf("%s: HTTP %d: %s", up.URL, resp.StatusCode, bytes.TrimSpace(b))
+		return fmt.Errorf("%s: HTTP %d: %s", up.URL, resp.StatusCode, bytes.TrimSpace(b))
 	}
 	for _, k := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(k); v != "" {
@@ -699,7 +605,7 @@ func proxyOnce(w http.ResponseWriter, req *http.Request, up *hop.Upstream, body 
 	}
 	w.WriteHeader(resp.StatusCode)
 	copyReply(w, resp.Body, resp.ContentLength < 0)
-	return resp.StatusCode, nil
+	return nil
 }
 
 // copyBufs recycles the buffers replies are copied through.

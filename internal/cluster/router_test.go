@@ -1,151 +1,12 @@
 package cluster
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"desyncpfair/internal/client"
-	"desyncpfair/internal/hop/hoptest"
-	"desyncpfair/internal/model"
-	"desyncpfair/internal/server"
 )
-
-func learnedPlacements(r *Router) int {
-	n := 0
-	r.placed.Range(func(_, _ any) bool { n++; return true })
-	return n
-}
-
-// TestRouterForgetsDeletedTenant: under a policy that cannot recompute a
-// tenant's group the router learns it, and used to keep it for ever — the
-// guard on the tenant-delete route counted two slashes in a path that has
-// three. A hundred tenants created and deleted leave nothing learned, and an
-// id created again goes where the policy puts it now.
-func TestRouterForgetsDeletedTenant(t *testing.T) {
-	backends := make([]*hoptest.Server, 2)
-	var groups [][]string
-	for i := range backends {
-		srv := server.New()
-		defer srv.Shutdown()
-		backends[i] = hoptest.NewServer(srv.Handler())
-		defer backends[i].Close()
-		groups = append(groups, []string{backends[i].URL})
-	}
-	r, err := NewRouter(RouterOptions{Groups: groups, Policy: &RoundRobin{}, HealthInterval: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewRouter: %v", err)
-	}
-	r.Start()
-	defer r.Close()
-	front := hoptest.NewServer(r.Handler())
-	defer front.Close()
-
-	ctx := context.Background()
-	rc := client.New(front.URL, nil)
-	for i := 0; i < 100; i++ {
-		id := fmt.Sprintf("t%d", i)
-		if _, err := rc.CreateTenant(ctx, id, 1, ""); err != nil {
-			t.Fatalf("CreateTenant %s: %v", id, err)
-		}
-		if _, err := rc.RegisterTask(ctx, id, "x", model.Weight{E: 1, P: 2}); err != nil {
-			t.Fatalf("RegisterTask %s: %v", id, err)
-		}
-		// Deleting a task is not deleting the tenant: the location stays.
-		if err := rc.UnregisterTask(ctx, id, "x"); err != nil {
-			t.Fatalf("UnregisterTask %s: %v", id, err)
-		}
-		if _, ok := r.placed.Load(id); !ok {
-			t.Fatalf("tenant %s: location forgotten by a task delete", id)
-		}
-		if err := rc.DeleteTenant(ctx, id); err != nil {
-			t.Fatalf("DeleteTenant %s: %v", id, err)
-		}
-	}
-	if n := learnedPlacements(r); n != 0 {
-		t.Fatalf("%d learned placements left after every tenant was deleted", n)
-	}
-
-	// The same id twice: round-robin alternates, so the second life is on the
-	// other group, and requests for it go there.
-	where := func(id string) int {
-		t.Helper()
-		at := -1
-		for i, b := range backends {
-			if _, err := client.New(b.URL, nil).Tenant(ctx, id); err == nil {
-				if at >= 0 {
-					t.Fatalf("tenant %s is on both groups", id)
-				}
-				at = i
-			}
-		}
-		return at
-	}
-	if _, err := rc.CreateTenant(ctx, "again", 1, ""); err != nil {
-		t.Fatal(err)
-	}
-	first := where("again")
-	if err := rc.DeleteTenant(ctx, "again"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.CreateTenant(ctx, "again", 1, ""); err != nil {
-		t.Fatal(err)
-	}
-	if second := where("again"); first < 0 || second != 1-first {
-		t.Fatalf("tenant created twice under round-robin: group %d, then group %d; want the policy to place it afresh", first, second)
-	}
-	if _, err := rc.RegisterTask(ctx, "again", "x", model.Weight{E: 1, P: 2}); err != nil {
-		t.Fatalf("RegisterTask on the re-created tenant: %v", err)
-	}
-}
-
-// TestRouterKeepsPlacementUntilTenantIsGone: the location is dropped on the
-// backend's word only — 2xx (deleted) or 404 (already gone). After any other
-// answer the tenant may still be there, and its next request must find it.
-func TestRouterKeepsPlacementUntilTenantIsGone(t *testing.T) {
-	var status atomic.Int64
-	fb := newFakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(int(status.Load()))
-	})
-	r, err := NewRouter(RouterOptions{Groups: [][]string{{fb.URL}}, Policy: &RoundRobin{}, HealthInterval: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("NewRouter: %v", err)
-	}
-	r.Start()
-	defer r.Close()
-	front := hoptest.NewServer(r.Handler())
-	defer front.Close()
-	waitLeader(t, r)
-
-	for _, tc := range []struct {
-		path      string
-		status    int
-		forgotten bool
-	}{
-		{"/v1/tenants/t", http.StatusNoContent, true},
-		{"/v1/tenants/t", http.StatusOK, true},
-		{"/v1/tenants/t", http.StatusNotFound, true},
-		{"/v1/tenants/t", http.StatusConflict, false},
-		{"/v1/tenants/t", http.StatusServiceUnavailable, false},
-		{"/v1/tenants/t/", http.StatusNotFound, false},
-		{"/v1/tenants/t/tasks/x", http.StatusNoContent, false},
-	} {
-		r.placed.Store("t", 0)
-		status.Store(int64(tc.status))
-		resp, _ := do(t, "DELETE", front.URL+tc.path, "", "")
-		if resp.StatusCode != tc.status {
-			t.Errorf("DELETE %s: HTTP %d, want the backend's %d", tc.path, resp.StatusCode, tc.status)
-		}
-		if _, ok := r.placed.Load("t"); ok == tc.forgotten {
-			t.Errorf("DELETE %s answered %d: location forgotten = %v, want %v", tc.path, tc.status, !ok, tc.forgotten)
-		}
-	}
-}
 
 // TestRouterResendsOnlyKeyedSubmits: whether a request may be sent twice is
 // asked after an attempt has failed, not before the first. A backend that

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -150,8 +151,11 @@ func TestClusterSmoke(t *testing.T) {
 }
 
 // TestRouterShardsTenants pins the sharding front: tenants land on the
-// group rendezvous hashing predicts, follow-up requests route there, and
-// the router merges every group's tenant list.
+// group rendezvous hashing predicts and only there, a second create of an id
+// is refused and leaves it where it was, follow-up requests route there, and
+// the router merges every group's tenant list. The ids include
+// TestOddIDsRoundTrip's (internal/client): one holding '/', '?', '%' or a
+// space must cross the router as the one path segment the client sent.
 func TestRouterShardsTenants(t *testing.T) {
 	backends := make([]*hoptest.Server, 2)
 	for i := range backends {
@@ -175,43 +179,59 @@ func TestRouterShardsTenants(t *testing.T) {
 
 	ctx := context.Background()
 	rc := client.New(rhs.URL, nil)
-	var placement cluster.Rendezvous
-	const n = 8
+	ids := []string{"a?b", "a#b", "50%", "a%2Fb", "a/b", "a b", "é", "plain-id_1.2", "x/1", "y/z/w"}
+	for i := 0; i < 8; i++ {
+		ids = append(ids, fmt.Sprintf("t%d", i))
+	}
 	seen := map[int]int{}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("t%d", i)
+	for _, id := range ids {
 		if _, err := rc.CreateTenant(ctx, id, 1, ""); err != nil {
-			t.Fatalf("CreateTenant %s: %v", id, err)
+			t.Fatalf("CreateTenant %q: %v", id, err)
 		}
-		want, _ := placement.Locate(id, 2)
+		var ae *client.APIError
+		if _, err := rc.CreateTenant(ctx, id, 1, ""); !errors.As(err, &ae) || ae.Status != http.StatusConflict {
+			t.Fatalf("second CreateTenant %q: %v, want HTTP 409", id, err)
+		}
+		want := cluster.RendezvousGroup(id, 2)
 		seen[want]++
 		// The tenant must exist on the predicted backend and only there.
 		bc := client.New(backends[want].URL, nil)
 		if _, err := bc.Tenant(ctx, id); err != nil {
-			t.Fatalf("tenant %s missing from predicted group %d: %v", id, want, err)
+			t.Fatalf("tenant %q missing from predicted group %d: %v", id, want, err)
 		}
 		oc := client.New(backends[1-want].URL, nil)
 		if _, err := oc.Tenant(ctx, id); err == nil {
-			t.Fatalf("tenant %s present on both groups", id)
+			t.Fatalf("tenant %q present on both groups", id)
 		}
 		// A follow-up write through the router reaches the right group.
 		if _, err := rc.RegisterTask(ctx, id, "x", model.Weight{E: 1, P: 2}); err != nil {
-			t.Fatalf("RegisterTask %s through router: %v", id, err)
+			t.Fatalf("RegisterTask %q through router: %v", id, err)
 		}
 		if info, err := bc.Tenant(ctx, id); err != nil || info.Tasks != 1 {
-			t.Fatalf("tenant %s on group %d has %d tasks (err %v), want 1", id, want, info.Tasks, err)
+			t.Fatalf("tenant %q on group %d has %d tasks (err %v), want 1", id, want, info.Tasks, err)
+		}
+		if info, err := rc.Tenant(ctx, id); err != nil || info.ID != id {
+			t.Fatalf("Tenant %q through router: %+v, %v", id, info, err)
 		}
 	}
 	if seen[0] == 0 || seen[1] == 0 {
-		t.Fatalf("rendezvous put all %d tenants on one group: %v", n, seen)
+		t.Fatalf("rendezvous put all %d tenants on one group: %v", len(ids), seen)
 	}
 
 	infos, err := rc.Tenants(ctx)
 	if err != nil {
 		t.Fatalf("merged tenant list: %v", err)
 	}
-	if len(infos) != n {
-		t.Fatalf("router merged %d tenants, want %d", len(infos), n)
+	if len(infos) != len(ids) {
+		t.Fatalf("router merged %d tenants, want %d", len(infos), len(ids))
+	}
+	for _, id := range ids {
+		if err := rc.DeleteTenant(ctx, id); err != nil {
+			t.Fatalf("DeleteTenant %q through router: %v", id, err)
+		}
+	}
+	if infos, err := rc.Tenants(ctx); err != nil || len(infos) != 0 {
+		t.Fatalf("merged tenant list after every delete: %d tenants, %v", len(infos), err)
 	}
 }
 

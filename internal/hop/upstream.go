@@ -296,16 +296,6 @@ func headSafe(s string, requestLine bool) bool {
 	return true
 }
 
-// EscapeTarget makes a request-target of a decoded path and a raw query: the
-// path escaped by net/url's rules, the query as it came — byte for byte what
-// http.NewRequest(backend + path + "?" + rawQuery) put on the wire for an
-// inbound request's URL.Path and RawQuery, without parsing a URL per request.
-// (A path that is its own valid encoding costs a scan and no allocation.)
-func EscapeTarget(path, rawQuery string) string {
-	u := url.URL{Path: path, RawPath: path, RawQuery: rawQuery}
-	return u.RequestURI()
-}
-
 // upstreamBody is a reply's body on its way to the caller. The framing —
 // declared length, chunks, none — is net/http's reader underneath; this adds
 // only what becomes of the connection afterwards.
