@@ -18,6 +18,28 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
+// TestRendezvousDeterministicAndSpread: the same id always names the same
+// group, and a hundred ids leave no group of three empty.
+func TestRendezvousDeterministicAndSpread(t *testing.T) {
+	seen := map[int]int{}
+	for i := 0; i < 100; i++ {
+		id := fmt.Sprintf("tenant-%d", i)
+		g := rendezvous(id, 3)
+		if g < 0 || g >= 3 {
+			t.Fatalf("rendezvous(%q, 3) = %d, out of range", id, g)
+		}
+		if again := rendezvous(id, 3); again != g {
+			t.Fatalf("rendezvous(%q) unstable: %d then %d", id, g, again)
+		}
+		seen[g]++
+	}
+	for g := 0; g < 3; g++ {
+		if seen[g] == 0 {
+			t.Fatalf("group %d got no tenants out of 100: %v", g, seen)
+		}
+	}
+}
+
 // TestRouterPlacementBalanced: every group of n holds its share of 30 000
 // ids to within 5 %. Plain FNV-1a of "id/g" failed this badly — with three
 // groups one held half the ids — because one id's weights differ only in
