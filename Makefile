@@ -13,7 +13,7 @@ BENCH_N ?= BENCH_20.json
 BENCH_PREV ?= BENCH_19.json
 BENCH_BASE ?= BENCH_BASE.json
 
-.PHONY: all build test vet fmt lint bench bench-json bench-diff engines race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report clean
+.PHONY: all build test vet fmt lint bench bench-json bench-diff engines race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report loc clean
 
 all: build lint test
 
@@ -179,7 +179,7 @@ fanout-smoke:
 
 # flake re-runs the tests that race real timers against real sockets —
 # the stall sever (of a dispatch stream and of a replication follower),
-# the lag eviction, the live trace follower, and the journal feed's
+# the lag eviction (held on a net.Pipe now, with no timer), the live trace follower, and the journal feed's
 # wake-up on the fsync, whose take-the-channel-first rule lives in the
 # stream loop every feed shares, and hop.Server's own: a follow stream whose
 # client closes ends its handler, Shutdown closes an idle connection and
@@ -301,6 +301,16 @@ pfairscen:
 
 report:
 	$(GO) run ./cmd/report -o report.html
+
+# loc prints the line counts of the root module's Go files outside bench/,
+# non-test and test apart: raw, and stripped of blank and //-only lines.
+# LOC_DIRS narrows it: make loc LOC_DIRS="internal/server cmd/pfaird".
+LOC_DIRS ?= .
+LOC_FIND = find $(LOC_DIRS) \( -path ./bench -o -path './.*' \) -prune -o -name '*.go'
+LOC_COUNT = awk '{ n++ } !/^[ \t]*(\/\/.*)?$$/ { s++ } END { printf "%6d raw %6d stripped\n", n, s }'
+loc:
+	@printf 'non-test '; $(LOC_FIND) ! -name '*_test.go' -exec cat {} + | $(LOC_COUNT)
+	@printf 'test     '; $(LOC_FIND) -name '*_test.go' -exec cat {} + | $(LOC_COUNT)
 
 clean:
 	rm -rf artifacts report.html

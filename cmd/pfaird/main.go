@@ -13,7 +13,8 @@
 // registry — tenants, admitted tasks, virtual time, and the full dispatch
 // history that ?from= stream replay serves — from the latest snapshot plus
 // the log tail (TUTORIAL.md, "Restarting pfaird without losing tenants").
-// Without it, state is in-memory only, as in PR 2.
+// Without it, state is in memory only. Either way the server is one
+// server.Open call over the server.Options the flags fill in.
 //
 // On SIGINT/SIGTERM the daemon drains: in-flight dispatch streams flush
 // and terminate, the listener shuts down gracefully, and a durable daemon
@@ -77,19 +78,14 @@ func selfURL(addr net.Addr) string {
 	return "http://" + net.JoinHostPort(host, port)
 }
 
+// config is the daemon's flags: the server's own options, bound straight
+// into a server.Options, and what only the daemon uses.
 type config struct {
-	addr          string
-	grace         time.Duration
-	dataDir       string
-	fsyncEvery    int
-	fsyncMaxDelay time.Duration
-	snapshotEvery int
-	pprof         bool
-	traceBuffer   int
-	submitRing    int
-	streamMaxLag  int64
-	streamStall   time.Duration
-	follow        string
+	server server.Options
+	addr   string
+	grace  time.Duration
+	pprof  bool
+	follow string // the leader's base URL; sets server.Follower
 
 	autoscale         bool
 	autoscaleInterval time.Duration
@@ -100,17 +96,18 @@ type config struct {
 
 func main() {
 	var cfg config
+	opts := &cfg.server
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.DurationVar(&cfg.grace, "grace", 10*time.Second, "graceful shutdown timeout")
-	flag.StringVar(&cfg.dataDir, "data-dir", "", "directory for the write-ahead log and snapshots (empty = in-memory only)")
-	flag.IntVar(&cfg.fsyncEvery, "fsync-every", 64, "group-commit: an ack leaves fewer than this many journal frames unsynced (one frame per command, a batch included, plus one digest per dispatching command)")
-	flag.DurationVar(&cfg.fsyncMaxDelay, "fsync-max-delay", 100*time.Millisecond, "upper bound on how long a journaled record may wait for its fsync (0 disables the timer)")
-	flag.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096, "fold the journal into a snapshot after this many jobs, other commands and digests (a batch counts as its jobs)")
+	flag.StringVar(&opts.DataDir, "data-dir", "", "directory for the write-ahead log and snapshots (empty = in-memory only)")
+	flag.IntVar(&opts.FsyncEvery, "fsync-every", 64, "group-commit: an ack leaves fewer than this many journal frames unsynced (one frame per command, a batch included, plus one digest per dispatching command)")
+	flag.DurationVar(&opts.FsyncMaxDelay, "fsync-max-delay", 100*time.Millisecond, "upper bound on how long a journaled record may wait for its fsync (0 = the 100ms default; negative disables the timer)")
+	flag.IntVar(&opts.SnapshotEvery, "snapshot-every", 4096, "fold the journal into a snapshot after this many jobs, other commands and digests (a batch counts as its jobs)")
 	flag.BoolVar(&cfg.pprof, "pprof", true, "serve net/http/pprof profiles under /debug/pprof/")
-	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 4096, "per-tenant trace-ring retention in events (GET /v1/tenants/{id}/trace)")
-	flag.IntVar(&cfg.submitRing, "submit-ring", 256, "per-tenant submit-ring capacity; a full ring answers 429 backpressure")
-	flag.Int64Var(&cfg.streamMaxLag, "stream-max-lag", server.DefaultStreamMaxLag, "evict a following dispatch stream whose subscriber trails the tenant head by more than this many records (410 + resume hint; negative disables)")
-	flag.DurationVar(&cfg.streamStall, "stream-stall", server.DefaultStreamStall, "sever a streamed connection (dispatch, trace, or a follower's replication log) whose single write blocks longer than this (negative disables)")
+	flag.IntVar(&opts.TraceBuffer, "trace-buffer", 4096, "per-tenant trace-ring retention in events (GET /v1/tenants/{id}/trace)")
+	flag.IntVar(&opts.SubmitRing, "submit-ring", 256, "per-tenant submit-ring capacity; a full ring answers 429 backpressure")
+	flag.Int64Var(&opts.StreamMaxLag, "stream-max-lag", server.DefaultStreamMaxLag, "evict a following dispatch stream whose subscriber trails the tenant head by more than this many records (410 + resume hint; negative disables)")
+	flag.DurationVar(&opts.StreamStallTimeout, "stream-stall", server.DefaultStreamStall, "sever a streamed connection (dispatch, trace, or a follower's replication log) whose single write blocks longer than this (negative disables)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only replica of the leader at this base URL (requires -data-dir)")
 	flag.BoolVar(&cfg.autoscale, "autoscale", false, "watch per-tenant dispatch-lag histograms and resize tenant capacity automatically")
 	flag.DurationVar(&cfg.autoscaleInterval, "autoscale-interval", 5*time.Second, "scrape/decide period of the autoscaler")
@@ -128,58 +125,36 @@ func main() {
 // ready, if non-nil, is called with the bound address once the listener is
 // up — tests use it with addr ":0".
 func serve(ctx context.Context, cfg config, ready func(addr string)) error {
-	var srv *server.Server
-	var follower *cluster.Follower
-	var err error
-	if cfg.follow != "" && cfg.dataDir == "" {
-		return errors.New("-follow requires -data-dir (a follower's journal is its promotion state)")
-	}
 	// A leader is http://host:port, as a router backend is: a trailing slash
 	// is dropped, as ParseGroups drops it, and anything else fails Bootstrap.
-	if leader := strings.TrimRight(cfg.follow, "/"); leader != "" {
-		cfg.follow = leader
-	}
-	if cfg.dataDir != "" {
-		maxDelay := cfg.fsyncMaxDelay
-		if maxDelay == 0 {
-			maxDelay = -1 // flag 0 = disabled; Options 0 = default
+	cfg.follow = strings.TrimRight(cfg.follow, "/")
+	opts := cfg.server
+	opts.Follower = cfg.follow != ""
+	if opts.Follower {
+		if opts.DataDir == "" {
+			return errors.New("-follow requires -data-dir (a follower's journal is its promotion state)")
 		}
-		if cfg.follow != "" {
-			log.Printf("pfaird: bootstrapping follower of %s", cfg.follow)
-			if err := cluster.Bootstrap(cfg.dataDir, cfg.follow, nil, nil); err != nil {
-				return err
-			}
-		}
-		srv, err = server.Open(server.Options{
-			DataDir:            cfg.dataDir,
-			FsyncEvery:         cfg.fsyncEvery,
-			FsyncMaxDelay:      maxDelay,
-			SnapshotEvery:      cfg.snapshotEvery,
-			TraceBuffer:        cfg.traceBuffer,
-			SubmitRing:         cfg.submitRing,
-			StreamMaxLag:       cfg.streamMaxLag,
-			StreamStallTimeout: cfg.streamStall,
-			Follower:           cfg.follow != "",
-		})
-		if err != nil {
+		log.Printf("pfaird: bootstrapping follower of %s", cfg.follow)
+		if err := cluster.Bootstrap(opts.DataDir, cfg.follow, nil, nil); err != nil {
 			return err
 		}
-		if cfg.follow != "" {
-			follower = cluster.StartFollower(srv, cfg.follow, nil)
-			log.Printf("pfaird: following %s from LSN %d", cfg.follow, srv.AppliedLSN()+1)
-		}
-		rec := srv.Recovery()
+	}
+	srv, err := server.Open(opts)
+	if err != nil {
+		return err
+	}
+	var follower *cluster.Follower
+	if opts.Follower {
+		follower = cluster.StartFollower(srv, cfg.follow, nil)
+		log.Printf("pfaird: following %s from LSN %d", cfg.follow, srv.AppliedLSN()+1)
+	}
+	if rec := srv.Recovery(); rec != nil {
 		log.Printf("pfaird: recovered %d tenant(s) from %s (%d command(s) total, %d record(s) replayed, %d byte(s) truncated)",
-			rec.Tenants, cfg.dataDir, rec.Commands, rec.RecordsReplayed, rec.TruncatedBytes)
+			rec.Tenants, opts.DataDir, rec.Commands, rec.RecordsReplayed, rec.TruncatedBytes)
 		if rec.ReplayErrors > 0 || rec.DispatchMismatches > 0 {
 			log.Printf("pfaird: WARNING: recovery degraded: %d replay error(s), %d dispatch mismatch(es)",
 				rec.ReplayErrors, rec.DispatchMismatches)
 		}
-	} else {
-		srv = server.New()
-		srv.SetTraceBuffer(cfg.traceBuffer)
-		srv.SetSubmitRing(cfg.submitRing)
-		srv.SetStreamPolicy(cfg.streamMaxLag, cfg.streamStall)
 	}
 	if cfg.pprof {
 		srv.EnablePprof()

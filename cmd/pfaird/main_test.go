@@ -24,13 +24,15 @@ import (
 func TestSIGTERMDuringStreamDrainsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	cfg := config{
-		addr:          "127.0.0.1:0",
-		grace:         5 * time.Second,
-		dataDir:       dir,
-		fsyncEvery:    2,
-		snapshotEvery: 8, // several snapshot writes during the short run
-		pprof:         true,
-		traceBuffer:   64,
+		addr:  "127.0.0.1:0",
+		grace: 5 * time.Second,
+		pprof: true,
+		server: server.Options{
+			DataDir:       dir,
+			FsyncEvery:    2,
+			SnapshotEvery: 8, // several snapshot writes during the short run
+			TraceBuffer:   64,
+		},
 	}
 	addrCh := make(chan string, 1)
 	done := make(chan error, 1)
@@ -144,7 +146,7 @@ func TestFollowURLTrailingSlash(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	cfg := config{addr: "127.0.0.1:0", grace: 5 * time.Second, dataDir: t.TempDir(), fsyncEvery: 1, follow: lhs.URL + "/"}
+	cfg := config{addr: "127.0.0.1:0", grace: 5 * time.Second, follow: lhs.URL + "/", server: server.Options{DataDir: t.TempDir(), FsyncEvery: 1}}
 	addrCh := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() { done <- serve(ctx, cfg, func(a string) { addrCh <- a }) }()
@@ -175,10 +177,21 @@ func TestFollowURLTrailingSlash(t *testing.T) {
 // the start once, naming the URL, before the node listens.
 func TestFollowMalformedURL(t *testing.T) {
 	for _, follow := range []string{"leader.test:8080", "http://leader.test:8080/v1", "https://leader.test:8080"} {
-		cfg := config{addr: "127.0.0.1:0", grace: time.Second, dataDir: t.TempDir(), follow: follow}
+		cfg := config{addr: "127.0.0.1:0", grace: time.Second, follow: follow, server: server.Options{DataDir: t.TempDir()}}
 		err := serve(context.Background(), cfg, func(string) { t.Errorf("-follow %s: serve listened", follow) })
 		if err == nil || !strings.Contains(err.Error(), follow) {
 			t.Errorf("-follow %s: serve returned %v, want an error naming the URL", follow, err)
 		}
+	}
+}
+
+// TestFollowWithoutDataDir: a follower's journal is its promotion state, so
+// -follow without -data-dir fails the start, in the flags' words, before
+// the node bootstraps or listens.
+func TestFollowWithoutDataDir(t *testing.T) {
+	cfg := config{addr: "127.0.0.1:0", grace: time.Second, follow: "http://leader.test:8080"}
+	err := serve(context.Background(), cfg, func(string) { t.Error("serve listened") })
+	if err == nil || !strings.HasPrefix(err.Error(), "-follow requires -data-dir") {
+		t.Fatalf("serve returned %v, want -follow requires -data-dir", err)
 	}
 }

@@ -2,7 +2,8 @@
 // × K tasks with concurrent submit/advance traffic through internal/client
 // and reports throughput and latency percentiles, so the service's
 // capacity is measured rather than asserted. With no -addr it spins up an
-// in-process pfaird on a loopback listener and load-tests that, which is
+// in-process pfaird on a loopback listener — in memory, or journaling to
+// -data-dir, one server.Open either way — and load-tests that, which is
 // also how the regression test keeps the ≥10k-request path honest.
 //
 // Usage:
@@ -304,22 +305,16 @@ func run(cfg config, out io.Writer) (report, error) {
 
 	base := cfg.addr
 	if base == "" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		// With -data-dir every command journals before it acks, so the
+		// reported throughput includes the WAL's group-commit cost.
+		srv, err := server.Open(server.Options{DataDir: cfg.dataDir})
 		if err != nil {
 			return report{}, err
 		}
-		var srv *server.Server
-		if cfg.dataDir != "" {
-			// Durable mode: every command journals before it acks, so the
-			// reported throughput includes the WAL's group-commit cost.
-			srv, err = server.Open(server.Options{DataDir: cfg.dataDir})
-			if err != nil {
-				return report{}, err
-			}
-			defer srv.Close()
-		} else {
-			srv = server.New()
-			defer srv.Shutdown()
+		defer srv.Close()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return report{}, err
 		}
 		hs := &hop.Server{Handler: srv.Handler()}
 		go hs.Serve(ln)

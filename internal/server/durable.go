@@ -19,10 +19,13 @@ import (
 	"desyncpfair/internal/wal"
 )
 
-// Options configures a durable server (Open). A server without durability
-// is created with New instead.
+// Options configures a server (Open). Zero values select the defaults.
+// Without a DataDir the server is in-memory: the journal's fields —
+// FsyncEvery, FsyncMaxDelay, SnapshotEvery and FS — are ignored, and
+// Follower is refused.
 type Options struct {
-	// DataDir holds the write-ahead log and snapshots.
+	// DataDir holds the write-ahead log and snapshots; empty keeps all
+	// state in memory.
 	DataDir string
 	// FsyncEvery group-commits the journal: an ack leaves fewer than this
 	// many records — one per command, one per digest — unsynced (≤ 1 syncs
@@ -241,7 +244,8 @@ func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 	return t, nil
 }
 
-// Open creates a durable server over opts.DataDir: it loads the latest
+// Open creates the server opts configures. Without a DataDir it is the
+// in-memory server. With one it is durable: Open loads the latest
 // snapshot, replays the journal tail through the real tenant code paths
 // (the executive is deterministic, so replay regenerates the exact
 // dispatch decisions the pre-crash server made — and verifies them against
@@ -249,26 +253,18 @@ func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 // snapshot so the next boot starts from a compact directory.
 func Open(opts Options) (*Server, error) {
 	if opts.DataDir == "" {
-		return nil, fmt.Errorf("server: Open needs a data dir")
+		if opts.Follower {
+			return nil, errors.New("server: a follower needs a data dir (its journal is its promotion state)")
+		}
+		return newServer(opts), nil
 	}
 	snapEvery := opts.SnapshotEvery
 	if snapEvery == 0 {
 		snapEvery = 4096
 	}
-	maxDelay := opts.FsyncMaxDelay
-	switch {
-	case maxDelay == 0:
-		maxDelay = 100 * time.Millisecond
-	case maxDelay < 0:
-		maxDelay = 0 // disabled
-	}
-	s := New()
-	s.SetClock(opts.Clock)
-	s.SetTraceBuffer(opts.TraceBuffer)
-	s.SetSubmitRing(opts.SubmitRing)
-	s.SetStreamPolicy(opts.StreamMaxLag, opts.StreamStallTimeout)
+	s := newServer(opts)
 	l, rec, err := wal.Open(opts.DataDir, wal.Options{
-		FS: opts.FS, FsyncEvery: opts.FsyncEvery, FsyncMaxDelay: maxDelay,
+		FS: opts.FS, FsyncEvery: opts.FsyncEvery, FsyncMaxDelay: orDefault(opts.FsyncMaxDelay, 100*time.Millisecond),
 		SnapshotEvery: snapEvery,
 		Now:           s.obs.clock.Now, Timings: walTimings{s.obs},
 	})

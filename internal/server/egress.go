@@ -39,7 +39,7 @@ import (
 const (
 	// DefaultStreamMaxLag is how many records a following dispatch stream
 	// may lag behind the log tip before it is evicted with a 410 control
-	// line. SetStreamPolicy / Options.StreamMaxLag override it.
+	// line. Options.StreamMaxLag overrides it.
 	DefaultStreamMaxLag = 65536
 	// DefaultStreamStall bounds how long one streamed write may block on
 	// an unresponsive client before the connection is severed.
@@ -358,31 +358,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		return pos, nil
 	}})
-}
-
-// SetStreamPolicy configures the slow-consumer policy for the read
-// streams: maxLag is the record-count bound past which a following
-// dispatch stream is evicted with a 410 control line (0 default, negative
-// disables), stall the per-write deadline on every write of every stream —
-// dispatch, trace and replication (0 default, negative disables). Call
-// before serving traffic, like SetClock.
-func (s *Server) SetStreamPolicy(maxLag int64, stall time.Duration) {
-	switch {
-	case maxLag < 0:
-		s.streamMaxLag = 0
-	case maxLag == 0:
-		s.streamMaxLag = DefaultStreamMaxLag
-	default:
-		s.streamMaxLag = maxLag
-	}
-	switch {
-	case stall < 0:
-		s.streamStall = 0
-	case stall == 0:
-		s.streamStall = DefaultStreamStall
-	default:
-		s.streamStall = stall
-	}
 }
 
 // StreamEvictions reports how many read streams this server has evicted

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"desyncpfair/internal/client"
+	"desyncpfair/internal/hop"
 	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/obs"
@@ -414,87 +415,78 @@ func (l smallWriteBufListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// smallReadBufTransport dials with a tiny kernel receive buffer, the
-// client half of the same backpressure setup.
-func smallReadBufTransport() *http.Transport {
-	return &http.Transport{
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
-			if tc, ok := c.(*net.TCPConn); err == nil && ok {
-				tc.SetReadBuffer(2048)
-			}
-			return c, err
-		},
-	}
-}
-
 // TestStreamEvictsLaggingSubscriber: a follower that keeps reading, but
 // slower than the log grows, must be evicted once it lags past the bound
 // — with an in-band 410 control line whose resumeFrom equals exactly the
 // number of events it was delivered, so reconnecting there loses nothing.
+// The follower reads over a net.Pipe, where a write returns only once the
+// reader has taken all of it: it takes one frame of the stream's first
+// write and stops, the log outgrows it by more than the bound while the
+// handler is held in that write, and then it reads on.
 func TestStreamEvictsLaggingSubscriber(t *testing.T) {
-	srv := server.New()
-	srv.SetStreamPolicy(16, 10*time.Second)
-	hs := hoptest.NewUnstartedServer(srv.Handler())
-	hs.Listener = smallWriteBufListener{hs.Listener}
-	hs.Start()
+	const maxLag = 16
+	srv, err := server.Open(server.Options{StreamMaxLag: maxLag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(srv.Shutdown)
 	c := client.New(hs.URL, nil)
 	unitTenant(t, c, "acme", 4)
 
-	// The lagging follower: reads 1 KiB every 2 ms — alive, just slow.
-	slow := &http.Client{Transport: smallReadBufTransport()}
-	resp, err := slow.Get(hs.URL + "/v1/tenants/acme/dispatches?from=0&follow=true")
+	var pipes hoptest.Pipes
+	ps := &hop.Server{Handler: srv.Handler()}
+	go ps.Serve(pipes.Listen("pfaird.test:80"))
+	t.Cleanup(func() { ps.Close() })
+	conn, err := pipes.Dial(context.Background(), "pfaird.test:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req, err := http.NewRequest(http.MethodGet, "http://pfaird.test/v1/tenants/acme/dispatches?from=0&follow=true", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Write(conn); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReaderSize(oneByteReader{conn}, 16), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 
-	var (
-		gotMu sync.Mutex
-		got   bytes.Buffer
-	)
-	readerDone := make(chan error, 1)
-	go func() {
-		buf := make([]byte, 1024)
-		for {
-			n, err := resp.Body.Read(buf)
-			gotMu.Lock()
-			got.Write(buf[:n])
-			gotMu.Unlock()
-			if err != nil {
-				readerDone <- err
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
+	// The first write carries 4 frames; the follower takes one.
+	pumpDispatches(t, c, "acme", 4, 1, 1)
+	var got bytes.Buffer
+	for b := make([]byte, 1); !bytes.HasSuffix(got.Bytes(), []byte("\n")); {
+		n, err := resp.Body.Read(b)
+		if err != nil {
+			t.Fatalf("first frame: %v", err)
 		}
-	}()
-
-	// Outpace it until the server cuts it loose.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.StreamEvictions() == 0 && time.Now().Before(deadline) {
-		pumpDispatches(t, c, "acme", 4, 1, 64)
+		got.Write(b[:n])
 	}
-	if srv.StreamEvictions() == 0 {
-		t.Fatal("no eviction despite sustained lag")
+	// Outgrow it while the handler waits on the rest of that write.
+	pumpDispatches(t, c, "acme", 4, 1, maxLag)
+	if n := srv.StreamEvictions(); n != 0 {
+		t.Fatalf("%d evictions while the handler was still writing", n)
 	}
-
-	// The handler returned, so the reader drains the tail and hits EOF.
-	select {
-	case err := <-readerDone:
-		if err != io.EOF {
-			t.Fatalf("reader ended with %v, want EOF", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("evicted stream did not terminate")
+	// The handler finishes the write, finds the follower past the bound and
+	// ends the stream.
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	rest, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading on after the first frame: %v", err)
+	}
+	got.Write(rest)
+	if n := srv.StreamEvictions(); n != 1 {
+		t.Fatalf("%d evictions, want 1", n)
 	}
 
-	gotMu.Lock()
-	defer gotMu.Unlock()
 	lines := bytes.Split(bytes.TrimSpace(got.Bytes()), []byte("\n"))
-	if len(lines) < 2 {
-		t.Fatalf("stream delivered only %d lines", len(lines))
+	if len(lines) != 5 {
+		t.Fatalf("stream delivered %d lines, want the first write's 4 frames and the control line", len(lines))
 	}
 	var gone server.StreamGone
 	last := lines[len(lines)-1]
@@ -595,8 +587,10 @@ func awaitSever(t *testing.T, srv *server.Server, conn net.Conn) {
 }
 
 func testStallDispatches(t *testing.T) {
-	srv := server.New()
-	srv.SetStreamPolicy(-1, 300*time.Millisecond) // isolate the stall path
+	srv, err := server.Open(server.Options{StreamMaxLag: -1, StreamStallTimeout: 300 * time.Millisecond}) // isolate the stall path
+	if err != nil {
+		t.Fatal(err)
+	}
 	hs := hoptest.NewUnstartedServer(srv.Handler())
 	hs.Listener = smallWriteBufListener{hs.Listener}
 	hs.Start()
@@ -668,3 +662,9 @@ func testStallReplication(t *testing.T) {
 		t.Fatalf("fresh replay shipped %d records, want 8192", len(recs))
 	}
 }
+
+// oneByteReader reads a byte at a time, so a buffered reader over a pipe
+// takes nothing from it before it is asked for.
+type oneByteReader struct{ io.Reader }
+
+func (r oneByteReader) Read(p []byte) (int, error) { return r.Reader.Read(p[:min(len(p), 1)]) }

@@ -54,11 +54,20 @@ type serverObs struct {
 // diagnose "what just happened" without unbounded memory.
 const defaultTraceCap = 4096
 
-func newServerObs() *serverObs {
+// newServerObs reads every measured duration from clock (nil: the real
+// one) and gives each tenant a trace ring of traceCap events (≤ 0: the
+// default).
+func newServerObs(clock obs.Clock, traceCap int) *serverObs {
+	if clock == nil {
+		clock = obs.Real{}
+	}
+	if traceCap <= 0 {
+		traceCap = defaultTraceCap
+	}
 	return &serverObs{
-		clock:         obs.Real{},
+		clock:         clock,
 		build:         obs.ReadBuildInfo(),
-		traceCap:      defaultTraceCap,
+		traceCap:      traceCap,
 		routes:        map[string]*routeStats{},
 		submitAck:     obs.NewHistogram(obs.DefaultLatencyBuckets),
 		dispatchLag:   obs.NewHistogram(obs.QuantaBuckets),
@@ -78,29 +87,10 @@ func (t walTimings) ObserveLogToFsync(d time.Duration) { t.o.walLogToFsync.Obser
 
 var _ wal.Timings = walTimings{}
 
-// SetClock injects the clock every measured path reads: request timing,
-// submit→ack histograms, trace timestamps (WAL timings are wired at Open
-// via Options.Clock). With an obs.Fake clock every exposed metric is an
-// exact function of the request sequence — the deterministic test
-// harness depends on it. Call before the server takes traffic.
-func (s *Server) SetClock(c obs.Clock) {
-	if c != nil {
-		s.obs.clock = c
-	}
-}
-
 // SetBuildInfo overrides the pfaird_build_info labels (discovered from
 // the runtime by default). Golden-exposition tests pin it so scrapes do
 // not vary with the toolchain.
 func (s *Server) SetBuildInfo(bi obs.BuildInfo) { s.obs.build = bi }
-
-// SetTraceBuffer sets the per-tenant trace-ring capacity for tenants
-// created after the call. Call before the server takes traffic.
-func (s *Server) SetTraceBuffer(n int) {
-	if n > 0 {
-		s.obs.traceCap = n
-	}
-}
 
 // EnablePprof mounts net/http/pprof's handlers at /debug/pprof/ on the
 // server's mux, so one listener serves the API, /metrics, and profiles.

@@ -38,7 +38,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sort"
 	"sync"
@@ -50,28 +49,24 @@ import (
 	"desyncpfair/internal/wire"
 )
 
-// nshards is the tenant-registry shard count: tenant operations on
-// different tenants contend only on their shard's lock, not a global one.
-const nshards = 16
-
-type shard struct {
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
-}
-
-// Server is the pfaird HTTP service. Create one with New, mount
-// Handler(), and call Shutdown before closing the listener so in-flight
-// dispatch streams drain instead of being cut.
+// Server is the pfaird HTTP service. Create one with Open (or New, the
+// in-memory server at every default), mount Handler(), and call Shutdown
+// before closing the listener so in-flight dispatch streams drain instead
+// of being cut.
 type Server struct {
-	shards [nshards]shard
-	mux    *http.ServeMux
-	obs    *serverObs
+	// The tenant registry. Tenants are independent — each has its own
+	// time base and its own loop — so the registry is only a map; a
+	// lookup takes the read side, a create or delete the write side.
+	regMu   sync.RWMutex
+	tenants map[string]*Tenant
+	mux     *http.ServeMux
+	obs     *serverObs
 
-	// Durability (nil wal = in-memory server, the New() default). opMu's
-	// read side brackets every journaled mutation; compact takes the
+	// Durability (nil wal = in-memory server, Open without a DataDir).
+	// opMu's read side brackets every journaled mutation; compact takes the
 	// write side to get a stop-the-world-consistent image of the registry
 	// and cmdSeq, the count of enqueued (journaled + applied) commands.
-	// Lock order: opMu → shard.mu → wal's own lock (a tenant has no lock:
+	// Lock order: opMu → regMu → wal's own lock (a tenant has no lock:
 	// its loop is the only writer). Mutations only *enqueue* their record
 	// while holding those locks; the fsync wait happens in mutate after
 	// all of them are released, so one request's fsync never blocks other
@@ -114,13 +109,13 @@ type Server struct {
 	replMismatches  atomic.Int64
 
 	// submitRing is the per-tenant command-ring capacity for tenants this
-	// server creates (0 = defaultSubmitRing). Set before serving traffic.
+	// server creates (0 = defaultSubmitRing).
 	submitRing int
 
 	// Egress stream policy (egress.go): streamMaxLag is the record-count
 	// bound past which a following read stream is evicted (0 = never),
-	// streamStall the per-write deadline on stream writes (0 = none).
-	// Both are set before serving traffic; obs counts what they cut loose.
+	// streamStall the per-write deadline on stream writes (0 = none); obs
+	// counts what they cut loose.
 	streamMaxLag int64
 	streamStall  time.Duration
 
@@ -128,17 +123,23 @@ type Server struct {
 	shutdown     chan struct{}
 }
 
-// New creates a server with an empty tenant registry.
-func New() *Server {
+// New creates an in-memory server with every option at its default: what
+// Open(Options{}) returns.
+func New() *Server { return newServer(Options{}) }
+
+// newServer builds the server opts configures, short of its journal (Open
+// attaches that and normalises the journal's options). Every other option
+// is normalised here: 0 selects the default, and a negative stream bound
+// disables it.
+func newServer(opts Options) *Server {
 	s := &Server{
+		tenants:      map[string]*Tenant{},
 		mux:          http.NewServeMux(),
-		obs:          newServerObs(),
-		streamMaxLag: DefaultStreamMaxLag,
-		streamStall:  DefaultStreamStall,
+		obs:          newServerObs(opts.Clock, opts.TraceBuffer),
+		submitRing:   opts.SubmitRing,
+		streamMaxLag: orDefault(opts.StreamMaxLag, DefaultStreamMaxLag),
+		streamStall:  orDefault(opts.StreamStallTimeout, DefaultStreamStall),
 		shutdown:     make(chan struct{}),
-	}
-	for i := range s.shards {
-		s.shards[i].tenants = map[string]*Tenant{}
 	}
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /metrics", s.handleMetrics)
@@ -162,14 +163,20 @@ func New() *Server {
 	return s
 }
 
+// orDefault is the Options rule for a bound: 0 selects def, a negative
+// value disables the bound (0 to the code that reads it).
+func orDefault[T int64 | time.Duration](v, def T) T {
+	switch {
+	case v < 0:
+		return 0
+	case v == 0:
+		return def
+	}
+	return v
+}
+
 // Handler returns the root handler to mount on an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// SetSubmitRing sets the per-tenant submit-ring capacity for tenants
-// created after the call (0 restores the default). A full ring surfaces
-// as HTTP 429 backpressure. Like SetClock, call it before serving
-// traffic.
-func (s *Server) SetSubmitRing(n int) { s.submitRing = n }
 
 // Shutdown begins a graceful stop: dispatch streams flush their logs and
 // end, and new streams terminate immediately after their replay. Call it
@@ -218,17 +225,10 @@ func (w *statusWriter) FlushError() error {
 // stream handlers can arm per-write deadlines through the middleware.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-func (s *Server) shardOf(id string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &s.shards[h.Sum32()%nshards]
-}
-
 func (s *Server) tenant(id string) *Tenant {
-	sh := s.shardOf(id)
-	sh.mu.RLock()
-	t := sh.tenants[id]
-	sh.mu.RUnlock()
+	s.regMu.RLock()
+	t := s.tenants[id]
+	s.regMu.RUnlock()
 	return t
 }
 
@@ -243,16 +243,15 @@ func (s *Server) routeTenant(w http.ResponseWriter, r *http.Request) *Tenant {
 }
 
 // addTenant installs t unless the id is taken, journaling the creation
-// while the shard lock serializes it against racing creates and deletes of
-// the same id (so journal order matches applied order). Installation
+// while the registry lock serializes it against racing creates and deletes
+// (so journal order matches applied order). Installation
 // attaches the server's observability (trace ring, per-tenant histograms)
 // — both the live-create and the recovery-restore path come through here,
 // so every served tenant is instrumented.
 func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
-	sh := s.shardOf(t.ID())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.tenants[t.ID()]; dup {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	if _, dup := s.tenants[t.ID()]; dup {
 		return wal.Commit{}, fmt.Errorf("server: tenant %q already exists", t.ID())
 	}
 	commit, err := s.journalRecord(wal.Record{
@@ -262,7 +261,7 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 		return wal.Commit{}, err
 	}
 	t.attachObs(s.obs)
-	sh.tenants[t.ID()] = t
+	s.tenants[t.ID()] = t
 	if s.wal != nil {
 		t.SetJournal(s.journalRecord, nil, s.failJournal)
 	}
@@ -272,7 +271,7 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 // removeTenant deletes a tenant through the close protocol: win the
 // tenant's close gate (so no further commands are accepted), flush its
 // ring backlog (so every accepted command precedes the delete in the
-// journal), journal the delete under the shard lock, unlink, and stop the
+// journal), journal the delete under the registry lock, unlink, and stop the
 // loop. It reports whether this call deleted it; the error is a journal
 // failure — the close gate then reopens and the tenant remains, fully
 // consistent, as if the delete never happened.
@@ -285,16 +284,15 @@ func (s *Server) removeTenant(t *Tenant) (bool, wal.Commit, error) {
 		return false, wal.Commit{}, nil
 	}
 	t.flushBacklog()
-	sh := s.shardOf(id)
-	sh.mu.Lock()
+	s.regMu.Lock()
 	commit, err := s.journalRecord(wal.Record{Op: wal.OpTenantDelete, Tenant: id})
 	if err != nil {
-		sh.mu.Unlock()
+		s.regMu.Unlock()
 		t.abortClose()
 		return true, wal.Commit{}, err
 	}
-	delete(sh.tenants, id)
-	sh.mu.Unlock()
+	delete(s.tenants, id)
+	s.regMu.Unlock()
 	t.finishClose()
 	return true, commit, nil
 }
@@ -302,11 +300,10 @@ func (s *Server) removeTenant(t *Tenant) (bool, wal.Commit, error) {
 // dropTenant removes and closes a tenant without journaling — the replay
 // path, where the delete record is the input, not the output.
 func (s *Server) dropTenant(id string) bool {
-	sh := s.shardOf(id)
-	sh.mu.Lock()
-	t := sh.tenants[id]
-	delete(sh.tenants, id)
-	sh.mu.Unlock()
+	s.regMu.Lock()
+	t := s.tenants[id]
+	delete(s.tenants, id)
+	s.regMu.Unlock()
 	if t == nil {
 		return false
 	}
@@ -327,15 +324,12 @@ func (s *Server) failJournal(err error) {
 
 // allTenants snapshots the registry in id order.
 func (s *Server) allTenants() []*Tenant {
-	var out []*Tenant
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.tenants {
-			out = append(out, t)
-		}
-		sh.mu.RUnlock()
+	s.regMu.RLock()
+	out := make([]*Tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		out = append(out, t)
 	}
+	s.regMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }

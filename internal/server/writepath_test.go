@@ -212,9 +212,7 @@ type writePathScript struct {
 
 func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScript {
 	tn := newWritePathCore(t, id, 2)
-	o := newServerObs()
-	o.clock = obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond)
-	tn.attachObs(o)
+	tn.attachObs(newServerObs(obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond), 0))
 	g := &writePathScript{t: t, tn: tn}
 	if journaled {
 		tn.SetJournal(
