@@ -163,8 +163,8 @@ engines:
 
 # fanout-smoke is the egress plane's CI gate, all under -race: the
 # 20-seed byte-identity sweep (every NDJSON stream must equal an
-# independent re-encode of its records), the 32-subscriber fan-out
-# stress with subscribe/unsubscribe churn, both slow-consumer paths
+# independent re-encode of its records), the 32-follower fan-out
+# stress with short-lived streams opening and closing, both slow-consumer paths
 # (lag-bound 410 eviction and the write-stall severing of a wedged
 # reader), the raw-frame WAL reader contract, the client's control-line
 # decoding, the pfairload -streams mode consuming full fan-out, and the
@@ -264,12 +264,13 @@ longrun:
 # byte-compare (same seed + same spec ⇒ byte-identical trace; regenerate
 # with `go test ./internal/scenario -run GoldenTrace -update` after an
 # intentional format change), exact replay, the ≥100-seed counterfactual
-# sweep against the exhaustive oracle, and the pfairscen/pfairload CLI
-# paths — all deterministic, all seeded.
+# sweep against the exhaustive oracle, and the pfairscen CLI paths —
+# -addr against an in-process pfaird included — all deterministic, all
+# seeded.
 scenario-smoke:
 	$(GO) test -race -count=1 -v ./internal/scenario/ -run 'TestScenarioGoldenTrace|TestReplayReproducesDispatches|TestExecAndHTTPTargetsAgree|TestCounterfactualMatchesOracle'
-	$(GO) test -race -count=1 ./cmd/pfairscen/
-	$(GO) test -race -count=1 ./cmd/pfairload/ -run 'TestScenarioMode|TestSeedInSummary'
+	$(GO) test -race -count=1 -v ./cmd/pfairscen/
+	$(GO) test -race -count=1 ./cmd/pfairload/ -run 'TestSeedInSummary'
 
 # profile-mutex captures contention profiles for the submit hot path: run
 # the parallel benchmarks with mutex/block profiling on, then inspect with

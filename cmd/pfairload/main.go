@@ -64,9 +64,7 @@ type config struct {
 	batch        int // jobs per submit request; >1 uses POST jobs:batch
 	policy       string
 	dataDir      string // durable in-process server (WAL under load)
-	seed         int64  // worker-shuffle seed; also overrides a scenario's seed when set
-	seedSet      bool   // -seed was given explicitly on the command line
-	scenario     string // path to a scenario spec; replaces the synthetic load loop
+	seed         int64  // worker-shuffle seed
 	streams      int    // concurrent dispatch-stream followers per tenant; 0 disables
 }
 
@@ -266,15 +264,9 @@ func main() {
 	flag.IntVar(&cfg.batch, "batch", 1, "jobs per submit request; >1 drives POST jobs:batch")
 	flag.StringVar(&cfg.policy, "policy", "PD2", "priority policy (PD2, PD, PF, EPDF)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "make the in-process server durable: journal to this directory (measures WAL overhead under load)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "deterministic seed: shuffles each worker's pair order (and overrides a scenario spec's seed when given)")
-	flag.StringVar(&cfg.scenario, "scenario", "", "drive a declarative scenario spec (JSON) through the server instead of the synthetic load loop")
+	flag.Int64Var(&cfg.seed, "seed", 1, "deterministic seed: shuffles each worker's pair order")
 	flag.IntVar(&cfg.streams, "streams", 0, "concurrent dispatch-stream followers per tenant (fan-out load; 0 disables)")
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			cfg.seedSet = true
-		}
-	})
 
 	rep, err := run(cfg, os.Stdout)
 	if err != nil {
@@ -340,10 +332,6 @@ func run(cfg config, out io.Writer) (report, error) {
 			},
 		})
 	ctx := context.Background()
-
-	if cfg.scenario != "" {
-		return runScenario(ctx, cfg, c, out)
-	}
 
 	// Setup: tenants and tasks (counted in Requests but not in latency).
 	setup := 0
@@ -591,38 +579,6 @@ func formatTenantM(m map[string]int) string {
 		parts[i] = fmt.Sprintf("%s=%d", id, m[id])
 	}
 	return strings.Join(parts, " ")
-}
-
-// runScenario drives a declarative scenario spec through the server: the
-// generated cohorts become tenants, the sampled arrivals become submits,
-// and the scenario report (per-class tardiness, Jain index) replaces the
-// latency summary. The Theorem 3 exit gate in main still applies — a spec
-// admits by construction, so the bound must hold.
-func runScenario(ctx context.Context, cfg config, c *client.Client, out io.Writer) (report, error) {
-	data, err := os.ReadFile(cfg.scenario)
-	if err != nil {
-		return report{}, err
-	}
-	spec, err := scenario.ParseSpec(data)
-	if err != nil {
-		return report{}, err
-	}
-	if cfg.seedSet {
-		spec.Seed = cfg.seed
-	}
-	w, err := scenario.Generate(spec)
-	if err != nil {
-		return report{}, err
-	}
-	res, err := scenario.Run(w, &scenario.HTTPTarget{Ctx: ctx, C: c})
-	if err != nil {
-		return report{}, err
-	}
-	res.Report.WriteText(out)
-	return report{
-		Dispatched:   res.Report.Dispatches,
-		MaxTardiness: res.Report.MaxTardiness.String(),
-	}, nil
 }
 
 // addServerStats scrapes /metrics once and fills the server-side report

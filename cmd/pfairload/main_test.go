@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,63 +198,6 @@ func TestSeedInSummary(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "seed               : 37") {
 		t.Fatalf("summary does not print the seed:\n%s", out.String())
-	}
-}
-
-// TestScenarioMode: -scenario swaps the synthetic loop for a declarative
-// workload driven through the same in-process server, reporting per-class
-// tardiness and the Jain index instead of latency percentiles.
-func TestScenarioMode(t *testing.T) {
-	dir := t.TempDir()
-	specPath := filepath.Join(dir, "spec.json")
-	spec := []byte(`{
-  "name": "loadscen", "seed": 9, "m": 2, "horizon": 24,
-  "classes": [{"name": "gold", "maxTardiness": "0"}],
-  "cohorts": [{
-    "name": "web", "clients": 2, "class": "gold",
-    "tasks": [{"name": "a", "e": 1, "p": 4}],
-    "arrival": {"process": "poisson", "mean": "5"}
-  }]
-}`)
-	if err := os.WriteFile(specPath, spec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	rep, err := run(config{
-		tenants: 1, tasks: 1, jobs: 1, workers: 1, m: 1,
-		advanceEvery: 1, batch: 1, scenario: specPath,
-	}, &out)
-	if err != nil {
-		t.Fatalf("scenario run: %v\n%s", err, out.String())
-	}
-	for _, want := range []string{"scenario    loadscen", "jain index", "class gold"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("scenario output missing %q:\n%s", want, out.String())
-		}
-	}
-	if rep.Dispatched == 0 {
-		t.Fatal("scenario run dispatched nothing")
-	}
-	// The -seed override must reshape the workload deterministically.
-	var a, b, c strings.Builder
-	if _, err := run(config{scenario: specPath, seed: 5, seedSet: true, tenants: 1, tasks: 1, jobs: 1, workers: 1, m: 1, advanceEvery: 1, batch: 1}, &a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run(config{scenario: specPath, seed: 5, seedSet: true, tenants: 1, tasks: 1, jobs: 1, workers: 1, m: 1, advanceEvery: 1, batch: 1}, &b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run(config{scenario: specPath, seed: 6, seedSet: true, tenants: 1, tasks: 1, jobs: 1, workers: 1, m: 1, advanceEvery: 1, batch: 1}, &c); err != nil {
-		t.Fatal(err)
-	}
-	norm := func(s string) string { // the loopback port differs per run
-		lines := strings.SplitN(s, "\n", 2)
-		return lines[len(lines)-1]
-	}
-	if norm(a.String()) != norm(b.String()) {
-		t.Fatalf("same seed produced different scenario reports:\n%s\n---\n%s", a.String(), b.String())
-	}
-	if norm(a.String()) == norm(c.String()) {
-		t.Fatal("different seeds produced identical scenario reports")
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/scenario"
+	"desyncpfair/internal/server"
 )
 
 func writeSpec(t *testing.T, dir string) string {
@@ -151,5 +153,38 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run(config{spec: filepath.Join(t.TempDir(), "missing.json")}, &out); err == nil {
 		t.Fatal("missing spec file accepted")
+	}
+}
+
+// TestRunAgainstLivePfaird: -addr drives the spec through a live pfaird —
+// one served in process here — and reports exactly what the in-process
+// executive reports for the same spec and seed, while another -seed
+// reshapes the workload and so the report.
+func TestRunAgainstLivePfaird(t *testing.T) {
+	spec := writeSpec(t, t.TempDir())
+	live := func(seed int64) string {
+		srv := server.New()
+		defer srv.Shutdown()
+		hs := hoptest.NewServer(srv.Handler())
+		defer hs.Close()
+		var out bytes.Buffer
+		if err := run(config{spec: spec, addr: hs.URL, seed: seed, seedSet: true}, &out); err != nil {
+			t.Fatalf("-addr run at seed %d: %v\n%s", seed, err, out.String())
+		}
+		return out.String()
+	}
+	var local bytes.Buffer
+	if err := run(config{spec: spec, seed: 5, seedSet: true}, &local); err != nil {
+		t.Fatalf("in-process run: %v\n%s", err, local.String())
+	}
+	got := live(5)
+	if !strings.Contains(got, "class gold") {
+		t.Fatalf("-addr report lacks its class:\n%s", got)
+	}
+	if got != local.String() {
+		t.Fatalf("-addr and in-process reports differ for one spec and seed:\n%s\n---\n%s", got, local.String())
+	}
+	if live(6) == got {
+		t.Fatal("-seed 6 reported what -seed 5 did")
 	}
 }

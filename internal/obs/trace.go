@@ -66,8 +66,8 @@ type Event struct {
 }
 
 // Ring retains the most recent trace events in a fixed-capacity ring
-// buffer and wakes followers when new events land. It is safe for
-// concurrent use. Sequence numbers are assigned on Append and never
+// buffer and wakes followers when new events land (NextAppend). It is safe
+// for concurrent use. Sequence numbers are assigned on Append and never
 // reused; once the ring wraps, the oldest events are dropped and Since
 // reports how many the caller missed.
 type Ring struct {
@@ -77,7 +77,9 @@ type Ring struct {
 	start int      // index of the oldest retained event
 	n     int      // retained count
 	next  int64    // next sequence number to assign
-	subs  map[chan struct{}]struct{}
+	// grown is what NextAppend hands out: nil until somebody asks, closed
+	// and forgotten by the next Append.
+	grown chan struct{}
 }
 
 // NewRing creates a ring retaining up to cap events (minimum 1).
@@ -85,11 +87,11 @@ func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]Event, capacity), wire: make([][]byte, capacity), subs: map[chan struct{}]struct{}{}}
+	return &Ring{buf: make([]Event, capacity), wire: make([][]byte, capacity)}
 }
 
 // Append assigns the event's sequence number, stores it (evicting the
-// oldest if full), pokes followers, and returns the assigned Seq.
+// oldest if full), wakes followers, and returns the assigned Seq.
 func (r *Ring) Append(ev Event) int64 {
 	r.mu.Lock()
 	ev.Seq = r.next
@@ -104,13 +106,9 @@ func (r *Ring) Append(ev Event) int64 {
 		r.wire[i] = nil
 		r.n++
 	}
-	if len(r.subs) > 0 {
-		for sub := range r.subs {
-			select {
-			case sub <- struct{}{}:
-			default: // a wakeup is already queued; the follower will catch up
-			}
-		}
+	if r.grown != nil {
+		close(r.grown)
+		r.grown = nil
 	}
 	r.mu.Unlock()
 	return ev.Seq
@@ -184,21 +182,18 @@ func (r *Ring) Next() int64 {
 	return r.next
 }
 
-// Subscribe registers a follower wakeup channel (capacity 1, coalescing).
-// The follower re-reads Since after each wakeup.
-func (r *Ring) Subscribe() chan struct{} {
-	ch := make(chan struct{}, 1)
+// NextAppend returns a channel that is closed by the next Append, once the
+// event is stored: take it, read (FramesSince), and only if the read found
+// nothing new wait on it — an Append in between closes a channel already
+// held. No channel exists while nobody has asked for one, and all who ask
+// before the next Append share one.
+func (r *Ring) NextAppend() <-chan struct{} {
 	r.mu.Lock()
-	r.subs[ch] = struct{}{}
-	r.mu.Unlock()
-	return ch
-}
-
-// Unsubscribe removes a follower channel.
-func (r *Ring) Unsubscribe(ch chan struct{}) {
-	r.mu.Lock()
-	delete(r.subs, ch)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.grown == nil {
+		r.grown = make(chan struct{})
+	}
+	return r.grown
 }
 
 // Tracer stamps lifecycle events for one tenant into its ring. The zero

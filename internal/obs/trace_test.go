@@ -57,22 +57,54 @@ func TestRingWrapDrops(t *testing.T) {
 	}
 }
 
-func TestRingSubscribeCoalesces(t *testing.T) {
+// closed reports whether ch is closed, without waiting.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestRingNextAppend: a channel taken before an append is closed by it; one
+// taken after stays open until the next; everyone who asks in between
+// shares one.
+func TestRingNextAppend(t *testing.T) {
 	r := NewRing(8)
-	ch := r.Subscribe()
-	defer r.Unsubscribe(ch)
-	for i := 0; i < 5; i++ {
-		r.Append(Event{})
+	ch := r.NextAppend()
+	if closed(ch) {
+		t.Fatal("closed before any append")
 	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("no wakeup after appends")
+	r.Append(Event{})
+	if !closed(ch) {
+		t.Fatal("an append left the channel taken before it open")
 	}
-	select {
-	case <-ch:
-		t.Fatal("wakeups should coalesce to one")
-	default:
+	after := r.NextAppend()
+	if closed(after) {
+		t.Fatal("a channel taken after an append is closed already")
+	}
+	if r.NextAppend() != after {
+		t.Fatal("two takers before one append got different channels")
+	}
+	r.Append(Event{})
+	if !closed(after) {
+		t.Fatal("the next append left the channel taken after the last one open")
+	}
+}
+
+// TestRingWakeSeesAppend: whoever wakes on NextAppend already reads the
+// event that woke it.
+func TestRingWakeSeesAppend(t *testing.T) {
+	r := NewRing(8)
+	for i := 0; i < 200; i++ {
+		ch := r.NextAppend()
+		want := r.Next() + 1
+		go r.Append(Event{})
+		<-ch
+		if got := r.Next(); got < want {
+			t.Fatalf("round %d: woken with Next() = %d, want %d", i, got, want)
+		}
 	}
 }
 

@@ -199,7 +199,7 @@ func (t *Tenant) sealHistory(hist []histSegment) {
 // the ledger would apply or reject cannot have been pending. The
 // loop-owned fields are finished before start(), while no loop can be
 // running.
-func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
+func restoreTenant(cp tenantCheckpoint, ringSize int, o *serverObs) (*Tenant, error) {
 	if cp.ID == "" {
 		return nil, fmt.Errorf("server: tenant checkpoint without id")
 	}
@@ -223,7 +223,7 @@ func restoreTenant(cp tenantCheckpoint, ringSize int) (*Tenant, error) {
 				cp.ID, cp.PendingM, cp.Exec.M, ex.ActiveUtilization())
 		}
 	}
-	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, ringSize)
+	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, ringSize, o)
 	t.log.hist, t.log.tail.first = cp.History, sealedEvents(cp.History)
 	for _, ev := range tail {
 		if err := t.log.restore(ev); err != nil {
@@ -294,7 +294,7 @@ func Open(opts Options) (*Server, error) {
 				l.Close()
 				return nil, err
 			}
-			t, err := restoreTenant(tc, s.submitRing)
+			t, err := restoreTenant(tc, s.submitRing, s.obs)
 			if err != nil {
 				l.Close()
 				return nil, err
@@ -355,7 +355,7 @@ func (s *Server) applyRecord(r wal.Record) (ok bool) {
 	case wal.OpTerm:
 		return true // leadership-change marker: no state to apply
 	case wal.OpTenantCreate:
-		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.submitRing)
+		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.submitRing, s.obs)
 		if err == nil {
 			if _, err = s.addTenant(nt); err != nil {
 				nt.Close() // never installed; stop its loop goroutine

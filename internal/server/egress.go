@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -22,11 +21,10 @@ import (
 // dispatch log is nothing but those bytes: dispatchlog.go), the trace ring
 // for trace events (obs.Ring.FramesSince), the WAL appender for
 // replication frames (wal.Reader.NextRaw ships the on-disk payload) — and
-// every subscriber writes the shared bytes by reference. The frameWriter
-// below writes a bounded run of frames per call — contiguous chunk bytes
-// for dispatches, one vectored net.Buffers write with a reused backing
-// slice for trace frames — flushes once per batch, and bounds how long
-// any write may block on a wedged client.
+// every follower writes the shared bytes. The frameWriter below writes a
+// bounded run of frames per Write — a dispatch-log chunk as it is held, a
+// batch of trace or journal lines gathered into one buffer — flushes once
+// per drain, and bounds how long any write may block on a wedged client.
 //
 // Slow-consumer policy: replication followers are never evicted (the WAL
 // reader paces them against the durable horizon and the log is on disk
@@ -105,17 +103,15 @@ func appendDispatchFrame(b []byte, seq int64, task string, index int64, proc int
 func maxFrameBytes(n int) int { return 96 + 4*20 + 3*41 + 6*n }
 
 // frameWriter writes cached NDJSON frames to one streaming response. It
-// reuses a net.Buffers backing slice across batches (zero allocation per
-// wakeup once warm) and arms a write deadline around every batch so a
-// wedged client can only stall its own connection for stall, never the
-// handler forever. A deadline that the connection does not support
-// (httptest recorders) is silently skipped.
+// arms a write deadline around every batch so a wedged client can only
+// stall its own connection for stall, never the handler forever. A
+// deadline that the connection does not support (httptest recorders) is
+// silently skipped.
 type frameWriter struct {
 	w      http.ResponseWriter
 	rc     *http.ResponseController
 	stall  time.Duration
 	severs *atomic.Int64 // writes that died on the stall deadline
-	bufs   net.Buffers
 	// unflushed is set by a write and cleared by a flush: a drain that
 	// found nothing new leaves nothing to push to the client.
 	unflushed bool
@@ -137,20 +133,9 @@ func (fw *frameWriter) clearDeadline() {
 	}
 }
 
-// writeFrames writes a run of separately held frames (the trace ring's) as
-// one vectored write. net.Buffers consumes its entries, so the reused
-// backing slice is repopulated from the frame refs on every call; the
-// frames themselves are shared and never copied.
-func (fw *frameWriter) writeFrames(frames [][]byte) error {
-	fw.bufs = append(fw.bufs[:0], frames...)
-	fw.armDeadline()
-	fw.unflushed = true
-	_, err := fw.bufs.WriteTo(fw.w)
-	return fw.wrote(err)
-}
-
-// Write writes a run of frames held contiguously (a dispatch-log chunk, a
-// block of a history file), shared and never copied.
+// Write writes a run of frames held contiguously — a dispatch-log chunk, a
+// block of a history file, a batch of trace or journal lines — under one
+// stall deadline.
 func (fw *frameWriter) Write(p []byte) (int, error) {
 	fw.armDeadline()
 	fw.unflushed = true
@@ -203,8 +188,9 @@ func (fw *frameWriter) writeGone(resume int64) {
 
 // feed is one NDJSON source a read stream serves from a position: the
 // dispatch log (by seq), the trace ring (by event Seq), the journal (by
-// LSN). The loop calls wake before every drain, so the channel it returns
-// — a tenant feed's subscription, the journal's next fsync — is already
+// LSN). wake returns a channel the source closes at its next growth — the
+// dispatch log's next publish, the ring's next append, the journal's next
+// fsync. The loop calls it before every drain, so the channel is already
 // held if the source grows between a drain that found nothing and the
 // wait. drain writes everything the source holds from pos on and returns
 // the position after it. done, when set, ends the stream after one more
@@ -300,10 +286,7 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sub := t.Subscribe()
-	defer t.Unsubscribe(sub)
-	wake := func() <-chan struct{} { return sub.ping }
-	s.stream(w, r, from, follow, feed{wake: wake, done: t.Closed(), tip: t.LogLen, drain: func(fw *frameWriter, pos int64) (int64, error) {
+	s.stream(w, r, from, follow, feed{wake: t.Subscribe, done: t.Closed(), tip: t.LogLen, drain: func(fw *frameWriter, pos int64) (int64, error) {
 		log := &t.snap.Load().log
 		if floor := log.floor(); pos < floor && pos < log.len() {
 			if err := s.copySealed(fw, log.hist, pos); err != nil {
@@ -328,8 +311,9 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace streams the tenant's trace ring, one obs.Event per line.
 // Frames come from the ring's memoized wire cache: each retained event is
-// encoded at most once no matter how many followers stream it. Ring
-// retention is bounded, so a follower that asks for evicted history, or
+// encoded at most once no matter how many followers stream it, and a batch
+// of them is gathered into one reused buffer for one Write. Ring retention
+// is bounded, so a follower that asks for evicted history, or
 // falls behind it, resumes at the oldest retained event instead of pinning
 // memory — the Seq gap tells it how much it missed.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -342,15 +326,17 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ring := t.traceRing()
-	sub := ring.Subscribe()
-	defer ring.Unsubscribe(sub)
-	wake := func() <-chan struct{} { return sub }
-	s.stream(w, r, from, follow, feed{wake: wake, done: t.Closed(), drain: func(fw *frameWriter, pos int64) (int64, error) {
+	var batch []byte
+	s.stream(w, r, from, follow, feed{wake: ring.NextAppend, done: t.Closed(), drain: func(fw *frameWriter, pos int64) (int64, error) {
 		frames, dropped := ring.FramesSince(pos)
 		pos += dropped
 		for len(frames) > 0 {
 			n := min(len(frames), maxStreamBatch)
-			if err := fw.writeFrames(frames[:n]); err != nil {
+			batch = batch[:0]
+			for _, f := range frames[:n] {
+				batch = append(batch, f...)
+			}
+			if _, err := fw.Write(batch); err != nil {
 				return pos, err
 			}
 			frames = frames[n:]

@@ -47,7 +47,8 @@ func benchEvents() []DispatchEvent {
 // engine: Tenant.record — the frame encoded into the log's tail, the lag
 // tallied — plus, every 16 dispatches, what a command that decided spends
 // once: its trace event and its settle (the lag histograms, publish and,
-// with a subscriber, its wakeup). The loop also works out each decision's
+// with a subscriber, closing the channel it waits on, which it then takes
+// again as a waiting stream would). The loop also works out each decision's
 // deadline and tardiness, which the executive hands record. The target is
 // 0 allocs/op: what a command allocates (its snapshot, its event's lag
 // string) is a sixteenth of that here. The log restarts every 65536
@@ -91,15 +92,17 @@ func BenchmarkTenantRecord(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return newTenantCore("bench", "PD2", ex, 0), task // loop not started: this goroutine is the writer
+		return newTenantCore("bench", "PD2", ex, 0, nil), task // loop not started: this goroutine is the writer
 	}
 	for _, subs := range []int{0, 1} {
 		b.Run(fmt.Sprintf("%dsubs", subs), func(b *testing.B) {
 			tn, task := newCore(b)
-			for i := 0; i < subs; i++ {
-				tn.Subscribe()
+			settled := func() {}
+			if subs == 1 {
+				settled = func() { tn.Subscribe() }
+				settled()
 			}
-			run(b, tn, task, func() {})
+			run(b, tn, task, settled)
 		})
 	}
 	b.Run("journaled", func(b *testing.B) {
@@ -143,7 +146,7 @@ func TestTenantRecordAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn := newTenantCore("allocs", "PD2", ex, 0)
+	tn := newTenantCore("allocs", "PD2", ex, 0, nil)
 	tn.publish()
 	sub := &model.Subtask{Task: task}
 	d := online.Dispatch{Sub: sub, Proc: 1}
@@ -234,7 +237,7 @@ func BenchmarkMetricsExposition(b *testing.B) {
 	s := New()
 	defer s.Shutdown()
 	for i := 0; i < 8; i++ {
-		t, err := newTenant(fmt.Sprintf("bench-%d", i), 2, "", s.submitRing)
+		t, err := newTenant(fmt.Sprintf("bench-%d", i), 2, "", s.submitRing, s.obs)
 		if err != nil {
 			b.Fatal(err)
 		}

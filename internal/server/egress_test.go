@@ -297,10 +297,12 @@ func streamAcrossCompactions(t *testing.T, seed int64) {
 	}
 }
 
-// TestFanoutStress runs 1 tenant × 32 follow-mode subscribers against
-// concurrent submit churn plus subscribe/unsubscribe churn, under -race.
-// Every follower must see the complete dispatch log, in order, with no
-// gaps and no duplicates — the shared frame cache may never tear.
+// TestFanoutStress runs 1 tenant × 32 follow-mode streams against
+// concurrent submit churn plus short-lived streams that open and close,
+// under -race. Every follower must see the complete dispatch log, in order,
+// with no gaps and no duplicates — the shared frame cache may never tear.
+// Each follower signals once it holds the whole log, or fails; the test
+// waits for all of them.
 func TestFanoutStress(t *testing.T) {
 	srv, c := newTestServer(t)
 	_ = srv
@@ -314,13 +316,18 @@ func TestFanoutStress(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
+	const total = int64(4 * rounds * perBatch)
 	counts := make([]atomic.Int64, followers)
 	errs := make([]error, followers)
-	var wg sync.WaitGroup
+	var wg, reached sync.WaitGroup
+	reached.Add(followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			var once sync.Once
+			signal := func() { once.Do(reached.Done) }
+			defer signal()
 			st, err := c.StreamDispatches(ctx, "acme", 0, true)
 			if err != nil {
 				errs[i] = err
@@ -342,11 +349,14 @@ func TestFanoutStress(t *testing.T) {
 				}
 				next++
 				counts[i].Store(next)
+				if next == total {
+					signal()
+				}
 			}
 		}(i)
 	}
 
-	// Subscribe/unsubscribe churn: short-lived replays racing the cache.
+	// Streams that open and close: short-lived replays racing the cache.
 	churnDone := make(chan struct{})
 	go func() {
 		defer close(churnDone)
@@ -369,24 +379,16 @@ func TestFanoutStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := info.Dispatches
-	if want := int64(4 * rounds * perBatch); total != want {
-		t.Fatalf("dispatched %d, want %d", total, want)
+	if info.Dispatches != total {
+		t.Fatalf("dispatched %d, want %d", info.Dispatches, total)
 	}
 
 	// Every follower must drain the full log; the backlog is finite now.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		done := true
-		for i := range counts {
-			if counts[i].Load() < total && errs[i] == nil {
-				done = false
-			}
-		}
-		if done || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	allReached := make(chan struct{})
+	go func() { reached.Wait(); close(allReached) }()
+	select {
+	case <-allReached:
+	case <-time.After(15 * time.Second):
 	}
 	cancel()
 	wg.Wait()

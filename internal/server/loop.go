@@ -220,7 +220,7 @@ func (t *Tenant) process(c *command) (stop bool) {
 func (t *Tenant) settle() {
 	first := t.snap.Load().log.len()
 	if t.log.len() > first {
-		o := t.obs()
+		o := &t.obs
 		o.lag.Merge(t.lags)
 		if o.sobs != nil {
 			o.sobs.dispatchLag.Merge(t.lags)
@@ -236,9 +236,7 @@ func (t *Tenant) settle() {
 			_, _ = h.append(wal.Record{Op: wal.OpDispatch, Tenant: t.id, DSeq: first, Count: t.digest.count, CRC: t.digest.crc})
 		}
 	}
-	if t.publish() {
-		t.pingSubs()
-	}
+	t.publish()
 }
 
 // finish settles c's apply and completes it.

@@ -14,7 +14,7 @@ import (
 // is busy and the ring is at capacity, exec refuses immediately with
 // ErrRingFull (mapped to 429) instead of blocking the handler.
 func TestRingFullBackpressure(t *testing.T) {
-	tn, err := newTenant("ring", 1, "", 1) // ring capacity 1
+	tn, err := newTenant("ring", 1, "", 1, nil) // ring capacity 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestRestoreReinstatesOnlyAQueuedShrink(t *testing.T) {
 	cp := tenantCheckpoint{ID: "x", MaxTar: "0", Exec: ex.Checkpoint()} // m = 3, Σwt = 2
 	for pending, ok := range map[int]bool{0: true, 1: true, 2: false, 3: false, 4: false, -1: false, MaxM + 1: false} {
 		cp.PendingM = pending
-		tn, err := restoreTenant(cp, 0)
+		tn, err := restoreTenant(cp, 0, nil)
 		if (err == nil) != ok {
 			t.Errorf("pendingM = %d: err = %v, want restorable = %v", pending, err, ok)
 		}
@@ -177,5 +177,95 @@ func TestRestoreReinstatesOnlyAQueuedShrink(t *testing.T) {
 			t.Errorf("pendingM = %d restored as %+v", pending, info)
 		}
 		tn.Close()
+	}
+}
+
+// closed reports whether ch is closed, without waiting.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestSubscribeClosedByGrowth pins the dispatch log's wake rule: a channel
+// Subscribe hands out is closed by the next command that dispatched, and
+// by no command that grew nothing — a rejected register, a job submit.
+// One taken after a growth stays open until the next.
+func TestSubscribeClosedByGrowth(t *testing.T) {
+	tn, err := NewTenant("wake", 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	if _, _, err := tn.RegisterTask("a", model.W(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	ch := tn.Subscribe()
+	if d, _, _ := tn.RegisterTask("big", model.W(1, 1)); d.Admitted {
+		t.Fatal("a register past m was admitted")
+	}
+	if _, _, err := tn.SubmitJob("a", "", 0); err != nil {
+		t.Fatal(err)
+	}
+	if closed(ch) {
+		t.Fatal("a rejected register or a job submit closed the channel")
+	}
+	if _, _, err := tn.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(ch) {
+		t.Fatal("a drain that dispatched left the channel taken before it open")
+	}
+	after := tn.Subscribe()
+	if _, _, err := tn.SubmitJob("a", "", 0); err != nil {
+		t.Fatal(err)
+	}
+	if closed(after) {
+		t.Fatal("a channel taken after a growth closed without another")
+	}
+	if _, _, err := tn.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(after) {
+		t.Fatal("the next growth left the channel taken after the last one open")
+	}
+}
+
+// TestSubscribeWakeSeesGrowth: whoever wakes on Subscribe's channel already
+// reads the growth that woke it — the loop closes it only after the
+// snapshot is published.
+func TestSubscribeWakeSeesGrowth(t *testing.T) {
+	tn, err := NewTenant("wake", 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	if _, _, err := tn.RegisterTask("a", model.W(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 1)
+	for i := 0; i < 200; i++ {
+		ch := tn.Subscribe()
+		before := tn.LogLen()
+		go func() {
+			if _, _, err := tn.SubmitJob("a", "", 0); err != nil {
+				errs <- err
+				return
+			}
+			if _, _, err := tn.Drain(); err != nil {
+				errs <- err
+			}
+		}()
+		select {
+		case <-ch:
+		case err := <-errs:
+			t.Fatal(err)
+		}
+		if got := tn.LogLen(); got <= before {
+			t.Fatalf("round %d: woken with LogLen() = %d, want > %d", i, got, before)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // every measured path reads, the per-route request counters, the aggregate
 // histograms, the build identity, and the trace-ring capacity handed to
 // each new tenant. Per-tenant histograms and rings live on the tenants
-// themselves (attached by addTenant), so tenant deletion reclaims them and
+// themselves (built by newTenantCore), so tenant deletion reclaims them and
 // /metrics reads them live, like the rest of the tenant series.
 type serverObs struct {
 	clock    obs.Clock

@@ -244,10 +244,7 @@ func (s *Server) routeTenant(w http.ResponseWriter, r *http.Request) *Tenant {
 
 // addTenant installs t unless the id is taken, journaling the creation
 // while the registry lock serializes it against racing creates and deletes
-// (so journal order matches applied order). Installation
-// attaches the server's observability (trace ring, per-tenant histograms)
-// — both the live-create and the recovery-restore path come through here,
-// so every served tenant is instrumented.
+// (so journal order matches applied order).
 func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -260,7 +257,6 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 	if err != nil {
 		return wal.Commit{}, err
 	}
-	t.attachObs(s.obs)
 	s.tenants[t.ID()] = t
 	if s.wal != nil {
 		t.SetJournal(s.journalRecord, nil, s.failJournal)
@@ -471,7 +467,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallbac
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req CreateTenantRequest
 	s.mutate(w, r, &req, http.StatusConflict, func(*Tenant) (reply, error) {
-		t, err := newTenant(req.ID, req.M, req.Policy, s.submitRing)
+		t, err := newTenant(req.ID, req.M, req.Policy, s.submitRing, s.obs)
 		if err != nil {
 			return reply{errStatus: http.StatusBadRequest}, err
 		}

@@ -34,11 +34,11 @@ import (
 //     else (readers use the snapshot) — tasks, log (its manifest included:
 //     compaction extends it through a control command, sealHistory),
 //     maxTar, reject, digest, jobs, group, cur*, lags, worst.
-//   - immutable after construction: id, policy, ring, ctl, closed.
-//   - atomics: snap (published state), hooks (journal callbacks), obsP
-//     (tracer + histograms), closing (delete gate).
-//   - locks: ringMu is the enqueue/close barrier (see loop.go); subMu
-//     guards the stream-follower set.
+//   - immutable after construction: id, policy, ring, ctl, closed, obs
+//     (tracer + histograms).
+//   - atomics: snap (published state), grown (the next-growth channel),
+//     hooks (journal callbacks), closing (delete gate).
+//   - locks: ringMu is the enqueue/close barrier (see loop.go).
 type Tenant struct {
 	id     string
 	policy string
@@ -49,9 +49,12 @@ type Tenant struct {
 	closing atomic.Bool
 	closed  chan struct{}
 
-	snap  atomic.Pointer[tenantSnap]
+	snap atomic.Pointer[tenantSnap]
+	// grown is what Subscribe hands out: nil until somebody asks, swapped
+	// out and closed by publish once the dispatch log it shows has grown.
+	grown atomic.Pointer[chan struct{}]
 	hooks atomic.Pointer[journalHooks]
-	obsP  atomic.Pointer[tenantObs]
+	obs   tenantObs
 
 	// Loop-owned state.
 	ex    *online.Executive
@@ -85,9 +88,6 @@ type Tenant struct {
 	// retry-after-promotion both dedupe.
 	idem  map[string]SubmitJobResponse
 	idemQ []string
-
-	subMu sync.Mutex
-	subs  map[*subscriber]struct{}
 }
 
 // tenantSnap is the immutable state image the loop publishes after every
@@ -120,23 +120,14 @@ type dispatchDigest struct {
 	crc          uint32
 }
 
-// tenantObs bundles the tenant's observability sinks behind one atomic
-// pointer: the trace ring, the per-tenant histograms, and the aggregate
-// sinks. Allocated lazily — a server-attached tenant never pays for the
-// standalone defaults (previously every tenant allocated its trace ring
-// twice: once in NewTenant, once in attachObs).
+// tenantObs bundles the tenant's observability sinks, fixed when the
+// tenant is built (newTenantCore): the trace ring, the per-tenant
+// histograms, and the aggregate sinks.
 type tenantObs struct {
 	tr        *obs.Tracer    // command-lifecycle trace ring
 	submitAck *obs.Histogram // submit→ack latency, this tenant
 	lag       *obs.Histogram // dispatch tardiness in quanta, this tenant
 	sobs      *serverObs     // aggregate sinks (nil on a bare tenant)
-}
-
-// subscriber is one dispatch-stream follower. ping has capacity 1; the
-// loop's post-command non-blocking send coalesces any number of new
-// events into one wakeup, and the follower re-reads the log to catch up.
-type subscriber struct {
-	ping chan struct{}
 }
 
 // PolicyByName maps a wire policy name to a prio.Policy: the names
@@ -153,12 +144,13 @@ func PolicyByName(name string) (prio.Policy, error) {
 }
 
 // NewTenant creates a tenant with id on m processors under the named
-// policy ("" = PD²) with the default submit-ring capacity.
+// policy ("" = PD²) with the default submit-ring capacity, instrumented by
+// standalone sinks of its own.
 func NewTenant(id string, m int, policyName string) (*Tenant, error) {
-	return newTenant(id, m, policyName, 0)
+	return newTenant(id, m, policyName, 0, nil)
 }
 
-func newTenant(id string, m int, policyName string, ringSize int) (*Tenant, error) {
+func newTenant(id string, m int, policyName string, ringSize int, o *serverObs) (*Tenant, error) {
 	if id == "" {
 		return nil, fmt.Errorf("server: empty tenant id")
 	}
@@ -172,7 +164,7 @@ func newTenant(id string, m int, policyName string, ringSize int) (*Tenant, erro
 	if err != nil {
 		return nil, err
 	}
-	t := newTenantCore(id, pol.Name(), online.New(m, pol), ringSize)
+	t := newTenantCore(id, pol.Name(), online.New(m, pol), ringSize, o)
 	t.start()
 	return t, nil
 }
@@ -180,12 +172,19 @@ func newTenant(id string, m int, policyName string, ringSize int) (*Tenant, erro
 // newTenantCore builds the shared tenant shell. The loop is NOT started:
 // callers finish wiring loop-owned state (restoreTenant indexes the
 // active tasks, installs the log) and then call start. Both the
-// live-create and the recovery-restore path come through here. A tenant
-// may live forever, so its executive keeps nothing behind its cursors: the
+// live-create and the recovery-restore path come through here, so this is
+// where every tenant is instrumented: by the server's observability (its
+// clock, its trace-ring capacity, the aggregate histograms /metrics sums
+// across tenants), or, when o is nil, by standalone sinks. A tenant may
+// live forever, so its executive keeps nothing behind its cursors: the
 // dispatch log is the only record of a past decision.
-func newTenantCore(id, policy string, ex *online.Executive, ringSize int) *Tenant {
+func newTenantCore(id, policy string, ex *online.Executive, ringSize int, o *serverObs) *Tenant {
 	if ringSize <= 0 {
 		ringSize = defaultSubmitRing
+	}
+	clock, traceCap := obs.Clock(obs.Real{}), defaultTraceCap
+	if o != nil {
+		clock, traceCap = o.clock, o.traceCap
 	}
 	ex.ForgetHistory()
 	t := &Tenant{
@@ -200,7 +199,12 @@ func newTenantCore(id, policy string, ex *online.Executive, ringSize int) *Tenan
 		maxTar: rat.Zero,
 		lags:   obs.NewTally(obs.QuantaBuckets),
 		worst:  rat.Zero,
-		subs:   map[*subscriber]struct{}{},
+		obs: tenantObs{
+			tr:        obs.NewTracer(obs.NewRing(traceCap), clock),
+			submitAck: obs.NewHistogram(obs.DefaultLatencyBuckets),
+			lag:       obs.NewHistogram(obs.QuantaBuckets),
+			sobs:      o,
+		},
 	}
 	t.ex.SetOnDispatch(t.record)
 	return t
@@ -213,11 +217,12 @@ func (t *Tenant) start() {
 	go t.runLoop()
 }
 
-// publish stores the post-command state image and reports whether the
-// dispatch log grew since the last published snapshot (the signal to wake
-// stream followers). Loop goroutine only (callable before start, while
-// the loop cannot be running).
-func (t *Tenant) publish() bool {
+// publish stores the post-command state image and, if the dispatch log
+// grew since the last published snapshot, closes the channel Subscribe
+// handed out: a follower it wakes already reads the new snapshot. Loop
+// goroutine only (callable before start, while the loop cannot be
+// running).
+func (t *Tenant) publish() {
 	prev := t.snap.Load()
 	t.snap.Store(&tenantSnap{
 		now:      t.ex.Now(),
@@ -231,61 +236,21 @@ func (t *Tenant) publish() bool {
 		reject:   t.reject,
 		digest:   t.digest,
 	})
-	return prev == nil || t.log.len() > prev.log.len()
-}
-
-// pingSubs wakes every stream follower (coalesced, non-blocking).
-func (t *Tenant) pingSubs() {
-	t.subMu.Lock()
-	for sub := range t.subs {
-		select {
-		case sub.ping <- struct{}{}:
-		default: // a wakeup is already queued; the follower will catch up
+	if prev != nil && t.log.len() > prev.log.len() {
+		if ch := t.grown.Swap(nil); ch != nil {
+			close(*ch)
 		}
 	}
-	t.subMu.Unlock()
-}
-
-// obs returns the tenant's observability sinks, installing standalone
-// defaults on first use if the server never attached its own.
-func (t *Tenant) obs() *tenantObs {
-	if o := t.obsP.Load(); o != nil {
-		return o
-	}
-	def := &tenantObs{
-		tr:        obs.NewTracer(obs.NewRing(defaultTraceCap), obs.Real{}),
-		submitAck: obs.NewHistogram(obs.DefaultLatencyBuckets),
-		lag:       obs.NewHistogram(obs.QuantaBuckets),
-	}
-	if t.obsP.CompareAndSwap(nil, def) {
-		return def
-	}
-	return t.obsP.Load()
-}
-
-// attachObs rewires the tenant onto the server's observability: its
-// injected clock, its trace-ring capacity, and the aggregate histograms
-// that /metrics sums across tenants. addTenant calls it before the tenant
-// is visible to requests, so the swap races with nothing — and it is the
-// one chokepoint covering both live-created and recovery-restored
-// tenants.
-func (t *Tenant) attachObs(o *serverObs) {
-	t.obsP.Store(&tenantObs{
-		tr:        obs.NewTracer(obs.NewRing(o.traceCap), o.clock),
-		submitAck: obs.NewHistogram(obs.DefaultLatencyBuckets),
-		lag:       obs.NewHistogram(obs.QuantaBuckets),
-		sobs:      o,
-	})
 }
 
 // traceRing returns the tenant's trace ring for the streaming handler.
 func (t *Tenant) traceRing() *obs.Ring {
-	return t.obs().tr.Ring()
+	return t.obs.tr.Ring()
 }
 
 // obsSnapshot snapshots the tenant for /metrics.
 func (t *Tenant) obsSnapshot() tenantObsSnap {
-	o := t.obs()
+	o := &t.obs
 	return tenantObsSnap{
 		id:        t.id,
 		state:     t.snap.Load(),
@@ -299,7 +264,7 @@ func (t *Tenant) obsSnapshot() tenantObsSnap {
 // aggregate histograms. A histogram is safe for concurrent use, so the
 // HTTP handler calls this directly.
 func (t *Tenant) observeSubmitAck(d time.Duration) {
-	o := t.obs()
+	o := &t.obs
 	s := d.Seconds()
 	o.submitAck.Observe(s)
 	if o.sobs != nil {
@@ -310,19 +275,19 @@ func (t *Tenant) observeSubmitAck(d time.Duration) {
 // traceBegin opens a traced command and parks its context for the later
 // stages, its dispatch event included. Loop goroutine only.
 func (t *Tenant) traceBegin(op, task, at string) {
-	t.curCmd, t.curStart = t.obs().tr.Begin(t.id, op, task, at)
+	t.curCmd, t.curStart = t.obs.tr.Begin(t.id, op, task, at)
 	t.curOp = op
 }
 
 // traceStage marks the current command's next completed lifecycle stage.
 func (t *Tenant) traceStage(stage string) {
-	t.obs().tr.Stage(t.id, t.curCmd, t.curStart, t.curOp, stage, "")
+	t.obs.tr.Stage(t.id, t.curCmd, t.curStart, t.curOp, stage, "")
 }
 
 // traceFail marks the current command failed at stage; no further stages
 // follow for it.
 func (t *Tenant) traceFail(stage string, err error) {
-	t.obs().tr.Stage(t.id, t.curCmd, t.curStart, t.curOp, stage, err.Error())
+	t.obs.tr.Stage(t.id, t.curCmd, t.curStart, t.curOp, stage, err.Error())
 }
 
 // SetJournal installs the durability hooks: append enqueues one record —
@@ -362,7 +327,7 @@ func (t *Tenant) record(d online.Dispatch) {
 // decided: its decisions are the log's frames from seq first on.
 func (t *Tenant) traceDispatch(first int64) {
 	if n := t.log.len() - first; n > 0 {
-		t.obs().tr.Dispatch(t.id, t.curCmd, t.curStart, t.curOp, first, n, t.worst.String())
+		t.obs.tr.Dispatch(t.id, t.curCmd, t.curStart, t.curOp, first, n, t.worst.String())
 	}
 }
 
@@ -900,21 +865,22 @@ func (t *Tenant) eventAt(seq int64) (DispatchEvent, bool) {
 	return ev, n == 1 && json.Unmarshal(frame, &ev) == nil
 }
 
-// Subscribe registers a stream follower; its ping channel receives a
-// (coalesced) wakeup after new dispatches land in the log.
-func (t *Tenant) Subscribe() *subscriber {
-	sub := &subscriber{ping: make(chan struct{}, 1)}
-	t.subMu.Lock()
-	t.subs[sub] = struct{}{}
-	t.subMu.Unlock()
-	return sub
-}
-
-// Unsubscribe removes a follower registered with Subscribe.
-func (t *Tenant) Unsubscribe(sub *subscriber) {
-	t.subMu.Lock()
-	delete(t.subs, sub)
-	t.subMu.Unlock()
+// Subscribe returns a channel that is closed when the dispatch log next
+// grows, once the snapshot that shows the growth is published: take it,
+// read the log, and only if the read found nothing new wait on it — a
+// growth in between closes a channel already held. No channel exists while
+// nobody has asked for one, and all who ask before the next growth share
+// one.
+func (t *Tenant) Subscribe() <-chan struct{} {
+	for {
+		if ch := t.grown.Load(); ch != nil {
+			return *ch
+		}
+		ch := make(chan struct{})
+		if t.grown.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
 }
 
 var errTenantGone = fmt.Errorf("server: tenant deleted")

@@ -211,8 +211,7 @@ type writePathScript struct {
 }
 
 func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScript {
-	tn := newWritePathCore(t, id, 2)
-	tn.attachObs(newServerObs(obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond), 0))
+	tn := newWritePathCore(t, id, 2, newServerObs(obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond), 0))
 	g := &writePathScript{t: t, tn: tn}
 	if journaled {
 		tn.SetJournal(
@@ -327,11 +326,12 @@ func resultView(c *command, res cmdResult) any {
 }
 
 // newWritePathCore builds a tenant whose loop is not started, so the
-// script's goroutine is the one that owns the loop-owned state.
-func newWritePathCore(t *testing.T, id string, m int) *Tenant {
+// script's goroutine is the one that owns the loop-owned state; o is its
+// observability (nil: standalone sinks).
+func newWritePathCore(t *testing.T, id string, m int, o *serverObs) *Tenant {
 	pol, err := PolicyByName("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTenantCore(id, pol.Name(), online.New(m, pol), 0)
+	return newTenantCore(id, pol.Name(), online.New(m, pol), 0, o)
 }
