@@ -109,7 +109,10 @@ bench:
 # fsyncs (target 0 allocs; an iteration is one dispatch, so it runs many), and
 # Compact/history={10k,100k}, one compaction behind a short and a long
 # dispatch history, at its own iteration count: an iteration is a whole
-# compaction, fsyncs included — and RouterHop/{direct,routed}/{submit,advance},
+# compaction, fsyncs included — with Compact/{inline=3.6k,seal=7.3k},
+# long_tenant's two shapes of compaction timed alone (a ≈ 3 600-frame
+# tail written inline, ≈ 7 300 frames sealed), whose B/op counts the
+# copies of those frames — and RouterHop/{direct,routed}/{submit,advance},
 # one request to an in-memory pfaird and the same request through a router in
 # front of it, at -cpu 1 as the repository benchmark runs its processes:
 # routed minus direct is the CPU the hop costs, not the wake-up latency of a

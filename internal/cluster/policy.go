@@ -10,7 +10,7 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 )
 
 // Rendezvous names the router's one placement rule. It carries nothing:
@@ -49,11 +49,19 @@ func rendezvous(id string, n int) int {
 // rendezvousWeight is FNV-1a of "id/group" through murmur3's 64-bit
 // finalizer. The weights of one id differ, before the finalizer, only in
 // the hash's last rounds, which skews the argmax badly (with three groups
-// one of them took half the ids); the finalizer spreads them.
+// one of them took half the ids); the finalizer spreads them. The hash is
+// written out, byte by byte, so placing a request allocates nothing.
 func rendezvousWeight(id string, group int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", id, group)
-	w := h.Sum64()
+	const prime = 1099511628211
+	w := uint64(14695981039346656037) // FNV-1a's offset basis
+	for i := 0; i < len(id); i++ {
+		w = (w ^ uint64(id[i])) * prime
+	}
+	w = (w ^ '/') * prime
+	var digits [20]byte
+	for _, d := range strconv.AppendUint(digits[:0], uint64(group), 10) {
+		w = (w ^ uint64(d)) * prime
+	}
 	w ^= w >> 33
 	w *= 0xff51afd7ed558ccd
 	w ^= w >> 33

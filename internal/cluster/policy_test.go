@@ -89,3 +89,13 @@ func TestRouterPlacementPinned(t *testing.T) {
 		t.Errorf("rendezvous over one group = %d", got)
 	}
 }
+
+// TestRendezvousAllocatesNothing: the router places every proxied request,
+// so placement must not allocate.
+func TestRendezvousAllocatesNothing(t *testing.T) {
+	for _, id := range []string{"t0", "tenant-7", "a/b", "é"} {
+		if a := testing.AllocsPerRun(100, func() { _ = rendezvous(id, 16) }); a != 0 {
+			t.Errorf("rendezvous(%q, 16) allocates %.1f times", id, a)
+		}
+	}
+}

@@ -399,9 +399,9 @@ func benchSubmitContended(b *testing.B, clients int) {
 // is one job, one advance (one new decision) and the compaction those
 // three journal records trigger at SnapshotEvery=3, so ns/op is the
 // compaction plus two in-process requests. Compaction writes what
-// happened since the previous one — the two rows must stay within 1.5× of
-// each other. When every snapshot re-encoded the tenant's whole dispatch
-// log they were ≈ 10× apart.
+// happened since the previous one — the two history rows must stay
+// within 1.5× of each other. When every snapshot re-encoded the tenant's
+// whole dispatch log they were ≈ 10× apart.
 func BenchmarkCompact(b *testing.B) {
 	for _, history := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("history=%dk", history/1000), func(b *testing.B) {
@@ -452,5 +452,82 @@ func BenchmarkCompact(b *testing.B) {
 				b.Fatalf("%d iterations compacted %d times", b.N, got)
 			}
 		})
+	}
+	// long_tenant's two shapes of compaction, which it alternates between:
+	// one that carries a tail of ≈ 3 600 frames inline in the snapshot, and
+	// one that seals ≈ 7 300 into a history file. An iteration times the
+	// compaction alone; what it compacts is made with the timer stopped.
+	b.Run("inline=3.6k", func(b *testing.B) {
+		benchCompactShape(b, 3600, 0)
+	})
+	b.Run("seal=7.3k", func(b *testing.B) {
+		benchCompactShape(b, 0, 7296)
+	})
+}
+
+// benchCompactShape builds a durable tenant of 16 tasks of weight 1/8 on
+// two processors that has made resident decisions and nothing sealed, then
+// times b.N compactions, each after perIter more decisions (none: after a
+// journal record that changes nothing).
+func benchCompactShape(b *testing.B, resident, perIter int) {
+	defer server.SetHistSegmentMin(4096)()
+	dir := b.TempDir()
+	srv, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 1 << 20, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	do := func(method, path string, body any) {
+		b.Helper()
+		if code := doCmd(b, h, cmd{method, path, body}); code >= 300 {
+			b.Fatalf("%s %s: %d", method, path, code)
+		}
+	}
+	const tasks = 16
+	do("POST", "/v1/tenants", server.CreateTenantRequest{ID: "long", M: 2})
+	for i := 0; i < tasks; i++ {
+		do("POST", "/v1/tenants/long/tasks", server.RegisterTaskRequest{Name: fmt.Sprintf("t%d", i), E: 1, P: 8})
+	}
+	// decide makes n decisions (a multiple of tasks): n/tasks jobs per
+	// task in batches the API admits, and one advance over all of them.
+	decide := func(n int) {
+		var batch server.SubmitJobsRequest
+		for j := 0; j < n; j++ {
+			batch.Jobs = append(batch.Jobs, server.SubmitJobRequest{Task: fmt.Sprintf("t%d", j%tasks)})
+			if len(batch.Jobs) == server.MaxBatchJobs || j == n-1 {
+				do("POST", "/v1/tenants/long/jobs:batch", batch)
+				batch.Jobs = batch.Jobs[:0]
+			}
+		}
+		do("POST", "/v1/tenants/long/advance", server.AdvanceRequest{By: fmt.Sprint(8 * n / tasks)})
+	}
+	decide(resident)
+	if err := srv.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	sealed := len(histFiles(b, dir))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if perIter == 0 {
+			if err := srv.JournalMarker(); err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			decide(perIter)
+		}
+		b.StartTimer()
+		if err := srv.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := metricValue(b, h, "pfaird_tenant_history_resident_events", "tenant", "long"); got != int64(resident) {
+		b.Fatalf("%d events resident after the last compaction, want %d", got, resident)
+	}
+	if got, want := len(histFiles(b, dir))-sealed, b.N*min(perIter, 1); got != want {
+		b.Fatalf("%d compactions sealed %d history files, want %d", b.N, got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -174,19 +173,39 @@ func (l *dispatchLog) digest(first int64, sealed uint32) dispatchDigest {
 	return dispatchDigest{first: first, count: l.len() - first, crc: crc}
 }
 
-// inline renders the resident frames as a snapshot carries an unsealed
-// tail: a JSON array of events. A frame never holds a raw newline (JSON
-// escapes it), so the array is the NDJSON with each terminator turned into
-// the separator, and the last into the closing bracket.
-func (l *dispatchLog) inline() json.RawMessage {
-	if l.resident == 0 {
-		return nil
+// chunks returns the resident frames by reference, the open tail last: a
+// view under the aliasing rule above, since everything the loop does
+// afterwards lands past the lengths it holds or in a fresh array.
+func (l *dispatchLog) chunks() []chunk {
+	if len(l.tail.offs) == 0 {
+		return l.full
 	}
-	b := append(make([]byte, 0, l.resident+1), '[')
-	for i := range l.full {
-		b = append(b, l.full[i].data...)
+	return append(l.full[:len(l.full):len(l.full)], l.tail)
+}
+
+// chunkBytesOf is the number of wire bytes chunks hold.
+func chunkBytesOf(chunks []chunk) int {
+	n := 0
+	for i := range chunks {
+		n += len(chunks[i].data)
 	}
-	return ndjsonToArray(append(b, l.tail.data...))
+	return n
+}
+
+// appendArray appends the frames of chunks (at least one) to b as a
+// snapshot carries an unsealed tail: a JSON array of events. A frame never
+// holds a raw newline (JSON escapes it), so the array is the NDJSON with
+// each terminator turned into the separator, and the last into the closing
+// bracket — rewritten in b, never in the chunks, which readers share. It
+// adds chunkBytesOf(chunks)+1 bytes.
+func appendArray(b []byte, chunks []chunk) []byte {
+	at := len(b)
+	b = append(b, '[')
+	for i := range chunks {
+		b = append(b, chunks[i].data...)
+	}
+	ndjsonToArray(b[at:])
+	return b
 }
 
 // ndjsonToArray finishes a JSON array in place: b is '[' followed by one or

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"testing"
 
 	"desyncpfair/internal/rat"
+	"desyncpfair/internal/wal"
 )
 
 // logEvent is the i-th event the dispatch-log tests append, and its wire
@@ -95,16 +97,32 @@ func TestDispatchLogChunks(t *testing.T) {
 	if got := readAll(&l, keep.first, 256); !bytes.Equal(got, want[offs[keep.first]:]) {
 		t.Fatal("the resident tail changed across the seal")
 	}
+	// A few more in a fresh tail: the inline tail spans the closed chunk and
+	// the open one, and is rendered without touching either.
 	var evs []DispatchEvent
-	for i := keep.first; i < n; i++ {
-		ev, _ := logEvent(i)
+	for i := keep.first; i < n+10; i++ {
+		ev, frame := logEvent(i)
+		if i >= n {
+			want = append(want, frame...)
+			if err := l.restore(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
 		evs = append(evs, ev)
 	}
-	if inline, _ := json.Marshal(evs); !bytes.Equal(l.inline(), inline) {
+	chunks := l.chunks()
+	if len(chunks) != 2 || chunkBytesOf(chunks) != int(l.resident) {
+		t.Fatalf("the resident log is %d chunks of %d bytes, want the closed one and the tail, %d bytes",
+			len(chunks), chunkBytesOf(chunks), l.resident)
+	}
+	if inline, _ := json.Marshal(evs); !bytes.Equal(appendArray([]byte("x"), chunks), append([]byte("x"), inline...)) {
 		t.Fatal("the inline tail is not the JSON array of the resident events")
 	}
-	if (&dispatchLog{}).inline() != nil {
-		t.Fatal("an empty log has an inline tail")
+	if got := readAll(&l, keep.first, 256); !bytes.Equal(got, want[offs[keep.first]:]) {
+		t.Fatal("rendering the inline tail changed the resident frames")
+	}
+	if chunks := (&dispatchLog{}).chunks(); len(chunks) != 0 {
+		t.Fatal("an empty log has resident chunks")
 	}
 
 	// The view published at 1000 events is untouched by all of it.
@@ -141,5 +159,59 @@ func TestCopyFramesSkipsWholeLines(t *testing.T) {
 	}
 	if err := copyFrames(io.Discard, bytes.NewReader(file), 41); err != io.EOF {
 		t.Fatalf("skipping past the end: %v", err)
+	}
+}
+
+// TestSealSegmentWritesChunks pins what a seal writes, for a segment of one
+// chunk and one of several: the history file is the concatenation of the
+// chunks, handed to the journal as the chunks themselves (nothing is
+// gathered into a buffer first), and the manifest entry gives its seq
+// range, its length and the crc32 (IEEE) of those bytes.
+func TestSealSegmentWritesChunks(t *testing.T) {
+	l, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var log dispatchLog
+	for k, n := range []int64{10, 2500} { // one small chunk; ≈ 280 KB, four chunks and more
+		first := log.len()
+		for i := first; i < first+n; i++ {
+			ev, _ := logEvent(i)
+			if err := log.restore(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log.cut()
+		chunks := log.full
+		if k == 0 && len(chunks) != 1 || k == 1 && len(chunks) < 3 {
+			t.Fatalf("segment %d spans %d chunks", k, len(chunks))
+		}
+		var want []byte
+		for _, c := range chunks {
+			want = append(want, c.data...)
+		}
+		seg, file := sealSegment(l.SidecarName(k), chunks)
+		if seg.File != file.Name || seg.FirstSeq != first || seg.Count != n || seg.Bytes != int64(len(want)) ||
+			seg.CRC != crc32.ChecksumIEEE(want) {
+			t.Fatalf("segment %d: manifest %+v for seqs %d… (%d), %d bytes, crc %d",
+				k, seg, first, n, len(want), crc32.ChecksumIEEE(want))
+		}
+		if len(file.Data) != len(chunks) {
+			t.Fatalf("segment %d: %d parts for %d chunks", k, len(file.Data), len(chunks))
+		}
+		for i, part := range file.Data {
+			if &part[0] != &chunks[i].data[0] || len(part) != len(chunks[i].data) {
+				t.Fatalf("segment %d: part %d is not chunk %d's bytes", k, i, i)
+			}
+		}
+		if err := l.WriteSidecars([]wal.Sidecar{file}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := l.ReadSidecar(seg.File)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("segment %d: the file holds %d bytes (%v), want the %d of its chunks", k, len(got), err, len(want))
+		}
+		log.dropSealed(append(log.hist[:len(log.hist):len(log.hist)], seg))
 	}
 }

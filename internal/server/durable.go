@@ -115,11 +115,11 @@ type tenantCheckpoint struct {
 	// utilization to fall (0 when none). The current M travels in Exec.
 	PendingM int `json:"pendingM,omitempty"`
 	// History is the manifest of the sealed prefix of the dispatch log
-	// (history.go), Log the events after it, a JSON array spliced from the
-	// log's own frames (dispatchLog.inline). A snapshot with no manifest
-	// carries the whole log inline: what a tenant younger than one segment
-	// writes, what every snapshot before sealing existed holds, and what
-	// GET /v1/replication/snapshot serves.
+	// (history.go), Log the events after it, a JSON array of the log's own
+	// frames (marshalPayload writes it from inline). A snapshot with no
+	// manifest carries the whole log inline: what a tenant younger than one
+	// segment writes, what every snapshot before sealing existed holds, and
+	// what GET /v1/replication/snapshot serves.
 	History []histSegment     `json:"history,omitempty"`
 	Log     json.RawMessage   `json:"log,omitempty"`
 	Exec    online.Checkpoint `json:"exec"`
@@ -128,10 +128,11 @@ type tenantCheckpoint struct {
 	// nothing.
 	Idem []idemEntry `json:"idem,omitempty"`
 
-	// unsealed are the resident chunks, a segment's worth or more, that
-	// Tenant.checkpoint left out of Log for compact to seal into a history
-	// file; never serialized.
+	// The resident chunks, by reference and never serialized themselves:
+	// unsealed, a segment's worth or more, for compact to seal into a
+	// history file, or else inline, for marshalPayload to write as Log.
 	unsealed []chunk
+	inline   []chunk
 }
 
 // idemEntry is one remembered keyed submit in a tenant checkpoint.
@@ -148,10 +149,11 @@ type idemEntry struct {
 // control command runs immediately. A tenant deleted concurrently yields
 // a zero checkpoint; the caller skips it.
 //
-// Only the resident part of the dispatch log is imaged: short of a
-// segment it is spliced into Log; from histSegmentMin events on the log is
-// cut there and its closed chunks handed over by reference (immutable, the
-// aliasing rule tenantSnap readers already rely on) to be sealed.
+// Only the resident part of the dispatch log is imaged, and never copied
+// here: its chunks are handed over by reference (immutable, the aliasing
+// rule tenantSnap readers already rely on). From histSegmentMin events on
+// the log is cut there and the closed chunks go to be sealed; a shorter
+// tail goes to marshalPayload, which copies it once, into the payload.
 func (t *Tenant) checkpoint() tenantCheckpoint {
 	var cp tenantCheckpoint
 	res := t.ctlExec(&command{kind: cmdCtl, fn: func() {
@@ -167,7 +169,7 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 			t.log.cut()
 			cp.unsealed = t.log.full
 		} else {
-			cp.Log = t.log.inline()
+			cp.inline = t.log.chunks()
 		}
 		for _, k := range t.idemQ {
 			r := t.idem[k]
@@ -567,35 +569,44 @@ func (s *Server) compact() error {
 	return nil
 }
 
-// marshalPayload renders pay byte for byte as json.Marshal does, without
-// encoding/json's pass over each tenant's inline Log: a json.RawMessage is
-// compacted and HTML-escaped on its way out, which for Log — up to a
-// segment of frames, the bulk of the payload — changes nothing, since it
-// is spliced from frames that are json.Marshal output already
-// (dispatchLog.inline). So each tenant is marshaled without its Log, and
-// Log is copied back in at its place, right before "exec": the fields
-// ahead of it are fixed names and the manifest, none called "exec", and no
-// string can hold the unescaped quotes of `,"exec":`.
+// marshalPayload renders pay byte for byte as json.Marshal does with each
+// tenant's Log set to the JSON array of its inline chunks, copying each
+// frame once, from its chunk into the payload. Each tenant is marshaled
+// first without its Log (encoding/json would re-scan a json.RawMessage to
+// compact and HTML-escape it, which changes nothing for frames that are
+// json.Marshal output already); then the payload is written into one
+// buffer of exactly its size, each inline log right before "exec": the
+// fields ahead of it are fixed names and the manifest, none called "exec",
+// and no string can hold the unescaped quotes of `,"exec":`. A
+// checkpoint's own Log, the decoded form, is not written.
 func marshalPayload(pay snapshotPayload) ([]byte, error) {
-	size := 32
-	for i := range pay.Tenants {
-		size += len(pay.Tenants[i].Log) + 512
+	head := strconv.AppendUint([]byte(`{"commands":`), pay.Commands, 10)
+	size := len(head) + len("}")
+	if len(pay.Tenants) > 0 {
+		size += len(`,"tenants":[]`) + len(pay.Tenants) - 1
 	}
-	b := append(make([]byte, 0, size), `{"commands":`...)
-	b = strconv.AppendUint(b, pay.Commands, 10)
+	js := make([][]byte, len(pay.Tenants))
 	for i, cp := range pay.Tenants {
-		if i == 0 {
-			b = append(b, `,"tenants":[`...)
-		} else {
-			b = append(b, ',')
-		}
-		log := cp.Log
 		cp.Log = nil
 		j, err := json.Marshal(cp)
 		if err != nil {
 			return nil, err
 		}
-		if len(log) == 0 {
+		js[i] = j
+		size += len(j)
+		if n := chunkBytesOf(cp.inline); n > 0 {
+			size += len(`,"log":`) + n + 1
+		}
+	}
+	b := append(make([]byte, 0, size), head...)
+	for i, j := range js {
+		if i == 0 {
+			b = append(b, `,"tenants":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		cp := &pay.Tenants[i]
+		if chunkBytesOf(cp.inline) == 0 {
 			b = append(b, j...)
 			continue
 		}
@@ -603,7 +614,7 @@ func marshalPayload(pay snapshotPayload) ([]byte, error) {
 		if at < 0 {
 			return nil, fmt.Errorf("server: tenant %q checkpoint has no exec", cp.ID)
 		}
-		b = append(append(append(append(b, j[:at]...), `,"log":`...), log...), j[at:]...)
+		b = append(appendArray(append(append(b, j[:at]...), `,"log":`...), cp.inline), j[at:]...)
 	}
 	if len(pay.Tenants) > 0 {
 		b = append(b, ']')

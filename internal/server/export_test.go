@@ -12,6 +12,9 @@ func SetHistSegmentMin(n int) (restore func()) {
 	return func() { histSegmentMin = old }
 }
 
+// Compact runs one compaction now, as a due snapshot would.
+func (s *Server) Compact() error { return s.compact() }
+
 // SyncJournal forces the journal's unsynced records to disk, as the idle
 // flush or a threshold crossing would: tests that disable both use it to
 // decide the instant a record becomes durable.

@@ -18,8 +18,11 @@ import (
 // serves them, to an immutable wal sidecar; from then on the snapshot
 // carries one manifest entry for them, the tenant drops them from memory
 // (dispatchLog.dropSealed), and a reader that asks for them is sent the file.
-// What a compaction copies, encodes and fsyncs, and what a tenant keeps
-// resident, are both bounded by the work since the previous seal.
+// What a compaction encodes and fsyncs, and what a tenant keeps resident,
+// are both bounded by the work since the previous seal; and what it copies
+// is less: a resident frame goes from its chunk to disk copied at most
+// once — none for a sealed file, written from the chunks, once for an
+// inline tail, written into the snapshot payload (marshalPayload).
 
 // histSegment is one manifest entry: a sealed run of a tenant's dispatch
 // log. File holds events FirstSeq … FirstSeq+Count-1 as Bytes bytes of
@@ -51,23 +54,23 @@ func sealedEvents(hist []histSegment) int64 {
 
 // sealSegment renders chunks (non-empty, seq-contiguous) as a sidecar
 // called name and returns its manifest entry. The file is the chunks'
-// bytes: what the stream served while they were resident.
+// bytes, what the stream served while they were resident, handed to the
+// journal by reference: written from the chunks themselves, never
+// gathered into one buffer first.
 func sealSegment(name string, chunks []chunk) (histSegment, wal.Sidecar) {
-	size := 0
+	parts := make([][]byte, len(chunks))
+	crc := uint32(0)
 	for i := range chunks {
-		size += len(chunks[i].data)
-	}
-	data := make([]byte, 0, size)
-	for i := range chunks {
-		data = append(data, chunks[i].data...)
+		parts[i] = chunks[i].data
+		crc = crc32.Update(crc, crc32.IEEETable, parts[i])
 	}
 	return histSegment{
 		File:     name,
 		FirstSeq: chunks[0].first,
 		Count:    chunks[len(chunks)-1].end() - chunks[0].first,
-		Bytes:    int64(len(data)),
-		CRC:      crc32.ChecksumIEEE(data),
-	}, wal.Sidecar{Name: name, Data: data}
+		Bytes:    int64(chunkBytesOf(chunks)),
+		CRC:      crc,
+	}, wal.Sidecar{Name: name, Data: parts}
 }
 
 // copyHistory streams the files hist names into w, checking them against

@@ -13,12 +13,13 @@ const (
 	sidecarTmp    = "hist.tmp"
 )
 
-// Sidecar is one immutable file to store beside the journal. See the
-// package comment for the write ordering that lets a snapshot payload
-// refer to sidecars by name.
+// Sidecar is one immutable file to store beside the journal: the
+// concatenation of the slices in Data, written in order, never joined in
+// memory. See the package comment for the write ordering that lets a
+// snapshot payload refer to sidecars by name.
 type Sidecar struct {
 	Name string
-	Data []byte
+	Data [][]byte
 }
 
 // isSidecar reports whether name is one this package hands out: the
@@ -58,7 +59,7 @@ func (l *Log) WriteSidecars(files []Sidecar) error {
 		if !isSidecar(sc.Name) {
 			return fmt.Errorf("wal: %q is not a sidecar name", sc.Name)
 		}
-		if err := l.installFile(sidecarTmp, sc.Name, sc.Data); err != nil {
+		if err := l.installFile(sidecarTmp, sc.Name, sc.Data...); err != nil {
 			return err
 		}
 	}

@@ -87,9 +87,10 @@ func dirNames(t *testing.T, dir string) []string {
 }
 
 // TestWALSidecars covers the sidecar surface: files land under their
-// final names only, read back whole, survive Compact (which deletes stale
-// segments, not sidecars), and leave exactly when RemoveSidecarsExcept is
-// told the installed snapshot no longer names them. Names that could
+// final names only, read back whole (a file given in parts as their
+// concatenation), survive Compact (which deletes stale segments, not
+// sidecars), and leave exactly when RemoveSidecarsExcept is told the
+// installed snapshot no longer names them. Names that could
 // reach outside the data directory are refused in both directions.
 func TestWALSidecars(t *testing.T) {
 	dir := t.TempDir()
@@ -101,7 +102,7 @@ func TestWALSidecars(t *testing.T) {
 	if a == b || !isSidecar(a) || !isSidecar(b) {
 		t.Fatalf("SidecarName gave %q, %q", a, b)
 	}
-	if err := l.WriteSidecars([]Sidecar{{a, []byte("one\n")}, {b, []byte("two\ntwo\n")}}); err != nil {
+	if err := l.WriteSidecars([]Sidecar{{a, [][]byte{[]byte("one\n")}}, {b, [][]byte{[]byte("two\n"), nil, []byte("two\n")}}}); err != nil {
 		t.Fatalf("WriteSidecars: %v", err)
 	}
 	for name, want := range map[string]string{a: "one\n", b: "two\ntwo\n"} {
@@ -136,7 +137,7 @@ func TestWALSidecars(t *testing.T) {
 	}
 
 	for _, bad := range []string{"snapshot.json", "../hist-0-0.ndjson", "hist-/../../x.ndjson", `hist-a\b.ndjson`, "hist-1"} {
-		if err := l.WriteSidecars([]Sidecar{{bad, []byte("x")}}); err == nil {
+		if err := l.WriteSidecars([]Sidecar{{bad, [][]byte{[]byte("x")}}}); err == nil {
 			t.Fatalf("WriteSidecars accepted the name %q", bad)
 		}
 		if _, err := l.ReadSidecar(bad); err == nil {
