@@ -13,7 +13,7 @@ BENCH_N ?= BENCH_20.json
 BENCH_PREV ?= BENCH_19.json
 BENCH_BASE ?= BENCH_BASE.json
 
-.PHONY: all build test vet fmt lint bench bench-json bench-diff engines race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report loc clean
+.PHONY: all build test vet fmt lint bench bench-json bench-diff engines race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report loc docs-check clean
 
 all: build lint test
 
@@ -315,6 +315,24 @@ LOC_COUNT = awk '{ n++ } !/^[ \t]*(\/\/.*)?$$/ { s++ } END { printf "%6d raw %6d
 loc:
 	@printf 'non-test '; $(LOC_FIND) ! -name '*_test.go' -exec cat {} + | $(LOC_COUNT)
 	@printf 'test     '; $(LOC_FIND) -name '*_test.go' -exec cat {} + | $(LOC_COUNT)
+
+# docs-check holds the prose to the code. It fails when DESIGN.md is over
+# 70 000 bytes; when DESIGN.md, README.md, TUTORIAL.md or EXPERIMENTS.md
+# cites a Test/Fuzz/Benchmark/Example name that no func in a *_test.go
+# declares (a trailing * makes the name a prefix); or when a "DESIGN §N"
+# citation in a .go or .md file other than CHANGES.md has no "## N." heading.
+docs-check:
+	@n=$$(wc -c < DESIGN.md); test $$n -le 70000 || { echo "DESIGN.md is $$n bytes, over 70000"; exit 1; }
+	@declared=$$(find . -path ./.git -prune -o -name '*_test.go' -exec grep -ohE '^func (Test|Fuzz|Benchmark|Example)[A-Za-z0-9_]*' {} + | cut -c6-); \
+	bad=0; for name in $$(grep -ohE '\<(Test|Fuzz|Benchmark|Example)[A-Z][A-Za-z0-9_]*\*?' DESIGN.md README.md TUTORIAL.md EXPERIMENTS.md | sort -u); do \
+		case $$name in \
+		*\*) echo "$$declared" | grep -q "^$${name%\*}" ;; \
+		*) echo "$$declared" | grep -qx "$$name" ;; \
+		esac || { echo "cited, declared by no test func: $$name"; bad=1; }; \
+	done; test $$bad = 0
+	@bad=0; for n in $$(grep -rhoE 'DESIGN(\.md)? §[0-9]+' --include='*.go' --include='*.md' --exclude=CHANGES.md . | sed 's/.*§//' | sort -un); do \
+		grep -q "^## $$n\. " DESIGN.md || { echo "DESIGN §$$n is cited, DESIGN.md has no '## $$n.' heading"; bad=1; }; \
+	done; test $$bad = 0
 
 clean:
 	rm -rf artifacts report.html

@@ -28,23 +28,6 @@ func IdealLag(s *sched.Schedule, task *model.Task, t int64) rat.Rat {
 	return task.W.Rat().Mul(rat.FromInt(t)).Sub(rat.FromInt(allocated))
 }
 
-// MaxAbsIdealLag returns the largest |lag(T, t)| over all tasks and all
-// integral t up to the schedule's makespan.
-func MaxAbsIdealLag(s *sched.Schedule) rat.Rat {
-	m := rat.Zero
-	horizon := s.Makespan().Ceil()
-	for _, task := range s.Sys.Tasks {
-		for t := int64(0); t <= horizon; t++ {
-			l := IdealLag(s, task, t)
-			if l.Sign() < 0 {
-				l = l.Neg()
-			}
-			m = rat.Max(m, l)
-		}
-	}
-	return m
-}
-
 // CheckPfairness verifies the classical Pfairness condition |lag| < 1 at
 // every integral time for every task. It is meaningful for synchronous
 // periodic task systems (no offsets, no omissions); for IS/GIS systems the
@@ -72,9 +55,6 @@ func CheckPfairness(s *sched.Schedule) error {
 	return nil
 }
 
-// SlotLoad returns the number of subtasks whose quantum begins in slot t.
-func SlotLoad(s *sched.Schedule, t int64) int { return len(s.InSlot(t)) }
-
 // QuantumResidue returns Σ (1 − c(T_i)): the processor time stranded by
 // early-yielding subtasks under the SFQ model (each occupies a full slot
 // regardless of its actual cost). Under the DVQ model this time is
@@ -86,29 +66,6 @@ func QuantumResidue(s *sched.Schedule) rat.Rat {
 		w = w.Add(rat.One.Sub(a.Cost))
 	}
 	return w
-}
-
-// ResponseStats aggregates completion − release over all subtasks.
-type ResponseStats struct {
-	Mean, Max float64
-}
-
-// Responses computes subtask response times (finish − release).
-func Responses(s *sched.Schedule) ResponseStats {
-	var st ResponseStats
-	n := 0
-	for _, a := range s.Assignments() {
-		r := a.Finish().Sub(rat.FromInt(a.Sub.Release())).Float64()
-		st.Mean += r
-		if r > st.Max {
-			st.Max = r
-		}
-		n++
-	}
-	if n > 0 {
-		st.Mean /= float64(n)
-	}
-	return st
 }
 
 // Summary rolls up the measures reported by the experiment tables.
@@ -135,14 +92,18 @@ func Summarize(s *sched.Schedule) Summary {
 		Makespan:     s.Makespan(),
 		Residue:      QuantumResidue(s),
 	}
-	tardy := 0.0
-	for _, a := range s.Assignments() {
+	tardy, response := 0.0, 0.0
+	asgs := s.Assignments()
+	for _, a := range asgs {
 		tardy += s.Tardiness(a.Sub).Float64()
+		response += a.Finish().Sub(rat.FromInt(a.Sub.Release())).Float64()
 	}
 	if s.Len() > 0 {
 		sum.MeanTardy = tardy / float64(s.Len())
 	}
-	sum.MeanResponse = Responses(s).Mean
+	if len(asgs) > 0 {
+		sum.MeanResponse = response / float64(len(asgs))
+	}
 	if s.Makespan().Sign() > 0 {
 		sum.BusyFraction = s.BusyTime().Float64() / (float64(s.M) * s.Makespan().Float64())
 	}

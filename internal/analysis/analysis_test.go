@@ -29,9 +29,6 @@ func TestIdealLagOfPD2Schedule(t *testing.T) {
 	if err := CheckPfairness(s); err != nil {
 		t.Fatal(err)
 	}
-	if got := MaxAbsIdealLag(s); !got.Less(rat.One) {
-		t.Errorf("max |lag| = %s, want < 1", got)
-	}
 	// Task D (wt 1/2) after 2 slots has exactly 1 quantum: lag = 0.
 	d := sys.Tasks[3]
 	if got := IdealLag(s, d, 2); got.Sign() != 0 {
@@ -93,19 +90,6 @@ func TestQuantumResidue(t *testing.T) {
 	}
 }
 
-func TestSlotLoad(t *testing.T) {
-	sys := fig2System(6)
-	s, err := sfq.Run(sys, sfq.Options{M: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := int64(0); slot < 6; slot++ {
-		if got := SlotLoad(s, slot); got != 2 {
-			t.Errorf("slot %d load = %d, want 2", slot, got)
-		}
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	sys := fig2System(6)
 	y := gen.AdversarialYield(rat.New(1, 4), func(s *model.Subtask) bool {
@@ -133,18 +117,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if sum.BusyFraction <= 0 || sum.BusyFraction > 1 {
 		t.Errorf("busy fraction = %f", sum.BusyFraction)
-	}
-}
-
-func TestResponses(t *testing.T) {
-	sys := fig2System(6)
-	s, err := sfq.Run(sys, sfq.Options{M: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := Responses(s)
-	if st.Mean <= 0 || st.Max < st.Mean {
-		t.Errorf("responses mean=%f max=%f", st.Mean, st.Max)
 	}
 }
 

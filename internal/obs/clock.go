@@ -63,10 +63,3 @@ func (f *Fake) Advance(d time.Duration) {
 	f.now = f.now.Add(d)
 	f.mu.Unlock()
 }
-
-// SetStep changes the per-Now auto-advance.
-func (f *Fake) SetStep(step time.Duration) {
-	f.mu.Lock()
-	f.step = step
-	f.mu.Unlock()
-}

@@ -173,28 +173,6 @@ func (s *Schedule) MaxTardiness() rat.Rat { return s.maxTard }
 // MissCount returns the number of subtasks with positive tardiness.
 func (s *Schedule) MissCount() int { return s.misses }
 
-// TardySubtasks returns the subtasks with positive tardiness, sorted by
-// decreasing tardiness then task order.
-func (s *Schedule) TardySubtasks() []*model.Subtask {
-	var out []*model.Subtask
-	for _, a := range s.asgs {
-		if s.Tardiness(a.Sub).Sign() > 0 {
-			out = append(out, a.Sub)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ti, tj := s.Tardiness(out[i]), s.Tardiness(out[j])
-		if c := ti.Cmp(tj); c != 0 {
-			return c > 0
-		}
-		if out[i].Task.ID != out[j].Task.ID {
-			return out[i].Task.ID < out[j].Task.ID
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
-
 // BusyTime returns the total processor time consumed (Σ cost).
 func (s *Schedule) BusyTime() rat.Rat { return s.busy }
 

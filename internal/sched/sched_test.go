@@ -206,10 +206,6 @@ func TestTardiness(t *testing.T) {
 	if got := s.MissCount(); got != 1 {
 		t.Errorf("miss count = %d, want 1", got)
 	}
-	tardy := s.TardySubtasks()
-	if len(tardy) != 1 || tardy[0] != b[0] {
-		t.Errorf("tardy list = %v", tardy)
-	}
 }
 
 func TestBusyIdleMakespan(t *testing.T) {

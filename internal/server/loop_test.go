@@ -105,7 +105,7 @@ func TestCloseDrainsBacklogThenRefuses(t *testing.T) {
 	}
 	<-closed
 
-	if _, _, err := tn.SubmitJob("a", "", 0); !errors.Is(err, errTenantGone) {
+	if _, _, err := tn.SubmitJobReq(SubmitJobRequest{Task: "a"}); !errors.Is(err, errTenantGone) {
 		t.Fatalf("submit after close: err = %v, want errTenantGone", err)
 	}
 	select {
@@ -127,7 +127,7 @@ func TestSnapshotReadersSeeClosedTenantState(t *testing.T) {
 	if _, _, err := tn.RegisterTask("a", model.W(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tn.SubmitJob("a", "", 0); err != nil {
+	if _, _, err := tn.SubmitJobReq(SubmitJobRequest{Task: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := tn.Drain(); err != nil {
@@ -207,7 +207,7 @@ func TestSubscribeClosedByGrowth(t *testing.T) {
 	if d, _, _ := tn.RegisterTask("big", model.W(1, 1)); d.Admitted {
 		t.Fatal("a register past m was admitted")
 	}
-	if _, _, err := tn.SubmitJob("a", "", 0); err != nil {
+	if _, _, err := tn.SubmitJobReq(SubmitJobRequest{Task: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	if closed(ch) {
@@ -220,7 +220,7 @@ func TestSubscribeClosedByGrowth(t *testing.T) {
 		t.Fatal("a drain that dispatched left the channel taken before it open")
 	}
 	after := tn.Subscribe()
-	if _, _, err := tn.SubmitJob("a", "", 0); err != nil {
+	if _, _, err := tn.SubmitJobReq(SubmitJobRequest{Task: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	if closed(after) {
@@ -251,7 +251,7 @@ func TestSubscribeWakeSeesGrowth(t *testing.T) {
 		ch := tn.Subscribe()
 		before := tn.LogLen()
 		go func() {
-			if _, _, err := tn.SubmitJob("a", "", 0); err != nil {
+			if _, _, err := tn.SubmitJobReq(SubmitJobRequest{Task: "a"}); err != nil {
 				errs <- err
 				return
 			}

@@ -353,15 +353,10 @@ func (t *Tenant) UnregisterTask(name string) (wal.Commit, error) {
 	return res.commit, res.err
 }
 
-// SubmitJob releases one job of the named task. An empty `at` submits at
+// SubmitJobReq releases one job of the named task. An empty At submits at
 // the tenant's current virtual time (the race-free choice for concurrent
-// clients); otherwise `at` is parsed as a rat and must not precede it.
-func (t *Tenant) SubmitJob(taskName, at string, earliness int64) (SubmitJobResponse, wal.Commit, error) {
-	return t.SubmitJobReq(SubmitJobRequest{Task: taskName, At: at, Earliness: earliness})
-}
-
-// SubmitJobReq is SubmitJob taking the full wire request, including the
-// optional idempotency key that makes the submit safe to retry.
+// clients); otherwise At is parsed as a rat and must not precede it. An
+// idempotency key makes the submit safe to retry.
 func (t *Tenant) SubmitJobReq(req SubmitJobRequest) (SubmitJobResponse, wal.Commit, error) {
 	res := t.exec(&command{kind: cmdSubmit, submit: req})
 	return res.submit, res.commit, res.err
