@@ -167,29 +167,30 @@ engines:
 # fanout-smoke is the egress plane's CI gate, all under -race: the
 # 20-seed byte-identity sweep (every NDJSON stream must equal an
 # independent re-encode of its records), the 32-follower fan-out
-# stress with short-lived streams opening and closing, both slow-consumer paths
-# (lag-bound 410 eviction and the write-stall severing of a wedged
-# reader), the raw-frame WAL reader contract, the client's control-line
-# decoding, the pfairload -streams mode consuming full fan-out, and the
+# stress with short-lived streams opening and closing, the one
+# slow-consumer rule (a lagging follower that keeps reading is served in
+# full, from sealed history on; a wedged reader is severed on the write
+# stall), the raw-frame WAL reader contract, the client's one Stream
+# reader, the pfairload -streams mode consuming full fan-out, and the
 # stream's byte identity across nodes: batches through leader → follower →
 # promoted follower, ?from=0 compared at every hop.
 fanout-smoke:
-	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestStreamByteIdentity20Seeds|TestFanoutStress|TestStreamEvictsLaggingSubscriber|TestStreamStallSeversWedgedReader'
+	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestStreamByteIdentity20Seeds|TestFanoutStress|TestLaggingFollowerIsPacedNotEvicted|TestStreamStallSeversWedgedReader'
 	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestBatchThroughFailoverByteIdentity'
 	$(GO) test -race -count=1 ./internal/wal/ -run 'TestNextRaw'
-	$(GO) test -race -count=1 ./internal/client/ -run 'TestStreamNextGone|TestStreamGoneRoundTrip'
+	$(GO) test -race -count=1 ./internal/client/ -run 'TestTraceDecoder|TestStreamTraceEndToEnd'
 	$(GO) test -race -count=1 ./cmd/pfairload/ -run 'TestStreamsFanout'
 
 # flake re-runs the tests that race real timers against real sockets —
 # the stall sever (of a dispatch stream and of a replication follower),
-# the lag eviction (held on a net.Pipe now, with no timer), the live trace follower, and the journal feed's
+# the live trace follower, and the journal feed's
 # wake-up on the fsync, whose take-the-channel-first rule lives in the
 # stream loop every feed shares, and hop.Server's own: a follow stream whose
 # client closes ends its handler, Shutdown closes an idle connection and
 # waits for an active one, a stream whose client stops reading is severed —
 # twenty times under -race: a tier-1 suite is deterministic only if these are.
 flake:
-	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestStreamEvictsLaggingSubscriber|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync'
+	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync'
 	$(GO) test -race -count=20 ./internal/client/ -run 'TestStreamTraceEndToEnd'
 	$(GO) test -race -count=20 ./internal/hop/ -run 'TestServerStreamClientGoneEndsHandler|TestServerShutdownClosesIdleWaitsForActive|TestServerStallSeversStream'
 
@@ -200,7 +201,7 @@ fuzz:
 
 # fuzz-smoke runs the durability and decoding fuzz targets briefly —
 # enough for CI to catch regressions in the WAL replay path, the
-# admission boundary, and the trace-stream decoder without the
+# admission boundary, and the client's feed reader without the
 # open-ended budget of `make fuzz`. FuzzRecordMatchesJSON and
 # FuzzWireMatchesJSON are the contract of the hand-written codecs (the
 # journal record's, the API bodies'): whatever they accept or encode,

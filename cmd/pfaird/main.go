@@ -106,7 +106,6 @@ func main() {
 	flag.BoolVar(&cfg.pprof, "pprof", true, "serve net/http/pprof profiles under /debug/pprof/")
 	flag.IntVar(&opts.TraceBuffer, "trace-buffer", 4096, "per-tenant trace-ring retention in events (GET /v1/tenants/{id}/trace)")
 	flag.IntVar(&opts.SubmitRing, "submit-ring", 256, "per-tenant submit-ring capacity; a full ring answers 429 backpressure")
-	flag.Int64Var(&opts.StreamMaxLag, "stream-max-lag", server.DefaultStreamMaxLag, "evict a following dispatch stream whose subscriber trails the tenant head by more than this many records (410 + resume hint; negative disables)")
 	flag.DurationVar(&opts.StreamStallTimeout, "stream-stall", server.DefaultStreamStall, "sever a streamed connection (dispatch, trace, or a follower's replication log) whose single write blocks longer than this (negative disables)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only replica of the leader at this base URL (requires -data-dir)")
 	flag.BoolVar(&cfg.autoscale, "autoscale", false, "watch per-tenant dispatch-lag histograms and resize tenant capacity automatically")

@@ -108,31 +108,26 @@ type report struct {
 	// this is measured capacity, not the -m the run asked for.
 	TenantM map[string]int
 	// Fan-out side (-streams > 0): frames consumed across all followers,
-	// their consumption rate, how many followers the server evicted for
-	// lagging (each reopened at the hinted position), and the subscriber
-	// lag distribution in records, sampled against the fastest follower of
-	// the same tenant while the load ran.
-	StreamFrames  int64
-	StreamRate    float64
-	StreamReopens int64
-	StreamLagP50  int64
-	StreamLagP90  int64
-	StreamLagP99  int64
-	StreamLagMax  int64
+	// their consumption rate, and the subscriber lag distribution in
+	// records, sampled against the fastest follower of the same tenant
+	// while the load ran.
+	StreamFrames int64
+	StreamRate   float64
+	StreamLagP50 int64
+	StreamLagP90 int64
+	StreamLagP99 int64
+	StreamLagMax int64
 }
 
 // fanout runs the -streams followers: cfg.streams dispatch-stream
 // subscribers per tenant, all following from 0, each counting the frames
 // it consumes. A sampler thread periodically records every follower's lag
 // behind the fastest follower of its tenant — a client-side stand-in for
-// the log tip that needs no extra server requests. A follower the server
-// evicts (in-band 410 control line) reconnects at the hinted ResumeFrom
-// and is counted, exercising the slow-consumer path under real load.
+// the log tip that needs no extra server requests.
 type fanout struct {
 	cancel      context.CancelFunc
 	wg          sync.WaitGroup
 	frames      atomic.Int64
-	reopens     atomic.Int64
 	pos         [][]*atomic.Int64 // [tenant][subscriber] next seq wanted
 	samplerDone chan struct{}
 
@@ -168,20 +163,9 @@ func (f *fanout) follow(ctx context.Context, c *client.Client, tenant string, po
 			time.Sleep(5 * time.Millisecond) // server not ready yet; retry
 			continue
 		}
-		for {
-			_, err := st.Next()
-			if err == nil {
-				pos.Add(1)
-				f.frames.Add(1)
-				continue
-			}
-			var gone *client.StreamGoneError
-			if errors.As(err, &gone) {
-				// Evicted for lagging: resume where the server said to.
-				pos.Store(gone.ResumeFrom)
-				f.reopens.Add(1)
-			}
-			break
+		for _, err := st.Next(); err == nil; _, err = st.Next() {
+			pos.Add(1)
+			f.frames.Add(1)
 		}
 		st.Close()
 	}
@@ -241,7 +225,6 @@ func (f *fanout) stop(rep *report, wall time.Duration) {
 	f.wg.Wait()
 	<-f.samplerDone
 	rep.StreamFrames = f.frames.Load()
-	rep.StreamReopens = f.reopens.Load()
 	if wall > 0 {
 		rep.StreamRate = float64(rep.StreamFrames) / wall.Seconds()
 	}
@@ -554,8 +537,8 @@ func run(cfg config, out io.Writer) (report, error) {
 	fmt.Fprintf(out, "resize-rejected    : %d × 409 (capacity withdrawn mid-run; skipped)\n", rep.ResizeRejected)
 	fmt.Fprintf(out, "tenant m           : %s\n", formatTenantM(rep.TenantM))
 	if cfg.streams > 0 {
-		fmt.Fprintf(out, "streams            : %d/tenant, %d frames (%.0f frames/s), %d evicted+reopened\n",
-			cfg.streams, rep.StreamFrames, rep.StreamRate, rep.StreamReopens)
+		fmt.Fprintf(out, "streams            : %d/tenant, %d frames (%.0f frames/s)\n",
+			cfg.streams, rep.StreamFrames, rep.StreamRate)
 		fmt.Fprintf(out, "stream lag p50/p90/p99: %d / %d / %d records (max %d)\n",
 			rep.StreamLagP50, rep.StreamLagP90, rep.StreamLagP99, rep.StreamLagMax)
 	}

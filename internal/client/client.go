@@ -1,15 +1,15 @@
 // Package client is the Go client for the pfaird scheduling service
-// (internal/server): typed wrappers over the JSON API plus a streaming
-// decoder for the newline-delimited dispatch feed. cmd/pfairload builds
-// its load generator on this package, and tests use it to drive in-process
-// httptest servers, so the wire protocol is exercised end to end.
+// (internal/server): typed wrappers over the JSON API plus one streaming
+// reader, Stream, for its newline-delimited dispatch and trace feeds.
+// cmd/pfairload builds its load generator on this package, and tests use
+// it to drive in-process httptest servers, so the wire protocol is
+// exercised end to end.
 //
 // A Client is safe for concurrent use; each method is one HTTP request, sent
 // through internal/hop, the repository's one outbound HTTP path.
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -311,77 +311,3 @@ func (c *Client) Resize(ctx context.Context, tenant string, m int, drain bool) (
 		server.ResizeRequest{M: m, Drain: drain}, &resp)
 	return resp, err
 }
-
-// Stream is an open dispatch feed. Next blocks for the next decision;
-// it returns io.EOF when the stream ends (tenant deleted, ?follow=false
-// backlog exhausted, or server shutdown). Close aborts early.
-type Stream struct {
-	body io.ReadCloser
-	sc   *bufio.Scanner
-}
-
-// StreamDispatches opens GET /v1/tenants/{id}/dispatches. `from` is the
-// first decision index to receive; follow=false stops after the current
-// backlog instead of following live decisions. Cancel ctx or call Close
-// to abandon the stream.
-func (c *Client) StreamDispatches(ctx context.Context, tenant string, from int64, follow bool) (*Stream, error) {
-	resp, err := c.roundTrip(ctx, http.MethodGet, tenantTarget(tenant, "/dispatches"+feedQuery(from, follow)), "", nil)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, apiError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &Stream{body: resp.Body, sc: sc}, nil
-}
-
-// feedQuery is the query of a feed request: the first position wanted, and
-// whether to follow live decisions past the backlog.
-func feedQuery(from int64, follow bool) string {
-	return "?from=" + strconv.FormatInt(from, 10) + "&follow=" + strconv.FormatBool(follow)
-}
-
-// StreamGoneError is returned by Stream.Next when the server evicted the
-// stream for lagging past its backlog bound (an in-band 410 control
-// line). ResumeFrom is the decision index to reconnect with: call
-// StreamDispatches again with from=ResumeFrom to pick up where the
-// eviction cut in.
-type StreamGoneError struct {
-	Message    string
-	ResumeFrom int64
-}
-
-func (e *StreamGoneError) Error() string { return e.Message }
-
-// Next returns the next dispatch decision, or io.EOF at end of stream.
-// A *StreamGoneError means the server evicted this stream for lagging;
-// reconnect with from=ResumeFrom.
-func (s *Stream) Next() (server.DispatchEvent, error) {
-	var ev server.DispatchEvent
-	for s.sc.Scan() {
-		line := bytes.TrimSpace(s.sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		// Dispatch events never carry an "error" key, so a line that
-		// decodes with one set is an in-band control line, not an event.
-		if bytes.Contains(line, []byte(`"error"`)) {
-			var gone server.StreamGone
-			if json.Unmarshal(line, &gone) == nil && gone.Error != "" {
-				return ev, &StreamGoneError{Message: gone.Error, ResumeFrom: gone.ResumeFrom}
-			}
-		}
-		err := json.Unmarshal(line, &ev)
-		return ev, err
-	}
-	if err := s.sc.Err(); err != nil {
-		return ev, err
-	}
-	return ev, io.EOF
-}
-
-// Close releases the stream's connection.
-func (s *Stream) Close() error { return s.body.Close() }

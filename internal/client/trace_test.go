@@ -22,7 +22,7 @@ func TestTraceDecoderValidStream(t *testing.T) {
 
 {"seq":2,"t":30,"stage":"apply","cmd":1,"durNs":20}
 `
-	d := client.NewTraceDecoder(strings.NewReader(in))
+	d := client.NewStream[obs.Event](io.NopCloser(strings.NewReader(in)))
 	var got []obs.Event
 	for {
 		ev, err := d.Next()
@@ -46,12 +46,12 @@ func TestTraceDecoderValidStream(t *testing.T) {
 }
 
 // TestTraceDecoderRecovers: a malformed line errors without poisoning the
-// decoder — the valid lines on either side still decode.
+// stream — the valid lines on either side still decode.
 func TestTraceDecoderRecovers(t *testing.T) {
 	in := `{"seq":0,"stage":"submit"}
 {not json at all
 {"seq":1,"stage":"apply"}`
-	d := client.NewTraceDecoder(strings.NewReader(in))
+	d := client.NewStream[obs.Event](io.NopCloser(strings.NewReader(in)))
 	if ev, err := d.Next(); err != nil || ev.Seq != 0 {
 		t.Fatalf("first event: %+v, %v", ev, err)
 	}
@@ -69,7 +69,7 @@ func TestTraceDecoderRecovers(t *testing.T) {
 func TestTraceDecoderTruncatedTail(t *testing.T) {
 	// A crash mid-write leaves a torn final line: it errors, then EOF.
 	in := "{\"seq\":0,\"stage\":\"submit\"}\n{\"seq\":1,\"sta"
-	d := client.NewTraceDecoder(strings.NewReader(in))
+	d := client.NewStream[obs.Event](io.NopCloser(strings.NewReader(in)))
 	if ev, err := d.Next(); err != nil || ev.Seq != 0 {
 		t.Fatalf("first event: %+v, %v", ev, err)
 	}
@@ -83,15 +83,15 @@ func TestTraceDecoderTruncatedTail(t *testing.T) {
 
 func TestTraceDecoderOversizedLine(t *testing.T) {
 	in := "{\"pad\":\"" + strings.Repeat("x", 2<<20) + "\"}\n"
-	d := client.NewTraceDecoder(strings.NewReader(in))
+	d := client.NewStream[obs.Event](io.NopCloser(strings.NewReader(in)))
 	if _, err := d.Next(); !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("oversized line: want bufio.ErrTooLong, got %v", err)
 	}
 }
 
-// FuzzTraceDecoder: no byte stream panics the decoder, a decoder always
-// terminates (every Next consumes input or errors), and a valid line
-// prefixed to arbitrary bytes always decodes first, intact.
+// FuzzTraceDecoder: no byte stream panics the Stream reader, a reader
+// always terminates (every Next consumes input or errors), and a valid
+// line prefixed to arbitrary bytes always decodes first, intact.
 func FuzzTraceDecoder(f *testing.F) {
 	f.Add([]byte(`{"seq":7,"t":1,"stage":"submit"}` + "\n"))
 	f.Add([]byte("{\"seq\":0,\"stage\":\"apply\"}\n{\"seq\":1,\"sta"))
@@ -100,7 +100,7 @@ func FuzzTraceDecoder(f *testing.F) {
 	f.Add([]byte(`{"seq":true}`))
 	f.Add([]byte{0xff, 0xfe, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := client.NewTraceDecoder(bytes.NewReader(data))
+		d := client.NewStream[obs.Event](io.NopCloser(bytes.NewReader(data)))
 		for {
 			// Decode errors are fine; only hangs and panics are bugs. The
 			// loop ends because every Next consumes at least one line.
@@ -111,7 +111,7 @@ func FuzzTraceDecoder(f *testing.F) {
 		}
 
 		valid := `{"seq":42,"t":9,"stage":"dispatch","cmd":3,"task":"web","dseq":5,"lag":"1/2"}` + "\n"
-		d = client.NewTraceDecoder(io.MultiReader(strings.NewReader(valid), bytes.NewReader(data)))
+		d = client.NewStream[obs.Event](io.NopCloser(io.MultiReader(strings.NewReader(valid), bytes.NewReader(data))))
 		ev, err := d.Next()
 		if err != nil {
 			t.Fatalf("valid prefix failed to decode: %v", err)
@@ -122,8 +122,8 @@ func FuzzTraceDecoder(f *testing.F) {
 	})
 }
 
-// TestStreamTraceEndToEnd drives the decoder over the real wire: client →
-// HTTP → server trace ring → NDJSON → decoder.
+// TestStreamTraceEndToEnd drives the Stream reader over the real wire:
+// client → HTTP → server trace ring → NDJSON → Stream.
 func TestStreamTraceEndToEnd(t *testing.T) {
 	srv := server.New()
 	hs := hoptest.NewServer(srv.Handler())

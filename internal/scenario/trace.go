@@ -31,10 +31,10 @@ const (
 )
 
 // Record is one NDJSON trace record. Field presence depends on Kind; the
-// schema deliberately extends the PR 4 trace-ring event shape (virtual
-// times as exact rat strings, per-client monotone sequence numbers) and,
-// like the ring, carries no wall-clock time — a trace re-recorded from
-// the same seed is byte-identical.
+// schema deliberately follows the trace ring's event shape (obs.Event:
+// virtual times as exact rat strings, monotone sequence numbers, here per
+// client) but carries no wall-clock time — a trace re-recorded from the
+// same seed is byte-identical.
 type Record struct {
 	Kind string `json:"kind"`
 
@@ -85,52 +85,19 @@ type frame struct {
 	R json.RawMessage `json:"r"`
 }
 
-// TraceWriter frames records onto an io.Writer, one CRC-checked NDJSON
-// line per record.
-type TraceWriter struct {
-	w *bufio.Writer
-}
-
-// NewTraceWriter wraps w.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	return &TraceWriter{w: bufio.NewWriter(w)}
-}
-
-// Write appends one framed record.
-func (t *TraceWriter) Write(rec Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("scenario: encode trace record: %w", err)
-	}
-	crc := crc32.Checksum(b, castagnoli)
-	if _, err := fmt.Fprintf(t.w, `{"c":"%08x","r":%s}`+"\n", crc, b); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Flush flushes the underlying buffer.
-func (t *TraceWriter) Flush() error { return t.w.Flush() }
-
-// WriteTrace frames a whole record sequence to w.
-func WriteTrace(w io.Writer, recs []Record) error {
-	tw := NewTraceWriter(w)
-	for _, rec := range recs {
-		if err := tw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return tw.Flush()
-}
-
-// EncodeTrace renders a record sequence as trace bytes (the exact bytes
-// WriteTrace would emit — what the golden tests byte-compare).
+// EncodeTrace renders a record sequence as trace bytes: one CRC-checked
+// NDJSON line per record, the CRC-32C of the record's JSON in hex beside
+// it — what the golden tests byte-compare.
 func EncodeTrace(recs []Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, recs); err != nil {
-		return nil, err
+	var b []byte
+	for _, rec := range recs {
+		j, err := json.Marshal(rec)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: encode trace record: %w", err)
+		}
+		b = fmt.Appendf(b, `{"c":"%08x","r":%s}`+"\n", crc32.Checksum(j, castagnoli), j)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // ReadTrace decodes and CRC-verifies a framed trace. Any malformed or

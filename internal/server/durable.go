@@ -60,12 +60,6 @@ type Options struct {
 	// /healthz reports 503 "bootstrapping" until the replication tailer
 	// marks the node caught up. Promote() flips it writable.
 	Follower bool
-	// StreamMaxLag bounds how many records a following dispatch stream may
-	// fall behind before it is evicted with an in-band 410 control line
-	// (slow consumers must not pin the process). 0 selects the default
-	// (DefaultStreamMaxLag); negative disables eviction. Replication
-	// streams are never evicted — followers block instead.
-	StreamMaxLag int64
 	// StreamStallTimeout bounds how long one streamed write may block on a
 	// wedged client — a dispatch or trace follower, or a replication
 	// follower tailing the journal — before the connection is severed. 0

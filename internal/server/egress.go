@@ -26,31 +26,26 @@ import (
 // batch of trace or journal lines gathered into one buffer — flushes once
 // per drain, and bounds how long any write may block on a wedged client.
 //
-// Slow-consumer policy: replication followers are never evicted (the WAL
-// reader paces them against the durable horizon and the log is on disk
-// anyway), but a dispatch-stream follower that falls more than the lag
-// bound behind is cut loose with an in-band StreamGone control line
-// instead of being chased. Fully-wedged clients — ones that stop reading
-// entirely, replication followers included — die on the per-write stall
-// deadline instead.
+// Slow-consumer policy, one rule for every feed: a reader that keeps
+// reading is served everything the source retains, however far behind it
+// is, and a reader that stops reading dies on the per-write stall
+// deadline. A lagging dispatch reader pins no more than the resident
+// chunks of the one view its current drain loaded; older history it reads
+// from the sealed files.
 
 const (
-	// DefaultStreamMaxLag is how many records a following dispatch stream
-	// may lag behind the log tip before it is evicted with a 410 control
-	// line. Options.StreamMaxLag overrides it.
-	DefaultStreamMaxLag = 65536
 	// DefaultStreamStall bounds how long one streamed write may block on
 	// an unresponsive client before the connection is severed.
 	DefaultStreamStall = 30 * time.Second
-	// maxStreamBatch caps the frames per write so lag checks and deadline
-	// re-arms happen at a bounded granularity.
+	// maxStreamBatch caps the frames per write so deadline re-arms happen
+	// at a bounded granularity.
 	maxStreamBatch = 256
 )
 
-// StreamGone is the in-band control line a read stream receives instead
-// of an event when the server evicts it for lagging past the stream
-// policy's bound. Events never carry an "error" key, so clients detect it
-// unambiguously; ResumeFrom is the seq to reconnect with (?from=N).
+// StreamGone is the shape of an in-band 410 control line: a message, its
+// status and the seq to resume from. pfaird never sends it — a reader that
+// keeps reading is served in full — and only the repository benchmark's
+// stream reader still decodes it.
 type StreamGone struct {
 	Error      string `json:"error"`
 	Status     int    `json:"status"`
@@ -168,24 +163,6 @@ func (fw *frameWriter) flush() error {
 	return fw.wrote(err)
 }
 
-// writeGone emits the eviction control line: the stream stays a valid
-// NDJSON sequence, the client learns the position to reconnect from, and
-// the handler returns. Best effort — a client that stopped reading may
-// never see it.
-func (fw *frameWriter) writeGone(resume int64) {
-	line, err := json.Marshal(StreamGone{
-		Error:      fmt.Sprintf("stream evicted: lagging past the server's bound; reconnect with ?from=%d", resume),
-		Status:     http.StatusGone,
-		ResumeFrom: resume,
-	})
-	if err != nil {
-		return
-	}
-	if _, err := fw.Write(append(line, '\n')); err == nil {
-		_ = fw.flush() // best effort, as above
-	}
-}
-
 // feed is one NDJSON source a read stream serves from a position: the
 // dispatch log (by seq), the trace ring (by event Seq), the journal (by
 // LSN). wake returns a channel the source closes at its next growth — the
@@ -194,14 +171,11 @@ func (fw *frameWriter) writeGone(resume int64) {
 // held if the source grows between a drain that found nothing and the
 // wait. drain writes everything the source holds from pos on and returns
 // the position after it. done, when set, ends the stream after one more
-// drain. tip, when set, is the source's end, and a follower more than the
-// stream policy's lag bound behind it after a drain is evicted; a source
-// that bounds its own retention or paces its readers sets none.
+// drain.
 type feed struct {
 	wake  func() <-chan struct{}
 	drain func(fw *frameWriter, pos int64) (int64, error)
 	done  <-chan struct{}
-	tip   func() int64
 }
 
 // streamQuery parses a read stream's ?from — a non-negative int64, 0 when
@@ -252,13 +226,6 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, pos int64, follo
 		if !follow {
 			return
 		}
-		if f.tip != nil && s.streamMaxLag > 0 && f.tip()-pos > s.streamMaxLag {
-			// The source outgrew this follower by more than the bound
-			// while it drained: cut it loose rather than chase it.
-			s.obs.streamEvict.Add(1)
-			fw.writeGone(pos)
-			return
-		}
 		select {
 		case <-wake:
 		case <-r.Context().Done():
@@ -275,8 +242,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, pos int64, follo
 // the tenant loop encoded once at record time; the handler only moves bytes
 // — a run of a resident chunk per write, or, for seqs below the log's
 // resident floor, blocks of the sealed history files that hold the same
-// bytes. A following stream that lags more than streamMaxLag records behind
-// the tip after a drain is evicted with a StreamGone control line.
+// bytes.
 func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	t := s.routeTenant(w, r)
 	if t == nil {
@@ -286,7 +252,7 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.stream(w, r, from, follow, feed{wake: t.Subscribe, done: t.Closed(), tip: t.LogLen, drain: func(fw *frameWriter, pos int64) (int64, error) {
+	s.stream(w, r, from, follow, feed{wake: t.Subscribe, done: t.Closed(), drain: func(fw *frameWriter, pos int64) (int64, error) {
 		log := &t.snap.Load().log
 		if floor := log.floor(); pos < floor && pos < log.len() {
 			if err := s.copySealed(fw, log.hist, pos); err != nil {
@@ -345,10 +311,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return pos, nil
 	}})
 }
-
-// StreamEvictions reports how many read streams this server has evicted
-// for lagging past the policy bound.
-func (s *Server) StreamEvictions() int64 { return s.obs.streamEvict.Load() }
 
 // StreamStallSevers reports how many read streams this server has severed
 // because a write to a wedged reader outlasted the stall deadline.

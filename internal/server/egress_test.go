@@ -4,8 +4,8 @@ package server_test
 // stream with an independent re-encode (the frames a subscriber receives
 // must be exactly what a per-subscriber json.Encoder would have written),
 // fan-out correctness under churn with -race, and the slow-consumer
-// policy — lag-bound eviction with an in-band 410 control line, and the
-// write-stall deadline that severs a fully wedged reader.
+// rule — a lagging reader that keeps reading is served in full, and the
+// write-stall deadline severs a fully wedged reader.
 
 import (
 	"bufio"
@@ -19,7 +19,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -417,23 +416,26 @@ func (l smallWriteBufListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// TestStreamEvictsLaggingSubscriber: a follower that keeps reading, but
-// slower than the log grows, must be evicted once it lags past the bound
-// — with an in-band 410 control line whose resumeFrom equals exactly the
-// number of events it was delivered, so reconnecting there loses nothing.
-// The follower reads over a net.Pipe, where a write returns only once the
-// reader has taken all of it: it takes one frame of the stream's first
-// write and stops, the log outgrows it by more than the bound while the
-// handler is held in that write, and then it reads on.
-func TestStreamEvictsLaggingSubscriber(t *testing.T) {
-	const maxLag = 16
-	srv, err := server.Open(server.Options{StreamMaxLag: maxLag})
+// TestLaggingFollowerIsPacedNotEvicted: a follower that keeps reading, but
+// slower than the log grows, is served everything the log holds however
+// far behind it falls. The follower reads over a net.Pipe, where a write
+// returns only once the reader has taken all of it: it takes one frame of
+// the stream's first 4-frame write and stops. While the handler is held in
+// that write, more than 65 536 dispatches land and compaction seals some
+// of them into history files, so the handler's next drain starts below
+// the resident floor. The follower then reads on and must receive every
+// frame of the log (the tenant's Dispatches, its LogLen) with no control
+// line, byte for byte as a ?follow=false replay serves it.
+func TestLaggingFollowerIsPacedNotEvicted(t *testing.T) {
+	srv, err := server.Open(server.Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := hoptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
-	t.Cleanup(srv.Shutdown)
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
 	c := client.New(hs.URL, nil)
 	unitTenant(t, c, "acme", 4)
 
@@ -453,11 +455,13 @@ func TestStreamEvictsLaggingSubscriber(t *testing.T) {
 	if err := req.Write(conn); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.ReadResponse(bufio.NewReaderSize(oneByteReader{conn}, 16), req)
+	paced := &pacedReader{Reader: conn}
+	// The body is left unclosed: closing it would read the following
+	// stream to its end. Closing conn ends it.
+	resp, err := http.ReadResponse(bufio.NewReaderSize(paced, 16), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 
 	// The first write carries 4 frames; the follower takes one.
 	pumpDispatches(t, c, "acme", 4, 1, 1)
@@ -469,74 +473,51 @@ func TestStreamEvictsLaggingSubscriber(t *testing.T) {
 		}
 		got.Write(b[:n])
 	}
-	// Outgrow it while the handler waits on the rest of that write.
-	pumpDispatches(t, c, "acme", 4, 1, maxLag)
-	if n := srv.StreamEvictions(); n != 0 {
-		t.Fatalf("%d evictions while the handler was still writing", n)
+	// Outgrow it by more than 65 536 records while the handler waits on the
+	// rest of that write: 17 rounds of 4 tasks × 1024 jobs. Each batch
+	// submit crosses the default SnapshotEvery, so the compactions it runs
+	// seal the log a segment at a time.
+	pumpDispatches(t, c, "acme", 4, 17, server.MaxBatchJobs)
+	info, err := c.Tenant(context.Background(), "acme")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The handler finishes the write, finds the follower past the bound and
-	// ends the stream.
+	const total = 4 + 17*4*server.MaxBatchJobs
+	if info.Dispatches != total {
+		t.Fatalf("log holds %d dispatches, want %d", info.Dispatches, total)
+	}
+	if sealed := metricValue(t, srv.Handler(), "pfaird_tenant_history_sealed_events", "tenant", "acme"); sealed <= 4 {
+		t.Fatalf("%d events sealed: the follower's next drain would not start below the resident floor", sealed)
+	}
+
+	// The handler finishes the write and serves the rest: sealed history
+	// from the files, then the resident chunks.
+	paced.open = true
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	rest, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("reading on after the first frame: %v", err)
-	}
-	got.Write(rest)
-	if n := srv.StreamEvictions(); n != 1 {
-		t.Fatalf("%d evictions, want 1", n)
-	}
-
-	lines := bytes.Split(bytes.TrimSpace(got.Bytes()), []byte("\n"))
-	if len(lines) != 5 {
-		t.Fatalf("stream delivered %d lines, want the first write's 4 frames and the control line", len(lines))
-	}
-	var gone server.StreamGone
-	last := lines[len(lines)-1]
-	if err := json.Unmarshal(last, &gone); err != nil || gone.Error == "" {
-		t.Fatalf("last line is not the eviction control line: %s (%v)", last, err)
-	}
-	if gone.Status != http.StatusGone {
-		t.Fatalf("control line status %d, want 410", gone.Status)
-	}
-	if !strings.Contains(gone.Error, fmt.Sprintf("?from=%d", gone.ResumeFrom)) {
-		t.Fatalf("control line lacks the restart hint: %q", gone.Error)
-	}
-	if want := int64(len(lines) - 1); gone.ResumeFrom != want {
-		t.Fatalf("resumeFrom %d, but %d events were delivered", gone.ResumeFrom, want)
-	}
-	// Every delivered line before the control line is a well-formed event.
-	for i, ln := range lines[:len(lines)-1] {
-		var ev server.DispatchEvent
-		if err := json.Unmarshal(ln, &ev); err != nil {
-			t.Fatalf("event line %d: %v", i, err)
+	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	for n := int64(1); n < total; n++ {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("stream ended after %d of %d lines: %v", n, total, err)
 		}
-		if ev.Seq != int64(i) {
-			t.Fatalf("event line %d has seq %d", i, ev.Seq)
-		}
+		got.Write(line)
 	}
-
-	// Reconnecting at the hint replays the rest of the log seamlessly.
-	st, err := c.StreamDispatches(context.Background(), "acme", gone.ResumeFrom, false)
-	if err != nil {
-		t.Fatal(err)
+	if n := br.Buffered(); n != 0 {
+		t.Fatalf("%d bytes follow the log's last frame", n)
 	}
-	defer st.Close()
-	ev, err := st.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Seq != gone.ResumeFrom {
-		t.Fatalf("resumed stream starts at seq %d, want %d", ev.Seq, gone.ResumeFrom)
+	want := bytes.Join(ndjsonLines(t, hs.URL+"/v1/tenants/acme/dispatches?from=0&follow=false"), nil)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("follower read %d bytes that differ from the %d-byte replay", got.Len(), len(want))
 	}
 }
 
 // TestStreamStallSeversWedgedReader: a reader that stops reading entirely
-// cannot be delivered a 410 line — its pipe is full. The per-write stall
-// deadline must sever it so the handler goroutine is reclaimed, and the
-// server must remain fully serviceable afterwards. Every feed of the one
-// stream loop is covered: a tenant's dispatch stream, and the replication
-// log a follower tails, which is never evicted for lag and so has only the
-// deadline between a wedged follower and a leader handler held forever.
+// must be severed by the per-write stall deadline so the handler goroutine
+// is reclaimed, and the server must remain fully serviceable afterwards.
+// Every feed of the one stream loop is covered: a tenant's dispatch
+// stream, and the replication log a follower tails. For either, the
+// deadline is all that stands between a wedged reader and a handler held
+// forever.
 func TestStreamStallSeversWedgedReader(t *testing.T) {
 	t.Run("dispatches", testStallDispatches)
 	t.Run("replication", testStallReplication)
@@ -589,7 +570,7 @@ func awaitSever(t *testing.T, srv *server.Server, conn net.Conn) {
 }
 
 func testStallDispatches(t *testing.T) {
-	srv, err := server.Open(server.Options{StreamMaxLag: -1, StreamStallTimeout: 300 * time.Millisecond}) // isolate the stall path
+	srv, err := server.Open(server.Options{StreamStallTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,8 +646,17 @@ func testStallReplication(t *testing.T) {
 	}
 }
 
-// oneByteReader reads a byte at a time, so a buffered reader over a pipe
-// takes nothing from it before it is asked for.
-type oneByteReader struct{ io.Reader }
+// pacedReader reads a byte at a time until open is set, so a buffered
+// reader over a pipe takes nothing from it before it is asked for; once
+// open, it passes every read through whole.
+type pacedReader struct {
+	io.Reader
+	open bool
+}
 
-func (r oneByteReader) Read(p []byte) (int, error) { return r.Reader.Read(p[:min(len(p), 1)]) }
+func (r *pacedReader) Read(p []byte) (int, error) {
+	if !r.open {
+		p = p[:min(len(p), 1)]
+	}
+	return r.Reader.Read(p)
+}

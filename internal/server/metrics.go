@@ -117,8 +117,7 @@ func routeLabel(route string) []obs.Label { return []obs.Label{{Name: "route", V
 func tenantLabel(id string) []obs.Label   { return []obs.Label{{Name: "tenant", Value: id}} }
 
 // appendWALMetrics appends the journal counters to the exposition. A
-// non-durable server emits nothing, so PR 2's scrape output is unchanged
-// for it.
+// non-durable server has no journal and emits none of these families.
 func (s *Server) appendWALMetrics(b []byte) []byte {
 	if s.wal == nil {
 		return b

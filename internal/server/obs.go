@@ -38,9 +38,7 @@ type serverObs struct {
 	histSegments  atomic.Int64
 	histBytes     atomic.Int64
 
-	// Read streams cut loose by the egress policy (egress.go): evicted for
-	// lagging past the bound, severed on the per-write stall deadline.
-	streamEvict  atomic.Int64
+	// Read streams severed on the per-write stall deadline (egress.go).
 	streamSevers atomic.Int64
 
 	// Bodies of a hand-coded type (api_wire.go) that its codec declined and
@@ -145,9 +143,6 @@ func (o *serverObs) appendObsMetrics(b []byte, snaps []tenantObsSnap) []byte {
 	for _, sn := range snaps {
 		b = obs.AppendInt(b, "pfaird_trace_events_total", tenantLabel(sn.id), sn.traceLen)
 	}
-	b = obs.AppendHeader(b, "pfaird_stream_evictions_total",
-		"Read streams evicted with an in-band 410 for lagging past the stream policy's bound.", "counter")
-	b = obs.AppendInt(b, "pfaird_stream_evictions_total", nil, o.streamEvict.Load())
 	b = obs.AppendHeader(b, "pfaird_stream_stall_severs_total",
 		"Read streams severed because a write to a wedged reader outlasted the stall deadline.", "counter")
 	b = obs.AppendInt(b, "pfaird_stream_stall_severs_total", nil, o.streamSevers.Load())

@@ -342,9 +342,8 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // journal's fsync makes them durable; ?follow=false stops at the current
 // durable tip. A cursor below the snapshot horizon answers 410 Gone: the
 // records were folded away and the follower must re-bootstrap from the
-// snapshot. The feed names no tip, so a follower is never evicted — the
-// reader paces it against the durable horizon and the log is on disk
-// anyway — but one that stops reading dies on the stall deadline.
+// snapshot. Like every feed, a follower that keeps reading is served in
+// full, and one that stops reading dies on the stall deadline.
 func (s *Server) handleReplLog(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no journal (in-memory server)"))

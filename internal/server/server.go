@@ -78,11 +78,11 @@ type Server struct {
 	recovery *RecoveryInfo
 
 	// Replication / cluster role (replication.go). role defaults to
-	// leader so New() keeps PR-1..6 single-node semantics. journaling
-	// gates the tenant journal hooks: false on a follower, whose state
-	// changes arrive pre-journaled from its leader (ApplyReplicated
-	// appends them verbatim instead). appliedLSN is the highest journal
-	// LSN reflected in served state; bootstrapping marks a follower that
+	// leader, so a server opened without Follower is a writable single
+	// node. journaling gates the tenant journal hooks: false on a
+	// follower, whose state changes arrive pre-journaled from its leader
+	// (ApplyReplicated appends them verbatim instead). appliedLSN is the
+	// highest journal LSN reflected in served state; bootstrapping marks a follower that
 	// has not yet caught up to its leader's durable tip (healthz answers
 	// 503 so routers skip it). replLagLSN / replErr are maintained by the
 	// cluster tailer via SetReplicationLag / SetReplicationError.
@@ -112,12 +112,9 @@ type Server struct {
 	// server creates (0 = defaultSubmitRing).
 	submitRing int
 
-	// Egress stream policy (egress.go): streamMaxLag is the record-count
-	// bound past which a following read stream is evicted (0 = never),
-	// streamStall the per-write deadline on stream writes (0 = none); obs
-	// counts what they cut loose.
-	streamMaxLag int64
-	streamStall  time.Duration
+	// streamStall is the per-write deadline on stream writes (0 = none;
+	// egress.go); obs counts the streams it severs.
+	streamStall time.Duration
 
 	shutdownOnce sync.Once
 	shutdown     chan struct{}
@@ -133,13 +130,12 @@ func New() *Server { return newServer(Options{}) }
 // disables it.
 func newServer(opts Options) *Server {
 	s := &Server{
-		tenants:      map[string]*Tenant{},
-		mux:          http.NewServeMux(),
-		obs:          newServerObs(opts.Clock, opts.TraceBuffer),
-		submitRing:   opts.SubmitRing,
-		streamMaxLag: orDefault(opts.StreamMaxLag, DefaultStreamMaxLag),
-		streamStall:  orDefault(opts.StreamStallTimeout, DefaultStreamStall),
-		shutdown:     make(chan struct{}),
+		tenants:     map[string]*Tenant{},
+		mux:         http.NewServeMux(),
+		obs:         newServerObs(opts.Clock, opts.TraceBuffer),
+		submitRing:  opts.SubmitRing,
+		streamStall: orDefault(opts.StreamStallTimeout, DefaultStreamStall),
+		shutdown:    make(chan struct{}),
 	}
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /metrics", s.handleMetrics)

@@ -531,9 +531,8 @@ func (l *Log) appendableLocked() error {
 }
 
 // Append journals one record, assigning its LSN, and applies the log's
-// durability policy before returning (the PR-3 behavior: with FsyncEvery
-// == 1 the record is fsync-covered on return; above that the fsync is
-// batched). It is AppendAsync + Wait — callers that can ack later use
+// durability policy before returning: with FsyncEvery == 1 the record is
+// fsync-covered on return; above that the fsync is batched. It is AppendAsync + Wait — callers that can ack later use
 // those directly to overlap work with the fsync. Any I/O failure wedges
 // the log: the error (wrapping ErrWedged) is returned now and by every
 // later append.
@@ -688,13 +687,12 @@ func (l *Log) writeLocked(fb *wire.Buf, n, weight int) error {
 //     that sync.
 //   - FsyncEvery > 1: acks are group-committed; Wait returns immediately
 //     unless the unsynced batch has reached the threshold, in which case
-//     this waiter drives the sync (the PR-3 inline fsync, moved off the
-//     append path) or follows the one in flight — and asks the threshold
-//     again afterwards: a sync that left only the few records written
-//     behind its back is not followed by a second one for those. Every ack
+//     this waiter drives the sync (here in Wait, not in AppendAsync) or
+//     follows the one in flight — and asks the threshold again
+//     afterwards: a sync that left only the few records written behind
+//     its back is not followed by a second one for those. Every ack
 //     returns with fewer than FsyncEvery records unsynced, so a crash can
-//     still lose up to one batch of acknowledged records, exactly as
-//     before.
+//     still lose up to one batch of acknowledged records.
 //
 // The zero Commit returns nil immediately.
 func (l *Log) Wait(c Commit) error {
