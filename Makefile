@@ -173,9 +173,12 @@ engines:
 # stall), the raw-frame WAL reader contract, the client's one Stream
 # reader, the pfairload -streams mode consuming full fan-out, and the
 # stream's byte identity across nodes: batches through leader → follower →
-# promoted follower, ?from=0 compared at every hop.
+# promoted follower, ?from=0 compared at every hop — and across the two
+# forms of a dispatch log: one script on an in-memory server, whose closed
+# chunks are compact records rendered per reader, and on a durable one,
+# ?from=k compared at every chunk boundary (TestInMemoryStreamMatchesDurable).
 fanout-smoke:
-	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestStreamByteIdentity20Seeds|TestFanoutStress|TestLaggingFollowerIsPacedNotEvicted|TestStreamStallSeversWedgedReader'
+	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestStreamByteIdentity20Seeds|TestFanoutStress|TestLaggingFollowerIsPacedNotEvicted|TestStreamStallSeversWedgedReader|TestInMemoryStreamMatchesDurable'
 	$(GO) test -race -count=1 -v ./internal/cluster/ -run 'TestBatchThroughFailoverByteIdentity'
 	$(GO) test -race -count=1 ./internal/wal/ -run 'TestNextRaw'
 	$(GO) test -race -count=1 ./internal/client/ -run 'TestTraceDecoder|TestStreamTraceEndToEnd'
@@ -208,12 +211,15 @@ fuzz:
 # encoding/json accepts or encodes the same. FuzzServerMatchesNetHTTP is the
 # contract of the inbound HTTP server, hop.Server: fed the same bytes as
 # net/http's server, it refuses the same requests and hands its handler the
-# same ones.
+# same ones. FuzzColdFrameMatchesWire is the contract of an in-memory
+# tenant's compact dispatch records: rendered back, they are the wire frame
+# byte for byte, whatever the task name and numbers.
 fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzWALReplay -fuzztime=30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzRecordMatchesJSON -fuzztime=30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz=FuzzTaskParams -fuzztime=30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz=FuzzWireMatchesJSON -fuzztime=30s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz=FuzzColdFrameMatchesWire -fuzztime=30s
 	$(GO) test ./internal/online/ -run '^$$' -fuzz=FuzzResize -fuzztime=30s
 	$(GO) test ./internal/client/ -run '^$$' -fuzz=FuzzTraceDecoder -fuzztime=30s
 	$(GO) test ./internal/scenario/ -run '^$$' -fuzz=FuzzScenarioSpec -fuzztime=30s

@@ -104,7 +104,8 @@ func BenchmarkServerSubmitWAL(b *testing.B) {
 // one phase of 84 light ones, in a seeded order — then Advance by 8, which
 // makes 128 decisions. ns/op is the round; submit-ns/round and
 // advance-ns/round split it. The tenant keeps its whole dispatch log, so
-// keep -benchtime in the low thousands of rounds.
+// keep -benchtime in the low thousands of rounds; resident-B/dispatch is
+// what that log holds in memory per decision.
 func BenchmarkTenantBatchRound(b *testing.B) {
 	tn, err := server.NewTenant("wide", 16, "")
 	if err != nil {
@@ -157,6 +158,7 @@ func BenchmarkTenantBatchRound(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(submit.Nanoseconds())/float64(b.N), "submit-ns/round")
 	b.ReportMetric(float64(advance.Nanoseconds())/float64(b.N), "advance-ns/round")
+	b.ReportMetric(float64(tn.ResidentBytes())/float64(tn.Info().Dispatches), "resident-B/dispatch")
 }
 
 // slowFS wraps the real filesystem and adds a fixed latency to every

@@ -1,27 +1,37 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"desyncpfair/internal/rat"
 )
 
-// A tenant's dispatch log is kept once, as the bytes its readers are
-// served: each decision is encoded by Tenant.record straight into the tail
-// of an append-only list of chunks, and the stream, the ?from replay, the
-// sealed history files and the snapshot's inline tail are all cut from
-// those bytes — and so is what the journal keeps of a command's decisions,
-// a checksum of their frames. There is no struct form to keep beside them;
-// the one place that wants an event back (recovery verifying a journal
-// written before the digest) decodes the one frame it asks for.
+// A tenant's dispatch log is kept as the bytes its readers are served:
+// each decision is encoded by Tenant.record straight into the tail of an
+// append-only list of chunks, and the stream, the ?from replay, the sealed
+// history files and the snapshot's inline tail are all cut from those
+// bytes — and so is what the journal keeps of a command's decisions, a
+// checksum of their frames. The one place that wants an event back
+// (recovery verifying a journal written before the digest) decodes the one
+// frame it asks for.
 //
-// Chunks hold no pointers, so the collector never scans the log. A durable
-// tenant's log leaves memory a segment at a time: the compaction that seals
-// a range into a history file (history.go) drops its chunks once the
-// snapshot naming the file is committed, and a reader below the resident
-// floor is served from the file. An in-memory tenant keeps every chunk.
+// A closed chunk leaves the wire form exactly once, by a rule fixed when
+// the tenant is built. A journaled tenant's log leaves memory a segment at
+// a time: the compaction that seals a range into a history file
+// (history.go) drops its chunks once the snapshot naming the file is
+// committed, and a reader below the resident floor is served from the
+// file. An in-memory tenant keeps every chunk, so its log is cold: while a
+// chunk is the open tail each frame is also encoded as a compact record
+// (putColdRecord) into a shadow chunk, and when the chunk closes the
+// shadow replaces it. A reader of a cold chunk gets its frames rendered
+// back by appendDispatchFrame, byte for byte what the wire chunk held.
+//
+// Frames are held as bytes, never as structs of strings, so the collector
+// never scans them.
 
 // chunkBytes is the capacity a chunk grows to before the next one starts.
 // The first chunk of a log grows to it by doubling from minChunkBytes, so
@@ -32,28 +42,111 @@ const (
 )
 
 // chunk is a run of consecutive dispatch frames: contiguous NDJSON, and
-// where in it each frame starts.
+// where in it each frame starts — or, in a cold chunk, their compact
+// records, and where each starts.
 type chunk struct {
 	first int64    // seq of the first frame
-	data  []byte   // the frames, each ending in '\n'
+	data  []byte   // the frames, each ending in '\n'; a cold chunk's records
 	offs  []uint32 // offs[i] is where frame first+i starts in data
+	// names is a cold chunk's task-name table, indexed by the executive's
+	// Task.ID as its records are; nil in a wire chunk.
+	names []string
 }
 
 func (c *chunk) end() int64 { return c.first + int64(len(c.offs)) }
+
+// cold reports whether c holds compact records rather than wire bytes.
+func (c *chunk) cold() bool { return c.names != nil }
+
+// span returns the bytes of frames i .. i+n-1 of a wire chunk.
+func (c *chunk) span(i, n int) []byte {
+	hi := len(c.data)
+	if i+n < len(c.offs) {
+		hi = int(c.offs[i+n])
+	}
+	return c.data[c.offs[i]:hi]
+}
+
+// appendWire appends the wire bytes of c's frames i .. i+n-1 to b: a span
+// of a wire chunk, or a cold chunk's records rendered.
+func (c *chunk) appendWire(b []byte, i, n int) []byte {
+	if !c.cold() {
+		return append(b, c.span(i, n)...)
+	}
+	r := coldReader(c.data[c.offs[i]:])
+	for k := 0; k < n; k++ {
+		name := c.names[r.uint()]
+		index, proc := r.int(), r.int()
+		start, finish := r.rat(), r.rat()
+		deadline := r.int()
+		b = appendDispatchFrame(b, c.first+int64(i+k), name, index, int(proc), start, finish, deadline, r.rat())
+	}
+	return b
+}
+
+// putColdRecord writes a decision's compact record at the start of b,
+// which has room for maxColdRecord bytes, and returns its length: the
+// task's Task.ID as a uvarint, then index, proc, start, finish, deadline
+// and tardiness as zig-zag varints, a rat as its numerator and denominator
+// in lowest terms. The seq is the record's place in its chunk.
+func putColdRecord(b []byte, id int, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) int {
+	n := binary.PutUvarint(b, uint64(id))
+	n += binary.PutVarint(b[n:], index)
+	n += binary.PutVarint(b[n:], int64(proc))
+	n += binary.PutVarint(b[n:], start.Num())
+	n += binary.PutVarint(b[n:], start.Den())
+	n += binary.PutVarint(b[n:], finish.Num())
+	n += binary.PutVarint(b[n:], finish.Den())
+	n += binary.PutVarint(b[n:], deadline)
+	n += binary.PutVarint(b[n:], tard.Num())
+	return n + binary.PutVarint(b[n:], tard.Den())
+}
+
+// maxColdRecord bounds a compact record: ten varints.
+const maxColdRecord = 10 * binary.MaxVarintLen64
+
+// coldReader reads the fields of compact records in the order
+// putColdRecord writes them. The records are the log's own, so they are
+// never malformed.
+type coldReader []byte
+
+func (r *coldReader) uint() uint64 {
+	v, n := binary.Uvarint(*r)
+	*r = (*r)[n:]
+	return v
+}
+
+func (r *coldReader) int() int64 {
+	v, n := binary.Varint(*r)
+	*r = (*r)[n:]
+	return v
+}
+
+func (r *coldReader) rat() rat.Rat {
+	num := r.int()
+	return rat.New(num, r.int())
+}
 
 // dispatchLog is a tenant's dispatch history: the manifest of its sealed
 // prefix, on disk only, and the resident frames after it — closed chunks,
 // then the open tail the loop appends to. The loop owns it; tenantSnap
 // publishes a copy of the struct, which is an immutable view because
 // everything the loop does afterwards lands past the lengths the copy
-// holds (frames appended to the tail's arrays, the tail appended to full)
-// or in a fresh array (dropping sealed chunks) — the aliasing rule slices
-// of the log were always published under.
+// holds (frames appended to the tail's arrays, the tail appended to full,
+// names appended to the table) or in a fresh array (dropping sealed
+// chunks) — the aliasing rule slices of the log were always published
+// under.
 type dispatchLog struct {
 	hist     []histSegment
 	full     []chunk
 	tail     chunk
-	resident int64 // wire bytes held by full and tail
+	resident int64 // bytes held by full and tail
+	// cold, fixed when the tenant is built, makes the log keep its closed
+	// chunks as compact records: shadow holds the tail's records until it
+	// closes, and names the task names they index, by Task.ID.
+	cold   bool
+	shadow chunk
+	names  []string
 }
 
 // floor is the seq of the first resident frame: everything below it is in
@@ -63,18 +156,41 @@ func (l *dispatchLog) floor() int64 { return sealedEvents(l.hist) }
 // len is the number of decisions ever logged — the seq the next one gets.
 func (l *dispatchLog) len() int64 { return l.tail.end() }
 
-// append encodes one decision as the next frame of the tail.
-func (l *dispatchLog) append(task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) {
+// name enters the task with executive ID id in a cold log's name table,
+// which the executive's dense IDs fill in registration order. A wire log
+// keeps no table.
+func (l *dispatchLog) name(id int, name string) {
+	if !l.cold {
+		return
+	}
+	for len(l.names) <= id {
+		l.names = append(l.names, "")
+	}
+	l.names[id] = name
+}
+
+// append encodes one decision of the task with executive ID id as the
+// next frame of the tail, and, in a cold log, as the next record of the
+// shadow.
+func (l *dispatchLog) append(id int, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) {
 	l.room(maxFrameBytes(len(task)))
 	t := &l.tail
 	at := len(t.data)
 	t.data = appendDispatchFrame(t.data, t.end(), task, index, proc, start, finish, deadline, tard)
 	t.offs = append(t.offs, uint32(at))
 	l.resident += int64(len(t.data) - at)
+	if l.cold {
+		s := &l.shadow
+		at := len(s.data)
+		s.data = slices.Grow(s.data, maxColdRecord)
+		s.offs = append(s.offs, uint32(at))
+		s.data = s.data[:at+putColdRecord(s.data[at:at+maxColdRecord], id, index, proc, start, finish, deadline, tard)]
+	}
 }
 
 // restore logs a decoded event — one of a snapshot's inline tail — as the
-// next frame, which it must be.
+// next frame, which it must be. Only a journaled tenant restores, so the
+// log is a wire one, which reads no executive ID.
 func (l *dispatchLog) restore(ev DispatchEvent) error {
 	if ev.Seq != l.len() {
 		return fmt.Errorf("seq %d at position %d", ev.Seq, l.len())
@@ -86,7 +202,7 @@ func (l *dispatchLog) restore(ev DispatchEvent) error {
 			return fmt.Errorf("seq %d: %v", ev.Seq, err)
 		}
 	}
-	l.append(ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
+	l.append(-1, ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
 	return nil
 }
 
@@ -108,13 +224,23 @@ func (l *dispatchLog) room(need int) {
 }
 
 // cut closes the tail: its frames join the closed chunks, immutable from
-// here on, and the next frame starts a new chunk, with room for about as
-// many offsets as this one took.
+// here on — a cold log's as the shadow's records, the wire bytes left to
+// the views that still hold them — and the next frame starts a new chunk,
+// with room for about as many offsets (and records) as this one took.
 func (l *dispatchLog) cut() {
-	if n := len(l.tail.offs); n > 0 {
-		l.full = append(l.full, l.tail)
-		l.tail = chunk{first: l.tail.end(), offs: make([]uint32, 0, n+n/8)}
+	n := len(l.tail.offs)
+	if n == 0 {
+		return
 	}
+	c := l.tail
+	if l.cold {
+		c = chunk{first: c.first, data: l.shadow.data, offs: l.shadow.offs, names: l.names}
+		l.resident += int64(len(c.data) - len(l.tail.data))
+		r := len(c.data)
+		l.shadow = chunk{data: make([]byte, 0, r+r/8), offs: make([]uint32, 0, n+n/8)}
+	}
+	l.full = append(l.full, c)
+	l.tail = chunk{first: l.tail.end(), offs: make([]uint32, 0, n+n/8)}
 }
 
 // dropSealed installs hist, a manifest extended over resident chunks a
@@ -132,8 +258,10 @@ func (l *dispatchLog) dropSealed(hist []histSegment) {
 
 // frames returns the wire bytes of up to limit consecutive resident frames
 // from seq pos on — as many as one chunk holds — and how many they are: 0
-// when pos is below the floor or at the end of the log.
-func (l *dispatchLog) frames(pos int64, limit int) ([]byte, int) {
+// when pos is below the floor or at the end of the log. The bytes of a
+// wire chunk are returned by reference; a cold chunk's are rendered into
+// *buf, the caller's own buffer, which never holds a chunk's bytes.
+func (l *dispatchLog) frames(buf *[]byte, pos int64, limit int) ([]byte, int) {
 	c := &l.tail
 	if pos < c.first {
 		i := sort.Search(len(l.full), func(i int) bool { return l.full[i].end() > pos })
@@ -147,11 +275,11 @@ func (l *dispatchLog) frames(pos int64, limit int) ([]byte, int) {
 	}
 	i := int(pos - c.first)
 	n := min(limit, len(c.offs)-i)
-	hi := len(c.data)
-	if i+n < len(c.offs) {
-		hi = int(c.offs[i+n])
+	if c.cold() {
+		*buf = c.appendWire((*buf)[:0], i, n)
+		return *buf, n
 	}
-	return c.data[c.offs[i]:hi], n
+	return c.span(i, n), n
 }
 
 // digest returns the dispatch digest of the frames from seq first to the
@@ -162,8 +290,9 @@ func (l *dispatchLog) frames(pos int64, limit int) ([]byte, int) {
 // has just appended.
 func (l *dispatchLog) digest(first int64, sealed uint32) dispatchDigest {
 	crc, pos := sealed, max(first, l.floor())
+	var buf []byte
 	for pos < l.len() {
-		b, k := l.frames(pos, int(l.len()-pos))
+		b, k := l.frames(&buf, pos, int(l.len()-pos))
 		if k == 0 {
 			break // never inside the resident log
 		}
@@ -183,7 +312,8 @@ func (l *dispatchLog) chunks() []chunk {
 	return append(l.full[:len(l.full):len(l.full)], l.tail)
 }
 
-// chunkBytesOf is the number of wire bytes chunks hold.
+// chunkBytesOf is the number of bytes chunks hold: wire bytes, or a cold
+// chunk's records.
 func chunkBytesOf(chunks []chunk) int {
 	n := 0
 	for i := range chunks {
@@ -197,12 +327,13 @@ func chunkBytesOf(chunks []chunk) int {
 // holds a raw newline (JSON escapes it), so the array is the NDJSON with
 // each terminator turned into the separator, and the last into the closing
 // bracket — rewritten in b, never in the chunks, which readers share. It
-// adds chunkBytesOf(chunks)+1 bytes.
+// adds chunkBytesOf(chunks)+1 bytes when no chunk is cold; a cold one is
+// rendered.
 func appendArray(b []byte, chunks []chunk) []byte {
 	at := len(b)
 	b = append(b, '[')
 	for i := range chunks {
-		b = append(b, chunks[i].data...)
+		b = chunks[i].appendWire(b, 0, len(chunks[i].offs))
 	}
 	ndjsonToArray(b[at:])
 	return b

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"testing"
+	"unicode/utf8"
 
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/wal"
@@ -27,9 +29,9 @@ func logEvent(i int64) (DispatchEvent, []byte) {
 // readAll reads the resident frames from pos to the end through frames,
 // limit at a time.
 func readAll(l *dispatchLog, pos int64, limit int) []byte {
-	var out []byte
+	var out, buf []byte
 	for pos < l.len() {
-		b, n := l.frames(pos, limit)
+		b, n := l.frames(&buf, pos, limit)
 		if n == 0 {
 			break
 		}
@@ -91,7 +93,7 @@ func TestDispatchLogChunks(t *testing.T) {
 	if l.floor() != keep.first || len(l.full) != 1 || l.resident != int64(len(want)-offs[keep.first]) {
 		t.Fatalf("after the seal: floor %d, %d chunks, %d bytes resident", l.floor(), len(l.full), l.resident)
 	}
-	if b, k := l.frames(keep.first-1, 8); k != 0 || b != nil {
+	if b, k := l.frames(new([]byte), keep.first-1, 8); k != 0 || b != nil {
 		t.Fatal("a sealed frame was served from memory")
 	}
 	if got := readAll(&l, keep.first, 256); !bytes.Equal(got, want[offs[keep.first]:]) {
@@ -214,4 +216,153 @@ func TestSealSegmentWritesChunks(t *testing.T) {
 		}
 		log.dropSealed(append(log.hist[:len(log.hist):len(log.hist)], seg))
 	}
+}
+
+// appendEvent logs ev as the next decision of a log of either form, its
+// task's executive ID being id.
+func appendEvent(t testing.TB, l *dispatchLog, id int, ev DispatchEvent) {
+	t.Helper()
+	var r [3]rat.Rat
+	for i, s := range []string{ev.Start, ev.Finish, ev.Tardiness} {
+		var err error
+		if r[i], err = rat.Parse(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.name(id, ev.Task)
+	l.append(id, ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
+}
+
+// TestColdLogMatchesWireLog drives a cold log and a wire one through the
+// same events, across several chunk boundaries: the cold log closes its
+// chunks as compact records — far fewer bytes resident — and every reader
+// of it still gets the wire log's bytes: any read through frames, the
+// digest, the inline tail and a sealed segment. A view published earlier
+// stays what it was.
+func TestColdLogMatchesWireLog(t *testing.T) {
+	const n = 2500
+	wire, cold := dispatchLog{}, dispatchLog{cold: true}
+	var view dispatchLog
+	for i := int64(0); i < n; i++ {
+		ev, _ := logEvent(i)
+		appendEvent(t, &wire, int(i%7), ev)
+		appendEvent(t, &cold, int(i%7), ev)
+		if i == 999 {
+			view = cold
+		}
+	}
+	if len(cold.full) < 3 || len(cold.full) != len(wire.full) {
+		t.Fatalf("cold log: %d closed chunks, wire log %d", len(cold.full), len(wire.full))
+	}
+	for i := range cold.full {
+		if c := &cold.full[i]; !c.cold() || c.first != wire.full[i].first || c.end() != wire.full[i].end() {
+			t.Fatalf("closed chunk %d: cold %v, seqs %d..%d", i, c.cold(), c.first, c.end())
+		}
+	}
+	if cold.tail.cold() || !bytes.Equal(cold.tail.data, wire.tail.data) {
+		t.Fatal("the open tail of a cold log is not the wire log's")
+	}
+	if held := chunkBytesOf(cold.chunks()); int64(held) != cold.resident || 4*cold.resident > wire.resident {
+		t.Fatalf("cold log holds %d bytes (accounted %d), the wire log %d", held, cold.resident, wire.resident)
+	}
+	for _, limit := range []int{1, 7, 256, n} {
+		for _, from := range []int64{0, 1, 599, 1000, n - 1, n} {
+			if got, want := readAll(&cold, from, limit), readAll(&wire, from, limit); !bytes.Equal(got, want) {
+				t.Fatalf("frames from %d, %d at a time: the cold log's differ", from, limit)
+			}
+		}
+	}
+	for _, first := range []int64{0, 700, n - 3} {
+		if got, want := cold.digest(first, 0), wire.digest(first, 0); got != want {
+			t.Fatalf("digest from %d: %+v, want %+v", first, got, want)
+		}
+	}
+	if got, want := appendArray([]byte("x"), cold.chunks()), appendArray([]byte("x"), wire.chunks()); !bytes.Equal(got, want) {
+		t.Fatal("the inline tail of a cold log differs")
+	}
+	cold.cut()
+	wire.cut()
+	gotSeg, gotFile := sealSegment("h", cold.full)
+	wantSeg, wantFile := sealSegment("h", wire.full)
+	if gotSeg != wantSeg || !bytes.Equal(bytes.Join(gotFile.Data, nil), bytes.Join(wantFile.Data, nil)) {
+		t.Fatalf("sealed segment of a cold log: %+v, want %+v", gotSeg, wantSeg)
+	}
+	if got := readAll(&view, 0, 256); view.len() != 1000 || !bytes.Equal(got, readAll(&wire, 0, 256)[:len(got)]) {
+		t.Fatal("the published view of the cold log changed under it")
+	}
+	var buf []byte
+	if b, k := cold.frames(&buf, 3, 2); k != 2 || &b[0] != &buf[0] {
+		t.Fatal("a cold chunk was not rendered into the caller's buffer")
+	}
+}
+
+// FuzzColdFrameMatchesWire is the contract of the compact record: for any
+// seq, task name and numbers, a cold chunk renders the bytes
+// appendDispatchFrame writes, which decode to the same event.
+func FuzzColdFrameMatchesWire(f *testing.F) {
+	type seed struct {
+		seq               int64
+		name              string
+		id                uint16
+		index, proc       int64
+		sn, sd, fn, fd    int64
+		deadline, tn, tdd int64
+	}
+	for _, s := range []seed{
+		{0, "web", 0, 1, 0, 0, 1, 1, 1, 2, 0, 1},
+		{41, `q"uote\back`, 3, 7, 1, 5, 3, 8, 3, 3, 1, 3},
+		{9, "ctl\x00\x1f\n <&>", 1, 2, 15, 7, 2, 9, 2, 5, 2, 7},
+		{1 << 40, "é日本", 999, -3, -1, -7, 2, -5, 2, -2, -1, 2},
+		{math.MaxInt64 - 2, "x", 65535, math.MinInt64, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, 3, math.MinInt64, math.MaxInt64, 1},
+		{5, "bad\xffutf8", 2, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, -1, math.MaxInt64, math.MaxInt64, math.MinInt64, 3},
+	} {
+		f.Add(s.seq, s.name, s.id, s.index, s.proc, s.sn, s.sd, s.fn, s.fd, s.deadline, s.tn, s.tdd)
+	}
+	f.Fuzz(func(t *testing.T, seq int64, name string, id uint16, index, proc, sn, sd, fn, fd, deadline, tn, td int64) {
+		if seq < 0 {
+			seq = ^seq
+		}
+		seq = min(seq, math.MaxInt64-2)
+		mk := func(n, d int64) rat.Rat {
+			if d == 0 || d == math.MinInt64 {
+				d = 1
+			}
+			return rat.New(n, d)
+		}
+		start, finish, tard := mk(sn, sd), mk(fn, fd), mk(tn, td)
+		l := dispatchLog{cold: true, tail: chunk{first: seq}}
+		l.name(int(id), name)
+		for k := 0; k < 2; k++ {
+			l.append(int(id), name, index, int(proc), start, finish, deadline, tard)
+		}
+		wire := append([]byte(nil), l.tail.data...)
+		l.cut()
+		if len(l.full) != 1 || !l.full[0].cold() {
+			t.Fatal("the closed chunk is not cold")
+		}
+		var buf []byte
+		got, n := l.frames(&buf, seq, 2)
+		if n != 2 || !bytes.Equal(got, wire) {
+			t.Fatalf("cold render\n got %q\nwant %q", got, wire)
+		}
+		want := appendDispatchFrame(nil, seq+1, name, index, int(proc), start, finish, deadline, tard)
+		second, n := l.frames(&buf, seq+1, 1)
+		if n != 1 || !bytes.Equal(second, want) {
+			t.Fatalf("cold render of the second frame\n got %q\nwant %q", second, want)
+		}
+		var fromCold, fromWire DispatchEvent
+		if err := json.Unmarshal(second, &fromCold); err != nil {
+			t.Fatalf("cold frame %q: %v", second, err)
+		}
+		if err := json.Unmarshal(want, &fromWire); err != nil || fromCold != fromWire {
+			t.Fatalf("cold frame decodes to %+v, the wire frame to %+v (%v)", fromCold, fromWire, err)
+		}
+		ev := DispatchEvent{
+			Seq: seq + 1, Task: name, Index: index, Proc: int(proc),
+			Start: start.String(), Finish: finish.String(), Deadline: deadline, Tardiness: tard.String(),
+		}
+		if utf8.ValidString(name) && fromCold != ev {
+			t.Fatalf("cold frame decodes to %+v, want %+v", fromCold, ev)
+		}
+	})
 }

@@ -219,7 +219,7 @@ func restoreTenant(cp tenantCheckpoint, ringSize int, o *serverObs) (*Tenant, er
 				cp.ID, cp.PendingM, cp.Exec.M, ex.ActiveUtilization())
 		}
 	}
-	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, ringSize, o)
+	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, ringSize, o, true)
 	t.log.hist, t.log.tail.first = cp.History, sealedEvents(cp.History)
 	for _, ev := range tail {
 		if err := t.log.restore(ev); err != nil {
@@ -351,7 +351,7 @@ func (s *Server) applyRecord(r wal.Record) (ok bool) {
 	case wal.OpTerm:
 		return true // leadership-change marker: no state to apply
 	case wal.OpTenantCreate:
-		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.submitRing, s.obs)
+		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.submitRing, s.obs, true)
 		if err == nil {
 			if _, err = s.addTenant(nt); err != nil {
 				nt.Close() // never installed; stop its loop goroutine

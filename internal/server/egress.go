@@ -17,14 +17,19 @@ import (
 
 // This file is the egress side of the encode-once plane. Records are
 // serialized to NDJSON wire bytes exactly once, by the goroutine that
-// owns them — the tenant loop for dispatch events (Tenant.record, whose
-// dispatch log is nothing but those bytes: dispatchlog.go), the trace ring
-// for trace events (obs.Ring.FramesSince), the WAL appender for
-// replication frames (wal.Reader.NextRaw ships the on-disk payload) — and
-// every follower writes the shared bytes. The frameWriter below writes a
-// bounded run of frames per Write — a dispatch-log chunk as it is held, a
-// batch of trace or journal lines gathered into one buffer — flushes once
-// per drain, and bounds how long any write may block on a wedged client.
+// owns them — the tenant loop for dispatch events (Tenant.record, into the
+// tail of its dispatch log: dispatchlog.go), the trace ring for trace
+// events (obs.Ring.FramesSince), the WAL appender for replication frames
+// (wal.Reader.NextRaw ships the on-disk payload) — and every follower
+// writes the shared bytes. That holds for the live tail of every dispatch
+// log and for all of a journaled tenant's resident history. Closed history
+// is the exception, served per reader: a journaled tenant's sealed frames
+// are copied from its hist-* files, an in-memory tenant's closed chunks
+// are rendered from their compact records. The frameWriter below writes a
+// bounded run of frames per Write — a span of a dispatch-log chunk, a
+// block of a history file, a batch of rendered, trace or journal lines
+// gathered into one buffer — flushes once per drain, and bounds how long
+// any write may block on a wedged client.
 //
 // Slow-consumer policy, one rule for every feed: a reader that keeps
 // reading is served everything the source retains, however far behind it
@@ -58,8 +63,9 @@ type StreamGone struct {
 // value. An event is four integers, three rats — digits, '-' and '/', their
 // own JSON encoding between quotes — and a task name, which is too when it
 // is wire.Plain; any other name takes json.Marshal itself. Every dispatch is
-// encoded here exactly once: the stream, the ?from replay, the sealed
-// history files and the snapshot's inline tail all carry these bytes.
+// encoded here at record time, and a cold chunk's records are rendered
+// back here: the stream, the ?from replay, the sealed history files and
+// the snapshot's inline tail all carry these bytes.
 func appendDispatchFrame(b []byte, seq int64, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) []byte {
 	if !wire.Plain(task) {
 		j, err := json.Marshal(DispatchEvent{
@@ -238,11 +244,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, pos int64, follo
 	}
 }
 
-// handleDispatches streams the tenant's dispatch log. Every line is a frame
-// the tenant loop encoded once at record time; the handler only moves bytes
-// — a run of a resident chunk per write, or, for seqs below the log's
-// resident floor, blocks of the sealed history files that hold the same
-// bytes.
+// handleDispatches streams the tenant's dispatch log. A wire chunk's
+// frames were encoded once at record time and the handler only moves them
+// — a span of the chunk per write; a cold chunk's are rendered into the
+// stream's own buffer, which never holds a chunk's bytes; seqs below the
+// log's resident floor are served in blocks of the sealed history files
+// that hold the same bytes.
 func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	t := s.routeTenant(w, r)
 	if t == nil {
@@ -252,6 +259,7 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var render []byte
 	s.stream(w, r, from, follow, feed{wake: t.Subscribe, done: t.Closed(), drain: func(fw *frameWriter, pos int64) (int64, error) {
 		log := &t.snap.Load().log
 		if floor := log.floor(); pos < floor && pos < log.len() {
@@ -261,7 +269,7 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 			pos = floor
 		}
 		for pos < log.len() {
-			frames, n := log.frames(pos, maxStreamBatch)
+			frames, n := log.frames(&render, pos, maxStreamBatch)
 			if n == 0 {
 				// Never inside the log; a stream must not spin if it were.
 				return pos, io.ErrNoProgress

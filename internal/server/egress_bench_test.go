@@ -52,13 +52,15 @@ func benchEvents() []DispatchEvent {
 // deadline and tardiness, which the executive hands record. The target is
 // 0 allocs/op: what a command allocates (its snapshot, its event's lag
 // string) is a sixteenth of that here. The log restarts every 65536
-// dispatches so any -benchtime fits in memory.
+// dispatches, in the tenant's own form, so any -benchtime fits in memory.
 //
-// 0subs and 1subs run an in-memory tenant. journaled hooks the tenant into
-// a real wal.Log in b.TempDir() at FsyncEvery 64 and, like the handler of
-// the command that dispatched, waits on the journal after every settle, so
-// the group-commit fsyncs its dispatch journaling buys are inside the
-// number; journal-B/op is what one decision adds to the WAL.
+// 0subs and 1subs run an in-memory tenant, whose log also encodes each
+// decision's compact record (dispatchlog.go). journaled builds the tenant
+// journaled and hooks it into a real wal.Log in b.TempDir() at FsyncEvery
+// 64 and, like the handler of the command that dispatched, waits on the
+// journal after every settle, so the group-commit fsyncs its dispatch
+// journaling buys are inside the number; journal-B/op is what one
+// decision adds to the WAL.
 func BenchmarkTenantRecord(b *testing.B) {
 	run := func(b *testing.B, tn *Tenant, task *model.Task, settled func()) {
 		tn.publish()
@@ -80,23 +82,27 @@ func BenchmarkTenantRecord(b *testing.B) {
 				first = tn.log.len()
 			}
 			if n&(1<<16-1) == 1<<16-1 {
-				tn.log = dispatchLog{}
+				tn.log = dispatchLog{cold: tn.log.cold, names: tn.log.names}
 				tn.publish()
 				first = 0
 			}
 		}
 	}
-	newCore := func(b *testing.B) (*Tenant, *model.Task) {
+	newCore := func(b *testing.B, journaled bool) (*Tenant, *model.Task) {
 		ex := online.New(2, nil)
 		task, err := ex.Register("task-0", model.W(1, 2))
 		if err != nil {
 			b.Fatal(err)
 		}
-		return newTenantCore("bench", "PD2", ex, 0, nil), task // loop not started: this goroutine is the writer
+		tn := newTenantCore("bench", "PD2", ex, 0, nil, journaled) // loop not started: this goroutine is the writer
+		if tn.log.cold == journaled {
+			b.Fatalf("journaled %v built a log with cold %v", journaled, tn.log.cold)
+		}
+		return tn, task
 	}
 	for _, subs := range []int{0, 1} {
 		b.Run(fmt.Sprintf("%dsubs", subs), func(b *testing.B) {
-			tn, task := newCore(b)
+			tn, task := newCore(b, false)
 			settled := func() {}
 			if subs == 1 {
 				settled = func() { tn.Subscribe() }
@@ -112,7 +118,7 @@ func BenchmarkTenantRecord(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer l.Close()
-		tn, task := newCore(b)
+		tn, task := newCore(b, true)
 		tn.SetJournal(l.AppendAsync, l.AppendBatch, l.Fail)
 		run(b, tn, task, func() {
 			if err := l.Wait(wal.Commit{LSN: l.WrittenLSN()}); err != nil {
@@ -137,30 +143,33 @@ func BenchmarkTenantRecord(b *testing.B) {
 }
 
 // TestTenantRecordAllocs pins the per-decision hook at zero allocations,
-// for a tardy decision too: a lag's string is rendered once per command,
-// for its trace event, never per decision. (A chunk the log grows by is
-// amortised over hundreds of frames, well under one per call.)
+// in either form of the log and for a tardy decision too: a lag's string
+// is rendered once per command, for its trace event, never per decision.
+// (A chunk the log grows by, or a cold log's shadow, is amortised over
+// hundreds of frames, well under one per call.)
 func TestTenantRecordAllocs(t *testing.T) {
-	ex := online.New(2, nil)
-	task, err := ex.Register("task-0", model.W(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn := newTenantCore("allocs", "PD2", ex, 0, nil)
-	tn.publish()
-	sub := &model.Subtask{Task: task}
-	d := online.Dispatch{Sub: sub, Proc: 1}
-	for _, late := range []rat.Rat{rat.Zero, rat.New(1, 2), rat.New(5, 7)} {
-		if allocs := testing.AllocsPerRun(1000, func() {
-			sub.Index++
-			d.Deadline = sub.Deadline()
-			d.Finish = rat.FromInt(d.Deadline).Add(late)
-			d.Start, d.Tardiness = d.Finish.Sub(rat.One), late
-			tn.record(d)
-		}); allocs != 0 {
-			t.Errorf("record at tardiness %s: %v allocations per call, want 0", late, allocs)
+	for _, journaled := range []bool{false, true} {
+		ex := online.New(2, nil)
+		task, err := ex.Register("task-0", model.W(1, 2))
+		if err != nil {
+			t.Fatal(err)
 		}
-		tn.settle()
+		tn := newTenantCore("allocs", "PD2", ex, 0, nil, journaled)
+		tn.publish()
+		sub := &model.Subtask{Task: task}
+		d := online.Dispatch{Sub: sub, Proc: 1}
+		for _, late := range []rat.Rat{rat.Zero, rat.New(1, 2), rat.New(5, 7)} {
+			if allocs := testing.AllocsPerRun(1000, func() {
+				sub.Index++
+				d.Deadline = sub.Deadline()
+				d.Finish = rat.FromInt(d.Deadline).Add(late)
+				d.Start, d.Tardiness = d.Finish.Sub(rat.One), late
+				tn.record(d)
+			}); allocs != 0 {
+				t.Errorf("journaled %v, record at tardiness %s: %v allocations per call, want 0", journaled, late, allocs)
+			}
+			tn.settle()
+		}
 	}
 }
 
@@ -184,9 +193,9 @@ func BenchmarkDispatchFanout(b *testing.B) {
 				// then every subscriber writes the same bytes by reference.
 				var log dispatchLog
 				for i, ev := range evs {
-					log.append(ev.Task, ev.Index, ev.Proc, times[i][0], times[i][1], ev.Deadline, rat.Zero)
+					log.append(i%8, ev.Task, ev.Index, ev.Proc, times[i][0], times[i][1], ev.Deadline, rat.Zero)
 				}
-				frames, _ := log.frames(0, len(evs))
+				frames, _ := log.frames(nil, 0, len(evs)) // a wire log: nothing to render
 				for _, fw := range writers {
 					if _, err := fw.Write(frames); err != nil {
 						b.Fatal(err)
@@ -237,7 +246,7 @@ func BenchmarkMetricsExposition(b *testing.B) {
 	s := New()
 	defer s.Shutdown()
 	for i := 0; i < 8; i++ {
-		t, err := newTenant(fmt.Sprintf("bench-%d", i), 2, "", s.submitRing, s.obs)
+		t, err := newTenant(fmt.Sprintf("bench-%d", i), 2, "", s.submitRing, s.obs, false)
 		if err != nil {
 			b.Fatal(err)
 		}

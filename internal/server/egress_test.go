@@ -660,3 +660,135 @@ func (r *pacedReader) Read(p []byte) (int, error) {
 	}
 	return r.Reader.Read(p)
 }
+
+// TestInMemoryStreamMatchesDurable runs one seeded command script, with
+// task names JSON escapes, on an in-memory server and on a durable one.
+// The in-memory tenant closes its chunks cold; the journaled one keeps wire
+// bytes, seals them into history files, and keeps wire bytes again once
+// restored from its snapshot and journal. Whichever form serves them,
+// ?from=k&follow=false is byte-identical at every chunk boundary and
+// either side of it, mid-chunk, at 0 and at the end, and a follower opened
+// at 0 before the load reads the same bytes.
+func TestInMemoryStreamMatchesDurable(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	type node struct {
+		srv *server.Server
+		url string
+		c   *client.Client
+	}
+	serve := func(srv *server.Server) *node {
+		hs := hoptest.NewServer(srv.Handler())
+		t.Cleanup(hs.Close)
+		t.Cleanup(func() { srv.Close() })
+		return &node{srv, hs.URL + "/v1/tenants/acme/dispatches", client.New(hs.URL, nil)}
+	}
+	dir := t.TempDir()
+	open := func() *node {
+		srv, err := server.Open(server.Options{DataDir: dir, SnapshotEvery: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return serve(srv)
+	}
+	mem, dur := serve(server.New()), open()
+	names := []string{"web", `q"uote\`, "line\u2028sep<&>", "é"}
+	weights := []model.Weight{model.W(3, 4), model.W(1, 2), model.W(1, 2), model.W(1, 4)} // Σ = M
+	var follows []*http.Response
+	for _, n := range []*node{mem, dur} {
+		if _, err := n.c.CreateTenant(ctx, "acme", 2, ""); err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, n.url+"?from=0", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		follows = append(follows, resp)
+		for i, name := range names {
+			if _, err := n.c.RegisterTask(ctx, "acme", name, weights[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(38))
+	load := func(rounds int) {
+		t.Helper()
+		for r := 0; r < rounds; r++ {
+			var jobs []server.SubmitJobRequest
+			for _, name := range names {
+				for k := rng.Intn(4); k > 0; k-- {
+					jobs = append(jobs, server.SubmitJobRequest{Task: name})
+				}
+			}
+			by := fmt.Sprint(2 + rng.Intn(7))
+			for _, n := range []*node{mem, dur} {
+				if len(jobs) > 0 {
+					if _, err := n.c.SubmitJobs(ctx, "acme", jobs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := n.c.AdvanceBy(ctx, "acme", by); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", url, resp.StatusCode, err)
+		}
+		return b
+	}
+	// compare checks both streams from every seq that matters to the
+	// in-memory log's chunks, and that the durable tenant holds closed
+	// chunks, none of them cold. It returns the whole stream.
+	compare := func(when string, durChunks int) []byte {
+		t.Helper()
+		bounds, cold := mem.srv.DispatchChunks("acme")
+		if b, c := dur.srv.DispatchChunks("acme"); cold < 3 || cold != len(bounds)-1 || c != 0 || len(b)-1 < durChunks {
+			t.Fatalf("%s: in memory %d of %d closed chunks cold, durable %d of %d; want all of at least 3, and none of at least %d",
+				when, cold, len(bounds)-1, c, len(b)-1, durChunks)
+		}
+		all := get(mem.url + "?from=0&follow=false")
+		total := int64(bytes.Count(all, []byte{'\n'}))
+		froms := []int64{0, (bounds[1] + bounds[2]) / 2, total}
+		for _, b := range bounds[1:] {
+			froms = append(froms, b-1, b, b+1)
+		}
+		for _, k := range froms {
+			q := fmt.Sprintf("?from=%d&follow=false", k)
+			if m, d := get(mem.url+q), get(dur.url+q); !bytes.Equal(m, d) {
+				t.Fatalf("%s, from %d: in memory %d bytes, durable %d", when, k, len(m), len(d))
+			}
+		}
+		t.Logf("%s: %d frames, %d closed chunks in memory", when, total, len(bounds)-1)
+		return all
+	}
+
+	load(360)
+	all := compare("resident", 3)
+	for _, resp := range follows {
+		got := make([]byte, len(all))
+		if _, err := io.ReadFull(resp.Body, got); err != nil || !bytes.Equal(got, all) {
+			t.Fatalf("the follower opened at 0 read other bytes (%v)", err)
+		}
+	}
+	if err := dur.srv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	compare("sealed", 0)
+	load(100)
+	dur.srv.Close()
+	dur = open() // restored from the snapshot, the last 100 rounds replayed
+	load(100)
+	compare("restored", 1)
+}

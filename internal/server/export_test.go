@@ -27,3 +27,21 @@ func (s *Server) JournalMarker() error {
 	_, err := s.wal.AppendAsync(wal.Record{Op: wal.OpTerm})
 	return err
 }
+
+// DispatchChunks reports tenant id's closed resident dispatch chunks: the
+// seq each starts at, then the seq the open tail starts at; and how many
+// of them are cold (held as compact records).
+func (s *Server) DispatchChunks(id string) (bounds []int64, cold int) {
+	log := s.tenant(id).snap.Load().log
+	for i := range log.full {
+		bounds = append(bounds, log.full[i].first)
+		if log.full[i].cold() {
+			cold++
+		}
+	}
+	return append(bounds, log.tail.first), cold
+}
+
+// ResidentBytes is what the tenant's dispatch history holds in memory, as
+// pfaird_tenant_history_resident_bytes reports it.
+func (t *Tenant) ResidentBytes() int64 { return t.snap.Load().log.resident }

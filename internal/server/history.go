@@ -56,19 +56,25 @@ func sealedEvents(hist []histSegment) int64 {
 // called name and returns its manifest entry. The file is the chunks'
 // bytes, what the stream served while they were resident, handed to the
 // journal by reference: written from the chunks themselves, never
-// gathered into one buffer first.
+// gathered into one buffer first. A cold chunk, which a journaled tenant
+// never holds, is rendered into a part of its own.
 func sealSegment(name string, chunks []chunk) (histSegment, wal.Sidecar) {
 	parts := make([][]byte, len(chunks))
-	crc := uint32(0)
+	crc, size := uint32(0), 0
 	for i := range chunks {
-		parts[i] = chunks[i].data
+		c := &chunks[i]
+		parts[i] = c.data
+		if c.cold() {
+			parts[i] = c.appendWire(nil, 0, len(c.offs))
+		}
 		crc = crc32.Update(crc, crc32.IEEETable, parts[i])
+		size += len(parts[i])
 	}
 	return histSegment{
 		File:     name,
 		FirstSeq: chunks[0].first,
 		Count:    chunks[len(chunks)-1].end() - chunks[0].first,
-		Bytes:    int64(chunkBytesOf(chunks)),
+		Bytes:    int64(size),
 		CRC:      crc,
 	}, wal.Sidecar{Name: name, Data: parts}
 }

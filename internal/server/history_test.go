@@ -762,10 +762,11 @@ func TestLongTenantSnapshotsStayFlat(t *testing.T) {
 }
 
 // TestInMemoryTenantBytesPerDispatch bounds what an in-memory tenant, which
-// keeps its whole history, retains per decision: the wire frame, its
-// offset, and nothing else — no event struct, no assignment, no subtask.
-// 140 B leaves the ≈ 113 B frame of this workload some chunk slack; the
-// struct log, frame cache, schedule and task system it replaces held 320.
+// keeps its whole history, retains per decision: past the open tail, the
+// compact record, its offset, and nothing else — no wire frame, no event
+// struct, no assignment, no subtask. 40 B leaves the ≈ 22 B record and
+// 4 B offset of this workload some chunk slack; its ≈ 113 B wire frame
+// alone would not fit.
 func TestInMemoryTenantBytesPerDispatch(t *testing.T) {
 	const tasks, period, rounds = 16, 8, 12_500 // 200 000 dispatches
 	tn, err := server.NewTenant("mem", 2, "")
@@ -806,7 +807,7 @@ func TestInMemoryTenantBytesPerDispatch(t *testing.T) {
 	grew, n := heapInUse()-before, tn.Info().Dispatches-from
 	per := float64(grew) / float64(n)
 	t.Logf("%d dispatches grew the heap in use by %d B: %.1f B/dispatch", n, grew, per)
-	if n != tasks*rounds || per > 140 {
-		t.Fatalf("an in-memory tenant retains %.1f B per dispatch over %d dispatches; want ≤ 140", per, n)
+	if n != tasks*rounds || per > 40 {
+		t.Fatalf("an in-memory tenant retains %.1f B per dispatch over %d dispatches; want ≤ 40", per, n)
 	}
 }

@@ -59,7 +59,7 @@ var submitEntries = []submitEntry{
 // idemTenant is a not-started tenant core with one task of weight 1/2 and
 // a journal that counts the jobs of the job-submit records it is handed.
 func idemTenant(t *testing.T) (tn *Tenant, journaled *int) {
-	tn = newWritePathCore(t, "idem", 1, nil)
+	tn = newWritePathCore(t, "idem", 1, nil, true)
 	journaled = new(int)
 	lsn := uint64(0)
 	tn.SetJournal(
@@ -245,7 +245,7 @@ func TestCoalescedRunPublishesBeforeAck(t *testing.T) {
 // what does not fit rides the next pass, in order, in a record of its own —
 // sharing a record is never what makes a submit too large to journal.
 func TestCoalescedRunStaysWithinOneFrame(t *testing.T) {
-	tn := newWritePathCore(t, "big", 1, nil)
+	tn := newWritePathCore(t, "big", 1, nil, true)
 	var groups [][]string // the keys of each journaled record
 	lsn := uint64(0)
 	tn.SetJournal(

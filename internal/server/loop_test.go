@@ -14,7 +14,7 @@ import (
 // is busy and the ring is at capacity, exec refuses immediately with
 // ErrRingFull (mapped to 429) instead of blocking the handler.
 func TestRingFullBackpressure(t *testing.T) {
-	tn, err := newTenant("ring", 1, "", 1, nil) // ring capacity 1
+	tn, err := newTenant("ring", 1, "", 1, nil, false) // ring capacity 1
 	if err != nil {
 		t.Fatal(err)
 	}

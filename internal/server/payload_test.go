@@ -28,7 +28,9 @@ func TestSnapshotPayloadMatchesMarshal(t *testing.T) {
 
 	tenant := func(id string, names []string, rounds int) tenantCheckpoint {
 		t.Helper()
-		tn, err := NewTenant(id, 2, "")
+		// Built journaled, as every tenant a snapshot checkpoints is: its
+		// chunks hold wire bytes, which are decoded below for the reference.
+		tn, err := newTenant(id, 2, "", 0, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}

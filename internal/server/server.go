@@ -463,7 +463,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallbac
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req CreateTenantRequest
 	s.mutate(w, r, &req, http.StatusConflict, func(*Tenant) (reply, error) {
-		t, err := newTenant(req.ID, req.M, req.Policy, s.submitRing, s.obs)
+		t, err := newTenant(req.ID, req.M, req.Policy, s.submitRing, s.obs, s.wal != nil)
 		if err != nil {
 			return reply{errStatus: http.StatusBadRequest}, err
 		}

@@ -59,8 +59,9 @@ type Tenant struct {
 	// Loop-owned state.
 	ex    *online.Executive
 	tasks map[string]*model.Task // the active tasks, by name
-	// log is the dispatch history, kept once, as the wire bytes every
-	// reader is served (dispatchlog.go).
+	// log is the dispatch history (dispatchlog.go): the wire bytes every
+	// reader is served, except the closed chunks of an in-memory tenant,
+	// which are compact records rendered for each reader.
 	log    dispatchLog
 	maxTar rat.Rat
 	reject int64
@@ -143,14 +144,16 @@ func PolicyByName(name string) (prio.Policy, error) {
 	return nil, fmt.Errorf("server: unknown policy %q (want PD2, PD, PF or EPDF)", name)
 }
 
-// NewTenant creates a tenant with id on m processors under the named
-// policy ("" = PD²) with the default submit-ring capacity, instrumented by
-// standalone sinks of its own.
+// NewTenant creates an in-memory tenant with id on m processors under the
+// named policy ("" = PD²) with the default submit-ring capacity,
+// instrumented by standalone sinks of its own.
 func NewTenant(id string, m int, policyName string) (*Tenant, error) {
-	return newTenant(id, m, policyName, 0, nil)
+	return newTenant(id, m, policyName, 0, nil, false)
 }
 
-func newTenant(id string, m int, policyName string, ringSize int, o *serverObs) (*Tenant, error) {
+// newTenant creates and starts a tenant; journaled fixes its dispatch
+// log's form (newTenantCore).
+func newTenant(id string, m int, policyName string, ringSize int, o *serverObs, journaled bool) (*Tenant, error) {
 	if id == "" {
 		return nil, fmt.Errorf("server: empty tenant id")
 	}
@@ -164,7 +167,7 @@ func newTenant(id string, m int, policyName string, ringSize int, o *serverObs) 
 	if err != nil {
 		return nil, err
 	}
-	t := newTenantCore(id, pol.Name(), online.New(m, pol), ringSize, o)
+	t := newTenantCore(id, pol.Name(), online.New(m, pol), ringSize, o, journaled)
 	t.start()
 	return t, nil
 }
@@ -177,8 +180,12 @@ func newTenant(id string, m int, policyName string, ringSize int, o *serverObs) 
 // clock, its trace-ring capacity, the aggregate histograms /metrics sums
 // across tenants), or, when o is nil, by standalone sinks. A tenant may
 // live forever, so its executive keeps nothing behind its cursors: the
-// dispatch log is the only record of a past decision.
-func newTenantCore(id, policy string, ex *online.Executive, ringSize int, o *serverObs) *Tenant {
+// dispatch log is the only record of a past decision. It is also where
+// the log's form is fixed, before any loop runs: a journaled tenant — of a
+// server with a data dir, restored, replayed or following — keeps wire
+// bytes, which it digests, snapshots and seals; any other keeps its closed
+// chunks cold.
+func newTenantCore(id, policy string, ex *online.Executive, ringSize int, o *serverObs, journaled bool) *Tenant {
 	if ringSize <= 0 {
 		ringSize = defaultSubmitRing
 	}
@@ -205,6 +212,10 @@ func newTenantCore(id, policy string, ex *online.Executive, ringSize int, o *ser
 			lag:       obs.NewHistogram(obs.QuantaBuckets),
 			sobs:      o,
 		},
+	}
+	t.log.cold = !journaled
+	for _, task := range ex.System().Tasks {
+		t.log.name(task.ID, task.Name)
 	}
 	t.ex.SetOnDispatch(t.record)
 	return t
@@ -319,7 +330,7 @@ func (t *Tenant) record(d online.Dispatch) {
 	if t.worst.Less(d.Tardiness) {
 		t.worst = d.Tardiness
 	}
-	t.log.append(d.Sub.Task.Name, d.Sub.Index, d.Proc, d.Start, d.Finish, d.Deadline, d.Tardiness)
+	t.log.append(d.Sub.Task.ID, d.Sub.Task.Name, d.Sub.Index, d.Proc, d.Start, d.Finish, d.Deadline, d.Tardiness)
 	t.lags.Observe(d.Tardiness.Float64())
 }
 
@@ -463,6 +474,7 @@ func (t *Tenant) applyRegister(name string, w model.Weight) cmdResult {
 		return cmdResult{err: t.wedge(err)}
 	}
 	t.tasks[name] = task
+	t.log.name(task.ID, name)
 	t.traceStage(obs.StageApply)
 	return cmdResult{dec: d, commit: commit}
 }
@@ -855,7 +867,8 @@ func (t *Tenant) LogLen() int64 {
 // snapshot — never sealed ones. (A follower can have sealed one since;
 // verifyDispatch does not ask for those.)
 func (t *Tenant) eventAt(seq int64) (DispatchEvent, bool) {
-	frame, n := t.snap.Load().log.frames(seq, 1)
+	var buf []byte
+	frame, n := t.snap.Load().log.frames(&buf, seq, 1)
 	var ev DispatchEvent
 	return ev, n == 1 && json.Unmarshal(frame, &ev) == nil
 }

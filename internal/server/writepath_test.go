@@ -211,7 +211,7 @@ type writePathScript struct {
 }
 
 func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScript {
-	tn := newWritePathCore(t, id, 2, newServerObs(obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond), 0))
+	tn := newWritePathCore(t, id, 2, newServerObs(obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond), 0), journaled)
 	g := &writePathScript{t: t, tn: tn}
 	if journaled {
 		tn.SetJournal(
@@ -327,11 +327,11 @@ func resultView(c *command, res cmdResult) any {
 
 // newWritePathCore builds a tenant whose loop is not started, so the
 // script's goroutine is the one that owns the loop-owned state; o is its
-// observability (nil: standalone sinks).
-func newWritePathCore(t *testing.T, id string, m int, o *serverObs) *Tenant {
+// observability (nil: standalone sinks), journaled fixes its log's form.
+func newWritePathCore(t *testing.T, id string, m int, o *serverObs, journaled bool) *Tenant {
 	pol, err := PolicyByName("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTenantCore(id, pol.Name(), online.New(m, pol), 0, o)
+	return newTenantCore(id, pol.Name(), online.New(m, pol), 0, o, journaled)
 }
