@@ -326,7 +326,9 @@ loc:
 # docs-check holds the prose to the code. It fails when DESIGN.md is over
 # 70 000 bytes; when DESIGN.md, README.md, TUTORIAL.md or EXPERIMENTS.md
 # cites a Test/Fuzz/Benchmark/Example name that no func in a *_test.go
-# declares (a trailing * makes the name a prefix); or when a "DESIGN §N"
+# declares (a trailing * makes the name a prefix), or opens a backticked
+# span with a `-name` flag that no cmd/*/main.go declares (flag.X("name"
+# or flag.XVar(&v, "name"; -race is go's own); or when a "DESIGN §N"
 # citation in a .go or .md file other than CHANGES.md has no "## N." heading.
 docs-check:
 	@n=$$(wc -c < DESIGN.md); test $$n -le 70000 || { echo "DESIGN.md is $$n bytes, over 70000"; exit 1; }
@@ -336,6 +338,10 @@ docs-check:
 		*\*) echo "$$declared" | grep -q "^$${name%\*}" ;; \
 		*) echo "$$declared" | grep -qx "$$name" ;; \
 		esac || { echo "cited, declared by no test func: $$name"; bad=1; }; \
+	done; test $$bad = 0
+	@declared=$$(grep -ohE 'flag\.[A-Za-z0-9]+\((&[^,]+, )?"[a-z0-9-]+"' cmd/*/main.go | sed -E 's/.*"(.*)"/\1/'); \
+	bad=0; for name in $$(grep -ohE '`[^`]*`' DESIGN.md README.md TUTORIAL.md EXPERIMENTS.md | grep -oE '^`-[a-z][a-z0-9-]*' | cut -c3- | sort -u); do \
+		test "$$name" = race || echo "$$declared" | grep -qx "$$name" || { echo "cited, declared by no cmd/*/main.go flag: -$$name"; bad=1; }; \
 	done; test $$bad = 0
 	@bad=0; for n in $$(grep -rhoE 'DESIGN(\.md)? §[0-9]+' --include='*.go' --include='*.md' --exclude=CHANGES.md . | sed 's/.*§//' | sort -un); do \
 		grep -q "^## $$n\. " DESIGN.md || { echo "DESIGN §$$n is cited, DESIGN.md has no '## $$n.' heading"; bad=1; }; \

@@ -23,21 +23,22 @@
 // Observability: /metrics serves latency histograms (submit→ack, journal
 // append/fsync, dispatch lag in quanta) next to the counters,
 // /v1/tenants/{id}/trace streams per-command lifecycle events as NDJSON
-// (retention set by -trace-buffer), and -pprof (default on) mounts
-// net/http/pprof under /debug/pprof/ on the same listener.
+// (each tenant keeps its last defaultTraceCap = 4096), and -pprof (default
+// on) mounts net/http/pprof under /debug/pprof/ on the same listener.
 //
 // Each tenant applies mutations on a single-writer event loop fed by a
-// bounded submit ring (-submit-ring, default 256); a full ring answers
-// 429 so overload surfaces as client backpressure instead of queue
+// bounded submit ring of defaultSubmitRing = 256 commands; a full ring
+// answers 429 so overload surfaces as client backpressure instead of queue
 // growth, while reads are served lock-free from published snapshots.
 //
 // With -autoscale the daemon runs an elastic-capacity control loop
-// against itself: it scrapes its own per-tenant dispatch-lag histograms
-// and grows or drain-shrinks each tenant's processor count within
-// [-autoscale-min, -autoscale-max], with hysteresis, a per-tenant
-// cooldown, and token-bucket admission on its own actions (DESIGN.md
-// §15). Autoscaled resizes go through POST /v1/tenants/{id}/resize like
-// manual ones, so they are journaled and replicated identically.
+// against itself: every 5 s it scrapes its own per-tenant dispatch-lag
+// histograms and grows or drain-shrinks each tenant's processor count
+// within [-autoscale-min, -autoscale-max], with hysteresis, a 30 s
+// per-tenant cooldown, and token-bucket admission on its own actions — the
+// constants of internal/autoscale (DESIGN.md §15). Autoscaled resizes go
+// through POST /v1/tenants/{id}/resize like manual ones, so they are
+// journaled and replicated identically.
 //
 // With -follow <leader-url> the daemon runs as a read-only replica: it
 // bootstraps from the leader's snapshot, tails the leader's journal over
@@ -87,11 +88,9 @@ type config struct {
 	pprof  bool
 	follow string // the leader's base URL; sets server.Follower
 
-	autoscale         bool
-	autoscaleInterval time.Duration
-	autoscaleMin      int
-	autoscaleMax      int
-	autoscaleCooldown time.Duration
+	autoscale    bool
+	autoscaleMin int
+	autoscaleMax int
 }
 
 func main() {
@@ -101,18 +100,13 @@ func main() {
 	flag.DurationVar(&cfg.grace, "grace", 10*time.Second, "graceful shutdown timeout")
 	flag.StringVar(&opts.DataDir, "data-dir", "", "directory for the write-ahead log and snapshots (empty = in-memory only)")
 	flag.IntVar(&opts.FsyncEvery, "fsync-every", 64, "group-commit: an ack leaves fewer than this many journal frames unsynced (one frame per command, a batch included, plus one digest per dispatching command)")
-	flag.DurationVar(&opts.FsyncMaxDelay, "fsync-max-delay", 100*time.Millisecond, "upper bound on how long a journaled record may wait for its fsync (0 = the 100ms default; negative disables the timer)")
-	flag.IntVar(&opts.SnapshotEvery, "snapshot-every", 4096, "fold the journal into a snapshot after this many jobs, other commands and digests (a batch counts as its jobs)")
+	flag.DurationVar(&opts.FsyncMaxDelay, "fsync-max-delay", server.DefaultFsyncMaxDelay, "upper bound on how long a journaled record may wait for its fsync (0 = the default; negative disables the timer)")
+	flag.IntVar(&opts.SnapshotEvery, "snapshot-every", server.DefaultSnapshotEvery, "fold the journal into a snapshot after this many jobs, other commands and digests (a batch counts as its jobs)")
 	flag.BoolVar(&cfg.pprof, "pprof", true, "serve net/http/pprof profiles under /debug/pprof/")
-	flag.IntVar(&opts.TraceBuffer, "trace-buffer", 4096, "per-tenant trace-ring retention in events (GET /v1/tenants/{id}/trace)")
-	flag.IntVar(&opts.SubmitRing, "submit-ring", 256, "per-tenant submit-ring capacity; a full ring answers 429 backpressure")
-	flag.DurationVar(&opts.StreamStallTimeout, "stream-stall", server.DefaultStreamStall, "sever a streamed connection (dispatch, trace, or a follower's replication log) whose single write blocks longer than this (negative disables)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only replica of the leader at this base URL (requires -data-dir)")
 	flag.BoolVar(&cfg.autoscale, "autoscale", false, "watch per-tenant dispatch-lag histograms and resize tenant capacity automatically")
-	flag.DurationVar(&cfg.autoscaleInterval, "autoscale-interval", 5*time.Second, "scrape/decide period of the autoscaler")
 	flag.IntVar(&cfg.autoscaleMin, "autoscale-min", 1, "lower bound on autoscaled per-tenant M")
 	flag.IntVar(&cfg.autoscaleMax, "autoscale-max", 64, "upper bound on autoscaled per-tenant M")
-	flag.DurationVar(&cfg.autoscaleCooldown, "autoscale-cooldown", 30*time.Second, "per-tenant quiet period after an autoscaler action (doubled after 429 backpressure)")
 	flag.Parse()
 
 	if err := serve(context.Background(), cfg, nil); err != nil {
@@ -190,13 +184,11 @@ func serve(ctx context.Context, cfg config, ready func(addr string)) error {
 	// node is promoted, then takes over without a restart.
 	if cfg.autoscale {
 		scaler := autoscale.New(autoscale.Config{
-			MinM:     cfg.autoscaleMin,
-			MaxM:     cfg.autoscaleMax,
-			Cooldown: cfg.autoscaleCooldown,
+			MinM: cfg.autoscaleMin,
+			MaxM: cfg.autoscaleMax,
 		}, client.New(selfURL(ln.Addr()), nil))
-		log.Printf("pfaird: autoscaler on (every %s, M ∈ [%d, %d])",
-			cfg.autoscaleInterval, cfg.autoscaleMin, cfg.autoscaleMax)
-		go scaler.Run(ctx, cfg.autoscaleInterval, log.Printf)
+		log.Printf("pfaird: autoscaler on (M ∈ [%d, %d])", cfg.autoscaleMin, cfg.autoscaleMax)
+		go scaler.Run(ctx, log.Printf)
 	}
 
 	select {

@@ -31,7 +31,6 @@ func TestSIGTERMDuringStreamDrainsAndRecovers(t *testing.T) {
 			DataDir:       dir,
 			FsyncEvery:    2,
 			SnapshotEvery: 8, // several snapshot writes during the short run
-			TraceBuffer:   64,
 		},
 	}
 	addrCh := make(chan string, 1)

@@ -8,20 +8,22 @@
 // The control loop is deliberately conservative, because capacity changes
 // are journaled state transitions, not free knob twiddles:
 //
-//   - Hysteresis: growing needs the windowed quantile at or above GrowAt
-//     for HoldUp consecutive windows; shrinking needs it at or below
-//     ShrinkAt (or an idle window) for HoldDown windows. The dead band
+//   - Hysteresis: growing needs the windowed quantile at or above growAt
+//     for holdUp consecutive windows; shrinking needs it at or below
+//     shrinkAt (or an idle window) for holdDown windows. The dead band
 //     between the thresholds resets both streaks.
-//   - Cooldown: after any action a tenant is left alone for Cooldown, so
+//   - Cooldown: after any action a tenant is left alone for cooldown, so
 //     the scaler observes the effect of one change before making another.
-//   - Token-bucket admission: all actions pass a shared bucket (Rate per
-//     second, Burst deep). When the bucket is empty the action is shed —
+//   - Token-bucket admission: all actions pass a shared bucket (rate per
+//     second, burst deep). When the bucket is empty the action is shed —
 //     counted, not queued — so a fleet-wide lag spike cannot turn the
 //     scaler into a resize storm.
 //   - Overload shedding: a 429 or 503 from the server puts the tenant in
-//     a Cooldown-long backoff. Backpressure means the server needs fewer
-//     commands, so the scaler stops sending them; it never retries into
-//     an overloaded ring.
+//     a backoff of twice the cooldown. Backpressure means the server needs
+//     fewer commands, so the scaler stops sending them; it never retries
+//     into an overloaded ring.
+//
+// Grows add one processor and shrinks remove one.
 //
 // Shrinks always use drain mode: the server applies them only when
 // feasible (Σwt ≤ target) and otherwise queues the target, so the scaler
@@ -41,75 +43,38 @@ import (
 	"desyncpfair/internal/obs"
 )
 
-// Config bounds and tunes the control loop. The zero value of every
-// field is replaced by the listed default in New.
+// Config bounds the control loop: MinM and MaxM bound every target the
+// scaler will request (a MinM below 1 is taken as 1).
 type Config struct {
-	// MinM and MaxM bound every target the scaler will request.
-	// Defaults 1 and 64.
 	MinM, MaxM int
-	// Quantile of the windowed lag distribution the thresholds compare
-	// against. Default 0.9.
-	Quantile float64
-	// GrowAt is the lag (in quanta) at or above which a window votes to
-	// grow. Theorem 3 bounds steady-state tardiness by one quantum, so
-	// sustained lag near 1 means the tenant is running at the edge of its
-	// bound. Default 0.75.
-	GrowAt float64
-	// ShrinkAt is the lag at or below which a window votes to shrink.
-	// Default 0.25. Idle windows (no dispatches) also vote to shrink.
-	ShrinkAt float64
-	// HoldUp / HoldDown are how many consecutive windows must vote the
-	// same way before the scaler acts. Defaults 2 and 3 — shedding
-	// capacity is cheaper to delay than missing deadlines.
-	HoldUp, HoldDown int
-	// GrowStep is how many processors a grow adds; shrinks always step
-	// down by one. Default 1.
-	GrowStep int
-	// Cooldown is the per-tenant quiet period after an action, and the
-	// backoff applied when the server answers with overload. Default 30s.
-	Cooldown time.Duration
-	// Rate and Burst parameterize the shared token bucket all actions
-	// pass through. Defaults 1 action/s with a burst of 4.
-	Rate  float64
-	Burst int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MinM <= 0 {
-		c.MinM = 1
-	}
-	if c.MaxM <= 0 {
-		c.MaxM = 64
-	}
-	if c.Quantile == 0 {
-		c.Quantile = 0.9
-	}
-	if c.GrowAt == 0 {
-		c.GrowAt = 0.75
-	}
-	if c.ShrinkAt == 0 {
-		c.ShrinkAt = 0.25
-	}
-	if c.HoldUp <= 0 {
-		c.HoldUp = 2
-	}
-	if c.HoldDown <= 0 {
-		c.HoldDown = 3
-	}
-	if c.GrowStep <= 0 {
-		c.GrowStep = 1
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	if c.Rate <= 0 {
-		c.Rate = 1
-	}
-	if c.Burst <= 0 {
-		c.Burst = 4
-	}
-	return c
-}
+// The control loop's constants.
+const (
+	// quantile of the windowed lag distribution the thresholds compare
+	// against.
+	quantile = 0.9
+	// growAt is the lag (in quanta) at or above which a window votes to
+	// grow. Theorem 3 bounds steady-state tardiness by one quantum, so
+	// sustained lag near 1 means the tenant is running at the edge of its
+	// bound.
+	growAt = 0.75
+	// shrinkAt is the lag at or below which a window votes to shrink.
+	// Idle windows (no dispatches) also vote to shrink.
+	shrinkAt = 0.25
+	// holdUp / holdDown are how many consecutive windows must vote the
+	// same way before the scaler acts — shedding capacity is cheaper to
+	// delay than missing deadlines.
+	holdUp, holdDown = 2, 3
+	// cooldown is the per-tenant quiet period after an action; an action
+	// the server answers with overload backs off twice as long.
+	cooldown = 30 * time.Second
+	// rate (actions per second) and burst parameterize the shared token
+	// bucket all actions pass through.
+	rate, burst = 1.0, 4
+	// interval is Run's scrape/decide period.
+	interval = 5 * time.Second
+)
 
 // Action is one resize the scaler attempted during a Tick.
 type Action struct {
@@ -128,21 +93,20 @@ type Report struct {
 	Shed int
 }
 
-// bucket is a standard token bucket, refilled continuously.
+// bucket is a standard token bucket, refilled continuously at rate and
+// holding at most burst tokens.
 type bucket struct {
 	tokens float64
-	rate   float64
-	burst  float64
 	last   time.Time
 }
 
 func (b *bucket) take(now time.Time) bool {
 	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
+		b.tokens += now.Sub(b.last).Seconds() * rate
 	}
 	b.last = now
-	if b.tokens > b.burst {
-		b.tokens = b.burst
+	if b.tokens > burst {
+		b.tokens = burst
 	}
 	if b.tokens < 1 {
 		return false
@@ -172,15 +136,15 @@ const (
 // classify turns one windowed snapshot into a vote. An empty window (no
 // dispatches) is a shrink vote: a tenant that dispatched nothing all
 // window has no use for spare processors.
-func classify(window obs.Snapshot, cfg Config) verdict {
+func classify(window obs.Snapshot) verdict {
 	if window.Count == 0 {
 		return shrinkVote
 	}
-	q := window.Quantile(cfg.Quantile)
+	q := window.Quantile(quantile)
 	switch {
-	case q >= cfg.GrowAt:
+	case q >= growAt:
 		return growVote
-	case q <= cfg.ShrinkAt:
+	case q <= shrinkAt:
 		return shrinkVote
 	default:
 		return hold
@@ -212,8 +176,8 @@ func diffWindow(cur, prev obs.Snapshot) obs.Snapshot {
 
 // Scaler is the autoscaling control loop. Create one with New (against a
 // live server through a client) or NewFuncs (tests inject scrape/resize
-// and a fake clock), then call Tick on whatever cadence the deployment
-// wants — the scaler is cadence-agnostic because all its signals are
+// and a fake clock), then call Run, or Tick on a cadence of the caller's
+// own — the scaler is cadence-agnostic because all its signals are
 // windowed deltas.
 type Scaler struct {
 	cfg     Config
@@ -238,13 +202,13 @@ func New(cfg Config, cl *client.Client) *Scaler {
 func NewFuncs(cfg Config, clock obs.Clock,
 	scrape func(ctx context.Context) (string, error),
 	resize func(ctx context.Context, tenant string, m int, drain bool) error) *Scaler {
-	cfg = cfg.withDefaults()
+	cfg.MinM = max(cfg.MinM, 1)
 	return &Scaler{
 		cfg:     cfg,
 		clock:   clock,
 		scrape:  scrape,
 		resize:  resize,
-		bucket:  bucket{tokens: float64(cfg.Burst), rate: cfg.Rate, burst: float64(cfg.Burst)},
+		bucket:  bucket{tokens: burst},
 		tenants: map[string]*tenantState{},
 	}
 }
@@ -337,7 +301,7 @@ func (s *Scaler) Tick(ctx context.Context) (Report, error) {
 		window := diffWindow(sm.lag, st.prev)
 		st.prev = sm.lag
 
-		switch classify(window, s.cfg) {
+		switch classify(window) {
 		case growVote:
 			st.up, st.down = st.up+1, 0
 		case shrinkVote:
@@ -351,9 +315,9 @@ func (s *Scaler) Tick(ctx context.Context) (Report, error) {
 
 		target, drain := 0, false
 		switch {
-		case st.up >= s.cfg.HoldUp && sm.m < s.cfg.MaxM:
-			target = min(sm.m+s.cfg.GrowStep, s.cfg.MaxM)
-		case st.down >= s.cfg.HoldDown && sm.m > s.cfg.MinM && sm.pendingM == 0:
+		case st.up >= holdUp && sm.m < s.cfg.MaxM:
+			target = sm.m + 1
+		case st.down >= holdDown && sm.m > s.cfg.MinM && sm.pendingM == 0:
 			target, drain = sm.m-1, true
 		default:
 			continue
@@ -365,11 +329,11 @@ func (s *Scaler) Tick(ctx context.Context) (Report, error) {
 		err := s.resize(ctx, sm.id, target, drain)
 		rep.Actions = append(rep.Actions, Action{Tenant: sm.id, Target: target, Drain: drain, Err: err})
 		st.up, st.down = 0, 0
-		st.quiet = now.Add(s.cfg.Cooldown)
+		st.quiet = now.Add(cooldown)
 		if isOverload(err) {
 			// Backpressure: the server wants fewer commands, so the
 			// tenant backs off twice as long as a normal cooldown.
-			st.quiet = now.Add(2 * s.cfg.Cooldown)
+			st.quiet = now.Add(2 * cooldown)
 		}
 	}
 
@@ -385,7 +349,7 @@ func (s *Scaler) Tick(ctx context.Context) (Report, error) {
 // Run ticks the scaler every interval until ctx is cancelled, reporting
 // actions and errors through logf (nil discards). It is what pfaird's
 // -autoscale flag starts.
-func (s *Scaler) Run(ctx context.Context, interval time.Duration, logf func(format string, args ...any)) {
+func (s *Scaler) Run(ctx context.Context, logf func(format string, args ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -397,20 +361,25 @@ func (s *Scaler) Run(ctx context.Context, interval time.Duration, logf func(form
 			return
 		case <-tick.C:
 		}
-		rep, err := s.Tick(ctx)
-		if err != nil {
-			logf("autoscale: tick: %v", err)
-			continue
+		s.tickAndLog(ctx, logf)
+	}
+}
+
+// tickAndLog runs one Tick and reports what it did through logf.
+func (s *Scaler) tickAndLog(ctx context.Context, logf func(format string, args ...any)) {
+	rep, err := s.Tick(ctx)
+	if err != nil {
+		logf("autoscale: tick: %v", err)
+		return
+	}
+	for _, a := range rep.Actions {
+		if a.Err != nil {
+			logf("autoscale: resize %s → %d (drain=%v): %v", a.Tenant, a.Target, a.Drain, a.Err)
+		} else {
+			logf("autoscale: resized %s → %d (drain=%v)", a.Tenant, a.Target, a.Drain)
 		}
-		for _, a := range rep.Actions {
-			if a.Err != nil {
-				logf("autoscale: resize %s → %d (drain=%v): %v", a.Tenant, a.Target, a.Drain, a.Err)
-			} else {
-				logf("autoscale: resized %s → %d (drain=%v)", a.Tenant, a.Target, a.Drain)
-			}
-		}
-		if rep.Shed > 0 {
-			logf("autoscale: shed %d action(s) at the token bucket", rep.Shed)
-		}
+	}
+	if rep.Shed > 0 {
+		logf("autoscale: shed %d action(s) at the token bucket", rep.Shed)
 	}
 }

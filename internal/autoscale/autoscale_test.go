@@ -146,63 +146,73 @@ func TestDiffWindowSubtractsAndHandlesReset(t *testing.T) {
 }
 
 func TestClassifyHysteresisBand(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if v := classify(lagHist(high, 0), cfg); v != growVote {
+	if v := classify(lagHist(high, 0)); v != growVote {
 		t.Fatalf("high lag classified %v, want grow", v)
 	}
-	if v := classify(lagHist(low, 0), cfg); v != shrinkVote {
+	if v := classify(lagHist(low, 0)); v != shrinkVote {
 		t.Fatalf("zero lag classified %v, want shrink", v)
 	}
-	if v := classify(obs.Snapshot{}, cfg); v != shrinkVote {
+	if v := classify(obs.Snapshot{}); v != shrinkVote {
 		t.Fatalf("idle window classified %v, want shrink", v)
 	}
-	// p90 in the dead band between ShrinkAt and GrowAt: hold.
-	if v := classify(lagHist([5]uint64{0, 0, 10, 0, 0}, 0), cfg); v != hold {
+	// p90 in the dead band between shrinkAt and growAt: hold.
+	if v := classify(lagHist([5]uint64{0, 0, 10, 0, 0}, 0)); v != hold {
 		t.Fatalf("mid lag classified %v, want hold", v)
 	}
 }
 
-// TestScalerGrowThenShrinkCycle walks the full control loop: two high-lag
-// windows grow the tenant, cooldown holds further action, and sustained
-// idle windows then shrink it back — with drain, never bypassing
+// window feeds every tenant one more window — high lag when hot, none
+// otherwise — a second apart, and ticks.
+func (h *harness) window(t *testing.T, hot bool) Report {
+	t.Helper()
+	for _, ft := range h.tenants {
+		if hot {
+			ft.lag = addLag(ft.lag, high, 0)
+		}
+	}
+	h.clock.Advance(time.Second)
+	return h.tick(t)
+}
+
+// TestScalerGrowThenShrinkCycle walks the full control loop: holdUp
+// high-lag windows grow the tenant, the cooldown holds further action, and
+// holdDown idle windows then shrink it back — with drain, never bypassing
 // feasibility.
 func TestScalerGrowThenShrinkCycle(t *testing.T) {
-	cfg := Config{MinM: 1, MaxM: 8, HoldUp: 2, HoldDown: 2, Cooldown: 10 * time.Second, Rate: 100, Burst: 10}
-	h := newHarness(t, cfg)
+	h := newHarness(t, Config{MinM: 1, MaxM: 8})
 	h.tenants["T"] = &fakeTenant{m: 2, lag: lagHist([5]uint64{}, 0)}
 
 	if rep := h.tick(t); len(rep.Actions) != 0 {
 		t.Fatalf("baseline tick acted: %+v", rep.Actions)
 	}
-	h.tenants["T"].lag = addLag(h.tenants["T"].lag, high, 0)
-	h.clock.Advance(time.Second)
-	if rep := h.tick(t); len(rep.Actions) != 0 {
-		t.Fatalf("first high window acted before HoldUp: %+v", rep.Actions)
+	for i := 1; i < holdUp; i++ {
+		if rep := h.window(t, true); len(rep.Actions) != 0 {
+			t.Fatalf("high window %d acted before holdUp: %+v", i, rep.Actions)
+		}
 	}
-	h.tenants["T"].lag = addLag(h.tenants["T"].lag, high, 0)
-	h.clock.Advance(time.Second)
-	rep := h.tick(t)
+	rep := h.window(t, true)
 	if len(rep.Actions) != 1 || rep.Actions[0].Target != 3 || rep.Actions[0].Drain {
-		t.Fatalf("after HoldUp windows: %+v, want grow to 3", rep.Actions)
+		t.Fatalf("after holdUp windows: %+v, want grow to 3", rep.Actions)
 	}
 	if h.tenants["T"].m != 3 {
 		t.Fatalf("backend m %d after grow", h.tenants["T"].m)
 	}
 
 	// Still-high lag inside the cooldown: votes accrue, no action.
-	h.tenants["T"].lag = addLag(h.tenants["T"].lag, high, 0)
-	h.clock.Advance(time.Second)
-	if rep := h.tick(t); len(rep.Actions) != 0 {
+	if rep := h.window(t, true); len(rep.Actions) != 0 {
 		t.Fatalf("acted inside cooldown: %+v", rep.Actions)
 	}
 
-	// Past the cooldown, two idle windows shrink by one, drain mode.
-	h.clock.Advance(cfg.Cooldown)
-	h.tick(t)
-	h.clock.Advance(time.Second)
-	rep = h.tick(t)
+	// Idle windows inside the cooldown build the shrink streak; the first
+	// tick past it with holdDown idle windows behind it shrinks by one,
+	// drain mode.
+	for i := 0; i < holdDown-1; i++ {
+		h.window(t, false)
+	}
+	h.clock.Advance(cooldown)
+	rep = h.window(t, false)
 	if len(rep.Actions) != 1 || rep.Actions[0].Target != 2 || !rep.Actions[0].Drain {
-		t.Fatalf("after HoldDown idle windows: %+v, want drain shrink to 2", rep.Actions)
+		t.Fatalf("after holdDown idle windows: %+v, want drain shrink to 2", rep.Actions)
 	}
 	if len(h.calls) != 2 {
 		t.Fatalf("resize calls: %+v", h.calls)
@@ -213,57 +223,59 @@ func TestScalerGrowThenShrinkCycle(t *testing.T) {
 // MaxM, no shrink below MinM, and no shrink while a drain target is
 // already queued.
 func TestScalerBoundsAndPendingGate(t *testing.T) {
-	cfg := Config{MinM: 2, MaxM: 3, HoldUp: 1, HoldDown: 1, Cooldown: time.Millisecond, Rate: 100, Burst: 10}
-	h := newHarness(t, cfg)
+	h := newHarness(t, Config{MinM: 2, MaxM: 3})
 	h.tenants["T"] = &fakeTenant{m: 3, lag: lagHist([5]uint64{}, 0)}
 
 	h.tick(t) // baseline
-	h.tenants["T"].lag = addLag(h.tenants["T"].lag, high, 0)
-	h.clock.Advance(time.Second)
-	if rep := h.tick(t); len(rep.Actions) != 0 {
-		t.Fatalf("grew past MaxM: %+v", rep.Actions)
+	for i := 0; i < holdUp; i++ {
+		if rep := h.window(t, true); len(rep.Actions) != 0 {
+			t.Fatalf("grew past MaxM: %+v", rep.Actions)
+		}
 	}
 
-	// Idle windows shrink 3 → 2, then stop at MinM.
-	for i := 0; i < 4; i++ {
-		h.clock.Advance(time.Second)
-		h.tick(t)
+	// Idle windows shrink 3 → 2, then stop at MinM however long they last.
+	for i := 0; i < 3*holdDown; i++ {
+		h.clock.Advance(cooldown)
+		h.window(t, false)
 	}
-	if h.tenants["T"].m != 2 {
-		t.Fatalf("m %d, want clamped at MinM 2", h.tenants["T"].m)
+	if h.tenants["T"].m != 2 || len(h.calls) != 1 {
+		t.Fatalf("m %d after %d resizes, want clamped at MinM 2 by one shrink", h.tenants["T"].m, len(h.calls))
 	}
 
 	// A queued drain target gates further shrinks entirely.
 	h.tenants["T"] = &fakeTenant{m: 3, pending: 2, lag: lagHist([5]uint64{}, 0)}
 	h.scaler.tenants = map[string]*tenantState{}
 	h.calls = nil
-	for i := 0; i < 4; i++ {
-		h.clock.Advance(time.Second)
-		h.tick(t)
+	for i := 0; i < 3*holdDown; i++ {
+		h.clock.Advance(cooldown)
+		h.window(t, false)
 	}
 	if len(h.calls) != 0 {
 		t.Fatalf("shrank a tenant with a pending drain target: %+v", h.calls)
 	}
 }
 
-// TestScalerTokenBucketSheds: with a one-deep bucket and no refill, a
-// fleet-wide lag spike produces exactly one action; the rest are shed but
-// keep their streaks for later ticks.
+// TestScalerTokenBucketSheds: a fleet-wide lag spike across more tenants
+// than the bucket is deep produces burst actions; the rest are shed but
+// keep their streaks, and the bucket's refill lets one more act a second
+// later.
 func TestScalerTokenBucketSheds(t *testing.T) {
-	cfg := Config{MinM: 1, MaxM: 8, HoldUp: 1, HoldDown: 99, Cooldown: time.Second,
-		Rate: 1e-9, Burst: 1}
-	h := newHarness(t, cfg)
-	for _, id := range []string{"A", "B", "C"} {
-		h.tenants[id] = &fakeTenant{m: 2, lag: lagHist([5]uint64{}, 0)}
+	h := newHarness(t, Config{MinM: 1, MaxM: 8})
+	const tenants = burst + 2
+	for i := 0; i < tenants; i++ {
+		h.tenants[string(rune('A'+i))] = &fakeTenant{m: 2, lag: lagHist([5]uint64{}, 0)}
 	}
 	h.tick(t) // baseline
-	for _, ft := range h.tenants {
-		ft.lag = addLag(ft.lag, high, 0)
+	for i := 1; i < holdUp; i++ {
+		h.window(t, true)
 	}
-	h.clock.Advance(time.Second)
-	rep := h.tick(t)
-	if len(rep.Actions) != 1 || rep.Shed != 2 {
-		t.Fatalf("actions %d shed %d, want 1 action + 2 shed", len(rep.Actions), rep.Shed)
+	rep := h.window(t, true)
+	if len(rep.Actions) != burst || rep.Shed != tenants-burst {
+		t.Fatalf("actions %d shed %d, want %d actions + %d shed", len(rep.Actions), rep.Shed, burst, tenants-burst)
+	}
+	rep = h.window(t, true)
+	if len(rep.Actions) != 1 || rep.Shed != 1 {
+		t.Fatalf("a second later: actions %d shed %d, want 1 action (one token refilled) + 1 shed", len(rep.Actions), rep.Shed)
 	}
 }
 
@@ -271,29 +283,31 @@ func TestScalerTokenBucketSheds(t *testing.T) {
 // period — the scaler sheds its own traffic instead of retrying into
 // backpressure.
 func TestScalerOverloadBacksOff(t *testing.T) {
-	cfg := Config{MinM: 1, MaxM: 8, HoldUp: 1, HoldDown: 99, Cooldown: 10 * time.Second, Rate: 100, Burst: 10}
-	h := newHarness(t, cfg)
+	h := newHarness(t, Config{MinM: 1, MaxM: 8})
 	h.tenants["T"] = &fakeTenant{m: 2, lag: lagHist([5]uint64{}, 0)}
 	h.tick(t)
+	for i := 1; i < holdUp; i++ {
+		h.window(t, true)
+	}
 	h.fail = &client.APIError{Status: http.StatusTooManyRequests, Msg: "ring full"}
-	h.tenants["T"].lag = addLag(h.tenants["T"].lag, high, 0)
-	h.clock.Advance(time.Second)
-	rep := h.tick(t)
+	rep := h.window(t, true)
 	if len(rep.Actions) != 1 || rep.Actions[0].Err == nil {
 		t.Fatalf("overloaded resize not reported: %+v", rep.Actions)
 	}
 	h.fail = nil
 
-	// One normal cooldown later the tenant is still backing off...
-	h.tenants["T"].lag = addLag(h.tenants["T"].lag, high, 0)
-	h.clock.Advance(cfg.Cooldown + time.Second)
-	if rep := h.tick(t); len(rep.Actions) != 0 {
+	// One normal cooldown later, its grow streak rebuilt, the tenant is
+	// still backing off...
+	for i := 0; i < holdUp; i++ {
+		h.window(t, true)
+	}
+	h.clock.Advance(cooldown)
+	if rep := h.window(t, true); len(rep.Actions) != 0 {
 		t.Fatalf("acted inside the overload backoff: %+v", rep.Actions)
 	}
 	// ...and after the doubled backoff it acts again.
-	h.tenants["T"].lag = addLag(h.tenants["T"].lag, high, 0)
-	h.clock.Advance(cfg.Cooldown)
-	if rep := h.tick(t); len(rep.Actions) != 1 {
+	h.clock.Advance(cooldown)
+	if rep := h.window(t, true); len(rep.Actions) != 1 {
 		t.Fatalf("did not recover after the overload backoff: %+v", rep.Actions)
 	}
 }
@@ -310,20 +324,25 @@ func (l *syncLogf) logf(format string, args ...any) {
 	l.lines = append(l.lines, format)
 }
 
-// TestRunLoopStops covers the pfaird wiring surface: Run ticks until the
-// context is cancelled and never panics on scrape errors.
+// TestRunLoopStops covers the pfaird wiring surface: a tick whose scrape
+// fails is logged, not fatal, and Run returns once its context is
+// cancelled.
 func TestRunLoopStops(t *testing.T) {
 	s := NewFuncs(Config{}, obs.NewFake(time.Unix(0, 0), 0),
 		func(context.Context) (string, error) { return "", context.DeadlineExceeded },
 		func(context.Context, string, int, bool) error { return nil })
+	var lg syncLogf
+	s.tickAndLog(context.Background(), lg.logf)
+	if len(lg.lines) != 1 || lg.lines[0] != "autoscale: tick: %v" {
+		t.Fatalf("a failed scrape logged %q, want one tick error", lg.lines)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	var lg syncLogf
 	go func() {
 		defer close(done)
-		s.Run(ctx, time.Millisecond, lg.logf)
+		s.Run(ctx, lg.logf)
 	}()
-	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {
 	case <-done:

@@ -9,14 +9,17 @@ import (
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
+	"desyncpfair/internal/obs"
 	"desyncpfair/internal/server"
 )
 
 // TestScalerAgainstLiveServer closes the real loop: the scaler scrapes a
-// live pfaird /metrics exposition (not a synthetic one), reassembles the
-// per-tenant lag histogram through the obs parser, and drives the actual
-// resize endpoint. An idle tenant on 3 processors is walked down to
-// MinM=1 one drain-mode shrink at a time, and never below.
+// live pfaird /metrics exposition (not a synthetic one) through the
+// client, reassembles the per-tenant lag histogram through the obs parser,
+// and drives the actual resize endpoint. An idle tenant on 3 processors is
+// walked down to MinM=1 one drain-mode shrink at a time, and never below.
+// The scaler's clock is a fake one a tick moves past the cooldown, so the
+// control loop runs at its constants without waiting them out.
 func TestScalerAgainstLiveServer(t *testing.T) {
 	srv := server.New()
 	hts := hoptest.NewServer(srv.Handler())
@@ -38,24 +41,35 @@ func TestScalerAgainstLiveServer(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 
-	s := autoscale.New(autoscale.Config{
-		MinM: 1, MaxM: 8, HoldUp: 99, HoldDown: 1,
-		Cooldown: time.Millisecond, Rate: 100, Burst: 10,
-	}, cl)
+	clock := obs.NewFake(time.Unix(1000, 0), 0)
+	s := autoscale.NewFuncs(autoscale.Config{MinM: 1, MaxM: 8}, clock, cl.Metrics,
+		func(ctx context.Context, tenant string, m int, drain bool) error {
+			_, err := cl.Resize(ctx, tenant, m, drain)
+			return err
+		})
 
-	// Tick 1 establishes the baseline; each later tick sees an idle
-	// window and sheds one processor, feasibly (Σwt = 1/2 ≤ every target).
-	for i := 0; i < 5; i++ {
-		if _, err := s.Tick(ctx); err != nil {
+	// Tick 0 establishes the baseline; every later tick sees an idle
+	// window, and every third past the cooldown sheds one processor,
+	// feasibly (Σwt = 1/2 ≤ every target).
+	var shrinks []int
+	for i := 0; i < 12; i++ {
+		rep, err := s.Tick(ctx)
+		if err != nil {
 			t.Fatalf("Tick %d: %v", i, err)
 		}
-		time.Sleep(2 * time.Millisecond) // let the cooldown lapse
+		for _, a := range rep.Actions {
+			if a.Err != nil || !a.Drain {
+				t.Fatalf("Tick %d: %+v, want a drain-mode shrink", i, a)
+			}
+			shrinks = append(shrinks, a.Target)
+		}
+		clock.Advance(11 * time.Second)
 	}
 	info, err := cl.Tenant(ctx, "T")
 	if err != nil {
 		t.Fatalf("Tenant: %v", err)
 	}
-	if info.M != 1 || info.PendingM != 0 {
-		t.Fatalf("idle tenant scaled to M=%d PendingM=%d, want M=1 (MinM) applied", info.M, info.PendingM)
+	if len(shrinks) != 2 || shrinks[0] != 2 || shrinks[1] != 1 || info.M != 1 || info.PendingM != 0 {
+		t.Fatalf("idle tenant shrunk to %v, M=%d PendingM=%d; want 2 then 1, M=1 (MinM) applied", shrinks, info.M, info.PendingM)
 	}
 }

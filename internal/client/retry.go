@@ -28,33 +28,25 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first.
 	// Values ≤ 1 disable retries.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each further retry
-	// doubles it. Defaults to 10ms when MaxAttempts enables retries.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff. Defaults to 1s.
-	MaxDelay time.Duration
 	// OnRetry, if set, is called with the attempt's error before each
 	// retry sleep — load generators use it to count 429 backpressure
 	// without losing it to the retry loop.
 	OnRetry func(err error)
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	return p
-}
+// The retry backoff: baseDelay before the first retry, doubling with each
+// further one up to maxDelay.
+const (
+	baseDelay = 10 * time.Millisecond
+	maxDelay  = time.Second
+)
 
 // WithRetry returns a copy of the client that retries under the given
 // policy. The original client is unchanged, and both views send through
 // the same pooled connections.
 func (c *Client) WithRetry(p RetryPolicy) *Client {
 	cp := *c
-	cp.retry = p.withDefaults()
+	cp.retry = p
 	return &cp
 }
 
@@ -82,17 +74,17 @@ var (
 )
 
 // backoff sleeps before retry attempt i (0-based), honouring ctx: the
-// delay is min(MaxDelay, BaseDelay·2^i), half fixed and half jittered so
+// delay is min(maxDelay, baseDelay·2^i), half fixed and half jittered so
 // synchronized clients spread out — raised to the server's Retry-After
 // when the failed attempt carried one. Returns ctx.Err() if the deadline
 // lands mid-sleep.
-func backoff(ctx context.Context, p RetryPolicy, i int, last error) error {
-	d := p.BaseDelay
-	for ; i > 0 && d < p.MaxDelay; i-- {
+func backoff(ctx context.Context, i int, last error) error {
+	d := baseDelay
+	for ; i > 0 && d < maxDelay; i-- {
 		d *= 2
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
+	if d > maxDelay {
+		d = maxDelay
 	}
 	jitterMu.Lock()
 	d = d/2 + time.Duration(jitterRng.Int63n(int64(d/2)+1))
@@ -141,7 +133,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 		if c.retry.OnRetry != nil {
 			c.retry.OnRetry(err)
 		}
-		if serr := backoff(ctx, c.retry, i, err); serr != nil {
+		if serr := backoff(ctx, i, err); serr != nil {
 			return serr
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/hop/hoptest"
@@ -45,7 +44,6 @@ func TestBackpressure429RetriedOnMutations(t *testing.T) {
 	var retries atomic.Int64
 	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
 		MaxAttempts: 2, // two 429s would exhaust this if they counted
-		BaseDelay:   time.Millisecond,
 		OnRetry:     func(error) { retries.Add(1) },
 	})
 	if _, err := c.CreateTenant(context.Background(), "t", 1, ""); err != nil {
@@ -86,10 +84,7 @@ func TestKeyedSubmitResendIsDeduped(t *testing.T) {
 	hs := hoptest.NewServer(h)
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-	})
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 3})
 	ctx := context.Background()
 	if _, err := c.CreateTenant(ctx, "t", 1, ""); err != nil {
 		t.Fatalf("CreateTenant: %v", err)
@@ -125,10 +120,7 @@ func TestUnkeyedSubmitNotRetriedOnAmbiguousFailure(t *testing.T) {
 	hs := hoptest.NewServer(h)
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-	})
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 3})
 	ctx := context.Background()
 	if _, err := c.CreateTenant(ctx, "t", 1, ""); err != nil {
 		t.Fatalf("CreateTenant: %v", err)

@@ -42,11 +42,7 @@ func TestRetryRidesOut503s(t *testing.T) {
 	hs := hoptest.NewServer(fh)
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    4 * time.Millisecond,
-	})
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 5})
 	if _, err := c.Tenants(context.Background()); err != nil {
 		t.Fatalf("GET through 3 failures: %v", err)
 	}
@@ -62,10 +58,7 @@ func TestMutationsAreNeverRetried(t *testing.T) {
 	hs := hoptest.NewServer(fh)
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-	})
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 5})
 	// One 503 in the way: the POST must surface it instead of resending —
 	// a replayed mutation could double-apply a journaled command.
 	_, err := c.CreateTenant(context.Background(), "t", 1, "")
@@ -86,10 +79,7 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-	})
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 3})
 	_, err := c.Tenants(context.Background())
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
@@ -106,11 +96,7 @@ func TestRetryHonorsContextDeadline(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
-		MaxAttempts: 1000,
-		BaseDelay:   50 * time.Millisecond,
-		MaxDelay:    50 * time.Millisecond,
-	})
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 1000})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -156,10 +142,7 @@ func TestRetryRidesOutTransportErrors(t *testing.T) {
 	hs.Start()
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-	})
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 4})
 	if err := c.Health(context.Background()); err != nil {
 		t.Fatalf("GET through 2 transport failures: %v", err)
 	}
@@ -201,7 +184,7 @@ func TestDroppedReplyResentOnlyWhenKeyed(t *testing.T) {
 	hs := httptest.NewServer(h)
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 3})
 	ctx := context.Background()
 	if _, err := c.CreateTenant(ctx, "t", 1, ""); err != nil {
 		t.Fatal(err)

@@ -309,7 +309,8 @@ func TestStaleLeaderFenced(t *testing.T) {
 	// be rejected by term, leaving C's state untouched.
 	cluster.StartFollower(csrv, ahs.URL, nil)
 	waitFor(t, 5*time.Second, "C to fence the stale leader", func() bool {
-		return strings.Contains(csrv.ReplicationError(), "fenced")
+		h, _ := health(t, chs.URL)
+		return strings.Contains(h.ReplicationError, "fenced")
 	})
 	if got := csrv.AppliedLSN(); got != cApplied {
 		t.Fatalf("C applied %d records from a fenced leader (LSN %d → %d)", got-cApplied, cApplied, got)

@@ -436,11 +436,12 @@ func TestFollowerOfRefusedURL(t *testing.T) {
 	defer srv.Close()
 	const leader = "http://leader.test:80/"
 	fol := StartFollower(srv, leader, nil)
-	if e := srv.ReplicationError(); !strings.Contains(e, leader) {
-		t.Errorf("replication error %q does not name %s", e, leader)
-	}
-	if h, code := healthOf(t, srv); code != http.StatusServiceUnavailable || h.Status != "bootstrapping" {
+	h, code := healthOf(t, srv)
+	if code != http.StatusServiceUnavailable || h.Status != "bootstrapping" {
 		t.Errorf("/healthz: %d %q, want 503 bootstrapping", code, h.Status)
+	}
+	if !strings.Contains(h.ReplicationError, leader) {
+		t.Errorf("/healthz replication error %q does not name %s", h.ReplicationError, leader)
 	}
 	if err := fol.Seal(); err != nil {
 		t.Fatal(err)
@@ -491,8 +492,8 @@ func TestFollowerTailRetriesOnTick(t *testing.T) {
 		if got := tails.Load(); got != want {
 			t.Fatalf("the leader saw %d log requests, want %d: one, and one per tick", got, want)
 		}
-		if e := srv.ReplicationError(); !strings.Contains(e, "HTTP 500") {
-			t.Fatalf("replication error %q does not name the failed stream", e)
+		if h, _ := healthOf(t, srv); !strings.Contains(h.ReplicationError, "HTTP 500") {
+			t.Fatalf("/healthz replication error %q does not name the failed stream", h.ReplicationError)
 		}
 		if want == 3 {
 			break

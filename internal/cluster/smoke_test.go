@@ -51,11 +51,7 @@ func TestClusterSmoke(t *testing.T) {
 	defer rhs.Close()
 
 	ctx := context.Background()
-	rc := client.New(rhs.URL, nil).WithRetry(client.RetryPolicy{
-		MaxAttempts: 10,
-		BaseDelay:   5 * time.Millisecond,
-		MaxDelay:    100 * time.Millisecond,
-	})
+	rc := client.New(rhs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 10})
 	if _, err := rc.CreateTenant(ctx, "t", 1, ""); err != nil {
 		t.Fatalf("CreateTenant through router: %v", err)
 	}

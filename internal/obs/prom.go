@@ -157,15 +157,6 @@ func (e *Exposition) Family(name string) *Family {
 	return e.byName[name]
 }
 
-// FamilyNames returns the family names in emission order.
-func (e *Exposition) FamilyNames() []string {
-	out := make([]string, len(e.Families))
-	for i, f := range e.Families {
-		out[i] = f.Name
-	}
-	return out
-}
-
 // Histogram reassembles the histogram family under `name` with exactly
 // the given base labels into a Snapshot (inverse of WriteHistogram).
 func (e *Exposition) Histogram(name string, labels []Label) (Snapshot, error) {

@@ -26,8 +26,8 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := e.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.FamilyNames(); len(got) != 2 || got[0] != "x_seconds" || got[1] != "x_total" {
-		t.Fatalf("families: %v", got)
+	if len(e.Families) != 2 || e.Families[0].Name != "x_seconds" || e.Families[1].Name != "x_total" {
+		t.Fatalf("families: %+v", e.Families)
 	}
 	snap, err := e.Histogram("x_seconds", []Label{{"tenant", "a"}})
 	if err != nil {

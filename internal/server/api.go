@@ -169,6 +169,9 @@ type HealthResponse struct {
 	AppliedLSN        uint64        `json:"appliedLSN,omitempty"`
 	ReplicationLagLSN *int64        `json:"replicationLagLSN,omitempty"`
 	Recovery          *RecoveryInfo `json:"recovery,omitempty"`
+	// ReplicationError is the replication transport's current fault on a
+	// follower (SetReplicationError), absent when there is none.
+	ReplicationError string `json:"replicationError,omitempty"`
 	// Replicated records that did not apply cleanly since boot, the
 	// follower-side twins of Recovery's ReplayErrors / DispatchMismatches.
 	ReplicationApplyErrors        int64 `json:"replicationApplyErrors,omitempty"`

@@ -210,7 +210,12 @@ func TestSealSegmentWritesChunks(t *testing.T) {
 		if err := l.WriteSidecars([]wal.Sidecar{file}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := l.ReadSidecar(seg.File)
+		f, err := l.OpenSidecar(seg.File)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(f)
+		f.Close()
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("segment %d: the file holds %d bytes (%v), want the %d of its chunks", k, len(got), err, len(want))
 		}

@@ -33,13 +33,13 @@ type Options struct {
 	FsyncEvery int
 	// FsyncMaxDelay bounds how long any record may sit unsynced when
 	// FsyncEvery > 1: a timer flushes the partial tail group so an idle
-	// log always converges to durable. 0 selects the 100ms default; a
+	// log always converges to durable. 0 selects DefaultFsyncMaxDelay; a
 	// negative value disables the timer (tests with fake clocks use this
 	// to keep fsync counts deterministic).
 	FsyncMaxDelay time.Duration
 	// SnapshotEvery folds the log into a fresh snapshot after this many
 	// jobs, other commands and digests (a record counts by its
-	// wal.Record.Weight). Defaults to 4096.
+	// wal.Record.Weight). 0 selects DefaultSnapshotEvery.
 	SnapshotEvery int
 	// FS overrides the filesystem (internal/faultfs in the recovery
 	// suite); nil selects the real one.
@@ -48,25 +48,20 @@ type Options struct {
 	// timestamps, journal timings). Nil selects the real clock; tests
 	// inject an obs.Fake to make every exposed duration exact.
 	Clock obs.Clock
-	// TraceBuffer is the per-tenant trace-ring capacity in events.
-	// Defaults to 4096.
-	TraceBuffer int
-	// SubmitRing is the per-tenant command-ring capacity. Defaults to 256.
-	// A full ring surfaces as HTTP 429 backpressure.
-	SubmitRing int
 	// Follower opens the server as a read-only replica: mutating handlers
 	// answer 503, the tenant journal hooks are disarmed (state changes
 	// arrive pre-journaled from the leader via ApplyReplicated), and
 	// /healthz reports 503 "bootstrapping" until the replication tailer
 	// marks the node caught up. Promote() flips it writable.
 	Follower bool
-	// StreamStallTimeout bounds how long one streamed write may block on a
-	// wedged client — a dispatch or trace follower, or a replication
-	// follower tailing the journal — before the connection is severed. 0
-	// selects the default (DefaultStreamStall); negative disables the
-	// deadline.
-	StreamStallTimeout time.Duration
 }
+
+// The journal's defaults, what pfaird's -fsync-max-delay and
+// -snapshot-every flags start from.
+const (
+	DefaultFsyncMaxDelay = 100 * time.Millisecond
+	DefaultSnapshotEvery = 4096
+)
 
 // RecoveryInfo reports what Open rebuilt from disk; /healthz serves it.
 type RecoveryInfo struct {
@@ -195,7 +190,7 @@ func (t *Tenant) sealHistory(hist []histSegment) {
 // the ledger would apply or reject cannot have been pending. The
 // loop-owned fields are finished before start(), while no loop can be
 // running.
-func restoreTenant(cp tenantCheckpoint, ringSize int, o *serverObs) (*Tenant, error) {
+func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 	if cp.ID == "" {
 		return nil, fmt.Errorf("server: tenant checkpoint without id")
 	}
@@ -219,7 +214,7 @@ func restoreTenant(cp tenantCheckpoint, ringSize int, o *serverObs) (*Tenant, er
 				cp.ID, cp.PendingM, cp.Exec.M, ex.ActiveUtilization())
 		}
 	}
-	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, ringSize, o, true)
+	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, o, true)
 	t.log.hist, t.log.tail.first = cp.History, sealedEvents(cp.History)
 	for _, ev := range tail {
 		if err := t.log.restore(ev); err != nil {
@@ -256,11 +251,18 @@ func Open(opts Options) (*Server, error) {
 	}
 	snapEvery := opts.SnapshotEvery
 	if snapEvery == 0 {
-		snapEvery = 4096
+		snapEvery = DefaultSnapshotEvery
+	}
+	fsyncMaxDelay := opts.FsyncMaxDelay
+	switch {
+	case fsyncMaxDelay < 0:
+		fsyncMaxDelay = 0
+	case fsyncMaxDelay == 0:
+		fsyncMaxDelay = DefaultFsyncMaxDelay
 	}
 	s := newServer(opts)
 	l, rec, err := wal.Open(opts.DataDir, wal.Options{
-		FS: opts.FS, FsyncEvery: opts.FsyncEvery, FsyncMaxDelay: orDefault(opts.FsyncMaxDelay, 100*time.Millisecond),
+		FS: opts.FS, FsyncEvery: opts.FsyncEvery, FsyncMaxDelay: fsyncMaxDelay,
 		SnapshotEvery: snapEvery,
 		Now:           s.obs.clock.Now, Timings: walTimings{s.obs},
 	})
@@ -290,7 +292,7 @@ func Open(opts Options) (*Server, error) {
 				l.Close()
 				return nil, err
 			}
-			t, err := restoreTenant(tc, s.submitRing, s.obs)
+			t, err := restoreTenant(tc, s.obs)
 			if err != nil {
 				l.Close()
 				return nil, err
@@ -351,7 +353,7 @@ func (s *Server) applyRecord(r wal.Record) (ok bool) {
 	case wal.OpTerm:
 		return true // leadership-change marker: no state to apply
 	case wal.OpTenantCreate:
-		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.submitRing, s.obs, true)
+		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.obs, true)
 		if err == nil {
 			if _, err = s.addTenant(nt); err != nil {
 				nt.Close() // never installed; stop its loop goroutine

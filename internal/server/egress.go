@@ -39,9 +39,9 @@ import (
 // from the sealed files.
 
 const (
-	// DefaultStreamStall bounds how long one streamed write may block on
+	// defaultStreamStall bounds how long one streamed write may block on
 	// an unresponsive client before the connection is severed.
-	DefaultStreamStall = 30 * time.Second
+	defaultStreamStall = 30 * time.Second
 	// maxStreamBatch caps the frames per write so deadline re-arms happen
 	// at a bounded granularity.
 	maxStreamBatch = 256
@@ -123,15 +123,11 @@ func (s *Server) newFrameWriter(w http.ResponseWriter) *frameWriter {
 }
 
 func (fw *frameWriter) armDeadline() {
-	if fw.stall > 0 {
-		_ = fw.rc.SetWriteDeadline(time.Now().Add(fw.stall))
-	}
+	_ = fw.rc.SetWriteDeadline(time.Now().Add(fw.stall))
 }
 
 func (fw *frameWriter) clearDeadline() {
-	if fw.stall > 0 {
-		_ = fw.rc.SetWriteDeadline(time.Time{})
-	}
+	_ = fw.rc.SetWriteDeadline(time.Time{})
 }
 
 // Write writes a run of frames held contiguously — a dispatch-log chunk, a
@@ -319,7 +315,3 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return pos, nil
 	}})
 }
-
-// StreamStallSevers reports how many read streams this server has severed
-// because a write to a wedged reader outlasted the stall deadline.
-func (s *Server) StreamStallSevers() int64 { return s.obs.streamSevers.Load() }

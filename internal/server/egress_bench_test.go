@@ -94,7 +94,7 @@ func BenchmarkTenantRecord(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn := newTenantCore("bench", "PD2", ex, 0, nil, journaled) // loop not started: this goroutine is the writer
+		tn := newTenantCore("bench", "PD2", ex, nil, journaled) // loop not started: this goroutine is the writer
 		if tn.log.cold == journaled {
 			b.Fatalf("journaled %v built a log with cold %v", journaled, tn.log.cold)
 		}
@@ -154,7 +154,7 @@ func TestTenantRecordAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn := newTenantCore("allocs", "PD2", ex, 0, nil, journaled)
+		tn := newTenantCore("allocs", "PD2", ex, nil, journaled)
 		tn.publish()
 		sub := &model.Subtask{Task: task}
 		d := online.Dispatch{Sub: sub, Proc: 1}
@@ -246,7 +246,7 @@ func BenchmarkMetricsExposition(b *testing.B) {
 	s := New()
 	defer s.Shutdown()
 	for i := 0; i < 8; i++ {
-		t, err := newTenant(fmt.Sprintf("bench-%d", i), 2, "", s.submitRing, s.obs, false)
+		t, err := newTenant(fmt.Sprintf("bench-%d", i), 2, "", s.obs, false)
 		if err != nil {
 			b.Fatal(err)
 		}

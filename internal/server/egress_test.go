@@ -424,7 +424,7 @@ func (l smallWriteBufListener) Accept() (net.Conn, error) {
 // that write, more than 65 536 dispatches land and compaction seals some
 // of them into history files, so the handler's next drain starts below
 // the resident floor. The follower then reads on and must receive every
-// frame of the log (the tenant's Dispatches, its LogLen) with no control
+// frame of the log (the tenant's Dispatches) with no control
 // line, byte for byte as a ?follow=false replay serves it.
 func TestLaggingFollowerIsPacedNotEvicted(t *testing.T) {
 	srv, err := server.Open(server.Options{DataDir: t.TempDir()})
@@ -545,12 +545,13 @@ func awaitSever(t *testing.T, srv *server.Server, conn net.Conn) {
 	// once the server reports the sever do we start reading: draining any
 	// earlier would un-jam the handler's blocked write, and a handler that
 	// got its write through follows its source forever.
-	for deadline := time.Now().Add(30 * time.Second); srv.StreamStallSevers() == 0; time.Sleep(5 * time.Millisecond) {
+	severs := func() int64 { return metricValue(t, srv.Handler(), "pfaird_stream_stall_severs_total") }
+	for deadline := time.Now().Add(30 * time.Second); severs() == 0; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("stall deadline did not sever the wedged reader")
 		}
 	}
-	if n := srv.StreamStallSevers(); n != 1 {
+	if n := severs(); n != 1 {
 		t.Fatalf("%d stall severs, want 1", n)
 	}
 
@@ -570,10 +571,11 @@ func awaitSever(t *testing.T, srv *server.Server, conn net.Conn) {
 }
 
 func testStallDispatches(t *testing.T) {
-	srv, err := server.Open(server.Options{StreamStallTimeout: 300 * time.Millisecond})
+	srv, err := server.Open(server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.SetStreamStall(300 * time.Millisecond)
 	hs := hoptest.NewUnstartedServer(srv.Handler())
 	hs.Listener = smallWriteBufListener{hs.Listener}
 	hs.Start()
@@ -611,11 +613,11 @@ func testStallDispatches(t *testing.T) {
 func testStallReplication(t *testing.T) {
 	srv, err := server.Open(server.Options{
 		DataDir: t.TempDir(), FS: quickSyncFS{}, FsyncEvery: 1 << 20, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30,
-		StreamStallTimeout: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.SetStreamStall(300 * time.Millisecond)
 	hs := hoptest.NewUnstartedServer(srv.Handler())
 	hs.Listener = smallWriteBufListener{hs.Listener}
 	hs.Start()

@@ -1,6 +1,10 @@
 package server
 
-import "desyncpfair/internal/wal"
+import (
+	"time"
+
+	"desyncpfair/internal/wal"
+)
 
 // SetHistSegmentMin lets the external test package seal dispatch history
 // in segments far shorter than production's, so small scripted loads cross
@@ -11,6 +15,10 @@ func SetHistSegmentMin(n int) (restore func()) {
 	histSegmentMin = n
 	return func() { histSegmentMin = old }
 }
+
+// SetStreamStall shortens the per-write stall deadline of every stream the
+// server opens from now on; call it before any stream opens.
+func (s *Server) SetStreamStall(d time.Duration) { s.streamStall = d }
 
 // Compact runs one compaction now, as a due snapshot would.
 func (s *Server) Compact() error { return s.compact() }

@@ -21,8 +21,8 @@ var ErrRingFull = errors.New("server: tenant submit ring full")
 // writes a byte as at most six, so a group within it always fits.
 const maxRunBytes = 128 << 10
 
-// defaultSubmitRing is the per-tenant command-ring capacity when none is
-// configured (Options.SubmitRing / pfaird -submit-ring).
+// defaultSubmitRing is every tenant's command-ring capacity: a submit that
+// finds it full answers 429 (ErrRingFull).
 const defaultSubmitRing = 256
 
 // cmdKind discriminates the commands the tenant loop executes.

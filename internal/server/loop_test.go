@@ -11,18 +11,18 @@ import (
 )
 
 // TestRingFullBackpressure pins the bounded-ring contract: when the loop
-// is busy and the ring is at capacity, exec refuses immediately with
-// ErrRingFull (mapped to 429) instead of blocking the handler.
+// is busy and the ring holds defaultSubmitRing commands, exec refuses
+// immediately with ErrRingFull (mapped to 429) instead of blocking the
+// handler; released, the loop applies every queued command.
 func TestRingFullBackpressure(t *testing.T) {
-	tn, err := newTenant("ring", 1, "", 1, nil, false) // ring capacity 1
+	tn, err := NewTenant("ring", 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tn.Close()
 
 	// Park the loop inside a control command so the ring cannot drain.
-	entered := make(chan struct{})
-	gate := make(chan struct{})
+	entered, gate := make(chan struct{}), make(chan struct{})
 	ctlDone := make(chan cmdResult, 1)
 	go func() {
 		ctlDone <- tn.ctlExec(&command{kind: cmdCtl, fn: func() {
@@ -32,10 +32,12 @@ func TestRingFullBackpressure(t *testing.T) {
 	}()
 	<-entered
 
-	// Fill the single ring slot.
-	queued := make(chan cmdResult, 1)
-	go func() { queued <- tn.exec(&command{kind: cmdDrain}) }()
-	for len(tn.ring) == 0 {
+	// Fill every ring slot.
+	queued := make(chan cmdResult, defaultSubmitRing)
+	for i := 0; i < defaultSubmitRing; i++ {
+		go func() { queued <- tn.exec(&command{kind: cmdDrain}) }()
+	}
+	for len(tn.ring) < defaultSubmitRing {
 		runtime.Gosched()
 	}
 
@@ -47,13 +49,15 @@ func TestRingFullBackpressure(t *testing.T) {
 		t.Fatalf("statusOf(ErrRingFull) = %d, want 429", got)
 	}
 
-	// Release the loop: the queued command must complete normally.
+	// Release the loop: the queued commands must complete normally.
 	close(gate)
 	if r := <-ctlDone; r.err != nil {
 		t.Fatalf("control command: %v", r.err)
 	}
-	if r := <-queued; r.err != nil {
-		t.Fatalf("queued drain after release: %v", r.err)
+	for i := 0; i < defaultSubmitRing; i++ {
+		if r := <-queued; r.err != nil {
+			t.Fatalf("queued drain after release: %v", r.err)
+		}
 	}
 }
 
@@ -146,7 +150,7 @@ func TestSnapshotReadersSeeClosedTenantState(t *testing.T) {
 			t.Fatalf("eventAt(%d) after close = %+v, %v", seq, ev, ok)
 		}
 	}
-	if _, ok := tn.eventAt(want.Dispatches); ok || tn.LogLen() != want.Dispatches {
+	if _, ok := tn.eventAt(want.Dispatches); ok || tn.Info().Dispatches != want.Dispatches {
 		t.Fatalf("the log after close holds more than the %d events dispatched", want.Dispatches)
 	}
 }
@@ -166,7 +170,7 @@ func TestRestoreReinstatesOnlyAQueuedShrink(t *testing.T) {
 	cp := tenantCheckpoint{ID: "x", MaxTar: "0", Exec: ex.Checkpoint()} // m = 3, Σwt = 2
 	for pending, ok := range map[int]bool{0: true, 1: true, 2: false, 3: false, 4: false, -1: false, MaxM + 1: false} {
 		cp.PendingM = pending
-		tn, err := restoreTenant(cp, 0, nil)
+		tn, err := restoreTenant(cp, nil)
 		if (err == nil) != ok {
 			t.Errorf("pendingM = %d: err = %v, want restorable = %v", pending, err, ok)
 		}
@@ -249,7 +253,7 @@ func TestSubscribeWakeSeesGrowth(t *testing.T) {
 	errs := make(chan error, 1)
 	for i := 0; i < 200; i++ {
 		ch := tn.Subscribe()
-		before := tn.LogLen()
+		before := tn.Info().Dispatches
 		go func() {
 			if _, _, err := tn.SubmitJobReq(SubmitJobRequest{Task: "a"}); err != nil {
 				errs <- err
@@ -264,8 +268,8 @@ func TestSubscribeWakeSeesGrowth(t *testing.T) {
 		case err := <-errs:
 			t.Fatal(err)
 		}
-		if got := tn.LogLen(); got <= before {
-			t.Fatalf("round %d: woken with LogLen() = %d, want > %d", i, got, before)
+		if got := tn.Info().Dispatches; got <= before {
+			t.Fatalf("round %d: woken with %d dispatches, want > %d", i, got, before)
 		}
 	}
 }

@@ -12,14 +12,13 @@ import (
 
 // serverObs bundles the server's observability state: the injected clock
 // every measured path reads, the per-route request counters, the aggregate
-// histograms, the build identity, and the trace-ring capacity handed to
-// each new tenant. Per-tenant histograms and rings live on the tenants
-// themselves (built by newTenantCore), so tenant deletion reclaims them and
-// /metrics reads them live, like the rest of the tenant series.
+// histograms and the build identity. Per-tenant histograms and rings live
+// on the tenants themselves (built by newTenantCore), so tenant deletion
+// reclaims them and /metrics reads them live, like the rest of the tenant
+// series.
 type serverObs struct {
-	clock    obs.Clock
-	build    obs.BuildInfo
-	traceCap int
+	clock obs.Clock
+	build obs.BuildInfo
 
 	routes map[string]*routeStats // request counters; frozen once New returns (metrics.go)
 
@@ -53,19 +52,14 @@ type serverObs struct {
 const defaultTraceCap = 4096
 
 // newServerObs reads every measured duration from clock (nil: the real
-// one) and gives each tenant a trace ring of traceCap events (≤ 0: the
-// default).
-func newServerObs(clock obs.Clock, traceCap int) *serverObs {
+// one).
+func newServerObs(clock obs.Clock) *serverObs {
 	if clock == nil {
 		clock = obs.Real{}
-	}
-	if traceCap <= 0 {
-		traceCap = defaultTraceCap
 	}
 	return &serverObs{
 		clock:         clock,
 		build:         obs.ReadBuildInfo(),
-		traceCap:      traceCap,
 		routes:        map[string]*routeStats{},
 		submitAck:     obs.NewHistogram(obs.DefaultLatencyBuckets),
 		dispatchLag:   obs.NewHistogram(obs.QuantaBuckets),

@@ -48,12 +48,11 @@ func unitTenant(t *testing.T, h http.Handler) {
 	serve(t, h, "POST", "/v1/tenants/r/tasks", `{"name":"w","e":1,"p":1}`, http.StatusCreated)
 }
 
-// TestOpenInMemoryHonoursSubmitRing: with its loop held, the tenant queues
-// SubmitRing submits and answers the next one 429; released, it applies
-// the queued ones.
+// TestOpenInMemoryHonoursSubmitRing: with its loop held, an in-memory
+// server's tenant queues defaultSubmitRing submits and answers the next one
+// 429 with Retry-After: 0; released, it applies the queued ones.
 func TestOpenInMemoryHonoursSubmitRing(t *testing.T) {
-	const ring = 2
-	s := openInMemory(t, Options{SubmitRing: ring})
+	s := openInMemory(t, Options{})
 	h := s.Handler()
 	unitTenant(t, h)
 	tn := s.tenant("r")
@@ -64,50 +63,55 @@ func TestOpenInMemoryHonoursSubmitRing(t *testing.T) {
 		<-gate
 	}})
 	<-entered
-	queued := make(chan int, ring)
-	for i := 0; i < ring; i++ {
+	queued := make(chan int, defaultSubmitRing)
+	for i := 0; i < defaultSubmitRing; i++ {
 		go func() {
 			rw := httptest.NewRecorder()
 			h.ServeHTTP(rw, httptest.NewRequest("POST", "/v1/tenants/r/jobs", strings.NewReader(`{"task":"w"}`)))
 			queued <- rw.Code
 		}()
 	}
-	for len(tn.ring) < ring {
+	for len(tn.ring) < defaultSubmitRing {
 		runtime.Gosched()
 	}
 	if rw := serve(t, h, "POST", "/v1/tenants/r/jobs", `{"task":"w"}`, http.StatusTooManyRequests); rw.Header().Get("Retry-After") != "0" {
 		t.Fatalf("429 without Retry-After: 0: %v", rw.Header())
 	}
 	close(gate)
-	for i := 0; i < ring; i++ {
+	for i := 0; i < defaultSubmitRing; i++ {
 		if code := <-queued; code != http.StatusAccepted {
 			t.Fatalf("queued submit answered %d, want 202", code)
 		}
 	}
+	if info := tn.Info(); info.Pending != defaultSubmitRing {
+		t.Fatalf("%d subtasks pending after the queued submits, want %d", info.Pending, defaultSubmitRing)
+	}
 }
 
-// TestOpenInMemoryHonoursTraceBuffer: the trace ring keeps the last
-// TraceBuffer events.
-func TestOpenInMemoryHonoursTraceBuffer(t *testing.T) {
-	h := openInMemory(t, Options{TraceBuffer: 3}).Handler()
+// TestTraceRetainsDefaultTraceCap: a tenant's trace ring keeps its last
+// defaultTraceCap events.
+func TestTraceRetainsDefaultTraceCap(t *testing.T) {
+	h := openInMemory(t, Options{}).Handler()
 	unitTenant(t, h)
-	for i := 0; i < 4; i++ {
+	// A submit traces two events (submit, apply), as does the advance.
+	for i := 0; i < defaultTraceCap/2; i++ {
 		serve(t, h, "POST", "/v1/tenants/r/jobs", `{"task":"w"}`, http.StatusAccepted)
 	}
-	serve(t, h, "POST", "/v1/tenants/r/advance", `{"by":"4"}`, http.StatusOK)
+	serve(t, h, "POST", "/v1/tenants/r/advance", `{"by":"1"}`, http.StatusOK)
 	body := serve(t, h, "GET", "/v1/tenants/r/trace?follow=false", "", http.StatusOK).Body.Bytes()
 	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
-	if len(lines) != 3 {
-		t.Fatalf("trace holds %d events, want the last 3:\n%s", len(lines), body)
+	if len(lines) != defaultTraceCap {
+		t.Fatalf("trace holds %d events, want the last %d", len(lines), defaultTraceCap)
 	}
-	var evs [3]obs.Event
-	for i, ln := range lines {
-		if err := json.Unmarshal(ln, &evs[i]); err != nil {
-			t.Fatal(err)
-		}
+	var first, last obs.Event
+	if err := json.Unmarshal(lines[0], &first); err != nil {
+		t.Fatal(err)
 	}
-	if last := evs[2]; last.Op != "advance" || last.Stage != "apply" || evs[0].Seq != last.Seq-2 || evs[0].Seq == 0 {
-		t.Fatalf("trace holds events %d..%d, want the last 3, ending with the advance's apply:\n%s", evs[0].Seq, last.Seq, body)
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Op != "advance" || last.Stage != "apply" || first.Seq != last.Seq-(defaultTraceCap-1) || first.Seq == 0 {
+		t.Fatalf("trace holds events %d..%d, want the last %d, ending with the advance's apply", first.Seq, last.Seq, defaultTraceCap)
 	}
 }
 

@@ -30,7 +30,7 @@ func TestSnapshotPayloadMatchesMarshal(t *testing.T) {
 		t.Helper()
 		// Built journaled, as every tenant a snapshot checkpoints is: its
 		// chunks hold wire bytes, which are decoded below for the reference.
-		tn, err := newTenant(id, 2, "", 0, nil, true)
+		tn, err := newTenant(id, 2, "", nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func (s *Server) SetReplicationLag(lag int64) { s.replLagLSN.Store(lag) }
 // SetReplicationError records (or, with "", clears) a fault of the
 // replication transport — the stream broke, the leader fenced us, our
 // cursor fell below its snapshot. A non-empty error turns /healthz
-// "degraded" without stopping reads. A record that did not apply cleanly
+// "degraded" without stopping reads, and /healthz serves its text. A record that did not apply cleanly
 // is not one of these: ApplyReplicated counts it, and nothing clears a
 // count.
 func (s *Server) SetReplicationError(msg string) {
@@ -89,14 +89,6 @@ func (s *Server) SetReplicationError(msg string) {
 		return
 	}
 	s.replErr.Store(&msg)
-}
-
-// ReplicationError returns the recorded replication fault, if any.
-func (s *Server) ReplicationError() string {
-	if p := s.replErr.Load(); p != nil {
-		return *p
-	}
-	return ""
 }
 
 // SetCaughtUp marks a bootstrapping follower as caught up to its

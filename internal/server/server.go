@@ -108,12 +108,9 @@ type Server struct {
 	replApplyErrors atomic.Int64
 	replMismatches  atomic.Int64
 
-	// submitRing is the per-tenant command-ring capacity for tenants this
-	// server creates (0 = defaultSubmitRing).
-	submitRing int
-
-	// streamStall is the per-write deadline on stream writes (0 = none;
-	// egress.go); obs counts the streams it severs.
+	// streamStall is the per-write deadline on stream writes (egress.go):
+	// defaultStreamStall, shortened only by tests. obs counts the streams
+	// it severs.
 	streamStall time.Duration
 
 	shutdownOnce sync.Once
@@ -125,16 +122,13 @@ type Server struct {
 func New() *Server { return newServer(Options{}) }
 
 // newServer builds the server opts configures, short of its journal (Open
-// attaches that and normalises the journal's options). Every other option
-// is normalised here: 0 selects the default, and a negative stream bound
-// disables it.
+// attaches that and normalises the journal's options).
 func newServer(opts Options) *Server {
 	s := &Server{
 		tenants:     map[string]*Tenant{},
 		mux:         http.NewServeMux(),
-		obs:         newServerObs(opts.Clock, opts.TraceBuffer),
-		submitRing:  opts.SubmitRing,
-		streamStall: orDefault(opts.StreamStallTimeout, DefaultStreamStall),
+		obs:         newServerObs(opts.Clock),
+		streamStall: defaultStreamStall,
 		shutdown:    make(chan struct{}),
 	}
 	s.route("GET /healthz", s.handleHealthz)
@@ -157,18 +151,6 @@ func newServer(opts Options) *Server {
 	s.route("GET /v1/replication/snapshot", s.handleReplSnapshot)
 	s.route("POST /v1/cluster/promote", s.handlePromote)
 	return s
-}
-
-// orDefault is the Options rule for a bound: 0 selects def, a negative
-// value disables the bound (0 to the code that reads it).
-func orDefault[T int64 | time.Duration](v, def T) T {
-	switch {
-	case v < 0:
-		return 0
-	case v == 0:
-		return def
-	}
-	return v
 }
 
 // Handler returns the root handler to mount on an http.Server.
@@ -342,6 +324,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		lag := s.replLagLSN.Load()
 		resp.ReplicationLagLSN = &lag
 	}
+	if p := s.replErr.Load(); p != nil {
+		resp.ReplicationError = *p
+	}
 	resp.ReplicationApplyErrors = s.replApplyErrors.Load()
 	resp.ReplicationDispatchMismatches = s.replMismatches.Load()
 	status := http.StatusOK
@@ -356,7 +341,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// traffic here yet. 503 until the tailer reaches the tip.
 		resp.Status = "bootstrapping"
 		status = http.StatusServiceUnavailable
-	case s.replErr.Load() != nil || resp.ReplicationApplyErrors > 0 || resp.ReplicationDispatchMismatches > 0:
+	case resp.ReplicationError != "" || resp.ReplicationApplyErrors > 0 || resp.ReplicationDispatchMismatches > 0:
 		resp.Status = "degraded"
 	case s.recovery != nil && (s.recovery.ReplayErrors > 0 || s.recovery.DispatchMismatches > 0):
 		resp.Status = "degraded"
@@ -463,7 +448,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallbac
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req CreateTenantRequest
 	s.mutate(w, r, &req, http.StatusConflict, func(*Tenant) (reply, error) {
-		t, err := newTenant(req.ID, req.M, req.Policy, s.submitRing, s.obs, s.wal != nil)
+		t, err := newTenant(req.ID, req.M, req.Policy, s.obs, s.wal != nil)
 		if err != nil {
 			return reply{errStatus: http.StatusBadRequest}, err
 		}

@@ -145,15 +145,14 @@ func PolicyByName(name string) (prio.Policy, error) {
 }
 
 // NewTenant creates an in-memory tenant with id on m processors under the
-// named policy ("" = PD²) with the default submit-ring capacity,
-// instrumented by standalone sinks of its own.
+// named policy ("" = PD²), instrumented by standalone sinks of its own.
 func NewTenant(id string, m int, policyName string) (*Tenant, error) {
-	return newTenant(id, m, policyName, 0, nil, false)
+	return newTenant(id, m, policyName, nil, false)
 }
 
 // newTenant creates and starts a tenant; journaled fixes its dispatch
 // log's form (newTenantCore).
-func newTenant(id string, m int, policyName string, ringSize int, o *serverObs, journaled bool) (*Tenant, error) {
+func newTenant(id string, m int, policyName string, o *serverObs, journaled bool) (*Tenant, error) {
 	if id == "" {
 		return nil, fmt.Errorf("server: empty tenant id")
 	}
@@ -167,7 +166,7 @@ func newTenant(id string, m int, policyName string, ringSize int, o *serverObs, 
 	if err != nil {
 		return nil, err
 	}
-	t := newTenantCore(id, pol.Name(), online.New(m, pol), ringSize, o, journaled)
+	t := newTenantCore(id, pol.Name(), online.New(m, pol), o, journaled)
 	t.start()
 	return t, nil
 }
@@ -177,27 +176,23 @@ func newTenant(id string, m int, policyName string, ringSize int, o *serverObs, 
 // active tasks, installs the log) and then call start. Both the
 // live-create and the recovery-restore path come through here, so this is
 // where every tenant is instrumented: by the server's observability (its
-// clock, its trace-ring capacity, the aggregate histograms /metrics sums
-// across tenants), or, when o is nil, by standalone sinks. A tenant may
+// clock, the aggregate histograms /metrics sums across tenants), or, when o is nil, by standalone sinks. A tenant may
 // live forever, so its executive keeps nothing behind its cursors: the
 // dispatch log is the only record of a past decision. It is also where
 // the log's form is fixed, before any loop runs: a journaled tenant — of a
 // server with a data dir, restored, replayed or following — keeps wire
 // bytes, which it digests, snapshots and seals; any other keeps its closed
 // chunks cold.
-func newTenantCore(id, policy string, ex *online.Executive, ringSize int, o *serverObs, journaled bool) *Tenant {
-	if ringSize <= 0 {
-		ringSize = defaultSubmitRing
-	}
-	clock, traceCap := obs.Clock(obs.Real{}), defaultTraceCap
+func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journaled bool) *Tenant {
+	clock := obs.Clock(obs.Real{})
 	if o != nil {
-		clock, traceCap = o.clock, o.traceCap
+		clock = o.clock
 	}
 	ex.ForgetHistory()
 	t := &Tenant{
 		id:     id,
 		policy: policy,
-		ring:   make(chan *command, ringSize),
+		ring:   make(chan *command, defaultSubmitRing),
 		ctl:    make(chan *command),
 		closed: make(chan struct{}),
 		ex:     ex,
@@ -207,7 +202,7 @@ func newTenantCore(id, policy string, ex *online.Executive, ringSize int, o *ser
 		lags:   obs.NewTally(obs.QuantaBuckets),
 		worst:  rat.Zero,
 		obs: tenantObs{
-			tr:        obs.NewTracer(obs.NewRing(traceCap), clock),
+			tr:        obs.NewTracer(obs.NewRing(defaultTraceCap), clock),
 			submitAck: obs.NewHistogram(obs.DefaultLatencyBuckets),
 			lag:       obs.NewHistogram(obs.QuantaBuckets),
 			sobs:      o,
@@ -852,12 +847,6 @@ func (t *Tenant) Info() TenantInfo {
 		MaxTardiness: sn.maxTar.String(),
 		Rejections:   sn.reject,
 	}
-}
-
-// LogLen returns the published dispatch-log length — the seq the next
-// decision will get. Stream handlers use it to measure follower lag.
-func (t *Tenant) LogLen() int64 {
-	return t.snap.Load().log.len()
 }
 
 // eventAt decodes the dispatch event with sequence number seq, if the log

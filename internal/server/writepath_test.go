@@ -211,7 +211,7 @@ type writePathScript struct {
 }
 
 func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScript {
-	tn := newWritePathCore(t, id, 2, newServerObs(obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond), 0), journaled)
+	tn := newWritePathCore(t, id, 2, newServerObs(obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond)), journaled)
 	g := &writePathScript{t: t, tn: tn}
 	if journaled {
 		tn.SetJournal(
@@ -333,5 +333,5 @@ func newWritePathCore(t *testing.T, id string, m int, o *serverObs, journaled bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTenantCore(id, pol.Name(), online.New(m, pol), 0, o, journaled)
+	return newTenantCore(id, pol.Name(), online.New(m, pol), o, journaled)
 }

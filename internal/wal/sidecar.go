@@ -76,16 +76,6 @@ func (l *Log) OpenSidecar(name string) (io.ReadCloser, error) {
 	return l.fs.Open(filepath.Join(l.dir, name))
 }
 
-// ReadSidecar returns the content of a sidecar stored by WriteSidecars.
-func (l *Log) ReadSidecar(name string) ([]byte, error) {
-	f, err := l.OpenSidecar(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
-}
-
 // RemoveSidecarsExcept deletes every sidecar (and a leftover sidecar tmp)
 // that keep does not name — the sidecar half of Compact's stale-segment
 // removal, called with the set the just-installed snapshot refers to.

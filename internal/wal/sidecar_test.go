@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -92,6 +93,16 @@ func dirNames(t *testing.T, dir string) []string {
 // sidecars), and leave exactly when RemoveSidecarsExcept is told the
 // installed snapshot no longer names them. Names that could
 // reach outside the data directory are refused in both directions.
+// readSidecar returns the content of a sidecar stored by WriteSidecars.
+func readSidecar(l *Log, name string) ([]byte, error) {
+	f, err := l.OpenSidecar(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
+}
+
 func TestWALSidecars(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{})
@@ -106,9 +117,9 @@ func TestWALSidecars(t *testing.T) {
 		t.Fatalf("WriteSidecars: %v", err)
 	}
 	for name, want := range map[string]string{a: "one\n", b: "two\ntwo\n"} {
-		got, err := l.ReadSidecar(name)
+		got, err := readSidecar(l, name)
 		if err != nil || string(got) != want {
-			t.Fatalf("ReadSidecar(%s) = %q, %v; want %q", name, got, err, want)
+			t.Fatalf("sidecar %s holds %q, %v; want %q", name, got, err, want)
 		}
 	}
 	appendN(t, l, 2)
@@ -132,7 +143,7 @@ func TestWALSidecars(t *testing.T) {
 			t.Fatalf("%s survived RemoveSidecarsExcept", n)
 		}
 	}
-	if _, err := l.ReadSidecar(b); err != nil {
+	if _, err := readSidecar(l, b); err != nil {
 		t.Fatalf("the kept sidecar is gone: %v", err)
 	}
 
@@ -140,8 +151,8 @@ func TestWALSidecars(t *testing.T) {
 		if err := l.WriteSidecars([]Sidecar{{bad, [][]byte{[]byte("x")}}}); err == nil {
 			t.Fatalf("WriteSidecars accepted the name %q", bad)
 		}
-		if _, err := l.ReadSidecar(bad); err == nil {
-			t.Fatalf("ReadSidecar accepted the name %q", bad)
+		if _, err := l.OpenSidecar(bad); err == nil {
+			t.Fatalf("OpenSidecar accepted the name %q", bad)
 		}
 	}
 }
