@@ -13,67 +13,99 @@ import (
 // next decision time is read off the two heaps and the M freeAt values
 // (NextEvent); no time is queued anywhere else. Both heaps are bounded by
 // the number of tasks with released work; a task with none (idle, or
-// unregistered) is in neither and costs a scheduling decision nothing.
+// unregistered) is in neither and costs a scheduling decision nothing —
+// not one comparison (Work, TestUnregisteredTasksCostNothing).
 
-// Entries hold no pointer, so a sift never pays a GC write barrier: a head
-// is found by its task ID in heads, a compact table a decision reads
-// without chasing the task's sequence. A pop sinks the root's hole along
-// the earlier child before the last entry rises into it (Floyd): about
-// log n comparisons, not 2·log n.
+// Entries hold no pointer, so a sift never pays a GC write barrier: a
+// ready head is its integer rank, and the head itself and its key are
+// found by task ID in per-task tables, which a decision reads without
+// chasing the task's sequence. A pop sinks the root's hole along the
+// earlier child before the last entry rises into it (Floyd): about log n
+// comparisons, not 2·log n.
 
-// readyHeap is a binary min-heap of ready heads' priority keys, each
-// computed once on entry — every quantity a policy consults costs integer
-// divisions to derive, and a head is compared O(log N) times while it
-// waits — under the engine's total order (prio.Ranker.Before), so pop
-// returns exactly the subtask an O(N) rescan of every task with prio.Order
-// would select.
+// readyHeap is a binary min-heap of ready heads under the engine's total
+// order (prio.Ranker), so pop returns exactly the subtask an O(N) rescan
+// of every task with prio.Order would select. An entry is the head's
+// prio.Rank, computed once on entry from its prio.Key — every quantity a
+// policy consults costs integer divisions to derive, and a head is
+// compared O(log N) times while it waits — so a comparison is integer
+// compares of two 24-byte entries. Only a tie the rank leaves undecided
+// (PF's b = 1 chain walk, PD's weight rules, a policy with no key fast
+// path) loads the two heads and their keys for prio.Ranker.Compare; under
+// PD² and EPDF none is.
 type readyHeap struct {
 	rank  prio.Ranker
-	xs    []prio.Key
+	xs    []prio.Rank
 	heads []*model.Subtask // per task ID: its head, pending or ready (setHead)
+	keys  []prio.Key       // per task ID: its ready head's key
+	work  Work
 }
+
+// Work counts what an executive's ready heap has done since it was built:
+// a count of the engine's work per decision that, unlike a timing, host
+// noise cannot move.
+type Work struct {
+	RankCmps int64 // entry comparisons
+	Compares int64 // of those, ties only prio.Ranker.Compare decided
+	Moves    int64 // entries written into the heap
+}
+
+// Work returns the executive's ready-heap work counter.
+func (e *Executive) Work() Work { return e.ready.work }
 
 // setHead records s as its task's head; await calls it.
 func (h *readyHeap) setHead(s *model.Subtask) {
 	for len(h.heads) <= s.Task.ID {
 		h.heads = append(h.heads, nil)
+		h.keys = append(h.keys, prio.Key{})
 	}
 	h.heads[s.Task.ID] = s
 }
 
 func (h *readyHeap) len() int { return len(h.xs) }
 
-func (h *readyHeap) before(a, b *prio.Key) bool {
-	return h.rank.Before(a, b, h.heads[a.TaskID], h.heads[b.TaskID])
+func (h *readyHeap) before(a, b *prio.Rank) bool {
+	h.work.RankCmps++
+	if before, ok := a.Before(b); ok {
+		return before
+	}
+	h.work.Compares++
+	x, y := a.TaskID(), b.TaskID()
+	return h.rank.Before(&h.keys[x], &h.keys[y], h.heads[x], h.heads[y])
 }
 
 // push moves task id's head onto the heap.
 func (h *readyHeap) push(id int) {
-	k := prio.KeyOf(h.heads[id])
-	h.xs = append(h.xs, k)
-	h.rise(len(h.xs)-1, &k)
+	k := &h.keys[id]
+	*k = prio.KeyOf(h.heads[id])
+	r := h.rank.Rank(k)
+	h.xs = append(h.xs, r)
+	h.rise(len(h.xs)-1, &r)
 }
 
-// rise moves the hole at i up while k goes before its parent, then fills
-// it with k.
-func (h *readyHeap) rise(i int, k *prio.Key) {
+// rise moves the hole at i up while r goes before its parent, then fills
+// it with r.
+func (h *readyHeap) rise(i int, r *prio.Rank) {
 	xs := h.xs
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.before(k, &xs[p]) {
+		if !h.before(r, &xs[p]) {
 			break
 		}
 		xs[i] = xs[p]
+		h.work.Moves++
 		i = p
 	}
-	xs[i] = *k
+	xs[i] = *r
+	h.work.Moves++
 }
 
 // pop removes and returns the highest-priority ready head and its
 // pseudo-deadline, read off its key. It panics on an empty heap.
 func (h *readyHeap) pop() (*model.Subtask, int64) {
 	xs := h.xs
-	top, deadline := h.heads[xs[0].TaskID], xs[0].Deadline
+	id := xs[0].TaskID()
+	top, deadline := h.heads[id], h.keys[id].Deadline
 	n := len(xs) - 1
 	last := xs[n]
 	h.xs = xs[:n]
@@ -83,6 +115,7 @@ func (h *readyHeap) pop() (*model.Subtask, int64) {
 			l = r
 		}
 		xs[i] = xs[l]
+		h.work.Moves++
 		i = l
 	}
 	if n > 0 {

@@ -39,7 +39,7 @@
 // a prebuilt system (Adopt) and runs it under DVQ, sfq.Run and drift.Run
 // under a boundary clock (AdoptClocked). Each task with undispatched work
 // has exactly one entry — its head — in a pending heap keyed by activation
-// time or a ready heap keyed by a priority key cached on entry (heads.go),
+// time or a ready heap keyed by an integer rank computed on entry (heads.go),
 // so a decision costs O(log N) in the tasks that have work and nothing in
 // those that do not. There is no event queue: a decision happens when a
 // processor frees (under a clock, at its next boundary) or when work
@@ -161,8 +161,9 @@ func Adopt(sys *model.System, m int, policy prio.Policy) *Executive {
 	e.lastFin = make([]rat.Rat, n)
 	e.nextIdx = make([]int64, n)
 	e.waiting = make(pendingHeap, 0, n)
-	e.ready.xs = make([]prio.Key, 0, n)
+	e.ready.xs = make([]prio.Rank, 0, n)
 	e.ready.heads = make([]*model.Subtask, n)
+	e.ready.keys = make([]prio.Key, n)
 	for _, t := range sys.Tasks {
 		seq := sys.Subtasks(t)
 		e.nextIdx[t.ID] = 1

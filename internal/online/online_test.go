@@ -2,10 +2,8 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"desyncpfair/internal/gen"
 	"desyncpfair/internal/model"
@@ -305,10 +303,11 @@ func FuzzExecutive(f *testing.F) {
 
 // TestUnregisteredTasksCostNothing pins the engine's cost model: a task
 // with no released work is in neither heap, so ten thousand tasks that
-// came, ran and were unregistered around eight live ones must not slow a
-// decision down — the scan this engine replaced visited every one of them
-// on every decision, a thousandfold slowdown here. The 2× allowance is for
-// timer noise (fastest of five interleaved repetitions each).
+// came, ran and were unregistered around eight live ones must not add any
+// work to a decision — the scan this engine replaced visited every one of
+// them on every decision. The work is counted, not timed: the ready heap's
+// comparisons, its Ranker.Compare fallbacks and its moves over the same
+// slots equal, exactly, those of the same live tasks alone.
 func TestUnregisteredTasksCostNothing(t *testing.T) {
 	const live, dead, slots = 8, 10000, 2000
 	build := func(dead int) (*Executive, []*model.Task, []*model.Task) {
@@ -343,10 +342,10 @@ func TestUnregisteredTasksCostNothing(t *testing.T) {
 		retire(dead - dead/2)
 		return ex, tasks, gone
 	}
-	run := func(ex *Executive, tasks []*model.Task) time.Duration {
+	run := func(ex *Executive, tasks []*model.Task) Work {
 		base := ex.Now().Ceil()
 		decided := ex.Schedule().Len()
-		start := time.Now()
+		w0 := ex.Work()
 		for slot := base; slot < base+slots; slot++ {
 			if (slot-base)%4 == 0 {
 				for _, task := range tasks {
@@ -359,19 +358,15 @@ func TestUnregisteredTasksCostNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d := time.Since(start)
 		if got := ex.Schedule().Len() - decided; got != live*slots/4 {
 			t.Fatalf("made %d decisions in %d slots, want %d", got, slots, live*slots/4)
 		}
-		return d
+		w := ex.Work()
+		return Work{w.RankCmps - w0.RankCmps, w.Compares - w0.Compares, w.Moves - w0.Moves}
 	}
 	alone, aloneTasks, _ := build(0)
 	among, amongTasks, gone := build(dead)
-	bare, crowded := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-	for rep := 0; rep < 5; rep++ {
-		bare = min(bare, run(alone, aloneTasks))
-		crowded = min(crowded, run(among, amongTasks))
-	}
+	bare, crowded := run(alone, aloneTasks), run(among, amongTasks)
 
 	if err := among.SubmitJob(amongTasks[0], among.Now()); err != nil {
 		t.Fatal(err)
@@ -387,8 +382,8 @@ func TestUnregisteredTasksCostNothing(t *testing.T) {
 			t.Fatalf("%s: job accepted after Unregister", task)
 		}
 	}
-	if crowded > 2*bare {
-		t.Fatalf("%d decisions took %v among %d unregistered tasks, %v without them", live*slots/4, crowded, dead, bare)
+	if crowded != bare || bare.RankCmps == 0 || bare.Moves == 0 {
+		t.Fatalf("%d decisions did %+v of work among %d unregistered tasks, %+v without them", live*slots/4, crowded, dead, bare)
 	}
 }
 

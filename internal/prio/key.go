@@ -47,12 +47,15 @@ const (
 	kindPD2
 	kindPD
 	kindPF // fast prefix; exact chain walk for b = 1 ties
+	kindPD2NoGroup
 )
 
 func keyKindOf(p Policy) keyKind {
 	switch p.(type) {
-	case EPDF:
+	case EPDF, PD2NoBBit:
 		return kindEPDF
+	case PD2NoGroup:
+		return kindPD2NoGroup
 	case PD2:
 		return kindPD2
 	case PD:
@@ -66,12 +69,16 @@ func keyKindOf(p Policy) keyKind {
 // keyCmp compares two subtasks using only their precomputed keys. The
 // boolean reports whether the comparison is decided: false means the caller
 // must fall back to the exact Policy.Cmp — PF ties among b = 1 subtasks (the
-// successor-chain walk), and any policy without a key fast path (the
-// ablation policies).
+// successor-chain walk), and any policy without a key fast path.
 func keyCmp(k keyKind, a, b *Key) (int, bool) {
 	switch k {
 	case kindEPDF:
 		return cmp64(a.Deadline, b.Deadline), true
+	case kindPD2NoGroup:
+		if c := cmp64(a.Deadline, b.Deadline); c != 0 || a.B == b.B {
+			return c, true
+		}
+		return keyBBitCmp(a.B, b.B), true
 	case kindPD2:
 		return keyCmpPD2(a, b), true
 	case kindPD:
@@ -123,10 +130,69 @@ func keyBBitCmp(a, b uint8) int {
 	return 1
 }
 
+// Rank is a subtask's place in a policy's total order as far as plain
+// integers tell it, for an engine that sorts many subtasks and compares
+// each O(log n) times: pointer-free, 24 bytes, computed once from the Key.
+// Ranks order by Deadline, then Tie, then ID (TaskID<<32 | Seq, the
+// engine tie-break) — except that two ranks equal in Deadline and in an
+// odd Tie are a tie only Ranker.Compare decides: PF's b = 1 chain walk,
+// PD's weight rules, and every pair under a policy with no key fast path.
+type Rank struct {
+	Deadline int64
+	Tie      int64
+	ID       uint64
+}
+
+// TaskID is the task ID r ranks a subtask of.
+func (r *Rank) TaskID() int { return int(r.ID >> 32) }
+
+// Rank returns the rank of the subtask whose key is k. Tie is keyCmp's
+// tie-break after the deadline as one integer, shifted left so its low bit
+// can say "undecided": PD²'s successor bit (b = 1 first) and, among b = 1
+// subtasks, its later-group-deadline-first rule as −2·D ≤ 0 against 2 for
+// b = 0. A policy without a fast path ranks every subtask alike.
+func (r Ranker) Rank(k *Key) Rank {
+	rk := Rank{Deadline: k.Deadline, ID: uint64(k.TaskID)<<32 | uint64(uint32(k.Seq))}
+	switch r.kind {
+	case kindEPDF:
+	case kindPD2, kindPD:
+		rk.Tie = 2
+		if k.B == 1 {
+			rk.Tie = -2 * k.GroupD
+		}
+		if r.kind == kindPD {
+			rk.Tie |= 1
+		}
+	case kindPD2NoGroup:
+		rk.Tie = 2 * int64(1-k.B)
+	case kindPF:
+		rk.Tie = 2 - int64(k.B)
+	default:
+		rk.Deadline, rk.Tie = 0, 1
+	}
+	return rk
+}
+
+// Before reports whether a subtask ranked a goes before one ranked b
+// under the Ranker both ranks came from, and whether the ranks decide
+// that: when decided is false only Ranker.Compare can.
+func (a *Rank) Before(b *Rank) (before, decided bool) {
+	switch {
+	case a.Deadline != b.Deadline:
+		return a.Deadline < b.Deadline, true
+	case a.Tie != b.Tie:
+		return a.Tie < b.Tie, true
+	case a.Tie&1 != 0:
+		return false, false
+	}
+	return a.ID < b.ID, true
+}
+
 // Ranker is the one evaluator of a policy's engine total order — prio.Order
 // — over subtasks whose Keys the caller caches: the key fast path, the exact
-// p.Cmp where keys cannot decide (PF's b = 1 chain walk, the ablation
-// policies), then task ID and sequence position. It holds no per-subtask
+// p.Cmp where keys cannot decide (PF's b = 1 chain walk, a policy with no
+// fast path), then task ID and sequence position. Rank is the same order
+// as integers, as far as they decide it. It holds no per-subtask
 // state and no memo, so an engine that caches one Key per task head stays
 // O(tasks) however long it runs. A new policy's order goes here, in
 // Compare, and nowhere else.

@@ -1,6 +1,7 @@
 package prio_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -43,8 +44,16 @@ func keyTestSystems(t *testing.T) []*model.System {
 }
 
 func keyPolicies() []prio.Policy {
-	return append(prio.All(), prio.PD2NoGroup{}, prio.PD2NoBBit{})
+	return append(prio.All(), prio.PD2NoGroup{}, prio.PD2NoBBit{}, latestFirst{})
 }
+
+// latestFirst is a policy with no key fast path, and not deadline-first at
+// that: the Ranker must leave every pair of it to Cmp.
+type latestFirst struct{}
+
+func (latestFirst) Name() string { return "latest-first" }
+
+func (latestFirst) Cmp(a, b *model.Subtask) int { return (prio.EPDF{}).Cmp(b, a) }
 
 // TestKeyOf checks that a Key caches exactly the quantities the policies
 // consult.
@@ -68,8 +77,8 @@ func TestKeyOf(t *testing.T) {
 // TestRankerAgreesWithOrder checks, over every subtask pair of every test
 // system, that the Ranker's order over cached keys is prio.Order: Compare
 // equals the policy's exact Cmp wherever that decides — the closed-form key
-// comparators and PF's chain-walk fallback alike; the ablation policies
-// exercise the pure fallback — and the (task ID, sequence) tie-break where
+// comparators and PF's chain-walk fallback alike; latestFirst exercises the
+// pure fallback — and the (task ID, sequence) tie-break where
 // it does not; it is antisymmetric, and Before is its sign.
 func TestRankerAgreesWithOrder(t *testing.T) {
 	for _, sys := range keyTestSystems(t) {
@@ -101,5 +110,89 @@ func TestRankerAgreesWithOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRankAgreesWithCompare is the contract of prio.Rank, over seeded
+// random subtasks of every weight class at equal and nearby deadlines:
+// wherever two ranks decide, their order is Ranker.Compare's, and they
+// decide exactly where the policy's rules are integer ones — every pair
+// under EPDF, PD², PD2NoGroup and PD2NoBBit; under PF all but b = 1 ties
+// (the chain walk); under PD all but PD²'s ties (the weight rules); under a
+// policy with no key fast path none. The draw must hit heavy b = 1
+// subtasks with different group deadlines, light b = 1 ones (group deadline
+// 0), PF b = 1 chains and PD ties of unequal weight.
+func TestRankAgreesWithCompare(t *testing.T) {
+	weights := []model.Weight{
+		model.W(1, 2), model.W(2, 3), model.W(3, 4), model.W(3, 5), model.W(4, 5), model.W(5, 6),
+		model.W(4, 7), model.W(5, 7), model.W(6, 7), model.W(5, 8), model.W(7, 8), model.W(1, 1),
+		model.W(1, 3), model.W(1, 4), model.W(2, 5), model.W(1, 6), model.W(2, 7), model.W(3, 8), model.W(1, 8),
+	}
+	var heavyGroups, lightB1, pfChains, pdWeights int
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var subs []*model.Subtask
+		for id := 0; id < 2*len(weights); id++ { // two tasks of each weight: exact PF chain ties
+			task := &model.Task{ID: id, Name: fmt.Sprint(id), W: weights[id%len(weights)]}
+			for seq := 0; seq < 6; seq++ {
+				subs = append(subs, &model.Subtask{Task: task, Index: 1 + rng.Int63n(24), Theta: rng.Int63n(3), Seq: seq})
+			}
+		}
+		keys := make([]prio.Key, len(subs))
+		for i, s := range subs {
+			keys[i] = prio.KeyOf(s)
+		}
+		for _, pol := range keyPolicies() {
+			rank := prio.NewRanker(pol)
+			ranks := make([]prio.Rank, len(subs))
+			for i := range subs {
+				ranks[i] = rank.Rank(&keys[i])
+			}
+			for i, a := range subs {
+				for j, b := range subs {
+					ka, kb := &keys[i], &keys[j]
+					before, decided := ranks[i].Before(&ranks[j])
+					c := rank.Compare(ka, kb, a, b)
+					if decided && before != (c < 0) {
+						t.Fatalf("seed %d, %s: ranks %+v, %+v say before=%v, Compare(%s, %s) = %d",
+							seed, pol.Name(), ranks[i], ranks[j], before, a, b, c)
+					}
+					tie := ka.Deadline == kb.Deadline
+					b1 := tie && ka.B == 1 && kb.B == 1
+					pd2Tie := tie && ka.B == kb.B && (ka.B == 0 || ka.GroupD == kb.GroupD)
+					var want bool
+					switch pol.(type) {
+					case prio.PF:
+						want = !b1
+						if b1 && i != j {
+							pfChains++
+						}
+					case prio.PD:
+						want = !pd2Tie
+						if pd2Tie && ka.WE*kb.WP != kb.WE*ka.WP {
+							pdWeights++
+						}
+					case prio.PD2:
+						want = true
+						if b1 && ka.GroupD != kb.GroupD && ka.GroupD > 0 && kb.GroupD > 0 {
+							heavyGroups++
+						}
+						if b1 && ka.GroupD == 0 && !ka.Heavy && i != j {
+							lightB1++
+						}
+					case latestFirst:
+					default:
+						want = true
+					}
+					if decided != want {
+						t.Fatalf("seed %d, %s: ranks of %s and %s decided=%v, want %v", seed, pol.Name(), a, b, decided, want)
+					}
+				}
+			}
+		}
+	}
+	if heavyGroups == 0 || lightB1 == 0 || pfChains == 0 || pdWeights == 0 {
+		t.Fatalf("the draw missed a case: %d heavy b = 1 pairs of different group deadlines, %d light b = 1 pairs, %d PF b = 1 ties, %d PD weight ties",
+			heavyGroups, lightB1, pfChains, pdWeights)
 	}
 }

@@ -98,23 +98,19 @@ func BenchmarkServerSubmitWAL(b *testing.B) {
 	}
 }
 
-// BenchmarkTenantBatchRound is one round of wide_sched through the Tenant
-// API, no HTTP: 2696 tasks on M = 16 at full utilisation (eight of weight
-// 4/8…7/8, 2688 of 1/256), one 92-job batch — the eight heavy tasks and
-// one phase of 84 light ones, in a seeded order — then Advance by 8, which
-// makes 128 decisions. ns/op is the round; submit-ns/round and
-// advance-ns/round split it. The tenant keeps its whole dispatch log, so
-// keep -benchtime in the low thousands of rounds; resident-B/dispatch is
-// what that log holds in memory per decision.
-func BenchmarkTenantBatchRound(b *testing.B) {
+// wideRounds builds wide_sched's tenant without HTTP: 2696 tasks on M = 16
+// at full utilisation (eight of weight 4/8…7/8, 2688 of 1/256), and its
+// rounds' batches, 32 of them, used in turn: 92 jobs each — the eight
+// heavy tasks and one phase of 84 light ones, in a seeded order. A round is
+// its batch then Advance by 8, which makes 128 decisions.
+func wideRounds(tb testing.TB) (*server.Tenant, [][]server.SubmitJobRequest) {
 	tn, err := server.NewTenant("wide", 16, "")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer tn.Close()
 	register := func(name string, w model.Weight) {
 		if d, _, err := tn.RegisterTask(name, w); err != nil || !d.Admitted {
-			b.Fatalf("register %s: %v %+v", name, err, d)
+			tb.Fatalf("register %s: %v %+v", name, err, d)
 		}
 	}
 	const light, phases = 2688, 32
@@ -135,30 +131,75 @@ func BenchmarkTenantBatchRound(b *testing.B) {
 		}
 		rng.Shuffle(len(rounds[r]), func(x, y int) { rounds[r][x], rounds[r][y] = rounds[r][y], rounds[r][x] })
 	}
+	return tn, rounds
+}
 
+// wideRound runs round i of wideRounds' tenant and returns how long its
+// submit and its advance took.
+func wideRound(tb testing.TB, tn *server.Tenant, rounds [][]server.SubmitJobRequest, i int) (submit, advance time.Duration) {
+	t0 := time.Now()
+	if _, _, err := tn.SubmitJobs(rounds[i%len(rounds)]); err != nil {
+		tb.Fatal(err)
+	}
+	t1 := time.Now()
+	adv, _, err := tn.Advance("", "8")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	advance = time.Since(t1)
+	if adv.Dispatched != 128 {
+		tb.Fatalf("round %d: %d decisions, want 128", i, adv.Dispatched)
+	}
+	return t1.Sub(t0), advance
+}
+
+// BenchmarkTenantBatchRound is one round of wide_sched through the Tenant
+// API, no HTTP (wideRounds). ns/op is the round; submit-ns/round and
+// advance-ns/round split it; rank-cmp/decision and compare-calls/decision
+// count the ready heap's comparisons and those of them only
+// prio.Ranker.Compare decided. The tenant keeps its whole dispatch log, so
+// keep -benchtime in the low thousands of rounds; resident-B/dispatch is
+// what that log holds in memory per decision.
+func BenchmarkTenantBatchRound(b *testing.B) {
+	tn, rounds := wideRounds(b)
+	defer tn.Close()
 	var submit, advance time.Duration
+	w0 := tn.EngineWork()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, _, err := tn.SubmitJobs(rounds[i%phases]); err != nil {
-			b.Fatal(err)
-		}
-		t1 := time.Now()
-		adv, _, err := tn.Advance("", "8")
-		if err != nil {
-			b.Fatal(err)
-		}
-		advance += time.Since(t1)
-		submit += t1.Sub(t0)
-		if adv.Dispatched != 128 {
-			b.Fatalf("round %d: %d decisions, want 128", i, adv.Dispatched)
-		}
+		s, a := wideRound(b, tn, rounds, i)
+		submit += s
+		advance += a
 	}
 	b.StopTimer()
+	w := tn.EngineWork()
+	decisions := float64(128 * b.N)
 	b.ReportMetric(float64(submit.Nanoseconds())/float64(b.N), "submit-ns/round")
 	b.ReportMetric(float64(advance.Nanoseconds())/float64(b.N), "advance-ns/round")
+	b.ReportMetric(float64(w.RankCmps-w0.RankCmps)/decisions, "rank-cmp/decision")
+	b.ReportMetric(float64(w.Compares-w0.Compares)/decisions, "compare-calls/decision")
 	b.ReportMetric(float64(tn.ResidentBytes())/float64(tn.Info().Dispatches), "resident-B/dispatch")
+}
+
+// TestWideRoundRanksWithoutCompare pins what a wide_sched decision costs
+// the ready heap under PD², as counts: every comparison is decided by the
+// integer rank, none by prio.Ranker.Compare, and a decision takes about
+// eight of them (the pop of one of ≈ 50 ready heads, the push of the next).
+func TestWideRoundRanksWithoutCompare(t *testing.T) {
+	tn, rounds := wideRounds(t)
+	defer tn.Close()
+	for i := 0; i < 2*len(rounds); i++ {
+		wideRound(t, tn, rounds, i)
+	}
+	w := tn.EngineWork()
+	decisions := int64(128 * 2 * len(rounds))
+	if w.Compares != 0 || w.RankCmps < decisions || w.RankCmps > 40*decisions {
+		t.Fatalf("%d decisions: %d rank comparisons, %d of them by Ranker.Compare; want 1–40 per decision, none by Compare",
+			decisions, w.RankCmps, w.Compares)
+	}
+	t.Logf("%d decisions: %.1f rank comparisons and %.1f heap moves per decision", decisions,
+		float64(w.RankCmps)/float64(decisions), float64(w.Moves)/float64(decisions))
 }
 
 // slowFS wraps the real filesystem and adds a fixed latency to every

@@ -4,31 +4,36 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sort"
 
 	"desyncpfair/internal/rat"
 )
 
-// A tenant's dispatch log is kept as the bytes its readers are served:
-// each decision is encoded by Tenant.record straight into the tail of an
-// append-only list of chunks, and the stream, the ?from replay, the sealed
-// history files and the snapshot's inline tail are all cut from those
-// bytes — and so is what the journal keeps of a command's decisions, a
-// checksum of their frames. The one place that wants an event back
+// A tenant's dispatch log is kept in one of two forms, fixed when the
+// tenant is built. A journaled tenant's log is the bytes its readers are
+// served: each decision is encoded by Tenant.record straight into the tail
+// of an append-only list of chunks, and the stream, the ?from replay, the
+// sealed history files and the snapshot's inline tail are all cut from
+// those bytes — and so is what the journal keeps of a command's decisions,
+// a checksum of their frames. The one place that wants an event back
 // (recovery verifying a journal written before the digest) decodes the one
 // frame it asks for.
 //
-// A closed chunk leaves the wire form exactly once, by a rule fixed when
-// the tenant is built. A journaled tenant's log leaves memory a segment at
-// a time: the compaction that seals a range into a history file
-// (history.go) drops its chunks once the snapshot naming the file is
-// committed, and a reader below the resident floor is served from the
-// file. An in-memory tenant keeps every chunk, so its log is cold: while a
-// chunk is the open tail each frame is also encoded as a compact record
-// (putColdRecord) into a shadow chunk, and when the chunk closes the
-// shadow replaces it. A reader of a cold chunk gets its frames rendered
-// back by appendDispatchFrame, byte for byte what the wire chunk held.
+// A journaled tenant's log leaves memory a segment at a time: the
+// compaction that seals a range into a history file (history.go) drops its
+// chunks once the snapshot naming the file is committed, and a reader below
+// the resident floor is served from the file. An in-memory tenant keeps
+// every chunk, so its log is cold from its first frame: each decision is
+// written as a compact record (putColdRecord), the open tail included, and
+// every reader gets its frames rendered back by appendDispatchFrame, byte
+// for byte what a wire log holds. A cold chunk carries the task-name table
+// its records index. A task is named at registration, before its first
+// record, so a published view of the tail, which carries the table as it
+// stood then, names every task whose records the view holds.
+//
+// Both forms close a chunk at the same byte budget, chunkBytes, when the
+// next entry might not fit: on wide_sched a wire chunk holds ≈ 600 frames,
+// a cold one ≈ 4 700 records of ≈ 14 B.
 //
 // Frames are held as bytes, never as structs of strings, so the collector
 // never scans them.
@@ -141,12 +146,11 @@ type dispatchLog struct {
 	full     []chunk
 	tail     chunk
 	resident int64 // bytes held by full and tail
-	// cold, fixed when the tenant is built, makes the log keep its closed
-	// chunks as compact records: shadow holds the tail's records until it
-	// closes, and names the task names they index, by Task.ID.
-	cold   bool
-	shadow chunk
-	names  []string
+	// cold, fixed when the tenant is built, makes the log hold compact
+	// records; names is the table of task names they index, by Task.ID,
+	// which every cold chunk carries.
+	cold  bool
+	names []string
 }
 
 // floor is the seq of the first resident frame: everything below it is in
@@ -167,25 +171,27 @@ func (l *dispatchLog) name(id int, name string) {
 		l.names = append(l.names, "")
 	}
 	l.names[id] = name
+	l.tail.names = l.names
 }
 
-// append encodes one decision of the task with executive ID id as the
-// next frame of the tail, and, in a cold log, as the next record of the
-// shadow.
+// append logs one decision of the task with executive ID id as the next
+// frame of the tail: its compact record in a cold log, its wire bytes in
+// any other.
 func (l *dispatchLog) append(id int, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) {
-	l.room(maxFrameBytes(len(task)))
+	need := maxFrameBytes(len(task))
+	if l.cold {
+		need = maxColdRecord
+	}
+	l.room(need)
 	t := &l.tail
 	at := len(t.data)
-	t.data = appendDispatchFrame(t.data, t.end(), task, index, proc, start, finish, deadline, tard)
+	if l.cold {
+		t.data = t.data[:at+putColdRecord(t.data[at:at+maxColdRecord], id, index, proc, start, finish, deadline, tard)]
+	} else {
+		t.data = appendDispatchFrame(t.data, t.end(), task, index, proc, start, finish, deadline, tard)
+	}
 	t.offs = append(t.offs, uint32(at))
 	l.resident += int64(len(t.data) - at)
-	if l.cold {
-		s := &l.shadow
-		at := len(s.data)
-		s.data = slices.Grow(s.data, maxColdRecord)
-		s.offs = append(s.offs, uint32(at))
-		s.data = s.data[:at+putColdRecord(s.data[at:at+maxColdRecord], id, index, proc, start, finish, deadline, tard)]
-	}
 }
 
 // restore logs a decoded event — one of a snapshot's inline tail — as the
@@ -224,23 +230,15 @@ func (l *dispatchLog) room(need int) {
 }
 
 // cut closes the tail: its frames join the closed chunks, immutable from
-// here on — a cold log's as the shadow's records, the wire bytes left to
-// the views that still hold them — and the next frame starts a new chunk,
-// with room for about as many offsets (and records) as this one took.
+// here on, and the next frame starts a new chunk, with room for about as
+// many offsets as this one took.
 func (l *dispatchLog) cut() {
 	n := len(l.tail.offs)
 	if n == 0 {
 		return
 	}
-	c := l.tail
-	if l.cold {
-		c = chunk{first: c.first, data: l.shadow.data, offs: l.shadow.offs, names: l.names}
-		l.resident += int64(len(c.data) - len(l.tail.data))
-		r := len(c.data)
-		l.shadow = chunk{data: make([]byte, 0, r+r/8), offs: make([]uint32, 0, n+n/8)}
-	}
-	l.full = append(l.full, c)
-	l.tail = chunk{first: l.tail.end(), offs: make([]uint32, 0, n+n/8)}
+	l.full = append(l.full, l.tail)
+	l.tail = chunk{first: l.tail.end(), offs: make([]uint32, 0, n+n/8), names: l.names}
 }
 
 // dropSealed installs hist, a manifest extended over resident chunks a

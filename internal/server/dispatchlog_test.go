@@ -239,45 +239,65 @@ func appendEvent(t testing.TB, l *dispatchLog, id int, ev DispatchEvent) {
 }
 
 // TestColdLogMatchesWireLog drives a cold log and a wire one through the
-// same events, across several chunk boundaries: the cold log closes its
-// chunks as compact records — far fewer bytes resident — and every reader
-// of it still gets the wire log's bytes: any read through frames, the
-// digest, the inline tail and a sealed segment. A view published earlier
-// stays what it was.
+// same events, across several chunk boundaries of each, with a task that
+// registers halfway: the cold log holds compact records from its first
+// frame, open tail included — far fewer bytes resident — and closes a
+// chunk when the next record might not fit in chunkBytes, as a wire log
+// closes one on the next frame; and every reader of it still gets the wire
+// log's bytes: any read through frames, from its chunk boundaries and
+// either side of them, the digest, the inline tail and a sealed
+// segment. A view published earlier, one before the late task's first
+// record among them, stays what it was.
 func TestColdLogMatchesWireLog(t *testing.T) {
-	const n = 2500
+	const n, late = 20000, 10000
 	wire, cold := dispatchLog{}, dispatchLog{cold: true}
-	var view dispatchLog
+	var views []dispatchLog
 	for i := int64(0); i < n; i++ {
 		ev, _ := logEvent(i)
-		appendEvent(t, &wire, int(i%7), ev)
-		appendEvent(t, &cold, int(i%7), ev)
-		if i == 999 {
-			view = cold
+		id := int(i % 7)
+		if i >= late && i%5 == 0 {
+			id, ev.Task = 7, "late"
+		}
+		appendEvent(t, &wire, id, ev)
+		appendEvent(t, &cold, id, ev)
+		if i == 999 || i == late-1 || i == late {
+			views = append(views, cold)
 		}
 	}
-	if len(cold.full) < 3 || len(cold.full) != len(wire.full) {
+	if len(cold.full) < 3 || len(wire.full) < 3*len(cold.full) {
 		t.Fatalf("cold log: %d closed chunks, wire log %d", len(cold.full), len(wire.full))
 	}
-	for i := range cold.full {
-		if c := &cold.full[i]; !c.cold() || c.first != wire.full[i].first || c.end() != wire.full[i].end() {
-			t.Fatalf("closed chunk %d: cold %v, seqs %d..%d", i, c.cold(), c.first, c.end())
+	chunks := cold.chunks()
+	for i, c := range chunks[:len(chunks)-1] {
+		if !c.cold() || c.end() != chunks[i+1].first || len(c.data) > chunkBytes || len(c.data)+maxColdRecord <= chunkBytes {
+			t.Fatalf("closed chunk %d: cold %v, seqs %d..%d, %d bytes of records", i, c.cold(), c.first, c.end(), len(c.data))
 		}
 	}
-	if cold.tail.cold() || !bytes.Equal(cold.tail.data, wire.tail.data) {
-		t.Fatal("the open tail of a cold log is not the wire log's")
+	if !cold.tail.cold() || cold.tail.end() != n || len(cold.tail.names) != 8 {
+		t.Fatalf("the open tail of a cold log: cold %v, ends at %d, %d names", cold.tail.cold(), cold.tail.end(), len(cold.tail.names))
 	}
 	if held := chunkBytesOf(cold.chunks()); int64(held) != cold.resident || 4*cold.resident > wire.resident {
 		t.Fatalf("cold log holds %d bytes (accounted %d), the wire log %d", held, cold.resident, wire.resident)
 	}
+	all := readAll(&wire, 0, n)
+	offs := []int{0}
+	for i, c := range all {
+		if c == '\n' {
+			offs = append(offs, i+1)
+		}
+	}
+	froms := []int64{0, 1, 599, 1000, late - 1, late, n - 1, n}
+	for _, c := range chunks[1:] {
+		froms = append(froms, c.first-1, c.first, c.first+1)
+	}
 	for _, limit := range []int{1, 7, 256, n} {
-		for _, from := range []int64{0, 1, 599, 1000, n - 1, n} {
-			if got, want := readAll(&cold, from, limit), readAll(&wire, from, limit); !bytes.Equal(got, want) {
+		for _, from := range froms {
+			if got := readAll(&cold, from, limit); !bytes.Equal(got, all[offs[from]:]) {
 				t.Fatalf("frames from %d, %d at a time: the cold log's differ", from, limit)
 			}
 		}
 	}
-	for _, first := range []int64{0, 700, n - 3} {
+	for _, first := range []int64{0, 700, late, n - 3} {
 		if got, want := cold.digest(first, 0), wire.digest(first, 0); got != want {
 			t.Fatalf("digest from %d: %+v, want %+v", first, got, want)
 		}
@@ -292,8 +312,10 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 	if gotSeg != wantSeg || !bytes.Equal(bytes.Join(gotFile.Data, nil), bytes.Join(wantFile.Data, nil)) {
 		t.Fatalf("sealed segment of a cold log: %+v, want %+v", gotSeg, wantSeg)
 	}
-	if got := readAll(&view, 0, 256); view.len() != 1000 || !bytes.Equal(got, readAll(&wire, 0, 256)[:len(got)]) {
-		t.Fatal("the published view of the cold log changed under it")
+	for _, view := range views {
+		if got := readAll(&view, 0, 256); !bytes.Equal(got, readAll(&wire, 0, 256)[:len(got)]) || bytes.Count(got, []byte{'\n'}) != int(view.len()) {
+			t.Fatalf("the view published at %d of the cold log changed under it", view.len())
+		}
 	}
 	var buf []byte
 	if b, k := cold.frames(&buf, 3, 2); k != 2 || &b[0] != &buf[0] {
@@ -302,8 +324,9 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 }
 
 // FuzzColdFrameMatchesWire is the contract of the compact record: for any
-// seq, task name and numbers, a cold chunk renders the bytes
-// appendDispatchFrame writes, which decode to the same event.
+// seq, task name and numbers, a cold chunk — the open tail, and the same
+// chunk closed — renders the bytes a wire log holds, which decode to the
+// same event.
 func FuzzColdFrameMatchesWire(f *testing.F) {
 	type seed struct {
 		seq               int64
@@ -335,26 +358,31 @@ func FuzzColdFrameMatchesWire(f *testing.F) {
 			return rat.New(n, d)
 		}
 		start, finish, tard := mk(sn, sd), mk(fn, fd), mk(tn, td)
-		l := dispatchLog{cold: true, tail: chunk{first: seq}}
+		l, w := dispatchLog{cold: true, tail: chunk{first: seq}}, dispatchLog{tail: chunk{first: seq}}
 		l.name(int(id), name)
 		for k := 0; k < 2; k++ {
 			l.append(int(id), name, index, int(proc), start, finish, deadline, tard)
+			w.append(int(id), name, index, int(proc), start, finish, deadline, tard)
 		}
-		wire := append([]byte(nil), l.tail.data...)
-		l.cut()
-		if len(l.full) != 1 || !l.full[0].cold() {
-			t.Fatal("the closed chunk is not cold")
-		}
-		var buf []byte
-		got, n := l.frames(&buf, seq, 2)
-		if n != 2 || !bytes.Equal(got, wire) {
-			t.Fatalf("cold render\n got %q\nwant %q", got, wire)
-		}
+		wire := w.tail.data
 		want := appendDispatchFrame(nil, seq+1, name, index, int(proc), start, finish, deadline, tard)
-		second, n := l.frames(&buf, seq+1, 1)
-		if n != 1 || !bytes.Equal(second, want) {
-			t.Fatalf("cold render of the second frame\n got %q\nwant %q", second, want)
+		var buf []byte
+		for _, closed := range []bool{false, true} {
+			if closed {
+				l.cut()
+			}
+			if c := l.chunks(); len(c) != 1 || !c[0].cold() || (len(l.full) == 1) != closed {
+				t.Fatalf("closed %v: the chunk is not cold, or not where it should be", closed)
+			}
+			got, n := l.frames(&buf, seq, 2)
+			if n != 2 || !bytes.Equal(got, wire) {
+				t.Fatalf("cold render (closed %v)\n got %q\nwant %q", closed, got, wire)
+			}
+			if second, n := l.frames(&buf, seq+1, 1); n != 1 || !bytes.Equal(second, want) {
+				t.Fatalf("cold render of the second frame (closed %v)\n got %q\nwant %q", closed, second, want)
+			}
 		}
+		second, _ := l.frames(&buf, seq+1, 1)
 		var fromCold, fromWire DispatchEvent
 		if err := json.Unmarshal(second, &fromCold); err != nil {
 			t.Fatalf("cold frame %q: %v", second, err)

@@ -62,10 +62,10 @@ type StreamGone struct {
 // written straight from the rats with no reflection walk and no string per
 // value. An event is four integers, three rats — digits, '-' and '/', their
 // own JSON encoding between quotes — and a task name, which is too when it
-// is wire.Plain; any other name takes json.Marshal itself. Every dispatch is
-// encoded here at record time, and a cold chunk's records are rendered
-// back here: the stream, the ?from replay, the sealed history files and
-// the snapshot's inline tail all carry these bytes.
+// is wire.Plain; any other name takes json.Marshal itself. A journaled
+// tenant's dispatch is encoded here at record time, and a cold log's
+// records are rendered back here: the stream, the ?from replay, the sealed
+// history files and the snapshot's inline tail all carry these bytes.
 func appendDispatchFrame(b []byte, seq int64, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) []byte {
 	if !wire.Plain(task) {
 		j, err := json.Marshal(DispatchEvent{

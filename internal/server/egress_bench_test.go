@@ -4,7 +4,9 @@ package server
 // the record path itself: one dispatch encoded into the tenant's log.
 // BenchmarkDispatchFanout measures the shared-bytes path: one op logs a
 // 64-record batch exactly once and fans the chunk's bytes out to N
-// subscribers. BenchmarkDispatchFanoutEncode is the pre-PR-10 baseline it
+// subscribers; its cold-N rows are an in-memory tenant's log, whose N
+// subscribers each render the records into their own buffer.
+// BenchmarkDispatchFanoutEncode is the pre-PR-10 baseline the wire rows
 // replaced — every subscriber runs its own json.Encoder over every record
 // — so the acceptance ratio (allocs/op and ns/op-per-subscriber at 64
 // subs) is read straight off `go test -bench 'DispatchFanout' -benchmem`.
@@ -145,7 +147,7 @@ func BenchmarkTenantRecord(b *testing.B) {
 // TestTenantRecordAllocs pins the per-decision hook at zero allocations,
 // in either form of the log and for a tardy decision too: a lag's string
 // is rendered once per command, for its trace event, never per decision.
-// (A chunk the log grows by, or a cold log's shadow, is amortised over
+// (A chunk the log grows by, in either form, is amortised over
 // hundreds of frames, well under one per call.)
 func TestTenantRecordAllocs(t *testing.T) {
 	for _, journaled := range []bool{false, true} {
@@ -175,34 +177,44 @@ func TestTenantRecordAllocs(t *testing.T) {
 
 func BenchmarkDispatchFanout(b *testing.B) {
 	evs := benchEvents()
-	for _, subs := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("%dsubs", subs), func(b *testing.B) {
-			writers := make([]*frameWriter, subs)
-			for i := range writers {
-				writers[i] = &frameWriter{w: discardResponseWriter{}}
+	for _, cold := range []bool{false, true} {
+		for _, subs := range []int{1, 8, 64} {
+			name := fmt.Sprintf("%dsubs", subs)
+			if cold {
+				name = "cold-" + name
 			}
-			times := make([][2]rat.Rat, len(evs))
-			for i, ev := range evs {
-				times[i][0], _ = rat.Parse(ev.Start)
-				times[i][1], _ = rat.Parse(ev.Finish)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				// Encode once — the tenant loop's side of the contract —
-				// then every subscriber writes the same bytes by reference.
-				var log dispatchLog
-				for i, ev := range evs {
-					log.append(i%8, ev.Task, ev.Index, ev.Proc, times[i][0], times[i][1], ev.Deadline, rat.Zero)
+			b.Run(name, func(b *testing.B) {
+				writers := make([]*frameWriter, subs)
+				bufs := make([][]byte, subs)
+				for i := range writers {
+					w := discardResponseWriter{}
+					writers[i] = &frameWriter{w: w, rc: http.NewResponseController(w)}
 				}
-				frames, _ := log.frames(nil, 0, len(evs)) // a wire log: nothing to render
-				for _, fw := range writers {
-					if _, err := fw.Write(frames); err != nil {
-						b.Fatal(err)
+				times := make([][2]rat.Rat, len(evs))
+				for i, ev := range evs {
+					times[i][0], _ = rat.Parse(ev.Start)
+					times[i][1], _ = rat.Parse(ev.Finish)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					// Log once — the tenant loop's side of the contract —
+					// then every subscriber writes the same bytes by
+					// reference, or, from a cold log, renders its own.
+					log := dispatchLog{cold: cold}
+					for i, ev := range evs {
+						log.name(i%8, ev.Task)
+						log.append(i%8, ev.Task, ev.Index, ev.Proc, times[i][0], times[i][1], ev.Deadline, rat.Zero)
+					}
+					for i, fw := range writers {
+						frames, _ := log.frames(&bufs[i], 0, len(evs))
+						if _, err := fw.Write(frames); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -665,9 +665,11 @@ func (r *pacedReader) Read(p []byte) (int, error) {
 
 // TestInMemoryStreamMatchesDurable runs one seeded command script, with
 // task names JSON escapes, on an in-memory server and on a durable one.
-// The in-memory tenant closes its chunks cold; the journaled one keeps wire
-// bytes, seals them into history files, and keeps wire bytes again once
-// restored from its snapshot and journal. Whichever form serves them,
+// The in-memory tenant holds compact records from its first frame and
+// closes a chunk of them every 64 KiB (≈ 4 500 frames here, so the
+// script is long enough for three); the journaled one keeps wire bytes,
+// seals them into history files, and keeps wire bytes again once restored
+// from its snapshot and journal. Whichever form serves them,
 // ?from=k&follow=false is byte-identical at every chunk boundary and
 // either side of it, mid-chunk, at 0 and at the end, and a follower opened
 // at 0 before the load reads the same bytes.
@@ -720,11 +722,11 @@ func TestInMemoryStreamMatchesDurable(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			var jobs []server.SubmitJobRequest
 			for _, name := range names {
-				for k := rng.Intn(4); k > 0; k-- {
+				for k := 4 * rng.Intn(4); k > 0; k-- {
 					jobs = append(jobs, server.SubmitJobRequest{Task: name})
 				}
 			}
-			by := fmt.Sprint(2 + rng.Intn(7))
+			by := fmt.Sprint(4 * (2 + rng.Intn(7)))
 			for _, n := range []*node{mem, dur} {
 				if len(jobs) > 0 {
 					if _, err := n.c.SubmitJobs(ctx, "acme", jobs); err != nil {
@@ -776,7 +778,7 @@ func TestInMemoryStreamMatchesDurable(t *testing.T) {
 		return all
 	}
 
-	load(360)
+	load(540)
 	all := compare("resident", 3)
 	for _, resp := range follows {
 		got := make([]byte, len(all))

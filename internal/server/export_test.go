@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"desyncpfair/internal/online"
 	"desyncpfair/internal/wal"
 )
 
@@ -53,3 +54,11 @@ func (s *Server) DispatchChunks(id string) (bounds []int64, cold int) {
 // ResidentBytes is what the tenant's dispatch history holds in memory, as
 // pfaird_tenant_history_resident_bytes reports it.
 func (t *Tenant) ResidentBytes() int64 { return t.snap.Load().log.resident }
+
+// EngineWork reads the tenant executive's ready-heap work counter, on the
+// loop.
+func (t *Tenant) EngineWork() online.Work {
+	var w online.Work
+	t.ctlExec(&command{kind: cmdCtl, fn: func() { w = t.ex.Work() }})
+	return w
+}

@@ -60,8 +60,8 @@ type Tenant struct {
 	ex    *online.Executive
 	tasks map[string]*model.Task // the active tasks, by name
 	// log is the dispatch history (dispatchlog.go): the wire bytes every
-	// reader is served, except the closed chunks of an in-memory tenant,
-	// which are compact records rendered for each reader.
+	// reader is served, or, in an in-memory tenant, compact records
+	// rendered for each reader.
 	log    dispatchLog
 	maxTar rat.Rat
 	reject int64
@@ -181,8 +181,8 @@ func newTenant(id string, m int, policyName string, o *serverObs, journaled bool
 // dispatch log is the only record of a past decision. It is also where
 // the log's form is fixed, before any loop runs: a journaled tenant — of a
 // server with a data dir, restored, replayed or following — keeps wire
-// bytes, which it digests, snapshots and seals; any other keeps its closed
-// chunks cold.
+// bytes, which it digests, snapshots and seals; any other keeps its log
+// cold.
 func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journaled bool) *Tenant {
 	clock := obs.Clock(obs.Real{})
 	if o != nil {
@@ -313,8 +313,9 @@ func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch f
 
 // record is the executive's OnDispatch hook. It runs on the loop
 // goroutine (dispatches only happen inside a command's apply), so plain
-// field access is safe. A decision costs the engine and its frame: it is
-// encoded once, into the log's tail, and its lag is tallied. Everything
+// field access is safe. A decision costs the engine and one entry of the
+// log's tail — its frame, or in a cold log its compact record — and its
+// lag is tallied. Everything
 // else happens once per command — the trace event (traceDispatch, before
 // the apply stage), and in settle the lag histograms, the journal's digest
 // and the follower wakeup.
