@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -279,26 +282,57 @@ func TestRunAgainstTargetWithoutMetrics(t *testing.T) {
 // TestDefaultLoadIsFeasible: the default pattern is a closed loop — every
 // submit is paid for by one slot of its tenant's time — so the load phase
 // does the run's scheduling and a tenant's final drain has only the last
-// windows left. One worker keeps a tenant's tasks in step, and the drain
-// moves virtual time by at most 2·K slots: K for a last job's window, K
-// for the offset a task picks up when its first job lands after the
-// iteration's earlier advances. Several workers drift apart, and a task
-// whose worker lags is shifted right by the drift for good; the drain then
-// has that much left, still a small part of the run. The loop this
-// replaced advanced one slot per -advance-every submits and left three
-// quarters of the run to the drain, whatever the workers.
+// windows left: it moves virtual time by at most 2·K slots, K for a last
+// job's window, K for the offset a task picks up when its job lands after
+// advances paid for by the round's other submits. Workers left to
+// themselves drift apart, and a task whose worker lags is shifted right by
+// the drift for good, so the test drives them in lockstep rounds: job j's
+// submit waits until every (tenant, task) pair has had job j-1
+// acknowledged. No worker then gets a round ahead, and the 2·K bound holds
+// for four workers as for one. The loop this replaced advanced one slot
+// per -advance-every submits and left three quarters of the run to the
+// drain, whatever the workers.
 func TestDefaultLoadIsFeasible(t *testing.T) {
 	const tenants, tasks, jobs = 2, 4, 100
-	for _, tc := range []struct {
-		workers int
-		bound   int64
-	}{{1, 2 * tasks}, {4, tasks * jobs / 2}} {
+	for _, workers := range []int{1, 4} {
 		srv := server.New()
 		h := srv.Handler()
 		var mu sync.Mutex
 		moved := map[string]string{} // drain path → "now before it, now after"
+		acked := map[int]int{}       // job index → submits acknowledged
+		round := sync.NewCond(&mu)
+		released := false // the run is over: a failed one leaves no submit waiting
 		ts := hoptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/drain") {
+			switch {
+			case r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/jobs"):
+				body, err := io.ReadAll(r.Body)
+				var req server.SubmitJobRequest
+				if err == nil {
+					err = json.Unmarshal(body, &req)
+				}
+				// pfairload keys a single submit w<worker>-<tenant>-<task>-<j>.
+				j, kerr := strconv.Atoi(req.Key[strings.LastIndexByte(req.Key, '-')+1:])
+				if err != nil || kerr != nil {
+					t.Errorf("%s: a submit the test cannot place in a round: %q (%v, %v)", r.URL.Path, body, err, kerr)
+				}
+				mu.Lock()
+				for j > 0 && acked[j-1] < tenants*tasks && !released {
+					round.Wait()
+				}
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				if rec.Code == http.StatusAccepted {
+					mu.Lock()
+					acked[j]++
+					round.Broadcast()
+					mu.Unlock()
+				}
+				w.WriteHeader(rec.Code)
+				w.Write(rec.Body.Bytes())
+				return
+			case r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/drain"):
 				h.ServeHTTP(w, r)
 				return
 			}
@@ -320,19 +354,23 @@ func TestDefaultLoadIsFeasible(t *testing.T) {
 		}))
 		var out strings.Builder
 		rep, err := run(config{
-			addr: ts.URL, tenants: tenants, tasks: tasks, jobs: jobs, workers: tc.workers, m: 2,
+			addr: ts.URL, tenants: tenants, tasks: tasks, jobs: jobs, workers: workers, m: 2,
 			advanceEvery: 4, batch: 1, policy: "PD2", seed: 1,
 		}, &out)
+		mu.Lock()
+		released = true
+		round.Broadcast()
+		mu.Unlock()
 		ts.Close()
 		srv.Shutdown()
 		if err != nil {
-			t.Fatalf("%d workers: load run failed: %v\n%s", tc.workers, err, out.String())
+			t.Fatalf("%d workers: load run failed: %v\n%s", workers, err, out.String())
 		}
 		if want := int64(tenants * tasks * jobs); rep.Dispatched != want {
-			t.Errorf("%d workers: dispatched %d subtasks, want %d", tc.workers, rep.Dispatched, want)
+			t.Errorf("%d workers: dispatched %d subtasks, want %d", workers, rep.Dispatched, want)
 		}
 		if len(moved) != tenants {
-			t.Fatalf("%d workers: saw %d drains, want %d: %v", tc.workers, len(moved), tenants, moved)
+			t.Fatalf("%d workers: saw %d drains, want %d: %v", workers, len(moved), tenants, moved)
 		}
 		for path, m := range moved {
 			var before, after int64
@@ -340,11 +378,12 @@ func TestDefaultLoadIsFeasible(t *testing.T) {
 				t.Fatalf("%s: virtual time %q: %v", path, m, err)
 			}
 			if before != tasks*jobs {
-				t.Errorf("%d workers, %s: the load phase left virtual time at %d, want one slot per submit = %d", tc.workers, path, before, tasks*jobs)
+				t.Errorf("%d workers, %s: the load phase left virtual time at %d, want one slot per submit = %d", workers, path, before, tasks*jobs)
 			}
-			if after-before > tc.bound {
+			t.Logf("%d workers, %s: the drain moved virtual time %d → %d", workers, path, before, after)
+			if after-before > 2*tasks {
 				t.Errorf("%d workers, %s: the drain moved virtual time %d → %d, more than %d slots: the load phase left the scheduling to it",
-					tc.workers, path, before, after, tc.bound)
+					workers, path, before, after, 2*tasks)
 			}
 		}
 	}

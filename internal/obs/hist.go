@@ -23,9 +23,9 @@ var QuantaBuckets = []float64{0, 0.25, 0.5, 0.75, 1}
 // matching the Prometheus text exposition: bucket i counts observations
 // ≤ Bounds[i], and an implicit +Inf bucket counts everything. It is safe
 // for concurrent use and takes no lock: Observe is three atomic updates,
-// and Merge of a whole Tally one per series, so the paths it counts (a
-// tenant's commands, the request middleware) never wait for a scrape or for
-// each other.
+// and ObserveN of a repeated value or Merge of a whole Tally one per
+// series, so the paths it counts (a tenant's commands, the request
+// middleware) never wait for a scrape or for each other.
 //
 // Update order is the consistency protocol. Observe (Merge) writes the
 // widest series first — count, which is the +Inf bucket — and then the
@@ -55,11 +55,16 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.count.Add(1)
-	h.addSum(v)
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records the value v n times, with one update of each series:
+// counts and buckets are exactly those of n Observe calls, and the sum
+// gains v·n, which may differ from n float additions in the last bit.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	h.count.Add(n)
+	h.addSum(v * float64(n))
 	if i := slotOf(h.bounds, v); i < len(h.slots) {
-		h.slots[i].Add(1)
+		h.slots[i].Add(n)
 	}
 }
 

@@ -180,6 +180,26 @@ func TestTallyMergeEqualsObserve(t *testing.T) {
 	}
 }
 
+// TestObserveNEqualsObserve: recording a value n times at once leaves the
+// histogram n Observe calls would — buckets, count and, since every value
+// is a multiple of 1/4 and n small, the sum bit for bit — for 0, every
+// bound exactly and values above the last bound.
+func TestObserveNEqualsObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	values := append([]float64{0, 1.25, 1.5, 2, 7.75}, QuantaBuckets...)
+	want, got := NewHistogram(QuantaBuckets), NewHistogram(QuantaBuckets)
+	for trial := 0; trial < 200; trial++ {
+		v, n := values[rng.Intn(len(values))], rng.Intn(100)
+		for i := 0; i < n; i++ {
+			want.Observe(v)
+		}
+		got.ObserveN(v, uint64(n))
+		if w, g := want.Snapshot(), got.Snapshot(); !reflect.DeepEqual(w, g) {
+			t.Fatalf("trial %d, %g × %d: ObserveN left %+v, Observe %+v", trial, v, n, g, w)
+		}
+	}
+}
+
 // TestMergeRejectsOtherBounds: a tally is only merged into a histogram over
 // its own bounds.
 func TestMergeRejectsOtherBounds(t *testing.T) {

@@ -26,14 +26,17 @@ import (
 // every chunk, so its log is cold from its first frame: each decision is
 // written as a compact record (putColdRecord), the open tail included, and
 // every reader gets its frames rendered back by appendDispatchFrame, byte
-// for byte what a wire log holds. A cold chunk carries the task-name table
-// its records index. A task is named at registration, before its first
-// record, so a published view of the tail, which carries the table as it
-// stood then, names every task whose records the view holds.
+// for byte what a wire log holds. A record leaves out what it can rebuild
+// from the record before it, so a cold chunk is read forward from the
+// nearest of its index points, one per coldStride records. A cold chunk
+// carries the task-name table its records index. A task is named at
+// registration, before its first record, so a published view of the tail,
+// which carries the table as it stood then, names every task whose
+// records the view holds.
 //
 // Both forms close a chunk at the same byte budget, chunkBytes, when the
 // next entry might not fit: on wide_sched a wire chunk holds ≈ 600 frames,
-// a cold one ≈ 4 700 records of ≈ 14 B.
+// a cold one ≈ 9 600 records of ≈ 7 B.
 //
 // Frames are held as bytes, never as structs of strings, so the collector
 // never scans them.
@@ -46,19 +49,29 @@ const (
 	minChunkBytes = 1 << 10
 )
 
+// coldStride is how many records of a cold chunk share one offset. The
+// record at each index point — its place in the chunk a multiple of
+// coldStride — is coded against a start of 0/1, so a read from any seq
+// decodes forward from the index point at or below it, passing over at
+// most coldStride-1 records.
+const coldStride = 32
+
 // chunk is a run of consecutive dispatch frames: contiguous NDJSON, and
 // where in it each frame starts — or, in a cold chunk, their compact
-// records, and where each starts.
+// records, and where the record at each index point starts.
 type chunk struct {
-	first int64    // seq of the first frame
-	data  []byte   // the frames, each ending in '\n'; a cold chunk's records
-	offs  []uint32 // offs[i] is where frame first+i starts in data
+	first int64  // seq of the first frame
+	n     int    // how many frames it holds
+	data  []byte // the frames, each ending in '\n'; a cold chunk's records
+	// offs[i] is where frame first+i starts in data; in a cold chunk,
+	// where record first+i*coldStride does.
+	offs []uint32
 	// names is a cold chunk's task-name table, indexed by the executive's
 	// Task.ID as its records are; nil in a wire chunk.
 	names []string
 }
 
-func (c *chunk) end() int64 { return c.first + int64(len(c.offs)) }
+func (c *chunk) end() int64 { return c.first + int64(c.n) }
 
 // cold reports whether c holds compact records rather than wire bytes.
 func (c *chunk) cold() bool { return c.names != nil }
@@ -66,7 +79,7 @@ func (c *chunk) cold() bool { return c.names != nil }
 // span returns the bytes of frames i .. i+n-1 of a wire chunk.
 func (c *chunk) span(i, n int) []byte {
 	hi := len(c.data)
-	if i+n < len(c.offs) {
+	if i+n < c.n {
 		hi = int(c.offs[i+n])
 	}
 	return c.data[c.offs[i]:hi]
@@ -78,58 +91,128 @@ func (c *chunk) appendWire(b []byte, i, n int) []byte {
 	if !c.cold() {
 		return append(b, c.span(i, n)...)
 	}
-	r := coldReader(c.data[c.offs[i]:])
-	for k := 0; k < n; k++ {
-		name := c.names[r.uint()]
-		index, proc := r.int(), r.int()
-		start, finish := r.rat(), r.rat()
-		deadline := r.int()
-		b = appendDispatchFrame(b, c.first+int64(i+k), name, index, int(proc), start, finish, deadline, r.rat())
+	k := i / coldStride
+	d := coldDecoder{r: c.data[c.offs[k]:], at: k * coldStride}
+	for d.at < i {
+		d.next()
+	}
+	for ; n > 0; n-- {
+		seq := c.first + int64(d.at)
+		d.next()
+		b = appendDispatchFrame(b, seq, c.names[d.id], d.index, d.proc,
+			rat.New(d.sn, d.sd), rat.New(d.fn, d.fd), d.deadline, rat.New(d.tn, d.td))
 	}
 	return b
 }
 
+// A compact record is a header byte, then varints. The header's low bits
+// flag the fields written out because a reader could not rebuild them;
+// its high nibble holds proc, coldProcWide meaning a uvarint follows.
+const (
+	coldStartAbs = 1 << iota // start's denominator differs from the previous record's
+	coldFinish               // finish ≠ start + 1
+	coldTardy                // tardiness ≠ 0
+	coldProcWide = 15
+)
+
 // putColdRecord writes a decision's compact record at the start of b,
-// which has room for maxColdRecord bytes, and returns its length: the
-// task's Task.ID as a uvarint, then index, proc, start, finish, deadline
-// and tardiness as zig-zag varints, a rat as its numerator and denominator
-// in lowest terms. The seq is the record's place in its chunk.
-func putColdRecord(b []byte, id int, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) int {
-	n := binary.PutUvarint(b, uint64(id))
+// which has room for maxColdRecord bytes, and returns its length. prev is
+// the start of the chunk's previous record, 0/1 at an index point. After
+// the header (and a wide proc): the task's Task.ID as a uvarint, then as
+// zig-zag varints index; start as its numerator's delta from prev's, or
+// with coldStartAbs its numerator and denominator; finish, only with
+// coldFinish; deadline less start's truncated integer part; tardiness,
+// only with coldTardy. A rat is written as its numerator and denominator
+// in lowest terms, and every difference wraps as int64 arithmetic does,
+// so any input round-trips. The seq is the record's place in its chunk.
+func putColdRecord(b []byte, prev rat.Rat, id int, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) int {
+	h := byte(min(uint(proc), coldProcWide)) << 4
+	n := 1
+	if h>>4 == coldProcWide {
+		n += binary.PutUvarint(b[n:], uint64(proc))
+	}
+	n += binary.PutUvarint(b[n:], uint64(id))
 	n += binary.PutVarint(b[n:], index)
-	n += binary.PutVarint(b[n:], int64(proc))
-	n += binary.PutVarint(b[n:], start.Num())
-	n += binary.PutVarint(b[n:], start.Den())
-	n += binary.PutVarint(b[n:], finish.Num())
-	n += binary.PutVarint(b[n:], finish.Den())
-	n += binary.PutVarint(b[n:], deadline)
-	n += binary.PutVarint(b[n:], tard.Num())
-	return n + binary.PutVarint(b[n:], tard.Den())
+	sn, sd := start.Num(), start.Den()
+	if sd != prev.Den() {
+		h |= coldStartAbs
+		n += binary.PutVarint(b[n:], sn)
+		n += binary.PutVarint(b[n:], sd)
+	} else {
+		n += binary.PutVarint(b[n:], sn-prev.Num())
+	}
+	if fn, fd := finish.Num(), finish.Den(); fn != sn+sd || fd != sd {
+		h |= coldFinish
+		n += binary.PutVarint(b[n:], fn)
+		n += binary.PutVarint(b[n:], fd)
+	}
+	n += binary.PutVarint(b[n:], deadline-sn/sd)
+	if tn, td := tard.Num(), tard.Den(); tn != 0 || td != 1 {
+		h |= coldTardy
+		n += binary.PutVarint(b[n:], tn)
+		n += binary.PutVarint(b[n:], td)
+	}
+	b[0] = h
+	return n
 }
 
-// maxColdRecord bounds a compact record: ten varints.
-const maxColdRecord = 10 * binary.MaxVarintLen64
+// maxColdRecord bounds a compact record: the header and ten varints.
+const maxColdRecord = 1 + 10*binary.MaxVarintLen64
 
-// coldReader reads the fields of compact records in the order
-// putColdRecord writes them. The records are the log's own, so they are
-// never malformed.
-type coldReader []byte
+// coldDecoder reads a cold chunk's records in order from an index point,
+// each into its fields, rebuilding what putColdRecord left out. The
+// records are the log's own, so they are never malformed.
+type coldDecoder struct {
+	r        []byte
+	at       int // the next record's place in its chunk
+	id       uint64
+	index    int64
+	proc     int
+	sn, sd   int64 // start; what the next record's is coded against
+	fn, fd   int64 // finish
+	deadline int64
+	tn, td   int64 // tardiness
+}
 
-func (r *coldReader) uint() uint64 {
-	v, n := binary.Uvarint(*r)
-	*r = (*r)[n:]
+func (d *coldDecoder) next() {
+	if d.at%coldStride == 0 {
+		d.sn, d.sd = 0, 1
+	}
+	d.at++
+	h := d.r[0]
+	d.r = d.r[1:]
+	d.proc = int(h >> 4)
+	if d.proc == coldProcWide {
+		d.proc = int(d.uint())
+	}
+	d.id = d.uint()
+	d.index = d.int()
+	if h&coldStartAbs != 0 {
+		d.sn, d.sd = d.int(), d.int()
+	} else {
+		d.sn += d.int()
+	}
+	d.fn, d.fd = d.sn+d.sd, d.sd
+	if h&coldFinish != 0 {
+		d.fn, d.fd = d.int(), d.int()
+	}
+	d.deadline = d.int() + d.sn/d.sd
+	d.tn, d.td = 0, 1
+	if h&coldTardy != 0 {
+		d.tn, d.td = d.int(), d.int()
+	}
+}
+
+func (d *coldDecoder) uint() uint64 {
+	v, n := binary.Uvarint(d.r)
+	d.r = d.r[n:]
 	return v
 }
 
-func (r *coldReader) int() int64 {
-	v, n := binary.Varint(*r)
-	*r = (*r)[n:]
+func (d *coldDecoder) int() int64 {
+	v, n := binary.Varint(d.r)
+	d.r = d.r[n:]
 	return v
-}
-
-func (r *coldReader) rat() rat.Rat {
-	num := r.int()
-	return rat.New(num, r.int())
 }
 
 // dispatchLog is a tenant's dispatch history: the manifest of its sealed
@@ -148,9 +231,11 @@ type dispatchLog struct {
 	resident int64 // bytes held by full and tail
 	// cold, fixed when the tenant is built, makes the log hold compact
 	// records; names is the table of task names they index, by Task.ID,
-	// which every cold chunk carries.
+	// which every cold chunk carries; start is the start of the tail's last
+	// record, which the next is coded against.
 	cold  bool
 	names []string
+	start rat.Rat
 }
 
 // floor is the seq of the first resident frame: everything below it is in
@@ -185,12 +270,19 @@ func (l *dispatchLog) append(id int, task string, index int64, proc int, start, 
 	l.room(need)
 	t := &l.tail
 	at := len(t.data)
-	if l.cold {
-		t.data = t.data[:at+putColdRecord(t.data[at:at+maxColdRecord], id, index, proc, start, finish, deadline, tard)]
-	} else {
+	if !l.cold {
 		t.data = appendDispatchFrame(t.data, t.end(), task, index, proc, start, finish, deadline, tard)
+		t.offs = append(t.offs, uint32(at))
+	} else {
+		prev := l.start
+		if t.n%coldStride == 0 {
+			prev = rat.Zero
+			t.offs = append(t.offs, uint32(at))
+		}
+		t.data = t.data[:at+putColdRecord(t.data[at:at+maxColdRecord], prev, id, index, proc, start, finish, deadline, tard)]
+		l.start = start
 	}
-	t.offs = append(t.offs, uint32(at))
+	t.n++
 	l.resident += int64(len(t.data) - at)
 }
 
@@ -233,10 +325,10 @@ func (l *dispatchLog) room(need int) {
 // here on, and the next frame starts a new chunk, with room for about as
 // many offsets as this one took.
 func (l *dispatchLog) cut() {
-	n := len(l.tail.offs)
-	if n == 0 {
+	if l.tail.n == 0 {
 		return
 	}
+	n := len(l.tail.offs)
 	l.full = append(l.full, l.tail)
 	l.tail = chunk{first: l.tail.end(), offs: make([]uint32, 0, n+n/8), names: l.names}
 }
@@ -272,7 +364,7 @@ func (l *dispatchLog) frames(buf *[]byte, pos int64, limit int) ([]byte, int) {
 		return nil, 0
 	}
 	i := int(pos - c.first)
-	n := min(limit, len(c.offs)-i)
+	n := min(limit, c.n-i)
 	if c.cold() {
 		*buf = c.appendWire((*buf)[:0], i, n)
 		return *buf, n
@@ -304,7 +396,7 @@ func (l *dispatchLog) digest(first int64, sealed uint32) dispatchDigest {
 // view under the aliasing rule above, since everything the loop does
 // afterwards lands past the lengths it holds or in a fresh array.
 func (l *dispatchLog) chunks() []chunk {
-	if len(l.tail.offs) == 0 {
+	if l.tail.n == 0 {
 		return l.full
 	}
 	return append(l.full[:len(l.full):len(l.full)], l.tail)
@@ -331,7 +423,7 @@ func appendArray(b []byte, chunks []chunk) []byte {
 	at := len(b)
 	b = append(b, '[')
 	for i := range chunks {
-		b = chunks[i].appendWire(b, 0, len(chunks[i].offs))
+		b = chunks[i].appendWire(b, 0, chunks[i].n)
 	}
 	ndjsonToArray(b[at:])
 	return b

@@ -245,11 +245,11 @@ func appendEvent(t testing.TB, l *dispatchLog, id int, ev DispatchEvent) {
 // chunk when the next record might not fit in chunkBytes, as a wire log
 // closes one on the next frame; and every reader of it still gets the wire
 // log's bytes: any read through frames, from its chunk boundaries and
-// either side of them, the digest, the inline tail and a sealed
-// segment. A view published earlier, one before the late task's first
-// record among them, stays what it was.
+// either side of them, from every index point and either side of it, the
+// digest, the inline tail and a sealed segment. A view published earlier,
+// one before the late task's first record among them, stays what it was.
 func TestColdLogMatchesWireLog(t *testing.T) {
-	const n, late = 20000, 10000
+	const n, late = 46000, 23000
 	wire, cold := dispatchLog{}, dispatchLog{cold: true}
 	var views []dispatchLog
 	for i := int64(0); i < n; i++ {
@@ -297,6 +297,23 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 			}
 		}
 	}
+	var buf []byte
+	for _, c := range chunks {
+		if len(c.offs) != (c.n+coldStride-1)/coldStride {
+			t.Fatalf("the chunk at %d holds %d records under %d offsets", c.first, c.n, len(c.offs))
+		}
+		for p := c.first; p < c.end(); p += coldStride {
+			for _, from := range []int64{p - 1, p, p + 1} {
+				if from < 0 || from >= n {
+					continue
+				}
+				got, k := cold.frames(&buf, from, coldStride+1)
+				if k == 0 || !bytes.Equal(got, all[offs[from]:offs[from+int64(k)]]) {
+					t.Fatalf("%d frames from %d, beside an index point: the cold log's differ", k, from)
+				}
+			}
+		}
+	}
 	for _, first := range []int64{0, 700, late, n - 3} {
 		if got, want := cold.digest(first, 0), wire.digest(first, 0); got != want {
 			t.Fatalf("digest from %d: %+v, want %+v", first, got, want)
@@ -317,7 +334,6 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 			t.Fatalf("the view published at %d of the cold log changed under it", view.len())
 		}
 	}
-	var buf []byte
 	if b, k := cold.frames(&buf, 3, 2); k != 2 || &b[0] != &buf[0] {
 		t.Fatal("a cold chunk was not rendered into the caller's buffer")
 	}
@@ -326,7 +342,9 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 // FuzzColdFrameMatchesWire is the contract of the compact record: for any
 // seq, task name and numbers, a cold chunk — the open tail, and the same
 // chunk closed — renders the bytes a wire log holds, which decode to the
-// same event.
+// same event. It logs three records, the second with its own start, so
+// each start is coded against a start that differs: in its numerator, up
+// or down, and in its denominator.
 func FuzzColdFrameMatchesWire(f *testing.F) {
 	type seed struct {
 		seq               int64
@@ -335,37 +353,43 @@ func FuzzColdFrameMatchesWire(f *testing.F) {
 		index, proc       int64
 		sn, sd, fn, fd    int64
 		deadline, tn, tdd int64
+		sn2, sd2          int64
 	}
 	for _, s := range []seed{
-		{0, "web", 0, 1, 0, 0, 1, 1, 1, 2, 0, 1},
-		{41, `q"uote\back`, 3, 7, 1, 5, 3, 8, 3, 3, 1, 3},
-		{9, "ctl\x00\x1f\n <&>", 1, 2, 15, 7, 2, 9, 2, 5, 2, 7},
-		{1 << 40, "é日本", 999, -3, -1, -7, 2, -5, 2, -2, -1, 2},
-		{math.MaxInt64 - 2, "x", 65535, math.MinInt64, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, 3, math.MinInt64, math.MaxInt64, 1},
-		{5, "bad\xffutf8", 2, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, -1, math.MaxInt64, math.MaxInt64, math.MinInt64, 3},
+		{0, "web", 0, 1, 0, 0, 1, 1, 1, 2, 0, 1, 1, 1},                // every field rebuilt
+		{41, `q"uote\back`, 3, 7, 1, 5, 3, 8, 3, 3, 1, 3, 6, 3},       // non-integral start, finish ≠ start+1, tardy
+		{9, "ctl\x00\x1f\n <&>", 1, 2, 15, 7, 2, 9, 2, 5, 2, 7, 7, 3}, // proc 15, one denominator to the next
+		{12, "wide", 4, 3, 1000, 9, 1, 10, 1, 11, 0, 1, 4, 1},         // proc ≥ 15; start 9 → 4: a negative delta
+		{12, "neg", 4, 3, -1, 100, 1, 101, 1, 3, 0, 1, 100, 1},        // negative proc; deadline below start
+		{7, "below", 2, 5, 14, 21, 4, 25, 4, -9, 1, 4, 11, 4},         // deadline below a non-integral start
+		{3, "den", 1, 2, 3, 1, 2, 3, 4, 2, 0, 1, 3, 2},                // finish has start+1's numerator, not its denominator
+		{1 << 40, "é日本", 999, -3, -1, -7, 2, -5, 2, -2, -1, 2, 3, 2},
+		{math.MaxInt64 - 2, "x", 65535, math.MinInt64, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, 3, math.MinInt64, math.MaxInt64, 1, math.MaxInt64, 1},
+		{5, "bad\xffutf8", 2, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, -1, math.MaxInt64, math.MaxInt64, math.MinInt64, 3, math.MinInt64 + 1, 1},
 	} {
-		f.Add(s.seq, s.name, s.id, s.index, s.proc, s.sn, s.sd, s.fn, s.fd, s.deadline, s.tn, s.tdd)
+		f.Add(s.seq, s.name, s.id, s.index, s.proc, s.sn, s.sd, s.fn, s.fd, s.deadline, s.tn, s.tdd, s.sn2, s.sd2)
 	}
-	f.Fuzz(func(t *testing.T, seq int64, name string, id uint16, index, proc, sn, sd, fn, fd, deadline, tn, td int64) {
+	f.Fuzz(func(t *testing.T, seq int64, name string, id uint16, index, proc, sn, sd, fn, fd, deadline, tn, td, sn2, sd2 int64) {
 		if seq < 0 {
 			seq = ^seq
 		}
-		seq = min(seq, math.MaxInt64-2)
+		seq = min(seq, math.MaxInt64-3)
 		mk := func(n, d int64) rat.Rat {
 			if d == 0 || d == math.MinInt64 {
 				d = 1
 			}
 			return rat.New(n, d)
 		}
-		start, finish, tard := mk(sn, sd), mk(fn, fd), mk(tn, td)
+		start, finish, tard, start2 := mk(sn, sd), mk(fn, fd), mk(tn, td), mk(sn2, sd2)
+		starts := []rat.Rat{start, start2, start}
 		l, w := dispatchLog{cold: true, tail: chunk{first: seq}}, dispatchLog{tail: chunk{first: seq}}
 		l.name(int(id), name)
-		for k := 0; k < 2; k++ {
-			l.append(int(id), name, index, int(proc), start, finish, deadline, tard)
-			w.append(int(id), name, index, int(proc), start, finish, deadline, tard)
+		for _, s := range starts {
+			l.append(int(id), name, index, int(proc), s, finish, deadline, tard)
+			w.append(int(id), name, index, int(proc), s, finish, deadline, tard)
 		}
 		wire := w.tail.data
-		want := appendDispatchFrame(nil, seq+1, name, index, int(proc), start, finish, deadline, tard)
+		want := appendDispatchFrame(nil, seq+1, name, index, int(proc), start2, finish, deadline, tard)
 		var buf []byte
 		for _, closed := range []bool{false, true} {
 			if closed {
@@ -374,12 +398,14 @@ func FuzzColdFrameMatchesWire(f *testing.F) {
 			if c := l.chunks(); len(c) != 1 || !c[0].cold() || (len(l.full) == 1) != closed {
 				t.Fatalf("closed %v: the chunk is not cold, or not where it should be", closed)
 			}
-			got, n := l.frames(&buf, seq, 2)
-			if n != 2 || !bytes.Equal(got, wire) {
+			got, n := l.frames(&buf, seq, len(starts))
+			if n != len(starts) || !bytes.Equal(got, wire) {
 				t.Fatalf("cold render (closed %v)\n got %q\nwant %q", closed, got, wire)
 			}
-			if second, n := l.frames(&buf, seq+1, 1); n != 1 || !bytes.Equal(second, want) {
-				t.Fatalf("cold render of the second frame (closed %v)\n got %q\nwant %q", closed, second, want)
+			for k := range starts {
+				if one, n := l.frames(&buf, seq+int64(k), 1); n != 1 || !bytes.Equal(one, w.tail.span(k, 1)) {
+					t.Fatalf("cold render of frame %d (closed %v)\n got %q\nwant %q", k, closed, one, w.tail.span(k, 1))
+				}
 			}
 		}
 		second, _ := l.frames(&buf, seq+1, 1)
@@ -392,7 +418,7 @@ func FuzzColdFrameMatchesWire(f *testing.F) {
 		}
 		ev := DispatchEvent{
 			Seq: seq + 1, Task: name, Index: index, Proc: int(proc),
-			Start: start.String(), Finish: finish.String(), Deadline: deadline, Tardiness: tard.String(),
+			Start: start2.String(), Finish: finish.String(), Deadline: deadline, Tardiness: tard.String(),
 		}
 		if utf8.ValidString(name) && fromCold != ev {
 			t.Fatalf("cold frame decodes to %+v, want %+v", fromCold, ev)

@@ -778,7 +778,7 @@ func TestInMemoryStreamMatchesDurable(t *testing.T) {
 		return all
 	}
 
-	load(540)
+	load(1250)
 	all := compare("resident", 3)
 	for _, resp := range follows {
 		got := make([]byte, len(all))

@@ -65,7 +65,7 @@ func sealSegment(name string, chunks []chunk) (histSegment, wal.Sidecar) {
 		c := &chunks[i]
 		parts[i] = c.data
 		if c.cold() {
-			parts[i] = c.appendWire(nil, 0, len(c.offs))
+			parts[i] = c.appendWire(nil, 0, c.n)
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, parts[i])
 		size += len(parts[i])

@@ -614,7 +614,7 @@ func TestRestoreParentFormatSnapshot(t *testing.T) {
 }
 
 var longDispatches = flag.Int("dispatches", 60_000,
-	"dispatches TestLongTenantSnapshotsStayFlat pushes through its tenant (make longrun: 1000000)")
+	"dispatches TestLongTenantSnapshotsStayFlat pushes through its tenant, and TestInMemoryTenantBytesPerDispatch through its own when above 200000 (make longrun: 1000000)")
 
 // TestLongTenantSnapshotsStayFlat is the bounded-state gate: one durable
 // tenant at production's segment size, -dispatches decisions at a
@@ -763,12 +763,14 @@ func TestLongTenantSnapshotsStayFlat(t *testing.T) {
 
 // TestInMemoryTenantBytesPerDispatch bounds what an in-memory tenant, which
 // keeps its whole history, retains per decision: past the open tail, the
-// compact record, its offset, and nothing else — no wire frame, no event
-// struct, no assignment, no subtask. 40 B leaves the ≈ 22 B record and
-// 4 B offset of this workload some chunk slack; its ≈ 113 B wire frame
-// alone would not fit.
+// compact record, a 32nd of an offset, and nothing else — no wire frame,
+// no event struct, no assignment, no subtask. 12 B leaves the ≈ 7 B record
+// of this workload some chunk slack; the ≈ 22 B record with a 4 B offset
+// per decision that it replaced would not fit, nor would its ≈ 113 B wire
+// frame. It logs 200 000 decisions, or -dispatches when more.
 func TestInMemoryTenantBytesPerDispatch(t *testing.T) {
-	const tasks, period, rounds = 16, 8, 12_500 // 200 000 dispatches
+	const tasks, period = 16, 8
+	rounds := max(*longDispatches, 200_000) / tasks
 	tn, err := server.NewTenant("mem", 2, "")
 	if err != nil {
 		t.Fatal(err)
@@ -807,7 +809,7 @@ func TestInMemoryTenantBytesPerDispatch(t *testing.T) {
 	grew, n := heapInUse()-before, tn.Info().Dispatches-from
 	per := float64(grew) / float64(n)
 	t.Logf("%d dispatches grew the heap in use by %d B: %.1f B/dispatch", n, grew, per)
-	if n != tasks*rounds || per > 40 {
-		t.Fatalf("an in-memory tenant retains %.1f B per dispatch over %d dispatches; want ≤ 40", per, n)
+	if n != int64(tasks*rounds) || per > 12 {
+		t.Fatalf("an in-memory tenant retains %.1f B per dispatch over %d dispatches; want ≤ 12", per, n)
 	}
 }

@@ -169,6 +169,72 @@ func TestMetricsGoldenExposition(t *testing.T) {
 	}
 }
 
+// TestBatchAckObservedPerJob: a jobs:batch of n jobs is one request but n
+// acknowledged submits, so it moves the tenant's and the aggregate
+// pfaird_submit_ack_seconds count by exactly n, and one bucket — the one
+// its latency falls in — by n, the others not at all.
+func TestBatchAckObservedPerJob(t *testing.T) {
+	const n = 7
+	h := newObsServer(t).Handler()
+	do := func(path, body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code >= 300 {
+			t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	scrape := func() []obs.Snapshot {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		ex, err := obs.ParseExposition(rec.Body.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := ex.Histogram("pfaird_submit_ack_seconds", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acme, err := ex.Histogram("pfaird_tenant_submit_ack_seconds", []obs.Label{{Name: "tenant", Value: "acme"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []obs.Snapshot{agg, acme}
+	}
+	// slots turns cumulative buckets into per-bucket counts, +Inf last.
+	slots := func(s obs.Snapshot) []uint64 {
+		out, below := []uint64{}, uint64(0)
+		for _, b := range append(s.Buckets, s.Count) {
+			out, below = append(out, b-below), b
+		}
+		return out
+	}
+	do("/v1/tenants", `{"id":"acme","m":2}`)
+	do("/v1/tenants/acme/tasks", `{"name":"web","e":1,"p":2}`)
+	do("/v1/tenants/acme/jobs", `{"task":"web"}`)
+	before := scrape()
+	do("/v1/tenants/acme/jobs:batch", `{"jobs":[`+strings.Repeat(`{"task":"web"},`, n-1)+`{"task":"web"}]}`)
+	for i, after := range scrape() {
+		if d := after.Count - before[i].Count; d != n {
+			t.Errorf("series %d: a batch of %d moved the count by %d", i, n, d)
+		}
+		moved := 0
+		for k, c := range slots(after) {
+			switch d := c - slots(before[i])[k]; d {
+			case 0:
+			case n:
+				moved++
+			default:
+				t.Errorf("series %d: bucket %d moved by %d", i, k, d)
+			}
+		}
+		if moved != 1 {
+			t.Errorf("series %d: %d buckets moved by %d, want one", i, moved, n)
+		}
+	}
+}
+
 // firstDiff renders the first differing line of two texts.
 func firstDiff(want, got string) string {
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")

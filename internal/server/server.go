@@ -433,10 +433,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallbac
 		// Acknowledged: accepted and, on a durable server, journaled. Only
 		// successful submissions land in the histogram — rejections are
 		// counted elsewhere and would skew the latency series.
-		d := s.obs.clock.Now().Sub(rp.ackFrom)
-		for i := 0; i < rp.acks; i++ {
-			t.observeSubmitAck(d)
-		}
+		t.observeSubmitAck(s.obs.clock.Now().Sub(rp.ackFrom), rp.acks)
 	}
 	if rp.body == nil {
 		w.WriteHeader(rp.status)

@@ -266,15 +266,16 @@ func (t *Tenant) obsSnapshot() tenantObsSnap {
 	}
 }
 
-// observeSubmitAck records one submit→ack latency into the tenant and
-// aggregate histograms. A histogram is safe for concurrent use, so the
-// HTTP handler calls this directly.
-func (t *Tenant) observeSubmitAck(d time.Duration) {
+// observeSubmitAck records the submit→ack latency of n jobs acknowledged
+// together into the tenant and aggregate histograms. A histogram is safe
+// for concurrent use, so the HTTP handler calls this directly, once per
+// request.
+func (t *Tenant) observeSubmitAck(d time.Duration, n int) {
 	o := &t.obs
 	s := d.Seconds()
-	o.submitAck.Observe(s)
+	o.submitAck.ObserveN(s, uint64(n))
 	if o.sobs != nil {
-		o.sobs.submitAck.Observe(s)
+		o.sobs.submitAck.ObserveN(s, uint64(n))
 	}
 }
 
