@@ -220,14 +220,16 @@ func target(cfg config) scenario.Target {
 
 func writeMetrics(path string, rep *scenario.Report, out io.Writer) error {
 	if path == "-" {
-		rep.WriteMetrics(out)
-		return nil
+		return rep.WriteMetrics(out)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	rep.WriteMetrics(f)
+	if err := rep.WriteMetrics(f); err != nil {
+		f.Close()
+		return err
+	}
 	if err := f.Close(); err != nil {
 		return err
 	}

@@ -3,8 +3,6 @@ package autoscale
 import (
 	"context"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,23 +58,22 @@ func renderScrape(tenants map[string]*fakeTenant) string {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-	var b strings.Builder
-	obs.WriteHeader(&b, "pfaird_tenant_m", "Current processor count, per tenant.", "gauge")
+	b := obs.AppendHeader(nil, "pfaird_tenant_m", "Current processor count, per tenant.", "gauge")
 	for _, id := range ids {
-		obs.WriteSample(&b, "pfaird_tenant_m",
-			[]obs.Label{{Name: "tenant", Value: id}}, strconv.Itoa(tenants[id].m))
+		b = obs.AppendInt(b, "pfaird_tenant_m",
+			[]obs.Label{{Name: "tenant", Value: id}}, int64(tenants[id].m))
 	}
-	obs.WriteHeader(&b, "pfaird_tenant_pending_m", "Queued shrink target, per tenant.", "gauge")
+	b = obs.AppendHeader(b, "pfaird_tenant_pending_m", "Queued shrink target, per tenant.", "gauge")
 	for _, id := range ids {
-		obs.WriteSample(&b, "pfaird_tenant_pending_m",
-			[]obs.Label{{Name: "tenant", Value: id}}, strconv.Itoa(tenants[id].pending))
+		b = obs.AppendInt(b, "pfaird_tenant_pending_m",
+			[]obs.Label{{Name: "tenant", Value: id}}, int64(tenants[id].pending))
 	}
-	obs.WriteHeader(&b, "pfaird_tenant_dispatch_lag_quanta", "Dispatch tardiness in quanta, per tenant.", "histogram")
+	b = obs.AppendHeader(b, "pfaird_tenant_dispatch_lag_quanta", "Dispatch tardiness in quanta, per tenant.", "histogram")
 	for _, id := range ids {
-		obs.WriteHistogram(&b, "pfaird_tenant_dispatch_lag_quanta",
+		b = obs.AppendHistogram(b, "pfaird_tenant_dispatch_lag_quanta",
 			[]obs.Label{{Name: "tenant", Value: id}}, tenants[id].lag)
 	}
-	return b.String()
+	return string(b)
 }
 
 // harness wires a Scaler to a synthetic backend and a manual clock.

@@ -9,8 +9,8 @@ import (
 )
 
 // enginePolicies is every policy the equivalence tests exercise: the four
-// paper policies (PF goes through the Ranker's exact-Cmp fallback) and
-// the ablations (which have no key fast path at all).
+// paper policies (PF's b = 1 ties and PD's weight rules go past the
+// integer ranks to prio.Order) and the ablations.
 func enginePolicies() []prio.Policy {
 	return append(prio.All(), prio.PD2NoGroup{}, prio.PD2NoBBit{})
 }

@@ -80,11 +80,6 @@ type Subtask struct {
 	Theta int64 // offset θ(T_i) ≥ 0, non-decreasing along the released sequence
 	Elig  int64 // eligibility time e(T_i) ≤ r(T_i), non-decreasing
 	Seq   int   // position in the task's released sequence (0-based); Seq-1 is the predecessor
-	// GID is the dense system-wide index assigned by System.AddSubtask, in
-	// release-registration order: 0 ≤ GID < System.NumSubtasks(). Engines
-	// use it to index precomputed per-subtask state (e.g. prio.Key caches).
-	// Subtask values constructed outside a System have GID 0.
-	GID int
 }
 
 // Release returns the pseudo-release r(T_i) per eq. (3).
@@ -167,7 +162,7 @@ func (s *Subtask) Label() string {
 type System struct {
 	Tasks []*Task
 	seqs  [][]*Subtask // per task ID, in released order
-	nsubs int          // released-subtask count; the next GID
+	nsubs int          // released-subtask count (NumSubtasks), forgotten ones included
 }
 
 // NewSystem creates an empty system.
@@ -189,7 +184,7 @@ func (sys *System) AddTask(name string, w Weight) *Task {
 // returns it. Constraint violations (eqs. 5, 6, the GIS index rule) are
 // reported by Validate, not here, so that tests can construct bad systems.
 func (sys *System) AddSubtask(t *Task, index, theta, elig int64) *Subtask {
-	s := &Subtask{Task: t, Index: index, Theta: theta, Elig: elig, Seq: len(sys.seqs[t.ID]), GID: sys.nsubs}
+	s := &Subtask{Task: t, Index: index, Theta: theta, Elig: elig, Seq: len(sys.seqs[t.ID])}
 	sys.nsubs++
 	sys.seqs[t.ID] = append(sys.seqs[t.ID], s)
 	return s

@@ -493,8 +493,8 @@ func TestWindowTablesHandVerified(t *testing.T) {
 
 // TestForgetRenumbers: dropping a dispatched prefix leaves a valid system —
 // the remaining subtasks renumbered from Seq 0, predecessor and successor
-// links intact, new releases appended after them — while GIDs and the
-// released count keep running.
+// links intact, new releases appended after them — while the released
+// count keeps running.
 func TestForgetRenumbers(t *testing.T) {
 	sys := NewSystem()
 	a := sys.AddPeriodic("A", W(2, 3), 9) // 6 subtasks
@@ -510,8 +510,8 @@ func TestForgetRenumbers(t *testing.T) {
 		t.Fatal("links or Seq wrong after Forget")
 	}
 	next := sys.AddSubtask(a, 7, 0, rest[1].Elig)
-	if next.Seq != 2 || next.GID != 9 || sys.NumSubtasks() != 10 || sys.Successor(rest[1]) != next {
-		t.Fatalf("release after Forget: Seq %d GID %d of %d", next.Seq, next.GID, sys.NumSubtasks())
+	if next.Seq != 2 || sys.NumSubtasks() != 10 || sys.Successor(rest[1]) != next {
+		t.Fatalf("release after Forget: Seq %d of %d", next.Seq, sys.NumSubtasks())
 	}
 	if err := sys.Validate(); err != nil {
 		t.Fatal(err)

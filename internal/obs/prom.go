@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -51,8 +50,7 @@ func appendSeries(b []byte, name, suffix string, labels []Label) []byte {
 // family is the allocation-free exposition writer, the only one the
 // repository has: a page is rendered into one (pooled) buffer through
 // strconv's Append functions, with no fmt machinery and no string per
-// sample; the io.Writer Write* wrappers below are for callers that render
-// once per run.
+// sample.
 func AppendHeader(b []byte, name, help, typ string) []byte {
 	b = append(b, "# HELP "...)
 	b = append(b, name...)
@@ -105,23 +103,6 @@ func AppendHistogram(b []byte, name string, labels []Label, s Snapshot) []byte {
 	b = appendBucket(b, name, labels, math.Inf(1), s.Count)
 	b = append(strconv.AppendFloat(appendSeries(b, name, "_sum", labels), s.Sum, 'g', -1, 64), '\n')
 	return append(strconv.AppendUint(appendSeries(b, name, "_count", labels), s.Count, 10), '\n')
-}
-
-// WriteHeader writes a family's HELP and TYPE lines.
-func WriteHeader(w io.Writer, name, help, typ string) {
-	w.Write(AppendHeader(nil, name, help, typ))
-}
-
-// WriteSample writes one sample line whose value the caller has already
-// formatted.
-func WriteSample(w io.Writer, name string, labels []Label, value string) {
-	w.Write(append(append(appendSeries(nil, name, "", labels), value...), '\n'))
-}
-
-// WriteHistogram writes the _bucket/_sum/_count series of one histogram
-// snapshot under the given base labels.
-func WriteHistogram(w io.Writer, name string, labels []Label, s Snapshot) {
-	w.Write(AppendHistogram(nil, name, labels, s))
 }
 
 // --- scrape parser ---

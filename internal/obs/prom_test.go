@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestWriteParseRoundTrip: what WriteHistogram/WriteSample emit, the
+// TestWriteParseRoundTrip: what AppendHistogram/AppendInt emit, the
 // scrape parser reads back verbatim — the two halves of the exposition
 // contract agree with each other.
 func TestWriteParseRoundTrip(t *testing.T) {
@@ -13,13 +13,12 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	for _, v := range []float64{0.0005, 0.005, 0.05, 0.5} {
 		h.Observe(v)
 	}
-	var b strings.Builder
-	WriteHeader(&b, "x_seconds", "Test histogram.", "histogram")
-	WriteHistogram(&b, "x_seconds", []Label{{"tenant", "a"}}, h.Snapshot())
-	WriteHeader(&b, "x_total", "Test counter.", "counter")
-	WriteSample(&b, "x_total", nil, "42")
+	b := AppendHeader(nil, "x_seconds", "Test histogram.", "histogram")
+	b = AppendHistogram(b, "x_seconds", []Label{{"tenant", "a"}}, h.Snapshot())
+	b = AppendHeader(b, "x_total", "Test counter.", "counter")
+	b = AppendInt(b, "x_total", nil, 42)
 
-	e, err := ParseExposition(b.String())
+	e, err := ParseExposition(string(b))
 	if err != nil {
 		t.Fatal(err)
 	}

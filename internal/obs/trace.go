@@ -114,37 +114,14 @@ func (r *Ring) Append(ev Event) int64 {
 	return ev.Seq
 }
 
-// Since returns a copy of all retained events with Seq ≥ from, plus how
-// many events with Seq ≥ from were already evicted (a follower that asked
-// for history the ring no longer holds learns it skipped, rather than
-// silently missing it).
-func (r *Ring) Since(from int64) (events []Event, dropped int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	oldest := r.next - int64(r.n)
-	if from < oldest {
-		dropped = oldest - from
-		from = oldest
-	}
-	if from >= r.next {
-		return nil, dropped
-	}
-	events = make([]Event, 0, r.next-from)
-	for i := int(from - oldest); i < r.n; i++ {
-		events = append(events, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return events, dropped
-}
-
-// FramesSince is Since in wire form: it returns each retained event with
-// Seq ≥ from as its NDJSON frame (json.Marshal + '\n', identical to what
-// a json.Encoder would emit). Frames are encoded lazily on first request
-// and memoized per slot, so a ring nobody follows never pays an encode
-// while N followers share one encode per event. Returned slices are
-// immutable — slot reuse replaces the pointer, never the bytes.
+// FramesSince returns each retained event with Seq ≥ from as its NDJSON
+// frame (json.Marshal + '\n', identical to what a json.Encoder would
+// emit), plus how many events with Seq ≥ from were already evicted (a
+// follower that asked for history the ring no longer holds learns it
+// skipped, rather than silently missing it). Frames are encoded lazily on
+// first request and memoized per slot, so a ring nobody follows never pays
+// an encode while N followers share one encode per event. Returned slices
+// are immutable — slot reuse replaces the pointer, never the bytes.
 func (r *Ring) FramesSince(from int64) (frames [][]byte, dropped int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,10 +1,25 @@
 package obs
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
 )
+
+// since decodes r.FramesSince(from).
+func since(t *testing.T, r *Ring, from int64) (events []Event, dropped int64) {
+	t.Helper()
+	frames, dropped := r.FramesSince(from)
+	for _, f := range frames {
+		var ev Event
+		if err := json.Unmarshal(f, &ev); err != nil {
+			t.Fatalf("frame %q: %v", f, err)
+		}
+		events = append(events, ev)
+	}
+	return events, dropped
+}
 
 func TestRingAppendSince(t *testing.T) {
 	r := NewRing(4)
@@ -14,32 +29,33 @@ func TestRingAppendSince(t *testing.T) {
 			t.Fatalf("append %d: got seq %d", i, seq)
 		}
 	}
-	evs, dropped := r.Since(0)
+	evs, dropped := since(t, r, 0)
 	if dropped != 0 || len(evs) != 3 {
-		t.Fatalf("Since(0): got %d events, %d dropped", len(evs), dropped)
+		t.Fatalf("since 0: got %d events, %d dropped", len(evs), dropped)
 	}
 	for i, ev := range evs {
 		if ev.Seq != int64(i) {
 			t.Errorf("event %d has seq %d", i, ev.Seq)
 		}
 	}
-	evs, _ = r.Since(2)
+	evs, _ = since(t, r, 2)
 	if len(evs) != 1 || evs[0].Seq != 2 {
-		t.Fatalf("Since(2): got %+v", evs)
+		t.Fatalf("since 2: got %+v", evs)
 	}
-	if evs, _ := r.Since(99); evs != nil {
-		t.Fatalf("Since past end should be empty, got %+v", evs)
+	if evs, _ := since(t, r, 99); evs != nil {
+		t.Fatalf("since past end should be empty, got %+v", evs)
 	}
 }
 
-// TestRingWrapDrops: once the ring wraps, Since reports exactly how many
-// requested events were evicted and returns the retained suffix in order.
+// TestRingWrapDrops: once the ring wraps, FramesSince reports exactly how
+// many requested events were evicted and returns the retained suffix in
+// order.
 func TestRingWrapDrops(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 10; i++ {
 		r.Append(Event{Cmd: int64(i)})
 	}
-	evs, dropped := r.Since(0)
+	evs, dropped := since(t, r, 0)
 	if dropped != 7 {
 		t.Errorf("dropped: got %d, want 7", dropped)
 	}
@@ -52,8 +68,8 @@ func TestRingWrapDrops(t *testing.T) {
 		}
 	}
 	// Asking from inside the retained window drops nothing.
-	if _, dropped := r.Since(8); dropped != 0 {
-		t.Errorf("Since(8) dropped %d, want 0", dropped)
+	if _, dropped := r.FramesSince(8); dropped != 0 {
+		t.Errorf("FramesSince(8) dropped %d, want 0", dropped)
 	}
 }
 
@@ -124,7 +140,7 @@ func TestTracerLifecycle(t *testing.T) {
 	tr.Dispatch("acme", cmd, t0, "advance", 5, 2, "1/2")
 	tr.Stage("acme", cmd, t0, "advance", StageApply, "")
 
-	evs, _ := ring.Since(0)
+	evs, _ := since(t, ring, 0)
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
@@ -176,7 +192,7 @@ func TestRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				r.Append(Event{Stage: StageDispatch})
-				r.Since(0)
+				r.FramesSince(0)
 			}
 		}()
 	}

@@ -17,27 +17,25 @@ import (
 // not one comparison (Work, TestUnregisteredTasksCostNothing).
 
 // Entries hold no pointer, so a sift never pays a GC write barrier: a
-// ready head is its integer rank, and the head itself and its key are
-// found by task ID in per-task tables, which a decision reads without
-// chasing the task's sequence. A pop sinks the root's hole along the
-// earlier child before the last entry rises into it (Floyd): about log n
-// comparisons, not 2·log n.
+// ready head is its integer rank, and the head itself is found by task ID
+// in a per-task table, which a decision reads without chasing the task's
+// sequence. A pop sinks the root's hole along the earlier child before the
+// last entry rises into it (Floyd): about log n comparisons, not 2·log n.
 
 // readyHeap is a binary min-heap of ready heads under the engine's total
-// order (prio.Ranker), so pop returns exactly the subtask an O(N) rescan
-// of every task with prio.Order would select. An entry is the head's
-// prio.Rank, computed once on entry from its prio.Key — every quantity a
-// policy consults costs integer divisions to derive, and a head is
-// compared O(log N) times while it waits — so a comparison is integer
-// compares of two 24-byte entries. Only a tie the rank leaves undecided
-// (PF's b = 1 chain walk, PD's weight rules, a policy with no key fast
-// path) loads the two heads and their keys for prio.Ranker.Compare; under
-// PD² and EPDF none is.
+// order, prio.Order, so pop returns exactly the subtask an O(N) rescan of
+// every task with prio.Order would select. An entry is the head's
+// prio.Rank, computed once on entry — every quantity a policy consults
+// costs integer divisions to derive, and a head is compared O(log N) times
+// while it waits — so a comparison is integer compares of two 24-byte
+// entries. Only a tie the rank leaves undecided (PF's b = 1 chain walk,
+// PD's weight rules, a policy with no fast path) loads the two heads for
+// prio.Order; under PD² and EPDF none is.
 type readyHeap struct {
+	pol   prio.Policy
 	rank  prio.Ranker
 	xs    []prio.Rank
 	heads []*model.Subtask // per task ID: its head, pending or ready (setHead)
-	keys  []prio.Key       // per task ID: its ready head's key
 	work  Work
 }
 
@@ -46,7 +44,7 @@ type readyHeap struct {
 // noise cannot move.
 type Work struct {
 	RankCmps int64 // entry comparisons
-	Compares int64 // of those, ties only prio.Ranker.Compare decided
+	Compares int64 // of those, ties only prio.Order decided
 	Moves    int64 // entries written into the heap
 }
 
@@ -57,7 +55,6 @@ func (e *Executive) Work() Work { return e.ready.work }
 func (h *readyHeap) setHead(s *model.Subtask) {
 	for len(h.heads) <= s.Task.ID {
 		h.heads = append(h.heads, nil)
-		h.keys = append(h.keys, prio.Key{})
 	}
 	h.heads[s.Task.ID] = s
 }
@@ -70,15 +67,12 @@ func (h *readyHeap) before(a, b *prio.Rank) bool {
 		return before
 	}
 	h.work.Compares++
-	x, y := a.TaskID(), b.TaskID()
-	return h.rank.Before(&h.keys[x], &h.keys[y], h.heads[x], h.heads[y])
+	return prio.Order(h.pol, h.heads[a.TaskID()], h.heads[b.TaskID()])
 }
 
 // push moves task id's head onto the heap.
 func (h *readyHeap) push(id int) {
-	k := &h.keys[id]
-	*k = prio.KeyOf(h.heads[id])
-	r := h.rank.Rank(k)
+	r := h.rank.Rank(h.heads[id])
 	h.xs = append(h.xs, r)
 	h.rise(len(h.xs)-1, &r)
 }
@@ -100,12 +94,11 @@ func (h *readyHeap) rise(i int, r *prio.Rank) {
 	h.work.Moves++
 }
 
-// pop removes and returns the highest-priority ready head and its
-// pseudo-deadline, read off its key. It panics on an empty heap.
-func (h *readyHeap) pop() (*model.Subtask, int64) {
+// pop removes and returns the highest-priority ready head. It panics on an
+// empty heap.
+func (h *readyHeap) pop() *model.Subtask {
 	xs := h.xs
-	id := xs[0].TaskID()
-	top, deadline := h.heads[id], h.keys[id].Deadline
+	top := h.heads[xs[0].TaskID()]
 	n := len(xs) - 1
 	last := xs[n]
 	h.xs = xs[:n]
@@ -121,7 +114,7 @@ func (h *readyHeap) pop() (*model.Subtask, int64) {
 	if n > 0 {
 		h.rise(i, &last)
 	}
-	return top, deadline
+	return top
 }
 
 // pendingHeap is a binary min-heap of heads that are not yet ready, keyed

@@ -142,7 +142,7 @@ func newExecutive(sys *model.System, m int, policy prio.Policy) *Executive {
 		schedule: sched.New(sys, m, policy.Name(), "DVQ-online"),
 		led:      admission.NewController(m),
 		freeAt:   make([]rat.Rat, m),
-		ready:    readyHeap{rank: prio.NewRanker(policy)},
+		ready:    readyHeap{pol: policy, rank: prio.NewRanker(policy)},
 	}
 }
 
@@ -163,7 +163,6 @@ func Adopt(sys *model.System, m int, policy prio.Policy) *Executive {
 	e.waiting = make(pendingHeap, 0, n)
 	e.ready.xs = make([]prio.Rank, 0, n)
 	e.ready.heads = make([]*model.Subtask, n)
-	e.ready.keys = make([]prio.Key, n)
 	for _, t := range sys.Tasks {
 		seq := sys.Subtasks(t)
 		e.nextIdx[t.ID] = 1
@@ -398,7 +397,7 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 		if !e.decides(p, t) {
 			continue
 		}
-		sub, deadline := e.ready.pop()
+		sub := e.ready.pop()
 		id := sub.Task.ID
 		proc := p
 		if e.lastProc != nil {
@@ -410,6 +409,7 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 		cost := yield(sub)
 		e.decision++
 		fin := t.Add(cost)
+		deadline := sub.Deadline()
 		tard := sched.Tardiness(fin, deadline)
 		e.schedule.AddDecided(sched.Assignment{Sub: sub, Proc: proc, Start: t, Cost: cost, Decision: e.decision}, fin, tard)
 		e.cursor[id]++

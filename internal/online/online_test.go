@@ -306,7 +306,7 @@ func FuzzExecutive(f *testing.F) {
 // came, ran and were unregistered around eight live ones must not add any
 // work to a decision — the scan this engine replaced visited every one of
 // them on every decision. The work is counted, not timed: the ready heap's
-// comparisons, its Ranker.Compare fallbacks and its moves over the same
+// comparisons, its prio.Order fallbacks and its moves over the same
 // slots equal, exactly, those of the same live tasks alone.
 func TestUnregisteredTasksCostNothing(t *testing.T) {
 	const live, dead, slots = 8, 10000, 2000

@@ -173,24 +173,28 @@ func (r *Report) WriteText(w io.Writer) {
 
 // WriteMetrics renders the report in Prometheus exposition format — the
 // same families and shapes the daemon's /metrics uses, checked by the
-// same parser.
-func (r *Report) WriteMetrics(w io.Writer) {
-	obs.WriteHeader(w, "scenario_arrivals_total", "Job arrivals generated by the scenario.", "counter")
-	obs.WriteSample(w, "scenario_arrivals_total", nil, strconv.FormatInt(r.Arrivals, 10))
-	obs.WriteHeader(w, "scenario_dispatches_total", "Subtask dispatches, by SLO class.", "counter")
+// same parser — and writes it to w in one Write.
+func (r *Report) WriteMetrics(w io.Writer) error {
+	b := obs.AppendHeader(nil, "scenario_arrivals_total", "Job arrivals generated by the scenario.", "counter")
+	b = obs.AppendInt(b, "scenario_arrivals_total", nil, r.Arrivals)
+	b = obs.AppendHeader(b, "scenario_dispatches_total", "Subtask dispatches, by SLO class.", "counter")
 	for _, c := range r.Classes {
-		obs.WriteSample(w, "scenario_dispatches_total", classLabels(c), strconv.FormatInt(c.Dispatches, 10))
+		b = obs.AppendInt(b, "scenario_dispatches_total", classLabels(c), c.Dispatches)
 	}
-	obs.WriteHeader(w, "scenario_slo_violations_total", "Dispatches whose tardiness exceeded the class target.", "counter")
+	b = obs.AppendHeader(b, "scenario_slo_violations_total", "Dispatches whose tardiness exceeded the class target.", "counter")
 	for _, c := range r.Classes {
-		obs.WriteSample(w, "scenario_slo_violations_total", classLabels(c), strconv.FormatInt(c.Violations, 10))
+		b = obs.AppendInt(b, "scenario_slo_violations_total", classLabels(c), c.Violations)
 	}
-	obs.WriteHeader(w, "scenario_tardiness_quanta", "Dispatch tardiness in quanta, by SLO class.", "histogram")
+	b = obs.AppendHeader(b, "scenario_tardiness_quanta", "Dispatch tardiness in quanta, by SLO class.", "histogram")
 	for _, c := range r.Classes {
-		obs.WriteHistogram(w, "scenario_tardiness_quanta", classLabels(c), c.Hist.Snapshot())
+		b = obs.AppendHistogram(b, "scenario_tardiness_quanta", classLabels(c), c.Hist.Snapshot())
 	}
-	obs.WriteHeader(w, "scenario_jain_index", "Jain fairness index of per-client mean deadline margin.", "gauge")
-	obs.WriteSample(w, "scenario_jain_index", nil, formatJain(r.Jain))
+	b = obs.AppendHeader(b, "scenario_jain_index", "Jain fairness index of per-client mean deadline margin.", "gauge")
+	// The gauge prints fixed to six places, as the trace's end record does,
+	// not in AppendFloat's shortest form.
+	b = append(append(append(b, "scenario_jain_index "...), formatJain(r.Jain)...), '\n')
+	_, err := w.Write(b)
+	return err
 }
 
 func classLabels(c ClassReport) []obs.Label {

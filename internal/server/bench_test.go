@@ -156,10 +156,10 @@ func wideRound(tb testing.TB, tn *server.Tenant, rounds [][]server.SubmitJobRequ
 // BenchmarkTenantBatchRound is one round of wide_sched through the Tenant
 // API, no HTTP (wideRounds). ns/op is the round; submit-ns/round and
 // advance-ns/round split it; rank-cmp/decision and compare-calls/decision
-// count the ready heap's comparisons and those of them only
-// prio.Ranker.Compare decided. The tenant keeps its whole dispatch log, so
-// keep -benchtime in the low thousands of rounds; resident-B/dispatch is
-// what that log holds in memory per decision.
+// count the ready heap's comparisons and those of them only prio.Order
+// decided. The tenant keeps its whole dispatch log, so keep -benchtime in
+// the low thousands of rounds; resident-B/dispatch is what that log holds
+// in memory per decision.
 func BenchmarkTenantBatchRound(b *testing.B) {
 	tn, rounds := wideRounds(b)
 	defer tn.Close()
@@ -184,7 +184,7 @@ func BenchmarkTenantBatchRound(b *testing.B) {
 
 // TestWideRoundRanksWithoutCompare pins what a wide_sched decision costs
 // the ready heap under PD², as counts: every comparison is decided by the
-// integer rank, none by prio.Ranker.Compare, and a decision takes about
+// integer rank, none by prio.Order, and a decision takes about
 // eight of them (the pop of one of ≈ 50 ready heads, the push of the next).
 func TestWideRoundRanksWithoutCompare(t *testing.T) {
 	tn, rounds := wideRounds(t)
@@ -195,7 +195,7 @@ func TestWideRoundRanksWithoutCompare(t *testing.T) {
 	w := tn.EngineWork()
 	decisions := int64(128 * 2 * len(rounds))
 	if w.Compares != 0 || w.RankCmps < decisions || w.RankCmps > 40*decisions {
-		t.Fatalf("%d decisions: %d rank comparisons, %d of them by Ranker.Compare; want 1–40 per decision, none by Compare",
+		t.Fatalf("%d decisions: %d rank comparisons, %d of them by prio.Order; want 1–40 per decision, none by Order",
 			decisions, w.RankCmps, w.Compares)
 	}
 	t.Logf("%d decisions: %.1f rank comparisons and %.1f heap moves per decision", decisions,

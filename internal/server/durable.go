@@ -628,17 +628,16 @@ func (s *Server) maybeCompact() {
 	}
 }
 
-// Close gracefully stops a durable server: streams drain (Shutdown), a
-// final snapshot captures the exact current state, and the journal closes.
-// Safe on non-durable servers, where it is just Shutdown.
+// Close gracefully stops a server: streams drain (Shutdown) and every
+// tenant loop stops. A durable server first takes a final snapshot of the
+// exact current state, and its journal closes last.
 func (s *Server) Close() error {
 	s.Shutdown()
-	if s.wal == nil {
-		return nil
-	}
-	err := s.compact()
-	if errors.Is(err, wal.ErrWedged) {
-		err = nil // already failed earlier; nothing more to preserve
+	var err error
+	if s.wal != nil {
+		if err = s.compact(); errors.Is(err, wal.ErrWedged) {
+			err = nil // already failed earlier; nothing more to preserve
+		}
 	}
 	// Stop every tenant loop after the final snapshot (checkpoint needs
 	// the loops alive) and before the journal closes (the close flush may
@@ -646,8 +645,10 @@ func (s *Server) Close() error {
 	for _, t := range s.allTenants() {
 		t.Close()
 	}
-	if cerr := s.wal.Close(); err == nil {
-		err = cerr
+	if s.wal != nil {
+		if cerr := s.wal.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }

@@ -70,7 +70,7 @@ func FuzzTaskParams(f *testing.F) {
 		}
 		m := 1 + int(mRaw%3)
 		srv := server.New()
-		defer srv.Shutdown()
+		defer srv.Close()
 		h := srv.Handler()
 		body, _ := json.Marshal(server.CreateTenantRequest{ID: "fz", M: m})
 		if code := fuzzDo(h, "POST", "/v1/tenants", body); code != http.StatusCreated {

@@ -2,8 +2,11 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"desyncpfair/internal/model"
@@ -57,6 +60,39 @@ func TestRingFullBackpressure(t *testing.T) {
 	for i := 0; i < defaultSubmitRing; i++ {
 		if r := <-queued; r.err != nil {
 			t.Fatalf("queued drain after release: %v", r.err)
+		}
+	}
+}
+
+// TestServerCloseStopsInMemoryTenants: Close stops every tenant loop of a
+// server with no journal, as it does a durable server's — each tenant's
+// Closed channel is closed when Close returns, and a further command
+// answers errTenantGone.
+func TestServerCloseStopsInMemoryTenants(t *testing.T) {
+	srv := New()
+	h := srv.Handler()
+	for i := 0; i < 5; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/tenants", strings.NewReader(fmt.Sprintf(`{"id":"t%d","m":1}`, i))))
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("create t%d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	tenants := srv.allTenants()
+	if len(tenants) != 5 {
+		t.Fatalf("%d tenants, want 5", len(tenants))
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range tenants {
+		select {
+		case <-tn.Closed():
+		default:
+			t.Fatalf("tenant %s: loop still running after Close", tn.ID())
+		}
+		if _, _, err := tn.SubmitJobReq(SubmitJobRequest{Task: "a"}); !errors.Is(err, errTenantGone) {
+			t.Fatalf("tenant %s: submit after Close: err = %v, want errTenantGone", tn.ID(), err)
 		}
 	}
 }

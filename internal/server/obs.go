@@ -145,7 +145,7 @@ func (o *serverObs) appendObsMetrics(b []byte, snaps []tenantObsSnap) []byte {
 	b = obs.AppendInt(b, "pfaird_wire_fallbacks_total", []obs.Label{{Name: "dir", Value: "decode"}}, o.wireDecodeFallbacks.Load())
 	b = obs.AppendInt(b, "pfaird_wire_fallbacks_total", []obs.Label{{Name: "dir", Value: "encode"}}, o.wireEncodeFallbacks.Load())
 	b = obs.AppendHeader(b, "pfaird_tenant_history_resident_bytes",
-		"Bytes of dispatch history held in memory, per tenant (NDJSON for open and journaled chunks, compact records for an in-memory tenant's closed ones).", "gauge")
+		"Bytes of dispatch history held in memory, per tenant (NDJSON frames for a journaled tenant, compact records for an in-memory one, its open chunk included).", "gauge")
 	for _, sn := range snaps {
 		b = obs.AppendInt(b, "pfaird_tenant_history_resident_bytes", tenantLabel(sn.id), sn.state.log.resident)
 	}

@@ -265,9 +265,15 @@ func (g *writePathScript) step(label string, cmds ...*command) {
 			g.t.Fatalf("%s: command left incomplete", label)
 		}
 	}
-	events, dropped := g.tn.traceRing().Since(g.traced)
+	frames, dropped := g.tn.traceRing().FramesSince(g.traced)
 	if dropped != 0 {
 		g.t.Fatalf("%s: trace ring dropped %d events", label, dropped)
+	}
+	events := make([]obs.Event, len(frames))
+	for i, f := range frames {
+		if err := json.Unmarshal(f, &events[i]); err != nil {
+			g.t.Fatalf("%s: trace frame %q: %v", label, f, err)
+		}
 	}
 	for _, ev := range events {
 		g.line("trace", ev)
