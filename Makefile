@@ -213,17 +213,21 @@ fuzz:
 # net/http's server, it refuses the same requests and hands its handler the
 # same ones. FuzzColdFrameMatchesWire is the contract of an in-memory
 # tenant's compact dispatch records: rendered back, they are the wire frame
-# byte for byte, whatever the task name and numbers.
+# byte for byte, whatever the task name and numbers. Each target fuzzes
+# for 30 s; minimising a new input is capped at 3 s (the default, 60 s,
+# could take a whole budget at 0 execs/sec). A failing input is still
+# reported and written to testdata, minimised or not.
+FUZZ_SMOKE = -run '^$$' -fuzztime=30s -fuzzminimizetime=3s
 fuzz-smoke:
-	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzWALReplay -fuzztime=30s
-	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzRecordMatchesJSON -fuzztime=30s
-	$(GO) test ./internal/server/ -run '^$$' -fuzz=FuzzTaskParams -fuzztime=30s
-	$(GO) test ./internal/server/ -run '^$$' -fuzz=FuzzWireMatchesJSON -fuzztime=30s
-	$(GO) test ./internal/server/ -run '^$$' -fuzz=FuzzColdFrameMatchesWire -fuzztime=30s
-	$(GO) test ./internal/online/ -run '^$$' -fuzz=FuzzResize -fuzztime=30s
-	$(GO) test ./internal/client/ -run '^$$' -fuzz=FuzzTraceDecoder -fuzztime=30s
-	$(GO) test ./internal/scenario/ -run '^$$' -fuzz=FuzzScenarioSpec -fuzztime=30s
-	$(GO) test ./internal/hop/ -run '^$$' -fuzz=FuzzServerMatchesNetHTTP -fuzztime=30s
+	$(GO) test ./internal/wal/ $(FUZZ_SMOKE) -fuzz=FuzzWALReplay
+	$(GO) test ./internal/wal/ $(FUZZ_SMOKE) -fuzz=FuzzRecordMatchesJSON
+	$(GO) test ./internal/server/ $(FUZZ_SMOKE) -fuzz=FuzzTaskParams
+	$(GO) test ./internal/server/ $(FUZZ_SMOKE) -fuzz=FuzzWireMatchesJSON
+	$(GO) test ./internal/server/ $(FUZZ_SMOKE) -fuzz=FuzzColdFrameMatchesWire
+	$(GO) test ./internal/online/ $(FUZZ_SMOKE) -fuzz=FuzzResize
+	$(GO) test ./internal/client/ $(FUZZ_SMOKE) -fuzz=FuzzTraceDecoder
+	$(GO) test ./internal/scenario/ $(FUZZ_SMOKE) -fuzz=FuzzScenarioSpec
+	$(GO) test ./internal/hop/ $(FUZZ_SMOKE) -fuzz=FuzzServerMatchesNetHTTP
 
 # obs runs the deterministic observability harness: the golden /metrics
 # exposition and the write-path golden (journal records, responses and

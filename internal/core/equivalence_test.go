@@ -15,8 +15,8 @@ func enginePolicies() []prio.Policy {
 	return append(prio.All(), prio.PD2NoGroup{}, prio.PD2NoBBit{})
 }
 
-// TestEngineEquivalence pins the fast-path RunDVQ (indexed ready heap,
-// cached priority keys, typed event queue) to the retained seed
+// TestEngineEquivalence pins the fast-path RunDVQ (indexed ready heap of
+// integer ranks, no event queue) to the retained seed
 // implementation RunDVQReference: on the fuzz-corpus configurations —
 // extended with a few more drawn from the same space — the two must
 // produce schedules that are equal assignment-for-assignment, for every

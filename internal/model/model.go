@@ -184,9 +184,16 @@ func (sys *System) AddTask(name string, w Weight) *Task {
 // returns it. Constraint violations (eqs. 5, 6, the GIS index rule) are
 // reported by Validate, not here, so that tests can construct bad systems.
 func (sys *System) AddSubtask(t *Task, index, theta, elig int64) *Subtask {
-	s := &Subtask{Task: t, Index: index, Theta: theta, Elig: elig, Seq: len(sys.seqs[t.ID])}
+	return sys.AppendSubtask(&Subtask{Task: t, Index: index, Theta: theta, Elig: elig})
+}
+
+// AppendSubtask is AddSubtask of a subtask the caller filled in (Task,
+// Index, Theta, Elig): it sets s.Seq and appends s. An engine that reuses
+// what Forget dropped releases through it.
+func (sys *System) AppendSubtask(s *Subtask) *Subtask {
+	s.Seq = len(sys.seqs[s.Task.ID])
 	sys.nsubs++
-	sys.seqs[t.ID] = append(sys.seqs[t.ID], s)
+	sys.seqs[s.Task.ID] = append(sys.seqs[s.Task.ID], s)
 	return s
 }
 

@@ -22,7 +22,12 @@ import (
 func driveScript(t *testing.T, e *Executive, tasks []*model.Task, rng *rand.Rand, steps int, from int) []Dispatch {
 	t.Helper()
 	var out []Dispatch
-	e.SetOnDispatch(func(d Dispatch) { out = append(out, d) })
+	e.SetOnDispatch(func(d Dispatch) {
+		// A forgetting executive reuses Sub once its task dispatches again.
+		sub := *d.Sub
+		d.Sub = &sub
+		out = append(out, d)
+	})
 	defer e.SetOnDispatch(nil)
 	for i := from; i < steps; i++ {
 		switch i % 5 {

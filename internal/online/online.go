@@ -60,6 +60,9 @@
 // sequence is cut back to its last dispatched subtask as dispatching moves
 // on — the same trimmed form Checkpoint writes and Restore runs from — so
 // an executive that lives forever (a service tenant) costs O(live work).
+// The subtasks it cuts go on a free list (at most maxFree) that the next
+// releases take from before they allocate, so after ForgetHistory a
+// Dispatch.Sub stays valid only until its task's next dispatch.
 // Dispatch decisions and Checkpoint bytes are identical either way.
 package online
 
@@ -95,6 +98,7 @@ type Executive struct {
 	nextIdx  []int64   // per task: next subtask index to generate (1-based)
 	pending  int       // released, undispatched subtasks
 	decision int
+	free     []*model.Subtask // cut subtasks submit reuses (ForgetHistory only), at most maxFree
 
 	// Every task with cursor < len(sequence) has its head on exactly one
 	// of these (heads.go); they are derived state, rebuilt by Restore.
@@ -106,6 +110,11 @@ type Executive struct {
 	boundary, quantum []rat.Rat
 	lastProc          []int
 }
+
+// maxFree caps the free list: one round's releases of a wide tenant (128
+// subtasks on wide_sched) with room to spare, and at most ≈ 48 KiB held
+// after a burst.
+const maxFree = 1024
 
 // Dispatch reports one scheduling decision to the Run callback.
 // Decision is the executive-wide 1-based decision number (the same
@@ -328,7 +337,6 @@ func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
 		if theta < prevTheta {
 			theta = prevTheta // eq. (5): offsets never decrease
 		}
-		s := e.sys.AddSubtask(t, i, theta, 0)
 		elig := theta + base - earliness // r(T_i) per eq. (3), released early
 		if elig < arrival {
 			elig = arrival
@@ -336,7 +344,7 @@ func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
 		if elig < prevElig {
 			elig = prevElig
 		}
-		s.Elig = elig
+		s := e.release(t, i, theta, elig)
 		prevTheta = theta
 		prevElig = elig
 		e.nextIdx[t.ID] = i + 1
@@ -346,6 +354,19 @@ func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
 		}
 	}
 	return nil
+}
+
+// release appends subtask i of t, reusing a cut one when the free list has
+// one.
+func (e *Executive) release(t *model.Task, i, theta, elig int64) *model.Subtask {
+	n := len(e.free)
+	if n == 0 {
+		return e.sys.AddSubtask(t, i, theta, elig)
+	}
+	s := e.free[n-1]
+	e.free = e.free[:n-1]
+	*s = model.Subtask{Task: t, Index: i, Theta: theta, Elig: elig}
+	return e.sys.AppendSubtask(s)
 }
 
 // await queues a task's new head — its first undispatched subtask — until
@@ -427,6 +448,8 @@ func (e *Executive) dispatchAt(t rat.Rat, yield sched.YieldFn, onDispatch func(D
 		// amortised O(1) per dispatch, and a task holds at most twice its
 		// live window.
 		if behind := e.cursor[id] - 1; !e.schedule.Retains() && 2*behind >= len(e.sys.Subtasks(sub.Task)) {
+			cut := e.sys.Subtasks(sub.Task)[:behind]
+			e.free = append(e.free, cut[:min(len(cut), maxFree-len(e.free))]...)
 			e.sys.Forget(sub.Task, behind)
 			e.cursor[id] = 1
 		}

@@ -80,7 +80,7 @@ func DecodeWire(body []byte, v any) Wire {
 		return storeWire(&s, v, r)
 	case *SubmitJobResponse:
 		r := *v
-		scanSubmitJobResp(&s, &r)
+		scanSubmitJobResp(&s, &r, "")
 		return storeWire(&s, v, r)
 	case *SubmitJobsResponse:
 		r := *v
@@ -240,13 +240,15 @@ func appendSubmitJobResp(w *wire.Writer, r *SubmitJobResponse) {
 	w.Raw("}")
 }
 
-func scanSubmitJobResp(s *wire.Scanner, r *SubmitJobResponse) {
+// scanSubmitJobResp reads one response; an `at` equal to prevAt shares its
+// string (a batch's results mostly repeat one arrival).
+func scanSubmitJobResp(s *wire.Scanner, r *SubmitJobResponse, prevAt string) {
 	s.Object()
 	var seen uint32
 	for {
 		switch s.Key(submitJobRespKeys, &seen) {
 		case 0:
-			r.At = s.String()
+			r.At = s.StringReusing(prevAt)
 		case 1:
 			r.Pending = s.Int()
 		default:
@@ -286,9 +288,11 @@ func scanSubmitJobsResp(s *wire.Scanner, r *SubmitJobsResponse) {
 		case 1:
 			s.Array()
 			r.Results = make([]SubmitJobResponse, 0, s.ObjectsAhead(MaxBatchJobs))
+			prevAt := ""
 			for n := 0; s.Elem(n); n++ {
 				r.Results = append(r.Results, SubmitJobResponse{})
-				scanSubmitJobResp(s, &r.Results[n])
+				scanSubmitJobResp(s, &r.Results[n], prevAt)
+				prevAt = r.Results[n].At
 			}
 		default:
 			return

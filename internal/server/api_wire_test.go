@@ -188,7 +188,7 @@ func TestWireDeclines(t *testing.T) {
 	}
 
 	srv := server.New()
-	defer srv.Shutdown()
+	defer srv.Close()
 	h := srv.Handler()
 	post := func(path, body string) (int, string) {
 		rw := httptest.NewRecorder()
@@ -318,6 +318,32 @@ func TestWireMatchesJSONRandom(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchReplyAllocs pins what decoding wide_sched's batch reply
+// allocates: 92 results that share one resolved arrival decode to the
+// value, its results slice and one copy of the shared `at` — not one
+// string per result. The bound is ≤, not =: counts move with the Go
+// version.
+func TestDecodeBatchReplyAllocs(t *testing.T) {
+	_, resp, _ := wireBenchBodies(92)
+	body, res := server.AppendWire(nil, resp)
+	if res != server.WireOK {
+		t.Fatalf("reply not encoded: %d", res)
+	}
+	var got *server.SubmitJobsResponse
+	allocs := testing.AllocsPerRun(100, func() {
+		got = new(server.SubmitJobsResponse)
+		if res := server.DecodeWire(body, got); res != server.WireOK {
+			t.Fatalf("reply not decoded: %d", res)
+		}
+	})
+	if !reflect.DeepEqual(*got, resp) {
+		t.Fatalf("decoded %+v, want %+v", *got, resp)
+	}
+	if allocs > 3 {
+		t.Fatalf("decoding a 92-result reply allocates %.1f times, want ≤ 3", allocs)
+	}
+}
+
 // TestOversizeBodyRefused pins the one behaviour the codec's call site
 // changed: the body is read whole before it is decoded, so a request whose
 // first JSON value is complete but whose body runs past the 1 MiB cap is
@@ -326,7 +352,7 @@ func TestWireMatchesJSONRandom(t *testing.T) {
 // cap it is still accepted.
 func TestOversizeBodyRefused(t *testing.T) {
 	srv := server.New()
-	defer srv.Shutdown()
+	defer srv.Close()
 	h := srv.Handler()
 	post := func(path string, body []byte) (int, string) {
 		rw := httptest.NewRecorder()

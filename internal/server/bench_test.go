@@ -27,7 +27,7 @@ func BenchmarkServerSubmit(b *testing.B) {
 	srv := server.New()
 	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()
-	defer srv.Shutdown()
+	defer srv.Close()
 	c := client.New(hs.URL, nil)
 	ctx := context.Background()
 
@@ -200,6 +200,28 @@ func TestWideRoundRanksWithoutCompare(t *testing.T) {
 	}
 	t.Logf("%d decisions: %.1f rank comparisons and %.1f heap moves per decision", decisions,
 		float64(w.RankCmps)/float64(decisions), float64(w.Moves)/float64(decisions))
+}
+
+// TestTenantBatchRoundAllocs pins what a steady-state wide_sched round —
+// its 92-job batch and the advance that makes 128 decisions — allocates in
+// the tenant: a handful of objects per request (the command, the published
+// state, the batch's results, the resolved arrival), none per job or per
+// decision. The bound is ≤, not =: counts move with the Go version.
+func TestTenantBatchRoundAllocs(t *testing.T) {
+	tn, rounds := wideRounds(t)
+	defer tn.Close()
+	i := 0
+	for ; i < 64; i++ {
+		wideRound(t, tn, rounds, i)
+	}
+	allocs := testing.AllocsPerRun(64, func() {
+		wideRound(t, tn, rounds, i)
+		i++
+	})
+	if allocs > 20 {
+		t.Fatalf("a wide_sched round allocates %.1f times, want ≤ 20", allocs)
+	}
+	t.Logf("%.1f allocations per round", allocs)
 }
 
 // slowFS wraps the real filesystem and adds a fixed latency to every

@@ -256,7 +256,7 @@ func (discardResponseWriter) WriteHeader(int)             {}
 // pooled strconv.Append* path, over a server with eight live tenants.
 func BenchmarkMetricsExposition(b *testing.B) {
 	s := New()
-	defer s.Shutdown()
+	defer s.Close()
 	for i := 0; i < 8; i++ {
 		t, err := newTenant(fmt.Sprintf("bench-%d", i), 2, "", s.obs, false)
 		if err != nil {

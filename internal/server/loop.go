@@ -280,8 +280,8 @@ func (t *Tenant) processSubmitRun(run []*command) {
 			if key != "" {
 				inRun[key] = struct{}{}
 			}
-			job, err := t.validateSubmit(c.submit)
-			if err != nil {
+			var job submitJob
+			if err := t.validateSubmit(&c.submit, &job); err != nil {
 				c.done <- cmdResult{err: err}
 				continue
 			}

@@ -28,7 +28,7 @@ func newTestServer(t testing.TB) (*server.Server, *client.Client) {
 	srv := server.New()
 	hs := hoptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	t.Cleanup(srv.Shutdown)
+	t.Cleanup(func() { srv.Close() })
 	return srv, client.New(hs.URL, nil)
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -575,8 +576,8 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 	// per group for the common empty `at`, which resolves every such job
 	// to the same now. The record carries the *resolved* time: "now" is
 	// something only the live server knows, and replay must not re-resolve
-	// it.
-	group, now := t.group[:0], ""
+	// it. A tenant with no journal builds no group.
+	now := ""
 	for i := range jobs {
 		j := &jobs[i]
 		if j.req.At != "" {
@@ -587,13 +588,19 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 			}
 			j.resp.At = now
 		}
-		group = append(group, wal.Job{Name: j.req.Task, At: j.resp.At, Earliness: j.req.Earliness, Key: j.req.Key})
 	}
-	t.group = group[:0]
+	journaled := t.hooks.Load() != nil
 	rec := wal.Record{Op: wal.OpJobSubmit, Tenant: t.id}
-	if len(group) == 1 {
-		rec.Name, rec.At, rec.Earliness, rec.Key = group[0].Name, group[0].At, group[0].Earliness, group[0].Key
-	} else {
+	if len(jobs) == 1 {
+		j := &jobs[0]
+		rec.Name, rec.At, rec.Earliness, rec.Key = j.req.Task, j.resp.At, j.req.Earliness, j.req.Key
+	} else if journaled {
+		group := t.group[:0]
+		for i := range jobs {
+			j := &jobs[i]
+			group = append(group, wal.Job{Name: j.req.Task, At: j.resp.At, Earliness: j.req.Earliness, Key: j.req.Key})
+		}
+		t.group = group[:0]
 		rec.Jobs = group
 	}
 	commit, err := t.journal(jobs[0].req.Task, jobs[0].resp.At, rec)
@@ -603,7 +610,7 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 	// A batch — and so a group record replayed or followed — is one traced
 	// command. Coalesced single submits are one command per request: the
 	// group's one record covered each of them.
-	singles, journaled := jobs[0].cmd != nil, t.hooks.Load() != nil
+	singles := jobs[0].cmd != nil
 	for i := range jobs {
 		j := &jobs[i]
 		if singles && i > 0 {
@@ -657,37 +664,39 @@ func (t *Tenant) idemRemember(key string, resp SubmitJobResponse) {
 }
 
 // validateSubmit runs every check the executive would enforce on a job
-// submit and resolves an empty `at` to the tenant's current virtual time.
-// A nil error guarantees applySubmits cannot fail on the returned job.
-func (t *Tenant) validateSubmit(req SubmitJobRequest) (submitJob, error) {
+// submit and resolves an empty `at` to the tenant's current virtual time,
+// filling job with the result. A nil error guarantees applySubmits cannot
+// fail on job.
+func (t *Tenant) validateSubmit(req *SubmitJobRequest, job *submitJob) error {
 	task, ok := t.tasks[req.Task]
 	if !ok {
-		return submitJob{}, fmt.Errorf("server: tenant %q has no task %q", t.id, req.Task)
+		return fmt.Errorf("server: tenant %q has no task %q", t.id, req.Task)
 	}
 	when := t.ex.Now()
 	if req.At != "" {
 		var err error
 		when, err = rat.Parse(req.At)
 		if err != nil {
-			return submitJob{}, err
+			return err
 		}
 		if err := checkTime("arrival", when); err != nil {
-			return submitJob{}, err
+			return err
 		}
 	}
 	if when.Less(t.ex.Now()) {
-		return submitJob{}, fmt.Errorf("server: job of %q submitted at %s, before virtual time %s", req.Task, when, t.ex.Now())
+		return fmt.Errorf("server: job of %q submitted at %s, before virtual time %s", req.Task, when, t.ex.Now())
 	}
 	if req.Earliness < 0 {
-		return submitJob{}, fmt.Errorf("server: negative earliness %d", req.Earliness)
+		return fmt.Errorf("server: negative earliness %d", req.Earliness)
 	}
 	if req.Earliness > MaxEarliness {
-		return submitJob{}, fmt.Errorf("server: earliness %d exceeds %d", req.Earliness, MaxEarliness)
+		return fmt.Errorf("server: earliness %d exceeds %d", req.Earliness, MaxEarliness)
 	}
 	if len(req.Key) > MaxKeyLen {
-		return submitJob{}, fmt.Errorf("server: idempotency key length %d exceeds %d", len(req.Key), MaxKeyLen)
+		return fmt.Errorf("server: idempotency key length %d exceeds %d", len(req.Key), MaxKeyLen)
 	}
-	return submitJob{req: req, task: task, when: when}, nil
+	*job = submitJob{req: *req, task: task, when: when}
+	return nil
 }
 
 // applySubmitBatch is the atomic front end of applySubmits: one bad job
@@ -703,15 +712,13 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) cmdResult {
 	if resp, done, err := t.batchIdemCheck(reqs); err != nil || done {
 		return cmdResult{subs: resp, err: err}
 	}
-	jobs := t.jobs[:0]
-	for i, req := range reqs {
-		job, err := t.validateSubmit(req)
-		if err != nil {
+	jobs := slices.Grow(t.jobs[:0], len(reqs))[:len(reqs)]
+	t.jobs = jobs[:0]
+	for i := range reqs {
+		if err := t.validateSubmit(&reqs[i], &jobs[i]); err != nil {
 			return cmdResult{err: fmt.Errorf("job %d: %w", i, err)}
 		}
-		jobs = append(jobs, job)
 	}
-	t.jobs = jobs[:0]
 	commit, err := t.applySubmits(jobs)
 	if err != nil {
 		return cmdResult{err: err}
@@ -729,12 +736,15 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) cmdResult {
 // repeats a key within itself) and cannot be applied atomically.
 func (t *Tenant) batchIdemCheck(reqs []SubmitJobRequest) (SubmitJobsResponse, bool, error) {
 	seen, keyed := 0, 0
-	inBatch := map[string]struct{}{}
+	var inBatch map[string]struct{} // made at the first key: most batches carry none
 	for i, req := range reqs {
 		if req.Key == "" {
 			continue
 		}
 		keyed++
+		if inBatch == nil {
+			inBatch = make(map[string]struct{}, len(reqs)-i)
+		}
 		if _, dup := inBatch[req.Key]; dup {
 			return SubmitJobsResponse{}, false, fmt.Errorf("job %d: duplicate idempotency key %q within the batch", i, req.Key)
 		}

@@ -233,7 +233,7 @@ func benchSubmitBatch(b *testing.B, n int, durable bool) {
 		defer srv.Close()
 	} else {
 		srv = server.New()
-		defer srv.Shutdown()
+		defer srv.Close()
 	}
 	hs := hoptest.NewServer(srv.Handler())
 	defer hs.Close()

@@ -27,7 +27,17 @@ func (s *Scanner) Decline() { s.declined = true }
 
 // peek skips white space and returns the byte after it, 0 at the end of the
 // input (no JSON token starts with a NUL, so a literal one declines too).
+// Compact JSON has no white space between tokens: a byte above the space
+// is returned as it is.
 func (s *Scanner) peek() byte {
+	if s.i < len(s.b) && s.b[s.i] > ' ' {
+		return s.b[s.i]
+	}
+	return s.skip()
+}
+
+// skip is peek's loop over white space.
+func (s *Scanner) skip() byte {
 	for s.i < len(s.b) {
 		switch c := s.b[s.i]; c {
 		case ' ', '\t', '\n', '\r':
@@ -81,8 +91,17 @@ func (s *Scanner) Key(names []string, seen *uint32) int {
 	}
 	s.i++
 	rest := s.b[s.i:]
-	// Try the names in order from the one after the last seen: an encoder
-	// writes the fields in that order, so the first or second try matches.
+	// An encoder writes the fields in order, compactly: the name after the
+	// last seen one, then `":`, is what comes next.
+	if j := bits.Len32(*seen); j < len(names) {
+		name := names[j]
+		if len(rest) > len(name)+1 && rest[len(name)] == '"' && rest[len(name)+1] == ':' && string(rest[:len(name)]) == name {
+			*seen |= 1 << j
+			s.i += len(name) + 2
+			return j
+		}
+	}
+	// Otherwise try the names in order from the one after the last seen.
 	for k, j := 0, bits.Len32(*seen); k < len(names); k, j = k+1, j+1 {
 		if j >= len(names) {
 			j = 0
@@ -137,22 +156,36 @@ func (s *Scanner) ObjectsAhead(limit int) int {
 }
 
 // String reads a string value, copying it out of the input.
-func (s *Scanner) String() string {
+func (s *Scanner) String() string { return string(s.str()) }
+
+// StringReusing is String, except that a value whose bytes equal prev comes
+// back as prev itself, not a copy: a list whose elements repeat a value
+// decodes to one copy of it.
+func (s *Scanner) StringReusing(prev string) string {
+	b := s.str()
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
+// str reads a string value and returns its bytes in the input.
+func (s *Scanner) str() []byte {
 	if !s.expect('"') {
-		return ""
+		return nil
 	}
 	for start := s.i; s.i < len(s.b); s.i++ {
 		switch c := s.b[s.i]; {
 		case c == '"':
 			s.i++
-			return string(s.b[start : s.i-1])
+			return s.b[start : s.i-1]
 		case !plain[c]:
 			s.declined = true
-			return ""
+			return nil
 		}
 	}
 	s.declined = true
-	return ""
+	return nil
 }
 
 // integer reads the digits of an integer of magnitude at most limit (one
