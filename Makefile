@@ -44,8 +44,9 @@ race-server:
 
 # cluster-smoke is the replication gate: the in-process 3-node cluster
 # (1 leader + 2 followers behind pfair-router) under -race — kill the
-# leader mid-traffic, promotion must land in < 2s with zero acked-write
-# loss and tardiness ≤ 1 quantum — plus term fencing, the seeded
+# leader mid-traffic, one promotion must land before the first post-kill
+# ack (its wall time is logged) with zero acked-write loss and tardiness
+# ≤ 1 quantum — plus term fencing, the seeded
 # leader-kill invariant (acked ≤ recovered ≤ issued), the router's own
 # tests (sharding, reply framing, placement, resend rule) and those of its
 # hop through a router front (request differential against http.Client,

@@ -2,7 +2,9 @@
 // family in this repository in one planning API: given a weight set and a
 // processor count, which schedulers can take the workload, and with what
 // guarantee? It is the decision companion to the simulators — the tests
-// here are analytical, not empirical.
+// here are analytical, not empirical. The one stateful Σwt ≤ M ledger is
+// online.Executive's; it answers in this package's Decision and
+// ResizeDecision.
 package admission
 
 import (
@@ -43,6 +45,41 @@ type Decision struct {
 	Admitted  bool
 	Guarantee Guarantee
 	Reason    string
+}
+
+// ResizeOutcome classifies what a resize did.
+type ResizeOutcome int
+
+const (
+	// ResizeApplied: the new M is in effect.
+	ResizeApplied ResizeOutcome = iota
+	// ResizeQueued: a drain-mode shrink was accepted but Σwt is still above
+	// the target; M is unchanged, new registrations are gated by the target,
+	// and the shrink applies at the unregister that brings Σwt within it.
+	ResizeQueued
+	// ResizeRejected: a non-drain shrink below Σwt; nothing changed.
+	ResizeRejected
+)
+
+// String implements fmt.Stringer for reports and wire responses.
+func (o ResizeOutcome) String() string {
+	switch o {
+	case ResizeApplied:
+		return "applied"
+	case ResizeQueued:
+		return "queued"
+	case ResizeRejected:
+		return "rejected"
+	}
+	return fmt.Sprintf("ResizeOutcome(%d)", int(o))
+}
+
+// ResizeDecision reports the result of a resize or of its plan.
+type ResizeDecision struct {
+	Outcome  ResizeOutcome
+	M        int    // effective processor count after the call
+	PendingM int    // queued shrink target, 0 if none
+	Reason   string // human-readable rationale, always set
 }
 
 // Total returns Σ wt as an exact rational, with validation.

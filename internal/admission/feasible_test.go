@@ -61,34 +61,34 @@ func boundary(t *testing.T, m int, q int64) {
 		}
 	}
 
-	// The ledger: registration, shrink, and a queued shrink applying at the
-	// release that brings Σwt to exactly its target.
-	c := admission.NewController(m)
+	// The ledger, the executive's: registration, shrink, and a queued
+	// shrink applying at the release that brings Σwt to exactly its target.
+	c := online.New(m, nil)
 	for i, w := range atM {
-		if d, err := c.Register(name(i), w); err != nil || !d.Admitted {
-			t.Fatalf("Controller.Register up to Σwt = M: %v %+v", err, d)
+		if d, err := register(c, name(i), w); err != nil || !d.Admitted {
+			t.Fatalf("ledger register up to Σwt = M: %v %+v", err, d)
 		}
 	}
-	if d, err := c.Register("over", over); err != nil || d.Admitted {
-		t.Errorf("Controller.Register at M + 1/q: %v %+v", err, d)
+	if d, err := register(c, "over", over); err != nil || d.Admitted {
+		t.Errorf("ledger register at M + 1/q: %v %+v", err, d)
 	}
-	if d, err := c.Resize(m+1, false); err != nil || d.Outcome != admission.ResizeApplied {
-		t.Fatalf("Controller.Resize grow: %v %+v", err, d)
+	if d, err := c.ResizeDrain(m+1, false); err != nil || d.Outcome != admission.ResizeApplied {
+		t.Fatalf("ledger resize grow: %v %+v", err, d)
 	}
-	if d, err := c.Register("over", over); err != nil || !d.Admitted {
-		t.Fatalf("Controller.Register after the grow: %v %+v", err, d)
+	if d, err := register(c, "over", over); err != nil || !d.Admitted {
+		t.Fatalf("ledger register after the grow: %v %+v", err, d)
 	}
-	if d, err := c.Resize(m, false); err != nil || d.Outcome != admission.ResizeRejected {
-		t.Errorf("Controller.Resize to M under Σwt = M + 1/q: %v %+v", err, d)
+	if d, err := c.ResizeDrain(m, false); err != nil || d.Outcome != admission.ResizeRejected {
+		t.Errorf("ledger resize to M under Σwt = M + 1/q: %v %+v", err, d)
 	}
-	if d, err := c.Resize(m, true); err != nil || d.Outcome != admission.ResizeQueued {
-		t.Errorf("Controller.Resize drain to M under Σwt = M + 1/q: %v %+v", err, d)
+	if d, err := c.ResizeDrain(m, true); err != nil || d.Outcome != admission.ResizeQueued {
+		t.Errorf("ledger resize drain to M under Σwt = M + 1/q: %v %+v", err, d)
 	}
-	if err := c.Unregister("over"); err != nil || c.M() != m || c.PendingM() != 0 {
-		t.Errorf("Controller.Unregister down to Σwt = M: err %v, m = %d, pending = %d; the queued shrink must apply", err, c.M(), c.PendingM())
+	if err := unregister(c, "over"); err != nil || c.M() != m || c.PendingM() != 0 {
+		t.Errorf("ledger unregister down to Σwt = M: err %v, m = %d, pending = %d; the queued shrink must apply", err, c.M(), c.PendingM())
 	}
 
-	// The executive, which owns such a ledger: Register, Resize, Restore.
+	// The executive's own front ends: Register, Resize, Restore.
 	ex := online.New(m, nil)
 	for i, w := range atM {
 		if _, err := ex.Register(name(i), w); err != nil {

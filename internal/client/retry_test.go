@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/hop/hoptest"
@@ -90,22 +89,56 @@ func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// TestRetryHonorsContextDeadline: a deadline that passes mid-backoff ends
+// the call there. The server asks for an hour between tries, and the test
+// passes the deadline once the first retry is due, so the call can only
+// return through the backoff's watch on its context: after exactly one
+// attempt, with the deadline's error.
 func TestRetryHonorsContextDeadline(t *testing.T) {
+	var seen atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen.Add(1)
+		w.Header().Set("Retry-After", "3600")
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	defer hs.Close()
 
-	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{MaxAttempts: 1000})
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Tenants(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
+	retrying := make(chan struct{}, 1)
+	c := client.New(hs.URL, nil).WithRetry(client.RetryPolicy{
+		MaxAttempts: 1000,
+		OnRetry:     func(error) { retrying <- struct{}{} },
+	})
+	ctx := &deadline{Context: context.Background(), passed: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Tenants(ctx)
+		done <- err
+	}()
+	<-retrying
+	close(ctx.passed)
+	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded from mid-backoff", err)
 	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("gave up after %v; the deadline should abort the backoff sleep", el)
+	if n := seen.Load(); n != 1 {
+		t.Fatalf("server saw %d attempts, want 1: the deadline must end the first backoff sleep", n)
+	}
+}
+
+// deadline is a context whose deadline the test passes on cue: Done closes
+// and Err says DeadlineExceeded then, as a context.WithTimeout's would.
+type deadline struct {
+	context.Context
+	passed chan struct{}
+}
+
+func (d *deadline) Done() <-chan struct{} { return d.passed }
+
+func (d *deadline) Err() error {
+	select {
+	case <-d.passed:
+		return context.DeadlineExceeded
+	default:
+		return nil
 	}
 }
 

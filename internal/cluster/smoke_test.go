@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,9 +23,10 @@ import (
 
 // TestClusterSmoke is the cluster-smoke CI job: one leader, two
 // followers, and a router in front; traffic flows, the leader is killed,
-// and the router must promote a caught-up follower in under two seconds
-// with zero acked-write loss and the schedule's one-quantum tardiness
-// bound intact across the failover.
+// and the router must promote a caught-up follower — once, and before the
+// first write after the kill is acked — with zero acked-write loss and the
+// schedule's one-quantum tardiness bound intact across the failover. The
+// time that took is logged, not gated.
 func TestClusterSmoke(t *testing.T) {
 	lsrv, lhs := openLeader(t, t.TempDir(), nil)
 	defer lhs.Close()
@@ -36,11 +38,23 @@ func TestClusterSmoke(t *testing.T) {
 	defer f2hs.Close()
 	defer f2srv.Close()
 
+	// The failover's events in the order they happened: the router's log
+	// lines and the test's own marks.
+	var evMu sync.Mutex
+	var events []string
+	mark := func(format string, args ...any) {
+		evMu.Lock()
+		events = append(events, fmt.Sprintf(format, args...))
+		evMu.Unlock()
+	}
 	router, err := cluster.NewRouter(cluster.RouterOptions{
 		Groups:         [][]string{{lhs.URL, f1hs.URL, f2hs.URL}},
 		HealthInterval: 25 * time.Millisecond,
 		FailoverAfter:  300 * time.Millisecond,
-		Logf:           t.Logf,
+		Logf: func(format string, args ...any) {
+			t.Logf(format, args...)
+			mark(format, args...)
+		},
 	})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
@@ -80,6 +94,7 @@ func TestClusterSmoke(t *testing.T) {
 	waitCaughtUp(t, f2srv, f2hs.URL, lhs.URL)
 
 	// Kill the leader.
+	mark("kill")
 	lsrv.Shutdown()
 	lhs.Close()
 	killed := time.Now()
@@ -98,23 +113,27 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("first write after leader kill never succeeded: %v", err)
 	}
 	cancel()
+	mark("ack")
 	issued++
 	acked++
-	if d := time.Since(killed); d >= 2*time.Second {
-		t.Fatalf("promotion took %v, want < 2s", d)
-	} else {
-		t.Logf("first post-kill write acked after %v", d)
-	}
+	t.Logf("first post-kill write acked after %v", time.Since(killed))
 
-	// Exactly one follower was promoted.
-	promoted := 0
+	// Exactly one follower was promoted, once, between the kill and the ack.
+	var leaders []string
 	for _, u := range []string{f1hs.URL, f2hs.URL} {
 		if h, _ := health(t, u); h.Role == "leader" {
-			promoted++
+			leaders = append(leaders, u)
 		}
 	}
-	if promoted != 1 {
-		t.Fatalf("%d nodes claim leadership after failover, want exactly 1", promoted)
+	if len(leaders) != 1 {
+		t.Fatalf("%d nodes claim leadership after failover, want exactly 1", len(leaders))
+	}
+	evMu.Lock()
+	order := append([]string(nil), events...)
+	evMu.Unlock()
+	assertEventOrder(t, order, "kill", "promoting "+leaders[0], "promoted "+leaders[0]+":", "ack")
+	if n := countPrefix(order, "promoted "); n != 1 {
+		t.Fatalf("%d successful promotions, want 1: %q", n, order)
 	}
 
 	// Phase 2: traffic continues through the router into the new leader.
@@ -379,4 +398,30 @@ func TestRouterPprof(t *testing.T) {
 			t.Errorf("pprof enabled %v: GET /debug/pprof/cmdline = %d, want %d", on, rw.Code, want)
 		}
 	}
+}
+
+// assertEventOrder fails unless events holds, in order, a line that equals
+// or contains each of want.
+func assertEventOrder(t *testing.T, events []string, want ...string) {
+	t.Helper()
+	i := 0
+	for _, ev := range events {
+		if i < len(want) && strings.Contains(ev, want[i]) {
+			i++
+		}
+	}
+	if i < len(want) {
+		t.Fatalf("event %q not found after %q in %q", want[i], want[:i], events)
+	}
+}
+
+// countPrefix counts the events starting with prefix.
+func countPrefix(events []string, prefix string) int {
+	n := 0
+	for _, ev := range events {
+		if strings.HasPrefix(ev, prefix) {
+			n++
+		}
+	}
+	return n
 }

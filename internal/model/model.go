@@ -203,7 +203,7 @@ func (sys *System) Subtasks(t *Task) []*Subtask { return sys.seqs[t.ID] }
 // Forget drops the first n subtasks of t's sequence and renumbers the rest
 // from Seq 0 — the form an online checkpoint restores from. An engine that
 // runs forever calls it for subtasks it has dispatched and will not read
-// again; GIDs and NumSubtasks keep counting everything ever released.
+// again; NumSubtasks keeps counting everything ever released.
 func (sys *System) Forget(t *Task, n int) {
 	seq := sys.seqs[t.ID]
 	kept := copy(seq, seq[n:])
@@ -257,9 +257,9 @@ func (sys *System) TotalUtilization() rat.Rat {
 // Feasible is the Pfair feasibility condition Σwt ≤ M — exact (an iff) for
 // GIS task systems, and by Theorem 3 what buys tardiness ≤ 1 quantum under
 // PD²-DVQ. Every admission decision in the repository is this comparison:
-// the analytical tests and the stateful ledger of internal/admission (and
-// through it the online executive and the service), scenario validation
-// and the M sweep, and the quantum-size curve.
+// the analytical tests of internal/admission, the online executive's
+// stateful ledger (and through it the service), scenario validation and
+// the M sweep, and the quantum-size curve.
 func Feasible(util rat.Rat, m int) bool {
 	return util.LessEq(rat.FromInt(int64(m)))
 }

@@ -84,11 +84,11 @@ type Executive struct {
 	sys      *model.System
 	schedule *sched.Schedule
 
-	// led is the one Σwt ≤ M ledger: the processor count, a queued
-	// drain-mode shrink target, and the weights of the active tasks. The
-	// executive is its only writer; len(freeAt) follows its M (fit).
-	led        *admission.Controller
-	active     []bool // per task: still registered (accepting jobs, counted in the ledger)
+	// The one Σwt ≤ M ledger: M is len(freeAt), shrink a queued drain-mode
+	// shrink target (0 when none), and util and byName, at the end, Σwt
+	// over the active tasks and the one index of them by name.
+	shrink     int
+	active     []bool // per task: still registered (accepting jobs, counted in util)
 	onDispatch func(Dispatch)
 
 	now      rat.Rat
@@ -109,6 +109,11 @@ type Executive struct {
 	// quantum; with affinity, per task its last processor (−1 none).
 	boundary, quantum []rat.Rat
 	lastProc          []int
+
+	// Register, Unregister and resizes read these, a decision never, so
+	// they sit after every field a decision reads.
+	util   rat.Rat
+	byName map[string]*model.Task
 }
 
 // maxFree caps the free list: one round's releases of a wide tenant (128
@@ -149,7 +154,8 @@ func newExecutive(sys *model.System, m int, policy prio.Policy) *Executive {
 		policy:   policy,
 		sys:      sys,
 		schedule: sched.New(sys, m, policy.Name(), "DVQ-online"),
-		led:      admission.NewController(m),
+		util:     rat.Zero,
+		byName:   map[string]*model.Task{},
 		freeAt:   make([]rat.Rat, m),
 		ready:    readyHeap{pol: policy, rank: prio.NewRanker(policy)},
 	}
@@ -189,11 +195,54 @@ func Adopt(sys *model.System, m int, policy prio.Policy) *Executive {
 func (e *Executive) ForgetHistory() { e.schedule.DiscardAssignments() }
 
 // PlanRegister answers what Register(name, w) would decide — admitted, or
-// rejected with the reason — without changing any state. A caller that
-// must journal an admission before applying it plans first; a Register
-// after an admitted plan cannot fail.
+// rejected with the reason — without changing any state: an error for an
+// empty or duplicate name, an invalid weight or a Σwt that leaves exact
+// arithmetic, otherwise the decision. A caller that must journal an
+// admission before applying it plans first; a Register after an admitted
+// plan cannot fail.
+//
+// Admission is against the current M, or while a drain-mode shrink is
+// queued against its target: new work must not push Σwt further above
+// where the executive is draining to.
 func (e *Executive) PlanRegister(name string, w model.Weight) (admission.Decision, error) {
-	return e.led.PlanRegister(name, w)
+	if name == "" {
+		return admission.Decision{}, fmt.Errorf("admission: empty task name")
+	}
+	if e.byName[name] != nil {
+		return admission.Decision{}, fmt.Errorf("admission: task %q already registered", name)
+	}
+	if err := w.Validate(); err != nil {
+		return admission.Decision{}, err
+	}
+	total, ok := addUtil(e.util, w)
+	if !ok {
+		return admission.Decision{}, fmt.Errorf("admission: task %q weight %s: Σwt leaves exact-arithmetic range", name, w)
+	}
+	cap := e.M()
+	if e.shrink != 0 {
+		cap = e.shrink
+	}
+	if !model.Feasible(total, cap) {
+		return admission.Decision{
+			Scheduler: "PD2/DVQ",
+			Guarantee: admission.NoGuarantee,
+			Reason:    fmt.Sprintf("registering %q (weight %s) would raise Σwt to %s > M = %d", name, w, total, cap),
+		}, nil
+	}
+	return admission.Decision{
+		Scheduler: "PD2/DVQ",
+		Admitted:  true,
+		Guarantee: admission.SoftRealTime,
+		Reason:    fmt.Sprintf("Σwt = %s ≤ M = %d; DVQ tardiness ≤ 1 quantum (Theorem 3)", total, cap),
+	}, nil
+}
+
+// addUtil is u + w, or false where the sum leaves exact int64 arithmetic:
+// periods are bounded, but the common denominator of many coprime ones
+// is not, and rat panics rather than wrap.
+func addUtil(u rat.Rat, w model.Weight) (sum rat.Rat, ok bool) {
+	defer func() { ok = recover() == nil }()
+	return u.Add(w.Rat()), true
 }
 
 // Register adds a task with the given weight. Registration is admission
@@ -209,48 +258,67 @@ func (e *Executive) Register(name string, w model.Weight) (*model.Task, error) {
 	return e.addTask(name, w, 0, rat.Zero, 1, true), nil
 }
 
-// admit enters an active task's weight in the ledger.
+// admit is PlanRegister with a rejection as an error.
 func (e *Executive) admit(name string, w model.Weight) error {
-	d, err := e.led.Register(name, w)
+	d, err := e.PlanRegister(name, w)
 	if err == nil && !d.Admitted {
 		err = fmt.Errorf("online: %s", d.Reason)
 	}
 	return err
 }
 
-// addTask appends a task and its per-task dispatch state.
+// addTask appends a task and its per-task dispatch state; an active one
+// enters the ledger, which admit has checked.
 func (e *Executive) addTask(name string, w model.Weight, cursor int, lastFin rat.Rat, nextIdx int64, active bool) *model.Task {
 	t := e.sys.AddTask(name, w)
 	e.cursor = append(e.cursor, cursor)
 	e.lastFin = append(e.lastFin, lastFin)
 	e.nextIdx = append(e.nextIdx, nextIdx)
 	e.active = append(e.active, active)
+	if active {
+		e.byName[name] = t
+		e.util = e.util.Add(w.Rat())
+	}
 	return t
+}
+
+// Task returns the active task named name, or nil when none is.
+func (e *Executive) Task(name string) *model.Task { return e.byName[name] }
+
+// ActiveTasks returns the number of active tasks.
+func (e *Executive) ActiveTasks() int { return len(e.byName) }
+
+// PlanUnregister returns why Unregister(t) would fail, or nil: t must be
+// active, and it must have no released-but-undispatched subtasks, because
+// reclaiming the capacity of a task with queued work would void the
+// tardiness bound for everyone else. Like CheckSubmit's, its errors are
+// bare clauses for the caller to prefix.
+func (e *Executive) PlanUnregister(t *model.Task) error {
+	if !e.Active(t) {
+		return fmt.Errorf("task %s is not registered", t)
+	}
+	if n := e.Undispatched(t); n > 0 {
+		return fmt.Errorf("task %q has %d undispatched subtasks; drain before unregistering", t.Name, n)
+	}
+	return nil
 }
 
 // Unregister removes t from the active set: its weight stops counting
 // toward admission and further SubmitJob calls for it are rejected. It
-// fails while t still has released-but-undispatched subtasks, because
-// reclaiming the capacity of a task with queued work would void the
-// tardiness bound for everyone else. Already-dispatched work stays in the
+// fails where PlanUnregister says. Already-dispatched work stays in the
 // schedule. If a drain-mode shrink is queued and the release brings Σwt
 // within its target, the shrink applies here.
 func (e *Executive) Unregister(t *model.Task) error {
-	if t.ID < 0 || t.ID >= len(e.active) {
-		return fmt.Errorf("online: unknown task %s", t)
-	}
-	if !e.active[t.ID] {
-		return fmt.Errorf("online: task %s already unregistered", t)
-	}
-	if e.cursor[t.ID] < len(e.sys.Subtasks(t)) {
-		return fmt.Errorf("online: task %s has %d undispatched subtasks; drain before unregistering",
-			t, len(e.sys.Subtasks(t))-e.cursor[t.ID])
-	}
-	if err := e.led.Unregister(t.Name); err != nil {
-		return err
+	if err := e.PlanUnregister(t); err != nil {
+		return fmt.Errorf("online: %w", err)
 	}
 	e.active[t.ID] = false
-	e.fit() // the release may have applied a queued drain-mode shrink
+	delete(e.byName, t.Name)
+	e.util = e.util.Sub(t.W.Rat())
+	if e.shrink != 0 && model.Feasible(e.util, e.shrink) {
+		e.fit(e.shrink)
+		e.shrink = 0
+	}
 	return nil
 }
 
@@ -262,7 +330,7 @@ func (e *Executive) Active(t *model.Task) bool {
 
 // ActiveUtilization returns Σ wt over currently registered tasks — the
 // quantity Register admission-checks against M.
-func (e *Executive) ActiveUtilization() rat.Rat { return e.led.Utilization() }
+func (e *Executive) ActiveUtilization() rat.Rat { return e.util }
 
 // Undispatched returns how many released subtasks of t have not been
 // dispatched yet (the count that blocks Unregister).
@@ -308,18 +376,29 @@ func (e *Executive) SubmitJob(t *model.Task, at rat.Rat) error {
 // pull the job forward into slack without a second scheduler (the paper's
 // Sec. 1 remark, experiment E13); optimality is unaffected.
 func (e *Executive) SubmitJobEarly(t *model.Task, at rat.Rat, earliness int64) error {
-	if earliness < 0 {
-		return fmt.Errorf("online: negative earliness %d", earliness)
-	}
 	return e.submit(t, at, earliness)
 }
 
-func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
-	if !e.Active(t) {
-		return fmt.Errorf("online: job submitted for unregistered task %s", t)
+// CheckSubmit returns why SubmitJobEarly(t, at, earliness) would fail, or
+// nil: t must be active, `at` must not precede virtual time, and earliness
+// must not be negative. Its errors are bare clauses: the executive's own
+// say "online: …", and a caller validating ahead of the call (a service
+// that journals first) prefixes its own.
+func (e *Executive) CheckSubmit(t *model.Task, at rat.Rat, earliness int64) error {
+	switch {
+	case !e.Active(t):
+		return fmt.Errorf("job submitted for unregistered task %s", t)
+	case at.Less(e.now):
+		return fmt.Errorf("job of %q submitted at %s, before virtual time %s", t.Name, at, e.now)
+	case earliness < 0:
+		return fmt.Errorf("negative earliness %d", earliness)
 	}
-	if at.Less(e.now) {
-		return fmt.Errorf("online: job of %s submitted at %s, before virtual time %s", t, at, e.now)
+	return nil
+}
+
+func (e *Executive) submit(t *model.Task, at rat.Rat, earliness int64) error {
+	if err := e.CheckSubmit(t, at, earliness); err != nil {
+		return fmt.Errorf("online: %w", err)
 	}
 	arrival := at.Ceil() // windows are integral; a mid-slot arrival rounds up
 	seq := e.sys.Subtasks(t)

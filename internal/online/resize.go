@@ -5,19 +5,58 @@ import (
 	"sort"
 
 	"desyncpfair/internal/admission"
+	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
 )
 
-// M returns the current processor count.
-func (e *Executive) M() int { return e.led.M() }
+// MaxM caps the processor count a resize may name (the service bounds a
+// tenant's creation by it too). The executive's exact int64 rationals
+// panic on overflow by design; bounding M keeps every capacity comparison
+// far inside their range.
+const MaxM = 1 << 12
 
-// PendingM returns the queued drain-mode shrink target, 0 when none.
-func (e *Executive) PendingM() int { return e.led.PendingM() }
+// M returns the current processor count.
+func (e *Executive) M() int { return len(e.freeAt) }
+
+// PendingM returns the queued drain-mode shrink target, 0 when none. The
+// invariant is PendingM ≠ 0 ⇒ PendingM < M and Σwt > PendingM: the moment
+// unregisters bring Σwt within the target, the shrink applies and
+// PendingM clears.
+func (e *Executive) PendingM() int { return e.shrink }
 
 // PlanResize answers what ResizeDrain(m, drain) would do without changing
-// any state (see PlanRegister).
+// any state (see PlanRegister). Its error, for an m outside [1, MaxM], is
+// a bare clause for the caller to prefix.
 func (e *Executive) PlanResize(m int, drain bool) (admission.ResizeDecision, error) {
-	return e.led.PlanResize(m, drain)
+	if m < 1 {
+		return admission.ResizeDecision{}, fmt.Errorf("needs m ≥ 1, got %d", m)
+	}
+	if m > MaxM {
+		return admission.ResizeDecision{}, fmt.Errorf("wants m = %d > %d processors", m, MaxM)
+	}
+	cur := e.M()
+	if m >= cur {
+		return admission.ResizeDecision{
+			Outcome: admission.ResizeApplied, M: m,
+			Reason: fmt.Sprintf("M %d → %d; Σwt = %s still ≤ M", cur, m, e.util),
+		}, nil
+	}
+	if !model.Feasible(e.util, m) {
+		if drain {
+			return admission.ResizeDecision{
+				Outcome: admission.ResizeQueued, M: cur, PendingM: m,
+				Reason: fmt.Sprintf("Σwt = %s > %d; draining — shrink applies when unregisters bring Σwt ≤ %d", e.util, m, m),
+			}, nil
+		}
+		return admission.ResizeDecision{
+			Outcome: admission.ResizeRejected, M: cur, PendingM: e.shrink,
+			Reason: fmt.Sprintf("shrink to M = %d infeasible: Σwt = %s > %d would void the tardiness bound", m, e.util, m),
+		}, nil
+	}
+	return admission.ResizeDecision{
+		Outcome: admission.ResizeApplied, M: m,
+		Reason: fmt.Sprintf("M %d → %d; Σwt = %s ≤ %d keeps Theorem 3's bound", cur, m, e.util, m),
+	}, nil
 }
 
 // Resize changes the processor count to m, failing when ResizeDrain
@@ -52,17 +91,22 @@ func (e *Executive) Resize(m int) error {
 // goroutine. A resize to the current m changes nothing but a queued
 // shrink, which it cancels.
 func (e *Executive) ResizeDrain(m int, drain bool) (admission.ResizeDecision, error) {
-	d, err := e.led.Resize(m, drain)
-	if err == nil {
-		e.fit()
+	d, err := e.PlanResize(m, drain)
+	if err != nil {
+		return d, fmt.Errorf("online: resize %w", err)
 	}
-	return d, err
+	switch d.Outcome {
+	case admission.ResizeApplied:
+		e.fit(m)
+		e.shrink = 0
+	case admission.ResizeQueued:
+		e.shrink = m
+	}
+	return d, nil
 }
 
-// fit brings the processor set to the ledger's M after a resize applied
-// there.
-func (e *Executive) fit() {
-	m := e.led.M()
+// fit brings the processor set to m.
+func (e *Executive) fit(m int) {
 	switch {
 	case m < len(e.freeAt):
 		// Keep the m latest-free processors so no in-flight quantum loses

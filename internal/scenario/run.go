@@ -32,15 +32,11 @@ type Target interface {
 // generated task systems (e.g. against the exhaustive oracle).
 type ExecTarget struct {
 	Execs map[string]*online.Executive
-	tasks map[string]map[string]*model.Task
 }
 
 // NewExecTarget returns an empty in-process target.
 func NewExecTarget() *ExecTarget {
-	return &ExecTarget{
-		Execs: map[string]*online.Executive{},
-		tasks: map[string]map[string]*model.Task{},
-	}
+	return &ExecTarget{Execs: map[string]*online.Executive{}}
 }
 
 // Setup creates the client's executive and registers its tasks.
@@ -53,16 +49,12 @@ func (e *ExecTarget) Setup(c ClientSetup, m int, policy string) error {
 		return fmt.Errorf("scenario: unknown policy %q", policy)
 	}
 	ex := online.New(m, p)
-	byName := map[string]*model.Task{}
 	for _, ts := range c.Tasks {
-		t, err := ex.Register(ts.Name, model.W(ts.E, ts.P))
-		if err != nil {
+		if _, err := ex.Register(ts.Name, model.W(ts.E, ts.P)); err != nil {
 			return fmt.Errorf("scenario: client %s: %w", c.ID, err)
 		}
-		byName[ts.Name] = t
 	}
 	e.Execs[c.ID] = ex
-	e.tasks[c.ID] = byName
 	return nil
 }
 
@@ -72,7 +64,7 @@ func (e *ExecTarget) Submit(clientID, task string, at rat.Rat) error {
 	if ex == nil {
 		return fmt.Errorf("scenario: unknown client %s", clientID)
 	}
-	t := e.tasks[clientID][task]
+	t := ex.Task(task)
 	if t == nil {
 		return fmt.Errorf("scenario: client %s has no task %s", clientID, task)
 	}
@@ -112,8 +104,9 @@ func (e *ExecTarget) Finish(clientID string) ([]server.DispatchEvent, error) {
 // hanging it.
 const CallTimeout = 30 * time.Second
 
-// callTimeout is CallTimeout; a test shortens it to see a hung call return.
-var callTimeout = CallTimeout
+// withTimeout is context.WithTimeout; a test swaps it to expire a call on
+// cue.
+var withTimeout = context.WithTimeout
 
 // HTTPTarget drives a live pfaird (or a router front) through the typed
 // client: one tenant per scenario client. Dispatch logs are collected by
@@ -127,7 +120,7 @@ type HTTPTarget struct {
 
 // bounded is Ctx for one request.
 func (h *HTTPTarget) bounded() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(h.Ctx, callTimeout)
+	return withTimeout(h.Ctx, CallTimeout)
 }
 
 // Setup creates the tenant and registers its tasks, failing on any

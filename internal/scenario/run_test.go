@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,14 +104,25 @@ func TestReplayReproducesDispatches(t *testing.T) {
 }
 
 // TestHTTPTargetCallEndsAtDeadline: a server that takes a request and never
-// answers fails the call once callTimeout has passed — a tenant create in
+// answers fails the call once CallTimeout has passed — a tenant create in
 // Setup, a submit, and in Finish the drain and the dispatch replay alike —
-// instead of hanging the run.
+// instead of hanging the run. The deadline is the test's to expire: each
+// call must be bounded by CallTimeout, still be waiting while the server
+// holds its request, and return once its deadline passes.
 func TestHTTPTargetCallEndsAtDeadline(t *testing.T) {
-	defer func(d time.Duration) { callTimeout = d }(callTimeout)
-	callTimeout = 200 * time.Millisecond
+	var expireLast func() // expires the newest call's deadline
+	defer func(f func(context.Context, time.Duration) (context.Context, context.CancelFunc)) { withTimeout = f }(withTimeout)
+	withTimeout = func(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+		if d != CallTimeout {
+			t.Errorf("call bounded by %v, want CallTimeout = %v", d, CallTimeout)
+		}
+		ctx := &expiry{Context: parent, done: make(chan struct{})}
+		var once sync.Once
+		expireLast = func() { once.Do(func() { close(ctx.done) }) }
+		return ctx, expireLast
+	}
 
-	release := make(chan struct{})
+	held, release := make(chan struct{}, 1), make(chan struct{})
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/tenants/late/drain":
@@ -120,6 +132,7 @@ func TestHTTPTargetCallEndsAtDeadline(t *testing.T) {
 			w.WriteHeader(http.StatusOK)
 			w.(http.Flusher).Flush()
 		}
+		held <- struct{}{}
 		select {
 		case <-r.Context().Done():
 		case <-release:
@@ -139,9 +152,17 @@ func TestHTTPTargetCallEndsAtDeadline(t *testing.T) {
 		{"replay", func() error { _, err := h.Finish("late"); return err }, false},
 		{"drain", func() error { _, err := h.Finish("hung"); return err }, true},
 	} {
-		t0 := time.Now()
-		err := tc.call()
-		took := time.Since(t0)
+		done := make(chan error, 1)
+		go func() { done <- tc.call() }()
+		<-held // the server holds the call's request: only its deadline ends it
+		select {
+		case err := <-done:
+			t.Errorf("%s returned before its deadline passed: %v", tc.name, err)
+			continue
+		default:
+		}
+		expireLast()
+		err := <-done
 		if err == nil {
 			t.Errorf("%s: a server that never answers gave no error", tc.name)
 			continue
@@ -149,9 +170,24 @@ func TestHTTPTargetCallEndsAtDeadline(t *testing.T) {
 		if tc.deadline && !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("%s: %v, want the deadline's error", tc.name, err)
 		}
-		if took < callTimeout || took > callTimeout+5*time.Second {
-			t.Errorf("%s returned after %v, want just past %v", tc.name, took, callTimeout)
-		}
+	}
+}
+
+// expiry is a call's deadline the test passes on cue: Done closes and Err
+// says DeadlineExceeded then, as a context.WithTimeout's would.
+type expiry struct {
+	context.Context
+	done chan struct{}
+}
+
+func (e *expiry) Done() <-chan struct{} { return e.done }
+
+func (e *expiry) Err() error {
+	select {
+	case <-e.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
 	}
 }
 

@@ -226,11 +226,6 @@ func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 	for _, e := range cp.Idem {
 		t.idemRemember(e.Key, SubmitJobResponse{At: e.At, Pending: e.Pending})
 	}
-	for _, task := range ex.System().Tasks {
-		if ex.Active(task) {
-			t.tasks[task.Name] = task
-		}
-	}
 	t.start()
 	return t, nil
 }
@@ -664,17 +659,18 @@ func (s *Server) WALStats() wal.Stats {
 
 // statusOf maps an operation error to its HTTP status: a wedged journal is
 // the server's failure (503), a command whose record does not fit a journal
-// frame is too large a request (413; nothing was written), a full submit
-// ring is explicit backpressure (429, retryable), everything else keeps the
-// handler's own fallback.
+// frame or whose jobs alone pass MaxBacklog is too large a request (413;
+// nothing was written), a full submit ring or backlog is explicit
+// backpressure (429, retryable), everything else keeps the handler's own
+// fallback.
 func statusOf(err error, fallback int) int {
 	if errors.Is(err, wal.ErrWedged) {
 		return http.StatusServiceUnavailable
 	}
-	if errors.Is(err, wal.ErrRecordTooLarge) {
+	if errors.Is(err, wal.ErrRecordTooLarge) || errors.Is(err, errOverBacklog) {
 		return http.StatusRequestEntityTooLarge
 	}
-	if errors.Is(err, ErrRingFull) {
+	if errors.Is(err, ErrRingFull) || errors.Is(err, errBacklogFull) {
 		return http.StatusTooManyRequests
 	}
 	return fallback

@@ -16,6 +16,15 @@ import (
 // count it separately from errors.
 var ErrRingFull = errors.New("server: tenant submit ring full")
 
+// errBacklogFull refuses a submit that would take the tenant's
+// undispatched subtasks past MaxBacklog. Like a full ring it is 429: an
+// advance frees room, so a retry can fit. errOverBacklog refuses a request
+// whose jobs alone pass it: 413, since no retry ever can.
+var (
+	errBacklogFull = errors.New("server: tenant backlog full")
+	errOverBacklog = errors.New("server: request exceeds the tenant backlog cap")
+)
+
 // maxRunBytes bounds the task names and keys one group of coalesced single
 // submits may hold. The journal frames a record of up to 1 MiB and JSON
 // writes a byte as at most six, so a group within it always fits.
@@ -118,8 +127,8 @@ func (t *Tenant) ctlExec(c *command) cmdResult {
 }
 
 // runLoop is the tenant's single-writer event loop: the only goroutine
-// that touches the executive (and the admission ledger inside it), the
-// task map, and the dispatch log after start(). It drains the ring in
+// that touches the executive (the admission ledger and the task index
+// with it) and the dispatch log after start(). It drains the ring in
 // opportunistic batches (coalescing consecutive submits into one journal
 // record), applies each command, and publishes an immutable snapshot
 // that every read path — /metrics, Info, stream replay, recovery
@@ -262,7 +271,7 @@ func (t *Tenant) finish(c *command, res cmdResult) {
 // record must not be what makes one too large to journal.
 func (t *Tenant) processSubmitRun(run []*command) {
 	for len(run) > 0 {
-		jobs, size := t.jobs[:0], 0
+		jobs, size, subtasks := t.jobs[:0], 0, int64(0)
 		var again []*command
 		inRun := map[string]struct{}{}
 		for _, c := range run {
@@ -281,7 +290,11 @@ func (t *Tenant) processSubmitRun(run []*command) {
 				inRun[key] = struct{}{}
 			}
 			var job submitJob
-			if err := t.validateSubmit(&c.submit, &job); err != nil {
+			err := t.validateSubmit(&c.submit, &job)
+			if err == nil {
+				err = t.checkBacklog(subtasks, job.task.W.E)
+			}
+			if err != nil {
 				c.done <- cmdResult{err: err}
 				continue
 			}
@@ -291,6 +304,7 @@ func (t *Tenant) processSubmitRun(run []*command) {
 			}
 			job.cmd = c
 			jobs = append(jobs, job)
+			subtasks += job.task.W.E
 		}
 		t.jobs = jobs[:0]
 		commit, err := t.applySubmits(jobs)

@@ -1,0 +1,141 @@
+package server
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// openJournaled opens a durable server that never compacts on its own, so
+// its journal's append count moves only with the records commands write.
+func openJournaled(t *testing.T) *Server {
+	t.Helper()
+	s, err := Open(Options{DataDir: t.TempDir(), SnapshotEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// batchOf is a jobs:batch body of n jobs of task.
+func batchOf(task string, n int) string {
+	return `{"jobs":[` + strings.TrimSuffix(strings.Repeat(`{"task":"`+task+`"},`, n), ",") + `]}`
+}
+
+// TestRefusalsLeaveNoRecord: every way a tenant command can be refused
+// before it is journaled, through the HTTP handlers of a durable server —
+// the executive's checks (task lookup, name, weight, Σwt, m, undispatched
+// work, arrival, earliness) and the service's backlog bound. Each answers
+// the status it did before the executive became the one ledger (the
+// backlog bound is new), and the journal gains no record.
+func TestRefusalsLeaveNoRecord(t *testing.T) {
+	s := openJournaled(t)
+	h := s.Handler()
+	serve(t, h, "POST", "/v1/tenants", `{"id":"r","m":1}`, http.StatusCreated)
+	serve(t, h, "POST", "/v1/tenants/r/tasks", `{"name":"a","e":1,"p":2}`, http.StatusCreated)
+	serve(t, h, "POST", "/v1/tenants/r/tasks", `{"name":"wide","e":1025,"p":1048576}`, http.StatusCreated)
+	serve(t, h, "POST", "/v1/tenants/r/advance", `{"by":"1"}`, http.StatusOK)
+	serve(t, h, "POST", "/v1/tenants/r/jobs", `{"task":"a"}`, http.StatusAccepted) // a has work undispatched
+	// Tenant o's Σwt sits over a denominator of ≈ 2^60 (three primes near
+	// 2^20): one more such period leaves int64.
+	serve(t, h, "POST", "/v1/tenants", `{"id":"o","m":1}`, http.StatusCreated)
+	for _, p := range []int{1048573, 1048571, 1048559} {
+		serve(t, h, "POST", "/v1/tenants/o/tasks", fmt.Sprintf(`{"name":"p%d","e":1,"p":%d}`, p, p), http.StatusCreated)
+	}
+
+	for _, tc := range []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"unknown task: submit", "POST", "/v1/tenants/r/jobs", `{"task":"zz"}`, http.StatusBadRequest},
+		{"unknown task: batch", "POST", "/v1/tenants/r/jobs:batch", `{"jobs":[{"task":"a"},{"task":"zz"}]}`, http.StatusBadRequest},
+		{"unknown task: unregister", "DELETE", "/v1/tenants/r/tasks/zz", "", http.StatusConflict},
+		{"empty name", "POST", "/v1/tenants/r/tasks", `{"name":"","e":1,"p":4}`, http.StatusBadRequest},
+		{"duplicate name", "POST", "/v1/tenants/r/tasks", `{"name":"a","e":1,"p":4}`, http.StatusBadRequest},
+		{"invalid weight", "POST", "/v1/tenants/r/tasks", `{"name":"w","e":3,"p":2}`, http.StatusBadRequest},
+		{"Σwt overflow", "POST", "/v1/tenants/o/tasks", `{"name":"p4","e":1,"p":1048549}`, http.StatusBadRequest},
+		{"infeasible register", "POST", "/v1/tenants/r/tasks", `{"name":"big","e":1,"p":1}`, http.StatusConflict},
+		{"m below range", "POST", "/v1/tenants/r/resize", `{"m":0}`, http.StatusBadRequest},
+		{"m above range", "POST", "/v1/tenants/r/resize", fmt.Sprintf(`{"m":%d}`, MaxM+1), http.StatusBadRequest},
+		{"unregister with undispatched work", "DELETE", "/v1/tenants/r/tasks/a", "", http.StatusConflict},
+		{"at before now", "POST", "/v1/tenants/r/jobs", `{"task":"a","at":"0"}`, http.StatusBadRequest},
+		{"negative earliness", "POST", "/v1/tenants/r/jobs", `{"task":"a","earliness":-1}`, http.StatusBadRequest},
+		{"batch alone over the backlog cap", "POST", "/v1/tenants/r/jobs:batch", batchOf("wide", MaxBatchJobs), http.StatusRequestEntityTooLarge},
+	} {
+		before := s.WALStats().Appends
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rw.Code != tc.want {
+			t.Errorf("%s: %d %s, want %d", tc.name, rw.Code, rw.Body, tc.want)
+		}
+		if n := s.WALStats().Appends - before; n != 0 {
+			t.Errorf("%s: the journal gained %d records", tc.name, n)
+		}
+	}
+	if info := s.tenant("r").Info(); info.Tasks != 2 || info.Pending != 1 || info.M != 1 || info.Utilization != "525313/1048576" {
+		t.Errorf("refusals changed tenant r: %+v", info)
+	}
+}
+
+// TestBacklogCapThroughHandler: MaxBacklog counts E per job across a run
+// of coalesced singles and across a batch. With the loop held, two single
+// submits of a job of MaxBacklog subtasks queue behind each other: the
+// first fits an idle tenant exactly, the second answers 429 like a full
+// ring. Then a batch of one more job answers 429 and a batch of two, which
+// no retry can ever fit, 413. None of the refusals leaves a record or a
+// pending subtask.
+func TestBacklogCapThroughHandler(t *testing.T) {
+	s := openJournaled(t)
+	h := s.Handler()
+	serve(t, h, "POST", "/v1/tenants", `{"id":"r","m":1}`, http.StatusCreated)
+	serve(t, h, "POST", "/v1/tenants/r/tasks", fmt.Sprintf(`{"name":"w","e":%d,"p":%d}`, MaxBacklog, MaxBacklog), http.StatusCreated)
+	tn := s.tenant("r")
+	before := s.WALStats().Appends
+
+	entered, gate := make(chan struct{}), make(chan struct{})
+	go tn.ctlExec(&command{kind: cmdCtl, fn: func() {
+		close(entered)
+		<-gate
+	}})
+	<-entered
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			rw := httptest.NewRecorder()
+			h.ServeHTTP(rw, httptest.NewRequest("POST", "/v1/tenants/r/jobs", strings.NewReader(`{"task":"w"}`)))
+			codes <- rw.Code
+		}()
+	}
+	for len(tn.ring) < 2 {
+		runtime.Gosched()
+	}
+	close(gate)
+	got := map[int]int{}
+	for i := 0; i < 2; i++ {
+		got[<-codes]++
+	}
+	if got[http.StatusAccepted] != 1 || got[http.StatusTooManyRequests] != 1 {
+		t.Fatalf("two coalesced jobs of the whole cap answered %v, want one 202 and one 429", got)
+	}
+	if n := s.WALStats().Appends - before; n != 1 {
+		t.Fatalf("the coalesced run journaled %d records, want the accepted job's 1", n)
+	}
+
+	before = s.WALStats().Appends
+	if rw := serve(t, h, "POST", "/v1/tenants/r/jobs:batch", batchOf("w", 1), http.StatusTooManyRequests); rw.Header().Get("Retry-After") != "0" {
+		t.Errorf("backlog 429 without Retry-After: 0: %v", rw.Header())
+	}
+	serve(t, h, "POST", "/v1/tenants/r/jobs:batch", batchOf("w", 2), http.StatusRequestEntityTooLarge)
+	if n := s.WALStats().Appends - before; n != 0 {
+		t.Errorf("refused batches journaled %d records", n)
+	}
+	if p := tn.Info().Pending; int64(p) != MaxBacklog {
+		t.Errorf("%d subtasks pending, want the one accepted job's %d", p, MaxBacklog)
+	}
+	// Deleted, the tenant's backlog is not written into the final snapshot.
+	serve(t, h, "DELETE", "/v1/tenants/r", "", http.StatusNoContent)
+}

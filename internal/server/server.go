@@ -1,6 +1,6 @@
 // Package server implements pfaird, a multi-tenant scheduling service
 // over the online executive: each tenant is an isolated PD²-DVQ
-// online.Executive (which owns the tenant's Σwt ≤ M admission ledger)
+// online.Executive (which is the tenant's Σwt ≤ M admission ledger)
 // behind a single-writer event loop fed by a bounded MPSC submit ring, and
 // a stdlib net/http JSON API creates tenants, admits tasks, submits jobs,
 // advances virtual time, and streams dispatch decisions as

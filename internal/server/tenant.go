@@ -30,9 +30,10 @@ import (
 //
 // Field ownership:
 //   - loop-owned (no lock; only the loop goroutine may touch them after
-//     start): ex — which also holds the tenant's one Σwt ≤ M ledger: M,
-//     the queued shrink target and Σwt are asked of it and kept nowhere
-//     else (readers use the snapshot) — tasks, log (its manifest included:
+//     start): ex — which is also the tenant's one Σwt ≤ M ledger and its
+//     one index of active tasks: M, the queued shrink target, Σwt and the
+//     tasks by name are asked of it and kept nowhere else (readers use
+//     the snapshot) — log (its manifest included:
 //     compaction extends it through a control command, sealHistory),
 //     maxTar, reject, digest, jobs, group, cur*, lags, worst.
 //   - immutable after construction: id, policy, ring, ctl, closed, obs
@@ -58,8 +59,7 @@ type Tenant struct {
 	obs   tenantObs
 
 	// Loop-owned state.
-	ex    *online.Executive
-	tasks map[string]*model.Task // the active tasks, by name
+	ex *online.Executive
 	// log is the dispatch history (dispatchlog.go): the wire bytes every
 	// reader is served, or, in an in-memory tenant, compact records
 	// rendered for each reader.
@@ -173,9 +173,9 @@ func newTenant(id string, m int, policyName string, o *serverObs, journaled bool
 }
 
 // newTenantCore builds the shared tenant shell. The loop is NOT started:
-// callers finish wiring loop-owned state (restoreTenant indexes the
-// active tasks, installs the log) and then call start. Both the
-// live-create and the recovery-restore path come through here, so this is
+// callers finish wiring loop-owned state (restoreTenant installs the log)
+// and then call start. Both the live-create and the recovery-restore path
+// come through here, so this is
 // where every tenant is instrumented: by the server's observability (its
 // clock, the aggregate histograms /metrics sums across tenants), or, when o is nil, by standalone sinks. A tenant may
 // live forever, so its executive keeps nothing behind its cursors: the
@@ -197,7 +197,6 @@ func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journa
 		ctl:    make(chan *command),
 		closed: make(chan struct{}),
 		ex:     ex,
-		tasks:  map[string]*model.Task{},
 		idem:   map[string]SubmitJobResponse{},
 		maxTar: rat.Zero,
 		lags:   obs.NewTally(obs.QuantaBuckets),
@@ -236,7 +235,7 @@ func (t *Tenant) publish() {
 		util:     t.ex.ActiveUtilization(),
 		m:        t.ex.M(),
 		pendingM: t.ex.PendingM(),
-		tasks:    len(t.tasks),
+		tasks:    t.ex.ActiveTasks(),
 		pending:  t.ex.Pending(),
 		log:      t.log,
 		maxTar:   t.maxTar,
@@ -447,12 +446,6 @@ func (t *Tenant) applyRegister(name string, w model.Weight) cmdResult {
 	if w.P > MaxPeriod {
 		return cmdResult{err: fmt.Errorf("server: task %q period %d exceeds %d", name, w.P, MaxPeriod)}
 	}
-	if err := w.Validate(); err != nil {
-		return cmdResult{err: err}
-	}
-	if !t.utilOverflowSafe(w) {
-		return cmdResult{err: fmt.Errorf("server: task %q weight %s: utilization sum leaves exact-arithmetic range", name, w)}
-	}
 	d, err := t.ex.PlanRegister(name, w)
 	if err != nil {
 		return cmdResult{err: err}
@@ -471,20 +464,27 @@ func (t *Tenant) applyRegister(name string, w model.Weight) cmdResult {
 	if err != nil {
 		return cmdResult{err: t.wedge(err)}
 	}
-	t.tasks[name] = task
 	t.log.name(task.ID, name)
 	t.traceStage(obs.StageApply)
 	return cmdResult{dec: d, commit: commit}
 }
 
-func (t *Tenant) applyUnregister(name string) cmdResult {
-	task, ok := t.tasks[name]
-	if !ok {
-		return cmdResult{err: fmt.Errorf("server: tenant %q has no task %q", t.id, name)}
+// task returns the active task named name, or the refusal of a command
+// that names no such task.
+func (t *Tenant) task(name string) (*model.Task, error) {
+	if task := t.ex.Task(name); task != nil {
+		return task, nil
 	}
-	// The one way Unregister can fail (t.tasks only holds active tasks).
-	if n := t.ex.Undispatched(task); n > 0 {
-		return cmdResult{err: fmt.Errorf("server: task %q has %d undispatched subtasks; drain before unregistering", name, n)}
+	return nil, fmt.Errorf("server: tenant %q has no task %q", t.id, name)
+}
+
+func (t *Tenant) applyUnregister(name string) cmdResult {
+	task, err := t.task(name)
+	if err != nil {
+		return cmdResult{err: err}
+	}
+	if err := t.ex.PlanUnregister(task); err != nil {
+		return cmdResult{err: fmt.Errorf("server: %w", err)}
 	}
 	commit, err := t.journal(name, "", wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name})
 	if err != nil {
@@ -494,7 +494,6 @@ func (t *Tenant) applyUnregister(name string) cmdResult {
 	if err := t.ex.Unregister(task); err != nil {
 		return cmdResult{err: t.wedge(err)}
 	}
-	delete(t.tasks, name)
 	t.traceStage(obs.StageApply)
 	return cmdResult{commit: commit}
 }
@@ -504,15 +503,9 @@ func (t *Tenant) applyUnregister(name string) cmdResult {
 // rejected registration; applied and queued resizes journal an OpResize
 // record so recovery replays the capacity history.
 func (t *Tenant) applyResize(m int, drain bool) cmdResult {
-	if m < 1 {
-		return cmdResult{err: fmt.Errorf("server: tenant %q resize needs m ≥ 1, got %d", t.id, m)}
-	}
-	if m > MaxM {
-		return cmdResult{err: fmt.Errorf("server: tenant %q resize wants m = %d > %d processors", t.id, m, MaxM)}
-	}
 	plan, err := t.ex.PlanResize(m, drain)
 	if err != nil {
-		return cmdResult{err: err}
+		return cmdResult{err: fmt.Errorf("server: tenant %q resize %w", t.id, err)}
 	}
 	if plan.Outcome == admission.ResizeRejected {
 		t.reject++
@@ -663,31 +656,26 @@ func (t *Tenant) idemRemember(key string, resp SubmitJobResponse) {
 	t.idemQ = append(t.idemQ, key)
 }
 
-// validateSubmit runs every check the executive would enforce on a job
-// submit and resolves an empty `at` to the tenant's current virtual time,
-// filling job with the result. A nil error guarantees applySubmits cannot
-// fail on job.
+// validateSubmit runs the executive's check of a job submit and the
+// service's bounds, and resolves an empty `at` to the tenant's current
+// virtual time, filling job with the result. A nil error guarantees
+// applySubmits cannot fail on job.
 func (t *Tenant) validateSubmit(req *SubmitJobRequest, job *submitJob) error {
-	task, ok := t.tasks[req.Task]
-	if !ok {
-		return fmt.Errorf("server: tenant %q has no task %q", t.id, req.Task)
+	task, err := t.task(req.Task)
+	if err != nil {
+		return err
 	}
 	when := t.ex.Now()
 	if req.At != "" {
-		var err error
-		when, err = rat.Parse(req.At)
-		if err != nil {
+		if when, err = rat.Parse(req.At); err != nil {
 			return err
 		}
 		if err := checkTime("arrival", when); err != nil {
 			return err
 		}
 	}
-	if when.Less(t.ex.Now()) {
-		return fmt.Errorf("server: job of %q submitted at %s, before virtual time %s", req.Task, when, t.ex.Now())
-	}
-	if req.Earliness < 0 {
-		return fmt.Errorf("server: negative earliness %d", req.Earliness)
+	if err := t.ex.CheckSubmit(task, when, req.Earliness); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	if req.Earliness > MaxEarliness {
 		return fmt.Errorf("server: earliness %d exceeds %d", req.Earliness, MaxEarliness)
@@ -696,6 +684,19 @@ func (t *Tenant) validateSubmit(req *SubmitJobRequest, job *submitJob) error {
 		return fmt.Errorf("server: idempotency key length %d exceeds %d", len(req.Key), MaxKeyLen)
 	}
 	*job = submitJob{req: *req, task: task, when: when}
+	return nil
+}
+
+// checkBacklog refuses n more subtasks on top of the pending ones and the
+// queued ones a submit group has already accepted, where they would pass
+// MaxBacklog.
+func (t *Tenant) checkBacklog(queued, n int64) error {
+	if n > MaxBacklog {
+		return fmt.Errorf("%w: %d subtasks > %d", errOverBacklog, n, MaxBacklog)
+	}
+	if pending := int64(t.ex.Pending()) + queued; pending+n > MaxBacklog {
+		return fmt.Errorf("%w: %d pending + %d > %d subtasks", errBacklogFull, pending, n, MaxBacklog)
+	}
 	return nil
 }
 
@@ -714,10 +715,15 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) cmdResult {
 	}
 	jobs := slices.Grow(t.jobs[:0], len(reqs))[:len(reqs)]
 	t.jobs = jobs[:0]
+	subtasks := int64(0)
 	for i := range reqs {
 		if err := t.validateSubmit(&reqs[i], &jobs[i]); err != nil {
 			return cmdResult{err: fmt.Errorf("job %d: %w", i, err)}
 		}
+		subtasks += jobs[i].task.W.E
+	}
+	if err := t.checkBacklog(0, subtasks); err != nil {
+		return cmdResult{err: err}
 	}
 	commit, err := t.applySubmits(jobs)
 	if err != nil {
@@ -903,8 +909,8 @@ var errTenantGone = fmt.Errorf("server: tenant deleted")
 const (
 	// MaxM caps processors per tenant; it also bounds the per-tenant
 	// freeAt allocation a single create or resize request can force. It
-	// aliases the admission-layer cap so both reject the same range.
-	MaxM = admission.MaxM
+	// aliases the executive's resize cap so both reject the same range.
+	MaxM = online.MaxM
 	// MaxPeriod caps a task period. Subtask deadlines scale with
 	// index·P/E, so bounding P keeps per-job arithmetic in range for any
 	// realistic job count.
@@ -917,6 +923,11 @@ const (
 	// large a record the journal is asked to frame (one it cannot is
 	// refused, wal.ErrRecordTooLarge, with nothing written).
 	MaxBatchJobs = 1024
+	// MaxBacklog caps a tenant's undispatched subtasks: a job adds its E,
+	// which the executive builds at submit, so without it one batch could
+	// ask for MaxBatchJobs·MaxPeriod. It is one job of the longest period,
+	// so any single job fits an idle tenant.
+	MaxBacklog = MaxPeriod
 	// MaxIdemKeys caps remembered idempotency keys per tenant (FIFO
 	// eviction); MaxKeyLen caps one key's length so keys cannot bloat
 	// journal records or snapshots.
@@ -942,15 +953,4 @@ func checkTime(what string, r rat.Rat) error {
 		return fmt.Errorf("server: %s %s is beyond the service horizon 2^28", what, r)
 	}
 	return nil
-}
-
-// utilOverflowSafe reports whether adding w to the running utilization
-// sum stays inside exact int64 arithmetic. Admitted periods are bounded,
-// but the least common denominator across many coprime periods can still
-// outgrow int64; probing here (before journaling, before mutating) turns
-// the rat package's deliberate overflow panic into a clean rejection.
-func (t *Tenant) utilOverflowSafe(w model.Weight) (ok bool) {
-	defer func() { ok = recover() == nil }()
-	t.ex.ActiveUtilization().Add(w.Rat())
-	return true
 }
