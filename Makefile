@@ -192,9 +192,12 @@ fanout-smoke:
 # stream loop every feed shares, and hop.Server's own: a follow stream whose
 # client closes ends its handler, Shutdown closes an idle connection and
 # waits for an active one, a stream whose client stops reading is severed —
+# and those that race senders on a tenant's one command ring: a full ring's
+# 429, a stop behind a backlog (Close, and a delete journaled after the
+# submits queued ahead of it), a delete ending its streams —
 # twenty times under -race: a tier-1 suite is deterministic only if these are.
 flake:
-	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync'
+	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync|TestCloseDrainsBacklogThenRefuses|TestRingFullBackpressure|TestDeleteTenantEndsStreams|TestDeleteJournalsAfterQueuedSubmits'
 	$(GO) test -race -count=20 ./internal/client/ -run 'TestStreamTraceEndToEnd'
 	$(GO) test -race -count=20 ./internal/hop/ -run 'TestServerStreamClientGoneEndsHandler|TestServerShutdownClosesIdleWaitsForActive|TestServerStallSeversStream'
 

@@ -88,7 +88,7 @@ func boundary(t *testing.T, m int, q int64) {
 		t.Errorf("ledger unregister down to Σwt = M: err %v, m = %d, pending = %d; the queued shrink must apply", err, c.M(), c.PendingM())
 	}
 
-	// The executive's own front ends: Register, Resize, Restore.
+	// The executive's own front ends: Register, ResizeDrain, Restore.
 	ex := online.New(m, nil)
 	for i, w := range atM {
 		if _, err := ex.Register(name(i), w); err != nil {
@@ -98,11 +98,11 @@ func boundary(t *testing.T, m int, q int64) {
 	if _, err := ex.Register("over", over); err == nil {
 		t.Error("Executive.Register accepts Σwt = M + 1/q")
 	}
-	if err := ex.Resize(m + 1); err != nil {
-		t.Fatal(err)
+	if d, err := ex.ResizeDrain(m+1, false); err != nil || d.Outcome != admission.ResizeApplied {
+		t.Fatal(err, d)
 	}
-	if err := ex.Resize(m); err != nil {
-		t.Errorf("Executive.Resize to M at Σwt = M: %v", err)
+	if d, err := ex.ResizeDrain(m, false); err != nil || d.Outcome != admission.ResizeApplied {
+		t.Errorf("Executive.ResizeDrain to M at Σwt = M: %v %+v", err, d)
 	}
 	cp := ex.Checkpoint()
 	if _, err := online.Restore(cp); err != nil {

@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 
+	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
@@ -20,8 +21,11 @@ import (
 // one restored along the way. Rationals travel as exact strings.
 // Checkpoints written while the executive kept an event queue carry an
 // "events" key; decoding drops it, and NextEvent derives what it held.
+// PendingM is the queued drain-mode shrink target (PendingM()), absent
+// when none.
 type Checkpoint struct {
 	M        int              `json:"m"`
+	PendingM int              `json:"pendingM,omitempty"`
 	Policy   string           `json:"policy"`
 	Now      string           `json:"now"`
 	FreeAt   []string         `json:"freeAt"`
@@ -62,6 +66,7 @@ type SubtaskCheckpoint struct {
 func (e *Executive) Checkpoint() Checkpoint {
 	cp := Checkpoint{
 		M:        e.M(),
+		PendingM: e.shrink,
 		Policy:   e.policy.Name(),
 		Now:      e.now.String(),
 		Decision: e.decision,
@@ -155,6 +160,14 @@ func Restore(cp Checkpoint) (*Executive, error) {
 	e.pending = pending
 	if err := e.sys.Validate(); err != nil {
 		return nil, fmt.Errorf("online: checkpoint system invalid: %v", err)
+	}
+	if cp.PendingM != 0 {
+		// Only a target the ledger would queue can have been pending: one
+		// below M that Σwt still exceeds.
+		if d, err := e.PlanResize(cp.PendingM, true); err != nil || d.Outcome != admission.ResizeQueued {
+			return nil, fmt.Errorf("online: checkpoint pendingM=%d is not a queued shrink of m=%d, Σwt = %s", cp.PendingM, cp.M, e.util)
+		}
+		e.shrink = cp.PendingM
 	}
 	return e, nil
 }

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"testing"
 
+	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
@@ -46,8 +47,8 @@ func driveScript(t *testing.T, e *Executive, tasks []*model.Task, rng *rand.Rand
 				t.Fatalf("step %d drain: %v", i, err)
 			}
 		case 4:
-			if err := e.Resize(2 + rng.Intn(3)); err != nil {
-				t.Fatalf("step %d resize: %v", i, err)
+			if d, err := e.ResizeDrain(2+rng.Intn(3), false); err != nil || d.Outcome != admission.ResizeApplied {
+				t.Fatalf("step %d resize: %v %+v", i, err, d)
 			}
 		}
 	}
@@ -274,6 +275,64 @@ func TestForgetHistoryChangesNoDecision(t *testing.T) {
 				ds.BusyTime() != ks.BusyTime() || ds.MissCount() != ks.MissCount() {
 				t.Fatalf("%s seed %d: aggregates differ", pol.Name(), seed)
 			}
+		}
+	}
+}
+
+// TestCheckpointCarriesQueuedShrink: a queued drain-mode shrink survives
+// Checkpoint and Restore. M = 3 with three tasks of weight 1 queues a
+// shrink to 1; after one unregister (Σwt = 2, still above the target) the
+// original refuses a 1/2 task against the target, and so must the
+// restored executive.
+func TestCheckpointCarriesQueuedShrink(t *testing.T) {
+	e := New(3, nil)
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := e.Register(name, model.W(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, err := e.ResizeDrain(1, true); err != nil || d.Outcome != admission.ResizeQueued {
+		t.Fatalf("drain to 1: %v %+v", err, d)
+	}
+	r, err := Restore(e.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range []*Executive{e, r} {
+		if ex.PendingM() != 1 {
+			t.Fatalf("PendingM() = %d, want 1", ex.PendingM())
+		}
+		if err := ex.Unregister(ex.Task("a")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.Register("half", model.W(1, 2)); err == nil {
+			t.Fatal("a 1/2 task was admitted at Σwt = 2 against a queued target of 1")
+		}
+		if ex.M() != 3 || ex.PendingM() != 1 {
+			t.Fatalf("m = %d, pendingM = %d; want 3 and 1", ex.M(), ex.PendingM())
+		}
+	}
+}
+
+// TestRestoreValidatesPendingM: a checkpoint's pendingM is untrusted input.
+// Only a target the ledger would queue — 0 < pendingM < m with Σwt above
+// it — restores; with m = 3 and Σwt = 2 that is 1 alone.
+func TestRestoreValidatesPendingM(t *testing.T) {
+	e := New(3, nil)
+	for _, name := range []string{"a", "b"} {
+		if _, err := e.Register(name, model.W(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := e.Checkpoint()
+	for pending, ok := range map[int]bool{0: true, 1: true, 2: false, 3: false, 4: false, -1: false, MaxM + 1: false} {
+		cp.PendingM = pending
+		r, err := Restore(cp)
+		if (err == nil) != ok {
+			t.Errorf("pendingM = %d: err = %v, want restorable = %v", pending, err, ok)
+		}
+		if err == nil && (r.PendingM() != pending || r.M() != 3) {
+			t.Errorf("pendingM = %d restored as m = %d, pendingM = %d", pending, r.M(), r.PendingM())
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"desyncpfair/internal/admission"
 	"desyncpfair/internal/core"
 	"desyncpfair/internal/gen"
 	"desyncpfair/internal/model"
@@ -224,8 +225,10 @@ func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy, y sched.Yi
 		}
 		resize := slot == 9 || slot == 26
 		if resize {
-			must(ex.Resize(m + 2))
-			if err := ex.Resize(m - 1); m > 1 && err == nil {
+			if d, err := ex.ResizeDrain(m+2, false); err != nil || d.Outcome != admission.ResizeApplied {
+				t.Fatal(err, d)
+			}
+			if d, err := ex.ResizeDrain(m-1, false); m > 1 && err == nil && d.Outcome != admission.ResizeRejected {
 				t.Fatalf("slot %d: shrink below the full utilization %s accepted", slot, ex.ActiveUtilization())
 			}
 		}
@@ -263,7 +266,9 @@ func matchReference(t *testing.T, n, m int, q int64, pol prio.Policy, y sched.Yi
 			if renumbered < 0 {
 				renumbered = len(decisions)
 			}
-			must(ex.Resize(m))
+			if d, err := ex.ResizeDrain(m, false); err != nil || d.Outcome != admission.ResizeApplied {
+				t.Fatal(err, d)
+			}
 		}
 		if slot%5 == 2 { // stop mid-slot and release a job at exactly now (it arrives at ⌈now⌉)
 			must(ex.Run(rat.New(2*slot+1, 2), y, nil))

@@ -59,16 +59,6 @@ func (e *Executive) PlanResize(m int, drain bool) (admission.ResizeDecision, err
 	}, nil
 }
 
-// Resize changes the processor count to m, failing when ResizeDrain
-// without drain would reject it.
-func (e *Executive) Resize(m int) error {
-	d, err := e.ResizeDrain(m, false)
-	if err == nil && d.Outcome == admission.ResizeRejected {
-		err = fmt.Errorf("online: %s", d.Reason)
-	}
-	return err
-}
-
 // ResizeDrain changes the processor count to m. Capacity changes are safe
 // at quantum boundaries because PD²-DVQ recomputes allocations there anyway
 // (Cho & Easwaran's flow-network argument), so:

@@ -4,20 +4,21 @@ import (
 	"fmt"
 	"testing"
 
+	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
 )
 
 func TestResizeValidation(t *testing.T) {
 	e := New(2, nil)
-	if err := e.Resize(0); err == nil {
+	if _, err := e.ResizeDrain(0, false); err == nil {
 		t.Fatal("Resize(0) accepted")
 	}
-	if err := e.Resize(-3); err == nil {
+	if _, err := e.ResizeDrain(-3, false); err == nil {
 		t.Fatal("Resize(-3) accepted")
 	}
-	if err := e.Resize(2); err != nil {
-		t.Fatalf("no-op resize failed: %v", err)
+	if d, err := e.ResizeDrain(2, false); err != nil || d.Outcome != admission.ResizeApplied {
+		t.Fatalf("no-op resize failed: %v %+v", err, d)
 	}
 	if e.M() != 2 {
 		t.Fatalf("M() = %d, want 2", e.M())
@@ -33,14 +34,14 @@ func TestResizeShrinkBelowUtilizationRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Σwt = 3/2 > 1: the shrink must be rejected and the state untouched.
-	if err := e.Resize(1); err == nil {
+	if d, err := e.ResizeDrain(1, false); err == nil && d.Outcome != admission.ResizeRejected {
 		t.Fatal("shrink below Σwt accepted")
 	}
 	if e.M() != 2 || len(e.freeAt) != 2 {
 		t.Fatalf("rejected shrink mutated state: m=%d freeAt=%d", e.M(), len(e.freeAt))
 	}
-	if err := e.Resize(2); err != nil {
-		t.Fatal(err)
+	if d, err := e.ResizeDrain(2, false); err != nil || d.Outcome != admission.ResizeApplied {
+		t.Fatal(err, d)
 	}
 }
 
@@ -70,8 +71,8 @@ func TestResizeGrowAddsCapacityAtBoundary(t *testing.T) {
 	if err := e.Run(rat.New(1, 2), nil, nil); err != nil { // mid-slot: boundary is 1
 		t.Fatal(err)
 	}
-	if err := e.Resize(2); err != nil {
-		t.Fatal(err)
+	if d, err := e.ResizeDrain(2, false); err != nil || d.Outcome != admission.ResizeApplied {
+		t.Fatal(err, d)
 	}
 	if e.M() != 2 || len(e.freeAt) != 2 {
 		t.Fatalf("after grow: m=%d freeAt=%d", e.M(), len(e.freeAt))
@@ -121,8 +122,8 @@ func TestResizeShrinkKeepsInFlightWork(t *testing.T) {
 	for _, f := range e.freeAt {
 		busy = rat.Max(busy, f)
 	}
-	if err := e.Resize(1); err != nil {
-		t.Fatalf("feasible shrink rejected: %v", err)
+	if d, err := e.ResizeDrain(1, false); err != nil || d.Outcome != admission.ResizeApplied {
+		t.Fatalf("feasible shrink rejected: %v %+v", err, d)
 	}
 	if e.M() != 1 || len(e.freeAt) != 1 {
 		t.Fatalf("after shrink: m=%d freeAt=%d", e.M(), len(e.freeAt))
@@ -156,8 +157,8 @@ func TestResizeCheckpointRoundTrip(t *testing.T) {
 	if err := e.Run(rat.New(1, 2), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Resize(3); err != nil {
-		t.Fatal(err)
+	if d, err := e.ResizeDrain(3, false); err != nil || d.Outcome != admission.ResizeApplied {
+		t.Fatal(err, d)
 	}
 	cp := e.Checkpoint()
 	if cp.M != 3 || len(cp.FreeAt) != 3 {
@@ -202,18 +203,19 @@ func FuzzResize(f *testing.F) {
 			case 3: // resize
 				target := 1 + int(b>>3)%6
 				before := e.M()
-				err := e.Resize(target)
+				d, err := e.ResizeDrain(target, false)
+				rejected := err != nil || d.Outcome == admission.ResizeRejected
 				infeasible := rat.FromInt(int64(target)).Less(e.ActiveUtilization())
-				if infeasible && err == nil {
+				if infeasible && !rejected {
 					t.Fatalf("shrink to %d below Σwt=%s silently applied", target, e.ActiveUtilization())
 				}
-				if !infeasible && err != nil {
-					t.Fatalf("feasible resize %d→%d rejected: %v", before, target, err)
+				if !infeasible && rejected {
+					t.Fatalf("feasible resize %d→%d rejected: %v %s", before, target, err, d.Reason)
 				}
-				if err != nil && e.M() != before {
+				if rejected && e.M() != before {
 					t.Fatalf("rejected resize mutated m: %d → %d", before, e.M())
 				}
-				if err == nil && e.M() != target {
+				if !rejected && e.M() != target {
 					t.Fatalf("accepted resize left m=%d, want %d", e.M(), target)
 				}
 				if len(e.freeAt) != e.M() {

@@ -100,8 +100,9 @@ type tenantCheckpoint struct {
 	ID     string `json:"id"`
 	Reject int64  `json:"rejections"`
 	MaxTar string `json:"maxTardiness"`
-	// PendingM is a queued drain-mode shrink target still waiting for
-	// utilization to fall (0 when none). The current M travels in Exec.
+	// PendingM is the queued drain-mode shrink target of a snapshot written
+	// before Exec carried it; restoreTenant reads it, checkpoint writes
+	// none.
 	PendingM int `json:"pendingM,omitempty"`
 	// History is the manifest of the sealed prefix of the dispatch log
 	// (history.go), Log the events after it, a JSON array of the log's own
@@ -147,12 +148,11 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 	var cp tenantCheckpoint
 	res := t.ctlExec(&command{kind: cmdCtl, fn: func() {
 		cp = tenantCheckpoint{
-			ID:       t.id,
-			Reject:   t.reject,
-			MaxTar:   t.maxTar.String(),
-			PendingM: t.ex.PendingM(),
-			History:  t.log.hist,
-			Exec:     t.ex.Checkpoint(),
+			ID:      t.id,
+			Reject:  t.reject,
+			MaxTar:  t.maxTar.String(),
+			History: t.log.hist,
+			Exec:    t.ex.Checkpoint(),
 		}
 		if t.log.len()-t.log.floor() >= int64(histSegmentMin) {
 			t.log.cut()
@@ -185,14 +185,16 @@ func (t *Tenant) sealHistory(hist []histSegment) {
 // restoreTenant rebuilds a tenant from its checkpoint: the events of Log
 // become the resident dispatch log after the sealed prefix History names
 // (whose files the caller has verified; they stay on disk).
-// online.Restore has validated Σwt ≤ M; a queued shrink target is
-// reinstated by asking for the drain again, which must queue — a target
-// the ledger would apply or reject cannot have been pending. The
-// loop-owned fields are finished before start(), while no loop can be
-// running.
+// online.Restore validates Σwt ≤ M and reinstates a queued shrink target
+// (one a snapshot written before Exec carried it has as PendingM) only if
+// the ledger would queue it. The loop-owned fields are finished before
+// start(), while no loop can be running.
 func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 	if cp.ID == "" {
 		return nil, fmt.Errorf("server: tenant checkpoint without id")
+	}
+	if cp.Exec.PendingM == 0 {
+		cp.Exec.PendingM = cp.PendingM
 	}
 	ex, err := online.Restore(cp.Exec)
 	if err != nil {
@@ -206,12 +208,6 @@ func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 	if len(cp.Log) > 0 {
 		if err := json.Unmarshal(cp.Log, &tail); err != nil {
 			return nil, fmt.Errorf("server: tenant %q dispatch log: %v", cp.ID, err)
-		}
-	}
-	if cp.PendingM != 0 {
-		if d, err := ex.ResizeDrain(cp.PendingM, true); err != nil || d.Outcome != admission.ResizeQueued {
-			return nil, fmt.Errorf("server: tenant %q: pending resize target %d is not a queued shrink of m = %d, Σwt = %s",
-				cp.ID, cp.PendingM, cp.Exec.M, ex.ActiveUtilization())
 		}
 	}
 	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, o, true)
@@ -356,7 +352,10 @@ func (s *Server) applyRecord(r wal.Record) (ok bool) {
 		}
 		ok = err == nil
 	case wal.OpTenantDelete:
-		ok = s.dropTenant(r.Tenant)
+		if t := s.tenant(r.Tenant); t != nil {
+			found, _, err := s.removeTenant(t)
+			ok = found && err == nil
+		}
 	case wal.OpDispatch:
 		if t := s.tenant(r.Tenant); t != nil {
 			ok = s.verifyDispatch(t, r)

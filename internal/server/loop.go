@@ -45,12 +45,12 @@ const (
 	cmdAdvance
 	cmdDrain
 	cmdResize
-	// cmdCtl runs an arbitrary closure on the loop goroutine with the
-	// loop-owned state quiesced (checkpointing, the pre-delete flush).
-	// Control commands arrive on their own unbuffered channel, never the
-	// ring, so they cannot be starved by ring capacity.
+	// cmdCtl runs an arbitrary closure on the loop goroutine, between the
+	// commands queued ahead of it and those behind (checkpointing, sealing
+	// history).
 	cmdCtl
-	// cmdStop terminates the loop. Sent exactly once, by finishClose.
+	// cmdStop ends the loop once its stopFn, if any, has succeeded: Close,
+	// or a delete whose stopFn journals it.
 	cmdStop
 )
 
@@ -69,6 +69,7 @@ type command struct {
 	resizeM   int                // cmdResize: target processor count
 	drain     bool               // cmdResize: queue an infeasible shrink
 	fn        func()             // cmdCtl
+	stopFn    func() error       // cmdStop: an error keeps the loop running
 
 	done chan cmdResult
 }
@@ -91,75 +92,72 @@ type journalHooks struct {
 	fail   func(error)
 }
 
-// exec enqueues c on the submit ring and waits for the loop to complete
-// it. The enqueue is non-blocking: a full ring is reported as ErrRingFull
-// (HTTP 429) instead of stalling the handler, which both bounds the
-// tenant's queueing and — together with the closing gate — guarantees no
-// sender is ever left stranded on a ring nobody drains.
-func (t *Tenant) exec(c *command) cmdResult {
+// exec runs a request on the loop. A request never waits for room: a
+// full ring answers ErrRingFull (HTTP 429) at once.
+func (t *Tenant) exec(c *command) cmdResult { return t.send(c, false) }
+
+// ctlExec runs a control command on the loop, waiting for room.
+func (t *Tenant) ctlExec(c *command) cmdResult { return t.send(c, true) }
+
+// send queues c on the tenant's one ring — waiting for room, or with wait
+// false answering ErrRingFull — and waits for the loop to complete it. A
+// stopped loop completes nothing more, so a sender also waits on closed;
+// the loop completes every command it applied before it closes that, so
+// done is asked once more then and a command that applied is never
+// reported gone.
+func (t *Tenant) send(c *command, wait bool) cmdResult {
 	c.done = make(chan cmdResult, 1)
-	t.ringMu.RLock()
-	if t.closing.Load() {
-		t.ringMu.RUnlock()
-		return cmdResult{err: errTenantGone}
-	}
 	select {
 	case t.ring <- c:
-		t.ringMu.RUnlock()
-	default:
-		t.ringMu.RUnlock()
-		return cmdResult{err: ErrRingFull}
-	}
-	return <-c.done
-}
-
-// ctlExec runs c on the loop via the control channel (checkpoints and the
-// close protocol; not subject to ring capacity). If the loop has already
-// stopped, it reports errTenantGone instead of blocking forever.
-func (t *Tenant) ctlExec(c *command) cmdResult {
-	c.done = make(chan cmdResult, 1)
-	select {
-	case t.ctl <- c:
-		return <-c.done
 	case <-t.closed:
 		return cmdResult{err: errTenantGone}
+	default:
+		if !wait {
+			return cmdResult{err: ErrRingFull}
+		}
+		select {
+		case t.ring <- c:
+		case <-t.closed:
+			return cmdResult{err: errTenantGone}
+		}
+	}
+	select {
+	case res := <-c.done:
+		return res
+	case <-t.closed:
+		select {
+		case res := <-c.done:
+			return res
+		default:
+			return cmdResult{err: errTenantGone}
+		}
 	}
 }
 
 // runLoop is the tenant's single-writer event loop: the only goroutine
 // that touches the executive (the admission ledger and the task index
-// with it) and the dispatch log after start(). It drains the ring in
-// opportunistic batches (coalescing consecutive submits into one journal
-// record), applies each command, and publishes an immutable snapshot
-// that every read path — /metrics, Info, stream replay, recovery
-// verification — loads without synchronizing with this goroutine. The ring
-// is biased over the control channel so a control barrier observes a fully
-// drained backlog.
+// with it) and the dispatch log after start(). Every command — request,
+// control command or stop — comes through the one ring and applies in the
+// order it was queued, so FIFO is what keeps journal order equal to apply
+// order. The loop drains the ring in opportunistic batches (coalescing
+// consecutive submits into one journal record), applies each command, and
+// publishes an immutable snapshot that every read path — /metrics, Info,
+// stream replay, recovery verification — loads without synchronizing with
+// this goroutine. A stop that applies ends it: what is queued behind the
+// stop never applies, and its senders answer errTenantGone.
 func (t *Tenant) runLoop() {
 	batch := make([]*command, 0, 64)
 	for {
-		batch = batch[:0]
-		var first *command
-		select {
-		case first = <-t.ring:
-		default:
+		batch = append(batch[:0], <-t.ring)
+	fill:
+		for len(batch) < cap(batch) {
 			select {
-			case first = <-t.ring:
-			case first = <-t.ctl:
+			case c := <-t.ring:
+				batch = append(batch, c)
+			default:
+				break fill
 			}
 		}
-		batch = append(batch, first)
-		if first.kind != cmdCtl && first.kind != cmdStop {
-			for len(batch) < cap(batch) {
-				select {
-				case c := <-t.ring:
-					batch = append(batch, c)
-				default:
-					goto drained
-				}
-			}
-		}
-	drained:
 		for i := 0; i < len(batch); i++ {
 			c := batch[i]
 			if c.kind == cmdSubmit {
@@ -201,18 +199,15 @@ func (t *Tenant) process(c *command) (stop bool) {
 		c.fn()
 		c.done <- cmdResult{}
 	case cmdStop:
-		close(t.closed)
-		// Commands that slipped into the ring before the closing gate and
-		// were not flushed fail cleanly rather than hang their senders.
-		for {
-			select {
-			case q := <-t.ring:
-				q.done <- cmdResult{err: errTenantGone}
-			default:
-				c.done <- cmdResult{}
-				return true
+		if c.stopFn != nil {
+			if err := c.stopFn(); err != nil {
+				c.done <- cmdResult{err: err}
+				return false
 			}
 		}
+		c.done <- cmdResult{}
+		close(t.closed)
+		return true
 	}
 	return false
 }
@@ -316,66 +311,12 @@ func (t *Tenant) processSubmitRun(run []*command) {
 	}
 }
 
-// --- close protocol ---
-//
-// Deleting a tenant must journal its OpTenantDelete *after* every command
-// already accepted into the ring (journal order is replay order), and no
-// command may be accepted afterwards. The sequence:
-//
-//  1. beginClose wins the closing CAS and passes a ringMu write barrier:
-//     after it returns, every in-flight exec has either enqueued or seen
-//     closing and bailed — the ring can only shrink.
-//  2. flushBacklog runs a control command that drains the ring to empty
-//     through the normal paths, so everything accepted is journaled and
-//     applied.
-//  3. The caller journals the delete record (under its own locks).
-//  4. finishClose sends cmdStop; the loop closes t.closed (ending streams
-//     and unblocking control senders) and exits.
-//
-// abortClose reopens the gate if step 3 fails — the tenant then remains,
-// fully consistent, as if the delete never happened.
-
-func (t *Tenant) beginClose() bool {
-	if !t.closing.CompareAndSwap(false, true) {
-		return false
-	}
-	t.ringMu.Lock()
-	//lint:ignore SA2001 write-lock barrier: flushes readers mid-enqueue.
-	t.ringMu.Unlock()
-	return true
-}
-
-func (t *Tenant) flushBacklog() {
-	t.ctlExec(&command{kind: cmdCtl, fn: func() {
-		for {
-			select {
-			case c := <-t.ring:
-				t.process(c)
-			default:
-				return
-			}
-		}
-	}})
-}
-
-func (t *Tenant) abortClose() {
-	t.closing.Store(false)
-}
-
-func (t *Tenant) finishClose() {
-	t.ctlExec(&command{kind: cmdStop})
-}
-
-// Close marks the tenant deleted: its backlog is flushed, pending streams
-// end, the loop stops, and subsequent commands fail errTenantGone.
-// Idempotent; concurrent callers wait for the first to finish.
+// Close stops the tenant once every command queued ahead of the stop has
+// applied: pending streams end and later commands answer errTenantGone.
+// Idempotent; every caller returns once the loop has stopped.
 func (t *Tenant) Close() {
-	if !t.beginClose() {
-		<-t.closed
-		return
-	}
-	t.flushBacklog()
-	t.finishClose()
+	t.ctlExec(&command{kind: cmdStop})
+	<-t.closed
 }
 
 // Closed returns a channel closed when the tenant is deleted.

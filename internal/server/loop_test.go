@@ -1,16 +1,22 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"desyncpfair/internal/faultfs"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/online"
+	"desyncpfair/internal/wal"
 )
 
 // TestRingFullBackpressure pins the bounded-ring contract: when the loop
@@ -97,9 +103,9 @@ func TestServerCloseStopsInMemoryTenants(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsBacklogThenRefuses pins the close protocol: commands
-// accepted before the close gate are applied (not lost, not failed), and
-// commands after it fail errTenantGone.
+// TestCloseDrainsBacklogThenRefuses pins Close's place in the ring's FIFO
+// order: commands queued before the stop are applied (not lost, not
+// failed), and commands after it fail errTenantGone.
 func TestCloseDrainsBacklogThenRefuses(t *testing.T) {
 	tn, err := NewTenant("closing", 1, "")
 	if err != nil {
@@ -307,5 +313,160 @@ func TestSubscribeWakeSeesGrowth(t *testing.T) {
 		if got := tn.Info().Dispatches; got <= before {
 			t.Fatalf("round %d: woken with %d dispatches, want > %d", i, got, before)
 		}
+	}
+}
+
+// TestDeleteJournalsAfterQueuedSubmits: a delete issued while submits are
+// queued on the tenant journals its OpTenantDelete after every one of them.
+// With the loop parked, N single submits queue through the handler, then
+// the delete; released, every submit answers 202, the journal holds all N
+// jobs before the delete and none after it, and a copy of the data dir as
+// it stands reopens to no tenant with no replay error.
+func TestDeleteJournalsAfterQueuedSubmits(t *testing.T) {
+	const n = 16
+	dir := t.TempDir()
+	s, err := Open(Options{DataDir: dir, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	unitTenant(t, h)
+	tn := s.tenant("r")
+
+	entered, gate := make(chan struct{}), make(chan struct{})
+	go tn.ctlExec(&command{kind: cmdCtl, fn: func() {
+		close(entered)
+		<-gate
+	}})
+	<-entered
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			rw := httptest.NewRecorder()
+			h.ServeHTTP(rw, httptest.NewRequest("POST", "/v1/tenants/r/jobs", strings.NewReader(`{"task":"w"}`)))
+			codes <- rw.Code
+		}()
+	}
+	for len(tn.ring) < n {
+		runtime.Gosched()
+	}
+	deleted := make(chan int, 1)
+	go func() {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest("DELETE", "/v1/tenants/r", nil))
+		deleted <- rw.Code
+	}()
+	// The delete queues behind the submits; give it a moment to get there.
+	// The order asserted below holds wherever it is when the loop resumes.
+	for end := time.Now().Add(100 * time.Millisecond); len(tn.ring) == n && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusAccepted {
+			t.Fatalf("queued submit answered %d, want 202", code)
+		}
+	}
+	if code := <-deleted; code != http.StatusNoContent {
+		t.Fatalf("delete answered %d, want 204", code)
+	}
+
+	rd := s.wal.NewReader(1)
+	defer rd.Close()
+	jobs, del := 0, false
+	for {
+		frames, err := rd.NextRaw(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frames) == 0 {
+			break
+		}
+		for _, f := range frames {
+			var r wal.Record
+			if err := json.Unmarshal(f.Payload, &r); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case r.Op == wal.OpTenantDelete:
+				del = true
+			case r.Op == wal.OpJobSubmit && del:
+				t.Fatalf("job-submit record at LSN %d follows the delete", f.LSN)
+			case r.Op == wal.OpJobSubmit:
+				jobs += r.Weight()
+			}
+		}
+	}
+	if !del || jobs != n {
+		t.Fatalf("journal: delete %v, %d jobs before it, want true and %d", del, jobs, n)
+	}
+
+	crashed := t.TempDir()
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, filepath.Base(name)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := Open(Options{DataDir: crashed, SnapshotEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec := re.Recovery(); rec.Tenants != 0 || rec.ReplayErrors != 0 || rec.CommandsReplayed < n+1 {
+		t.Fatalf("reopen: %+v, want 0 tenants, 0 replay errors, ≥ %d commands replayed", *rec, n+1)
+	}
+}
+
+// TestFailedDeleteKeepsTenantServing: a delete whose journal append fails
+// answers 503 and leaves the tenant as it was — still listed, its info
+// unchanged, and its loop still answering commands (here the wedged
+// journal's 503, not the deleted tenant's refusal).
+func TestFailedDeleteKeepsTenantServing(t *testing.T) {
+	script := func(h http.Handler) {
+		unitTenant(t, h)
+		serve(t, h, "POST", "/v1/tenants/r/jobs", `{"task":"w"}`, http.StatusAccepted)
+	}
+	opts := func(ffs *faultfs.FS) Options {
+		return Options{DataDir: t.TempDir(), FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30, FS: ffs}
+	}
+	// Dry run: count the filesystem operations up to the delete, then crash
+	// the filesystem at the next one, the delete's append.
+	dry := faultfs.New(faultfs.Options{})
+	s, err := Open(opts(dry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script(s.Handler())
+	ops := dry.Ops()
+	s.Close()
+
+	s, err = Open(opts(faultfs.New(faultfs.Options{CrashAtOp: ops + 1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }() // the crashed filesystem fails the final snapshot
+	h := s.Handler()
+	script(h)
+	before := serve(t, h, "GET", "/v1/tenants/r", "", http.StatusOK).Body.String()
+
+	serve(t, h, "DELETE", "/v1/tenants/r", "", http.StatusServiceUnavailable)
+	if got := serve(t, h, "GET", "/v1/tenants", "", http.StatusOK).Body.String(); !strings.Contains(got, `"id":"r"`) {
+		t.Fatalf("tenant list after a failed delete: %s", got)
+	}
+	if got := serve(t, h, "GET", "/v1/tenants/r", "", http.StatusOK).Body.String(); got != before {
+		t.Fatalf("info after a failed delete: %s, want %s", got, before)
+	}
+	serve(t, h, "POST", "/v1/tenants/r/jobs", `{"task":"w"}`, http.StatusServiceUnavailable)
+	if _, _, err := s.tenant("r").SubmitJobReq(SubmitJobRequest{Task: "w"}); !errors.Is(err, wal.ErrWedged) || errors.Is(err, errTenantGone) {
+		t.Fatalf("submit after a failed delete: err = %v, want the wedged journal's", err)
 	}
 }

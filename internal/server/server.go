@@ -37,6 +37,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -242,47 +243,28 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 	return commit, nil
 }
 
-// removeTenant deletes a tenant through the close protocol: win the
-// tenant's close gate (so no further commands are accepted), flush its
-// ring backlog (so every accepted command precedes the delete in the
-// journal), journal the delete under the registry lock, unlink, and stop the
-// loop. It reports whether this call deleted it; the error is a journal
-// failure — the close gate then reopens and the tenant remains, fully
-// consistent, as if the delete never happened.
+// removeTenant deletes t with one stop command, so its journal step runs
+// on the loop after every command queued ahead of it: OpTenantDelete under
+// the registry lock (journalRecord appends nothing off the leader, so
+// replay and a follower delete through here too), then the unlink. It
+// reports whether this call deleted t; the error is a journal failure,
+// after which the tenant keeps serving as if never asked.
 func (s *Server) removeTenant(t *Tenant) (bool, wal.Commit, error) {
-	id := t.ID()
-	if !t.beginClose() {
-		// A concurrent delete of the same id won the gate; wait for it and
-		// report not-found, exactly as if we had arrived after it.
-		<-t.closed
+	var commit wal.Commit
+	res := t.ctlExec(&command{kind: cmdStop, stopFn: func() (err error) {
+		s.regMu.Lock()
+		defer s.regMu.Unlock()
+		if commit, err = s.journalRecord(wal.Record{Op: wal.OpTenantDelete, Tenant: t.id}); err == nil {
+			delete(s.tenants, t.id)
+		}
+		return err
+	}})
+	if errors.Is(res.err, errTenantGone) {
+		// A concurrent delete won; report not-found, exactly as if we had
+		// arrived after it.
 		return false, wal.Commit{}, nil
 	}
-	t.flushBacklog()
-	s.regMu.Lock()
-	commit, err := s.journalRecord(wal.Record{Op: wal.OpTenantDelete, Tenant: id})
-	if err != nil {
-		s.regMu.Unlock()
-		t.abortClose()
-		return true, wal.Commit{}, err
-	}
-	delete(s.tenants, id)
-	s.regMu.Unlock()
-	t.finishClose()
-	return true, commit, nil
-}
-
-// dropTenant removes and closes a tenant without journaling — the replay
-// path, where the delete record is the input, not the output.
-func (s *Server) dropTenant(id string) bool {
-	s.regMu.Lock()
-	t := s.tenants[id]
-	delete(s.tenants, id)
-	s.regMu.Unlock()
-	if t == nil {
-		return false
-	}
-	t.Close()
-	return true
+	return true, commit, res.err
 }
 
 // failJournal wedges the journal after a command it holds failed to apply.

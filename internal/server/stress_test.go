@@ -24,10 +24,10 @@ import (
 // registers/unregisters a task, and a third tenant is deleted and
 // recreated mid-traffic — all over a durable server with a snapshot
 // interval small enough that compaction (which checkpoints every tenant
-// through its control channel) interleaves with the load. Under -race
-// this is the proof that snapshot publication, the frozen route map, and
-// the close protocol synchronize correctly; the final close/reopen proves
-// the interleaving journals a replayable history.
+// through a control command on its ring) interleaves with the load. Under
+// -race this is the proof that snapshot publication, the frozen route map,
+// and the delete's stop command synchronize correctly; the final
+// close/reopen proves the interleaving journals a replayable history.
 func TestConcurrentSubmittersAndScrapers(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := server.Open(server.Options{

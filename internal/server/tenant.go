@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,9 +19,10 @@ import (
 
 // Tenant wraps one online.Executive behind a single-writer event loop.
 // online.Executive is single-goroutine by contract; instead of a mutex,
-// each tenant runs one loop goroutine (runLoop, loop.go) fed by a bounded
-// MPSC submit ring. HTTP handlers validate the wire input, enqueue a
-// command, and wait on its completion; the loop journals, applies, and
+// each tenant runs one loop goroutine (runLoop, loop.go) fed by one
+// bounded MPSC ring, which every command — request, control command, stop
+// — goes through in order. HTTP handlers validate the wire input, enqueue
+// a command, and wait on its completion; the loop journals, applies, and
 // publishes an immutable tenantSnap through an atomic pointer. Every read
 // path — Info, /metrics, stream replay, recovery verification — loads the
 // snapshot and never synchronizes with the writer, so scrapes and
@@ -36,20 +36,16 @@ import (
 //     the snapshot) — log (its manifest included:
 //     compaction extends it through a control command, sealHistory),
 //     maxTar, reject, digest, jobs, group, cur*, lags, worst.
-//   - immutable after construction: id, policy, ring, ctl, closed, obs
-//     (tracer + histograms).
+//   - immutable after construction: id, policy, ring, closed (closed by
+//     the loop when a stop applies), obs (tracer + histograms).
 //   - atomics: snap (published state), grown (the next-growth channel),
-//     hooks (journal callbacks), closing (delete gate).
-//   - locks: ringMu is the enqueue/close barrier (see loop.go).
+//     hooks (journal callbacks).
 type Tenant struct {
 	id     string
 	policy string
 
-	ring    chan *command
-	ctl     chan *command
-	ringMu  sync.RWMutex
-	closing atomic.Bool
-	closed  chan struct{}
+	ring   chan *command
+	closed chan struct{}
 
 	snap atomic.Pointer[tenantSnap]
 	// grown is what Subscribe hands out: nil until somebody asks, swapped
@@ -194,7 +190,6 @@ func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journa
 		id:     id,
 		policy: policy,
 		ring:   make(chan *command, defaultSubmitRing),
-		ctl:    make(chan *command),
 		closed: make(chan struct{}),
 		ex:     ex,
 		idem:   map[string]SubmitJobResponse{},

@@ -33,12 +33,11 @@ func TestWritePathGolden(t *testing.T) {
 	g := newWritePathScript(t, "gold", true)
 	journaledScript(g)
 
-	// Delete, tenant side: the stop command fails whatever is still queued.
-	queued := submitCmd(SubmitJobRequest{Task: "c"})
-	queued.done = make(chan cmdResult, 1)
-	g.tn.ring <- queued
+	// Delete, tenant side: after the stop, a command answers the deleted
+	// tenant's refusal.
 	g.step("stop", &command{kind: cmdStop})
-	g.line("queued behind stop", resultView(queued, <-queued.done))
+	queued := submitCmd(SubmitJobRequest{Task: "c"})
+	g.line("queued behind stop", resultView(queued, g.tn.exec(queued)))
 	select {
 	case <-g.tn.Closed():
 	default:
