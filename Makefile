@@ -194,10 +194,15 @@ fanout-smoke:
 # waits for an active one, a stream whose client stops reading is severed —
 # and those that race senders on a tenant's one command ring: a full ring's
 # 429, a stop behind a backlog (Close, and a delete journaled after the
-# submits queued ahead of it), a delete ending its streams —
+# submits queued ahead of it), a delete ending its streams — and the trace
+# ring's own concurrent paths, since an Append may reallocate its growing
+# record slice while FramesSince readers copy from it and NextAppend
+# waiters wake on it (TestRingConcurrent, TestRingWakeSeesAppend, and
+# TestTraceFollowLive above) —
 # twenty times under -race: a tier-1 suite is deterministic only if these are.
 flake:
 	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync|TestCloseDrainsBacklogThenRefuses|TestRingFullBackpressure|TestDeleteTenantEndsStreams|TestDeleteJournalsAfterQueuedSubmits'
+	$(GO) test -race -count=20 ./internal/obs/ -run 'TestRingConcurrent|TestRingWakeSeesAppend'
 	$(GO) test -race -count=20 ./internal/client/ -run 'TestStreamTraceEndToEnd'
 	$(GO) test -race -count=20 ./internal/hop/ -run 'TestServerStreamClientGoneEndsHandler|TestServerShutdownClosesIdleWaitsForActive|TestServerStallSeversStream'
 
@@ -217,7 +222,10 @@ fuzz:
 # net/http's server, it refuses the same requests and hands its handler the
 # same ones. FuzzColdFrameMatchesWire is the contract of an in-memory
 # tenant's compact dispatch records: rendered back, they are the wire frame
-# byte for byte, whatever the task name and numbers. Each target fuzzes
+# byte for byte, whatever the task name and numbers, and
+# FuzzTraceRingMatchesMarshal that of a trace ring's compact records: its
+# frames are json.Marshal of the events appended, across growth, wraparound
+# and string-table compaction. Each target fuzzes
 # for 30 s; minimising a new input is capped at 3 s (the default, 60 s,
 # could take a whole budget at 0 execs/sec). A failing input is still
 # reported and written to testdata, minimised or not.
@@ -230,6 +238,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ $(FUZZ_SMOKE) -fuzz=FuzzColdFrameMatchesWire
 	$(GO) test ./internal/online/ $(FUZZ_SMOKE) -fuzz=FuzzResize
 	$(GO) test ./internal/client/ $(FUZZ_SMOKE) -fuzz=FuzzTraceDecoder
+	$(GO) test ./internal/obs/ $(FUZZ_SMOKE) -fuzz=FuzzTraceRingMatchesMarshal
 	$(GO) test ./internal/scenario/ $(FUZZ_SMOKE) -fuzz=FuzzScenarioSpec
 	$(GO) test ./internal/hop/ $(FUZZ_SMOKE) -fuzz=FuzzServerMatchesNetHTTP
 

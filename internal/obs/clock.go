@@ -7,7 +7,7 @@
 // histogram bucket count, every quantile, and every trace timestamp is an
 // exact, deterministic function of the workload — the test harness
 // asserts equality, not tolerances. The package depends only on the
-// stdlib and sits below internal/server and internal/wal, which thread a
+// stdlib and internal/rat, and sits below internal/server and internal/wal, which thread a
 // single Clock through every measured path.
 package obs
 

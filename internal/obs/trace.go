@@ -2,9 +2,13 @@ package obs
 
 import (
 	"encoding/json"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
+
+	"desyncpfair/internal/rat"
 )
 
 // Lifecycle stages of one traced command. A mutating request emits
@@ -65,66 +69,179 @@ type Event struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Ring retains the most recent trace events in a fixed-capacity ring
-// buffer and wakes followers when new events land (NextAppend). It is safe
-// for concurrent use. Sequence numbers are assigned on Append and never
-// reused; once the ring wraps, the oldest events are dropped and Since
-// reports how many the caller missed.
+// record is what a Ring holds per retained event: 64 bytes and no Go
+// pointers, so a ring is one flat slice the GC never scans. Seq is the
+// record's position in the ring and Tenant the ring's own; the strings are
+// indexes into the ring's string table (0 = ""); at or lag — an event has
+// one or the other — is held as its exact numerator and denominator, the
+// sign of den telling which.
+type record struct {
+	t, cmd, durNs, dseq, count int64
+	num, den                   int64 // den > 0: At = num/den; den < 0: Lag = num/−den; 0: neither
+	op, stage, task, err       uint16
+}
+
+const (
+	recordBytes = int(unsafe.Sizeof(record{}))
+	// minRingSlots is a ring's first allocation; it doubles from there up
+	// to the ring's capacity, so a ring costs what it holds.
+	minRingSlots = 16
+	// maxRingCap bounds a ring's capacity, so the string table fits a
+	// record's 16-bit indexes (see compact).
+	maxRingCap = 1 << 13
+)
+
+// Ring retains the most recent trace events of one tenant in a bounded
+// ring buffer and wakes followers when new events land (NextAppend). It is
+// safe for concurrent use. Sequence numbers are assigned on Append and
+// never reused; once the ring wraps, the oldest events are dropped and
+// FramesSince reports how many the caller missed.
+//
+// A retained event costs one 64-byte record. The record slice starts at
+// minRingSlots and doubles up to the capacity; the strings the records
+// name live once each in a string table, which compaction keeps to what
+// retained records still name (intern).
 type Ring struct {
+	tenant string // every event's Tenant; immutable
+	max    int    // retention in events
+
 	mu    sync.Mutex
-	buf   []Event
-	wire  [][]byte // memoized NDJSON wire bytes per slot; nil = not yet encoded
-	start int      // index of the oldest retained event
+	recs  []record // grows by doubling while n < max; a ring once len == max
+	start int      // index of the oldest retained record (0 until full)
 	n     int      // retained count
 	next  int64    // next sequence number to assign
+	// strs is the string table, strs[0] = "", and index its inverse. A
+	// reader takes strs under mu and indexes it after: entries are never
+	// rewritten in place (compaction builds a new table).
+	strs  []string
+	index map[string]uint16
+	limit int // len(strs) that triggers the next compaction
 	// grown is what NextAppend hands out: nil until somebody asks, closed
 	// and forgotten by the next Append.
 	grown chan struct{}
 }
 
-// NewRing creates a ring retaining up to cap events (minimum 1).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, capacity), wire: make([][]byte, capacity)}
+// NewRing creates tenant's ring retaining up to capacity events (at least
+// 1, at most 8192). It allocates no record until the first Append.
+func NewRing(tenant string, capacity int) *Ring {
+	capacity = min(max(capacity, 1), maxRingCap)
+	return &Ring{tenant: tenant, max: capacity, strs: []string{""}, limit: 1 + max(capacity, 64)}
 }
 
-// Append assigns the event's sequence number, stores it (evicting the
-// oldest if full), wakes followers, and returns the assigned Seq.
+// Append stores ev — its Seq is assigned, not read — wakes followers, and
+// returns the assigned Seq. A record holds the events a Tracer builds:
+// ev.Tenant must be the ring's, and At and Lag, at most one of them set,
+// exact rationals as rat.Rat renders them. Append panics on any other
+// event, which it could not render back byte for byte.
 func (r *Ring) Append(ev Event) int64 {
+	if ev.Tenant != r.tenant {
+		panic("obs: event of tenant " + strconv.Quote(ev.Tenant) + " appended to the ring of " + strconv.Quote(r.tenant))
+	}
+	rec := record{t: ev.T, cmd: ev.Cmd, durNs: ev.DurNs, dseq: ev.DSeq, count: ev.Count}
+	switch {
+	case ev.At != "" && ev.Lag != "":
+		panic("obs: event has both at and lag")
+	case ev.At != "":
+		q := exact(ev.At)
+		rec.num, rec.den = q.Num(), q.Den()
+	case ev.Lag != "":
+		q := exact(ev.Lag)
+		rec.num, rec.den = q.Num(), -q.Den()
+	}
+	return r.add(rec, ev.Op, ev.Stage, ev.Task, ev.Err)
+}
+
+// exact parses s, which must be a rational in the form rat.Rat renders.
+func exact(s string) rat.Rat {
+	q, err := rat.Parse(s)
+	if err != nil || q.String() != s {
+		panic("obs: " + strconv.Quote(s) + " is not an exact rational as rat.Rat renders it")
+	}
+	return q
+}
+
+// add stores rec with its strings interned, evicting the oldest record if
+// the ring is full and growing it if it is not yet at capacity, wakes
+// followers, and returns the record's Seq.
+func (r *Ring) add(rec record, op, stage, task, err string) int64 {
 	r.mu.Lock()
-	ev.Seq = r.next
-	r.next++
-	if r.n == len(r.buf) {
-		r.buf[r.start] = ev
-		r.wire[r.start] = nil
-		r.start = (r.start + 1) % len(r.buf)
+	if len(r.strs)+4 > r.limit {
+		r.compact()
+	}
+	rec.op, rec.stage, rec.task, rec.err = r.intern(op), r.intern(stage), r.intern(task), r.intern(err)
+	if r.n == len(r.recs) && len(r.recs) < r.max {
+		// Not full yet, so nothing was evicted and start is 0: the records
+		// are recs[:n] in order.
+		grown := make([]record, min(max(2*len(r.recs), minRingSlots), r.max))
+		copy(grown, r.recs)
+		r.recs = grown
+	}
+	if r.n == len(r.recs) {
+		r.recs[r.start] = rec
+		r.start = (r.start + 1) % len(r.recs)
 	} else {
-		i := (r.start + r.n) % len(r.buf)
-		r.buf[i] = ev
-		r.wire[i] = nil
+		r.recs[r.n] = rec
 		r.n++
 	}
+	seq := r.next
+	r.next++
 	if r.grown != nil {
 		close(r.grown)
 		r.grown = nil
 	}
 	r.mu.Unlock()
-	return ev.Seq
+	return seq
+}
+
+// intern returns s's index in the string table, adding it if new. Caller
+// holds mu, and add has left room for four new entries.
+func (r *Ring) intern(s string) uint16 {
+	if s == "" {
+		return 0
+	}
+	if i, ok := r.index[s]; ok {
+		return i
+	}
+	if r.index == nil {
+		r.index = make(map[string]uint16)
+	}
+	i := uint16(len(r.strs))
+	r.strs = append(r.strs, s)
+	r.index[s] = i
+	return i
+}
+
+// compact rebuilds the string table from the retained records, so it
+// holds only the strings they name: at most four per record, so at most
+// 4·maxRingCap + 1 = 2¹⁵ + 1 entries, about half of the 2¹⁶ a record's
+// index reaches. The next compaction waits until the table has grown by
+// its live size or the ring's capacity, whichever is more (and at most to
+// 2¹⁶ entries), so a compaction's O(retained) walk is paid for by as many
+// new strings. Caller holds mu.
+func (r *Ring) compact() {
+	old := r.strs
+	r.strs = []string{""}
+	clear(r.index)
+	for k := 0; k < r.n; k++ {
+		rec := &r.recs[(r.start+k)%len(r.recs)]
+		rec.op = r.intern(old[rec.op])
+		rec.stage = r.intern(old[rec.stage])
+		rec.task = r.intern(old[rec.task])
+		rec.err = r.intern(old[rec.err])
+	}
+	live := len(r.strs)
+	r.limit = min(live+max(live, r.max, 64), 1<<16)
 }
 
 // FramesSince returns each retained event with Seq ≥ from as its NDJSON
-// frame (json.Marshal + '\n', identical to what a json.Encoder would
-// emit), plus how many events with Seq ≥ from were already evicted (a
-// follower that asked for history the ring no longer holds learns it
-// skipped, rather than silently missing it). Frames are encoded lazily on
-// first request and memoized per slot, so a ring nobody follows never pays
-// an encode while N followers share one encode per event. Returned slices
-// are immutable — slot reuse replaces the pointer, never the bytes.
+// frame — json.Marshal of the event + '\n', identical to what a
+// json.Encoder would emit — plus how many events with Seq ≥ from were
+// already evicted (a follower that asked for history the ring no longer
+// holds learns it skipped, rather than silently missing it). The records
+// are copied under the lock and rendered after it, so a reader never
+// holds up Append for longer than a copy.
 func (r *Ring) FramesSince(from int64) (frames [][]byte, dropped int64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if from < 0 {
 		from = 0
 	}
@@ -134,22 +251,55 @@ func (r *Ring) FramesSince(from int64) (frames [][]byte, dropped int64) {
 		from = oldest
 	}
 	if from >= r.next {
+		r.mu.Unlock()
 		return nil, dropped
 	}
-	frames = make([][]byte, 0, r.next-from)
-	for i := int(from - oldest); i < r.n; i++ {
-		slot := (r.start + i) % len(r.buf)
-		if r.wire[slot] == nil {
-			b, err := json.Marshal(r.buf[slot])
-			if err != nil {
-				// Event marshals from plain fields; this cannot happen.
-				b = []byte("{}")
-			}
-			r.wire[slot] = append(b, '\n')
+	recs := make([]record, r.next-from)
+	i := (r.start + int(from-oldest)) % len(r.recs)
+	copy(recs[copy(recs, r.recs[i:]):], r.recs)
+	strs := r.strs
+	r.mu.Unlock()
+
+	frames = make([][]byte, len(recs))
+	for k := range recs {
+		b, err := json.Marshal(r.event(from+int64(k), &recs[k], strs))
+		if err != nil {
+			// Event marshals from plain fields; this cannot happen.
+			b = []byte("{}")
 		}
-		frames = append(frames, r.wire[slot])
+		frames[k] = append(b, '\n')
 	}
 	return frames, dropped
+}
+
+// event renders rec, the event with sequence number seq, back into the
+// Event that was appended; strs is the string table its indexes name.
+func (r *Ring) event(seq int64, rec *record, strs []string) Event {
+	ev := Event{
+		Seq: seq, T: rec.t, Tenant: r.tenant, Cmd: rec.cmd,
+		Op: strs[rec.op], Stage: strs[rec.stage], Task: strs[rec.task], Err: strs[rec.err],
+		DSeq: rec.dseq, Count: rec.count, DurNs: rec.durNs,
+	}
+	switch {
+	case rec.den > 0:
+		ev.At = rat.New(rec.num, rec.den).String()
+	case rec.den < 0:
+		ev.Lag = rat.New(rec.num, -rec.den).String()
+	}
+	return ev
+}
+
+// Bytes is the ring's retained storage: 64 bytes per record slot, plus the
+// string table's — each entry's bytes, 16 for its slot in the table and 32
+// for its index entry (the map's own bucket overhead is not counted).
+func (r *Ring) Bytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := cap(r.recs)*recordBytes + cap(r.strs)*16
+	for _, s := range r.strs[1:] {
+		b += len(s) + 32
+	}
+	return b
 }
 
 // Next returns the sequence number the next appended event will get.
@@ -175,7 +325,8 @@ func (r *Ring) NextAppend() <-chan struct{} {
 
 // Tracer stamps lifecycle events for one tenant into its ring. The zero
 // value (nil ring) is a no-op tracer, so untraced code paths cost one nil
-// check. Cmd ids are assigned by Begin.
+// check. Cmd ids are assigned by Begin. Virtual times are passed exact and
+// rendered only when a reader asks for the frame.
 type Tracer struct {
 	ring    *Ring
 	clock   Clock
@@ -191,32 +342,31 @@ func NewTracer(ring *Ring, clock Clock) *Tracer {
 }
 
 // Begin opens a traced command: it assigns the next Cmd id, emits the
-// StageSubmit event, and returns the id and the submit instant that later
-// stages measure their DurNs from.
-func (t *Tracer) Begin(tenant, op, task, at string) (cmd int64, start time.Time) {
+// StageSubmit event — at, if not nil, is the virtual time the command
+// names — and returns the id and the submit instant that later stages
+// measure their DurNs from.
+func (t *Tracer) Begin(op, task string, at *rat.Rat) (cmd int64, start time.Time) {
 	if t == nil || t.ring == nil {
 		return 0, time.Time{}
 	}
 	start = t.clock.Now()
 	cmd = t.nextCmd.Add(1)
-	t.ring.Append(Event{
-		T: start.UnixNano(), Tenant: tenant, Cmd: cmd,
-		Op: op, Stage: StageSubmit, Task: task, At: at,
-	})
+	rec := record{t: start.UnixNano(), cmd: cmd}
+	if at != nil {
+		rec.num, rec.den = at.Num(), at.Den()
+	}
+	t.ring.add(rec, op, StageSubmit, task, "")
 	return cmd, start
 }
 
 // Stage emits one lifecycle stage for the command opened by Begin, with
 // DurNs measured from the submit instant.
-func (t *Tracer) Stage(tenant string, cmd int64, start time.Time, op, stage, errMsg string) {
+func (t *Tracer) Stage(cmd int64, start time.Time, op, stage, errMsg string) {
 	if t == nil || t.ring == nil || cmd == 0 {
 		return
 	}
 	now := t.clock.Now()
-	t.ring.Append(Event{
-		T: now.UnixNano(), Tenant: tenant, Cmd: cmd,
-		Op: op, Stage: stage, DurNs: now.Sub(start).Nanoseconds(), Err: errMsg,
-	})
+	t.ring.add(record{t: now.UnixNano(), cmd: cmd, durNs: now.Sub(start).Nanoseconds()}, op, stage, "", errMsg)
 }
 
 // Dispatch emits the one StageDispatch event of a command that decided:
@@ -224,19 +374,16 @@ func (t *Tracer) Stage(tenant string, cmd int64, start time.Time, op, stage, err
 // the worst tardiness among them. The caller emits it after the command's
 // last decision, so decisions cost the trace one clock read and one event
 // per command, whatever their number.
-func (t *Tracer) Dispatch(tenant string, cmd int64, start time.Time, op string, dseq, count int64, lag string) {
+func (t *Tracer) Dispatch(cmd int64, start time.Time, op string, dseq, count int64, lag rat.Rat) {
 	if t == nil || t.ring == nil {
 		return
 	}
 	now := t.clock.Now()
-	ev := Event{
-		T: now.UnixNano(), Tenant: tenant, Cmd: cmd, Op: op, Stage: StageDispatch,
-		DSeq: dseq, Count: count, Lag: lag,
-	}
+	rec := record{t: now.UnixNano(), cmd: cmd, dseq: dseq, count: count, num: lag.Num(), den: -lag.Den()}
 	if cmd != 0 {
-		ev.DurNs = now.Sub(start).Nanoseconds()
+		rec.durNs = now.Sub(start).Nanoseconds()
 	}
-	t.ring.Append(ev)
+	t.ring.add(rec, op, StageDispatch, "", "")
 }
 
 // Ring returns the tracer's ring (nil for a no-op tracer).

@@ -1,10 +1,16 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"desyncpfair/internal/rat"
 )
 
 // since decodes r.FramesSince(from).
@@ -22,7 +28,7 @@ func since(t *testing.T, r *Ring, from int64) (events []Event, dropped int64) {
 }
 
 func TestRingAppendSince(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing("", 4)
 	for i := 0; i < 3; i++ {
 		seq := r.Append(Event{Stage: StageSubmit})
 		if seq != int64(i) {
@@ -51,7 +57,7 @@ func TestRingAppendSince(t *testing.T) {
 // many requested events were evicted and returns the retained suffix in
 // order.
 func TestRingWrapDrops(t *testing.T) {
-	r := NewRing(3)
+	r := NewRing("", 3)
 	for i := 0; i < 10; i++ {
 		r.Append(Event{Cmd: int64(i)})
 	}
@@ -87,7 +93,7 @@ func closed(ch <-chan struct{}) bool {
 // taken after stays open until the next; everyone who asks in between
 // shares one.
 func TestRingNextAppend(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing("", 8)
 	ch := r.NextAppend()
 	if closed(ch) {
 		t.Fatal("closed before any append")
@@ -112,7 +118,7 @@ func TestRingNextAppend(t *testing.T) {
 // TestRingWakeSeesAppend: whoever wakes on NextAppend already reads the
 // event that woke it.
 func TestRingWakeSeesAppend(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing("", 8)
 	for i := 0; i < 200; i++ {
 		ch := r.NextAppend()
 		want := r.Next() + 1
@@ -129,16 +135,17 @@ func TestRingWakeSeesAppend(t *testing.T) {
 func TestTracerLifecycle(t *testing.T) {
 	start := time.Unix(1700000000, 0)
 	clock := NewFake(start, time.Millisecond)
-	ring := NewRing(16)
+	ring := NewRing("acme", 16)
 	tr := NewTracer(ring, clock)
 
-	cmd, t0 := tr.Begin("acme", "advance", "web", "3")
+	at := rat.FromInt(3)
+	cmd, t0 := tr.Begin("advance", "web", &at)
 	if cmd != 1 {
 		t.Fatalf("first cmd id: got %d", cmd)
 	}
-	tr.Stage("acme", cmd, t0, "advance", StageWALAppend, "")
-	tr.Dispatch("acme", cmd, t0, "advance", 5, 2, "1/2")
-	tr.Stage("acme", cmd, t0, "advance", StageApply, "")
+	tr.Stage(cmd, t0, "advance", StageWALAppend, "")
+	tr.Dispatch(cmd, t0, "advance", 5, 2, rat.New(1, 2))
+	tr.Stage(cmd, t0, "advance", StageApply, "")
 
 	evs, _ := since(t, ring, 0)
 	if len(evs) != 4 {
@@ -175,16 +182,16 @@ func TestTracerLifecycle(t *testing.T) {
 // call — the untraced path must not need guards at every call site.
 func TestTracerNoop(t *testing.T) {
 	var tr *Tracer
-	cmd, t0 := tr.Begin("x", "advance", "", "")
-	tr.Stage("x", cmd, t0, "advance", StageApply, "")
-	tr.Dispatch("x", cmd, t0, "advance", 0, 1, "0")
+	cmd, t0 := tr.Begin("advance", "", nil)
+	tr.Stage(cmd, t0, "advance", StageApply, "")
+	tr.Dispatch(cmd, t0, "advance", 0, 1, rat.Zero)
 	if tr.Ring() != nil {
 		t.Error("nil tracer should have nil ring")
 	}
 }
 
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing("", 64)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -199,5 +206,149 @@ func TestRingConcurrent(t *testing.T) {
 	wg.Wait()
 	if r.Next() != 800 {
 		t.Errorf("next seq: got %d, want 800", r.Next())
+	}
+}
+
+// FuzzTraceRingMatchesMarshal is the contract of the ring's compact
+// records: whatever events were appended — every stage, with and without
+// task, at, lag and err, below, at and above the capacity, across growth,
+// wraparound and string-table compaction — FramesSince(from) returns
+// json.Marshal of each retained event + '\n', and drops exactly the events
+// before the last capacity ones, as a ring of whole Events would.
+func FuzzTraceRingMatchesMarshal(f *testing.F) {
+	f.Add(int64(1), uint16(4), uint16(3), int64(0), "web")
+	f.Add(int64(2), uint16(16), uint16(16), int64(5), "")
+	f.Add(int64(3), uint16(5), uint16(400), int64(0), "a<b>&\"c\"")
+	f.Add(int64(4), uint16(100), uint16(700), int64(650), "\xff\xfe")
+	f.Add(int64(5), uint16(1), uint16(9), int64(-3), "x")
+	f.Fuzz(func(t *testing.T, seed int64, capRaw, nRaw uint16, from int64, name string) {
+		capacity := 1 + int(capRaw%300)
+		n := int(nRaw % 1000)
+		rng := rand.New(rand.NewSource(seed))
+		pool := []string{name, "web", "db", "job-submit", "advance", "server: no such task"}
+		str := func() string {
+			switch k := rng.Intn(8); {
+			case k < 2:
+				return ""
+			case k < 6:
+				return pool[rng.Intn(len(pool))]
+			default: // fresh strings make the string table compact
+				return "s" + strconv.Itoa(rng.Intn(1<<20))
+			}
+		}
+		num := func() int64 {
+			if rng.Intn(3) == 0 {
+				return 0 // omitted from the frame
+			}
+			return rng.Int63n(1<<40) - 1<<39
+		}
+		exactStr := func() string {
+			return rat.New(rng.Int63n(1<<30)-1<<29, 1+rng.Int63n(1<<20)).String()
+		}
+		stages := []string{StageSubmit, StageWALAppend, StageApply, StageDispatch, "other"}
+		r := NewRing("t-"+name, capacity)
+		var all []Event
+		check := func(from int64) {
+			frames, dropped := r.FramesSince(from)
+			lo := max(from, 0)
+			oldest := int64(max(len(all)-capacity, 0))
+			wantDropped := max(oldest-lo, 0)
+			if dropped != wantDropped {
+				t.Fatalf("FramesSince(%d) after %d appends: dropped %d, want %d", from, len(all), dropped, wantDropped)
+			}
+			want := all[min(max(lo, oldest), int64(len(all))):]
+			if len(frames) != len(want) {
+				t.Fatalf("FramesSince(%d) after %d appends: %d frames, want %d", from, len(all), len(frames), len(want))
+			}
+			for i, ev := range want {
+				b, err := json.Marshal(ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := append(b, '\n'); !bytes.Equal(frames[i], w) {
+					t.Fatalf("frame of seq %d:\n got %s\nwant %s", ev.Seq, frames[i], w)
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			ev := Event{
+				T: num(), Tenant: r.tenant, Cmd: num(), Op: str(),
+				Stage: stages[rng.Intn(len(stages))], Task: str(),
+				DSeq: num(), Count: num(), DurNs: num(), Err: str(),
+			}
+			switch rng.Intn(3) {
+			case 0:
+				ev.At = exactStr()
+			case 1:
+				ev.Lag = exactStr()
+			}
+			if seq := r.Append(ev); seq != int64(i) {
+				t.Fatalf("append %d got seq %d", i, seq)
+			}
+			ev.Seq = int64(i)
+			all = append(all, ev)
+			if rng.Intn(16) == 0 {
+				check(rng.Int63n(int64(i)+2) - 1)
+			}
+		}
+		check(from)
+		check(0)
+	})
+}
+
+// TestRingRecordHoldsNoPointers: a record has no pointer-kinded field, so
+// a ring's slots are memory the GC never scans, and it is 64 bytes at most.
+// A field added later that brings scanning back fails here.
+func TestRingRecordHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(record{})
+	if typ.Size() > 64 {
+		t.Errorf("record is %d bytes, want ≤ 64", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint,
+			reflect.Bool, reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("record field %s is a %s: a pointer-free kind keeps the ring unscanned", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestRingGrowsToCapacity: a ring allocates its records as it fills,
+// doubling from a small first slice, and a full ring holds 64 bytes per
+// event plus its few strings.
+func TestRingGrowsToCapacity(t *testing.T) {
+	r := NewRing("acme", 4096)
+	if b := r.Bytes(); b > 64 {
+		t.Fatalf("an empty ring holds %d bytes", b)
+	}
+	for i := 0; i < 10000; i++ {
+		r.Append(Event{Tenant: "acme", Op: "advance", Stage: StageApply, Cmd: int64(i)})
+		if i == minRingSlots {
+			if b := r.Bytes(); b > 2*minRingSlots*64+200 {
+				t.Fatalf("after %d events the ring holds %d bytes", i+1, b)
+			}
+		}
+	}
+	if b, want := r.Bytes(), 4096*64+200; b > want {
+		t.Fatalf("a full ring holds %d bytes, want ≤ %d", b, want)
+	}
+}
+
+// TestRingStringTableBounded: a ring whose events name ever new strings
+// keeps a string table bounded by what it retains, not by what it saw.
+func TestRingStringTableBounded(t *testing.T) {
+	r := NewRing("acme", 16)
+	for i := 0; i < 100000; i++ {
+		r.Append(Event{Tenant: "acme", Stage: StageSubmit, Task: "task-" + strconv.Itoa(i)})
+	}
+	if n := len(r.strs); n > 1+4*16+max(4*16, 64) {
+		t.Fatalf("after 100000 distinct names the string table holds %d entries", n)
+	}
+	evs, _ := since(t, r, 0)
+	if last := evs[len(evs)-1]; last.Task != "task-99999" || len(evs) != 16 {
+		t.Fatalf("retained %d events, the last naming %q", len(evs), last.Task)
 	}
 }

@@ -280,8 +280,7 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace streams the tenant's trace ring, one obs.Event per line.
-// Frames come from the ring's memoized wire cache: each retained event is
-// encoded at most once no matter how many followers stream it, and a batch
+// The ring renders each read's frames from its compact records, and a batch
 // of them is gathered into one reused buffer for one Write. Ring retention
 // is bounded, so a follower that asks for evicted history, or
 // falls behind it, resumes at the oldest retained event instead of pinning

@@ -154,7 +154,7 @@ func TestStreamByteIdentity20Seeds(t *testing.T) {
 				}
 			}
 
-			// Trace stream: same contract for the ring's memoized frames.
+			// Trace stream: same contract for the frames the ring renders on read.
 			traces := ndjsonLines(t, hs.URL+"/v1/tenants/acme/trace?from=0&follow=false")
 			if len(traces) == 0 {
 				t.Fatal("no trace lines")

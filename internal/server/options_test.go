@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -113,6 +114,54 @@ func TestTraceRetainsDefaultTraceCap(t *testing.T) {
 	if last.Op != "advance" || last.Stage != "apply" || first.Seq != last.Seq-(defaultTraceCap-1) || first.Seq == 0 {
 		t.Fatalf("trace holds events %d..%d, want the last %d, ending with the advance's apply", first.Seq, last.Seq, defaultTraceCap)
 	}
+}
+
+// TestIdleTenantHeap pins what a tenant holds before it does anything: a
+// few KiB of live heap. Its trace ring allocates records as events land,
+// so an idle tenant pays for none of its defaultTraceCap of retention.
+func TestIdleTenantHeap(t *testing.T) {
+	const n = 100
+	tenants := make([]*Tenant, 0, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		tn, err := newTenant(fmt.Sprintf("idle-%d", i), 1, "PD2", nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants = append(tenants, tn)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	for _, tn := range tenants {
+		tn.Close()
+	}
+	if per > 16<<10 {
+		t.Fatalf("an idle tenant holds %d B of live heap, want ≤ %d", per, 16<<10)
+	}
+	t.Logf("%d B of live heap per idle tenant", per)
+}
+
+// TestFullTraceRingBytes: a tenant's full trace ring retains 64 bytes per
+// event, plus a string table of the few ops, stages and task names its
+// events name.
+func TestFullTraceRingBytes(t *testing.T) {
+	s := openInMemory(t, Options{})
+	h := s.Handler()
+	unitTenant(t, h)
+	for i := 0; i < defaultTraceCap; i++ {
+		serve(t, h, "POST", "/v1/tenants/r/jobs", `{"task":"w"}`, http.StatusAccepted)
+	}
+	ring := s.tenant("r").traceRing()
+	if ring.Next() <= defaultTraceCap {
+		t.Fatalf("%d events traced, want more than the ring's %d", ring.Next(), defaultTraceCap)
+	}
+	if b, want := ring.Bytes(), 64*defaultTraceCap+1024; b > want {
+		t.Fatalf("a full trace ring holds %d bytes, want ≤ %d", b, want)
+	}
+	t.Logf("a full trace ring of %d events holds %d bytes", defaultTraceCap, ring.Bytes())
 }
 
 // TestOpenInMemoryHonoursClock: on a fake clock that moves a fixed step

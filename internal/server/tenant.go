@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -197,7 +196,7 @@ func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journa
 		lags:   obs.NewTally(obs.QuantaBuckets),
 		worst:  rat.Zero,
 		obs: tenantObs{
-			tr:        obs.NewTracer(obs.NewRing(defaultTraceCap), clock),
+			tr:        obs.NewTracer(obs.NewRing(id, defaultTraceCap), clock),
 			submitAck: obs.NewHistogram(obs.DefaultLatencyBuckets),
 			lag:       obs.NewHistogram(obs.QuantaBuckets),
 			sobs:      o,
@@ -274,22 +273,23 @@ func (t *Tenant) observeSubmitAck(d time.Duration, n int) {
 	}
 }
 
-// traceBegin opens a traced command and parks its context for the later
-// stages, its dispatch event included. Loop goroutine only.
-func (t *Tenant) traceBegin(op, task, at string) {
-	t.curCmd, t.curStart = t.obs.tr.Begin(t.id, op, task, at)
+// traceBegin opens a traced command — at, if not nil, is the virtual time
+// it names — and parks its context for the later stages, its dispatch
+// event included. Loop goroutine only.
+func (t *Tenant) traceBegin(op, task string, at *rat.Rat) {
+	t.curCmd, t.curStart = t.obs.tr.Begin(op, task, at)
 	t.curOp = op
 }
 
 // traceStage marks the current command's next completed lifecycle stage.
 func (t *Tenant) traceStage(stage string) {
-	t.obs.tr.Stage(t.id, t.curCmd, t.curStart, t.curOp, stage, "")
+	t.obs.tr.Stage(t.curCmd, t.curStart, t.curOp, stage, "")
 }
 
 // traceFail marks the current command failed at stage; no further stages
 // follow for it.
 func (t *Tenant) traceFail(stage string, err error) {
-	t.obs.tr.Stage(t.id, t.curCmd, t.curStart, t.curOp, stage, err.Error())
+	t.obs.tr.Stage(t.curCmd, t.curStart, t.curOp, stage, err.Error())
 }
 
 // SetJournal installs the durability hooks: append enqueues one record —
@@ -330,7 +330,7 @@ func (t *Tenant) record(d online.Dispatch) {
 // decided: its decisions are the log's frames from seq first on.
 func (t *Tenant) traceDispatch(first int64) {
 	if n := t.log.len() - first; n > 0 {
-		t.obs.tr.Dispatch(t.id, t.curCmd, t.curStart, t.curOp, first, n, t.worst.String())
+		t.obs.tr.Dispatch(t.curCmd, t.curStart, t.curOp, first, n, t.worst)
 	}
 }
 
@@ -409,7 +409,7 @@ func (t *Tenant) Resize(m int, drain bool) (ResizeResponse, wal.Commit, error) {
 // journal opens the traced command and, on a durable tenant, journals its
 // one record before anything is applied. A refusal fails the command with
 // nothing applied.
-func (t *Tenant) journal(task, at string, rec wal.Record) (wal.Commit, error) {
+func (t *Tenant) journal(task string, at *rat.Rat, rec wal.Record) (wal.Commit, error) {
 	h := t.hooks.Load()
 	t.traceBegin(rec.Op, task, at)
 	if h == nil {
@@ -451,7 +451,7 @@ func (t *Tenant) applyRegister(name string, w model.Weight) cmdResult {
 		t.reject++
 		return cmdResult{dec: d}
 	}
-	commit, err := t.journal(name, "", wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P})
+	commit, err := t.journal(name, nil, wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P})
 	if err != nil {
 		return cmdResult{err: err}
 	}
@@ -481,7 +481,7 @@ func (t *Tenant) applyUnregister(name string) cmdResult {
 	if err := t.ex.PlanUnregister(task); err != nil {
 		return cmdResult{err: fmt.Errorf("server: %w", err)}
 	}
-	commit, err := t.journal(name, "", wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name})
+	commit, err := t.journal(name, nil, wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name})
 	if err != nil {
 		return cmdResult{err: err}
 	}
@@ -510,7 +510,8 @@ func (t *Tenant) applyResize(m int, drain bool) cmdResult {
 	if plan.Outcome == admission.ResizeQueued {
 		mode = "drain"
 	}
-	commit, err := t.journal("", strconv.Itoa(m), wal.Record{Op: wal.OpResize, Tenant: t.id, M: m, Mode: mode})
+	mq := rat.FromInt(int64(m))
+	commit, err := t.journal("", &mq, wal.Record{Op: wal.OpResize, Tenant: t.id, M: m, Mode: mode})
 	if err != nil {
 		return cmdResult{err: err}
 	}
@@ -560,11 +561,12 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 		return wal.Commit{}, nil
 	}
 	// Each job's resolved arrival is rendered once, into its response, and
-	// read from there by the journal record and its trace span — and once
-	// per group for the common empty `at`, which resolves every such job
-	// to the same now. The record carries the *resolved* time: "now" is
-	// something only the live server knows, and replay must not re-resolve
-	// it. A tenant with no journal builds no group.
+	// read from there by the journal record (its trace span takes it
+	// exact) — and once per group for the common empty `at`, which
+	// resolves every such job to the same now. The record carries the
+	// *resolved* time: "now" is something only the live server knows, and
+	// replay must not re-resolve it. A tenant with no journal builds no
+	// group.
 	now := ""
 	for i := range jobs {
 		j := &jobs[i]
@@ -591,7 +593,7 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 		t.group = group[:0]
 		rec.Jobs = group
 	}
-	commit, err := t.journal(jobs[0].req.Task, jobs[0].resp.At, rec)
+	commit, err := t.journal(jobs[0].req.Task, &jobs[0].when, rec)
 	if err != nil {
 		return wal.Commit{}, err
 	}
@@ -602,7 +604,7 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 	for i := range jobs {
 		j := &jobs[i]
 		if singles && i > 0 {
-			t.traceBegin(wal.OpJobSubmit, j.req.Task, j.resp.At)
+			t.traceBegin(wal.OpJobSubmit, j.req.Task, &j.when)
 			if journaled {
 				t.traceStage(obs.StageWALAppend)
 			}
@@ -805,13 +807,13 @@ func (t *Tenant) applyAdvance(until, by string) cmdResult {
 	}
 	// Journal the resolved absolute target: `by` is relative to a virtual
 	// time only the live server knows.
-	return t.applyRun(wal.Record{Op: wal.OpAdvance, Tenant: t.id, At: target.String()}, func() error {
+	return t.applyRun(wal.Record{Op: wal.OpAdvance, Tenant: t.id, At: target.String()}, &target, func() error {
 		return t.ex.Run(target, nil, nil)
 	})
 }
 
 func (t *Tenant) applyDrain() cmdResult {
-	return t.applyRun(wal.Record{Op: wal.OpDrain, Tenant: t.id}, func() error {
+	return t.applyRun(wal.Record{Op: wal.OpDrain, Tenant: t.id}, nil, func() error {
 		_, err := t.ex.Drain(nil)
 		return err
 	})
@@ -819,9 +821,9 @@ func (t *Tenant) applyDrain() cmdResult {
 
 // applyRun journals rec and runs the executive forward — to a target
 // (advance) or until idle (drain) — reporting where virtual time ended up
-// and how many decisions that produced.
-func (t *Tenant) applyRun(rec wal.Record, run func() error) cmdResult {
-	commit, err := t.journal("", rec.At, rec)
+// and how many decisions that produced; at is the advance's target.
+func (t *Tenant) applyRun(rec wal.Record, at *rat.Rat, run func() error) cmdResult {
+	commit, err := t.journal("", at, rec)
 	if err != nil {
 		return cmdResult{err: err}
 	}

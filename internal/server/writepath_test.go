@@ -36,8 +36,8 @@ func TestWritePathGolden(t *testing.T) {
 	// Delete, tenant side: after the stop, a command answers the deleted
 	// tenant's refusal.
 	g.step("stop", &command{kind: cmdStop})
-	queued := submitCmd(SubmitJobRequest{Task: "c"})
-	g.line("queued behind stop", resultView(queued, g.tn.exec(queued)))
+	after := submitCmd(SubmitJobRequest{Task: "c"})
+	g.line("sent after stop", resultView(after, g.tn.exec(after)))
 	select {
 	case <-g.tn.Closed():
 	default:
