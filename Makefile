@@ -13,7 +13,7 @@ BENCH_N ?= BENCH_20.json
 BENCH_PREV ?= BENCH_19.json
 BENCH_BASE ?= BENCH_BASE.json
 
-.PHONY: all build test vet fmt lint bench bench-json bench-diff engines race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report loc docs-check clean
+.PHONY: all build test vet fmt lint bench bench-json bench-diff engines race race-server cluster-smoke elastic-smoke fanout-smoke flake fuzz fuzz-smoke obs recovery tier1-loop longrun scenario-smoke profile-mutex figures experiments soak pfaird pfairload pfairscen report loc docs-check clean
 
 all: build lint test
 
@@ -195,8 +195,8 @@ fanout-smoke:
 # and those that race senders on a tenant's one command ring: a full ring's
 # 429, a stop behind a backlog (Close, and a delete journaled after the
 # submits queued ahead of it), a delete ending its streams — and the trace
-# ring's own concurrent paths, since an Append may reallocate its growing
-# record slice while FramesSince readers copy from it and NextAppend
+# ring's own concurrent paths, since an append may reallocate its growing
+# record slice while AppendFrames readers copy from it and NextAppend
 # waiters wake on it (TestRingConcurrent, TestRingWakeSeesAppend, and
 # TestTraceFollowLive above) —
 # twenty times under -race: a tier-1 suite is deterministic only if these are.
@@ -205,6 +205,27 @@ flake:
 	$(GO) test -race -count=20 ./internal/obs/ -run 'TestRingConcurrent|TestRingWakeSeesAppend'
 	$(GO) test -race -count=20 ./internal/client/ -run 'TestStreamTraceEndToEnd'
 	$(GO) test -race -count=20 ./internal/hop/ -run 'TestServerStreamClientGoneEndsHandler|TestServerShutdownClosesIdleWaitsForActive|TestServerStallSeversStream'
+
+# tier1-loop is ROADMAP item 21's gate: the tier-1 suite, `go build ./...
+# && go test ./...`, N times in a row (default 50), every second run from
+# a fresh, empty GOCACHE in a temporary directory. -count=1 makes every run
+# run the tests rather than replay a cached result. It stops at the first
+# failing run, prints how many runs passed and the failing tests, and
+# leaves that run's output in the printed file.
+N ?= 50
+tier1-loop:
+	@pass=0; log=$$(mktemp); \
+	for i in $$(seq 1 $(N)); do \
+		cache=$$($(GO) env GOCACHE); fresh=; \
+		if [ $$((i % 2)) = 0 ]; then fresh=$$(mktemp -d); cache=$$fresh; fi; \
+		GOCACHE=$$cache $(GO) build ./... > $$log 2>&1 && GOCACHE=$$cache $(GO) test -count=1 ./... >> $$log 2>&1; \
+		ok=$$?; if [ -n "$$fresh" ]; then chmod -R u+w $$fresh; rm -rf $$fresh; fi; \
+		if [ $$ok != 0 ]; then \
+			echo "run $$i of $(N) failed, after $$pass passed:"; \
+			grep -E '^(--- FAIL|FAIL|panic:)' $$log; echo "output: $$log"; exit 1; \
+		fi; \
+		pass=$$((pass + 1)); echo "run $$i of $(N) passed$${fresh:+ (fresh GOCACHE)}"; \
+	done; rm -f $$log; echo "$$pass of $(N) runs passed"
 
 fuzz:
 	$(GO) test ./internal/core/ -fuzz=FuzzTheorem3 -fuzztime=30s

@@ -1,10 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -93,9 +92,9 @@ const (
 
 // Ring retains the most recent trace events of one tenant in a bounded
 // ring buffer and wakes followers when new events land (NextAppend). It is
-// safe for concurrent use. Sequence numbers are assigned on Append and
-// never reused; once the ring wraps, the oldest events are dropped and
-// FramesSince reports how many the caller missed.
+// safe for concurrent use. Sequence numbers are assigned as events land and
+// are never reused; once the ring wraps, the oldest events are dropped and
+// AppendFrames reports how many the caller missed.
 //
 // A retained event costs one 64-byte record. The record slice starts at
 // minRingSlots and doubles up to the capacity; the strings the records
@@ -117,47 +116,15 @@ type Ring struct {
 	index map[string]uint16
 	limit int // len(strs) that triggers the next compaction
 	// grown is what NextAppend hands out: nil until somebody asks, closed
-	// and forgotten by the next Append.
+	// and forgotten by the next append.
 	grown chan struct{}
 }
 
 // NewRing creates tenant's ring retaining up to capacity events (at least
-// 1, at most 8192). It allocates no record until the first Append.
+// 1, at most 8192). It allocates no record until the first event lands.
 func NewRing(tenant string, capacity int) *Ring {
 	capacity = min(max(capacity, 1), maxRingCap)
 	return &Ring{tenant: tenant, max: capacity, strs: []string{""}, limit: 1 + max(capacity, 64)}
-}
-
-// Append stores ev — its Seq is assigned, not read — wakes followers, and
-// returns the assigned Seq. A record holds the events a Tracer builds:
-// ev.Tenant must be the ring's, and At and Lag, at most one of them set,
-// exact rationals as rat.Rat renders them. Append panics on any other
-// event, which it could not render back byte for byte.
-func (r *Ring) Append(ev Event) int64 {
-	if ev.Tenant != r.tenant {
-		panic("obs: event of tenant " + strconv.Quote(ev.Tenant) + " appended to the ring of " + strconv.Quote(r.tenant))
-	}
-	rec := record{t: ev.T, cmd: ev.Cmd, durNs: ev.DurNs, dseq: ev.DSeq, count: ev.Count}
-	switch {
-	case ev.At != "" && ev.Lag != "":
-		panic("obs: event has both at and lag")
-	case ev.At != "":
-		q := exact(ev.At)
-		rec.num, rec.den = q.Num(), q.Den()
-	case ev.Lag != "":
-		q := exact(ev.Lag)
-		rec.num, rec.den = q.Num(), -q.Den()
-	}
-	return r.add(rec, ev.Op, ev.Stage, ev.Task, ev.Err)
-}
-
-// exact parses s, which must be a rational in the form rat.Rat renders.
-func exact(s string) rat.Rat {
-	q, err := rat.Parse(s)
-	if err != nil || q.String() != s {
-		panic("obs: " + strconv.Quote(s) + " is not an exact rational as rat.Rat renders it")
-	}
-	return q
 }
 
 // add stores rec with its strings interned, evicting the oldest record if
@@ -233,18 +200,17 @@ func (r *Ring) compact() {
 	r.limit = min(live+max(live, r.max, 64), 1<<16)
 }
 
-// FramesSince returns each retained event with Seq ≥ from as its NDJSON
-// frame — json.Marshal of the event + '\n', identical to what a
-// json.Encoder would emit — plus how many events with Seq ≥ from were
-// already evicted (a follower that asked for history the ring no longer
-// holds learns it skipped, rather than silently missing it). The records
-// are copied under the lock and rendered after it, so a reader never
-// holds up Append for longer than a copy.
-func (r *Ring) FramesSince(from int64) (frames [][]byte, dropped int64) {
+// AppendFrames appends to b the NDJSON frames of up to limit retained
+// events, from the oldest with Seq ≥ from on — each json.Marshal of the
+// event + '\n' — and returns the extended buffer, how many frames it
+// appended, and how many events with Seq ≥ from were already evicted (a
+// follower that asked for history the ring no longer holds learns it
+// skipped, rather than silently missing it): the next read starts at
+// from + dropped + n. The records are copied under the lock and rendered
+// after it, so a reader never holds up an append for longer than a copy.
+func (r *Ring) AppendFrames(b []byte, from int64, limit int) (_ []byte, n int, dropped int64) {
 	r.mu.Lock()
-	if from < 0 {
-		from = 0
-	}
+	from = max(from, 0)
 	oldest := r.next - int64(r.n)
 	if from < oldest {
 		dropped = oldest - from
@@ -252,28 +218,31 @@ func (r *Ring) FramesSince(from int64) (frames [][]byte, dropped int64) {
 	}
 	if from >= r.next {
 		r.mu.Unlock()
-		return nil, dropped
+		return b, 0, dropped
 	}
-	recs := make([]record, r.next-from)
+	recs := make([]record, min(r.next-from, int64(limit)))
 	i := (r.start + int(from-oldest)) % len(r.recs)
 	copy(recs[copy(recs, r.recs[i:]):], r.recs)
 	strs := r.strs
 	r.mu.Unlock()
 
-	frames = make([][]byte, len(recs))
+	// An Encoder writes json.Marshal's bytes and the newline, HTML escaping
+	// included, straight into the buffer.
+	buf := bytes.NewBuffer(b)
+	enc := json.NewEncoder(buf)
+	ev := new(Event)
 	for k := range recs {
-		b, err := json.Marshal(r.event(from+int64(k), &recs[k], strs))
-		if err != nil {
+		*ev = r.event(from+int64(k), &recs[k], strs)
+		if err := enc.Encode(ev); err != nil {
 			// Event marshals from plain fields; this cannot happen.
-			b = []byte("{}")
+			buf.WriteString("{}\n")
 		}
-		frames[k] = append(b, '\n')
 	}
-	return frames, dropped
+	return buf.Bytes(), len(recs), dropped
 }
 
 // event renders rec, the event with sequence number seq, back into the
-// Event that was appended; strs is the string table its indexes name.
+// Event that was recorded; strs is the string table its indexes name.
 func (r *Ring) event(seq int64, rec *record, strs []string) Event {
 	ev := Event{
 		Seq: seq, T: rec.t, Tenant: r.tenant, Cmd: rec.cmd,
@@ -309,11 +278,11 @@ func (r *Ring) Next() int64 {
 	return r.next
 }
 
-// NextAppend returns a channel that is closed by the next Append, once the
-// event is stored: take it, read (FramesSince), and only if the read found
-// nothing new wait on it — an Append in between closes a channel already
+// NextAppend returns a channel that is closed by the next append, once the
+// event is stored: take it, read (AppendFrames), and only if the read found
+// nothing new wait on it — an append in between closes a channel already
 // held. No channel exists while nobody has asked for one, and all who ask
-// before the next Append share one.
+// before the next append share one.
 func (r *Ring) NextAppend() <-chan struct{} {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -323,14 +292,19 @@ func (r *Ring) NextAppend() <-chan struct{} {
 	return r.grown
 }
 
-// Tracer stamps lifecycle events for one tenant into its ring. The zero
-// value (nil ring) is a no-op tracer, so untraced code paths cost one nil
-// check. Cmd ids are assigned by Begin. Virtual times are passed exact and
-// rendered only when a reader asks for the frame.
+// Tracer stamps lifecycle events for one tenant into its ring and keeps
+// the open command: the one Begin opened last, which Stage and Dispatch
+// report on. It has one writer, the tenant's loop. Virtual times are
+// passed exact and rendered only when a reader asks for the frame.
 type Tracer struct {
-	ring    *Ring
-	clock   Clock
-	nextCmd atomic.Int64
+	ring  *Ring
+	clock Clock
+	// cmd is the open command's id, monotone from 1 (0 until the first
+	// Begin); op is its op and start its submit instant, which later
+	// stages measure their DurNs from.
+	cmd   int64
+	op    string
+	start time.Time
 }
 
 // NewTracer creates a tracer writing to ring with timestamps from clock.
@@ -341,55 +315,48 @@ func NewTracer(ring *Ring, clock Clock) *Tracer {
 	return &Tracer{ring: ring, clock: clock}
 }
 
-// Begin opens a traced command: it assigns the next Cmd id, emits the
-// StageSubmit event — at, if not nil, is the virtual time the command
-// names — and returns the id and the submit instant that later stages
-// measure their DurNs from.
-func (t *Tracer) Begin(op, task string, at *rat.Rat) (cmd int64, start time.Time) {
-	if t == nil || t.ring == nil {
-		return 0, time.Time{}
-	}
-	start = t.clock.Now()
-	cmd = t.nextCmd.Add(1)
-	rec := record{t: start.UnixNano(), cmd: cmd}
+// Begin opens the next traced command and emits its StageSubmit event —
+// at, if not nil, is the virtual time the command names.
+func (t *Tracer) Begin(op, task string, at *rat.Rat) {
+	t.start = t.clock.Now()
+	t.cmd++
+	t.op = op
+	rec := record{t: t.start.UnixNano(), cmd: t.cmd}
 	if at != nil {
 		rec.num, rec.den = at.Num(), at.Den()
 	}
 	t.ring.add(rec, op, StageSubmit, task, "")
-	return cmd, start
 }
 
-// Stage emits one lifecycle stage for the command opened by Begin, with
-// DurNs measured from the submit instant.
-func (t *Tracer) Stage(cmd int64, start time.Time, op, stage, errMsg string) {
-	if t == nil || t.ring == nil || cmd == 0 {
+// Stage emits one lifecycle stage of the open command, with DurNs measured
+// from its submit instant; a non-nil err fails the command at stage, and
+// no further stage follows for it. Before any Begin it emits nothing.
+func (t *Tracer) Stage(stage string, err error) {
+	if t.cmd == 0 {
 		return
 	}
-	now := t.clock.Now()
-	t.ring.add(record{t: now.UnixNano(), cmd: cmd, durNs: now.Sub(start).Nanoseconds()}, op, stage, "", errMsg)
-}
-
-// Dispatch emits the one StageDispatch event of a command that decided:
-// its decisions are dispatch-log entries dseq … dseq+count−1, and lag is
-// the worst tardiness among them. The caller emits it after the command's
-// last decision, so decisions cost the trace one clock read and one event
-// per command, whatever their number.
-func (t *Tracer) Dispatch(cmd int64, start time.Time, op string, dseq, count int64, lag rat.Rat) {
-	if t == nil || t.ring == nil {
-		return
+	msg := ""
+	if err != nil {
+		msg = err.Error()
 	}
 	now := t.clock.Now()
-	rec := record{t: now.UnixNano(), cmd: cmd, dseq: dseq, count: count, num: lag.Num(), den: -lag.Den()}
-	if cmd != 0 {
-		rec.durNs = now.Sub(start).Nanoseconds()
-	}
-	t.ring.add(rec, op, StageDispatch, "", "")
+	t.ring.add(record{t: now.UnixNano(), cmd: t.cmd, durNs: now.Sub(t.start).Nanoseconds()}, t.op, stage, "", msg)
 }
 
-// Ring returns the tracer's ring (nil for a no-op tracer).
-func (t *Tracer) Ring() *Ring {
-	if t == nil {
-		return nil
+// Dispatch emits the one StageDispatch event of the open command, which
+// decided: its decisions are dispatch-log entries dseq … dseq+count−1,
+// and lag is the worst tardiness among them. The caller emits it after the
+// command's last decision, so decisions cost the trace one clock read and
+// one event per command, whatever their number. Before any Begin the event
+// carries cmd 0 and no duration.
+func (t *Tracer) Dispatch(dseq, count int64, lag rat.Rat) {
+	now := t.clock.Now()
+	rec := record{t: now.UnixNano(), cmd: t.cmd, dseq: dseq, count: count, num: lag.Num(), den: -lag.Den()}
+	if t.cmd != 0 {
+		rec.durNs = now.Sub(t.start).Nanoseconds()
 	}
-	return t.ring
+	t.ring.add(rec, t.op, StageDispatch, "", "")
 }
+
+// Ring returns the tracer's ring.
+func (t *Tracer) Ring() *Ring { return t.ring }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -13,14 +15,48 @@ import (
 	"desyncpfair/internal/rat"
 )
 
-// since decodes r.FramesSince(from).
+// Append stores ev — its Seq is assigned, not read — wakes followers, and
+// returns the assigned Seq: the tests' way to fill a ring with whole
+// events. A record holds the events a Tracer builds: ev.Tenant must be the
+// ring's, and At and Lag, at most one of them set, exact rationals as
+// rat.Rat renders them. Append panics on any other event, which the ring
+// could not render back byte for byte.
+func (r *Ring) Append(ev Event) int64 {
+	if ev.Tenant != r.tenant {
+		panic("obs: event of tenant " + strconv.Quote(ev.Tenant) + " appended to the ring of " + strconv.Quote(r.tenant))
+	}
+	rec := record{t: ev.T, cmd: ev.Cmd, durNs: ev.DurNs, dseq: ev.DSeq, count: ev.Count}
+	switch {
+	case ev.At != "" && ev.Lag != "":
+		panic("obs: event has both at and lag")
+	case ev.At != "":
+		q := exact(ev.At)
+		rec.num, rec.den = q.Num(), q.Den()
+	case ev.Lag != "":
+		q := exact(ev.Lag)
+		rec.num, rec.den = q.Num(), -q.Den()
+	}
+	return r.add(rec, ev.Op, ev.Stage, ev.Task, ev.Err)
+}
+
+// exact parses s, which must be a rational in the form rat.Rat renders.
+func exact(s string) rat.Rat {
+	q, err := rat.Parse(s)
+	if err != nil || q.String() != s {
+		panic("obs: " + strconv.Quote(s) + " is not an exact rational as rat.Rat renders it")
+	}
+	return q
+}
+
+// since decodes everything r.AppendFrames returns from from on.
 func since(t *testing.T, r *Ring, from int64) (events []Event, dropped int64) {
 	t.Helper()
-	frames, dropped := r.FramesSince(from)
-	for _, f := range frames {
+	frames, n, dropped := r.AppendFrames(nil, from, math.MaxInt)
+	dec := json.NewDecoder(bytes.NewReader(frames))
+	for i := 0; i < n; i++ {
 		var ev Event
-		if err := json.Unmarshal(f, &ev); err != nil {
-			t.Fatalf("frame %q: %v", f, err)
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("frame %d of %q: %v", i, frames, err)
 		}
 		events = append(events, ev)
 	}
@@ -53,7 +89,7 @@ func TestRingAppendSince(t *testing.T) {
 	}
 }
 
-// TestRingWrapDrops: once the ring wraps, FramesSince reports exactly how
+// TestRingWrapDrops: once the ring wraps, AppendFrames reports exactly how
 // many requested events were evicted and returns the retained suffix in
 // order.
 func TestRingWrapDrops(t *testing.T) {
@@ -74,8 +110,8 @@ func TestRingWrapDrops(t *testing.T) {
 		}
 	}
 	// Asking from inside the retained window drops nothing.
-	if _, dropped := r.FramesSince(8); dropped != 0 {
-		t.Errorf("FramesSince(8) dropped %d, want 0", dropped)
+	if _, _, dropped := r.AppendFrames(nil, 8, math.MaxInt); dropped != 0 {
+		t.Errorf("AppendFrames from 8 dropped %d, want 0", dropped)
 	}
 }
 
@@ -139,13 +175,10 @@ func TestTracerLifecycle(t *testing.T) {
 	tr := NewTracer(ring, clock)
 
 	at := rat.FromInt(3)
-	cmd, t0 := tr.Begin("advance", "web", &at)
-	if cmd != 1 {
-		t.Fatalf("first cmd id: got %d", cmd)
-	}
-	tr.Stage(cmd, t0, "advance", StageWALAppend, "")
-	tr.Dispatch(cmd, t0, "advance", 5, 2, rat.New(1, 2))
-	tr.Stage(cmd, t0, "advance", StageApply, "")
+	tr.Begin("advance", "web", &at)
+	tr.Stage(StageWALAppend, nil)
+	tr.Dispatch(5, 2, rat.New(1, 2))
+	tr.Stage(StageApply, nil)
 
 	evs, _ := since(t, ring, 0)
 	if len(evs) != 4 {
@@ -178,15 +211,23 @@ func TestTracerLifecycle(t *testing.T) {
 	}
 }
 
-// TestTracerNoop: a nil tracer and a tracer without a ring are free to
-// call — the untraced path must not need guards at every call site.
+// TestTracerNoop: before any Begin there is no open command, so a Stage
+// emits nothing, and a Dispatch emits an event with cmd 0 and no duration.
 func TestTracerNoop(t *testing.T) {
-	var tr *Tracer
-	cmd, t0 := tr.Begin("advance", "", nil)
-	tr.Stage(cmd, t0, "advance", StageApply, "")
-	tr.Dispatch(cmd, t0, "advance", 0, 1, rat.Zero)
-	if tr.Ring() != nil {
-		t.Error("nil tracer should have nil ring")
+	ring := NewRing("acme", 16)
+	tr := NewTracer(ring, NewFake(time.Unix(1700000000, 0), time.Millisecond))
+	tr.Stage(StageApply, nil)
+	tr.Stage(StageWALAppend, errors.New("disk full"))
+	if n := ring.Next(); n != 0 {
+		t.Fatalf("stages before any Begin emitted %d events", n)
+	}
+	tr.Dispatch(0, 1, rat.Zero)
+	evs, _ := since(t, ring, 0)
+	if len(evs) != 1 {
+		t.Fatalf("got %d events, want the dispatch alone", len(evs))
+	}
+	if d := evs[0]; d.Stage != StageDispatch || d.Cmd != 0 || d.DurNs != 0 || d.Op != "" || d.Count != 1 || d.Lag != "0" {
+		t.Errorf("dispatch before any Begin: %+v", d)
 	}
 }
 
@@ -197,9 +238,10 @@ func TestRingConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte
 			for i := 0; i < 100; i++ {
 				r.Append(Event{Stage: StageDispatch})
-				r.FramesSince(0)
+				buf, _, _ = r.AppendFrames(buf[:0], 0, 64)
 			}
 		}()
 	}
@@ -212,18 +254,21 @@ func TestRingConcurrent(t *testing.T) {
 // FuzzTraceRingMatchesMarshal is the contract of the ring's compact
 // records: whatever events were appended — every stage, with and without
 // task, at, lag and err, below, at and above the capacity, across growth,
-// wraparound and string-table compaction — FramesSince(from) returns
-// json.Marshal of each retained event + '\n', and drops exactly the events
-// before the last capacity ones, as a ring of whole Events would.
+// wraparound and string-table compaction — reading from a position with
+// AppendFrames, limit frames a call, into a buffer that holds a prefix,
+// keeps the prefix and appends json.Marshal of each retained event + '\n',
+// and the first read drops exactly the events before the last capacity
+// ones, as a ring of whole Events would.
 func FuzzTraceRingMatchesMarshal(f *testing.F) {
-	f.Add(int64(1), uint16(4), uint16(3), int64(0), "web")
-	f.Add(int64(2), uint16(16), uint16(16), int64(5), "")
-	f.Add(int64(3), uint16(5), uint16(400), int64(0), "a<b>&\"c\"")
-	f.Add(int64(4), uint16(100), uint16(700), int64(650), "\xff\xfe")
-	f.Add(int64(5), uint16(1), uint16(9), int64(-3), "x")
-	f.Fuzz(func(t *testing.T, seed int64, capRaw, nRaw uint16, from int64, name string) {
+	f.Add(int64(1), uint16(4), uint16(3), int64(0), "web", uint16(0), []byte(nil))
+	f.Add(int64(2), uint16(16), uint16(16), int64(5), "", uint16(255), []byte("{\"seq\":0}\n"))
+	f.Add(int64(3), uint16(5), uint16(400), int64(0), "a<b>&\"c\"", uint16(6), []byte("x"))
+	f.Add(int64(4), uint16(100), uint16(700), int64(650), "\xff\xfe", uint16(299), []byte(nil))
+	f.Add(int64(5), uint16(1), uint16(9), int64(-3), "x", uint16(1), []byte("\n\n"))
+	f.Fuzz(func(t *testing.T, seed int64, capRaw, nRaw uint16, from int64, name string, limitRaw uint16, prefix []byte) {
 		capacity := 1 + int(capRaw%300)
 		n := int(nRaw % 1000)
+		limit := 1 + int(limitRaw%300)
 		rng := rand.New(rand.NewSource(seed))
 		pool := []string{name, "web", "db", "job-submit", "advance", "server: no such task"}
 		str := func() string {
@@ -249,25 +294,47 @@ func FuzzTraceRingMatchesMarshal(f *testing.F) {
 		r := NewRing("t-"+name, capacity)
 		var all []Event
 		check := func(from int64) {
-			frames, dropped := r.FramesSince(from)
 			lo := max(from, 0)
 			oldest := int64(max(len(all)-capacity, 0))
-			wantDropped := max(oldest-lo, 0)
-			if dropped != wantDropped {
-				t.Fatalf("FramesSince(%d) after %d appends: dropped %d, want %d", from, len(all), dropped, wantDropped)
-			}
 			want := all[min(max(lo, oldest), int64(len(all))):]
-			if len(frames) != len(want) {
-				t.Fatalf("FramesSince(%d) after %d appends: %d frames, want %d", from, len(all), len(frames), len(want))
+			buf := append([]byte(nil), prefix...)
+			pos := from
+			for read := 0; ; read++ {
+				var got int
+				var dropped int64
+				buf, got, dropped = r.AppendFrames(buf, pos, limit)
+				wantDropped := int64(0)
+				if read == 0 {
+					wantDropped = max(oldest-lo, 0)
+				}
+				if dropped != wantDropped {
+					t.Fatalf("read %d from %d after %d appends: dropped %d, want %d", read, pos, len(all), dropped, wantDropped)
+				}
+				if left := len(want) - read*limit; got != min(max(left, 0), limit) {
+					t.Fatalf("read %d from %d after %d appends: %d frames, want %d of %d", read, pos, len(all), got, min(max(left, 0), limit), len(want))
+				}
+				pos = max(pos, 0) + dropped + int64(got)
+				if got == 0 {
+					break
+				}
 			}
-			for i, ev := range want {
+			if !bytes.HasPrefix(buf, prefix) {
+				t.Fatalf("reads from %d overwrote the buffer's prefix %q: %q", from, prefix, buf)
+			}
+			frames := buf[len(prefix):]
+			for _, ev := range want {
 				b, err := json.Marshal(ev)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if w := append(b, '\n'); !bytes.Equal(frames[i], w) {
-					t.Fatalf("frame of seq %d:\n got %s\nwant %s", ev.Seq, frames[i], w)
+				w := append(b, '\n')
+				if !bytes.HasPrefix(frames, w) {
+					t.Fatalf("frame of seq %d:\n got %s\nwant %s", ev.Seq, frames[:min(len(frames), len(w))], w)
 				}
+				frames = frames[len(w):]
+			}
+			if len(frames) != 0 {
+				t.Fatalf("reads from %d appended %q after the last retained frame", from, frames)
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -351,4 +418,48 @@ func TestRingStringTableBounded(t *testing.T) {
 	if last := evs[len(evs)-1]; last.Task != "task-99999" || len(evs) != 16 {
 		t.Fatalf("retained %d events, the last naming %q", len(evs), last.Task)
 	}
+}
+
+// TestTraceReadAllocs counts what one full read of a trace ring allocates:
+// a 4096-event ring filled through the Tracer by 1100 commands, each a
+// submit naming a virtual time, a wal-append, a dispatch with a lag and an
+// apply, read 256 frames a call into one reused buffer, as the trace
+// stream reads it. A read renders into that buffer, so what is left is
+// about one string per event that names a time (at or lag) and a few
+// allocations per call. The bound leaves the Go version room (ROADMAP 23).
+// Under the race detector the count is not the program's (raceEnabled).
+func TestTraceReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled encoder state, so the count is not the program's")
+	}
+	ring := NewRing("acme", 4096)
+	tr := NewTracer(ring, NewFake(time.Unix(1700000000, 0), time.Microsecond))
+	for c := int64(0); c < 1100; c++ {
+		at := rat.New(3*c+1, 3)
+		tr.Begin("job-submit", "web", &at)
+		tr.Stage(StageWALAppend, nil)
+		tr.Dispatch(4*c, 4, rat.New(1+c%5, 8))
+		tr.Stage(StageApply, nil)
+	}
+	var buf []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		read := 0
+		for pos := int64(0); ; {
+			var n int
+			var dropped int64
+			buf, n, dropped = ring.AppendFrames(buf[:0], pos, 256)
+			if n == 0 {
+				break
+			}
+			pos += dropped + int64(n)
+			read += n
+		}
+		if read != 4096 {
+			t.Fatalf("a full read returned %d frames, want 4096", read)
+		}
+	})
+	if allocs > 2300 {
+		t.Errorf("one full read of a 4096-event ring: %v allocations, want ≤ 2300", allocs)
+	}
+	t.Logf("one full read of a 4096-event ring: %v allocations", allocs)
 }

@@ -11,15 +11,8 @@
 // one quantum (Theorem 3), because the generated release pattern is a
 // legal IS task system and the dispatch rule is exactly PD²-DVQ.
 //
-// Typical use:
-//
-//	ex := online.New(2, nil)                  // two processors, PD²
-//	web := ex.Register("web", model.W(1, 2))
-//	ex.SubmitJob(web, rat.Zero)               // job arrives at time 0
-//	ex.Run(rat.FromInt(10), nil)              // advance virtual time
-//	ex.SubmitJob(web, rat.FromInt(10))        // next job arrives late — fine
-//	ex.Run(rat.FromInt(50), nil)
-//	fmt.Println(ex.Schedule().MaxTardiness())
+// ExampleExecutive (example_test.go) is the typical use: register a task,
+// submit jobs, run virtual time forward, drain.
 //
 // # Concurrency contract
 //

@@ -16,20 +16,19 @@ import (
 )
 
 // This file is the egress side of the encode-once plane. Records are
-// serialized to NDJSON wire bytes exactly once, by the goroutine that
-// owns them — the tenant loop for dispatch events (Tenant.record, into the
-// tail of its dispatch log: dispatchlog.go), the trace ring for trace
-// events (obs.Ring.FramesSince), the WAL appender for replication frames
-// (wal.Reader.NextRaw ships the on-disk payload) — and every follower
-// writes the shared bytes. That holds for the live tail of every dispatch
-// log and for all of a journaled tenant's resident history. Closed history
-// is the exception, served per reader: a journaled tenant's sealed frames
-// are copied from its hist-* files, an in-memory tenant's closed chunks
-// are rendered from their compact records. The frameWriter below writes a
-// bounded run of frames per Write — a span of a dispatch-log chunk, a
-// block of a history file, a batch of rendered, trace or journal lines
-// gathered into one buffer — flushes once per drain, and bounds how long
-// any write may block on a wedged client.
+// serialized to NDJSON wire bytes at most once, by the goroutine that owns
+// them — a journaled tenant's loop for its dispatch events (Tenant.record,
+// into the tail of its dispatch log: dispatchlog.go), the WAL appender for
+// replication frames (wal.Reader.NextRaw ships the on-disk payload) — and
+// every follower writes the shared bytes. The rest is served per reader: a
+// journaled tenant's sealed frames are copied from its hist-* files, an
+// in-memory tenant's log is rendered from its compact records, and so is
+// every trace event, from its ring's record (obs.Ring.AppendFrames), both
+// into the stream's own buffer. The frameWriter below writes a bounded run
+// of frames per Write — a span of a dispatch-log chunk, a block of a
+// history file, a batch of rendered, trace or journal lines gathered into
+// one buffer — flushes once per drain, and bounds how long any write may
+// block on a wedged client.
 //
 // Slow-consumer policy, one rule for every feed: a reader that keeps
 // reading is served everything the source retains, however far behind it
@@ -280,11 +279,13 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace streams the tenant's trace ring, one obs.Event per line.
-// The ring renders each read's frames from its compact records, and a batch
-// of them is gathered into one reused buffer for one Write. Ring retention
-// is bounded, so a follower that asks for evicted history, or
-// falls behind it, resumes at the oldest retained event instead of pinning
-// memory — the Seq gap tells it how much it missed.
+// The ring renders a batch of frames from its compact records into the
+// stream's own buffer, one Write per batch. A drain ends once it has served
+// the events the ring held when it began, so a busy tenant cannot keep a
+// follow=false read from ending. Ring retention is bounded, so a follower that asks for
+// evicted history, or falls behind it, resumes at the oldest retained
+// event instead of pinning memory — the Seq gap tells it how much it
+// missed.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	t := s.routeTenant(w, r)
 	if t == nil {
@@ -295,21 +296,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ring := t.traceRing()
-	var batch []byte
+	var render []byte
 	s.stream(w, r, from, follow, feed{wake: ring.NextAppend, done: t.Closed(), drain: func(fw *frameWriter, pos int64) (int64, error) {
-		frames, dropped := ring.FramesSince(pos)
-		pos += dropped
-		for len(frames) > 0 {
-			n := min(len(frames), maxStreamBatch)
-			batch = batch[:0]
-			for _, f := range frames[:n] {
-				batch = append(batch, f...)
+		for end := ring.Next(); pos < end; {
+			var n int
+			var dropped int64
+			render, n, dropped = ring.AppendFrames(render[:0], pos, maxStreamBatch)
+			pos += dropped + int64(n)
+			if n == 0 {
+				break // evicted up to the end while this drain wrote
 			}
-			if _, err := fw.Write(batch); err != nil {
+			if _, err := fw.Write(render); err != nil {
 				return pos, err
 			}
-			frames = frames[n:]
-			pos += int64(n)
 		}
 		return pos, nil
 	}})

@@ -78,7 +78,7 @@ func BenchmarkTenantRecord(b *testing.B) {
 			d.Tardiness = sched.Tardiness(d.Finish, d.Deadline)
 			tn.record(d)
 			if n%16 == 15 {
-				tn.traceDispatch(first)
+				tn.obs.tr.Dispatch(first, tn.log.len()-first, tn.worst)
 				tn.settle()
 				settled()
 				first = tn.log.len()

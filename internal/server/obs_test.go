@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -405,6 +406,11 @@ func TestTraceLifecycleExact(t *testing.T) {
 	tail := traceEvents(t, h, "/v1/tenants/acme/trace?follow=false&from=6")
 	if len(tail) != len(events)-6 || tail[0].Seq != 6 {
 		t.Fatalf("from=6 tail: %+v", tail)
+	}
+	// A read that starts one before the end serves the last event.
+	last := len(events) - 1
+	if tail := traceEvents(t, h, "/v1/tenants/acme/trace?follow=false&from="+strconv.Itoa(last)); len(tail) != 1 || tail[0].Seq != int64(last) {
+		t.Fatalf("from=%d tail: %+v", last, tail)
 	}
 
 	if code := doCmd(t, h, cmd{"GET", "/v1/tenants/acme/trace?from=-1", nil}); code != http.StatusBadRequest {

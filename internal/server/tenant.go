@@ -34,7 +34,8 @@ import (
 //     tasks by name are asked of it and kept nowhere else (readers use
 //     the snapshot) — log (its manifest included:
 //     compaction extends it through a control command, sealHistory),
-//     maxTar, reject, digest, jobs, group, cur*, lags, worst.
+//     maxTar, reject, digest, jobs, group, lags, worst, and the open
+//     command obs.tr keeps.
 //   - immutable after construction: id, policy, ring, closed (closed by
 //     the loop when a stop applies), obs (tracer + histograms).
 //   - atomics: snap (published state), grown (the next-growth channel),
@@ -68,11 +69,6 @@ type Tenant struct {
 	// group being applied, and what its journal record says of them.
 	jobs  []submitJob
 	group []wal.Job
-	// curCmd/curStart/curOp tie the dispatch trace event to the command
-	// whose apply produced its decisions.
-	curCmd   int64
-	curStart time.Time
-	curOp    string
 	// lags tallies the lag of each decision since the last settle, which
 	// merges it into the lag histograms; worst is the largest among them,
 	// the lag the command's dispatch trace event reports.
@@ -273,25 +269,6 @@ func (t *Tenant) observeSubmitAck(d time.Duration, n int) {
 	}
 }
 
-// traceBegin opens a traced command — at, if not nil, is the virtual time
-// it names — and parks its context for the later stages, its dispatch
-// event included. Loop goroutine only.
-func (t *Tenant) traceBegin(op, task string, at *rat.Rat) {
-	t.curCmd, t.curStart = t.obs.tr.Begin(op, task, at)
-	t.curOp = op
-}
-
-// traceStage marks the current command's next completed lifecycle stage.
-func (t *Tenant) traceStage(stage string) {
-	t.obs.tr.Stage(t.curCmd, t.curStart, t.curOp, stage, "")
-}
-
-// traceFail marks the current command failed at stage; no further stages
-// follow for it.
-func (t *Tenant) traceFail(stage string, err error) {
-	t.obs.tr.Stage(t.curCmd, t.curStart, t.curOp, stage, err.Error())
-}
-
 // SetJournal installs the durability hooks: append enqueues one record —
 // a command, or the digest of the decisions one made — and fail
 // permanently wedges the journal after a post-journal apply failure.
@@ -312,8 +289,8 @@ func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch f
 // field access is safe. A decision costs the engine and one entry of the
 // log's tail — its frame, or in a cold log its compact record — and its
 // lag is tallied. Everything
-// else happens once per command — the trace event (traceDispatch, before
-// the apply stage), and in settle the lag histograms, the journal's digest
+// else happens once per command — the trace event (applyRun, before the
+// apply stage), and in settle the lag histograms, the journal's digest
 // and the follower wakeup.
 func (t *Tenant) record(d online.Dispatch) {
 	if t.maxTar.Less(d.Tardiness) {
@@ -324,14 +301,6 @@ func (t *Tenant) record(d online.Dispatch) {
 	}
 	t.log.append(d.Sub.Task.ID, d.Sub.Task.Name, d.Sub.Index, d.Proc, d.Start, d.Finish, d.Deadline, d.Tardiness)
 	t.lags.Observe(d.Tardiness.Float64())
-}
-
-// traceDispatch emits the current command's one dispatch event if it
-// decided: its decisions are the log's frames from seq first on.
-func (t *Tenant) traceDispatch(first int64) {
-	if n := t.log.len() - first; n > 0 {
-		t.obs.tr.Dispatch(t.curCmd, t.curStart, t.curOp, first, n, t.worst)
-	}
 }
 
 // ID returns the tenant id.
@@ -411,16 +380,15 @@ func (t *Tenant) Resize(m int, drain bool) (ResizeResponse, wal.Commit, error) {
 // nothing applied.
 func (t *Tenant) journal(task string, at *rat.Rat, rec wal.Record) (wal.Commit, error) {
 	h := t.hooks.Load()
-	t.traceBegin(rec.Op, task, at)
+	t.obs.tr.Begin(rec.Op, task, at)
 	if h == nil {
 		return wal.Commit{}, nil
 	}
 	commit, err := h.append(rec)
+	t.obs.tr.Stage(obs.StageWALAppend, err)
 	if err != nil {
-		t.traceFail(obs.StageWALAppend, err)
 		return wal.Commit{}, err
 	}
-	t.traceStage(obs.StageWALAppend)
 	return commit, nil
 }
 
@@ -433,7 +401,7 @@ func (t *Tenant) wedge(err error) error {
 	if h := t.hooks.Load(); h != nil && h.fail != nil {
 		h.fail(err)
 	}
-	t.traceFail(obs.StageApply, err)
+	t.obs.tr.Stage(obs.StageApply, err)
 	return err
 }
 
@@ -460,7 +428,7 @@ func (t *Tenant) applyRegister(name string, w model.Weight) cmdResult {
 		return cmdResult{err: t.wedge(err)}
 	}
 	t.log.name(task.ID, name)
-	t.traceStage(obs.StageApply)
+	t.obs.tr.Stage(obs.StageApply, nil)
 	return cmdResult{dec: d, commit: commit}
 }
 
@@ -489,7 +457,7 @@ func (t *Tenant) applyUnregister(name string) cmdResult {
 	if err := t.ex.Unregister(task); err != nil {
 		return cmdResult{err: t.wedge(err)}
 	}
-	t.traceStage(obs.StageApply)
+	t.obs.tr.Stage(obs.StageApply, nil)
 	return cmdResult{commit: commit}
 }
 
@@ -519,7 +487,7 @@ func (t *Tenant) applyResize(m int, drain bool) cmdResult {
 	if err != nil {
 		return cmdResult{err: t.wedge(err)}
 	}
-	t.traceStage(obs.StageApply)
+	t.obs.tr.Stage(obs.StageApply, nil)
 	return cmdResult{resize: t.resizeResponse(d), commit: commit}
 }
 
@@ -604,22 +572,22 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 	for i := range jobs {
 		j := &jobs[i]
 		if singles && i > 0 {
-			t.traceBegin(wal.OpJobSubmit, j.req.Task, &j.when)
+			t.obs.tr.Begin(wal.OpJobSubmit, j.req.Task, &j.when)
 			if journaled {
-				t.traceStage(obs.StageWALAppend)
+				t.obs.tr.Stage(obs.StageWALAppend, nil)
 			}
 		}
 		if err := t.ex.SubmitJobEarly(j.task, j.when, j.req.Earliness); err != nil {
 			return wal.Commit{}, fmt.Errorf("job %d: %w", i, t.wedge(err))
 		}
 		if singles {
-			t.traceStage(obs.StageApply)
+			t.obs.tr.Stage(obs.StageApply, nil)
 		}
 		j.resp.Pending = t.ex.Pending()
 		t.idemRemember(j.req.Key, j.resp)
 	}
 	if !singles {
-		t.traceStage(obs.StageApply)
+		t.obs.tr.Stage(obs.StageApply, nil)
 	}
 	return commit, nil
 }
@@ -829,11 +797,15 @@ func (t *Tenant) applyRun(rec wal.Record, at *rat.Rat, run func() error) cmdResu
 	}
 	before := t.log.len()
 	err = run()
-	t.traceDispatch(before) // decisions made before a failure count too
+	// The command's one dispatch event: decisions made before a failure
+	// count too.
+	if n := t.log.len() - before; n > 0 {
+		t.obs.tr.Dispatch(before, n, t.worst)
+	}
 	if err != nil {
 		return cmdResult{err: t.wedge(err)}
 	}
-	t.traceStage(obs.StageApply)
+	t.obs.tr.Stage(obs.StageApply, nil)
 	return cmdResult{
 		adv: AdvanceResponse{
 			Now:        t.ex.Now().String(),

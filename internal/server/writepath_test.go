@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -264,14 +266,15 @@ func (g *writePathScript) step(label string, cmds ...*command) {
 			g.t.Fatalf("%s: command left incomplete", label)
 		}
 	}
-	frames, dropped := g.tn.traceRing().FramesSince(g.traced)
+	frames, n, dropped := g.tn.traceRing().AppendFrames(nil, g.traced, math.MaxInt)
 	if dropped != 0 {
 		g.t.Fatalf("%s: trace ring dropped %d events", label, dropped)
 	}
-	events := make([]obs.Event, len(frames))
-	for i, f := range frames {
-		if err := json.Unmarshal(f, &events[i]); err != nil {
-			g.t.Fatalf("%s: trace frame %q: %v", label, f, err)
+	events := make([]obs.Event, n)
+	dec := json.NewDecoder(bytes.NewReader(frames))
+	for i := range events {
+		if err := dec.Decode(&events[i]); err != nil {
+			g.t.Fatalf("%s: trace frame %d of %q: %v", label, i, frames, err)
 		}
 	}
 	for _, ev := range events {
