@@ -11,7 +11,6 @@ import (
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/online"
-	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/sched"
 	"desyncpfair/internal/server"
@@ -41,12 +40,9 @@ func NewExecTarget() *ExecTarget {
 
 // Setup creates the client's executive and registers its tasks.
 func (e *ExecTarget) Setup(c ClientSetup, m int, policy string) error {
-	p := prio.ByName(policy)
-	if policy == "" {
-		p = prio.PD2{}
-	}
-	if p == nil {
-		return fmt.Errorf("scenario: unknown policy %q", policy)
+	p, err := server.PolicyByName(policy)
+	if err != nil {
+		return err
 	}
 	ex := online.New(m, p)
 	for _, ts := range c.Tasks {

@@ -132,8 +132,8 @@ type idemEntry struct {
 	Pending int    `json:"pending"`
 }
 
-// checkpoint snapshots the tenant by running on its loop goroutine via a
-// control command, which quiesces every loop-owned field (the executive's
+// checkpoint snapshots the tenant by running on its loop goroutine
+// (onLoop), which quiesces every loop-owned field (the executive's
 // Checkpoint must run on its single goroutine). Compact holds the opMu
 // write side, so no handler can be mid-command: the ring is empty and the
 // control command runs immediately. A tenant deleted concurrently yields
@@ -146,7 +146,7 @@ type idemEntry struct {
 // tail goes to marshalPayload, which copies it once, into the payload.
 func (t *Tenant) checkpoint() tenantCheckpoint {
 	var cp tenantCheckpoint
-	res := t.ctlExec(&command{kind: cmdCtl, fn: func() {
+	err := t.onLoop(func() {
 		cp = tenantCheckpoint{
 			ID:      t.id,
 			Reject:  t.reject,
@@ -164,8 +164,8 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 			r := t.idem[k]
 			cp.Idem = append(cp.Idem, idemEntry{Key: k, At: r.At, Pending: r.Pending})
 		}
-	}})
-	if res.err != nil {
+	})
+	if err != nil {
 		return tenantCheckpoint{}
 	}
 	return cp
@@ -173,13 +173,11 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 
 // sealHistory tells the tenant that a committed snapshot names hist, its
 // manifest extended over the chunks the last checkpoint handed out: the
-// loop installs it and drops those chunks from memory. Compact still holds
-// opMu's write side, so nothing was logged in between.
+// loop installs it and drops those chunks from memory, and publishes the
+// log without them as it settles the command. Compact still holds opMu's
+// write side, so nothing was logged in between.
 func (t *Tenant) sealHistory(hist []histSegment) {
-	t.ctlExec(&command{kind: cmdCtl, fn: func() {
-		t.log.dropSealed(hist)
-		t.publish()
-	}})
+	t.onLoop(func() { t.log.dropSealed(hist) })
 }
 
 // restoreTenant rebuilds a tenant from its checkpoint: the events of Log

@@ -59,6 +59,6 @@ func (t *Tenant) ResidentBytes() int64 { return t.snap.Load().log.resident }
 // loop.
 func (t *Tenant) EngineWork() online.Work {
 	var w online.Work
-	t.ctlExec(&command{kind: cmdCtl, fn: func() { w = t.ex.Work() }})
+	t.onLoop(func() { w = t.ex.Work() })
 	return w
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/wal"
 )
@@ -22,7 +23,7 @@ type submitEntry struct {
 func runOf(tn *Tenant, reqs []SubmitJobRequest) []cmdResult {
 	cmds := make([]*command, len(reqs))
 	for i, req := range reqs {
-		cmds[i] = &command{kind: cmdSubmit, submit: req, done: make(chan cmdResult, 1)}
+		cmds[i] = &command{submit: req, done: make(chan cmdResult, 1)}
 	}
 	tn.processSubmitRun(cmds)
 	out := make([]cmdResult, len(cmds))
@@ -42,14 +43,16 @@ var submitEntries = []submitEntry{
 	}},
 	{"run", runOf},
 	{"batch", func(tn *Tenant, reqs []SubmitJobRequest) []cmdResult {
-		c := &command{kind: cmdSubmitBatch, batch: reqs, done: make(chan cmdResult, 1)}
-		tn.process(c)
-		res := <-c.done
+		var resp SubmitJobsResponse
+		res := processFn(tn, func() (c wal.Commit, err error) {
+			resp, c, err = tn.applySubmitBatch(reqs)
+			return c, err
+		})
 		out := make([]cmdResult, len(reqs))
 		for i := range out {
 			out[i] = cmdResult{commit: res.commit, err: res.err}
 			if res.err == nil {
-				out[i].submit = res.subs.Results[i]
+				out[i].submit = resp.Results[i]
 			}
 		}
 		return out
@@ -72,10 +75,13 @@ func idemTenant(t *testing.T) (tn *Tenant, journaled *int) {
 		func(err error) { t.Errorf("journal wedged: %v", err) },
 	)
 	tn.publish()
-	c := &command{kind: cmdRegister, name: "a", w: model.W(1, 2), done: make(chan cmdResult, 1)}
-	tn.process(c)
-	if res := <-c.done; res.err != nil || !res.dec.Admitted {
-		t.Fatalf("register: %+v", res)
+	var d admission.Decision
+	res := processFn(tn, func() (c wal.Commit, err error) {
+		d, c, err = tn.applyRegister("a", model.W(1, 2))
+		return c, err
+	})
+	if res.err != nil || !d.Admitted {
+		t.Fatalf("register: %+v %+v", res, d)
 	}
 	*journaled = 0
 	return tn, journaled
@@ -220,7 +226,7 @@ func TestCoalescedRunPublishesBeforeAck(t *testing.T) {
 	const n = 5
 	cmds := make([]*command, n+1)
 	for i := range cmds {
-		cmds[i] = &command{kind: cmdSubmit, submit: SubmitJobRequest{Task: "a", Key: fmt.Sprintf("k%d", i)}, done: make(chan cmdResult)}
+		cmds[i] = &command{submit: SubmitJobRequest{Task: "a", Key: fmt.Sprintf("k%d", i)}, done: make(chan cmdResult)}
 	}
 	cmds[n].submit.Key = "k0" // a key repeated within the run rides the second pass
 	loopDone := make(chan struct{})
@@ -269,10 +275,13 @@ func TestCoalescedRunStaysWithinOneFrame(t *testing.T) {
 	tn.publish()
 	long := strings.Repeat("n", maxRunBytes/2-16)
 	for _, name := range []string{"s", long} {
-		c := &command{kind: cmdRegister, name: name, w: model.W(1, 4), done: make(chan cmdResult, 1)}
-		tn.process(c)
-		if res := <-c.done; res.err != nil || !res.dec.Admitted {
-			t.Fatalf("register: %+v", res)
+		var d admission.Decision
+		res := processFn(tn, func() (c wal.Commit, err error) {
+			d, c, err = tn.applyRegister(name, model.W(1, 4))
+			return c, err
+		})
+		if res.err != nil || !d.Admitted {
+			t.Fatalf("register: %+v %+v", res, d)
 		}
 	}
 	res := runOf(tn, []SubmitJobRequest{

@@ -3,8 +3,6 @@ package server
 import (
 	"errors"
 
-	"desyncpfair/internal/admission"
-	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/wal"
 )
@@ -34,53 +32,29 @@ const maxRunBytes = 128 << 10
 // finds it full answers 429 (ErrRingFull).
 const defaultSubmitRing = 256
 
-// cmdKind discriminates the commands the tenant loop executes.
-type cmdKind int
-
-const (
-	cmdSubmit cmdKind = iota
-	cmdSubmitBatch
-	cmdRegister
-	cmdUnregister
-	cmdAdvance
-	cmdDrain
-	cmdResize
-	// cmdCtl runs an arbitrary closure on the loop goroutine, between the
-	// commands queued ahead of it and those behind (checkpointing, sealing
-	// history).
-	cmdCtl
-	// cmdStop ends the loop once its stopFn, if any, has succeeded: Close,
-	// or a delete whose stopFn journals it.
-	cmdStop
-)
-
-// command is one queued request for a tenant's event loop. The HTTP
-// handler validates the wire input, enqueues the command, and blocks on
-// done; the loop journals, applies, and completes it. done has capacity
-// 1 so the loop never blocks on a completion send.
+// command is one queued request for a tenant's event loop: a single job
+// submit (fn nil, the one kind runLoop coalesces into runs), or fn, the
+// closure the loop runs for any other request — it journals, applies and
+// returns the record's commit, its typed answer captured by the caller. A
+// stop ends the loop once its fn, if any, has succeeded: Close, or a
+// delete whose fn journals it. The caller enqueues the command and blocks
+// on done, which has capacity 1 so the loop never blocks on a completion
+// send.
 type command struct {
-	kind cmdKind
-
-	submit    SubmitJobRequest   // cmdSubmit
-	batch     []SubmitJobRequest // cmdSubmitBatch
-	name      string             // cmdRegister / cmdUnregister
-	w         model.Weight       // cmdRegister
-	until, by string             // cmdAdvance
-	resizeM   int                // cmdResize: target processor count
-	drain     bool               // cmdResize: queue an infeasible shrink
-	fn        func()             // cmdCtl
-	stopFn    func() error       // cmdStop: an error keeps the loop running
+	submit SubmitJobRequest
+	fn     func() (wal.Commit, error)
+	stop   bool
 
 	done chan cmdResult
 }
 
-// cmdResult carries a command's outcome back to the enqueuing handler.
+// single reports whether c is a single job submit.
+func (c *command) single() bool { return c.fn == nil && !c.stop }
+
+// cmdResult carries a command's outcome back to the enqueuing caller; a
+// single submit's answer is submit, any other command's the caller's own.
 type cmdResult struct {
 	submit SubmitJobResponse
-	subs   SubmitJobsResponse
-	adv    AdvanceResponse
-	dec    admission.Decision
-	resize ResizeResponse
 	commit wal.Commit
 	err    error
 }
@@ -98,6 +72,24 @@ func (t *Tenant) exec(c *command) cmdResult { return t.send(c, false) }
 
 // ctlExec runs a control command on the loop, waiting for room.
 func (t *Tenant) ctlExec(c *command) cmdResult { return t.send(c, true) }
+
+// do runs fn on the loop as one request (exec) and returns its commit and
+// error. A request refused before it ran — a full ring, a stopped tenant —
+// never runs fn, so whatever fn would have captured keeps its zero value.
+func (t *Tenant) do(fn func() (wal.Commit, error)) (wal.Commit, error) {
+	res := t.exec(&command{fn: fn})
+	return res.commit, res.err
+}
+
+// onLoop runs fn on the loop goroutine, between the commands queued ahead
+// of it and those behind (checkpointing, sealing history), waiting for
+// room. It fails, fn never run, once the tenant has stopped.
+func (t *Tenant) onLoop(fn func()) error {
+	return t.ctlExec(&command{fn: func() (wal.Commit, error) {
+		fn()
+		return wal.Commit{}, nil
+	}}).err
+}
 
 // send queues c on the tenant's one ring — waiting for room, or with wait
 // false answering ErrRingFull — and waits for the loop to complete it. A
@@ -160,9 +152,9 @@ func (t *Tenant) runLoop() {
 		}
 		for i := 0; i < len(batch); i++ {
 			c := batch[i]
-			if c.kind == cmdSubmit {
+			if c.single() {
 				j := i
-				for j+1 < len(batch) && batch[j+1].kind == cmdSubmit {
+				for j+1 < len(batch) && batch[j+1].single() {
 					j++
 				}
 				t.processSubmitRun(batch[i : j+1])
@@ -176,36 +168,18 @@ func (t *Tenant) runLoop() {
 	}
 }
 
-// process executes one command and reports whether the loop should stop.
-// (runLoop hands runs of single submits to processSubmitRun itself; one
-// arriving here is a run of one.)
+// process executes one command other than a single submit (runLoop hands
+// those to processSubmitRun) and reports whether the loop should stop: it
+// runs fn, settles and completes the command, and a stop whose fn (if
+// any) succeeded closes the tenant.
 func (t *Tenant) process(c *command) (stop bool) {
-	switch c.kind {
-	case cmdSubmit:
-		t.processSubmitRun([]*command{c})
-	case cmdSubmitBatch:
-		t.finish(c, t.applySubmitBatch(c.batch))
-	case cmdRegister:
-		t.finish(c, t.applyRegister(c.name, c.w))
-	case cmdUnregister:
-		t.finish(c, t.applyUnregister(c.name))
-	case cmdAdvance:
-		t.finish(c, t.applyAdvance(c.until, c.by))
-	case cmdDrain:
-		t.finish(c, t.applyDrain())
-	case cmdResize:
-		t.finish(c, t.applyResize(c.resizeM, c.drain))
-	case cmdCtl:
-		c.fn()
-		c.done <- cmdResult{}
-	case cmdStop:
-		if c.stopFn != nil {
-			if err := c.stopFn(); err != nil {
-				c.done <- cmdResult{err: err}
-				return false
-			}
-		}
-		c.done <- cmdResult{}
+	var res cmdResult
+	if c.fn != nil {
+		res.commit, res.err = c.fn()
+	}
+	t.settle()
+	c.done <- res
+	if c.stop && res.err == nil {
 		close(t.closed)
 		return true
 	}
@@ -241,12 +215,6 @@ func (t *Tenant) settle() {
 		}
 	}
 	t.publish()
-}
-
-// finish settles c's apply and completes it.
-func (t *Tenant) finish(c *command, res cmdResult) {
-	t.settle()
-	c.done <- res
 }
 
 // processSubmitRun executes a maximal run of consecutive single submits
@@ -315,7 +283,7 @@ func (t *Tenant) processSubmitRun(run []*command) {
 // applied: pending streams end and later commands answer errTenantGone.
 // Idempotent; every caller returns once the loop has stopped.
 func (t *Tenant) Close() {
-	t.ctlExec(&command{kind: cmdStop})
+	t.ctlExec(&command{stop: true})
 	<-t.closed
 }
 

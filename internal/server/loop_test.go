@@ -8,8 +8,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,25 +34,29 @@ func TestRingFullBackpressure(t *testing.T) {
 
 	// Park the loop inside a control command so the ring cannot drain.
 	entered, gate := make(chan struct{}), make(chan struct{})
-	ctlDone := make(chan cmdResult, 1)
+	ctlDone := make(chan error, 1)
 	go func() {
-		ctlDone <- tn.ctlExec(&command{kind: cmdCtl, fn: func() {
+		ctlDone <- tn.onLoop(func() {
 			close(entered)
 			<-gate
-		}})
+		})
 	}()
 	<-entered
 
 	// Fill every ring slot.
+	drain := func() (wal.Commit, error) {
+		_, c, err := tn.applyDrain()
+		return c, err
+	}
 	queued := make(chan cmdResult, defaultSubmitRing)
 	for i := 0; i < defaultSubmitRing; i++ {
-		go func() { queued <- tn.exec(&command{kind: cmdDrain}) }()
+		go func() { queued <- tn.exec(&command{fn: drain}) }()
 	}
 	for len(tn.ring) < defaultSubmitRing {
 		runtime.Gosched()
 	}
 
-	res := tn.exec(&command{kind: cmdDrain})
+	res := tn.exec(&command{fn: drain})
 	if !errors.Is(res.err, ErrRingFull) {
 		t.Fatalf("exec on a full ring: err = %v, want ErrRingFull", res.err)
 	}
@@ -60,14 +66,144 @@ func TestRingFullBackpressure(t *testing.T) {
 
 	// Release the loop: the queued commands must complete normally.
 	close(gate)
-	if r := <-ctlDone; r.err != nil {
-		t.Fatalf("control command: %v", r.err)
+	if err := <-ctlDone; err != nil {
+		t.Fatalf("control command: %v", err)
 	}
 	for i := 0; i < defaultSubmitRing; i++ {
 		if r := <-queued; r.err != nil {
 			t.Fatalf("queued drain after release: %v", r.err)
 		}
 	}
+}
+
+// TestRefusedCommandNeverRuns: a command refused before the loop reached
+// it — by a full ring (ErrRingFull), or because it queued behind a stop
+// (errTenantGone) — never runs its closure, and every public method that
+// sent one answers the zero value. That is what makes an answer captured
+// in a command's closure race-free: the loop writes it before completing
+// the command, or never.
+func TestRefusedCommandNeverRuns(t *testing.T) {
+	var runs atomic.Int32
+	zero := func(vs ...any) bool {
+		for _, v := range vs {
+			if !reflect.ValueOf(v).IsZero() {
+				return false
+			}
+		}
+		return true
+	}
+	// Each send reports whether the answer it got besides its error is zero.
+	sends := []func(tn *Tenant) (bool, error){
+		func(tn *Tenant) (bool, error) {
+			c, err := tn.do(func() (wal.Commit, error) { runs.Add(1); return wal.Commit{}, nil })
+			return zero(c), err
+		},
+		func(tn *Tenant) (bool, error) {
+			d, c, err := tn.RegisterTask("b", model.W(1, 4))
+			return zero(d, c), err
+		},
+		func(tn *Tenant) (bool, error) {
+			c, err := tn.UnregisterTask("a")
+			return zero(c), err
+		},
+		func(tn *Tenant) (bool, error) {
+			r, c, err := tn.SubmitJobReq(SubmitJobRequest{Task: "a"})
+			return zero(r, c), err
+		},
+		func(tn *Tenant) (bool, error) {
+			r, c, err := tn.SubmitJobs([]SubmitJobRequest{{Task: "a"}})
+			return zero(r, c), err
+		},
+		func(tn *Tenant) (bool, error) {
+			r, c, err := tn.Advance("", "1")
+			return zero(r, c), err
+		},
+		func(tn *Tenant) (bool, error) {
+			r, c, err := tn.Drain()
+			return zero(r, c), err
+		},
+		func(tn *Tenant) (bool, error) {
+			r, c, err := tn.Resize(2, false)
+			return zero(r, c), err
+		},
+	}
+	check := func(t *testing.T, i int, isZero bool, err, want error) {
+		t.Helper()
+		if !errors.Is(err, want) || !isZero {
+			t.Errorf("send %d: zero answer %v, err %v; want a zero answer and %v", i, isZero, err, want)
+		}
+	}
+	// parked is a tenant with one task whose loop is held in onLoop until
+	// release is called.
+	parked := func(t *testing.T) (tn *Tenant, release func()) {
+		tn, err := NewTenant("refused", 1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tn.RegisterTask("a", model.W(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+		entered, gate := make(chan struct{}), make(chan struct{})
+		go tn.onLoop(func() {
+			close(entered)
+			<-gate
+		})
+		<-entered
+		return tn, func() { close(gate) }
+	}
+
+	t.Run("ring full", func(t *testing.T) {
+		tn, release := parked(t)
+		defer tn.Close()
+		for i := 0; i < defaultSubmitRing; i++ {
+			go tn.onLoop(func() {})
+		}
+		for len(tn.ring) < defaultSubmitRing {
+			runtime.Gosched()
+		}
+		for i, send := range sends {
+			isZero, err := send(tn)
+			check(t, i, isZero, err, ErrRingFull)
+		}
+		release()
+		if err := tn.onLoop(func() {}); err != nil { // behind every queued command
+			t.Fatal(err)
+		}
+		if n := runs.Load(); n != 0 {
+			t.Errorf("a refused closure ran %d times", n)
+		}
+	})
+
+	t.Run("behind a stop", func(t *testing.T) {
+		tn, release := parked(t)
+		go tn.Close()
+		for len(tn.ring) < 1 {
+			runtime.Gosched()
+		}
+		type answer struct {
+			isZero bool
+			err    error
+		}
+		answers := make([]chan answer, len(sends))
+		for i, send := range sends {
+			answers[i] = make(chan answer, 1)
+			go func() {
+				isZero, err := send(tn)
+				answers[i] <- answer{isZero, err}
+			}()
+		}
+		for len(tn.ring) < 1+len(sends) {
+			runtime.Gosched()
+		}
+		release()
+		for i := range sends {
+			a := <-answers[i]
+			check(t, i, a.isZero, a.err, errTenantGone)
+		}
+		if n := runs.Load(); n != 0 {
+			t.Errorf("a closure queued behind a stop ran %d times", n)
+		}
+	})
 }
 
 // TestServerCloseStopsInMemoryTenants: Close stops every tenant loop of a
@@ -118,19 +254,19 @@ func TestCloseDrainsBacklogThenRefuses(t *testing.T) {
 	// Park the loop and stuff the ring with submits while it cannot drain.
 	entered := make(chan struct{})
 	gate := make(chan struct{})
-	ctlDone := make(chan cmdResult, 1)
+	ctlDone := make(chan error, 1)
 	go func() {
-		ctlDone <- tn.ctlExec(&command{kind: cmdCtl, fn: func() {
+		ctlDone <- tn.onLoop(func() {
 			close(entered)
 			<-gate
-		}})
+		})
 	}()
 	<-entered
 	const backlog = 5
 	pending := make(chan cmdResult, backlog)
 	for i := 0; i < backlog; i++ {
 		go func() {
-			pending <- tn.exec(&command{kind: cmdSubmit, submit: SubmitJobRequest{Task: "a"}})
+			pending <- tn.exec(&command{submit: SubmitJobRequest{Task: "a"}})
 		}()
 	}
 	for len(tn.ring) < backlog {
@@ -335,10 +471,10 @@ func TestDeleteJournalsAfterQueuedSubmits(t *testing.T) {
 	tn := s.tenant("r")
 
 	entered, gate := make(chan struct{}), make(chan struct{})
-	go tn.ctlExec(&command{kind: cmdCtl, fn: func() {
+	go tn.onLoop(func() {
 		close(entered)
 		<-gate
-	}})
+	})
 	<-entered
 	codes := make(chan int, n)
 	for i := 0; i < n; i++ {

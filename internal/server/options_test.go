@@ -59,10 +59,10 @@ func TestOpenInMemoryHonoursSubmitRing(t *testing.T) {
 	tn := s.tenant("r")
 
 	entered, gate := make(chan struct{}), make(chan struct{})
-	go tn.ctlExec(&command{kind: cmdCtl, fn: func() {
+	go tn.onLoop(func() {
 		close(entered)
 		<-gate
-	}})
+	})
 	<-entered
 	queued := make(chan int, defaultSubmitRing)
 	for i := 0; i < defaultSubmitRing; i++ {

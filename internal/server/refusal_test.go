@@ -97,10 +97,10 @@ func TestBacklogCapThroughHandler(t *testing.T) {
 	before := s.WALStats().Appends
 
 	entered, gate := make(chan struct{}), make(chan struct{})
-	go tn.ctlExec(&command{kind: cmdCtl, fn: func() {
+	go tn.onLoop(func() {
 		close(entered)
 		<-gate
-	}})
+	})
 	<-entered
 	codes := make(chan int, 2)
 	for i := 0; i < 2; i++ {

@@ -172,9 +172,14 @@ func (s *Server) Promote() error {
 	}
 	// The OpTerm record makes the new term durable at a definite LSN:
 	// recovery finds it, and any record the old leader still ships below
-	// this term is fenced. Append waits for the fsync, which also seals
-	// everything replicated before the promotion.
-	if _, err := s.wal.Append(wal.Record{Op: wal.OpTerm}); err != nil {
+	// this term is fenced. Sync makes it durable, and with it everything
+	// replicated before the promotion, whatever the group commit's
+	// FsyncEvery (Append's wait would not under FsyncEvery > 1).
+	_, err := s.wal.AppendAsync(wal.Record{Op: wal.OpTerm})
+	if err == nil {
+		err = s.wal.Sync()
+	}
+	if err != nil {
 		s.role.Store(int32(RoleFollower))
 		return err
 	}

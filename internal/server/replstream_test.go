@@ -3,9 +3,11 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -181,5 +183,29 @@ func TestReplLogNoLostWakeup(t *testing.T) {
 				t.Fatalf("round %d: want LSN %d, got %s", round, next, line)
 			}
 		}
+	}
+}
+
+// TestPromoteSyncsTermMarker: the term marker a promotion journals is
+// durable when Promote returns, even where the group commit alone would
+// leave it unsynced (FsyncEvery > 1, no idle flush) — a crash right after
+// the node starts acking as leader must not lose its term.
+func TestPromoteSyncsTermMarker(t *testing.T) {
+	srv, err := server.Open(server.Options{DataDir: t.TempDir(), Follower: true, FsyncEvery: 64, FsyncMaxDelay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	rw := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/v1/replication/status", nil))
+	var st server.ReplStatusResponse
+	if err := json.Unmarshal(rw.Body.Bytes(), &st); err != nil {
+		t.Fatalf("status %d %q: %v", rw.Code, rw.Body, err)
+	}
+	if st.Role != "leader" || st.WrittenLSN == 0 || st.DurableLSN != st.WrittenLSN {
+		t.Fatalf("after Promote: %+v, want a leader whose term marker is durable", st)
 	}
 }

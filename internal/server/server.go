@@ -250,21 +250,21 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 // reports whether this call deleted t; the error is a journal failure,
 // after which the tenant keeps serving as if never asked.
 func (s *Server) removeTenant(t *Tenant) (bool, wal.Commit, error) {
-	var commit wal.Commit
-	res := t.ctlExec(&command{kind: cmdStop, stopFn: func() (err error) {
+	res := t.ctlExec(&command{stop: true, fn: func() (wal.Commit, error) {
 		s.regMu.Lock()
 		defer s.regMu.Unlock()
-		if commit, err = s.journalRecord(wal.Record{Op: wal.OpTenantDelete, Tenant: t.id}); err == nil {
+		commit, err := s.journalRecord(wal.Record{Op: wal.OpTenantDelete, Tenant: t.id})
+		if err == nil {
 			delete(s.tenants, t.id)
 		}
-		return err
+		return commit, err
 	}})
 	if errors.Is(res.err, errTenantGone) {
 		// A concurrent delete won; report not-found, exactly as if we had
 		// arrived after it.
 		return false, wal.Commit{}, nil
 	}
-	return true, commit, res.err
+	return true, res.commit, res.err
 }
 
 // failJournal wedges the journal after a command it holds failed to apply.

@@ -21,7 +21,8 @@ import (
 // each tenant runs one loop goroutine (runLoop, loop.go) fed by one
 // bounded MPSC ring, which every command — request, control command, stop
 // — goes through in order. HTTP handlers validate the wire input, enqueue
-// a command, and wait on its completion; the loop journals, applies, and
+// a command (a single submit, or the closure the loop runs for anything
+// else), and wait on its completion; the loop journals, applies, and
 // publishes an immutable tenantSnap through an atomic pointer. Every read
 // path — Info, /metrics, stream replay, recovery verification — loads the
 // snapshot and never synchronizes with the writer, so scrapes and
@@ -314,15 +315,18 @@ func (t *Tenant) ID() string { return t.id }
 // returned commit is the journal position to wait durable before acking
 // (zero when nothing was journaled).
 func (t *Tenant) RegisterTask(name string, w model.Weight) (admission.Decision, wal.Commit, error) {
-	res := t.exec(&command{kind: cmdRegister, name: name, w: w})
-	return res.dec, res.commit, res.err
+	var d admission.Decision
+	c, err := t.do(func() (c wal.Commit, err error) {
+		d, c, err = t.applyRegister(name, w)
+		return c, err
+	})
+	return d, c, err
 }
 
 // UnregisterTask removes a task and releases its capacity. It fails while
 // the task still has undispatched subtasks (advance or drain first).
 func (t *Tenant) UnregisterTask(name string) (wal.Commit, error) {
-	res := t.exec(&command{kind: cmdUnregister, name: name})
-	return res.commit, res.err
+	return t.do(func() (wal.Commit, error) { return t.applyUnregister(name) })
 }
 
 // SubmitJobReq releases one job of the named task. An empty At submits at
@@ -330,7 +334,7 @@ func (t *Tenant) UnregisterTask(name string) (wal.Commit, error) {
 // clients); otherwise At is parsed as a rat and must not precede it. An
 // idempotency key makes the submit safe to retry.
 func (t *Tenant) SubmitJobReq(req SubmitJobRequest) (SubmitJobResponse, wal.Commit, error) {
-	res := t.exec(&command{kind: cmdSubmit, submit: req})
+	res := t.exec(&command{submit: req})
 	return res.submit, res.commit, res.err
 }
 
@@ -340,22 +344,34 @@ func (t *Tenant) SubmitJobReq(req SubmitJobRequest) (SubmitJobResponse, wal.Comm
 // journaled as one record and applied. The caller waits on the one
 // returned commit, so N jobs cost one frame and at most one fsync.
 func (t *Tenant) SubmitJobs(reqs []SubmitJobRequest) (SubmitJobsResponse, wal.Commit, error) {
-	res := t.exec(&command{kind: cmdSubmitBatch, batch: reqs})
-	return res.subs, res.commit, res.err
+	var resp SubmitJobsResponse
+	c, err := t.do(func() (c wal.Commit, err error) {
+		resp, c, err = t.applySubmitBatch(reqs)
+		return c, err
+	})
+	return resp, c, err
 }
 
 // Advance moves virtual time forward. Exactly one of until/by must be
 // non-empty; `by` is relative to the tenant's current virtual time.
 func (t *Tenant) Advance(until, by string) (AdvanceResponse, wal.Commit, error) {
-	res := t.exec(&command{kind: cmdAdvance, until: until, by: by})
-	return res.adv, res.commit, res.err
+	var resp AdvanceResponse
+	c, err := t.do(func() (c wal.Commit, err error) {
+		resp, c, err = t.applyAdvance(until, by)
+		return c, err
+	})
+	return resp, c, err
 }
 
 // Drain dispatches everything released so far and returns the final
 // virtual time.
 func (t *Tenant) Drain() (AdvanceResponse, wal.Commit, error) {
-	res := t.exec(&command{kind: cmdDrain})
-	return res.adv, res.commit, res.err
+	var resp AdvanceResponse
+	c, err := t.do(func() (c wal.Commit, err error) {
+		resp, c, err = t.applyDrain()
+		return c, err
+	})
+	return resp, c, err
 }
 
 // Resize changes the tenant's processor count. A grow takes effect at
@@ -363,17 +379,22 @@ func (t *Tenant) Drain() (AdvanceResponse, wal.Commit, error) {
 // rejected (Outcome "rejected", nothing journaled), or with drain queued
 // as a pending target that applies once unregisters bring Σwt within it.
 func (t *Tenant) Resize(m int, drain bool) (ResizeResponse, wal.Commit, error) {
-	res := t.exec(&command{kind: cmdResize, resizeM: m, drain: drain})
-	return res.resize, res.commit, res.err
+	var resp ResizeResponse
+	c, err := t.do(func() (c wal.Commit, err error) {
+		resp, c, err = t.applyResize(m, drain)
+		return c, err
+	})
+	return resp, c, err
 }
 
 // --- the write path (loop goroutine only) ---
 //
 // Every command runs the same three steps: validate completely against
 // current state (a rejection leaves nothing behind and is not journaled),
-// journal, apply. Validation is what makes journal-before-apply safe: a
-// journaled command must apply — on this server now and on every replay
-// of the journal later.
+// journal, apply — the last two in Tenant.apply (applySubmits, whose
+// coalesced singles trace one command per job, keeps its own). Validation
+// is what makes journal-before-apply safe: a journaled command must apply —
+// on this server now and on every replay of the journal later.
 
 // journal opens the traced command and, on a durable tenant, journals its
 // one record before anything is applied. A refusal fails the command with
@@ -405,31 +426,46 @@ func (t *Tenant) wedge(err error) error {
 	return err
 }
 
-func (t *Tenant) applyRegister(name string, w model.Weight) cmdResult {
+// apply journals a validated command's record rec (journal: task and at
+// label its trace), then runs fn, the change to loop-owned state, and
+// closes the command's apply stage. fn failing wedges the journal.
+func (t *Tenant) apply(task string, at *rat.Rat, rec wal.Record, fn func() error) (wal.Commit, error) {
+	commit, err := t.journal(task, at, rec)
+	if err != nil {
+		return wal.Commit{}, err
+	}
+	if err := fn(); err != nil {
+		return wal.Commit{}, t.wedge(err)
+	}
+	t.obs.tr.Stage(obs.StageApply, nil)
+	return commit, nil
+}
+
+func (t *Tenant) applyRegister(name string, w model.Weight) (admission.Decision, wal.Commit, error) {
 	if w.P > MaxPeriod {
-		return cmdResult{err: fmt.Errorf("server: task %q period %d exceeds %d", name, w.P, MaxPeriod)}
+		return admission.Decision{}, wal.Commit{}, fmt.Errorf("server: task %q period %d exceeds %d", name, w.P, MaxPeriod)
 	}
 	d, err := t.ex.PlanRegister(name, w)
 	if err != nil {
-		return cmdResult{err: err}
+		return admission.Decision{}, wal.Commit{}, err
 	}
 	if !d.Admitted {
 		// Rejections are not journaled: they leave no state behind, and
 		// the rejection metric is restored from the last snapshot.
 		t.reject++
-		return cmdResult{dec: d}
+		return d, wal.Commit{}, nil
 	}
-	commit, err := t.journal(name, nil, wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P})
+	commit, err := t.apply(name, nil, wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P}, func() error {
+		task, err := t.ex.Register(name, w)
+		if err == nil {
+			t.log.name(task.ID, name)
+		}
+		return err
+	})
 	if err != nil {
-		return cmdResult{err: err}
+		return admission.Decision{}, wal.Commit{}, err
 	}
-	task, err := t.ex.Register(name, w)
-	if err != nil {
-		return cmdResult{err: t.wedge(err)}
-	}
-	t.log.name(task.ID, name)
-	t.obs.tr.Stage(obs.StageApply, nil)
-	return cmdResult{dec: d, commit: commit}
+	return d, commit, nil
 }
 
 // task returns the active task named name, or the refusal of a command
@@ -441,54 +477,46 @@ func (t *Tenant) task(name string) (*model.Task, error) {
 	return nil, fmt.Errorf("server: tenant %q has no task %q", t.id, name)
 }
 
-func (t *Tenant) applyUnregister(name string) cmdResult {
+func (t *Tenant) applyUnregister(name string) (wal.Commit, error) {
 	task, err := t.task(name)
 	if err != nil {
-		return cmdResult{err: err}
+		return wal.Commit{}, err
 	}
 	if err := t.ex.PlanUnregister(task); err != nil {
-		return cmdResult{err: fmt.Errorf("server: %w", err)}
-	}
-	commit, err := t.journal(name, nil, wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name})
-	if err != nil {
-		return cmdResult{err: err}
+		return wal.Commit{}, fmt.Errorf("server: %w", err)
 	}
 	// The release applies a queued drain-mode shrink once Σwt fits it.
-	if err := t.ex.Unregister(task); err != nil {
-		return cmdResult{err: t.wedge(err)}
-	}
-	t.obs.tr.Stage(obs.StageApply, nil)
-	return cmdResult{commit: commit}
+	return t.apply(name, nil, wal.Record{Op: wal.OpTaskUnregister, Tenant: t.id, Name: name}, func() error {
+		return t.ex.Unregister(task)
+	})
 }
 
 // applyResize changes the tenant's processor count. A rejection (a
 // non-drain shrink below Σwt) is counted and not journaled, exactly like a
 // rejected registration; applied and queued resizes journal an OpResize
 // record so recovery replays the capacity history.
-func (t *Tenant) applyResize(m int, drain bool) cmdResult {
+func (t *Tenant) applyResize(m int, drain bool) (ResizeResponse, wal.Commit, error) {
 	plan, err := t.ex.PlanResize(m, drain)
 	if err != nil {
-		return cmdResult{err: fmt.Errorf("server: tenant %q resize %w", t.id, err)}
+		return ResizeResponse{}, wal.Commit{}, fmt.Errorf("server: tenant %q resize %w", t.id, err)
 	}
 	if plan.Outcome == admission.ResizeRejected {
 		t.reject++
-		return cmdResult{resize: t.resizeResponse(plan)}
+		return t.resizeResponse(plan), wal.Commit{}, nil
 	}
 	mode := ""
 	if plan.Outcome == admission.ResizeQueued {
 		mode = "drain"
 	}
 	mq := rat.FromInt(int64(m))
-	commit, err := t.journal("", &mq, wal.Record{Op: wal.OpResize, Tenant: t.id, M: m, Mode: mode})
+	commit, err := t.apply("", &mq, wal.Record{Op: wal.OpResize, Tenant: t.id, M: m, Mode: mode}, func() (err error) {
+		plan, err = t.ex.ResizeDrain(m, drain)
+		return err
+	})
 	if err != nil {
-		return cmdResult{err: err}
+		return ResizeResponse{}, wal.Commit{}, err
 	}
-	d, err := t.ex.ResizeDrain(m, drain)
-	if err != nil {
-		return cmdResult{err: t.wedge(err)}
-	}
-	t.obs.tr.Stage(obs.StageApply, nil)
-	return cmdResult{resize: t.resizeResponse(d), commit: commit}
+	return t.resizeResponse(plan), commit, nil
 }
 
 // resizeResponse shapes a resize decision for the wire. Loop goroutine
@@ -667,7 +695,7 @@ func (t *Tenant) checkBacklog(queued, n int64) error {
 
 // applySubmitBatch is the atomic front end of applySubmits: one bad job
 // rejects the whole batch with no state change.
-func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) cmdResult {
+func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) (SubmitJobsResponse, wal.Commit, error) {
 	// Idempotency across a batch is all-or-nothing, mirroring the batch's
 	// own atomicity: a retry where every keyed job was already applied
 	// replays the cached responses; a partial overlap is rejected outright.
@@ -676,29 +704,29 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) cmdResult {
 	// none — unless the journal was written before that (a group of
 	// per-job frames, which a crash could cut), or MaxIdemKeys evicted some.
 	if resp, done, err := t.batchIdemCheck(reqs); err != nil || done {
-		return cmdResult{subs: resp, err: err}
+		return resp, wal.Commit{}, err
 	}
 	jobs := slices.Grow(t.jobs[:0], len(reqs))[:len(reqs)]
 	t.jobs = jobs[:0]
 	subtasks := int64(0)
 	for i := range reqs {
 		if err := t.validateSubmit(&reqs[i], &jobs[i]); err != nil {
-			return cmdResult{err: fmt.Errorf("job %d: %w", i, err)}
+			return SubmitJobsResponse{}, wal.Commit{}, fmt.Errorf("job %d: %w", i, err)
 		}
 		subtasks += jobs[i].task.W.E
 	}
 	if err := t.checkBacklog(0, subtasks); err != nil {
-		return cmdResult{err: err}
+		return SubmitJobsResponse{}, wal.Commit{}, err
 	}
 	commit, err := t.applySubmits(jobs)
 	if err != nil {
-		return cmdResult{err: err}
+		return SubmitJobsResponse{}, wal.Commit{}, err
 	}
 	resp := SubmitJobsResponse{Accepted: len(jobs), Results: make([]SubmitJobResponse, len(jobs))}
 	for i := range jobs {
 		resp.Results[i] = jobs[i].resp
 	}
-	return cmdResult{subs: resp, commit: commit}
+	return resp, commit, nil
 }
 
 // batchIdemCheck resolves a batch against the idempotency memory. done
@@ -737,41 +765,10 @@ func (t *Tenant) batchIdemCheck(reqs []SubmitJobRequest) (SubmitJobsResponse, bo
 	return resp, true, nil
 }
 
-func (t *Tenant) applyAdvance(until, by string) cmdResult {
-	var target rat.Rat
-	switch {
-	case until != "" && by != "":
-		return cmdResult{err: fmt.Errorf("server: advance takes until or by, not both")}
-	case until != "":
-		var err error
-		if target, err = rat.Parse(until); err != nil {
-			return cmdResult{err: err}
-		}
-		if err := checkTime("advance target", target); err != nil {
-			return cmdResult{err: err}
-		}
-	case by != "":
-		d, err := rat.Parse(by)
-		if err != nil {
-			return cmdResult{err: err}
-		}
-		if d.Sign() < 0 {
-			return cmdResult{err: fmt.Errorf("server: advance by negative %s", by)}
-		}
-		// Bound the step before adding it to now: the addition itself is
-		// exact arithmetic and must stay in range.
-		if err := checkTime("advance step", d); err != nil {
-			return cmdResult{err: err}
-		}
-		target = t.ex.Now().Add(d)
-		if err := checkTime("advance target", target); err != nil {
-			return cmdResult{err: err}
-		}
-	default:
-		return cmdResult{err: fmt.Errorf("server: advance needs until or by")}
-	}
-	if target.Less(t.ex.Now()) {
-		return cmdResult{err: fmt.Errorf("server: cannot advance to %s, already at %s", target, t.ex.Now())}
+func (t *Tenant) applyAdvance(until, by string) (AdvanceResponse, wal.Commit, error) {
+	target, err := t.advanceTarget(until, by)
+	if err != nil {
+		return AdvanceResponse{}, wal.Commit{}, err
 	}
 	// Journal the resolved absolute target: `by` is relative to a virtual
 	// time only the live server knows.
@@ -780,7 +777,46 @@ func (t *Tenant) applyAdvance(until, by string) cmdResult {
 	})
 }
 
-func (t *Tenant) applyDrain() cmdResult {
+// advanceTarget resolves an advance's until or by to the absolute target,
+// within the service's horizon and not before now.
+func (t *Tenant) advanceTarget(until, by string) (target rat.Rat, err error) {
+	switch {
+	case until != "" && by != "":
+		return target, fmt.Errorf("server: advance takes until or by, not both")
+	case until != "":
+		if target, err = rat.Parse(until); err != nil {
+			return target, err
+		}
+		if err := checkTime("advance target", target); err != nil {
+			return target, err
+		}
+	case by != "":
+		d, err := rat.Parse(by)
+		if err != nil {
+			return target, err
+		}
+		if d.Sign() < 0 {
+			return target, fmt.Errorf("server: advance by negative %s", by)
+		}
+		// Bound the step before adding it to now: the addition itself is
+		// exact arithmetic and must stay in range.
+		if err := checkTime("advance step", d); err != nil {
+			return target, err
+		}
+		target = t.ex.Now().Add(d)
+		if err := checkTime("advance target", target); err != nil {
+			return target, err
+		}
+	default:
+		return target, fmt.Errorf("server: advance needs until or by")
+	}
+	if target.Less(t.ex.Now()) {
+		return target, fmt.Errorf("server: cannot advance to %s, already at %s", target, t.ex.Now())
+	}
+	return target, nil
+}
+
+func (t *Tenant) applyDrain() (AdvanceResponse, wal.Commit, error) {
 	return t.applyRun(wal.Record{Op: wal.OpDrain, Tenant: t.id}, nil, func() error {
 		_, err := t.ex.Drain(nil)
 		return err
@@ -790,30 +826,25 @@ func (t *Tenant) applyDrain() cmdResult {
 // applyRun journals rec and runs the executive forward — to a target
 // (advance) or until idle (drain) — reporting where virtual time ended up
 // and how many decisions that produced; at is the advance's target.
-func (t *Tenant) applyRun(rec wal.Record, at *rat.Rat, run func() error) cmdResult {
-	commit, err := t.journal("", at, rec)
-	if err != nil {
-		return cmdResult{err: err}
-	}
+func (t *Tenant) applyRun(rec wal.Record, at *rat.Rat, run func() error) (AdvanceResponse, wal.Commit, error) {
 	before := t.log.len()
-	err = run()
-	// The command's one dispatch event: decisions made before a failure
-	// count too.
-	if n := t.log.len() - before; n > 0 {
-		t.obs.tr.Dispatch(before, n, t.worst)
-	}
+	commit, err := t.apply("", at, rec, func() error {
+		err := run()
+		// The command's one dispatch event: decisions made before a failure
+		// count too.
+		if n := t.log.len() - before; n > 0 {
+			t.obs.tr.Dispatch(before, n, t.worst)
+		}
+		return err
+	})
 	if err != nil {
-		return cmdResult{err: t.wedge(err)}
+		return AdvanceResponse{}, wal.Commit{}, err
 	}
-	t.obs.tr.Stage(obs.StageApply, nil)
-	return cmdResult{
-		adv: AdvanceResponse{
-			Now:        t.ex.Now().String(),
-			Dispatched: t.log.len() - before,
-			Pending:    t.ex.Pending(),
-		},
-		commit: commit,
-	}
+	return AdvanceResponse{
+		Now:        t.ex.Now().String(),
+		Dispatched: t.log.len() - before,
+		Pending:    t.ex.Pending(),
+	}, commit, nil
 }
 
 // --- snapshot readers (any goroutine, never block the loop) ---

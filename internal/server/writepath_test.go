@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"desyncpfair/internal/admission"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/obs"
 	"desyncpfair/internal/online"
@@ -20,8 +21,8 @@ import (
 )
 
 // TestWritePathGolden is the characterization test of the tenant write
-// path: a fixed script of every command kind is driven straight through
-// the loop's appliers on a tenant core whose loop is never started (so a
+// path: a fixed script of every command a tenant takes is driven straight
+// through the loop's appliers on a tenant core whose loop is never started (so a
 // coalesced run of single submits can be handed over exactly as runLoop
 // would drain it), and everything the write path produces is recorded —
 // each wal.Record handed to the journal hook (a submit group is one
@@ -37,9 +38,9 @@ func TestWritePathGolden(t *testing.T) {
 
 	// Delete, tenant side: after the stop, a command answers the deleted
 	// tenant's refusal.
-	g.step("stop", &command{kind: cmdStop})
-	after := submitCmd(SubmitJobRequest{Task: "c"})
-	g.line("sent after stop", resultView(after, g.tn.exec(after)))
+	g.step("stop", &command{stop: true})
+	after := g.submit(SubmitJobRequest{Task: "c"})
+	g.line("sent after stop", g.view(after, g.tn.exec(after)))
 	select {
 	case <-g.tn.Closed():
 	default:
@@ -49,15 +50,15 @@ func TestWritePathGolden(t *testing.T) {
 	// An in-memory tenant has no journal hooks: same appliers, no records,
 	// no wal-append stage.
 	mem := newWritePathScript(t, "mem", false)
-	mem.step("in-memory: register a 1/2", &command{kind: cmdRegister, name: "a", w: model.W(1, 2)})
-	mem.step("in-memory: submit a key=k1", submitCmd(SubmitJobRequest{Task: "a", Key: "k1"}))
+	mem.step("in-memory: register a 1/2", mem.register("a", model.W(1, 2)))
+	mem.step("in-memory: submit a key=k1", mem.submit(SubmitJobRequest{Task: "a", Key: "k1"}))
 	mem.step("in-memory: coalesced run of two",
-		submitCmd(SubmitJobRequest{Task: "a"}), submitCmd(SubmitJobRequest{Task: "a", Key: "k1"}))
-	mem.step("in-memory: batch of two", &command{kind: cmdSubmitBatch, batch: []SubmitJobRequest{{Task: "a"}, {Task: "a", At: "1"}}})
-	mem.step("in-memory: advance by 2", &command{kind: cmdAdvance, by: "2"})
-	mem.step("in-memory: shrink to 1 with drain applies at once", &command{kind: cmdResize, resizeM: 1, drain: true})
-	mem.step("in-memory: drain", &command{kind: cmdDrain})
-	mem.step("in-memory: unregister a", &command{kind: cmdUnregister, name: "a"})
+		mem.submit(SubmitJobRequest{Task: "a"}), mem.submit(SubmitJobRequest{Task: "a", Key: "k1"}))
+	mem.step("in-memory: batch of two", mem.batch(SubmitJobRequest{Task: "a"}, SubmitJobRequest{Task: "a", At: "1"}))
+	mem.step("in-memory: advance by 2", mem.advance("", "2"))
+	mem.step("in-memory: shrink to 1 with drain applies at once", mem.resize(1, true))
+	mem.step("in-memory: drain", mem.drain())
+	mem.step("in-memory: unregister a", mem.unregister("a"))
 
 	got := g.out.String() + mem.out.String()
 	golden := filepath.Join("testdata", "writepath.golden")
@@ -86,7 +87,7 @@ func TestWritePathGolden(t *testing.T) {
 // decisions. A command that decided has one dispatch event, right before
 // its apply stage, naming the dseq and count of the one dispatch digest
 // record journaled for it; a command that decided nothing — a failed
-// advance, an advance with nothing pending, every other kind — has
+// advance, an advance with nothing pending, every other command — has
 // neither.
 func TestTraceDispatchMatchesDigest(t *testing.T) {
 	g := newWritePathScript(t, "agree", true)
@@ -120,80 +121,77 @@ func TestTraceDispatchMatchesDigest(t *testing.T) {
 		}
 	}
 	journaledScript(g)
-	g.step("advance with nothing pending", &command{kind: cmdAdvance, by: "1"})
+	g.step("advance with nothing pending", g.advance("", "1"))
 	if deciding != 4 {
 		t.Errorf("%d commands decided, want the script's 4", deciding)
 	}
 }
 
-// journaledScript is the write-path script's journaled part: every command
-// kind, accepted and refused, with the journal up and down.
+// journaledScript is the write-path script's journaled part: every command,
+// accepted and refused, with the journal up and down.
 func journaledScript(g *writePathScript) {
 	g.t.Helper()
-	g.step("register a 1/2", &command{kind: cmdRegister, name: "a", w: model.W(1, 2)})
-	g.step("register b 1/1", &command{kind: cmdRegister, name: "b", w: model.W(1, 1)})
-	g.step("register c 1/2: Σwt = M exactly", &command{kind: cmdRegister, name: "c", w: model.W(1, 2)})
-	g.step("register d 1/4: M + 1/4 rejected", &command{kind: cmdRegister, name: "d", w: model.W(1, 4)})
-	g.step("register a again", &command{kind: cmdRegister, name: "a", w: model.W(1, 8)})
-	g.step("register unnamed", &command{kind: cmdRegister, w: model.W(1, 8)})
-	g.step("register weight 3/2", &command{kind: cmdRegister, name: "e", w: model.W(3, 2)})
-	g.step("register period beyond MaxPeriod", &command{kind: cmdRegister, name: "e", w: model.W(1, MaxPeriod+1)})
+	g.step("register a 1/2", g.register("a", model.W(1, 2)))
+	g.step("register b 1/1", g.register("b", model.W(1, 1)))
+	g.step("register c 1/2: Σwt = M exactly", g.register("c", model.W(1, 2)))
+	g.step("register d 1/4: M + 1/4 rejected", g.register("d", model.W(1, 4)))
+	g.step("register a again", g.register("a", model.W(1, 8)))
+	g.step("register unnamed", g.register("", model.W(1, 8)))
+	g.step("register weight 3/2", g.register("e", model.W(3, 2)))
+	g.step("register period beyond MaxPeriod", g.register("e", model.W(1, MaxPeriod+1)))
 
-	g.step("submit a key=k1", submitCmd(SubmitJobRequest{Task: "a", Key: "k1"}))
-	g.step("submit a key=k1 again: cached", submitCmd(SubmitJobRequest{Task: "a", Key: "k1"}))
-	g.step("submit b at=0 earliness=1 key=k2", submitCmd(SubmitJobRequest{Task: "b", At: "0", Earliness: 1, Key: "k2"}))
-	g.step("submit unknown task", submitCmd(SubmitJobRequest{Task: "zz"}))
-	g.step("submit negative earliness", submitCmd(SubmitJobRequest{Task: "a", Earliness: -1}))
+	g.step("submit a key=k1", g.submit(SubmitJobRequest{Task: "a", Key: "k1"}))
+	g.step("submit a key=k1 again: cached", g.submit(SubmitJobRequest{Task: "a", Key: "k1"}))
+	g.step("submit b at=0 earliness=1 key=k2", g.submit(SubmitJobRequest{Task: "b", At: "0", Earliness: 1, Key: "k2"}))
+	g.step("submit unknown task", g.submit(SubmitJobRequest{Task: "zz"}))
+	g.step("submit negative earliness", g.submit(SubmitJobRequest{Task: "a", Earliness: -1}))
 
 	g.step("coalesced run of four singles",
-		submitCmd(SubmitJobRequest{Task: "a", Key: "r1"}),
-		submitCmd(SubmitJobRequest{Task: "c"}),
-		submitCmd(SubmitJobRequest{Task: "b", Key: "r2"}),
-		submitCmd(SubmitJobRequest{Task: "a", At: "0"}))
+		g.submit(SubmitJobRequest{Task: "a", Key: "r1"}),
+		g.submit(SubmitJobRequest{Task: "c"}),
+		g.submit(SubmitJobRequest{Task: "b", Key: "r2"}),
+		g.submit(SubmitJobRequest{Task: "a", At: "0"}))
 	g.step("coalesced run: seen key, bad task, key twice, plain",
-		submitCmd(SubmitJobRequest{Task: "a", Key: "r1"}),
-		submitCmd(SubmitJobRequest{Task: "zz"}),
-		submitCmd(SubmitJobRequest{Task: "c", Key: "r3"}),
-		submitCmd(SubmitJobRequest{Task: "c", Key: "r3"}),
-		submitCmd(SubmitJobRequest{Task: "b"}))
+		g.submit(SubmitJobRequest{Task: "a", Key: "r1"}),
+		g.submit(SubmitJobRequest{Task: "zz"}),
+		g.submit(SubmitJobRequest{Task: "c", Key: "r3"}),
+		g.submit(SubmitJobRequest{Task: "c", Key: "r3"}),
+		g.submit(SubmitJobRequest{Task: "b"}))
 
-	g.step("batch of three", &command{kind: cmdSubmitBatch, batch: []SubmitJobRequest{
-		{Task: "a"}, {Task: "b", Key: "b1"}, {Task: "c", At: "0"},
-	}})
-	g.step("batch with one bad job", &command{kind: cmdSubmitBatch, batch: []SubmitJobRequest{
-		{Task: "a"}, {Task: "zz"},
-	}})
+	g.step("batch of three", g.batch(
+		SubmitJobRequest{Task: "a"}, SubmitJobRequest{Task: "b", Key: "b1"}, SubmitJobRequest{Task: "c", At: "0"}))
+	g.step("batch with one bad job", g.batch(SubmitJobRequest{Task: "a"}, SubmitJobRequest{Task: "zz"}))
 
-	g.step("advance by 3/2", &command{kind: cmdAdvance, by: "3/2"})
-	g.step("advance until 1: in the past", &command{kind: cmdAdvance, until: "1"})
-	g.step("advance with until and by", &command{kind: cmdAdvance, until: "4", by: "1"})
+	g.step("advance by 3/2", g.advance("", "3/2"))
+	g.step("advance until 1: in the past", g.advance("1", ""))
+	g.step("advance with until and by", g.advance("4", "1"))
 
-	g.step("grow to 3", &command{kind: cmdResize, resizeM: 3})
-	g.step("shrink to 1: rejected", &command{kind: cmdResize, resizeM: 1})
-	g.step("shrink to 1 with drain: queued", &command{kind: cmdResize, resizeM: 1, drain: true})
+	g.step("grow to 3", g.resize(3, false))
+	g.step("shrink to 1: rejected", g.resize(1, false))
+	g.step("shrink to 1 with drain: queued", g.resize(1, true))
 	g.checkpoint("checkpoint with a shrink queued")
-	g.step("register e 1/4 against the queued target", &command{kind: cmdRegister, name: "e", w: model.W(1, 4)})
-	g.step("resize to 0", &command{kind: cmdResize, resizeM: 0})
-	g.step("unregister a with work pending", &command{kind: cmdUnregister, name: "a"})
-	g.step("unregister unknown", &command{kind: cmdUnregister, name: "zz"})
+	g.step("register e 1/4 against the queued target", g.register("e", model.W(1, 4)))
+	g.step("resize to 0", g.resize(0, false))
+	g.step("unregister a with work pending", g.unregister("a"))
+	g.step("unregister unknown", g.unregister("zz"))
 
-	g.step("drain", &command{kind: cmdDrain})
-	g.step("unregister a: Σwt = 3/2 still above the target", &command{kind: cmdUnregister, name: "a"})
-	g.step("unregister b: the queued shrink applies", &command{kind: cmdUnregister, name: "b"})
-	g.step("submit c on one processor", submitCmd(SubmitJobRequest{Task: "c"}))
-	g.step("advance until 20", &command{kind: cmdAdvance, until: "20"})
-	g.step("resize to 2 with drain: a grow applies at once", &command{kind: cmdResize, resizeM: 2, drain: true})
-	g.step("register a again after its release", &command{kind: cmdRegister, name: "a", w: model.W(3, 4)})
+	g.step("drain", g.drain())
+	g.step("unregister a: Σwt = 3/2 still above the target", g.unregister("a"))
+	g.step("unregister b: the queued shrink applies", g.unregister("b"))
+	g.step("submit c on one processor", g.submit(SubmitJobRequest{Task: "c"}))
+	g.step("advance until 20", g.advance("20", ""))
+	g.step("resize to 2 with drain: a grow applies at once", g.resize(2, true))
+	g.step("register a again after its release", g.register("a", model.W(3, 4)))
 
 	g.journalDown = errors.New("journal down")
-	g.step("journal down: register f", &command{kind: cmdRegister, name: "f", w: model.W(1, 4)})
-	g.step("journal down: submit c", submitCmd(SubmitJobRequest{Task: "c", Key: "lost"}))
-	g.step("journal down: advance", &command{kind: cmdAdvance, by: "1"})
-	g.step("journal down: unregister c", &command{kind: cmdUnregister, name: "c"})
-	g.step("journal down: resize", &command{kind: cmdResize, resizeM: 3})
+	g.step("journal down: register f", g.register("f", model.W(1, 4)))
+	g.step("journal down: submit c", g.submit(SubmitJobRequest{Task: "c", Key: "lost"}))
+	g.step("journal down: advance", g.advance("", "1"))
+	g.step("journal down: unregister c", g.unregister("c"))
+	g.step("journal down: resize", g.resize(3, false))
 	g.journalDown = nil
-	g.step("journal back: submit c key=lost applies", submitCmd(SubmitJobRequest{Task: "c", Key: "lost"}))
-	g.step("drain again", &command{kind: cmdDrain})
+	g.step("journal back: submit c key=lost applies", g.submit(SubmitJobRequest{Task: "c", Key: "lost"}))
+	g.step("drain again", g.drain())
 	g.checkpoint("final checkpoint")
 }
 
@@ -209,11 +207,14 @@ type writePathScript struct {
 	// check, when set, sees each step's journaled records and trace events.
 	check    func(label string, recs []wal.Record, events []obs.Event)
 	stepRecs []wal.Record
+	// views renders, for each command a constructor built, the answer its
+	// closure captured.
+	views map[*command]func(*resultView)
 }
 
 func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScript {
 	tn := newWritePathCore(t, id, 2, newServerObs(obs.NewFake(time.Unix(1_700_000_000, 0).UTC(), time.Millisecond)), journaled)
-	g := &writePathScript{t: t, tn: tn}
+	g := &writePathScript{t: t, tn: tn, views: map[*command]func(*resultView){}}
 	if journaled {
 		tn.SetJournal(
 			func(r wal.Record) (wal.Commit, error) { return g.journal("append", r) },
@@ -225,7 +226,68 @@ func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScrip
 	return g
 }
 
-func submitCmd(req SubmitJobRequest) *command { return &command{kind: cmdSubmit, submit: req} }
+// submit builds a single submit; its answer is its cmdResult's own.
+func (g *writePathScript) submit(req SubmitJobRequest) *command { return &command{submit: req} }
+
+// cmd builds a command that runs fn on the loop; view renders the answer
+// fn captured.
+func (g *writePathScript) cmd(fn func() (wal.Commit, error), view func(*resultView)) *command {
+	c := &command{fn: fn}
+	g.views[c] = view
+	return c
+}
+
+func (g *writePathScript) register(name string, w model.Weight) *command {
+	var d admission.Decision
+	return g.cmd(func() (c wal.Commit, err error) {
+		d, c, err = g.tn.applyRegister(name, w)
+		return c, err
+	}, func(v *resultView) { v.Admitted, v.Reason = &d.Admitted, d.Reason })
+}
+
+func (g *writePathScript) unregister(name string) *command {
+	return g.cmd(func() (wal.Commit, error) { return g.tn.applyUnregister(name) }, nil)
+}
+
+func (g *writePathScript) batch(reqs ...SubmitJobRequest) *command {
+	var resp SubmitJobsResponse
+	return g.cmd(func() (c wal.Commit, err error) {
+		resp, c, err = g.tn.applySubmitBatch(reqs)
+		return c, err
+	}, func(v *resultView) { v.Batch = &resp })
+}
+
+func (g *writePathScript) advance(until, by string) *command {
+	var resp AdvanceResponse
+	return g.cmd(func() (c wal.Commit, err error) {
+		resp, c, err = g.tn.applyAdvance(until, by)
+		return c, err
+	}, func(v *resultView) { v.Advance = &resp })
+}
+
+func (g *writePathScript) drain() *command {
+	var resp AdvanceResponse
+	return g.cmd(func() (c wal.Commit, err error) {
+		resp, c, err = g.tn.applyDrain()
+		return c, err
+	}, func(v *resultView) { v.Advance = &resp })
+}
+
+func (g *writePathScript) resize(m int, drain bool) *command {
+	var resp ResizeResponse
+	return g.cmd(func() (c wal.Commit, err error) {
+		resp, c, err = g.tn.applyResize(m, drain)
+		return c, err
+	}, func(v *resultView) { v.Resize = &resp })
+}
+
+// processFn hands fn to a not-started tenant core's loop step, as runLoop
+// would, and returns what completed it.
+func processFn(tn *Tenant, fn func() (wal.Commit, error)) cmdResult {
+	c := &command{fn: fn, done: make(chan cmdResult, 1)}
+	tn.process(c)
+	return <-c.done
+}
 
 // journal is the recording hook: it assigns the LSN the way wal.Log does
 // and returns the record's commit.
@@ -251,7 +313,7 @@ func (g *writePathScript) step(label string, cmds ...*command) {
 	for _, c := range cmds {
 		c.done = make(chan cmdResult, 1)
 	}
-	if cmds[0].kind == cmdSubmit {
+	if cmds[0].single() {
 		g.tn.processSubmitRun(cmds)
 	} else if len(cmds) != 1 {
 		g.t.Fatalf("%s: only single submits coalesce", label)
@@ -261,7 +323,7 @@ func (g *writePathScript) step(label string, cmds ...*command) {
 	for _, c := range cmds {
 		select {
 		case res := <-c.done:
-			g.line("response", resultView(c, res))
+			g.line("response", g.view(c, res))
 		default:
 			g.t.Fatalf("%s: command left incomplete", label)
 		}
@@ -302,33 +364,30 @@ func (g *writePathScript) line(kind string, v any) {
 	fmt.Fprintf(&g.out, "%s %s\n", kind, b)
 }
 
-// resultView renders the part of a cmdResult its command kind fills in.
-func resultView(c *command, res cmdResult) any {
-	v := struct {
-		Submit   *SubmitJobResponse  `json:"submit,omitempty"`
-		Batch    *SubmitJobsResponse `json:"batch,omitempty"`
-		Advance  *AdvanceResponse    `json:"advance,omitempty"`
-		Resize   *ResizeResponse     `json:"resize,omitempty"`
-		Admitted *bool               `json:"admitted,omitempty"`
-		Reason   string              `json:"reason,omitempty"`
-		Commit   uint64              `json:"commit"`
-		Err      string              `json:"err,omitempty"`
-	}{Commit: res.commit.LSN}
-	if res.err != nil {
+// resultView is what the script renders of a command's answer: the part
+// the command fills in, its commit and its error.
+type resultView struct {
+	Submit   *SubmitJobResponse  `json:"submit,omitempty"`
+	Batch    *SubmitJobsResponse `json:"batch,omitempty"`
+	Advance  *AdvanceResponse    `json:"advance,omitempty"`
+	Resize   *ResizeResponse     `json:"resize,omitempty"`
+	Admitted *bool               `json:"admitted,omitempty"`
+	Reason   string              `json:"reason,omitempty"`
+	Commit   uint64              `json:"commit"`
+	Err      string              `json:"err,omitempty"`
+}
+
+// view renders c's answer: a single submit's from res, any other's through
+// the view its constructor registered.
+func (g *writePathScript) view(c *command, res cmdResult) resultView {
+	v := resultView{Commit: res.commit.LSN}
+	switch {
+	case res.err != nil:
 		v.Err = res.err.Error()
-		return v
-	}
-	switch c.kind {
-	case cmdSubmit:
+	case c.single():
 		v.Submit = &res.submit
-	case cmdSubmitBatch:
-		v.Batch = &res.subs
-	case cmdAdvance, cmdDrain:
-		v.Advance = &res.adv
-	case cmdResize:
-		v.Resize = &res.resize
-	case cmdRegister:
-		v.Admitted, v.Reason = &res.dec.Admitted, res.dec.Reason
+	case g.views[c] != nil:
+		g.views[c](&v)
 	}
 	return v
 }
