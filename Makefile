@@ -316,11 +316,12 @@ longrun:
 # byte-compare (same seed + same spec ⇒ byte-identical trace; regenerate
 # with `go test ./internal/scenario -run GoldenTrace -update` after an
 # intentional format change), exact replay, the ≥100-seed counterfactual
-# sweep against the exhaustive oracle, and the pfairscen CLI paths —
+# sweep against the exhaustive oracle, policy names read as the service
+# reads them ("" and "pd2" are PD²), and the pfairscen CLI paths —
 # -addr against an in-process pfaird included — all deterministic, all
 # seeded.
 scenario-smoke:
-	$(GO) test -race -count=1 -v ./internal/scenario/ -run 'TestScenarioGoldenTrace|TestReplayReproducesDispatches|TestExecAndHTTPTargetsAgree|TestCounterfactualMatchesOracle'
+	$(GO) test -race -count=1 -v ./internal/scenario/ -run 'TestScenarioGoldenTrace|TestReplayReproducesDispatches|TestExecAndHTTPTargetsAgree|TestCounterfactualMatchesOracle|TestPolicyNamesResolveLikeTheService'
 	$(GO) test -race -count=1 -v ./cmd/pfairscen/
 	$(GO) test -race -count=1 ./cmd/pfairload/ -run 'TestSeedInSummary'
 

@@ -91,39 +91,32 @@ func run(cfg config, out io.Writer) error {
 			return err
 		}
 	}
-	if cfg.counterfactual != "" && cfg.sweepM == "" {
-		if err := runCounterfactuals(cfg.counterfactual, res.Records, out); err != nil {
-			return err
+	var policies []string
+	for _, p := range strings.Split(cfg.counterfactual, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			policies = append(policies, p)
 		}
 	}
-	if cfg.sweepM != "" {
-		if err := runSweeps(cfg, res, out); err != nil {
-			return err
-		}
+	if cfg.sweepM == "" {
+		return runCounterfactuals(policies, res.Records, out)
 	}
-	return nil
+	if cfg.counterfactual == "" {
+		policies = []string{res.Report.Policy}
+	}
+	return runSweeps(cfg.sweepM, policies, res.Records, out)
 }
 
-// runSweeps evaluates each requested policy at every M in the -sweep-m
-// range, printing the minimal feasible M and the minimal M that also
-// meets the one-quantum tardiness bound. With -counterfactual the sweep
-// covers those policies; otherwise the run's own policy.
-func runSweeps(cfg config, res *scenario.Result, out io.Writer) error {
-	lo, hi, err := parseSweepRange(cfg.sweepM)
+// runSweeps evaluates each policy at every M in the -sweep-m range,
+// printing the minimal feasible M and the minimal M that also meets the
+// one-quantum tardiness bound. With -counterfactual the sweep covers
+// those policies; otherwise the run's own policy.
+func runSweeps(sweepM string, policies []string, recs []scenario.Record, out io.Writer) error {
+	lo, hi, err := parseSweepRange(sweepM)
 	if err != nil {
 		return err
 	}
-	policies := []string{res.Report.Policy}
-	if cfg.counterfactual != "" {
-		policies = policies[:0]
-		for _, p := range strings.Split(cfg.counterfactual, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				policies = append(policies, p)
-			}
-		}
-	}
 	for _, p := range policies {
-		sw, err := scenario.SweepM(res.Records, p, lo, hi)
+		sw, err := scenario.SweepM(recs, p, lo, hi)
 		if err != nil {
 			return err
 		}
@@ -239,12 +232,8 @@ func writeMetrics(path string, rep *scenario.Report, out io.Writer) error {
 
 // runCounterfactuals re-dispatches the recorded workload under each named
 // policy and prints where (which quanta) the decisions diverged.
-func runCounterfactuals(policies string, recs []scenario.Record, out io.Writer) error {
-	for _, p := range strings.Split(policies, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
+func runCounterfactuals(policies []string, recs []scenario.Record, out io.Writer) error {
+	for _, p := range policies {
 		cf, err := scenario.Rerun(recs, p)
 		if err != nil {
 			return err

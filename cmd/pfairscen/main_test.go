@@ -154,6 +154,15 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(config{spec: filepath.Join(t.TempDir(), "missing.json")}, &out); err == nil {
 		t.Fatal("missing spec file accepted")
 	}
+	spec := writeSpec(t, t.TempDir())
+	for _, cfg := range []config{
+		{spec: spec, counterfactual: "NOPE"},
+		{spec: spec, counterfactual: "NOPE", sweepM: "1:2"},
+	} {
+		if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), `unknown policy "NOPE"`) {
+			t.Fatalf("-counterfactual NOPE -sweep-m %q: err = %v, want the unknown policy named", cfg.sweepM, err)
+		}
+	}
 }
 
 // TestRunAgainstLivePfaird: -addr drives the spec through a live pfaird —

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/server"
 )
@@ -51,26 +50,6 @@ func ReconstructWorkload(recs []Record) (*Workload, map[string][]server.Dispatch
 	return w, disp, nil
 }
 
-// expandClients lists a spec's clients in cohort order — the same order
-// Generate produces, which replay must preserve because setup and
-// submission order fix the IS offsets.
-func expandClients(spec *Spec) []ClientSetup {
-	var out []ClientSetup
-	for i := range spec.Cohorts {
-		co := &spec.Cohorts[i]
-		class := co.Class
-		if class == "" {
-			class = DefaultClass
-		}
-		for k := 0; k < co.Clients; k++ {
-			out = append(out, ClientSetup{
-				ID: fmt.Sprintf("%s-%d", co.Name, k), Class: class, Tasks: co.Tasks,
-			})
-		}
-	}
-	return out
-}
-
 // Replay re-runs a recorded trace against the in-process executive under
 // the recorded policy and verifies the replay reproduces the recorded
 // dispatch sequence exactly, client by client, decision by decision. The
@@ -82,7 +61,7 @@ func Replay(recs []Record) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := Run(w, NewExecTarget())
+	res, err := redispatch(w, w.Spec.Policy, w.Spec.M)
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +69,17 @@ func Replay(recs []Record) (*Result, error) {
 		return nil, fmt.Errorf("scenario: replay diverged from recording: %w", err)
 	}
 	return res, nil
+}
+
+// redispatch runs a reconstructed workload in-process under a copy of its
+// spec that names the given policy and processor count, so the run's own
+// trace header names what actually produced it. Replay, Rerun and every
+// SweepM point go through here: whatever else the spec says reaches each
+// re-run unchanged.
+func redispatch(w *Workload, policy string, m int) (*Result, error) {
+	alt := *w.Spec
+	alt.Policy, alt.M = policy, m
+	return Run(&Workload{Spec: &alt, Clients: w.Clients, Arrivals: w.Arrivals}, NewExecTarget())
 }
 
 // sameDispatches demands the two per-client logs be identical, reporting
@@ -123,7 +113,7 @@ func sameDispatches(want, got map[string][]server.DispatchEvent) error {
 
 // Counterfactual is a recorded run re-dispatched under another policy.
 type Counterfactual struct {
-	Policy string
+	Policy string // the policy's canonical name
 	Result *Result
 	// Diffs lists, quantum by quantum, where the counterfactual schedule
 	// departed from the recording. Empty means the policies made identical
@@ -131,22 +121,18 @@ type Counterfactual struct {
 	Diffs []SlotDiff
 }
 
-// Rerun replays a recorded workload under an alternate priority policy
-// and diffs the two schedules.
+// Rerun replays a recorded workload under an alternate priority policy,
+// named as the service names it ("" is PD²), and diffs the two schedules.
 func Rerun(recs []Record, policy string) (*Counterfactual, error) {
-	if prio.ByName(policy) == nil {
-		return nil, fmt.Errorf("scenario: unknown policy %q", policy)
+	p, err := server.PolicyByName(policy)
+	if err != nil {
+		return nil, err
 	}
 	w, recorded, err := ReconstructWorkload(recs)
 	if err != nil {
 		return nil, err
 	}
-	// The spec is copied so the counterfactual's own trace header names
-	// the policy that actually produced it.
-	alt := *w.Spec
-	alt.Policy = policy
-	cw := &Workload{Spec: &alt, Clients: w.Clients, Arrivals: w.Arrivals}
-	res, err := Run(cw, NewExecTarget())
+	res, err := redispatch(w, p.Name(), w.Spec.M)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +140,7 @@ func Rerun(recs []Record, policy string) (*Counterfactual, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Counterfactual{Policy: policy, Result: res, Diffs: diffs}, nil
+	return &Counterfactual{Policy: p.Name(), Result: res, Diffs: diffs}, nil
 }
 
 // SlotDiff is one integral quantum where two schedules disagree about

@@ -1,7 +1,12 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"desyncpfair/internal/oracle"
@@ -120,5 +125,71 @@ func TestCounterfactualMatchesOracle(t *testing.T) {
 	}
 	if oracleChecked < 75 {
 		t.Fatalf("only %d oracle-checked systems, want ≥ 75 — shrink the specs", oracleChecked)
+	}
+}
+
+// TestPolicyNamesResolveLikeTheService: Rerun and SweepM read a policy
+// name as the service does — "" is PD², and so is its alias "pd2" — so on
+// the recorded smoke trace the three names give the same counterfactual
+// and the same sweep, each under the canonical name, and an unknown name
+// fails before any trace is read or any workload runs.
+func TestPolicyNamesResolveLikeTheService(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "smoke.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Counterfactual
+	var firstTrace []byte
+	var firstSweep *Sweep
+	for _, name := range []string{"", "PD2", "pd2"} {
+		cf, err := Rerun(recs, name)
+		if err != nil {
+			t.Fatalf("Rerun(%q): %v", name, err)
+		}
+		sw, err := SweepM(recs, name, 1, 4)
+		if err != nil {
+			t.Fatalf("SweepM(%q): %v", name, err)
+		}
+		if cf.Policy != "PD2" || cf.Result.Report.Policy != "PD2" || sw.Policy != "PD2" {
+			t.Fatalf("%q: counterfactual %q, its report %q, sweep %q; want PD2 for each",
+				name, cf.Policy, cf.Result.Report.Policy, sw.Policy)
+		}
+		trace, err := EncodeTrace(cf.Result.Records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first, firstTrace, firstSweep = cf, trace, sw
+			continue
+		}
+		if !reflect.DeepEqual(cf.Diffs, first.Diffs) || !reflect.DeepEqual(cf.Result.Report, first.Result.Report) {
+			t.Fatalf("Rerun(%q) differs from Rerun(\"\"): diffs %+v vs %+v", name, cf.Diffs, first.Diffs)
+		}
+		if !bytes.Equal(trace, firstTrace) {
+			t.Fatalf("Rerun(%q) traced other bytes than Rerun(\"\")", name)
+		}
+		if !reflect.DeepEqual(sw, firstSweep) {
+			t.Fatalf("SweepM(%q) = %+v, SweepM(\"\") = %+v", name, sw, firstSweep)
+		}
+	}
+	if len(first.Diffs) != 0 {
+		t.Fatalf("a PD² rerun of a PD² recording differs in %d quanta", len(first.Diffs))
+	}
+
+	// An unknown name is refused before the trace is read: with no records
+	// at all the error still names the policy, not the empty trace.
+	for _, rs := range [][]Record{recs, nil} {
+		_, rerr := Rerun(rs, "NOPE")
+		_, serr := SweepM(rs, "NOPE", 1, 4)
+		for _, err := range []error{rerr, serr} {
+			if err == nil || !strings.Contains(err.Error(), `unknown policy "NOPE"`) {
+				t.Fatalf("%d records: err = %v, want the unknown policy named", len(rs), err)
+			}
+		}
 	}
 }

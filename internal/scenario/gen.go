@@ -54,22 +54,17 @@ func Generate(spec *Spec) (*Workload, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	w := &Workload{Spec: spec}
+	w := &Workload{Spec: spec, Clients: expandClients(spec)}
 	horizon := float64(spec.Horizon)
 	total := 0
+	next := w.Clients // each cohort's clients, in turn
 	for ci := range spec.Cohorts {
 		co := &spec.Cohorts[ci]
-		class := co.Class
-		if class == "" {
-			class = DefaultClass
-		}
 		phases, err := parsePhases(co.Phases)
 		if err != nil {
 			return nil, err
 		}
-		for k := 0; k < co.Clients; k++ {
-			id := fmt.Sprintf("%s-%d", co.Name, k)
-			w.Clients = append(w.Clients, ClientSetup{ID: id, Class: class, Tasks: co.Tasks})
+		for k, c := range next[:co.Clients] {
 			// The burst gate is per client: all of a client's tasks go
 			// quiet and resume together, which is what makes the resume
 			// instant a genuine burst.
@@ -79,13 +74,14 @@ func Generate(spec *Spec) (*Workload, error) {
 			}
 			for ti, task := range co.Tasks {
 				str := newStream(uint64(spec.Seed), uint64(ci), uint64(k), uint64(ti))
-				n, err := genTask(w, co, task, id, class, str, gate, phases, horizon, total)
+				n, err := genTask(w, co, task, c, str, gate, phases, horizon, total)
 				if err != nil {
 					return nil, err
 				}
 				total += n
 			}
 		}
+		next = next[co.Clients:]
 	}
 	sortArrivals(w.Arrivals)
 	for i := range w.Arrivals {
@@ -94,9 +90,31 @@ func Generate(spec *Spec) (*Workload, error) {
 	return w, nil
 }
 
+// expandClients lists a spec's clients in cohort order, client k of
+// cohort c as "<c>-<k>" in c's class (DefaultClass when it names none).
+// Generate and ReconstructWorkload both take their clients from here:
+// replay must preserve this order, because setup and submission order fix
+// the IS offsets.
+func expandClients(spec *Spec) []ClientSetup {
+	var out []ClientSetup
+	for i := range spec.Cohorts {
+		co := &spec.Cohorts[i]
+		class := co.Class
+		if class == "" {
+			class = DefaultClass
+		}
+		for k := 0; k < co.Clients; k++ {
+			out = append(out, ClientSetup{
+				ID: fmt.Sprintf("%s-%d", co.Name, k), Class: class, Tasks: co.Tasks,
+			})
+		}
+	}
+	return out
+}
+
 // genTask samples one task's arrival instants and appends them to the
 // workload, returning how many it added.
-func genTask(w *Workload, co *CohortSpec, task TaskSpec, client, class string,
+func genTask(w *Workload, co *CohortSpec, task TaskSpec, c ClientSetup,
 	str *stream, gate *gate, phases []phase, horizon float64, total int) (int, error) {
 	mean := float64(task.P)
 	if co.Arrival.Mean != "" {
@@ -142,7 +160,7 @@ func genTask(w *Workload, co *CohortSpec, task TaskSpec, client, class string,
 		// Seq carries the generation order until Generate renumbers after
 		// the global sort; it is the stable tiebreak for equal instants.
 		w.Arrivals = append(w.Arrivals, Arrival{
-			Seq: total + n, Client: client, Task: task.Name, At: rat.New(ticks, AtDen), Class: class,
+			Seq: total + n, Client: c.ID, Task: task.Name, At: rat.New(ticks, AtDen), Class: c.Class,
 		})
 		n++
 	}

@@ -28,7 +28,7 @@ type Report struct {
 	Name   string
 	Seed   int64
 	M      int
-	Policy string
+	Policy string // the policy's canonical name
 
 	Arrivals     int64
 	Dispatches   int64
@@ -47,9 +47,14 @@ func BuildReport(w *Workload, disp map[string][]server.DispatchEvent) *Report {
 		Name:         w.Spec.Name,
 		Seed:         w.Spec.Seed,
 		M:            w.Spec.M,
-		Policy:       effectivePolicy(w.Spec),
+		Policy:       w.Spec.Policy,
 		Arrivals:     int64(len(w.Arrivals)),
 		MaxTardiness: rat.Zero,
+	}
+	// The report names the policy the service ran: a validated spec's
+	// policy is known, and "" is PD².
+	if p, err := server.PolicyByName(w.Spec.Policy); err == nil {
+		rep.Policy = p.Name()
 	}
 	byClass := map[string]*ClassReport{}
 	for _, c := range w.Clients {
@@ -123,13 +128,6 @@ func mustRat(s string) rat.Rat {
 		panic(fmt.Sprintf("scenario: internal rat %q: %v", s, err))
 	}
 	return r
-}
-
-func effectivePolicy(spec *Spec) string {
-	if spec.Policy == "" {
-		return "PD2"
-	}
-	return spec.Policy
 }
 
 func formatJain(j float64) string { return strconv.FormatFloat(j, 'f', 6, 64) }

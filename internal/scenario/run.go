@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"desyncpfair/internal/client"
@@ -181,10 +182,9 @@ func (h *HTTPTarget) Finish(clientID string) ([]server.DispatchEvent, error) {
 	}
 }
 
-// Result is one scenario run: the workload, the per-client dispatch logs,
-// the report, and the full framed-trace record sequence.
+// Result is one scenario run: the per-client dispatch logs, the report,
+// and the full framed-trace record sequence.
 type Result struct {
-	Workload   *Workload
 	Dispatches map[string][]server.DispatchEvent
 	Report     *Report
 	Records    []Record
@@ -217,7 +217,6 @@ func Run(w *Workload, tgt Target) (*Result, error) {
 	}
 	rep := BuildReport(w, disp)
 	return &Result{
-		Workload:   w,
 		Dispatches: disp,
 		Report:     rep,
 		Records:    buildRecords(w, disp, rep),
@@ -233,30 +232,13 @@ func buildRecords(w *Workload, disp map[string][]server.DispatchEvent, rep *Repo
 			Kind: KindArrival, Client: a.Client, Task: a.Task, Class: a.Class, At: a.At.String(),
 		})
 	}
-	classOf := classIndex(w)
-	ids := sortedClientIDs(w)
-	for _, id := range ids {
-		for _, ev := range disp[id] {
-			recs = append(recs, dispatchRecord(id, classOf[id], ev))
+	clients := slices.Clone(w.Clients)
+	slices.SortFunc(clients, func(a, b ClientSetup) int { return strings.Compare(a.ID, b.ID) })
+	for _, c := range clients {
+		for _, ev := range disp[c.ID] {
+			recs = append(recs, dispatchRecord(c.ID, c.Class, ev))
 		}
 	}
 	recs = append(recs, rep.endRecord())
 	return recs
-}
-
-func classIndex(w *Workload) map[string]string {
-	out := make(map[string]string, len(w.Clients))
-	for _, c := range w.Clients {
-		out[c.ID] = c.Class
-	}
-	return out
-}
-
-func sortedClientIDs(w *Workload) []string {
-	ids := make([]string, 0, len(w.Clients))
-	for _, c := range w.Clients {
-		ids = append(ids, c.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -24,8 +24,8 @@ import (
 	"math"
 
 	"desyncpfair/internal/model"
-	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
+	"desyncpfair/internal/server"
 )
 
 // Resource caps enforced by Validate and Generate so adversarial specs
@@ -56,8 +56,8 @@ type Spec struct {
 	Seed int64 `json:"seed"`
 	// M is the processor count of every client's executive/tenant.
 	M int `json:"m"`
-	// Policy is the recording priority policy ("PD2" when empty; also
-	// "PD", "PF", "EPDF").
+	// Policy is the recording priority policy, named as the service names
+	// it (server.PolicyByName: "PD2" when empty; also "PD", "PF", "EPDF").
 	Policy string `json:"policy,omitempty"`
 	// Horizon bounds arrival times: jobs arrive at virtual times in
 	// [0, Horizon) quanta.
@@ -182,8 +182,8 @@ func (s *Spec) Validate() error {
 	if s.Horizon < 1 || s.Horizon > MaxHorizon {
 		return fmt.Errorf("scenario: horizon %d outside [1, %d]", s.Horizon, MaxHorizon)
 	}
-	if s.Policy != "" && prio.ByName(s.Policy) == nil {
-		return fmt.Errorf("scenario: unknown policy %q", s.Policy)
+	if _, err := server.PolicyByName(s.Policy); err != nil {
+		return err
 	}
 	classes := map[string]bool{DefaultClass: true}
 	for i, c := range s.Classes {
@@ -236,7 +236,6 @@ func (s *Spec) validateCohort(c *CohortSpec, classes map[string]bool) error {
 	if len(c.Tasks) == 0 || len(c.Tasks) > MaxTasksPerClient {
 		return fmt.Errorf("scenario: cohort %q has %d tasks, want 1..%d", c.Name, len(c.Tasks), MaxTasksPerClient)
 	}
-	util := rat.Zero
 	seenTask := map[string]bool{}
 	for _, task := range c.Tasks {
 		if task.Name == "" {
@@ -255,16 +254,22 @@ func (s *Spec) validateCohort(c *CohortSpec, classes map[string]bool) error {
 		if task.P > MaxHorizon {
 			return fmt.Errorf("scenario: cohort %q task %q period %d exceeds %d", c.Name, task.Name, task.P, MaxHorizon)
 		}
-		util = util.Add(w.Rat())
 	}
-	if !model.Feasible(util, s.M) {
+	if util := utilization(c.Tasks); !model.Feasible(util, s.M) {
 		return fmt.Errorf("scenario: cohort %q client utilization %s exceeds M = %d (admission would reject)",
 			c.Name, util, s.M)
 	}
-	if err := validateArrival(c); err != nil {
-		return err
+	return validateArrival(c)
+}
+
+// utilization is one client's Σ e/p over its tasks — the Σwt that
+// admission holds to ≤ M.
+func utilization(tasks []TaskSpec) rat.Rat {
+	util := rat.Zero
+	for _, t := range tasks {
+		util = util.Add(model.W(t.E, t.P).Rat())
 	}
-	return nil
+	return util
 }
 
 func validateArrival(c *CohortSpec) error {
@@ -337,31 +342,4 @@ func (s *Spec) ClassTarget(class string) rat.Rat {
 		}
 	}
 	return rat.One
-}
-
-// ClassNames returns every class the spec's cohorts actually use, sorted,
-// always including classes that at least one cohort maps to.
-func (s *Spec) ClassNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := range s.Cohorts {
-		cl := s.Cohorts[i].Class
-		if cl == "" {
-			cl = DefaultClass
-		}
-		if !seen[cl] {
-			seen[cl] = true
-			out = append(out, cl)
-		}
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -125,9 +125,6 @@ func TestClassTarget(t *testing.T) {
 	if got := s.ClassTarget(DefaultClass); !got.Equal(rat.One) {
 		t.Fatalf("default target = %s, want 1", got)
 	}
-	if names := s.ClassNames(); !reflect.DeepEqual(names, []string{"default", "gold"}) {
-		t.Fatalf("ClassNames = %v", names)
-	}
 }
 
 // FuzzScenarioSpec: any input either parses into a spec that validates,

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"desyncpfair/internal/model"
-	"desyncpfair/internal/prio"
 	"desyncpfair/internal/rat"
+	"desyncpfair/internal/server"
 )
 
 // MaxSweepSpan bounds how many processor counts one sweep may evaluate:
@@ -31,7 +31,7 @@ type SweepPoint struct {
 
 // Sweep is a capacity sweep of one policy over a recorded trace.
 type Sweep struct {
-	Policy string
+	Policy string // the policy's canonical name
 	Lo, Hi int
 	Points []SweepPoint
 	// MinFeasibleM is the smallest swept M that admits the workload
@@ -44,11 +44,11 @@ type Sweep struct {
 	MinBoundM int
 }
 
-// SweepM re-dispatches a recorded workload under `policy` at every
-// M in [lo, hi], answering "what is the minimal capacity this policy
-// needs for this trace?". The workload (clients, task weights, exact
-// arrival times) is reconstructed from the trace, so the sweep varies
-// only M — same inputs, one knob.
+// SweepM re-dispatches a recorded workload under `policy` (named as the
+// service names it, "" being PD²) at every M in [lo, hi], answering "what
+// is the minimal capacity this policy needs for this trace?". The
+// workload (clients, task weights, exact arrival times) is reconstructed
+// from the trace, so the sweep varies only M — same inputs, one knob.
 func SweepM(recs []Record, policy string, lo, hi int) (*Sweep, error) {
 	if lo < 1 || hi < lo {
 		return nil, fmt.Errorf("scenario: bad sweep range %d:%d (want 1 ≤ lo ≤ hi)", lo, hi)
@@ -56,8 +56,9 @@ func SweepM(recs []Record, policy string, lo, hi int) (*Sweep, error) {
 	if hi-lo+1 > MaxSweepSpan {
 		return nil, fmt.Errorf("scenario: sweep range %d:%d spans %d points (max %d)", lo, hi, hi-lo+1, MaxSweepSpan)
 	}
-	if prio.ByName(policy) == nil {
-		return nil, fmt.Errorf("scenario: unknown policy %q", policy)
+	p, err := server.PolicyByName(policy)
+	if err != nil {
+		return nil, err
 	}
 	w, _, err := ReconstructWorkload(recs)
 	if err != nil {
@@ -67,25 +68,16 @@ func SweepM(recs []Record, policy string, lo, hi int) (*Sweep, error) {
 	// own executive on M processors, so feasibility is max Σwt ≤ M.
 	maxUtil := rat.Zero
 	for _, c := range w.Clients {
-		util := rat.Zero
-		for _, t := range c.Tasks {
-			util = util.Add(rat.New(t.E, t.P))
-		}
-		if maxUtil.Less(util) {
+		if util := utilization(c.Tasks); maxUtil.Less(util) {
 			maxUtil = util
 		}
 	}
 
-	bound := rat.FromInt(1)
-	sw := &Sweep{Policy: policy, Lo: lo, Hi: hi}
+	sw := &Sweep{Policy: p.Name(), Lo: lo, Hi: hi}
 	for m := lo; m <= hi; m++ {
 		pt := SweepPoint{M: m, Feasible: model.Feasible(maxUtil, m)}
 		if pt.Feasible {
-			alt := *w.Spec
-			alt.Policy = policy
-			alt.M = m
-			cw := &Workload{Spec: &alt, Clients: w.Clients, Arrivals: w.Arrivals}
-			res, err := Run(cw, NewExecTarget())
+			res, err := redispatch(w, p.Name(), m)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: sweep M=%d: %w", m, err)
 			}
@@ -93,7 +85,7 @@ func SweepM(recs []Record, policy string, lo, hi int) (*Sweep, error) {
 			for _, c := range res.Report.Classes {
 				pt.Violations += c.Violations
 			}
-			pt.MeetsBound = pt.MaxTardiness.Cmp(bound) <= 0
+			pt.MeetsBound = pt.MaxTardiness.LessEq(rat.One)
 			if sw.MinFeasibleM == 0 {
 				sw.MinFeasibleM = m
 			}
