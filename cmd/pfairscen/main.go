@@ -33,6 +33,7 @@ import (
 
 	"desyncpfair/internal/client"
 	"desyncpfair/internal/scenario"
+	"desyncpfair/internal/server"
 )
 
 type config struct {
@@ -71,6 +72,25 @@ func main() {
 }
 
 func run(cfg config, out io.Writer) error {
+	// Every flag is checked before the run: a bad policy name or range must
+	// not first run the spec, which with -addr creates its tenants on the
+	// live pfaird.
+	var policies []string
+	for _, p := range strings.Split(cfg.counterfactual, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			if _, err := server.PolicyByName(p); err != nil {
+				return err
+			}
+			policies = append(policies, p)
+		}
+	}
+	var lo, hi int
+	if cfg.sweepM != "" {
+		var err error
+		if lo, hi, err = parseSweepRange(cfg.sweepM); err != nil {
+			return err
+		}
+	}
 	res, err := produce(cfg, out)
 	if err != nil {
 		return err
@@ -91,30 +111,20 @@ func run(cfg config, out io.Writer) error {
 			return err
 		}
 	}
-	var policies []string
-	for _, p := range strings.Split(cfg.counterfactual, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			policies = append(policies, p)
-		}
-	}
 	if cfg.sweepM == "" {
 		return runCounterfactuals(policies, res.Records, out)
 	}
-	if cfg.counterfactual == "" {
+	if len(policies) == 0 {
 		policies = []string{res.Report.Policy}
 	}
-	return runSweeps(cfg.sweepM, policies, res.Records, out)
+	return runSweeps(lo, hi, policies, res.Records, out)
 }
 
 // runSweeps evaluates each policy at every M in the -sweep-m range,
 // printing the minimal feasible M and the minimal M that also meets the
 // one-quantum tardiness bound. With -counterfactual the sweep covers
 // those policies; otherwise the run's own policy.
-func runSweeps(sweepM string, policies []string, recs []scenario.Record, out io.Writer) error {
-	lo, hi, err := parseSweepRange(sweepM)
-	if err != nil {
-		return err
-	}
+func runSweeps(lo, hi int, policies []string, recs []scenario.Record, out io.Writer) error {
 	for _, p := range policies {
 		sw, err := scenario.SweepM(recs, p, lo, hi)
 		if err != nil {
@@ -145,7 +155,8 @@ func runSweeps(sweepM string, policies []string, recs []scenario.Record, out io.
 	return nil
 }
 
-// parseSweepRange parses "lo:hi" (or a single "m").
+// parseSweepRange parses "lo:hi" (or a single "m") into a range
+// scenario.SweepM takes.
 func parseSweepRange(s string) (lo, hi int, err error) {
 	los, his, found := strings.Cut(s, ":")
 	if !found {
@@ -157,7 +168,7 @@ func parseSweepRange(s string) (lo, hi int, err error) {
 	if hi, err = strconv.Atoi(strings.TrimSpace(his)); err != nil {
 		return 0, 0, fmt.Errorf("bad -sweep-m %q: %v", s, err)
 	}
-	return lo, hi, nil
+	return lo, hi, scenario.CheckSweepRange(lo, hi)
 }
 
 // produce yields the run's result: a replayed trace, or a fresh run of a

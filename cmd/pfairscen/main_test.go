@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"desyncpfair/internal/client"
 	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/scenario"
 	"desyncpfair/internal/server"
@@ -154,14 +156,34 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run(config{spec: filepath.Join(t.TempDir(), "missing.json")}, &out); err == nil {
 		t.Fatal("missing spec file accepted")
 	}
+	// A bad policy name or sweep range fails before anything runs: nothing
+	// is printed, and with -addr the live pfaird is left without a tenant.
 	spec := writeSpec(t, t.TempDir())
 	for _, cfg := range []config{
 		{spec: spec, counterfactual: "NOPE"},
 		{spec: spec, counterfactual: "NOPE", sweepM: "1:2"},
+		{spec: spec, counterfactual: "EPDF,NOPE", sweepM: "1:2"},
+		{spec: spec, sweepM: "4:1"},
 	} {
-		if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), `unknown policy "NOPE"`) {
-			t.Fatalf("-counterfactual NOPE -sweep-m %q: err = %v, want the unknown policy named", cfg.sweepM, err)
+		out.Reset()
+		err := run(cfg, &out)
+		if err == nil || out.Len() > 0 {
+			t.Fatalf("-counterfactual %q -sweep-m %q: err = %v, output %q; want an error and nothing run", cfg.counterfactual, cfg.sweepM, err, out.String())
 		}
+		if cfg.counterfactual != "" && !strings.Contains(err.Error(), `unknown policy "NOPE"`) {
+			t.Fatalf("-counterfactual %q: err = %v, want the unknown policy named", cfg.counterfactual, err)
+		}
+	}
+	srv := server.New()
+	defer srv.Shutdown()
+	hs := hoptest.NewServer(srv.Handler())
+	defer hs.Close()
+	if err := run(config{spec: spec, addr: hs.URL, counterfactual: "NOPE"}, &out); err == nil || out.Len() > 0 {
+		t.Fatalf("-addr -counterfactual NOPE: err = %v, output %q", err, out.String())
+	}
+	ts, err := client.New(hs.URL, nil).Tenants(context.Background())
+	if err != nil || len(ts) != 0 {
+		t.Fatalf("-addr -counterfactual NOPE left %d tenants on the live pfaird (err %v)", len(ts), err)
 	}
 }
 

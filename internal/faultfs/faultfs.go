@@ -17,6 +17,14 @@
 //     having changed nothing. Sweeping K over a multi-file protocol — a
 //     compaction's tmp/fsync/rename sequences — visits every point a
 //     crash can separate two steps at.
+//   - power loss (Options.PowerLoss): either crash point above becomes a
+//     power cut rather than a process crash. Each file written through
+//     the filesystem keeps its last fsynced length plus a seeded prefix of
+//     its unsynced tail, since a disk may have kept some of it; a create,
+//     rename or remove that no SyncDir of its directory followed is
+//     undone; and a failed Sync drops the file's unsynced bytes at once,
+//     as Linux may drop dirty pages after it reports a writeback error.
+//     Without it, every byte written before the crash point survives.
 //
 // The same Options always produce the same failure at the same point, so
 // every crash test is replayable from its seed.
@@ -26,6 +34,9 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 
 	"desyncpfair/internal/wal"
@@ -56,6 +67,10 @@ type Options struct {
 	// operation (1-based; Ops counts them): that call and every later one
 	// return ErrCrashed, and it changes nothing on disk.
 	CrashAtOp int64
+	// PowerLoss makes the crash point a power cut: what no fsync covered
+	// may be lost, as the package doc says, the seeded prefixes drawn from
+	// Seed. A failed Sync drops that file's unsynced bytes.
+	PowerLoss bool
 }
 
 // FS implements wal.FS over the real filesystem with injected faults.
@@ -69,11 +84,27 @@ type FS struct {
 	syncs   int
 	ops     int64
 	crashed bool
+	// What a power loss acts on: each written path's extent, and (with
+	// PowerLoss) the namespace changes no SyncDir has covered yet, oldest
+	// first.
+	files   map[string]*extent
+	pending []nsChange
+}
+
+// extent is what a file written through the filesystem holds: its length
+// as written, and as far as a Sync has made it durable.
+type extent struct{ size, synced int64 }
+
+// nsChange is a create, rename or remove in dir that no SyncDir of dir has
+// made durable yet; undo reverts it, on disk and in FS.files.
+type nsChange struct {
+	dir  string
+	undo func()
 }
 
 // New builds a fault-injecting filesystem over the real one.
 func New(opt Options) *FS {
-	return &FS{under: wal.OSFS{}, opt: opt, rng: rand.New(rand.NewSource(opt.Seed))}
+	return &FS{under: wal.OSFS{}, opt: opt, rng: rand.New(rand.NewSource(opt.Seed)), files: map[string]*extent{}}
 }
 
 // Crashed reports whether the crash point has been reached.
@@ -98,20 +129,65 @@ func (fs *FS) Ops() int64 {
 	return fs.ops
 }
 
-// mutate gates one mutating operation: it counts it and, at the CrashAtOp
-// trigger, dies instead of letting it through.
-func (fs *FS) mutate() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+// mutateLocked gates one mutating operation, fs.mu held: it counts it
+// and, at the CrashAtOp trigger, dies instead of letting it through. Every
+// mutating call holds fs.mu until it has changed the disk, so none lands
+// after a power loss took effect.
+func (fs *FS) mutateLocked() error {
 	if fs.crashed {
 		return ErrCrashed
 	}
 	fs.ops++
 	if fs.opt.CrashAtOp > 0 && fs.ops >= fs.opt.CrashAtOp {
-		fs.crashed = true
+		fs.crashLocked()
 		return ErrCrashed
 	}
 	return nil
+}
+
+// crashLocked reaches the crash point. Under PowerLoss it first undoes,
+// newest first, every namespace change no SyncDir covered, then cuts each
+// file written through the filesystem to its synced length plus a seeded
+// prefix of the rest, in path order so the seed decides it.
+func (fs *FS) crashLocked() {
+	fs.crashed = true
+	if !fs.opt.PowerLoss {
+		return
+	}
+	for i := len(fs.pending) - 1; i >= 0; i-- {
+		fs.pending[i].undo()
+	}
+	fs.pending = nil
+	paths := make([]string, 0, len(fs.files))
+	for p := range fs.files {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	for _, p := range paths {
+		e := fs.files[p]
+		keep := e.synced
+		if tail := e.size - e.synced; tail > 0 {
+			keep += fs.rng.Int63n(tail + 1)
+		}
+		_ = os.Truncate(p, keep)
+	}
+}
+
+// changed records a namespace change in path's directory, with PowerLoss.
+func (fs *FS) changed(path string, undo func()) {
+	if fs.opt.PowerLoss {
+		fs.pending = append(fs.pending, nsChange{dir: filepath.Dir(path), undo: undo})
+	}
+}
+
+// saved reads what path holds, with PowerLoss, for an undo to restore; ok
+// reports that it held something.
+func (fs *FS) saved(path string) (data []byte, e *extent, ok bool) {
+	if !fs.opt.PowerLoss {
+		return nil, nil, false
+	}
+	data, err := os.ReadFile(path)
+	return data, fs.files[path], err == nil
 }
 
 func (fs *FS) check() error {
@@ -124,14 +200,26 @@ func (fs *FS) check() error {
 }
 
 func (fs *FS) Create(path string) (wal.File, error) {
-	if err := fs.mutate(); err != nil {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := fs.mutateLocked(); err != nil {
 		return nil, err
 	}
+	_, err := os.Stat(path)
+	existed := err == nil
 	f, err := fs.under.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &file{fs: fs, f: f}, nil
+	e := &extent{}
+	fs.files[path] = e
+	if !existed {
+		fs.changed(path, func() {
+			_ = os.Remove(path)
+			delete(fs.files, path)
+		})
+	}
+	return &file{fs: fs, f: f, path: path, ext: e}, nil
 }
 
 func (fs *FS) Open(path string) (wal.File, error) {
@@ -142,21 +230,61 @@ func (fs *FS) Open(path string) (wal.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{fs: fs, f: f}, nil
+	return &file{fs: fs, f: f, path: path}, nil
 }
 
 func (fs *FS) Rename(oldPath, newPath string) error {
-	if err := fs.mutate(); err != nil {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := fs.mutateLocked(); err != nil {
 		return err
 	}
-	return fs.under.Rename(oldPath, newPath)
+	data, replaced, existed := fs.saved(newPath)
+	if err := fs.under.Rename(oldPath, newPath); err != nil {
+		return err
+	}
+	moved, tracked := fs.files[oldPath]
+	delete(fs.files, oldPath)
+	delete(fs.files, newPath)
+	if tracked {
+		fs.files[newPath] = moved
+	}
+	fs.changed(newPath, func() {
+		_ = os.Rename(newPath, oldPath)
+		delete(fs.files, newPath)
+		if tracked {
+			fs.files[oldPath] = moved
+		}
+		if existed {
+			_ = os.WriteFile(newPath, data, 0o644)
+			if replaced != nil {
+				fs.files[newPath] = replaced
+			}
+		}
+	})
+	return nil
 }
 
 func (fs *FS) Remove(path string) error {
-	if err := fs.mutate(); err != nil {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := fs.mutateLocked(); err != nil {
 		return err
 	}
-	return fs.under.Remove(path)
+	data, e, existed := fs.saved(path)
+	if err := fs.under.Remove(path); err != nil {
+		return err
+	}
+	delete(fs.files, path)
+	if existed {
+		fs.changed(path, func() {
+			_ = os.WriteFile(path, data, 0o644)
+			if e != nil {
+				fs.files[path] = e
+			}
+		})
+	}
+	return nil
 }
 
 func (fs *FS) ReadDir(dir string) ([]string, error) {
@@ -167,22 +295,36 @@ func (fs *FS) ReadDir(dir string) ([]string, error) {
 }
 
 func (fs *FS) MkdirAll(dir string) error {
-	if err := fs.mutate(); err != nil {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := fs.mutateLocked(); err != nil {
 		return err
 	}
 	return fs.under.MkdirAll(dir)
 }
 
+// SyncDir makes the namespace changes in dir durable.
 func (fs *FS) SyncDir(dir string) error {
-	if err := fs.mutate(); err != nil {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := fs.mutateLocked(); err != nil {
 		return err
 	}
-	return fs.under.SyncDir(dir)
+	if err := fs.under.SyncDir(dir); err != nil {
+		return err
+	}
+	dir = filepath.Clean(dir)
+	fs.pending = slices.DeleteFunc(fs.pending, func(c nsChange) bool { return c.dir == dir })
+	return nil
 }
 
+// file is an open file; ext, nil for a file opened to read, is its
+// extent.
 type file struct {
-	fs *FS
-	f  wal.File
+	fs   *FS
+	f    wal.File
+	path string
+	ext  *extent
 }
 
 func (f *file) Read(p []byte) (int, error) {
@@ -196,29 +338,21 @@ func (f *file) Read(p []byte) (int, error) {
 // prefix that lands before a fault models exactly what a torn write
 // leaves on disk.
 func (f *file) Write(p []byte) (int, error) {
-	if err := f.fs.mutate(); err != nil {
+	fs := f.fs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := fs.mutateLocked(); err != nil {
 		return 0, err
-	}
-	f.fs.mu.Lock()
-	if f.fs.crashed {
-		f.fs.mu.Unlock()
-		return 0, ErrCrashed
 	}
 	allow := len(p)
 	var failWith error
-	if f.fs.opt.CrashAtByte > 0 && f.fs.written+int64(len(p)) > f.fs.opt.CrashAtByte {
-		allow = int(f.fs.opt.CrashAtByte - f.fs.written)
-		if allow < 0 {
-			allow = 0
-		}
-		f.fs.crashed = true
+	if fs.opt.CrashAtByte > 0 && fs.written+int64(len(p)) > fs.opt.CrashAtByte {
+		allow = max(int(fs.opt.CrashAtByte-fs.written), 0)
 		failWith = ErrCrashed
-	} else if f.fs.opt.ShortWriteProb > 0 && f.fs.rng.Intn(f.fs.opt.ShortWriteProb) == 0 {
+	} else if fs.opt.ShortWriteProb > 0 && fs.rng.Intn(fs.opt.ShortWriteProb) == 0 {
 		allow = len(p) / 2
 		failWith = io.ErrShortWrite
 	}
-	f.fs.mu.Unlock()
-
 	n := 0
 	if allow > 0 {
 		var err error
@@ -227,31 +361,52 @@ func (f *file) Write(p []byte) (int, error) {
 			failWith = err
 		}
 	}
-	f.fs.mu.Lock()
-	f.fs.written += int64(n)
-	f.fs.mu.Unlock()
-	if failWith != nil {
-		return n, failWith
+	fs.written += int64(n)
+	if f.ext != nil {
+		f.ext.size += int64(n)
 	}
-	return n, nil
+	if failWith == ErrCrashed {
+		fs.crashLocked()
+	}
+	return n, failWith
 }
 
+// Sync makes what was written so far durable, or fails: at FailSyncAt,
+// or as the real fsync does. A failed Sync under PowerLoss cuts the file
+// back to its synced length.
 func (f *file) Sync() error {
-	if err := f.fs.mutate(); err != nil {
+	fs := f.fs
+	fs.mu.Lock()
+	if err := fs.mutateLocked(); err != nil {
+		fs.mu.Unlock()
 		return err
 	}
-	f.fs.mu.Lock()
-	if f.fs.crashed {
-		f.fs.mu.Unlock()
-		return ErrCrashed
+	fs.syncs++
+	var err error
+	if fs.opt.FailSyncAt > 0 && fs.syncs == fs.opt.FailSyncAt {
+		err = ErrInjectedSync
 	}
-	f.fs.syncs++
-	fail := f.fs.opt.FailSyncAt > 0 && f.fs.syncs == f.fs.opt.FailSyncAt
-	f.fs.mu.Unlock()
-	if fail {
-		return ErrInjectedSync
+	var size int64
+	if f.ext != nil {
+		size = f.ext.size
 	}
-	return f.f.Sync()
+	fs.mu.Unlock()
+	if err == nil {
+		err = f.f.Sync()
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	switch {
+	case fs.crashed && fs.opt.PowerLoss:
+		return ErrCrashed // the power went before the sync was known done
+	case f.ext == nil:
+	case err != nil && fs.opt.PowerLoss:
+		f.ext.size = f.ext.synced
+		_ = os.Truncate(f.path, f.ext.synced)
+	case err == nil:
+		f.ext.synced = max(f.ext.synced, size)
+	}
+	return err
 }
 
 func (f *file) Close() error {

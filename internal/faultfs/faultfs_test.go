@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"desyncpfair/internal/wal"
@@ -212,5 +214,169 @@ func TestCrashAtOpFailsCleanlyAndSticks(t *testing.T) {
 	}
 	if _, err := fs.Create(filepath.Join(dir, "c")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Create after the crash returned %v", err)
+	}
+}
+
+// TestPowerLossKeepsSyncedPlusSeededPrefix: at a power cut a file keeps
+// what its last Sync covered plus a prefix of the rest whose length the
+// seed decides — across seeds, some of the tail and sometimes none of it.
+func TestPowerLossKeepsSyncedPlusSeededPrefix(t *testing.T) {
+	cut := func(seed int64, crash Options) string {
+		dir := t.TempDir()
+		crash.Seed, crash.PowerLoss = seed, true
+		fs := New(crash)
+		path := filepath.Join(dir, "f")
+		f, err := fs.Create(path) // op 1
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := fs.SyncDir(dir); err != nil { // op 2
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("synced-")); err != nil { // op 3
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil { // op 4
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("0123456789")); err != nil { // op 5
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("abcdefghij")); !errors.Is(err, ErrCrashed) { // op 6: the crash
+			t.Fatalf("crashing write returned %v", err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, crash := range []Options{{CrashAtOp: 6}, {CrashAtByte: 20}} {
+		kept := map[int]bool{}
+		for seed := int64(0); seed < 40; seed++ {
+			got := cut(seed, crash)
+			if got != cut(seed, crash) {
+				t.Fatalf("%+v seed %d: two runs kept different bytes", crash, seed)
+			}
+			// Under CrashAtByte the crashing write lands 3 bytes first, and
+			// they are unsynced tail like the rest.
+			written := "synced-0123456789"
+			if crash.CrashAtByte > 0 {
+				written += "abc"
+			}
+			if len(got) < len("synced-") || !strings.HasPrefix(written, got) {
+				t.Fatalf("%+v seed %d: kept %q, want the synced bytes and a prefix of %q", crash, seed, got, written)
+			}
+			kept[len(got)-len("synced-")] = true
+		}
+		if !kept[0] || len(kept) < 4 {
+			t.Fatalf("%+v: 40 seeds kept tails of lengths %v; want none sometimes and several lengths", crash, kept)
+		}
+	}
+}
+
+// TestPowerLossUndoesUncoveredNamespaceChanges: a create, rename or remove
+// that a SyncDir followed survives the cut; one that none followed is
+// undone — a rename over a file brings back the file it replaced.
+func TestPowerLossUndoesUncoveredNamespaceChanges(t *testing.T) {
+	dir := t.TempDir()
+	at := func(name string) string { return filepath.Join(dir, name) }
+	for name, data := range map[string]string{"old": "old", "gone": "gone", "victim": "victim"} {
+		if err := os.WriteFile(at(name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs := New(Options{PowerLoss: true, CrashAtOp: 100})
+	create := func(name, data string) {
+		f, err := fs.Create(at(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	create("kept", "kept")
+	must(fs.Rename(at("old"), at("moved")))
+	must(fs.SyncDir(dir)) // covers the two changes above
+	create("fresh", "fresh")
+	must(fs.Rename(at("moved"), at("moved-again")))
+	must(fs.Remove(at("gone")))
+	create("tmp", "new")
+	must(fs.Rename(at("tmp"), at("victim")))
+	for fs.Ops() < 99 {
+		must(fs.MkdirAll(dir))
+	}
+	if err := fs.SyncDir(dir); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("op 100 returned %v, want the crash", err)
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, e := range names {
+		data, err := os.ReadFile(at(e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[e.Name()] = string(data)
+	}
+	want := map[string]string{"kept": "kept", "moved": "old", "gone": "gone", "victim": "victim"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the cut the directory holds %v, want %v", got, want)
+	}
+}
+
+// TestPowerLossFailedSyncDropsUnsynced: a failed Sync cuts its file back
+// to what the last good one covered, at once, and the cut keeps no more.
+func TestPowerLossFailedSyncDropsUnsynced(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "f")
+		fs := New(Options{Seed: seed, PowerLoss: true, FailSyncAt: 2, CrashAtOp: 8})
+		f, err := fs.Create(path) // op 1
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SyncDir(dir); err != nil { // op 2
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("good")); err != nil { // op 3
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil { // op 4, sync 1
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte("lost")); err != nil { // op 5
+			t.Fatal(err)
+		}
+		if err := f.Sync(); !errors.Is(err, ErrInjectedSync) { // op 6, sync 2
+			t.Fatalf("sync 2 = %v, want ErrInjectedSync", err)
+		}
+		if data, _ := os.ReadFile(path); string(data) != "good" {
+			t.Fatalf("seed %d: after the failed sync the file holds %q, want %q", seed, data, "good")
+		}
+		if err := fs.MkdirAll(dir); err != nil { // op 7
+			t.Fatal(err)
+		}
+		if err := fs.MkdirAll(dir); !errors.Is(err, ErrCrashed) { // op 8
+			t.Fatalf("op 8 = %v, want the crash", err)
+		}
+		f.Close()
+		if data, _ := os.ReadFile(path); string(data) != "good" {
+			t.Fatalf("seed %d: after the cut the file holds %q, want %q", seed, data, "good")
+		}
 	}
 }

@@ -44,17 +44,25 @@ type Sweep struct {
 	MinBoundM int
 }
 
+// CheckSweepRange refuses a range SweepM cannot sweep.
+func CheckSweepRange(lo, hi int) error {
+	if lo < 1 || hi < lo {
+		return fmt.Errorf("scenario: bad sweep range %d:%d (want 1 ≤ lo ≤ hi)", lo, hi)
+	}
+	if hi-lo+1 > MaxSweepSpan {
+		return fmt.Errorf("scenario: sweep range %d:%d spans %d points (max %d)", lo, hi, hi-lo+1, MaxSweepSpan)
+	}
+	return nil
+}
+
 // SweepM re-dispatches a recorded workload under `policy` (named as the
 // service names it, "" being PD²) at every M in [lo, hi], answering "what
 // is the minimal capacity this policy needs for this trace?". The
 // workload (clients, task weights, exact arrival times) is reconstructed
 // from the trace, so the sweep varies only M — same inputs, one knob.
 func SweepM(recs []Record, policy string, lo, hi int) (*Sweep, error) {
-	if lo < 1 || hi < lo {
-		return nil, fmt.Errorf("scenario: bad sweep range %d:%d (want 1 ≤ lo ≤ hi)", lo, hi)
-	}
-	if hi-lo+1 > MaxSweepSpan {
-		return nil, fmt.Errorf("scenario: sweep range %d:%d spans %d points (max %d)", lo, hi, hi-lo+1, MaxSweepSpan)
+	if err := CheckSweepRange(lo, hi); err != nil {
+		return nil, err
 	}
 	p, err := server.PolicyByName(policy)
 	if err != nil {

@@ -1,6 +1,9 @@
 package server
 
-import "desyncpfair/internal/wire"
+import (
+	"desyncpfair/internal/wal"
+	"desyncpfair/internal/wire"
+)
 
 // The hand-written codec of the request path's bodies (api.go's header has
 // the rule that keeps it complete). AppendWire and DecodeWire are
@@ -138,6 +141,12 @@ func scanSubmitJob(s *wire.Scanner, r *SubmitJobRequest) {
 			return
 		}
 	}
+}
+
+// job is the request as the tenant carries, journals and replays it: the
+// one place a request becomes a wal.Job, whose Name is the wire's task.
+func (r *SubmitJobRequest) job() wal.Job {
+	return wal.Job{Name: r.Task, At: r.At, Earliness: r.Earliness, Key: r.Key}
 }
 
 var submitJobsKeys = []string{"jobs"}

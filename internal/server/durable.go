@@ -427,17 +427,14 @@ func (t *Tenant) replay(r wal.Record) bool {
 	case wal.OpTaskUnregister:
 		_, err = t.UnregisterTask(r.Name)
 	case wal.OpJobSubmit:
-		if len(r.Jobs) == 0 {
-			_, _, err = t.SubmitJobReq(SubmitJobRequest{Task: r.Name, At: r.At, Earliness: r.Earliness, Key: r.Key})
-			break
-		}
-		// A group — a batch, or a run of singles whose keys were all new —
-		// re-applies as the batch it is on disk: all of it or none.
-		reqs := make([]SubmitJobRequest, len(r.Jobs))
-		for i, j := range r.Jobs {
-			reqs[i] = SubmitJobRequest{Task: j.Name, At: j.At, Earliness: j.Earliness, Key: j.Key}
-		}
-		_, _, err = t.SubmitJobs(reqs)
+		// Every form re-applies as the batch it is on disk, all of it or
+		// none: a group (a batch, or a run of singles whose keys were all
+		// new) and a flat record, a batch of one. For one job the batch is
+		// the single submit: a seen key is a no-op, and backlog, validation
+		// and trace (begin, WAL, apply) are the same. applySubmits resolves
+		// each job's at in place, into the record's own jobs.
+		jobs := r.SubmittedJobs()
+		_, err = t.do(func() (wal.Commit, error) { return t.applySubmitBatch(jobs, nil) })
 	case wal.OpAdvance:
 		_, _, err = t.Advance(r.At, "")
 	case wal.OpDrain:

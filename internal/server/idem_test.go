@@ -23,7 +23,7 @@ type submitEntry struct {
 func runOf(tn *Tenant, reqs []SubmitJobRequest) []cmdResult {
 	cmds := make([]*command, len(reqs))
 	for i, req := range reqs {
-		cmds[i] = &command{submit: req, done: make(chan cmdResult, 1)}
+		cmds[i] = &command{job: req.job(), done: make(chan cmdResult, 1)}
 	}
 	tn.processSubmitRun(cmds)
 	out := make([]cmdResult, len(cmds))
@@ -43,16 +43,13 @@ var submitEntries = []submitEntry{
 	}},
 	{"run", runOf},
 	{"batch", func(tn *Tenant, reqs []SubmitJobRequest) []cmdResult {
-		var resp SubmitJobsResponse
-		res := processFn(tn, func() (c wal.Commit, err error) {
-			resp, c, err = tn.applySubmitBatch(reqs)
-			return c, err
-		})
+		results := make([]SubmitJobResponse, len(reqs))
+		res := processFn(tn, func() (wal.Commit, error) { return tn.applySubmitBatch(jobsOf(reqs), results) })
 		out := make([]cmdResult, len(reqs))
 		for i := range out {
 			out[i] = cmdResult{commit: res.commit, err: res.err}
 			if res.err == nil {
-				out[i].submit = resp.Results[i]
+				out[i].submit = results[i]
 			}
 		}
 		return out
@@ -226,9 +223,9 @@ func TestCoalescedRunPublishesBeforeAck(t *testing.T) {
 	const n = 5
 	cmds := make([]*command, n+1)
 	for i := range cmds {
-		cmds[i] = &command{submit: SubmitJobRequest{Task: "a", Key: fmt.Sprintf("k%d", i)}, done: make(chan cmdResult)}
+		cmds[i] = &command{job: wal.Job{Name: "a", Key: fmt.Sprintf("k%d", i)}, done: make(chan cmdResult)}
 	}
-	cmds[n].submit.Key = "k0" // a key repeated within the run rides the second pass
+	cmds[n].job.Key = "k0" // a key repeated within the run rides the second pass
 	loopDone := make(chan struct{})
 	go func() {
 		defer close(loopDone)

@@ -32,8 +32,8 @@ const maxRunBytes = 128 << 10
 // finds it full answers 429 (ErrRingFull).
 const defaultSubmitRing = 256
 
-// command is one queued request for a tenant's event loop: a single job
-// submit (fn nil, the one kind runLoop coalesces into runs), or fn, the
+// command is one queued request for a tenant's event loop: the single
+// submit of job (fn nil, the one kind runLoop coalesces into runs), or fn, the
 // closure the loop runs for any other request — it journals, applies and
 // returns the record's commit, its typed answer captured by the caller. A
 // stop ends the loop once its fn, if any, has succeeded: Close, or a
@@ -41,9 +41,9 @@ const defaultSubmitRing = 256
 // on done, which has capacity 1 so the loop never blocks on a completion
 // send.
 type command struct {
-	submit SubmitJobRequest
-	fn     func() (wal.Commit, error)
-	stop   bool
+	job  wal.Job
+	fn   func() (wal.Commit, error)
+	stop bool
 
 	done chan cmdResult
 }
@@ -234,12 +234,12 @@ func (t *Tenant) settle() {
 // record must not be what makes one too large to journal.
 func (t *Tenant) processSubmitRun(run []*command) {
 	for len(run) > 0 {
-		jobs, size, subtasks := t.jobs[:0], 0, int64(0)
+		jobs, valid, size, subtasks := t.jobs[:0], t.valid[:0], 0, int64(0)
 		var again []*command
 		inRun := map[string]struct{}{}
 		for _, c := range run {
-			key := c.submit.Key
-			if resp, seen := t.idemSeen(key); seen {
+			key := c.job.Key
+			if resp, seen := t.idem[key]; seen {
 				// Nothing is journaled for a replay, so the zero commit is
 				// already durable by definition.
 				c.done <- cmdResult{submit: resp}
@@ -252,28 +252,28 @@ func (t *Tenant) processSubmitRun(run []*command) {
 			if key != "" {
 				inRun[key] = struct{}{}
 			}
-			var job submitJob
-			err := t.validateSubmit(&c.submit, &job)
+			v, err := t.validateSubmit(&c.job)
 			if err == nil {
-				err = t.checkBacklog(subtasks, job.task.W.E)
+				err = t.checkBacklog(subtasks, v.task.W.E)
 			}
 			if err != nil {
 				c.done <- cmdResult{err: err}
 				continue
 			}
-			if size += len(c.submit.Task) + len(key); size > maxRunBytes && len(jobs) > 0 {
+			if size += len(c.job.Name) + len(key); size > maxRunBytes && len(jobs) > 0 {
 				again = append(again, c)
 				continue
 			}
-			job.cmd = c
-			jobs = append(jobs, job)
-			subtasks += job.task.W.E
+			v.cmd = c
+			jobs = append(jobs, c.job)
+			valid = append(valid, v)
+			subtasks += v.task.W.E
 		}
-		t.jobs = jobs[:0]
-		commit, err := t.applySubmits(jobs)
+		t.jobs, t.valid = jobs[:0], valid[:0]
+		commit, err := t.applySubmits(jobs, valid)
 		t.settle()
-		for i := range jobs {
-			jobs[i].cmd.done <- cmdResult{submit: jobs[i].resp, commit: commit, err: err}
+		for i := range valid {
+			valid[i].cmd.done <- cmdResult{submit: valid[i].resp, commit: commit, err: err}
 		}
 		run = again
 	}

@@ -266,7 +266,7 @@ func TestCloseDrainsBacklogThenRefuses(t *testing.T) {
 	pending := make(chan cmdResult, backlog)
 	for i := 0; i < backlog; i++ {
 		go func() {
-			pending <- tn.exec(&command{submit: SubmitJobRequest{Task: "a"}})
+			pending <- tn.exec(&command{job: wal.Job{Name: "a"}})
 		}()
 	}
 	for len(tn.ring) < backlog {

@@ -314,13 +314,20 @@ func TestCrashRecoveryBatchSubmit(t *testing.T) {
 		states = append(states, captureState(t, ref.Handler()))
 	}
 
-	for seed := 0; seed < 12; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+	// Each seed crashes the process, and then cuts the power, at its byte:
+	// at FsyncEvery 1 an ack waits for its fsync, so under either model
+	// recovery keeps every acked command and nothing beyond the issued.
+	for run := 0; run < 24; run++ {
+		seed, powerLoss := run%12, run >= 12
+		name := fmt.Sprintf("seed%02d", seed)
+		if powerLoss {
+			name = "powerloss-" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
 			budget := int64(96 + seed*seed*420)
-			ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget})
+			ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget, PowerLoss: powerLoss})
 
 			acked, issued := 0, 0
 			srvA, err := server.Open(server.Options{

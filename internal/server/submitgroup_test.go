@@ -143,10 +143,13 @@ func TestTornBatchIsAllOrNothing(t *testing.T) {
 	}
 }
 
-// unfoldJournal rewrites dir's journal into the form written before a group
-// was one record: each group record becomes one flat job-submit frame per
-// job, the group one AppendBatch. It returns the records it wrote, in order.
-func unfoldJournal(t *testing.T, dir string) (flat []wal.Record, groups int) {
+// unfoldJournal rewrites dir's journal into a form pfaird does not write
+// today: each group record becomes one frame per job, the group one
+// AppendBatch — a flat job-submit per job, the form written before a group
+// was one record, or with oneJobGroups a one-job group record per job,
+// which the record format allows. It returns the records it wrote, in
+// order.
+func unfoldJournal(t *testing.T, dir string, oneJobGroups bool) (unfolded []wal.Record, groups int) {
 	t.Helper()
 	segs := readJournal(t, dir)
 	if len(segs) != 1 {
@@ -165,26 +168,33 @@ func unfoldJournal(t *testing.T, dir string) (flat []wal.Record, groups int) {
 			if len(f.rec.Jobs) > 0 {
 				groups++
 				recs = recs[:0]
-				for _, j := range f.rec.Jobs {
-					recs = append(recs, wal.Record{Op: wal.OpJobSubmit, Tenant: f.rec.Tenant, Name: j.Name, At: j.At, Earliness: j.Earliness, Key: j.Key})
+				for k := range f.rec.Jobs {
+					rec := wal.JobSubmit(f.rec.Tenant, f.rec.Jobs[k:k+1])
+					if oneJobGroups {
+						rec = wal.Record{Op: wal.OpJobSubmit, Tenant: f.rec.Tenant, Jobs: f.rec.Jobs[k : k+1]}
+					}
+					recs = append(recs, rec)
 				}
 			}
 			if _, err := l.AppendBatch(recs); err != nil {
 				t.Fatal(err)
 			}
-			flat = append(flat, recs...)
+			unfolded = append(unfolded, recs...)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return flat, groups
+	return unfolded, groups
 }
 
 // TestPerJobGroupJournalReplays: a journal in the form written before a
-// group was one record replays to the same /v1/tenants, the same dispatch
-// stream byte for byte and the same command count as the same jobs
-// journaled today, and a follower shipped its frames ends up there too.
+// group was one record, and one that holds every job as a one-job group
+// record, replay to the same /v1/tenants, the same dispatch stream byte for
+// byte and the same command count as the same jobs journaled today; every
+// batch, sent again with its keys, answers what it answered the first time
+// and changes nothing; and a follower shipped either journal's frames ends
+// up there too.
 func TestPerJobGroupJournalReplays(t *testing.T) {
 	const rounds = 6
 	script := append([]cmd{}, keyedBatchSetup...)
@@ -204,23 +214,31 @@ func TestPerJobGroupJournalReplays(t *testing.T) {
 
 	// Today's form: the directory of a running server, copied, is what a kill
 	// would leave — an empty boot snapshot and the whole script in the journal.
-	liveDir, newDir, oldDir := t.TempDir(), t.TempDir(), t.TempDir()
+	liveDir, newDir, oldDir, oneDir := t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()
 	live, err := server.Open(opts(liveDir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
+	var batches []cmd
+	var answers [][]byte
 	for i, c := range script {
-		if code := doCmd(t, live.Handler(), c); code >= 300 {
-			t.Fatalf("command %d (%s %s): %d", i, c.method, c.path, code)
+		code, body := postJSON(t, live.Handler(), c.path, c.body)
+		if code >= 300 {
+			t.Fatalf("command %d (%s %s): %d %s", i, c.method, c.path, code, body)
+		}
+		if strings.HasSuffix(c.path, "jobs:batch") {
+			batches, answers = append(batches, c), append(answers, body)
 		}
 	}
 	copyDir(t, liveDir, newDir)
 	copyDir(t, liveDir, oldDir)
-	oldRecords, groups := unfoldJournal(t, oldDir)
+	copyDir(t, liveDir, oneDir)
+	oldRecords, groups := unfoldJournal(t, oldDir, false)
 	if groups != rounds {
 		t.Fatalf("the journal holds %d group records, want one per batch (%d)", groups, rounds)
 	}
+	oneRecords, _ := unfoldJournal(t, oneDir, true)
 
 	open := func(dir string) (*server.RecoveryInfo, serverState, []byte) {
 		srv, err := server.Open(opts(dir))
@@ -232,43 +250,59 @@ func TestPerJobGroupJournalReplays(t *testing.T) {
 		if rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
 			t.Fatalf("%s: recovery %+v", dir, rec)
 		}
-		return rec, captureState(t, srv.Handler()), dispatchBytes(t, srv.Handler(), "T")
+		state, stream := captureState(t, srv.Handler()), dispatchBytes(t, srv.Handler(), "T")
+		for i, c := range batches {
+			if code, got := postJSON(t, srv.Handler(), c.path, c.body); code != http.StatusAccepted || !bytes.Equal(got, answers[i]) {
+				t.Fatalf("%s: batch %d sent again: %d %s; want 202 %s", dir, i, code, got, answers[i])
+			}
+		}
+		assertStateEqual(t, "after the keyed retries", captureState(t, srv.Handler()), state)
+		return rec, state, stream
 	}
 	newRec, newState, newStream := open(newDir)
-	oldRec, oldState, oldStream := open(oldDir)
 	assertStateEqual(t, "group journal vs the live server", newState, captureState(t, live.Handler()))
-	assertStateEqual(t, "per-job journal vs group journal", oldState, newState)
-	if !bytes.Equal(oldStream, newStream) || len(oldStream) == 0 {
-		t.Fatalf("?from=0 replays differ: %d bytes from the per-job journal, %d from the group journal", len(oldStream), len(newStream))
-	}
 	jobs := len(keyedBatch.Jobs)
-	if want := uint64(len(keyedBatchSetup) + rounds*(jobs+1)); oldRec.Commands != want || newRec.Commands != want ||
-		oldRec.CommandsReplayed != int(want) || newRec.CommandsReplayed != int(want) {
-		t.Fatalf("commands (replayed): per-job journal %d (%d), group journal %d (%d), want %d",
-			oldRec.Commands, oldRec.CommandsReplayed, newRec.Commands, newRec.CommandsReplayed, want)
+	want := uint64(len(keyedBatchSetup) + rounds*(jobs+1))
+	if newRec.Commands != want || newRec.CommandsReplayed != int(want) || newRec.RecordsReplayed != len(oldRecords)-rounds*(jobs-1) {
+		t.Fatalf("group journal: %d commands (%d replayed) in %d records; want %d commands", newRec.Commands, newRec.CommandsReplayed, newRec.RecordsReplayed, want)
 	}
-	if oldRec.RecordsReplayed != len(oldRecords) || newRec.RecordsReplayed != len(oldRecords)-rounds*(jobs-1) {
-		t.Fatalf("records replayed: %d from the per-job journal of %d, %d from the group journal", oldRec.RecordsReplayed, len(oldRecords), newRec.RecordsReplayed)
-	}
-
-	// A follower of a leader that still writes the old form is shipped that
-	// journal's records one by one.
-	fol, err := server.Open(server.Options{DataDir: t.TempDir(), FsyncEvery: 1, FsyncMaxDelay: -1, Follower: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fol.Close()
-	for _, r := range oldRecords {
-		if err := fol.ApplyReplicated(r); err != nil {
-			t.Fatalf("ApplyReplicated(%+v): %v", r, err)
+	for _, form := range []struct {
+		what string
+		dir  string
+		recs []wal.Record
+	}{
+		{"per-job journal", oldDir, oldRecords},
+		{"one-job group journal", oneDir, oneRecords},
+	} {
+		rec, state, stream := open(form.dir)
+		assertStateEqual(t, form.what+" vs group journal", state, newState)
+		if !bytes.Equal(stream, newStream) || len(stream) == 0 {
+			t.Fatalf("?from=0 replays differ: %d bytes from the %s, %d from the group journal", len(stream), form.what, len(newStream))
 		}
-	}
-	if h, _ := healthz(t, fol.Handler()); h.ReplicationApplyErrors != 0 || h.ReplicationDispatchMismatches != 0 {
-		t.Fatalf("follower of the per-job journal: %+v", h)
-	}
-	assertStateEqual(t, "follower of the per-job journal", captureState(t, fol.Handler()), newState)
-	if got := dispatchBytes(t, fol.Handler(), "T"); !bytes.Equal(got, newStream) {
-		t.Fatal("the follower's ?from=0 replay differs from the leader's")
+		if rec.Commands != want || rec.CommandsReplayed != int(want) || rec.RecordsReplayed != len(form.recs) {
+			t.Fatalf("%s: %d commands (%d replayed) in %d of its %d records; want %d commands", form.what,
+				rec.Commands, rec.CommandsReplayed, rec.RecordsReplayed, len(form.recs), want)
+		}
+
+		// A follower of a leader that writes the form is shipped its
+		// records one by one.
+		fol, err := server.Open(server.Options{DataDir: t.TempDir(), FsyncEvery: 1, FsyncMaxDelay: -1, Follower: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range form.recs {
+			if err := fol.ApplyReplicated(r); err != nil {
+				t.Fatalf("%s: ApplyReplicated(%+v): %v", form.what, r, err)
+			}
+		}
+		if h, _ := healthz(t, fol.Handler()); h.ReplicationApplyErrors != 0 || h.ReplicationDispatchMismatches != 0 {
+			t.Fatalf("follower of the %s: %+v", form.what, h)
+		}
+		assertStateEqual(t, "follower of the "+form.what, captureState(t, fol.Handler()), newState)
+		if got := dispatchBytes(t, fol.Handler(), "T"); !bytes.Equal(got, newStream) {
+			t.Fatalf("the follower of the %s: its ?from=0 replay differs from the leader's", form.what)
+		}
+		fol.Close()
 	}
 }
 

@@ -35,7 +35,7 @@ import (
 //     tasks by name are asked of it and kept nowhere else (readers use
 //     the snapshot) — log (its manifest included:
 //     compaction extends it through a control command, sealHistory),
-//     maxTar, reject, digest, jobs, group, lags, worst, and the open
+//     maxTar, reject, digest, jobs, valid, lags, worst, and the open
 //     command obs.tr keeps.
 //   - immutable after construction: id, policy, ring, closed (closed by
 //     the loop when a stop applies), obs (tracer + histograms).
@@ -66,10 +66,11 @@ type Tenant struct {
 	// digest is the dispatch digest of the last command that made decisions
 	// (journaled tenants only; settle computes it).
 	digest dispatchDigest
-	// jobs and group are reusable buffers: the validated jobs of the submit
-	// group being applied, and what its journal record says of them.
-	jobs  []submitJob
-	group []wal.Job
+	// jobs and valid are reusable buffers of the submit group being
+	// applied: its jobs, which its journal record holds, and what
+	// validateSubmit found for each.
+	jobs  []wal.Job
+	valid []submitJob
 	// lags tallies the lag of each decision since the last settle, which
 	// merges it into the lag histograms; worst is the largest among them,
 	// the lag the command's dispatch trace event reports.
@@ -275,8 +276,8 @@ func (t *Tenant) observeSubmitAck(d time.Duration, n int) {
 // permanently wedges the journal after a post-journal apply failure.
 // append returns a wal.Commit the enqueuing handler waits on after the
 // command completes (group commit: the first waiter fsyncs for everyone
-// queued behind it); a submit group's record lends it the tenant's reusable
-// Jobs buffer, good until it returns. batch is never called — a group is
+// queued behind it); a group record's Jobs is good until it returns (the
+// tenant reuses its buffer). batch is never called — a group is
 // one record, because a frame group could tear — and stays in the signature
 // for bench/, which is not edited with the code it measures (ROADMAP item
 // 10c). Like SetOnDispatch it must be called before the tenant serves
@@ -334,7 +335,7 @@ func (t *Tenant) UnregisterTask(name string) (wal.Commit, error) {
 // clients); otherwise At is parsed as a rat and must not precede it. An
 // idempotency key makes the submit safe to retry.
 func (t *Tenant) SubmitJobReq(req SubmitJobRequest) (SubmitJobResponse, wal.Commit, error) {
-	res := t.exec(&command{submit: req})
+	res := t.exec(&command{job: req.job()})
 	return res.submit, res.commit, res.err
 }
 
@@ -346,7 +347,14 @@ func (t *Tenant) SubmitJobReq(req SubmitJobRequest) (SubmitJobResponse, wal.Comm
 func (t *Tenant) SubmitJobs(reqs []SubmitJobRequest) (SubmitJobsResponse, wal.Commit, error) {
 	var resp SubmitJobsResponse
 	c, err := t.do(func() (c wal.Commit, err error) {
-		resp, c, err = t.applySubmitBatch(reqs)
+		t.jobs = t.jobs[:0]
+		for i := range reqs {
+			t.jobs = append(t.jobs, reqs[i].job())
+		}
+		results := make([]SubmitJobResponse, len(reqs))
+		if c, err = t.applySubmitBatch(t.jobs, results); err == nil {
+			resp = SubmitJobsResponse{Accepted: len(reqs), Results: results}
+		}
 		return c, err
 	})
 	return resp, c, err
@@ -531,11 +539,10 @@ func (t *Tenant) resizeResponse(d admission.ResizeDecision) ResizeResponse {
 	}
 }
 
-// submitJob is one validated job submit on its way through applySubmits,
-// which fills in resp. cmd is the single-submit command it answers (nil
-// for a job of a batch).
+// submitJob is what validateSubmit found for one job on its way through
+// applySubmits, which fills in resp. cmd is the single-submit command it
+// answers (nil for a job of a batch).
 type submitJob struct {
-	req  SubmitJobRequest
 	task *model.Task
 	when rat.Rat
 	resp SubmitJobResponse
@@ -543,76 +550,61 @@ type submitJob struct {
 }
 
 // applySubmits is the one submit applier: it journals validated jobs as
-// one record — the flat job-submit for a lone job, one group record for
-// more, so a crash or a cut replication stream leaves all of a group or
-// none of it — releases each into the executive, and remembers each keyed
-// response. Both front ends — the atomic batch and the run of coalesced
+// one record (wal.JobSubmit: a group is all of it or none of it to a
+// crash or a cut replication stream), releases each into the executive,
+// and remembers each keyed response; valid[i] is what validation found for
+// jobs[i]. Both front ends — the atomic batch and the run of coalesced
 // single submits, which differ in how they validate and dedupe — end
-// here, as does the replay of either, and a lone submit is a run of one.
+// here, as does the replay of every record form, and a lone submit is a
+// run of one.
 // Jobs are validated independently against the state at entry; submits
 // only add pending work and never move virtual time, so independent
 // validity implies sequential validity.
-func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
+func (t *Tenant) applySubmits(jobs []wal.Job, valid []submitJob) (wal.Commit, error) {
 	if len(jobs) == 0 {
 		return wal.Commit{}, nil
 	}
-	// Each job's resolved arrival is rendered once, into its response, and
-	// read from there by the journal record (its trace span takes it
-	// exact) — and once per group for the common empty `at`, which
-	// resolves every such job to the same now. The record carries the
-	// *resolved* time: "now" is something only the live server knows, and
-	// replay must not re-resolve it. A tenant with no journal builds no
-	// group.
+	// Each job's at becomes its resolved arrival, rendered once — and once
+	// per group for the common empty at, which resolves every such job to
+	// the same now — and the record and the response read it from there.
+	// The record carries the *resolved* time: "now" is something only the
+	// live server knows, and replay must not re-resolve it.
 	now := ""
 	for i := range jobs {
 		j := &jobs[i]
-		if j.req.At != "" {
-			j.resp.At = j.when.String()
+		if j.At != "" {
+			j.At = valid[i].when.String()
 		} else {
 			if now == "" {
-				now = j.when.String()
+				now = valid[i].when.String()
 			}
-			j.resp.At = now
+			j.At = now
 		}
 	}
-	journaled := t.hooks.Load() != nil
-	rec := wal.Record{Op: wal.OpJobSubmit, Tenant: t.id}
-	if len(jobs) == 1 {
-		j := &jobs[0]
-		rec.Name, rec.At, rec.Earliness, rec.Key = j.req.Task, j.resp.At, j.req.Earliness, j.req.Key
-	} else if journaled {
-		group := t.group[:0]
-		for i := range jobs {
-			j := &jobs[i]
-			group = append(group, wal.Job{Name: j.req.Task, At: j.resp.At, Earliness: j.req.Earliness, Key: j.req.Key})
-		}
-		t.group = group[:0]
-		rec.Jobs = group
-	}
-	commit, err := t.journal(jobs[0].req.Task, &jobs[0].when, rec)
+	commit, err := t.journal(jobs[0].Name, &valid[0].when, wal.JobSubmit(t.id, jobs))
 	if err != nil {
 		return wal.Commit{}, err
 	}
 	// A batch — and so a group record replayed or followed — is one traced
 	// command. Coalesced single submits are one command per request: the
 	// group's one record covered each of them.
-	singles := jobs[0].cmd != nil
+	singles := valid[0].cmd != nil
 	for i := range jobs {
-		j := &jobs[i]
+		j, v := &jobs[i], &valid[i]
 		if singles && i > 0 {
-			t.obs.tr.Begin(wal.OpJobSubmit, j.req.Task, &j.when)
-			if journaled {
+			t.obs.tr.Begin(wal.OpJobSubmit, j.Name, &v.when)
+			if t.hooks.Load() != nil {
 				t.obs.tr.Stage(obs.StageWALAppend, nil)
 			}
 		}
-		if err := t.ex.SubmitJobEarly(j.task, j.when, j.req.Earliness); err != nil {
+		if err := t.ex.SubmitJobEarly(v.task, v.when, j.Earliness); err != nil {
 			return wal.Commit{}, fmt.Errorf("job %d: %w", i, t.wedge(err))
 		}
 		if singles {
 			t.obs.tr.Stage(obs.StageApply, nil)
 		}
-		j.resp.Pending = t.ex.Pending()
-		t.idemRemember(j.req.Key, j.resp)
+		v.resp = SubmitJobResponse{At: j.At, Pending: t.ex.Pending()}
+		t.idemRemember(j.Key, v.resp)
 	}
 	if !singles {
 		t.obs.tr.Stage(obs.StageApply, nil)
@@ -620,17 +612,8 @@ func (t *Tenant) applySubmits(jobs []submitJob) (wal.Commit, error) {
 	return commit, nil
 }
 
-// idemSeen reports whether a keyed submit was already applied and returns
-// its original response. Loop goroutine only.
-func (t *Tenant) idemSeen(key string) (SubmitJobResponse, bool) {
-	if key == "" {
-		return SubmitJobResponse{}, false
-	}
-	resp, ok := t.idem[key]
-	return resp, ok
-}
-
-// idemRemember records a keyed submit's response, evicting the oldest key
+// idemRemember records a keyed submit's response — t.idem[key] answers a
+// seen key, and the empty key is never one — evicting the oldest key
 // once MaxIdemKeys are held. Eviction order is insertion order, which is
 // deterministic under replay because replay re-applies the same records
 // in the same order. Loop goroutine only.
@@ -650,34 +633,33 @@ func (t *Tenant) idemRemember(key string, resp SubmitJobResponse) {
 }
 
 // validateSubmit runs the executive's check of a job submit and the
-// service's bounds, and resolves an empty `at` to the tenant's current
-// virtual time, filling job with the result. A nil error guarantees
-// applySubmits cannot fail on job.
-func (t *Tenant) validateSubmit(req *SubmitJobRequest, job *submitJob) error {
-	task, err := t.task(req.Task)
+// service's bounds, and resolves an empty at to the tenant's current
+// virtual time, reporting the task and time it found. A nil error
+// guarantees applySubmits cannot fail on job.
+func (t *Tenant) validateSubmit(job *wal.Job) (submitJob, error) {
+	task, err := t.task(job.Name)
 	if err != nil {
-		return err
+		return submitJob{}, err
 	}
 	when := t.ex.Now()
-	if req.At != "" {
-		if when, err = rat.Parse(req.At); err != nil {
-			return err
+	if job.At != "" {
+		if when, err = rat.Parse(job.At); err != nil {
+			return submitJob{}, err
 		}
 		if err := checkTime("arrival", when); err != nil {
-			return err
+			return submitJob{}, err
 		}
 	}
-	if err := t.ex.CheckSubmit(task, when, req.Earliness); err != nil {
-		return fmt.Errorf("server: %w", err)
+	if err := t.ex.CheckSubmit(task, when, job.Earliness); err != nil {
+		return submitJob{}, fmt.Errorf("server: %w", err)
 	}
-	if req.Earliness > MaxEarliness {
-		return fmt.Errorf("server: earliness %d exceeds %d", req.Earliness, MaxEarliness)
+	if job.Earliness > MaxEarliness {
+		return submitJob{}, fmt.Errorf("server: earliness %d exceeds %d", job.Earliness, MaxEarliness)
 	}
-	if len(req.Key) > MaxKeyLen {
-		return fmt.Errorf("server: idempotency key length %d exceeds %d", len(req.Key), MaxKeyLen)
+	if len(job.Key) > MaxKeyLen {
+		return submitJob{}, fmt.Errorf("server: idempotency key length %d exceeds %d", len(job.Key), MaxKeyLen)
 	}
-	*job = submitJob{req: *req, task: task, when: when}
-	return nil
+	return submitJob{task: task, when: when}, nil
 }
 
 // checkBacklog refuses n more subtasks on top of the pending ones and the
@@ -694,8 +676,9 @@ func (t *Tenant) checkBacklog(queued, n int64) error {
 }
 
 // applySubmitBatch is the atomic front end of applySubmits: one bad job
-// rejects the whole batch with no state change.
-func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) (SubmitJobsResponse, wal.Commit, error) {
+// rejects the whole batch with no state change. Each job's answer goes
+// into results, which is nil (a replay's) or has a slot per job.
+func (t *Tenant) applySubmitBatch(jobs []wal.Job, results []SubmitJobResponse) (wal.Commit, error) {
 	// Idempotency across a batch is all-or-nothing, mirroring the batch's
 	// own atomicity: a retry where every keyed job was already applied
 	// replays the cached responses; a partial overlap is rejected outright.
@@ -703,66 +686,65 @@ func (t *Tenant) applySubmitBatch(reqs []SubmitJobRequest) (SubmitJobsResponse, 
 	// a crash, a recovery or a promoted follower holds all of its keys or
 	// none — unless the journal was written before that (a group of
 	// per-job frames, which a crash could cut), or MaxIdemKeys evicted some.
-	if resp, done, err := t.batchIdemCheck(reqs); err != nil || done {
-		return resp, wal.Commit{}, err
+	if done, err := t.batchIdemCheck(jobs, results); err != nil || done {
+		return wal.Commit{}, err
 	}
-	jobs := slices.Grow(t.jobs[:0], len(reqs))[:len(reqs)]
-	t.jobs = jobs[:0]
+	valid := slices.Grow(t.valid[:0], len(jobs))[:len(jobs)]
+	t.valid = valid[:0]
 	subtasks := int64(0)
-	for i := range reqs {
-		if err := t.validateSubmit(&reqs[i], &jobs[i]); err != nil {
-			return SubmitJobsResponse{}, wal.Commit{}, fmt.Errorf("job %d: %w", i, err)
+	for i := range jobs {
+		var err error
+		if valid[i], err = t.validateSubmit(&jobs[i]); err != nil {
+			return wal.Commit{}, fmt.Errorf("job %d: %w", i, err)
 		}
-		subtasks += jobs[i].task.W.E
+		subtasks += valid[i].task.W.E
 	}
 	if err := t.checkBacklog(0, subtasks); err != nil {
-		return SubmitJobsResponse{}, wal.Commit{}, err
+		return wal.Commit{}, err
 	}
-	commit, err := t.applySubmits(jobs)
-	if err != nil {
-		return SubmitJobsResponse{}, wal.Commit{}, err
+	commit, err := t.applySubmits(jobs, valid)
+	for i := range results {
+		results[i] = valid[i].resp
 	}
-	resp := SubmitJobsResponse{Accepted: len(jobs), Results: make([]SubmitJobResponse, len(jobs))}
-	for i := range jobs {
-		resp.Results[i] = jobs[i].resp
-	}
-	return resp, commit, nil
+	return commit, err
 }
 
 // batchIdemCheck resolves a batch against the idempotency memory. done
-// means every job was a seen keyed submit and resp replays the original
-// results; an error means the batch mixes seen and unseen jobs (or
+// means every job was a seen keyed submit, and results holds the original
+// answers; an error means the batch mixes seen and unseen jobs (or
 // repeats a key within itself) and cannot be applied atomically.
-func (t *Tenant) batchIdemCheck(reqs []SubmitJobRequest) (SubmitJobsResponse, bool, error) {
+func (t *Tenant) batchIdemCheck(jobs []wal.Job, results []SubmitJobResponse) (done bool, err error) {
 	seen, keyed := 0, 0
 	var inBatch map[string]struct{} // made at the first key: most batches carry none
-	for i, req := range reqs {
-		if req.Key == "" {
+	for i, j := range jobs {
+		if j.Key == "" {
 			continue
 		}
 		keyed++
-		if inBatch == nil {
-			inBatch = make(map[string]struct{}, len(reqs)-i)
-		}
-		if _, dup := inBatch[req.Key]; dup {
-			return SubmitJobsResponse{}, false, fmt.Errorf("job %d: duplicate idempotency key %q within the batch", i, req.Key)
-		}
-		inBatch[req.Key] = struct{}{}
-		if _, ok := t.idem[req.Key]; ok {
+		if _, ok := t.idem[j.Key]; ok {
 			seen++
 		}
+		if _, dup := inBatch[j.Key]; dup {
+			return false, fmt.Errorf("job %d: duplicate idempotency key %q within the batch", i, j.Key)
+		}
+		if i == len(jobs)-1 {
+			break // no later job can repeat it, so a lone job needs no map
+		}
+		if inBatch == nil {
+			inBatch = make(map[string]struct{}, len(jobs)-i)
+		}
+		inBatch[j.Key] = struct{}{}
 	}
 	if seen == 0 {
-		return SubmitJobsResponse{}, false, nil
+		return false, nil
 	}
-	if seen < len(reqs) || keyed < len(reqs) {
-		return SubmitJobsResponse{}, false, fmt.Errorf("server: batch replays %d of %d idempotency keys; a batch retry must repeat the original batch exactly", seen, len(reqs))
+	if seen < len(jobs) || keyed < len(jobs) {
+		return false, fmt.Errorf("server: batch replays %d of %d idempotency keys; a batch retry must repeat the original batch exactly", seen, len(jobs))
 	}
-	resp := SubmitJobsResponse{Accepted: len(reqs), Results: make([]SubmitJobResponse, len(reqs))}
-	for i, req := range reqs {
-		resp.Results[i] = t.idem[req.Key]
+	for i := range results {
+		results[i] = t.idem[jobs[i].Key]
 	}
-	return resp, true, nil
+	return true, nil
 }
 
 func (t *Tenant) applyAdvance(until, by string) (AdvanceResponse, wal.Commit, error) {

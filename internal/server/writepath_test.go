@@ -227,7 +227,7 @@ func newWritePathScript(t *testing.T, id string, journaled bool) *writePathScrip
 }
 
 // submit builds a single submit; its answer is its cmdResult's own.
-func (g *writePathScript) submit(req SubmitJobRequest) *command { return &command{submit: req} }
+func (g *writePathScript) submit(req SubmitJobRequest) *command { return &command{job: req.job()} }
 
 // cmd builds a command that runs fn on the loop; view renders the answer
 // fn captured.
@@ -252,7 +252,10 @@ func (g *writePathScript) unregister(name string) *command {
 func (g *writePathScript) batch(reqs ...SubmitJobRequest) *command {
 	var resp SubmitJobsResponse
 	return g.cmd(func() (c wal.Commit, err error) {
-		resp, c, err = g.tn.applySubmitBatch(reqs)
+		results := make([]SubmitJobResponse, len(reqs))
+		if c, err = g.tn.applySubmitBatch(jobsOf(reqs), results); err == nil {
+			resp = SubmitJobsResponse{Accepted: len(reqs), Results: results}
+		}
 		return c, err
 	}, func(v *resultView) { v.Batch = &resp })
 }
@@ -279,6 +282,16 @@ func (g *writePathScript) resize(m int, drain bool) *command {
 		resp, c, err = g.tn.applyResize(m, drain)
 		return c, err
 	}, func(v *resultView) { v.Resize = &resp })
+}
+
+// jobsOf converts requests the way SubmitJobs does, for tests that call
+// applySubmitBatch on the loop themselves.
+func jobsOf(reqs []SubmitJobRequest) []wal.Job {
+	jobs := make([]wal.Job, len(reqs))
+	for i := range reqs {
+		jobs[i] = reqs[i].job()
+	}
+	return jobs
 }
 
 // processFn hands fn to a not-started tenant core's loop step, as runLoop

@@ -263,3 +263,59 @@ func FuzzRecordMatchesJSON(f *testing.F) {
 		}
 	})
 }
+
+// TestJobSubmitForms pins the one record builder and the one accessor:
+// JobSubmit writes a lone job as the flat record and several as a group,
+// byte for byte what a record built by hand encodes to, and SubmittedJobs
+// reads the jobs back from each form — and from a one-job group, which
+// JobSubmit never writes but a journal may hold.
+func TestJobSubmitForms(t *testing.T) {
+	jobs := []Job{
+		{Name: "a", At: "3/2", Earliness: 2, Key: "k1"},
+		{Name: "b", At: "3/2"},
+		{Name: "a", At: "7", Key: "k2"},
+	}
+	encode := func(r Record) string {
+		t.Helper()
+		r.LSN, r.Term = 9, 2
+		b, ok := AppendRecord(nil, &r)
+		if !ok {
+			t.Fatalf("AppendRecord declined %+v", r)
+		}
+		return string(b)
+	}
+	for _, tc := range []struct {
+		what  string
+		built Record
+		hand  Record
+		want  string
+	}{
+		{"lone job", JobSubmit("T", jobs[:1]),
+			Record{Op: OpJobSubmit, Tenant: "T", Name: "a", At: "3/2", Earliness: 2, Key: "k1"},
+			`{"lsn":9,"op":"job-submit","tenant":"T","name":"a","at":"3/2","earliness":2,"term":2,"key":"k1"}`},
+		{"group", JobSubmit("T", jobs),
+			Record{Op: OpJobSubmit, Tenant: "T", Jobs: jobs},
+			`{"lsn":9,"op":"job-submit","tenant":"T","term":2,"jobs":[{"name":"a","at":"3/2","earliness":2,"key":"k1"},{"name":"b","at":"3/2"},{"name":"a","at":"7","key":"k2"}]}`},
+	} {
+		if got, hand := encode(tc.built), encode(tc.hand); got != hand || got != tc.want {
+			t.Fatalf("%s: JobSubmit encodes %s; by hand %s; want %s", tc.what, got, hand, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		what string
+		rec  Record
+		want []Job
+	}{
+		{"flat", JobSubmit("T", jobs[2:]), jobs[2:]},
+		{"group", JobSubmit("T", jobs), jobs},
+		{"one-job group", Record{Op: OpJobSubmit, Tenant: "T", Jobs: jobs[1:2]}, jobs[1:2]},
+	} {
+		var back Record
+		if err := UnmarshalRecord([]byte(encode(tc.rec)), &back); err != nil {
+			t.Fatal(err)
+		}
+		if got := back.SubmittedJobs(); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: SubmittedJobs after a round trip = %+v, want %+v", tc.what, got, tc.want)
+		}
+	}
+}

@@ -186,13 +186,35 @@ type Record struct {
 	Jobs []Job `json:"jobs,omitempty"`
 }
 
-// Job is one job of a job-submit group: what the flat record says of its
-// single job in Name, At, Earliness and Key.
+// Job is one submitted job, the service's one job value from request to
+// journal to replay: JobSubmit journals it, SubmittedJobs reads it back. A
+// flat record says of its single job in Name, At, Earliness and Key what a
+// group says in Jobs.
 type Job struct {
 	Name      string `json:"name"`
 	At        string `json:"at,omitempty"`
 	Earliness int64  `json:"earliness,omitempty"`
 	Key       string `json:"key,omitempty"`
+}
+
+// JobSubmit is tenant's job-submit record of jobs: a lone job as the flat
+// record, several as a group, which holds jobs itself (not a copy).
+func JobSubmit(tenant string, jobs []Job) Record {
+	if len(jobs) != 1 {
+		return Record{Op: OpJobSubmit, Tenant: tenant, Jobs: jobs}
+	}
+	j := &jobs[0]
+	return Record{Op: OpJobSubmit, Tenant: tenant, Name: j.Name, At: j.At, Earliness: j.Earliness, Key: j.Key}
+}
+
+// SubmittedJobs reads a job-submit record's jobs back, whichever form holds
+// them: a group's own, or the flat record's one (a journal written before
+// groups holds one flat record per job).
+func (r *Record) SubmittedJobs() []Job {
+	if len(r.Jobs) > 0 {
+		return r.Jobs
+	}
+	return []Job{{Name: r.Name, At: r.At, Earliness: r.Earliness, Key: r.Key}}
 }
 
 // Weight is how many flat records r stands for: its jobs for a job-submit
