@@ -100,7 +100,9 @@ bench:
 # _wal rows also carry records/op and fsyncs/op, what one round of a batch
 # and an advance costs the journal — TenantBatchRound, one wide_sched round
 # (a 92-job batch and an advance of 128 decisions) through the Tenant API
-# with its submit-ns/round and advance-ns/round split, the
+# with its submit-ns/round and advance-ns/round split (TenantBatchRoundJournaled
+# is the same round on a durable server that never compacts; its
+# resident-B/dispatch is what the unsealed log holds per decision), the
 # egress-plane set — DispatchFanout/{1,8,64}subs against
 # its per-subscriber-encode baseline, and the pooled /metrics render —
 # WireCodec/{json,wire}/…, the six encodings one submit crosses, on
@@ -308,9 +310,11 @@ recovery:
 # HeapInuse. Snapshot bytes, bytes written per compaction and the heap in
 # use are all asserted flat, first quarter against last. Beside it,
 # TestInMemoryTenantBytesPerDispatch holds an in-memory tenant's retained
-# heap to ≤ 12 B per decision over the same 10^6 decisions.
+# heap to ≤ 12 B per decision over the same 10^6 decisions, and
+# TestJournaledTenantBytesPerDispatch a journaled tenant's that is never
+# sealed, past its window of wire frames.
 longrun:
-	$(GO) test -count=1 -v -timeout 30m ./internal/server/ -run 'TestLongTenantSnapshotsStayFlat|TestInMemoryTenantBytesPerDispatch' -args -dispatches 1000000
+	$(GO) test -count=1 -v -timeout 30m ./internal/server/ -run 'TestLongTenantSnapshotsStayFlat|TestInMemoryTenantBytesPerDispatch|TestJournaledTenantBytesPerDispatch' -args -dispatches 1000000
 
 # scenario-smoke is the scenario engine's CI gate: the golden-trace
 # byte-compare (same seed + same spec ⇒ byte-identical trace; regenerate

@@ -161,7 +161,10 @@ type DispatchEvent struct {
 // journal position reflected in served state. ReplicationLagLSN is
 // present on followers: how far the leader's durable LSN is ahead (-1
 // until first measured). Recovery is present on durable servers and
-// describes what the last boot rebuilt from disk.
+// describes what the last boot rebuilt from disk; so is DurableAcks, true
+// when every ack waits for the fsync of its journal record (FsyncEvery 1)
+// and false when acks are group-committed, so a crash can lose the last
+// unsynced ones.
 type HealthResponse struct {
 	Status            string        `json:"status"`
 	Role              string        `json:"role"`
@@ -169,6 +172,7 @@ type HealthResponse struct {
 	AppliedLSN        uint64        `json:"appliedLSN,omitempty"`
 	ReplicationLagLSN *int64        `json:"replicationLagLSN,omitempty"`
 	Recovery          *RecoveryInfo `json:"recovery,omitempty"`
+	DurableAcks       *bool         `json:"durableAcks,omitempty"`
 	// ReplicationError is the replication transport's current fault on a
 	// follower (SetReplicationError), absent when there is none.
 	ReplicationError string `json:"replicationError,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"desyncpfair/internal/rat"
@@ -33,6 +34,15 @@ import (
 // registration, before its first record, so a published view of the tail,
 // which carries the table as it stood then, names every task whose
 // records the view holds.
+//
+// A journaled log that is not sealed (compaction off, or a tenant between
+// two rare snapshots) would keep every wire frame since its last seal. So
+// it also writes each decision's compact record into a twin of its wire
+// chunk, and a closed chunk that falls a window (2·histSegmentMin frames)
+// behind the log's end keeps only its twin: it becomes a cold chunk. The
+// newest frames, which readers and the next seal want, stay wire bytes
+// served by reference; a log sealed before it outgrows the window never
+// renders a frame.
 //
 // Both forms close a chunk at the same byte budget, chunkBytes, when the
 // next entry might not fit: on wide_sched a wire chunk holds ≈ 600 frames,
@@ -69,6 +79,11 @@ type chunk struct {
 	// names is a cold chunk's task-name table, indexed by the executive's
 	// Task.ID as its records are; nil in a wire chunk.
 	names []string
+	// twin and twinOffs are a journaled log's wire chunk's frames again as
+	// compact records, and where the record at each index point starts:
+	// the cold chunk it becomes once it falls behind the window.
+	twin     []byte
+	twinOffs []uint32
 }
 
 func (c *chunk) end() int64 { return c.first + int64(c.n) }
@@ -220,19 +235,25 @@ func (d *coldDecoder) int() int64 {
 // then the open tail the loop appends to. The loop owns it; tenantSnap
 // publishes a copy of the struct, which is an immutable view because
 // everything the loop does afterwards lands past the lengths the copy
-// holds (frames appended to the tail's arrays, the tail appended to full,
-// names appended to the table) or in a fresh array (dropping sealed
-// chunks) — the aliasing rule slices of the log were always published
-// under.
+// holds (frames appended to the tail's arrays, the tail appended to
+// recent, a compacted chunk appended to full, names appended to the table)
+// or in a fresh array (dropping sealed chunks, moving recent ones to full)
+// — the aliasing rule slices of the log were always published under.
 type dispatchLog struct {
-	hist     []histSegment
-	full     []chunk
-	tail     chunk
-	resident int64 // bytes held by full and tail
+	hist []histSegment
+	// full is the closed chunks a reader renders: every closed chunk of a
+	// cold log, and those of a journaled one past its window. recent
+	// follows it: a journaled log's closed wire chunks within the window.
+	full   []chunk
+	recent []chunk
+	tail   chunk
+	// resident is what the chunks serve from: wire bytes, or a cold
+	// chunk's records. A wire chunk's twin is not counted.
+	resident int64
 	// cold, fixed when the tenant is built, makes the log hold compact
-	// records; names is the table of task names they index, by Task.ID,
-	// which every cold chunk carries; start is the start of the tail's last
-	// record, which the next is coded against.
+	// records only; names is the table of task names they index, by
+	// Task.ID, which every cold chunk carries; start is the start of the
+	// tail's last record, which the next is coded against.
 	cold  bool
 	names []string
 	start rat.Rat
@@ -245,23 +266,26 @@ func (l *dispatchLog) floor() int64 { return sealedEvents(l.hist) }
 // len is the number of decisions ever logged — the seq the next one gets.
 func (l *dispatchLog) len() int64 { return l.tail.end() }
 
-// name enters the task with executive ID id in a cold log's name table,
-// which the executive's dense IDs fill in registration order. A wire log
-// keeps no table.
+// window is how many frames behind the log's end a journaled log's closed
+// chunks keep their wire bytes: two segments' worth, so a log sealed every
+// segment never leaves it.
+func window() int64 { return 2 * int64(histSegmentMin) }
+
+// name enters the task with executive ID id in the log's name table, which
+// the executive's dense IDs fill in registration order.
 func (l *dispatchLog) name(id int, name string) {
-	if !l.cold {
-		return
-	}
 	for len(l.names) <= id {
 		l.names = append(l.names, "")
 	}
 	l.names[id] = name
-	l.tail.names = l.names
+	if l.cold {
+		l.tail.names = l.names
+	}
 }
 
 // append logs one decision of the task with executive ID id as the next
-// frame of the tail: its compact record in a cold log, its wire bytes in
-// any other.
+// frame of the tail: its compact record in a cold log; in any other, its
+// wire bytes and, in the twin, its compact record.
 func (l *dispatchLog) append(id int, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) {
 	need := maxFrameBytes(len(task))
 	if l.cold {
@@ -270,28 +294,40 @@ func (l *dispatchLog) append(id int, task string, index int64, proc int, start, 
 	l.room(need)
 	t := &l.tail
 	at := len(t.data)
-	if !l.cold {
-		t.data = appendDispatchFrame(t.data, t.end(), task, index, proc, start, finish, deadline, tard)
-		t.offs = append(t.offs, uint32(at))
-	} else {
-		prev := l.start
-		if t.n%coldStride == 0 {
-			prev = rat.Zero
+	prev, point := l.start, t.n%coldStride == 0
+	if point {
+		prev = rat.Zero
+	}
+	if l.cold {
+		if point {
 			t.offs = append(t.offs, uint32(at))
 		}
 		t.data = t.data[:at+putColdRecord(t.data[at:at+maxColdRecord], prev, id, index, proc, start, finish, deadline, tard)]
-		l.start = start
+	} else {
+		t.data = appendDispatchFrame(t.data, t.end(), task, index, proc, start, finish, deadline, tard)
+		t.offs = append(t.offs, uint32(at))
+		tw := len(t.twin)
+		if point {
+			t.twinOffs = append(t.twinOffs, uint32(tw))
+		}
+		t.twin = slices.Grow(t.twin, maxColdRecord)
+		t.twin = t.twin[:tw+putColdRecord(t.twin[tw:tw+maxColdRecord], prev, id, index, proc, start, finish, deadline, tard)]
 	}
+	l.start = start
 	t.n++
 	l.resident += int64(len(t.data) - at)
 }
 
 // restore logs a decoded event — one of a snapshot's inline tail — as the
-// next frame, which it must be. Only a journaled tenant restores, so the
-// log is a wire one, which reads no executive ID.
-func (l *dispatchLog) restore(ev DispatchEvent) error {
+// next frame, which it must be. Only a journaled tenant restores; ids maps
+// each of its task names to an executive ID the name table gives it.
+func (l *dispatchLog) restore(ev DispatchEvent, ids map[string]int) error {
 	if ev.Seq != l.len() {
 		return fmt.Errorf("seq %d at position %d", ev.Seq, l.len())
+	}
+	id, ok := ids[ev.Task]
+	if !ok {
+		return fmt.Errorf("seq %d: the tenant has no task %q", ev.Seq, ev.Task)
 	}
 	var r [3]rat.Rat
 	for i, s := range []string{ev.Start, ev.Finish, ev.Tardiness} {
@@ -300,8 +336,18 @@ func (l *dispatchLog) restore(ev DispatchEvent) error {
 			return fmt.Errorf("seq %d: %v", ev.Seq, err)
 		}
 	}
-	l.append(-1, ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
+	l.append(id, ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
 	return nil
+}
+
+// taskIDs maps each name in the log's table to an executive ID it has:
+// what restore resolves an event's task by.
+func (l *dispatchLog) taskIDs() map[string]int {
+	ids := make(map[string]int, len(l.names))
+	for id, name := range l.names {
+		ids[name] = id
+	}
+	return ids
 }
 
 // room makes the tail able to take need more bytes in place: a young tail
@@ -323,27 +369,52 @@ func (l *dispatchLog) room(need int) {
 
 // cut closes the tail: its frames join the closed chunks, immutable from
 // here on, and the next frame starts a new chunk, with room for about as
-// many offsets as this one took.
+// many offsets (and twin records) as this one took. In a journaled log the
+// closed chunks that fall behind the window keep only their twins, and
+// move from recent to full.
 func (l *dispatchLog) cut() {
-	if l.tail.n == 0 {
+	c := l.tail
+	if c.n == 0 {
 		return
 	}
-	n := len(l.tail.offs)
-	l.full = append(l.full, l.tail)
-	l.tail = chunk{first: l.tail.end(), offs: make([]uint32, 0, n+n/8), names: l.names}
+	l.tail = chunk{first: c.end(), offs: make([]uint32, 0, len(c.offs)+len(c.offs)/8)}
+	if l.cold {
+		l.tail.names = l.names
+		l.full = append(l.full, c)
+		return
+	}
+	l.tail.twin = make([]byte, 0, len(c.twin)+len(c.twin)/8)
+	l.tail.twinOffs = make([]uint32, 0, len(c.twinOffs)+1)
+	l.recent = append(l.recent, c)
+	k := 0
+	for ; k < len(l.recent) && l.recent[k].end() <= l.len()-window(); k++ {
+		w := &l.recent[k]
+		l.full = append(l.full, chunk{first: w.first, n: w.n, data: w.twin, offs: w.twinOffs, names: l.names})
+		l.resident += int64(len(w.twin) - len(w.data))
+	}
+	if k > 0 {
+		l.recent = append([]chunk(nil), l.recent[k:]...)
+	}
 }
 
 // dropSealed installs hist, a manifest extended over resident chunks a
 // committed snapshot now names, and drops those chunks. The kept ones move
-// to a fresh array: published views still alias the old one.
+// to fresh arrays: published views still alias the old ones.
 func (l *dispatchLog) dropSealed(hist []histSegment) {
 	l.hist = hist
+	l.full = l.keepResident(l.full)
+	l.recent = l.keepResident(l.recent)
+}
+
+// keepResident returns, in a fresh array, the chunks of cs above the floor,
+// and takes the others' bytes off resident.
+func (l *dispatchLog) keepResident(cs []chunk) []chunk {
 	k := 0
-	for k < len(l.full) && l.full[k].end() <= l.floor() {
-		l.resident -= int64(len(l.full[k].data))
+	for k < len(cs) && cs[k].end() <= l.floor() {
+		l.resident -= int64(len(cs[k].data))
 		k++
 	}
-	l.full = append([]chunk(nil), l.full[k:]...)
+	return append([]chunk(nil), cs[k:]...)
 }
 
 // frames returns the wire bytes of up to limit consecutive resident frames
@@ -354,11 +425,15 @@ func (l *dispatchLog) dropSealed(hist []histSegment) {
 func (l *dispatchLog) frames(buf *[]byte, pos int64, limit int) ([]byte, int) {
 	c := &l.tail
 	if pos < c.first {
-		i := sort.Search(len(l.full), func(i int) bool { return l.full[i].end() > pos })
-		if i == len(l.full) {
+		cs := l.recent
+		if len(cs) == 0 || pos < cs[0].first {
+			cs = l.full
+		}
+		i := sort.Search(len(cs), func(i int) bool { return cs[i].end() > pos })
+		if i == len(cs) {
 			return nil, 0
 		}
-		c = &l.full[i]
+		c = &cs[i]
 	}
 	if pos < c.first || pos >= c.end() {
 		return nil, 0
@@ -396,18 +471,26 @@ func (l *dispatchLog) digest(first int64, sealed uint32) dispatchDigest {
 // view under the aliasing rule above, since everything the loop does
 // afterwards lands past the lengths it holds or in a fresh array.
 func (l *dispatchLog) chunks() []chunk {
-	if l.tail.n == 0 {
-		return l.full
+	cs := append(l.full[:len(l.full):len(l.full)], l.recent...)
+	if l.tail.n > 0 {
+		cs = append(cs, l.tail)
 	}
-	return append(l.full[:len(l.full):len(l.full)], l.tail)
+	return cs
 }
 
-// chunkBytesOf is the number of bytes chunks hold: wire bytes, or a cold
-// chunk's records.
-func chunkBytesOf(chunks []chunk) int {
+// wireBytesOf is the number of wire bytes chunks hold or, a cold chunk's,
+// render to.
+func wireBytesOf(chunks []chunk) int {
 	n := 0
+	var buf []byte
 	for i := range chunks {
-		n += len(chunks[i].data)
+		c := &chunks[i]
+		if c.cold() {
+			buf = c.appendWire(buf[:0], 0, c.n)
+			n += len(buf)
+		} else {
+			n += len(c.data)
+		}
 	}
 	return n
 }
@@ -417,8 +500,8 @@ func chunkBytesOf(chunks []chunk) int {
 // holds a raw newline (JSON escapes it), so the array is the NDJSON with
 // each terminator turned into the separator, and the last into the closing
 // bracket — rewritten in b, never in the chunks, which readers share. It
-// adds chunkBytesOf(chunks)+1 bytes when no chunk is cold; a cold one is
-// rendered.
+// adds wireBytesOf(chunks)+1 bytes: a wire chunk's are copied, a cold
+// one's rendered.
 func appendArray(b []byte, chunks []chunk) []byte {
 	at := len(b)
 	b = append(b, '[')

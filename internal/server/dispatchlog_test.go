@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"testing"
 	"unicode/utf8"
 
@@ -26,11 +27,43 @@ func logEvent(i int64) (DispatchEvent, []byte) {
 	return ev, append(frame, '\n')
 }
 
+// logTasks names logEvent's seven tasks in l's table, with executive IDs
+// 0..6, and returns the map restore resolves them by.
+func logTasks(l *dispatchLog) map[string]int {
+	for i := 0; i < 7; i++ {
+		l.name(i, fmt.Sprintf("task-%d", i))
+	}
+	return l.taskIDs()
+}
+
+// setHistSegmentMin sets histSegmentMin, and with it a journaled log's
+// window, for the rest of the test.
+func setHistSegmentMin(t testing.TB, n int) {
+	old := histSegmentMin
+	histSegmentMin = n
+	t.Cleanup(func() { histSegmentMin = old })
+}
+
+// heldBytes is what chunks hold: wire bytes, or a cold chunk's records.
+func heldBytes(chunks []chunk) int {
+	n := 0
+	for i := range chunks {
+		n += len(chunks[i].data)
+	}
+	return n
+}
+
 // readAll reads the resident frames from pos to the end through frames,
 // limit at a time.
 func readAll(l *dispatchLog, pos int64, limit int) []byte {
+	return readTo(l, pos, l.len(), limit)
+}
+
+// readTo reads the resident frames from pos on through frames, limit at a
+// time, until it has passed seq end.
+func readTo(l *dispatchLog, pos, end int64, limit int) []byte {
 	var out, buf []byte
-	for pos < l.len() {
+	for pos < end {
 		b, n := l.frames(&buf, pos, limit)
 		if n == 0 {
 			break
@@ -45,10 +78,13 @@ func readAll(l *dispatchLog, pos int64, limit int) []byte {
 // frames encoding/json would have written; a view published earlier stays
 // what it was while the log grows and drops chunks past it; the inline tail
 // is the JSON array of the resident events; the resident accounting
-// follows.
+// follows. The window is wider than the log: every chunk keeps its wire
+// bytes (TestColdLogMatchesWireLog crosses it).
 func TestDispatchLogChunks(t *testing.T) {
 	const n = 2500 // ≈ 280 KB: four closed chunks and a tail
+	setHistSegmentMin(t, n)
 	var l dispatchLog
+	ids := logTasks(&l)
 	var want []byte
 	var offs []int
 	var view dispatchLog
@@ -56,7 +92,7 @@ func TestDispatchLogChunks(t *testing.T) {
 		ev, frame := logEvent(i)
 		offs = append(offs, len(want))
 		want = append(want, frame...)
-		if err := l.restore(ev); err != nil {
+		if err := l.restore(ev, ids); err != nil {
 			t.Fatal(err)
 		}
 		if i == 999 {
@@ -64,10 +100,10 @@ func TestDispatchLogChunks(t *testing.T) {
 		}
 	}
 	offs = append(offs, len(want))
-	if len(l.full) < 3 || l.len() != n || l.resident != int64(len(want)) {
-		t.Fatalf("%d events in %d closed chunks, %d bytes resident of %d", l.len(), len(l.full), l.resident, len(want))
+	if len(l.recent) < 3 || len(l.full) != 0 || l.len() != n || l.resident != int64(len(want)) {
+		t.Fatalf("%d events in %d closed chunks (%d cold), %d bytes resident of %d", l.len(), len(l.recent), len(l.full), l.resident, len(want))
 	}
-	for _, c := range l.full {
+	for _, c := range l.recent {
 		if cap(c.data) > chunkBytes {
 			t.Fatalf("a chunk grew to %d bytes", cap(c.data))
 		}
@@ -79,19 +115,22 @@ func TestDispatchLogChunks(t *testing.T) {
 			}
 		}
 	}
-	if err := l.restore(DispatchEvent{Seq: n + 1, Start: "0", Finish: "1", Tardiness: "0"}); err == nil {
+	if err := l.restore(DispatchEvent{Seq: n + 1, Task: "task-0", Start: "0", Finish: "1", Tardiness: "0"}, ids); err == nil {
 		t.Fatal("an event out of sequence was logged")
 	}
-	if err := l.restore(DispatchEvent{Seq: n, Start: "x", Finish: "1", Tardiness: "0"}); err == nil {
+	if err := l.restore(DispatchEvent{Seq: n, Task: "task-0", Start: "x", Finish: "1", Tardiness: "0"}, ids); err == nil {
 		t.Fatal("an event with a malformed time was logged")
+	}
+	if err := l.restore(DispatchEvent{Seq: n, Task: "gone", Start: "0", Finish: "1", Tardiness: "0"}, ids); err == nil {
+		t.Fatal("an event of a task the tenant never had was logged")
 	}
 
 	// Seal everything but the last chunk's worth, as a compaction would.
 	l.cut()
-	keep := l.full[len(l.full)-1]
+	keep := l.recent[len(l.recent)-1]
 	l.dropSealed([]histSegment{{FirstSeq: 0, Count: keep.first}})
-	if l.floor() != keep.first || len(l.full) != 1 || l.resident != int64(len(want)-offs[keep.first]) {
-		t.Fatalf("after the seal: floor %d, %d chunks, %d bytes resident", l.floor(), len(l.full), l.resident)
+	if l.floor() != keep.first || len(l.recent) != 1 || l.resident != int64(len(want)-offs[keep.first]) {
+		t.Fatalf("after the seal: floor %d, %d chunks, %d bytes resident", l.floor(), len(l.recent), l.resident)
 	}
 	if b, k := l.frames(new([]byte), keep.first-1, 8); k != 0 || b != nil {
 		t.Fatal("a sealed frame was served from memory")
@@ -106,16 +145,16 @@ func TestDispatchLogChunks(t *testing.T) {
 		ev, frame := logEvent(i)
 		if i >= n {
 			want = append(want, frame...)
-			if err := l.restore(ev); err != nil {
+			if err := l.restore(ev, ids); err != nil {
 				t.Fatal(err)
 			}
 		}
 		evs = append(evs, ev)
 	}
 	chunks := l.chunks()
-	if len(chunks) != 2 || chunkBytesOf(chunks) != int(l.resident) {
+	if len(chunks) != 2 || wireBytesOf(chunks) != int(l.resident) {
 		t.Fatalf("the resident log is %d chunks of %d bytes, want the closed one and the tail, %d bytes",
-			len(chunks), chunkBytesOf(chunks), l.resident)
+			len(chunks), wireBytesOf(chunks), l.resident)
 	}
 	if inline, _ := json.Marshal(evs); !bytes.Equal(appendArray([]byte("x"), chunks), append([]byte("x"), inline...)) {
 		t.Fatal("the inline tail is not the JSON array of the resident events")
@@ -168,24 +207,27 @@ func TestCopyFramesSkipsWholeLines(t *testing.T) {
 // chunk and one of several: the history file is the concatenation of the
 // chunks, handed to the journal as the chunks themselves (nothing is
 // gathered into a buffer first), and the manifest entry gives its seq
-// range, its length and the crc32 (IEEE) of those bytes.
+// range, its length and the crc32 (IEEE) of those bytes. The chunks keep
+// their wire bytes here: the window is wider than the log.
 func TestSealSegmentWritesChunks(t *testing.T) {
+	setHistSegmentMin(t, 1<<20)
 	l, _, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	var log dispatchLog
+	ids := logTasks(&log)
 	for k, n := range []int64{10, 2500} { // one small chunk; ≈ 280 KB, four chunks and more
 		first := log.len()
 		for i := first; i < first+n; i++ {
 			ev, _ := logEvent(i)
-			if err := log.restore(ev); err != nil {
+			if err := log.restore(ev, ids); err != nil {
 				t.Fatal(err)
 			}
 		}
 		log.cut()
-		chunks := log.full
+		chunks := log.chunks()
 		if k == 0 && len(chunks) != 1 || k == 1 && len(chunks) < 3 {
 			t.Fatalf("segment %d spans %d chunks", k, len(chunks))
 		}
@@ -238,46 +280,39 @@ func appendEvent(t testing.TB, l *dispatchLog, id int, ev DispatchEvent) {
 	l.append(id, ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
 }
 
-// TestColdLogMatchesWireLog drives a cold log and a wire one through the
-// same events, across several chunk boundaries of each, with a task that
-// registers halfway: the cold log holds compact records from its first
-// frame, open tail included — far fewer bytes resident — and closes a
-// chunk when the next record might not fit in chunkBytes, as a wire log
-// closes one on the next frame; and every reader of it still gets the wire
-// log's bytes: any read through frames, from its chunk boundaries and
-// either side of them, from every index point and either side of it, the
-// digest, the inline tail and a sealed segment. A view published earlier,
-// one before the late task's first record among them, stays what it was.
+// TestColdLogMatchesWireLog drives a wire log, a cold one and a journaled
+// one through the same events, across many chunk boundaries of each, with
+// a task that registers halfway. The wire log's window is wider than it;
+// the journaled log's is 2 000 frames, so all but its last few closed
+// chunks keep only their twins. The cold log holds compact records from its
+// first frame, open tail included, and closes a chunk when the next record
+// might not fit in chunkBytes, as a wire log closes one on the next frame;
+// the journaled one closes its chunks where the wire log does. Both hold
+// far fewer bytes than the wire log, and every reader of either still gets
+// the wire log's bytes: any read through frames, from its chunk boundaries
+// and either side of them, from every index point and either side of it,
+// the digest, the inline tail and a sealed segment. A view published
+// earlier, one before the late task's first record and one before the
+// journaled log's first chunk left its window among them, stays what it
+// was: the same frames, from chunks of the same forms.
 func TestColdLogMatchesWireLog(t *testing.T) {
 	const n, late = 46000, 23000
-	wire, cold := dispatchLog{}, dispatchLog{cold: true}
-	var views []dispatchLog
-	for i := int64(0); i < n; i++ {
+	event := func(i int64) (int, DispatchEvent) {
 		ev, _ := logEvent(i)
-		id := int(i % 7)
 		if i >= late && i%5 == 0 {
-			id, ev.Task = 7, "late"
+			ev.Task = "late"
+			return 7, ev
 		}
+		return int(i % 7), ev
+	}
+	setHistSegmentMin(t, n)
+	var wire dispatchLog
+	for i := int64(0); i < n; i++ {
+		id, ev := event(i)
 		appendEvent(t, &wire, id, ev)
-		appendEvent(t, &cold, id, ev)
-		if i == 999 || i == late-1 || i == late {
-			views = append(views, cold)
-		}
 	}
-	if len(cold.full) < 3 || len(wire.full) < 3*len(cold.full) {
-		t.Fatalf("cold log: %d closed chunks, wire log %d", len(cold.full), len(wire.full))
-	}
-	chunks := cold.chunks()
-	for i, c := range chunks[:len(chunks)-1] {
-		if !c.cold() || c.end() != chunks[i+1].first || len(c.data) > chunkBytes || len(c.data)+maxColdRecord <= chunkBytes {
-			t.Fatalf("closed chunk %d: cold %v, seqs %d..%d, %d bytes of records", i, c.cold(), c.first, c.end(), len(c.data))
-		}
-	}
-	if !cold.tail.cold() || cold.tail.end() != n || len(cold.tail.names) != 8 {
-		t.Fatalf("the open tail of a cold log: cold %v, ends at %d, %d names", cold.tail.cold(), cold.tail.end(), len(cold.tail.names))
-	}
-	if held := chunkBytesOf(cold.chunks()); int64(held) != cold.resident || 4*cold.resident > wire.resident {
-		t.Fatalf("cold log holds %d bytes (accounted %d), the wire log %d", held, cold.resident, wire.resident)
+	if len(wire.full) != 0 || len(wire.recent) < 60 {
+		t.Fatalf("the wire log: %d closed chunks, %d of them cold", len(wire.full)+len(wire.recent), len(wire.full))
 	}
 	all := readAll(&wire, 0, n)
 	offs := []int{0}
@@ -286,54 +321,136 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 			offs = append(offs, i+1)
 		}
 	}
-	froms := []int64{0, 1, 599, 1000, late - 1, late, n - 1, n}
-	for _, c := range chunks[1:] {
-		froms = append(froms, c.first-1, c.first, c.first+1)
+
+	setHistSegmentMin(t, 1000)
+	cold, jour := dispatchLog{cold: true}, dispatchLog{}
+	type view struct {
+		log   dispatchLog
+		forms []bool // each chunk's cold(), as published
 	}
-	for _, limit := range []int{1, 7, 256, n} {
-		for _, from := range froms {
-			if got := readAll(&cold, from, limit); !bytes.Equal(got, all[offs[from]:]) {
-				t.Fatalf("frames from %d, %d at a time: the cold log's differ", from, limit)
+	var views []view
+	publish := func(l dispatchLog) {
+		v := view{log: l}
+		for _, c := range l.chunks() {
+			v.forms = append(v.forms, c.cold())
+		}
+		views = append(views, v)
+	}
+	for i := int64(0); i < n; i++ {
+		id, ev := event(i)
+		appendEvent(t, &cold, id, ev)
+		appendEvent(t, &jour, id, ev)
+		if i == 999 || i == 2999 || i == late-1 || i == late {
+			publish(cold)
+			publish(jour)
+		}
+	}
+	if views[1].forms[0] || !views[3].forms[0] {
+		t.Fatal("the journaled log's first chunk did not leave its window between the views at 1000 and 3000")
+	}
+
+	chunks := cold.chunks()
+	if len(cold.full) < 3 || len(wire.recent) < 3*len(cold.full) || len(cold.recent) != 0 {
+		t.Fatalf("cold log: %d closed chunks (%d recent), wire log %d", len(cold.full), len(cold.recent), len(wire.recent))
+	}
+	for i, c := range chunks[:len(chunks)-1] {
+		if !c.cold() || c.end() != chunks[i+1].first || len(c.data) > chunkBytes || len(c.data)+maxColdRecord <= chunkBytes {
+			t.Fatalf("closed chunk %d: cold %v, seqs %d..%d, %d bytes of records", i, c.cold(), c.first, c.end(), len(c.data))
+		}
+	}
+	if !cold.tail.cold() || cold.tail.end() != n || len(cold.tail.names) != 8 {
+		t.Fatalf("the open tail of a cold log: cold %v, ends at %d, %d names", cold.tail.cold(), cold.tail.end(), len(cold.tail.names))
+	}
+	if held := heldBytes(cold.chunks()); int64(held) != cold.resident || 4*cold.resident > wire.resident {
+		t.Fatalf("cold log holds %d bytes (accounted %d), the wire log %d", held, cold.resident, wire.resident)
+	}
+	wireChunks := wire.chunks()
+	jourChunks := jour.chunks()
+	if len(jourChunks) != len(wireChunks) || len(jour.recent) < 2 || jour.tail.cold() || jour.tail.end() != n {
+		t.Fatalf("journaled log: %d chunks (%d recent), the wire log %d", len(jourChunks), len(jour.recent), len(wireChunks))
+	}
+	for i, c := range jourChunks {
+		behind := i < len(jour.full)
+		if c.first != wireChunks[i].first || c.n != wireChunks[i].n || c.cold() != behind ||
+			behind && jour.len()-c.end() < window()+int64(jour.tail.n) ||
+			!behind && i < len(jourChunks)-1 && jour.len()-c.end() >= window()+int64(jour.tail.n) {
+			t.Fatalf("journaled chunk %d at %d..%d: cold %v, %d frames behind the end, window %d", i, c.first, c.end(), c.cold(), jour.len()-c.end(), window())
+		}
+	}
+	if held := heldBytes(jourChunks); int64(held) != jour.resident || 4*jour.resident > wire.resident {
+		t.Fatalf("journaled log holds %d bytes (accounted %d), the wire log %d", held, jour.resident, wire.resident)
+	}
+
+	for _, l := range []*dispatchLog{&cold, &jour} {
+		// Reads to the end from a few places, and 300 frames on from each
+		// chunk boundary and either side of it.
+		froms := []int64{0, 1, 599, 1000, late - 1, late, n - 1, n}
+		for _, limit := range []int{1, 7, 256, n} {
+			for _, from := range froms {
+				if got := readAll(l, from, limit); !bytes.Equal(got, all[offs[from]:]) {
+					t.Fatalf("cold %v: frames from %d, %d at a time: they differ from the wire log's", l.cold, from, limit)
+				}
 			}
+			for _, c := range l.chunks()[1:] {
+				for _, from := range []int64{c.first - 1, c.first, c.first + 1} {
+					end := min(from+300, n)
+					if got := readTo(l, from, end, limit); !bytes.HasPrefix(all[offs[from]:], got) || len(got) < offs[end]-offs[from] {
+						t.Fatalf("cold %v: frames from %d, %d at a time: they differ from the wire log's", l.cold, from, limit)
+					}
+				}
+			}
+		}
+		var buf []byte
+		for _, c := range l.chunks() {
+			if !c.cold() {
+				continue
+			}
+			if len(c.offs) != (c.n+coldStride-1)/coldStride {
+				t.Fatalf("the chunk at %d holds %d records under %d offsets", c.first, c.n, len(c.offs))
+			}
+			for p := c.first; p < c.end(); p += coldStride {
+				for _, from := range []int64{p - 1, p, p + 1} {
+					if from < 0 || from >= n {
+						continue
+					}
+					got, k := l.frames(&buf, from, coldStride+1)
+					if k == 0 || !bytes.Equal(got, all[offs[from]:offs[from+int64(k)]]) {
+						t.Fatalf("cold %v: %d frames from %d, beside an index point, differ from the wire log's", l.cold, k, from)
+					}
+				}
+			}
+		}
+		for _, first := range []int64{0, 700, late, n - 3} {
+			if got, want := l.digest(first, 0), wire.digest(first, 0); got != want {
+				t.Fatalf("cold %v: digest from %d: %+v, want %+v", l.cold, first, got, want)
+			}
+		}
+		inline := l.chunks()
+		if got, want := appendArray([]byte("x"), inline), appendArray([]byte("x"), wire.chunks()); !bytes.Equal(got, want) || wireBytesOf(inline)+2 != len(want) {
+			t.Fatalf("cold %v: the inline tail differs, or is not %d bytes", l.cold, wireBytesOf(inline)+1)
+		}
+	}
+	cold.cut()
+	jour.cut()
+	wire.cut()
+	wantSeg, wantFile := sealSegment("h", wire.chunks())
+	for _, l := range []*dispatchLog{&cold, &jour} {
+		gotSeg, gotFile := sealSegment("h", l.chunks())
+		if gotSeg != wantSeg || !bytes.Equal(bytes.Join(gotFile.Data, nil), bytes.Join(wantFile.Data, nil)) {
+			t.Fatalf("sealed segment of a log with cold %v: %+v, want %+v", l.cold, gotSeg, wantSeg)
+		}
+	}
+	for _, v := range views {
+		got := readAll(&v.log, 0, 256)
+		var forms []bool
+		for _, c := range v.log.chunks() {
+			forms = append(forms, c.cold())
+		}
+		if !bytes.Equal(got, all[:len(got)]) || bytes.Count(got, []byte{'\n'}) != int(v.log.len()) || !slices.Equal(forms, v.forms) {
+			t.Fatalf("the view published at %d of the log with cold %v changed under it", v.log.len(), v.log.cold)
 		}
 	}
 	var buf []byte
-	for _, c := range chunks {
-		if len(c.offs) != (c.n+coldStride-1)/coldStride {
-			t.Fatalf("the chunk at %d holds %d records under %d offsets", c.first, c.n, len(c.offs))
-		}
-		for p := c.first; p < c.end(); p += coldStride {
-			for _, from := range []int64{p - 1, p, p + 1} {
-				if from < 0 || from >= n {
-					continue
-				}
-				got, k := cold.frames(&buf, from, coldStride+1)
-				if k == 0 || !bytes.Equal(got, all[offs[from]:offs[from+int64(k)]]) {
-					t.Fatalf("%d frames from %d, beside an index point: the cold log's differ", k, from)
-				}
-			}
-		}
-	}
-	for _, first := range []int64{0, 700, late, n - 3} {
-		if got, want := cold.digest(first, 0), wire.digest(first, 0); got != want {
-			t.Fatalf("digest from %d: %+v, want %+v", first, got, want)
-		}
-	}
-	if got, want := appendArray([]byte("x"), cold.chunks()), appendArray([]byte("x"), wire.chunks()); !bytes.Equal(got, want) {
-		t.Fatal("the inline tail of a cold log differs")
-	}
-	cold.cut()
-	wire.cut()
-	gotSeg, gotFile := sealSegment("h", cold.full)
-	wantSeg, wantFile := sealSegment("h", wire.full)
-	if gotSeg != wantSeg || !bytes.Equal(bytes.Join(gotFile.Data, nil), bytes.Join(wantFile.Data, nil)) {
-		t.Fatalf("sealed segment of a cold log: %+v, want %+v", gotSeg, wantSeg)
-	}
-	for _, view := range views {
-		if got := readAll(&view, 0, 256); !bytes.Equal(got, readAll(&wire, 0, 256)[:len(got)]) || bytes.Count(got, []byte{'\n'}) != int(view.len()) {
-			t.Fatalf("the view published at %d of the cold log changed under it", view.len())
-		}
-	}
 	if b, k := cold.frames(&buf, 3, 2); k != 2 || &b[0] != &buf[0] {
 		t.Fatal("a cold chunk was not rendered into the caller's buffer")
 	}

@@ -156,7 +156,7 @@ func (t *Tenant) checkpoint() tenantCheckpoint {
 		}
 		if t.log.len()-t.log.floor() >= int64(histSegmentMin) {
 			t.log.cut()
-			cp.unsealed = t.log.full
+			cp.unsealed = t.log.chunks()
 		} else {
 			cp.inline = t.log.chunks()
 		}
@@ -182,7 +182,9 @@ func (t *Tenant) sealHistory(hist []histSegment) {
 
 // restoreTenant rebuilds a tenant from its checkpoint: the events of Log
 // become the resident dispatch log after the sealed prefix History names
-// (whose files the caller has verified; they stay on disk).
+// (whose files the caller has verified; they stay on disk), each event's
+// task resolved by name to an executive ID (the executive keeps every task
+// it ever registered).
 // online.Restore validates Σwt ≤ M and reinstates a queued shrink target
 // (one a snapshot written before Exec carried it has as PendingM) only if
 // the ledger would queue it. The loop-owned fields are finished before
@@ -210,8 +212,9 @@ func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 	}
 	t := newTenantCore(cp.ID, cp.Exec.Policy, ex, o, true)
 	t.log.hist, t.log.tail.first = cp.History, sealedEvents(cp.History)
+	ids := t.log.taskIDs()
 	for _, ev := range tail {
-		if err := t.log.restore(ev); err != nil {
+		if err := t.log.restore(ev, ids); err != nil {
 			return nil, fmt.Errorf("server: tenant %q dispatch log: %v", cp.ID, err)
 		}
 	}
@@ -556,7 +559,8 @@ func (s *Server) compact() error {
 
 // marshalPayload renders pay byte for byte as json.Marshal does with each
 // tenant's Log set to the JSON array of its inline chunks, copying each
-// frame once, from its chunk into the payload. Each tenant is marshaled
+// frame once, from its chunk into the payload (a cold chunk is rendered,
+// and counted in the size as rendered). Each tenant is marshaled
 // first without its Log (encoding/json would re-scan a json.RawMessage to
 // compact and HTML-escape it, which changes nothing for frames that are
 // json.Marshal output already); then the payload is written into one
@@ -579,8 +583,8 @@ func marshalPayload(pay snapshotPayload) ([]byte, error) {
 		}
 		js[i] = j
 		size += len(j)
-		if n := chunkBytesOf(cp.inline); n > 0 {
-			size += len(`,"log":`) + n + 1
+		if len(cp.inline) > 0 {
+			size += len(`,"log":`) + wireBytesOf(cp.inline) + 1
 		}
 	}
 	b := append(make([]byte, 0, size), head...)
@@ -591,7 +595,7 @@ func marshalPayload(pay snapshotPayload) ([]byte, error) {
 			b = append(b, ',')
 		}
 		cp := &pay.Tenants[i]
-		if chunkBytesOf(cp.inline) == 0 {
+		if len(cp.inline) == 0 {
 			b = append(b, j...)
 			continue
 		}

@@ -21,6 +21,12 @@ func SetHistSegmentMin(n int) (restore func()) {
 // server opens from now on; call it before any stream opens.
 func (s *Server) SetStreamStall(d time.Duration) { s.streamStall = d }
 
+// Tenant returns the server's tenant id, or nil when it has none.
+func (s *Server) Tenant(id string) *Tenant { return s.tenant(id) }
+
+// WaitDurable waits on c as a handler does before it acknowledges.
+func (s *Server) WaitDurable(c wal.Commit) error { return s.waitDurable(c) }
+
 // Compact runs one compaction now, as a due snapshot would.
 func (s *Server) Compact() error { return s.compact() }
 
@@ -42,10 +48,12 @@ func (s *Server) JournalMarker() error {
 // of them are cold (held as compact records).
 func (s *Server) DispatchChunks(id string) (bounds []int64, cold int) {
 	log := s.tenant(id).snap.Load().log
-	for i := range log.full {
-		bounds = append(bounds, log.full[i].first)
-		if log.full[i].cold() {
-			cold++
+	for _, cs := range [][]chunk{log.full, log.recent} {
+		for i := range cs {
+			bounds = append(bounds, cs[i].first)
+			if cs[i].cold() {
+				cold++
+			}
 		}
 	}
 	return append(bounds, log.tail.first), cold

@@ -56,8 +56,8 @@ func sealedEvents(hist []histSegment) int64 {
 // called name and returns its manifest entry. The file is the chunks'
 // bytes, what the stream served while they were resident, handed to the
 // journal by reference: written from the chunks themselves, never
-// gathered into one buffer first. A cold chunk, which a journaled tenant
-// never holds, is rendered into a part of its own.
+// gathered into one buffer first. A cold chunk — one a journaled log
+// compacted behind its window — is rendered into a part of its own.
 func sealSegment(name string, chunks []chunk) (histSegment, wal.Sidecar) {
 	parts := make([][]byte, len(chunks))
 	crc, size := uint32(0), 0

@@ -260,7 +260,9 @@ func commandPrefixes(script []cmd) (at map[uint64]int, sums []int) {
 // of the script to the reference's end, byte for byte. Every other round
 // of the script releases its jobs as one jobs:batch: recovery counts such a
 // record as its jobs, and a count inside one — a batch recovered in part —
-// names no state of the reference run and fails the sweep.
+// names no state of the reference run and fails the sweep. Each operation
+// is swept twice: as a process crash, and as a power cut (faultfs
+// PowerLoss, seeded by the operation), which loses what no fsync covered.
 func TestCrashRecoverySealSweep(t *testing.T) {
 	script := []cmd{
 		{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "other", M: 1}},
@@ -317,64 +319,81 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 		t.Fatalf("command %d and its compaction span only %d filesystem operations", target, hi-lo+1)
 	}
 
-	for k := lo; k <= hi; k++ {
-		k := k
-		t.Run(fmt.Sprintf("op%02d", k-lo), func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			ffs := faultfs.New(faultfs.Options{CrashAtOp: k})
-			srvA, err := server.Open(opts(dir, ffs))
-			if err != nil {
-				t.Fatalf("Open before the crash point: %v", err)
+	// Every operation is swept as a process crash and as a power cut: at
+	// FsyncEvery 1 an ack waits for its fsync, so under either model
+	// recovery keeps every acked command and nothing beyond the issued.
+	sweepCrashes(t, lo, lo, hi, func(t *testing.T, k int64, ffs *faultfs.FS) {
+		dir := t.TempDir()
+		srvA, err := server.Open(opts(dir, ffs))
+		if err != nil {
+			t.Fatalf("Open before the crash point: %v", err)
+		}
+		acked, issued := 0, 0 // script entries
+		for _, c := range script {
+			issued++
+			if code := doCmd(t, srvA.Handler(), c); code >= 300 {
+				break
 			}
-			acked, issued := 0, 0 // script entries
-			for _, c := range script {
-				issued++
-				if code := doCmd(t, srvA.Handler(), c); code >= 300 {
-					break
-				}
-				acked++
-			}
-			_ = srvA.Close()
-			if !ffs.Crashed() || acked < target-1 {
-				t.Fatalf("crash at operation %d: crashed=%v after %d acked commands, want the crash at command %d or %d", k, ffs.Crashed(), acked, target-1, target)
-			}
+			acked++
+		}
+		_ = srvA.Close()
+		if !ffs.Crashed() || acked < target-1 {
+			t.Fatalf("crash at operation %d: crashed=%v after %d acked commands, want the crash at command %d or %d", k, ffs.Crashed(), acked, target-1, target)
+		}
 
-			srvB, err := server.Open(opts(dir, nil))
-			if err != nil {
-				t.Fatalf("recovery Open after a crash at operation %d: %v", k, err)
+		srvB, err := server.Open(opts(dir, nil))
+		if err != nil {
+			t.Fatalf("recovery Open after a crash at operation %d: %v", k, err)
+		}
+		defer srvB.Close()
+		rec := srvB.Recovery()
+		if rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
+			t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
+		}
+		done, whole := prefixAt[rec.Commands]
+		if !whole || done < acked || done > issued {
+			t.Fatalf("recovered %d commands, which is not a whole script prefix within [acked %d, issued %d] (%d to %d commands)",
+				rec.Commands, acked, issued, commandsIn[acked], commandsIn[issued])
+		}
+		want := states[done]
+		assertStateEqual(t, "recovered vs reference prefix", captureState(t, srvB.Handler()), want)
+		for id := range want.Infos {
+			if got := dispatchBytes(t, srvB.Handler(), id); !bytes.HasPrefix(replay[id], got) {
+				t.Fatalf("tenant %s: recovered ?from=0 replay (%d bytes) is not a prefix of the uncrashed run's", id, len(got))
 			}
-			defer srvB.Close()
-			rec := srvB.Recovery()
-			if rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
-				t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
-			}
-			done, whole := prefixAt[rec.Commands]
-			if !whole || done < acked || done > issued {
-				t.Fatalf("recovered %d commands, which is not a whole script prefix within [acked %d, issued %d] (%d to %d commands)",
-					rec.Commands, acked, issued, commandsIn[acked], commandsIn[issued])
-			}
-			want := states[done]
-			assertStateEqual(t, "recovered vs reference prefix", captureState(t, srvB.Handler()), want)
-			for id := range want.Infos {
-				if got := dispatchBytes(t, srvB.Handler(), id); !bytes.HasPrefix(replay[id], got) {
-					t.Fatalf("tenant %s: recovered ?from=0 replay (%d bytes) is not a prefix of the uncrashed run's", id, len(got))
-				}
-			}
-			assertNoOrphans(t, dir)
+		}
+		assertNoOrphans(t, dir)
 
-			for i, c := range script[done:] {
-				if code := doCmd(t, srvB.Handler(), c); code >= 300 {
-					t.Fatalf("continuation command %d (%s %s): %d", done+i, c.method, c.path, code)
-				}
+		for i, c := range script[done:] {
+			if code := doCmd(t, srvB.Handler(), c); code >= 300 {
+				t.Fatalf("continuation command %d (%s %s): %d", done+i, c.method, c.path, code)
 			}
-			assertStateEqual(t, "continuation vs reference final", captureState(t, srvB.Handler()), states[len(script)])
-			for id, full := range replay {
-				if got := dispatchBytes(t, srvB.Handler(), id); !bytes.Equal(got, full) {
-					t.Fatalf("tenant %s: ?from=0 replay after recovery and continuation differs from the uncrashed run's", id)
-				}
+		}
+		assertStateEqual(t, "continuation vs reference final", captureState(t, srvB.Handler()), states[len(script)])
+		for id, full := range replay {
+			if got := dispatchBytes(t, srvB.Handler(), id); !bytes.Equal(got, full) {
+				t.Fatalf("tenant %s: ?from=0 replay after recovery and continuation differs from the uncrashed run's", id)
 			}
-		})
+		}
+	})
+}
+
+// sweepCrashes runs run as a parallel subtest for each filesystem
+// operation k from first to last, on a filesystem that crashes there:
+// "opNN" (NN = k-base) as a process crash, "powerloss-opNN" as a power
+// cut, seeded by k, which also loses what no fsync covered.
+func sweepCrashes(t *testing.T, base, first, last int64, run func(t *testing.T, k int64, ffs *faultfs.FS)) {
+	for _, powerLoss := range []bool{false, true} {
+		for k := first; k <= last; k++ {
+			name, crash := fmt.Sprintf("op%02d", k-base), faultfs.Options{CrashAtOp: k}
+			if powerLoss {
+				name, crash.PowerLoss, crash.Seed = "powerloss-"+name, true, k
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				run(t, k, faultfs.New(crash))
+			})
+		}
 	}
 }
 
@@ -388,7 +407,8 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 // them, and the journal tail must replay the delete, the re-creation and
 // the second life over it. The server never compacts on its own here
 // (SnapshotEvery is out of reach): the first compaction is the first
-// run's Close, the second the second run's.
+// run's Close, the second the second run's. The sweep runs as process
+// crashes and again as power cuts.
 func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 	first := sealLife(nil, []string{"a", "b", "c", "d"}, 1, 2, 6)
 	second := []cmd{{"POST", "/v1/tenants/X/drain", nil}, {"DELETE", "/v1/tenants/X", nil}}
@@ -457,36 +477,112 @@ func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 		t.Fatalf("the closing compaction spans only %d filesystem operations", hi-lo)
 	}
 
-	for k := lo + 1; k <= hi; k++ {
-		k := k
-		t.Run(fmt.Sprintf("op%02d", k-lo), func(t *testing.T) {
-			t.Parallel()
-			ffs := faultfs.New(faultfs.Options{CrashAtOp: k})
-			dir, _ := secondRun(t, ffs)
-			if !ffs.Crashed() {
-				t.Fatalf("no crash at operation %d", k)
+	// Under either crash model: every command was acknowledged at
+	// FsyncEvery 1 before Close began, so all of them must be recovered.
+	sweepCrashes(t, lo, lo+1, hi, func(t *testing.T, k int64, ffs *faultfs.FS) {
+		dir, _ := secondRun(t, ffs)
+		if !ffs.Crashed() {
+			t.Fatalf("no crash at operation %d", k)
+		}
+		srv, err := server.Open(opts(dir, nil))
+		if err != nil {
+			t.Fatalf("recovery Open after a crash at operation %d of the compaction: %v", k-lo, err)
+		}
+		defer srv.Close()
+		if rec := srv.Recovery(); rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
+			t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
+		}
+		// Every command was acknowledged durable before Close began.
+		assertStateEqual(t, "recovered vs reference final", captureState(t, srv.Handler()), want)
+		if got := dispatchBytes(t, srv.Handler(), "X"); !bytes.Equal(got, replay["X"]) {
+			t.Fatal("?from=0 replay of the recreated tenant differs from the uncrashed run's")
+		}
+		assertNoOrphans(t, dir)
+		for f := range firstLife {
+			if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
+				t.Fatalf("first-life file %s survived the recovery boot's compaction (stat: %v)", f, err)
 			}
-			srv, err := server.Open(opts(dir, nil))
-			if err != nil {
-				t.Fatalf("recovery Open after a crash at operation %d of the compaction: %v", k-lo, err)
-			}
-			defer srv.Close()
-			if rec := srv.Recovery(); rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
-				t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
-			}
-			// Every command was acknowledged durable before Close began.
-			assertStateEqual(t, "recovered vs reference final", captureState(t, srv.Handler()), want)
-			if got := dispatchBytes(t, srv.Handler(), "X"); !bytes.Equal(got, replay["X"]) {
-				t.Fatal("?from=0 replay of the recreated tenant differs from the uncrashed run's")
-			}
-			assertNoOrphans(t, dir)
-			for f := range firstLife {
-				if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
-					t.Fatalf("first-life file %s survived the recovery boot's compaction (stat: %v)", f, err)
-				}
-			}
-		})
+		}
+	})
+}
+
+// TestCrashRecoverySealOfCompactedChunks sweeps a crash, as a process
+// crash and as a power cut, across every filesystem operation of a
+// compaction whose sealed segment holds chunks that had fallen behind the
+// journaled log's window — compact records only, their wire bytes dropped
+// — so the history file is written from rendered frames. Every command was
+// acknowledged at FsyncEvery 1 before the compaction (the server's Close)
+// began: recovery must bring back all of them, with a ?from=0 replay equal
+// to an in-memory server's and no orphan file.
+func TestCrashRecoverySealOfCompactedChunks(t *testing.T) {
+	const tasks, period, rounds = 16, 8, 160 // 2 560 frames: four wire chunks and a tail
+	script := []cmd{{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "C", M: 2}}}
+	var batch server.SubmitJobsRequest
+	for i := 0; i < tasks; i++ {
+		name := fmt.Sprintf("t%d", i)
+		script = append(script, cmd{"POST", "/v1/tenants/C/tasks", server.RegisterTaskRequest{Name: name, E: 1, P: period}})
+		batch.Jobs = append(batch.Jobs, server.SubmitJobRequest{Task: name})
 	}
+	for r := 0; r < rounds; r++ {
+		script = append(script,
+			cmd{"POST", "/v1/tenants/C/jobs:batch", batch},
+			cmd{"POST", "/v1/tenants/C/advance", server.AdvanceRequest{By: fmt.Sprint(period)}})
+	}
+	states, replay := referenceStates(t, script)
+	want := states[len(script)]
+	opts := func(dir string, ffs *faultfs.FS) server.Options {
+		o := server.Options{DataDir: dir, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30}
+		if ffs != nil {
+			o.FS = ffs
+		}
+		return o
+	}
+	// run drives the script on ffs and closes the server, the compaction
+	// under test; it returns the directory and the operations before Close.
+	run := func(t *testing.T, ffs *faultfs.FS) (dir string, beforeClose int64) {
+		dir = t.TempDir()
+		srv, err := server.Open(opts(dir, ffs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range script {
+			if code := doCmd(t, srv.Handler(), c); code >= 300 {
+				t.Fatalf("command %d (%s %s): %d", i, c.method, c.path, code)
+			}
+		}
+		if bounds, cold := srv.DispatchChunks("C"); cold < 2 {
+			t.Fatalf("%d of %d closed chunks compacted before the seal; want at least 2", cold, len(bounds)-1)
+		}
+		beforeClose = ffs.Ops()
+		_ = srv.Close()
+		return dir, beforeClose
+	}
+
+	dry := faultfs.New(faultfs.Options{})
+	dryDir, lo := run(t, dry)
+	hi := dry.Ops()
+	if len(histFiles(t, dryDir)) == 0 || hi-lo < 8 {
+		t.Fatalf("the closing compaction sealed %d files in %d operations", len(histFiles(t, dryDir)), hi-lo)
+	}
+	sweepCrashes(t, lo, lo+1, hi, func(t *testing.T, k int64, ffs *faultfs.FS) {
+		dir, _ := run(t, ffs)
+		if !ffs.Crashed() {
+			t.Fatalf("no crash at operation %d", k)
+		}
+		srv, err := server.Open(opts(dir, nil))
+		if err != nil {
+			t.Fatalf("recovery Open after a crash at operation %d of the compaction: %v", k-lo, err)
+		}
+		defer srv.Close()
+		if rec := srv.Recovery(); rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
+			t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
+		}
+		assertStateEqual(t, "recovered vs reference final", captureState(t, srv.Handler()), want)
+		if got := dispatchBytes(t, srv.Handler(), "C"); !bytes.Equal(got, replay["C"]) {
+			t.Fatal("?from=0 replay after recovery differs from the in-memory server's")
+		}
+		assertNoOrphans(t, dir)
+	})
 }
 
 // pr13Script is the load whose end state testdata/snapshot_pr13.json
@@ -761,6 +857,15 @@ func TestLongTenantSnapshotsStayFlat(t *testing.T) {
 	assertNoOrphans(t, dir)
 }
 
+// heapInUse is the heap in use after two collections.
+func heapInUse() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
+}
+
 // TestInMemoryTenantBytesPerDispatch bounds what an in-memory tenant, which
 // keeps its whole history, retains per decision: past the open tail, the
 // compact record, a 32nd of an offset, and nothing else — no wire frame,
@@ -784,13 +889,6 @@ func TestInMemoryTenantBytesPerDispatch(t *testing.T) {
 		}
 		batch = append(batch, server.SubmitJobRequest{Task: name})
 	}
-	heapInUse := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapInuse)
-	}
 	round := func() {
 		if _, _, err := tn.SubmitJobs(batch); err != nil {
 			t.Fatal(err)
@@ -811,5 +909,62 @@ func TestInMemoryTenantBytesPerDispatch(t *testing.T) {
 	t.Logf("%d dispatches grew the heap in use by %d B: %.1f B/dispatch", n, grew, per)
 	if n != int64(tasks*rounds) || per > 12 {
 		t.Fatalf("an in-memory tenant retains %.1f B per dispatch over %d dispatches; want ≤ 12", per, n)
+	}
+}
+
+// TestJournaledTenantBytesPerDispatch bounds what a journaled tenant that
+// is never sealed — a durable server at SnapshotEvery 1<<30, production's
+// segment size — retains per decision past its window of 2·4096 frames:
+// the compact record each closed chunk keeps once it falls behind the
+// window, a 32nd of an offset, and nothing else; 12 B, as for an in-memory
+// tenant, where each ≈ 113 B wire frame would be ten times that. The
+// window's wire bytes are the same at both ends of the measurement, so
+// only what falls behind it counts. It logs 200 000 decisions, or
+// -dispatches when more, through the server's handler.
+func TestJournaledTenantBytesPerDispatch(t *testing.T) {
+	defer server.SetHistSegmentMin(4096)()
+	const tasks, period = 16, 8
+	rounds := max(*longDispatches, 200_000) / tasks
+	srv, err := server.Open(server.Options{
+		DataDir: t.TempDir(), FsyncEvery: 64, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	must := func(c cmd) {
+		t.Helper()
+		if code := doCmd(t, h, c); code >= 300 {
+			t.Fatalf("%s %s: %d", c.method, c.path, code)
+		}
+	}
+	must(cmd{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "jour", M: 2}})
+	var batch server.SubmitJobsRequest
+	for i := 0; i < tasks; i++ {
+		name := fmt.Sprintf("t%d", i)
+		must(cmd{"POST", "/v1/tenants/jour/tasks", server.RegisterTaskRequest{Name: name, E: 1, P: period}})
+		batch.Jobs = append(batch.Jobs, server.SubmitJobRequest{Task: name})
+	}
+	round := func() {
+		must(cmd{"POST", "/v1/tenants/jour/jobs:batch", batch})
+		must(cmd{"POST", "/v1/tenants/jour/advance", server.AdvanceRequest{By: fmt.Sprint(period)}})
+	}
+	for r := 0; r < 1000; r++ { // 16 000 decisions: past the window, and the trace ring full
+		round()
+	}
+	tn := srv.Tenant("jour")
+	before, from, snaps := heapInUse(), tn.Info().Dispatches, srv.WALStats().Snapshots
+	for r := 0; r < rounds; r++ {
+		round()
+	}
+	grew, n := heapInUse()-before, tn.Info().Dispatches-from
+	per := float64(grew) / float64(n)
+	t.Logf("%d dispatches grew the heap in use by %d B: %.1f B/dispatch; %d B resident", n, grew, per, tn.ResidentBytes())
+	if srv.WALStats().Snapshots != snaps {
+		t.Fatal("the log was sealed: the test measured nothing")
+	}
+	if n != int64(tasks*rounds) || per > 12 {
+		t.Fatalf("a journaled tenant retains %.1f B per dispatch past its window over %d dispatches; want ≤ 12", per, n)
 	}
 }

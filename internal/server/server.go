@@ -301,6 +301,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.wal != nil {
 		resp.Term = s.wal.Term()
+		acks := s.wal.DurableAcks()
+		resp.DurableAcks = &acks
 	}
 	if s.Role() != RoleLeader {
 		lag := s.replLagLSN.Load()

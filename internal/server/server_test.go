@@ -496,3 +496,27 @@ func TestDeleteTenantEndsStreams(t *testing.T) {
 		t.Fatal("stream did not end after tenant deletion")
 	}
 }
+
+// TestHealthzSaysWhetherAcksAreDurable: /healthz's durableAcks is true on
+// a durable server whose every ack waits for its record's fsync
+// (FsyncEvery 1, which 0 selects too), false on one that group-commits,
+// and absent in memory, where nothing is journaled.
+func TestHealthzSaysWhetherAcksAreDurable(t *testing.T) {
+	if h, _ := healthz(t, server.New().Handler()); h.DurableAcks != nil {
+		t.Fatalf("an in-memory server says durableAcks %v", *h.DurableAcks)
+	}
+	for _, c := range []struct {
+		fsyncEvery int
+		want       bool
+	}{{1, true}, {0, true}, {8, false}} {
+		srv, err := server.Open(server.Options{DataDir: t.TempDir(), FsyncEvery: c.fsyncEvery})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _ := healthz(t, srv.Handler())
+		srv.Close()
+		if h.DurableAcks == nil || *h.DurableAcks != c.want {
+			t.Fatalf("FsyncEvery %d: durableAcks %v, want %v", c.fsyncEvery, h.DurableAcks, c.want)
+		}
+	}
+}

@@ -1066,6 +1066,11 @@ func (l *Log) SetTerm(term uint64) error {
 	return nil
 }
 
+// DurableAcks reports whether Wait is a durability barrier: FsyncEvery is
+// 1 (or less), so every waiter returns only once an fsync covers its
+// record. Fixed at Open.
+func (l *Log) DurableAcks() bool { return l.fsyncEvery == 1 }
+
 // Term returns the log's current leadership term.
 func (l *Log) Term() uint64 {
 	l.mu.Lock()
