@@ -289,7 +289,11 @@ obs:
 # greps for them): a parent-format journal of per-decision records, a
 # tampered journal that must be counted, a follower that compacts between
 # a command and its digest, or its per-decision records under a leader not
-# yet upgraded — and the submit group's one record: a crash at every byte
+# yet upgraded — a compaction after Close has stopped the tenant loops
+# (CompactAfterLoopsStop), a tenant that seals its history with no
+# compaction (SealsWithoutCompaction; its settle-triggered seal is swept
+# by TestCrashRecoverySettleSealSweep), sidecar names that never repeat
+# (Sidecar) — and the submit group's one record: a crash at every byte
 # of a batch's write leaves all of it or none (TornBatch), a journal of
 # per-job groups still replays (PerJobGroupJournal), the largest admissible
 # batch is journaled or refused before a byte is written (WorstBatch) —
@@ -298,8 +302,8 @@ obs:
 # TestSnapshotPayloadMatchesMarshal) — under the race detector.
 recovery:
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/faultfs/ ./cmd/pfaird/ \
-		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|ExecutiveMatchesReference'
-	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot|TornBatch|PerJobGroupJournal|WorstBatch'
+		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|Sidecar|ExecutiveMatchesReference'
+	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot|TornBatch|PerJobGroupJournal|WorstBatch|CompactAfterLoopsStop|SealsWithoutCompaction'
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestRestoreParentFormatJournal|TestRecoveryCountsTamperedJournal|TestFollowerCompactionBeforeDigest|TestFollowerOfLegacyLeaderCompacts|TestSnapshotPayloadMatchesMarshal'
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'TestFollowerBootstrapFromSealedHistory'
 
@@ -311,8 +315,9 @@ recovery:
 # use are all asserted flat, first quarter against last. Beside it,
 # TestInMemoryTenantBytesPerDispatch holds an in-memory tenant's retained
 # heap to ≤ 12 B per decision over the same 10^6 decisions, and
-# TestJournaledTenantBytesPerDispatch a journaled tenant's that is never
-# sealed, past its window of wire frames.
+# TestJournaledTenantBytesPerDispatch a journaled tenant's that no
+# compaction checkpoints, which seals its own history every 2·4096
+# decisions.
 longrun:
 	$(GO) test -count=1 -v -timeout 30m ./internal/server/ -run 'TestLongTenantSnapshotsStayFlat|TestInMemoryTenantBytesPerDispatch|TestJournaledTenantBytesPerDispatch' -args -dispatches 1000000
 

@@ -176,11 +176,12 @@ func BenchmarkTenantBatchRound(b *testing.B) {
 // BenchmarkTenantBatchRoundJournaled is BenchmarkTenantBatchRound on a
 // durable server that never compacts (SnapshotEvery 1<<30): the tenant
 // journals each batch, advance and digest and, like a handler, waits on
-// the advance's commit (FsyncEvery 64) after each round. Its log keeps its
-// wire frames within the window of 2·4096 frames and only compact records
-// behind it, so at -benchtime 1000x (128 000 decisions) resident-B/dispatch
-// reads ≈ 14 B — ≈ 7 B records and the window's frames spread over them —
-// where keeping every ≈ 110 B frame would read that.
+// the advance's commit (FsyncEvery 64) after each round. The tenant seals
+// its log into a history file whenever 2·4096 frames are unsealed, so the
+// round's time includes those writes, and resident-B/dispatch — the
+// frames since the last seal, spread over every decision — falls as the
+// run grows: ≈ 4.5 B at -benchtime 1000x (128 000 decisions), where
+// keeping every ≈ 110 B frame would read that.
 func BenchmarkTenantBatchRoundJournaled(b *testing.B) {
 	defer server.SetHistSegmentMin(4096)()
 	srv, err := server.Open(server.Options{

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sort"
 
 	"desyncpfair/internal/rat"
@@ -20,10 +19,10 @@ import (
 // (recovery verifying a journal written before the digest) decodes the one
 // frame it asks for.
 //
-// A journaled tenant's log leaves memory a segment at a time: the
-// compaction that seals a range into a history file (history.go) drops its
-// chunks once the snapshot naming the file is committed, and a reader below
-// the resident floor is served from the file. An in-memory tenant keeps
+// A journaled tenant's log leaves memory a segment at a time: the tenant
+// seals its resident frames into a history file (history.go, Tenant.seal)
+// and drops their chunks, and a reader below the resident floor is served
+// from the file. An in-memory tenant keeps
 // every chunk, so its log is cold from its first frame: each decision is
 // written as a compact record (putColdRecord), the open tail included, and
 // every reader gets its frames rendered back by appendDispatchFrame, byte
@@ -34,15 +33,6 @@ import (
 // registration, before its first record, so a published view of the tail,
 // which carries the table as it stood then, names every task whose
 // records the view holds.
-//
-// A journaled log that is not sealed (compaction off, or a tenant between
-// two rare snapshots) would keep every wire frame since its last seal. So
-// it also writes each decision's compact record into a twin of its wire
-// chunk, and a closed chunk that falls a window (2·histSegmentMin frames)
-// behind the log's end keeps only its twin: it becomes a cold chunk. The
-// newest frames, which readers and the next seal want, stay wire bytes
-// served by reference; a log sealed before it outgrows the window never
-// renders a frame.
 //
 // Both forms close a chunk at the same byte budget, chunkBytes, when the
 // next entry might not fit: on wide_sched a wire chunk holds ≈ 600 frames,
@@ -79,11 +69,6 @@ type chunk struct {
 	// names is a cold chunk's task-name table, indexed by the executive's
 	// Task.ID as its records are; nil in a wire chunk.
 	names []string
-	// twin and twinOffs are a journaled log's wire chunk's frames again as
-	// compact records, and where the record at each index point starts:
-	// the cold chunk it becomes once it falls behind the window.
-	twin     []byte
-	twinOffs []uint32
 }
 
 func (c *chunk) end() int64 { return c.first + int64(c.n) }
@@ -235,25 +220,21 @@ func (d *coldDecoder) int() int64 {
 // then the open tail the loop appends to. The loop owns it; tenantSnap
 // publishes a copy of the struct, which is an immutable view because
 // everything the loop does afterwards lands past the lengths the copy
-// holds (frames appended to the tail's arrays, the tail appended to
-// recent, a compacted chunk appended to full, names appended to the table)
-// or in a fresh array (dropping sealed chunks, moving recent ones to full)
-// — the aliasing rule slices of the log were always published under.
+// holds (frames appended to the tail's arrays, the tail appended to full,
+// names appended to the table) or in a fresh array (dropping sealed
+// chunks) — the aliasing rule slices of the log were always published
+// under. A journaled log holds wire chunks only, a cold one cold chunks
+// only.
 type dispatchLog struct {
-	hist []histSegment
-	// full is the closed chunks a reader renders: every closed chunk of a
-	// cold log, and those of a journaled one past its window. recent
-	// follows it: a journaled log's closed wire chunks within the window.
-	full   []chunk
-	recent []chunk
-	tail   chunk
-	// resident is what the chunks serve from: wire bytes, or a cold
-	// chunk's records. A wire chunk's twin is not counted.
-	resident int64
+	hist     []histSegment
+	full     []chunk
+	tail     chunk
+	resident int64 // bytes held by full and tail: wire bytes, or records
 	// cold, fixed when the tenant is built, makes the log hold compact
-	// records only; names is the table of task names they index, by
-	// Task.ID, which every cold chunk carries; start is the start of the
-	// tail's last record, which the next is coded against.
+	// records; names is the table of task names, by Task.ID, which every
+	// cold chunk carries and restore resolves a journaled log's events by;
+	// start is the start of the tail's last record, which the next is
+	// coded against.
 	cold  bool
 	names []string
 	start rat.Rat
@@ -265,11 +246,6 @@ func (l *dispatchLog) floor() int64 { return sealedEvents(l.hist) }
 
 // len is the number of decisions ever logged — the seq the next one gets.
 func (l *dispatchLog) len() int64 { return l.tail.end() }
-
-// window is how many frames behind the log's end a journaled log's closed
-// chunks keep their wire bytes: two segments' worth, so a log sealed every
-// segment never leaves it.
-func window() int64 { return 2 * int64(histSegmentMin) }
 
 // name enters the task with executive ID id in the log's name table, which
 // the executive's dense IDs fill in registration order.
@@ -284,8 +260,8 @@ func (l *dispatchLog) name(id int, name string) {
 }
 
 // append logs one decision of the task with executive ID id as the next
-// frame of the tail: its compact record in a cold log; in any other, its
-// wire bytes and, in the twin, its compact record.
+// frame of the tail: its compact record in a cold log, its wire bytes in
+// any other.
 func (l *dispatchLog) append(id int, task string, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) {
 	need := maxFrameBytes(len(task))
 	if l.cold {
@@ -294,26 +270,18 @@ func (l *dispatchLog) append(id int, task string, index int64, proc int, start, 
 	l.room(need)
 	t := &l.tail
 	at := len(t.data)
-	prev, point := l.start, t.n%coldStride == 0
-	if point {
-		prev = rat.Zero
-	}
-	if l.cold {
-		if point {
+	if !l.cold {
+		t.data = appendDispatchFrame(t.data, t.end(), task, index, proc, start, finish, deadline, tard)
+		t.offs = append(t.offs, uint32(at))
+	} else {
+		prev := l.start
+		if t.n%coldStride == 0 {
+			prev = rat.Zero
 			t.offs = append(t.offs, uint32(at))
 		}
 		t.data = t.data[:at+putColdRecord(t.data[at:at+maxColdRecord], prev, id, index, proc, start, finish, deadline, tard)]
-	} else {
-		t.data = appendDispatchFrame(t.data, t.end(), task, index, proc, start, finish, deadline, tard)
-		t.offs = append(t.offs, uint32(at))
-		tw := len(t.twin)
-		if point {
-			t.twinOffs = append(t.twinOffs, uint32(tw))
-		}
-		t.twin = slices.Grow(t.twin, maxColdRecord)
-		t.twin = t.twin[:tw+putColdRecord(t.twin[tw:tw+maxColdRecord], prev, id, index, proc, start, finish, deadline, tard)]
+		l.start = start
 	}
-	l.start = start
 	t.n++
 	l.resident += int64(len(t.data) - at)
 }
@@ -369,52 +337,30 @@ func (l *dispatchLog) room(need int) {
 
 // cut closes the tail: its frames join the closed chunks, immutable from
 // here on, and the next frame starts a new chunk, with room for about as
-// many offsets (and twin records) as this one took. In a journaled log the
-// closed chunks that fall behind the window keep only their twins, and
-// move from recent to full.
+// many offsets as this one took.
 func (l *dispatchLog) cut() {
 	c := l.tail
 	if c.n == 0 {
 		return
 	}
+	l.full = append(l.full, c)
 	l.tail = chunk{first: c.end(), offs: make([]uint32, 0, len(c.offs)+len(c.offs)/8)}
 	if l.cold {
 		l.tail.names = l.names
-		l.full = append(l.full, c)
-		return
-	}
-	l.tail.twin = make([]byte, 0, len(c.twin)+len(c.twin)/8)
-	l.tail.twinOffs = make([]uint32, 0, len(c.twinOffs)+1)
-	l.recent = append(l.recent, c)
-	k := 0
-	for ; k < len(l.recent) && l.recent[k].end() <= l.len()-window(); k++ {
-		w := &l.recent[k]
-		l.full = append(l.full, chunk{first: w.first, n: w.n, data: w.twin, offs: w.twinOffs, names: l.names})
-		l.resident += int64(len(w.twin) - len(w.data))
-	}
-	if k > 0 {
-		l.recent = append([]chunk(nil), l.recent[k:]...)
 	}
 }
 
-// dropSealed installs hist, a manifest extended over resident chunks a
-// committed snapshot now names, and drops those chunks. The kept ones move
-// to fresh arrays: published views still alias the old ones.
+// dropSealed installs hist, a manifest extended over resident chunks whose
+// history file is durable, and drops those chunks. The kept ones move to a
+// fresh array: published views still alias the old one.
 func (l *dispatchLog) dropSealed(hist []histSegment) {
 	l.hist = hist
-	l.full = l.keepResident(l.full)
-	l.recent = l.keepResident(l.recent)
-}
-
-// keepResident returns, in a fresh array, the chunks of cs above the floor,
-// and takes the others' bytes off resident.
-func (l *dispatchLog) keepResident(cs []chunk) []chunk {
 	k := 0
-	for k < len(cs) && cs[k].end() <= l.floor() {
-		l.resident -= int64(len(cs[k].data))
+	for k < len(l.full) && l.full[k].end() <= l.floor() {
+		l.resident -= int64(len(l.full[k].data))
 		k++
 	}
-	return append([]chunk(nil), cs[k:]...)
+	l.full = append([]chunk(nil), l.full[k:]...)
 }
 
 // frames returns the wire bytes of up to limit consecutive resident frames
@@ -425,15 +371,11 @@ func (l *dispatchLog) keepResident(cs []chunk) []chunk {
 func (l *dispatchLog) frames(buf *[]byte, pos int64, limit int) ([]byte, int) {
 	c := &l.tail
 	if pos < c.first {
-		cs := l.recent
-		if len(cs) == 0 || pos < cs[0].first {
-			cs = l.full
-		}
-		i := sort.Search(len(cs), func(i int) bool { return cs[i].end() > pos })
-		if i == len(cs) {
+		i := sort.Search(len(l.full), func(i int) bool { return l.full[i].end() > pos })
+		if i == len(l.full) {
 			return nil, 0
 		}
-		c = &cs[i]
+		c = &l.full[i]
 	}
 	if pos < c.first || pos >= c.end() {
 		return nil, 0
@@ -471,42 +413,32 @@ func (l *dispatchLog) digest(first int64, sealed uint32) dispatchDigest {
 // view under the aliasing rule above, since everything the loop does
 // afterwards lands past the lengths it holds or in a fresh array.
 func (l *dispatchLog) chunks() []chunk {
-	cs := append(l.full[:len(l.full):len(l.full)], l.recent...)
-	if l.tail.n > 0 {
-		cs = append(cs, l.tail)
+	if l.tail.n == 0 {
+		return l.full
 	}
-	return cs
+	return append(l.full[:len(l.full):len(l.full)], l.tail)
 }
 
-// wireBytesOf is the number of wire bytes chunks hold or, a cold chunk's,
-// render to.
+// wireBytesOf is the number of bytes wire chunks hold.
 func wireBytesOf(chunks []chunk) int {
 	n := 0
-	var buf []byte
 	for i := range chunks {
-		c := &chunks[i]
-		if c.cold() {
-			buf = c.appendWire(buf[:0], 0, c.n)
-			n += len(buf)
-		} else {
-			n += len(c.data)
-		}
+		n += len(chunks[i].data)
 	}
 	return n
 }
 
-// appendArray appends the frames of chunks (at least one) to b as a
+// appendArray appends the frames of wire chunks (at least one) to b as a
 // snapshot carries an unsealed tail: a JSON array of events. A frame never
 // holds a raw newline (JSON escapes it), so the array is the NDJSON with
 // each terminator turned into the separator, and the last into the closing
 // bracket — rewritten in b, never in the chunks, which readers share. It
-// adds wireBytesOf(chunks)+1 bytes: a wire chunk's are copied, a cold
-// one's rendered.
+// adds wireBytesOf(chunks)+1 bytes.
 func appendArray(b []byte, chunks []chunk) []byte {
 	at := len(b)
 	b = append(b, '[')
 	for i := range chunks {
-		b = chunks[i].appendWire(b, 0, chunks[i].n)
+		b = append(b, chunks[i].data...)
 	}
 	ndjsonToArray(b[at:])
 	return b

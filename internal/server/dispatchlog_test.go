@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 	"testing"
 	"unicode/utf8"
 
@@ -34,14 +33,6 @@ func logTasks(l *dispatchLog) map[string]int {
 		l.name(i, fmt.Sprintf("task-%d", i))
 	}
 	return l.taskIDs()
-}
-
-// setHistSegmentMin sets histSegmentMin, and with it a journaled log's
-// window, for the rest of the test.
-func setHistSegmentMin(t testing.TB, n int) {
-	old := histSegmentMin
-	histSegmentMin = n
-	t.Cleanup(func() { histSegmentMin = old })
 }
 
 // heldBytes is what chunks hold: wire bytes, or a cold chunk's records.
@@ -78,11 +69,9 @@ func readTo(l *dispatchLog, pos, end int64, limit int) []byte {
 // frames encoding/json would have written; a view published earlier stays
 // what it was while the log grows and drops chunks past it; the inline tail
 // is the JSON array of the resident events; the resident accounting
-// follows. The window is wider than the log: every chunk keeps its wire
-// bytes (TestColdLogMatchesWireLog crosses it).
+// follows.
 func TestDispatchLogChunks(t *testing.T) {
 	const n = 2500 // ≈ 280 KB: four closed chunks and a tail
-	setHistSegmentMin(t, n)
 	var l dispatchLog
 	ids := logTasks(&l)
 	var want []byte
@@ -100,10 +89,10 @@ func TestDispatchLogChunks(t *testing.T) {
 		}
 	}
 	offs = append(offs, len(want))
-	if len(l.recent) < 3 || len(l.full) != 0 || l.len() != n || l.resident != int64(len(want)) {
-		t.Fatalf("%d events in %d closed chunks (%d cold), %d bytes resident of %d", l.len(), len(l.recent), len(l.full), l.resident, len(want))
+	if len(l.full) < 3 || l.len() != n || l.resident != int64(len(want)) {
+		t.Fatalf("%d events in %d closed chunks, %d bytes resident of %d", l.len(), len(l.full), l.resident, len(want))
 	}
-	for _, c := range l.recent {
+	for _, c := range l.full {
 		if cap(c.data) > chunkBytes {
 			t.Fatalf("a chunk grew to %d bytes", cap(c.data))
 		}
@@ -127,10 +116,10 @@ func TestDispatchLogChunks(t *testing.T) {
 
 	// Seal everything but the last chunk's worth, as a compaction would.
 	l.cut()
-	keep := l.recent[len(l.recent)-1]
+	keep := l.full[len(l.full)-1]
 	l.dropSealed([]histSegment{{FirstSeq: 0, Count: keep.first}})
-	if l.floor() != keep.first || len(l.recent) != 1 || l.resident != int64(len(want)-offs[keep.first]) {
-		t.Fatalf("after the seal: floor %d, %d chunks, %d bytes resident", l.floor(), len(l.recent), l.resident)
+	if l.floor() != keep.first || len(l.full) != 1 || l.resident != int64(len(want)-offs[keep.first]) {
+		t.Fatalf("after the seal: floor %d, %d chunks, %d bytes resident", l.floor(), len(l.full), l.resident)
 	}
 	if b, k := l.frames(new([]byte), keep.first-1, 8); k != 0 || b != nil {
 		t.Fatal("a sealed frame was served from memory")
@@ -207,10 +196,8 @@ func TestCopyFramesSkipsWholeLines(t *testing.T) {
 // chunk and one of several: the history file is the concatenation of the
 // chunks, handed to the journal as the chunks themselves (nothing is
 // gathered into a buffer first), and the manifest entry gives its seq
-// range, its length and the crc32 (IEEE) of those bytes. The chunks keep
-// their wire bytes here: the window is wider than the log.
+// range, its length and the crc32 (IEEE) of those bytes.
 func TestSealSegmentWritesChunks(t *testing.T) {
-	setHistSegmentMin(t, 1<<20)
 	l, _, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +222,7 @@ func TestSealSegmentWritesChunks(t *testing.T) {
 		for _, c := range chunks {
 			want = append(want, c.data...)
 		}
-		seg, file := sealSegment(l.SidecarName(k), chunks)
+		seg, file := sealSegment(l.SidecarName(), chunks)
 		if seg.File != file.Name || seg.FirstSeq != first || seg.Count != n || seg.Bytes != int64(len(want)) ||
 			seg.CRC != crc32.ChecksumIEEE(want) {
 			t.Fatalf("segment %d: manifest %+v for seqs %d… (%d), %d bytes, crc %d",
@@ -280,79 +267,36 @@ func appendEvent(t testing.TB, l *dispatchLog, id int, ev DispatchEvent) {
 	l.append(id, ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
 }
 
-// TestColdLogMatchesWireLog drives a wire log, a cold one and a journaled
-// one through the same events, across many chunk boundaries of each, with
-// a task that registers halfway. The wire log's window is wider than it;
-// the journaled log's is 2 000 frames, so all but its last few closed
-// chunks keep only their twins. The cold log holds compact records from its
-// first frame, open tail included, and closes a chunk when the next record
-// might not fit in chunkBytes, as a wire log closes one on the next frame;
-// the journaled one closes its chunks where the wire log does. Both hold
-// far fewer bytes than the wire log, and every reader of either still gets
-// the wire log's bytes: any read through frames, from its chunk boundaries
-// and either side of them, from every index point and either side of it,
-// the digest, the inline tail and a sealed segment. A view published
-// earlier, one before the late task's first record and one before the
-// journaled log's first chunk left its window among them, stays what it
-// was: the same frames, from chunks of the same forms.
+// TestColdLogMatchesWireLog drives a wire log and a cold one through the
+// same events, across many chunk boundaries of each, with a task that
+// registers halfway. The cold log holds compact records from its first
+// frame, open tail included, and closes a chunk when the next record might
+// not fit in chunkBytes, as a wire log closes one on the next frame. It
+// holds far fewer bytes than the wire log, and every reader still gets the
+// wire log's bytes: any read through frames, from its chunk boundaries and
+// either side of them, from every index point and either side of it, and
+// the digest. A view published earlier, one before the late task's first
+// record among them, stays what it was.
 func TestColdLogMatchesWireLog(t *testing.T) {
 	const n, late = 46000, 23000
-	event := func(i int64) (int, DispatchEvent) {
+	wire, cold := dispatchLog{}, dispatchLog{cold: true}
+	var views []dispatchLog
+	for i := int64(0); i < n; i++ {
 		ev, _ := logEvent(i)
+		id := int(i % 7)
 		if i >= late && i%5 == 0 {
-			ev.Task = "late"
-			return 7, ev
+			id, ev.Task = 7, "late"
 		}
-		return int(i % 7), ev
-	}
-	setHistSegmentMin(t, n)
-	var wire dispatchLog
-	for i := int64(0); i < n; i++ {
-		id, ev := event(i)
 		appendEvent(t, &wire, id, ev)
-	}
-	if len(wire.full) != 0 || len(wire.recent) < 60 {
-		t.Fatalf("the wire log: %d closed chunks, %d of them cold", len(wire.full)+len(wire.recent), len(wire.full))
-	}
-	all := readAll(&wire, 0, n)
-	offs := []int{0}
-	for i, c := range all {
-		if c == '\n' {
-			offs = append(offs, i+1)
-		}
-	}
-
-	setHistSegmentMin(t, 1000)
-	cold, jour := dispatchLog{cold: true}, dispatchLog{}
-	type view struct {
-		log   dispatchLog
-		forms []bool // each chunk's cold(), as published
-	}
-	var views []view
-	publish := func(l dispatchLog) {
-		v := view{log: l}
-		for _, c := range l.chunks() {
-			v.forms = append(v.forms, c.cold())
-		}
-		views = append(views, v)
-	}
-	for i := int64(0); i < n; i++ {
-		id, ev := event(i)
 		appendEvent(t, &cold, id, ev)
-		appendEvent(t, &jour, id, ev)
-		if i == 999 || i == 2999 || i == late-1 || i == late {
-			publish(cold)
-			publish(jour)
+		if i == 999 || i == late-1 || i == late {
+			views = append(views, cold)
 		}
 	}
-	if views[1].forms[0] || !views[3].forms[0] {
-		t.Fatal("the journaled log's first chunk did not leave its window between the views at 1000 and 3000")
+	if len(cold.full) < 3 || len(wire.full) < 3*len(cold.full) {
+		t.Fatalf("cold log: %d closed chunks, wire log %d", len(cold.full), len(wire.full))
 	}
-
 	chunks := cold.chunks()
-	if len(cold.full) < 3 || len(wire.recent) < 3*len(cold.full) || len(cold.recent) != 0 {
-		t.Fatalf("cold log: %d closed chunks (%d recent), wire log %d", len(cold.full), len(cold.recent), len(wire.recent))
-	}
 	for i, c := range chunks[:len(chunks)-1] {
 		if !c.cold() || c.end() != chunks[i+1].first || len(c.data) > chunkBytes || len(c.data)+maxColdRecord <= chunkBytes {
 			t.Fatalf("closed chunk %d: cold %v, seqs %d..%d, %d bytes of records", i, c.cold(), c.first, c.end(), len(c.data))
@@ -361,96 +305,59 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 	if !cold.tail.cold() || cold.tail.end() != n || len(cold.tail.names) != 8 {
 		t.Fatalf("the open tail of a cold log: cold %v, ends at %d, %d names", cold.tail.cold(), cold.tail.end(), len(cold.tail.names))
 	}
+	for _, c := range wire.chunks() {
+		if c.cold() {
+			t.Fatalf("the wire log holds a cold chunk at %d", c.first)
+		}
+	}
 	if held := heldBytes(cold.chunks()); int64(held) != cold.resident || 4*cold.resident > wire.resident {
 		t.Fatalf("cold log holds %d bytes (accounted %d), the wire log %d", held, cold.resident, wire.resident)
 	}
-	wireChunks := wire.chunks()
-	jourChunks := jour.chunks()
-	if len(jourChunks) != len(wireChunks) || len(jour.recent) < 2 || jour.tail.cold() || jour.tail.end() != n {
-		t.Fatalf("journaled log: %d chunks (%d recent), the wire log %d", len(jourChunks), len(jour.recent), len(wireChunks))
-	}
-	for i, c := range jourChunks {
-		behind := i < len(jour.full)
-		if c.first != wireChunks[i].first || c.n != wireChunks[i].n || c.cold() != behind ||
-			behind && jour.len()-c.end() < window()+int64(jour.tail.n) ||
-			!behind && i < len(jourChunks)-1 && jour.len()-c.end() >= window()+int64(jour.tail.n) {
-			t.Fatalf("journaled chunk %d at %d..%d: cold %v, %d frames behind the end, window %d", i, c.first, c.end(), c.cold(), jour.len()-c.end(), window())
+	all := readAll(&wire, 0, n)
+	offs := []int{0}
+	for i, c := range all {
+		if c == '\n' {
+			offs = append(offs, i+1)
 		}
 	}
-	if held := heldBytes(jourChunks); int64(held) != jour.resident || 4*jour.resident > wire.resident {
-		t.Fatalf("journaled log holds %d bytes (accounted %d), the wire log %d", held, jour.resident, wire.resident)
+	froms := []int64{0, 1, 599, 1000, late - 1, late, n - 1, n}
+	for _, c := range chunks[1:] {
+		froms = append(froms, c.first-1, c.first, c.first+1)
 	}
-
-	for _, l := range []*dispatchLog{&cold, &jour} {
-		// Reads to the end from a few places, and 300 frames on from each
-		// chunk boundary and either side of it.
-		froms := []int64{0, 1, 599, 1000, late - 1, late, n - 1, n}
-		for _, limit := range []int{1, 7, 256, n} {
-			for _, from := range froms {
-				if got := readAll(l, from, limit); !bytes.Equal(got, all[offs[from]:]) {
-					t.Fatalf("cold %v: frames from %d, %d at a time: they differ from the wire log's", l.cold, from, limit)
-				}
+	for _, limit := range []int{1, 7, 256, n} {
+		for _, from := range froms {
+			if got := readAll(&cold, from, limit); !bytes.Equal(got, all[offs[from]:]) {
+				t.Fatalf("frames from %d, %d at a time: the cold log's differ", from, limit)
 			}
-			for _, c := range l.chunks()[1:] {
-				for _, from := range []int64{c.first - 1, c.first, c.first + 1} {
-					end := min(from+300, n)
-					if got := readTo(l, from, end, limit); !bytes.HasPrefix(all[offs[from]:], got) || len(got) < offs[end]-offs[from] {
-						t.Fatalf("cold %v: frames from %d, %d at a time: they differ from the wire log's", l.cold, from, limit)
-					}
-				}
-			}
-		}
-		var buf []byte
-		for _, c := range l.chunks() {
-			if !c.cold() {
-				continue
-			}
-			if len(c.offs) != (c.n+coldStride-1)/coldStride {
-				t.Fatalf("the chunk at %d holds %d records under %d offsets", c.first, c.n, len(c.offs))
-			}
-			for p := c.first; p < c.end(); p += coldStride {
-				for _, from := range []int64{p - 1, p, p + 1} {
-					if from < 0 || from >= n {
-						continue
-					}
-					got, k := l.frames(&buf, from, coldStride+1)
-					if k == 0 || !bytes.Equal(got, all[offs[from]:offs[from+int64(k)]]) {
-						t.Fatalf("cold %v: %d frames from %d, beside an index point, differ from the wire log's", l.cold, k, from)
-					}
-				}
-			}
-		}
-		for _, first := range []int64{0, 700, late, n - 3} {
-			if got, want := l.digest(first, 0), wire.digest(first, 0); got != want {
-				t.Fatalf("cold %v: digest from %d: %+v, want %+v", l.cold, first, got, want)
-			}
-		}
-		inline := l.chunks()
-		if got, want := appendArray([]byte("x"), inline), appendArray([]byte("x"), wire.chunks()); !bytes.Equal(got, want) || wireBytesOf(inline)+2 != len(want) {
-			t.Fatalf("cold %v: the inline tail differs, or is not %d bytes", l.cold, wireBytesOf(inline)+1)
-		}
-	}
-	cold.cut()
-	jour.cut()
-	wire.cut()
-	wantSeg, wantFile := sealSegment("h", wire.chunks())
-	for _, l := range []*dispatchLog{&cold, &jour} {
-		gotSeg, gotFile := sealSegment("h", l.chunks())
-		if gotSeg != wantSeg || !bytes.Equal(bytes.Join(gotFile.Data, nil), bytes.Join(wantFile.Data, nil)) {
-			t.Fatalf("sealed segment of a log with cold %v: %+v, want %+v", l.cold, gotSeg, wantSeg)
-		}
-	}
-	for _, v := range views {
-		got := readAll(&v.log, 0, 256)
-		var forms []bool
-		for _, c := range v.log.chunks() {
-			forms = append(forms, c.cold())
-		}
-		if !bytes.Equal(got, all[:len(got)]) || bytes.Count(got, []byte{'\n'}) != int(v.log.len()) || !slices.Equal(forms, v.forms) {
-			t.Fatalf("the view published at %d of the log with cold %v changed under it", v.log.len(), v.log.cold)
 		}
 	}
 	var buf []byte
+	for _, c := range chunks {
+		if len(c.offs) != (c.n+coldStride-1)/coldStride {
+			t.Fatalf("the chunk at %d holds %d records under %d offsets", c.first, c.n, len(c.offs))
+		}
+		for p := c.first; p < c.end(); p += coldStride {
+			for _, from := range []int64{p - 1, p, p + 1} {
+				if from < 0 || from >= n {
+					continue
+				}
+				got, k := cold.frames(&buf, from, coldStride+1)
+				if k == 0 || !bytes.Equal(got, all[offs[from]:offs[from+int64(k)]]) {
+					t.Fatalf("%d frames from %d, beside an index point: the cold log's differ", k, from)
+				}
+			}
+		}
+	}
+	for _, first := range []int64{0, 700, late, n - 3} {
+		if got, want := cold.digest(first, 0), wire.digest(first, 0); got != want {
+			t.Fatalf("digest from %d: %+v, want %+v", first, got, want)
+		}
+	}
+	for _, view := range views {
+		if got := readAll(&view, 0, 256); !bytes.Equal(got, all[:len(got)]) || bytes.Count(got, []byte{'\n'}) != int(view.len()) {
+			t.Fatalf("the view published at %d of the cold log changed under it", view.len())
+		}
+	}
 	if b, k := cold.frames(&buf, 3, 2); k != 2 || &b[0] != &buf[0] {
 		t.Fatal("a cold chunk was not rendered into the caller's buffer")
 	}

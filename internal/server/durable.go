@@ -118,11 +118,9 @@ type tenantCheckpoint struct {
 	// nothing.
 	Idem []idemEntry `json:"idem,omitempty"`
 
-	// The resident chunks, by reference and never serialized themselves:
-	// unsealed, a segment's worth or more, for compact to seal into a
-	// history file, or else inline, for marshalPayload to write as Log.
-	unsealed []chunk
-	inline   []chunk
+	// inline is the resident chunks, by reference and never serialized
+	// themselves, for marshalPayload to write as Log.
+	inline []chunk
 }
 
 // idemEntry is one remembered keyed submit in a tenant checkpoint.
@@ -132,52 +130,44 @@ type idemEntry struct {
 	Pending int    `json:"pending"`
 }
 
-// checkpoint snapshots the tenant by running on its loop goroutine
-// (onLoop), which quiesces every loop-owned field (the executive's
-// Checkpoint must run on its single goroutine). Compact holds the opMu
-// write side, so no handler can be mid-command: the ring is empty and the
-// control command runs immediately. A tenant deleted concurrently yields
-// a zero checkpoint; the caller skips it.
-//
-// Only the resident part of the dispatch log is imaged, and never copied
-// here: its chunks are handed over by reference (immutable, the aliasing
-// rule tenantSnap readers already rely on). From histSegmentMin events on
-// the log is cut there and the closed chunks go to be sealed; a shorter
-// tail goes to marshalPayload, which copies it once, into the payload.
-func (t *Tenant) checkpoint() tenantCheckpoint {
-	var cp tenantCheckpoint
-	err := t.onLoop(func() {
-		cp = tenantCheckpoint{
-			ID:      t.id,
-			Reject:  t.reject,
-			MaxTar:  t.maxTar.String(),
-			History: t.log.hist,
-			Exec:    t.ex.Checkpoint(),
-		}
-		if t.log.len()-t.log.floor() >= int64(histSegmentMin) {
-			t.log.cut()
-			cp.unsealed = t.log.chunks()
-		} else {
-			cp.inline = t.log.chunks()
-		}
-		for _, k := range t.idemQ {
-			r := t.idem[k]
-			cp.Idem = append(cp.Idem, idemEntry{Key: k, At: r.At, Pending: r.Pending})
-		}
-	})
-	if err != nil {
-		return tenantCheckpoint{}
+// checkpoint snapshots the tenant on its loop goroutine (onLoop), which
+// quiesces every loop-owned field (the executive's Checkpoint must run on
+// its single goroutine). Compact holds the opMu write side, so no handler
+// can be mid-command: the ring is empty and the control command runs
+// immediately. A tenant whose loop has stopped (Server.Close stops them
+// before the journal closes) is quiescent for good, so it is imaged where
+// it stands.
+func (t *Tenant) checkpoint() (cp tenantCheckpoint, err error) {
+	if t.onLoop(func() { cp, err = t.image() }) != nil {
+		cp, err = t.image()
 	}
-	return cp
+	return cp, err
 }
 
-// sealHistory tells the tenant that a committed snapshot names hist, its
-// manifest extended over the chunks the last checkpoint handed out: the
-// loop installs it and drops those chunks from memory, and publishes the
-// log without them as it settles the command. Compact still holds opMu's
-// write side, so nothing was logged in between.
-func (t *Tenant) sealHistory(hist []histSegment) {
-	t.onLoop(func() { t.log.dropSealed(hist) })
+// image is checkpoint's body. From histSegmentMin unsealed events on the
+// tenant seals them first, so only the resident rest of the dispatch log
+// is imaged, and never copied here: its chunks are handed over by
+// reference (immutable, the aliasing rule tenantSnap readers already rely
+// on) to marshalPayload, which copies them once, into the payload.
+func (t *Tenant) image() (tenantCheckpoint, error) {
+	if t.log.len()-t.log.floor() >= int64(histSegmentMin) {
+		if err := t.seal(); err != nil {
+			return tenantCheckpoint{}, err
+		}
+	}
+	cp := tenantCheckpoint{
+		ID:      t.id,
+		Reject:  t.reject,
+		MaxTar:  t.maxTar.String(),
+		History: t.log.hist,
+		Exec:    t.ex.Checkpoint(),
+		inline:  t.log.chunks(),
+	}
+	for _, k := range t.idemQ {
+		r := t.idem[k]
+		cp.Idem = append(cp.Idem, idemEntry{Key: k, At: r.At, Pending: r.Pending})
+	}
+	return cp, nil
 }
 
 // restoreTenant rebuilds a tenant from its checkpoint: the events of Log
@@ -381,9 +371,11 @@ func (s *Server) verifyDispatch(t *Tenant, r wal.Record) bool {
 	if r.Count == 0 {
 		// A journal written before the digest: one record per decision,
 		// checked field by field against the frame, which for this form has
-		// to be in memory. Recovery never compacts between records. A
-		// follower of a leader that still writes the form can, and what it
-		// has sealed since it can no longer check: that is not a mismatch.
+		// to be in memory. A tenant may seal between a command and these
+		// records (a follower of a leader that still writes the form, when
+		// it compacts; any replay, at 2·histSegmentMin unsealed events), and
+		// what it has sealed since it can no longer check: that is not a
+		// mismatch.
 		if r.DSeq >= 0 && r.DSeq < sn.log.floor() {
 			return true
 		}
@@ -494,10 +486,10 @@ func (s *Server) Recovery() *RecoveryInfo { return s.recovery }
 // compact quiesces every mutating operation (opMu writer side), images the
 // registry, and folds it into a fresh wal snapshot. What it writes is
 // proportional to what happened since the previous one: a tenant's
-// dispatch log leaves the snapshot — and, once the snapshot is committed,
-// memory — a segment at a time (history.go), and the payload names the
-// sealed segments instead of repeating them. The order — history files,
-// snapshot, then garbage — is the one internal/wal documents;
+// dispatch log leaves the snapshot, and memory, a segment at a time as the
+// tenant seals it into a history file (history.go), and the payload names
+// the sealed segments instead of repeating them. The order — history
+// files, snapshot, then garbage — is the one internal/wal documents;
 // snapshot.json is the only commit point.
 func (s *Server) compact() error {
 	if s.wal == nil {
@@ -507,29 +499,12 @@ func (s *Server) compact() error {
 	defer s.opMu.Unlock()
 	start := s.obs.clock.Now()
 	pay := snapshotPayload{Commands: s.cmdSeq.Load()}
-	var files []wal.Sidecar
-	type seal struct {
-		t    *Tenant
-		hist []histSegment
-	}
-	var seals []seal
 	for _, t := range s.allTenants() {
-		cp := t.checkpoint()
-		if cp.ID == "" {
-			continue // deleted while we walked the registry
-		}
-		if cp.unsealed != nil {
-			seg, file := sealSegment(s.wal.SidecarName(len(files)), cp.unsealed)
-			// A fresh manifest slice: the tenant's own must not change
-			// before the snapshot naming the new segment is installed.
-			cp.History = append(cp.History[:len(cp.History):len(cp.History)], seg)
-			files = append(files, file)
-			seals = append(seals, seal{t, cp.History})
+		cp, err := t.checkpoint()
+		if err != nil {
+			return err
 		}
 		pay.Tenants = append(pay.Tenants, cp)
-	}
-	if err := s.wal.WriteSidecars(files); err != nil {
-		return err
 	}
 	buf, err := marshalPayload(pay)
 	if err != nil {
@@ -546,9 +521,6 @@ func (s *Server) compact() error {
 			histBytes += seg.Bytes
 		}
 	}
-	for _, sl := range seals {
-		sl.t.sealHistory(sl.hist)
-	}
 	s.wal.RemoveSidecarsExcept(keep)
 	s.obs.snapshotBytes.Store(int64(len(buf)))
 	s.obs.histSegments.Store(int64(len(keep)))
@@ -559,8 +531,7 @@ func (s *Server) compact() error {
 
 // marshalPayload renders pay byte for byte as json.Marshal does with each
 // tenant's Log set to the JSON array of its inline chunks, copying each
-// frame once, from its chunk into the payload (a cold chunk is rendered,
-// and counted in the size as rendered). Each tenant is marshaled
+// frame once, from its chunk into the payload. Each tenant is marshaled
 // first without its Log (encoding/json would re-scan a json.RawMessage to
 // compact and HTML-escape it, which changes nothing for frames that are
 // json.Marshal output already); then the payload is written into one
@@ -632,9 +603,9 @@ func (s *Server) Close() error {
 			err = nil // already failed earlier; nothing more to preserve
 		}
 	}
-	// Stop every tenant loop after the final snapshot (checkpoint needs
-	// the loops alive) and before the journal closes (the close flush may
-	// still journal backlogged commands).
+	// Stop every tenant loop after the final snapshot and before the
+	// journal closes (the close flush may still journal backlogged
+	// commands).
 	for _, t := range s.allTenants() {
 		t.Close()
 	}

@@ -58,8 +58,8 @@ func benchEvents() []DispatchEvent {
 //
 // 0subs and 1subs run an in-memory tenant, whose log encodes each
 // decision's compact record only (dispatchlog.go). journaled builds the
-// tenant journaled, whose log encodes the frame and its compact twin, and
-// hooks it into a real wal.Log in b.TempDir() at FsyncEvery
+// tenant journaled, whose log encodes the frame, and hooks it into a real
+// wal.Log in b.TempDir() at FsyncEvery
 // 64 and, like the handler of the command that dispatched, waits on the
 // journal after every settle, so the group-commit fsyncs its dispatch
 // journaling buys are inside the number; journal-B/op is what one

@@ -667,14 +667,16 @@ func (r *pacedReader) Read(p []byte) (int, error) {
 // task names JSON escapes, on an in-memory server and on a durable one.
 // The in-memory tenant holds compact records from its first frame and
 // closes a chunk of them every 64 KiB (≈ 4 500 frames here, so the
-// script is long enough for three); the journaled one keeps wire bytes
-// within its window and compact records behind it, seals them into
-// history files, and does both again once restored from its snapshot and
-// journal. Whichever form serves them,
+// script is long enough for three); the journaled one keeps wire bytes,
+// seals them into history files — by itself every 8 192 frames, at
+// production's segment size, and at the compaction — and keeps wire bytes
+// again once restored from its snapshot and journal. Whichever form
+// serves them,
 // ?from=k&follow=false is byte-identical at every chunk boundary and
 // either side of it, mid-chunk, at 0 and at the end, and a follower opened
 // at 0 before the load reads the same bytes.
 func TestInMemoryStreamMatchesDurable(t *testing.T) {
+	defer server.SetHistSegmentMin(4096)()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	type node struct {
@@ -755,14 +757,12 @@ func TestInMemoryStreamMatchesDurable(t *testing.T) {
 	}
 	// compare checks both streams from every seq that matters to the
 	// in-memory log's chunks, and that the durable tenant holds closed
-	// chunks, all but the newest cold: here, where a segment is 8 events,
-	// a closed chunk is past the journaled log's window by the next cut.
-	// It returns the whole stream.
+	// chunks, none of them cold. It returns the whole stream.
 	compare := func(when string, durChunks int) []byte {
 		t.Helper()
 		bounds, cold := mem.srv.DispatchChunks("acme")
-		if b, c := dur.srv.DispatchChunks("acme"); cold < 3 || cold != len(bounds)-1 || c != max(len(b)-2, 0) || len(b)-1 < durChunks {
-			t.Fatalf("%s: in memory %d of %d closed chunks cold, durable %d of %d; want all of at least 3, and all but the newest of at least %d",
+		if b, c := dur.srv.DispatchChunks("acme"); cold < 3 || cold != len(bounds)-1 || c != 0 || len(b)-1 < durChunks {
+			t.Fatalf("%s: in memory %d of %d closed chunks cold, durable %d of %d; want all of at least 3, and none of at least %d",
 				when, cold, len(bounds)-1, c, len(b)-1, durChunks)
 		}
 		all := get(mem.url + "?from=0&follow=false")

@@ -10,7 +10,8 @@ import (
 // SetHistSegmentMin lets the external test package seal dispatch history
 // in segments far shorter than production's, so small scripted loads cross
 // the sealing path; it returns a func restoring the previous value. Only
-// for serial test code: the variable is read by every compaction.
+// for serial test code: the variable is read by every compaction and
+// every settle.
 func SetHistSegmentMin(n int) (restore func()) {
 	old := histSegmentMin
 	histSegmentMin = n
@@ -48,15 +49,20 @@ func (s *Server) JournalMarker() error {
 // of them are cold (held as compact records).
 func (s *Server) DispatchChunks(id string) (bounds []int64, cold int) {
 	log := s.tenant(id).snap.Load().log
-	for _, cs := range [][]chunk{log.full, log.recent} {
-		for i := range cs {
-			bounds = append(bounds, cs[i].first)
-			if cs[i].cold() {
-				cold++
-			}
+	for _, c := range log.full {
+		bounds = append(bounds, c.first)
+		if c.cold() {
+			cold++
 		}
 	}
 	return append(bounds, log.tail.first), cold
+}
+
+// ResidentEvents is how many of the tenant's decisions its dispatch
+// history holds in memory: those no history file holds yet.
+func (t *Tenant) ResidentEvents() int64 {
+	log := t.snap.Load().log
+	return log.len() - log.floor()
 }
 
 // ResidentBytes is what the tenant's dispatch history holds in memory, as

@@ -13,16 +13,18 @@ import (
 )
 
 // Sealed dispatch history. A tenant's dispatch log only ever grows at its
-// end, so neither a snapshot nor memory need hold all of it: at compaction
-// the frames since the last seal are written once, exactly as ?from replay
-// serves them, to an immutable wal sidecar; from then on the snapshot
-// carries one manifest entry for them, the tenant drops them from memory
-// (dispatchLog.dropSealed), and a reader that asks for them is sent the file.
-// What a compaction encodes and fsyncs, and what a tenant keeps resident,
-// are both bounded by the work since the previous seal; and what it copies
-// is less: a resident frame goes from its chunk to disk copied at most
-// once — none for a sealed file, written from the chunks, once for an
-// inline tail, written into the snapshot payload (marshalPayload).
+// end, so neither a snapshot nor memory need hold all of it: a journaled
+// tenant seals the frames since its last seal (Tenant.seal), writing them
+// once, exactly as ?from replay serves them, to an immutable wal sidecar;
+// from then on its manifest carries one entry for them, the tenant drops
+// them from memory (dispatchLog.dropSealed), and a reader that asks for
+// them is sent the file. The next snapshot names the file; until one does,
+// it caches decisions the journal still regenerates. What a compaction
+// encodes and fsyncs, and what a tenant keeps resident, are both bounded
+// by the work since the previous seal; and what it copies is less: a
+// resident frame goes from its chunk to disk copied at most once — none
+// for a sealed file, written from the chunks, once for an inline tail,
+// written into the snapshot payload (marshalPayload).
 
 // histSegment is one manifest entry: a sealed run of a tenant's dispatch
 // log. File holds events FirstSeq … FirstSeq+Count-1 as Bytes bytes of
@@ -40,7 +42,9 @@ type histSegment struct {
 // unsealed tail rides in the snapshot, as the whole log used to. It bounds
 // the manifest at one entry per this many events (and the inline tail
 // below it), and keeps short-lived tenants off the sealing path entirely.
-// A variable only so tests can seal short logs.
+// A tenant that no compaction checkpoints seals at twice it (settle), so
+// it never holds more unsealed. A variable only so tests can seal short
+// logs.
 var histSegmentMin = 4096
 
 // sealedEvents is the number of events a manifest covers.
@@ -52,21 +56,16 @@ func sealedEvents(hist []histSegment) int64 {
 	return last.FirstSeq + last.Count
 }
 
-// sealSegment renders chunks (non-empty, seq-contiguous) as a sidecar
+// sealSegment renders wire chunks (non-empty, seq-contiguous) as a sidecar
 // called name and returns its manifest entry. The file is the chunks'
 // bytes, what the stream served while they were resident, handed to the
 // journal by reference: written from the chunks themselves, never
-// gathered into one buffer first. A cold chunk — one a journaled log
-// compacted behind its window — is rendered into a part of its own.
+// gathered into one buffer first.
 func sealSegment(name string, chunks []chunk) (histSegment, wal.Sidecar) {
 	parts := make([][]byte, len(chunks))
 	crc, size := uint32(0), 0
 	for i := range chunks {
-		c := &chunks[i]
-		parts[i] = c.data
-		if c.cold() {
-			parts[i] = c.appendWire(nil, 0, c.n)
-		}
+		parts[i] = chunks[i].data
 		crc = crc32.Update(crc, crc32.IEEETable, parts[i])
 		size += len(parts[i])
 	}
@@ -77,6 +76,32 @@ func sealSegment(name string, chunks []chunk) (histSegment, wal.Sidecar) {
 		Bytes:    int64(size),
 		CRC:      crc,
 	}, wal.Sidecar{Name: name, Data: parts}
+}
+
+// seal writes the tenant's resident dispatch frames, the open tail's
+// included, to a history file beside its journal, then cuts the tail and
+// drops them all from memory: loop goroutine only, or a stopped tenant.
+// The file is durable — its bytes and its directory entry fsynced — before
+// the manifest names it, so the snapshot that names it next never names a
+// file a crash can take back; until one does, it is a cache of decisions
+// the journal still regenerates, which recovery ignores and the boot
+// compaction deletes. A seal truncates no journal segment. A failed write
+// leaves the log as it was; a tenant whose hooks name no journal
+// (SetJournal) keeps its log.
+func (t *Tenant) seal() error {
+	h := t.hooks.Load()
+	if h == nil || h.hist == nil {
+		return nil
+	}
+	seg, file := sealSegment(h.hist.SidecarName(), t.log.chunks())
+	if err := h.hist.WriteSidecars([]wal.Sidecar{file}); err != nil {
+		return err
+	}
+	t.log.cut()
+	// A fresh manifest slice: published views hold the old one.
+	hist := t.log.hist
+	t.log.dropSealed(append(hist[:len(hist):len(hist)], seg))
+	return nil
 }
 
 // copyHistory streams the files hist names into w, checking them against

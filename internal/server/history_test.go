@@ -274,7 +274,6 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 		cmd{"POST", "/v1/tenants/other/advance", server.AdvanceRequest{By: "3"}},
 		cmd{"POST", "/v1/tenants/X/drain", nil})
 	script = batchOtherRounds(script)
-	prefixAt, commandsIn := commandPrefixes(script)
 	states, replay := referenceStates(t, script)
 	opts := func(dir string, ffs *faultfs.FS) server.Options {
 		o := server.Options{DataDir: dir, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 24}
@@ -341,41 +340,56 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 			t.Fatalf("crash at operation %d: crashed=%v after %d acked commands, want the crash at command %d or %d", k, ffs.Crashed(), acked, target-1, target)
 		}
 
-		srvB, err := server.Open(opts(dir, nil))
-		if err != nil {
-			t.Fatalf("recovery Open after a crash at operation %d: %v", k, err)
-		}
-		defer srvB.Close()
-		rec := srvB.Recovery()
-		if rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
-			t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
-		}
-		done, whole := prefixAt[rec.Commands]
-		if !whole || done < acked || done > issued {
-			t.Fatalf("recovered %d commands, which is not a whole script prefix within [acked %d, issued %d] (%d to %d commands)",
-				rec.Commands, acked, issued, commandsIn[acked], commandsIn[issued])
-		}
-		want := states[done]
-		assertStateEqual(t, "recovered vs reference prefix", captureState(t, srvB.Handler()), want)
-		for id := range want.Infos {
-			if got := dispatchBytes(t, srvB.Handler(), id); !bytes.HasPrefix(replay[id], got) {
-				t.Fatalf("tenant %s: recovered ?from=0 replay (%d bytes) is not a prefix of the uncrashed run's", id, len(got))
-			}
-		}
-		assertNoOrphans(t, dir)
-
-		for i, c := range script[done:] {
-			if code := doCmd(t, srvB.Handler(), c); code >= 300 {
-				t.Fatalf("continuation command %d (%s %s): %d", done+i, c.method, c.path, code)
-			}
-		}
-		assertStateEqual(t, "continuation vs reference final", captureState(t, srvB.Handler()), states[len(script)])
-		for id, full := range replay {
-			if got := dispatchBytes(t, srvB.Handler(), id); !bytes.Equal(got, full) {
-				t.Fatalf("tenant %s: ?from=0 replay after recovery and continuation differs from the uncrashed run's", id)
-			}
-		}
+		recoverAndContinue(t, opts(dir, nil), script, states, replay, acked, issued)
 	})
+}
+
+// recoverAndContinue opens the directory of a run of script that a crash
+// cut off after acked of its entries were acknowledged and issued were
+// sent, and checks what it recovered: a clean recovery to a whole script
+// prefix within [acked, issued] — a count inside a batch names no state of
+// the reference run — whose state is the reference's there (states, one
+// per prefix, from referenceStates), whose ?from=0 replays are prefixes of
+// the reference's, and which holds no orphan history file once the
+// recovery boot has compacted; then it carries the rest of the script to
+// the reference's end, byte for byte.
+func recoverAndContinue(t *testing.T, o server.Options, script []cmd, states []serverState, replay map[string][]byte, acked, issued int) {
+	t.Helper()
+	prefixAt, commandsIn := commandPrefixes(script)
+	srvB, err := server.Open(o)
+	if err != nil {
+		t.Fatalf("recovery Open after the crash: %v", err)
+	}
+	defer srvB.Close()
+	rec := srvB.Recovery()
+	if rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
+		t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
+	}
+	done, whole := prefixAt[rec.Commands]
+	if !whole || done < acked || done > issued {
+		t.Fatalf("recovered %d commands, which is not a whole script prefix within [acked %d, issued %d] (%d to %d commands)",
+			rec.Commands, acked, issued, commandsIn[acked], commandsIn[issued])
+	}
+	want := states[done]
+	assertStateEqual(t, "recovered vs reference prefix", captureState(t, srvB.Handler()), want)
+	for id := range want.Infos {
+		if got := dispatchBytes(t, srvB.Handler(), id); !bytes.HasPrefix(replay[id], got) {
+			t.Fatalf("tenant %s: recovered ?from=0 replay (%d bytes) is not a prefix of the uncrashed run's", id, len(got))
+		}
+	}
+	assertNoOrphans(t, o.DataDir)
+
+	for i, c := range script[done:] {
+		if code := doCmd(t, srvB.Handler(), c); code >= 300 {
+			t.Fatalf("continuation command %d (%s %s): %d", done+i, c.method, c.path, code)
+		}
+	}
+	assertStateEqual(t, "continuation vs reference final", captureState(t, srvB.Handler()), states[len(script)])
+	for id, full := range replay {
+		if got := dispatchBytes(t, srvB.Handler(), id); !bytes.Equal(got, full) {
+			t.Fatalf("tenant %s: ?from=0 replay after recovery and continuation differs from the uncrashed run's", id)
+		}
+	}
 }
 
 // sweepCrashes runs run as a parallel subtest for each filesystem
@@ -412,7 +426,7 @@ func sweepCrashes(t *testing.T, base, first, last int64, run func(t *testing.T, 
 func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 	first := sealLife(nil, []string{"a", "b", "c", "d"}, 1, 2, 6)
 	second := []cmd{{"POST", "/v1/tenants/X/drain", nil}, {"DELETE", "/v1/tenants/X", nil}}
-	second = sealLife(second, []string{"p", "q", "r"}, 2, 3, 4)
+	second = sealLife(second, []string{"p", "q", "r"}, 2, 3, 5)
 	states, replay := referenceStates(t, append(append([]cmd(nil), first...), second...))
 	want := states[len(states)-1]
 
@@ -506,30 +520,36 @@ func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 	})
 }
 
-// TestCrashRecoverySealOfCompactedChunks sweeps a crash, as a process
-// crash and as a power cut, across every filesystem operation of a
-// compaction whose sealed segment holds chunks that had fallen behind the
-// journaled log's window — compact records only, their wire bytes dropped
-// — so the history file is written from rendered frames. Every command was
-// acknowledged at FsyncEvery 1 before the compaction (the server's Close)
-// began: recovery must bring back all of them, with a ?from=0 replay equal
-// to an in-memory server's and no orphan file.
-func TestCrashRecoverySealOfCompactedChunks(t *testing.T) {
-	const tasks, period, rounds = 16, 8, 160 // 2 560 frames: four wire chunks and a tail
-	script := []cmd{{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "C", M: 2}}}
+// TestCrashRecoverySettleSealSweep crashes a durable server that never
+// compacts on its own (SnapshotEvery 1<<30) at every mutating filesystem
+// operation of a command whose settle seals the tenant's history — its
+// journal records, then the history file's tmp, its writes (one per
+// chunk), fsync, rename and directory fsync — and of the server's Close,
+// whose compaction names the file in the snapshot; as a process crash and
+// as a power cut. At FsyncEvery 1 recovery must bring
+// back a whole script prefix within [acked, issued] under either model,
+// its state and ?from=0 replay those of the uninterrupted run there, with
+// no orphan file once the recovery boot has compacted — a file sealed
+// before the crash and named by no snapshot is one — and carry the rest of
+// the script to the reference's end, byte for byte.
+func TestCrashRecoverySettleSealSweep(t *testing.T) {
+	// A seal of 1 024 frames, two chunks; t.Cleanup, not defer: the
+	// sweep's subtests run after this function returns.
+	t.Cleanup(server.SetHistSegmentMin(512))
+	const tasks, period, rounds = 16, 8, 64 // 1 024 frames: the last advance seals them all
+	script := []cmd{{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "S", M: 2}}}
 	var batch server.SubmitJobsRequest
 	for i := 0; i < tasks; i++ {
 		name := fmt.Sprintf("t%d", i)
-		script = append(script, cmd{"POST", "/v1/tenants/C/tasks", server.RegisterTaskRequest{Name: name, E: 1, P: period}})
+		script = append(script, cmd{"POST", "/v1/tenants/S/tasks", server.RegisterTaskRequest{Name: name, E: 1, P: period}})
 		batch.Jobs = append(batch.Jobs, server.SubmitJobRequest{Task: name})
 	}
 	for r := 0; r < rounds; r++ {
 		script = append(script,
-			cmd{"POST", "/v1/tenants/C/jobs:batch", batch},
-			cmd{"POST", "/v1/tenants/C/advance", server.AdvanceRequest{By: fmt.Sprint(period)}})
+			cmd{"POST", "/v1/tenants/S/jobs:batch", batch},
+			cmd{"POST", "/v1/tenants/S/advance", server.AdvanceRequest{By: fmt.Sprint(period)}})
 	}
 	states, replay := referenceStates(t, script)
-	want := states[len(script)]
 	opts := func(dir string, ffs *faultfs.FS) server.Options {
 		o := server.Options{DataDir: dir, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30}
 		if ffs != nil {
@@ -537,51 +557,58 @@ func TestCrashRecoverySealOfCompactedChunks(t *testing.T) {
 		}
 		return o
 	}
-	// run drives the script on ffs and closes the server, the compaction
-	// under test; it returns the directory and the operations before Close.
-	run := func(t *testing.T, ffs *faultfs.FS) (dir string, beforeClose int64) {
+	// run drives the script on ffs and closes the server; it returns the
+	// directory and how many script entries were acknowledged and issued.
+	run := func(t *testing.T, ffs *faultfs.FS) (dir string, acked, issued int) {
 		dir = t.TempDir()
 		srv, err := server.Open(opts(dir, ffs))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Open before the crash point: %v", err)
 		}
-		for i, c := range script {
+		for _, c := range script {
+			issued++
 			if code := doCmd(t, srv.Handler(), c); code >= 300 {
-				t.Fatalf("command %d (%s %s): %d", i, c.method, c.path, code)
+				break
 			}
+			acked++
 		}
-		if bounds, cold := srv.DispatchChunks("C"); cold < 2 {
-			t.Fatalf("%d of %d closed chunks compacted before the seal; want at least 2", cold, len(bounds)-1)
-		}
-		beforeClose = ffs.Ops()
 		_ = srv.Close()
-		return dir, beforeClose
+		return dir, acked, issued
 	}
 
+	// Dry run on a counting filesystem: the command whose settle sealed —
+	// the last — and the operations from its first to Close's last.
 	dry := faultfs.New(faultfs.Options{})
-	dryDir, lo := run(t, dry)
-	hi := dry.Ops()
-	if len(histFiles(t, dryDir)) == 0 || hi-lo < 8 {
-		t.Fatalf("the closing compaction sealed %d files in %d operations", len(histFiles(t, dryDir)), hi-lo)
+	dryDir := t.TempDir()
+	srv, err := server.Open(opts(dryDir, dry))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sweepCrashes(t, lo, lo+1, hi, func(t *testing.T, k int64, ffs *faultfs.FS) {
-		dir, _ := run(t, ffs)
-		if !ffs.Crashed() {
-			t.Fatalf("no crash at operation %d", k)
+	lo, target := int64(0), -1
+	for i, c := range script {
+		before, files := dry.Ops(), len(histFiles(t, dryDir))
+		if code := doCmd(t, srv.Handler(), c); code >= 300 {
+			t.Fatalf("dry-run command %d: %d", i, code)
 		}
-		srv, err := server.Open(opts(dir, nil))
-		if err != nil {
-			t.Fatalf("recovery Open after a crash at operation %d of the compaction: %v", k-lo, err)
+		if target < 0 && len(histFiles(t, dryDir)) > files {
+			lo, target = before+1, i
 		}
-		defer srv.Close()
-		if rec := srv.Recovery(); rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
-			t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
+	}
+	snaps := srv.WALStats().Snapshots
+	srv.Close()
+	hi := dry.Ops()
+	if target != len(script)-1 || snaps != 1 {
+		t.Fatalf("settle sealed at command %d of %d, after %d snapshots; want the last, and only the boot's snapshot before Close", target, len(script), snaps)
+	}
+	if files := histFiles(t, dryDir); len(files) != 1 || hi-lo < 16 {
+		t.Fatalf("the run left history files %v, and the seal and Close span %d operations", files, hi-lo+1)
+	}
+	sweepCrashes(t, lo-1, lo, hi, func(t *testing.T, k int64, ffs *faultfs.FS) {
+		dir, acked, issued := run(t, ffs)
+		if !ffs.Crashed() || acked < target {
+			t.Fatalf("crash at operation %d: crashed=%v after %d acked commands, want the crash at command %d or in Close", k, ffs.Crashed(), acked, target)
 		}
-		assertStateEqual(t, "recovered vs reference final", captureState(t, srv.Handler()), want)
-		if got := dispatchBytes(t, srv.Handler(), "C"); !bytes.Equal(got, replay["C"]) {
-			t.Fatal("?from=0 replay after recovery differs from the in-memory server's")
-		}
-		assertNoOrphans(t, dir)
+		recoverAndContinue(t, opts(dir, nil), script, states, replay, acked, issued)
 	})
 }
 
@@ -913,14 +940,13 @@ func TestInMemoryTenantBytesPerDispatch(t *testing.T) {
 }
 
 // TestJournaledTenantBytesPerDispatch bounds what a journaled tenant that
-// is never sealed — a durable server at SnapshotEvery 1<<30, production's
-// segment size — retains per decision past its window of 2·4096 frames:
-// the compact record each closed chunk keeps once it falls behind the
-// window, a 32nd of an offset, and nothing else; 12 B, as for an in-memory
-// tenant, where each ≈ 113 B wire frame would be ten times that. The
-// window's wire bytes are the same at both ends of the measurement, so
-// only what falls behind it counts. It logs 200 000 decisions, or
-// -dispatches when more, through the server's handler.
+// no compaction checkpoints — a durable server at SnapshotEvery 1<<30,
+// production's segment size — retains per decision: it seals its history
+// into a file every 2·4096 decisions, so nothing of a decision stays in
+// memory past the next seal, and the heap must not grow with the log; 12
+// B, as for an in-memory tenant, where each ≈ 113 B wire frame would be
+// ten times that. It logs 200 000 decisions, or -dispatches when more,
+// through the server's handler.
 func TestJournaledTenantBytesPerDispatch(t *testing.T) {
 	defer server.SetHistSegmentMin(4096)()
 	const tasks, period = 16, 8
@@ -950,7 +976,7 @@ func TestJournaledTenantBytesPerDispatch(t *testing.T) {
 		must(cmd{"POST", "/v1/tenants/jour/jobs:batch", batch})
 		must(cmd{"POST", "/v1/tenants/jour/advance", server.AdvanceRequest{By: fmt.Sprint(period)}})
 	}
-	for r := 0; r < 1000; r++ { // 16 000 decisions: past the window, and the trace ring full
+	for r := 0; r < 1000; r++ { // 16 000 decisions: past the first seal, and the trace ring full
 		round()
 	}
 	tn := srv.Tenant("jour")
@@ -962,9 +988,82 @@ func TestJournaledTenantBytesPerDispatch(t *testing.T) {
 	per := float64(grew) / float64(n)
 	t.Logf("%d dispatches grew the heap in use by %d B: %.1f B/dispatch; %d B resident", n, grew, per, tn.ResidentBytes())
 	if srv.WALStats().Snapshots != snaps {
-		t.Fatal("the log was sealed: the test measured nothing")
+		t.Fatal("the server compacted: the test measured nothing")
 	}
 	if n != int64(tasks*rounds) || per > 12 {
-		t.Fatalf("a journaled tenant retains %.1f B per dispatch past its window over %d dispatches; want ≤ 12", per, n)
+		t.Fatalf("a journaled tenant retains %.1f B per dispatch over %d dispatches; want ≤ 12", per, n)
 	}
+}
+
+// TestJournaledTenantSealsWithoutCompaction drives a journaled tenant on a
+// durable server that never compacts (SnapshotEvery 1<<30) through more
+// than ten segments' worth of decisions, in commands of uneven size. After
+// every command it holds fewer than 2·histSegmentMin decisions in memory:
+// settle seals the rest into history files, with no snapshot taken. Its
+// ?from=0 stream is byte-identical to an in-memory tenant's fed the same
+// commands — live, and after a restart whose boot compaction names the
+// files.
+func TestJournaledTenantSealsWithoutCompaction(t *testing.T) {
+	const seg = 256
+	defer server.SetHistSegmentMin(seg)()
+	dir := t.TempDir()
+	opts := server.Options{DataDir: dir, FsyncEvery: 64, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30}
+	srv, err := server.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := server.New()
+	var tn *server.Tenant
+	do := func(c cmd) {
+		t.Helper()
+		if a, b := doCmd(t, srv.Handler(), c), doCmd(t, mem.Handler(), c); a >= 300 || a != b {
+			t.Fatalf("%s %s: durable %d, in memory %d", c.method, c.path, a, b)
+		}
+		if tn != nil && tn.ResidentEvents() >= 2*seg {
+			t.Fatalf("after %s %s the tenant holds %d decisions in memory; want fewer than %d", c.method, c.path, tn.ResidentEvents(), 2*seg)
+		}
+	}
+	do(cmd{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "J", M: 4}})
+	tn = srv.Tenant("J")
+	var names []string
+	for i := 0; i < 12; i++ {
+		names = append(names, fmt.Sprintf("task-%d", i))
+		do(cmd{"POST", "/v1/tenants/J/tasks", server.RegisterTaskRequest{Name: names[i], E: 1, P: 4}})
+	}
+	for r := 0; tn.Info().Dispatches < 10*seg+seg/2; r++ {
+		k := 1 + r%5 // one to five jobs per task, some commands past 2·seg decisions
+		if r%7 == 6 {
+			k = 50
+		}
+		var batch server.SubmitJobsRequest
+		for _, n := range names {
+			for j := 0; j < k; j++ {
+				batch.Jobs = append(batch.Jobs, server.SubmitJobRequest{Task: n})
+			}
+		}
+		do(cmd{"POST", "/v1/tenants/J/jobs:batch", batch})
+		do(cmd{"POST", "/v1/tenants/J/advance", server.AdvanceRequest{By: fmt.Sprint(4 * k)}})
+	}
+	if n := srv.WALStats().Snapshots; n != 1 {
+		t.Fatalf("%d snapshots; want only the boot's", n)
+	}
+	if files := histFiles(t, dir); len(files) < 3 {
+		t.Fatalf("%d history files for %d decisions", len(files), tn.Info().Dispatches)
+	}
+	want := dispatchBytes(t, mem.Handler(), "J")
+	if got := dispatchBytes(t, srv.Handler(), "J"); !bytes.Equal(got, want) {
+		t.Fatal("?from=0 of the journaled tenant differs from the in-memory tenant's")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err = server.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got := dispatchBytes(t, srv.Handler(), "J"); !bytes.Equal(got, want) {
+		t.Fatal("?from=0 after a restart differs from the in-memory tenant's")
+	}
+	assertNoOrphans(t, dir)
 }

@@ -59,11 +59,14 @@ type cmdResult struct {
 	err    error
 }
 
-// journalHooks bundles the durability callbacks; the tenant holds them
-// behind an atomic pointer so SetJournal needs no lock against the loop.
+// journalHooks bundles the durability callbacks, and the journal a seal
+// writes its history file beside (nil for hooks SetJournal installs: such
+// a tenant keeps its whole log); the tenant holds them behind an atomic
+// pointer so installing them needs no lock against the loop.
 type journalHooks struct {
 	append func(wal.Record) (wal.Commit, error)
 	fail   func(error)
+	hist   *wal.Log
 }
 
 // exec runs a request on the loop. A request never waits for room: a
@@ -82,7 +85,7 @@ func (t *Tenant) do(fn func() (wal.Commit, error)) (wal.Commit, error) {
 }
 
 // onLoop runs fn on the loop goroutine, between the commands queued ahead
-// of it and those behind (checkpointing, sealing history), waiting for
+// of it and those behind (a checkpoint, which may seal), waiting for
 // room. It fails, fn never run, once the tenant has stopped.
 func (t *Tenant) onLoop(fn func()) error {
 	return t.ctlExec(&command{fn: func() (wal.Commit, error) {
@@ -191,10 +194,12 @@ func (t *Tenant) process(c *command) (stop bool) {
 // one, go into the tenant's and the server's lag histograms in one merge
 // each. A journaled tenant digests them — their count and a checksum of
 // their wire bytes — and journals that one record, which follows its
-// command record and precedes the next command. Then the post-command
-// snapshot publishes and stream followers wake if the log grew. A command
-// is completed only after it, so whoever is acknowledged can already read
-// its own effect.
+// command record and precedes the next command; and once 2·histSegmentMin
+// events are unsealed, which only a tenant that no compaction checkpoints
+// reaches, it seals them (a failed seal is retried by the next command
+// that decides). Then the post-command snapshot publishes and stream
+// followers wake if the log grew. A command is completed only after it,
+// so whoever is acknowledged can already read its own effect.
 func (t *Tenant) settle() {
 	first := t.snap.Load().log.len()
 	if t.log.len() > first {
@@ -212,6 +217,9 @@ func (t *Tenant) settle() {
 			// error here already wedged the log, so the following command
 			// will fail loudly; nothing to do with it now.
 			_, _ = h.append(wal.Record{Op: wal.OpDispatch, Tenant: t.id, DSeq: first, Count: t.digest.count, CRC: t.digest.crc})
+			if t.log.len()-t.log.floor() >= 2*int64(histSegmentMin) {
+				_ = t.seal()
+			}
 		}
 	}
 	t.publish()

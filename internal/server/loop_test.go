@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"desyncpfair/internal/faultfs"
 	"desyncpfair/internal/model"
@@ -604,5 +605,15 @@ func TestFailedDeleteKeepsTenantServing(t *testing.T) {
 	serve(t, h, "POST", "/v1/tenants/r/jobs", `{"task":"w"}`, http.StatusServiceUnavailable)
 	if _, _, err := s.tenant("r").SubmitJobReq(SubmitJobRequest{Task: "w"}); !errors.Is(err, wal.ErrWedged) || errors.Is(err, errTenantGone) {
 		t.Fatalf("submit after a failed delete: err = %v, want the wedged journal's", err)
+	}
+}
+
+// TestTenantSnapFitsItsSizeClass: publish allocates one tenantSnap after
+// every command, and it copies the dispatchLog struct whole, so a field
+// added to either is paid for by every command. Both stay within the
+// 320 B size class.
+func TestTenantSnapFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(tenantSnap{}); n > 320 {
+		t.Fatalf("a tenantSnap is %d B (its dispatchLog %d B), past the 320 B size class", n, unsafe.Sizeof(dispatchLog{}))
 	}
 }

@@ -17,9 +17,7 @@ import (
 // escapes — a quote, a backslash, the HTML-sensitive <, > and &, U+2028 —
 // a sealed-history manifest ahead of the inline log, remembered
 // idempotency keys, an inline tail spanning several chunks (so the
-// newline-to-comma rewrite crosses a chunk boundary), one whose first
-// chunks compacted behind a short window (rendered, and counted as
-// rendered in the buffer's size), a checkpoint whose
+// newline-to-comma rewrite crosses a chunk boundary), a checkpoint whose
 // own JSON is past 512 bytes, and several tenants in one payload (none,
 // one, all of them). The payload is written into a buffer of exactly its
 // size, and the chunks, which stream readers share, are left as they were.
@@ -56,11 +54,13 @@ func TestSnapshotPayloadMatchesMarshal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		histSegmentMin = 1 << 20 // inline, whatever window the rounds ran under
-		cp := tn.checkpoint()
+		cp, err := tn.checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
 		var evs []DispatchEvent
 		for _, c := range cp.inline {
-			for _, frame := range bytes.SplitAfter(c.appendWire(nil, 0, c.n), []byte{'\n'}) {
+			for _, frame := range bytes.SplitAfter(c.data, []byte{'\n'}) {
 				if len(frame) == 0 {
 					continue
 				}
@@ -86,8 +86,6 @@ func TestSnapshotPayloadMatchesMarshal(t *testing.T) {
 		wideNames = append(wideNames, fmt.Sprintf("a-task-with-a-long-name-%d", i))
 	}
 	wide := tenant("wide", wideNames, 80)
-	histSegmentMin = 8 // a window of 16 frames: the closed chunks behind it compact
-	compacted := tenant("compacted", wideNames, 200)
 	keyed := tenant("keyed", []string{"web", "db"}, 30)
 	for k := 0; k < 6; k++ {
 		keyed.History = append(keyed.History, histSegment{
@@ -106,16 +104,13 @@ func TestSnapshotPayloadMatchesMarshal(t *testing.T) {
 	if len(wide.inline) < 2 {
 		t.Fatalf("the wide tenant's inline tail is %d chunk(s), want at least 2", len(wide.inline))
 	}
-	if len(compacted.inline) < 3 || !compacted.inline[0].cold() || compacted.inline[len(compacted.inline)-1].cold() {
-		t.Fatalf("the compacted tenant's inline tail is %d chunk(s), want a cold one first and a wire one last", len(compacted.inline))
-	}
 	noLog := keyed
 	noLog.Log = nil
 	if j, _ := json.Marshal(noLog); len(j) <= 512 || len(keyed.Idem) == 0 {
 		t.Fatalf("the keyed tenant's checkpoint is %d bytes without its log, %d keys; want over 512 and some", len(j), len(keyed.Idem))
 	}
 	var frames [][]byte
-	for _, cp := range []tenantCheckpoint{plain, escaped, sealed, wide, compacted, keyed} {
+	for _, cp := range []tenantCheckpoint{plain, escaped, sealed, wide, keyed} {
 		for _, c := range cp.inline {
 			frames = append(frames, append([]byte(nil), c.data...))
 		}
@@ -127,9 +122,8 @@ func TestSnapshotPayloadMatchesMarshal(t *testing.T) {
 		{Commands: 1 << 40, Tenants: []tenantCheckpoint{plain}},
 		{Commands: 3, Tenants: []tenantCheckpoint{escaped, sealed}},
 		{Commands: 5, Tenants: []tenantCheckpoint{wide}},
-		{Commands: 8, Tenants: []tenantCheckpoint{compacted, plain}},
 		{Commands: 11, Tenants: []tenantCheckpoint{keyed, idle}},
-		{Commands: 99, Tenants: []tenantCheckpoint{idle, plain, escaped, sealed, wide, compacted, keyed}},
+		{Commands: 99, Tenants: []tenantCheckpoint{idle, plain, escaped, sealed, wide, keyed}},
 	} {
 		want, err := json.Marshal(pay)
 		if err != nil {
@@ -147,7 +141,7 @@ func TestSnapshotPayloadMatchesMarshal(t *testing.T) {
 		}
 	}
 	k := 0
-	for _, cp := range []tenantCheckpoint{plain, escaped, sealed, wide, compacted, keyed} {
+	for _, cp := range []tenantCheckpoint{plain, escaped, sealed, wide, keyed} {
 		for _, c := range cp.inline {
 			if !bytes.Equal(c.data, frames[k]) {
 				t.Fatalf("%s: marshalPayload changed a chunk's frames", cp.ID)

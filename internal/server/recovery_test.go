@@ -159,6 +159,10 @@ func captureState(t *testing.T, h http.Handler) serverState {
 // Crash budgets grow quadratically so the 50 points cluster where the
 // journal is young (boot, snapshot writes, first commands) and still
 // reach far past the script's total write volume (a no-crash control).
+// Each point runs twice: as a process crash at FsyncEvery 3
+// ("seedNN"), and as a power cut at FsyncEvery 1 ("powerloss-seedNN",
+// faultfs PowerLoss), which loses what no fsync covered — so only a
+// server whose every ack waits for its fsync keeps acked ≤ recovered.
 func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 	script := crashScript()
 
@@ -177,99 +181,123 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 		assertTardinessBound(t, "reference "+id, ti)
 	}
 
-	for seed := 0; seed < 50; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			budget := int64(64 + seed*seed*160)
-			ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget})
+	for _, m := range crashModels {
+		for seed := 0; seed < 50; seed++ {
+			seed := seed
+			t.Run(m.name+fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				budget := int64(64 + seed*seed*160)
+				ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget, PowerLoss: m.powerLoss})
 
-			acked, issued := 0, 0
-			srvA, err := server.Open(server.Options{
-				DataDir: dir, FsyncEvery: 3, FsyncMaxDelay: -1, SnapshotEvery: 16, FS: ffs,
-			})
-			if err == nil {
-				for _, c := range script {
-					issued++
-					if code := doCmd(t, srvA.Handler(), c); code >= 300 {
-						break
+				acked, issued := 0, 0
+				srvA, err := server.Open(server.Options{
+					DataDir: dir, FsyncEvery: m.fsyncEvery(3), FsyncMaxDelay: -1, SnapshotEvery: 16, FS: ffs,
+				})
+				if err == nil {
+					for _, c := range script {
+						issued++
+						if code := doCmd(t, srvA.Handler(), c); code >= 300 {
+							break
+						}
+						acked++
 					}
-					acked++
+					_ = srvA.Close() // releases descriptors; errors expected post-crash
 				}
-				_ = srvA.Close() // releases descriptors; errors expected post-crash
-			}
-			if !ffs.Crashed() && acked < len(script) {
-				t.Fatalf("script stopped at command %d without a crash (budget %d)", acked, budget)
-			}
-
-			// Recover on the real filesystem from whatever survived.
-			srvB, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 3, SnapshotEvery: 16})
-			if err != nil {
-				t.Fatalf("recovery Open after crash at byte %d: %v", budget, err)
-			}
-			defer srvB.Close()
-			rec := srvB.Recovery()
-			if rec == nil || !rec.Durable {
-				t.Fatal("recovered server reports no recovery info")
-			}
-			if rec.ReplayErrors != 0 {
-				t.Fatalf("recovery replayed with %d errors", rec.ReplayErrors)
-			}
-			if rec.DispatchMismatches != 0 {
-				t.Fatalf("recovery saw %d dispatch mismatches: the regenerated decisions contradict the journal", rec.DispatchMismatches)
-			}
-			if rec.Commands < uint64(acked) || rec.Commands > uint64(issued) {
-				t.Fatalf("recovered %d commands outside [acked %d, issued %d] (crash at byte %d, %d truncated)",
-					rec.Commands, acked, issued, budget, rec.TruncatedBytes)
-			}
-
-			got := captureState(t, srvB.Handler())
-			assertStateEqual(t, "recovered vs reference prefix", got, states[rec.Commands])
-
-			var health server.HealthResponse
-			hreq := httptest.NewRequest("GET", "/healthz", nil)
-			hrw := httptest.NewRecorder()
-			srvB.Handler().ServeHTTP(hrw, hreq)
-			if hrw.Code != http.StatusOK {
-				t.Fatalf("healthz after clean recovery: %d", hrw.Code)
-			}
-			if json.Unmarshal(hrw.Body.Bytes(), &health); health.Status != "ok" {
-				t.Fatalf("healthz status %q after clean recovery", health.Status)
-			}
-
-			// Continue the script where the recovered prefix ended (not the
-			// acked prefix: an in-flight command that survived must not be
-			// replayed twice); the recovered server must converge on the
-			// reference final state.
-			done := int(rec.Commands)
-			for i, c := range script[done:] {
-				if code := doCmd(t, srvB.Handler(), c); code >= 300 {
-					t.Fatalf("continuation command %d (%s %s) failed: %d", done+i, c.method, c.path, code)
+				if !ffs.Crashed() && acked < len(script) {
+					t.Fatalf("script stopped at command %d without a crash (budget %d)", acked, budget)
 				}
-			}
-			final := captureState(t, srvB.Handler())
-			assertStateEqual(t, "continuation vs reference final", final, states[len(script)])
-			for id, ti := range final.Infos {
-				assertTardinessBound(t, "recovered "+id, ti)
-			}
 
-			// A clean shutdown snapshots everything: the next boot replays
-			// nothing and still serves the same state.
-			if err := srvB.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			srvC, err := server.Open(server.Options{DataDir: dir})
-			if err != nil {
-				t.Fatalf("reopen after clean shutdown: %v", err)
-			}
-			defer srvC.Close()
-			if rc := srvC.Recovery(); rc.RecordsReplayed != 0 {
-				t.Fatalf("reopen after clean shutdown replayed %d records, want 0", rc.RecordsReplayed)
-			}
-			assertStateEqual(t, "reopen vs reference final", captureState(t, srvC.Handler()), states[len(script)])
-		})
+				// Recover on the real filesystem from whatever survived.
+				srvB, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 3, SnapshotEvery: 16})
+				if err != nil {
+					t.Fatalf("recovery Open after crash at byte %d: %v", budget, err)
+				}
+				defer srvB.Close()
+				rec := srvB.Recovery()
+				if rec == nil || !rec.Durable {
+					t.Fatal("recovered server reports no recovery info")
+				}
+				if rec.ReplayErrors != 0 {
+					t.Fatalf("recovery replayed with %d errors", rec.ReplayErrors)
+				}
+				if rec.DispatchMismatches != 0 {
+					t.Fatalf("recovery saw %d dispatch mismatches: the regenerated decisions contradict the journal", rec.DispatchMismatches)
+				}
+				if rec.Commands < uint64(acked) || rec.Commands > uint64(issued) {
+					t.Fatalf("recovered %d commands outside [acked %d, issued %d] (crash at byte %d, %d truncated)",
+						rec.Commands, acked, issued, budget, rec.TruncatedBytes)
+				}
+
+				got := captureState(t, srvB.Handler())
+				assertStateEqual(t, "recovered vs reference prefix", got, states[rec.Commands])
+
+				var health server.HealthResponse
+				hreq := httptest.NewRequest("GET", "/healthz", nil)
+				hrw := httptest.NewRecorder()
+				srvB.Handler().ServeHTTP(hrw, hreq)
+				if hrw.Code != http.StatusOK {
+					t.Fatalf("healthz after clean recovery: %d", hrw.Code)
+				}
+				if json.Unmarshal(hrw.Body.Bytes(), &health); health.Status != "ok" {
+					t.Fatalf("healthz status %q after clean recovery", health.Status)
+				}
+
+				// Continue the script where the recovered prefix ended (not the
+				// acked prefix: an in-flight command that survived must not be
+				// replayed twice); the recovered server must converge on the
+				// reference final state.
+				done := int(rec.Commands)
+				for i, c := range script[done:] {
+					if code := doCmd(t, srvB.Handler(), c); code >= 300 {
+						t.Fatalf("continuation command %d (%s %s) failed: %d", done+i, c.method, c.path, code)
+					}
+				}
+				final := captureState(t, srvB.Handler())
+				assertStateEqual(t, "continuation vs reference final", final, states[len(script)])
+				for id, ti := range final.Infos {
+					assertTardinessBound(t, "recovered "+id, ti)
+				}
+
+				// A clean shutdown snapshots everything: the next boot replays
+				// nothing and still serves the same state.
+				if err := srvB.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				srvC, err := server.Open(server.Options{DataDir: dir})
+				if err != nil {
+					t.Fatalf("reopen after clean shutdown: %v", err)
+				}
+				defer srvC.Close()
+				if rc := srvC.Recovery(); rc.RecordsReplayed != 0 {
+					t.Fatalf("reopen after clean shutdown replayed %d records, want 0", rc.RecordsReplayed)
+				}
+				assertStateEqual(t, "reopen vs reference final", captureState(t, srvC.Handler()), states[len(script)])
+			})
+		}
 	}
+}
+
+// crashModel is one way the crash-at-byte sweeps cut a run short: a
+// process crash, which keeps every byte written before the crash point, at
+// the sweep's own group-commit setting; or a power cut (faultfs
+// PowerLoss), which loses what no fsync covered, at FsyncEvery 1 — the
+// setting under which every ack waits for its record's fsync. name
+// prefixes the subtest's.
+type crashModel struct {
+	name      string
+	powerLoss bool
+}
+
+var crashModels = []crashModel{{"", false}, {"powerloss-", true}}
+
+// fsyncEvery is the FsyncEvery the model runs at, given the sweep's own
+// setting for a process crash.
+func (m crashModel) fsyncEvery(processCrash int) int {
+	if m.powerLoss {
+		return 1
+	}
+	return processCrash
 }
 
 // TestCrashRecoveryBatchSubmit is the batch-path seed batch: the same

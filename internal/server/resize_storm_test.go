@@ -153,123 +153,128 @@ func normalizeStorm(st serverState) serverState {
 //  4. continuing the storm converges on the reference final state; and
 //  5. max tardiness stays ≤ 1 quantum at every command boundary of the
 //     reference run and across crash + recovery (Theorem 3, elastic M).
+//
+// Each storm runs under both crash models (crashModels): a process crash
+// at FsyncEvery 3, and a power cut at FsyncEvery 1 ("powerloss-seedNN").
 func TestResizeStormCrashRecovery(t *testing.T) {
-	for seed := 0; seed < 50; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			script := resizeStormScript(int64(seed))
+	for _, m := range crashModels {
+		for seed := 0; seed < 50; seed++ {
+			seed := seed
+			t.Run(m.name+fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+				t.Parallel()
+				script := resizeStormScript(int64(seed))
 
-			// Reference: uninterrupted in-memory run; states[k] is the
-			// observable state after k journaled commands. Rejected requests
-			// journal nothing and so add no state.
-			ref := server.New()
-			states := []serverState{captureState(t, ref.Handler())}
-			counted := []int{} // script index of each counted command
-			for i, c := range script {
-				code := doCmd(t, ref.Handler(), c.cmd)
-				if c.expectReject {
-					if code != http.StatusConflict {
-						t.Fatalf("reference command %d (%s %s): infeasible request answered %d, want 409",
-							i, c.method, c.path, code)
-					}
-					continue
-				}
-				if code >= 300 {
-					t.Fatalf("reference command %d (%s %s) failed: %d", i, c.method, c.path, code)
-				}
-				counted = append(counted, i)
-				states = append(states, captureState(t, ref.Handler()))
-			}
-			for k, st := range states {
-				for id, ti := range st.Infos {
-					if k == len(states)-1 {
-						assertTardinessBound(t, "reference final "+id, ti)
-					} else {
-						assertTardinessBound(t, fmt.Sprintf("reference %s after command %d", id, k), ti)
-					}
-				}
-			}
-
-			// Storm run on a crash-at-byte filesystem.
-			dir := t.TempDir()
-			budget := int64(64 + seed*seed*200)
-			ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget})
-			acked, issued := 0, 0
-			srvA, err := server.Open(server.Options{
-				DataDir: dir, FsyncEvery: 3, FsyncMaxDelay: -1, SnapshotEvery: 16, FS: ffs,
-			})
-			if err == nil {
-			storm:
+				// Reference: uninterrupted in-memory run; states[k] is the
+				// observable state after k journaled commands. Rejected requests
+				// journal nothing and so add no state.
+				ref := server.New()
+				states := []serverState{captureState(t, ref.Handler())}
+				counted := []int{} // script index of each counted command
 				for i, c := range script {
-					code := doCmd(t, srvA.Handler(), c.cmd)
-					switch {
-					case c.expectReject && code == http.StatusConflict:
-						// Correctly refused; journals nothing.
-					case c.expectReject && code < 300:
-						t.Fatalf("storm command %d (%s %s): infeasible shrink/register silently applied (%d)",
-							i, c.method, c.path, code)
-					case c.expectReject:
-						break storm // crash-induced failure (503/500)
-					case code < 300:
-						issued++
-						acked++
-					default:
-						issued++
-						break storm
+					code := doCmd(t, ref.Handler(), c.cmd)
+					if c.expectReject {
+						if code != http.StatusConflict {
+							t.Fatalf("reference command %d (%s %s): infeasible request answered %d, want 409",
+								i, c.method, c.path, code)
+						}
+						continue
+					}
+					if code >= 300 {
+						t.Fatalf("reference command %d (%s %s) failed: %d", i, c.method, c.path, code)
+					}
+					counted = append(counted, i)
+					states = append(states, captureState(t, ref.Handler()))
+				}
+				for k, st := range states {
+					for id, ti := range st.Infos {
+						if k == len(states)-1 {
+							assertTardinessBound(t, "reference final "+id, ti)
+						} else {
+							assertTardinessBound(t, fmt.Sprintf("reference %s after command %d", id, k), ti)
+						}
 					}
 				}
-				_ = srvA.Close()
-			}
-			if !ffs.Crashed() && acked < len(counted) {
-				t.Fatalf("storm stopped at %d/%d commands without a crash (budget %d)", acked, len(counted), budget)
-			}
 
-			// Recover from whatever survived.
-			srvB, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 3, SnapshotEvery: 16})
-			if err != nil {
-				t.Fatalf("recovery Open after crash at byte %d: %v", budget, err)
-			}
-			defer srvB.Close()
-			rec := srvB.Recovery()
-			if rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
-				t.Fatalf("recovery degraded: %d replay errors, %d dispatch mismatches (capacity history diverged?)",
-					rec.ReplayErrors, rec.DispatchMismatches)
-			}
-			if rec.Commands < uint64(acked) || rec.Commands > uint64(issued) {
-				t.Fatalf("recovered %d commands outside [acked %d, issued %d]", rec.Commands, acked, issued)
-			}
-			got := captureState(t, srvB.Handler())
-			assertStateEqual(t, "recovered vs reference prefix",
-				normalizeStorm(got), normalizeStorm(states[rec.Commands]))
-			for id, ti := range got.Infos {
-				assertTardinessBound(t, "recovered "+id, ti)
-			}
-
-			// Continue the storm where the recovered prefix ended.
-			start := 0
-			if rec.Commands > 0 {
-				start = counted[rec.Commands-1] + 1
-			}
-			for i, c := range script[start:] {
-				code := doCmd(t, srvB.Handler(), c.cmd)
-				if c.expectReject {
-					if code != http.StatusConflict {
-						t.Fatalf("continuation command %d (%s %s): infeasible request answered %d, want 409",
-							start+i, c.method, c.path, code)
+				// Storm run on a crash-at-byte filesystem.
+				dir := t.TempDir()
+				budget := int64(64 + seed*seed*200)
+				ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget, PowerLoss: m.powerLoss})
+				acked, issued := 0, 0
+				srvA, err := server.Open(server.Options{
+					DataDir: dir, FsyncEvery: m.fsyncEvery(3), FsyncMaxDelay: -1, SnapshotEvery: 16, FS: ffs,
+				})
+				if err == nil {
+				storm:
+					for i, c := range script {
+						code := doCmd(t, srvA.Handler(), c.cmd)
+						switch {
+						case c.expectReject && code == http.StatusConflict:
+							// Correctly refused; journals nothing.
+						case c.expectReject && code < 300:
+							t.Fatalf("storm command %d (%s %s): infeasible shrink/register silently applied (%d)",
+								i, c.method, c.path, code)
+						case c.expectReject:
+							break storm // crash-induced failure (503/500)
+						case code < 300:
+							issued++
+							acked++
+						default:
+							issued++
+							break storm
+						}
 					}
-					continue
+					_ = srvA.Close()
 				}
-				if code >= 300 {
-					t.Fatalf("continuation command %d (%s %s) failed: %d", start+i, c.method, c.path, code)
+				if !ffs.Crashed() && acked < len(counted) {
+					t.Fatalf("storm stopped at %d/%d commands without a crash (budget %d)", acked, len(counted), budget)
 				}
-			}
-			final := captureState(t, srvB.Handler())
-			assertStateEqual(t, "continuation vs reference final",
-				normalizeStorm(final), normalizeStorm(states[len(states)-1]))
-			for id, ti := range final.Infos {
-				assertTardinessBound(t, "final "+id, ti)
-			}
-		})
+
+				// Recover from whatever survived.
+				srvB, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 3, SnapshotEvery: 16})
+				if err != nil {
+					t.Fatalf("recovery Open after crash at byte %d: %v", budget, err)
+				}
+				defer srvB.Close()
+				rec := srvB.Recovery()
+				if rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
+					t.Fatalf("recovery degraded: %d replay errors, %d dispatch mismatches (capacity history diverged?)",
+						rec.ReplayErrors, rec.DispatchMismatches)
+				}
+				if rec.Commands < uint64(acked) || rec.Commands > uint64(issued) {
+					t.Fatalf("recovered %d commands outside [acked %d, issued %d]", rec.Commands, acked, issued)
+				}
+				got := captureState(t, srvB.Handler())
+				assertStateEqual(t, "recovered vs reference prefix",
+					normalizeStorm(got), normalizeStorm(states[rec.Commands]))
+				for id, ti := range got.Infos {
+					assertTardinessBound(t, "recovered "+id, ti)
+				}
+
+				// Continue the storm where the recovered prefix ended.
+				start := 0
+				if rec.Commands > 0 {
+					start = counted[rec.Commands-1] + 1
+				}
+				for i, c := range script[start:] {
+					code := doCmd(t, srvB.Handler(), c.cmd)
+					if c.expectReject {
+						if code != http.StatusConflict {
+							t.Fatalf("continuation command %d (%s %s): infeasible request answered %d, want 409",
+								start+i, c.method, c.path, code)
+						}
+						continue
+					}
+					if code >= 300 {
+						t.Fatalf("continuation command %d (%s %s) failed: %d", start+i, c.method, c.path, code)
+					}
+				}
+				final := captureState(t, srvB.Handler())
+				assertStateEqual(t, "continuation vs reference final",
+					normalizeStorm(final), normalizeStorm(states[len(states)-1]))
+				for id, ti := range final.Infos {
+					assertTardinessBound(t, "final "+id, ti)
+				}
+			})
+		}
 	}
 }

@@ -238,7 +238,7 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 	}
 	s.tenants[t.ID()] = t
 	if s.wal != nil {
-		t.SetJournal(s.journalRecord, nil, s.failJournal)
+		t.hooks.Store(&journalHooks{append: s.journalRecord, fail: s.failJournal, hist: s.wal})
 	}
 	return commit, nil
 }

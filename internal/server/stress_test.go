@@ -167,94 +167,99 @@ func TestConcurrentSubmittersAndScrapers(t *testing.T) {
 // invents work (rec.Commands ≤ issued). Because submitters ack only after
 // waitDurable, a command the ring accepted but the journal lost must have
 // answered 5xx — if the loop ever completed a command before its journal
-// frame group, some seed here catches it as acked > rec.Commands.
+// frame group, some seed here catches it as acked > rec.Commands. Each
+// seed runs under both crash models (crashModels): a process crash at
+// FsyncEvery 4, and a power cut at FsyncEvery 1 ("powerloss-seedNN"),
+// where an ack that did not wait for its fsync is lost.
 func TestCrashNeverAcksUnjournaled(t *testing.T) {
-	for seed := 0; seed < 12; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			budget := int64(512 + seed*seed*700)
-			ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget})
+	for _, m := range crashModels {
+		for seed := 0; seed < 12; seed++ {
+			seed := seed
+			t.Run(m.name+fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				budget := int64(512 + seed*seed*700)
+				ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget, PowerLoss: m.powerLoss})
 
-			var acked, issued atomic.Int64
-			srvA, err := server.Open(server.Options{
-				DataDir: dir, FsyncEvery: 4, FsyncMaxDelay: -1, SnapshotEvery: 64, FS: ffs,
-			})
-			if err == nil {
-				h := srvA.Handler()
-				do := func(c cmd) int {
-					issued.Add(1)
-					code := doCmd(t, h, c)
-					if code < 300 {
-						acked.Add(1)
+				var acked, issued atomic.Int64
+				srvA, err := server.Open(server.Options{
+					DataDir: dir, FsyncEvery: m.fsyncEvery(4), FsyncMaxDelay: -1, SnapshotEvery: 64, FS: ffs,
+				})
+				if err == nil {
+					h := srvA.Handler()
+					do := func(c cmd) int {
+						issued.Add(1)
+						code := doCmd(t, h, c)
+						if code < 300 {
+							acked.Add(1)
+						}
+						return code
 					}
-					return code
-				}
-				setupOK := true
-				if do(cmd{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "w", M: 2}}) >= 300 {
-					setupOK = false
-				}
-				for k := 0; setupOK && k < 4; k++ {
-					if do(cmd{"POST", "/v1/tenants/w/tasks",
-						server.RegisterTaskRequest{Name: fmt.Sprintf("t%d", k), E: 1, P: 4}}) >= 300 {
+					setupOK := true
+					if do(cmd{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "w", M: 2}}) >= 300 {
 						setupOK = false
 					}
-				}
-				if setupOK {
-					var wg sync.WaitGroup
-					for g := 0; g < 4; g++ {
-						wg.Add(1)
-						go func(g int) {
-							defer wg.Done()
-							task := fmt.Sprintf("t%d", g)
-							for i := 0; i < 60; i++ {
-								code := do(cmd{"POST", "/v1/tenants/w/jobs", server.SubmitJobRequest{Task: task}})
-								if code >= 500 {
-									return // journal wedged after the crash
-								}
-								if i%8 == 7 {
-									if do(cmd{"POST", "/v1/tenants/w/advance", server.AdvanceRequest{By: "1"}}) >= 500 {
-										return
+					for k := 0; setupOK && k < 4; k++ {
+						if do(cmd{"POST", "/v1/tenants/w/tasks",
+							server.RegisterTaskRequest{Name: fmt.Sprintf("t%d", k), E: 1, P: 4}}) >= 300 {
+							setupOK = false
+						}
+					}
+					if setupOK {
+						var wg sync.WaitGroup
+						for g := 0; g < 4; g++ {
+							wg.Add(1)
+							go func(g int) {
+								defer wg.Done()
+								task := fmt.Sprintf("t%d", g)
+								for i := 0; i < 60; i++ {
+									code := do(cmd{"POST", "/v1/tenants/w/jobs", server.SubmitJobRequest{Task: task}})
+									if code >= 500 {
+										return // journal wedged after the crash
+									}
+									if i%8 == 7 {
+										if do(cmd{"POST", "/v1/tenants/w/advance", server.AdvanceRequest{By: "1"}}) >= 500 {
+											return
+										}
 									}
 								}
-							}
-						}(g)
+							}(g)
+						}
+						wg.Wait()
 					}
-					wg.Wait()
+					_ = srvA.Close() // errors expected post-crash
 				}
-				_ = srvA.Close() // errors expected post-crash
-			}
 
-			srvB, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 4, SnapshotEvery: 64})
-			if err != nil {
-				t.Fatalf("recovery Open after crash at byte %d: %v", budget, err)
-			}
-			defer srvB.Close()
-			rec := srvB.Recovery()
-			if rec.ReplayErrors != 0 {
-				t.Fatalf("recovery replayed with %d errors", rec.ReplayErrors)
-			}
-			if rec.DispatchMismatches != 0 {
-				t.Fatalf("recovery saw %d dispatch mismatches", rec.DispatchMismatches)
-			}
-			a, i := uint64(acked.Load()), uint64(issued.Load())
-			if rec.Commands < a || rec.Commands > i {
-				t.Fatalf("recovered %d commands outside [acked %d, issued %d] (crash at byte %d, %d truncated): an acked command escaped the journal",
-					rec.Commands, a, i, budget, rec.TruncatedBytes)
-			}
-			if ffs.Crashed() {
-				var health server.HealthResponse
-				hreq := httptest.NewRequest("GET", "/healthz", nil)
-				hrw := httptest.NewRecorder()
-				srvB.Handler().ServeHTTP(hrw, hreq)
-				if hrw.Code != http.StatusOK {
-					t.Fatalf("healthz after recovery: %d", hrw.Code)
+				srvB, err := server.Open(server.Options{DataDir: dir, FsyncEvery: 4, SnapshotEvery: 64})
+				if err != nil {
+					t.Fatalf("recovery Open after crash at byte %d: %v", budget, err)
 				}
-				if json.Unmarshal(hrw.Body.Bytes(), &health); health.Status != "ok" {
-					t.Fatalf("recovered server health %q, want ok", health.Status)
+				defer srvB.Close()
+				rec := srvB.Recovery()
+				if rec.ReplayErrors != 0 {
+					t.Fatalf("recovery replayed with %d errors", rec.ReplayErrors)
 				}
-			}
-		})
+				if rec.DispatchMismatches != 0 {
+					t.Fatalf("recovery saw %d dispatch mismatches", rec.DispatchMismatches)
+				}
+				a, i := uint64(acked.Load()), uint64(issued.Load())
+				if rec.Commands < a || rec.Commands > i {
+					t.Fatalf("recovered %d commands outside [acked %d, issued %d] (crash at byte %d, %d truncated): an acked command escaped the journal",
+						rec.Commands, a, i, budget, rec.TruncatedBytes)
+				}
+				if ffs.Crashed() {
+					var health server.HealthResponse
+					hreq := httptest.NewRequest("GET", "/healthz", nil)
+					hrw := httptest.NewRecorder()
+					srvB.Handler().ServeHTTP(hrw, hreq)
+					if hrw.Code != http.StatusOK {
+						t.Fatalf("healthz after recovery: %d", hrw.Code)
+					}
+					if json.Unmarshal(hrw.Body.Bytes(), &health); health.Status != "ok" {
+						t.Fatalf("recovered server health %q, want ok", health.Status)
+					}
+				}
+			})
+		}
 	}
 }

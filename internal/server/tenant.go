@@ -33,8 +33,7 @@ import (
 //     start): ex — which is also the tenant's one Σwt ≤ M ledger and its
 //     one index of active tasks: M, the queued shrink target, Σwt and the
 //     tasks by name are asked of it and kept nowhere else (readers use
-//     the snapshot) — log (its manifest included:
-//     compaction extends it through a control command, sealHistory),
+//     the snapshot) — log (its manifest included, which seal extends),
 //     maxTar, reject, digest, jobs, valid, lags, worst, and the open
 //     command obs.tr keeps.
 //   - immutable after construction: id, policy, ring, closed (closed by
@@ -281,7 +280,7 @@ func (t *Tenant) observeSubmitAck(d time.Duration, n int) {
 // one record, because a frame group could tear — and stays in the signature
 // for bench/, which is not edited with the code it measures (ROADMAP item
 // 10c). Like SetOnDispatch it must be called before the tenant serves
-// traffic.
+// traffic. Hooks installed here seal no history: the tenant keeps its log.
 func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch func([]wal.Record) (wal.Commit, error), fail func(error)) {
 	t.hooks.Store(&journalHooks{append: append, fail: fail})
 }

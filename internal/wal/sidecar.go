@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
 const (
 	sidecarPrefix = "hist-"
 	sidecarSuffix = ".ndjson"
-	sidecarTmp    = "hist.tmp"
 )
 
 // Sidecar is one immutable file to store beside the journal: the
@@ -31,35 +31,50 @@ func isSidecar(name string) bool {
 		!strings.ContainsAny(name, `/\`)
 }
 
-// SidecarName returns the name for the k-th sidecar of the next snapshot.
-// It carries the LSN that snapshot will be stamped with, which no earlier
-// snapshot shares unless nothing was appended in between — and then there
-// is nothing new to store either.
-func (l *Log) SidecarName(k int) string {
-	return fmt.Sprintf("%s%016x-%d%s", sidecarPrefix, l.WrittenLSN(), k, sidecarSuffix)
+// sidecarSeq is the counter a sidecar name ends in, 0 for one that ends
+// in none.
+func sidecarSeq(name string) uint64 {
+	body := strings.TrimSuffix(name, sidecarSuffix)
+	k, _ := strconv.ParseUint(body[strings.LastIndexByte(body, '-')+1:], 10, 64)
+	return k
+}
+
+// SidecarName returns a name for a new sidecar that no other call returns
+// in this directory: the LSN written last, for the reader, then a counter
+// that Open starts past every sidecar the directory holds. So no seal
+// reuses a name a snapshot may refer to — not a concurrent one, not one
+// after a restart at the same LSN; a name that a crash took back before
+// any snapshot named it is free again.
+func (l *Log) SidecarName() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sidecars++
+	return fmt.Sprintf("%s%016x-%d%s", sidecarPrefix, l.writtenLSN, l.sidecars, sidecarSuffix)
 }
 
 // WriteSidecars durably stores files ahead of the Compact whose payload
-// names them: each goes tmp → fsync → rename, then one directory fsync
-// covers all the renames. Callers serialize it with Compact (pfaird holds
-// its compaction lock across both).
+// names them: each goes through a temporary name of its own → fsync →
+// rename, then one directory fsync covers all the renames. It holds the
+// log's lock only to check the log is open, never across a write or an
+// fsync, so appends go on beside it, and so may other WriteSidecars.
 func (l *Log) WriteSidecars(files []Sidecar) error {
 	if len(files) == 0 {
 		return nil
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wedged != nil {
-		return l.wedged
+	err := l.wedged
+	if err == nil && l.closed {
+		err = fmt.Errorf("wal: log closed")
 	}
-	if l.closed {
-		return fmt.Errorf("wal: log closed")
+	l.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	for _, sc := range files {
 		if !isSidecar(sc.Name) {
 			return fmt.Errorf("wal: %q is not a sidecar name", sc.Name)
 		}
-		if err := l.installFile(sidecarTmp, sc.Name, sc.Data...); err != nil {
+		if err := l.installFile(sc.Name+".tmp", sc.Name, sc.Data...); err != nil {
 			return err
 		}
 	}
@@ -76,11 +91,12 @@ func (l *Log) OpenSidecar(name string) (io.ReadCloser, error) {
 	return l.fs.Open(filepath.Join(l.dir, name))
 }
 
-// RemoveSidecarsExcept deletes every sidecar (and a leftover sidecar tmp)
-// that keep does not name — the sidecar half of Compact's stale-segment
+// RemoveSidecarsExcept deletes every sidecar that keep does not name, and
+// every leftover sidecar tmp — the sidecar half of Compact's stale-segment
 // removal, called with the set the just-installed snapshot refers to.
 // Best-effort for the same reason: unreferenced files are garbage, never
-// state.
+// state. The caller must not run it beside a WriteSidecars, whose files no
+// snapshot names yet (pfaird compacts with every tenant quiesced).
 func (l *Log) RemoveSidecarsExcept(keep map[string]bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -89,7 +105,7 @@ func (l *Log) RemoveSidecarsExcept(keep map[string]bool) {
 		return
 	}
 	for _, n := range names {
-		if (isSidecar(n) && !keep[n]) || n == sidecarTmp {
+		if strings.HasPrefix(n, "hist") && !keep[n] {
 			l.fs.Remove(filepath.Join(l.dir, n))
 		}
 	}

@@ -7,7 +7,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -109,7 +112,7 @@ func TestWALSidecars(t *testing.T) {
 	defer l.Close()
 	appendN(t, l, 3)
 
-	a, b := l.SidecarName(0), l.SidecarName(1)
+	a, b := l.SidecarName(), l.SidecarName()
 	if a == b || !isSidecar(a) || !isSidecar(b) {
 		t.Fatalf("SidecarName gave %q, %q", a, b)
 	}
@@ -123,7 +126,7 @@ func TestWALSidecars(t *testing.T) {
 		}
 	}
 	appendN(t, l, 2)
-	if c := l.SidecarName(0); c == a {
+	if c := l.SidecarName(); c == a || c == b {
 		t.Fatalf("SidecarName repeated %q after the log advanced", c)
 	}
 	if err := l.Compact([]byte(`{}`)); err != nil {
@@ -133,15 +136,16 @@ func TestWALSidecars(t *testing.T) {
 		t.Fatalf("after Compact the directory holds %v", names)
 	}
 
-	// A crash between the tmp write and the rename leaves the tmp behind.
-	if err := os.WriteFile(filepath.Join(dir, sidecarTmp), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
+	// A crash between the tmp write and the rename leaves the tmp behind
+	// (hist.tmp is the one tmp name older versions wrote every file through).
+	for _, tmp := range []string{a + ".tmp", "hist.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, tmp), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	l.RemoveSidecarsExcept(map[string]bool{b: true})
-	for _, n := range dirNames(t, dir) {
-		if n == a || n == sidecarTmp {
-			t.Fatalf("%s survived RemoveSidecarsExcept", n)
-		}
+	if names := dirNames(t, dir); len(names) != 3 || !slices.Contains(names, b) {
+		t.Fatalf("after RemoveSidecarsExcept the directory holds %v, want the kept sidecar, the snapshot and the segment", names)
 	}
 	if _, err := readSidecar(l, b); err != nil {
 		t.Fatalf("the kept sidecar is gone: %v", err)
@@ -154,5 +158,50 @@ func TestWALSidecars(t *testing.T) {
 		if _, err := l.OpenSidecar(bad); err == nil {
 			t.Fatalf("OpenSidecar accepted the name %q", bad)
 		}
+	}
+}
+
+// TestSidecarNamesNeverRepeat: a name SidecarName hands out is not handed
+// out again — not to concurrent callers, whose files are written side by
+// side, and not after a reopen at the same LSN, where the counter starts
+// past every sidecar in the directory, one that no snapshot names included.
+func TestSidecarNamesNeverRepeat(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	appendN(t, l, 2)
+	seen := map[string]bool{}
+	names := make(chan string, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			name := l.SidecarName()
+			if err := l.WriteSidecars([]Sidecar{{name, [][]byte{[]byte(name + "\n")}}}); err != nil {
+				t.Error(err)
+			}
+			names <- name
+		}(g)
+	}
+	wg.Wait()
+	close(names)
+	for name := range names {
+		if seen[name] {
+			t.Fatalf("SidecarName handed out %q twice", name)
+		}
+		seen[name] = true
+		if got, err := readSidecar(l, name); err != nil || string(got) != name+"\n" {
+			t.Fatalf("sidecar %s holds %q, %v", name, got, err)
+		}
+	}
+	l.Close()
+
+	if err := os.WriteFile(filepath.Join(dir, "hist-0000000000000002-41.ndjson"), []byte("orphan\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, _ = mustOpen(t, dir, Options{})
+	defer l.Close()
+	if name := l.SidecarName(); seen[name] || !strings.HasSuffix(name, "-42.ndjson") {
+		t.Fatalf("after a reopen at the same LSN SidecarName gave %q, want a fresh name ending in -42", name)
 	}
 }

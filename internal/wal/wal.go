@@ -16,7 +16,7 @@
 //
 //	snapshot.json             {"lsn":N,"crc":C,"payload":...}   (atomic rename)
 //	wal-<firstLSN>.log        frames: | len u32 | crc32 u32 | payload (JSON) |
-//	hist-<snapLSN>-<k>.ndjson immutable sidecar: sealed dispatch history
+//	hist-<LSN>-<k>.ndjson     immutable sidecar: sealed dispatch history
 //
 // A frame's payload is json.Marshal of its Record: that is the format's
 // definition, and what a record whose strings need an escape is written and
@@ -46,21 +46,20 @@
 // payload and knows nothing of manifests. The write order is what makes
 // this safe with snapshot.json as the single commit point:
 //
-//  1. WriteSidecars: each file goes tmp → fsync → rename to a name no
-//     installed snapshot refers to (the name carries the LSN the next
-//     snapshot will get), then one directory fsync. A crash here leaves
-//     unreferenced files; the old snapshot and everything it names are
-//     untouched.
+//  1. WriteSidecars, at any time before the Compact that names the files:
+//     each file goes tmp → fsync → rename to a name SidecarName handed out,
+//     which no other call returns, then a directory fsync. Until a
+//     snapshot names it a file is an orphan; the installed snapshot and
+//     everything it names are untouched.
 //  2. Compact: the snapshot naming the new files replaces the old one
 //     atomically. Before the rename the new files are orphans, after it
 //     they are durable (step 1 synced them first).
 //  3. RemoveSidecarsExcept: files the installed snapshot does not name —
-//     orphans of a crash in step 1 or 2, history of deleted tenants — are
+//     orphans of a crash before step 2, history of deleted tenants — are
 //     deleted, beside the stale segments. A crash here leaves garbage the
 //     next compaction (every boot runs one) removes.
 //
-// A referenced sidecar is never rewritten: a name is used by one seal,
-// and a retry at the same LSN reproduces the same bytes.
+// A referenced sidecar is never rewritten: no two seals share a name.
 //
 // # Durability model
 //
@@ -380,6 +379,7 @@ type Log struct {
 	term       uint64 // current leadership term, stamped into appends
 	syncing    bool   // a leader is inside the fsync syscall, mutex dropped
 	sinceSnap  int
+	sidecars   uint64 // the counter the last SidecarName ends in
 	// The idle-flush timer belongs to one unsynced batch: armed by the
 	// batch's first record, stopped by the sync that leaves nothing unsynced.
 	// timerGen names the timer armed last, so a callback that was already
@@ -443,10 +443,14 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	}
 	have := map[string]bool{}
 	var segs []string
+	var sidecars uint64
 	for _, n := range names {
 		have[n] = true
 		if strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix) {
 			segs = append(segs, n)
+		}
+		if isSidecar(n) {
+			sidecars = max(sidecars, sidecarSeq(n))
 		}
 	}
 	sort.Strings(segs) // zero-padded hex first-LSN names sort in LSN order
@@ -497,6 +501,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		snapLSN:    rec.SnapshotLSN,
 		term:       rec.Term,
 		sinceSnap:  sinceSnap,
+		sidecars:   sidecars,
 	}
 	l.commit = sync.NewCond(&l.mu)
 	if l.now == nil {
