@@ -293,7 +293,10 @@ obs:
 # (CompactAfterLoopsStop), a tenant that seals its history with no
 # compaction (SealsWithoutCompaction; its settle-triggered seal is swept
 # by TestCrashRecoverySettleSealSweep), sidecar names that never repeat
-# (Sidecar) — and the submit group's one record: a crash at every byte
+# and a sidecar that survives a power cut right after it is written
+# (Sidecar), a fuzzy compaction whose checkpoints land past its cut and
+# that stops no request (FuzzyCheckpoint, DueCompactionRunsOnce,
+# SubmitBesideParkedCheckpoint) — and the submit group's one record: a crash at every byte
 # of a batch's write leaves all of it or none (TornBatch), a journal of
 # per-job groups still replays (PerJobGroupJournal), the largest admissible
 # batch is journaled or refused before a byte is written (WorstBatch) —
@@ -303,7 +306,7 @@ obs:
 recovery:
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/faultfs/ ./cmd/pfaird/ \
 		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|Sidecar|ExecutiveMatchesReference'
-	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot|TornBatch|PerJobGroupJournal|WorstBatch|CompactAfterLoopsStop|SealsWithoutCompaction'
+	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot|TornBatch|PerJobGroupJournal|WorstBatch|CompactAfterLoopsStop|SealsWithoutCompaction|FuzzyCheckpoint|DueCompactionRunsOnce|SubmitBesideParkedCheckpoint'
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestRestoreParentFormatJournal|TestRecoveryCountsTamperedJournal|TestFollowerCompactionBeforeDigest|TestFollowerOfLegacyLeaderCompacts|TestSnapshotPayloadMatchesMarshal'
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'TestFollowerBootstrapFromSealedHistory'
 
@@ -336,9 +339,9 @@ scenario-smoke:
 
 # profile-mutex captures contention profiles for the submit hot path: run
 # the parallel benchmarks with mutex/block profiling on, then inspect with
-# `go tool pprof mutex.out`. After the single-writer loop, the profile
-# should show no Tenant-level mutex at all — what remains is the WAL lock
-# and the runtime's own channel locks.
+# `go tool pprof mutex.out`. No tenant-level or server-level mutex is on
+# the submit path — a compaction takes none a request waits on — so what
+# remains is the WAL lock and the runtime's own channel locks.
 profile-mutex:
 	$(GO) test -run '^$$' -bench 'ServerSubmitParallel|ServerSubmitContended' -benchtime=200x \
 		-mutexprofile=mutex.out -blockprofile=block.out ./internal/server/

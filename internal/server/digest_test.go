@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
@@ -110,8 +111,15 @@ func rewriteJournal(t testing.TB, dir string, edit func(*wal.Record) bool) {
 // serves it.
 func replicationLog(t testing.TB, h http.Handler) []wal.Record {
 	t.Helper()
+	return replicationLogFrom(t, h, 1)
+}
+
+// replicationLogFrom returns a leader's journal from LSN from on, as its
+// replication stream serves it.
+func replicationLogFrom(t testing.TB, h http.Handler, from uint64) []wal.Record {
+	t.Helper()
 	rw := httptest.NewRecorder()
-	h.ServeHTTP(rw, httptest.NewRequest("GET", "/v1/replication/log?from=1&follow=false", nil))
+	h.ServeHTTP(rw, httptest.NewRequest("GET", fmt.Sprintf("/v1/replication/log?from=%d&follow=false", from), nil))
 	if rw.Code != http.StatusOK {
 		t.Fatalf("replication log: %d", rw.Code)
 	}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -88,7 +89,7 @@ type RecoveryInfo struct {
 }
 
 // snapshotPayload is the wal snapshot body: the full tenant registry plus
-// the command counter it corresponds to.
+// the command count at its cut.
 type snapshotPayload struct {
 	Commands uint64             `json:"commands"`
 	Tenants  []tenantCheckpoint `json:"tenants,omitempty"`
@@ -97,7 +98,12 @@ type snapshotPayload struct {
 // tenantCheckpoint images one tenant: its executive micro-state plus the
 // dispatch log (which ?from= stream replay serves) and counters.
 type tenantCheckpoint struct {
-	ID     string `json:"id"`
+	ID string `json:"id"`
+	// LSN is the last record of this tenant the checkpoint reflects (its
+	// create, commands and digests, never its delete): replay skips the
+	// tenant's records at or below it (applyRecord). Absent in a snapshot
+	// written before checkpoints carried it, which skips nothing.
+	LSN    uint64 `json:"lsn,omitempty"`
 	Reject int64  `json:"rejections"`
 	MaxTar string `json:"maxTardiness"`
 	// PendingM is the queued drain-mode shrink target of a snapshot written
@@ -130,13 +136,12 @@ type idemEntry struct {
 	Pending int    `json:"pending"`
 }
 
-// checkpoint snapshots the tenant on its loop goroutine (onLoop), which
-// quiesces every loop-owned field (the executive's Checkpoint must run on
-// its single goroutine). Compact holds the opMu write side, so no handler
-// can be mid-command: the ring is empty and the control command runs
-// immediately. A tenant whose loop has stopped (Server.Close stops them
-// before the journal closes) is quiescent for good, so it is imaged where
-// it stands.
+// checkpoint snapshots the tenant on its loop goroutine (onLoop), between
+// the commands queued ahead of it and those behind, which quiesces every
+// loop-owned field (the executive's Checkpoint must run on its single
+// goroutine). A tenant whose loop has stopped — deleted, or stopped by
+// Server.Close before the journal closes — is quiescent for good, so it is
+// imaged where it stands.
 func (t *Tenant) checkpoint() (cp tenantCheckpoint, err error) {
 	if t.onLoop(func() { cp, err = t.image() }) != nil {
 		cp, err = t.image()
@@ -157,6 +162,7 @@ func (t *Tenant) image() (tenantCheckpoint, error) {
 	}
 	cp := tenantCheckpoint{
 		ID:      t.id,
+		LSN:     t.lsn,
 		Reject:  t.reject,
 		MaxTar:  t.maxTar.String(),
 		History: t.log.hist,
@@ -210,6 +216,7 @@ func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 	}
 	t.maxTar = maxTar
 	t.reject = cp.Reject
+	t.lsn = cp.LSN
 	for _, e := range cp.Idem {
 		t.idemRemember(e.Key, SubmitJobResponse{At: e.At, Pending: e.Pending})
 	}
@@ -268,7 +275,7 @@ func Open(opts Options) (*Server, error) {
 			l.Close()
 			return nil, fmt.Errorf("server: snapshot payload: %v", err)
 		}
-		s.cmdSeq.Store(pay.Commands)
+		s.cmdBase = pay.Commands
 		for _, tc := range pay.Tenants {
 			if err := copyHistory(io.Discard, l, tc.ID, tc.History); err != nil {
 				l.Close()
@@ -291,13 +298,14 @@ func Open(opts Options) (*Server, error) {
 		switch ok := s.applyRecord(r); {
 		case r.IsCommand() && ok:
 			info.CommandsReplayed += r.Weight()
+			s.cmdBase += uint64(r.Weight())
 		case r.IsCommand():
 			info.ReplayErrors++
 		case !ok:
 			info.DispatchMismatches++
 		}
 	}
-	info.Commands = s.cmdSeq.Load()
+	info.Commands = s.cmdBase
 	info.Tenants = len(s.allTenants())
 	s.recovery = &info
 	s.appliedLSN.Store(l.WrittenLSN())
@@ -326,38 +334,42 @@ func Open(opts Options) (*Server, error) {
 // applyRecord replays one journal record — recovery's, or one a follower
 // was shipped — and reports whether it did what the server that journaled
 // it recorded. Command records re-apply through the same tenant methods
-// that served them (and count as commands when they do, a submit group as
-// its jobs); dispatch records are verified against the regenerated
-// decisions. A failure is for the caller to count, never fatal — a server with non-zero counters is
-// degraded, and /healthz says so.
+// that served them; dispatch records are verified against the regenerated
+// decisions. A record at or below its tenant's LSN is one the tenant's
+// checkpoint already reflects — compaction checkpoints each tenant after
+// its cut, on the tenant's loop — so it is skipped, and did what it
+// recorded. A failure is for the caller to count, never fatal — a server
+// with non-zero counters is degraded, and /healthz says so.
 func (s *Server) applyRecord(r wal.Record) (ok bool) {
+	t := s.tenant(r.Tenant)
+	if t != nil && r.LSN <= t.snap.Load().lsn {
+		return true
+	}
 	switch r.Op {
 	case wal.OpTerm:
 		return true // leadership-change marker: no state to apply
 	case wal.OpTenantCreate:
 		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.obs, true)
 		if err == nil {
+			nt.lsn = r.LSN // before any command reaches its loop
 			if _, err = s.addTenant(nt); err != nil {
 				nt.Close() // never installed; stop its loop goroutine
 			}
 		}
-		ok = err == nil
+		return err == nil
 	case wal.OpTenantDelete:
-		if t := s.tenant(r.Tenant); t != nil {
+		if t != nil {
 			found, _, err := s.removeTenant(t)
 			ok = found && err == nil
 		}
 	case wal.OpDispatch:
-		if t := s.tenant(r.Tenant); t != nil {
+		if t != nil {
 			ok = s.verifyDispatch(t, r)
 		}
 	default:
-		if t := s.tenant(r.Tenant); t != nil {
+		if t != nil {
 			ok = t.replay(r)
 		}
-	}
-	if ok && r.IsCommand() {
-		s.cmdSeq.Add(uint64(r.Weight()))
 	}
 	return ok
 }
@@ -408,19 +420,31 @@ func (s *Server) verifyDispatch(t *Tenant, r wal.Record) bool {
 	return want == dispatchDigest{first: r.DSeq, count: r.Count, crc: r.CRC}
 }
 
-// replay re-applies one journaled command of this tenant, reporting whether
-// it did what the pre-crash server journaled it as doing: it applied — a
-// journaled registration was admitted, a journaled resize applied or
-// queued, anything else means journal and state diverged.
-func (t *Tenant) replay(r wal.Record) bool {
+// replay re-applies one journaled command of this tenant, as one command
+// on its loop that also moves the tenant's LSN to the record's, reporting
+// whether it did what the pre-crash server journaled it as doing: it
+// applied — a journaled registration was admitted, a journaled resize
+// applied or queued, anything else means journal and state diverged.
+func (t *Tenant) replay(r wal.Record) (ok bool) {
+	t.do(func() (wal.Commit, error) {
+		ok = t.reapply(r)
+		t.lsn = r.LSN
+		return wal.Commit{}, nil
+	})
+	return ok
+}
+
+// reapply is replay's body, on the loop: each op through the applier that
+// served it.
+func (t *Tenant) reapply(r wal.Record) bool {
 	var err error
 	switch r.Op {
 	case wal.OpTaskRegister:
 		var d admission.Decision
-		d, _, err = t.RegisterTask(r.Name, model.W(r.E, r.P))
+		d, _, err = t.applyRegister(r.Name, model.W(r.E, r.P))
 		return err == nil && d.Admitted
 	case wal.OpTaskUnregister:
-		_, err = t.UnregisterTask(r.Name)
+		_, err = t.applyUnregister(r.Name)
 	case wal.OpJobSubmit:
 		// Every form re-applies as the batch it is on disk, all of it or
 		// none: a group (a batch, or a run of singles whose keys were all
@@ -428,15 +452,14 @@ func (t *Tenant) replay(r wal.Record) bool {
 		// the single submit: a seen key is a no-op, and backlog, validation
 		// and trace (begin, WAL, apply) are the same. applySubmits resolves
 		// each job's at in place, into the record's own jobs.
-		jobs := r.SubmittedJobs()
-		_, err = t.do(func() (wal.Commit, error) { return t.applySubmitBatch(jobs, nil) })
+		_, err = t.applySubmitBatch(r.SubmittedJobs(), nil)
 	case wal.OpAdvance:
-		_, _, err = t.Advance(r.At, "")
+		_, _, err = t.applyAdvance(r.At, "")
 	case wal.OpDrain:
-		_, _, err = t.Drain()
+		_, _, err = t.applyDrain()
 	case wal.OpResize:
 		var resp ResizeResponse
-		resp, _, err = t.Resize(r.M, r.Mode == "drain")
+		resp, _, err = t.applyResize(r.M, r.Mode == "drain")
 		return err == nil && resp.Outcome != admission.ResizeRejected.String()
 	default:
 		return false
@@ -445,12 +468,9 @@ func (t *Tenant) replay(r wal.Record) bool {
 }
 
 // journalRecord is the tenants' durability hook: it *enqueues* the record
-// (frame encode + buffered write, no fsync) and counts commands, a submit
-// group as its jobs. The caller carries the returned commit out of its
-// locks and waits on it via
-// waitDurable before acking — compact's opMu quiesce still sees a cmdSeq
-// consistent with applied state because enqueue and apply both happen in
-// one tenant command inside opMu's read side.
+// (frame encode + buffered write, no fsync; the journal counts the
+// commands). The caller carries the returned commit out of its locks and
+// waits on it via waitDurable before acking.
 func (s *Server) journalRecord(r wal.Record) (wal.Commit, error) {
 	if s.wal == nil || !s.journaling.Load() {
 		// In-memory server, replay, or a follower applying replicated
@@ -458,19 +478,12 @@ func (s *Server) journalRecord(r wal.Record) (wal.Commit, error) {
 		// journaled upstream — never append it again here.
 		return wal.Commit{}, nil
 	}
-	c, err := s.wal.AppendAsync(r)
-	if err != nil {
-		return wal.Commit{}, err
-	}
-	if r.IsCommand() {
-		s.cmdSeq.Add(uint64(r.Weight()))
-	}
-	return c, nil
+	return s.wal.AppendAsync(r)
 }
 
 // waitDurable blocks until the commit's record is covered by an fsync
 // (group commit: the first waiter syncs for everyone queued behind it).
-// mutate calls it after releasing opMu, so a slow fsync stalls only the
+// mutate calls it outside every lock, so a slow fsync stalls only the
 // acking requests. A zero commit — in-memory server, non-journaled
 // operation — returns immediately.
 func (s *Server) waitDurable(c wal.Commit) error {
@@ -483,8 +496,13 @@ func (s *Server) waitDurable(c wal.Commit) error {
 // Recovery returns what Open rebuilt, or nil for a non-durable server.
 func (s *Server) Recovery() *RecoveryInfo { return s.recovery }
 
-// compact quiesces every mutating operation (opMu writer side), images the
-// registry, and folds it into a fresh wal snapshot. What it writes is
+// compact folds the registry into a fresh wal snapshot, stopping no
+// request: a fuzzy checkpoint. It reads the journal's cut and the tenant
+// list together, under regMu's read side — creates and deletes journal
+// under its write side, so none falls between the two — then checkpoints
+// each tenant on its own loop, at or past the cut, and the snapshot
+// installs at the cut. Each checkpoint's LSN tells replay which of the
+// tenant's records after the cut it already reflects. What it writes is
 // proportional to what happened since the previous one: a tenant's
 // dispatch log leaves the snapshot, and memory, a segment at a time as the
 // tenant seals it into a history file (history.go), and the payload names
@@ -495,11 +513,17 @@ func (s *Server) compact() error {
 	if s.wal == nil {
 		return nil
 	}
-	s.opMu.Lock()
-	defer s.opMu.Unlock()
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	return s.compactLocked()
+}
+
+// compactLocked is compact's body, compactMu held.
+func (s *Server) compactLocked() error {
 	start := s.obs.clock.Now()
-	pay := snapshotPayload{Commands: s.cmdSeq.Load()}
-	for _, t := range s.allTenants() {
+	cut, tenants := s.cut()
+	pay := snapshotPayload{Commands: s.cmdBase + cut.Commands}
+	for _, t := range tenants {
 		cp, err := t.checkpoint()
 		if err != nil {
 			return err
@@ -510,7 +534,7 @@ func (s *Server) compact() error {
 	if err != nil {
 		return err
 	}
-	if err := s.wal.Compact(buf); err != nil {
+	if err := s.wal.CompactAt(cut, buf); err != nil {
 		return err
 	}
 	keep := map[string]bool{}
@@ -521,7 +545,7 @@ func (s *Server) compact() error {
 			histBytes += seg.Bytes
 		}
 	}
-	s.wal.RemoveSidecarsExcept(keep)
+	s.wal.RemoveSidecarsExcept(cut, keep)
 	s.obs.snapshotBytes.Store(int64(len(buf)))
 	s.obs.histSegments.Store(int64(len(keep)))
 	s.obs.histBytes.Store(histBytes)
@@ -582,13 +606,36 @@ func marshalPayload(pay snapshotPayload) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// maybeCompact runs a snapshot when the journal says one is due. Called by
-// mutating handlers after they release the opMu read side.
+// cut reads the journal's cut and the registry with it. A follower
+// journals a shipped record before it applies it (ApplyReplicated), so on
+// one the cut waits, a record at most, for the apply to catch up: a cut
+// between the two would cover a record no checkpoint reflects. A wedged
+// journal installs no snapshot, so nothing is waited for.
+func (s *Server) cut() (wal.Cut, []*Tenant) {
+	for {
+		s.regMu.RLock()
+		cut, tenants := s.wal.Cut(), s.tenantsLocked()
+		s.regMu.RUnlock()
+		if s.journaling.Load() || s.appliedLSN.Load() >= cut.LSN || s.wal.Wedged() {
+			return cut, tenants
+		}
+		runtime.Gosched()
+	}
+}
+
+// maybeCompact runs a snapshot when the journal says one is due, unless one
+// is running: the request that finds it so neither waits for it nor
+// repeats it once it is done. Called by mutating handlers after their
+// durability wait.
 func (s *Server) maybeCompact() {
-	if s.wal != nil && s.wal.ShouldCompact() {
+	if s.wal == nil || !s.wal.ShouldCompact() || !s.compactMu.TryLock() {
+		return
+	}
+	defer s.compactMu.Unlock()
+	if s.wal.ShouldCompact() {
 		// A failed periodic snapshot is not fatal: the journal still has
 		// every record, and the next mutation will retry.
-		_ = s.compact()
+		_ = s.compactLocked()
 	}
 }
 

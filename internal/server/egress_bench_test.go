@@ -263,10 +263,7 @@ func BenchmarkMetricsExposition(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.opMu.RLock()
-		_, err = s.addTenant(t)
-		s.opMu.RUnlock()
-		if err != nil {
+		if _, err = s.addTenant(t); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"time"
 
 	"desyncpfair/internal/online"
@@ -30,6 +31,22 @@ func (s *Server) WaitDurable(c wal.Commit) error { return s.waitDurable(c) }
 
 // Compact runs one compaction now, as a due snapshot would.
 func (s *Server) Compact() error { return s.compact() }
+
+// HoldLoop parks the tenant's loop on a command of its own and returns once
+// it is parked: whatever is queued behind — requests, a compaction's
+// checkpoint — waits until release (idempotent) is called.
+func (t *Tenant) HoldLoop() (release func()) {
+	parked, held := make(chan struct{}), make(chan struct{})
+	go t.onLoop(func() {
+		close(parked)
+		<-held
+	})
+	<-parked
+	return sync.OnceFunc(func() { close(held) })
+}
+
+// Queued is how many commands wait in the tenant's ring.
+func (t *Tenant) Queued() int { return len(t.ring) }
 
 // SyncJournal forces the journal's unsynced records to disk, as the idle
 // flush or a threshold crossing would: tests that disable both use it to

@@ -39,9 +39,11 @@ func dispatchBytes(t testing.TB, h http.Handler, id string) []byte {
 // snapshotOnDisk decodes the parts of a data directory's snapshot these
 // tests look at.
 type snapshotOnDisk struct {
+	LSN     uint64 `json:"lsn"`
 	Payload struct {
 		Tenants []struct {
 			ID      string `json:"id"`
+			LSN     uint64 `json:"lsn"`
 			History []struct {
 				File  string `json:"file"`
 				Count int64  `json:"count"`

@@ -216,7 +216,8 @@ func (t *Tenant) settle() {
 			// by replaying commands and checks them against it. An append
 			// error here already wedged the log, so the following command
 			// will fail loudly; nothing to do with it now.
-			_, _ = h.append(wal.Record{Op: wal.OpDispatch, Tenant: t.id, DSeq: first, Count: t.digest.count, CRC: t.digest.crc})
+			c, _ := h.append(wal.Record{Op: wal.OpDispatch, Tenant: t.id, DSeq: first, Count: t.digest.count, CRC: t.digest.crc})
+			t.lsn = max(t.lsn, c.LSN)
 			if t.log.len()-t.log.floor() >= 2*int64(histSegmentMin) {
 				_ = t.seal()
 			}

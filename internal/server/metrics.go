@@ -143,7 +143,7 @@ func (s *Server) appendWALMetrics(b []byte) []byte {
 	b = obs.AppendInt(b, "pfaird_wal_wedged", nil, boolGauge(st.Wedged))
 	b = obs.AppendHeader(b, "pfaird_commands_total",
 		"Commands acknowledged (journaled and applied) since the data dir was created.", "counter")
-	b = obs.AppendUint(b, "pfaird_commands_total", nil, s.cmdSeq.Load())
+	b = obs.AppendUint(b, "pfaird_commands_total", nil, s.cmdBase+s.wal.Cut().Commands)
 	if rec := s.recovery; rec != nil {
 		b = obs.AppendHeader(b, "pfaird_recovery_records_replayed",
 			"Journal records replayed at the last boot.", "gauge")

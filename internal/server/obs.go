@@ -29,9 +29,9 @@ type serverObs struct {
 	walFsync      *obs.Histogram // fsync syscall duration
 	walLogToFsync *obs.Histogram // append→durable group-commit latency
 
-	// Compaction (Server.compact stores these as it finishes): the pause
-	// it held every mutation for, the payload it wrote, and the sealed
-	// dispatch history the payload names instead of holding.
+	// Compaction (Server.compact stores these as it finishes): how long it
+	// took, the payload it wrote, and the sealed dispatch history the
+	// payload names instead of holding.
 	compact       *obs.Histogram
 	snapshotBytes atomic.Int64
 	histSegments  atomic.Int64
@@ -191,7 +191,7 @@ func (o *serverObs) appendWALTimingMetrics(b []byte) []byte {
 // servers only).
 func (o *serverObs) appendCompactionMetrics(b []byte) []byte {
 	b = obs.AppendHeader(b, "pfaird_compact_seconds",
-		"Duration of one compaction: the pause every mutation waits out while state is imaged and the snapshot installed.", "histogram")
+		"Duration of one compaction: each tenant imaged on its own loop and the snapshot installed, waited out only by the request that made it due.", "histogram")
 	b = obs.AppendHistogram(b, "pfaird_compact_seconds", nil, o.compact.Snapshot())
 	b = obs.AppendHeader(b, "pfaird_snapshot_bytes",
 		"Payload bytes of the last snapshot written.", "gauge")

@@ -159,10 +159,13 @@ func captureState(t *testing.T, h http.Handler) serverState {
 // Crash budgets grow quadratically so the 50 points cluster where the
 // journal is young (boot, snapshot writes, first commands) and still
 // reach far past the script's total write volume (a no-crash control).
-// Each point runs twice: as a process crash at FsyncEvery 3
-// ("seedNN"), and as a power cut at FsyncEvery 1 ("powerloss-seedNN",
-// faultfs PowerLoss), which loses what no fsync covered — so only a
-// server whose every ack waits for its fsync keeps acked ≤ recovered.
+// Each point runs under every crash model (crashModels): a process crash
+// at FsyncEvery 3 ("seedNN"), a power cut at FsyncEvery 1
+// ("powerloss-seedNN", faultfs PowerLoss), which loses what no fsync
+// covered — so only a server whose every ack waits for its fsync keeps
+// acked ≤ recovered — and a power cut at FsyncEvery 3
+// ("powerloss-grouped-seedNN"), which may lose acked commands, but only
+// within the window the group commit leaves unsynced.
 func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 	script := crashScript()
 
@@ -191,16 +194,19 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 				ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget, PowerLoss: m.powerLoss})
 
 				acked, issued := 0, 0
+				var w ackWindow
 				srvA, err := server.Open(server.Options{
 					DataDir: dir, FsyncEvery: m.fsyncEvery(3), FsyncMaxDelay: -1, SnapshotEvery: 16, FS: ffs,
 				})
 				if err == nil {
 					for _, c := range script {
 						issued++
+						before := srvA.AppliedLSN()
 						if code := doCmd(t, srvA.Handler(), c); code >= 300 {
 							break
 						}
 						acked++
+						w.acked(srvA, before)
 					}
 					_ = srvA.Close() // releases descriptors; errors expected post-crash
 				}
@@ -224,10 +230,11 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 				if rec.DispatchMismatches != 0 {
 					t.Fatalf("recovery saw %d dispatch mismatches: the regenerated decisions contradict the journal", rec.DispatchMismatches)
 				}
-				if rec.Commands < uint64(acked) || rec.Commands > uint64(issued) {
+				if (!m.grouped && rec.Commands < uint64(acked)) || rec.Commands > uint64(issued) {
 					t.Fatalf("recovered %d commands outside [acked %d, issued %d] (crash at byte %d, %d truncated)",
 						rec.Commands, acked, issued, budget, rec.TruncatedBytes)
 				}
+				w.lostWithin(t, 3, rec.Commands)
 
 				got := captureState(t, srvB.Handler())
 				assertStateEqual(t, "recovered vs reference prefix", got, states[rec.Commands])
@@ -282,22 +289,55 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 // process crash, which keeps every byte written before the crash point, at
 // the sweep's own group-commit setting; or a power cut (faultfs
 // PowerLoss), which loses what no fsync covered, at FsyncEvery 1 — the
-// setting under which every ack waits for its record's fsync. name
-// prefixes the subtest's.
+// setting under which every ack waits for its record's fsync — or, grouped,
+// at the sweep's own setting k, under which an ack leaves fewer than k
+// records unsynced (wal.Log.Wait), so a crash may lose acknowledged
+// commands among them. name prefixes the subtest's.
 type crashModel struct {
 	name      string
 	powerLoss bool
+	grouped   bool
 }
 
-var crashModels = []crashModel{{"", false}, {"powerloss-", true}}
+var crashModels = []crashModel{{"", false, false}, {"powerloss-", true, false}, {"powerloss-grouped-", true, true}}
 
 // fsyncEvery is the FsyncEvery the model runs at, given the sweep's own
-// setting for a process crash.
-func (m crashModel) fsyncEvery(processCrash int) int {
-	if m.powerLoss {
+// setting.
+func (m crashModel) fsyncEvery(sweep int) int {
+	if m.powerLoss && !m.grouped {
 		return 1
 	}
-	return processCrash
+	return sweep
+}
+
+// ackWindow tracks a sequential run's acknowledged commands against the
+// journal: the LSN of each one's record (every counted command journals
+// one, right after what was written before it was sent), and the written
+// LSN when the last ack returned.
+type ackWindow struct {
+	frames  []uint64
+	lastAck uint64
+}
+
+// acked records one more acknowledged command, sent when srv had written
+// up to before.
+func (w *ackWindow) acked(srv *server.Server, before uint64) {
+	w.frames = append(w.frames, before+1)
+	w.lastAck = srv.AppliedLSN()
+}
+
+// lostWithin holds the acked commands a recovery of recovered commands
+// lost to the group commit's contract at FsyncEvery k: each one's record
+// lies among the last k-1 the journal had written when the last ack
+// returned, which every ack leaves unsynced at most.
+func (w *ackWindow) lostWithin(t *testing.T, k int, recovered uint64) {
+	t.Helper()
+	for i := recovered; i < uint64(len(w.frames)); i++ {
+		if w.lastAck-w.frames[i] >= uint64(k) {
+			t.Fatalf("acked command %d (record %d) lost, %d records behind the last ack's %d: outside the FsyncEvery %d window",
+				i, w.frames[i], w.lastAck-w.frames[i], w.lastAck, k)
+		}
+	}
 }
 
 // TestCrashRecoveryBatchSubmit is the batch-path seed batch: the same

@@ -134,8 +134,6 @@ func (s *Server) ApplyReplicated(r wal.Record) error {
 	if s.wal == nil {
 		return fmt.Errorf("server: replication needs a durable server")
 	}
-	s.opMu.RLock()
-	defer s.opMu.RUnlock()
 	if _, err := s.wal.AppendReplicated(r); err != nil {
 		return err
 	}
@@ -305,20 +303,20 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 // handleReplSnapshot serves the latest snapshot for follower bootstrap,
 // self-contained: dispatch history the on-disk payload only names by file
 // is inlined back, so the follower installs it into an empty directory
-// exactly as before history was sealed. opMu's read side keeps compaction
-// — which replaces the snapshot and deletes the files the old one named —
-// out while the two are read.
+// exactly as before history was sealed. compactMu keeps compaction — which
+// replaces the snapshot and deletes the files the old one named — out while
+// the two are read.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.wal == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("server: no journal (in-memory server)"))
 		return
 	}
-	s.opMu.RLock()
+	s.compactMu.Lock()
 	payload, lsn, term, err := s.wal.Snapshot()
 	if err == nil && payload != nil {
 		payload, err = selfContained(s.wal, payload)
 	}
-	s.opMu.RUnlock()
+	s.compactMu.Unlock()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

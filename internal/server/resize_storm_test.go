@@ -154,8 +154,10 @@ func normalizeStorm(st serverState) serverState {
 //  5. max tardiness stays ≤ 1 quantum at every command boundary of the
 //     reference run and across crash + recovery (Theorem 3, elastic M).
 //
-// Each storm runs under both crash models (crashModels): a process crash
-// at FsyncEvery 3, and a power cut at FsyncEvery 1 ("powerloss-seedNN").
+// Each storm runs under every crash model (crashModels): a process crash
+// at FsyncEvery 3, a power cut at FsyncEvery 1 ("powerloss-seedNN"), and
+// one at FsyncEvery 3 ("powerloss-grouped-seedNN"), which may lose acked
+// commands within the group commit's window only.
 func TestResizeStormCrashRecovery(t *testing.T) {
 	for _, m := range crashModels {
 		for seed := 0; seed < 50; seed++ {
@@ -200,12 +202,14 @@ func TestResizeStormCrashRecovery(t *testing.T) {
 				budget := int64(64 + seed*seed*200)
 				ffs := faultfs.New(faultfs.Options{Seed: int64(seed), CrashAtByte: budget, PowerLoss: m.powerLoss})
 				acked, issued := 0, 0
+				var w ackWindow
 				srvA, err := server.Open(server.Options{
 					DataDir: dir, FsyncEvery: m.fsyncEvery(3), FsyncMaxDelay: -1, SnapshotEvery: 16, FS: ffs,
 				})
 				if err == nil {
 				storm:
 					for i, c := range script {
+						before := srvA.AppliedLSN()
 						code := doCmd(t, srvA.Handler(), c.cmd)
 						switch {
 						case c.expectReject && code == http.StatusConflict:
@@ -218,6 +222,7 @@ func TestResizeStormCrashRecovery(t *testing.T) {
 						case code < 300:
 							issued++
 							acked++
+							w.acked(srvA, before)
 						default:
 							issued++
 							break storm
@@ -240,9 +245,10 @@ func TestResizeStormCrashRecovery(t *testing.T) {
 					t.Fatalf("recovery degraded: %d replay errors, %d dispatch mismatches (capacity history diverged?)",
 						rec.ReplayErrors, rec.DispatchMismatches)
 				}
-				if rec.Commands < uint64(acked) || rec.Commands > uint64(issued) {
+				if (!m.grouped && rec.Commands < uint64(acked)) || rec.Commands > uint64(issued) {
 					t.Fatalf("recovered %d commands outside [acked %d, issued %d]", rec.Commands, acked, issued)
 				}
+				w.lostWithin(t, 3, rec.Commands)
 				got := captureState(t, srvB.Handler())
 				assertStateEqual(t, "recovered vs reference prefix",
 					normalizeStorm(got), normalizeStorm(states[rec.Commands]))

@@ -64,19 +64,21 @@ type Server struct {
 	obs     *serverObs
 
 	// Durability (nil wal = in-memory server, Open without a DataDir).
-	// opMu's read side brackets every journaled mutation; compact takes the
-	// write side to get a stop-the-world-consistent image of the registry
-	// and cmdSeq, the count of enqueued (journaled + applied) commands.
-	// Lock order: opMu → regMu → wal's own lock (a tenant has no lock:
-	// its loop is the only writer). Mutations only *enqueue* their record
-	// while holding those locks; the fsync wait happens in mutate after
-	// all of them are released, so one request's fsync never blocks other
-	// tenants — concurrent waiters coalesce into a single fsync inside
-	// wal.Log (group commit).
-	wal      *wal.Log
-	opMu     sync.RWMutex
-	cmdSeq   atomic.Uint64
-	recovery *RecoveryInfo
+	// cmdBase is the command count recovery rebuilt; the journal counts the
+	// commands it has taken since (wal.Cut), so a compaction reads the count
+	// at its cut with the cut. compactMu serialises compactions and the
+	// replication-snapshot read; no request waits on it. Lock order:
+	// compactMu → regMu → wal's own lock (a tenant has no lock: its loop is
+	// the only writer, and a compaction waits on it holding compactMu
+	// only). Mutations only *enqueue* their record while holding those
+	// locks; the fsync wait happens in mutate after all of them are
+	// released, so one request's fsync never blocks other tenants —
+	// concurrent waiters coalesce into a single fsync inside wal.Log (group
+	// commit).
+	wal       *wal.Log
+	compactMu sync.Mutex
+	cmdBase   uint64
+	recovery  *RecoveryInfo
 
 	// Replication / cluster role (replication.go). role defaults to
 	// leader, so a server opened without Follower is a writable single
@@ -237,6 +239,7 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 		return wal.Commit{}, err
 	}
 	s.tenants[t.ID()] = t
+	t.lsn = max(t.lsn, commit.LSN) // no command has reached its loop yet
 	if s.wal != nil {
 		t.hooks.Store(&journalHooks{append: s.journalRecord, fail: s.failJournal, hist: s.wal})
 	}
@@ -281,11 +284,16 @@ func (s *Server) failJournal(err error) {
 // allTenants snapshots the registry in id order.
 func (s *Server) allTenants() []*Tenant {
 	s.regMu.RLock()
+	defer s.regMu.RUnlock()
+	return s.tenantsLocked()
+}
+
+// tenantsLocked is allTenants for a caller holding regMu.
+func (s *Server) tenantsLocked() []*Tenant {
 	out := make([]*Tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		out = append(out, t)
 	}
-	s.regMu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
@@ -380,11 +388,11 @@ type reply struct {
 
 // mutate is the one envelope every mutating route runs in: the leader
 // gate, the route's tenant (404) when it names one, the request body (400)
-// when it has one, op under opMu's read side, then — outside every lock,
-// so a slow fsync stalls only the requests it acknowledges and concurrent
-// waiters park together in the WAL and share one fsync (group commit) —
-// the durability wait, the compaction check, and the response. An op
-// error answers statusOf(err, fallback).
+// when it has one, op, then — outside every lock, so a slow fsync stalls
+// only the requests it acknowledges and concurrent waiters park together
+// in the WAL and share one fsync (group commit) — the durability wait, the
+// compaction check, and the response. An op error answers statusOf(err,
+// fallback).
 func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallback int, op func(t *Tenant) (reply, error)) {
 	if !s.gateMutation(w) {
 		return
@@ -398,9 +406,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallbac
 	if req != nil && !s.decode(w, r, req) {
 		return
 	}
-	s.opMu.RLock()
 	rp, err := op(t)
-	s.opMu.RUnlock()
 	if err != nil {
 		if rp.errStatus != 0 {
 			fallback = rp.errStatus

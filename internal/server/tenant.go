@@ -34,7 +34,7 @@ import (
 //     one index of active tasks: M, the queued shrink target, Σwt and the
 //     tasks by name are asked of it and kept nowhere else (readers use
 //     the snapshot) — log (its manifest included, which seal extends),
-//     maxTar, reject, digest, jobs, valid, lags, worst, and the open
+//     maxTar, reject, digest, lsn, jobs, valid, lags, worst, and the open
 //     command obs.tr keeps.
 //   - immutable after construction: id, policy, ring, closed (closed by
 //     the loop when a stop applies), obs (tracer + histograms).
@@ -65,6 +65,10 @@ type Tenant struct {
 	// digest is the dispatch digest of the last command that made decisions
 	// (journaled tenants only; settle computes it).
 	digest dispatchDigest
+	// lsn is the last journal record of this tenant it has applied: its
+	// create, a command or a digest (journal, settle, replay), never its
+	// delete. A checkpoint carries it.
+	lsn uint64
 	// jobs and valid are reusable buffers of the submit group being
 	// applied: its jobs, which its journal record holds, and what
 	// validateSubmit found for each.
@@ -102,6 +106,7 @@ type tenantSnap struct {
 	// this tenant against: computed when the command applied, it does not
 	// need the frames to be resident still when that record arrives.
 	digest dispatchDigest
+	lsn    uint64
 }
 
 // dispatchDigest is what the journal keeps of the decisions one command
@@ -232,6 +237,7 @@ func (t *Tenant) publish() {
 		maxTar:   t.maxTar,
 		reject:   t.reject,
 		digest:   t.digest,
+		lsn:      t.lsn,
 	})
 	if prev != nil && t.log.len() > prev.log.len() {
 		if ch := t.grown.Swap(nil); ch != nil {
@@ -417,6 +423,7 @@ func (t *Tenant) journal(task string, at *rat.Rat, rec wal.Record) (wal.Commit, 
 	if err != nil {
 		return wal.Commit{}, err
 	}
+	t.lsn = max(t.lsn, commit.LSN)
 	return commit, nil
 }
 

@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
-	"strconv"
-	"strings"
 )
 
 // Reader is a sequential, tailing view of the log's durable prefix, the
@@ -222,14 +220,8 @@ func (r *Reader) bestSegment(lsn uint64) (first uint64, name string, err error) 
 		return 0, "", err
 	}
 	for _, n := range names {
-		if !strings.HasPrefix(n, segPrefix) || !strings.HasSuffix(n, segSuffix) {
-			continue
-		}
-		f, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(n, segPrefix), segSuffix), 16, 64)
-		if perr != nil {
-			continue
-		}
-		if f <= lsn && (name == "" || f > first) {
+		f, ok := segmentFirst(n)
+		if ok && f <= lsn && (name == "" || f > first) {
 			first, name = f, n
 		}
 	}

@@ -31,10 +31,10 @@ func isSidecar(name string) bool {
 		!strings.ContainsAny(name, `/\`)
 }
 
-// sidecarSeq is the counter a sidecar name ends in, 0 for one that ends
-// in none.
+// sidecarSeq is the counter a sidecar name, or its tmp's, ends in, 0 for
+// one that ends in none.
 func sidecarSeq(name string) uint64 {
-	body := strings.TrimSuffix(name, sidecarSuffix)
+	body := strings.TrimSuffix(strings.TrimSuffix(name, ".tmp"), sidecarSuffix)
 	k, _ := strconv.ParseUint(body[strings.LastIndexByte(body, '-')+1:], 10, 64)
 	return k
 }
@@ -91,13 +91,14 @@ func (l *Log) OpenSidecar(name string) (io.ReadCloser, error) {
 	return l.fs.Open(filepath.Join(l.dir, name))
 }
 
-// RemoveSidecarsExcept deletes every sidecar that keep does not name, and
-// every leftover sidecar tmp — the sidecar half of Compact's stale-segment
-// removal, called with the set the just-installed snapshot refers to.
-// Best-effort for the same reason: unreferenced files are garbage, never
-// state. The caller must not run it beside a WriteSidecars, whose files no
-// snapshot names yet (pfaird compacts with every tenant quiesced).
-func (l *Log) RemoveSidecarsExcept(keep map[string]bool) {
+// RemoveSidecarsExcept deletes every sidecar, and every leftover sidecar
+// tmp, named before the cut c that keep does not name — the sidecar half
+// of CompactAt's segment removal, called with c and the set the snapshot
+// installed there refers to. A name handed out after the cut is left: a
+// WriteSidecars beside the compaction wrote it, and the next snapshot
+// names it. Best-effort for the same reason as the segments: unreferenced
+// files are garbage, never state.
+func (l *Log) RemoveSidecarsExcept(c Cut, keep map[string]bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	names, err := l.fs.ReadDir(l.dir)
@@ -105,7 +106,7 @@ func (l *Log) RemoveSidecarsExcept(keep map[string]bool) {
 		return
 	}
 	for _, n := range names {
-		if strings.HasPrefix(n, "hist") && !keep[n] {
+		if strings.HasPrefix(n, "hist") && !keep[n] && sidecarSeq(n) <= c.sidecars {
 			l.fs.Remove(filepath.Join(l.dir, n))
 		}
 	}

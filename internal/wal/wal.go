@@ -35,9 +35,14 @@
 // snapshot (records with LSN ≤ snapshot LSN are superseded by it), then
 // scans segments in LSN order, stopping a segment at the first torn or
 // corrupt frame: a partial write at the crash point truncates the tail, it
-// is never fatal. Compact writes a new snapshot, rolls to a fresh segment
-// and deletes the old ones; a crash anywhere in that sequence is safe
-// because stale segments only hold records the snapshot already covers.
+// is never fatal. A snapshot covers a cut: every record at or below the
+// LSN Cut read. The caller images state at or past the cut while appends go
+// on, and CompactAt installs the image, rolls to a fresh segment and
+// deletes the segments that hold nothing above the cut; a crash anywhere
+// in that sequence is safe because a deleted segment only held records the
+// snapshot covers. A record above the cut that the image already reflects
+// is the caller's to skip on replay: pfaird's tenant checkpoints each carry
+// the LSN of the last record they applied.
 //
 // Sidecars keep a snapshot proportional to new work. State that only ever
 // grows at its end — pfaird's per-tenant dispatch history — is written
@@ -56,8 +61,10 @@
 //     they are durable (step 1 synced them first).
 //  3. RemoveSidecarsExcept: files the installed snapshot does not name —
 //     orphans of a crash before step 2, history of deleted tenants — are
-//     deleted, beside the stale segments. A crash here leaves garbage the
-//     next compaction (every boot runs one) removes.
+//     deleted, beside the stale segments, but only those named before the
+//     cut: a file sealed beside the compaction is named by the next
+//     snapshot. A crash here leaves garbage the next compaction (every boot
+//     runs one) removes.
 //
 // A referenced sidecar is never rewritten: no two seals share a name.
 //
@@ -378,7 +385,8 @@ type Log struct {
 	snapLSN    uint64 // highest LSN covered by the on-disk snapshot
 	term       uint64 // current leadership term, stamped into appends
 	syncing    bool   // a leader is inside the fsync syscall, mutex dropped
-	sinceSnap  int
+	sinceSnap  int    // weight of the records above snapLSN
+	commands   uint64 // weight of the command records written since Open
 	sidecars   uint64 // the counter the last SidecarName ends in
 	// The idle-flush timer belongs to one unsynced batch: armed by the
 	// batch's first record, stopped by the sync that leaves nothing unsynced.
@@ -449,7 +457,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		if strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix) {
 			segs = append(segs, n)
 		}
-		if isSidecar(n) {
+		if isSidecar(strings.TrimSuffix(n, ".tmp")) {
 			sidecars = max(sidecars, sidecarSeq(n))
 		}
 	}
@@ -595,7 +603,7 @@ func (l *Log) AppendAsync(r Record) (Commit, error) {
 	if err := encodeFrame(fb, &r); err != nil {
 		return Commit{}, err
 	}
-	if err := l.writeLocked(fb, 1, r.Weight()); err != nil {
+	if err := l.writeLocked(fb, r); err != nil {
 		return Commit{}, err
 	}
 	return Commit{LSN: r.LSN}, nil
@@ -626,7 +634,7 @@ func (l *Log) AppendReplicated(r Record) (Commit, error) {
 	if err := encodeFrame(fb, &r); err != nil {
 		return Commit{}, err
 	}
-	if err := l.writeLocked(fb, 1, r.Weight()); err != nil {
+	if err := l.writeLocked(fb, r); err != nil {
 		return Commit{}, err
 	}
 	l.term = r.Term
@@ -655,27 +663,26 @@ func (l *Log) AppendBatch(rs []Record) (Commit, error) {
 	if err := l.appendableLocked(); err != nil {
 		return Commit{}, err
 	}
-	weight := 0
 	for i := range rs {
 		rs[i].LSN = l.nextLSN + uint64(i)
 		rs[i].Term = l.term
 		if err := encodeFrame(fb, &rs[i]); err != nil {
 			return Commit{}, err
 		}
-		weight += rs[i].Weight()
 	}
-	if err := l.writeLocked(fb, len(rs), weight); err != nil {
+	if err := l.writeLocked(fb, rs...); err != nil {
 		return Commit{}, err
 	}
 	return Commit{LSN: l.writtenLSN}, nil
 }
 
-// writeLocked writes fb's n encoded frames (LSNs nextLSN..nextLSN+n-1) to
+// writeLocked writes fb, the encoded frames of rs (LSNs nextLSN on), to
 // the active segment and publishes them as written, arming the idle-flush
 // timer. The frames count toward FsyncEvery (writtenLSN) and the appends
-// statistic, their records' total weight toward SnapshotEvery. Called with
-// l.mu held after appendableLocked and encoding.
-func (l *Log) writeLocked(fb *wire.Buf, n, weight int) error {
+// statistic, their records' total weight toward SnapshotEvery, and that of
+// the commands among them toward Cut's Commands. Called with l.mu held
+// after appendableLocked and encoding.
+func (l *Log) writeLocked(fb *wire.Buf, rs ...Record) error {
 	var t0 time.Time
 	if l.timings != nil {
 		t0 = l.now()
@@ -688,14 +695,19 @@ func (l *Log) writeLocked(fb *wire.Buf, n, weight int) error {
 	if l.timings != nil {
 		t1 := l.now()
 		l.timings.ObserveAppend(t1.Sub(t0))
-		for i := 0; i < n; i++ {
+		for i := range rs {
 			l.pendingAt = append(l.pendingAt, pendingStamp{lsn: l.nextLSN + uint64(i), at: t1})
 		}
 	}
-	l.nextLSN += uint64(n)
+	l.nextLSN += uint64(len(rs))
 	l.writtenLSN = l.nextLSN - 1
-	l.st.Appends += uint64(n)
-	l.sinceSnap += weight
+	l.st.Appends += uint64(len(rs))
+	for i := range rs {
+		l.sinceSnap += rs[i].Weight()
+		if rs[i].IsCommand() {
+			l.commands += uint64(rs[i].Weight())
+		}
+	}
 	if l.maxDelay > 0 && !l.timerArmed {
 		l.timerArmed = true
 		l.timerGen++
@@ -753,17 +765,18 @@ func (l *Log) syncUntilLocked(done func() bool) error {
 			l.commit.Wait()
 			continue
 		}
-		l.leaderSyncLocked()
+		l.leaderSyncLocked(false)
 	}
 	return nil
 }
 
 // leaderSyncLocked performs one group-commit fsync as the leader: it
 // captures the written high-water mark, releases l.mu for the syscall so
-// appends and new waiters keep flowing, then reacquires it to publish
-// durability and wake the followers. Called with l.mu held, !l.syncing,
-// not wedged, and durableLSN < writtenLSN.
-func (l *Log) leaderSyncLocked() {
+// appends and new waiters keep flowing — unless hold, which keeps every
+// append behind the sync — then reacquires it to publish durability and
+// wake the followers. Called with l.mu held, !l.syncing, not wedged, and
+// durableLSN < writtenLSN.
+func (l *Log) leaderSyncLocked(hold bool) {
 	end := l.writtenLSN
 	f := l.f
 	l.syncing = true
@@ -771,9 +784,13 @@ func (l *Log) leaderSyncLocked() {
 	if l.timings != nil {
 		s0 = l.now()
 	}
-	l.mu.Unlock()
+	if !hold {
+		l.mu.Unlock()
+	}
 	err := f.Sync()
-	l.mu.Lock()
+	if !hold {
+		l.mu.Lock()
+	}
 	l.syncing = false
 	if err != nil {
 		l.wedge(err)
@@ -890,11 +907,36 @@ func (l *Log) ShouldCompact() bool {
 	return l.snapEvery > 0 && l.sinceSnap >= l.snapEvery && l.wedged == nil && !l.closed
 }
 
-// Compact atomically installs payload as the new snapshot, covering every
-// record appended so far, then rolls to a fresh segment and removes the
-// stale ones. The caller must guarantee payload reflects exactly the state
-// after the last appended record (pfaird quiesces mutations around it).
-func (l *Log) Compact(payload []byte) error {
+// Cut is the point a snapshot covers: every record at or below LSN. Cut
+// reads it, and CompactAt installs a snapshot there.
+type Cut struct {
+	LSN uint64
+	// Commands is the weight of the command records this log has written
+	// since Open, all of them at or below LSN: read with it, under one lock.
+	Commands uint64
+	term     uint64 // the term the snapshot is stamped with
+	weight   int    // sinceSnap at the cut: what the snapshot there takes off the hint
+	sidecars uint64 // the last sidecar name handed out before the cut
+}
+
+// Cut reads the log's written LSN and what goes with it. Appends may go on
+// after it: a snapshot taken at the cut images state at or past it.
+func (l *Log) Cut() Cut {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return Cut{LSN: l.writtenLSN, Commands: l.commands, term: l.term, weight: l.sinceSnap, sidecars: l.sidecars}
+}
+
+// Compact installs payload as the snapshot at the written LSN: payload
+// must reflect every record appended so far. What only the repository
+// benchmark's per-layer pass compiles against (ROADMAP 10c).
+func (l *Log) Compact(payload []byte) error { return l.CompactAt(l.Cut(), payload) }
+
+// CompactAt atomically installs payload as the snapshot at c, then rolls
+// to a fresh segment and removes the segments that hold no record above
+// c. Payload must reflect every record at or below c.LSN; appends go on
+// beside it. A cut behind the installed snapshot is refused.
+func (l *Log) CompactAt(c Cut, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.wedged != nil {
@@ -903,20 +945,24 @@ func (l *Log) Compact(payload []byte) error {
 	if l.closed {
 		return fmt.Errorf("wal: log closed")
 	}
+	if c.LSN < l.snapLSN {
+		return fmt.Errorf("wal: cut at LSN %d is behind the snapshot at %d", c.LSN, l.snapLSN)
+	}
 	// Everything written must be durable — and no leader mid-syscall on
 	// the segment we are about to roll — before the snapshot claims to
-	// cover it. The loop re-checks because both waits release the mutex.
-	for {
-		if err := l.syncToLocked(l.writtenLSN); err != nil {
-			return err
-		}
-		if !l.syncing && l.durableLSN == l.writtenLSN {
-			break
-		}
+	// cover the cut and the roll leaves the segment behind. The one fsync
+	// holds the mutex, so appends going on beside the compaction cannot
+	// keep it chasing them; they wait it out, as they wait out the install.
+	for l.syncing {
 		l.commit.Wait()
 	}
-	lsn := l.nextLSN - 1
-	if err := l.writeSnapshotLocked(payload, lsn, l.term); err != nil {
+	if l.wedged == nil && l.durableLSN < l.writtenLSN {
+		l.leaderSyncLocked(true)
+	}
+	if l.wedged != nil {
+		return l.wedged
+	}
+	if err := l.writeSnapshotLocked(payload, c.LSN, c.term); err != nil {
 		return err
 	}
 	// The snapshot is durable; roll the segment. Failures from here leave
@@ -924,9 +970,9 @@ func (l *Log) Compact(payload []byte) error {
 	if err := l.openSegment(); err != nil {
 		return err
 	}
-	l.removeStaleSegmentsLocked()
-	l.snapLSN = lsn
-	l.sinceSnap = 0
+	l.removeSegmentsLocked(c.LSN)
+	l.sinceSnap = max(0, l.sinceSnap-c.weight)
+	l.snapLSN = c.LSN
 	l.st.Snapshots++
 	return nil
 }
@@ -995,16 +1041,37 @@ func (l *Log) installFile(tmp, name string, chunks ...[]byte) error {
 	return err
 }
 
-// removeStaleSegmentsLocked deletes every segment other than the active
-// one; best-effort, since recovery skips stale records by LSN anyway.
-func (l *Log) removeStaleSegmentsLocked() {
-	if names, err := l.fs.ReadDir(l.dir); err == nil {
-		for _, n := range names {
-			if strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix) && n != l.seg {
-				l.fs.Remove(filepath.Join(l.dir, n))
-			}
+// removeSegmentsLocked deletes every segment that holds no record above
+// lsn: one whose successor starts at or below lsn+1. The active segment,
+// the last, always stays. Best-effort, since recovery skips stale records
+// by LSN anyway.
+func (l *Log) removeSegmentsLocked(lsn uint64) {
+	names, err := l.fs.ReadDir(l.dir)
+	if err != nil {
+		return
+	}
+	var segs []string
+	for _, n := range names {
+		if _, ok := segmentFirst(n); ok {
+			segs = append(segs, n)
 		}
 	}
+	sort.Strings(segs) // zero-padded hex first-LSN names sort in LSN order
+	for i := 0; i+1 < len(segs); i++ {
+		if next, _ := segmentFirst(segs[i+1]); next <= lsn+1 {
+			l.fs.Remove(filepath.Join(l.dir, segs[i]))
+		}
+	}
+}
+
+// segmentFirst is the first LSN a segment's name gives, and whether name
+// is a segment's.
+func segmentFirst(name string) (uint64, bool) {
+	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+		return 0, false
+	}
+	f, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix), 16, 64)
+	return f, err == nil
 }
 
 // InstallSnapshot primes the log with a snapshot shipped from a leader:
@@ -1041,7 +1108,7 @@ func (l *Log) InstallSnapshot(payload []byte, lsn, term uint64) error {
 	if err := l.openSegment(); err != nil {
 		return err
 	}
-	l.removeStaleSegmentsLocked()
+	l.removeSegmentsLocked(lsn)
 	return nil
 }
 
