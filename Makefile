@@ -250,7 +250,9 @@ fuzz:
 # byte for byte, whatever the task name and numbers, and
 # FuzzTraceRingMatchesMarshal that of a trace ring's compact records: its
 # frames are json.Marshal of the events appended, across growth, wraparound
-# and string-table compaction. Each target fuzzes
+# and string-table compaction. FuzzIdemMemory holds a tenant's idempotency
+# memory to a map and a FIFO of keys: the same answers, the same eviction
+# order at MaxIdemKeys, the same checkpoint entries. Each target fuzzes
 # for 30 s; minimising a new input is capped at 3 s (the default, 60 s,
 # could take a whole budget at 0 execs/sec). A failing input is still
 # reported and written to testdata, minimised or not.
@@ -261,6 +263,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ $(FUZZ_SMOKE) -fuzz=FuzzTaskParams
 	$(GO) test ./internal/server/ $(FUZZ_SMOKE) -fuzz=FuzzWireMatchesJSON
 	$(GO) test ./internal/server/ $(FUZZ_SMOKE) -fuzz=FuzzColdFrameMatchesWire
+	$(GO) test ./internal/server/ $(FUZZ_SMOKE) -fuzz=FuzzIdemMemory
 	$(GO) test ./internal/online/ $(FUZZ_SMOKE) -fuzz=FuzzResize
 	$(GO) test ./internal/client/ $(FUZZ_SMOKE) -fuzz=FuzzTraceDecoder
 	$(GO) test ./internal/obs/ $(FUZZ_SMOKE) -fuzz=FuzzTraceRingMatchesMarshal
@@ -319,10 +322,11 @@ recovery:
 # TestInMemoryTenantBytesPerDispatch holds an in-memory tenant's retained
 # heap to ≤ 12 B per decision over the same 10^6 decisions, and
 # TestJournaledTenantBytesPerDispatch a journaled tenant's that no
-# compaction checkpoints, which seals its own history every 2·4096
-# decisions.
+# compaction checkpoints, which seals its own history every 4096
+# decisions. TestIdemMemoryBytesPerKey holds the idempotency memory to
+# ≤ 48 B per remembered key across five full keyed tenants (20 480 keys).
 longrun:
-	$(GO) test -count=1 -v -timeout 30m ./internal/server/ -run 'TestLongTenantSnapshotsStayFlat|TestInMemoryTenantBytesPerDispatch|TestJournaledTenantBytesPerDispatch' -args -dispatches 1000000
+	$(GO) test -count=1 -v -timeout 30m ./internal/server/ -run 'TestLongTenantSnapshotsStayFlat|TestInMemoryTenantBytesPerDispatch|TestJournaledTenantBytesPerDispatch|TestIdemMemoryBytesPerKey' -args -dispatches 1000000
 
 # scenario-smoke is the scenario engine's CI gate: the golden-trace
 # byte-compare (same seed + same spec ⇒ byte-identical trace; regenerate

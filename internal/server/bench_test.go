@@ -177,10 +177,10 @@ func BenchmarkTenantBatchRound(b *testing.B) {
 // durable server that never compacts (SnapshotEvery 1<<30): the tenant
 // journals each batch, advance and digest and, like a handler, waits on
 // the advance's commit (FsyncEvery 64) after each round. The tenant seals
-// its log into a history file whenever 2·4096 frames are unsealed, so the
+// its log into a history file whenever 4096 frames are unsealed, so the
 // round's time includes those writes, and resident-B/dispatch — the
 // frames since the last seal, spread over every decision — falls as the
-// run grows: ≈ 4.5 B at -benchtime 1000x (128 000 decisions), where
+// run grows: ≈ 0.9 B at -benchtime 1000x (128 000 decisions), where
 // keeping every ≈ 110 B frame would read that.
 func BenchmarkTenantBatchRoundJournaled(b *testing.B) {
 	defer server.SetHistSegmentMin(4096)()

@@ -106,25 +106,28 @@ func (c *chunk) appendWire(b []byte, i, n int) []byte {
 }
 
 // A compact record is a header byte, then varints. The header's low bits
-// flag the fields written out because a reader could not rebuild them;
-// its high nibble holds proc, coldProcWide meaning a uvarint follows.
+// flag the fields written out because a reader could not rebuild them, or
+// left out because it can; its high nibble holds proc, coldProcWide
+// meaning a uvarint follows.
 const (
-	coldStartAbs = 1 << iota // start's denominator differs from the previous record's
-	coldFinish               // finish ≠ start + 1
-	coldTardy                // tardiness ≠ 0
-	coldProcWide = 15
+	coldStartAbs  = 1 << iota // start's denominator differs from the previous record's
+	coldFinish                // finish ≠ start + 1
+	coldTardy                 // tardiness ≠ 0
+	coldStartSame             // start equals the previous record's: not written
+	coldProcWide  = 15
 )
 
 // putColdRecord writes a decision's compact record at the start of b,
 // which has room for maxColdRecord bytes, and returns its length. prev is
 // the start of the chunk's previous record, 0/1 at an index point. After
 // the header (and a wide proc): the task's Task.ID as a uvarint, then as
-// zig-zag varints index; start as its numerator's delta from prev's, or
-// with coldStartAbs its numerator and denominator; finish, only with
-// coldFinish; deadline less start's truncated integer part; tardiness,
-// only with coldTardy. A rat is written as its numerator and denominator
-// in lowest terms, and every difference wraps as int64 arithmetic does,
-// so any input round-trips. The seq is the record's place in its chunk.
+// zig-zag varints index; start, unless coldStartSame, as its numerator's
+// delta from prev's, or with coldStartAbs its numerator and denominator;
+// finish, only with coldFinish; deadline less start's truncated integer
+// part; tardiness, only with coldTardy. A rat is written as its numerator
+// and denominator in lowest terms, and every difference wraps as int64
+// arithmetic does, so any input round-trips. The seq is the record's place
+// in its chunk.
 func putColdRecord(b []byte, prev rat.Rat, id int, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) int {
 	h := byte(min(uint(proc), coldProcWide)) << 4
 	n := 1
@@ -134,11 +137,14 @@ func putColdRecord(b []byte, prev rat.Rat, id int, index int64, proc int, start,
 	n += binary.PutUvarint(b[n:], uint64(id))
 	n += binary.PutVarint(b[n:], index)
 	sn, sd := start.Num(), start.Den()
-	if sd != prev.Den() {
+	switch {
+	case sn == prev.Num() && sd == prev.Den():
+		h |= coldStartSame
+	case sd != prev.Den():
 		h |= coldStartAbs
 		n += binary.PutVarint(b[n:], sn)
 		n += binary.PutVarint(b[n:], sd)
-	} else {
+	default:
 		n += binary.PutVarint(b[n:], sn-prev.Num())
 	}
 	if fn, fd := finish.Num(), finish.Den(); fn != sn+sd || fd != sd {
@@ -187,9 +193,11 @@ func (d *coldDecoder) next() {
 	}
 	d.id = d.uint()
 	d.index = d.int()
-	if h&coldStartAbs != 0 {
+	switch {
+	case h&coldStartSame != 0:
+	case h&coldStartAbs != 0:
 		d.sn, d.sd = d.int(), d.int()
-	} else {
+	default:
 		d.sn += d.int()
 	}
 	d.fn, d.fd = d.sn+d.sd, d.sd

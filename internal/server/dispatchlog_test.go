@@ -267,6 +267,34 @@ func appendEvent(t testing.TB, l *dispatchLog, id int, ev DispatchEvent) {
 	l.append(id, ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
 }
 
+// TestColdRecordOmitsRepeatedStart: a record whose start equals the
+// previous record's — every processor of a wide round starting at one
+// time — carries coldStartSame and no start field, and renders back as
+// the wire frame, non-integral starts and index points included.
+func TestColdRecordOmitsRepeatedStart(t *testing.T) {
+	const n = 100 // index points at 32, 64 and 96
+	wire, cold := dispatchLog{}, dispatchLog{cold: true}
+	for i := int64(0); i < n; i++ {
+		start := rat.New(i/4+1, 3) // four decisions a start
+		ev := DispatchEvent{Seq: i, Task: "w", Index: i, Proc: int(i % 4), Start: start.String(),
+			Finish: start.Add(rat.One).String(), Deadline: i/4 + 2, Tardiness: "0"}
+		appendEvent(t, &wire, 0, ev)
+		appendEvent(t, &cold, 0, ev)
+	}
+	if got, want := readAll(&cold, 0, n), readAll(&wire, 0, n); !bytes.Equal(got, want) {
+		t.Fatalf("cold render\n got %q\nwant %q", got, want)
+	}
+	var b [maxColdRecord]byte
+	s := rat.New(5, 3)
+	same := putColdRecord(b[:], s, 0, 1, 0, s, s.Add(rat.One), 2, rat.Zero)
+	if b[0]&coldStartSame == 0 {
+		t.Fatalf("header %08b: a repeated start is not flagged", b[0])
+	}
+	if moved := putColdRecord(b[:], rat.New(4, 3), 0, 1, 0, s, s.Add(rat.One), 2, rat.Zero); same != moved-1 {
+		t.Fatalf("a record with a repeated start is %d B, with a moved one %d B; want one less", same, moved)
+	}
+}
+
 // TestColdLogMatchesWireLog drives a wire log and a cold one through the
 // same events, across many chunk boundaries of each, with a task that
 // registers halfway. The cold log holds compact records from its first

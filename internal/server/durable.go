@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -151,7 +152,12 @@ func (t *Tenant) checkpoint() (cp tenantCheckpoint, err error) {
 
 // image is checkpoint's body. From histSegmentMin unsealed events on the
 // tenant seals them first, so only the resident rest of the dispatch log
-// is imaged, and never copied here: its chunks are handed over by
+// is imaged. settle seals at that size after every command that decides,
+// so this seal is for a log no command has settled since it grew: one
+// restored with a long inline tail (a follower bootstrapped from the
+// replication snapshot, which carries the whole log inline, or a snapshot
+// written before sealing existed), or one whose seal in settle failed.
+// The log is never copied here: its chunks are handed over by
 // reference (immutable, the aliasing rule tenantSnap readers already rely
 // on) to marshalPayload, which copies them once, into the payload.
 func (t *Tenant) image() (tenantCheckpoint, error) {
@@ -167,11 +173,8 @@ func (t *Tenant) image() (tenantCheckpoint, error) {
 		MaxTar:  t.maxTar.String(),
 		History: t.log.hist,
 		Exec:    t.ex.Checkpoint(),
+		Idem:    t.idem.entries(),
 		inline:  t.log.chunks(),
-	}
-	for _, k := range t.idemQ {
-		r := t.idem[k]
-		cp.Idem = append(cp.Idem, idemEntry{Key: k, At: r.At, Pending: r.Pending})
 	}
 	return cp, nil
 }
@@ -218,7 +221,10 @@ func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 	t.reject = cp.Reject
 	t.lsn = cp.LSN
 	for _, e := range cp.Idem {
-		t.idemRemember(e.Key, SubmitJobResponse{At: e.At, Pending: e.Pending})
+		if len(e.Key) > MaxKeyLen || len(e.At) > math.MaxUint8 || e.Pending < 0 || e.Pending > math.MaxInt32 {
+			return nil, fmt.Errorf("server: tenant %q idempotency key %q: malformed entry", cp.ID, e.Key)
+		}
+		t.idem.remember(e.Key, SubmitJobResponse{At: e.At, Pending: e.Pending})
 	}
 	t.start()
 	return t, nil
@@ -385,7 +391,7 @@ func (s *Server) verifyDispatch(t *Tenant, r wal.Record) bool {
 		// checked field by field against the frame, which for this form has
 		// to be in memory. A tenant may seal between a command and these
 		// records (a follower of a leader that still writes the form, when
-		// it compacts; any replay, at 2·histSegmentMin unsealed events), and
+		// it compacts; any replay, at histSegmentMin unsealed events), and
 		// what it has sealed since it can no longer check: that is not a
 		// mismatch.
 		if r.DSeq >= 0 && r.DSeq < sn.log.floor() {

@@ -53,28 +53,35 @@ func TestCompactAfterLoopsStopKeepsTenants(t *testing.T) {
 		t.Fatalf("recovered %d tenants and %d commands, want 1 and 2", rec.Tenants, rec.Commands)
 	}
 
-	// Decisions the loop leaves unsealed: the late compaction seals them.
+	// Decisions the loop leaves unsealed — settle seals at a segment, so
+	// the segment is made longer while the commands run — are a segment's
+	// worth by the late compaction, which seals them.
+	seg := histSegmentMin
+	histSegmentMin = 1 << 20
 	h := s.Handler()
 	serve(t, h, "POST", "/v1/tenants/r/jobs:batch", `{"jobs":[{"task":"w"},{"task":"w"},{"task":"w"},{"task":"w"},{"task":"w"},{"task":"w"},{"task":"w"},{"task":"w"},{"task":"w"},{"task":"w"}]}`, http.StatusAccepted)
 	serve(t, h, "POST", "/v1/tenants/r/advance", `{"by":"10"}`, http.StatusOK)
+	histSegmentMin = seg
 	want := serve(t, h, "GET", "/v1/tenants/r/dispatches?from=0&follow=false", "", http.StatusOK).Body.Bytes()
-	if n := bytes.Count(want, []byte{'\n'}); n < histSegmentMin || n >= 2*histSegmentMin {
-		t.Fatalf("%d decisions: want a segment's worth, and fewer than settle seals", n)
+	sealed := func() (files []string) {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if strings.HasPrefix(e.Name(), "hist") {
+				files = append(files, e.Name())
+			}
+		}
+		return files
+	}
+	if n := bytes.Count(want, []byte{'\n'}); n < histSegmentMin || len(sealed()) != 0 {
+		t.Fatalf("%d decisions, history files %v: want a segment's worth, unsealed", n, sealed())
 	}
 	closeWithLateCompaction(s, false)
-	var sealed []string
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "hist") {
-			sealed = append(sealed, e.Name())
-		}
-	}
 	snap, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
-	if err != nil || len(sealed) != 1 || !bytes.Contains(snap, []byte(sealed[0])) {
-		t.Fatalf("history files %v beside a snapshot that names them? %v", sealed, err)
+	if files := sealed(); err != nil || len(files) != 1 || !bytes.Contains(snap, []byte(files[0])) {
+		t.Fatalf("history files %v beside a snapshot that names them? %v", files, err)
 	}
 	s, err = Open(Options{DataDir: dir})
 	if err != nil {

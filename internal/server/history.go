@@ -42,9 +42,9 @@ type histSegment struct {
 // unsealed tail rides in the snapshot, as the whole log used to. It bounds
 // the manifest at one entry per this many events (and the inline tail
 // below it), and keeps short-lived tenants off the sealing path entirely.
-// A tenant that no compaction checkpoints seals at twice it (settle), so
-// it never holds more unsealed. A variable only so tests can seal short
-// logs.
+// A journaled tenant seals once a command leaves this many unsealed
+// (settle), so it never holds more. A variable only so tests can seal
+// short logs.
 var histSegmentMin = 4096
 
 // sealedEvents is the number of events a manifest covers.

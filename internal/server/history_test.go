@@ -254,7 +254,9 @@ func commandPrefixes(script []cmd) (at map[uint64]int, sums []int) {
 // TestCrashRecoverySealSweep crashes a durable server at every mutating
 // filesystem operation — create, write, fsync, rename, remove, directory
 // fsync — of one compaction that adds a history segment to a manifest
-// already holding some, and of the command that triggered it. After each
+// already holding some, and of the command that triggered it, whose settle
+// sealed that segment (three tasks seal every third round; SnapshotEvery
+// 25 puts one compaction on such a round, after a batch). After each
 // crash the directory must recover cleanly to a state of the
 // uninterrupted reference run (acked ≤ recovered ≤ issued), serve ?from=0
 // replays that are byte prefixes of the reference's, hold no orphan
@@ -270,7 +272,7 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 		{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "other", M: 1}},
 		{"POST", "/v1/tenants/other/tasks", server.RegisterTaskRequest{Name: "o", E: 1, P: 3}},
 	}
-	script = sealLife(script, []string{"a", "b", "c", "d"}, 1, 2, 14)
+	script = sealLife(script, []string{"a", "b", "c"}, 1, 2, 14)
 	script = append(script,
 		cmd{"POST", "/v1/tenants/other/jobs", server.SubmitJobRequest{Task: "o"}},
 		cmd{"POST", "/v1/tenants/other/advance", server.AdvanceRequest{By: "3"}},
@@ -278,7 +280,7 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 	script = batchOtherRounds(script)
 	states, replay := referenceStates(t, script)
 	opts := func(dir string, ffs *faultfs.FS) server.Options {
-		o := server.Options{DataDir: dir, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 24}
+		o := server.Options{DataDir: dir, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 25}
 		if ffs != nil {
 			o.FS = ffs
 		}
@@ -286,7 +288,7 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 	}
 
 	// Dry run on a counting filesystem: find a command in the script's
-	// second half whose compaction sealed a segment, and the operations
+	// second half that sealed a segment and compacted, and the operations
 	// the two span — and those of the command before it, a batch, so that
 	// the sweep also crashes inside a group record's write and fsync.
 	dryDir := t.TempDir()
@@ -311,7 +313,7 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 	}
 	srv.Close()
 	if target < 0 {
-		t.Fatal("no compaction in the script's second half sealed a segment; the sweep would test nothing")
+		t.Fatal("no command in the script's second half sealed a segment and compacted; the sweep would test nothing")
 	}
 	if _, batch := script[target-1].body.(server.SubmitJobsRequest); !batch {
 		t.Fatalf("command %d, before the sealing one, is %s %s: the sweep would not cross a batch's write", target-1, script[target-1].method, script[target-1].path)
@@ -416,21 +418,24 @@ func sweepCrashes(t *testing.T, base, first, last int64, run func(t *testing.T, 
 // TestCrashRecoveryRecreatedTenantBeforeSnapshotRename deletes a tenant
 // whose history is sealed and creates it again under the same id, with
 // different tasks, between two compactions; then it sweeps a crash across
-// every filesystem operation of the second — in particular every step
-// before the snapshot rename, while the first snapshot is still the
-// directory's state. That snapshot must load each time with the files of
-// the tenant's first life intact, whatever the second life wrote beside
-// them, and the journal tail must replay the delete, the re-creation and
-// the second life over it. The server never compacts on its own here
-// (SnapshotEvery is out of reach): the first compaction is the first
-// run's Close, the second the second run's. The sweep runs as process
-// crashes and again as power cuts.
+// every filesystem operation from the second life's last seal — the command
+// whose settle wrote it, and the commands after it — to the end of the
+// second compaction: in particular every step before the snapshot rename,
+// while the first snapshot is still the directory's state. That snapshot
+// must load each time with the files of the tenant's first life intact,
+// whatever the second life wrote beside them, and the journal tail must
+// replay the delete, the re-creation and the second life over it, to a
+// whole prefix within [acked, issued] that the rest of the script carries
+// to the uncrashed run's end. The server never compacts on its own here
+// (SnapshotEvery is out of reach): the first compaction is the first run's
+// Close, the second the second run's. The sweep runs as process crashes
+// and again as power cuts.
 func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 	first := sealLife(nil, []string{"a", "b", "c", "d"}, 1, 2, 6)
 	second := []cmd{{"POST", "/v1/tenants/X/drain", nil}, {"DELETE", "/v1/tenants/X", nil}}
 	second = sealLife(second, []string{"p", "q", "r"}, 2, 3, 5)
-	states, replay := referenceStates(t, append(append([]cmd(nil), first...), second...))
-	want := states[len(states)-1]
+	script := append(append([]cmd(nil), first...), second...)
+	states, replay := referenceStates(t, script)
 
 	// A directory after the first life and a clean shutdown.
 	base := t.TempDir()
@@ -457,9 +462,12 @@ func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 	if len(firstLife) == 0 {
 		t.Fatal("the first life sealed nothing; the test would prove nothing")
 	}
-	// secondRun copies the base directory, runs the second life on fs, and
-	// closes the server: the compaction under test.
-	secondRun := func(t *testing.T, ffs *faultfs.FS) (dir string, beforeClose int64) {
+	// secondRun copies the base directory, runs the second life on ffs —
+	// calling each, if set, after every acknowledged command i with the
+	// operation count before it — and closes the server: the compaction
+	// under test. It returns the directory and how many of the second
+	// life's commands were acknowledged and issued.
+	secondRun := func(t *testing.T, ffs *faultfs.FS, each func(i int, dir string, before int64)) (dir string, acked, issued int) {
 		dir = t.TempDir()
 		copyDir(t, base, dir)
 		srv, err := server.Open(opts(dir, ffs))
@@ -467,53 +475,57 @@ func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 			t.Fatalf("Open for the second life: %v", err)
 		}
 		for i, c := range second {
+			before := ffs.Ops()
+			issued++
 			if code := doCmd(t, srv.Handler(), c); code >= 300 {
-				t.Fatalf("second life, command %d: %d", i, code)
+				break
+			}
+			acked++
+			if each != nil {
+				each(i, dir, before)
 			}
 		}
-		beforeClose = ffs.Ops()
 		for f := range firstLife {
 			if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 				t.Fatalf("first-life file %s vanished before any compaction could drop it: %v", f, err)
 			}
 		}
 		_ = srv.Close()
-		return dir, beforeClose
+		return dir, acked, issued
 	}
 
+	// Dry run on a counting filesystem: the second life's last sealing
+	// command, and the operations from its first to Close's last.
 	dry := faultfs.New(faultfs.Options{})
-	dryDir, lo := secondRun(t, dry)
+	lo, closeLo, target, files := int64(0), int64(0), -1, len(firstLife)
+	dryDir, acked, _ := secondRun(t, dry, func(i int, dir string, before int64) {
+		if n := len(histFiles(t, dir)); n > files {
+			lo, target, files = before+1, i, n
+		}
+		closeLo = dry.Ops()
+	})
 	hi := dry.Ops()
+	if acked != len(second) || target < 0 {
+		t.Fatalf("dry run: %d of %d second-life commands acknowledged, last seal at command %d; want all, and a seal", acked, len(second), target)
+	}
 	for f := range firstLife {
 		if _, err := os.Stat(filepath.Join(dryDir, f)); !os.IsNotExist(err) {
 			t.Fatalf("first-life file %s outlived the compaction that dropped its tenant (stat: %v)", f, err)
 		}
 	}
-	if hi-lo < 12 {
-		t.Fatalf("the closing compaction spans only %d filesystem operations", hi-lo)
+	if hi-closeLo < 12 {
+		t.Fatalf("the closing compaction spans only %d filesystem operations", hi-closeLo)
 	}
 
-	// Under either crash model: every command was acknowledged at
-	// FsyncEvery 1 before Close began, so all of them must be recovered.
-	sweepCrashes(t, lo, lo+1, hi, func(t *testing.T, k int64, ffs *faultfs.FS) {
-		dir, _ := secondRun(t, ffs)
-		if !ffs.Crashed() {
-			t.Fatalf("no crash at operation %d", k)
+	// Under either crash model: at FsyncEvery 1 an ack waits for its
+	// fsync, so recovery keeps every acked command and nothing beyond the
+	// issued; a crash in Close comes after every command was acked.
+	sweepCrashes(t, lo-1, lo, hi, func(t *testing.T, k int64, ffs *faultfs.FS) {
+		dir, acked, issued := secondRun(t, ffs, nil)
+		if !ffs.Crashed() || acked < target {
+			t.Fatalf("crash at operation %d: crashed=%v after %d acked second-life commands, want the crash at command %d or later", k, ffs.Crashed(), acked, target)
 		}
-		srv, err := server.Open(opts(dir, nil))
-		if err != nil {
-			t.Fatalf("recovery Open after a crash at operation %d of the compaction: %v", k-lo, err)
-		}
-		defer srv.Close()
-		if rec := srv.Recovery(); rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 {
-			t.Fatalf("recovery not clean: %d replay errors, %d dispatch mismatches", rec.ReplayErrors, rec.DispatchMismatches)
-		}
-		// Every command was acknowledged durable before Close began.
-		assertStateEqual(t, "recovered vs reference final", captureState(t, srv.Handler()), want)
-		if got := dispatchBytes(t, srv.Handler(), "X"); !bytes.Equal(got, replay["X"]) {
-			t.Fatal("?from=0 replay of the recreated tenant differs from the uncrashed run's")
-		}
-		assertNoOrphans(t, dir)
+		recoverAndContinue(t, opts(dir, nil), script, states, replay, len(first)+acked, len(first)+issued)
 		for f := range firstLife {
 			if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
 				t.Fatalf("first-life file %s survived the recovery boot's compaction (stat: %v)", f, err)
@@ -537,7 +549,7 @@ func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 func TestCrashRecoverySettleSealSweep(t *testing.T) {
 	// A seal of 1 024 frames, two chunks; t.Cleanup, not defer: the
 	// sweep's subtests run after this function returns.
-	t.Cleanup(server.SetHistSegmentMin(512))
+	t.Cleanup(server.SetHistSegmentMin(1024))
 	const tasks, period, rounds = 16, 8, 64 // 1 024 frames: the last advance seals them all
 	script := []cmd{{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "S", M: 2}}}
 	var batch server.SubmitJobsRequest
@@ -739,7 +751,7 @@ func TestRestoreParentFormatSnapshot(t *testing.T) {
 }
 
 var longDispatches = flag.Int("dispatches", 60_000,
-	"dispatches TestLongTenantSnapshotsStayFlat pushes through its tenant, and TestInMemoryTenantBytesPerDispatch through its own when above 200000 (make longrun: 1000000)")
+	"dispatches TestLongTenantSnapshotsStayFlat pushes through its tenant, and TestInMemoryTenantBytesPerDispatch through its own when above 200000; TestIdemMemoryBytesPerKey fills one keyed tenant per 200000 (make longrun: 1000000)")
 
 // TestLongTenantSnapshotsStayFlat is the bounded-state gate: one durable
 // tenant at production's segment size, -dispatches decisions at a
@@ -944,7 +956,7 @@ func TestInMemoryTenantBytesPerDispatch(t *testing.T) {
 // TestJournaledTenantBytesPerDispatch bounds what a journaled tenant that
 // no compaction checkpoints — a durable server at SnapshotEvery 1<<30,
 // production's segment size — retains per decision: it seals its history
-// into a file every 2·4096 decisions, so nothing of a decision stays in
+// into a file every 4096 decisions, so nothing of a decision stays in
 // memory past the next seal, and the heap must not grow with the log; 12
 // B, as for an in-memory tenant, where each ≈ 113 B wire frame would be
 // ten times that. It logs 200 000 decisions, or -dispatches when more,
@@ -997,10 +1009,72 @@ func TestJournaledTenantBytesPerDispatch(t *testing.T) {
 	}
 }
 
+// TestIdemMemoryBytesPerKey bounds what a tenant's idempotency memory
+// holds per remembered key: ≤ 48 B, where a map and a FIFO of strings held
+// ≈ 134. Each keyed tenant is sent MaxIdemKeys and half as many again keyed
+// submits, so its memory is full and has evicted, and a plain tenant the
+// same submits unkeyed; the live heap each group grows by differs by what
+// the keys cost. One pair of tenants, or one per 200 000 -dispatches (make
+// longrun: five, 20 480 keys).
+func TestIdemMemoryBytesPerKey(t *testing.T) {
+	tenants := max(1, *longDispatches/200_000)
+	srv := server.New()
+	defer srv.Close()
+	h := srv.Handler()
+	must := func(c cmd) {
+		t.Helper()
+		if code := doCmd(t, h, c); code >= 300 {
+			t.Fatalf("%s %s: %d", c.method, c.path, code)
+		}
+	}
+	for i := 0; i < tenants; i++ {
+		for _, id := range []string{fmt.Sprintf("keyed%d", i), fmt.Sprintf("plain%d", i)} {
+			must(cmd{"POST", "/v1/tenants", server.CreateTenantRequest{ID: id, M: 1}})
+			must(cmd{"POST", "/v1/tenants/" + id + "/tasks", server.RegisterTaskRequest{Name: "a", E: 1, P: 2}})
+			must(cmd{"POST", "/v1/tenants/" + id + "/jobs", server.SubmitJobRequest{Task: "a"}})
+		}
+	}
+	submits := server.MaxIdemKeys + server.MaxIdemKeys/2
+	grow := func(prefix string, keyed bool) int64 {
+		before := liveHeap()
+		for i := 0; i < tenants; i++ {
+			path := fmt.Sprintf("/v1/tenants/%s%d/jobs:batch", prefix, i)
+			for j := 0; j < submits; j += server.MaxBatchJobs {
+				var batch server.SubmitJobsRequest
+				for k := j; k < min(j+server.MaxBatchJobs, submits); k++ {
+					batch.Jobs = append(batch.Jobs, server.SubmitJobRequest{Task: "a"})
+					if keyed {
+						batch.Jobs[len(batch.Jobs)-1].Key = fmt.Sprintf("r%dj%d", k, i)
+					}
+				}
+				must(cmd{"POST", path, batch})
+			}
+		}
+		return liveHeap() - before
+	}
+	keyed := grow("keyed", true)
+	plain := grow("plain", false)
+	keys := tenants * server.MaxIdemKeys
+	per := float64(keyed-plain) / float64(keys)
+	t.Logf("%d keyed submits to %d tenants grew the live heap by %d B, unkeyed ones by %d B: %.1f B per remembered key", tenants*submits, tenants, keyed, plain, per)
+	if per > 48 {
+		t.Fatalf("the idempotency memory holds %.1f B per key over %d keys; want ≤ 48", per, keys)
+	}
+}
+
+// liveHeap is the heap allocated and still live after two collections.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // TestJournaledTenantSealsWithoutCompaction drives a journaled tenant on a
 // durable server that never compacts (SnapshotEvery 1<<30) through more
 // than ten segments' worth of decisions, in commands of uneven size. After
-// every command it holds fewer than 2·histSegmentMin decisions in memory:
+// every command it holds fewer than histSegmentMin decisions in memory:
 // settle seals the rest into history files, with no snapshot taken. Its
 // ?from=0 stream is byte-identical to an in-memory tenant's fed the same
 // commands — live, and after a restart whose boot compaction names the
@@ -1021,8 +1095,8 @@ func TestJournaledTenantSealsWithoutCompaction(t *testing.T) {
 		if a, b := doCmd(t, srv.Handler(), c), doCmd(t, mem.Handler(), c); a >= 300 || a != b {
 			t.Fatalf("%s %s: durable %d, in memory %d", c.method, c.path, a, b)
 		}
-		if tn != nil && tn.ResidentEvents() >= 2*seg {
-			t.Fatalf("after %s %s the tenant holds %d decisions in memory; want fewer than %d", c.method, c.path, tn.ResidentEvents(), 2*seg)
+		if tn != nil && tn.ResidentEvents() >= seg {
+			t.Fatalf("after %s %s the tenant holds %d decisions in memory; want fewer than %d", c.method, c.path, tn.ResidentEvents(), seg)
 		}
 	}
 	do(cmd{"POST", "/v1/tenants", server.CreateTenantRequest{ID: "J", M: 4}})
@@ -1033,7 +1107,7 @@ func TestJournaledTenantSealsWithoutCompaction(t *testing.T) {
 		do(cmd{"POST", "/v1/tenants/J/tasks", server.RegisterTaskRequest{Name: names[i], E: 1, P: 4}})
 	}
 	for r := 0; tn.Info().Dispatches < 10*seg+seg/2; r++ {
-		k := 1 + r%5 // one to five jobs per task, some commands past 2·seg decisions
+		k := 1 + r%5 // one to five jobs per task, some commands past seg decisions
 		if r%7 == 6 {
 			k = 50
 		}

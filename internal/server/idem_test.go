@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -186,8 +187,8 @@ func TestIdempotencyMemoryEvictsFIFO(t *testing.T) {
 					}
 				}
 			}
-			if len(tn.idem) != MaxIdemKeys || len(tn.idemQ) != MaxIdemKeys || tn.idemQ[0] != "k1" {
-				t.Fatalf("memory holds %d keys (queue %d, oldest %q), want %d from k1 on", len(tn.idem), len(tn.idemQ), tn.idemQ[0], MaxIdemKeys)
+			if q := tn.idem.entries(); len(q) != MaxIdemKeys || q[0].Key != "k1" {
+				t.Fatalf("memory holds %d keys (oldest %q), want %d from k1 on", len(q), q[0].Key, MaxIdemKeys)
 			}
 			for _, step := range []struct {
 				key     int
@@ -292,5 +293,133 @@ func TestCoalescedRunStaysWithinOneFrame(t *testing.T) {
 	}
 	if want := [][]string{{"1", "2", "3"}, {"4", "5", "6"}}; !reflect.DeepEqual(groups, want) {
 		t.Errorf("journaled groups %v, want %v", groups, want)
+	}
+}
+
+// idemModel is the idempotency memory as a map and a FIFO of keys: what
+// idemMemory replaced, kept as FuzzIdemMemory's reference.
+type idemModel struct {
+	resp map[string]SubmitJobResponse
+	fifo []string
+}
+
+func (m *idemModel) remember(key string, resp SubmitJobResponse) {
+	if _, ok := m.resp[key]; ok || key == "" {
+		return
+	}
+	if len(m.fifo) >= MaxIdemKeys {
+		delete(m.resp, m.fifo[0])
+		m.fifo = m.fifo[1:]
+	}
+	m.resp[key] = resp
+	m.fifo = append(m.fifo, key)
+}
+
+// FuzzIdemMemory drives idemMemory and idemModel with one stream of
+// operations — a key from a small set remembered or looked up, a burst of
+// fresh keys that pushes the memory past MaxIdemKeys, a checkpoint restored
+// into a fresh memory — and requires the same answer to every lookup, the
+// same size, and the same entries in the same order, which is what a
+// checkpoint's idem list is.
+func FuzzIdemMemory(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 3, 1})
+	f.Add([]byte{2, 127, 2, 127, 1, 5, 3, 0, 7, 1, 7})
+	f.Add([]byte{4, 9, 2, 60, 8, 9, 6, 200, 2, 255, 3, 1, 9, 0, 3})
+	f.Add([]byte{2, 31, 2, 31, 2, 31, 2, 31, 2, 31, 3, 0, 2, 31}) // 6 144 fresh keys: 2 048 evicted
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), 512)]
+		var m idemMemory
+		model := idemModel{resp: map[string]SubmitJobResponse{}}
+		fresh := 0
+		// key names one of 64 keys of lengths 0 to MaxKeyLen; "" is never
+		// remembered.
+		key := func(b byte) string {
+			if b%64 == 0 {
+				return ""
+			}
+			return fmt.Sprintf("k%d-%s", b%64, strings.Repeat("x", int(b%64)*(MaxKeyLen-4)/63))
+		}
+		resp := func(b byte) SubmitJobResponse {
+			return SubmitJobResponse{At: strings.Repeat("7", int(b%23)) + "/2", Pending: int(b) * 4099}
+		}
+		check := func(op int) {
+			t.Helper()
+			got := m.entries()
+			if len(got) != len(model.fifo) {
+				t.Fatalf("op %d: memory holds %d keys, model %d", op, len(got), len(model.fifo))
+			}
+			for i, e := range got {
+				if k := model.fifo[i]; e.Key != k || (SubmitJobResponse{At: e.At, Pending: e.Pending}) != model.resp[k] {
+					t.Fatalf("op %d: entry %d is %+v, model %q %+v", op, i, e, k, model.resp[k])
+				}
+			}
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			b := ops[i+1]
+			switch ops[i] % 4 {
+			case 0:
+				m.remember(key(b), resp(ops[i]))
+				model.remember(key(b), resp(ops[i]))
+			case 1:
+				got, ok := m.lookup(key(b))
+				want, wantOK := model.resp[key(b)]
+				if ok != wantOK || got != want || (m.find(key(b)) >= 0) != wantOK {
+					t.Fatalf("op %d: lookup %q = %+v %v, model %+v %v", i, key(b), got, ok, want, wantOK)
+				}
+			case 2:
+				for range (int(b%32) + 1) * 32 {
+					fresh++
+					k := "r" + strconv.Itoa(fresh) + "j" + strconv.Itoa(fresh%7)
+					m.remember(k, resp(byte(fresh)))
+					model.remember(k, resp(byte(fresh)))
+				}
+			case 3:
+				check(i)
+				var restored idemMemory
+				for _, e := range m.entries() {
+					restored.remember(e.Key, SubmitJobResponse{At: e.At, Pending: e.Pending})
+				}
+				m = restored
+			}
+		}
+		check(len(ops))
+		for _, k := range model.fifo {
+			if got, ok := m.lookup(k); !ok || got != model.resp[k] {
+				t.Fatalf("lookup %q = %+v %v, model %+v", k, got, ok, model.resp[k])
+			}
+		}
+	})
+}
+
+// TestRestoreRefusesMalformedIdemEntry: a checkpoint's idem entry the
+// memory cannot hold as written — a key past MaxKeyLen, an at past 255
+// bytes, a pending outside 0 .. 2^31-1 — fails the restore; the
+// service never writes one. A well-formed list restores in order.
+func TestRestoreRefusesMalformedIdemEntry(t *testing.T) {
+	tn, _ := idemTenant(t)
+	cp, err := tn.image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []idemEntry{{Key: "b", At: "5/2", Pending: 1}, {Key: strings.Repeat("a", MaxKeyLen), At: "0", Pending: 1<<31 - 1}}
+	for _, bad := range []idemEntry{
+		{Key: strings.Repeat("k", MaxKeyLen+1), At: "0"},
+		{Key: "k", At: strings.Repeat("1", 256)},
+		{Key: "k", At: "0", Pending: -1},
+		{Key: "k", At: "0", Pending: 1 << 31},
+	} {
+		cp.Idem = append(good[:len(good):len(good)], bad)
+		if _, err := restoreTenant(cp, nil); err == nil {
+			t.Errorf("restored a checkpoint holding idem entry %.20q at %.20q pending %d", bad.Key, bad.At, bad.Pending)
+		}
+	}
+	cp.Idem = good
+	rt, err := restoreTenant(cp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if got := rt.idem.entries(); !reflect.DeepEqual(got, good) {
+		t.Fatalf("restored idem %v, want %v", got, good)
 	}
 }

@@ -194,10 +194,10 @@ func (t *Tenant) process(c *command) (stop bool) {
 // one, go into the tenant's and the server's lag histograms in one merge
 // each. A journaled tenant digests them — their count and a checksum of
 // their wire bytes — and journals that one record, which follows its
-// command record and precedes the next command; and once 2·histSegmentMin
-// events are unsealed, which only a tenant that no compaction checkpoints
-// reaches, it seals them (a failed seal is retried by the next command
-// that decides). Then the post-command snapshot publishes and stream
+// command record and precedes the next command; and once histSegmentMin
+// events are unsealed it seals them, so it never holds a second segment's
+// worth (a failed seal is retried by the next command that decides, or by
+// the next checkpoint). Then the post-command snapshot publishes and stream
 // followers wake if the log grew. A command is completed only after it,
 // so whoever is acknowledged can already read its own effect.
 func (t *Tenant) settle() {
@@ -218,7 +218,7 @@ func (t *Tenant) settle() {
 			// will fail loudly; nothing to do with it now.
 			c, _ := h.append(wal.Record{Op: wal.OpDispatch, Tenant: t.id, DSeq: first, Count: t.digest.count, CRC: t.digest.crc})
 			t.lsn = max(t.lsn, c.LSN)
-			if t.log.len()-t.log.floor() >= 2*int64(histSegmentMin) {
+			if t.log.len()-t.log.floor() >= int64(histSegmentMin) {
 				_ = t.seal()
 			}
 		}
@@ -248,7 +248,7 @@ func (t *Tenant) processSubmitRun(run []*command) {
 		inRun := map[string]struct{}{}
 		for _, c := range run {
 			key := c.job.Key
-			if resp, seen := t.idem[key]; seen {
+			if resp, seen := t.idem.lookup(key); seen {
 				// Nothing is journaled for a replay, so the zero commit is
 				// already durable by definition.
 				c.done <- cmdResult{submit: resp}

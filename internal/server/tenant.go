@@ -79,13 +79,8 @@ type Tenant struct {
 	// the lag the command's dispatch trace event reports.
 	lags  *obs.Tally
 	worst rat.Rat
-	// idem/idemQ remember responses of keyed job submits (bounded FIFO,
-	// MaxIdemKeys): a resubmit with a seen key returns the original
-	// response without applying or journaling again. Rebuilt identically
-	// on replay — records carry the key — so retry-after-crash and
-	// retry-after-promotion both dedupe.
-	idem  map[string]SubmitJobResponse
-	idemQ []string
+	// idem remembers the responses of keyed job submits (idemMemory).
+	idem idemMemory
 }
 
 // tenantSnap is the immutable state image the loop publishes after every
@@ -193,7 +188,6 @@ func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journa
 		ring:   make(chan *command, defaultSubmitRing),
 		closed: make(chan struct{}),
 		ex:     ex,
-		idem:   map[string]SubmitJobResponse{},
 		maxTar: rat.Zero,
 		lags:   obs.NewTally(obs.QuantaBuckets),
 		worst:  rat.Zero,
@@ -610,32 +604,12 @@ func (t *Tenant) applySubmits(jobs []wal.Job, valid []submitJob) (wal.Commit, er
 			t.obs.tr.Stage(obs.StageApply, nil)
 		}
 		v.resp = SubmitJobResponse{At: j.At, Pending: t.ex.Pending()}
-		t.idemRemember(j.Key, v.resp)
+		t.idem.remember(j.Key, v.resp)
 	}
 	if !singles {
 		t.obs.tr.Stage(obs.StageApply, nil)
 	}
 	return commit, nil
-}
-
-// idemRemember records a keyed submit's response — t.idem[key] answers a
-// seen key, and the empty key is never one — evicting the oldest key
-// once MaxIdemKeys are held. Eviction order is insertion order, which is
-// deterministic under replay because replay re-applies the same records
-// in the same order. Loop goroutine only.
-func (t *Tenant) idemRemember(key string, resp SubmitJobResponse) {
-	if key == "" {
-		return
-	}
-	if _, ok := t.idem[key]; ok {
-		return
-	}
-	if len(t.idemQ) >= MaxIdemKeys {
-		delete(t.idem, t.idemQ[0])
-		t.idemQ = t.idemQ[1:]
-	}
-	t.idem[key] = resp
-	t.idemQ = append(t.idemQ, key)
 }
 
 // validateSubmit runs the executive's check of a job submit and the
@@ -727,7 +701,7 @@ func (t *Tenant) batchIdemCheck(jobs []wal.Job, results []SubmitJobResponse) (do
 			continue
 		}
 		keyed++
-		if _, ok := t.idem[j.Key]; ok {
+		if t.idem.find(j.Key) >= 0 {
 			seen++
 		}
 		if _, dup := inBatch[j.Key]; dup {
@@ -748,7 +722,7 @@ func (t *Tenant) batchIdemCheck(jobs []wal.Job, results []SubmitJobResponse) (do
 		return false, fmt.Errorf("server: batch replays %d of %d idempotency keys; a batch retry must repeat the original batch exactly", seen, len(jobs))
 	}
 	for i := range results {
-		results[i] = t.idem[jobs[i].Key]
+		results[i], _ = t.idem.lookup(jobs[i].Key)
 	}
 	return true, nil
 }

@@ -366,7 +366,11 @@ func (g *writePathScript) step(label string, cmds ...*command) {
 func (g *writePathScript) checkpoint(label string) {
 	fmt.Fprintf(&g.out, "## %s\n", label)
 	g.line("exec", g.tn.ex.Checkpoint())
-	g.line("idem", g.tn.idemQ)
+	var keys []string
+	for _, e := range g.tn.idem.entries() {
+		keys = append(keys, e.Key)
+	}
+	g.line("idem", keys)
 }
 
 func (g *writePathScript) line(kind string, v any) {

@@ -935,8 +935,14 @@ func (l *Log) Compact(payload []byte) error { return l.CompactAt(l.Cut(), payloa
 // CompactAt atomically installs payload as the snapshot at c, then rolls
 // to a fresh segment and removes the segments that hold no record above
 // c. Payload must reflect every record at or below c.LSN; appends go on
-// beside it. A cut behind the installed snapshot is refused.
+// beside it. A cut behind the installed snapshot, or a payload that is not
+// JSON, is refused.
 func (l *Log) CompactAt(c Cut, payload []byte) error {
+	// The envelope scans the whole payload; no append waits on that.
+	head, err := snapshotEnvelope(payload, c.LSN, c.term)
+	if err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.wedged != nil {
@@ -962,7 +968,7 @@ func (l *Log) CompactAt(c Cut, payload []byte) error {
 	if l.wedged != nil {
 		return l.wedged
 	}
-	if err := l.writeSnapshotLocked(payload, c.LSN, c.term); err != nil {
+	if err := l.writeSnapshotLocked(head, payload); err != nil {
 		return err
 	}
 	// The snapshot is durable; roll the segment. Failures from here leave
@@ -977,14 +983,10 @@ func (l *Log) CompactAt(c Cut, payload []byte) error {
 	return nil
 }
 
-// writeSnapshotLocked durably installs payload as the directory's snapshot
-// at lsn/term via the write-tmp / fsync / rename / fsync-dir sequence.
-// Called with l.mu held.
-func (l *Log) writeSnapshotLocked(payload []byte, lsn, term uint64) error {
-	head, err := snapshotEnvelope(payload, lsn, term)
-	if err != nil {
-		return err
-	}
+// writeSnapshotLocked durably installs payload, behind the head
+// snapshotEnvelope rendered for it, as the directory's snapshot via the
+// write-tmp / fsync / rename / fsync-dir sequence. Called with l.mu held.
+func (l *Log) writeSnapshotLocked(head, payload []byte) error {
 	if err := l.installFile(snapshotTmp, snapshotName, head, payload, []byte{'}'}); err != nil {
 		return err
 	}
@@ -1079,8 +1081,13 @@ func segmentFirst(name string) (uint64, bool) {
 // restarts at lsn+1, discarding any local segments (all of which must be
 // at or below lsn — installing a snapshot never rewinds a log). A
 // follower bootstraps by opening an empty directory, installing the
-// leader's snapshot, and reopening through the normal recovery path.
+// leader's snapshot, and reopening through the normal recovery path. A
+// payload that is not JSON is refused.
 func (l *Log) InstallSnapshot(payload []byte, lsn, term uint64) error {
+	head, err := snapshotEnvelope(payload, lsn, term)
+	if err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.wedged != nil {
@@ -1095,7 +1102,7 @@ func (l *Log) InstallSnapshot(payload []byte, lsn, term uint64) error {
 	if term < l.term {
 		return fmt.Errorf("%w: snapshot term %d < log term %d", ErrStaleTerm, term, l.term)
 	}
-	if err := l.writeSnapshotLocked(payload, lsn, term); err != nil {
+	if err := l.writeSnapshotLocked(head, payload); err != nil {
 		return err
 	}
 	l.nextLSN = lsn + 1

@@ -160,6 +160,51 @@ func TestCompactionSupersedesLog(t *testing.T) {
 	}
 }
 
+// TestInvalidSnapshotPayloadRefused: a payload that is not JSON is refused
+// by Compact and by InstallSnapshot, and the directory — the installed
+// snapshot and every segment, names and bytes — is as it was; the log goes
+// on appending.
+func TestInvalidSnapshotPayloadRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	defer l.Close()
+	appendN(t, l, 3)
+	if err := l.Compact([]byte(`{"state":"after three"}`)); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 2)
+	files := func() map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	before, snaps := files(), l.Stats().Snapshots
+	bad := []byte(`{"state":"cut short"`)
+	if err := l.Compact(bad); err == nil {
+		t.Fatal("Compact took a payload that is not JSON")
+	}
+	if err := l.InstallSnapshot(bad, l.WrittenLSN()+10, 0); err == nil {
+		t.Fatal("InstallSnapshot took a payload that is not JSON")
+	}
+	if after := files(); !reflect.DeepEqual(after, before) || l.Stats().Snapshots != snaps {
+		t.Fatalf("a refused snapshot changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	appendN(t, l, 1)
+	if l.WrittenLSN() != 6 {
+		t.Fatalf("written LSN %d after the refusals and one append, want 6", l.WrittenLSN())
+	}
+}
+
 func TestStaleSegmentFilteredByLSN(t *testing.T) {
 	// A crash between snapshot rename and segment deletion leaves stale
 	// segments whose records the snapshot already covers; recovery must
