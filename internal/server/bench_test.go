@@ -244,6 +244,25 @@ func TestWideRoundRanksWithoutCompare(t *testing.T) {
 		float64(w.RankCmps)/float64(decisions), float64(w.Moves)/float64(decisions))
 }
 
+// TestWideRoundResidentBytes pins, exactly, what an in-memory tenant's
+// dispatch log holds after 160 rounds of wide_sched (wideRounds: 20 480
+// decisions, one closed chunk and the open tail): its compact records and
+// nothing else, ≈ 4.5 B per decision. The count is the coder's, not the
+// host's, so it moves only when the record's format or the decisions do;
+// a change that moves it says why, as one that moves metrics.golden does.
+func TestWideRoundResidentBytes(t *testing.T) {
+	const rounds, want = 160, 91068
+	tn, batches := wideRounds(t)
+	defer tn.Close()
+	for i := 0; i < rounds; i++ {
+		wideRound(t, tn, batches, i)
+	}
+	n := tn.Info().Dispatches
+	if got := tn.ResidentBytes(); n != 128*rounds || got != want {
+		t.Fatalf("%d decisions: the cold log holds %d B (%.3f B per decision), want %d", n, got, float64(got)/float64(n), want)
+	}
+}
+
 // TestTenantBatchRoundAllocs pins what a steady-state wide_sched round —
 // its 92-job batch and the advance that makes 128 decisions — allocates in
 // the tenant: a handful of objects per request (the command, the published

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"sort"
 
+	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
 )
 
@@ -29,14 +31,14 @@ import (
 // for byte what a wire log holds. A record leaves out what it can rebuild
 // from the record before it, so a cold chunk is read forward from the
 // nearest of its index points, one per coldStride records. A cold chunk
-// carries the task-name table its records index. A task is named at
-// registration, before its first record, so a published view of the tail,
-// which carries the table as it stood then, names every task whose
-// records the view holds.
+// carries the task table its records index, which gives each task's name
+// and weight. A task enters it at registration, before its first record,
+// so a published view of the tail, which carries the table as it stood
+// then, names every task whose records the view holds.
 //
 // Both forms close a chunk at the same byte budget, chunkBytes, when the
 // next entry might not fit: on wide_sched a wire chunk holds ≈ 600 frames,
-// a cold one ≈ 9 600 records of ≈ 7 B.
+// a cold one ≈ 14 500 records of ≈ 4.5 B.
 //
 // Frames are held as bytes, never as structs of strings, so the collector
 // never scans them.
@@ -66,15 +68,23 @@ type chunk struct {
 	// offs[i] is where frame first+i starts in data; in a cold chunk,
 	// where record first+i*coldStride does.
 	offs []uint32
-	// names is a cold chunk's task-name table, indexed by the executive's
+	// tasks is a cold chunk's task table, indexed by the executive's
 	// Task.ID as its records are; nil in a wire chunk.
-	names []string
+	tasks []logTask
+}
+
+// logTask is a task's entry in a log's task table: its name, and its
+// weight e/p as the multiplier a cold record's subtask index is predicted
+// by (windowRate).
+type logTask struct {
+	name string
+	rate uint64
 }
 
 func (c *chunk) end() int64 { return c.first + int64(c.n) }
 
 // cold reports whether c holds compact records rather than wire bytes.
-func (c *chunk) cold() bool { return c.names != nil }
+func (c *chunk) cold() bool { return c.tasks != nil }
 
 // span returns the bytes of frames i .. i+n-1 of a wire chunk.
 func (c *chunk) span(i, n int) []byte {
@@ -92,14 +102,14 @@ func (c *chunk) appendWire(b []byte, i, n int) []byte {
 		return append(b, c.span(i, n)...)
 	}
 	k := i / coldStride
-	d := coldDecoder{r: c.data[c.offs[k]:], at: k * coldStride}
+	d := coldDecoder{tasks: c.tasks, r: c.data[c.offs[k]:], at: k * coldStride}
 	for d.at < i {
 		d.next()
 	}
 	for ; n > 0; n-- {
 		seq := c.first + int64(d.at)
 		d.next()
-		b = appendDispatchFrame(b, seq, c.names[d.id], d.index, d.proc,
+		b = appendDispatchFrame(b, seq, c.tasks[d.id].name, d.index, d.proc,
 			rat.New(d.sn, d.sd), rat.New(d.fn, d.fd), d.deadline, rat.New(d.tn, d.td))
 	}
 	return b
@@ -117,25 +127,61 @@ const (
 	coldProcWide  = 15
 )
 
+// coldIndexEscape is the index code of a record whose index residual is
+// written out: one that is not 0, −1 or +1, whose zig-zag codes 0, 1 and 2
+// are the other index codes.
+const coldIndexEscape = 3
+
+// windowRate is the multiplier windowIndex predicts a task of weight w by:
+// ⌊e·2³²/p⌋ for a weight in (0, 1), 2³² for one of at least 1, 0 for one
+// that is not positive. It need not be exact, only the same when a record
+// is written and when it is read.
+func windowRate(w model.Weight) uint64 {
+	switch {
+	case w.E <= 0 || w.P <= 0:
+		return 0
+	case w.E >= w.P:
+		return 1 << 32
+	}
+	q, _ := bits.Div64(uint64(w.E)>>32, uint64(w.E)<<32, uint64(w.P))
+	return q
+}
+
+// windowIndex predicts the index of the subtask a task runs in slot t:
+// ⌊t·e/p⌋ + 1, the one whose window (eqs. 2–5: r = θ + ⌊(i−1)·p/e⌋,
+// d = θ + ⌈i·p/e⌉) holds t when θ = 0, computed from the task's
+// windowRate by a multiply and a shift. A subtask that runs in its window
+// is the prediction or the next one; a late one, or one of a task whose
+// jobs came late, is further off.
+func windowIndex(t int64, rate uint64) int64 {
+	hi, lo := bits.Mul64(uint64(t), rate)
+	return int64(hi<<32|lo>>32) + 1
+}
+
 // putColdRecord writes a decision's compact record at the start of b,
 // which has room for maxColdRecord bytes, and returns its length. prev is
-// the start of the chunk's previous record, 0/1 at an index point. After
-// the header (and a wide proc): the task's Task.ID as a uvarint, then as
-// zig-zag varints index; start, unless coldStartSame, as its numerator's
-// delta from prev's, or with coldStartAbs its numerator and denominator;
-// finish, only with coldFinish; deadline less start's truncated integer
-// part; tardiness, only with coldTardy. A rat is written as its numerator
-// and denominator in lowest terms, and every difference wraps as int64
-// arithmetic does, so any input round-trips. The seq is the record's place
-// in its chunk.
-func putColdRecord(b []byte, prev rat.Rat, id int, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) int {
+// the start of the chunk's previous record, 0/1 at an index point; rate is
+// the task's windowRate. After the header (and a wide proc): the task's
+// Task.ID as a uvarint; then start, unless coldStartSame, as the zig-zag
+// varint delta of its numerator from prev's, or with coldStartAbs its
+// numerator and denominator; finish, only with coldFinish; then one
+// uvarint of the zig-zag of deadline less start's truncated integer part
+// t, shifted left by two, and in those two bits the index code: the
+// zig-zag of the residual index − windowIndex(t, rate) when that is 0, −1
+// or +1, else coldIndexEscape. An escape is followed by the residual's
+// zig-zag, which is at least 3, as a uvarint — or, if the shift dropped
+// high bits, by those bits less one (0, 1 or 2) and then the residual as
+// a zig-zag varint. Last, tardiness, only with coldTardy. A rat is
+// written as its numerator and denominator in lowest terms, and every
+// difference wraps as int64 arithmetic does, so any input round-trips.
+// The seq is the record's place in its chunk.
+func putColdRecord(b []byte, prev rat.Rat, id int, rate uint64, index int64, proc int, start, finish rat.Rat, deadline int64, tard rat.Rat) int {
 	h := byte(min(uint(proc), coldProcWide)) << 4
 	n := 1
 	if h>>4 == coldProcWide {
 		n += binary.PutUvarint(b[n:], uint64(proc))
 	}
 	n += binary.PutUvarint(b[n:], uint64(id))
-	n += binary.PutVarint(b[n:], index)
 	sn, sd := start.Num(), start.Den()
 	switch {
 	case sn == prev.Num() && sd == prev.Den():
@@ -152,7 +198,20 @@ func putColdRecord(b []byte, prev rat.Rat, id int, index int64, proc int, start,
 		n += binary.PutVarint(b[n:], fn)
 		n += binary.PutVarint(b[n:], fd)
 	}
-	n += binary.PutVarint(b[n:], deadline-sn/sd)
+	t := sn / sd
+	due, res := zigzag(deadline-t), index-windowIndex(t, rate)
+	code := zigzag(res)
+	if code >= coldIndexEscape || due>>62 != 0 {
+		code = coldIndexEscape
+	}
+	n += binary.PutUvarint(b[n:], due<<2|code)
+	switch {
+	case due>>62 != 0:
+		n += binary.PutUvarint(b[n:], due>>62-1)
+		n += binary.PutVarint(b[n:], res)
+	case code == coldIndexEscape:
+		n += binary.PutUvarint(b[n:], zigzag(res))
+	}
 	if tn, td := tard.Num(), tard.Den(); tn != 0 || td != 1 {
 		h |= coldTardy
 		n += binary.PutVarint(b[n:], tn)
@@ -162,13 +221,21 @@ func putColdRecord(b []byte, prev rat.Rat, id int, index int64, proc int, start,
 	return n
 }
 
-// maxColdRecord bounds a compact record: the header and ten varints.
-const maxColdRecord = 1 + 10*binary.MaxVarintLen64
+// maxColdRecord bounds a compact record: the header and eleven varints.
+const maxColdRecord = 1 + 11*binary.MaxVarintLen64
+
+// zigzag maps a signed value to an unsigned one as a zig-zag varint does:
+// 0, −1, +1, −2 … to 0, 1, 2, 3 …
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // coldDecoder reads a cold chunk's records in order from an index point,
 // each into its fields, rebuilding what putColdRecord left out. The
 // records are the log's own, so they are never malformed.
 type coldDecoder struct {
+	tasks    []logTask // the chunk's task table
 	r        []byte
 	at       int // the next record's place in its chunk
 	id       uint64
@@ -192,7 +259,6 @@ func (d *coldDecoder) next() {
 		d.proc = int(d.uint())
 	}
 	d.id = d.uint()
-	d.index = d.int()
 	switch {
 	case h&coldStartSame != 0:
 	case h&coldStartAbs != 0:
@@ -204,7 +270,18 @@ func (d *coldDecoder) next() {
 	if h&coldFinish != 0 {
 		d.fn, d.fd = d.int(), d.int()
 	}
-	d.deadline = d.int() + d.sn/d.sd
+	t, v := d.sn/d.sd, d.uint()
+	due, res := v>>2, unzigzag(v&3)
+	if v&3 == coldIndexEscape {
+		if w := d.uint(); w >= coldIndexEscape {
+			res = unzigzag(w)
+		} else {
+			due |= (w + 1) << 62
+			res = d.int()
+		}
+	}
+	d.deadline = unzigzag(due) + t
+	d.index = res + windowIndex(t, d.tasks[d.id].rate)
 	d.tn, d.td = 0, 1
 	if h&coldTardy != 0 {
 		d.tn, d.td = d.int(), d.int()
@@ -239,12 +316,12 @@ type dispatchLog struct {
 	tail     chunk
 	resident int64 // bytes held by full and tail: wire bytes, or records
 	// cold, fixed when the tenant is built, makes the log hold compact
-	// records; names is the table of task names, by Task.ID, which every
-	// cold chunk carries and restore resolves a journaled log's events by;
-	// start is the start of the tail's last record, which the next is
-	// coded against.
+	// records; tasks is the task table, by Task.ID, which every cold chunk
+	// carries and restore resolves a journaled log's events by; start is
+	// the start of the tail's last record, which the next is coded
+	// against.
 	cold  bool
-	names []string
+	tasks []logTask
 	start rat.Rat
 }
 
@@ -255,15 +332,16 @@ func (l *dispatchLog) floor() int64 { return sealedEvents(l.hist) }
 // len is the number of decisions ever logged — the seq the next one gets.
 func (l *dispatchLog) len() int64 { return l.tail.end() }
 
-// name enters the task with executive ID id in the log's name table, which
-// the executive's dense IDs fill in registration order.
-func (l *dispatchLog) name(id int, name string) {
-	for len(l.names) <= id {
-		l.names = append(l.names, "")
+// name enters the task with executive ID id, its name and weight, in the
+// log's task table, which the executive's dense IDs fill in registration
+// order.
+func (l *dispatchLog) name(id int, name string, w model.Weight) {
+	for len(l.tasks) <= id {
+		l.tasks = append(l.tasks, logTask{})
 	}
-	l.names[id] = name
+	l.tasks[id] = logTask{name, windowRate(w)}
 	if l.cold {
-		l.tail.names = l.names
+		l.tail.tasks = l.tasks
 	}
 }
 
@@ -287,7 +365,7 @@ func (l *dispatchLog) append(id int, task string, index int64, proc int, start, 
 			prev = rat.Zero
 			t.offs = append(t.offs, uint32(at))
 		}
-		t.data = t.data[:at+putColdRecord(t.data[at:at+maxColdRecord], prev, id, index, proc, start, finish, deadline, tard)]
+		t.data = t.data[:at+putColdRecord(t.data[at:at+maxColdRecord], prev, id, l.tasks[id].rate, index, proc, start, finish, deadline, tard)]
 		l.start = start
 	}
 	t.n++
@@ -319,42 +397,49 @@ func (l *dispatchLog) restore(ev DispatchEvent, ids map[string]int) error {
 // taskIDs maps each name in the log's table to an executive ID it has:
 // what restore resolves an event's task by.
 func (l *dispatchLog) taskIDs() map[string]int {
-	ids := make(map[string]int, len(l.names))
-	for id, name := range l.names {
-		ids[name] = id
+	ids := make(map[string]int, len(l.tasks))
+	for id, task := range l.tasks {
+		ids[task.name] = id
 	}
 	return ids
 }
 
 // room makes the tail able to take need more bytes in place: a young tail
-// doubles, one that would outgrow chunkBytes is closed and a full-sized
-// one started.
+// doubles, one that would outgrow chunkBytes is closed, and the next one,
+// which starts at its predecessor's size, grows only if need is larger.
 func (l *dispatchLog) room(need int) {
 	t := &l.tail
 	if cap(t.data)-len(t.data) >= need {
 		return
 	}
-	size := max(2*cap(t.data), minChunkBytes)
 	if len(t.data) > 0 && len(t.data)+need > chunkBytes {
 		l.cut()
-		size = chunkBytes
+		if cap(t.data) >= need {
+			return
+		}
 	}
-	size = max(min(size, chunkBytes), len(t.data)+need)
+	size := max(min(max(2*cap(t.data), minChunkBytes), chunkBytes), len(t.data)+need)
 	t.data = append(make([]byte, 0, size), t.data...)
 }
 
 // cut closes the tail: its frames join the closed chunks, immutable from
 // here on, and the next frame starts a new chunk, with room for about as
-// many offsets as this one took.
+// many offsets as this one took and for as many bytes as it closed at, up
+// to chunkBytes — so a tail a seal cuts does not regrow from
+// minChunkBytes.
 func (l *dispatchLog) cut() {
 	c := l.tail
 	if c.n == 0 {
 		return
 	}
 	l.full = append(l.full, c)
-	l.tail = chunk{first: c.end(), offs: make([]uint32, 0, len(c.offs)+len(c.offs)/8)}
+	l.tail = chunk{
+		first: c.end(),
+		data:  make([]byte, 0, min(cap(c.data), chunkBytes)),
+		offs:  make([]uint32, 0, len(c.offs)+len(c.offs)/8),
+	}
 	if l.cold {
-		l.tail.names = l.names
+		l.tail.tasks = l.tasks
 	}
 }
 

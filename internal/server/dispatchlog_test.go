@@ -7,9 +7,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
+	"desyncpfair/internal/model"
 	"desyncpfair/internal/rat"
 	"desyncpfair/internal/wal"
 )
@@ -26,11 +28,15 @@ func logEvent(i int64) (DispatchEvent, []byte) {
 	return ev, append(frame, '\n')
 }
 
+// logWeight is the weight the dispatch-log tests give every task:
+// logEvent's index i/7 at start i/3 is about what it predicts.
+var logWeight = model.W(3, 7)
+
 // logTasks names logEvent's seven tasks in l's table, with executive IDs
 // 0..6, and returns the map restore resolves them by.
 func logTasks(l *dispatchLog) map[string]int {
 	for i := 0; i < 7; i++ {
-		l.name(i, fmt.Sprintf("task-%d", i))
+		l.name(i, fmt.Sprintf("task-%d", i), logWeight)
 	}
 	return l.taskIDs()
 }
@@ -263,7 +269,7 @@ func appendEvent(t testing.TB, l *dispatchLog, id int, ev DispatchEvent) {
 			t.Fatal(err)
 		}
 	}
-	l.name(id, ev.Task)
+	l.name(id, ev.Task, logWeight)
 	l.append(id, ev.Task, ev.Index, ev.Proc, r[0], r[1], ev.Deadline, r[2])
 }
 
@@ -286,11 +292,11 @@ func TestColdRecordOmitsRepeatedStart(t *testing.T) {
 	}
 	var b [maxColdRecord]byte
 	s := rat.New(5, 3)
-	same := putColdRecord(b[:], s, 0, 1, 0, s, s.Add(rat.One), 2, rat.Zero)
+	same := putColdRecord(b[:], s, 0, 0, 1, 0, s, s.Add(rat.One), 2, rat.Zero)
 	if b[0]&coldStartSame == 0 {
 		t.Fatalf("header %08b: a repeated start is not flagged", b[0])
 	}
-	if moved := putColdRecord(b[:], rat.New(4, 3), 0, 1, 0, s, s.Add(rat.One), 2, rat.Zero); same != moved-1 {
+	if moved := putColdRecord(b[:], rat.New(4, 3), 0, 0, 1, 0, s, s.Add(rat.One), 2, rat.Zero); same != moved-1 {
 		t.Fatalf("a record with a repeated start is %d B, with a moved one %d B; want one less", same, moved)
 	}
 }
@@ -330,8 +336,8 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 			t.Fatalf("closed chunk %d: cold %v, seqs %d..%d, %d bytes of records", i, c.cold(), c.first, c.end(), len(c.data))
 		}
 	}
-	if !cold.tail.cold() || cold.tail.end() != n || len(cold.tail.names) != 8 {
-		t.Fatalf("the open tail of a cold log: cold %v, ends at %d, %d names", cold.tail.cold(), cold.tail.end(), len(cold.tail.names))
+	if !cold.tail.cold() || cold.tail.end() != n || len(cold.tail.tasks) != 8 {
+		t.Fatalf("the open tail of a cold log: cold %v, ends at %d, %d names", cold.tail.cold(), cold.tail.end(), len(cold.tail.tasks))
 	}
 	for _, c := range wire.chunks() {
 		if c.cold() {
@@ -392,11 +398,13 @@ func TestColdLogMatchesWireLog(t *testing.T) {
 }
 
 // FuzzColdFrameMatchesWire is the contract of the compact record: for any
-// seq, task name and numbers, a cold chunk — the open tail, and the same
-// chunk closed — renders the bytes a wire log holds, which decode to the
-// same event. It logs three records, the second with its own start, so
-// each start is coded against a start that differs: in its numerator, up
-// or down, and in its denominator.
+// seq, task name, task weight and numbers, a cold chunk — the open tail,
+// and the same chunk closed — renders the bytes a wire log holds, across
+// however many chunks the wire log needs, which decode to the same event.
+// It logs three records, the second with its own start, so each start is
+// coded against a start that differs: in its numerator, up or down, and in
+// its denominator; and so each index is coded against a prediction from
+// its own start and the weight, whatever the weight is.
 func FuzzColdFrameMatchesWire(f *testing.F) {
 	type seed struct {
 		seq               int64
@@ -406,22 +414,25 @@ func FuzzColdFrameMatchesWire(f *testing.F) {
 		sn, sd, fn, fd    int64
 		deadline, tn, tdd int64
 		sn2, sd2          int64
+		e, p              int64
 	}
 	for _, s := range []seed{
-		{0, "web", 0, 1, 0, 0, 1, 1, 1, 2, 0, 1, 1, 1},                // every field rebuilt
-		{41, `q"uote\back`, 3, 7, 1, 5, 3, 8, 3, 3, 1, 3, 6, 3},       // non-integral start, finish ≠ start+1, tardy
-		{9, "ctl\x00\x1f\n <&>", 1, 2, 15, 7, 2, 9, 2, 5, 2, 7, 7, 3}, // proc 15, one denominator to the next
-		{12, "wide", 4, 3, 1000, 9, 1, 10, 1, 11, 0, 1, 4, 1},         // proc ≥ 15; start 9 → 4: a negative delta
-		{12, "neg", 4, 3, -1, 100, 1, 101, 1, 3, 0, 1, 100, 1},        // negative proc; deadline below start
-		{7, "below", 2, 5, 14, 21, 4, 25, 4, -9, 1, 4, 11, 4},         // deadline below a non-integral start
-		{3, "den", 1, 2, 3, 1, 2, 3, 4, 2, 0, 1, 3, 2},                // finish has start+1's numerator, not its denominator
-		{1 << 40, "é日本", 999, -3, -1, -7, 2, -5, 2, -2, -1, 2, 3, 2},
-		{math.MaxInt64 - 2, "x", 65535, math.MinInt64, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, 3, math.MinInt64, math.MaxInt64, 1, math.MaxInt64, 1},
-		{5, "bad\xffutf8", 2, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, -1, math.MaxInt64, math.MaxInt64, math.MinInt64, 3, math.MinInt64 + 1, 1},
+		{0, "web", 0, 1, 0, 0, 1, 1, 1, 2, 0, 1, 1, 1, 1, 2},                // every field rebuilt
+		{41, `q"uote\back`, 3, 7, 1, 5, 3, 8, 3, 3, 1, 3, 6, 3, 3, 4},       // non-integral start, finish ≠ start+1, tardy
+		{9, "ctl\x00\x1f\n <&>", 1, 2, 15, 7, 2, 9, 2, 5, 2, 7, 7, 3, 1, 3}, // proc 15, one denominator to the next
+		{12, "wide", 4, 3, 1000, 9, 1, 10, 1, 11, 0, 1, 4, 1, 1, 3},         // proc ≥ 15; start 9 → 4: a negative delta
+		{12, "neg", 4, 3, -1, 100, 1, 101, 1, 3, 0, 1, 100, 1, 0, 5},        // negative proc; deadline below start; weight 0
+		{7, "below", 2, 5, 14, 21, 4, 25, 4, -9, 1, 4, 11, 4, -3, 8},        // deadline below a non-integral start; negative weight
+		{3, "den", 1, 2, 3, 1, 2, 3, 4, 2, 0, 1, 3, 2, 5, 5},                // finish has start+1's numerator, not its denominator
+		{1 << 40, "é日本", 999, -3, -1, -7, 2, -5, 2, -2, -1, 2, 3, 2, 7, 1},  // negative start; weight above 1
+		{math.MaxInt64 - 2, "x", 65535, math.MinInt64, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, 3, math.MinInt64, math.MaxInt64, 1, math.MaxInt64, 1, math.MaxInt64, math.MaxInt64},
+		{5, "bad\xffutf8", 2, math.MaxInt64, math.MinInt64, 1, math.MaxInt64, -1, math.MaxInt64, math.MaxInt64, math.MinInt64, 3, math.MinInt64 + 1, 1, math.MinInt64, math.MaxInt64},
+		{200, "heavy", 5, 101, 1, 200, 1, 201, 1, 202, 0, 1, 201, 1, 1, 2},          // index in the window of start 200 and 201 at weight 1/2
+		{6, strings.Repeat("\xff", 4000), 1, 2, 0, 2, 1, 3, 1, 4, 0, 1, 3, 1, 1, 1}, // ≈ 24 KB wire frames: the wire log closes a chunk
 	} {
-		f.Add(s.seq, s.name, s.id, s.index, s.proc, s.sn, s.sd, s.fn, s.fd, s.deadline, s.tn, s.tdd, s.sn2, s.sd2)
+		f.Add(s.seq, s.name, s.id, s.index, s.proc, s.sn, s.sd, s.fn, s.fd, s.deadline, s.tn, s.tdd, s.sn2, s.sd2, s.e, s.p)
 	}
-	f.Fuzz(func(t *testing.T, seq int64, name string, id uint16, index, proc, sn, sd, fn, fd, deadline, tn, td, sn2, sd2 int64) {
+	f.Fuzz(func(t *testing.T, seq int64, name string, id uint16, index, proc, sn, sd, fn, fd, deadline, tn, td, sn2, sd2, e, p int64) {
 		if seq < 0 {
 			seq = ^seq
 		}
@@ -435,14 +446,14 @@ func FuzzColdFrameMatchesWire(f *testing.F) {
 		start, finish, tard, start2 := mk(sn, sd), mk(fn, fd), mk(tn, td), mk(sn2, sd2)
 		starts := []rat.Rat{start, start2, start}
 		l, w := dispatchLog{cold: true, tail: chunk{first: seq}}, dispatchLog{tail: chunk{first: seq}}
-		l.name(int(id), name)
+		l.name(int(id), name, model.W(e, p))
 		for _, s := range starts {
 			l.append(int(id), name, index, int(proc), s, finish, deadline, tard)
 			w.append(int(id), name, index, int(proc), s, finish, deadline, tard)
 		}
-		wire := w.tail.data
+		wire := readAll(&w, seq, len(starts))
 		want := appendDispatchFrame(nil, seq+1, name, index, int(proc), start2, finish, deadline, tard)
-		var buf []byte
+		var buf, wbuf []byte
 		for _, closed := range []bool{false, true} {
 			if closed {
 				l.cut()
@@ -455,8 +466,9 @@ func FuzzColdFrameMatchesWire(f *testing.F) {
 				t.Fatalf("cold render (closed %v)\n got %q\nwant %q", closed, got, wire)
 			}
 			for k := range starts {
-				if one, n := l.frames(&buf, seq+int64(k), 1); n != 1 || !bytes.Equal(one, w.tail.span(k, 1)) {
-					t.Fatalf("cold render of frame %d (closed %v)\n got %q\nwant %q", k, closed, one, w.tail.span(k, 1))
+				frame, _ := w.frames(&wbuf, seq+int64(k), 1)
+				if one, n := l.frames(&buf, seq+int64(k), 1); n != 1 || !bytes.Equal(one, frame) {
+					t.Fatalf("cold render of frame %d (closed %v)\n got %q\nwant %q", k, closed, one, frame)
 				}
 			}
 		}
@@ -476,4 +488,40 @@ func FuzzColdFrameMatchesWire(f *testing.F) {
 			t.Fatalf("cold frame decodes to %+v, want %+v", fromCold, ev)
 		}
 	})
+}
+
+// TestWindowIndexPredictsTheWindow: a subtask that runs in its window
+// (eqs. 2–5, θ = 0) has an index the prediction from its slot misses by 0
+// or +1, for every weight of a small period and every slot of the first
+// windows, and by at most 1 either way for a weight of MaxPeriod — the
+// three residuals a record codes in two bits. A weight that is not
+// positive predicts something all the same.
+func TestWindowIndexPredictsTheWindow(t *testing.T) {
+	check := func(e, p, i int64, far bool) {
+		sub := model.Subtask{Task: &model.Task{W: model.W(e, p)}, Index: i}
+		rate := windowRate(sub.Task.W)
+		for slot := sub.Release(); slot < sub.Deadline(); slot++ {
+			res := i - windowIndex(slot, rate)
+			if res < 0 && !far || res < -1 || res > 1 {
+				t.Fatalf("weight %d/%d, subtask %d in slot %d: residual %d", e, p, i, slot, res)
+			}
+		}
+	}
+	for p := int64(1); p <= 40; p++ {
+		for e := int64(1); e <= p; e++ {
+			for i := int64(1); i <= 3*e+1; i++ {
+				check(e, p, i, false)
+			}
+		}
+	}
+	for _, e := range []int64{1, 3, MaxPeriod/2 + 1, MaxPeriod - 1, MaxPeriod} {
+		for _, i := range []int64{1, 2, e, e + 1, 5 * e} {
+			check(e, MaxPeriod, i, true)
+		}
+	}
+	for _, w := range []model.Weight{model.W(0, 5), model.W(-3, 8), model.W(3, -8), model.W(math.MinInt64, math.MaxInt64)} {
+		if r := windowRate(w); r != 0 || windowIndex(7, r) != 1 {
+			t.Fatalf("weight %v: rate %d predicts %d", w, r, windowIndex(7, r))
+		}
+	}
 }

@@ -85,7 +85,7 @@ func BenchmarkTenantRecord(b *testing.B) {
 				first = tn.log.len()
 			}
 			if n&(1<<16-1) == 1<<16-1 {
-				tn.log = dispatchLog{cold: tn.log.cold, names: tn.log.names}
+				tn.log = dispatchLog{cold: tn.log.cold, tasks: tn.log.tasks}
 				tn.publish()
 				first = 0
 			}
@@ -204,7 +204,7 @@ func BenchmarkDispatchFanout(b *testing.B) {
 					// reference, or, from a cold log, renders its own.
 					log := dispatchLog{cold: cold}
 					for i, ev := range evs {
-						log.name(i%8, ev.Task)
+						log.name(i%8, ev.Task, model.W(1, 8))
 						log.append(i%8, ev.Task, ev.Index, ev.Proc, times[i][0], times[i][1], ev.Deadline, rat.Zero)
 					}
 					for i, fw := range writers {

@@ -666,9 +666,9 @@ func (r *pacedReader) Read(p []byte) (int, error) {
 // TestInMemoryStreamMatchesDurable runs one seeded command script, with
 // task names JSON escapes, on an in-memory server and on a durable one.
 // The in-memory tenant holds compact records from its first frame and
-// closes a chunk of them every 64 KiB (≈ 4 500 frames here, so the
-// script is long enough for three); the journaled one keeps wire bytes,
-// seals them into history files — by itself every 8 192 frames, at
+// closes a chunk of them every 64 KiB (≈ 13 200 frames here, so the
+// script is just long enough for three); the journaled one keeps wire bytes,
+// seals them into history files — by itself every 4 096 frames, at
 // production's segment size, and at the compaction — and keeps wire bytes
 // again once restored from its snapshot and journal. Whichever form
 // serves them,

@@ -200,7 +200,7 @@ func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journa
 	}
 	t.log.cold = !journaled
 	for _, task := range ex.System().Tasks {
-		t.log.name(task.ID, task.Name)
+		t.log.name(task.ID, task.Name, task.W)
 	}
 	t.ex.SetOnDispatch(t.record)
 	return t
@@ -466,7 +466,7 @@ func (t *Tenant) applyRegister(name string, w model.Weight) (admission.Decision,
 	commit, err := t.apply(name, nil, wal.Record{Op: wal.OpTaskRegister, Tenant: t.id, Name: name, E: w.E, P: w.P}, func() error {
 		task, err := t.ex.Register(name, w)
 		if err == nil {
-			t.log.name(task.ID, name)
+			t.log.name(task.ID, name, w)
 		}
 		return err
 	})
