@@ -296,20 +296,26 @@ obs:
 # (CompactAfterLoopsStop), a tenant that seals its history with no
 # compaction (SealsWithoutCompaction; its settle-triggered seal is swept
 # by TestCrashRecoverySettleSealSweep), sidecar names that never repeat
-# and a sidecar that survives a power cut right after it is written
-# (Sidecar), a fuzzy compaction whose checkpoints land past its cut and
-# that stops no request (FuzzyCheckpoint, DueCompactionRunsOnce,
-# SubmitBesideParkedCheckpoint) — and the submit group's one record: a crash at every byte
-# of a batch's write leaves all of it or none (TornBatch), a journal of
-# per-job groups still replays (PerJobGroupJournal), the largest admissible
-# batch is journaled or refused before a byte is written (WorstBatch) —
-# and the snapshot payload, written byte for byte as json.Marshal writes it
-# with each tenant's inline log copied in verbatim (-v too:
-# TestSnapshotPayloadMatchesMarshal) — under the race detector.
+# and a sidecar that survives a power cut right after it is created or
+# appended to (Sidecar, and faultfs's OpenAppend keeping a file's extent),
+# the open history segment — a recovery from a file longer than the
+# snapshot names (GrownSegment), a failed append that closes it
+# (FailedAppendCloses), a stream whose view is older than its segment
+# (StreamViewOlder) — a fuzzy compaction whose checkpoints land past its
+# cut and that stops no request (FuzzyCheckpoint, DueCompactionRunsOnce,
+# SubmitBesideParkedCheckpoint) — and the submit group's one record: a
+# crash at every byte of a batch's write leaves all of it or none
+# (TornBatch), a journal of per-job groups still replays
+# (PerJobGroupJournal), the largest admissible batch is journaled or
+# refused before a byte is written (WorstBatch) — and the snapshot
+# payload, written byte for byte as json.Marshal writes it with each
+# inline tail (a tenant's frames since its last seal, fewer than half a
+# segment) copied in verbatim (-v too: TestSnapshotPayloadMatchesMarshal)
+# — under the race detector.
 recovery:
 	$(GO) test -race -count=1 ./internal/wal/ ./internal/faultfs/ ./cmd/pfaird/ \
-		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|Sidecar|ExecutiveMatchesReference'
-	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot|TornBatch|PerJobGroupJournal|WorstBatch|CompactAfterLoopsStop|SealsWithoutCompaction|FuzzyCheckpoint|DueCompactionRunsOnce|SubmitBesideParkedCheckpoint'
+		./internal/online/ -run 'Checkpoint|Restore|Crash|Recovery|Shutdown|SIGTERM|WAL|Sidecar|OpenAppend|ExecutiveMatchesReference'
+	$(GO) test -race -count=1 ./internal/server/ -run 'CrashRecovery|Shutdown|SnapshotStorm|CrashNeverAcks|RestoreParentFormatSnapshot|TornBatch|PerJobGroupJournal|WorstBatch|CompactAfterLoopsStop|SealsWithoutCompaction|FuzzyCheckpoint|DueCompactionRunsOnce|SubmitBesideParkedCheckpoint|GrownSegment|FailedAppendCloses|StreamViewOlder'
 	$(GO) test -race -count=1 -v ./internal/server/ -run 'TestRestoreParentFormatJournal|TestRecoveryCountsTamperedJournal|TestFollowerCompactionBeforeDigest|TestFollowerOfLegacyLeaderCompacts|TestSnapshotPayloadMatchesMarshal'
 	$(GO) test -race -count=1 ./internal/cluster/ -run 'TestFollowerBootstrapFromSealedHistory'
 

@@ -129,6 +129,14 @@ func (fs *FS) Ops() int64 {
 	return fs.ops
 }
 
+// Syncs reports how many Sync calls have been made so far — the scale
+// FailSyncAt is set on.
+func (fs *FS) Syncs() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.syncs
+}
+
 // mutateLocked gates one mutating operation, fs.mu held: it counts it
 // and, at the CrashAtOp trigger, dies instead of letting it through. Every
 // mutating call holds fs.mu until it has changed the disk, so none lands
@@ -231,6 +239,34 @@ func (fs *FS) Open(path string) (wal.File, error) {
 		return nil, err
 	}
 	return &file{fs: fs, f: f, path: path}, nil
+}
+
+// OpenAppend opens an existing file for appending. The file keeps its
+// extent, so a power cut takes back only what was appended and not yet
+// synced; a file no Create of this filesystem wrote counts as synced to
+// its length. Opening changes nothing on disk, so it is no operation
+// CrashAtOp counts.
+func (fs *FS) OpenAppend(path string) (wal.File, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.crashed {
+		return nil, ErrCrashed
+	}
+	f, err := fs.under.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	e := fs.files[path]
+	if e == nil {
+		st, err := os.Stat(path)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		e = &extent{size: st.Size(), synced: st.Size()}
+		fs.files[path] = e
+	}
+	return &file{fs: fs, f: f, path: path, ext: e}, nil
 }
 
 func (fs *FS) Rename(oldPath, newPath string) error {

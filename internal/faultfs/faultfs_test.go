@@ -380,3 +380,94 @@ func TestPowerLossFailedSyncDropsUnsynced(t *testing.T) {
 		}
 	}
 }
+
+// TestPowerLossOpenAppendKeepsExtent: a file opened for appending keeps its
+// extent, so a power cut takes back only the unsynced part of what was
+// appended — never what a Sync covered before or after the open — and a
+// file no Create of the filesystem wrote counts as synced to its length.
+// Opening changes nothing, so it is no counted operation; a missing file
+// is not created, and after the cut nothing opens.
+func TestPowerLossOpenAppendKeepsExtent(t *testing.T) {
+	cut := func(seed int64) (mine, theirs string) {
+		dir := t.TempDir()
+		at := func(name string) string { return filepath.Join(dir, name) }
+		if err := os.WriteFile(at("theirs"), []byte("before-"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := New(Options{Seed: seed, PowerLoss: true, CrashAtOp: 9})
+		write := func(f wal.File, data string, sync bool) {
+			t.Helper()
+			if _, err := f.Write([]byte(data)); err != nil {
+				t.Fatal(err)
+			}
+			if sync {
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f, err := fs.Create(at("mine")) // op 1
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SyncDir(dir); err != nil { // op 2
+			t.Fatal(err)
+		}
+		write(f, "synced-", true) // ops 3, 4
+		f.Close()
+		if _, err := fs.OpenAppend(at("missing")); err == nil {
+			t.Fatal("OpenAppend created a missing file")
+		}
+		m, err := fs.OpenAppend(at("mine"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		write(m, "more-", true)       // ops 5, 6
+		write(m, "0123456789", false) // op 7
+		o, err := fs.OpenAppend(at("theirs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		write(o, "0123456789", false) // op 8
+		if got := fs.Ops(); got != 8 {
+			t.Fatalf("%d operations counted, want 8: an open for appending is none", got)
+		}
+		if _, err := o.Write([]byte("x")); !errors.Is(err, ErrCrashed) { // op 9: the cut
+			t.Fatalf("crashing write returned %v", err)
+		}
+		if _, err := fs.OpenAppend(at("mine")); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("OpenAppend after the cut returned %v", err)
+		}
+		for name, s := range map[string]*string{"mine": &mine, "theirs": &theirs} {
+			data, err := os.ReadFile(at(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			*s = string(data)
+		}
+		return mine, theirs
+	}
+	kept := map[string]map[int]bool{"mine": {}, "theirs": {}}
+	for seed := int64(0); seed < 40; seed++ {
+		mine, theirs := cut(seed)
+		if m, o := cut(seed); m != mine || o != theirs {
+			t.Fatalf("seed %d: two runs kept different bytes", seed)
+		}
+		for name, c := range map[string]struct{ got, synced string }{
+			"mine":   {mine, "synced-more-"},
+			"theirs": {theirs, "before-"},
+		} {
+			if len(c.got) < len(c.synced) || !strings.HasPrefix(c.synced+"0123456789", c.got) {
+				t.Fatalf("seed %d: %s kept %q, want %q and a prefix of the unsynced tail", seed, name, c.got, c.synced)
+			}
+			kept[name][len(c.got)-len(c.synced)] = true
+		}
+	}
+	for name, k := range kept {
+		if !k[0] || len(k) < 4 {
+			t.Fatalf("%s: 40 seeds kept tails of lengths %v; want none sometimes and several lengths", name, k)
+		}
+	}
+}

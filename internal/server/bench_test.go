@@ -244,25 +244,6 @@ func TestWideRoundRanksWithoutCompare(t *testing.T) {
 		float64(w.RankCmps)/float64(decisions), float64(w.Moves)/float64(decisions))
 }
 
-// TestWideRoundResidentBytes pins, exactly, what an in-memory tenant's
-// dispatch log holds after 160 rounds of wide_sched (wideRounds: 20 480
-// decisions, one closed chunk and the open tail): its compact records and
-// nothing else, ≈ 4.5 B per decision. The count is the coder's, not the
-// host's, so it moves only when the record's format or the decisions do;
-// a change that moves it says why, as one that moves metrics.golden does.
-func TestWideRoundResidentBytes(t *testing.T) {
-	const rounds, want = 160, 91068
-	tn, batches := wideRounds(t)
-	defer tn.Close()
-	for i := 0; i < rounds; i++ {
-		wideRound(t, tn, batches, i)
-	}
-	n := tn.Info().Dispatches
-	if got := tn.ResidentBytes(); n != 128*rounds || got != want {
-		t.Fatalf("%d decisions: the cold log holds %d B (%.3f B per decision), want %d", n, got, float64(got)/float64(n), want)
-	}
-}
-
 // TestTenantBatchRoundAllocs pins what a steady-state wide_sched round —
 // its 92-job batch and the advance that makes 128 decisions — allocates in
 // the tenant: a handful of objects per request (the command, the published
@@ -579,15 +560,17 @@ func BenchmarkCompact(b *testing.B) {
 			}
 		})
 	}
-	// long_tenant's two shapes of compaction, which it alternates between:
-	// one that carries a tail of ≈ 3 600 frames inline in the snapshot, and
-	// one that seals ≈ 7 300 into a history file. An iteration times the
+	// The two shapes of compaction: a short-lived tenant's, which carries
+	// its tail of fewer than half a segment's frames inline in the
+	// snapshot, and long_tenant's, which seals the ≈ 3 600 frames since
+	// the last one into its open history segment — creating a file every
+	// second time, appending to it the other. An iteration times the
 	// compaction alone; what it compacts is made with the timer stopped.
-	b.Run("inline=3.6k", func(b *testing.B) {
-		benchCompactShape(b, 3600, 0)
+	b.Run("inline=1.6k", func(b *testing.B) {
+		benchCompactShape(b, 1600, 0)
 	})
-	b.Run("seal=7.3k", func(b *testing.B) {
-		benchCompactShape(b, 0, 7296)
+	b.Run("seal=3.6k", func(b *testing.B) {
+		benchCompactShape(b, 0, 3648)
 	})
 }
 
@@ -653,7 +636,12 @@ func benchCompactShape(b *testing.B, resident, perIter int) {
 	if got := metricValue(b, h, "pfaird_tenant_history_resident_events", "tenant", "long"); got != int64(resident) {
 		b.Fatalf("%d events resident after the last compaction, want %d", got, resident)
 	}
-	if got, want := len(histFiles(b, dir))-sealed, b.N*min(perIter, 1); got != want {
-		b.Fatalf("%d compactions sealed %d history files, want %d", b.N, got, want)
+	want := 0 // files: a segment closes once it holds 4 096 events
+	if perIter > 0 {
+		perFile := (4096 + perIter - 1) / perIter
+		want = (b.N + perFile - 1) / perFile
+	}
+	if got := len(histFiles(b, dir)) - sealed; got != want {
+		b.Fatalf("%d compactions sealed into %d new history files, want %d", b.N, got, want)
 	}
 }

@@ -316,11 +316,13 @@ type dispatchLog struct {
 	tail     chunk
 	resident int64 // bytes held by full and tail: wire bytes, or records
 	// cold, fixed when the tenant is built, makes the log hold compact
-	// records; tasks is the task table, by Task.ID, which every cold chunk
-	// carries and restore resolves a journaled log's events by; start is
-	// the start of the tail's last record, which the next is coded
-	// against.
+	// records; open says the manifest's last entry is the open history
+	// segment the next seal appends to (Tenant.seal); tasks is the task
+	// table, by Task.ID, which every cold chunk carries and restore
+	// resolves a journaled log's events by; start is the start of the
+	// tail's last record, which the next is coded against.
 	cold  bool
+	open  bool
 	tasks []logTask
 	start rat.Rat
 }

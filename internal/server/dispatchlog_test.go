@@ -199,10 +199,11 @@ func TestCopyFramesSkipsWholeLines(t *testing.T) {
 }
 
 // TestSealSegmentWritesChunks pins what a seal writes, for a segment of one
-// chunk and one of several: the history file is the concatenation of the
-// chunks, handed to the journal as the chunks themselves (nothing is
-// gathered into a buffer first), and the manifest entry gives its seq
-// range, its length and the crc32 (IEEE) of those bytes.
+// chunk and for an append of several to it: the history file is the
+// concatenation of the chunks, handed to the journal as the chunks
+// themselves (nothing is gathered into a buffer first), and the manifest
+// entry gives the seq range, length and crc32 (IEEE) of everything the file
+// holds, its CRC continued across the append.
 func TestSealSegmentWritesChunks(t *testing.T) {
 	l, _, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
@@ -211,6 +212,8 @@ func TestSealSegmentWritesChunks(t *testing.T) {
 	defer l.Close()
 	var log dispatchLog
 	ids := logTasks(&log)
+	seg := histSegment{File: l.SidecarName()}
+	var want []byte
 	for k, n := range []int64{10, 2500} { // one small chunk; ≈ 280 KB, four chunks and more
 		first := log.len()
 		for i := first; i < first+n; i++ {
@@ -222,27 +225,26 @@ func TestSealSegmentWritesChunks(t *testing.T) {
 		log.cut()
 		chunks := log.chunks()
 		if k == 0 && len(chunks) != 1 || k == 1 && len(chunks) < 3 {
-			t.Fatalf("segment %d spans %d chunks", k, len(chunks))
+			t.Fatalf("seal %d spans %d chunks", k, len(chunks))
 		}
-		var want []byte
 		for _, c := range chunks {
 			want = append(want, c.data...)
 		}
-		seg, file := sealSegment(l.SidecarName(), chunks)
-		if seg.File != file.Name || seg.FirstSeq != first || seg.Count != n || seg.Bytes != int64(len(want)) ||
-			seg.CRC != crc32.ChecksumIEEE(want) {
-			t.Fatalf("segment %d: manifest %+v for seqs %d… (%d), %d bytes, crc %d",
-				k, seg, first, n, len(want), crc32.ChecksumIEEE(want))
+		var parts [][]byte
+		seg, parts = sealSegment(seg, chunks)
+		if seg.FirstSeq != 0 || seg.Count != log.len() || seg.Bytes != int64(len(want)) || seg.CRC != crc32.ChecksumIEEE(want) {
+			t.Fatalf("seal %d: manifest %+v for seqs 0… (%d), %d bytes, crc %d",
+				k, seg, log.len(), len(want), crc32.ChecksumIEEE(want))
 		}
-		if len(file.Data) != len(chunks) {
-			t.Fatalf("segment %d: %d parts for %d chunks", k, len(file.Data), len(chunks))
+		if len(parts) != len(chunks) {
+			t.Fatalf("seal %d: %d parts for %d chunks", k, len(parts), len(chunks))
 		}
-		for i, part := range file.Data {
+		for i, part := range parts {
 			if &part[0] != &chunks[i].data[0] || len(part) != len(chunks[i].data) {
-				t.Fatalf("segment %d: part %d is not chunk %d's bytes", k, i, i)
+				t.Fatalf("seal %d: part %d is not chunk %d's bytes", k, i, i)
 			}
 		}
-		if err := l.WriteSidecars([]wal.Sidecar{file}); err != nil {
+		if err := l.AppendSidecar(seg.File, k == 0, parts); err != nil {
 			t.Fatal(err)
 		}
 		f, err := l.OpenSidecar(seg.File)
@@ -252,9 +254,9 @@ func TestSealSegmentWritesChunks(t *testing.T) {
 		got, err := io.ReadAll(f)
 		f.Close()
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("segment %d: the file holds %d bytes (%v), want the %d of its chunks", k, len(got), err, len(want))
+			t.Fatalf("seal %d: the file holds %d bytes (%v), want the %d of its chunks", k, len(got), err, len(want))
 		}
-		log.dropSealed(append(log.hist[:len(log.hist):len(log.hist)], seg))
+		log.dropSealed([]histSegment{seg})
 	}
 }
 

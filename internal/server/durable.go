@@ -150,18 +150,22 @@ func (t *Tenant) checkpoint() (cp tenantCheckpoint, err error) {
 	return cp, err
 }
 
-// image is checkpoint's body. From histSegmentMin unsealed events on the
-// tenant seals them first, so only the resident rest of the dispatch log
-// is imaged. settle seals at that size after every command that decides,
-// so this seal is for a log no command has settled since it grew: one
-// restored with a long inline tail (a follower bootstrapped from the
-// replication snapshot, which carries the whole log inline, or a snapshot
-// written before sealing existed), or one whose seal in settle failed.
-// The log is never copied here: its chunks are handed over by
-// reference (immutable, the aliasing rule tenantSnap readers already rely
-// on) to marshalPayload, which copies them once, into the payload.
+// image is checkpoint's body. From histSegmentMin/2 unsealed events on the
+// tenant seals them first, appending them to its open history segment, so
+// only the manifest and a shorter resident rest of the dispatch log are
+// imaged: a busy tenant's checkpoint carries no frames, and no frame is
+// written both into a snapshot and into a file. Below that floor the tail
+// rides inline and no file is made, as for every short-lived tenant. settle
+// seals at histSegmentMin after every command that decides; the floor here
+// also seals a log no command has settled since it grew: one restored with
+// a long inline tail (a follower bootstrapped from the replication
+// snapshot, which carries the whole log inline, or a snapshot written
+// before sealing existed), or one whose seal in settle failed. The log is
+// never copied here: its chunks are handed over by reference (immutable,
+// the aliasing rule tenantSnap readers already rely on) to marshalPayload,
+// which copies them once, into the payload.
 func (t *Tenant) image() (tenantCheckpoint, error) {
-	if t.log.len()-t.log.floor() >= int64(histSegmentMin) {
+	if n := t.log.len() - t.log.floor(); n > 0 && 2*n >= int64(histSegmentMin) {
 		if err := t.seal(); err != nil {
 			return tenantCheckpoint{}, err
 		}
@@ -181,7 +185,9 @@ func (t *Tenant) image() (tenantCheckpoint, error) {
 
 // restoreTenant rebuilds a tenant from its checkpoint: the events of Log
 // become the resident dispatch log after the sealed prefix History names
-// (whose files the caller has verified; they stay on disk), each event's
+// (whose files the caller has verified; they stay on disk, and the last
+// one, which may be longer than its entry, is closed: the tenant's next
+// seal starts a new file), each event's
 // task resolved by name to an executive ID (the executive keeps every task
 // it ever registered).
 // online.Restore validates Σwt ≤ M and reinstates a queued shrink target

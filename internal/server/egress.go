@@ -256,26 +256,33 @@ func (s *Server) handleDispatches(w http.ResponseWriter, r *http.Request) {
 	}
 	var render []byte
 	s.stream(w, r, from, follow, feed{wake: t.Subscribe, done: t.Closed(), drain: func(fw *frameWriter, pos int64) (int64, error) {
-		log := &t.snap.Load().log
-		if floor := log.floor(); pos < floor && pos < log.len() {
-			if err := s.copySealed(fw, log.hist, pos); err != nil {
-				return pos, err
-			}
-			pos = floor
-		}
-		for pos < log.len() {
-			frames, n := log.frames(&render, pos, maxStreamBatch)
-			if n == 0 {
-				// Never inside the log; a stream must not spin if it were.
-				return pos, io.ErrNoProgress
-			}
-			if _, err := fw.Write(frames); err != nil {
-				return pos, err
-			}
-			pos += int64(n)
-		}
-		return pos, nil
+		return s.drainLog(fw, &t.snap.Load().log, pos, &render)
 	}})
+}
+
+// drainLog writes the frames of log, a published view, from seq pos to its
+// end — those below its resident floor from the history files, as far as
+// its manifest names them, the rest from its chunks, a cold chunk's
+// rendered into *render — and returns the seq it reached.
+func (s *Server) drainLog(w io.Writer, log *dispatchLog, pos int64, render *[]byte) (int64, error) {
+	if floor := log.floor(); pos < floor && pos < log.len() {
+		if err := s.copySealed(w, log.hist, pos); err != nil {
+			return pos, err
+		}
+		pos = floor
+	}
+	for pos < log.len() {
+		frames, n := log.frames(render, pos, maxStreamBatch)
+		if n == 0 {
+			// Never inside the log; a stream must not spin if it were.
+			return pos, io.ErrNoProgress
+		}
+		if _, err := w.Write(frames); err != nil {
+			return pos, err
+		}
+		pos += int64(n)
+	}
+	return pos, nil
 }
 
 // handleTrace streams the tenant's trace ring, one obs.Event per line.

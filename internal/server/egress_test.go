@@ -666,8 +666,8 @@ func (r *pacedReader) Read(p []byte) (int, error) {
 // TestInMemoryStreamMatchesDurable runs one seeded command script, with
 // task names JSON escapes, on an in-memory server and on a durable one.
 // The in-memory tenant holds compact records from its first frame and
-// closes a chunk of them every 64 KiB (≈ 13 200 frames here, so the
-// script is just long enough for three); the journaled one keeps wire bytes,
+// closes a chunk of them every 64 KiB (≈ 13 200 frames here), and the
+// script runs until it has closed three; the journaled one keeps wire bytes,
 // seals them into history files — by itself every 4 096 frames, at
 // production's segment size, and at the compaction — and keeps wire bytes
 // again once restored from its snapshot and journal. Whichever form
@@ -781,7 +781,21 @@ func TestInMemoryStreamMatchesDurable(t *testing.T) {
 		return all
 	}
 
-	load(1250)
+	// The script runs until the in-memory log has closed three chunks and
+	// the durable one, resident since its last seal, three too, so a change
+	// to either record's size moves where the checks land, not whether they
+	// can.
+	for r := 0; ; r++ {
+		m, _ := mem.srv.DispatchChunks("acme")
+		d, _ := dur.srv.DispatchChunks("acme")
+		if len(m)-1 >= 3 && len(d)-1 >= 3 {
+			break
+		}
+		if r == 5000 {
+			t.Fatalf("%d rounds closed %d chunks in memory and left %d closed durable ones", r, len(m)-1, len(d)-1)
+		}
+		load(1)
+	}
 	all := compare("resident", 3)
 	for _, resp := range follows {
 		got := make([]byte, len(all))

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
@@ -92,4 +93,18 @@ func (t *Tenant) EngineWork() online.Work {
 	var w online.Work
 	t.onLoop(func() { w = t.ex.Work() })
 	return w
+}
+
+// HoldDispatchView keeps the view of tenant id's dispatch log published
+// now and returns a replay of it from seq 0, through the path a stream's
+// drain takes: what a stream that loaded the view before the log grew
+// serves, whenever it is called.
+func (s *Server) HoldDispatchView(id string) (replay func() ([]byte, error)) {
+	log := &s.tenant(id).snap.Load().log
+	return func() ([]byte, error) {
+		var b bytes.Buffer
+		var render []byte
+		_, err := s.drainLog(&b, log, 0, &render)
+		return b.Bytes(), err
+	}
 }

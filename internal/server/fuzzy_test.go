@@ -151,8 +151,9 @@ func TestDueCompactionRunsOnce(t *testing.T) {
 
 // TestFuzzyCheckpointRecoversExactly drives records into every gap a fuzzy
 // checkpoint leaves: B journals a batch and an advance between the cut and
-// its own checkpoint (its loop parked behind them), A decides — and seals a
-// history file — after its checkpoint, and C is deleted and created anew
+// its own checkpoint (its loop parked behind them), A decides after its
+// checkpoint — appending to the history file the snapshot names, past the
+// length it names, then creating one — and C is deleted and created anew
 // before its checkpoint, which images the deleted one. Then:
 //
 //   - a crash (the data dir as it stands) recovers the reference state,
@@ -232,10 +233,12 @@ func TestFuzzyCheckpointRecoversExactly(t *testing.T) {
 	compacted := compactInBackground(leader)
 	waitFor(t, "the compaction's checkpoint of B to queue", func() bool { return b.Queued() == len(queued)+1 })
 
-	// The cut is read and A checkpointed. Sixteen unsealed decisions seal a
-	// history file (settle, at twice the test's 8-event segment).
+	// The cut is read and A checkpointed, which sealed A's six decisions into
+	// a new open segment. Eight more unsealed decisions are appended to it
+	// and close it (settle, at the test's 8-event segment), and eight more
+	// create a history file.
 	histBefore := histFiles(t, dir)
-	for r := 0; r < 5; r++ {
+	for r := 0; r < 8; r++ {
 		round("A", "x", "y")
 	}
 	var sealed []string

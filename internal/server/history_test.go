@@ -256,7 +256,9 @@ func commandPrefixes(script []cmd) (at map[uint64]int, sums []int) {
 // fsync — of one compaction that adds a history segment to a manifest
 // already holding some, and of the command that triggered it, whose settle
 // sealed that segment (three tasks seal every third round; SnapshotEvery
-// 25 puts one compaction on such a round, after a batch). After each
+// 25 puts one compaction on such a round, after a batch), and of the
+// command after it, the first to write to the journal segment that
+// compaction opened. After each
 // crash the directory must recover cleanly to a state of the
 // uninterrupted reference run (acked ≤ recovered ≤ issued), serve ?from=0
 // replays that are byte prefixes of the reference's, hold no orphan
@@ -290,7 +292,8 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 	// Dry run on a counting filesystem: find a command in the script's
 	// second half that sealed a segment and compacted, and the operations
 	// the two span — and those of the command before it, a batch, so that
-	// the sweep also crashes inside a group record's write and fsync.
+	// the sweep also crashes inside a group record's write and fsync, and
+	// of the command after it, the first record in the fresh segment.
 	dryDir := t.TempDir()
 	dry := faultfs.New(faultfs.Options{})
 	srv, err := server.Open(opts(dryDir, dry))
@@ -307,19 +310,21 @@ func TestCrashRecoverySealSweep(t *testing.T) {
 			lo = before + 1 // the first operation of command i
 			if i >= len(script)/2 && files > 0 &&
 				srv.WALStats().Snapshots > snaps && len(histFiles(t, dryDir)) > files {
-				lo, hi, target = prev, dry.Ops(), i
+				lo, target = prev, i
 			}
+		} else if i == target+1 {
+			hi = dry.Ops()
 		}
 	}
 	srv.Close()
-	if target < 0 {
-		t.Fatal("no command in the script's second half sealed a segment and compacted; the sweep would test nothing")
+	if target < 0 || target+1 == len(script) {
+		t.Fatalf("sealing and compacting command %d of %d: want one in the script's second half, with a command after it", target, len(script))
 	}
 	if _, batch := script[target-1].body.(server.SubmitJobsRequest); !batch {
 		t.Fatalf("command %d, before the sealing one, is %s %s: the sweep would not cross a batch's write", target-1, script[target-1].method, script[target-1].path)
 	}
 	if hi-lo < 12 {
-		t.Fatalf("command %d and its compaction span only %d filesystem operations", target, hi-lo+1)
+		t.Fatalf("commands %d to %d and the compaction span only %d filesystem operations", target-1, target+1, hi-lo+1)
 	}
 
 	// Every operation is swept as a process crash and as a power cut: at
@@ -537,8 +542,9 @@ func TestCrashRecoveryRecreatedTenantBeforeSnapshotRename(t *testing.T) {
 // TestCrashRecoverySettleSealSweep crashes a durable server that never
 // compacts on its own (SnapshotEvery 1<<30) at every mutating filesystem
 // operation of a command whose settle seals the tenant's history — its
-// journal records, then the history file's tmp, its writes (one per
-// chunk), fsync, rename and directory fsync — and of the server's Close,
+// journal records, then the history file's create, its writes (one per
+// chunk), fsync and directory fsync — of the batch before it, and of the
+// server's Close,
 // whose compaction names the file in the snapshot; as a process crash and
 // as a power cut. At FsyncEvery 1 recovery must bring
 // back a whole script prefix within [acked, issued] under either model,
@@ -591,21 +597,26 @@ func TestCrashRecoverySettleSealSweep(t *testing.T) {
 	}
 
 	// Dry run on a counting filesystem: the command whose settle sealed —
-	// the last — and the operations from its first to Close's last.
+	// the last — and the operations from the first of the batch before it
+	// to Close's last.
 	dry := faultfs.New(faultfs.Options{})
 	dryDir := t.TempDir()
 	srv, err := server.Open(opts(dryDir, dry))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, target := int64(0), -1
+	lo, sealLo, target := int64(0), int64(0), -1
 	for i, c := range script {
 		before, files := dry.Ops(), len(histFiles(t, dryDir))
 		if code := doCmd(t, srv.Handler(), c); code >= 300 {
 			t.Fatalf("dry-run command %d: %d", i, code)
 		}
-		if target < 0 && len(histFiles(t, dryDir)) > files {
-			lo, target = before+1, i
+		if target < 0 {
+			if len(histFiles(t, dryDir)) > files {
+				sealLo, target = before+1, i
+			} else {
+				lo = before + 1 // the first operation of command i
+			}
 		}
 	}
 	snaps := srv.WALStats().Snapshots
@@ -614,13 +625,20 @@ func TestCrashRecoverySettleSealSweep(t *testing.T) {
 	if target != len(script)-1 || snaps != 1 {
 		t.Fatalf("settle sealed at command %d of %d, after %d snapshots; want the last, and only the boot's snapshot before Close", target, len(script), snaps)
 	}
-	if files := histFiles(t, dryDir); len(files) != 1 || hi-lo < 16 {
-		t.Fatalf("the run left history files %v, and the seal and Close span %d operations", files, hi-lo+1)
+	if _, batch := script[target-1].body.(server.SubmitJobsRequest); !batch {
+		t.Fatalf("command %d, before the sealing one, is %s %s: the sweep would not cross a batch's write", target-1, script[target-1].method, script[target-1].path)
+	}
+	if files := histFiles(t, dryDir); len(files) != 1 || hi-sealLo < 16 {
+		t.Fatalf("the run left history files %v, and the seal and Close span %d operations", files, hi-sealLo+1)
 	}
 	sweepCrashes(t, lo-1, lo, hi, func(t *testing.T, k int64, ffs *faultfs.FS) {
 		dir, acked, issued := run(t, ffs)
-		if !ffs.Crashed() || acked < target {
-			t.Fatalf("crash at operation %d: crashed=%v after %d acked commands, want the crash at command %d or in Close", k, ffs.Crashed(), acked, target)
+		want := target // from the seal on, the batch before it was acked
+		if k < sealLo {
+			want = target - 1
+		}
+		if !ffs.Crashed() || acked < want {
+			t.Fatalf("crash at operation %d: crashed=%v after %d acked commands, want the crash at command %d or later", k, ffs.Crashed(), acked, want)
 		}
 		recoverAndContinue(t, opts(dir, nil), script, states, replay, acked, issued)
 	})

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"desyncpfair/internal/wal"
 )
 
 // openJournaled opens a durable server that never compacts on its own, so
@@ -29,9 +31,10 @@ func batchOf(task string, n int) string {
 // TestRefusalsLeaveNoRecord: every way a tenant command can be refused
 // before it is journaled, through the HTTP handlers of a durable server —
 // the executive's checks (task lookup, name, weight, Σwt, m, undispatched
-// work, arrival, earliness) and the service's backlog bound. Each answers
-// the status it did before the executive became the one ledger (the
-// backlog bound is new), and the journal gains no record.
+// work, arrival, earliness) and the service's bounds on backlog and on
+// name length. Each answers the status it did before the executive became
+// the one ledger (the backlog and name bounds are new), and the journal
+// gains no record.
 func TestRefusalsLeaveNoRecord(t *testing.T) {
 	s := openJournaled(t)
 	h := s.Handler()
@@ -46,6 +49,10 @@ func TestRefusalsLeaveNoRecord(t *testing.T) {
 	for _, p := range []int{1048573, 1048571, 1048559} {
 		serve(t, h, "POST", "/v1/tenants/o/tasks", fmt.Sprintf(`{"name":"p%d","e":1,"p":%d}`, p, p), http.StatusCreated)
 	}
+	// A name or id of MaxNameLen bytes is admitted, one byte more is not.
+	longest, over := strings.Repeat("n", MaxNameLen), strings.Repeat("n", MaxNameLen+1)
+	serve(t, h, "POST", "/v1/tenants", `{"id":"`+longest+`","m":1}`, http.StatusCreated)
+	serve(t, h, "POST", "/v1/tenants/"+longest+"/tasks", `{"name":"`+longest+`","e":1,"p":2}`, http.StatusCreated)
 
 	for _, tc := range []struct {
 		name, method, path, body string
@@ -55,6 +62,8 @@ func TestRefusalsLeaveNoRecord(t *testing.T) {
 		{"unknown task: batch", "POST", "/v1/tenants/r/jobs:batch", `{"jobs":[{"task":"a"},{"task":"zz"}]}`, http.StatusBadRequest},
 		{"unknown task: unregister", "DELETE", "/v1/tenants/r/tasks/zz", "", http.StatusConflict},
 		{"empty name", "POST", "/v1/tenants/r/tasks", `{"name":"","e":1,"p":4}`, http.StatusBadRequest},
+		{"name over MaxNameLen", "POST", "/v1/tenants/r/tasks", `{"name":"` + over + `","e":1,"p":4}`, http.StatusBadRequest},
+		{"tenant id over MaxNameLen", "POST", "/v1/tenants", `{"id":"` + over + `","m":1}`, http.StatusBadRequest},
 		{"duplicate name", "POST", "/v1/tenants/r/tasks", `{"name":"a","e":1,"p":4}`, http.StatusBadRequest},
 		{"invalid weight", "POST", "/v1/tenants/r/tasks", `{"name":"w","e":3,"p":2}`, http.StatusBadRequest},
 		{"Σwt overflow", "POST", "/v1/tenants/o/tasks", `{"name":"p4","e":1,"p":1048549}`, http.StatusBadRequest},
@@ -78,6 +87,53 @@ func TestRefusalsLeaveNoRecord(t *testing.T) {
 	}
 	if info := s.tenant("r").Info(); info.Tasks != 2 || info.Pending != 1 || info.M != 1 || info.Utilization != "525313/1048576" {
 		t.Errorf("refusals changed tenant r: %+v", info)
+	}
+	if s.tenant(over) != nil {
+		t.Errorf("the refused tenant id over MaxNameLen exists")
+	}
+}
+
+// TestLongNamesStillReplay: MaxNameLen refuses a request, not a record. A
+// journal that an older version wrote with a tenant id and a task name
+// over the bound replays them, decisions and all, and the snapshot the
+// boot compaction writes with them restores them too.
+func TestLongNamesStillReplay(t *testing.T) {
+	dir := t.TempDir()
+	id, name := strings.Repeat("i", 2*MaxNameLen), strings.Repeat("t", 2*MaxNameLen)
+	l, _, err := wal.Open(dir, wal.Options{FsyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []wal.Record{
+		{Op: wal.OpTenantCreate, Tenant: id, M: 1},
+		{Op: wal.OpTaskRegister, Tenant: id, Name: name, E: 1, P: 2},
+		{Op: wal.OpJobSubmit, Tenant: id, Name: name},
+		{Op: wal.OpAdvance, Tenant: id, At: "2"},
+	} {
+		c, err := l.AppendAsync(r)
+		if err == nil {
+			err = l.Wait(c)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	for _, from := range []string{"the journal", "the boot snapshot"} {
+		s, err := Open(Options{DataDir: dir, SnapshotEvery: 1 << 30})
+		if err != nil {
+			t.Fatalf("open from %s: %v", from, err)
+		}
+		tn := s.tenant(id)
+		if rec := s.Recovery(); rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 || tn == nil {
+			t.Fatalf("open from %s: %d replay errors, %d mismatches, tenant found %v", from, rec.ReplayErrors, rec.DispatchMismatches, tn != nil)
+		}
+		if info := tn.Info(); info.Tasks != 1 || tn.snap.Load().log.len() != 1 {
+			t.Fatalf("open from %s: %+v with %d decisions, want the long-named task and its one", from, info, tn.snap.Load().log.len())
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -435,6 +435,9 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, req any, fallbac
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req CreateTenantRequest
 	s.mutate(w, r, &req, http.StatusConflict, func(*Tenant) (reply, error) {
+		if len(req.ID) > MaxNameLen {
+			return reply{errStatus: http.StatusBadRequest}, fmt.Errorf("server: tenant id length %d exceeds %d", len(req.ID), MaxNameLen)
+		}
 		t, err := newTenant(req.ID, req.M, req.Policy, s.obs, s.wal != nil)
 		if err != nil {
 			return reply{errStatus: http.StatusBadRequest}, err
@@ -476,6 +479,9 @@ func (s *Server) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRegisterTask(w http.ResponseWriter, r *http.Request) {
 	var req RegisterTaskRequest
 	s.mutate(w, r, &req, http.StatusBadRequest, func(t *Tenant) (reply, error) {
+		if len(req.Name) > MaxNameLen {
+			return reply{}, fmt.Errorf("server: task name length %d exceeds %d", len(req.Name), MaxNameLen)
+		}
 		d, commit, err := t.RegisterTask(req.Name, model.W(req.E, req.P))
 		status := http.StatusCreated
 		if !d.Admitted {

@@ -895,6 +895,14 @@ const (
 	// journal records or snapshots.
 	MaxIdemKeys = 4096
 	MaxKeyLen   = 128
+	// MaxNameLen caps a task name's and a tenant id's length, in bytes: a
+	// name is copied into every dispatch frame, the trace ring's string
+	// table, the log's task table and every per-tenant metric label, and
+	// JSON may write a byte of it as six, so a frame of the longest stays
+	// far inside a chunk. A request over it is refused before anything is
+	// journaled; a journal or snapshot holding a longer one, which an older
+	// version wrote, still replays.
+	MaxNameLen = 1024
 	// maxTimeDen / maxTimeValue bound virtual-time instants a client may
 	// name. rat.Cmp cross-multiplies numerator × opposing denominator, so
 	// a comparable time needs value·den_a·den_b ≤ 2^62; 2^28 quanta with

@@ -13,6 +13,8 @@ type FS interface {
 	Create(path string) (File, error)
 	// Open opens path read-only.
 	Open(path string) (File, error)
+	// OpenAppend opens the existing file path for appending.
+	OpenAppend(path string) (File, error)
 	Rename(oldPath, newPath string) error
 	Remove(path string) error
 	// ReadDir lists the names (not paths) of dir's entries.
@@ -39,6 +41,10 @@ func (OSFS) Create(path string) (File, error) {
 }
 
 func (OSFS) Open(path string) (File, error) { return os.Open(path) }
+
+func (OSFS) OpenAppend(path string) (File, error) {
+	return os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+}
 
 func (OSFS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
 

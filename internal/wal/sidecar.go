@@ -13,15 +13,6 @@ const (
 	sidecarSuffix = ".ndjson"
 )
 
-// Sidecar is one immutable file to store beside the journal: the
-// concatenation of the slices in Data, written in order, never joined in
-// memory. See the package comment for the write ordering that lets a
-// snapshot payload refer to sidecars by name.
-type Sidecar struct {
-	Name string
-	Data [][]byte
-}
-
 // isSidecar reports whether name is one this package hands out: the
 // sidecar prefix and suffix around a body with no path separator, so a
 // manifest read back from disk can never name a file outside the data
@@ -52,14 +43,19 @@ func (l *Log) SidecarName() string {
 	return fmt.Sprintf("%s%016x-%d%s", sidecarPrefix, l.writtenLSN, l.sidecars, sidecarSuffix)
 }
 
-// WriteSidecars durably stores files ahead of the Compact whose payload
-// names them: each goes through a temporary name of its own → fsync →
-// rename, then one directory fsync covers all the renames. It holds the
-// log's lock only to check the log is open, never across a write or an
-// fsync, so appends go on beside it, and so may other WriteSidecars.
-func (l *Log) WriteSidecars(files []Sidecar) error {
-	if len(files) == 0 {
-		return nil
+// AppendSidecar durably appends data — the concatenation of its slices,
+// written in order, never joined in memory — to the sidecar called name:
+// with create, a new file under a name SidecarName handed out; without, one
+// an earlier call created. It writes, fsyncs the file and, when it created
+// it, the directory, so what it appended and the file's entry are durable
+// when it returns: the order the package comment asks of a file before a
+// snapshot names it. A failed call leaves the file's length unknown, so the
+// caller appends to it no more and names at most the prefix it knew. It
+// holds the log's lock only to check the log is open, never across a write
+// or an fsync, so appends go on beside it, and so may other sidecars'.
+func (l *Log) AppendSidecar(name string, create bool, data [][]byte) error {
+	if !isSidecar(name) {
+		return fmt.Errorf("wal: %q is not a sidecar name", name)
 	}
 	l.mu.Lock()
 	err := l.wedged
@@ -70,20 +66,36 @@ func (l *Log) WriteSidecars(files []Sidecar) error {
 	if err != nil {
 		return err
 	}
-	for _, sc := range files {
-		if !isSidecar(sc.Name) {
-			return fmt.Errorf("wal: %q is not a sidecar name", sc.Name)
-		}
-		if err := l.installFile(sc.Name+".tmp", sc.Name, sc.Data...); err != nil {
-			return err
+	open := l.fs.OpenAppend
+	if create {
+		open = l.fs.Create
+	}
+	f, err := open(filepath.Join(l.dir, name))
+	if err != nil {
+		return err
+	}
+	for _, b := range data {
+		if _, err = f.Write(b); err != nil {
+			break
 		}
 	}
-	return l.fs.SyncDir(l.dir)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && create {
+		err = l.fs.SyncDir(l.dir)
+	}
+	return err
 }
 
-// OpenSidecar opens a sidecar stored by WriteSidecars for sequential
-// reading. Sidecars are immutable, and removed only once no snapshot names
-// them, so a reader needs no lock against the journal.
+// OpenSidecar opens a sidecar for sequential reading. A sidecar only grows
+// at its end, and the prefix a snapshot or a published manifest names is
+// immutable — an append lands past it — and removed only once no snapshot
+// names it, so a reader that reads no more than that prefix needs no lock
+// against the journal or the appender.
 func (l *Log) OpenSidecar(name string) (io.ReadCloser, error) {
 	if !isSidecar(name) {
 		return nil, fmt.Errorf("wal: %q is not a sidecar name", name)
@@ -92,11 +104,11 @@ func (l *Log) OpenSidecar(name string) (io.ReadCloser, error) {
 }
 
 // RemoveSidecarsExcept deletes every sidecar, and every leftover sidecar
-// tmp, named before the cut c that keep does not name — the sidecar half
-// of CompactAt's segment removal, called with c and the set the snapshot
-// installed there refers to. A name handed out after the cut is left: a
-// WriteSidecars beside the compaction wrote it, and the next snapshot
-// names it. Best-effort for the same reason as the segments: unreferenced
+// tmp an older version left, named before the cut c that keep does not
+// name — the sidecar half of CompactAt's segment removal, called with c and
+// the set the snapshot installed there refers to. A name handed out after
+// the cut is left: an AppendSidecar beside the compaction created it, and
+// the next snapshot names it. Best-effort for the same reason as the segments: unreferenced
 // files are garbage, never state.
 func (l *Log) RemoveSidecarsExcept(c Cut, keep map[string]bool) {
 	l.mu.Lock()

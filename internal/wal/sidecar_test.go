@@ -96,7 +96,7 @@ func dirNames(t *testing.T, dir string) []string {
 // sidecars), and leave exactly when RemoveSidecarsExcept is told the
 // installed snapshot no longer names them. Names that could
 // reach outside the data directory are refused in both directions.
-// readSidecar returns the content of a sidecar stored by WriteSidecars.
+// readSidecar returns the content of a sidecar stored by AppendSidecar.
 func readSidecar(l *Log, name string) ([]byte, error) {
 	f, err := l.OpenSidecar(name)
 	if err != nil {
@@ -116,10 +116,23 @@ func TestWALSidecars(t *testing.T) {
 	if a == b || !isSidecar(a) || !isSidecar(b) {
 		t.Fatalf("SidecarName gave %q, %q", a, b)
 	}
-	if err := l.WriteSidecars([]Sidecar{{a, [][]byte{[]byte("one\n")}}, {b, [][]byte{[]byte("two\n"), nil, []byte("two\n")}}}); err != nil {
-		t.Fatalf("WriteSidecars: %v", err)
+	if err := l.AppendSidecar(a, false, [][]byte{[]byte("one\n")}); err == nil {
+		t.Fatal("AppendSidecar appended to a file no call created")
 	}
-	for name, want := range map[string]string{a: "one\n", b: "two\ntwo\n"} {
+	for _, w := range []struct {
+		name   string
+		create bool
+		data   [][]byte
+	}{
+		{a, true, [][]byte{[]byte("one\n")}},
+		{b, true, [][]byte{[]byte("two\n"), nil, []byte("two\n")}},
+		{a, false, [][]byte{[]byte("three\n")}},
+	} {
+		if err := l.AppendSidecar(w.name, w.create, w.data); err != nil {
+			t.Fatalf("AppendSidecar(%s, %v): %v", w.name, w.create, err)
+		}
+	}
+	for name, want := range map[string]string{a: "one\nthree\n", b: "two\ntwo\n"} {
 		got, err := readSidecar(l, name)
 		if err != nil || string(got) != want {
 			t.Fatalf("sidecar %s holds %q, %v; want %q", name, got, err, want)
@@ -136,8 +149,8 @@ func TestWALSidecars(t *testing.T) {
 		t.Fatalf("after Compact the directory holds %v", names)
 	}
 
-	// A crash between the tmp write and the rename leaves the tmp behind
-	// (hist.tmp is the one tmp name older versions wrote every file through).
+	// Older versions wrote each sidecar through a tmp — its own, or the one
+	// name hist.tmp — which a crash before the rename left behind.
 	for _, tmp := range []string{a + ".tmp", "hist.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, tmp), []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
@@ -152,8 +165,8 @@ func TestWALSidecars(t *testing.T) {
 	}
 
 	for _, bad := range []string{"snapshot.json", "../hist-0-0.ndjson", "hist-/../../x.ndjson", `hist-a\b.ndjson`, "hist-1"} {
-		if err := l.WriteSidecars([]Sidecar{{bad, [][]byte{[]byte("x")}}}); err == nil {
-			t.Fatalf("WriteSidecars accepted the name %q", bad)
+		if err := l.AppendSidecar(bad, true, [][]byte{[]byte("x")}); err == nil {
+			t.Fatalf("AppendSidecar accepted the name %q", bad)
 		}
 		if _, err := l.OpenSidecar(bad); err == nil {
 			t.Fatalf("OpenSidecar accepted the name %q", bad)
@@ -177,7 +190,7 @@ func TestSidecarNamesNeverRepeat(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			name := l.SidecarName()
-			if err := l.WriteSidecars([]Sidecar{{name, [][]byte{[]byte(name + "\n")}}}); err != nil {
+			if err := l.AppendSidecar(name, true, [][]byte{[]byte(name + "\n")}); err != nil {
 				t.Error(err)
 			}
 			names <- name

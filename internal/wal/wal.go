@@ -16,7 +16,7 @@
 //
 //	snapshot.json             {"lsn":N,"crc":C,"payload":...}   (atomic rename)
 //	wal-<firstLSN>.log        frames: | len u32 | crc32 u32 | payload (JSON) |
-//	hist-<LSN>-<k>.ndjson     immutable sidecar: sealed dispatch history
+//	hist-<LSN>-<k>.ndjson     sidecar, append-only: sealed dispatch history
 //
 // A frame's payload is json.Marshal of its Record: that is the format's
 // definition, and what a record whose strings need an escape is written and
@@ -48,25 +48,30 @@
 // grows at its end — pfaird's per-tenant dispatch history — is written
 // once, to a sidecar, and the snapshot payload carries a manifest entry
 // (file, length, CRC) instead of the bytes; the log itself never reads a
-// payload and knows nothing of manifests. The write order is what makes
-// this safe with snapshot.json as the single commit point:
+// payload and knows nothing of manifests. A sidecar only grows at its end
+// too: a later AppendSidecar may extend it, and a later snapshot name a
+// longer prefix of it, but the prefix a snapshot names is immutable. The
+// write order is what makes this safe with snapshot.json as the single
+// commit point:
 //
-//  1. WriteSidecars, at any time before the Compact that names the files:
-//     each file goes tmp → fsync → rename to a name SidecarName handed out,
-//     which no other call returns, then a directory fsync. Until a
-//     snapshot names it a file is an orphan; the installed snapshot and
-//     everything it names are untouched.
-//  2. Compact: the snapshot naming the new files replaces the old one
-//     atomically. Before the rename the new files are orphans, after it
-//     they are durable (step 1 synced them first).
+//  1. AppendSidecar, at any time before the Compact that names the bytes:
+//     it creates a file under a name SidecarName handed out, which no
+//     other call returns, or appends to one it created, then fsyncs the
+//     file, and after a create the directory. Until a snapshot names it a
+//     file is an orphan, and bytes past the prefix the installed snapshot
+//     names are ignored; the installed snapshot and what it names are
+//     untouched.
+//  2. Compact: the snapshot naming the new files and lengths replaces the
+//     old one atomically. Before the rename they are orphans or ignored,
+//     after it they are durable (step 1 synced them first).
 //  3. RemoveSidecarsExcept: files the installed snapshot does not name —
 //     orphans of a crash before step 2, history of deleted tenants — are
 //     deleted, beside the stale segments, but only those named before the
-//     cut: a file sealed beside the compaction is named by the next
+//     cut: a file created beside the compaction is named by the next
 //     snapshot. A crash here leaves garbage the next compaction (every boot
 //     runs one) removes.
 //
-// A referenced sidecar is never rewritten: no two seals share a name.
+// No two files share a name, and no byte a snapshot names is rewritten.
 //
 // # Durability model
 //
