@@ -194,18 +194,19 @@ fanout-smoke:
 # stream loop every feed shares, and hop.Server's own: a follow stream whose
 # client closes ends its handler, Shutdown closes an idle connection and
 # waits for an active one, a stream whose client stops reading is severed —
-# and those that race senders on a tenant's one command ring: a full ring's
-# 429, a stop behind a backlog (Close, and a delete journaled after the
-# submits queued ahead of it), a delete ending its streams, a command
-# refused by a full ring or queued behind a stop never running the closure
-# whose answer its sender reads — and the trace
+# and those that race senders on a tenant's one command queue: a full
+# queue's 429, a stop behind a backlog (Close, and a delete journaled after
+# the submits queued ahead of it), a delete ending its streams, a command
+# refused by a full queue or queued behind a stop never running the closure
+# whose answer its sender reads, a drainer handing its role to the next
+# waiter, a compaction that drains a queued delete — and the trace
 # ring's own concurrent paths, since an append may reallocate its growing
 # record slice while AppendFrames readers copy from it and NextAppend
 # waiters wake on it (TestRingConcurrent, TestRingWakeSeesAppend, and
 # TestTraceFollowLive above) —
 # twenty times under -race: a tier-1 suite is deterministic only if these are.
 flake:
-	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync|TestCloseDrainsBacklogThenRefuses|TestRingFullBackpressure|TestRefusedCommandNeverRuns|TestDeleteTenantEndsStreams|TestDeleteJournalsAfterQueuedSubmits'
+	$(GO) test -race -count=20 ./internal/server/ -run 'TestStreamStallSeversWedgedReader|TestTraceFollowLive|TestReplLogNoLostWakeup|TestReplLogWakesOnFsync|TestCloseDrainsBacklogThenRefuses|TestRingFullBackpressure|TestRefusedCommandNeverRuns|TestDeleteTenantEndsStreams|TestDeleteJournalsAfterQueuedSubmits|TestDrainerHandsOff|TestCompactionDrainsQueuedDelete'
 	$(GO) test -race -count=20 ./internal/obs/ -run 'TestRingConcurrent|TestRingWakeSeesAppend'
 	$(GO) test -race -count=20 ./internal/client/ -run 'TestStreamTraceEndToEnd'
 	$(GO) test -race -count=20 ./internal/hop/ -run 'TestServerStreamClientGoneEndsHandler|TestServerShutdownClosesIdleWaitsForActive|TestServerStallSeversStream'

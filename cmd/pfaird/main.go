@@ -26,10 +26,12 @@
 // (each tenant keeps its last defaultTraceCap = 4096), and -pprof (default
 // on) mounts net/http/pprof under /debug/pprof/ on the same listener.
 //
-// Each tenant applies mutations on a single-writer event loop fed by a
-// bounded submit ring of defaultSubmitRing = 256 commands; a full ring
-// answers 429 so overload surfaces as client backpressure instead of queue
-// growth, while reads are served lock-free from published snapshots.
+// Each tenant applies mutations in the order they join its one bounded
+// queue of defaultSubmitRing = 256 commands, drained one caller at a time
+// by the requests waiting on it (a tenant has no goroutine of its own); a
+// full queue answers 429 so overload surfaces as client backpressure
+// instead of queue growth, while reads are served lock-free from
+// published snapshots.
 //
 // With -autoscale the daemon runs an elastic-capacity control loop
 // against itself: every 5 s it scrapes its own per-tenant dispatch-lag

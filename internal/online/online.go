@@ -22,9 +22,9 @@
 // SetOnDispatch is invoked synchronously on that same goroutine, while the
 // executive's internal state is mid-update; the hook must not call back
 // into the Executive. Callers that need concurrent access should own the
-// Executive the way internal/server.Tenant does: one goroutine (the
-// tenant's event loop) makes every call, other goroutines hand it commands
-// through a queue and read state it publishes — there is no lock to share.
+// Executive the way internal/server.Tenant does: callers queue commands,
+// one caller at a time (the tenant's drainer) makes every call, and the
+// others read state it publishes — no lock around the executive itself.
 //
 // # One engine
 //

@@ -137,10 +137,10 @@ type idemEntry struct {
 	Pending int    `json:"pending"`
 }
 
-// checkpoint snapshots the tenant on its loop goroutine (onLoop), between
-// the commands queued ahead of it and those behind, which quiesces every
-// loop-owned field (the executive's Checkpoint must run on its single
-// goroutine). A tenant whose loop has stopped — deleted, or stopped by
+// checkpoint snapshots the tenant as its drainer (onLoop), between the
+// commands queued ahead of it and those behind, which quiesces every
+// drainer-owned field (the executive's Checkpoint must run where its
+// commands do). A tenant that has stopped — deleted, or stopped by
 // Server.Close before the journal closes — is quiescent for good, so it is
 // imaged where it stands.
 func (t *Tenant) checkpoint() (cp tenantCheckpoint, err error) {
@@ -192,8 +192,8 @@ func (t *Tenant) image() (tenantCheckpoint, error) {
 // it ever registered).
 // online.Restore validates Σwt ≤ M and reinstates a queued shrink target
 // (one a snapshot written before Exec carried it has as PendingM) only if
-// the ledger would queue it. The loop-owned fields are finished before
-// start(), while no loop can be running.
+// the ledger would queue it. The drainer-owned fields are finished before
+// the tenant is published, while no command can run.
 func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 	if cp.ID == "" {
 		return nil, fmt.Errorf("server: tenant checkpoint without id")
@@ -232,7 +232,7 @@ func restoreTenant(cp tenantCheckpoint, o *serverObs) (*Tenant, error) {
 		}
 		t.idem.remember(e.Key, SubmitJobResponse{At: e.At, Pending: e.Pending})
 	}
-	t.start()
+	t.publish()
 	return t, nil
 }
 
@@ -299,7 +299,6 @@ func Open(opts Options) (*Server, error) {
 				return nil, err
 			}
 			if _, err := s.addTenant(t); err != nil {
-				t.Close()
 				l.Close()
 				return nil, err
 			}
@@ -363,10 +362,8 @@ func (s *Server) applyRecord(r wal.Record) (ok bool) {
 	case wal.OpTenantCreate:
 		nt, err := newTenant(r.Tenant, r.M, r.Policy, s.obs, true)
 		if err == nil {
-			nt.lsn = r.LSN // before any command reaches its loop
-			if _, err = s.addTenant(nt); err != nil {
-				nt.Close() // never installed; stop its loop goroutine
-			}
+			nt.lsn = r.LSN // before any command reaches it
+			_, err = s.addTenant(nt)
 		}
 		return err == nil
 	case wal.OpTenantDelete:

@@ -33,8 +33,8 @@ func (s *Server) WaitDurable(c wal.Commit) error { return s.waitDurable(c) }
 // Compact runs one compaction now, as a due snapshot would.
 func (s *Server) Compact() error { return s.compact() }
 
-// HoldLoop parks the tenant's loop on a command of its own and returns once
-// it is parked: whatever is queued behind — requests, a compaction's
+// HoldLoop parks the tenant's drainer on a command of its own and returns
+// once it is parked: whatever is queued behind — requests, a compaction's
 // checkpoint — waits until release (idempotent) is called.
 func (t *Tenant) HoldLoop() (release func()) {
 	parked, held := make(chan struct{}), make(chan struct{})
@@ -46,8 +46,12 @@ func (t *Tenant) HoldLoop() (release func()) {
 	return sync.OnceFunc(func() { close(held) })
 }
 
-// Queued is how many commands wait in the tenant's ring.
-func (t *Tenant) Queued() int { return len(t.ring) }
+// Queued is how many commands wait in the tenant's queue.
+func (t *Tenant) Queued() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.queue)
+}
 
 // SyncJournal forces the journal's unsynced records to disk, as the idle
 // flush or a threshold crossing would: tests that disable both use it to

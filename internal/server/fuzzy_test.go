@@ -339,3 +339,95 @@ func TestFuzzyCheckpointRecoversExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactionDrainsQueuedDelete: a compaction's checkpoint of a busy
+// tenant takes its place in the tenant's queue like any command. With B's
+// drainer held, a delete of B queues before the checkpoint or after it.
+// Released, the compaction completes: in the second order it is B's
+// drainer and runs the delete, whose journal step takes the registry lock
+// while the compaction holds compactMu. The delete answers 204, and the
+// server and a crash copy of its data dir both hold the reference state.
+func TestCompactionDrainsQueuedDelete(t *testing.T) {
+	for _, deleteFirst := range []bool{true, false} {
+		name := "delete-after-checkpoint"
+		if deleteFirst {
+			name = "delete-before-checkpoint"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := server.Options{DataDir: dir, FsyncEvery: 1, FsyncMaxDelay: -1, SnapshotEvery: 1 << 30}
+			leader, err := server.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer leader.Close()
+			lh := leader.Handler()
+			ref := server.New()
+			defer ref.Close()
+			run := func(c cmd) {
+				t.Helper()
+				for _, h := range []http.Handler{lh, ref.Handler()} {
+					if code := doCmd(t, h, c); code >= 300 {
+						t.Fatalf("%s %s: %d", c.method, c.path, code)
+					}
+				}
+			}
+			round := func(id string) {
+				run(cmd{"POST", "/v1/tenants/" + id + "/jobs", server.SubmitJobRequest{Task: "x"}})
+				run(cmd{"POST", "/v1/tenants/" + id + "/advance", server.AdvanceRequest{By: "2"}})
+			}
+			for _, id := range []string{"A", "B"} {
+				run(cmd{"POST", "/v1/tenants", server.CreateTenantRequest{ID: id, M: 2}})
+				run(cmd{"POST", "/v1/tenants/" + id + "/tasks", server.RegisterTaskRequest{Name: "x", E: 1, P: 2}})
+				for r := 0; r < 3; r++ {
+					round(id)
+				}
+			}
+
+			b := leader.Tenant("B")
+			release := b.HoldLoop()
+			defer release()
+			del := cmd{"DELETE", "/v1/tenants/B", nil}
+			var deleted <-chan int
+			var compacted <-chan error
+			if deleteFirst {
+				deleted = answer(t, lh, del)
+				waitFor(t, "the delete to queue", func() bool { return b.Queued() == 1 })
+				compacted = compactInBackground(leader)
+				waitFor(t, "the checkpoint to queue behind the delete", func() bool { return b.Queued() == 2 })
+			} else {
+				compacted = compactInBackground(leader)
+				waitFor(t, "the checkpoint to queue", func() bool { return b.Queued() == 1 })
+				deleted = answer(t, lh, del)
+				waitFor(t, "the delete to queue behind the checkpoint", func() bool { return b.Queued() == 2 })
+			}
+			release()
+			if code := within(t, "the queued delete", deleted); code != http.StatusNoContent {
+				t.Fatalf("queued delete: %d, want 204", code)
+			}
+			if err := within(t, "the compaction", compacted); err != nil {
+				t.Fatal(err)
+			}
+			if code := doCmd(t, ref.Handler(), del); code != http.StatusNoContent {
+				t.Fatalf("reference delete: %d", code)
+			}
+			round("A")
+			want := captureState(t, ref.Handler())
+			assertStateEqual(t, "leader vs reference", captureState(t, lh), want)
+
+			crashed := t.TempDir()
+			copyDir(t, dir, crashed)
+			opts.DataDir = crashed
+			srv, err := server.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if rec := srv.Recovery(); rec.ReplayErrors != 0 || rec.DispatchMismatches != 0 || rec.Tenants != 1 {
+				t.Fatalf("recovery: %d replay errors, %d dispatch mismatches, %d tenants; want 0, 0, 1",
+					rec.ReplayErrors, rec.DispatchMismatches, rec.Tenants)
+			}
+			assertStateEqual(t, "recovered vs reference", captureState(t, srv.Handler()), want)
+		})
+	}
+}

@@ -82,7 +82,7 @@ func sealSegment(seg histSegment, chunks []chunk) (histSegment, [][]byte) {
 // seal appends the tenant's resident dispatch frames, the open tail's
 // included, to its open history segment — the manifest's last entry, while
 // dispatchLog.open says so — or starts a new one, then cuts the tail and
-// drops them all from memory: loop goroutine only, or a stopped tenant. The
+// drops them all from memory: drainer only, or a stopped tenant. The
 // segment closes once it holds histSegmentMin events. The bytes are durable
 // — and a new file's directory entry — before the manifest names them, so
 // the snapshot that names them next never names bytes a crash can take

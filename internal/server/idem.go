@@ -16,7 +16,7 @@ import "hash/maphash"
 // All three grow on demand, so a tenant that never sees a key holds
 // nothing. Eviction is insertion order, which is deterministic under
 // replay because replay re-applies the same records in the same order; the
-// hash seed orders nothing anyone reads. Loop goroutine only.
+// hash seed orders nothing anyone reads. Drainer only.
 type idemMemory struct {
 	ents []idemSlot
 	head int // ring slot of the oldest entry

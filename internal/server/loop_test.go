@@ -1,15 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +21,7 @@ import (
 	"unsafe"
 
 	"desyncpfair/internal/faultfs"
+	"desyncpfair/internal/hop/hoptest"
 	"desyncpfair/internal/model"
 	"desyncpfair/internal/online"
 	"desyncpfair/internal/wal"
@@ -53,7 +58,7 @@ func TestRingFullBackpressure(t *testing.T) {
 	for i := 0; i < defaultSubmitRing; i++ {
 		go func() { queued <- tn.exec(&command{fn: drain}) }()
 	}
-	for len(tn.ring) < defaultSubmitRing {
+	for tn.Queued() < defaultSubmitRing {
 		runtime.Gosched()
 	}
 
@@ -159,7 +164,7 @@ func TestRefusedCommandNeverRuns(t *testing.T) {
 		for i := 0; i < defaultSubmitRing; i++ {
 			go tn.onLoop(func() {})
 		}
-		for len(tn.ring) < defaultSubmitRing {
+		for tn.Queued() < defaultSubmitRing {
 			runtime.Gosched()
 		}
 		for i, send := range sends {
@@ -178,7 +183,7 @@ func TestRefusedCommandNeverRuns(t *testing.T) {
 	t.Run("behind a stop", func(t *testing.T) {
 		tn, release := parked(t)
 		go tn.Close()
-		for len(tn.ring) < 1 {
+		for tn.Queued() < 1 {
 			runtime.Gosched()
 		}
 		type answer struct {
@@ -193,7 +198,7 @@ func TestRefusedCommandNeverRuns(t *testing.T) {
 				answers[i] <- answer{isZero, err}
 			}()
 		}
-		for len(tn.ring) < 1+len(sends) {
+		for tn.Queued() < 1+len(sends) {
 			runtime.Gosched()
 		}
 		release()
@@ -270,7 +275,7 @@ func TestCloseDrainsBacklogThenRefuses(t *testing.T) {
 			pending <- tn.exec(&command{job: wal.Job{Name: "a"}})
 		}()
 	}
-	for len(tn.ring) < backlog {
+	for tn.Queued() < backlog {
 		runtime.Gosched()
 	}
 
@@ -297,6 +302,140 @@ func TestCloseDrainsBacklogThenRefuses(t *testing.T) {
 		t.Fatal("Closed() channel not closed after Close")
 	}
 	tn.Close() // idempotent
+}
+
+// TestDrainerHandsOff pins the drainer hand-off: a drainer returns once
+// the batch it found has applied, though commands keep queuing behind it,
+// and the caller of the command then at the head of the queue drains
+// those. Every batch but the last starts with a command that parks its
+// drainer until released, so a drainer that went on past its own batch
+// would park on the next one and never return. Across four hand-offs the
+// journal holds the submits in the order they queued, one record per
+// batch's run.
+func TestDrainerHandsOff(t *testing.T) {
+	tn, err := NewTenant("handoff", 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	var journaled []string
+	records := 0
+	tn.SetJournal(func(r wal.Record) (wal.Commit, error) {
+		if r.Op == wal.OpJobSubmit {
+			records++
+			for _, j := range r.SubmittedJobs() {
+				journaled = append(journaled, j.Key)
+			}
+		}
+		return wal.Commit{}, nil
+	}, nil, func(error) {})
+	if _, _, err := tn.RegisterTask("a", model.W(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	within := func(what string, ch <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	queued := func(n int) {
+		t.Helper()
+		for end := time.Now().Add(10 * time.Second); tn.Queued() != n; {
+			if time.Now().After(end) {
+				t.Fatalf("%d commands queued, want %d", tn.Queued(), n)
+			}
+			runtime.Gosched()
+		}
+	}
+	// park queues a command that parks its drainer: entered closes once it
+	// runs, release lets it finish, returned closes once its caller has.
+	type parker struct{ entered, release, returned chan struct{} }
+	park := func() parker {
+		p := parker{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+		go func() {
+			if err := tn.onLoop(func() { close(p.entered); <-p.release }); err != nil {
+				t.Error(err)
+			}
+			close(p.returned)
+		}()
+		return p
+	}
+	var want []string
+	var answers []chan cmdResult
+	submit := func() {
+		key := fmt.Sprintf("k%d", len(want))
+		want = append(want, key)
+		ch := make(chan cmdResult, 1)
+		answers = append(answers, ch)
+		go func() { ch <- tn.exec(&command{job: wal.Job{Name: "a", Key: key}}) }()
+	}
+
+	cur := park()
+	within("the first drainer to park", cur.entered)
+	for round := 0; round < 3; round++ {
+		next := park()
+		queued(1)
+		for i := 0; i < 3; i++ {
+			submit()
+			queued(2 + i)
+		}
+		close(cur.release)
+		within(fmt.Sprintf("drainer %d to return past the commands queued behind it", round), cur.returned)
+		within(fmt.Sprintf("the hand-off to drainer %d", round+1), next.entered)
+		queued(0)
+		cur = next
+	}
+	submit()
+	queued(1)
+	close(cur.release)
+	within("the last parked drainer to return", cur.returned)
+	for i, ch := range answers {
+		if res := <-ch; res.err != nil {
+			t.Fatalf("submit %s: %v", want[i], res.err)
+		}
+	}
+	if !slices.Equal(journaled, want) || records != 4 {
+		t.Fatalf("journal holds %v in %d records, want %v in 4 (one per batch)", journaled, records, want)
+	}
+}
+
+// TestCommandPanicEndsProcess: a panic inside a tenant's command ends the
+// process. The command's drainer is a request's goroutine, and hop.Server
+// recovers a handler's panic; recovered, the tenant would stay draining
+// for good, so drain re-raises it where nothing recovers it. The test
+// re-executes its own binary to serve one such request through hop.Server
+// and reads the child's exit status and stderr.
+func TestCommandPanicEndsProcess(t *testing.T) {
+	const env = "SERVER_TEST_COMMAND_PANIC"
+	if os.Getenv(env) != "" {
+		tn, err := NewTenant("panics", 1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := hoptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+			tn.do(func() (wal.Commit, error) { panic("a command panicked on purpose") })
+		}))
+		if resp, err := http.Get(srv.URL); err == nil {
+			resp.Body.Close()
+		}
+		os.Exit(0) // reached only if the panic was recovered
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestCommandPanicEndsProcess$")
+	cmd.Env = append(os.Environ(), env+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() <= 0 {
+		t.Fatalf("child: %v, want a non-zero exit (stderr %q)", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "panic: a command panicked on purpose") {
+		t.Fatalf("child's stderr does not carry the panic:\n%s", stderr.String())
+	}
 }
 
 // TestSnapshotReadersSeeClosedTenantState pins that the read paths stay
@@ -485,7 +624,7 @@ func TestDeleteJournalsAfterQueuedSubmits(t *testing.T) {
 			codes <- rw.Code
 		}()
 	}
-	for len(tn.ring) < n {
+	for tn.Queued() < n {
 		runtime.Gosched()
 	}
 	deleted := make(chan int, 1)
@@ -496,7 +635,7 @@ func TestDeleteJournalsAfterQueuedSubmits(t *testing.T) {
 	}()
 	// The delete queues behind the submits; give it a moment to get there.
 	// The order asserted below holds wherever it is when the loop resumes.
-	for end := time.Now().Add(100 * time.Millisecond); len(tn.ring) == n && time.Now().Before(end); {
+	for end := time.Now().Add(100 * time.Millisecond); tn.Queued() == n && time.Now().Before(end); {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)

@@ -72,7 +72,7 @@ func TestOpenInMemoryHonoursSubmitRing(t *testing.T) {
 			queued <- rw.Code
 		}()
 	}
-	for len(tn.ring) < defaultSubmitRing {
+	for tn.Queued() < defaultSubmitRing {
 		runtime.Gosched()
 	}
 	if rw := serve(t, h, "POST", "/v1/tenants/r/jobs", `{"task":"w"}`, http.StatusTooManyRequests); rw.Header().Get("Retry-After") != "0" {
@@ -117,14 +117,17 @@ func TestTraceRetainsDefaultTraceCap(t *testing.T) {
 }
 
 // TestIdleTenantHeap pins what a tenant holds before it does anything: a
-// few KiB of live heap. Its trace ring allocates records as events land,
-// so an idle tenant pays for none of its defaultTraceCap of retention.
+// few KiB of live heap, and no goroutine — so no stack. Its trace ring
+// allocates records as events land, so an idle tenant pays for none of its
+// defaultTraceCap of retention, and its command queue is drained by the
+// callers that fill it.
 func TestIdleTenantHeap(t *testing.T) {
-	const n = 100
+	const n = 10_000
 	tenants := make([]*Tenant, 0, n)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	goroutines := runtime.NumGoroutine()
 	for i := 0; i < n; i++ {
 		tn, err := newTenant(fmt.Sprintf("idle-%d", i), 1, "PD2", nil, false)
 		if err != nil {
@@ -134,14 +137,28 @@ func TestIdleTenantHeap(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	// A goroutine another test left behind may still be on its way out, or
+	// a timer of one may fire: ask a few times before calling it growth.
+	grown := runtime.NumGoroutine() - goroutines
+	for i := 0; i < 20 && grown > 0; i++ {
+		time.Sleep(10 * time.Millisecond)
+		grown = runtime.NumGoroutine() - goroutines
+	}
+	heap := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	stack := (int64(after.StackInuse) - int64(before.StackInuse)) / n
 	for _, tn := range tenants {
 		tn.Close()
 	}
-	if per > 16<<10 {
-		t.Fatalf("an idle tenant holds %d B of live heap, want ≤ %d", per, 16<<10)
+	if grown > 0 {
+		t.Errorf("%d idle tenants started %d goroutines, want 0", n, grown)
 	}
-	t.Logf("%d B of live heap per idle tenant", per)
+	if stack > 256 {
+		t.Errorf("an idle tenant holds %d B of stack, want ≤ 256", stack)
+	}
+	if heap > 4<<10 {
+		t.Errorf("an idle tenant holds %d B of live heap, want ≤ %d", heap, 4<<10)
+	}
+	t.Logf("per idle tenant: %d B of live heap, %d B of stack; %d goroutines for %d tenants", heap, stack, grown, n)
 }
 
 // TestFullTraceRingBytes: a tenant's full trace ring retains 64 bytes per

@@ -166,7 +166,7 @@ func TestBacklogCapThroughHandler(t *testing.T) {
 			codes <- rw.Code
 		}()
 	}
-	for len(tn.ring) < 2 {
+	for tn.Queued() < 2 {
 		runtime.Gosched()
 	}
 	close(gate)

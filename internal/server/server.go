@@ -1,7 +1,7 @@
 // Package server implements pfaird, a multi-tenant scheduling service
 // over the online executive: each tenant is an isolated PD²-DVQ
 // online.Executive (which is the tenant's Σwt ≤ M admission ledger)
-// behind a single-writer event loop fed by a bounded MPSC submit ring, and
+// behind one bounded FIFO command queue that its callers drain in turn, and
 // a stdlib net/http JSON API creates tenants, admits tasks, submits jobs,
 // advances virtual time, and streams dispatch decisions as
 // newline-delimited JSON. The service turns the paper's Theorem 3 into an
@@ -56,7 +56,7 @@ import (
 // of being cut.
 type Server struct {
 	// The tenant registry. Tenants are independent — each has its own
-	// time base and its own loop — so the registry is only a map; a
+	// time base and its own queue — so the registry is only a map; a
 	// lookup takes the read side, a create or delete the write side.
 	regMu   sync.RWMutex
 	tenants map[string]*Tenant
@@ -68,9 +68,11 @@ type Server struct {
 	// commands it has taken since (wal.Cut), so a compaction reads the count
 	// at its cut with the cut. compactMu serialises compactions and the
 	// replication-snapshot read; no request waits on it. Lock order:
-	// compactMu → regMu → wal's own lock (a tenant has no lock: its loop is
-	// the only writer, and a compaction waits on it holding compactMu
-	// only). Mutations only *enqueue* their record while holding those
+	// compactMu → a tenant's drainer role → regMu → wal's own lock. A
+	// tenant's one writer is whichever caller holds its drainer role
+	// (loop.go); a compaction's checkpoint may take it holding compactMu
+	// only, and as the drainer run a queued delete, whose fn takes regMu.
+	// Mutations only *enqueue* their record while holding those
 	// locks; the fsync wait happens in mutate after all of them are
 	// released, so one request's fsync never blocks other tenants —
 	// concurrent waiters coalesce into a single fsync inside wal.Log (group
@@ -239,7 +241,7 @@ func (s *Server) addTenant(t *Tenant) (wal.Commit, error) {
 		return wal.Commit{}, err
 	}
 	s.tenants[t.ID()] = t
-	t.lsn = max(t.lsn, commit.LSN) // no command has reached its loop yet
+	t.lsn = max(t.lsn, commit.LSN) // no command has reached it yet
 	if s.wal != nil {
 		t.hooks.Store(&journalHooks{append: s.journalRecord, fail: s.failJournal, hist: s.wal})
 	}
@@ -444,7 +446,6 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		}
 		commit, err := s.addTenant(t)
 		if err != nil {
-			t.Close() // never installed; stop its loop goroutine
 			return reply{}, err
 		}
 		return reply{status: http.StatusCreated, body: t.Info(), commit: commit}, nil

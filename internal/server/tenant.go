@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,36 +17,43 @@ import (
 	"desyncpfair/internal/wal"
 )
 
-// Tenant wraps one online.Executive behind a single-writer event loop.
-// online.Executive is single-goroutine by contract; instead of a mutex,
-// each tenant runs one loop goroutine (runLoop, loop.go) fed by one
-// bounded MPSC ring, which every command — request, control command, stop
-// — goes through in order. HTTP handlers validate the wire input, enqueue
-// a command (a single submit, or the closure the loop runs for anything
-// else), and wait on its completion; the loop journals, applies, and
-// publishes an immutable tenantSnap through an atomic pointer. Every read
-// path — Info, /metrics, stream replay, recovery verification — loads the
-// snapshot and never synchronizes with the writer, so scrapes and
-// followers cost the hot path nothing.
+// Tenant wraps one online.Executive behind one FIFO queue of commands.
+// online.Executive is single-goroutine by contract; every command —
+// request, control command, stop — goes through the queue in order, and
+// one caller at a time drains it (send and drain, loop.go): the caller
+// that finds the tenant idle runs the batch it finds, its own command
+// first, then hands the role to the next waiter. HTTP handlers validate
+// the wire input, queue a command (a single submit, or the closure the
+// drainer runs for anything else), and wait on its completion; the
+// drainer journals, applies, and publishes an immutable tenantSnap
+// through an atomic pointer. Every read path — Info, /metrics, stream
+// replay, recovery verification — loads the snapshot and never
+// synchronizes with the writer, so scrapes and followers cost the hot
+// path nothing. An idle tenant holds no goroutine.
 //
 // Field ownership:
-//   - loop-owned (no lock; only the loop goroutine may touch them after
-//     start): ex — which is also the tenant's one Σwt ≤ M ledger and its
-//     one index of active tasks: M, the queued shrink target, Σwt and the
-//     tasks by name are asked of it and kept nowhere else (readers use
+//   - drainer-owned (the "loop-owned" fields; no lock: only the caller
+//     holding the drainer role may touch them once the tenant is
+//     published): ex — which is also the tenant's one Σwt ≤ M ledger and
+//     its one index of active tasks: M, the queued shrink target, Σwt and
+//     the tasks by name are asked of it and kept nowhere else (readers use
 //     the snapshot) — log (its manifest included, which seal extends),
-//     maxTar, reject, digest, lsn, jobs, valid, lags, worst, and the open
-//     command obs.tr keeps.
-//   - immutable after construction: id, policy, ring, closed (closed by
-//     the loop when a stop applies), obs (tracer + histograms).
+//     maxTar, reject, digest, lsn, jobs, valid, lags, worst, batch, and
+//     the open command obs.tr keeps.
+//   - mu guards queue, draining and stopped (set when a stop applies).
+//   - immutable after construction: id, policy, closed (closed by the
+//     drainer when a stop applies), obs (tracer + histograms).
 //   - atomics: snap (published state), grown (the next-growth channel),
 //     hooks (journal callbacks).
 type Tenant struct {
 	id     string
 	policy string
 
-	ring   chan *command
-	closed chan struct{}
+	mu       sync.Mutex
+	queue    []*command
+	draining bool
+	stopped  bool
+	closed   chan struct{}
 
 	snap atomic.Pointer[tenantSnap]
 	// grown is what Subscribe hands out: nil until somebody asks, swapped
@@ -54,7 +62,7 @@ type Tenant struct {
 	hooks atomic.Pointer[journalHooks]
 	obs   tenantObs
 
-	// Loop-owned state.
+	// Drainer-owned state.
 	ex *online.Executive
 	// log is the dispatch history (dispatchlog.go): the wire bytes every
 	// reader is served, or, in an in-memory tenant, compact records
@@ -79,6 +87,8 @@ type Tenant struct {
 	// the lag the command's dispatch trace event reports.
 	lags  *obs.Tally
 	worst rat.Rat
+	// batch is the drainer's buffer of the commands it took off the queue.
+	batch []*command
 	// idem remembers the responses of keyed job submits (idemMemory).
 	idem idemMemory
 }
@@ -143,7 +153,7 @@ func NewTenant(id string, m int, policyName string) (*Tenant, error) {
 	return newTenant(id, m, policyName, nil, false)
 }
 
-// newTenant creates and starts a tenant; journaled fixes its dispatch
+// newTenant creates and publishes a tenant; journaled fixes its dispatch
 // log's form (newTenantCore).
 func newTenant(id string, m int, policyName string, o *serverObs, journaled bool) (*Tenant, error) {
 	if id == "" {
@@ -160,19 +170,19 @@ func newTenant(id string, m int, policyName string, o *serverObs, journaled bool
 		return nil, err
 	}
 	t := newTenantCore(id, pol.Name(), online.New(m, pol), o, journaled)
-	t.start()
+	t.publish()
 	return t, nil
 }
 
-// newTenantCore builds the shared tenant shell. The loop is NOT started:
-// callers finish wiring loop-owned state (restoreTenant installs the log)
-// and then call start. Both the live-create and the recovery-restore path
+// newTenantCore builds the shared tenant shell, unpublished: callers
+// finish wiring drainer-owned state (restoreTenant installs the log) and
+// then call publish. Both the live-create and the recovery-restore path
 // come through here, so this is
 // where every tenant is instrumented: by the server's observability (its
 // clock, the aggregate histograms /metrics sums across tenants), or, when o is nil, by standalone sinks. A tenant may
 // live forever, so its executive keeps nothing behind its cursors: the
 // dispatch log is the only record of a past decision. It is also where
-// the log's form is fixed, before any loop runs: a journaled tenant — of a
+// the log's form is fixed, before any command runs: a journaled tenant — of a
 // server with a data dir, restored, replayed or following — keeps wire
 // bytes, which it digests, snapshots and seals; any other keeps its log
 // cold.
@@ -185,7 +195,6 @@ func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journa
 	t := &Tenant{
 		id:     id,
 		policy: policy,
-		ring:   make(chan *command, defaultSubmitRing),
 		closed: make(chan struct{}),
 		ex:     ex,
 		maxTar: rat.Zero,
@@ -206,18 +215,11 @@ func newTenantCore(id, policy string, ex *online.Executive, o *serverObs, journa
 	return t
 }
 
-// start publishes the initial snapshot and launches the event loop. After
-// start, loop-owned fields belong to the loop goroutine exclusively.
-func (t *Tenant) start() {
-	t.publish()
-	go t.runLoop()
-}
-
 // publish stores the post-command state image and, if the dispatch log
 // grew since the last published snapshot, closes the channel Subscribe
-// handed out: a follower it wakes already reads the new snapshot. Loop
-// goroutine only (callable before start, while the loop cannot be
-// running).
+// handed out: a follower it wakes already reads the new snapshot.
+// Drainer only, or before the tenant is first published, while no
+// command can run.
 func (t *Tenant) publish() {
 	prev := t.snap.Load()
 	t.snap.Store(&tenantSnap{
@@ -285,9 +287,9 @@ func (t *Tenant) SetJournal(append func(wal.Record) (wal.Commit, error), batch f
 	t.hooks.Store(&journalHooks{append: append, fail: fail})
 }
 
-// record is the executive's OnDispatch hook. It runs on the loop
-// goroutine (dispatches only happen inside a command's apply), so plain
-// field access is safe. A decision costs the engine and one entry of the
+// record is the executive's OnDispatch hook. It runs on the drainer
+// (dispatches only happen inside a command's apply), so plain field
+// access is safe. A decision costs the engine and one entry of the
 // log's tail — its frame, or in a cold log its compact record — and its
 // lag is tallied. Everything
 // else happens once per command — the trace event (applyRun, before the
@@ -394,7 +396,7 @@ func (t *Tenant) Resize(m int, drain bool) (ResizeResponse, wal.Commit, error) {
 	return resp, c, err
 }
 
-// --- the write path (loop goroutine only) ---
+// --- the write path (drainer only) ---
 //
 // Every command runs the same three steps: validate completely against
 // current state (a rejection leaves nothing behind and is not journaled),
@@ -527,8 +529,8 @@ func (t *Tenant) applyResize(m int, drain bool) (ResizeResponse, wal.Commit, err
 	return t.resizeResponse(plan), commit, nil
 }
 
-// resizeResponse shapes a resize decision for the wire. Loop goroutine
-// only (reads the ledger).
+// resizeResponse shapes a resize decision for the wire. Drainer only
+// (reads the ledger).
 func (t *Tenant) resizeResponse(d admission.ResizeDecision) ResizeResponse {
 	return ResizeResponse{
 		Outcome:     d.Outcome.String(),

@@ -22,8 +22,8 @@ import (
 
 // TestWritePathGolden is the characterization test of the tenant write
 // path: a fixed script of every command a tenant takes is driven straight
-// through the loop's appliers on a tenant core whose loop is never started (so a
-// coalesced run of single submits can be handed over exactly as runLoop
+// through the drainer's appliers on a tenant core that takes no command (so a
+// coalesced run of single submits can be handed over exactly as a drainer
 // would drain it), and everything the write path produces is recorded —
 // each wal.Record handed to the journal hook (a submit group is one
 // record with a jobs list), each command's response and commit, each trace event under a
@@ -294,7 +294,7 @@ func jobsOf(reqs []SubmitJobRequest) []wal.Job {
 	return jobs
 }
 
-// processFn hands fn to a not-started tenant core's loop step, as runLoop
+// processFn hands fn to an unpublished tenant core as a drainer
 // would, and returns what completed it.
 func processFn(tn *Tenant, fn func() (wal.Commit, error)) cmdResult {
 	c := &command{fn: fn, done: make(chan cmdResult, 1)}
@@ -316,8 +316,8 @@ func (g *writePathScript) journal(call string, rec wal.Record) (wal.Commit, erro
 	return wal.Commit{LSN: g.lsn}, nil
 }
 
-// step hands cmds to the loop's appliers the way runLoop would after
-// draining them from the ring together — a run of single submits as one
+// step hands cmds to the appliers the way a drainer would after
+// taking them off the queue together — a run of single submits as one
 // run, anything else alone — and renders responses, new trace events and
 // the published snapshot.
 func (g *writePathScript) step(label string, cmds ...*command) {
@@ -409,8 +409,8 @@ func (g *writePathScript) view(c *command, res cmdResult) resultView {
 	return v
 }
 
-// newWritePathCore builds a tenant whose loop is not started, so the
-// script's goroutine is the one that owns the loop-owned state; o is its
+// newWritePathCore builds a tenant that takes no command, so the
+// script's goroutine is the one that owns the drainer-owned state; o is its
 // observability (nil: standalone sinks), journaled fixes its log's form.
 func newWritePathCore(t *testing.T, id string, m int, o *serverObs, journaled bool) *Tenant {
 	pol, err := PolicyByName("")
