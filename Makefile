@@ -246,7 +246,10 @@ fuzz:
 # encoding/json accepts or encodes the same. FuzzServerMatchesNetHTTP is the
 # contract of the inbound HTTP server, hop.Server: fed the same bytes as
 # net/http's server, it refuses the same requests and hands its handler the
-# same ones. FuzzColdFrameMatchesWire is the contract of an in-memory
+# same ones. FuzzReplyMatchesNetHTTP is the contract of the outbound reply
+# reader, hop.Upstream's: whatever replies it accepts on a connection, it
+# reads each as http.ReadResponse does, to the same last byte.
+# FuzzColdFrameMatchesWire is the contract of an in-memory
 # tenant's compact dispatch records: rendered back, they are the wire frame
 # byte for byte, whatever the task name and numbers, and
 # FuzzTraceRingMatchesMarshal that of a trace ring's compact records: its
@@ -270,6 +273,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/ $(FUZZ_SMOKE) -fuzz=FuzzTraceRingMatchesMarshal
 	$(GO) test ./internal/scenario/ $(FUZZ_SMOKE) -fuzz=FuzzScenarioSpec
 	$(GO) test ./internal/hop/ $(FUZZ_SMOKE) -fuzz=FuzzServerMatchesNetHTTP
+	$(GO) test ./internal/hop/ $(FUZZ_SMOKE) -fuzz=FuzzReplyMatchesNetHTTP
 
 # obs runs the deterministic observability harness: the golden /metrics
 # exposition and the write-path golden (journal records, responses and

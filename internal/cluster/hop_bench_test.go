@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"desyncpfair/internal/client"
@@ -31,39 +32,56 @@ func BenchmarkRouterHop(b *testing.B) {
 	}
 }
 
+// TestRouterHopAllocs pins what one keyed submit allocates in the whole
+// process — internal/client, the router, pfaird — counted as
+// BenchmarkRouterHop's submit rows count it: the advance after every 8
+// submits is not counted, and the first 8 submits warm the pools. The bounds
+// are ≤, not =: counts move with the Go version.
+func TestRouterHopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what a call allocates")
+	}
+	for _, tc := range []struct {
+		path   string
+		routed bool
+		max    float64
+	}{{"direct", false, 37}, {"routed", true, 67}} {
+		t.Run(tc.path, func(t *testing.T) {
+			c, batch := hopRig(t, tc.routed)
+			ctx := context.Background()
+			const rounds = 16
+			var ms runtime.MemStats
+			var mallocs uint64
+			for i := 0; i < rounds*len(batch); i++ {
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				req := server.SubmitJobRequest{Task: batch[i%len(batch)].Task, Key: fmt.Sprintf("k%d", i)}
+				if _, err := c.SubmitJobKeyed(ctx, "bench", req); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				if i >= len(batch) {
+					mallocs += ms.Mallocs - before
+				}
+				if i%len(batch) == len(batch)-1 {
+					if _, err := c.AdvanceBy(ctx, "bench", "8"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			allocs := float64(mallocs) / float64((rounds-1)*len(batch))
+			if allocs > tc.max {
+				t.Errorf("a %s keyed submit allocates %.1f times, want ≤ %.0f", tc.path, allocs, tc.max)
+			}
+			t.Logf("%.1f allocations per %s submit", allocs, tc.path)
+		})
+	}
+}
+
 func benchRouterHop(b *testing.B, routed, timeSubmits bool) {
-	srv := server.New()
-	defer srv.Shutdown()
-	backend := hoptest.NewServer(srv.Handler())
-	defer backend.Close()
-	c := client.New(backend.URL, nil)
-	if routed {
-		router, err := cluster.NewRouter(cluster.RouterOptions{Groups: [][]string{{backend.URL}}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		router.Start()
-		defer router.Close()
-		rhs := hoptest.NewServer(router.Handler())
-		defer rhs.Close()
-		c = client.New(rhs.URL, nil)
-	}
+	c, batch := hopRig(b, routed)
 	ctx := context.Background()
-
-	// 8 tasks of weight 1/8 on one processor: a job each per 8 slots is
-	// exactly full utilisation, so the backlog stays at one round.
-	const tasks = 8
-	if _, err := c.CreateTenant(ctx, "bench", 1, ""); err != nil {
-		b.Fatal(err) // through the router this waits for its first probe round
-	}
-	batch := make([]server.SubmitJobRequest, tasks)
-	for i := range batch {
-		batch[i].Task = fmt.Sprintf("t%d", i)
-		if _, err := c.RegisterTask(ctx, "bench", batch[i].Task, model.W(1, tasks)); err != nil {
-			b.Fatal(err)
-		}
-	}
-
+	tasks := len(batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,4 +108,41 @@ func benchRouterHop(b *testing.B, routed, timeSubmits bool) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// hopRig serves an in-memory pfaird on a hoptest listener, and with routed a
+// router on another in front of it, and returns a client of the front with a
+// tenant of 8 tasks of weight 1/8 on one processor: a job each per 8 slots
+// is exactly full utilisation, so the backlog stays at one round. batch
+// holds one job of each task.
+func hopRig(tb testing.TB, routed bool) (c *client.Client, batch []server.SubmitJobRequest) {
+	srv := server.New()
+	tb.Cleanup(srv.Shutdown)
+	backend := hoptest.NewServer(srv.Handler())
+	tb.Cleanup(backend.Close)
+	c = client.New(backend.URL, nil)
+	if routed {
+		router, err := cluster.NewRouter(cluster.RouterOptions{Groups: [][]string{{backend.URL}}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		router.Start()
+		tb.Cleanup(router.Close)
+		rhs := hoptest.NewServer(router.Handler())
+		tb.Cleanup(rhs.Close)
+		c = client.New(rhs.URL, nil)
+	}
+	ctx := context.Background()
+	const tasks = 8
+	if _, err := c.CreateTenant(ctx, "bench", 1, ""); err != nil {
+		tb.Fatal(err) // through the router this waits for its first probe round
+	}
+	batch = make([]server.SubmitJobRequest, tasks)
+	for i := range batch {
+		batch[i].Task = fmt.Sprintf("t%d", i)
+		if _, err := c.RegisterTask(ctx, "bench", batch[i].Task, model.W(1, tasks)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c, batch
 }

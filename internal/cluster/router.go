@@ -478,7 +478,15 @@ const maxProxyBody = server.MaxRequestBody
 // refused here, in the words pfaird refuses it with, and nothing is proxied:
 // the part that fits is not the request.
 func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxProxyBody+1))
+	var body []byte
+	var err error
+	switch n := req.ContentLength; {
+	case n > 0 && n <= maxProxyBody: // one allocation, of the declared size
+		body = make([]byte, n)
+		_, err = io.ReadFull(req.Body, body)
+	case n != 0: // chunked, or declared over the cap
+		body, err = io.ReadAll(io.LimitReader(req.Body, maxProxyBody+1))
+	}
 	switch {
 	case err != nil:
 		r.httpError(w, http.StatusBadRequest, err.Error())
@@ -592,19 +600,27 @@ func proxyOnce(w http.ResponseWriter, req *http.Request, up *hop.Upstream, body 
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		return fmt.Errorf("%s: HTTP %d: %s", up.URL, resp.StatusCode, bytes.TrimSpace(b))
 	}
+	// The reply's header is read-only and is read, not changed, by w: its
+	// slices can be w's.
+	h := w.Header()
 	for _, k := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
+		if v := resp.Header[k]; len(v) > 0 {
+			h[k] = v
 		}
 	}
-	// A reply whose length the backend declared keeps it: set here, the
-	// header stops net/http from turning the reply into a chunked stream.
-	// (A declared length of 0 needs no header; the server adds its own.)
-	if resp.ContentLength > 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	// A reply whose length the backend declared keeps it. Up to
+	// hop.WholeReply the front's server writes the same header itself; above
+	// it, set here, the header stops the reply from going out chunked. A HEAD
+	// reply has no body to count, so its length is always copied.
+	if resp.ContentLength > hop.WholeReply || resp.ContentLength > 0 && req.Method == http.MethodHead {
+		h.Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
 	w.WriteHeader(resp.StatusCode)
-	copyReply(w, resp.Body, resp.ContentLength < 0)
+	if err := copyReply(w, resp.Body, resp.ContentLength < 0); err != nil && resp.ContentLength > 0 {
+		// Cut short, a reply of declared length must not reach the client
+		// framed as whole: abort it, as net/http's ReverseProxy does.
+		panic(http.ErrAbortHandler)
+	}
 	return nil
 }
 
@@ -615,8 +631,9 @@ var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b 
 // undeclared length — an NDJSON feed — which is flushed at once (the feed
 // of an idle tenant must still open) and after every read, so its frames
 // cross the proxy hop as they are made; a reply of declared length is left
-// to go out whole, under its Content-Length.
-func copyReply(w http.ResponseWriter, src io.Reader, live bool) {
+// to go out whole, under its Content-Length. It returns src's error, if
+// reading src is what failed.
+func copyReply(w http.ResponseWriter, src io.Reader, live bool) error {
 	bp := copyBufs.Get().(*[]byte)
 	defer copyBufs.Put(bp)
 	fl, _ := w.(http.Flusher)
@@ -627,14 +644,17 @@ func copyReply(w http.ResponseWriter, src io.Reader, live bool) {
 		n, err := src.Read(*bp)
 		if n > 0 {
 			if _, werr := w.Write((*bp)[:n]); werr != nil {
-				return
+				return nil
 			}
 			if live && fl != nil {
 				fl.Flush()
 			}
 		}
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			return
+			return err
 		}
 	}
 }

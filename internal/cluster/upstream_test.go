@@ -340,6 +340,32 @@ func TestUpstreamReplyShapes(t *testing.T) {
 	}
 }
 
+// TestUpstreamCutReplyNeverLooksWhole: a backend that declares a length and
+// hangs up short of it costs the client an error, never a shorter reply
+// framed as whole — although below hop.WholeReply the router leaves the
+// length to the front's server, which would count what it got.
+func TestUpstreamCutReplyNeverLooksWhole(t *testing.T) {
+	fb := newFakeBackend(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", "100")
+		io.WriteString(w, `{"at":"0",`)
+		w.(http.Flusher).Flush()
+		if c, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			c.Close()
+		}
+	})
+	_, front := frontFor(t, fb.URL)
+	hc := http.Client{Timeout: 10 * time.Second}
+	resp, err := hc.Get(front.URL + "/v1/tenants/t")
+	if err != nil {
+		return // aborted before the head: the client knows it has no reply
+	}
+	defer resp.Body.Close()
+	if body, err := io.ReadAll(resp.Body); err == nil {
+		t.Errorf("a reply cut at 10 of its 100 bytes reached the client whole: %d %q", resp.StatusCode, body)
+	}
+}
+
 // TestUpstreamErrorWritesNothing pins proxyOnce's contract at its two failing
 // ends: a 5xx reply and a backend that is not there are errors, and the
 // client's ResponseWriter has not been touched — the caller may still answer.

@@ -45,6 +45,12 @@ const (
 	newConnGrace = 5 * time.Second
 )
 
+// WholeReply is the longest body a Server sends whole, under a Content-Length
+// it writes itself, when the handler writes all of it before returning, never
+// flushes, and sets a head under half the reply buffer: a proxy copying a
+// body of declared length need declare the length only above it.
+const WholeReply = replyBufSize / 2
+
 // Server serves an http.Handler over HTTP/1.1 (and 1.0), one goroutine per
 // connection and nothing else: each request is read by http.ReadRequest on the
 // connection's goroutine, handled there, and its reply written from one
@@ -941,9 +947,10 @@ func numLeadingCRorLF(v []byte) int {
 }
 
 // validFieldName, validFieldValue and validHost are httpguts' checks, which
-// net/http's server makes on every request.
-func validFieldName(k string) bool {
-	if k == "" {
+// net/http's server makes on every request; the first two are also what
+// net/textproto allows in a reply's header line.
+func validFieldName[T string | []byte](k T) bool {
+	if len(k) == 0 {
 		return false
 	}
 	for i := 0; i < len(k); i++ {
@@ -954,7 +961,7 @@ func validFieldName(k string) bool {
 	return true
 }
 
-func validFieldValue(v string) bool {
+func validFieldValue[T string | []byte](v T) bool {
 	for i := 0; i < len(v); i++ {
 		if c := v[i]; (c < ' ' && c != '\t') || c == 0x7f {
 			return false

@@ -1,18 +1,22 @@
 // Package hop is the repository's one HTTP/1.1 path, both directions. Outbound,
 // pfair-router's calls to its backends, a follower's calls to its leader and
-// internal/client's calls to pfaird go through an Upstream; inbound, pfaird
-// and pfair-router serve their handlers through a Server. It imports only the
-// standard library and internal/wire.
+// internal/client's calls to pfaird go through an Upstream, which writes each
+// request head and reads each reply head itself; inbound, pfaird and
+// pfair-router serve their handlers through a Server, which reads each request
+// with http.ReadRequest. It imports only the standard library and
+// internal/wire.
 package hop
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
@@ -40,9 +44,10 @@ const (
 
 // Upstream is one backend: a bounded pool of idle TCP connections and a round
 // trip that runs on the calling goroutine — the request written by hand with
-// one Write, the reply read by http.ReadResponse. It is what net/http's
-// Transport did at a third of the cost: no read-loop and write-loop
-// goroutines, no channel hand-offs, no parsed URL and cloned request per call.
+// one Write, the reply head read by readReply, which refuses what it does not
+// need to understand. It is what net/http's Transport did at a fraction of the
+// cost: no read-loop and write-loop goroutines, no channel hand-offs, no parsed
+// URL and cloned request per call, no header map for a JSON reply.
 type Upstream struct {
 	URL  string // the backend as configured: logs, errors, /healthz
 	addr string // its host:port: what is dialed and what Host says
@@ -85,15 +90,14 @@ func New(backend string) (*Upstream, error) {
 // time or by the pool.
 type upstreamConn struct {
 	net.Conn
-	br  *bufio.Reader
-	req http.Request // Method only: what http.ReadResponse needs to frame a HEAD reply
+	br *bufio.Reader
 
 	// The pre-reuse peek (see usable), its closure built once per connection.
 	raw  syscall.RawConn
 	peek func(fd uintptr) bool
 	quit bool // the peek found bytes, the peer's close, or an error
-	// abort closes the connection; the method value is bound once so that
-	// context.AfterFunc gets it without an allocation per request.
+	// abort closes the connection; it is bound once so that registering it
+	// on a request's context costs no allocation of its own.
 	abort func()
 }
 
@@ -203,6 +207,10 @@ func (u *Upstream) IdleNow() int {
 // that said Connection: close, it is closed. ctx ending at any point closes
 // the connection and fails the pending read or write.
 //
+// The reply is read by readReply, not http.ReadResponse: its Header holds only
+// Content-Type and Retry-After and is read-only, and Status and Request are
+// not set.
+//
 // The resend rule is no weaker than net/http's. A pooled connection is peeked
 // before use, and one that still fails its Write without taking a byte — the
 // peer's reset beat the peek — is replaced and the request sent again: nothing
@@ -227,15 +235,14 @@ func (u *Upstream) RoundTrip(ctx context.Context, method, target, contentType st
 		if err != nil {
 			return nil, u.failed(ctx, method, target, err)
 		}
-		stop := context.AfterFunc(ctx, uc.abort)
+		stop := afterFunc(ctx, uc.abort)
 		n, err := uc.Write(buf.B)
 		if err == nil {
-			var resp *http.Response
-			uc.req.Method = method
-			if resp, err = http.ReadResponse(uc.br, &uc.req); err == nil {
-				resp.Body = &upstreamBody{src: resp.Body, up: u, uc: uc, stop: stop,
-					keep: !resp.Close, eof: resp.Body == http.NoBody}
-				return resp, nil
+			r := new(reply)
+			if err = readReply(uc.br, method == http.MethodHead, r); err == nil {
+				r.body.up, r.body.uc, r.body.stop = u, uc, stop
+				r.resp.Body = &r.body
+				return &r.resp, nil
 			}
 		}
 		stop()
@@ -248,6 +255,21 @@ func (u *Upstream) RoundTrip(ctx context.Context, method, target, contentType st
 		return nil, u.failed(ctx, method, target, err)
 	}
 }
+
+// afterFunc is context.AfterFunc(ctx, f) without its wrapper where none is
+// needed: a Server's request context — the router's calls run on one —
+// registers f itself, and a context that is never done registers nothing.
+func afterFunc(ctx context.Context, f func()) (stop func() bool) {
+	if x, ok := ctx.(interface{ AfterFunc(func()) func() bool }); ok {
+		return x.AfterFunc(f)
+	}
+	if ctx.Done() == nil {
+		return neverRan
+	}
+	return context.AfterFunc(ctx, f)
+}
+
+func neverRan() bool { return true }
 
 // failed words a round trip's error. Once ctx has ended the connection's own
 // error is only our Close showing through.
@@ -296,33 +318,299 @@ func headSafe(s string, requestLine bool) bool {
 	return true
 }
 
-// upstreamBody is a reply's body on its way to the caller. The framing —
-// declared length, chunks, none — is net/http's reader underneath; this adds
-// only what becomes of the connection afterwards.
+// reply is what a round trip allocates: the response and the body it hands
+// out, in one object.
+type reply struct {
+	resp http.Response
+	body upstreamBody
+}
+
+// The Header of nearly every reply, shared and therefore read-only, and the
+// TransferEncoding of a chunked one.
+const jsonType = "application/json"
+
+var (
+	jsonHeader  = http.Header{"Content-Type": {jsonType}}
+	chunkedOnly = []string{"chunked"}
+)
+
+// maxReplyHead bounds the bytes of a reply head. A line must also fit the
+// connection's read buffer (4 KiB): the replies of a Server and of net/http's
+// server are a few hundred bytes.
+const maxReplyHead = 64 << 10
+
+var (
+	errReplyHead    = errors.New("hop: malformed reply head")
+	errReplyTrailer = errors.New("hop: chunked reply with a trailer")
+)
+
+// readReply reads a reply head off br into r and frames its body. A reply's
+// senders are Servers, so it is strict where net/http's reader is lenient,
+// and whatever it accepts http.ReadResponse reads the same way
+// (FuzzReplyMatchesNetHTTP): an HTTP/1.1 or HTTP/1.0 status line with one
+// space on each side of a three-digit final status; header lines that end in
+// CRLF, a token, a colon and a value of the bytes net/textproto allows, no
+// folded line; at most one Content-Length value (repeated only as itself,
+// with no leading zero), a Transfer-Encoding only as one "chunked" in an
+// HTTP/1.1 reply and never beside a Content-Length; no Trailer field. Of the
+// fields it keeps Content-Type and Retry-After (the first of each) and
+// Connection's close and keep-alive; what frames the body is net/http's rule.
+func readReply(br *bufio.Reader, head bool, r *reply) error {
+	budget := maxReplyHead
+	line, err := headLine(br, &budget)
+	if err != nil {
+		return err
+	}
+	if len(line) < 12 || line[8] != ' ' || len(line) > 12 && line[12] != ' ' {
+		return errReplyHead
+	}
+	is11 := string(line[:8]) == "HTTP/1.1"
+	if !is11 && string(line[:8]) != "HTTP/1.0" {
+		return errReplyHead
+	}
+	code := 0
+	for _, c := range line[9:12] {
+		if c < '0' || c > '9' {
+			return errReplyHead
+		}
+		code = 10*code + int(c-'0')
+	}
+	if code < 200 {
+		return errReplyHead // no request of ours asks for an interim reply
+	}
+
+	length := int64(-1)
+	var chunked, connClose, keepAlive, haveType, haveRetry bool
+	var contentType, retryAfter string
+	for {
+		if line, err = headLine(br, &budget); err != nil {
+			return err
+		}
+		if len(line) == 0 {
+			break
+		}
+		name, value, ok := field(line)
+		if !ok {
+			return errReplyHead
+		}
+		switch {
+		case fieldIs(name, "Content-Length"):
+			n, ok := parseLength(value)
+			if !ok || length >= 0 && n != length {
+				return errReplyHead
+			}
+			length = n
+		case fieldIs(name, "Transfer-Encoding"):
+			if chunked || !is11 || !fieldIs(value, "chunked") {
+				return errReplyHead
+			}
+			chunked = true
+		case fieldIs(name, "Connection"):
+			connClose = connClose || hasElement(value, "close")
+			keepAlive = keepAlive || hasElement(value, "keep-alive")
+		case fieldIs(name, "Content-Type"):
+			if !haveType {
+				haveType, contentType = true, jsonType
+				if string(value) != jsonType {
+					contentType = string(value)
+				}
+			}
+		case fieldIs(name, "Retry-After"):
+			if !haveRetry {
+				haveRetry, retryAfter = true, string(value)
+			}
+		case fieldIs(name, "Trailer"):
+			return errReplyHead
+		}
+	}
+	if chunked && length >= 0 {
+		return errReplyHead
+	}
+
+	resp := &r.resp
+	resp.StatusCode = code
+	resp.Proto, resp.ProtoMajor, resp.ProtoMinor = "HTTP/1.0", 1, 0
+	if is11 {
+		resp.Proto, resp.ProtoMinor = "HTTP/1.1", 1
+	}
+	switch {
+	case haveType && !haveRetry && contentType == jsonType:
+		resp.Header = jsonHeader
+	case haveType || haveRetry:
+		resp.Header = make(http.Header, 2)
+		if haveType {
+			resp.Header["Content-Type"] = []string{contentType}
+		}
+		if haveRetry {
+			resp.Header["Retry-After"] = []string{retryAfter}
+		}
+	}
+	if chunked {
+		resp.TransferEncoding = chunkedOnly
+	}
+	resp.Close = connClose || !is11 && !keepAlive
+	b := &r.body
+	switch {
+	case head:
+		resp.ContentLength, b.eof = length, true
+	case code == http.StatusNoContent || code == http.StatusNotModified:
+		resp.ContentLength, b.eof = 0, true
+	case chunked:
+		resp.ContentLength, b.remain, b.chunks = -1, -1, httputil.NewChunkedReader(br)
+	case length >= 0:
+		resp.ContentLength, b.remain, b.eof = length, length, length == 0
+	default: // the body ends with the connection
+		resp.ContentLength, b.remain, resp.Close = -1, -1, true
+	}
+	b.keep, b.br = !resp.Close, br
+	return nil
+}
+
+// headLine returns the next line of a head without its CRLF, charged to
+// budget. The line is br's until the next read.
+func headLine(br *bufio.Reader, budget *int) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if *budget -= len(line); *budget < 0 || err == bufio.ErrBufferFull {
+		return nil, errReplyHead
+	}
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	if len(line) < 2 || line[len(line)-2] != '\r' {
+		return nil, errReplyHead
+	}
+	return line[:len(line)-2], nil
+}
+
+// field splits a header line into its name, a token, and its value without
+// the spaces and tabs around it, and checks the value's bytes as
+// net/textproto does.
+func field(line []byte) (name, value []byte, ok bool) {
+	i := bytes.IndexByte(line, ':')
+	if i < 0 || !validFieldName(line[:i]) || !validFieldValue(line[i+1:]) {
+		return nil, nil, false
+	}
+	return line[:i], bytes.Trim(line[i+1:], " \t"), true
+}
+
+// fieldIs reports whether b is s, ASCII case-insensitively, as net/http
+// compares these names and values; bytes.EqualFold would also fold the
+// Kelvin sign to a k.
+func fieldIs(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i := 0; i < len(b); i++ {
+		if lower(b[i]) != lower(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func lower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// hasElement reports whether token is one of v's comma-separated elements,
+// ASCII case-insensitively: net/http's reading of Connection.
+func hasElement(v []byte, token string) bool {
+	for len(v) > 0 {
+		elem := v
+		if i := bytes.IndexByte(v, ','); i >= 0 {
+			elem, v = v[:i], v[i+1:]
+		} else {
+			v = nil
+		}
+		if fieldIs(bytes.Trim(elem, " \t"), token) {
+			return true
+		}
+	}
+	return false
+}
+
+// parseLength reads a Content-Length: decimal digits with no leading zero,
+// so that two values are equal exactly when their text is.
+func parseLength(v []byte) (int64, bool) {
+	if len(v) == 0 || len(v) > 18 || v[0] == '0' && len(v) > 1 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range v {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = 10*n + int64(c-'0')
+	}
+	return n, true
+}
+
+// upstreamBody is a reply's body on its way to the caller: framed by
+// readReply — a declared length, chunks, or the connection's end — and
+// followed by what becomes of the connection afterwards.
 type upstreamBody struct {
-	src  io.Reader
-	up   *Upstream
-	uc   *upstreamConn // nil once closed
-	stop func() bool   // detaches the connection from the request's context
-	keep bool          // the reply did not say Connection: close
-	eof  bool          // src was read to its end: the connection is clean
+	br     *bufio.Reader
+	remain int64     // body bytes left under a declared length; -1 for any other framing
+	chunks io.Reader // a chunked body's decoder; nil for any other framing
+	up     *Upstream
+	uc     *upstreamConn // nil once closed
+	stop   func() bool   // detaches the connection from the request's context
+	keep   bool          // the reply did not say Connection: close
+	eof    bool          // the body was read to its end: the connection is clean
 }
 
 var errBodyClosed = errors.New("hop: read on a closed upstream body")
 
-func (b *upstreamBody) Read(p []byte) (int, error) {
-	if b.uc == nil {
+func (b *upstreamBody) Read(p []byte) (n int, err error) {
+	switch {
+	case b.uc == nil:
 		return 0, errBodyClosed
+	case b.eof:
+		return 0, io.EOF
+	case b.chunks != nil:
+		if n, err = b.chunks.Read(p); err == io.EOF {
+			err = endChunks(b.br)
+		}
+	case b.remain >= 0:
+		n, err = b.br.Read(p[:min(int64(len(p)), b.remain)])
+		if b.remain -= int64(n); b.remain == 0 {
+			err = io.EOF
+		} else if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	default:
+		n, err = b.br.Read(p)
 	}
-	n, err := b.src.Read(p)
 	if err == io.EOF {
 		b.eof = true
 	}
 	return n, err
 }
 
-// Close does not close src: net/http's body would read a response to its end
-// first, and a live feed has none.
+// endChunks reads what follows a chunked body's last chunk: the empty line
+// of a reply with no trailer, or the reply is refused. A body counts as ended
+// only once it is read; left unread, the next reply would begin with it.
+func endChunks(br *bufio.Reader) error {
+	crlf, err := br.Peek(2)
+	switch {
+	case err == nil && crlf[0] == '\r' && crlf[1] == '\n':
+		br.Discard(2)
+		return io.EOF
+	case err == io.EOF:
+		return io.ErrUnexpectedEOF
+	case err != nil:
+		return err
+	}
+	return errReplyTrailer
+}
+
+// Close does not read the rest of the body: a live feed has no end.
 func (b *upstreamBody) Close() error {
 	uc := b.uc
 	if uc == nil {

@@ -61,6 +61,7 @@ func BenchmarkServerSubmit(b *testing.B) {
 // records) before it is acknowledged. The delta against the in-memory
 // benchmark is the full durability overhead on the hot path.
 func BenchmarkServerSubmitWAL(b *testing.B) {
+	server.AtProductionSegments(b)
 	srv, err := server.Open(server.Options{
 		DataDir:       b.TempDir(),
 		FsyncEvery:    64,
@@ -308,6 +309,7 @@ func (f slowFile) Sync() error {
 // across all clients, so dividing the clients=1 value by the clients=64
 // value gives the scalability factor directly.
 func BenchmarkServerSubmitParallel(b *testing.B) {
+	server.AtProductionSegments(b)
 	for _, fsyncEvery := range []int{1, 32} {
 		for _, clients := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("fsync=%d/clients=%d", fsyncEvery, clients), func(b *testing.B) {
@@ -410,6 +412,7 @@ func benchSubmitParallel(b *testing.B, fsyncEvery, clients int) {
 // here like the journal's, and whoever drains that advance — often a
 // submitter — waits for the seal before it answers its own submit.
 func BenchmarkServerSubmitContended(b *testing.B) {
+	server.AtProductionSegments(b)
 	for _, clients := range []int{8, 64} {
 		b.Run(fmt.Sprintf("fsync=1/clients=%d", clients), func(b *testing.B) {
 			benchSubmitContended(b, clients, false)

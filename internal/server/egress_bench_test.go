@@ -115,6 +115,7 @@ func BenchmarkTenantRecord(b *testing.B) {
 		})
 	}
 	b.Run("journaled", func(b *testing.B) {
+		AtProductionSegments(b)
 		dir := b.TempDir()
 		l, _, err := wal.Open(dir, wal.Options{FsyncEvery: 64})
 		if err != nil {

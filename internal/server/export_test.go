@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"sync"
+	"testing"
 	"time"
 
 	"desyncpfair/internal/online"
@@ -18,6 +19,16 @@ func SetHistSegmentMin(n int) (restore func()) {
 	old := histSegmentMin
 	histSegmentMin = n
 	return func() { histSegmentMin = old }
+}
+
+// productionHistSegmentMin is histSegmentMin as pfaird runs it, read at
+// package init, before TestMain shortens it.
+var productionHistSegmentMin = histSegmentMin
+
+// AtProductionSegments seals at pfaird's segment size for tb's duration: a
+// benchmark of a journaled tenant measures the sealing production does.
+func AtProductionSegments(tb testing.TB) {
+	tb.Cleanup(SetHistSegmentMin(productionHistSegmentMin))
 }
 
 // SetStreamStall shortens the per-write stall deadline of every stream the

@@ -85,10 +85,13 @@ func (s *Server) SetReplicationLag(lag int64) { s.replLagLSN.Store(lag) }
 // count.
 func (s *Server) SetReplicationError(msg string) {
 	if msg == "" {
+		// The follower clears it after every record it applies: taking
+		// msg's address below must not move it to the heap on this path.
 		s.replErr.Store(nil)
 		return
 	}
-	s.replErr.Store(&msg)
+	m := msg
+	s.replErr.Store(&m)
 }
 
 // SetCaughtUp marks a bootstrapping follower as caught up to its

@@ -209,3 +209,22 @@ func TestPromoteSyncsTermMarker(t *testing.T) {
 		t.Fatalf("after Promote: %+v, want a leader whose term marker is durable", st)
 	}
 }
+
+// TestClearReplicationErrorAllocatesNothing: the follower clears its
+// transport error after every record it applies, so clearing allocates
+// nothing, and an error set after a clear still shows.
+func TestClearReplicationErrorAllocatesNothing(t *testing.T) {
+	srv := server.New()
+	defer srv.Shutdown()
+	if a := testing.AllocsPerRun(100, func() { srv.SetReplicationError("") }); a != 0 {
+		t.Errorf("SetReplicationError(\"\") allocates %.1f times, want 0", a)
+	}
+	srv.SetReplicationError("stream broke")
+	if h, _ := healthz(t, srv.Handler()); h.ReplicationError != "stream broke" {
+		t.Errorf("healthz replicationError %q, want the error just set", h.ReplicationError)
+	}
+	srv.SetReplicationError("")
+	if h, _ := healthz(t, srv.Handler()); h.ReplicationError != "" {
+		t.Errorf("healthz replicationError %q after a clear", h.ReplicationError)
+	}
+}

@@ -207,6 +207,7 @@ func BenchmarkWireCodec(b *testing.B) {
 // also report what a round (one batch, one advance) costs the journal:
 // records/op, the frames it appended, and fsyncs/op.
 func BenchmarkServerSubmitBatch(b *testing.B) {
+	server.AtProductionSegments(b)
 	for _, n := range []int{16, 92} {
 		for _, durable := range []bool{false, true} {
 			name := fmt.Sprintf("%djobs", n)
